@@ -5,7 +5,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hyperdex_core::summary::{pruned_levels, OccupancySummary};
+use hyperdex_core::protocol::FrontierLevels;
+use hyperdex_core::summary::OccupancySummary;
 use hyperdex_hypercube::{Sbt, Shape, Vertex};
 
 const R: u8 = 12;
@@ -85,8 +86,12 @@ fn pruned_traversal(c: &mut Criterion) {
             &summary,
             |b, summary| {
                 b.iter(|| {
-                    let (levels, cut) = pruned_levels(black_box(summary), black_box(root));
-                    (levels.iter().map(Vec::len).sum::<usize>(), cut)
+                    let mut levels = FrontierLevels::new(summary, black_box(root), true, false);
+                    let mut visited = 0usize;
+                    while let Some(level) = levels.next_level(black_box(summary)) {
+                        visited += level.len();
+                    }
+                    (visited, levels.drain(black_box(summary)))
                 })
             },
         );

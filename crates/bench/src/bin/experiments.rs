@@ -16,10 +16,8 @@
 //! `cargo build -p hyperdex-net`.
 //!
 //! Experiments with environment knobs list them under `--list` and in
-//! the run-summary table; `HYPERDEX_STORE=table|slab` additionally
-//! switches the posting-store backend of every executor-backed
-//! experiment (the `scale` harness ignores it and always measures
-//! both backends).
+//! the run-summary table. Every executor runs the slab posting store;
+//! the `scale` harness alone builds both backends, explicitly.
 //! A final table maps each experiment run to the artifact it produced.
 //! ```
 
@@ -37,8 +35,7 @@ const USAGE: &str = "usage: experiments \
                      |runtime|faults|net|scale|all ...] [--scale full|small] [--seed N] [--list]";
 
 /// Every experiment: name, one-line description, and the environment
-/// knobs it reads (empty when none beyond the global
-/// `HYPERDEX_STORE`), in run order.
+/// knobs it reads (empty when none), in run order.
 const EXPERIMENTS: [(&str, &str, &str); 17] = [
     ("table1", "load distribution across index nodes", ""),
     ("fig5", "keyword-set size distribution", ""),
@@ -60,17 +57,17 @@ const EXPERIMENTS: [(&str, &str, &str); 17] = [
     (
         "runtime",
         "threaded shared-nothing qps/latency vs worker count",
-        "HYPERDEX_STORE",
+        "",
     ),
     (
         "faults",
         "recall/latency under frame loss and worker crashes",
-        "HYPERDEX_STORE",
+        "",
     ),
     (
         "net",
         "socket-mode qps/latency vs the in-process channel fabric",
-        "HYPERDEX_NET_SMOKE, HYPERDEX_NET_WINDOW, HYPERDEX_STORE",
+        "HYPERDEX_NET_SMOKE",
     ),
     (
         "scale",
@@ -110,10 +107,6 @@ fn main() -> ExitCode {
                         println!("{:<14} knobs: {knobs}", "");
                     }
                 }
-                println!(
-                    "\nHYPERDEX_STORE=table|slab switches the posting backend of every \
-                     executor-backed experiment; `scale` always measures both."
-                );
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {

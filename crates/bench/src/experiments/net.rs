@@ -65,7 +65,7 @@ pub struct NetRow {
     pub policy: &'static str,
     /// Server processes (= worker shards).
     pub servers: u32,
-    /// Requests kept in flight per connection (`HYPERDEX_NET_WINDOW`).
+    /// Requests kept in flight per connection (`NetConfig::window`).
     pub window: usize,
     /// Requests replayed through the batch window.
     pub requests: usize,

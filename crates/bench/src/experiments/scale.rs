@@ -31,9 +31,9 @@
 //!   p99 budgets in microseconds (defaults 500 / 180,000), enforced in
 //!   release builds only, like the other wall-clock bars.
 //!
-//! `HYPERDEX_STORE` steers the *default* backend of every executor
-//! (DESIGN.md §17); this harness deliberately ignores it and builds
-//! both backends explicitly, since the comparison is the experiment.
+//! Every executor defaults to the slab (DESIGN.md §17); this harness
+//! builds both backends explicitly, since the comparison is the
+//! experiment.
 
 use std::path::Path;
 use std::time::Instant;

@@ -21,9 +21,7 @@ use crate::cache::FifoCache;
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
-use crate::search::{
-    superset, PinOutcome, RankedObject, SearchStats, SupersetOutcome, SupersetQuery,
-};
+use crate::search::{superset, PinOutcome, SearchStats, SupersetOutcome, SupersetQuery};
 use crate::store::{PostingStore, StoreBackend, StoreFootprint};
 use crate::summary::OccupancySummary;
 
@@ -33,18 +31,6 @@ use crate::summary::OccupancySummary;
 pub(crate) struct IndexNode {
     pub(crate) store: PostingStore,
     pub(crate) cache: Option<FifoCache>,
-}
-
-/// Reusable traversal buffers, owned by the index and lent to the
-/// search engine for the duration of one query — superset searches
-/// stop allocating a fresh frontier queue and per-node result buffer
-/// per call.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SearchScratch {
-    /// The sequential protocol's frontier queue `U`.
-    pub(crate) frontier: VecDeque<(Vertex, u8)>,
-    /// Per-node found buffer (sorted locally, then drained).
-    pub(crate) found: Vec<RankedObject>,
 }
 
 /// The hypercube keyword index over a logical `r`-dimensional hypercube.
@@ -61,20 +47,21 @@ pub struct HypercubeIndex {
     // Occupancy digests over prefix regions, kept exact on every
     // insert/remove so searches can prune provably-empty SBT subtrees.
     summary: OccupancySummary,
-    // Reused traversal buffers (see SearchScratch).
-    scratch: SearchScratch,
+    // The sequential protocol's frontier queue `U`, lent to the search
+    // engine per query so searches stop allocating a fresh one.
+    pub(crate) frontier: VecDeque<(u64, u8)>,
 }
 
 impl HypercubeIndex {
     /// Creates an index over an `r`-dimensional hypercube with hash
-    /// seed `seed`, caches disabled, and the posting backend read from
-    /// `HYPERDEX_STORE` (default `table`).
+    /// seed `seed`, caches disabled, and the default posting backend
+    /// ([`StoreBackend::Slab`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
     pub fn new(r: u8, seed: u64) -> Result<Self, Error> {
-        Self::with_store(r, seed, StoreBackend::from_env())
+        Self::with_store(r, seed, StoreBackend::default())
     }
 
     /// [`HypercubeIndex::new`] with an explicit posting backend.
@@ -90,13 +77,8 @@ impl HypercubeIndex {
             cache_capacity: 0,
             backend,
             summary: OccupancySummary::new(r),
-            scratch: SearchScratch::default(),
+            frontier: VecDeque::new(),
         })
-    }
-
-    /// The posting backend every materialized vertex uses.
-    pub fn store_backend(&self) -> StoreBackend {
-        self.backend
     }
 
     /// Aggregate memory footprint of every materialized posting store
@@ -330,18 +312,6 @@ impl HypercubeIndex {
             return None;
         }
         self.node_mut(vertex).cache.as_mut()
-    }
-
-    /// Moves the reusable traversal buffers out (the search engine
-    /// borrows the index immutably while traversing).
-    pub(crate) fn take_scratch(&mut self) -> SearchScratch {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Returns the traversal buffers after a search, keeping their
-    /// capacity for the next query.
-    pub(crate) fn put_scratch(&mut self, scratch: SearchScratch) {
-        self.scratch = scratch;
     }
 }
 

@@ -46,8 +46,7 @@
 //!   while staying recall-safe (DESIGN.md §10).
 //! * [`store`] — pluggable per-vertex posting storage: the `BTreeMap`
 //!   tables of [`index`] or the struct-of-arrays slab layout with
-//!   delta-encoded postings, switched by `HYPERDEX_STORE`
-//!   (DESIGN.md §17).
+//!   delta-encoded postings — the default (DESIGN.md §17).
 //! * [`decompose`] — decomposed (multi-hypercube) indexes (§3.4).
 //! * [`analysis`] — Equation (1) and dimensioning guidance.
 //! * [`baseline`] — distributed inverted index and direct-DHT baselines
@@ -109,7 +108,7 @@ pub use intern::KeywordInterner;
 pub use keyword::{Keyword, KeywordSet};
 pub use mapping::VertexMap;
 pub use protocol::{
-    FtCmd, FtCoordinator, FtCoverage, FtPolicy, RecoveryStrategy, SupersetCoordinator, VertexStore,
+    FtCmd, FtCoordinator, FtCoverage, FtPolicy, RecoveryStrategy, SupersetCoordinator,
 };
 pub use search::{
     PinOutcome, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,

@@ -1,33 +1,38 @@
 //! Engine-agnostic core of the superset/pin/insert protocol.
 //!
-//! Three execution substrates run the paper's §3.3 protocol:
+//! Four execution substrates run the paper's §3.3 protocol: the
+//! **direct engine** ([`crate::cluster::HypercubeIndex`], plain function
+//! calls), the **simulator** ([`crate::sim_protocol::ProtocolSim`],
+//! discrete-event messages), and the **threaded** and **TCP** runtimes
+//! (`hyperdex-runtime` / `hyperdex-net`, wire frames between workers).
+//! Each request-path step they share exists once, here:
 //!
-//! * the **direct engine** ([`crate::cluster::HypercubeIndex`]) — plain
-//!   function calls, exact node/message accounting;
-//! * the **simulator** ([`crate::sim_protocol::ProtocolSim`]) — the
-//!   same traversal as discrete-event messages with latency and faults;
-//! * the **threaded runtime** (`hyperdex-runtime`) — the same traversal
-//!   as wire-encoded frames between OS threads.
+//! * [`SupersetCoordinator`] — the root-side sequential state machine
+//!   (frontier queue `U`, budget `c`, `T_CONT`/`T_STOP`). The direct
+//!   engine's sequential top-down search and
+//!   [`crate::search::cumulative::CumulativeSearch`] call it in a loop,
+//!   the simulator feeds it `T_CONT` messages, a runtime worker feeds it
+//!   continuation frames (in bursts, via
+//!   [`SupersetCoordinator::drain_frontier`]).
+//! * [`child_contacts`] — a node's SBT children from its bits and
+//!   arrival dimension alone (Lemma 3.2).
+//! * [`scan_store`] — the per-vertex `T_QUERY` handler: the ranked scan
+//!   of one posting store.
+//! * [`FrontierLevels`] — the per-depth frontier of the level-order
+//!   variants (bottom-up, §3.5 level-parallel), full or
+//!   summary-pruned, in either direction.
+//! * [`FtCoordinator`] — the §3.4 recovery machine (retry, backoff,
+//!   subtree re-delegation, coverage accounting) the simulator and the
+//!   runtime workers both drive.
 //!
-//! Before this module each substrate re-implemented the coordinator
-//! loop (pop the SBT frontier, query one node, fold its answer back
-//! in), and the three copies had to be kept in lock-step by parity
-//! tests alone. [`SupersetCoordinator`] is the single shared
-//! implementation: a sans-I/O state machine that knows *which vertex to
-//! visit next* and *how an answer changes the frontier*, while the
-//! substrate supplies transport (a call, a simnet message, a wire
-//! frame). The SBT child-derivation helpers (Lemma 3.2: a node's
-//! subtree is computable from its bits and arrival dimension alone)
-//! live here too, as does the per-vertex table scan every substrate
-//! performs on a `T_QUERY`.
+//! Everything here is sans-I/O: the substrate supplies transport (a
+//! call, a simnet message, a wire frame) and timers.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
-use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Sbt, Shape, Vertex};
 
-use crate::index::IndexTable;
 use crate::keyword::KeywordSet;
 use crate::search::RankedObject;
 use crate::store::PostingStore;
@@ -55,34 +60,32 @@ pub enum Step {
 /// search (§3.3): the frontier queue `U`, the remaining-result budget
 /// `c`, and the termination rule.
 ///
-/// The machine is sans-I/O: call [`SupersetCoordinator::next_step`] to
-/// learn the next vertex to query, execute the query however the
-/// substrate likes, then feed the answer to
+/// The machine is sans-I/O and payload-free (the substrate carries the
+/// keyword set): call [`SupersetCoordinator::next_step`] to learn the
+/// next vertex to query, execute the query however the substrate
+/// likes, then feed the answer to
 /// [`SupersetCoordinator::record_visit`]. A `T_STOP` (the queried node
 /// saw the threshold met) maps to [`SupersetCoordinator::stop`].
 ///
 /// # Example
 ///
 /// ```
-/// use std::sync::Arc;
-/// use hyperdex_core::protocol::{SupersetCoordinator, Step};
+/// use hyperdex_core::protocol::{child_contacts, SupersetCoordinator, Step};
 /// use hyperdex_core::{KeywordHasher, KeywordSet};
 ///
 /// let hasher = KeywordHasher::new(6, 0)?;
-/// let kw = Arc::new(KeywordSet::parse("a")?);
-/// let root = hasher.vertex_for(&kw);
-/// let mut coord = SupersetCoordinator::new(root, kw, 10);
+/// let root = hasher.vertex_for(&KeywordSet::parse("a")?);
+/// let mut coord = SupersetCoordinator::new(root, 10);
 /// // The first step is always the root itself.
 /// assert_eq!(
 ///     coord.next_step(),
 ///     Step::Visit { bits: root.bits(), via_dim: None }
 /// );
-/// coord.record_visit(0, SupersetCoordinator::children_of(root, None));
+/// coord.record_visit(0, child_contacts(root, None));
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SupersetCoordinator {
-    keywords: Arc<KeywordSet>,
     remaining: usize,
     root_bits: u64,
     frontier: VecDeque<(u64, u8)>,
@@ -93,34 +96,22 @@ pub struct SupersetCoordinator {
 impl SupersetCoordinator {
     /// Starts a traversal rooted at `root` wanting up to `threshold`
     /// results.
-    pub fn new(root: Vertex, keywords: Arc<KeywordSet>, threshold: usize) -> Self {
-        Self::with_queue(root, keywords, threshold, VecDeque::new())
+    pub fn new(root: Vertex, threshold: usize) -> Self {
+        Self::with_queue(root, threshold, VecDeque::new())
     }
 
     /// [`SupersetCoordinator::new`] reusing an existing frontier buffer
     /// (cleared first) — hot loops recycle the queue's capacity across
     /// searches instead of reallocating it.
-    pub fn with_queue(
-        root: Vertex,
-        keywords: Arc<KeywordSet>,
-        threshold: usize,
-        mut frontier: VecDeque<(u64, u8)>,
-    ) -> Self {
+    pub fn with_queue(root: Vertex, threshold: usize, mut frontier: VecDeque<(u64, u8)>) -> Self {
         frontier.clear();
         SupersetCoordinator {
-            keywords,
             remaining: threshold,
             root_bits: root.bits(),
             frontier,
             root_issued: false,
             done: false,
         }
-    }
-
-    /// The queried keyword set (shared: every hop of the traversal
-    /// holds the same allocation).
-    pub fn keywords(&self) -> &Arc<KeywordSet> {
-        &self.keywords
     }
 
     /// Results still wanted (the paper's `c`).
@@ -195,7 +186,8 @@ impl SupersetCoordinator {
 
     /// Folds one node's answer back in: `found` results consume budget,
     /// its SBT children join the frontier. (When the budget reaches
-    /// zero the machine is done; queued children are never visited.)
+    /// zero the machine is done; `children` is not even iterated, so a
+    /// pruning filter wrapped around it counts nothing.)
     pub fn record_visit(&mut self, found: usize, children: impl IntoIterator<Item = (u64, u8)>) {
         self.remaining = self.remaining.saturating_sub(found);
         if self.remaining == 0 {
@@ -205,18 +197,6 @@ impl SupersetCoordinator {
         }
     }
 
-    /// The SBT child contacts of `w` reached via `via_dim` (`None` for
-    /// the traversal root), as `(bits, dimension)` pairs in the
-    /// protocol's descending-dimension order.
-    pub fn children_of(w: Vertex, via_dim: Option<u8>) -> Vec<(u64, u8)> {
-        let mut out = Vec::new();
-        match via_dim {
-            None => extend_root_frontier(w, &mut out),
-            Some(dim) => extend_child_contacts(w, dim, &mut out),
-        }
-        out
-    }
-
     /// Surrenders the frontier buffer so the caller can recycle its
     /// capacity (see [`SupersetCoordinator::with_queue`]).
     pub fn into_queue(self) -> VecDeque<(u64, u8)> {
@@ -224,26 +204,18 @@ impl SupersetCoordinator {
     }
 }
 
-/// Pushes the root's initial frontier — its free dimensions, descending
-/// — into any collection (`Vec` for messages, a reused `VecDeque` for
-/// the coordinator queue).
-pub fn extend_root_frontier(root: Vertex, out: &mut impl Extend<(u64, u8)>) {
-    out.extend(
-        root.zero_positions()
-            .rev()
-            .map(|i| (root.flip(i).bits(), i)),
-    );
-}
-
-/// Pushes a node's child contacts — free dims below its arrival
-/// dimension, descending — into any collection.
-pub fn extend_child_contacts(w: Vertex, via_dim: u8, out: &mut impl Extend<(u64, u8)>) {
-    out.extend(
-        (0..via_dim)
-            .rev()
-            .filter(|&i| !w.bit(i))
-            .map(|i| (w.flip(i).bits(), i)),
-    );
+/// The SBT child contacts of `w` reached via `via_dim` (`None` for the
+/// traversal root), as `(bits, dimension)` pairs in the protocol's
+/// descending-dimension order: `w`'s free dimensions strictly below
+/// its arrival dimension — all of them for the root (Lemma 3.2: no
+/// state from `w` itself is needed). Allocation-free; collect it where
+/// a message needs an owned list.
+pub fn child_contacts(w: Vertex, via_dim: Option<u8>) -> impl Iterator<Item = (u64, u8)> {
+    let limit = via_dim.unwrap_or(w.shape().r());
+    (0..limit)
+        .rev()
+        .filter(move |&i| !w.bit(i))
+        .map(move |i| (w.flip(i).bits(), i))
 }
 
 /// Collects the bits of every vertex in the SBT subtree rooted at `w`
@@ -264,153 +236,121 @@ pub fn subtree_bits(shape: Shape, w: Vertex, via_dim: Option<u8>, out: &mut Vec<
     }
 }
 
-/// The per-vertex `T_QUERY` handler every substrate shares: scan one
-/// index table for supersets of `keywords`, returning at most
-/// `remaining` ranked matches. `None` stands for an unmaterialized
-/// vertex (logically contacted, holds nothing).
-pub fn scan_table(
-    table: Option<&IndexTable>,
-    keywords: &KeywordSet,
-    remaining: usize,
-) -> Vec<RankedObject> {
-    match table {
-        Some(table) => scan_entries(table.superset_entries(keywords), keywords.len(), remaining),
-        None => Vec::new(),
-    }
-}
-
-/// [`scan_table`] over a backend-switched [`PostingStore`] — identical
-/// results on either backend.
+/// The per-vertex `T_QUERY` handler every substrate shares: the ranked
+/// scan of one posting store. Appends to `out`, in the store's
+/// keyword-set order, at most `limit` objects indexed under supersets
+/// of `keywords`, each ranked by its extra-keyword count, and returns
+/// how many it appended. `None` stands for an unmaterialized vertex
+/// (logically contacted, holds nothing). `qsig` is the query's
+/// [`KeywordSet::signature`] — traversals compute it once, not once
+/// per node — or `0` to scan without the signature prefilter.
 pub fn scan_store(
     store: Option<&PostingStore>,
     keywords: &KeywordSet,
-    remaining: usize,
-) -> Vec<RankedObject> {
-    match store {
-        Some(store) => scan_entries(store.superset_entries(keywords), keywords.len(), remaining),
-        None => Vec::new(),
-    }
-}
-
-/// Folds one entry stream (already superset-filtered, in keyword-set
-/// order) into at most `remaining` ranked matches.
-fn scan_entries<'a, E, O>(entries: E, query_len: usize, remaining: usize) -> Vec<RankedObject>
-where
-    E: Iterator<Item = (&'a Arc<KeywordSet>, O)>,
-    O: Iterator<Item = ObjectId>,
-{
-    let mut found = Vec::new();
-    for (keyword_set, objects) in entries {
-        let extra = (keyword_set.len() - query_len) as u32;
+    qsig: u64,
+    limit: usize,
+    out: &mut Vec<RankedObject>,
+) -> usize {
+    let Some(store) = store else { return 0 };
+    let start = out.len();
+    for (keyword_set, objects) in store.superset_entries_sig(keywords, qsig) {
+        let extra = (keyword_set.len() - keywords.len()) as u32;
         for object in objects {
-            if found.len() >= remaining {
-                return found;
+            if out.len() - start >= limit {
+                return limit;
             }
-            found.push(RankedObject {
+            out.push(RankedObject {
                 object,
                 keyword_set: Arc::clone(keyword_set),
                 extra_keywords: extra,
             });
         }
     }
-    found
+    out.len() - start
 }
 
-/// Streaming per-level frontier over the SBT induced by a query root —
-/// the incremental replacement for materializing every level of the
-/// traversal up front.
+/// The per-depth frontier of the level-order traversals (bottom-up,
+/// §3.5 level-parallel) over the SBT induced by a query root.
 ///
-/// Yields one `Vec<Vertex>` per tree depth, in the exact within-level
-/// order the materialized paths used:
+/// [`FrontierLevels::next_level`] yields one `Vec<Vertex>` per tree
+/// depth in visit order, holding one level at a time:
 ///
-/// * **Full** levels enumerate [`Sbt::level`] (subset order) lazily,
-///   one depth at a time — nothing deeper than the current level is
-///   ever touched, so a search that exits at depth 2 of an `r = 20`
-///   cube no longer allocates the million-vertex tail.
-/// * **Pruned** levels run the wave expansion of the occupancy summary
-///   (protocol child order, summary-disproven subtrees skipped),
-///   holding only the current wave.
+/// * **Full** levels enumerate [`Sbt::level`] (subset order) lazily in
+///   either direction — nothing beyond the current level is touched,
+///   so a search that exits at depth 2 of an `r = 20` cube never
+///   allocates the million-vertex tail.
+/// * **Pruned** levels run the wave expansion under the occupancy
+///   summary (protocol child order, summary-disproven subtrees
+///   skipped), holding only the current wave. The summary is borrowed
+///   per call, not across yields, so a caller that owns it (`&mut
+///   self` event loops) can keep mutating between levels.
+/// * **Pruned bottom-up** is the one combination that materializes the
+///   tree (at construction): the wave expansion is inherently
+///   top-down, and deepest-first visiting needs its last wave first.
 ///
-/// Early exits may leave the iterator mid-tree; call
-/// [`FrontierLevels::drain`] to finish the expansion when exact
-/// pruned-subtree accounting is wanted (the summary lookups still run,
-/// but no vertex is scanned — identical counts to the materialized
-/// implementation at a fraction of the allocation).
+/// Early exits may leave a pruned expansion mid-tree;
+/// [`FrontierLevels::drain`] finishes it for the exact pruned-subtree
+/// count (the summary lookups still run, but no vertex is scanned).
 #[derive(Debug)]
-pub enum FrontierLevels<'a> {
-    /// Unpruned: direct per-depth enumeration of the induced SBT.
-    Full {
-        /// The induced spanning binomial tree.
-        sbt: Sbt,
-        /// Next depth to yield.
-        depth: u32,
-        /// `+1` (top-down) or `-1` (bottom-up).
-        descending: bool,
-        /// Whether the final depth was yielded.
-        done: bool,
-    },
-    /// Pruned: breadth-first wave expansion under the summary.
-    Pruned(PrunedWave<'a>),
-}
-
-/// The live wave of the pruned frontier expansion.
-#[derive(Debug)]
-pub struct PrunedWave<'a> {
-    summary: &'a OccupancySummary,
-    /// `One(F_h(K))` — positions every match must cover.
+pub struct FrontierLevels {
+    source: LevelSource,
+    /// `One(F_h(K))` — the positions every match must cover, which the
+    /// pruning test checks the summary against.
     required: u64,
-    /// Current level: each node with its arrival dimension, so its
-    /// children enumerate exactly as [`Sbt::children`] would.
-    wave: Vec<(Vertex, Option<u8>)>,
-    /// Reused child-dimension buffer.
-    dims: Vec<u8>,
     /// Subtrees pruned so far.
     pruned: u64,
+    /// Whether the last yielded level was the final one.
     done: bool,
 }
 
-impl<'a> FrontierLevels<'a> {
-    /// Top-down full levels of the SBT induced by `root`.
-    pub fn full(root: Vertex) -> Self {
-        FrontierLevels::Full {
-            sbt: Sbt::induced(root),
-            depth: 0,
-            descending: false,
-            done: false,
-        }
-    }
+#[derive(Debug)]
+enum LevelSource {
+    /// Unpruned: direct per-depth enumeration of the induced SBT.
+    Full {
+        sbt: Sbt,
+        /// Next depth to yield.
+        depth: u32,
+        /// Deepest level first.
+        bottom_up: bool,
+    },
+    /// Pruned top-down: the live wave, each node with its arrival
+    /// dimension so its children enumerate as [`child_contacts`] would.
+    Wave(Vec<(Vertex, Option<u8>)>),
+    /// Pruned bottom-up: every level, expanded up front (shallowest
+    /// first; yielded from the back).
+    Reversed(Vec<Vec<Vertex>>),
+}
 
-    /// Bottom-up full levels (deepest first). Possible without
-    /// materialization because any [`Sbt::level`] is directly
-    /// enumerable from the root bits.
-    pub fn full_bottom_up(root: Vertex) -> Self {
-        let sbt = Sbt::induced(root);
-        FrontierLevels::Full {
-            sbt,
-            depth: sbt.height(),
-            descending: true,
+impl FrontierLevels {
+    /// The levels of the SBT induced by `root`: deepest first when
+    /// `bottom_up`, with subtrees `summary` disproves left out when
+    /// `prune`.
+    pub fn new(summary: &OccupancySummary, root: Vertex, prune: bool, bottom_up: bool) -> Self {
+        let required = root.bits();
+        let mut pruned = 0;
+        let source = match (prune, bottom_up) {
+            (false, _) => {
+                let sbt = Sbt::induced(root);
+                LevelSource::Full {
+                    sbt,
+                    depth: if bottom_up { sbt.height() } else { 0 },
+                    bottom_up,
+                }
+            }
+            (true, false) => LevelSource::Wave(vec![(root, None)]),
+            (true, true) => {
+                let (mut wave, mut levels) = (vec![(root, None)], Vec::new());
+                while !wave.is_empty() {
+                    levels.push(advance_wave(&mut wave, summary, required, &mut pruned));
+                }
+                LevelSource::Reversed(levels)
+            }
+        };
+        FrontierLevels {
+            source,
+            required,
+            pruned,
             done: false,
-        }
-    }
-
-    /// Top-down levels with summary-disproven subtrees pruned — the
-    /// streaming form of [`crate::summary::pruned_levels`].
-    pub fn pruned(summary: &'a OccupancySummary, root: Vertex) -> Self {
-        FrontierLevels::Pruned(PrunedWave {
-            summary,
-            required: root.bits(),
-            wave: vec![(root, None)],
-            dims: Vec::new(),
-            pruned: 0,
-            done: false,
-        })
-    }
-
-    /// Subtrees pruned by the expansion so far (0 on the full paths).
-    pub fn pruned_subtrees(&self) -> u64 {
-        match self {
-            FrontierLevels::Full { .. } => 0,
-            FrontierLevels::Pruned(w) => w.pruned,
         }
     }
 
@@ -418,150 +358,75 @@ impl<'a> FrontierLevels<'a> {
     /// the final one) — distinguishes "stopped early" from "exhausted"
     /// without knowing the level count up front.
     pub fn is_done(&self) -> bool {
-        match self {
-            FrontierLevels::Full { done, .. } => *done,
-            FrontierLevels::Pruned(w) => w.done,
+        self.done
+    }
+
+    /// Runs whatever is left of the expansion without yielding and
+    /// returns how many subtrees the whole tree's expansion pruned (0
+    /// on the full paths) — exact even after an early exit.
+    pub fn drain(&mut self, summary: &OccupancySummary) -> u64 {
+        while self.next_level(summary).is_some() {}
+        self.pruned
+    }
+
+    /// The next level in visit order, or `None` once every level was
+    /// yielded. `summary` is consulted by the pruned variants only.
+    pub fn next_level(&mut self, summary: &OccupancySummary) -> Option<Vec<Vertex>> {
+        if self.done {
+            return None;
         }
-    }
-
-    /// Runs the remaining expansion without yielding, so
-    /// [`FrontierLevels::pruned_subtrees`] reports the whole-tree count
-    /// after an early exit.
-    pub fn drain(&mut self) {
-        for _ in self.by_ref() {}
-    }
-}
-
-impl Iterator for FrontierLevels<'_> {
-    type Item = Vec<Vertex>;
-
-    fn next(&mut self) -> Option<Vec<Vertex>> {
-        match self {
-            FrontierLevels::Full {
+        match &mut self.source {
+            LevelSource::Full {
                 sbt,
                 depth,
-                descending,
-                done,
+                bottom_up,
             } => {
-                if *done {
-                    return None;
-                }
                 let level: Vec<Vertex> = sbt.level(*depth).collect();
-                if *descending {
-                    if *depth == 0 {
-                        *done = true;
-                    } else {
-                        *depth -= 1;
-                    }
-                } else if *depth == sbt.height() {
-                    *done = true;
+                let last = if *bottom_up { 0 } else { sbt.height() };
+                if *depth == last {
+                    self.done = true;
+                } else if *bottom_up {
+                    *depth -= 1;
                 } else {
                     *depth += 1;
                 }
                 Some(level)
             }
-            FrontierLevels::Pruned(w) => w.advance(),
-        }
-    }
-}
-
-impl PrunedWave<'_> {
-    /// Yields the current wave and expands the next one.
-    fn advance(&mut self) -> Option<Vec<Vertex>> {
-        if self.done {
-            return None;
-        }
-        let mut next = Vec::new();
-        let mut dims = std::mem::take(&mut self.dims);
-        for &(w, via) in &self.wave {
-            dims.clear();
-            match via {
-                None => dims.extend(w.zero_positions().rev()),
-                Some(d) => dims.extend((0..d).rev().filter(|&i| !w.bit(i))),
+            LevelSource::Wave(wave) => {
+                let level = advance_wave(wave, summary, self.required, &mut self.pruned);
+                self.done = wave.is_empty();
+                Some(level)
             }
-            for &dim in &dims {
-                let child = w.flip(dim);
-                if self.summary.can_prune(child.bits(), dim, self.required) {
-                    self.pruned += 1;
-                } else {
-                    next.push((child, Some(dim)));
-                }
-            }
-        }
-        self.dims = dims;
-        let level = self.wave.iter().map(|&(v, _)| v).collect();
-        if next.is_empty() {
-            self.done = true;
-        }
-        self.wave = next;
-        Some(level)
-    }
-}
-
-/// What a substrate must expose for the generic driver
-/// [`run_superset`]: the cube shape and a per-vertex scan.
-pub trait VertexStore {
-    /// The hypercube shape.
-    fn store_shape(&self) -> Shape;
-
-    /// Scan vertex `bits` for supersets of `keywords`, returning at
-    /// most `remaining` matches (see [`scan_table`]).
-    fn scan_vertex(&self, bits: u64, keywords: &KeywordSet, remaining: usize) -> Vec<RankedObject>;
-}
-
-impl VertexStore for crate::cluster::HypercubeIndex {
-    fn store_shape(&self) -> Shape {
-        self.shape()
-    }
-
-    fn scan_vertex(&self, bits: u64, keywords: &KeywordSet, remaining: usize) -> Vec<RankedObject> {
-        let vertex = Vertex::from_bits(self.shape(), bits).expect("driver stays inside the cube");
-        scan_store(self.store_at(vertex), keywords, remaining)
-    }
-}
-
-/// Outcome of [`run_superset`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriverOutcome {
-    /// Matches in traversal (arrival) order, at most `threshold`.
-    pub results: Vec<RankedObject>,
-    /// Distinct vertices visited.
-    pub nodes_visited: u64,
-}
-
-/// Drives one sequential top-down superset search over any
-/// [`VertexStore`] — the whole protocol with transport reduced to a
-/// function call. The simulator and the threaded runtime run this very
-/// state machine over their own transports; parity tests pin all three
-/// to each other.
-pub fn run_superset<S: VertexStore + ?Sized>(
-    store: &S,
-    root: Vertex,
-    keywords: Arc<KeywordSet>,
-    threshold: usize,
-) -> DriverOutcome {
-    let shape = store.store_shape();
-    let mut coord = SupersetCoordinator::new(root, keywords, threshold);
-    let mut results = Vec::new();
-    let mut nodes_visited = 0u64;
-    loop {
-        match coord.next_step() {
-            Step::Finished => break,
-            Step::Visit { bits, via_dim } => {
-                nodes_visited += 1;
-                let found = store.scan_vertex(bits, coord.keywords(), coord.remaining());
-                let vertex =
-                    Vertex::from_bits(shape, bits).expect("coordinator stays inside the cube");
-                let count = found.len();
-                results.extend(found);
-                coord.record_visit(count, SupersetCoordinator::children_of(vertex, via_dim));
+            LevelSource::Reversed(levels) => {
+                let level = levels.pop();
+                self.done = levels.is_empty();
+                level
             }
         }
     }
-    DriverOutcome {
-        results,
-        nodes_visited,
+}
+
+/// Yields the current wave's vertices and replaces the wave with the
+/// children the summary cannot disprove, counting the rest in `pruned`.
+fn advance_wave(
+    wave: &mut Vec<(Vertex, Option<u8>)>,
+    summary: &OccupancySummary,
+    required: u64,
+    pruned: &mut u64,
+) -> Vec<Vertex> {
+    let mut next = Vec::new();
+    for &(w, via) in wave.iter() {
+        for (child, dim) in child_contacts(w, via) {
+            if summary.can_prune(child, dim, required) {
+                *pruned += 1;
+            } else {
+                next.push((w.flip(dim), Some(dim)));
+            }
+        }
     }
+    let level = wave.iter().map(|&(v, _)| v).collect();
+    *wave = next;
+    level
 }
 
 /// How the coordinator reacts to unresponsive vertices (§3.4).
@@ -746,11 +611,6 @@ impl FtCoordinator {
         self.remaining
     }
 
-    /// The traversal root's bits.
-    pub fn root_bits(&self) -> u64 {
-        self.root_bits
-    }
-
     /// Whether the threshold was met (early stop).
     pub fn is_done(&self) -> bool {
         self.done
@@ -878,7 +738,7 @@ impl FtCoordinator {
                     // The root itself is dead: promote the requester.
                     cmds.push(FtCmd::Promote);
                 }
-                let children = SupersetCoordinator::children_of(vertex, p.via_dim);
+                let children = child_contacts(vertex, p.via_dim).collect::<Vec<_>>();
                 if !children.is_empty() {
                     self.redelegations += 1;
                     self.enqueue_children(&children, prune, cmds);
@@ -969,6 +829,7 @@ mod tests {
     use super::*;
     use crate::cluster::HypercubeIndex;
     use crate::search::SupersetQuery;
+    use crate::store::StoreBackend;
     use hyperdex_dht::ObjectId;
 
     fn set(s: &str) -> KeywordSet {
@@ -1004,7 +865,7 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = Arc::new(set("a"));
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1);
+        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
         let mut seen = std::collections::BTreeSet::new();
         loop {
             match coord.next_step() {
@@ -1012,7 +873,7 @@ mod tests {
                 Step::Visit { bits, via_dim } => {
                     assert!(seen.insert(bits), "vertex {bits:#x} visited twice");
                     let v = Vertex::from_bits(shape, bits).unwrap();
-                    coord.record_visit(0, SupersetCoordinator::children_of(v, via_dim));
+                    coord.record_visit(0, child_contacts(v, via_dim));
                 }
             }
         }
@@ -1026,19 +887,19 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = Arc::new(set("a"));
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, kw, 3);
+        let mut coord = SupersetCoordinator::new(root, 3);
         // Root answers 2, first child answers 1 — done, rest unvisited.
         assert!(matches!(
             coord.next_step(),
             Step::Visit { via_dim: None, .. }
         ));
-        coord.record_visit(2, SupersetCoordinator::children_of(root, None));
+        coord.record_visit(2, child_contacts(root, None));
         assert_eq!(coord.remaining(), 1);
         let Step::Visit { bits, via_dim } = coord.next_step() else {
             panic!("frontier must be non-empty");
         };
         let v = Vertex::from_bits(root.shape(), bits).unwrap();
-        coord.record_visit(1, SupersetCoordinator::children_of(v, via_dim));
+        coord.record_visit(1, child_contacts(v, via_dim));
         assert!(coord.is_done());
         assert_eq!(coord.next_step(), Step::Finished);
     }
@@ -1053,7 +914,7 @@ mod tests {
         let kw = Arc::new(set("a"));
         let root = hasher.vertex_for(&kw);
 
-        let mut seq = SupersetCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1);
+        let mut seq = SupersetCoordinator::new(root, usize::MAX - 1);
         let mut sequential = Vec::new();
         loop {
             match seq.next_step() {
@@ -1061,12 +922,12 @@ mod tests {
                 Step::Visit { bits, via_dim } => {
                     sequential.push(bits);
                     let v = Vertex::from_bits(shape, bits).unwrap();
-                    seq.record_visit(0, SupersetCoordinator::children_of(v, via_dim));
+                    seq.record_visit(0, child_contacts(v, via_dim));
                 }
             }
         }
 
-        let mut coord = SupersetCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1);
+        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
         let mut batched = Vec::new();
         let mut burst = Vec::new();
         loop {
@@ -1078,7 +939,7 @@ mod tests {
             for (bits, via_dim) in burst.drain(..) {
                 batched.push(bits);
                 let v = Vertex::from_bits(shape, bits).unwrap();
-                coord.record_visit(0, SupersetCoordinator::children_of(v, via_dim));
+                coord.record_visit(0, child_contacts(v, via_dim));
             }
         }
         assert_eq!(batched, sequential);
@@ -1094,9 +955,9 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = Arc::new(set("a"));
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, kw, 10);
+        let mut coord = SupersetCoordinator::new(root, 10);
         coord.next_step();
-        coord.record_visit(0, SupersetCoordinator::children_of(root, None));
+        coord.record_visit(0, child_contacts(root, None));
         coord.stop();
         assert_eq!(coord.next_step(), Step::Finished);
     }
@@ -1106,56 +967,120 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(8, 0).unwrap();
         let kw = Arc::new(set("a"));
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1);
+        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
         coord.next_step();
-        coord.record_visit(0, SupersetCoordinator::children_of(root, None));
+        coord.record_visit(0, child_contacts(root, None));
         let queue = coord.into_queue();
         assert!(!queue.is_empty(), "children were queued");
-        let reused = SupersetCoordinator::with_queue(root, kw, 10, queue);
+        let reused = SupersetCoordinator::with_queue(root, 10, queue);
         assert!(reused.frontier.is_empty(), "reused queue starts empty");
     }
 
+    /// The direct engine's sequential top-down search *is* the
+    /// coordinator loop: it must return exactly the brute-force match
+    /// set and contact every vertex of the induced subcube once.
     #[test]
-    fn driver_matches_direct_engine() {
+    fn direct_engine_covers_the_subcube_and_matches_brute_force() {
         let mut idx = index(10);
         for query in ["a", "a b", "b", "x", "zzz"] {
-            let kw = Arc::new(set(query));
+            let kw = set(query);
             let root = idx.vertex_for(&kw);
-            let drv = run_superset(&idx, root, Arc::clone(&kw), usize::MAX - 1);
             let direct = idx
-                .superset_search(&SupersetQuery::new(set(query)).use_cache(false))
+                .superset_search(&SupersetQuery::new(kw.clone()).use_cache(false))
                 .unwrap();
-            let mut a: Vec<ObjectId> = drv.results.iter().map(|r| r.object).collect();
-            let mut b: Vec<ObjectId> = direct.results.iter().map(|r| r.object).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {query}");
+            let mut got: Vec<ObjectId> = direct.results.iter().map(|r| r.object).collect();
+            got.sort_unstable();
+            let want: Vec<ObjectId> = CORPUS
+                .iter()
+                .filter(|(_, kws)| set(kws).is_superset(&kw))
+                .map(|&(id, _)| oid(id))
+                .collect();
+            assert_eq!(got, want, "query {query}");
             assert_eq!(
-                drv.nodes_visited, direct.stats.nodes_contacted,
-                "node parity for {query}"
+                direct.stats.nodes_contacted,
+                1u64 << root.zero_count(),
+                "node count for {query}"
+            );
+            assert!(direct.exhausted);
+        }
+    }
+
+    #[test]
+    fn direct_engine_respects_threshold() {
+        let mut idx = index(8);
+        let out = idx
+            .superset_search(&SupersetQuery::new(set("a")).threshold(2).use_cache(false))
+            .unwrap();
+        assert_eq!(out.results.len(), 2);
+        assert!(!out.exhausted);
+    }
+
+    #[test]
+    fn scan_store_honors_limit_and_missing_stores() {
+        let q = set("a");
+        let mut out = Vec::new();
+        assert_eq!(scan_store(None, &q, q.signature(), 10, &mut out), 0);
+        for backend in [StoreBackend::Table, StoreBackend::Slab] {
+            let mut store = PostingStore::new(backend);
+            for i in 0..5 {
+                store.insert(set(&format!("a extra{i}")), oid(i));
+            }
+            out.clear();
+            assert_eq!(scan_store(Some(&store), &q, q.signature(), 3, &mut out), 3);
+            assert_eq!(out.len(), 3);
+            // Appends: earlier contents stay, the prefilter-off scan agrees.
+            assert_eq!(scan_store(Some(&store), &q, 0, 99, &mut out), 5);
+            assert_eq!(out.len(), 8);
+            assert_eq!(out[..3], out[3..6]);
+            assert!(out.iter().all(|r| r.extra_keywords == 1));
+            let miss = set("q");
+            assert_eq!(
+                scan_store(Some(&store), &miss, miss.signature(), 99, &mut out),
+                0
             );
         }
     }
 
     #[test]
-    fn driver_respects_threshold() {
-        let idx = index(8);
-        let kw = Arc::new(set("a"));
-        let root = idx.vertex_for(&kw);
-        let out = run_superset(&idx, root, kw, 2);
-        assert_eq!(out.results.len(), 2);
-    }
-
-    #[test]
-    fn scan_table_honors_remaining_and_missing_tables() {
-        assert!(scan_table(None, &set("a"), 10).is_empty());
-        let mut table = IndexTable::new();
-        for i in 0..5 {
-            table.insert(set(&format!("a extra{i}")), oid(i));
+    fn frontier_levels_agree_across_directions_and_pruning() {
+        let shape = Shape::new(6).unwrap();
+        let root = Vertex::from_bits(shape, 0b000001).unwrap();
+        let mut summary = OccupancySummary::new(6);
+        for bits in [0b000101, 0b010111, 0b100001] {
+            summary.record_insert(bits);
         }
-        assert_eq!(scan_table(Some(&table), &set("a"), 3).len(), 3);
-        assert_eq!(scan_table(Some(&table), &set("a"), 99).len(), 5);
-        assert!(scan_table(Some(&table), &set("q"), 99).is_empty());
+        let collect = |prune, bottom_up| {
+            let mut levels = FrontierLevels::new(&summary, root, prune, bottom_up);
+            let mut out = Vec::new();
+            while let Some(level) = levels.next_level(&summary) {
+                out.push(level);
+            }
+            assert!(levels.is_done());
+            (out, levels.drain(&summary))
+        };
+        let (full, none) = collect(false, false);
+        assert_eq!(none, 0);
+        assert_eq!(full.iter().map(Vec::len).sum::<usize>(), 1 << 5);
+        let (mut full_up, _) = collect(false, true);
+        full_up.reverse();
+        assert_eq!(full_up, full, "bottom-up is the same levels, deepest first");
+
+        let (pruned, cut) = collect(true, false);
+        assert!(cut > 0, "the sparse summary must disprove something");
+        assert!(pruned.iter().map(Vec::len).sum::<usize>() < 1 << 5);
+        for occupied in [0b000101u64, 0b010111, 0b100001] {
+            assert!(pruned.iter().flatten().any(|v| v.bits() == occupied));
+        }
+        let (mut pruned_up, cut_up) = collect(true, true);
+        pruned_up.reverse();
+        assert_eq!((pruned_up, cut_up), (pruned, cut));
+
+        // An early exit leaves the expansion mid-tree; drain finishes the
+        // accounting without yielding.
+        let mut early = FrontierLevels::new(&summary, root, true, false);
+        early.next_level(&summary);
+        assert!(!early.is_done());
+        assert_eq!(early.drain(&summary), cut);
     }
 
     fn ft_policy(strategy: RecoveryStrategy) -> FtPolicy {
@@ -1174,7 +1099,7 @@ mod tests {
         while let Some(cmd) = cmds.pop() {
             if let FtCmd::Send { bits, via_dim, .. } = cmd {
                 let v = Vertex::from_bits(shape, bits).unwrap();
-                let children = SupersetCoordinator::children_of(v, via_dim);
+                let children = child_contacts(v, via_dim).collect::<Vec<_>>();
                 machine.on_reply(bits, 0, &children, |_, _| false, &mut cmds);
             }
         }
@@ -1215,7 +1140,7 @@ mod tests {
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         // Root answers with its children; pick the first child as dead.
-        let children = SupersetCoordinator::children_of(root, None);
+        let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
         m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
         let (dead, dead_dim) = children[0];
@@ -1237,10 +1162,8 @@ mod tests {
         }
         cmds.clear();
         m.on_timeout(dead, |_, _| false, &mut cmds);
-        let grandchildren = SupersetCoordinator::children_of(
-            Vertex::from_bits(shape, dead).unwrap(),
-            Some(dead_dim),
-        );
+        let grandchildren = child_contacts(Vertex::from_bits(shape, dead).unwrap(), Some(dead_dim))
+            .collect::<Vec<_>>();
         for &(gc, _) in &grandchildren {
             assert!(
                 cmds.iter()
@@ -1260,7 +1183,7 @@ mod tests {
         while let Some(cmd) = cmds.pop() {
             if let FtCmd::Send { bits, via_dim, .. } = cmd {
                 let v = Vertex::from_bits(shape, bits).unwrap();
-                let kids = SupersetCoordinator::children_of(v, via_dim);
+                let kids = child_contacts(v, via_dim).collect::<Vec<_>>();
                 m.on_reply(bits, 0, &kids, |_, _| false, &mut cmds);
             }
         }
@@ -1286,7 +1209,7 @@ mod tests {
         );
         let mut cmds = Vec::new();
         m.start(&mut cmds);
-        let children = SupersetCoordinator::children_of(root, None);
+        let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
         m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
         assert!(m.in_flight() > 0);
@@ -1311,7 +1234,7 @@ mod tests {
         let mut m = FtCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1, policy);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
-        let children = SupersetCoordinator::children_of(root, None);
+        let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
         m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
         let (dead, dead_dim) = children[0];
@@ -1322,10 +1245,8 @@ mod tests {
         // its (already re-delegated) children are not double-enqueued.
         let redelegated = cmds.clone();
         cmds.clear();
-        let kids = SupersetCoordinator::children_of(
-            Vertex::from_bits(shape, dead).unwrap(),
-            Some(dead_dim),
-        );
+        let kids = child_contacts(Vertex::from_bits(shape, dead).unwrap(), Some(dead_dim))
+            .collect::<Vec<_>>();
         m.on_reply(dead, 0, &kids, |_, _| false, &mut cmds);
         assert!(m.is_covered(dead));
         assert!(!cmds
@@ -1343,7 +1264,7 @@ mod tests {
         while let Some(cmd) = queue.pop() {
             if let FtCmd::Send { bits, via_dim, .. } = cmd {
                 let v = Vertex::from_bits(shape, bits).unwrap();
-                let k = SupersetCoordinator::children_of(v, via_dim);
+                let k = child_contacts(v, via_dim).collect::<Vec<_>>();
                 m.on_reply(bits, 0, &k, |_, _| false, &mut queue);
             }
         }

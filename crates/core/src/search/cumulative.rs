@@ -5,9 +5,10 @@
 //! different … implemented by letting the root node `F_h(K)` keep the
 //! queue `U` for subsequent queries until the search has completed."
 //!
-//! [`CumulativeSearch`] is that session state: the frontier queue `U`
-//! plus a buffer of scanned-but-undelivered results (a node may hold
-//! more matches than the batch needed; the root buffers the overflow so
+//! [`CumulativeSearch`] is that session state: the shared
+//! [`SupersetCoordinator`] machine (whose frontier queue is `U`) plus a
+//! buffer of scanned-but-undelivered results (a node may hold more
+//! matches than the batch needed; the root buffers the overflow so
 //! later batches do not re-contact the node).
 
 use std::collections::VecDeque;
@@ -17,7 +18,7 @@ use hyperdex_hypercube::Vertex;
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::search::superset::scan_vertex;
+use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
 use crate::search::{RankedObject, SearchStats, SupersetOutcome};
 
 /// A resumable top-down superset search over one keyword set.
@@ -48,11 +49,11 @@ use crate::search::{RankedObject, SearchStats, SupersetOutcome};
 #[derive(Debug, Clone)]
 pub struct CumulativeSearch {
     keywords: KeywordSet,
-    root: Vertex,
-    frontier: VecDeque<(Vertex, u8)>,
+    /// The traversal machine. Its budget is unbounded: the session, not
+    /// the machine, meters results per batch, because a node's overflow
+    /// is buffered for the next batch instead of stopping the walk.
+    coord: SupersetCoordinator,
     pending: VecDeque<RankedObject>,
-    root_scanned: bool,
-    finished: bool,
     delivered: usize,
 }
 
@@ -62,11 +63,8 @@ impl CumulativeSearch {
         let root = index.vertex_for(&keywords);
         CumulativeSearch {
             keywords,
-            root,
-            frontier: VecDeque::new(),
+            coord: SupersetCoordinator::new(root, usize::MAX),
             pending: VecDeque::new(),
-            root_scanned: false,
-            finished: false,
             delivered: 0,
         }
     }
@@ -78,7 +76,7 @@ impl CumulativeSearch {
 
     /// Whether the whole subhypercube has been drained.
     pub fn is_finished(&self) -> bool {
-        self.finished && self.pending.is_empty()
+        self.coord.is_done() && self.pending.is_empty()
     }
 
     /// Total objects delivered across all batches so far.
@@ -102,23 +100,8 @@ impl CumulativeSearch {
         }
         let mut stats = SearchStats::default();
         let mut results = Vec::with_capacity(t.min(64));
-
-        if !self.root_scanned {
-            self.root_scanned = true;
-            stats.query_messages += 1;
-            stats.nodes_contacted += 1;
-            let found = scan_vertex(index, self.root, &self.keywords);
-            if !found.is_empty() {
-                stats.result_messages += 1;
-            }
-            self.pending.extend(found);
-            self.frontier = self
-                .root
-                .zero_positions()
-                .rev()
-                .map(|i| (self.root.flip(i), i))
-                .collect();
-        }
+        let qsig = self.keywords.signature();
+        let mut found = Vec::new();
 
         loop {
             // Serve buffered results first.
@@ -131,24 +114,29 @@ impl CumulativeSearch {
             if results.len() >= t {
                 break;
             }
-            // Need more: contact the next frontier node.
-            let Some((w, d)) = self.frontier.pop_front() else {
-                self.finished = true;
+            // Need more: contact the next node (the root first).
+            let Step::Visit { bits, via_dim } = self.coord.next_step() else {
                 break;
             };
             stats.query_messages += 1;
             stats.nodes_contacted += 1;
-            stats.control_messages += 1; // T_CONT back to the root
-            let found = scan_vertex(index, w, &self.keywords);
+            if via_dim.is_some() {
+                stats.control_messages += 1; // T_CONT back to the root
+            }
+            let w = Vertex::from_bits(index.shape(), bits).expect("coordinator stays in the cube");
+            scan_store(
+                index.store_at(w),
+                &self.keywords,
+                qsig,
+                usize::MAX,
+                &mut found,
+            );
+            found.sort_by_key(|r| r.extra_keywords);
             if !found.is_empty() {
                 stats.result_messages += 1;
             }
-            self.pending.extend(found);
-            for i in (0..d).rev() {
-                if !w.bit(i) {
-                    self.frontier.push_back((w.flip(i), i));
-                }
-            }
+            self.pending.extend(found.drain(..));
+            self.coord.record_visit(0, child_contacts(w, via_dim));
         }
 
         self.delivered += results.len();

@@ -12,24 +12,28 @@
 //! objects first), and level-parallel (§3.5 — whole tree levels queried
 //! per round, time `r − |One(F_h(K))|` instead of `2^{r−|One|}`).
 //!
+//! The sequential top-down traversal is a plain loop around the shared
+//! [`SupersetCoordinator`] state machine — the same one the simulator
+//! and the runtime workers feed with messages; the level-order variants
+//! walk the shared [`FrontierLevels`]; every per-node scan is the shared
+//! [`scan_store`].
+//!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter
-//! of [`crate::index`]); the frontier queue and per-node found buffer
-//! live in the index's [`SearchScratch`](crate::cluster) and are reused
-//! across queries instead of being reallocated per search.
+//! of [`crate::index`]); the frontier queue lives in the index and is
+//! reused across queries instead of being reallocated per search.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use hyperdex_hypercube::Vertex;
 
-use crate::cluster::{HypercubeIndex, SearchScratch};
+use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::keyword::KeywordSet;
-use crate::protocol::FrontierLevels;
+use crate::protocol::{child_contacts, scan_store, FrontierLevels, Step, SupersetCoordinator};
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
-use crate::summary::pruned_levels;
 
 /// Runs a superset search against a logical hypercube index.
 pub(crate) fn run(
@@ -76,34 +80,18 @@ pub(crate) fn run(
         0
     };
 
-    // Reusable traversal buffers, moved out for the duration of the
+    // The reusable frontier queue, moved out for the duration of the
     // search (the traversals borrow the index immutably).
-    let mut scratch = index.take_scratch();
-    let mut outcome = match query.mode {
-        ExecutionMode::Sequential => match query.order {
-            TraversalOrder::TopDown => {
-                sequential_top_down(index, query, qsig, root, stats, &mut scratch)
-            }
-            TraversalOrder::BottomUp => by_levels(
-                index,
-                query,
-                qsig,
-                root,
-                stats,
-                /*bottom_up=*/ true,
-                &mut scratch,
-            ),
-        },
-        ExecutionMode::LevelParallel => match query.order {
-            TraversalOrder::TopDown => {
-                level_parallel(index, query, qsig, root, stats, false, &mut scratch)
-            }
-            TraversalOrder::BottomUp => {
-                level_parallel(index, query, qsig, root, stats, true, &mut scratch)
-            }
-        },
+    let mut frontier = std::mem::take(&mut index.frontier);
+    let bottom_up = query.order == TraversalOrder::BottomUp;
+    let mut outcome = match (query.mode, bottom_up) {
+        (ExecutionMode::Sequential, false) => {
+            sequential_top_down(index, query, qsig, root, stats, &mut frontier)
+        }
+        (ExecutionMode::Sequential, true) => by_levels(index, query, qsig, root, stats),
+        (ExecutionMode::LevelParallel, _) => level_parallel(index, query, qsig, root, stats),
     };
-    index.put_scratch(scratch);
+    index.frontier = frontier;
 
     // Cache the traversal's results; the exhausted flag records whether
     // they can serve any threshold or only covered ones. The result vec
@@ -126,176 +114,80 @@ pub(crate) fn run(
     Ok(outcome)
 }
 
-/// The paper's sequential top-down protocol.
+/// The paper's sequential top-down protocol: the shared coordinator
+/// machine, every `T_QUERY` a local scan. With pruning on, children
+/// whose occupancy digest disproves any match (empty region, or
+/// keyword-position mask not covering `One(F_h(K))`) never enter the
+/// frontier.
 fn sequential_top_down(
     index: &HypercubeIndex,
     query: &SupersetQuery,
     qsig: u64,
     root: Vertex,
     mut stats: SearchStats,
-    scratch: &mut SearchScratch,
+    frontier: &mut VecDeque<(u64, u8)>,
 ) -> SupersetOutcome {
-    let mut results = Vec::new();
-
-    // Root scans its own table first.
-    scan_node(index, root, query, qsig, &mut results, &mut stats, scratch);
-    if results.len() >= query.threshold {
-        // Exhausted only if the root is the whole subcube AND nothing
-        // was truncated away — a truncated result set must never be
-        // cached as complete.
-        let exhausted = root.zero_count() == 0 && results.len() == query.threshold;
-        results.truncate(query.threshold);
-        return SupersetOutcome {
-            results,
-            stats,
-            exhausted,
-        };
-    }
-
-    // Frontier queue U (reused across searches), initialized with the
-    // root's neighbors across every free dimension (descending,
-    // matching Sbt::children order). With pruning on, children whose
-    // occupancy digest disproves any match (empty region, or
-    // keyword-position mask not covering One(F_h(K))) never enter the
-    // frontier.
     let required = root.bits();
-    let frontier = &mut scratch.frontier;
-    frontier.clear();
-    for i in root.zero_positions().rev() {
-        let child = root.flip(i);
-        if query.prune && index.summary().can_prune(child.bits(), i, required) {
-            stats.pruned_subtrees += 1;
-        } else {
-            frontier.push_back((child, i));
+    let mut coord =
+        SupersetCoordinator::with_queue(root, query.threshold, std::mem::take(frontier));
+    let mut results = Vec::new();
+    let mut beyond_root = false;
+    while let Step::Visit { bits, via_dim } = coord.next_step() {
+        let w = Vertex::from_bits(root.shape(), bits).expect("coordinator stays in the cube");
+        // The root was already charged for receiving the query and
+        // answers nobody; every other node costs a T_QUERY and answers
+        // the root with T_CONT or T_STOP.
+        if via_dim.is_some() {
+            beyond_root = true;
+            stats.query_messages += 1;
+            stats.nodes_contacted += 1;
+            stats.control_messages += 1;
         }
+        let found = scan_node(index, w, query, qsig, &mut results, &mut stats);
+        let children = child_contacts(w, via_dim).filter(|&(child, dim)| {
+            let cut = query.prune && index.summary().can_prune(child, dim, required);
+            stats.pruned_subtrees += u64::from(cut);
+            !cut
+        });
+        coord.record_visit(found, children);
     }
+    *frontier = coord.into_queue();
 
-    let mut stopped_early = false;
-    while let Some((w, d)) = scratch.frontier.pop_front() {
-        stats.query_messages += 1;
-        stats.nodes_contacted += 1;
-        scan_node(index, w, query, qsig, &mut results, &mut stats, scratch);
-        if results.len() >= query.threshold {
-            results.truncate(query.threshold);
-            stats.control_messages += 1; // T_STOP
-            stopped_early = true;
-            break;
-        }
-        // T_CONT carrying w's children: free dims below d where w is 0.
-        stats.control_messages += 1;
-        for i in (0..d).rev() {
-            if !w.bit(i) {
-                let child = w.flip(i);
-                if query.prune && index.summary().can_prune(child.bits(), i, required) {
-                    stats.pruned_subtrees += 1;
-                } else {
-                    scratch.frontier.push_back((child, i));
-                }
-            }
-        }
-    }
-
+    // A threshold met beyond the root stopped the traversal early. Met
+    // at the root itself, the result is exhaustive only if the root is
+    // the whole subcube AND nothing is truncated away — a truncated
+    // result set must never be cached as complete.
+    let exhausted = results.len() < query.threshold
+        || (!beyond_root && root.zero_count() == 0 && results.len() == query.threshold);
+    results.truncate(query.threshold);
     SupersetOutcome {
         results,
         stats,
-        exhausted: !stopped_early,
+        exhausted,
     }
 }
 
-/// The per-depth frontier the level traversals visit, streamed in
-/// visit order: full SBT levels (lazily enumerable at any depth, either
-/// direction), or the summary-pruned waves when the query opts in.
-///
-/// Only the pruned bottom-up combination still materializes the whole
-/// tree — the wave expansion is inherently top-down, and deepest-first
-/// visiting needs its last wave first. Every other path holds one
-/// level at a time.
-fn level_stream<'a>(
-    index: &'a HypercubeIndex,
-    query: &SupersetQuery,
-    root: Vertex,
-    bottom_up: bool,
-    stats: &mut SearchStats,
-) -> LevelStream<'a> {
-    match (query.prune, bottom_up) {
-        (false, false) => LevelStream::Stream(FrontierLevels::full(root)),
-        (false, true) => LevelStream::Stream(FrontierLevels::full_bottom_up(root)),
-        (true, false) => LevelStream::Stream(FrontierLevels::pruned(index.summary(), root)),
-        (true, true) => {
-            let (mut levels, pruned) = pruned_levels(index.summary(), root);
-            stats.pruned_subtrees += pruned;
-            levels.reverse();
-            LevelStream::Materialized(levels.into_iter())
-        }
-    }
-}
-
-/// Iterator over per-depth vertex lists in visit order.
-enum LevelStream<'a> {
-    /// One level in memory at a time.
-    Stream(FrontierLevels<'a>),
-    /// Pruned bottom-up: pre-expanded, deepest first.
-    Materialized(std::vec::IntoIter<Vec<Vertex>>),
-}
-
-impl Iterator for LevelStream<'_> {
-    type Item = Vec<Vertex>;
-
-    fn next(&mut self) -> Option<Vec<Vertex>> {
-        match self {
-            LevelStream::Stream(f) => f.next(),
-            LevelStream::Materialized(it) => it.next(),
-        }
-    }
-}
-
-impl LevelStream<'_> {
-    /// Whether the last yielded level was the final one (always true
-    /// for an exhausted materialized stream).
-    fn is_done(&self) -> bool {
-        match self {
-            LevelStream::Stream(f) => f.is_done(),
-            LevelStream::Materialized(it) => it.as_slice().is_empty(),
-        }
-    }
-
-    /// Finishes a pruned expansion after an early exit and folds the
-    /// whole-tree pruned count into `stats` — identical accounting to
-    /// the materialized implementation.
-    fn finish(self, stats: &mut SearchStats) {
-        if let LevelStream::Stream(mut f) = self {
-            f.drain();
-            stats.pruned_subtrees += f.pruned_subtrees();
-        }
-    }
-}
-
-/// Sequential traversal by whole tree levels; `bottom_up` visits the
-/// deepest level first (most-specific objects first).
-#[allow(clippy::too_many_arguments)]
+/// Sequential bottom-up traversal by whole tree levels, deepest first
+/// (most-specific objects first).
 fn by_levels(
     index: &HypercubeIndex,
     query: &SupersetQuery,
     qsig: u64,
     root: Vertex,
     mut stats: SearchStats,
-    bottom_up: bool,
-    scratch: &mut SearchScratch,
 ) -> SupersetOutcome {
-    let mut levels = level_stream(index, query, root, bottom_up, &mut stats);
+    let mut levels = FrontierLevels::new(index.summary(), root, query.prune, true);
     let mut results = Vec::new();
     let mut stopped_early = false;
-    'outer: for level in levels.by_ref() {
+    'outer: while let Some(level) = levels.next_level(index.summary()) {
         for w in level {
             // The root was already charged for receiving the query.
             if w != root {
                 stats.query_messages += 1;
                 stats.nodes_contacted += 1;
-            }
-            scan_node(index, w, query, qsig, &mut results, &mut stats, scratch);
-            if w != root {
                 stats.control_messages += 1; // T_CONT / T_STOP ack
             }
+            scan_node(index, w, query, qsig, &mut results, &mut stats);
             if results.len() >= query.threshold {
                 results.truncate(query.threshold);
                 stopped_early = true;
@@ -303,7 +195,7 @@ fn by_levels(
             }
         }
     }
-    levels.finish(&mut stats);
+    stats.pruned_subtrees += levels.drain(index.summary());
     SupersetOutcome {
         results,
         stats,
@@ -313,22 +205,18 @@ fn by_levels(
 
 /// §3.5's parallel execution: tree levels are queried in rounds; the
 /// search stops after the first round that satisfies the threshold.
-#[allow(clippy::too_many_arguments)]
 fn level_parallel(
     index: &HypercubeIndex,
     query: &SupersetQuery,
     qsig: u64,
     root: Vertex,
     mut stats: SearchStats,
-    bottom_up: bool,
-    scratch: &mut SearchScratch,
 ) -> SupersetOutcome {
-    let mut levels = level_stream(index, query, root, bottom_up, &mut stats);
+    let bottom_up = query.order == TraversalOrder::BottomUp;
+    let mut levels = FrontierLevels::new(index.summary(), root, query.prune, bottom_up);
     let mut results = Vec::new();
     let mut stopped_early = false;
-    // Explicit `next` (not a `for`) so `levels.is_done()` stays
-    // callable inside the body for the exhausted verdict.
-    while let Some(level) = levels.next() {
+    while let Some(level) = levels.next_level(index.summary()) {
         stats.rounds += 1;
         // All level-d nodes are queried simultaneously; results within a
         // round may overshoot the threshold and are truncated afterwards.
@@ -337,7 +225,7 @@ fn level_parallel(
                 stats.query_messages += 1;
                 stats.nodes_contacted += 1;
             }
-            scan_node(index, w, query, qsig, &mut results, &mut stats, scratch);
+            scan_node(index, w, query, qsig, &mut results, &mut stats);
         }
         if results.len() >= query.threshold {
             // Exhausted only when every level was visited AND nothing
@@ -348,7 +236,7 @@ fn level_parallel(
             break;
         }
     }
-    levels.finish(&mut stats);
+    stats.pruned_subtrees += levels.drain(index.summary());
     SupersetOutcome {
         results,
         stats,
@@ -356,10 +244,10 @@ fn level_parallel(
     }
 }
 
-/// One node's table scan: find entries `K' ⊇ K` (signature prefilter
-/// first, string comparison second), rank them locally by
-/// extra-keyword count (ascending for top-down preference, descending
-/// for bottom-up), and append.
+/// One node's table scan: every entry `K' ⊇ K` (signature prefilter
+/// first, string comparison second), ranked locally by extra-keyword
+/// count (ascending for top-down preference, descending for bottom-up),
+/// appended to `results`. Returns how many it found.
 fn scan_node(
     index: &HypercubeIndex,
     vertex: Vertex,
@@ -367,56 +255,21 @@ fn scan_node(
     qsig: u64,
     results: &mut Vec<RankedObject>,
     stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) {
-    let Some(store) = index.store_at(vertex) else {
-        return; // logically contacted, but holds nothing
-    };
-    stats.entries_scanned += store.keyword_set_count() as u64;
-    let found = &mut scratch.found;
-    found.clear();
-    for (keyword_set, objects) in store.superset_entries_sig(&query.keywords, qsig) {
-        let extra = (keyword_set.len() - query.keywords.len()) as u32;
-        for object in objects {
-            found.push(RankedObject {
-                object,
-                keyword_set: keyword_set.clone(),
-                extra_keywords: extra,
-            });
+) -> usize {
+    let store = index.store_at(vertex);
+    if let Some(store) = store {
+        stats.entries_scanned += store.keyword_set_count() as u64;
+    }
+    let start = results.len();
+    let found = scan_store(store, &query.keywords, qsig, usize::MAX, results);
+    match query.order {
+        TraversalOrder::TopDown => results[start..].sort_by_key(|r| r.extra_keywords),
+        TraversalOrder::BottomUp => {
+            results[start..].sort_by_key(|r| std::cmp::Reverse(r.extra_keywords));
         }
     }
-    match query.order {
-        TraversalOrder::TopDown => found.sort_by_key(|r| r.extra_keywords),
-        TraversalOrder::BottomUp => found.sort_by_key(|r| std::cmp::Reverse(r.extra_keywords)),
-    }
-    if !found.is_empty() {
+    if found > 0 {
         stats.result_messages += 1;
     }
-    // Drains the scratch buffer, keeping its capacity for the next node.
-    results.append(found);
-}
-
-/// Shared helper: the matching entries at one vertex, used by the
-/// cumulative session as well.
-pub(crate) fn scan_vertex(
-    index: &HypercubeIndex,
-    vertex: Vertex,
-    keywords: &KeywordSet,
-) -> Vec<RankedObject> {
-    let Some(store) = index.store_at(vertex) else {
-        return Vec::new();
-    };
-    let mut found = Vec::new();
-    for (keyword_set, objects) in store.superset_entries(keywords) {
-        let extra = (keyword_set.len() - keywords.len()) as u32;
-        for object in objects {
-            found.push(RankedObject {
-                object,
-                keyword_set: keyword_set.clone(),
-                extra_keywords: extra,
-            });
-        }
-    }
-    found.sort_by_key(|r| r.extra_keywords);
     found
 }

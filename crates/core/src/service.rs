@@ -84,7 +84,7 @@ impl ServiceBuilder {
     }
 
     /// Posting-storage backend for the index layer (default: the
-    /// `HYPERDEX_STORE` environment selection; DESIGN.md §17).
+    /// slab; DESIGN.md §17).
     pub fn store(mut self, store: crate::store::StoreBackend) -> Self {
         self.store = Some(store);
         self
@@ -100,9 +100,7 @@ impl ServiceBuilder {
     ///
     /// Panics if `nodes == 0`.
     pub fn build(self) -> Result<KeywordSearchService, Error> {
-        let store = self
-            .store
-            .unwrap_or_else(crate::store::StoreBackend::from_env);
+        let store = self.store.unwrap_or_default();
         let mut index = HypercubeIndex::with_store(self.r, self.seed, store)?;
         if self.cache_capacity > 0 {
             index.set_cache_capacity(self.cache_capacity);

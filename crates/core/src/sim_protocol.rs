@@ -38,11 +38,13 @@ use hyperdex_hypercube::{Shape, Vertex};
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
-use crate::protocol::{extend_child_contacts, extend_root_frontier};
-use crate::protocol::{FtCmd, FtCoordinator, FtPolicy, Step, SupersetCoordinator};
+use crate::protocol::{
+    child_contacts, scan_store, FrontierLevels, FtCmd, FtCoordinator, FtCoverage, FtPolicy, Step,
+    SupersetCoordinator,
+};
 use crate::search::RankedObject;
 use crate::store::{PostingStore, StoreBackend};
-use crate::summary::{pruned_levels, OccupancySummary};
+use crate::summary::OccupancySummary;
 
 /// Protocol messages (§3.3's `T_QUERY`, `T_CONT`, `T_STOP`, plus the
 /// direct result deliveries to the requester).
@@ -278,12 +280,13 @@ pub struct SimPinOutcome {
 
 /// Root-side coordinator state for one sequential search: the shared
 /// [`SupersetCoordinator`] state machine plus the sim-only bookkeeping
-/// (who gets the results, what pruning skipped).
+/// (the query payload, who gets the results, what pruning skipped).
 #[derive(Debug)]
 struct Coordinator {
     /// The transport-agnostic traversal machine — the same one the
-    /// direct engine's driver and the threaded runtime execute.
+    /// direct engine and the threaded runtime execute.
     core: SupersetCoordinator,
+    keywords: Arc<KeywordSet>,
     requester: EndpointId,
     /// Subtrees the coordinator pruned instead of querying.
     pruned: u64,
@@ -314,7 +317,7 @@ pub struct ProtocolSim {
     /// iteration order is ascending bits (churn repair depends on it).
     pub(crate) tables: BTreeMap<u64, PostingStore>,
     /// Posting-storage backend every lazily-created table uses
-    /// (`HYPERDEX_STORE`; DESIGN.md §17).
+    /// (DESIGN.md §17).
     pub(crate) store: StoreBackend,
     /// Secondary-cube hasher (different seed, same dimension).
     pub(crate) hasher2: KeywordHasher,
@@ -330,9 +333,9 @@ pub struct ProtocolSim {
     /// One canonical `Arc` per distinct keyword set, shared by both
     /// cubes' tables and by query messages.
     pub(crate) interner: crate::intern::KeywordInterner,
-    /// Reused traversal buffers (frontiers, child lists, subtree
-    /// enumerations) so searches stop allocating per visit.
-    scratch: TraversalScratch,
+    /// The sequential coordinator's frontier queue `U`, reused across
+    /// searches (the machine clears it; only capacity carries over).
+    frontier: VecDeque<(u64, u8)>,
     /// The seed this simulation was built with (churn derives its ring
     /// placement from it).
     pub(crate) seed: u64,
@@ -358,11 +361,11 @@ impl ProtocolSim {
     ///
     /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
     pub fn new(r: u8, seed: u64, latency: LatencyModel) -> Result<Self, Error> {
-        Self::with_store(r, seed, latency, StoreBackend::from_env())
+        Self::with_store(r, seed, latency, StoreBackend::default())
     }
 
     /// [`ProtocolSim::new`] with an explicit posting-store backend
-    /// instead of the `HYPERDEX_STORE` environment default.
+    /// instead of the default.
     ///
     /// # Errors
     ///
@@ -390,7 +393,7 @@ impl ProtocolSim {
             ep_vertex: HashMap::new(),
             requester,
             interner: crate::intern::KeywordInterner::new(),
-            scratch: TraversalScratch::default(),
+            frontier: VecDeque::new(),
             seed,
             summary: OccupancySummary::new(r),
             summary2: OccupancySummary::new(r),
@@ -510,30 +513,19 @@ impl ProtocolSim {
                 } => {
                     contacted += 1;
                     let vertex = self.vertex_of(to);
-                    let found = self.scan_and_reply(vertex, &keywords, remaining, requester, false);
+                    let found = self.scan_and_reply(vertex, &keywords, remaining, requester);
                     if to == root {
                         // The root doubles as coordinator. Its frontier
-                        // queue is the sim's reused scratch buffer.
-                        let frontier = std::mem::take(&mut self.scratch.frontier);
-                        let mut core =
-                            SupersetCoordinator::with_queue(vertex, keywords, remaining, frontier);
+                        // queue is the sim's reused buffer.
+                        let frontier = std::mem::take(&mut self.frontier);
+                        let mut core = SupersetCoordinator::with_queue(vertex, remaining, frontier);
                         // Consume the machine's root step — this arm IS
                         // that visit — and fold the local scan in.
-                        let step = core.next_step();
-                        debug_assert_eq!(
-                            step,
-                            Step::Visit {
-                                bits: vertex.bits(),
-                                via_dim: None
-                            }
-                        );
-                        let mut children = std::mem::take(&mut self.scratch.children);
-                        children.clear();
-                        extend_root_frontier(vertex, &mut children);
-                        core.record_visit(found, children.drain(..));
-                        self.scratch.children = children;
+                        let _root = core.next_step();
+                        core.record_visit(found, child_contacts(vertex, None));
                         let mut coord = Coordinator {
                             core,
+                            keywords,
                             requester,
                             pruned: 0,
                         };
@@ -545,8 +537,7 @@ impl ProtocolSim {
                         if found >= remaining {
                             self.net.send(to, root, KwMsg::TStop);
                         } else {
-                            let mut children = Vec::with_capacity(dim as usize);
-                            extend_child_contacts(vertex, dim, &mut children);
+                            let children = child_contacts(vertex, Some(dim)).collect();
                             self.net.send(to, root, KwMsg::TCont { found, children });
                         }
                     }
@@ -554,7 +545,7 @@ impl ProtocolSim {
                 KwMsg::TCont { found, children } => {
                     let coord = coordinator.as_mut().expect("TCont implies a coordinator");
                     coord.core.record_visit(found, children);
-                    self.advance_boxed(&mut coordinator, to);
+                    self.advance(coord, to);
                 }
                 KwMsg::TStop => {
                     if let Some(coord) = coordinator.as_mut() {
@@ -581,7 +572,7 @@ impl ProtocolSim {
         // Reclaim the frontier buffer for the next search.
         let pruned_subtrees = match coordinator {
             Some(c) => {
-                self.scratch.frontier = c.core.into_queue();
+                self.frontier = c.core.into_queue();
                 c.pruned
             }
             None => 0,
@@ -679,25 +670,10 @@ impl ProtocolSim {
         // same set) share one allocation.
         let shared_kw = self.interner.intern(keywords.clone());
         // With pruning on, whole levels shrink to the vertices whose
-        // subtree the occupancy summary cannot disprove; the pruned
-        // expansion is materialized up front (the wave needs
-        // `&self.summary`, which the message loop below cannot hold
-        // across `&mut self`). The unpruned path streams one level at
-        // a time from [`crate::protocol::FrontierLevels`] — an early
-        // threshold exit never enumerates the deeper levels at all.
-        let mut pruned_count = 0;
-        let mut materialized = if self.prune {
-            let (levels, pruned) = pruned_levels(&self.summary, root_vertex);
-            pruned_count = pruned;
-            Some(levels.into_iter())
-        } else {
-            None
-        };
-        let mut streamed = if self.prune {
-            None
-        } else {
-            Some(crate::protocol::FrontierLevels::full(root_vertex))
-        };
+        // subtree the occupancy summary cannot disprove. Either way the
+        // frontier streams one level at a time — an early threshold
+        // exit never enumerates the deeper levels at all.
+        let mut levels = FrontierLevels::new(&self.summary, root_vertex, self.prune, false);
 
         let mut results = Vec::new();
         let mut contacted = 0u64;
@@ -705,13 +681,7 @@ impl ProtocolSim {
         let mut satisfied = 0usize;
         let mut depth = 0usize;
 
-        'levels: loop {
-            let level = match (&mut materialized, &mut streamed) {
-                (Some(levels), _) => levels.next(),
-                (None, Some(frontier)) => frontier.next(),
-                (None, None) => unreachable!("one level source is always set"),
-            };
-            let Some(level) = level else { break 'levels };
+        while let Some(level) = levels.next_level(&self.summary) {
             // The root addresses every level-d node directly (any node
             // is reachable through the underlying DHT).
             for w in &level {
@@ -741,7 +711,7 @@ impl ProtocolSim {
                     } => {
                         contacted += 1;
                         let vertex = self.vertex_of(d.to);
-                        self.scan_and_reply(vertex, &keywords, remaining, requester, false);
+                        self.scan_and_reply(vertex, &keywords, remaining, requester);
                     }
                     KwMsg::Results { objects } => {
                         satisfied += objects.len();
@@ -759,7 +729,7 @@ impl ProtocolSim {
                 }
             }
             if satisfied >= threshold {
-                break 'levels;
+                break;
             }
             depth += 1;
         }
@@ -770,7 +740,8 @@ impl ProtocolSim {
             nodes_contacted: contacted,
             messages: self.net.metrics().messages_sent.get() - sent_before,
             elapsed: last_at.saturating_since(start),
-            pruned_subtrees: pruned_count,
+            // The whole-tree count, even after an early exit.
+            pruned_subtrees: levels.drain(&self.summary),
         })
     }
 
@@ -805,27 +776,28 @@ impl ProtocolSim {
         let start = self.net.now();
         let mut results = Vec::new();
         let mut seen = HashSet::new();
-        let primary = self.run_ft_pass(keywords, threshold, config, false, &mut results, &mut seen);
+        let (primary, extra) =
+            self.run_ft_pass(keywords, threshold, config, false, &mut results, &mut seen);
         let mut report = CoverageReport {
             strategy: config.strategy,
             subcube_vertices: primary.subcube_vertices,
             vertices_reached: primary.reached,
             vertices_skipped: primary.skipped.len() as u64,
-            skipped: primary.skipped.to_vec(),
+            skipped: primary.skipped,
             queries_sent: primary.queries_sent,
-            conts: primary.conts,
-            result_messages: primary.result_messages,
+            conts: extra.conts,
+            result_messages: extra.result_messages,
             retries: primary.retries,
             timeouts: primary.timeouts,
             redelegations: primary.redelegations,
-            pruned_subtrees: primary.pruned_subtrees,
-            vertices_pruned: primary.vertices_pruned,
+            pruned_subtrees: extra.pruned_subtrees,
+            vertices_pruned: extra.vertices_pruned,
             failed_over: false,
             secondary_reached: 0,
             secondary_skipped: 0,
             elapsed: SimDuration::ZERO,
         };
-        if config.strategy == RecoveryStrategy::ReplicatedFailover && !primary.skipped.is_empty() {
+        if config.strategy == RecoveryStrategy::ReplicatedFailover && !report.skipped.is_empty() {
             // Objects homed on the skipped vertices are lost to the
             // primary sweep; recover them from the secondary cube. The
             // sweep itself recovers via re-delegation (no third cube to
@@ -836,17 +808,18 @@ impl ProtocolSim {
                 strategy: RecoveryStrategy::Redelegate,
                 ..config
             };
-            let sec = self.run_ft_pass(keywords, threshold, cfg2, true, &mut results, &mut seen);
+            let (sec, extra) =
+                self.run_ft_pass(keywords, threshold, cfg2, true, &mut results, &mut seen);
             report.secondary_reached = sec.reached;
             report.secondary_skipped = sec.skipped.len() as u64;
             report.queries_sent += sec.queries_sent;
-            report.conts += sec.conts;
-            report.result_messages += sec.result_messages;
+            report.conts += extra.conts;
+            report.result_messages += extra.result_messages;
             report.retries += sec.retries;
             report.timeouts += sec.timeouts;
             report.redelegations += sec.redelegations;
-            report.pruned_subtrees += sec.pruned_subtrees;
-            report.vertices_pruned += sec.vertices_pruned;
+            report.pruned_subtrees += extra.pruned_subtrees;
+            report.vertices_pruned += extra.vertices_pruned;
         }
         report.elapsed = self.net.now().saturating_since(start);
         results.truncate(threshold);
@@ -873,7 +846,7 @@ impl ProtocolSim {
         secondary: bool,
         results: &mut Vec<RankedObject>,
         seen: &mut HashSet<ObjectId>,
-    ) -> PassStats {
+    ) -> (FtCoverage, PassExtra) {
         // KeywordHasher is Copy; copying sidesteps a borrow across the
         // lazy endpoint materialization below.
         let hasher = if secondary { self.hasher2 } else { self.hasher };
@@ -946,9 +919,7 @@ impl ProtocolSim {
                                 }
                                 let objects = self.scan(vertex, &qkw, rem, secondary);
                                 let added = ft_record(objects, results, seen);
-                                let mut children = std::mem::take(&mut self.scratch.children);
-                                children.clear();
-                                extend_root_frontier(vertex, &mut children);
+                                let children: Vec<_> = child_contacts(vertex, None).collect();
                                 core.on_reply(
                                     bits,
                                     added,
@@ -956,7 +927,6 @@ impl ProtocolSim {
                                     |b, dim| self.ft_try_prune(prune, &mut extra, b, dim),
                                     &mut cmds,
                                 );
-                                self.scratch.children = children;
                                 self.ft_exec(&core, &mut cmds, &kw, &mut coord, &mut timers);
                             } else {
                                 // Ordinary node: continuation back to
@@ -964,11 +934,7 @@ impl ProtocolSim {
                                 // results piggybacked so retransmitted
                                 // queries re-deliver them.
                                 let objects = self.scan(vertex, &qkw, rem, secondary);
-                                let mut children = Vec::new();
-                                match via_dim {
-                                    Some(dim) => extend_child_contacts(vertex, dim, &mut children),
-                                    None => extend_root_frontier(vertex, &mut children),
-                                }
+                                let children = child_contacts(vertex, via_dim).collect();
                                 if root != to {
                                     self.net
                                         .send(to, root, KwMsg::TContFt { objects, children });
@@ -1036,20 +1002,7 @@ impl ProtocolSim {
         // Quiescence: the machine accounts queries still outstanding
         // (no timers were armed, or the coordinator died) as skipped
         // subtrees.
-        let cov = core.finish();
-        PassStats {
-            subcube_vertices: cov.subcube_vertices,
-            reached: cov.reached,
-            skipped: cov.skipped,
-            queries_sent: cov.queries_sent,
-            conts: extra.conts,
-            result_messages: extra.result_messages,
-            retries: cov.retries,
-            timeouts: cov.timeouts,
-            redelegations: cov.redelegations,
-            pruned_subtrees: extra.pruned_subtrees,
-            vertices_pruned: extra.vertices_pruned,
-        }
+        (core.finish(), extra)
     }
 
     /// Executes the machine's pending commands over simnet transport:
@@ -1171,20 +1124,27 @@ impl ProtocolSim {
         };
         // Unmaterialized vertex: logically contacted, holds nothing
         // (`scan_store` treats `None` exactly that way).
-        crate::protocol::scan_store(tables.get(&vertex.bits()), keywords, remaining)
+        let mut found = Vec::new();
+        scan_store(
+            tables.get(&vertex.bits()),
+            keywords,
+            keywords.signature(),
+            remaining,
+            &mut found,
+        );
+        found
     }
 
-    /// Scans a vertex's table, sends matches to the requester, and
-    /// returns how many were sent.
+    /// Scans a vertex's primary table, sends matches to the requester,
+    /// and returns how many were sent.
     fn scan_and_reply(
         &mut self,
         vertex: Vertex,
         keywords: &KeywordSet,
         remaining: usize,
         requester: EndpointId,
-        secondary: bool,
     ) -> usize {
-        let found = self.scan(vertex, keywords, remaining, secondary);
+        let found = self.scan(vertex, keywords, remaining, false);
         let count = found.len();
         if count > 0 {
             let from = self.endpoint_of(vertex.bits());
@@ -1214,7 +1174,7 @@ impl ProtocolSim {
                         root_ep,
                         to,
                         KwMsg::TQuery {
-                            keywords: Arc::clone(coord.core.keywords()),
+                            keywords: Arc::clone(&coord.keywords),
                             remaining: coord.core.remaining(),
                             requester: coord.requester,
                             via_dim: Some(dim),
@@ -1224,14 +1184,6 @@ impl ProtocolSim {
                     return;
                 }
             }
-        }
-    }
-
-    /// `advance` through the `Option` wrapper (borrow-checker helper).
-    fn advance_boxed(&mut self, coordinator: &mut Option<Coordinator>, root_ep: EndpointId) {
-        if let Some(mut coord) = coordinator.take() {
-            self.advance(&mut coord, root_ep);
-            *coordinator = Some(coord);
         }
     }
 
@@ -1291,34 +1243,6 @@ impl ProtocolSim {
         bits.extend(self.tables2.keys());
         bits.len()
     }
-}
-
-/// Reused traversal buffers; every user clears before filling, so
-/// contents never leak between searches — only capacity does.
-#[derive(Debug, Default)]
-struct TraversalScratch {
-    /// Sequential coordinator's frontier queue `U`.
-    frontier: VecDeque<(u64, u8)>,
-    /// Child-contact list for enqueue/redelegation rounds.
-    children: Vec<(u64, u8)>,
-}
-
-/// Per-pass accounting for the fault-tolerant traversal (the machine's
-/// [`crate::protocol::FtCoverage`] plus substrate-side counters).
-#[derive(Debug, Default)]
-struct PassStats {
-    subcube_vertices: u64,
-    reached: u64,
-    /// Bits of the skipped vertices, sorted ascending.
-    skipped: Vec<u64>,
-    queries_sent: u64,
-    conts: u64,
-    result_messages: u64,
-    retries: u64,
-    timeouts: u64,
-    redelegations: u64,
-    pruned_subtrees: u64,
-    vertices_pruned: u64,
 }
 
 /// Counters the shared machine doesn't track: message-kind tallies and

@@ -10,13 +10,13 @@
 //!   (see [`slab`]): signatures in one contiguous slab scanned
 //!   batch-wise, posting lists varint-delta-encoded in a byte arena.
 //!
-//! The backend is selected per process with the `HYPERDEX_STORE`
-//! environment variable (`table` | `slab`, default `table`) or
-//! explicitly via the executor configs. Both backends answer every
-//! query **byte-identically** — same entries, same order, same
-//! truncation — so flipping the switch changes memory layout and
-//! nothing else. `tests/store_parity.rs` holds that property under
-//! random interleavings.
+//! Every executor defaults to the slab (it wins every column of
+//! `BENCH_scale.json`); the table stays selectable through the
+//! explicit executor configs as the parity reference. Both backends
+//! answer every query **byte-identically** — same entries, same order,
+//! same truncation — so the choice changes memory layout and nothing
+//! else. `tests/store_parity.rs` holds that property under random
+//! interleavings.
 
 pub mod codec;
 pub mod slab;
@@ -36,17 +36,15 @@ pub use slab::{SlabEntries, SlabStore};
 pub enum StoreBackend {
     /// `BTreeMap`/`BTreeSet` tables ([`IndexTable`]) — the original
     /// layout, and the parity reference.
-    #[default]
     Table,
     /// Struct-of-arrays slab with delta-encoded postings
-    /// ([`SlabStore`]).
+    /// ([`SlabStore`]) — what every executor runs unless told
+    /// otherwise.
+    #[default]
     Slab,
 }
 
 impl StoreBackend {
-    /// The environment variable every executor consults by default.
-    pub const ENV: &'static str = "HYPERDEX_STORE";
-
     /// Parses a backend name (`table` | `slab`).
     pub fn parse(name: &str) -> Option<StoreBackend> {
         match name {
@@ -61,20 +59,6 @@ impl StoreBackend {
         match self {
             StoreBackend::Table => "table",
             StoreBackend::Slab => "slab",
-        }
-    }
-
-    /// Reads `HYPERDEX_STORE` (default [`StoreBackend::Table`]).
-    ///
-    /// # Panics
-    ///
-    /// On an unrecognized value — a silently ignored backend switch
-    /// would invalidate whatever experiment set it.
-    pub fn from_env() -> StoreBackend {
-        match std::env::var(Self::ENV) {
-            Ok(v) => Self::parse(&v)
-                .unwrap_or_else(|| panic!("{}={v:?} is not `table` or `slab`", Self::ENV)),
-            Err(_) => StoreBackend::default(),
         }
     }
 }
@@ -239,14 +223,6 @@ impl PostingStore {
         }
     }
 
-    /// The baseline scan with no signature prefilter.
-    pub fn superset_entries_unfiltered<'a>(&'a self, query: &'a KeywordSet) -> EntriesIter<'a> {
-        match self {
-            PostingStore::Table(t) => EntriesIter::Table(t.superset_entries_unfiltered(query)),
-            PostingStore::Slab(s) => EntriesIter::Slab(s.superset_entries_unfiltered(query)),
-        }
-    }
-
     /// OR of every entry's [`KeywordSet::signature`].
     pub fn union_signature(&self) -> u64 {
         match self {
@@ -379,7 +355,7 @@ mod tests {
         assert_eq!(StoreBackend::parse("slab"), Some(StoreBackend::Slab));
         assert_eq!(StoreBackend::parse("btree"), None);
         assert_eq!(StoreBackend::Slab.name(), "slab");
-        assert_eq!(StoreBackend::default(), StoreBackend::Table);
+        assert_eq!(StoreBackend::default(), StoreBackend::Slab);
     }
 
     /// The two backends answer identically on a small fixed script —

@@ -189,11 +189,6 @@ impl SlabStore {
         }
     }
 
-    /// The baseline scan with no signature prefilter.
-    pub fn superset_entries_unfiltered<'a>(&'a self, query: &'a KeywordSet) -> SlabEntries<'a> {
-        self.superset_entries_sig(query, 0)
-    }
-
     /// OR of every live slot's signature.
     pub fn union_signature(&self) -> u64 {
         self.union_sig

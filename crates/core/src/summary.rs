@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 
 use hyperdex_hypercube::sbt::{subtree_region, summary_path};
-use hyperdex_hypercube::Vertex;
 
 /// Digest of one prefix region of the cube.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,22 +182,6 @@ impl OccupancySummary {
     }
 }
 
-/// The per-depth node lists of the SBT induced by `root`, with every
-/// subtree the summary can disprove pruned away. Returns the levels
-/// (level 0 is `[root]`; the root is never pruned) and the number of
-/// subtrees pruned. Shared by the logical level traversals and the
-/// simulated level-parallel search so both prune identically.
-///
-/// This is the materialized spelling of
-/// [`crate::protocol::FrontierLevels::pruned`] — callers that can
-/// consume levels one wave at a time (the search paths do) should
-/// stream instead.
-pub fn pruned_levels(summary: &OccupancySummary, root: Vertex) -> (Vec<Vec<Vertex>>, u64) {
-    let mut frontier = crate::protocol::FrontierLevels::pruned(summary, root);
-    let levels: Vec<Vec<Vertex>> = frontier.by_ref().collect();
-    (levels, frontier.pruned_subtrees())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,24 +295,6 @@ mod tests {
         // Query root 0b0001 considers child 0b0101 via dim 2: region
         // (2, 0b01) is occupied but its mask 0b0110 misses bit 0 → prune.
         assert!(s.can_prune(0b0101, 2, 0b0001));
-    }
-
-    #[test]
-    fn pruned_levels_drop_only_disprovable_subtrees() {
-        use hyperdex_hypercube::{Shape, Vertex};
-        let shape = Shape::new(4).unwrap();
-        let mut s = OccupancySummary::new(4);
-        s.record_insert(0b0101);
-        s.record_insert(0b0111);
-        let root = Vertex::from_bits(shape, 0b0001).unwrap();
-        let (levels, pruned) = pruned_levels(&s, root);
-        let visited: Vec<u64> = levels.iter().flatten().map(|v| v.bits()).collect();
-        // Both occupied superset vertices must still be visited.
-        assert!(visited.contains(&0b0101));
-        assert!(visited.contains(&0b0111));
-        assert!(pruned > 0, "empty subtrees were pruned");
-        // Fewer nodes than the full 8-vertex subcube.
-        assert!(visited.len() < 8);
     }
 
     proptest! {

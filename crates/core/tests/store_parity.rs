@@ -2,8 +2,8 @@
 //!
 //! [`SlabStore`] (struct-of-arrays slab, delta-encoded postings) must
 //! answer every read *byte-identically* to [`IndexTable`] (the
-//! `BTreeMap` reference implementation) — the `HYPERDEX_STORE` switch
-//! is only allowed to change layout, never results. These properties
+//! `BTreeMap` reference implementation) — the backend choice is only
+//! allowed to change layout, never results. These properties
 //! drive both backends through random interleavings of inserts,
 //! removes, and churn-style handoffs (drain one store, rebuild
 //! another), comparing entry order, object order, counts, and

@@ -51,7 +51,7 @@ fn main() -> ExitCode {
     let mut workers: Option<u32> = None;
     let mut capacity: usize = 64;
     let mut policy = ShardPolicy::default();
-    let mut store = StoreBackend::from_env();
+    let mut store = StoreBackend::default();
     let mut crash: Option<CrashPoint> = None;
 
     let mut args = std::env::args().skip(1);

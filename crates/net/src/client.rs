@@ -1,9 +1,10 @@
 //! The cluster client: typed errors, deadlines, and reconnection.
 //!
-//! [`NetClient`] speaks the same frame protocol as the in-process
-//! [`hyperdex_runtime::NodeRuntime`] handle, but over one TCP
-//! connection per server — and because sockets fail in ways channels
-//! cannot, every operation returns `Result` instead of panicking:
+//! [`NetClient`] runs the same request protocol as the in-process
+//! [`hyperdex_runtime::NodeRuntime`] handle — literally: both are the
+//! shared [`ClientCore`], and this module only supplies its TCP
+//! [`ClientLink`], one connection per server. Because sockets fail in
+//! ways channels cannot, every operation returns `Result`:
 //!
 //! * [`Error::Timeout`] — a request's deadline expired; the connection
 //!   may be healthy and the reply merely late.
@@ -12,14 +13,12 @@
 //!   reconnect budget (attempts with exponential backoff).
 //!
 //! A background reader thread per connection decodes reply units and
-//! feeds one event channel; request methods drain it, matching replies
-//! by query id (stale replies from abandoned fault-tolerant attempts
-//! are discarded exactly like the in-process client). Routing is
-//! client-side: the client owns the same seeded [`KeywordHasher`] and
-//! [`ShardMap`] as the workers, computes each request's root worker,
-//! and writes to the server hosting it.
+//! feeds one event channel, which the link's receive drains. Routing is
+//! client-side: the core owns the same seeded [`KeywordHasher`] and
+//! [`ShardMap`] as the workers, computes each request's worker, and the
+//! link writes to the server hosting it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +27,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{CoverageReport, Error, KeywordHasher, KeywordSet, ObjectId};
+use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId};
+use hyperdex_runtime::client_core::{ClientCore, ClientLink};
 use hyperdex_runtime::runtime::{
     BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
@@ -36,7 +36,7 @@ use hyperdex_runtime::wire::WireMsg;
 use hyperdex_runtime::{ShardMap, ShardPolicy};
 
 use crate::server::server_of;
-use crate::stream::{encode_unit, push_unit, StreamDecoder, CLIENT_DEST};
+use crate::stream::{push_unit, StreamDecoder, CLIENT_DEST};
 
 /// Client-side knobs: connection and request deadlines, reconnect
 /// budget.
@@ -53,13 +53,12 @@ pub struct NetConfig {
     pub reconnect_backoff: Duration,
     /// Independent searches kept in flight per connection by the
     /// windowed paths ([`NetClient::run_batch`],
-    /// [`NetClient::superset_search_ft_batch`]). The default reads the
-    /// `HYPERDEX_NET_WINDOW` environment variable (falling back to 32).
+    /// [`NetClient::superset_search_ft_batch`]). Defaults to
+    /// [`DEFAULT_WINDOW`].
     pub window: usize,
 }
 
-/// Default for [`NetConfig::window`] when `HYPERDEX_NET_WINDOW` is
-/// unset or unparsable.
+/// Default for [`NetConfig::window`].
 pub const DEFAULT_WINDOW: usize = 32;
 
 impl Default for NetConfig {
@@ -69,11 +68,7 @@ impl Default for NetConfig {
             request_timeout: Duration::from_secs(10),
             reconnect_attempts: 4,
             reconnect_backoff: Duration::from_millis(25),
-            window: std::env::var("HYPERDEX_NET_WINDOW")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&w| w > 0)
-                .unwrap_or(DEFAULT_WINDOW),
+            window: DEFAULT_WINDOW,
         }
     }
 }
@@ -87,25 +82,30 @@ enum Event {
     Lost { server: usize, detail: String },
 }
 
-/// Connected client handle. Synchronous like the in-process handle;
-/// all I/O concurrency lives in the servers.
+/// Connected client handle: the shared request protocol
+/// ([`ClientCore`]) over the TCP link. Synchronous like the in-process
+/// handle; all I/O concurrency lives in the servers.
 pub struct NetClient {
-    hasher: KeywordHasher,
-    shards: ShardMap,
+    core: ClientCore<TcpLink>,
+    window: usize,
+}
+
+/// The TCP [`ClientLink`]: one connection per server, re-dialed with
+/// exponential backoff when it dies, one reader thread per connection.
+struct TcpLink {
     cfg: NetConfig,
     addrs: Vec<String>,
     conns: Vec<Option<TcpStream>>,
     events_tx: Sender<Event>,
     events_rx: Receiver<Event>,
-    /// Per server: units queued by the windowed paths, written as one
-    /// coalesced packet by [`NetClient::flush_queued`]. The `u64` is
-    /// the queued frame count (for the conservation ledger).
+    /// Per server: units queued for the next ship, written as one
+    /// coalesced packet. The `u64` is the queued frame count (for the
+    /// conservation ledger).
     wqueue: Vec<(Vec<u8>, u64)>,
     /// Frames decoded but not yet consumed by a request.
     pending: VecDeque<WireMsg>,
     received: Arc<AtomicU64>,
     readers: Vec<JoinHandle<()>>,
-    next_id: u64,
     frames_sent: u64,
 }
 
@@ -168,10 +168,7 @@ impl NetClient {
         let hasher = KeywordHasher::new(r, seed)?;
         let shards = ShardMap::with_policy(policy, r, total_workers.max(1), seed);
         let (events_tx, events_rx) = channel();
-        let received = Arc::new(AtomicU64::new(0));
-        let mut client = NetClient {
-            hasher,
-            shards,
+        let mut link = TcpLink {
             cfg,
             addrs: addrs.to_vec(),
             conns: (0..addrs.len()).map(|_| None).collect(),
@@ -179,23 +176,152 @@ impl NetClient {
             events_rx,
             wqueue: (0..addrs.len()).map(|_| (Vec::new(), 0)).collect(),
             pending: VecDeque::new(),
-            received,
+            received: Arc::new(AtomicU64::new(0)),
             readers: Vec::new(),
-            next_id: 0,
             frames_sent: 0,
         };
         for server in 0..addrs.len() {
-            let stream = client.open(server)?;
-            client.install(server, stream);
+            let stream = link.open(server)?;
+            link.install(server, stream);
         }
-        Ok(client)
+        Ok(NetClient {
+            core: ClientCore::new(hasher, shards, link, Some(cfg.request_timeout)),
+            window: cfg.window,
+        })
     }
 
     /// Worker shards across the cluster.
     pub fn workers(&self) -> u32 {
-        self.shards.workers()
+        self.core.shards().workers()
     }
 
+    /// Routes one insert to the shard owning `F_h(K)`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptyKeywordSet`] for an empty set,
+    /// [`Error::ConnectionLost`] when the owner is unreachable.
+    pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
+        self.core.insert(object, keywords)
+    }
+
+    /// Drain barrier across every server: returns once each worker has
+    /// processed everything enqueued before this call.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] when any worker's ack misses the per-reply
+    /// deadline; connection errors as [`Error::ConnectionLost`].
+    pub fn flush(&mut self) -> Result<(), Error> {
+        self.core.flush()
+    }
+
+    /// Pin search (§3.2) over the wire: one request unit, one reply.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] on a late reply, [`Error::ConnectionLost`]
+    /// when the owning server is gone.
+    pub fn pin_search(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
+        self.core.pin_search(keywords)
+    }
+
+    /// Superset search (§3.3), coordinated by a round-robin-chosen
+    /// worker — possibly in a different process, with the SBT
+    /// traversal fanning out across the whole cluster.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ZeroThreshold`] for a zero threshold, otherwise the
+    /// usual timeout/connection errors.
+    pub fn superset_search(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Result<Vec<RuntimeMatch>, Error> {
+        self.core.superset_search(keywords, threshold)
+    }
+
+    /// Fault-tolerant superset search over the wire: the coordinating
+    /// worker retries and re-delegates; the client re-issues the query
+    /// when a whole attempt dies, and degrades to an honest empty
+    /// outcome when nobody ever answers.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
+    /// arguments, [`Error::ConnectionLost`] when the coordinator's
+    /// server is unreachable for the initial send.
+    pub fn superset_search_ft(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+        opts: &FtSearchOptions,
+    ) -> Result<FtSearchOutcome, Error> {
+        self.core.superset_search_ft(keywords, threshold, opts)
+    }
+
+    /// Windowed fault-tolerant search: keeps up to
+    /// [`NetConfig::window`] independent FT queries in flight, matching
+    /// out-of-order completions by query id. Each search carries its
+    /// own attempt counter and deadline — one search timing out (and
+    /// re-issuing, or degrading to an honest empty outcome once its
+    /// attempts are exhausted) never stalls the rest of the window.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
+    /// arguments, [`Error::ConnectionLost`] when a send finds a server
+    /// unreachable through the reconnect budget. A search whose replies
+    /// never arrive is not an error: it completes degraded
+    /// (`complete: false`, no coverage), exactly like the single-query
+    /// path.
+    pub fn superset_search_ft_batch(
+        &mut self,
+        queries: &[KeywordSet],
+        threshold: usize,
+        opts: &FtSearchOptions,
+    ) -> Result<Vec<FtSearchOutcome>, Error> {
+        self.core
+            .superset_search_ft_batch(queries, threshold, opts, self.window)
+    }
+
+    /// Runs `requests` keeping up to `window` in flight across the
+    /// cluster — the socket-mode throughput path the bench measures.
+    ///
+    /// # Errors
+    ///
+    /// The usual timeout/connection errors.
+    pub fn run_batch(
+        &mut self,
+        requests: &[Request],
+        window: usize,
+    ) -> Result<Vec<BatchResult>, Error> {
+        self.core.run_batch(requests, window)
+    }
+
+    /// Sends `Shutdown` to every worker and releases the connections.
+    /// The returned [`ClientClose`] yields the client's conservation
+    /// counters once the servers have exited.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ConnectionLost`] when a shutdown frame cannot be
+    /// delivered.
+    pub fn shutdown(mut self) -> Result<ClientClose, Error> {
+        for w in 0..self.workers() {
+            self.core.send(w, &WireMsg::Shutdown)?;
+        }
+        let link = self.core.into_link();
+        Ok(ClientClose {
+            frames_sent: link.frames_sent,
+            received: link.received,
+            readers: link.readers,
+        })
+    }
+}
+
+impl TcpLink {
     /// Opens one connection: TCP connect within the deadline, then the
     /// client hello.
     fn open(&self, server: usize) -> Result<TcpStream, Error> {
@@ -272,64 +398,29 @@ impl NetClient {
         }
     }
 
-    /// Sends one frame to `worker`, reconnecting to its server if the
-    /// connection is gone.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ConnectionLost`] when the server stays unreachable
-    /// through the reconnect budget.
-    fn send_frame(&mut self, worker: u32, msg: &WireMsg) -> Result<(), Error> {
-        self.poll_events();
-        let server = server_of(worker, self.addrs.len() as u32) as usize;
-        let unit = encode_unit(worker, &msg.encode());
-        if self.conns[server].is_none() {
-            self.reconnect(server)?;
-        }
-        let failed = match self.conns[server].as_mut() {
-            Some(stream) => stream.write_all(&unit).is_err(),
-            None => true,
-        };
-        if failed {
-            // The socket died under us; one reconnect cycle, then give
-            // up with a typed error.
-            self.conns[server] = None;
-            self.reconnect(server)?;
-            let stream = self.conns[server].as_mut().expect("just reconnected");
-            stream.write_all(&unit).map_err(|e| Error::ConnectionLost {
-                endpoint: self.addrs[server].clone(),
-                detail: e.to_string(),
-            })?;
-        }
-        self.frames_sent += 1;
-        Ok(())
+    fn server_of(&self, worker: u32) -> usize {
+        server_of(worker, self.addrs.len() as u32) as usize
     }
+}
 
-    /// Queues one frame for `worker` without touching the socket; the
-    /// windowed paths batch their sends here and ship one coalesced
-    /// packet per server with [`NetClient::flush_queued`].
-    fn queue_frame(&mut self, worker: u32, msg: &WireMsg) {
-        let server = self.owner_server(worker);
+impl ClientLink for TcpLink {
+    fn queue(&mut self, worker: u32, msg: &WireMsg) {
+        let server = self.server_of(worker);
         let (buf, frames) = &mut self.wqueue[server];
         push_unit(buf, worker, &msg.encode());
         *frames += 1;
     }
 
-    /// Writes every queued packet, one `write_all` per server, with
-    /// the same single-reconnect-cycle contract as
-    /// [`NetClient::send_frame`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ConnectionLost`] when a server stays unreachable
-    /// through the reconnect budget.
-    fn flush_queued(&mut self) -> Result<(), Error> {
+    /// Writes every queued packet, one `write_all` per server. A dead
+    /// connection is re-dialed first; a socket that dies under the
+    /// write gets one reconnect cycle, then a typed error.
+    fn ship(&mut self) -> Result<(), Error> {
         self.poll_events();
         for server in 0..self.wqueue.len() {
             if self.wqueue[server].0.is_empty() {
                 continue;
             }
-            let (buf, frames) = std::mem::take(&mut self.wqueue[server]);
+            let (mut buf, frames) = std::mem::take(&mut self.wqueue[server]);
             if self.conns[server].is_none() {
                 self.reconnect(server)?;
             }
@@ -347,34 +438,33 @@ impl NetClient {
                 })?;
             }
             self.frames_sent += frames;
+            // Hand the packet buffer back: the next burst reuses it.
+            buf.clear();
+            self.wqueue[server].0 = buf;
         }
         Ok(())
     }
 
-    /// Receives the next client-bound frame before `deadline`.
-    /// `awaiting` names the server whose reply we need: if that
-    /// connection dies while waiting, the wait fails fast with
-    /// [`Error::ConnectionLost`] instead of running out the clock.
-    fn recv_within(
+    fn recv(
         &mut self,
-        deadline: Instant,
-        operation: &str,
-        awaiting: Option<usize>,
-    ) -> Result<WireMsg, Error> {
+        deadline: Option<Instant>,
+        awaiting: Option<u32>,
+    ) -> Result<Option<WireMsg>, Error> {
+        let awaiting = awaiting.map(|worker| self.server_of(worker));
         loop {
             if let Some(msg) = self.pending.pop_front() {
-                return Ok(msg);
+                return Ok(Some(msg));
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return Err(Error::Timeout {
-                    operation: operation.to_string(),
-                    after_ms: self.cfg.request_timeout.as_millis() as u64,
-                });
-            }
-            match self.events_rx.recv_timeout(wait) {
-                Ok(Event::Frame(msg)) => return Ok(msg),
-                Ok(Event::Lost { server, detail }) => {
+            let event = match deadline {
+                None => self.events_rx.recv().ok(),
+                Some(deadline) => {
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    self.events_rx.recv_timeout(wait).ok()
+                }
+            };
+            match event {
+                Some(Event::Frame(msg)) => return Ok(Some(msg)),
+                Some(Event::Lost { server, detail }) => {
                     self.conns[server] = None;
                     if awaiting == Some(server) {
                         return Err(Error::ConnectionLost {
@@ -383,442 +473,9 @@ impl NetClient {
                         });
                     }
                 }
-                Err(_) => {
-                    return Err(Error::Timeout {
-                        operation: operation.to_string(),
-                        after_ms: self.cfg.request_timeout.as_millis() as u64,
-                    })
-                }
+                None => return Ok(None),
             }
         }
-    }
-
-    fn request_deadline(&self) -> Instant {
-        Instant::now() + self.cfg.request_timeout
-    }
-
-    fn owner_server(&self, worker: u32) -> usize {
-        server_of(worker, self.addrs.len() as u32) as usize
-    }
-
-    /// Routes one insert to the shard owning `F_h(K)`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EmptyKeywordSet`] for an empty set,
-    /// [`Error::ConnectionLost`] when the owner is unreachable.
-    pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
-        if keywords.is_empty() {
-            return Err(Error::EmptyKeywordSet);
-        }
-        let bits = self.hasher.vertex_for(&keywords).bits();
-        let owner = self.shards.owner_of(bits);
-        self.send_frame(
-            owner,
-            &WireMsg::Insert {
-                object: object.raw(),
-                keywords,
-            },
-        )
-    }
-
-    /// Drain barrier across every server: returns once each worker has
-    /// processed everything enqueued before this call.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timeout`] when any worker's ack misses the per-reply
-    /// deadline; connection errors as [`Error::ConnectionLost`].
-    pub fn flush(&mut self) -> Result<(), Error> {
-        self.next_id += 1;
-        let token = self.next_id;
-        for w in 0..self.workers() {
-            self.send_frame(w, &WireMsg::Flush { token })?;
-        }
-        let mut pending = self.workers();
-        while pending > 0 {
-            let deadline = self.request_deadline();
-            match self.recv_within(deadline, "flush ack", None)? {
-                WireMsg::FlushAck { token: t, .. } if t == token => pending -= 1,
-                // Stale replies of abandoned FT attempts are legal
-                // here; anything else is a protocol bug.
-                WireMsg::FtQueryDone { .. } | WireMsg::FlushAck { .. } => {}
-                other => panic!("unexpected frame during flush barrier: {other:?}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pin search (§3.2) over the wire: one request unit, one reply.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timeout`] on a late reply, [`Error::ConnectionLost`]
-    /// when the owning server is gone.
-    pub fn pin_search(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
-        self.next_id += 1;
-        let id = self.next_id;
-        let bits = self.hasher.vertex_for(keywords).bits();
-        let owner = self.shards.owner_of(bits);
-        self.send_frame(
-            owner,
-            &WireMsg::Pin {
-                query_id: id,
-                keywords: keywords.clone(),
-            },
-        )?;
-        let deadline = self.request_deadline();
-        loop {
-            match self.recv_within(deadline, "pin reply", Some(self.owner_server(owner)))? {
-                WireMsg::PinResults { query_id, objects } if query_id == id => {
-                    return Ok(objects.into_iter().map(ObjectId::from_raw).collect())
-                }
-                WireMsg::FtQueryDone { .. } => {}
-                other => panic!("unexpected frame awaiting pin results: {other:?}"),
-            }
-        }
-    }
-
-    /// Coordinator for sequential query `id`: round-robin across the
-    /// cluster's workers, mirroring the in-process runtime so a
-    /// popular root prefix never serializes a mix on one worker.
-    fn coordinator_for(&self, id: u64) -> u32 {
-        (id % u64::from(self.shards.workers())) as u32
-    }
-
-    /// Superset search (§3.3), coordinated by a round-robin-chosen
-    /// worker — possibly in a different process, with the SBT
-    /// traversal fanning out across the whole cluster.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] for a zero threshold, otherwise the
-    /// usual timeout/connection errors.
-    pub fn superset_search(
-        &mut self,
-        keywords: &KeywordSet,
-        threshold: usize,
-    ) -> Result<Vec<RuntimeMatch>, Error> {
-        if threshold == 0 {
-            return Err(Error::ZeroThreshold);
-        }
-        self.next_id += 1;
-        let id = self.next_id;
-        let owner = self.coordinator_for(id);
-        self.send_frame(
-            owner,
-            &WireMsg::Query {
-                query_id: id,
-                keywords: keywords.clone(),
-                threshold: threshold as u64,
-            },
-        )?;
-        let deadline = self.request_deadline();
-        loop {
-            match self.recv_within(deadline, "superset reply", Some(self.owner_server(owner)))? {
-                WireMsg::QueryDone { query_id, objects } if query_id == id => {
-                    return Ok(objects
-                        .into_iter()
-                        .map(|(raw, extra)| RuntimeMatch {
-                            object: ObjectId::from_raw(raw),
-                            extra_keywords: extra,
-                        })
-                        .collect())
-                }
-                WireMsg::FtQueryDone { .. } => {}
-                other => panic!("unexpected frame awaiting query results: {other:?}"),
-            }
-        }
-    }
-
-    /// Fault-tolerant superset search over the wire, mirroring
-    /// [`hyperdex_runtime::NodeRuntime::superset_search_ft`]: the
-    /// coordinating worker retries and re-delegates; the client
-    /// re-issues the query when a whole attempt dies, and degrades to
-    /// an honest empty outcome when nobody ever answers.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, [`Error::ConnectionLost`] when the coordinator's
-    /// server is unreachable for the initial send.
-    pub fn superset_search_ft(
-        &mut self,
-        keywords: &KeywordSet,
-        threshold: usize,
-        opts: &FtSearchOptions,
-    ) -> Result<FtSearchOutcome, Error> {
-        let mut out =
-            self.superset_search_ft_batch(std::slice::from_ref(keywords), threshold, opts)?;
-        Ok(out.pop().expect("one query in, one outcome out"))
-    }
-
-    /// Windowed fault-tolerant search: keeps up to
-    /// [`NetConfig::window`] independent FT queries in flight, matching
-    /// out-of-order completions by query id. Each search carries its
-    /// own attempt counter and deadline — one search timing out (and
-    /// re-issuing, or degrading to an honest empty outcome once its
-    /// attempts are exhausted) never stalls the rest of the window.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, [`Error::ConnectionLost`] when a send finds a server
-    /// unreachable through the reconnect budget. A search whose replies
-    /// never arrive is not an error: it completes degraded
-    /// (`complete: false`, no coverage), exactly like the single-query
-    /// path.
-    pub fn superset_search_ft_batch(
-        &mut self,
-        queries: &[KeywordSet],
-        threshold: usize,
-        opts: &FtSearchOptions,
-    ) -> Result<Vec<FtSearchOutcome>, Error> {
-        if threshold == 0 {
-            return Err(Error::ZeroThreshold);
-        }
-        if opts.base_timeout_ms == 0 {
-            return Err(Error::ZeroTimeout);
-        }
-        struct Flight {
-            slot: usize,
-            attempt: u32,
-            deadline: Instant,
-        }
-        let window = self.cfg.window.max(1);
-        let attempts = opts.attempts.max(1);
-        let attempt_timeout = Duration::from_millis(opts.attempt_timeout_ms.max(1));
-        let mut out: Vec<Option<FtSearchOutcome>> = queries.iter().map(|_| None).collect();
-        let mut flights: HashMap<u64, Flight> = HashMap::new();
-        let mut next = 0usize;
-        let mut done = 0usize;
-        while done < queries.len() {
-            while next < queries.len() && flights.len() < window {
-                let id = self.issue_ft(&queries[next], threshold, opts);
-                flights.insert(
-                    id,
-                    Flight {
-                        slot: next,
-                        attempt: 1,
-                        deadline: Instant::now() + attempt_timeout,
-                    },
-                );
-                next += 1;
-            }
-            self.flush_queued()?;
-            let deadline = flights
-                .values()
-                .map(|f| f.deadline)
-                .min()
-                .expect("incomplete slots are in flight");
-            match self.recv_within(deadline, "FT reply", None) {
-                Ok(WireMsg::FtQueryDone {
-                    query_id,
-                    objects,
-                    subcube,
-                    reached,
-                    retries,
-                    timeouts,
-                    redelegations,
-                    queries_sent,
-                    conts,
-                    result_messages,
-                    skipped,
-                }) => {
-                    // A miss is the stale completion of an abandoned
-                    // attempt — discarded, like the in-process client.
-                    if let Some(flight) = flights.remove(&query_id) {
-                        let complete = skipped.is_empty();
-                        out[flight.slot] = Some(FtSearchOutcome {
-                            matches: objects
-                                .into_iter()
-                                .map(|(raw, extra)| RuntimeMatch {
-                                    object: ObjectId::from_raw(raw),
-                                    extra_keywords: extra,
-                                })
-                                .collect(),
-                            complete,
-                            attempts: flight.attempt,
-                            coverage: Some(CoverageReport {
-                                strategy: opts.strategy,
-                                subcube_vertices: subcube,
-                                vertices_reached: reached,
-                                vertices_skipped: skipped.len() as u64,
-                                skipped,
-                                queries_sent,
-                                conts,
-                                result_messages,
-                                retries,
-                                timeouts,
-                                redelegations,
-                                pruned_subtrees: 0,
-                                vertices_pruned: 0,
-                                failed_over: false,
-                                secondary_reached: 0,
-                                secondary_skipped: 0,
-                                elapsed: hyperdex_simnet::time::SimDuration::ZERO,
-                            }),
-                        });
-                        done += 1;
-                    }
-                }
-                Ok(other) => panic!("unexpected frame awaiting FT results: {other:?}"),
-                Err(Error::Timeout { .. }) => {
-                    // Only the expired flights re-issue (fresh id) or
-                    // degrade; the rest of the window keeps waiting.
-                    let now = Instant::now();
-                    let expired: Vec<u64> = flights
-                        .iter()
-                        .filter(|(_, f)| f.deadline <= now)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in expired {
-                        let flight = flights.remove(&id).expect("collected above");
-                        if flight.attempt >= attempts {
-                            out[flight.slot] = Some(FtSearchOutcome {
-                                matches: Vec::new(),
-                                complete: false,
-                                attempts,
-                                coverage: None,
-                            });
-                            done += 1;
-                        } else {
-                            let new_id = self.issue_ft(&queries[flight.slot], threshold, opts);
-                            flights.insert(
-                                new_id,
-                                Flight {
-                                    slot: flight.slot,
-                                    attempt: flight.attempt + 1,
-                                    deadline: Instant::now() + attempt_timeout,
-                                },
-                            );
-                        }
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
-    }
-
-    /// Queues one FT query toward its root's owner and returns the
-    /// fresh query id.
-    fn issue_ft(&mut self, keywords: &KeywordSet, threshold: usize, opts: &FtSearchOptions) -> u64 {
-        self.next_id += 1;
-        let id = self.next_id;
-        let root = self.hasher.vertex_for(keywords).bits();
-        let owner = self.shards.owner_of(root);
-        self.queue_frame(
-            owner,
-            &WireMsg::FtQuery {
-                query_id: id,
-                keywords: keywords.clone(),
-                threshold: threshold as u64,
-                strategy: opts.strategy,
-                max_retries: opts.max_retries,
-                base_timeout_ms: opts.base_timeout_ms,
-            },
-        );
-        id
-    }
-
-    /// Runs `requests` keeping up to `window` in flight across the
-    /// cluster — the socket-mode throughput path the bench measures.
-    ///
-    /// # Errors
-    ///
-    /// The usual timeout/connection errors; a timeout names the
-    /// longest-waiting request.
-    pub fn run_batch(
-        &mut self,
-        requests: &[Request],
-        window: usize,
-    ) -> Result<Vec<BatchResult>, Error> {
-        let window = window.max(1);
-        let mut out: Vec<Option<BatchResult>> = requests.iter().map(|_| None).collect();
-        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
-        let mut next = 0usize;
-        let mut completed = 0usize;
-        while completed < requests.len() {
-            while next < requests.len() && in_flight.len() < window {
-                self.next_id += 1;
-                let id = self.next_id;
-                let started = Instant::now();
-                match &requests[next] {
-                    Request::Pin(keywords) => {
-                        let bits = self.hasher.vertex_for(keywords).bits();
-                        let owner = self.shards.owner_of(bits);
-                        self.queue_frame(
-                            owner,
-                            &WireMsg::Pin {
-                                query_id: id,
-                                keywords: keywords.clone(),
-                            },
-                        );
-                    }
-                    Request::Superset {
-                        keywords,
-                        threshold,
-                    } => {
-                        let owner = self.coordinator_for(id);
-                        self.queue_frame(
-                            owner,
-                            &WireMsg::Query {
-                                query_id: id,
-                                keywords: keywords.clone(),
-                                threshold: *threshold as u64,
-                            },
-                        );
-                    }
-                }
-                in_flight.insert(id, (next, started));
-                next += 1;
-            }
-            self.flush_queued()?;
-            let deadline = self.request_deadline();
-            let (query_id, objects) = match self.recv_within(deadline, "batch reply", None)? {
-                WireMsg::PinResults { query_id, objects } => (
-                    query_id,
-                    objects.into_iter().map(ObjectId::from_raw).collect(),
-                ),
-                WireMsg::QueryDone { query_id, objects } => (
-                    query_id,
-                    objects
-                        .into_iter()
-                        .map(|(raw, _)| ObjectId::from_raw(raw))
-                        .collect::<Vec<ObjectId>>(),
-                ),
-                other => panic!("unexpected frame during batch: {other:?}"),
-            };
-            let (slot, started) = in_flight
-                .remove(&query_id)
-                .expect("completion for an in-flight request");
-            out[slot] = Some(BatchResult {
-                objects,
-                latency: started.elapsed(),
-            });
-            completed += 1;
-        }
-        Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
-    }
-
-    /// Sends `Shutdown` to every worker and releases the connections.
-    /// The returned [`ClientClose`] yields the client's conservation
-    /// counters once the servers have exited.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ConnectionLost`] when a shutdown frame cannot be
-    /// delivered.
-    pub fn shutdown(mut self) -> Result<ClientClose, Error> {
-        for w in 0..self.workers() {
-            self.send_frame(w, &WireMsg::Shutdown)?;
-        }
-        Ok(ClientClose {
-            frames_sent: self.frames_sent,
-            received: self.received,
-            readers: self.readers,
-        })
     }
 }
 

@@ -69,7 +69,7 @@ impl ClusterConfig {
             servers,
             capacity: 64,
             policy: ShardPolicy::default(),
-            store: StoreBackend::from_env(),
+            store: StoreBackend::default(),
             crash: None,
             server_bin: None,
             net: NetConfig::default(),

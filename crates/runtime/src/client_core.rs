@@ -1,0 +1,602 @@
+//! The client half of the request protocol, written once.
+//!
+//! Whatever carries its frames, a client allocates a query id, routes
+//! the request (pin and insert to `F_h(K)`'s owner, superset search to
+//! a round-robin coordinator), ships the frame, matches the completion
+//! by id, and re-issues a fault-tolerant search under a fresh id when
+//! an attempt's deadline passes. That is [`ClientCore`]. How a frame
+//! reaches a worker and a reply comes back is the three-method
+//! [`ClientLink`]: the in-process channel link behind
+//! [`crate::NodeRuntime`], `hyperdex-net`'s reconnecting TCP link
+//! behind `NetClient`, and a scripted fake in `tests/client_core.rs`.
+//!
+//! An FT attempt the client gave up on may still finish, its
+//! `FtQueryDone` arriving ahead of whatever the client asked for next;
+//! every wait in the core discards such frames.
+
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
+use hyperdex_core::{CoverageReport, Error, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+
+use crate::shard::ShardMap;
+use crate::wire::WireMsg;
+
+/// How a client's frames reach the workers and replies come back.
+pub trait ClientLink {
+    /// Queues `msg` for `worker`; nothing moves until
+    /// [`ClientLink::ship`], so a burst can travel as one operation.
+    fn queue(&mut self, worker: u32, msg: &WireMsg);
+
+    /// Hands every queued frame to the fabric, per worker in queue
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ConnectionLost`] when a destination stays unreachable.
+    fn ship(&mut self) -> Result<(), Error>;
+
+    /// The next client-bound frame, or `None` once `deadline` passes
+    /// (no deadline: wait until one arrives). `awaiting` names the
+    /// worker whose reply the caller needs: a link that can lose its
+    /// path to that worker fails the wait at once.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ConnectionLost`] when the path to `awaiting` died.
+    fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        awaiting: Option<u32>,
+    ) -> Result<Option<WireMsg>, Error>;
+}
+
+/// One match from a runtime superset search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuntimeMatch {
+    /// The matching object.
+    pub object: ObjectId,
+    /// `|K'| − |K|`: how many keywords beyond the query it carries.
+    pub extra_keywords: u32,
+}
+
+/// One request of a pipelined [`ClientCore::run_batch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// Exact-match pin lookup.
+    Pin(KeywordSet),
+    /// Superset search wanting up to `threshold` results.
+    Superset {
+        /// The queried keyword set.
+        keywords: KeywordSet,
+        /// Results wanted.
+        threshold: usize,
+    },
+}
+
+/// One completed batch request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchResult {
+    /// Matching object ids (set semantics; order is arrival order).
+    pub objects: Vec<ObjectId>,
+    /// Send-to-completion wall time for this request.
+    pub latency: Duration,
+}
+
+/// Knobs for a fault-tolerant superset search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FtSearchOptions {
+    /// Recovery behaviour on a missed deadline. The runtime arms real
+    /// timers only for [`RecoveryStrategy::RetryOnly`] and
+    /// [`RecoveryStrategy::Redelegate`]; `Naive` never recovers (the
+    /// client deadline is its only bound) and `ReplicatedFailover`
+    /// re-delegates without the simulator-only secondary sweep.
+    pub strategy: RecoveryStrategy,
+    /// Retransmissions per child before declaring it dead.
+    pub max_retries: u32,
+    /// First-attempt child deadline in milliseconds; doubles per
+    /// retry.
+    pub base_timeout_ms: u64,
+    /// Overall per-attempt client deadline in milliseconds. If the
+    /// coordinator itself dies, the client re-issues the query after
+    /// this long.
+    pub attempt_timeout_ms: u64,
+    /// How many times the client re-issues the query before returning
+    /// a degraded result.
+    pub attempts: u32,
+}
+
+impl Default for FtSearchOptions {
+    fn default() -> FtSearchOptions {
+        FtSearchOptions {
+            strategy: RecoveryStrategy::Redelegate,
+            max_retries: 2,
+            base_timeout_ms: 25,
+            attempt_timeout_ms: 2_000,
+            attempts: 3,
+        }
+    }
+}
+
+/// Outcome of a fault-tolerant runtime search.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FtSearchOutcome {
+    /// The matches collected (complete or partial).
+    pub matches: Vec<RuntimeMatch>,
+    /// `true` when every subcube vertex was either scanned or the
+    /// threshold was met — the result set is exactly what a fault-free
+    /// run returns.
+    pub complete: bool,
+    /// Client attempts consumed (1 = first try succeeded).
+    pub attempts: u32,
+    /// The coordinator's exact coverage accounting; `None` when no
+    /// coordinator ever answered (every attempt timed out).
+    pub coverage: Option<CoverageReport>,
+}
+
+/// The client request protocol over any [`ClientLink`]. Synchronous
+/// from the caller's point of view; concurrency lives in the workers
+/// (the windowed paths keep several requests in flight to exploit it).
+#[derive(Debug)]
+pub struct ClientCore<L> {
+    hasher: KeywordHasher,
+    shards: ShardMap,
+    link: L,
+    /// Deadline for one reply (per reply for multi-reply waits like the
+    /// flush barrier); `None` waits for as long as it takes.
+    request_timeout: Option<Duration>,
+    next_id: u64,
+}
+
+impl<L: ClientLink> ClientCore<L> {
+    /// A client routing with `hasher` and `shards` — which must be the
+    /// workers' own — over `link`.
+    pub fn new(
+        hasher: KeywordHasher,
+        shards: ShardMap,
+        link: L,
+        request_timeout: Option<Duration>,
+    ) -> ClientCore<L> {
+        ClientCore {
+            hasher,
+            shards,
+            link,
+            request_timeout,
+            next_id: 0,
+        }
+    }
+
+    /// The keyword → vertex hash the cluster shares.
+    pub fn hasher(&self) -> KeywordHasher {
+        self.hasher
+    }
+
+    /// The vertex → worker map the cluster shares.
+    pub fn shards(&self) -> ShardMap {
+        self.shards
+    }
+
+    /// Surrenders the link at shutdown.
+    pub fn into_link(self) -> L {
+        self.link
+    }
+
+    /// Sends one frame to `worker` right away.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`ClientLink::ship`] reports.
+    pub fn send(&mut self, worker: u32, msg: &WireMsg) -> Result<(), Error> {
+        self.link.queue(worker, msg);
+        self.link.ship()
+    }
+
+    /// Routes one `T_INSERT` to the shard owning `F_h(K)`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptyKeywordSet`] when `keywords` is empty, otherwise
+    /// the link's errors.
+    pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
+        if keywords.is_empty() {
+            return Err(Error::EmptyKeywordSet);
+        }
+        let owner = self.owner_of(&keywords);
+        self.send(
+            owner,
+            &WireMsg::Insert {
+                object: object.raw(),
+                keywords,
+            },
+        )
+    }
+
+    /// Drain barrier: returns once every worker has processed every
+    /// frame this client sent before the call.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] when an ack misses the per-reply deadline,
+    /// otherwise the link's errors.
+    pub fn flush(&mut self) -> Result<(), Error> {
+        let token = self.fresh_id();
+        let workers = self.shards.workers();
+        for w in 0..workers {
+            self.link.queue(w, &WireMsg::Flush { token });
+        }
+        self.link.ship()?;
+        let mut pending = workers;
+        while pending > 0 {
+            let deadline = self.request_deadline();
+            match self.recv_reply(deadline, "flush ack", None)? {
+                WireMsg::FlushAck { token: t, .. } if t == token => pending -= 1,
+                // Acks of a barrier that timed out, completions of
+                // abandoned FT attempts.
+                WireMsg::FlushAck { .. } | WireMsg::FtQueryDone { .. } => {}
+                other => panic!("unexpected frame during flush barrier: {other:?}"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Pin search (§3.2): one frame to `F_h(K)`'s owner, one reply.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] on a late reply, otherwise the link's errors.
+    pub fn pin_search(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
+        let (id, owner) = self.queue_pin(keywords);
+        self.link.ship()?;
+        let deadline = self.request_deadline();
+        loop {
+            match self.recv_reply(deadline, "pin reply", Some(owner))? {
+                WireMsg::PinResults { query_id, objects } if query_id == id => {
+                    return Ok(object_ids(objects));
+                }
+                WireMsg::FtQueryDone { .. } => {}
+                other => panic!("unexpected frame awaiting pin results: {other:?}"),
+            }
+        }
+    }
+
+    /// Superset search (§3.3) on the perfect-transport path: blocks
+    /// until the round-robin-chosen coordinator finishes the traversal.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ZeroThreshold`] when `threshold == 0`,
+    /// [`Error::Timeout`] on a late reply, otherwise the link's errors.
+    pub fn superset_search(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Result<Vec<RuntimeMatch>, Error> {
+        if threshold == 0 {
+            return Err(Error::ZeroThreshold);
+        }
+        let (id, owner) = self.queue_superset(keywords, threshold);
+        self.link.ship()?;
+        let deadline = self.request_deadline();
+        loop {
+            match self.recv_reply(deadline, "superset reply", Some(owner))? {
+                WireMsg::QueryDone { query_id, objects } if query_id == id => {
+                    return Ok(matches(objects));
+                }
+                WireMsg::FtQueryDone { .. } => {}
+                other => panic!("unexpected frame awaiting query results: {other:?}"),
+            }
+        }
+    }
+
+    /// Fault-tolerant superset search (§3.4): a window of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClientCore::superset_search_ft_batch`].
+    pub fn superset_search_ft(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+        opts: &FtSearchOptions,
+    ) -> Result<FtSearchOutcome, Error> {
+        let mut out =
+            self.superset_search_ft_batch(std::slice::from_ref(keywords), threshold, opts, 1)?;
+        Ok(out.pop().expect("one query in, one outcome out"))
+    }
+
+    /// Windowed fault-tolerant search (§3.4): the coordinating workers
+    /// retry and re-delegate; the client keeps up to `window` searches
+    /// in flight, matches completions by id, re-issues a search whose
+    /// attempt deadline passed under a fresh id, and degrades it to an
+    /// honest empty outcome (`complete: false`, no coverage) once its
+    /// attempts are spent — without stalling the rest of the window.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
+    /// arguments, otherwise the link's errors.
+    pub fn superset_search_ft_batch(
+        &mut self,
+        queries: &[KeywordSet],
+        threshold: usize,
+        opts: &FtSearchOptions,
+        window: usize,
+    ) -> Result<Vec<FtSearchOutcome>, Error> {
+        if threshold == 0 {
+            return Err(Error::ZeroThreshold);
+        }
+        if opts.base_timeout_ms == 0 {
+            return Err(Error::ZeroTimeout);
+        }
+        struct Flight {
+            slot: usize,
+            attempt: u32,
+            deadline: Instant,
+        }
+        let window = window.max(1);
+        let attempts = opts.attempts.max(1);
+        let attempt_timeout = Duration::from_millis(opts.attempt_timeout_ms.max(1));
+        let mut out: Vec<Option<FtSearchOutcome>> = queries.iter().map(|_| None).collect();
+        let mut flights: HashMap<u64, Flight> = HashMap::new();
+        let mut next = 0usize;
+        let mut done = 0usize;
+        while done < queries.len() {
+            while next < queries.len() && flights.len() < window {
+                let id = self.queue_ft(&queries[next], threshold, opts);
+                flights.insert(
+                    id,
+                    Flight {
+                        slot: next,
+                        attempt: 1,
+                        deadline: Instant::now() + attempt_timeout,
+                    },
+                );
+                next += 1;
+            }
+            self.link.ship()?;
+            let deadline = flights
+                .values()
+                .map(|f| f.deadline)
+                .min()
+                .expect("incomplete slots are in flight");
+            match self.link.recv(Some(deadline), None)? {
+                Some(WireMsg::FtQueryDone {
+                    query_id,
+                    objects,
+                    subcube,
+                    reached,
+                    retries,
+                    timeouts,
+                    redelegations,
+                    queries_sent,
+                    conts,
+                    result_messages,
+                    skipped,
+                }) => {
+                    // A miss is the completion of an abandoned attempt:
+                    // the old coordinator was slow, not dead. Discard.
+                    let Some(flight) = flights.remove(&query_id) else {
+                        continue;
+                    };
+                    out[flight.slot] = Some(FtSearchOutcome {
+                        matches: matches(objects),
+                        complete: skipped.is_empty(),
+                        attempts: flight.attempt,
+                        coverage: Some(CoverageReport {
+                            strategy: opts.strategy,
+                            subcube_vertices: subcube,
+                            vertices_reached: reached,
+                            vertices_skipped: skipped.len() as u64,
+                            skipped,
+                            queries_sent,
+                            conts,
+                            result_messages,
+                            retries,
+                            timeouts,
+                            redelegations,
+                            pruned_subtrees: 0,
+                            vertices_pruned: 0,
+                            failed_over: false,
+                            secondary_reached: 0,
+                            secondary_skipped: 0,
+                            // Wall-clock runs have no virtual time.
+                            elapsed: hyperdex_simnet::time::SimDuration::ZERO,
+                        }),
+                    });
+                    done += 1;
+                }
+                Some(other) => panic!("unexpected frame awaiting FT results: {other:?}"),
+                None => {
+                    // Only the expired flights re-issue (fresh id) or
+                    // degrade; the rest of the window keeps waiting.
+                    let now = Instant::now();
+                    let expired: Vec<u64> = flights
+                        .iter()
+                        .filter(|(_, f)| f.deadline <= now)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    for id in expired {
+                        let flight = flights.remove(&id).expect("collected above");
+                        if flight.attempt >= attempts {
+                            // Every attempt timed out — no coordinator
+                            // ever answered. Degrade with an honest
+                            // "nothing confirmed" report.
+                            out[flight.slot] = Some(FtSearchOutcome {
+                                matches: Vec::new(),
+                                complete: false,
+                                attempts,
+                                coverage: None,
+                            });
+                            done += 1;
+                        } else {
+                            let new_id = self.queue_ft(&queries[flight.slot], threshold, opts);
+                            flights.insert(
+                                new_id,
+                                Flight {
+                                    slot: flight.slot,
+                                    attempt: flight.attempt + 1,
+                                    deadline: Instant::now() + attempt_timeout,
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
+    }
+
+    /// Runs `requests` keeping up to `window` of them in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] when no completion arrives within the
+    /// per-reply deadline, otherwise the link's errors.
+    pub fn run_batch(
+        &mut self,
+        requests: &[Request],
+        window: usize,
+    ) -> Result<Vec<BatchResult>, Error> {
+        let window = window.max(1);
+        let mut out: Vec<Option<BatchResult>> = requests.iter().map(|_| None).collect();
+        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
+        let mut next = 0usize;
+        let mut completed = 0usize;
+        while completed < requests.len() {
+            while next < requests.len() && in_flight.len() < window {
+                let started = Instant::now();
+                let (id, _) = match &requests[next] {
+                    Request::Pin(keywords) => self.queue_pin(keywords),
+                    Request::Superset {
+                        keywords,
+                        threshold,
+                    } => self.queue_superset(keywords, *threshold),
+                };
+                in_flight.insert(id, (next, started));
+                next += 1;
+            }
+            self.link.ship()?;
+            let deadline = self.request_deadline();
+            let (query_id, objects) = match self.recv_reply(deadline, "batch reply", None)? {
+                WireMsg::PinResults { query_id, objects } => (query_id, object_ids(objects)),
+                WireMsg::QueryDone { query_id, objects } => (
+                    query_id,
+                    objects
+                        .into_iter()
+                        .map(|(raw, _)| ObjectId::from_raw(raw))
+                        .collect(),
+                ),
+                WireMsg::FtQueryDone { .. } => continue,
+                other => panic!("unexpected frame during batch: {other:?}"),
+            };
+            let (slot, started) = in_flight
+                .remove(&query_id)
+                .expect("completion for an in-flight request");
+            out[slot] = Some(BatchResult {
+                objects,
+                latency: started.elapsed(),
+            });
+            completed += 1;
+        }
+        Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// The worker owning `F_h(keywords)`.
+    fn owner_of(&self, keywords: &KeywordSet) -> u32 {
+        self.shards
+            .owner_of(self.hasher.vertex_for(keywords).bits())
+    }
+
+    /// Queues one pin lookup for `F_h(K)`'s owner under a fresh id,
+    /// returning the id and that worker.
+    fn queue_pin(&mut self, keywords: &KeywordSet) -> (u64, u32) {
+        let id = self.fresh_id();
+        let owner = self.owner_of(keywords);
+        self.link.queue(
+            owner,
+            &WireMsg::Pin {
+                query_id: id,
+                keywords: keywords.clone(),
+            },
+        );
+        (id, owner)
+    }
+
+    /// Queues one sequential superset search under a fresh id,
+    /// returning the id and its coordinator: plain round-robin. Any
+    /// worker can coordinate any query — the root's region reaches its
+    /// owner as a delegated batch like every other region — and
+    /// spreading coordinators keeps one popular root prefix from
+    /// serializing a whole mix on a single worker.
+    fn queue_superset(&mut self, keywords: &KeywordSet, threshold: usize) -> (u64, u32) {
+        let id = self.fresh_id();
+        let coordinator = (id % u64::from(self.shards.workers())) as u32;
+        self.link.queue(
+            coordinator,
+            &WireMsg::Query {
+                query_id: id,
+                keywords: keywords.clone(),
+                threshold: threshold as u64,
+            },
+        );
+        (id, coordinator)
+    }
+
+    /// Queues one FT query toward its root's owner (the FT coordinator
+    /// scans the root locally) and returns the fresh query id.
+    fn queue_ft(&mut self, keywords: &KeywordSet, threshold: usize, opts: &FtSearchOptions) -> u64 {
+        let id = self.fresh_id();
+        let owner = self.owner_of(keywords);
+        self.link.queue(
+            owner,
+            &WireMsg::FtQuery {
+                query_id: id,
+                keywords: keywords.clone(),
+                threshold: threshold as u64,
+                strategy: opts.strategy,
+                max_retries: opts.max_retries,
+                base_timeout_ms: opts.base_timeout_ms,
+            },
+        );
+        id
+    }
+
+    fn request_deadline(&self) -> Option<Instant> {
+        self.request_timeout.map(|t| Instant::now() + t)
+    }
+
+    /// One frame before `deadline`, a missed deadline being
+    /// [`Error::Timeout`] naming `operation`.
+    fn recv_reply(
+        &mut self,
+        deadline: Option<Instant>,
+        operation: &str,
+        awaiting: Option<u32>,
+    ) -> Result<WireMsg, Error> {
+        self.link
+            .recv(deadline, awaiting)?
+            .ok_or_else(|| Error::Timeout {
+                operation: operation.to_string(),
+                after_ms: self.request_timeout.map_or(0, |t| t.as_millis() as u64),
+            })
+    }
+}
+
+fn object_ids(raw: Vec<u64>) -> Vec<ObjectId> {
+    raw.into_iter().map(ObjectId::from_raw).collect()
+}
+
+fn matches(objects: Vec<(u64, u32)>) -> Vec<RuntimeMatch> {
+    objects
+        .into_iter()
+        .map(|(raw, extra)| RuntimeMatch {
+            object: ObjectId::from_raw(raw),
+            extra_keywords: extra,
+        })
+        .collect()
+}

@@ -18,6 +18,10 @@
 //!
 //! Module map:
 //!
+//! * [`client_core`] — the client half of the request protocol
+//!   ([`ClientCore`]) over a three-method link ([`ClientLink`]); the
+//!   in-process handle and `hyperdex-net`'s TCP client are both thin
+//!   shells around it.
 //! * [`wire`] — the hand-rolled length-prefixed codec; the thread
 //!   boundary is byte-defined, like a socket.
 //! * [`shard`] — pure, seeded vertex → worker ownership.
@@ -28,8 +32,9 @@
 //!   `hyperdex-net` plugs a TCP mesh into the same trait.
 //! * [`worker`] — the shard-owning event loop, transport-agnostic so
 //!   the same code runs in-process and inside a server binary.
-//! * [`runtime`] — the client handle, the supervisor, the flush
-//!   barrier, the shutdown/conservation protocol.
+//! * [`runtime`] — the in-process handle (the client core over the
+//!   channel link), the supervisor, the shutdown/conservation
+//!   protocol.
 //! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
 //!   harness used by tests and the `runtime` bench, including faulted
 //!   executions.
@@ -49,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod client_core;
 pub mod fault;
 pub mod parity;
 pub mod runtime;
@@ -57,15 +63,15 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
+pub use client_core::{
+    BatchResult, ClientCore, ClientLink, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
+};
 pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
 pub use parity::{
     assert_fault_parity, assert_sim_parity, assert_sim_parity_with, FaultParityReport, ParityReport,
 };
-pub use runtime::{
-    BatchResult, FtSearchOptions, FtSearchOutcome, NodeRuntime, Request, RuntimeConfig,
-    RuntimeMatch, ShutdownReport, SupervisorStats,
-};
+pub use runtime::{NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
-pub use transport::{coalesce, count_frames, take_frame, ChannelTransport, FlushStatus, Transport};
+pub use transport::{count_frames, take_frame, ChannelTransport, FlushStatus, Transport};
 pub use wire::{WireError, WireMsg};
 pub use worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};

@@ -27,15 +27,18 @@
 //!
 //! # Queries
 //!
-//! The worker owning `F_h(K)` coordinates each query. The sequential
-//! path ([`NodeRuntime::superset_search`]) runs the same
-//! [`SupersetCoordinator`] machine as the simulator and the direct
-//! engine, one visit outstanding at a time. The fault-tolerant path
-//! ([`NodeRuntime::superset_search_ft`]) runs the shared
-//! [`FtCoordinator`] machine — the very one `ProtocolSim` drives under
-//! virtual time — with wall-clock deadlines, retry backoff, and
-//! subtree re-delegation (Lemma 3.2), so all three executors share one
-//! recovery implementation.
+//! The request protocol itself — ids, routing, reply matching, FT
+//! re-issue — is the shared [`ClientCore`]; [`NodeRuntime`] plugs the
+//! in-process channel link into it and adds what only a process that
+//! owns its workers can do: start, supervise, journal, bulk-load, shut
+//! down. On the worker side the sequential path
+//! ([`NodeRuntime::superset_search`]) runs the same
+//! `SupersetCoordinator` machine as the simulator and the direct
+//! engine, and the fault-tolerant path
+//! ([`NodeRuntime::superset_search_ft`]) the shared `FtCoordinator` —
+//! the very one `ProtocolSim` drives under virtual time — with
+//! wall-clock deadlines, retry backoff, and subtree re-delegation
+//! (Lemma 3.2), so all executors share one recovery implementation.
 //!
 //! # Faults and supervision
 //!
@@ -52,7 +55,8 @@
 //! never run against a half-restored table. If recovery cannot finish
 //! within the client's deadline, [`NodeRuntime::superset_search_ft`]
 //! degrades gracefully: it returns a partial result whose
-//! [`CoverageReport`] accounts every unreached vertex exactly.
+//! [`hyperdex_core::CoverageReport`] accounts every unreached vertex
+//! exactly.
 //!
 //! # Shutdown protocol and conservation
 //!
@@ -78,21 +82,24 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{
-    CoverageReport, Error, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy, StoreBackend,
-};
+use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
 use hyperdex_hypercube::Shape;
 
+use crate::client_core::{ClientCore, ClientLink};
 use crate::fault::{FaultInjector, FaultPlan};
+use crate::shard::{ShardMap, ShardPolicy};
 use crate::transport::{count_frames, take_frame, ChannelTransport};
+use crate::wire::WireMsg;
 use crate::worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};
 
-/// The insert journal: `(vertex bits, encoded frame)` per applied
-/// insert, shared between the client handle and the supervisor so a
-/// respawned worker's shard can be replayed.
-type Journal = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
-use crate::shard::{ShardMap, ShardPolicy};
-use crate::wire::WireMsg;
+pub use crate::client_core::{
+    BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
+};
+
+/// The load journal: `(owning worker, encoded frame)` per load frame
+/// the client sent, shared between the channel link and the supervisor
+/// so a respawned worker's shard can be replayed.
+type Journal = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
 
 /// How a [`NodeRuntime`] is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +116,8 @@ pub struct RuntimeConfig {
     /// (locality-preserving); [`ShardPolicy::Hash`] is the legacy
     /// scatter, kept selectable so benches report both.
     pub policy: ShardPolicy,
-    /// Posting-storage backend for every shard table. Defaults to the
-    /// `HYPERDEX_STORE` environment selection (DESIGN.md §17).
+    /// Posting-storage backend for every shard table. Defaults to
+    /// [`StoreBackend::Slab`] (DESIGN.md §17).
     pub store: StoreBackend,
 }
 
@@ -124,7 +131,7 @@ impl RuntimeConfig {
             workers,
             channel_capacity: 256,
             policy: ShardPolicy::default(),
-            store: StoreBackend::from_env(),
+            store: StoreBackend::default(),
         }
     }
 
@@ -234,109 +241,103 @@ impl ShutdownReport {
     }
 }
 
-/// One match from a runtime superset search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeMatch {
-    /// The matching object.
-    pub object: ObjectId,
-    /// `|K'| − |K|`: how many keywords beyond the query it carries.
-    pub extra_keywords: u32,
+/// Client handle to a running sharded cluster: the shared request
+/// protocol ([`ClientCore`]) over the in-process channel link, plus
+/// ownership of the worker threads. All methods are synchronous from
+/// the caller's point of view; concurrency lives in the worker threads
+/// ([`NodeRuntime::run_batch`] keeps a window of requests in flight to
+/// exploit it).
+#[derive(Debug)]
+pub struct NodeRuntime {
+    core: ClientCore<ChannelLink>,
+    supervisor_tx: Sender<SupervisorEvent>,
+    supervisor: JoinHandle<(Vec<WorkerStats>, SupervisorStats)>,
 }
 
-/// One request of a pipelined [`NodeRuntime::run_batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Exact-match pin lookup.
-    Pin(KeywordSet),
-    /// Superset search wanting up to `threshold` results.
-    Superset {
-        /// The queried keyword set.
-        keywords: KeywordSet,
-        /// Results wanted.
-        threshold: usize,
-    },
+/// The in-process [`ClientLink`]: one bounded channel into each worker,
+/// one shared inbox back. It cannot fail — a crashed worker's channel
+/// survives into its respawn — so every method returns `Ok`.
+#[derive(Debug)]
+struct ChannelLink {
+    to_worker: Vec<SyncSender<Vec<u8>>>,
+    inbox: Receiver<Vec<u8>>,
+    /// Frames queued for the next ship, in queue order.
+    queued: Vec<(u32, Vec<u8>)>,
+    /// Frames decoded out of a multi-frame packet, ahead of the inbox.
+    pending: VecDeque<WireMsg>,
+    /// Kept exactly when the fault plan schedules crashes.
+    journal: Option<Journal>,
+    sent: u64,
+    received: u64,
 }
 
-/// One completed batch request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchResult {
-    /// Matching object ids (set semantics; order is arrival order).
-    pub objects: Vec<ObjectId>,
-    /// Send-to-completion wall time for this request.
-    pub latency: Duration,
-}
+impl ClientLink for ChannelLink {
+    fn queue(&mut self, worker: u32, msg: &WireMsg) {
+        let frame = msg.encode();
+        if let (Some(journal), WireMsg::Insert { .. } | WireMsg::Handoff { .. }) =
+            (&self.journal, msg)
+        {
+            journal
+                .lock()
+                .expect("journal lock")
+                .push((worker, frame.clone()));
+        }
+        self.queued.push((worker, frame));
+    }
 
-/// Knobs for [`NodeRuntime::superset_search_ft`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FtSearchOptions {
-    /// Recovery behaviour on a missed deadline. The runtime arms real
-    /// timers only for [`RecoveryStrategy::RetryOnly`] and
-    /// [`RecoveryStrategy::Redelegate`]; `Naive` never recovers (the
-    /// client deadline is its only bound) and `ReplicatedFailover`
-    /// re-delegates without the simulator-only secondary sweep.
-    pub strategy: RecoveryStrategy,
-    /// Retransmissions per child before declaring it dead.
-    pub max_retries: u32,
-    /// First-attempt child deadline in milliseconds; doubles per
-    /// retry.
-    pub base_timeout_ms: u64,
-    /// Overall per-attempt client deadline in milliseconds. If the
-    /// coordinator itself dies, the client re-issues the query after
-    /// this long.
-    pub attempt_timeout_ms: u64,
-    /// How many times the client re-issues the query before returning
-    /// a degraded result.
-    pub attempts: u32,
-}
+    fn ship(&mut self) -> Result<(), Error> {
+        for (worker, frame) in self.queued.drain(..) {
+            // Blocking send is safe from the client: workers always
+            // return to their inboxes (a crashed worker's channel
+            // survives into its respawn), so a full channel always
+            // drains.
+            self.to_worker[worker as usize]
+                .send(frame)
+                .expect("worker channel alive");
+            self.sent += 1;
+        }
+        Ok(())
+    }
 
-impl Default for FtSearchOptions {
-    fn default() -> FtSearchOptions {
-        FtSearchOptions {
-            strategy: RecoveryStrategy::Redelegate,
-            max_retries: 2,
-            base_timeout_ms: 25,
-            attempt_timeout_ms: 2_000,
-            attempts: 3,
+    /// `awaiting` has nothing to report here: a worker that dies is
+    /// respawned behind the same channel, so no wait is ever orphaned.
+    fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        _awaiting: Option<u32>,
+    ) -> Result<Option<WireMsg>, Error> {
+        loop {
+            if let Some(msg) = self.pending.pop_front() {
+                return Ok(Some(msg));
+            }
+            let packet = match deadline {
+                None => self.inbox.recv().expect("worker threads alive"),
+                Some(deadline) => {
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    match self.inbox.recv_timeout(wait) {
+                        Ok(packet) => packet,
+                        Err(_) => return Ok(None),
+                    }
+                }
+            };
+            // A packet may coalesce several frames; every one is a
+            // logical receive.
+            let mut rest: &[u8] = &packet;
+            while !rest.is_empty() {
+                let (frame, tail) = take_frame(rest).expect("workers emit well-formed frames");
+                rest = tail;
+                self.received += 1;
+                self.pending.push_back(
+                    WireMsg::decode_exact(frame).expect("workers emit well-formed frames"),
+                );
+            }
         }
     }
 }
 
-/// Outcome of a fault-tolerant runtime search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FtSearchOutcome {
-    /// The matches collected (complete or partial).
-    pub matches: Vec<RuntimeMatch>,
-    /// `true` when every subcube vertex was either scanned or the
-    /// threshold was met — the result set is exactly what a fault-free
-    /// run returns.
-    pub complete: bool,
-    /// Client attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// The coordinator's exact coverage accounting; `None` when no
-    /// coordinator ever answered (every attempt timed out).
-    pub coverage: Option<CoverageReport>,
-}
-
-/// Client handle to a running sharded cluster. All methods are
-/// synchronous from the caller's point of view; concurrency lives in
-/// the worker threads ([`NodeRuntime::run_batch`] keeps a window of
-/// requests in flight to exploit it).
-#[derive(Debug)]
-pub struct NodeRuntime {
-    r: u8,
-    hasher: KeywordHasher,
-    shards: ShardMap,
-    to_worker: Vec<SyncSender<Vec<u8>>>,
-    inbox: Receiver<Vec<u8>>,
-    /// Frames decoded out of a multi-frame packet, ahead of the inbox.
-    pending: VecDeque<WireMsg>,
-    supervisor_tx: Sender<SupervisorEvent>,
-    supervisor: Option<JoinHandle<(Vec<WorkerStats>, SupervisorStats)>>,
-    journal: Option<Journal>,
-    next_id: u64,
-    client_sent: u64,
-    client_received: u64,
-}
+/// Why a [`NodeRuntime`] request cannot fail: it validated its
+/// arguments, and [`ChannelLink`] neither errors nor times out.
+const INFALLIBLE: &str = "the channel link neither fails nor times out";
 
 impl NodeRuntime {
     /// Spawns the worker threads (fault-free) and returns the client
@@ -378,7 +379,7 @@ impl NodeRuntime {
         let (event_tx, event_rx) = channel::<SupervisorEvent>();
 
         let journal =
-            (!plan.crashes.is_empty()).then(|| Arc::new(Mutex::new(Vec::<(u64, Vec<u8>)>::new())));
+            (!plan.crashes.is_empty()).then(|| Arc::new(Mutex::new(Vec::<(u32, Vec<u8>)>::new())));
 
         let spawner = Spawner {
             shape,
@@ -402,30 +403,31 @@ impl NodeRuntime {
             .spawn(move || supervise(spawner, handles, sup_journal, event_rx))
             .expect("spawn supervisor thread");
 
-        Ok(NodeRuntime {
-            r: cfg.r,
-            hasher,
-            shards,
+        let link = ChannelLink {
             to_worker: worker_tx,
             inbox: client_rx,
+            queued: Vec::new(),
             pending: VecDeque::new(),
-            supervisor_tx: event_tx,
-            supervisor: Some(supervisor),
             journal,
-            next_id: 0,
-            client_sent: 0,
-            client_received: 0,
+            sent: 0,
+            received: 0,
+        };
+        Ok(NodeRuntime {
+            // No request deadline: supervised workers always answer.
+            core: ClientCore::new(hasher, shards, link, None),
+            supervisor_tx: event_tx,
+            supervisor,
         })
     }
 
     /// The number of worker threads.
     pub fn workers(&self) -> u32 {
-        self.shards.workers()
+        self.core.shards().workers()
     }
 
     /// The hypercube dimension `r`.
     pub fn r(&self) -> u8 {
-        self.r
+        self.core.hasher().shape().r()
     }
 
     /// Routes one `T_INSERT` to the owning shard.
@@ -434,18 +436,7 @@ impl NodeRuntime {
     ///
     /// Returns [`Error::EmptyKeywordSet`] when `keywords` is empty.
     pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
-        if keywords.is_empty() {
-            return Err(Error::EmptyKeywordSet);
-        }
-        let bits = self.hasher.vertex_for(&keywords).bits();
-        let owner = self.shards.owner_of(bits);
-        let msg = WireMsg::Insert {
-            object: object.raw(),
-            keywords,
-        };
-        self.journal_frame(bits, &msg);
-        self.send_frame(owner, &msg);
-        Ok(())
+        self.core.insert(object, keywords)
     }
 
     /// Installs whole vertex tables at once (bulk load): entries are
@@ -459,12 +450,13 @@ impl NodeRuntime {
     where
         I: IntoIterator<Item = (ObjectId, &'a KeywordSet)>,
     {
+        let hasher = self.core.hasher();
         let mut by_vertex: HashMap<u64, Vec<(KeywordSet, Vec<u64>)>> = HashMap::new();
         for (object, keywords) in entries {
             if keywords.is_empty() {
                 return Err(Error::EmptyKeywordSet);
             }
-            let bits = self.hasher.vertex_for(keywords).bits();
+            let bits = hasher.vertex_for(keywords).bits();
             by_vertex
                 .entry(bits)
                 .or_default()
@@ -476,55 +468,25 @@ impl NodeRuntime {
         vertices.sort_unstable();
         for bits in vertices {
             let entries = by_vertex.remove(&bits).expect("key listed");
-            let owner = self.shards.owner_of(bits);
-            let msg = WireMsg::Handoff { bits, entries };
-            self.journal_frame(bits, &msg);
-            self.send_frame(owner, &msg);
+            let owner = self.core.shards().owner_of(bits);
+            self.core.send(owner, &WireMsg::Handoff { bits, entries })?;
         }
         Ok(())
     }
 
     /// Drain barrier: returns once every worker has processed every
-    /// frame enqueued on its inbox before this call. Must not be
-    /// called with queries outstanding (only `FlushAck`s may arrive).
+    /// frame enqueued on its inbox before this call.
     pub fn flush(&mut self) {
-        self.next_id += 1;
-        let token = self.next_id;
-        for w in 0..self.workers() {
-            self.send_frame(w, &WireMsg::Flush { token });
-        }
-        let mut pending = self.workers();
-        while pending > 0 {
-            match self.recv_frame() {
-                WireMsg::FlushAck { token: t, .. } if t == token => pending -= 1,
-                other => panic!("unexpected frame during flush barrier: {other:?}"),
-            }
-        }
+        self.core.flush().expect(INFALLIBLE);
     }
 
     /// Pin search (§3.2): one frame to `F_h(K)`'s owner, one reply.
     pub fn pin_search(&mut self, keywords: &KeywordSet) -> Vec<ObjectId> {
-        self.next_id += 1;
-        let id = self.next_id;
-        let bits = self.hasher.vertex_for(keywords).bits();
-        let owner = self.shards.owner_of(bits);
-        self.send_frame(
-            owner,
-            &WireMsg::Pin {
-                query_id: id,
-                keywords: keywords.clone(),
-            },
-        );
-        match self.recv_frame() {
-            WireMsg::PinResults { query_id, objects } if query_id == id => {
-                objects.into_iter().map(ObjectId::from_raw).collect()
-            }
-            other => panic!("unexpected frame awaiting pin results: {other:?}"),
-        }
+        self.core.pin_search(keywords).expect(INFALLIBLE)
     }
 
-    /// Superset search (§3.3), coordinated by the worker owning the
-    /// query root. Blocks until the traversal finishes. This is the
+    /// Superset search (§3.3), coordinated by a round-robin-chosen
+    /// worker. Blocks until the traversal finishes. This is the
     /// perfect-transport path — under an active fault plan use
     /// [`NodeRuntime::superset_search_ft`], which recovers from loss
     /// and crashes instead of hanging on them.
@@ -537,30 +499,7 @@ impl NodeRuntime {
         keywords: &KeywordSet,
         threshold: usize,
     ) -> Result<Vec<RuntimeMatch>, Error> {
-        if threshold == 0 {
-            return Err(Error::ZeroThreshold);
-        }
-        self.next_id += 1;
-        let id = self.next_id;
-        let owner = self.coordinator_for(id);
-        self.send_frame(
-            owner,
-            &WireMsg::Query {
-                query_id: id,
-                keywords: keywords.clone(),
-                threshold: threshold as u64,
-            },
-        );
-        match self.recv_frame() {
-            WireMsg::QueryDone { query_id, objects } if query_id == id => Ok(objects
-                .into_iter()
-                .map(|(raw, extra)| RuntimeMatch {
-                    object: ObjectId::from_raw(raw),
-                    extra_keywords: extra,
-                })
-                .collect()),
-            other => panic!("unexpected frame awaiting query results: {other:?}"),
-        }
+        self.core.superset_search(keywords, threshold)
     }
 
     /// Fault-tolerant superset search (§3.4 ported to the runtime):
@@ -580,175 +519,14 @@ impl NodeRuntime {
         threshold: usize,
         opts: &FtSearchOptions,
     ) -> Result<FtSearchOutcome, Error> {
-        if threshold == 0 {
-            return Err(Error::ZeroThreshold);
-        }
-        if opts.base_timeout_ms == 0 {
-            return Err(Error::ZeroTimeout);
-        }
-        let root_bits = self.hasher.vertex_for(keywords).bits();
-        let owner = self.shards.owner_of(root_bits);
-        let attempts = opts.attempts.max(1);
-        for attempt in 1..=attempts {
-            self.next_id += 1;
-            let id = self.next_id;
-            self.send_frame(
-                owner,
-                &WireMsg::FtQuery {
-                    query_id: id,
-                    keywords: keywords.clone(),
-                    threshold: threshold as u64,
-                    strategy: opts.strategy,
-                    max_retries: opts.max_retries,
-                    base_timeout_ms: opts.base_timeout_ms,
-                },
-            );
-            let deadline = Instant::now() + Duration::from_millis(opts.attempt_timeout_ms.max(1));
-            while let Some(msg) = self.recv_frame_within(deadline) {
-                match msg {
-                    WireMsg::FtQueryDone {
-                        query_id,
-                        objects,
-                        subcube,
-                        reached,
-                        retries,
-                        timeouts,
-                        redelegations,
-                        queries_sent,
-                        conts,
-                        result_messages,
-                        skipped,
-                    } if query_id == id => {
-                        let complete = skipped.is_empty();
-                        return Ok(FtSearchOutcome {
-                            matches: objects
-                                .into_iter()
-                                .map(|(raw, extra)| RuntimeMatch {
-                                    object: ObjectId::from_raw(raw),
-                                    extra_keywords: extra,
-                                })
-                                .collect(),
-                            complete,
-                            attempts: attempt,
-                            coverage: Some(CoverageReport {
-                                strategy: opts.strategy,
-                                subcube_vertices: subcube,
-                                vertices_reached: reached,
-                                vertices_skipped: skipped.len() as u64,
-                                skipped,
-                                queries_sent,
-                                conts,
-                                result_messages,
-                                retries,
-                                timeouts,
-                                redelegations,
-                                pruned_subtrees: 0,
-                                vertices_pruned: 0,
-                                failed_over: false,
-                                secondary_reached: 0,
-                                secondary_skipped: 0,
-                                // Wall-clock runs have no virtual time.
-                                elapsed: hyperdex_simnet::time::SimDuration::ZERO,
-                            }),
-                        });
-                    }
-                    // A completion for an abandoned attempt: the old
-                    // coordinator was slow, not dead. Discard by id.
-                    WireMsg::FtQueryDone { .. } => {}
-                    other => panic!("unexpected frame awaiting FT results: {other:?}"),
-                }
-            }
-        }
-        // Every attempt timed out — no coordinator ever answered.
-        // Degrade with an honest "nothing confirmed" report.
-        Ok(FtSearchOutcome {
-            matches: Vec::new(),
-            complete: false,
-            attempts,
-            coverage: None,
-        })
-    }
-
-    /// Coordinator for sequential query `id`: plain round-robin. Any
-    /// worker can coordinate any query — the root's region reaches its
-    /// owner as a delegated batch like every other region — and
-    /// spreading coordinators keeps one popular root prefix from
-    /// serializing a whole mix on a single thread.
-    fn coordinator_for(&self, id: u64) -> u32 {
-        (id % self.to_worker.len() as u64) as u32
+        self.core.superset_search_ft(keywords, threshold, opts)
     }
 
     /// Runs `requests` keeping up to `window` of them in flight — the
     /// throughput path: queries rooted on different workers make
     /// progress concurrently while the client collects completions.
     pub fn run_batch(&mut self, requests: &[Request], window: usize) -> Vec<BatchResult> {
-        let window = window.max(1);
-        let mut out: Vec<Option<BatchResult>> = requests.iter().map(|_| None).collect();
-        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
-        let mut next = 0usize;
-        let mut completed = 0usize;
-
-        while completed < requests.len() {
-            while next < requests.len() && in_flight.len() < window {
-                self.next_id += 1;
-                let id = self.next_id;
-                let started = Instant::now();
-                match &requests[next] {
-                    Request::Pin(keywords) => {
-                        let bits = self.hasher.vertex_for(keywords).bits();
-                        let owner = self.shards.owner_of(bits);
-                        self.send_frame(
-                            owner,
-                            &WireMsg::Pin {
-                                query_id: id,
-                                keywords: keywords.clone(),
-                            },
-                        );
-                    }
-                    Request::Superset {
-                        keywords,
-                        threshold,
-                    } => {
-                        let owner = self.coordinator_for(id);
-                        self.send_frame(
-                            owner,
-                            &WireMsg::Query {
-                                query_id: id,
-                                keywords: keywords.clone(),
-                                threshold: *threshold as u64,
-                            },
-                        );
-                    }
-                }
-                in_flight.insert(id, (next, started));
-                next += 1;
-            }
-
-            let (query_id, objects) = match self.recv_frame() {
-                WireMsg::PinResults { query_id, objects } => (
-                    query_id,
-                    objects.into_iter().map(ObjectId::from_raw).collect(),
-                ),
-                WireMsg::QueryDone { query_id, objects } => (
-                    query_id,
-                    objects
-                        .into_iter()
-                        .map(|(raw, _)| ObjectId::from_raw(raw))
-                        .collect::<Vec<ObjectId>>(),
-                ),
-                other => panic!("unexpected frame during batch: {other:?}"),
-            };
-            let (slot, started) = in_flight
-                .remove(&query_id)
-                .expect("completion for an in-flight request");
-            out[slot] = Some(BatchResult {
-                objects,
-                latency: started.elapsed(),
-            });
-            completed += 1;
-        }
-
-        out.into_iter().map(|r| r.expect("all completed")).collect()
+        self.core.run_batch(requests, window).expect(INFALLIBLE)
     }
 
     /// Runs the drain barrier, hands shutdown to the supervisor, joins
@@ -758,88 +536,27 @@ impl NodeRuntime {
         self.supervisor_tx
             .send(SupervisorEvent::ClientShutdown)
             .expect("supervisor alive");
-        let NodeRuntime {
+        let ChannelLink {
             to_worker,
             inbox,
-            supervisor,
-            client_sent,
-            mut client_received,
+            sent,
+            mut received,
             ..
-        } = self;
+        } = self.core.into_link();
         drop(to_worker);
-        let (workers, supervisor_stats) = supervisor
-            .expect("supervisor handle present")
-            .join()
-            .expect("supervisor thread panicked");
+        let (workers, supervisor_stats) =
+            self.supervisor.join().expect("supervisor thread panicked");
         // Drain stragglers buffered on the client inbox (none are
         // expected after the barrier, but every frame must be counted
         // for conservation to be exact).
         while let Ok(packet) = inbox.recv() {
-            client_received += count_frames(&packet);
+            received += count_frames(&packet);
         }
         ShutdownReport {
-            client_sent,
-            client_received,
+            client_sent: sent,
+            client_received: received,
             workers,
             supervisor: supervisor_stats,
-        }
-    }
-
-    fn journal_frame(&mut self, bits: u64, msg: &WireMsg) {
-        if let Some(journal) = &self.journal {
-            journal
-                .lock()
-                .expect("journal lock")
-                .push((bits, msg.encode()));
-        }
-    }
-
-    fn send_frame(&mut self, worker: u32, msg: &WireMsg) {
-        // Blocking send is safe from the client: workers always return
-        // to their inboxes (a crashed worker's channel survives into
-        // its respawn), so a full channel always drains.
-        self.to_worker[worker as usize]
-            .send(msg.encode())
-            .expect("worker channel alive");
-        self.client_sent += 1;
-    }
-
-    /// Splits a fabric packet (one or more coalesced frames) into the
-    /// pending queue, counting every logical frame as received.
-    fn absorb_packet(&mut self, packet: &[u8]) {
-        let mut rest = packet;
-        while !rest.is_empty() {
-            let (frame, tail) = take_frame(rest).expect("workers emit well-formed frames");
-            rest = tail;
-            self.client_received += 1;
-            self.pending
-                .push_back(WireMsg::decode_exact(frame).expect("workers emit well-formed frames"));
-        }
-    }
-
-    fn recv_frame(&mut self) -> WireMsg {
-        loop {
-            if let Some(msg) = self.pending.pop_front() {
-                return msg;
-            }
-            let packet = self.inbox.recv().expect("worker threads alive");
-            self.absorb_packet(&packet);
-        }
-    }
-
-    fn recv_frame_within(&mut self, deadline: Instant) -> Option<WireMsg> {
-        loop {
-            if let Some(msg) = self.pending.pop_front() {
-                return Some(msg);
-            }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return None;
-            }
-            match self.inbox.recv_timeout(wait) {
-                Ok(packet) => self.absorb_packet(&packet),
-                Err(_) => return None,
-            }
         }
     }
 }
@@ -966,8 +683,8 @@ fn supervise(
                         handles[i] = Some(spawner.spawn(i as u32, exit.inbox, None, true));
                         if let Some(journal) = &journal {
                             let entries = journal.lock().expect("journal lock");
-                            for (bits, frame) in entries.iter() {
-                                if spawner.shards.owner_of(*bits) == i as u32 {
+                            for (owner, frame) in entries.iter() {
+                                if *owner == i as u32 {
                                     spawner.worker_tx[i]
                                         .send(frame.clone())
                                         .expect("worker channel alive");
@@ -1360,6 +1077,44 @@ mod tests {
         report.assert_conserved();
         assert_eq!(report.supervisor.respawns, 1, "{report:?}");
         assert!(report.supervisor.replayed_frames > 0);
+    }
+
+    #[test]
+    fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
+        // Every traversal frame is dropped and children are written off
+        // after one 30 ms timer, so the coordinator completes no sooner
+        // than 30 ms in — long after the client's 1 ms attempt budget
+        // ran out. Its `FtQueryDone` then sits in the client inbox ahead
+        // of whatever the next request waits for.
+        let plan = FaultPlan::lossy(11, 1000, 0, 0);
+        let cfg = RuntimeConfig::new(8, 4).seed(42).policy(ShardPolicy::Hash);
+        let mut rt = NodeRuntime::start_faulted(cfg, plan).unwrap();
+        for &(id, kws) in CORPUS {
+            rt.insert(oid(id), set(kws)).unwrap();
+        }
+        rt.flush();
+        let abandon = FtSearchOptions {
+            strategy: hyperdex_core::RecoveryStrategy::RetryOnly,
+            max_retries: 0,
+            base_timeout_ms: 30,
+            attempt_timeout_ms: 1,
+            attempts: 1,
+        };
+        // (Pins and the barrier only: the perfect-transport superset
+        // path cannot run under total loss.)
+        let next_requests: [fn(&mut NodeRuntime); 3] = [
+            |rt| assert_eq!(rt.pin_search(&set("a b")), vec![oid(2)]),
+            |rt| rt.flush(),
+            |rt| assert_eq!(rt.run_batch(&[Request::Pin(set("x y"))], 1).len(), 1),
+        ];
+        for next_request in next_requests {
+            rt.superset_search_ft(&set("a"), usize::MAX - 1, &abandon)
+                .unwrap();
+            // Let the abandoned attempt finish and its completion land.
+            std::thread::sleep(Duration::from_millis(150));
+            next_request(&mut rt);
+        }
+        rt.shutdown().assert_conserved();
     }
 
     #[test]

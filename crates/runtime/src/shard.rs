@@ -211,8 +211,8 @@ mod tests {
 
     /// All members of the SBT subtree entered at `(bits, via_dim)`:
     /// the closure of the child rule (set any free dimension strictly
-    /// below the arrival dimension). Mirrors the coordinator's
-    /// `children_of` so the property is checked against the real
+    /// below the arrival dimension). Mirrors the protocol's
+    /// `child_contacts` so the property is checked against the real
     /// traversal shape.
     fn subtree_members(bits: u64, via_dim: u8, out: &mut Vec<u64>) {
         out.push(bits);

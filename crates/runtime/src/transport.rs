@@ -161,24 +161,11 @@ impl Transport for ChannelTransport {
 }
 
 /// Pops the whole queue into one packet (frames concatenated, each
-/// keeping its own length prefix). A single queued frame travels
-/// as-is.
-pub fn coalesce(queue: &mut VecDeque<Vec<u8>>) -> Vec<u8> {
-    if queue.len() == 1 {
-        return queue.pop_front().expect("checked non-empty");
-    }
-    let total: usize = queue.iter().map(Vec::len).sum();
-    let mut packet = Vec::with_capacity(total);
-    for frame in queue.drain(..) {
-        packet.extend_from_slice(&frame);
-    }
-    packet
-}
-
-/// [`coalesce`] with buffer recycling: the packet buffer comes from
-/// `pool` when one is available, and the emptied frame buffers go back
-/// into `pool` (up to [`SPENT_POOL_CAP`]) instead of being dropped —
-/// the steady-state coalesce path allocates nothing.
+/// keeping its own length prefix); a single queued frame travels
+/// as-is. The packet buffer comes from `pool` when one is available,
+/// and the emptied frame buffers go back into `pool` (up to
+/// [`SPENT_POOL_CAP`]) instead of being dropped — the steady-state
+/// coalesce path allocates nothing.
 pub fn coalesce_pooled(queue: &mut VecDeque<Vec<u8>>, pool: &mut Vec<Vec<u8>>) -> Vec<u8> {
     if queue.len() == 1 {
         return queue.pop_front().expect("checked non-empty");
@@ -267,7 +254,7 @@ mod tests {
     #[test]
     fn coalesce_concatenates_and_preserves_frames() {
         let mut q: VecDeque<Vec<u8>> = [frame(1), frame(2), frame(3)].into_iter().collect();
-        let packet = coalesce(&mut q);
+        let packet = coalesce_pooled(&mut q, &mut Vec::new());
         assert!(q.is_empty());
         assert_eq!(count_frames(&packet), 3);
         let (f1, rest) = take_frame(&packet).unwrap();
@@ -292,7 +279,7 @@ mod tests {
     fn single_frame_passes_through_uncopied() {
         let f = frame(9);
         let mut q: VecDeque<Vec<u8>> = [f.clone()].into_iter().collect();
-        assert_eq!(coalesce(&mut q), f);
+        assert_eq!(coalesce_pooled(&mut q, &mut Vec::new()), f);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::protocol::{scan_store, SupersetCoordinator};
+use hyperdex_core::protocol::{child_contacts, scan_store, SupersetCoordinator};
 use hyperdex_core::{
     FtCmd, FtCoordinator, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId,
     PostingStore, StoreBackend,
@@ -137,7 +137,7 @@ pub struct WorkerContext {
     /// The global vertex → worker map.
     pub shards: ShardMap,
     /// Posting-storage backend for every shard table this worker owns
-    /// (`HYPERDEX_STORE`; DESIGN.md §17).
+    /// (DESIGN.md §17).
     pub store: StoreBackend,
     /// Seeded fault injector, when the deployment schedules faults.
     pub injector: Option<FaultInjector>,
@@ -182,6 +182,10 @@ pub fn run_worker(
     worker.run(inbox)
 }
 
+/// One visit's answer: the vertex's matching objects plus its frontier
+/// children as `(bits, via_dim)` pairs.
+type VisitReply = (Vec<(u64, u32)>, Vec<(u64, u8)>);
+
 /// In-progress sequential query on its coordinator worker.
 ///
 /// The batched drive keeps many visits outstanding at once, but the
@@ -191,15 +195,11 @@ pub fn run_worker(
 /// in dispatch order, truncating each reply to the budget live at
 /// fold time, makes the batched traversal result-identical to the
 /// one-visit-at-a-time machine — including under a binding threshold.
-/// One folded visit: the vertex's matching objects plus its frontier
-/// children as `(bits, via_dim)` pairs.
-type VisitReply = (Vec<(u64, u32)>, Vec<(u64, u8)>);
-
 #[derive(Debug)]
 struct QueryState {
     coord: SupersetCoordinator,
+    keywords: Arc<KeywordSet>,
     results: Vec<(u64, u32)>,
-    threshold: usize,
     /// Dispatched, not-yet-folded vertices in dispatch order.
     pending: VecDeque<u64>,
     /// Replies that arrived out of order, keyed by vertex bits.
@@ -492,9 +492,9 @@ impl Worker {
                 let kw = self.interner.intern(keywords);
                 let root = self.hasher.vertex_for(&kw);
                 let mut state = QueryState {
-                    coord: SupersetCoordinator::new(root, kw, threshold as usize),
+                    coord: SupersetCoordinator::new(root, threshold as usize),
+                    keywords: kw,
                     results: Vec::new(),
-                    threshold: threshold as usize,
                     pending: VecDeque::new(),
                     replies: HashMap::new(),
                     predelegated: HashSet::new(),
@@ -551,16 +551,7 @@ impl Worker {
                 coord,
             } => {
                 debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted T_QUERY");
-                self.stats.scans += 1;
-                let found = scan_store(self.tables.get(&bits), &keywords, remaining as usize);
-                let vertex =
-                    Vertex::from_bits(self.shape, bits).expect("coordinators stay in the cube");
-                // Lemma 3.2: children derive from bits + arrival dim.
-                let children = SupersetCoordinator::children_of(vertex, via_dim);
-                let objects = found
-                    .iter()
-                    .map(|r| (r.object.raw(), r.extra_keywords))
-                    .collect();
+                let (objects, children) = self.visit(bits, via_dim, &keywords, remaining as usize);
                 self.send(
                     coord as usize,
                     &WireMsg::TCont {
@@ -606,11 +597,8 @@ impl Worker {
                         self.index,
                         "misrouted batch entry"
                     );
-                    self.stats.scans += 1;
-                    let found = scan_store(self.tables.get(&bits), &keywords, remaining as usize);
-                    let vertex =
-                        Vertex::from_bits(self.shape, bits).expect("coordinators stay in the cube");
-                    let children = SupersetCoordinator::children_of(vertex, Some(via_dim));
+                    let (objects, children) =
+                        self.visit(bits, Some(via_dim), &keywords, remaining as usize);
                     for &(child, dim) in &children {
                         let owner = self.shards.owner_of(child);
                         if owner == self.index {
@@ -625,10 +613,6 @@ impl Worker {
                             }
                         }
                     }
-                    let objects = found
-                        .iter()
-                        .map(|r| (r.object.raw(), r.extra_keywords))
-                        .collect();
                     replies.push((bits, objects, children));
                 }
                 for (owner, group) in forwards {
@@ -739,6 +723,33 @@ impl Worker {
         }
     }
 
+    /// The per-vertex `T_QUERY` handler, however the visit arrived (a
+    /// frame, a batch entry, the local fast path, an FT command): scan
+    /// the vertex's store for at most `remaining` supersets of
+    /// `keywords` and derive its SBT children from its bits and arrival
+    /// dimension alone (Lemma 3.2).
+    fn visit(
+        &mut self,
+        bits: u64,
+        via_dim: Option<u8>,
+        keywords: &KeywordSet,
+        remaining: usize,
+    ) -> VisitReply {
+        self.stats.scans += 1;
+        let store = self.tables.get(&bits);
+        // Most visited vertices hold nothing: hash the query's
+        // signature only where there is a store to prefilter.
+        let qsig = store.map_or(0, |_| keywords.signature());
+        let mut found = Vec::new();
+        scan_store(store, keywords, qsig, remaining, &mut found);
+        let objects = found
+            .iter()
+            .map(|r| (r.object.raw(), r.extra_keywords))
+            .collect();
+        let vertex = Vertex::from_bits(self.shape, bits).expect("coordinators stay in the cube");
+        (objects, child_contacts(vertex, via_dim).collect())
+    }
+
     /// Advances one batched sequential query: folds buffered replies
     /// strictly in dispatch order, then — once the whole outstanding
     /// wave has folded — dispatches the next frontier at once,
@@ -828,23 +839,14 @@ impl Worker {
                 self.local_work.push_back((query_id, bits, via_dim));
                 continue;
             }
-            match via_dim {
-                Some(dim) => match groups.iter_mut().find(|(o, _)| *o == owner) {
-                    Some((_, entries)) => entries.push((bits, dim)),
-                    None => groups.push((owner, vec![(bits, dim)])),
-                },
-                // Only the traversal root lacks a dimension. An
-                // arrival dim of `r` spans every free dim below it —
-                // exactly the root's frontier — so the root rides the
-                // same batch path and its region expands eagerly at
-                // the owner like any other.
-                None => {
-                    let dim = self.shape.r();
-                    match groups.iter_mut().find(|(o, _)| *o == owner) {
-                        Some((_, entries)) => entries.push((bits, dim)),
-                        None => groups.push((owner, vec![(bits, dim)])),
-                    }
-                }
+            // Only the traversal root lacks a dimension. An arrival dim
+            // of `r` spans every free dim below it — exactly the root's
+            // frontier — so the root rides the same batch path and its
+            // region expands eagerly at the owner like any other.
+            let dim = via_dim.unwrap_or(self.shape.r());
+            match groups.iter_mut().find(|(o, _)| *o == owner) {
+                Some((_, entries)) => entries.push((bits, dim)),
+                None => groups.push((owner, vec![(bits, dim)])),
             }
         }
         for (owner, entries) in groups {
@@ -852,7 +854,7 @@ impl Worker {
             // handler eagerly expands the receiver's whole region, so
             // a lone cross-cut edge still delegates the subtree below
             // it instead of bouncing every child through here.
-            let keywords: KeywordSet = (**state.coord.keywords()).clone();
+            let keywords: KeywordSet = (*state.keywords).clone();
             self.send(
                 owner as usize,
                 &WireMsg::TQueryBatch {
@@ -866,11 +868,11 @@ impl Worker {
         }
     }
 
-    /// Completes one sequential query: truncates to the threshold and
-    /// ships `QueryDone` to the client.
+    /// Completes one sequential query: ships `QueryDone` to the client.
+    /// (The fold loop takes at most the live budget from every reply,
+    /// so the results never exceed the threshold.)
     fn finish_query(&mut self, query_id: u64, state: &mut QueryState) {
         state.coord.stop();
-        state.results.truncate(state.threshold);
         let objects = std::mem::take(&mut state.results);
         let client = self.client_slot();
         self.send(client, &WireMsg::QueryDone { query_id, objects });
@@ -888,19 +890,8 @@ impl Worker {
             let Some(mut state) = self.queries.remove(&query_id) else {
                 continue;
             };
-            self.stats.scans += 1;
-            let found = scan_store(
-                self.tables.get(&bits),
-                state.coord.keywords(),
-                state.coord.remaining(),
-            );
-            let vertex = Vertex::from_bits(self.shape, bits).expect("coordinator stays in cube");
-            let children = SupersetCoordinator::children_of(vertex, via_dim);
-            let objects = found
-                .iter()
-                .map(|r| (r.object.raw(), r.extra_keywords))
-                .collect();
-            state.replies.insert(bits, (objects, children));
+            let reply = self.visit(bits, via_dim, &state.keywords, state.coord.remaining());
+            state.replies.insert(bits, reply);
             if !self.drive(query_id, &mut state) {
                 self.queries.insert(query_id, state);
             }
@@ -930,18 +921,13 @@ impl Worker {
                 } => {
                     let owner = self.shards.owner_of(bits);
                     if owner == self.index {
-                        self.stats.scans += 1;
-                        let kw = Arc::clone(state.core.keywords());
-                        let found = scan_store(self.tables.get(&bits), &kw, state.core.remaining());
-                        let vertex =
-                            Vertex::from_bits(self.shape, bits).expect("coordinator stays in cube");
-                        let added = state.record(
-                            found
-                                .iter()
-                                .map(|r| (r.object.raw(), r.extra_keywords))
-                                .collect(),
+                        let (objects, children) = self.visit(
+                            bits,
+                            via_dim,
+                            state.core.keywords(),
+                            state.core.remaining(),
                         );
-                        let children = SupersetCoordinator::children_of(vertex, via_dim);
+                        let added = state.record(objects);
                         let mut more = Vec::new();
                         state
                             .core

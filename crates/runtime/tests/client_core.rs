@@ -1,0 +1,304 @@
+//! The client request protocol ([`ClientCore`]) driven through a
+//! scripted in-memory [`ClientLink`] — no sockets, no threads: window
+//! refill and out-of-order completion, an FT flight re-issuing under a
+//! fresh id while the rest of its window completes, degrade-to-empty
+//! after the attempt budget, stale completions, and how many frames
+//! each operation ships.
+
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_runtime::{
+    ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, ShardPolicy, WireMsg,
+};
+
+const WORKERS: u32 = 4;
+
+/// A scripted in-memory link: no sockets, no threads. `answer`
+/// decides, per shipped frame, which replies land in the inbox (and
+/// in what order). An empty inbox means nobody is going to answer:
+/// `recv` sleeps out the caller's deadline and reports it missed.
+struct FakeLink {
+    queued: Vec<(u32, WireMsg)>,
+    /// Everything ever shipped, in ship order.
+    shipped: Vec<(u32, WireMsg)>,
+    /// How many frames each `ship` call carried.
+    bursts: Vec<usize>,
+    inbox: VecDeque<WireMsg>,
+    #[allow(clippy::type_complexity)]
+    answer: Box<dyn FnMut(&[(u32, WireMsg)], &mut VecDeque<WireMsg>)>,
+}
+
+impl ClientLink for FakeLink {
+    fn queue(&mut self, worker: u32, msg: &WireMsg) {
+        self.queued.push((worker, msg.clone()));
+    }
+
+    fn ship(&mut self) -> Result<(), Error> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        (self.answer)(&self.queued, &mut self.inbox);
+        self.bursts.push(self.queued.len());
+        self.shipped.append(&mut self.queued);
+        Ok(())
+    }
+
+    fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        _awaiting: Option<u32>,
+    ) -> Result<Option<WireMsg>, Error> {
+        if let Some(msg) = self.inbox.pop_front() {
+            return Ok(Some(msg));
+        }
+        let deadline = deadline.expect("a wait nobody will answer needs a deadline");
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        Ok(None)
+    }
+}
+
+fn client(
+    answer: impl FnMut(&[(u32, WireMsg)], &mut VecDeque<WireMsg>) + 'static,
+) -> ClientCore<FakeLink> {
+    let link = FakeLink {
+        queued: Vec::new(),
+        shipped: Vec::new(),
+        bursts: Vec::new(),
+        inbox: VecDeque::new(),
+        answer: Box::new(answer),
+    };
+    ClientCore::new(
+        KeywordHasher::new(8, 42).unwrap(),
+        ShardMap::with_policy(ShardPolicy::Prefix, 8, WORKERS, 42),
+        link,
+        Some(Duration::from_millis(20)),
+    )
+}
+
+fn set(s: &str) -> KeywordSet {
+    KeywordSet::parse(s).unwrap()
+}
+
+/// A successful FT completion whose one match is the query id.
+fn ft_done(query_id: u64) -> WireMsg {
+    WireMsg::FtQueryDone {
+        query_id,
+        objects: vec![(query_id, 0)],
+        subcube: 4,
+        reached: 4,
+        retries: 0,
+        timeouts: 0,
+        redelegations: 0,
+        queries_sent: 4,
+        conts: 3,
+        result_messages: 1,
+        skipped: Vec::new(),
+    }
+}
+
+/// The honest reply to a pin, sequential query or flush frame.
+fn echo(worker: u32, msg: &WireMsg) -> WireMsg {
+    match msg {
+        WireMsg::Pin { query_id, .. } => WireMsg::PinResults {
+            query_id: *query_id,
+            objects: vec![*query_id],
+        },
+        WireMsg::Query { query_id, .. } => WireMsg::QueryDone {
+            query_id: *query_id,
+            objects: vec![(*query_id, 1)],
+        },
+        WireMsg::Flush { token } => WireMsg::FlushAck {
+            token: *token,
+            worker,
+        },
+        other => panic!("no canned reply for {other:?}"),
+    }
+}
+
+fn quick(attempts: u32) -> FtSearchOptions {
+    FtSearchOptions {
+        attempts,
+        attempt_timeout_ms: 5,
+        ..FtSearchOptions::default()
+    }
+}
+
+#[test]
+fn stale_ft_completions_are_discarded_by_every_wait() {
+    // The completion of an attempt the client abandoned lands ahead
+    // of each reply the client actually waits for.
+    let mut c = client(|burst, inbox| {
+        inbox.push_back(ft_done(9_999));
+        inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+    });
+    assert_eq!(c.pin_search(&set("a b")).unwrap().len(), 1);
+    assert_eq!(c.superset_search(&set("a"), 5).unwrap().len(), 1);
+    c.flush().unwrap();
+    let batch = c
+        .run_batch(
+            &[
+                Request::Pin(set("a")),
+                Request::Superset {
+                    keywords: set("b"),
+                    threshold: 3,
+                },
+            ],
+            1,
+        )
+        .unwrap();
+    assert_eq!(batch.len(), 2);
+}
+
+#[test]
+fn run_batch_matches_out_of_order_completions_and_counts_frames() {
+    // Each burst is answered newest-first.
+    let mut c = client(|burst, inbox| {
+        inbox.extend(burst.iter().rev().map(|(w, msg)| echo(*w, msg)));
+    });
+    let requests: Vec<Request> = (0..7)
+        .map(|i| {
+            if i % 2 == 0 {
+                Request::Pin(set(&format!("pin{i}")))
+            } else {
+                Request::Superset {
+                    keywords: set(&format!("sup{i}")),
+                    threshold: 4,
+                }
+            }
+        })
+        .collect();
+    let out = c.run_batch(&requests, 3).unwrap();
+    // Ids are issued 1..=7 in request order and every canned reply
+    // carries its id as the object, so slot i holds object i + 1
+    // however the completions were ordered.
+    for (slot, result) in out.iter().enumerate() {
+        assert_eq!(result.objects, vec![ObjectId::from_raw(slot as u64 + 1)]);
+    }
+    let link = c.into_link();
+    assert_eq!(link.shipped.len(), 7, "one frame per request");
+    // A full window first, then one refill per completion.
+    assert_eq!(link.bursts, vec![3, 1, 1, 1, 1]);
+    // Superset searches round-robin over coordinators by id; pins go
+    // to their root's owner.
+    for (worker, msg) in &link.shipped {
+        if let WireMsg::Query { query_id, .. } = msg {
+            assert_eq!(u64::from(*worker), query_id % u64::from(WORKERS));
+        }
+    }
+}
+
+#[test]
+fn one_ft_flight_reissues_under_a_fresh_id_while_the_window_completes() {
+    let doomed = set("doomed query");
+    // The doomed search's first attempt is never answered; its
+    // re-issue and everything else are, newest-first.
+    let mut c = client({
+        let doomed = doomed.clone();
+        let mut doomed_seen = 0;
+        move |burst, inbox| {
+            for (_, msg) in burst.iter().rev() {
+                let WireMsg::FtQuery {
+                    query_id, keywords, ..
+                } = msg
+                else {
+                    panic!("expected FT queries, got {msg:?}");
+                };
+                if *keywords == doomed {
+                    doomed_seen += 1;
+                    if doomed_seen == 1 {
+                        continue;
+                    }
+                }
+                inbox.push_back(ft_done(*query_id));
+            }
+        }
+    });
+    let queries = vec![set("one"), doomed, set("two"), set("three"), set("four")];
+    let out = c
+        .superset_search_ft_batch(&queries, 16, &quick(3), 3)
+        .unwrap();
+    assert!(out.iter().all(|o| o.complete));
+    let attempts: Vec<u32> = out.iter().map(|o| o.attempts).collect();
+    assert_eq!(attempts, vec![1, 2, 1, 1, 1]);
+    // Ids 1..=5 went out first; the re-issue got the fresh id 6.
+    let ids: Vec<u64> = out.iter().map(|o| o.matches[0].object.raw()).collect();
+    assert_eq!(ids, vec![1, 6, 3, 4, 5]);
+    let cov = out[1].coverage.as_ref().expect("the re-issue was answered");
+    assert_eq!((cov.subcube_vertices, cov.vertices_reached), (4, 4));
+    assert_eq!(
+        (cov.queries_sent, cov.conts, cov.result_messages),
+        (4, 3, 1)
+    );
+    assert_eq!(cov.strategy, RecoveryStrategy::Redelegate);
+    assert_eq!(
+        c.into_link().shipped.len(),
+        6,
+        "five searches + one re-issue"
+    );
+}
+
+#[test]
+fn ft_search_degrades_to_empty_after_its_attempts() {
+    let mut c = client(|_, _| {});
+    let out = c.superset_search_ft(&set("void"), 8, &quick(2)).unwrap();
+    assert!(!out.complete);
+    assert_eq!(out.attempts, 2);
+    assert!(out.matches.is_empty());
+    assert!(out.coverage.is_none(), "nobody ever answered");
+    assert_eq!(c.into_link().shipped.len(), 2, "one frame per attempt");
+}
+
+#[test]
+fn flush_reaches_every_worker_in_one_burst_and_a_silent_one_times_out() {
+    let mut c = client(|burst, inbox| {
+        inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+    });
+    c.flush().unwrap();
+    let link = c.into_link();
+    let dests: Vec<u32> = link.shipped.iter().map(|(w, _)| *w).collect();
+    assert_eq!(dests, vec![0, 1, 2, 3]);
+    assert_eq!(link.bursts, vec![4]);
+
+    // Worker 2 never acks: the barrier reports which wait expired.
+    let mut c = client(|burst, inbox| {
+        inbox.extend(
+            burst
+                .iter()
+                .filter(|(w, _)| *w != 2)
+                .map(|(w, msg)| echo(*w, msg)),
+        );
+    });
+    match c.flush() {
+        Err(Error::Timeout {
+            operation,
+            after_ms,
+        }) => {
+            assert!(operation.contains("flush"), "{operation}");
+            assert_eq!(after_ms, 20);
+        }
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+}
+
+#[test]
+fn bad_arguments_are_rejected_before_anything_ships() {
+    let mut c = client(|_, _| panic!("nothing may ship"));
+    assert!(matches!(
+        c.insert(ObjectId::from_raw(1), KeywordSet::new()),
+        Err(Error::EmptyKeywordSet)
+    ));
+    assert!(matches!(
+        c.superset_search(&set("a"), 0),
+        Err(Error::ZeroThreshold)
+    ));
+    let no_timer = FtSearchOptions {
+        base_timeout_ms: 0,
+        ..FtSearchOptions::default()
+    };
+    assert!(matches!(
+        c.superset_search_ft(&set("a"), 1, &no_timer),
+        Err(Error::ZeroTimeout)
+    ));
+}

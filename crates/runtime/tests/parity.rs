@@ -7,21 +7,14 @@
 //! with frame conservation holding on every shutdown. Worker counts
 //! come from `HYPERDEX_RUNTIME_WORKERS` (comma-separated) when set —
 //! CI uses that to fan the same test across a thread-count matrix —
-//! and default to 1, 2, 4, 8. `HYPERDEX_SHARD_POLICY` (`hash` or
-//! `prefix`) pins the placement policy the same way; unset, both run.
+//! and default to 1, 2, 4, 8. Both placement policies run every time.
 
 use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_runtime::{assert_sim_parity_with, ShardPolicy};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
-/// Shard policies under test: the env override, or both.
-fn policies() -> Vec<ShardPolicy> {
-    match std::env::var("HYPERDEX_SHARD_POLICY") {
-        Ok(raw) => vec![ShardPolicy::parse(raw.trim())
-            .unwrap_or_else(|| panic!("bad HYPERDEX_SHARD_POLICY {raw:?}"))],
-        Err(_) => vec![ShardPolicy::Hash, ShardPolicy::Prefix],
-    }
-}
+/// Shard policies under test.
+const POLICIES: [ShardPolicy; 2] = [ShardPolicy::Hash, ShardPolicy::Prefix];
 
 /// Worker counts under test: the env override, or the default ladder.
 fn worker_counts() -> Vec<u32> {
@@ -71,7 +64,7 @@ fn workload(seed: u64, objects: usize) -> (Vec<(ObjectId, KeywordSet)>, Vec<(Key
 fn runtime_matches_sim_at_r8_across_worker_counts() {
     let (corpus, queries) = workload(42, 400);
     for workers in worker_counts() {
-        for policy in policies() {
+        for policy in POLICIES {
             let report = assert_sim_parity_with(8, 42, workers, policy, &corpus, &queries);
             assert!(report.superset_checked >= 9, "query mix shrank");
             assert!(report.pin_checked >= 9);
@@ -84,7 +77,7 @@ fn runtime_matches_sim_at_r8_across_worker_counts() {
 fn runtime_matches_sim_at_r12_across_worker_counts() {
     let (corpus, queries) = workload(7, 400);
     for workers in worker_counts() {
-        for policy in policies() {
+        for policy in POLICIES {
             let report = assert_sim_parity_with(12, 7, workers, policy, &corpus, &queries);
             assert!(report.superset_checked >= 9);
             assert_eq!(report.shutdown.in_flight(), 0);
@@ -98,7 +91,7 @@ fn parity_survives_a_second_seed_and_small_corpus() {
     // divergence; exercises sparse vertices (many unmaterialized).
     let (corpus, queries) = workload(1234, 120);
     for workers in worker_counts() {
-        for policy in policies() {
+        for policy in POLICIES {
             assert_sim_parity_with(8, 1234, workers, policy, &corpus, &queries);
         }
     }

@@ -98,3 +98,39 @@ fn small_pages_contact_few_nodes_per_page() {
         first.stats.nodes_contacted
     );
 }
+
+proptest::proptest! {
+    /// Both walks are the one coordinator machine, so for any corpus,
+    /// dimension and page size the concatenated pages are the one-shot
+    /// top-down result list — same objects in the same order — and the
+    /// pages contact, in total, exactly the nodes the one-shot search
+    /// does.
+    #[test]
+    fn concatenated_pages_equal_the_oneshot_walk(seed in 0u64..64, page in 1usize..40) {
+        let mut rng = hyperdex::simnet::rng::SimRng::new(seed);
+        let r = 4 + rng.gen_range(6) as u8; // 4..=9
+        let mut index = HypercubeIndex::new(r, seed).expect("valid r");
+        for id in 0..(40 + rng.gen_index(160)) as u64 {
+            let words: Vec<String> = (0..1 + rng.gen_index(4))
+                .map(|_| format!("kw{}", rng.gen_index(12)))
+                .collect();
+            let k = KeywordSet::parse(&words.join(" ")).expect("valid words");
+            index.insert(hyperdex::core::ObjectId::from_raw(id), k).expect("non-empty");
+        }
+        let query = KeywordSet::parse(&format!("kw{}", rng.gen_index(12))).expect("valid");
+
+        let oneshot = index
+            .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+            .expect("valid");
+        let mut session = CumulativeSearch::new(&index, query);
+        let mut paged = Vec::new();
+        let mut paged_nodes = 0;
+        while !session.is_finished() {
+            let batch = session.next_batch(&index, page).expect("valid");
+            paged_nodes += batch.stats.nodes_contacted;
+            paged.extend(batch.results);
+        }
+        proptest::prop_assert_eq!(&paged, &oneshot.results);
+        proptest::prop_assert_eq!(paged_nodes, oneshot.stats.nodes_contacted);
+    }
+}
