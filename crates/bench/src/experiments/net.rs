@@ -17,7 +17,11 @@
 //! cannot masquerade as a performance result. Both modes assert frame
 //! conservation at shutdown. The `socket/channel` column is the
 //! honest price of real syscalls and process hops: expected **below
-//! 1** on loopback, shrinking as scans dominate frames.
+//! 1** on loopback, shrinking as scans dominate frames. The scan mix
+//! never repeats a query, so every one of its requests is a traversal
+//! whatever the servers' result caches hold (`cache_hit_ratio` per
+//! row: 0 there, and what the cache makes of a skewed stream on the
+//! mixed mix).
 
 use std::path::Path;
 use std::time::Instant;
@@ -26,10 +30,10 @@ use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_net::client::NetConfig;
 use hyperdex_net::cluster::{server_binary, Cluster, ClusterConfig};
 use hyperdex_net::parity::assert_net_parity;
-use hyperdex_runtime::{NodeRuntime, RuntimeConfig, ShardPolicy};
+use hyperdex_runtime::{NodeRuntime, Request, RuntimeConfig, ShardPolicy};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
-use crate::experiments::runtime::{parity_queries, requests_for};
+use crate::experiments::runtime::{parity_queries, requests_for, PASSES};
 use crate::report::{f, json_series, section, Table};
 use crate::{Scale, SharedContext};
 
@@ -40,9 +44,6 @@ pub const MIXES: [&str; 3] = ["pin", "scan", "mixed"];
 
 /// Cube dimension (same scan-heavy regime as the runtime sweep).
 const NET_R: u8 = 8;
-/// Timed repetitions per mode; the best one is reported.
-const REPS: usize = 3;
-
 /// Shard placement both modes run under; recorded per row.
 const POLICY: ShardPolicy = ShardPolicy::Prefix;
 
@@ -82,6 +83,10 @@ pub struct NetRow {
     pub channel_qps: f64,
     /// `qps / channel_qps` — the cost of real sockets.
     pub socket_vs_channel: f64,
+    /// Share of the superset queries the servers' result caches
+    /// answered without a traversal (hits plus coalesced waits) — a
+    /// count, deterministic like `frames`; 0 on the pin mix.
+    pub cache_hit_ratio: f64,
 }
 
 impl NetRow {
@@ -98,20 +103,24 @@ impl NetRow {
     }
 }
 
-/// Times one warmup-plus-best-of-[`REPS`] batch run; `run` replays the
-/// whole batch and returns its per-request latencies in microseconds.
-fn best_of(mut run: impl FnMut() -> Vec<f64>, requests: usize) -> (f64, Vec<f64>) {
-    run(); // warmup
+/// Times one warmup pass plus the best of the timed passes; `run`
+/// replays one pass's batch and returns its per-request latencies in
+/// microseconds.
+fn best_of(
+    passes: &[Vec<Request>],
+    mut run: impl FnMut(&[Request]) -> Vec<f64>,
+) -> (f64, Vec<f64>) {
+    run(&passes[0]); // warmup
     let mut best_qps = 0.0f64;
     let mut best_lat: Vec<f64> = Vec::new();
-    for _ in 0..REPS {
+    for requests in &passes[1..] {
         let t0 = Instant::now();
-        let lat = run();
+        let lat = run(requests);
         let secs = t0.elapsed().as_secs_f64();
         let qps = if secs == 0.0 {
             f64::INFINITY
         } else {
-            requests as f64 / secs
+            requests.len() as f64 / secs
         };
         if qps >= best_qps {
             best_qps = qps;
@@ -181,7 +190,9 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
 
     let mut rows: Vec<NetRow> = Vec::new();
     for &mix in mixes {
-        let requests = requests_for(mix, &corpus, &log);
+        let passes: Vec<Vec<Request>> = (0..PASSES)
+            .map(|pass| requests_for(mix, &corpus, &log, pass))
+            .collect();
         for &servers in sizes {
             // Channel mode: the in-process baseline on the same batch,
             // same placement policy.
@@ -194,15 +205,12 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
             rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
                 .expect("non-empty sets");
             rt.flush();
-            let (channel_qps, _) = best_of(
-                || {
-                    rt.run_batch(&requests, window)
-                        .iter()
-                        .map(|b| b.latency.as_secs_f64() * 1e6)
-                        .collect()
-                },
-                requests.len(),
-            );
+            let (channel_qps, _) = best_of(&passes, |requests| {
+                rt.run_batch(requests, window)
+                    .iter()
+                    .map(|b| b.latency.as_secs_f64() * 1e6)
+                    .collect()
+            });
             rt.shutdown().assert_conserved();
 
             // Socket mode: one process per shard over loopback.
@@ -215,17 +223,14 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
                 client.insert(*id, k.clone()).expect("insert");
             }
             client.flush().expect("flush barrier");
-            let (qps, lat) = best_of(
-                || {
-                    client
-                        .run_batch(&requests, window)
-                        .expect("batch over TCP")
-                        .iter()
-                        .map(|b| b.latency.as_secs_f64() * 1e6)
-                        .collect()
-                },
-                requests.len(),
-            );
+            let (qps, lat) = best_of(&passes, |requests| {
+                client
+                    .run_batch(requests, window)
+                    .expect("batch over TCP")
+                    .iter()
+                    .map(|b| b.latency.as_secs_f64() * 1e6)
+                    .collect()
+            });
             let report = cluster.shutdown(client).expect("cluster shutdown");
             report.assert_conserved();
 
@@ -237,7 +242,7 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
                 policy: POLICY.name(),
                 servers,
                 window,
-                requests: requests.len(),
+                requests: passes[0].len(),
                 qps,
                 p50_us: pct(0.50),
                 p99_us: pct(0.99),
@@ -248,8 +253,18 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
                 } else {
                     qps / channel_qps
                 },
+                cache_hit_ratio: report.cache().hit_ratio(),
             });
         }
+    }
+
+    // The scan bar below is about traversals: no scan request may
+    // have been answered from a result cache.
+    for row in rows.iter().filter(|r| r.mix == "scan") {
+        assert!(
+            row.cache_hit_ratio == 0.0,
+            "a scan request was served from a result cache: {row:?}"
+        );
     }
 
     // In-run throughput bars: real perf claims only hold in release
@@ -293,6 +308,7 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
         "frames",
         "channel qps",
         "socket/channel",
+        "cache hit",
     ]);
     for row in &rows {
         table.row([
@@ -309,6 +325,7 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
             row.frames.to_string(),
             f(row.channel_qps, 0),
             f(row.socket_vs_channel, 3),
+            f(row.cache_hit_ratio, 3),
         ]);
     }
     print!("{}", table.to_markdown());
@@ -348,7 +365,8 @@ pub fn write_json(rows: &[NetRow], seed: u64, path: &Path) -> std::io::Result<()
                 "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\"policy\":\"{}\",\
                  \"servers\":{},\"window\":{},\
                  \"requests\":{},\"qps\":{:.2},\"p50_us\":{:.2},\"p99_us\":{:.2},\
-                 \"frames\":{},\"channel_qps\":{:.2},\"socket_vs_channel\":{:.4}}}",
+                 \"frames\":{},\"channel_qps\":{:.2},\"socket_vs_channel\":{:.4},\
+                 \"cache_hit_ratio\":{:.4}}}",
                 r.r,
                 r.corpus_size,
                 r.mix,
@@ -362,6 +380,7 @@ pub fn write_json(rows: &[NetRow], seed: u64, path: &Path) -> std::io::Result<()
                 r.frames,
                 r.channel_qps,
                 r.socket_vs_channel,
+                r.cache_hit_ratio,
             )
         })
         .collect();
@@ -388,6 +407,7 @@ mod tests {
             frames: 2048,
             channel_qps: 4500.0,
             socket_vs_channel: 0.2,
+            cache_hit_ratio: 0.0,
         };
         let dir = std::env::temp_dir().join("hyperdex_net_json_test");
         std::fs::create_dir_all(&dir).expect("tempdir");
@@ -400,6 +420,7 @@ mod tests {
         assert!(text.contains("\"window\":32"));
         assert!(text.contains("\"channel_qps\":4500.00"));
         assert!(text.contains("\"socket_vs_channel\":0.2000"));
+        assert!(text.contains("\"cache_hit_ratio\":0.0000"));
         assert!(text.trim_end().ends_with("]}"));
     }
 

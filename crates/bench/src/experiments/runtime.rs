@@ -30,6 +30,14 @@
 //! least `w` cores, where the claim is meaningful). Everything else
 //! is carried by the checked-in `BENCH_runtime.json` artifact, whose
 //! frame counts are deterministic and double as a regression surface.
+//!
+//! Every worker answers a repeated superset query from its result
+//! cache (`cache_hit_ratio` per row). The scan mix is the traversal
+//! measure both bars rest on, so it never repeats a query — every
+//! pass replays its own distinct keyword sets and every request walks
+//! the cube (checked: its `cache_hit_ratio` is 0). The mixed mix
+//! repeats a handful of popular queries the way a skewed stream does
+//! and shows what the cache makes of them.
 
 use std::path::Path;
 use std::time::Instant;
@@ -63,7 +71,9 @@ const WINDOW: usize = 32;
 /// Timed repetitions per cell; the best one is reported. One untimed
 /// warmup pass runs first so no worker count pays the page-fault and
 /// allocator warmup for the others.
-const REPS: usize = 3;
+pub(crate) const REPS: usize = 3;
+/// Passes a cell replays: the warmup, then the timed repetitions.
+pub(crate) const PASSES: usize = 1 + REPS;
 
 /// One measured cell of the runtime sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +107,10 @@ pub struct RuntimeRow {
     /// This cell's qps over the 1-worker qps of the same `(corpus,
     /// mix, policy)` — > 1 ⇒ the extra threads paid for themselves.
     pub speedup: f64,
+    /// Share of the superset queries the workers' result caches
+    /// answered without a traversal (hits plus coalesced waits) — a
+    /// count, deterministic like `frames`; 0 on the pin mix.
+    pub cache_hit_ratio: f64,
 }
 
 impl RuntimeRow {
@@ -116,10 +130,16 @@ impl RuntimeRow {
     }
 }
 
-/// Builds one mix's request batch from a cell's corpus and query log.
-/// Shared with the `net` experiment so channel and socket modes replay
-/// byte-identical workloads.
-pub(crate) fn requests_for(mix: &str, corpus: &Corpus, log: &QueryLog) -> Vec<Request> {
+/// Builds the request batch pass number `pass` (of [`PASSES`]) of one
+/// mix replays, from a cell's corpus and query log. Only the scan mix
+/// differs from pass to pass. Shared with the `net` experiment so
+/// channel and socket modes replay byte-identical workloads.
+pub(crate) fn requests_for(
+    mix: &str,
+    corpus: &Corpus,
+    log: &QueryLog,
+    pass: usize,
+) -> Vec<Request> {
     let broad = log.popular_of_size(1, 4);
     let narrow = log.popular_of_size(2, 4);
     let sets: Vec<&KeywordSet> = corpus.indexable().map(|(_, k)| k).collect();
@@ -134,9 +154,20 @@ pub(crate) fn requests_for(mix: &str, corpus: &Corpus, log: &QueryLog) -> Vec<Re
         }
         // Scan-heavy: exhaustive superset traversals over the induced
         // subcubes — the regime where sharding the scans should scale.
+        // Twelve tiles of four broad and four narrow queries, no query
+        // used twice in any pass, so no result cache ever answers one.
         "scan" => {
-            for _ in 0..12 {
-                for q in broad.iter().chain(narrow.iter()) {
+            const PER_PASS: usize = 12 * 4;
+            let broad = log.popular_of_size(1, PER_PASS * PASSES);
+            let narrow = log.popular_of_size(2, PER_PASS * PASSES);
+            assert_eq!(
+                (broad.len(), narrow.len()),
+                (PER_PASS * PASSES, PER_PASS * PASSES),
+                "the query pool is too small for a non-repeating scan mix"
+            );
+            let mine = pass * PER_PASS..(pass + 1) * PER_PASS;
+            for (b, n) in broad[mine.clone()].chunks(4).zip(narrow[mine].chunks(4)) {
+                for q in b.iter().chain(n) {
                     out.push(Request::Superset {
                         keywords: q.clone(),
                         threshold: usize::MAX - 1,
@@ -235,7 +266,9 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
         );
 
         for mix in MIXES {
-            let requests = requests_for(mix, &corpus, &log);
+            let passes: Vec<Vec<Request>> = (0..PASSES)
+                .map(|pass| requests_for(mix, &corpus, &log, pass))
+                .collect();
             for policy in POLICIES {
                 for &workers in &WORKER_COUNTS {
                     let mut rt = NodeRuntime::start(
@@ -249,12 +282,12 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
                     rt.flush();
 
                     // One warmup pass, then the best of REPS timed passes.
-                    rt.run_batch(&requests, WINDOW);
+                    rt.run_batch(&passes[0], WINDOW);
                     let mut best_qps = 0.0f64;
                     let mut best_lat: Vec<f64> = Vec::new();
-                    for _ in 0..REPS {
+                    for requests in &passes[1..] {
                         let t0 = Instant::now();
-                        let batch = rt.run_batch(&requests, WINDOW);
+                        let batch = rt.run_batch(requests, WINDOW);
                         let secs = t0.elapsed().as_secs_f64();
                         let qps = if secs == 0.0 {
                             f64::INFINITY
@@ -281,7 +314,7 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
                         mix,
                         policy: policy.name(),
                         workers,
-                        requests: requests.len(),
+                        requests: passes[0].len(),
                         qps: best_qps,
                         p50_us: pct(0.50),
                         p99_us: pct(0.99),
@@ -290,6 +323,7 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
                         // baseline of the same (corpus, mix, policy).
                         frames_vs_single: 0.0,
                         speedup: 0.0,
+                        cache_hit_ratio: report.cache().hit_ratio(),
                     });
                 }
             }
@@ -333,11 +367,18 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
     // deterministic and always enforced; the wall-clock half only
     // means something in an optimized build on a host that actually
     // has `widest` cores — w threads on fewer cores can only
-    // timeslice, never scale.
+    // timeslice, never scale. Both halves are about traversals, so
+    // first: no scan request was answered from a result cache.
     let widest = *WORKER_COUNTS.last().expect("non-empty sweep");
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    for row in rows.iter().filter(|r| r.mix == "scan") {
+        assert!(
+            row.cache_hit_ratio == 0.0,
+            "a scan request was served from a result cache: {row:?}"
+        );
+    }
     for row in rows.iter().filter(|r| {
         r.policy == ShardPolicy::Prefix.name() && r.mix == "scan" && r.workers == widest
     }) {
@@ -357,8 +398,19 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
     let _ = cores;
 
     let mut table = Table::new([
-        "r", "objects", "mix", "policy", "workers", "requests", "qps", "p50 µs", "p99 µs",
-        "frames", "f×1w", "speedup",
+        "r",
+        "objects",
+        "mix",
+        "policy",
+        "workers",
+        "requests",
+        "qps",
+        "p50 µs",
+        "p99 µs",
+        "frames",
+        "f×1w",
+        "speedup",
+        "cache hit",
     ]);
     for row in &rows {
         table.row([
@@ -374,6 +426,7 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
             row.frames.to_string(),
             f(row.frames_vs_single, 2),
             f(row.speedup, 2),
+            f(row.cache_hit_ratio, 3),
         ]);
     }
     print!("{}", table.to_markdown());
@@ -430,7 +483,7 @@ pub fn write_json(rows: &[RuntimeRow], seed: u64, path: &Path) -> std::io::Resul
                 "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\"policy\":\"{}\",\
                  \"workers\":{},\"requests\":{},\"qps\":{:.2},\"p50_us\":{:.2},\
                  \"p99_us\":{:.2},\"frames\":{},\"frames_vs_single\":{:.4},\
-                 \"speedup\":{:.4}}}",
+                 \"speedup\":{:.4},\"cache_hit_ratio\":{:.4}}}",
                 r.r,
                 r.corpus_size,
                 r.mix,
@@ -443,6 +496,7 @@ pub fn write_json(rows: &[RuntimeRow], seed: u64, path: &Path) -> std::io::Resul
                 r.frames,
                 r.frames_vs_single,
                 r.speedup,
+                r.cache_hit_ratio,
             )
         })
         .collect();
@@ -493,6 +547,7 @@ mod tests {
             frames: 42_000,
             frames_vs_single: 1.25,
             speedup: 2.5,
+            cache_hit_ratio: 0.875,
         };
         let dir = std::env::temp_dir().join("hyperdex_runtime_json_test");
         std::fs::create_dir_all(&dir).expect("tempdir");
@@ -505,6 +560,7 @@ mod tests {
         assert!(text.contains("\"qps\":1234.50"));
         assert!(text.contains("\"frames_vs_single\":1.2500"));
         assert!(text.contains("\"speedup\":2.5000"));
+        assert!(text.contains("\"cache_hit_ratio\":0.8750"));
         assert!(text.trim_end().ends_with("]}"));
     }
 }

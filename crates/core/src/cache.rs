@@ -22,38 +22,139 @@
 //! cacheable and the cache would be useless exactly where the skewed
 //! log needs it. We therefore count capacity in **cached queries**
 //! (table entries), mirroring how the index itself counts entries.
+//!
+//! **Two callers, one type.** The direct engine keeps the paper's
+//! scheme verbatim: [`FifoCache::lookup`] before a traversal,
+//! [`FifoCache::put`] after it. The serving path (the runtime workers)
+//! has many queries in flight at once and a skewed stream whose one-hit
+//! tail would flush the hot entries out of a plain FIFO, so it goes
+//! through [`FifoCache::claim`] / [`FifoCache::fill`] instead: a query
+//! is admitted on its second sighting (a fixed-size doorkeeper of query
+//! signatures remembers the first), its slot is reserved when it
+//! *arrives* — not when its traversal happens to finish — and identical
+//! queries arriving while the slot's traversal runs are told to wait
+//! for it. Every decision is a function of the arrival order alone —
+//! unless the caller reports the slot's traversal lost (`live`), which
+//! is the one way a reservation that will never be filled is released
+//! to the next arrival.
+//!
+//! **Validity.** An entry is stamped with the cache's *generation* at
+//! the moment its traversal started; the owner bumps the generation on
+//! every change to the data the cache fronts, and an entry of an older
+//! generation never serves. An entry computed with remote help also
+//! records the lowest write epoch each remote contributor reported;
+//! the caller of [`FifoCache::claim`] decides whether those are still
+//! good enough.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::keyword::KeywordSet;
 use crate::search::RankedObject;
 
+/// Query signatures the doorkeeper remembers: a direct-mapped table,
+/// so a newer query simply overwrites the one it collides with.
+const DOORKEEPER_SLOTS: usize = 4096;
+
 /// Cached results of one superset query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedResults {
+pub struct CachedResults<T = RankedObject> {
     /// The results, in traversal order. Shared with the producing
     /// search's return value, so caching never deep-copies the list.
-    pub results: Arc<Vec<RankedObject>>,
+    pub results: Arc<Vec<T>>,
     /// Whether the producing traversal covered the whole subhypercube.
     pub exhausted: bool,
-    /// The cache generation the entry was produced under. Stale entries
-    /// (generation older than the cache's current one) are dropped on
-    /// lookup — see [`FifoCache::bump_generation`].
+    /// The cache generation the producing traversal started under.
+    /// Entries of an older generation never serve — see
+    /// [`FifoCache::bump_generation`].
     generation: u64,
+    /// `(source, write epoch)`: the lowest epoch each remote
+    /// contributor reported while the entry was computed. Empty when
+    /// everything was computed locally.
+    remote: Vec<(u32, u64)>,
 }
 
-impl CachedResults {
+impl<T> CachedResults<T> {
     /// Whether this entry can correctly answer a query wanting up to
     /// `threshold` results.
     pub fn covers(&self, threshold: usize) -> bool {
         self.exhausted || self.results.len() >= threshold
     }
+}
 
-    /// Storage cost: one cache slot per cached query (see the module
-    /// docs for why slots are not per result object).
-    fn cost(&self) -> usize {
-        1
+/// One cache slot: reserved by a traversal that is still running, or
+/// holding its results.
+#[derive(Debug, Clone)]
+enum Slot<T> {
+    Reserved {
+        /// The caller's name for the running traversal.
+        token: u64,
+        /// The threshold that traversal runs under.
+        threshold: usize,
+        /// The generation it started under.
+        generation: u64,
+    },
+    Filled(CachedResults<T>),
+}
+
+/// What [`FifoCache::claim`] decided for one arriving query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Claim<T> {
+    /// A current entry covers the threshold: answer from it.
+    Hit(Arc<Vec<T>>),
+    /// The traversal the caller named `token` holds the query's slot
+    /// and its answer will cover the threshold: wait for it.
+    Join(u64),
+    /// Walk the cube, then [`FifoCache::fill`] the slot now reserved
+    /// under the caller's token.
+    Lead,
+    /// Walk the cube and keep nothing (first sighting, or a cache of
+    /// capacity 0).
+    Pass,
+}
+
+/// What a cache did with the lookups it saw. Every [`FifoCache::lookup`]
+/// or [`FifoCache::claim`] counts as exactly one of `hits`, `misses`,
+/// `coalesced` or `stale`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Answered from a current, covering entry.
+    pub hits: u64,
+    /// No usable entry: absent, not yet admitted, or not covering the
+    /// threshold.
+    pub misses: u64,
+    /// Told to wait for a running traversal of the same query.
+    pub coalesced: u64,
+    /// An entry (or reservation) existed but its stamps were out of
+    /// date; it was recomputed.
+    pub stale: u64,
+    /// Slots pushed out by a newer reservation.
+    pub evictions: u64,
+}
+
+impl CacheCounters {
+    /// Share of lookups answered without a traversal of their own —
+    /// hits plus coalesced waits; 0 before any lookup.
+    pub fn hit_ratio(&self) -> f64 {
+        let served = self.hits + self.coalesced;
+        let lookups = served + self.misses + self.stale;
+        if lookups == 0 {
+            0.0
+        } else {
+            served as f64 / lookups as f64
+        }
+    }
+}
+
+impl std::ops::AddAssign for CacheCounters {
+    fn add_assign(&mut self, other: CacheCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.coalesced += other.coalesced;
+        self.stale += other.stale;
+        self.evictions += other.evictions;
     }
 }
 
@@ -63,36 +164,39 @@ impl CachedResults {
 ///
 /// ```
 /// use hyperdex_core::cache::FifoCache;
-/// use hyperdex_core::KeywordSet;
+/// use hyperdex_core::{KeywordSet, RankedObject};
 ///
-/// let mut cache = FifoCache::new(4);
+/// let mut cache: FifoCache<RankedObject> = FifoCache::new(4);
 /// let q = KeywordSet::parse("mp3")?;
 /// cache.put(q.clone(), std::sync::Arc::new(vec![]), true);
 /// assert!(cache.lookup(&q, 10).is_some(), "exhaustive entry serves any t");
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct FifoCache {
+#[derive(Debug, Clone)]
+pub struct FifoCache<T = RankedObject> {
     /// Maximum number of cached queries (0 disables the cache).
     capacity: usize,
-    entries: HashMap<KeywordSet, CachedResults>,
+    slots: HashMap<KeywordSet, Slot<T>>,
+    /// Slot keys in reservation order; the front is evicted first.
     order: VecDeque<KeywordSet>,
-    held: usize,
-    hits: u64,
-    misses: u64,
-    /// Current index generation. Bumped when vertex ownership moves
-    /// (index handoff), invalidating every entry produced before the
-    /// move: results cached from the old owner may not reflect inserts
-    /// and deletes applied at the new one.
+    /// Signatures of recently sighted queries; allocated on the first
+    /// [`FifoCache::claim`] (the direct engine never pays for it).
+    doorkeeper: Vec<u64>,
+    counters: CacheCounters,
+    /// Current generation of the data this cache fronts.
     generation: u64,
 }
 
-impl FifoCache {
+impl<T> FifoCache<T> {
     /// Creates a cache holding at most `capacity` cached queries.
     pub fn new(capacity: usize) -> Self {
         FifoCache {
             capacity,
-            ..Self::default()
+            slots: HashMap::new(),
+            order: VecDeque::new(),
+            doorkeeper: Vec::new(),
+            counters: CacheCounters::default(),
+            generation: 0,
         }
     }
 
@@ -108,110 +212,239 @@ impl FifoCache {
         self.capacity
     }
 
-    /// Cached queries currently held.
+    /// Slots currently held (filled or reserved).
     pub fn held(&self) -> usize {
-        self.held
+        self.order.len()
     }
 
-    /// The current index generation (see [`FifoCache::bump_generation`]).
+    /// The current generation (see [`FifoCache::bump_generation`]).
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Advances the index generation, invalidating every cached entry.
+    /// Advances the generation, invalidating every cached entry.
     ///
-    /// Called when vertex ownership moves (index handoff after a join,
-    /// leave, or crash takeover): entries cached against the old owner's
-    /// table would otherwise keep answering even though the new owner's
-    /// table may differ. Invalidation is lazy — stale entries are
-    /// detected and dropped on their next lookup rather than eagerly
-    /// swept, keeping the bump O(1).
+    /// The owner calls this whenever the data the cache fronts changes
+    /// — an insert or remove, or vertex ownership moving (index
+    /// handoff after a join, leave, or crash takeover) — because an
+    /// entry computed before the change may no longer be the answer.
+    /// Invalidation is lazy: stale entries are detected on their next
+    /// lookup rather than eagerly swept, keeping the bump O(1).
     pub fn bump_generation(&mut self) {
         self.generation += 1;
     }
 
+    /// Catches the cache up with a generation counted elsewhere (one
+    /// counter shared by many caches): no-op when already there.
+    pub fn advance_generation_to(&mut self, generation: u64) {
+        self.generation = self.generation.max(generation);
+    }
+
+    /// What the cache did with the lookups it saw.
+    pub fn counters(&self) -> CacheCounters {
+        self.counters
+    }
+
     /// Looks up a query for a caller wanting up to `threshold` results.
-    /// Counts a hit only when a usable entry exists; an absent, stale
-    /// (pre-handoff), or non-covering entry counts as a miss.
-    pub fn lookup(&mut self, query: &KeywordSet, threshold: usize) -> Option<&CachedResults> {
-        // A stale entry must not serve: drop it and take the miss.
-        let stale = self
-            .entries
-            .get(query)
-            .is_some_and(|e| e.generation != self.generation);
+    /// A stale entry (older generation) is dropped and counted `stale`;
+    /// an absent or non-covering entry counts as a miss.
+    pub fn lookup(&mut self, query: &KeywordSet, threshold: usize) -> Option<&CachedResults<T>> {
+        let generation = self.generation;
+        let stale = matches!(
+            self.slots.get(query),
+            Some(Slot::Filled(e)) if e.generation != generation
+        );
         if stale {
-            let old = self.entries.remove(query).expect("checked above");
-            self.held -= old.cost();
+            self.slots.remove(query);
             self.order.retain(|k| k != query);
+            self.counters.stale += 1;
+            return None;
         }
-        // Split borrow: decide usability before taking the reference.
-        let usable = self.entries.get(query).is_some_and(|e| e.covers(threshold));
-        if usable {
-            self.hits += 1;
-            self.entries.get(query)
-        } else {
-            self.misses += 1;
-            None
+        match self.slots.get(query) {
+            Some(Slot::Filled(e)) if e.covers(threshold) => {
+                self.counters.hits += 1;
+                Some(e)
+            }
+            _ => {
+                self.counters.misses += 1;
+                None
+            }
         }
     }
 
     /// Caches `results` for `query`, evicting oldest entries (FIFO)
-    /// until the new total fits. Entries costlier than the whole
-    /// capacity are not cached. Re-inserting replaces the entry unless
-    /// the existing one is exhaustive and the new one is not (an
-    /// exhaustive entry is strictly more useful).
-    pub fn put(&mut self, query: KeywordSet, results: Arc<Vec<RankedObject>>, exhausted: bool) {
-        let entry = CachedResults {
-            results,
-            exhausted,
-            generation: self.generation,
-        };
-        let cost = entry.cost();
-        if self.capacity == 0 || cost > self.capacity {
+    /// until it fits. Re-inserting replaces the entry (and refreshes
+    /// its position) unless the existing one is current and exhaustive
+    /// and the new one is not — an exhaustive entry is strictly more
+    /// useful.
+    pub fn put(&mut self, query: KeywordSet, results: Arc<Vec<T>>, exhausted: bool) {
+        if self.capacity == 0 {
             return;
         }
-        if let Some(existing) = self.entries.get(&query) {
+        if let Some(existing) = self.slots.get(&query) {
             // A stale exhaustive entry is worthless; only a *current*
             // exhaustive entry outranks a fresh partial one.
-            if existing.generation == self.generation && existing.exhausted && !exhausted {
-                return; // keep the better entry
+            let better = matches!(
+                existing,
+                Slot::Filled(e) if e.generation == self.generation && e.exhausted
+            );
+            if better && !exhausted {
+                return;
             }
-            let old_cost = existing.cost();
-            self.entries.remove(&query);
-            self.held -= old_cost;
+            self.slots.remove(&query);
             self.order.retain(|k| k != &query);
         }
-        while self.held + cost > self.capacity {
-            let evicted = self.order.pop_front().expect("held > 0 implies entries");
-            let old = self.entries.remove(&evicted).expect("order tracks entries");
-            self.held -= old.cost();
+        let generation = self.generation;
+        self.push_back(
+            query,
+            Slot::Filled(CachedResults {
+                results,
+                exhausted,
+                generation,
+                remote: Vec::new(),
+            }),
+        );
+    }
+
+    /// The serving-path lookup: decides, from the arrival order alone,
+    /// what the query arriving now should do. `token` names the
+    /// traversal the caller starts if told to [`Claim::Lead`];
+    /// `fresh` judges a current-generation entry's remote stamps and
+    /// `live` whether the traversal holding a reservation can still be
+    /// waited for.
+    ///
+    /// * A current, fresh, covering entry → [`Claim::Hit`].
+    /// * A slot reserved under the current generation by a live
+    ///   traversal whose threshold covers this one → [`Claim::Join`].
+    /// * Any other existing slot (stale, reserved by a lost traversal,
+    ///   or too short for this threshold) is taken over in place →
+    ///   [`Claim::Lead`].
+    /// * No slot: the first sighting is only remembered
+    ///   ([`Claim::Pass`]); a later one reserves a slot at the back of
+    ///   the FIFO, evicting the front if full → [`Claim::Lead`].
+    pub fn claim(
+        &mut self,
+        query: &KeywordSet,
+        threshold: usize,
+        token: u64,
+        fresh: impl Fn(&[(u32, u64)]) -> bool,
+        live: impl Fn(u64) -> bool,
+    ) -> Claim<T> {
+        if self.capacity == 0 {
+            self.counters.misses += 1;
+            return Claim::Pass;
         }
-        self.held += cost;
+        let generation = self.generation;
+        let reserved = Slot::Reserved {
+            token,
+            threshold,
+            generation,
+        };
+        let Some(slot) = self.slots.get_mut(query) else {
+            self.counters.misses += 1;
+            if !self.sighted(query) {
+                return Claim::Pass;
+            }
+            self.push_back(query.clone(), reserved);
+            return Claim::Lead;
+        };
+        match slot {
+            Slot::Filled(e) if e.generation != generation || !fresh(&e.remote) => {
+                self.counters.stale += 1;
+            }
+            Slot::Filled(e) if e.covers(threshold) => {
+                self.counters.hits += 1;
+                return Claim::Hit(Arc::clone(&e.results));
+            }
+            Slot::Reserved {
+                generation: started,
+                ..
+            } if *started != generation => self.counters.stale += 1,
+            Slot::Reserved { token: leader, .. } if !live(*leader) => self.counters.stale += 1,
+            Slot::Reserved {
+                token: leader,
+                threshold: covered,
+                ..
+            } if threshold <= *covered => {
+                self.counters.coalesced += 1;
+                return Claim::Join(*leader);
+            }
+            // Current, but too short for this threshold.
+            _ => self.counters.misses += 1,
+        }
+        *slot = reserved;
+        Claim::Lead
+    }
+
+    /// Stores the answer of the traversal `token` in the slot
+    /// [`FifoCache::claim`] reserved for it, stamped with the
+    /// generation of the reservation and the `remote` epochs the
+    /// traversal collected. Nothing happens when the slot has since
+    /// been evicted or taken over by another traversal.
+    pub fn fill(
+        &mut self,
+        query: &KeywordSet,
+        token: u64,
+        results: Arc<Vec<T>>,
+        exhausted: bool,
+        remote: Vec<(u32, u64)>,
+    ) {
+        let Some(slot) = self.slots.get_mut(query) else {
+            return;
+        };
+        if let Slot::Reserved {
+            token: holder,
+            generation,
+            ..
+        } = *slot
+        {
+            if holder == token {
+                *slot = Slot::Filled(CachedResults {
+                    results,
+                    exhausted,
+                    generation,
+                    remote,
+                });
+            }
+        }
+    }
+
+    /// Gives back the slot reserved for the traversal `token` without
+    /// an answer (one the caller will not keep): the next arrival of
+    /// `query` reserves anew. Nothing happens when the slot has since
+    /// been evicted or taken over by another traversal.
+    pub fn release(&mut self, query: &KeywordSet, token: u64) {
+        if matches!(self.slots.get(query), Some(Slot::Reserved { token: holder, .. }) if *holder == token)
+        {
+            self.slots.remove(query);
+            self.order.retain(|k| k != query);
+        }
+    }
+
+    /// Records a sighting of `query`; `true` when the doorkeeper
+    /// already held it.
+    fn sighted(&mut self, query: &KeywordSet) -> bool {
+        if self.doorkeeper.is_empty() {
+            self.doorkeeper = vec![0; DOORKEEPER_SLOTS];
+        }
+        let mut hasher = DefaultHasher::new();
+        query.hash(&mut hasher);
+        // 0 marks an empty cell, so no signature may be 0.
+        let signature = hasher.finish() | 1;
+        let cell = &mut self.doorkeeper[(signature >> 1) as usize % DOORKEEPER_SLOTS];
+        std::mem::replace(cell, signature) == signature
+    }
+
+    /// Adds a slot at the back of the FIFO, evicting from the front
+    /// until it fits.
+    fn push_back(&mut self, query: KeywordSet, slot: Slot<T>) {
+        while self.order.len() >= self.capacity {
+            let evicted = self.order.pop_front().expect("capacity > 0");
+            self.slots.remove(&evicted);
+            self.counters.evictions += 1;
+        }
         self.order.push_back(query.clone());
-        self.entries.insert(query, entry);
-    }
-
-    /// Cache hits observed so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses observed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in `[0, 1]`, or `None` before any lookup.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-
-    /// Empties the cache (statistics are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.held = 0;
+        self.slots.insert(query, slot);
     }
 }
 
@@ -242,9 +475,8 @@ mod tests {
         assert!(c.lookup(&q("a"), 1).is_none());
         c.put(q("a"), results(2), true);
         assert!(c.lookup(&q("a"), 1).is_some());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), Some(0.5));
+        let n = c.counters();
+        assert_eq!((n.hits, n.misses), (1, 1));
     }
 
     #[test]
@@ -264,7 +496,7 @@ mod tests {
             c.lookup(&q("a"), 6).is_none(),
             "partial entry cannot answer a larger threshold"
         );
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.counters().misses, 1);
     }
 
     #[test]
@@ -288,6 +520,7 @@ mod tests {
         assert!(c.lookup(&q("b"), 1).is_some());
         assert!(c.lookup(&q("c"), 1).is_some());
         assert_eq!(c.held(), 2);
+        assert_eq!(c.counters().evictions, 1);
     }
 
     #[test]
@@ -356,21 +589,22 @@ mod tests {
         assert!(c.lookup(&q("a"), 10).is_none());
         assert_eq!(c.held(), 1, "non-covering entry stays cached");
         assert!(c.lookup(&q("a"), 2).is_some(), "still serves covered t");
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        let n = c.counters();
+        assert_eq!((n.hits, n.misses), (1, 1));
     }
 
     #[test]
     fn with_alpha_sizing_matches_paper() {
         // r = 10, 131180 objects → avg index ≈ 128; α = 1/6 → 21.
-        let c = FifoCache::with_alpha(1.0 / 6.0, 131_180, 10);
+        let c: FifoCache = FifoCache::with_alpha(1.0 / 6.0, 131_180, 10);
         assert_eq!(c.capacity(), 21);
         // r = 12 → avg ≈ 32; α = 1 → 32.
-        let c = FifoCache::with_alpha(1.0, 131_180, 12);
+        let c: FifoCache = FifoCache::with_alpha(1.0, 131_180, 12);
         assert_eq!(c.capacity(), 32);
     }
 
     #[test]
-    fn stale_entry_after_handoff_is_a_miss() {
+    fn stale_entry_after_a_generation_bump_never_serves() {
         // The stale-hit bug this generation counter fixes: a query is
         // cached while vertex v is owned by node A; v's postings are
         // then handed off to node B (which may since have absorbed
@@ -388,7 +622,8 @@ mod tests {
             "pre-handoff entry must not serve"
         );
         assert_eq!(c.held(), 0, "stale entry dropped on lookup");
-        assert_eq!(c.misses(), 1);
+        let n = c.counters();
+        assert_eq!((n.stale, n.misses), (1, 0), "stale is its own outcome");
 
         // Re-caching under the new generation works normally.
         c.put(q("a"), results(2), true);
@@ -421,14 +656,159 @@ mod tests {
         assert_eq!(c.held(), 0, "both dropped once touched");
     }
 
+    // ---- the serving path: claim / fill ----
+
+    /// A claim whose remote stamps are always good enough.
+    fn claim(c: &mut FifoCache, query: &str, threshold: usize, token: u64) -> Claim<RankedObject> {
+        c.claim(&q(query), threshold, token, |_| true, |_| true)
+    }
+
     #[test]
-    fn clear_preserves_stats() {
+    fn admission_is_on_the_second_sighting() {
         let mut c = FifoCache::new(4);
-        c.put(q("a"), results(1), true);
-        c.lookup(&q("a"), 1);
-        c.clear();
-        assert!(c.lookup(&q("a"), 1).is_none());
-        assert_eq!(c.hits(), 1);
+        assert_eq!(claim(&mut c, "a", 5, 1), Claim::Pass, "first sighting");
+        assert_eq!(c.held(), 0, "a one-hit query never takes a slot");
+        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead, "second sighting");
+        assert_eq!(c.held(), 1, "slot reserved on arrival");
+        c.fill(&q("a"), 2, results(3), true, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 5, 3), Claim::Hit(r) if r.len() == 3));
+        let n = c.counters();
+        assert_eq!((n.hits, n.misses, n.coalesced, n.stale), (1, 2, 0, 0));
+    }
+
+    #[test]
+    fn identical_queries_join_the_running_traversal() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 5, 1);
+        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
+        assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
+        assert_eq!(
+            claim(&mut c, "a", 2, 4),
+            Claim::Join(2),
+            "smaller t is covered"
+        );
+        // A larger threshold may need more than the running traversal
+        // will collect: it takes the slot over.
+        assert_eq!(claim(&mut c, "a", 9, 5), Claim::Lead);
+        assert_eq!(claim(&mut c, "a", 9, 6), Claim::Join(5));
+        // The superseded traversal's answer is not kept.
+        c.fill(&q("a"), 2, results(5), false, Vec::new());
+        assert_eq!(claim(&mut c, "a", 1, 7), Claim::Join(5));
+        c.fill(&q("a"), 5, results(9), false, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 9, 8), Claim::Hit(r) if r.len() == 9));
+        assert_eq!(c.counters().coalesced, 4);
+    }
+
+    #[test]
+    fn slots_are_reserved_in_arrival_order_not_completion_order() {
+        let mut c = FifoCache::new(2);
+        for query in ["a", "b", "c"] {
+            claim(&mut c, query, 1, 0); // first sightings
+        }
+        assert_eq!(claim(&mut c, "a", 1, 1), Claim::Lead);
+        assert_eq!(claim(&mut c, "b", 1, 2), Claim::Lead);
+        // b finishes first; a is still the older reservation.
+        c.fill(&q("b"), 2, results(1), true, Vec::new());
+        assert_eq!(claim(&mut c, "c", 1, 3), Claim::Lead, "evicts a, the front");
+        assert_eq!(c.counters().evictions, 1);
+        c.fill(&q("a"), 1, results(1), true, Vec::new()); // slot is gone
+        assert!(matches!(claim(&mut c, "b", 1, 4), Claim::Hit(_)));
+        assert_eq!(claim(&mut c, "a", 1, 5), Claim::Lead, "a starts over");
+    }
+
+    #[test]
+    fn a_generation_bump_outdates_entries_and_reservations() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 5, 1);
+        claim(&mut c, "a", 5, 2);
+        c.fill(&q("a"), 2, results(1), true, Vec::new());
+        c.bump_generation();
+        assert_eq!(
+            claim(&mut c, "a", 5, 3),
+            Claim::Lead,
+            "recompute and replace"
+        );
+        // The entry is stamped with the generation of the reservation,
+        // so a bump while the traversal runs leaves it born stale.
+        c.bump_generation();
+        assert_eq!(
+            claim(&mut c, "a", 5, 4),
+            Claim::Lead,
+            "never join a doomed walk"
+        );
+        c.fill(&q("a"), 3, results(1), true, Vec::new());
+        c.fill(&q("a"), 4, results(2), true, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 5, 5), Claim::Hit(r) if r.len() == 2));
+        assert_eq!(c.counters().stale, 2);
+    }
+
+    #[test]
+    fn remote_stamps_are_judged_by_the_caller() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 5, 1);
+        claim(&mut c, "a", 5, 2);
+        c.fill(&q("a"), 2, results(1), true, vec![(7, 40)]);
+        let at_least =
+            |floor: u64| move |remote: &[(u32, u64)]| remote.iter().all(|&(_, e)| e >= floor);
+        assert!(matches!(
+            c.claim(&q("a"), 5, 3, at_least(40), |_| true),
+            Claim::Hit(_)
+        ));
+        assert_eq!(c.claim(&q("a"), 5, 4, at_least(41), |_| true), Claim::Lead);
+        assert_eq!(c.counters().stale, 1);
+    }
+
+    #[test]
+    fn a_reservation_whose_traversal_is_lost_goes_to_the_next_arrival() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 5, 1);
+        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
+        assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
+        // The caller gives traversal 2 up: nobody waits for it again.
+        let lost = |token: u64| token != 2;
+        assert_eq!(c.claim(&q("a"), 5, 4, |_| true, lost), Claim::Lead);
+        assert_eq!(c.claim(&q("a"), 5, 5, |_| true, lost), Claim::Join(4));
+        // Should traversal 2 finish after all, its answer is not kept.
+        c.fill(&q("a"), 2, results(1), true, Vec::new());
+        assert_eq!(claim(&mut c, "a", 5, 6), Claim::Join(4));
+        c.fill(&q("a"), 4, results(3), true, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 5, 7), Claim::Hit(r) if r.len() == 3));
+        let n = c.counters();
+        assert_eq!((n.coalesced, n.stale), (3, 1));
+    }
+
+    #[test]
+    fn a_released_reservation_is_reserved_anew() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 5, 1);
+        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
+        c.release(&q("a"), 9); // not the holder
+        assert_eq!(c.held(), 1);
+        c.release(&q("a"), 2);
         assert_eq!(c.held(), 0);
+        assert_eq!(claim(&mut c, "a", 5, 3), Claim::Lead, "already sighted");
+        assert_eq!(c.held(), 1);
+        assert_eq!(c.counters().evictions, 0);
+    }
+
+    #[test]
+    fn a_truncated_entry_never_answers_a_larger_threshold() {
+        let mut c = FifoCache::new(4);
+        claim(&mut c, "a", 2, 1);
+        claim(&mut c, "a", 2, 2);
+        c.fill(&q("a"), 2, results(2), false, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 2, 3), Claim::Hit(_)));
+        assert_eq!(claim(&mut c, "a", 3, 4), Claim::Lead, "the covers rule");
+        c.fill(&q("a"), 4, results(2), true, Vec::new());
+        assert!(matches!(claim(&mut c, "a", 100, 5), Claim::Hit(_)));
+    }
+
+    #[test]
+    fn zero_capacity_passes_everything() {
+        let mut c = FifoCache::new(0);
+        for token in 0..3 {
+            assert_eq!(claim(&mut c, "a", 1, token), Claim::Pass);
+        }
+        assert_eq!(c.counters().misses, 3);
     }
 }

@@ -26,11 +26,11 @@ use crate::store::{PostingStore, StoreBackend, StoreFootprint};
 use crate::summary::OccupancySummary;
 
 /// One logical index node: its posting store plus an optional result
-/// cache.
+/// cache (boxed: a node without one pays a pointer, not a cache).
 #[derive(Debug, Clone)]
 pub(crate) struct IndexNode {
     pub(crate) store: PostingStore,
-    pub(crate) cache: Option<FifoCache>,
+    pub(crate) cache: Option<Box<FifoCache>>,
 }
 
 /// The hypercube keyword index over a logical `r`-dimensional hypercube.
@@ -42,6 +42,10 @@ pub struct HypercubeIndex {
     nodes: HashMap<u64, IndexNode>,
     object_count: usize,
     cache_capacity: usize,
+    // Bumped by every insert, remove and node drop that changed the
+    // index; each per-node cache catches up when next touched, so an
+    // entry computed before a write never serves after it.
+    generation: u64,
     // Posting layout for every materialized vertex (DESIGN.md §17).
     backend: StoreBackend,
     // Occupancy digests over prefix regions, kept exact on every
@@ -75,6 +79,7 @@ impl HypercubeIndex {
             nodes: HashMap::new(),
             object_count: 0,
             cache_capacity: 0,
+            generation: 0,
             backend,
             summary: OccupancySummary::new(r),
             frontier: VecDeque::new(),
@@ -96,7 +101,7 @@ impl HypercubeIndex {
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
         for node in self.nodes.values_mut() {
-            node.cache = (capacity > 0).then(|| FifoCache::new(capacity));
+            node.cache = (capacity > 0).then(|| Box::new(FifoCache::new(capacity)));
         }
     }
 
@@ -146,6 +151,7 @@ impl HypercubeIndex {
         let node = self.node_mut(vertex);
         if node.store.insert(keywords, object) {
             self.object_count += 1;
+            self.generation += 1;
             self.summary.record_insert(vertex.bits());
         }
         Ok(vertex)
@@ -170,6 +176,7 @@ impl HypercubeIndex {
         let node = self.node_mut(vertex);
         if node.store.insert_arc(keywords, object) {
             self.object_count += 1;
+            self.generation += 1;
             self.summary.record_insert(vertex.bits());
         }
         Ok(vertex)
@@ -186,6 +193,7 @@ impl HypercubeIndex {
         let removed = node.store.remove(keywords, object);
         if removed {
             self.object_count -= 1;
+            self.generation += 1;
             self.summary.record_remove(vertex.bits());
         }
         removed
@@ -274,6 +282,7 @@ impl HypercubeIndex {
             Some(node) => {
                 let lost = node.store.object_count();
                 self.object_count -= lost;
+                self.generation += 1;
                 self.summary.refresh_leaf(vertex.bits(), 0);
                 lost
             }
@@ -302,16 +311,20 @@ impl HypercubeIndex {
             .entry(vertex.bits())
             .or_insert_with(|| IndexNode {
                 store: PostingStore::new(backend),
-                cache: (capacity > 0).then(|| FifoCache::new(capacity)),
+                cache: (capacity > 0).then(|| Box::new(FifoCache::new(capacity))),
             })
     }
 
-    /// Mutable cache at `vertex`, if caching is enabled.
+    /// Mutable cache at `vertex`, if caching is enabled, caught up
+    /// with every write the index has seen.
     pub(crate) fn cache_mut(&mut self, vertex: Vertex) -> Option<&mut FifoCache> {
         if self.cache_capacity == 0 {
             return None;
         }
-        self.node_mut(vertex).cache.as_mut()
+        let generation = self.generation;
+        let cache = self.node_mut(vertex).cache.as_deref_mut()?;
+        cache.advance_generation_to(generation);
+        Some(cache)
     }
 }
 

@@ -811,7 +811,7 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     for w in order {
         let s = &stats[&w];
         lines.push_str(&format!(
-            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
+            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
             s.worker,
             s.frames_sent,
             s.frames_received,
@@ -825,6 +825,11 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
             s.wakeups,
             s.batch_frames_sent,
             s.batch_entries_sent,
+            s.cache_hits,
+            s.cache_misses,
+            s.cache_coalesced,
+            s.cache_stale,
+            s.cache_evictions,
         ));
     }
     lines.push_str(&format!(
@@ -854,6 +859,11 @@ pub fn parse_wstats(line: &str) -> Option<WorkerStats> {
         wakeups: next()?,
         batch_frames_sent: next()?,
         batch_entries_sent: next()?,
+        cache_hits: next()?,
+        cache_misses: next()?,
+        cache_coalesced: next()?,
+        cache_stale: next()?,
+        cache_evictions: next()?,
     })
 }
 
@@ -902,9 +912,14 @@ mod tests {
             wakeups: 8,
             batch_frames_sent: 9,
             batch_entries_sent: 27,
+            cache_hits: 12,
+            cache_misses: 13,
+            cache_coalesced: 14,
+            cache_stale: 15,
+            cache_evictions: 16,
         };
         let line = format!(
-            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
             s.worker,
             s.frames_sent,
             s.frames_received,
@@ -918,8 +933,18 @@ mod tests {
             s.wakeups,
             s.batch_frames_sent,
             s.batch_entries_sent,
+            s.cache_hits,
+            s.cache_misses,
+            s.cache_coalesced,
+            s.cache_stale,
+            s.cache_evictions,
         );
         assert_eq!(parse_wstats(&line).unwrap(), s);
+        // A line one counter short (the cache columns' predecessor
+        // format included) is rejected, never zero-filled.
+        let short = line.rsplit_once(' ').unwrap().0;
+        assert!(parse_wstats(short).is_none());
+        assert!(parse_wstats("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
         let sup = SupervisorStats {
             respawns: 1,
             replayed_frames: 2,

@@ -67,6 +67,7 @@ fn all_variants() -> Vec<WireMsg> {
         WireMsg::FlushAck {
             token: 8,
             worker: 2,
+            epoch: 65_590,
         },
         WireMsg::Shutdown,
         WireMsg::FtQuery {
@@ -91,6 +92,27 @@ fn all_variants() -> Vec<WireMsg> {
             skipped: vec![0b001, 0b100],
         },
         WireMsg::RepairDone { worker: 5 },
+        WireMsg::TQueryBatch {
+            query_id: 11,
+            keywords: set("alpha"),
+            remaining: 12,
+            coord: 1,
+            entries: vec![(0b1100, 2), (0b1010, 12)],
+        },
+        WireMsg::TContBatch {
+            query_id: 11,
+            epoch: 65_590,
+            entries: vec![
+                (0b1100, vec![(4, 1)], vec![(0b1101, 0)]),
+                (0b1010, vec![], vec![]),
+            ],
+        },
+        WireMsg::QueryAt {
+            query_id: 12,
+            keywords: set("alpha beta"),
+            threshold: 20,
+            marks: vec![65_590, 0],
+        },
     ]
 }
 

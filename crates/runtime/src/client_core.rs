@@ -10,6 +10,12 @@
 //! [`crate::NodeRuntime`], `hyperdex-net`'s reconnecting TCP link
 //! behind `NetClient`, and a scripted fake in `tests/client_core.rs`.
 //!
+//! The core also keeps, per worker, the highest write epoch a
+//! `FlushAck` has shown it, and sends those marks on every superset
+//! request: a coordinator then never answers from a cached result that
+//! predates a write this client flushed (DESIGN.md § "Serving-path
+//! result cache"). The marks ride the request frame; no frame is added.
+//!
 //! An FT attempt the client gave up on may still finish, its
 //! `FtQueryDone` arriving ahead of whatever the client asked for next;
 //! every wait in the core discards such frames.
@@ -146,6 +152,8 @@ pub struct ClientCore<L> {
     /// flush barrier); `None` waits for as long as it takes.
     request_timeout: Option<Duration>,
     next_id: u64,
+    /// Per worker: the highest write epoch a `FlushAck` carried.
+    marks: Vec<u64>,
 }
 
 impl<L: ClientLink> ClientCore<L> {
@@ -163,6 +171,7 @@ impl<L: ClientLink> ClientCore<L> {
             link,
             request_timeout,
             next_id: 0,
+            marks: vec![0; shards.workers() as usize],
         }
     }
 
@@ -229,10 +238,20 @@ impl<L: ClientLink> ClientCore<L> {
         while pending > 0 {
             let deadline = self.request_deadline();
             match self.recv_reply(deadline, "flush ack", None)? {
-                WireMsg::FlushAck { token: t, .. } if t == token => pending -= 1,
-                // Acks of a barrier that timed out, completions of
-                // abandoned FT attempts.
-                WireMsg::FlushAck { .. } | WireMsg::FtQueryDone { .. } => {}
+                // An ack of a barrier that timed out still says how
+                // far its worker's shard has moved.
+                WireMsg::FlushAck {
+                    token: acked,
+                    worker,
+                    epoch,
+                } => {
+                    if let Some(mark) = self.marks.get_mut(worker as usize) {
+                        *mark = (*mark).max(epoch);
+                    }
+                    pending -= u32::from(acked == token);
+                }
+                // Completions of abandoned FT attempts.
+                WireMsg::FtQueryDone { .. } => {}
                 other => panic!("unexpected frame during flush barrier: {other:?}"),
             }
         }
@@ -532,16 +551,18 @@ impl<L: ClientLink> ClientCore<L> {
     /// worker can coordinate any query — the root's region reaches its
     /// owner as a delegated batch like every other region — and
     /// spreading coordinators keeps one popular root prefix from
-    /// serializing a whole mix on a single worker.
+    /// serializing a whole mix on a single worker. The frame carries
+    /// this client's flush marks.
     fn queue_superset(&mut self, keywords: &KeywordSet, threshold: usize) -> (u64, u32) {
         let id = self.fresh_id();
         let coordinator = (id % u64::from(self.shards.workers())) as u32;
         self.link.queue(
             coordinator,
-            &WireMsg::Query {
+            &WireMsg::QueryAt {
                 query_id: id,
                 keywords: keywords.clone(),
                 threshold: threshold as u64,
+                marks: self.marks.clone(),
             },
         );
         (id, coordinator)

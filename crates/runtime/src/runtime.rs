@@ -82,6 +82,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
 use hyperdex_hypercube::Shape;
 
@@ -218,6 +219,16 @@ impl ShutdownReport {
     /// Extra copies the injector delivered.
     pub fn total_duplicated(&self) -> u64 {
         self.workers.iter().map(|w| w.frames_duplicated).sum()
+    }
+
+    /// What the workers' result caches did with the superset queries
+    /// they saw, summed over workers.
+    pub fn cache(&self) -> CacheCounters {
+        let mut total = CacheCounters::default();
+        for w in &self.workers {
+            total += w.cache();
+        }
+        total
     }
 
     /// Frames unaccounted for after every thread exited. The

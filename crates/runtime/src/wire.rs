@@ -47,8 +47,12 @@ pub enum WireMsg {
         /// Its full keyword set.
         keywords: KeywordSet,
     },
-    /// Client → root owner: start a superset search. The receiving
-    /// worker owns `F_h(K)` and becomes the query's coordinator.
+    /// Client → any worker: start a superset search. The receiving
+    /// worker becomes the query's coordinator whichever vertices it
+    /// owns (clients spread coordinators round-robin); a remote root
+    /// region is delegated to its owner like every other region. The
+    /// bare form of [`WireMsg::QueryAt`]: a worker treats it as that
+    /// variant with no marks.
     Query {
         /// Client-assigned correlation id.
         query_id: u64,
@@ -91,11 +95,12 @@ pub enum WireMsg {
     /// query in a single frame (frontier aggregation). All entries
     /// share the query's keywords and the coordinator's result budget
     /// at dispatch time; each entry carries its own vertex and arrival
-    /// dimension. Batch entries are never traversal roots — the root
-    /// is always owned by its own coordinator — so the dimension is a
-    /// plain byte. One batch frame counts as **one** frame in the
-    /// conservation ledger; per-entry volume is tracked by the
-    /// worker's `batch_entries_sent` counter.
+    /// dimension. A traversal root whose owner is not the coordinator
+    /// rides the same frame with dimension `r` — an arrival dimension
+    /// of `r` spans every free dimension below it, exactly the root's
+    /// frontier — so the dimension is a plain byte. One batch frame
+    /// counts as **one** frame in the conservation ledger; per-entry
+    /// volume is tracked by the worker's `batch_entries_sent` counter.
     TQueryBatch {
         /// Correlation id of the driving query.
         query_id: u64,
@@ -115,6 +120,10 @@ pub enum WireMsg {
     TContBatch {
         /// Correlation id of the driving query.
         query_id: u64,
+        /// The sender's write epoch when it scanned: how many objects
+        /// its shard had indexed. The coordinator stamps cached
+        /// results with it.
+        epoch: u64,
         /// Per-vertex replies.
         entries: Vec<BatchReply>,
     },
@@ -160,6 +169,10 @@ pub enum WireMsg {
         token: u64,
         /// The acknowledging worker's index.
         worker: u32,
+        /// The worker's write epoch at the barrier: how many objects
+        /// its shard has indexed. A client sends the highest epoch it
+        /// was shown back on its next [`WireMsg::QueryAt`].
+        epoch: u64,
     },
     /// Client → worker: flush outboxes and exit the event loop.
     Shutdown,
@@ -212,6 +225,20 @@ pub enum WireMsg {
         /// The recovering worker's index.
         worker: u32,
     },
+    /// Client → any worker: a [`WireMsg::Query`] that also says which
+    /// writes the client already knows are in place, so a coordinator
+    /// never answers it from a cached result that predates them.
+    QueryAt {
+        /// Client-assigned correlation id.
+        query_id: u64,
+        /// The queried keyword set `K`.
+        keywords: KeywordSet,
+        /// Results wanted (the paper's `c`).
+        threshold: u64,
+        /// Per worker, the highest write epoch a `FlushAck` showed
+        /// this client (0 before any). Empty means no marks.
+        marks: Vec<u64>,
+    },
 }
 
 /// One scanned vertex's reply inside a [`WireMsg::TContBatch`]:
@@ -235,6 +262,7 @@ const TAG_FT_QUERY_DONE: u8 = 12;
 const TAG_REPAIR_DONE: u8 = 13;
 const TAG_TQUERY_BATCH: u8 = 14;
 const TAG_TCONT_BATCH: u8 = 15;
+const TAG_QUERY_AT: u8 = 16;
 
 /// The `via_dim` byte that stands for `None`.
 const DIM_NONE: u8 = 0xFF;
@@ -380,9 +408,14 @@ impl WireMsg {
                     body.push(*dim);
                 }
             }
-            WireMsg::TContBatch { query_id, entries } => {
+            WireMsg::TContBatch {
+                query_id,
+                epoch,
+                entries,
+            } => {
                 body.push(TAG_TCONT_BATCH);
                 put_u64(body, *query_id);
+                put_u64(body, *epoch);
                 put_u16(body, entries.len() as u16);
                 for (bits, objects, children) in entries {
                     put_u64(body, *bits);
@@ -436,10 +469,15 @@ impl WireMsg {
                 body.push(TAG_FLUSH);
                 put_u64(body, *token);
             }
-            WireMsg::FlushAck { token, worker } => {
+            WireMsg::FlushAck {
+                token,
+                worker,
+                epoch,
+            } => {
                 body.push(TAG_FLUSH_ACK);
                 put_u64(body, *token);
                 put_u32(body, *worker);
+                put_u64(body, *epoch);
             }
             WireMsg::Shutdown => body.push(TAG_SHUTDOWN),
             WireMsg::FtQuery {
@@ -494,6 +532,21 @@ impl WireMsg {
             WireMsg::RepairDone { worker } => {
                 body.push(TAG_REPAIR_DONE);
                 put_u32(body, *worker);
+            }
+            WireMsg::QueryAt {
+                query_id,
+                keywords,
+                threshold,
+                marks,
+            } => {
+                body.push(TAG_QUERY_AT);
+                put_u64(body, *query_id);
+                put_u64(body, *threshold);
+                put_keywords(body, keywords);
+                put_u16(body, marks.len() as u16);
+                for mark in marks {
+                    put_u64(body, *mark);
+                }
             }
         }
         let body_len = (body.len() - PREFIX_LEN) as u32;
@@ -636,6 +689,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
         TAG_FLUSH_ACK => Ok(WireMsg::FlushAck {
             token: r.u64()?,
             worker: r.u32()?,
+            epoch: r.u64()?,
         }),
         TAG_SHUTDOWN => Ok(WireMsg::Shutdown),
         TAG_FT_QUERY => Ok(WireMsg::FtQuery {
@@ -701,6 +755,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
         }
         TAG_TCONT_BATCH => {
             let query_id = r.u64()?;
+            let epoch = r.u64()?;
             let n = r.u16()? as usize;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
@@ -717,7 +772,27 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
                 }
                 entries.push((bits, objects, children));
             }
-            Ok(WireMsg::TContBatch { query_id, entries })
+            Ok(WireMsg::TContBatch {
+                query_id,
+                epoch,
+                entries,
+            })
+        }
+        TAG_QUERY_AT => {
+            let query_id = r.u64()?;
+            let threshold = r.u64()?;
+            let keywords = get_keywords(r)?;
+            let n = r.u16()? as usize;
+            let mut marks = Vec::with_capacity(n);
+            for _ in 0..n {
+                marks.push(r.u64()?);
+            }
+            Ok(WireMsg::QueryAt {
+                query_id,
+                keywords,
+                threshold,
+                marks,
+            })
         }
         other => Err(WireError::BadTag(other)),
     }
@@ -886,6 +961,7 @@ mod tests {
             WireMsg::FlushAck {
                 token: 1234,
                 worker: 7,
+                epoch: 65_590,
             },
             WireMsg::Shutdown,
             WireMsg::FtQuery {
@@ -947,6 +1023,7 @@ mod tests {
             },
             WireMsg::TContBatch {
                 query_id: 30,
+                epoch: 65_590,
                 entries: vec![
                     (0b1010_1100, vec![(1, 0), (99, 2)], vec![(0b1011_1100, 4)]),
                     (0b1010_1101, vec![], vec![]),
@@ -954,7 +1031,20 @@ mod tests {
             },
             WireMsg::TContBatch {
                 query_id: 31,
+                epoch: 0,
                 entries: vec![],
+            },
+            WireMsg::QueryAt {
+                query_id: 40,
+                keywords: set("alpha beta"),
+                threshold: 20,
+                marks: vec![65_590, 0, u64::MAX],
+            },
+            WireMsg::QueryAt {
+                query_id: 41,
+                keywords: set("x"),
+                threshold: u64::MAX - 1,
+                marks: vec![],
             },
         ]
     }

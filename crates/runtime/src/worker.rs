@@ -10,6 +10,16 @@
 //! (`hyperdex-net`'s multi-process deployment) — which is exactly what
 //! lets the parity harness demand identical results from both.
 //!
+//! Every worker keeps a result cache in front of its coordinator path
+//! ([`hyperdex_core::cache::FifoCache`], DESIGN.md § "Serving-path
+//! result cache"): a `Query` whose answer is cached is answered with
+//! one `QueryDone` and no traversal frame, identical queries already
+//! being coordinated here wait for the running traversal, and the
+//! worker's *write epoch* — the cache's generation, bumped once per
+//! object newly indexed on this shard, reported on every `FlushAck`
+//! and `TContBatch` — keeps the answers coherent with flushed writes
+//! without a single extra frame.
+//!
 //! [`run_worker`] is the entry point: it consumes a [`WorkerContext`],
 //! runs the loop until shutdown or a scheduled crash, and returns a
 //! [`WorkerExit`] carrying the lifetime counters and the still-open
@@ -21,6 +31,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{child_contacts, scan_store, SupersetCoordinator};
 use hyperdex_core::{
     FtCmd, FtCoordinator, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId,
@@ -42,6 +53,30 @@ const LOCAL_WORK_BUDGET: usize = 32;
 /// the frame send path, so a steady one-in-one-out worker (the pin
 /// mix) stops allocating per frame.
 const FRAME_POOL_CAP: usize = 32;
+
+/// Cached queries a worker's result cache holds. The paper sizes a
+/// node's cache at `α = 1/6` of its index — tens of thousands of
+/// queries for a shard of the pchome corpus; a stream as skewed as the
+/// query log keeps its whole repeating head in far fewer, and a fixed
+/// bound keeps the cache's footprint independent of the shard.
+const RESULT_CACHE_SLOTS: usize = 1024;
+
+/// Longest answer, in result items, the cache keeps. A longer one is
+/// still shared with the queries waiting for it, then dropped, so a
+/// full cache retains at most `RESULT_CACHE_SLOTS` × this many
+/// 16-byte items — 64 MiB per worker — however broad the popular
+/// queries are.
+const RESULT_CACHE_MAX_ITEMS: usize = 4096;
+
+/// How long a traversal may sit parked with no reply arriving before
+/// identical queries stop waiting for it. Replies of a healthy
+/// traversal are milliseconds apart; one silent this long has lost a
+/// frame for good (a dropped batch, a crashed peer), so the next
+/// identical query walks the cube itself and takes the cache slot
+/// over. Equal to the fault-tolerant path's default attempt deadline
+/// and well below `NetConfig`'s default request timeout, so a client
+/// that retries after timing out is answered.
+pub const LEADER_SILENCE: Duration = Duration::from_secs(2);
 
 /// One worker's lifetime counters, returned when its thread exits.
 /// After a crash the supervisor merges the counters of every
@@ -82,6 +117,20 @@ pub struct WorkerStats {
     /// Logical per-vertex entries carried inside those batch frames —
     /// the traversal volume the batching collapsed.
     pub batch_entries_sent: u64,
+    /// Superset queries answered from the result cache: one
+    /// `QueryDone`, no traversal.
+    pub cache_hits: u64,
+    /// Superset queries that found no usable entry (absent, first
+    /// sighting, or not covering the threshold) and walked the cube.
+    pub cache_misses: u64,
+    /// Superset queries that waited for a running traversal of the
+    /// same query instead of starting their own.
+    pub cache_coalesced: u64,
+    /// Superset queries whose cached entry (or running traversal) the
+    /// epoch check rejected; they walked the cube and replaced it.
+    pub cache_stale: u64,
+    /// Cache slots pushed out by a newer reservation.
+    pub cache_evictions: u64,
 }
 
 impl WorkerStats {
@@ -100,6 +149,22 @@ impl WorkerStats {
         self.wakeups += other.wakeups;
         self.batch_frames_sent += other.batch_frames_sent;
         self.batch_entries_sent += other.batch_entries_sent;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cache_coalesced += other.cache_coalesced;
+        self.cache_stale += other.cache_stale;
+        self.cache_evictions += other.cache_evictions;
+    }
+
+    /// The result cache's share of the counters.
+    pub fn cache(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.cache_hits,
+            misses: self.cache_misses,
+            coalesced: self.cache_coalesced,
+            stale: self.cache_stale,
+            evictions: self.cache_evictions,
+        }
     }
 }
 
@@ -168,6 +233,8 @@ pub fn run_worker(
         stash: (0..endpoints).map(|_| VecDeque::new()).collect(),
         queries: HashMap::new(),
         ft_queries: HashMap::new(),
+        cache: FifoCache::new(RESULT_CACHE_SLOTS),
+        heard: vec![0; endpoints - 1],
         local_work: VecDeque::new(),
         frame_pool: Vec::new(),
         timers: BinaryHeap::new(),
@@ -209,6 +276,37 @@ struct QueryState {
     /// replies arrive unsolicited, so the dispatcher must not ship a
     /// second visit when they surface in the frontier.
     predelegated: HashSet<u64>,
+    /// Whether this traversal holds the query's cache slot (and fills
+    /// it when done) or runs on a first sighting and keeps nothing.
+    slot: bool,
+    /// This worker's write epoch when the traversal started.
+    own_epoch: u64,
+    /// `(peer, epoch)`: the lowest write epoch each peer reported on a
+    /// `TContBatch` of this traversal.
+    peer_epochs: Vec<(u32, u64)>,
+    /// Identical queries that arrived while this traversal ran.
+    waiters: Vec<Waiter>,
+    /// When the traversal last parked to wait for replies.
+    parked_at: Instant,
+}
+
+/// A query waiting for another query's traversal (single flight).
+#[derive(Debug)]
+struct Waiter {
+    query_id: u64,
+    threshold: usize,
+    marks: Vec<u64>,
+}
+
+/// Whether an answer stamped with the `remote` peer epochs may still
+/// be served: each contributing peer's stamp must be no older than
+/// what the request's `marks` demand (writes its client saw flushed)
+/// and than the newest epoch this worker has `heard` from that peer.
+fn fresh(remote: &[(u32, u64)], heard: &[u64], marks: &[u64]) -> bool {
+    remote.iter().all(|&(peer, epoch)| {
+        let peer = peer as usize;
+        epoch >= heard[peer].max(marks.get(peer).copied().unwrap_or(0))
+    })
 }
 
 /// In-progress fault-tolerant query on its coordinator worker. Wraps
@@ -260,6 +358,12 @@ struct Worker {
     stash: Vec<VecDeque<Vec<u8>>>,
     queries: HashMap<u64, QueryState>,
     ft_queries: HashMap<u64, FtQueryState>,
+    /// Results of the superset queries this worker coordinated, as the
+    /// `(object id, extra keywords)` pairs a `QueryDone` carries. Its
+    /// generation is this worker's write epoch.
+    cache: FifoCache<(u64, u32)>,
+    /// Per worker: the highest write epoch heard on a `TContBatch`.
+    heard: Vec<u64>,
     /// Self-owned visits awaiting a local scan, as `(query_id, bits,
     /// via_dim)` — the fast path that skips encode/decode entirely.
     /// Entries whose query has since completed are skipped on pop.
@@ -408,9 +512,20 @@ impl Worker {
         self.abandon_stash();
         WorkerExit {
             cause: ExitCause::Clean,
-            stats: self.stats,
+            stats: self.final_stats(),
             inbox,
         }
+    }
+
+    /// The incarnation's counters, the cache's folded in.
+    fn final_stats(mut self) -> WorkerStats {
+        let cache = self.cache.counters();
+        self.stats.cache_hits = cache.hits;
+        self.stats.cache_misses = cache.misses;
+        self.stats.cache_coalesced = cache.coalesced;
+        self.stats.cache_stale = cache.stale;
+        self.stats.cache_evictions = cache.evictions;
+        self.stats
     }
 
     /// Crash-stop: everything in memory is lost. Frames parked in
@@ -428,7 +543,7 @@ impl Worker {
         self.stats.frames_dropped += lost + self.transport.pending();
         WorkerExit {
             cause: ExitCause::Crashed,
-            stats: self.stats,
+            stats: self.final_stats(),
             inbox,
         }
     }
@@ -439,6 +554,7 @@ impl Worker {
         matches!(
             msg,
             WireMsg::Query { .. }
+                | WireMsg::QueryAt { .. }
                 | WireMsg::FtQuery { .. }
                 | WireMsg::TQuery { .. }
                 | WireMsg::TQueryBatch { .. }
@@ -462,6 +578,7 @@ impl Worker {
                     .insert_arc(kw, ObjectId::from_raw(object))
                 {
                     self.stats.inserts += 1;
+                    self.cache.bump_generation();
                 }
             }
             WireMsg::Handoff { bits, entries } => {
@@ -476,33 +593,25 @@ impl Worker {
                     for raw in objects {
                         if table.insert_arc(Arc::clone(&kw), ObjectId::from_raw(raw)) {
                             self.stats.inserts += 1;
+                            self.cache.bump_generation();
                         }
                     }
                 }
             }
+            // Any worker coordinates: the client round-robins
+            // sequential queries, and a remote root region is
+            // delegated to its owner like every other region.
             WireMsg::Query {
                 query_id,
                 keywords,
                 threshold,
-            } => {
-                // Any worker coordinates: the client round-robins
-                // sequential queries, and a remote root region is
-                // delegated to its owner like every other region.
-                self.stats.queries_coordinated += 1;
-                let kw = self.interner.intern(keywords);
-                let root = self.hasher.vertex_for(&kw);
-                let mut state = QueryState {
-                    coord: SupersetCoordinator::new(root, threshold as usize),
-                    keywords: kw,
-                    results: Vec::new(),
-                    pending: VecDeque::new(),
-                    replies: HashMap::new(),
-                    predelegated: HashSet::new(),
-                };
-                if !self.drive(query_id, &mut state) {
-                    self.queries.insert(query_id, state);
-                }
-            }
+            } => self.coordinate(query_id, keywords, threshold, Vec::new()),
+            WireMsg::QueryAt {
+                query_id,
+                keywords,
+                threshold,
+                marks,
+            } => self.coordinate(query_id, keywords, threshold, marks),
             WireMsg::FtQuery {
                 query_id,
                 keywords,
@@ -631,6 +740,7 @@ impl Worker {
                     coord as usize,
                     &WireMsg::TContBatch {
                         query_id,
+                        epoch: self.cache.generation(),
                         entries: replies,
                     },
                 );
@@ -662,8 +772,28 @@ impl Worker {
                 // else: a duplicate or post-completion continuation —
                 // injected faults make these normal; drop it.
             }
-            WireMsg::TContBatch { query_id, entries } => {
+            WireMsg::TContBatch {
+                query_id,
+                epoch,
+                entries,
+            } => {
+                // One batch is one worker's scans: its first vertex
+                // names the sender. Late and duplicate batches still
+                // say how far that peer's shard has moved.
+                let sender = entries
+                    .first()
+                    .map(|&(bits, ..)| self.shards.owner_of(bits));
+                if let Some(sender) = sender {
+                    let heard = &mut self.heard[sender as usize];
+                    *heard = (*heard).max(epoch);
+                }
                 if let Some(mut state) = self.queries.remove(&query_id) {
+                    if let Some(sender) = sender {
+                        match state.peer_epochs.iter_mut().find(|(p, _)| *p == sender) {
+                            Some((_, lowest)) => *lowest = (*lowest).min(epoch),
+                            None => state.peer_epochs.push((sender, epoch)),
+                        }
+                    }
                     let mut listed: Vec<u64> = Vec::new();
                     for (bits, objects, children) in entries {
                         listed.extend(children.iter().map(|&(child, _)| child));
@@ -703,8 +833,14 @@ impl Worker {
             }
             WireMsg::Flush { token } => {
                 let client = self.client_slot();
-                let worker = self.index;
-                self.send(client, &WireMsg::FlushAck { token, worker });
+                self.send(
+                    client,
+                    &WireMsg::FlushAck {
+                        token,
+                        worker: self.index,
+                        epoch: self.cache.generation(),
+                    },
+                );
             }
             // A RepairDone outside repair mode is a duplicate (repair
             // frames are reliable, so this should not happen).
@@ -782,7 +918,7 @@ impl Worker {
             if state.coord.is_done() {
                 // Threshold met: replies still in flight (or parked,
                 // or queued locally) are discarded on arrival.
-                self.finish_query(query_id, state);
+                self.finish_query(query_id, state, false);
                 return true;
             }
             if !state.pending.is_empty() {
@@ -791,6 +927,7 @@ impl Worker {
                 // burst composition — and with it the batch-frame
                 // count — is a pure function of the traversal, never
                 // of reply arrival timing.
+                state.parked_at = Instant::now();
                 return false;
             }
             let mut burst = Vec::new();
@@ -798,7 +935,7 @@ impl Worker {
             if burst.is_empty() {
                 // Frontier exhausted, nothing outstanding: the
                 // traversal covered its subcube.
-                self.finish_query(query_id, state);
+                self.finish_query(query_id, state, true);
                 return true;
             }
             self.dispatch_burst(query_id, state, burst);
@@ -868,14 +1005,125 @@ impl Worker {
         }
     }
 
-    /// Completes one sequential query: ships `QueryDone` to the client.
-    /// (The fold loop takes at most the live budget from every reply,
-    /// so the results never exceed the threshold.)
-    fn finish_query(&mut self, query_id: u64, state: &mut QueryState) {
+    /// Completes one sequential query: ships `QueryDone` to the client
+    /// (the fold loop takes at most the live budget from every reply,
+    /// so the results never exceed the threshold) and, when the
+    /// traversal holds its query's cache slot, to every waiter the
+    /// answer is fresh enough for, then fills the slot. `exhausted`
+    /// says the traversal covered its whole subcube.
+    fn finish_query(&mut self, query_id: u64, state: &mut QueryState, exhausted: bool) {
         state.coord.stop();
         let objects = std::mem::take(&mut state.results);
+        if !state.slot {
+            let client = self.client_slot();
+            self.send(client, &WireMsg::QueryDone { query_id, objects });
+            return;
+        }
+        self.reply(query_id, &objects, usize::MAX);
+        // A waiter is served under the rule a later arrival would be
+        // served from the entry under; one the answer is too old for
+        // (its client flushed a write this traversal scanned before)
+        // starts over as a new arrival.
+        let own_moved = self.cache.generation() != state.own_epoch;
+        let mut starting_over = Vec::new();
+        for waiter in std::mem::take(&mut state.waiters) {
+            if !own_moved && fresh(&state.peer_epochs, &self.heard, &waiter.marks) {
+                self.reply(waiter.query_id, &objects, waiter.threshold);
+            } else {
+                starting_over.push(waiter);
+            }
+        }
+        if objects.len() > RESULT_CACHE_MAX_ITEMS {
+            self.cache.release(&state.keywords, query_id);
+        } else {
+            self.cache.fill(
+                &state.keywords,
+                query_id,
+                Arc::new(objects),
+                exhausted,
+                std::mem::take(&mut state.peer_epochs),
+            );
+        }
+        for waiter in starting_over {
+            self.start_query(
+                waiter.query_id,
+                Arc::clone(&state.keywords),
+                waiter.threshold,
+                waiter.marks,
+            );
+        }
+    }
+
+    /// Ships one `QueryDone` carrying at most `threshold` of `results`.
+    fn reply(&mut self, query_id: u64, results: &[(u64, u32)], threshold: usize) {
+        let objects = results[..results.len().min(threshold)].to_vec();
         let client = self.client_slot();
         self.send(client, &WireMsg::QueryDone { query_id, objects });
+    }
+
+    /// One superset query arrives at its coordinator.
+    fn coordinate(&mut self, query_id: u64, keywords: KeywordSet, threshold: u64, marks: Vec<u64>) {
+        self.stats.queries_coordinated += 1;
+        let keywords = self.interner.intern(keywords);
+        self.start_query(query_id, keywords, threshold as usize, marks);
+    }
+
+    /// Answers the query from the result cache, parks it behind the
+    /// running traversal of the same query, or starts its own
+    /// traversal — whichever the cache decides from the arrival order.
+    /// `marks` are the per-worker write epochs the client saw flushed.
+    fn start_query(
+        &mut self,
+        query_id: u64,
+        keywords: Arc<KeywordSet>,
+        threshold: usize,
+        marks: Vec<u64>,
+    ) {
+        let (heard, queries) = (&self.heard, &self.queries);
+        let slot = match self.cache.claim(
+            &keywords,
+            threshold,
+            query_id,
+            |remote| fresh(remote, heard, &marks),
+            |leader| {
+                queries
+                    .get(&leader)
+                    .is_some_and(|q| q.parked_at.elapsed() < LEADER_SILENCE)
+            },
+        ) {
+            Claim::Hit(results) => return self.reply(query_id, &results, threshold),
+            Claim::Join(leader) => {
+                let leader = self
+                    .queries
+                    .get_mut(&leader)
+                    .expect("a live leader is a parked traversal");
+                leader.waiters.push(Waiter {
+                    query_id,
+                    threshold,
+                    marks,
+                });
+                return;
+            }
+            Claim::Lead => true,
+            Claim::Pass => false,
+        };
+        let root = self.hasher.vertex_for(&keywords);
+        let mut state = QueryState {
+            coord: SupersetCoordinator::new(root, threshold),
+            keywords,
+            results: Vec::new(),
+            pending: VecDeque::new(),
+            replies: HashMap::new(),
+            predelegated: HashSet::new(),
+            slot,
+            own_epoch: self.cache.generation(),
+            peer_epochs: Vec::new(),
+            waiters: Vec::new(),
+            parked_at: Instant::now(),
+        };
+        if !self.drive(query_id, &mut state) {
+            self.queries.insert(query_id, state);
+        }
     }
 
     /// Runs up to [`LOCAL_WORK_BUDGET`] queued self-owned visits: scan

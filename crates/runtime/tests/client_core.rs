@@ -105,13 +105,15 @@ fn echo(worker: u32, msg: &WireMsg) -> WireMsg {
             query_id: *query_id,
             objects: vec![*query_id],
         },
-        WireMsg::Query { query_id, .. } => WireMsg::QueryDone {
+        WireMsg::QueryAt { query_id, .. } => WireMsg::QueryDone {
             query_id: *query_id,
             objects: vec![(*query_id, 1)],
         },
+        // Worker `w`'s shard stands at epoch `100 + w`.
         WireMsg::Flush { token } => WireMsg::FlushAck {
             token: *token,
             worker,
+            epoch: 100 + u64::from(worker),
         },
         other => panic!("no canned reply for {other:?}"),
     }
@@ -183,7 +185,7 @@ fn run_batch_matches_out_of_order_completions_and_counts_frames() {
     // Superset searches round-robin over coordinators by id; pins go
     // to their root's owner.
     for (worker, msg) in &link.shipped {
-        if let WireMsg::Query { query_id, .. } = msg {
+        if let WireMsg::QueryAt { query_id, .. } = msg {
             assert_eq!(u64::from(*worker), query_id % u64::from(WORKERS));
         }
     }
@@ -280,6 +282,58 @@ fn flush_reaches_every_worker_in_one_burst_and_a_silent_one_times_out() {
         }
         other => panic!("expected a timeout, got {other:?}"),
     }
+}
+
+#[test]
+fn the_superset_frame_after_a_flush_ack_carries_its_epoch() {
+    let marks_of = |link: &FakeLink| match &link.shipped.last().expect("a frame shipped").1 {
+        WireMsg::QueryAt { marks, .. } => marks.clone(),
+        other => panic!("superset searches ship QueryAt, got {other:?}"),
+    };
+    // Before any barrier the marks are all zero — but they are sent.
+    let mut c = client(|burst, inbox| {
+        inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+    });
+    c.superset_search(&set("a"), 5).unwrap();
+    assert_eq!(marks_of(&c.into_link()), vec![0; WORKERS as usize]);
+
+    let mut c = client(|burst, inbox| {
+        // Ahead of a barrier's acks lands a late ack of an abandoned
+        // one: its token matches nothing, its epoch still counts.
+        if matches!(burst[0].1, WireMsg::Flush { .. }) {
+            inbox.push_back(WireMsg::FlushAck {
+                token: 9_999,
+                worker: 2,
+                epoch: 500,
+            });
+        }
+        inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+    });
+    c.flush().unwrap();
+    c.superset_search(&set("a"), 5).unwrap();
+    c.flush().unwrap();
+    let batch = [Request::Superset {
+        keywords: set("b"),
+        threshold: 3,
+    }];
+    c.run_batch(&batch, 1).unwrap();
+    let link = c.into_link();
+    // Worker w acks at epoch 100 + w; the stray ack raised worker 2's
+    // mark, and a mark never goes back down.
+    let expected = vec![100, 101, 500, 103];
+    assert_eq!(marks_of(&link), expected);
+    let first_query = link
+        .shipped
+        .iter()
+        .map(|(_, msg)| msg)
+        .find(|msg| matches!(msg, WireMsg::QueryAt { .. }))
+        .expect("a superset frame");
+    assert!(
+        matches!(first_query, WireMsg::QueryAt { marks, .. } if marks == &expected),
+        "the very next frame carries the epochs: {first_query:?}"
+    );
+    // 4 + 1 + 4 + 1: the marks ride the request, no frame is added.
+    assert_eq!(link.shipped.len(), 10);
 }
 
 #[test]

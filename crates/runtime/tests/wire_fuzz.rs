@@ -76,6 +76,7 @@ fn exemplars() -> Vec<WireMsg> {
         },
         WireMsg::TContBatch {
             query_id: 9,
+            epoch: 1_234,
             entries: vec![
                 (0b1100, vec![(4, 1), (5, 0)], vec![(0b1101, 0)]),
                 (0b1010, vec![], vec![]),
@@ -83,6 +84,17 @@ fn exemplars() -> Vec<WireMsg> {
         },
         WireMsg::RepairDone { worker: 3 },
         WireMsg::Shutdown,
+        WireMsg::QueryAt {
+            query_id: 11,
+            keywords: set("alpha beta"),
+            threshold: 20,
+            marks: vec![65_590, 0, 7],
+        },
+        WireMsg::FlushAck {
+            token: 12,
+            worker: 2,
+            epoch: 65_590,
+        },
     ]
 }
 
@@ -99,7 +111,7 @@ proptest! {
     /// `Truncated`/`BadLength`-class errors), never panics, and never
     /// "succeeds" with a different message.
     #[test]
-    fn truncations_of_valid_frames_are_rejected(which in 0usize..11, cut in 0usize..200) {
+    fn truncations_of_valid_frames_are_rejected(which in 0usize..13, cut in 0usize..200) {
         let msgs = exemplars();
         let encoded = msgs[which % msgs.len()].encode();
         if cut < encoded.len() {
@@ -111,7 +123,7 @@ proptest! {
     /// decodes (the flip landed in a value field) or is rejected —
     /// never a panic, and never a frame-length escape.
     #[test]
-    fn bit_flips_never_panic(which in 0usize..11, byte in 0usize..200, bit in 0u8..8) {
+    fn bit_flips_never_panic(which in 0usize..13, byte in 0usize..200, bit in 0u8..8) {
         let msgs = exemplars();
         let mut encoded = msgs[which % msgs.len()].encode();
         let len = encoded.len();

@@ -66,34 +66,41 @@ fn cache_cuts_nodes_contacted_under_skew() {
 }
 
 #[test]
-fn cache_respects_stale_invalidation_semantics() {
-    // Our cache has no invalidation (as in the paper); this test pins
-    // the documented semantics: a cached entry may serve stale results
-    // after an insert until it is evicted. Users disable the cache for
-    // freshness-critical queries.
+fn cached_search_after_a_write_equals_the_uncached_search() {
+    // Every insert and remove bumps the index generation, so an entry
+    // cached before a write never serves after it: with the cache on,
+    // a search sees exactly what `use_cache(false)` sees.
     let (mut index, corpus, _log) = setup();
     index.set_cache_capacity(100);
-    let record = &corpus.records()[0];
-    let query = record.keywords.clone();
-    let before = index
-        .superset_search(&SupersetQuery::new(query.clone()))
-        .expect("valid");
+    let query = corpus.records()[0].keywords.clone();
+    let ids = |index: &mut HypercubeIndex, cached: bool| {
+        let out = index
+            .superset_search(&SupersetQuery::new(query.clone()).use_cache(cached))
+            .expect("valid");
+        let mut ids: Vec<_> = out.results.iter().map(|r| r.object).collect();
+        ids.sort_unstable();
+        (ids, out.stats.cache_hit)
+    };
+    let (before, _) = ids(&mut index, true);
+    assert!(
+        ids(&mut index, true).1,
+        "the repeat is served from the cache"
+    );
+
     // Insert a brand-new object matching the same query.
     let new_id = hyperdex::core::ObjectId::from_raw(9_999_999);
     index.insert(new_id, query.clone()).expect("non-empty");
-    let cached = index
-        .superset_search(&SupersetQuery::new(query.clone()))
-        .expect("valid");
-    assert_eq!(
-        cached.results.len(),
-        before.results.len(),
-        "cached (stale) answer is served"
-    );
-    // Bypassing the cache sees the new object immediately.
-    let fresh = index
-        .superset_search(&SupersetQuery::new(query).use_cache(false))
-        .expect("valid");
-    assert_eq!(fresh.results.len(), before.results.len() + 1);
+    let (after_insert, hit) = ids(&mut index, true);
+    assert!(!hit, "the pre-insert entry must not serve");
+    assert_eq!(after_insert, ids(&mut index, false).0);
+    assert_eq!(after_insert.len(), before.len() + 1);
+    assert!(ids(&mut index, true).1, "the recomputed entry serves again");
+
+    assert!(index.remove(new_id, &query));
+    let (after_remove, hit) = ids(&mut index, true);
+    assert!(!hit, "the pre-remove entry must not serve");
+    assert_eq!(after_remove, ids(&mut index, false).0);
+    assert_eq!(after_remove, before);
 }
 
 #[test]
