@@ -17,7 +17,8 @@
 //! * accounts memory per backend via [`HypercubeIndex::store_footprint`]
 //!   — resident bytes, bytes/object, slab slot occupancy and arena
 //!   waste — and asserts the slab's bytes/object lands **strictly
-//!   below** the table estimate (always on).
+//!   below** the table estimate and within an absolute budget
+//!   ([`SLAB_BYTES_PER_OBJECT_BUDGET`]; both always on).
 //!
 //! Environment knobs (all optional):
 //!
@@ -65,6 +66,13 @@ const DEFAULT_PIN_P99_US: f64 = 500.0;
 /// of vertices; ~85 ms p99 measured on a 2025 container host, budget
 /// set with ~2× headroom.
 const DEFAULT_SUP_P99_US: f64 = 180_000.0;
+/// Most resident bytes the slab index may spend per object. The
+/// pchome corpus measures 188 B/object at both presets (~7.2 keywords
+/// of ~8 bytes packed into one buffer, its `Arc` block, a slab slot, a
+/// varint posting and the vertex's share of the node table); the
+/// budget leaves ~25 % for a corpus with longer keywords, not for a
+/// second allocation per keyword.
+pub const SLAB_BYTES_PER_OBJECT_BUDGET: f64 = 240.0;
 /// Result budget per superset search (early exit, like real clients).
 const SUP_THRESHOLD: usize = 64;
 
@@ -244,8 +252,8 @@ fn drive(
 /// # Panics
 ///
 /// Panics when backend parity breaks, when the slab does not beat the
-/// table's bytes/object, or (release builds only) when a p99 exceeds
-/// its budget.
+/// table's bytes/object or exceeds [`SLAB_BYTES_PER_OBJECT_BUDGET`], or
+/// (release builds only) when a p99 exceeds its budget.
 pub fn run(ctx: &SharedContext) -> Vec<ScaleRow> {
     section("Scale — million-object mixed traffic, table vs slab store");
     let smoke = std::env::var("HYPERDEX_SCALE_SMOKE").is_ok_and(|v| v == "1");
@@ -328,6 +336,11 @@ pub fn run(ctx: &SharedContext) -> Vec<ScaleRow> {
         "slab must be strictly smaller than the table: {} vs {} bytes",
         s.bytes_resident,
         t.bytes_resident
+    );
+    assert!(
+        s.bytes_per_object <= SLAB_BYTES_PER_OBJECT_BUDGET,
+        "slab index spends {:.1} bytes/object (budget {SLAB_BYTES_PER_OBJECT_BUDGET})",
+        s.bytes_per_object
     );
     for row in &rows {
         assert!(

@@ -14,7 +14,7 @@ use hyperdex_dht::keyhash::stable_hash64_seeded;
 use hyperdex_dht::ObjectId;
 
 use crate::error::Error;
-use crate::keyword::{Keyword, KeywordSet};
+use crate::keyword::{Keyword, KeywordRef, KeywordSet};
 use crate::search::SearchStats;
 
 /// Seed-space tag separating DII placement from other hash families.
@@ -72,7 +72,7 @@ impl DistributedInvertedIndex {
     }
 
     /// The node a keyword hashes to.
-    pub fn node_for(&self, keyword: &Keyword) -> u64 {
+    pub fn node_for(&self, keyword: KeywordRef<'_>) -> u64 {
         stable_hash64_seeded(keyword.as_bytes(), self.seed ^ DII_SEED_TAG) % (1u64 << self.r)
     }
 
@@ -87,7 +87,7 @@ impl DistributedInvertedIndex {
             self.postings
                 .entry(node)
                 .or_default()
-                .entry(k.clone())
+                .entry(k.to_keyword())
                 .or_default()
                 .insert(object);
             touched += 1;
@@ -105,12 +105,12 @@ impl DistributedInvertedIndex {
         for k in keywords {
             let node = self.node_for(k);
             if let Some(node_postings) = self.postings.get_mut(&node) {
-                if let Some(list) = node_postings.get_mut(k) {
+                if let Some(list) = node_postings.get_mut(k.as_str()) {
                     if list.remove(&object) {
                         touched += 1;
                     }
                     if list.is_empty() {
-                        node_postings.remove(k);
+                        node_postings.remove(k.as_str());
                     }
                 }
             }
@@ -132,7 +132,7 @@ impl DistributedInvertedIndex {
             let list = self
                 .postings
                 .get(&self.node_for(k))
-                .and_then(|np| np.get(k))
+                .and_then(|np| np.get(k.as_str()))
                 .cloned()
                 .unwrap_or_default();
             stats.entries_scanned += list.len() as u64;

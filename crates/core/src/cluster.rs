@@ -87,12 +87,18 @@ impl HypercubeIndex {
     }
 
     /// Aggregate memory footprint of every materialized posting store
-    /// (see [`StoreFootprint`]).
+    /// (see [`StoreFootprint`]), plus the node table that holds them.
     pub fn store_footprint(&self) -> StoreFootprint {
         let mut total = StoreFootprint::zero();
         for node in self.nodes.values() {
             total.add(&node.store.footprint());
         }
+        // Each store reports its own struct, which sits inline in a
+        // table slot; the table's spare slots and the rest of each
+        // occupied one are the index's to report.
+        let slot = std::mem::size_of::<(u64, IndexNode)>();
+        total.bytes_resident +=
+            self.nodes.capacity() * slot - self.nodes.len() * std::mem::size_of::<PostingStore>();
         total
     }
 

@@ -11,6 +11,18 @@ pub enum Error {
     Dimension(DimensionError),
     /// A keyword was empty (or whitespace-only) after normalization.
     EmptyKeyword,
+    /// A keyword's normalized text is longer than
+    /// [`MAX_KEYWORD_LEN`](crate::keyword::MAX_KEYWORD_LEN) bytes.
+    KeywordTooLong {
+        /// The normalized length in bytes.
+        len: usize,
+    },
+    /// A keyword set would hold more than
+    /// [`MAX_KEYWORDS`](crate::keyword::MAX_KEYWORDS) distinct keywords.
+    TooManyKeywords {
+        /// The number of distinct keywords offered.
+        count: usize,
+    },
     /// An operation that requires keywords received an empty set.
     EmptyKeywordSet,
     /// A superset-search threshold of zero was requested.
@@ -62,6 +74,16 @@ impl fmt::Display for Error {
         match self {
             Error::Dimension(e) => write!(f, "{e}"),
             Error::EmptyKeyword => write!(f, "keyword is empty after normalization"),
+            Error::KeywordTooLong { len } => write!(
+                f,
+                "keyword is {len} bytes after normalization; the limit is {}",
+                crate::keyword::MAX_KEYWORD_LEN
+            ),
+            Error::TooManyKeywords { count } => write!(
+                f,
+                "keyword set would hold {count} keywords; the limit is {}",
+                crate::keyword::MAX_KEYWORDS
+            ),
             Error::EmptyKeywordSet => write!(f, "operation requires at least one keyword"),
             Error::ZeroThreshold => write!(f, "superset search threshold must be positive"),
             Error::UnknownField { field } => {

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::keyword::{Keyword, KeywordSet};
+use crate::keyword::{Keyword, KeywordRef, KeywordSet};
 use crate::ranking;
 use crate::search::SupersetQuery;
 
@@ -73,13 +73,16 @@ impl QueryExpander {
     /// preference history.
     pub fn note(&mut self, keywords: &KeywordSet) {
         for k in keywords {
-            *self.preference_counts.entry(k.clone()).or_insert(0) += 1;
+            *self.preference_counts.entry(k.to_keyword()).or_insert(0) += 1;
         }
     }
 
     /// How often `keyword` appeared in the history.
-    pub fn preference(&self, keyword: &Keyword) -> u64 {
-        self.preference_counts.get(keyword).copied().unwrap_or(0)
+    pub fn preference(&self, keyword: KeywordRef<'_>) -> u64 {
+        self.preference_counts
+            .get(keyword.as_str())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Proposes up to `limit` expanded queries for `query`.
@@ -108,7 +111,7 @@ impl QueryExpander {
             .into_iter()
             .filter(|c| !c.extra.is_empty())
             .map(|c| {
-                let preference_hits = c.extra.iter().filter(|k| self.preference(k) > 0).count();
+                let preference_hits = c.extra.iter().filter(|&k| self.preference(k) > 0).count();
                 Expansion {
                     query: query.union(&c.extra),
                     added: c.extra,

@@ -10,7 +10,7 @@ use hyperdex_dht::keyhash::stable_hash64_seeded;
 use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::error::Error;
-use crate::keyword::{Keyword, KeywordSet};
+use crate::keyword::{KeywordRef, KeywordSet};
 
 /// The hash family mapping keywords to hypercube bit positions.
 ///
@@ -63,7 +63,7 @@ impl KeywordHasher {
     }
 
     /// `h(w)`: the bit position of a keyword.
-    pub fn position(self, keyword: &Keyword) -> u8 {
+    pub fn position(self, keyword: KeywordRef<'_>) -> u8 {
         let h = stable_hash64_seeded(keyword.as_bytes(), self.seed ^ KEYWORD_SEED_TAG);
         (h % u64::from(self.shape.r())) as u8
     }
@@ -90,6 +90,7 @@ impl KeywordHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyword::Keyword;
 
     fn hasher(r: u8) -> KeywordHasher {
         KeywordHasher::new(r, 0).unwrap()
@@ -104,7 +105,7 @@ mod tests {
         let h = hasher(10);
         for word in ["mp3", "news", "isp", "download", "jazz", "piano"] {
             let k = Keyword::new(word).unwrap();
-            assert!(h.position(&k) < 10);
+            assert!(h.position(k.view()) < 10);
         }
     }
 
@@ -170,7 +171,7 @@ mod tests {
         let mut counts = [0u32; 8];
         for i in 0..8000 {
             let k = Keyword::new(&format!("kw{i}")).unwrap();
-            counts[h.position(&k) as usize] += 1;
+            counts[h.position(k.view()) as usize] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!((800..1200).contains(&c), "position {i}: {c}");

@@ -4,16 +4,32 @@
 //! *describes* `σ` when `K ⊆ K_σ`. Keywords here are normalized
 //! (trimmed, lowercased) so that `"MP3"` and `"mp3"` hash to the same
 //! bit position.
+//!
+//! A [`KeywordSet`] is one contiguous buffer — its keywords sorted,
+//! deduplicated and length-prefixed — and that buffer is also the
+//! set's wire form (`DESIGN.md` §11), so an index entry costs one
+//! allocation and a frame codec copies it whole.
 
-use std::collections::btree_set;
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::Error;
 
-/// A single normalized keyword: non-empty, trimmed, lowercase.
+/// Longest normalized keyword, in bytes: the packed form prefixes each
+/// keyword with a `u16` length.
+pub const MAX_KEYWORD_LEN: usize = u16::MAX as usize;
+
+/// Most keywords one set may hold: the packed form opens with a `u16`
+/// count.
+pub const MAX_KEYWORDS: usize = u16::MAX as usize;
+
+/// A single normalized keyword: non-empty, trimmed, lowercase, at most
+/// [`MAX_KEYWORD_LEN`] bytes. The owned construction type; a
+/// [`KeywordSet`] hands its members out as borrowed [`KeywordRef`]s.
 ///
 /// # Example
 ///
@@ -35,11 +51,16 @@ impl Keyword {
     /// # Errors
     ///
     /// Returns [`Error::EmptyKeyword`] when the input is empty or
-    /// whitespace-only.
+    /// whitespace-only, and [`Error::KeywordTooLong`] when the
+    /// normalized text exceeds [`MAX_KEYWORD_LEN`] bytes.
     pub fn new(raw: &str) -> Result<Self, Error> {
         let normalized = raw.trim().to_lowercase();
         if normalized.is_empty() {
             Err(Error::EmptyKeyword)
+        } else if normalized.len() > MAX_KEYWORD_LEN {
+            Err(Error::KeywordTooLong {
+                len: normalized.len(),
+            })
         } else {
             Ok(Keyword(normalized))
         }
@@ -55,6 +76,12 @@ impl Keyword {
         self.0.as_bytes()
     }
 
+    /// The borrowed view of this keyword — what [`KeywordSet`]
+    /// iteration yields and the hashers take.
+    pub fn view(&self) -> KeywordRef<'_> {
+        KeywordRef(self.0.as_bytes())
+    }
+
     /// The keyword's bit in the 64-bit [`KeywordSet::signature`]: a
     /// single set bit chosen by FNV-1a over the normalized text.
     ///
@@ -63,7 +90,7 @@ impl Keyword {
     /// of the keyword itself, so signatures computed by any node — at
     /// any `r`, under any seed — agree.
     pub fn signature_bit(&self) -> u64 {
-        1 << (fnv1a64(self.as_bytes()) % 64)
+        self.view().signature_bit()
     }
 }
 
@@ -78,6 +105,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Whether [`Keyword::new`] would return `text` unchanged: non-empty,
+/// nothing to trim, every character its own lowercase.
+fn is_normalized(text: &str) -> bool {
+    !text.is_empty()
+        && text.trim().len() == text.len()
+        && text.chars().all(|c| {
+            if c.is_ascii() {
+                !c.is_ascii_uppercase()
+            } else {
+                let mut lower = c.to_lowercase();
+                lower.next() == Some(c) && lower.next().is_none()
+            }
+        })
+}
+
 impl fmt::Display for Keyword {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -90,6 +132,14 @@ impl AsRef<str> for Keyword {
     }
 }
 
+/// Lets maps keyed by `Keyword` be probed with a [`KeywordRef`]'s text
+/// (`Keyword` hashes and orders exactly as its `str`).
+impl Borrow<str> for Keyword {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl std::str::FromStr for Keyword {
     type Err = Error;
 
@@ -98,10 +148,72 @@ impl std::str::FromStr for Keyword {
     }
 }
 
+/// A keyword borrowed from a [`KeywordSet`]'s buffer (or from a
+/// [`Keyword`], via [`Keyword::view`]): the same normalized text, no
+/// allocation.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct KeywordRef<'a>(&'a [u8]);
+
+impl<'a> KeywordRef<'a> {
+    /// The normalized text.
+    pub fn as_str(self) -> &'a str {
+        std::str::from_utf8(self.0).expect("keyword bytes were validated as UTF-8 on entry")
+    }
+
+    /// The normalized text as bytes (hash input).
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// See [`Keyword::signature_bit`].
+    pub fn signature_bit(self) -> u64 {
+        1 << (fnv1a64(self.0) % 64)
+    }
+
+    /// An owned copy.
+    pub fn to_keyword(self) -> Keyword {
+        Keyword(self.as_str().to_owned())
+    }
+}
+
+impl fmt::Debug for KeywordRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Keyword").field(&self.as_str()).finish()
+    }
+}
+
+impl fmt::Display for KeywordRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Why [`KeywordSet::decode_packed`] did not adopt a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedError {
+    /// The buffer ends inside the set.
+    Truncated {
+        /// How many more bytes the field being read needed.
+        needed: usize,
+        /// How many bytes were left for it.
+        have: usize,
+    },
+    /// A keyword's bytes are not valid UTF-8.
+    BadUtf8,
+    /// Well-formed, but not the canonical form: a keyword is empty,
+    /// untrimmed or not lowercase, or the keywords are not strictly
+    /// ascending. Normalizing each keyword through [`Keyword::new`]
+    /// and collecting still yields the set the sender meant.
+    NotCanonical,
+}
+
 /// A set of keywords — `K_σ` for an object, or a query set `K`.
 ///
-/// Internally a sorted set, so equality, subset tests, and iteration
-/// order are canonical.
+/// Stored packed: `[n: u16]([len: u16][utf-8])*`, little-endian,
+/// keywords strictly ascending by their bytes. Equal sets have equal
+/// buffers; ordering compares keyword by keyword (the order of a
+/// sorted set of strings, *not* a `memcmp` of the buffers, whose
+/// length prefixes would sort `"b"` before `"aa"`).
 ///
 /// # Example
 ///
@@ -114,9 +226,21 @@ impl std::str::FromStr for Keyword {
 /// assert_eq!(k_obj.len(), 4);
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct KeywordSet(BTreeSet<Keyword>);
+// Invariant: empty for the empty set (so `new` allocates nothing),
+// otherwise exactly the canonical packed form with `n ≥ 1`.
+#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(try_from = "Vec<String>", into = "Vec<String>")]
+pub struct KeywordSet(Box<[u8]>);
+
+/// The packed form of the empty set.
+const EMPTY_PACKED: [u8; 2] = [0, 0];
+
+/// Appends one packed entry: the keyword's length, then its bytes.
+fn push_entry(buf: &mut Vec<u8>, keyword: &[u8]) {
+    let len = u16::try_from(keyword.len()).expect("keywords are at most MAX_KEYWORD_LEN bytes");
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(keyword);
+}
 
 impl KeywordSet {
     /// The empty keyword set.
@@ -130,53 +254,193 @@ impl KeywordSet {
     ///
     /// # Errors
     ///
-    /// Never fails on separator-only input (empty tokens are skipped);
-    /// present for future validation and API stability.
+    /// Never fails on separator-only input (empty tokens are skipped).
+    /// Returns [`Error::KeywordTooLong`] / [`Error::TooManyKeywords`]
+    /// past the packed form's limits.
     pub fn parse(raw: &str) -> Result<Self, Error> {
-        let mut set = BTreeSet::new();
-        for token in raw.split(|c: char| c == ',' || c.is_whitespace()) {
-            if !token.trim().is_empty() {
-                set.insert(Keyword::new(token)?);
-            }
-        }
-        Ok(KeywordSet(set))
+        Self::from_strs(
+            raw.split(|c: char| c == ',' || c.is_whitespace())
+                .filter(|token| !token.trim().is_empty()),
+        )
     }
 
     /// Builds a set from anything iterable as string slices.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyKeyword`] if any item normalizes to empty.
+    /// Returns [`Error::EmptyKeyword`] if any item normalizes to empty,
+    /// [`Error::KeywordTooLong`] if one exceeds [`MAX_KEYWORD_LEN`]
+    /// bytes, and [`Error::TooManyKeywords`] for more than
+    /// [`MAX_KEYWORDS`] distinct keywords.
     pub fn from_strs<I, S>(items: I) -> Result<Self, Error>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut set = BTreeSet::new();
-        for item in items {
-            set.insert(Keyword::new(item.as_ref())?);
+        let keywords = items
+            .into_iter()
+            .map(|item| Keyword::new(item.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_views(keywords.iter().map(Keyword::view).collect())
+    }
+
+    /// Sorts and deduplicates `keywords`, then packs them.
+    fn from_views(mut keywords: Vec<KeywordRef<'_>>) -> Result<Self, Error> {
+        if !keywords.windows(2).all(|w| w[0] < w[1]) {
+            keywords.sort_unstable();
+            keywords.dedup();
         }
-        Ok(KeywordSet(set))
+        Self::pack(keywords.iter().map(|k| k.0))
+    }
+
+    /// Packs strictly ascending, validated keywords into one
+    /// exactly-sized buffer.
+    fn pack<'a>(keywords: impl Iterator<Item = &'a [u8]> + Clone) -> Result<Self, Error> {
+        let (count, text) = keywords
+            .clone()
+            .fold((0usize, 0usize), |(n, bytes), k| (n + 1, bytes + k.len()));
+        if count == 0 {
+            return Ok(KeywordSet::default());
+        }
+        let n = u16::try_from(count).map_err(|_| Error::TooManyKeywords { count })?;
+        let mut buf = Vec::with_capacity(2 + 2 * count + text);
+        buf.extend_from_slice(&n.to_le_bytes());
+        for k in keywords {
+            push_entry(&mut buf, k);
+        }
+        Ok(KeywordSet(buf.into_boxed_slice()))
+    }
+
+    /// The packed form: `[n: u16]([len: u16][utf-8])*`, little-endian,
+    /// keywords strictly ascending. This is the set's wire encoding.
+    pub fn as_packed(&self) -> &[u8] {
+        if self.0.is_empty() {
+            &EMPTY_PACKED
+        } else {
+            &self.0
+        }
+    }
+
+    /// Reads one packed set off the front of `buf`, returning it with
+    /// the number of bytes it spans. A canonical buffer is validated in
+    /// one pass and adopted with one copy.
+    ///
+    /// # Errors
+    ///
+    /// [`PackedError::Truncated`] / [`PackedError::BadUtf8`] for a
+    /// malformed buffer, reported at the first offending field;
+    /// [`PackedError::NotCanonical`] for a well-formed one that must be
+    /// normalized keyword by keyword instead.
+    pub fn decode_packed(buf: &[u8]) -> Result<(KeywordSet, usize), PackedError> {
+        fn take<'b>(buf: &'b [u8], pos: &mut usize, n: usize) -> Result<&'b [u8], PackedError> {
+            let have = buf.len() - *pos;
+            if have < n {
+                return Err(PackedError::Truncated {
+                    needed: n - have,
+                    have,
+                });
+            }
+            let out = &buf[*pos..*pos + n];
+            *pos += n;
+            Ok(out)
+        }
+        fn take_u16(buf: &[u8], pos: &mut usize) -> Result<usize, PackedError> {
+            let b = take(buf, pos, 2)?;
+            Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
+        }
+
+        let mut pos = 0;
+        let n = take_u16(buf, &mut pos)?;
+        // Keywords are non-empty, so the empty slice sorts below all.
+        let mut prev: &[u8] = &[];
+        for _ in 0..n {
+            let len = take_u16(buf, &mut pos)?;
+            let bytes = take(buf, &mut pos, len)?;
+            let text = std::str::from_utf8(bytes).map_err(|_| PackedError::BadUtf8)?;
+            if !is_normalized(text) || prev >= bytes {
+                return Err(PackedError::NotCanonical);
+            }
+            prev = bytes;
+        }
+        let set = if n == 0 {
+            KeywordSet::default()
+        } else {
+            KeywordSet(buf[..pos].into())
+        };
+        Ok((set, pos))
+    }
+
+    /// Heap bytes this set owns: the length of its one buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Where `needle` sits in the packed buffer: `Ok` with the byte
+    /// range of its entry (length prefix included), or `Err` with the
+    /// offset it would be inserted at.
+    fn locate(&self, needle: &[u8]) -> Result<std::ops::Range<usize>, usize> {
+        let mut pos = EMPTY_PACKED.len();
+        for k in self.iter() {
+            let end = pos + 2 + k.0.len();
+            match k.0.cmp(needle) {
+                Ordering::Less => pos = end,
+                Ordering::Equal => return Ok(pos..end),
+                Ordering::Greater => break,
+            }
+        }
+        Err(pos)
     }
 
     /// Adds a keyword. Returns `false` if it was already present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set already holds [`MAX_KEYWORDS`] keywords.
     pub fn insert(&mut self, keyword: Keyword) -> bool {
-        self.0.insert(keyword)
+        let Err(at) = self.locate(keyword.as_bytes()) else {
+            return false;
+        };
+        let count = self.len() + 1;
+        let n =
+            u16::try_from(count).unwrap_or_else(|_| panic!("{}", Error::TooManyKeywords { count }));
+        let old = self.as_packed();
+        let text = keyword.as_bytes();
+        let mut buf = Vec::with_capacity(old.len() + 2 + text.len());
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&old[2..at]);
+        push_entry(&mut buf, text);
+        buf.extend_from_slice(&old[at..]);
+        self.0 = buf.into_boxed_slice();
+        true
     }
 
     /// Removes a keyword. Returns `false` if it was absent.
     pub fn remove(&mut self, keyword: &Keyword) -> bool {
-        self.0.remove(keyword)
+        let Ok(entry) = self.locate(keyword.as_bytes()) else {
+            return false;
+        };
+        let n = self.len() as u16 - 1;
+        if n == 0 {
+            self.0 = Box::default();
+            return true;
+        }
+        let mut buf = Vec::with_capacity(self.0.len() - entry.len());
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&self.0[2..entry.start]);
+        buf.extend_from_slice(&self.0[entry.end..]);
+        self.0 = buf.into_boxed_slice();
+        true
     }
 
     /// Whether the set contains `keyword`.
     pub fn contains(&self, keyword: &Keyword) -> bool {
-        self.0.contains(keyword)
+        self.locate(keyword.as_bytes()).is_ok()
     }
 
     /// Number of keywords.
     pub fn len(&self) -> usize {
-        self.0.len()
+        let packed = self.as_packed();
+        usize::from(u16::from_le_bytes([packed[0], packed[1]]))
     }
 
     /// Whether the set is empty.
@@ -187,28 +451,72 @@ impl KeywordSet {
     /// Whether `self` *describes* an object with keyword set `k_obj`
     /// (`self ⊆ k_obj`, §2.2).
     pub fn describes(&self, k_obj: &KeywordSet) -> bool {
-        self.0.is_subset(&k_obj.0)
+        k_obj.is_superset(self)
     }
 
-    /// Whether `self` is a superset of `other`.
+    /// Whether `self` is a superset of `other`: one merge pass over the
+    /// two sorted buffers.
     pub fn is_superset(&self, other: &KeywordSet) -> bool {
-        self.0.is_superset(&other.0)
+        if other.len() > self.len() {
+            return false;
+        }
+        let mut mine = self.iter();
+        other.iter().all(|want| {
+            mine.find(|have| have.0 >= want.0)
+                .is_some_and(|have| have.0 == want.0)
+        })
     }
 
     /// The keywords in `self` but not in `other` — the "extra" keywords
     /// the ranking mechanism groups by.
     pub fn difference(&self, other: &KeywordSet) -> KeywordSet {
-        KeywordSet(self.0.difference(&other.0).cloned().collect())
+        let mut theirs = other.iter().peekable();
+        let kept: Vec<&[u8]> = self
+            .iter()
+            .map(KeywordRef::as_bytes)
+            .filter(|&mine| {
+                while theirs.next_if(|t| t.0 < mine).is_some() {}
+                theirs.peek().is_none_or(|t| t.0 != mine)
+            })
+            .collect();
+        Self::pack(kept.iter().copied()).expect("a subset of a valid set is within the limits")
     }
 
     /// The union of two sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the union holds more than [`MAX_KEYWORDS`] keywords.
     pub fn union(&self, other: &KeywordSet) -> KeywordSet {
-        KeywordSet(self.0.union(&other.0).cloned().collect())
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        let mut merged: Vec<&[u8]> = Vec::with_capacity(self.len() + other.len());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.0.cmp(y.0) {
+                    Ordering::Less => a.next(),
+                    Ordering::Greater => b.next(),
+                    Ordering::Equal => {
+                        b.next();
+                        a.next()
+                    }
+                },
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(k) => merged.push(k.0),
+                None => break,
+            }
+        }
+        Self::pack(merged.iter().copied()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Iterates over keywords in sorted order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter(self.0.iter())
+        Iter {
+            rest: self.0.get(2..).unwrap_or_default(),
+            remaining: self.len(),
+        }
     }
 
     /// A 64-bit Bloom-style signature: the OR of every member's
@@ -222,30 +530,38 @@ impl KeywordSet {
     /// confirmed by [`KeywordSet::is_superset`]. The empty set's
     /// signature is `0`.
     pub fn signature(&self) -> u64 {
-        self.0.iter().fold(0, |sig, k| sig | k.signature_bit())
+        self.iter().fold(0, |sig, k| sig | k.signature_bit())
     }
 }
 
 /// Iterator over the keywords of a [`KeywordSet`] in sorted order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a>(btree_set::Iter<'a, Keyword>);
+pub struct Iter<'a> {
+    /// The packed entries not yet yielded.
+    rest: &'a [u8],
+    remaining: usize,
+}
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Keyword;
+    type Item = KeywordRef<'a>;
 
-    fn next(&mut self) -> Option<&'a Keyword> {
-        self.0.next()
+    fn next(&mut self) -> Option<KeywordRef<'a>> {
+        let (len, rest) = self.rest.split_first_chunk::<2>()?;
+        let (keyword, rest) = rest.split_at(usize::from(u16::from_le_bytes(*len)));
+        self.rest = rest;
+        self.remaining -= 1;
+        Some(KeywordRef(keyword))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        (self.remaining, Some(self.remaining))
     }
 }
 
-impl<'a> ExactSizeIterator for Iter<'a> {}
+impl ExactSizeIterator for Iter<'_> {}
 
 impl<'a> IntoIterator for &'a KeywordSet {
-    type Item = &'a Keyword;
+    type Item = KeywordRef<'a>;
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
@@ -255,29 +571,98 @@ impl<'a> IntoIterator for &'a KeywordSet {
 
 impl IntoIterator for KeywordSet {
     type Item = Keyword;
-    type IntoIter = btree_set::IntoIter<Keyword>;
+    type IntoIter = std::vec::IntoIter<Keyword>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        let keywords: Vec<Keyword> = self.iter().map(KeywordRef::to_keyword).collect();
+        keywords.into_iter()
     }
 }
 
+/// # Panics
+///
+/// Collecting more than [`MAX_KEYWORDS`] distinct keywords panics.
 impl FromIterator<Keyword> for KeywordSet {
     fn from_iter<I: IntoIterator<Item = Keyword>>(iter: I) -> Self {
-        KeywordSet(iter.into_iter().collect())
+        let keywords: Vec<Keyword> = iter.into_iter().collect();
+        keywords.iter().map(Keyword::view).collect()
     }
 }
 
+/// Collects keywords borrowed from other sets — a subset or a mix —
+/// copying bytes only into the new buffer.
+///
+/// # Panics
+///
+/// Collecting more than [`MAX_KEYWORDS`] distinct keywords panics.
+impl<'a> FromIterator<KeywordRef<'a>> for KeywordSet {
+    fn from_iter<I: IntoIterator<Item = KeywordRef<'a>>>(iter: I) -> Self {
+        Self::from_views(iter.into_iter().collect()).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// # Panics
+///
+/// Growing past [`MAX_KEYWORDS`] distinct keywords panics.
 impl Extend<Keyword> for KeywordSet {
     fn extend<I: IntoIterator<Item = Keyword>>(&mut self, iter: I) {
-        self.0.extend(iter);
+        *self = self.union(&iter.into_iter().collect());
+    }
+}
+
+/// Keyword by keyword, a shorter prefix first — the order of the
+/// sorted string set each buffer packs.
+impl Ord for KeywordSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for KeywordSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Feeds a hasher what a sorted set of strings feeds it — the count,
+/// then each keyword as a `str` — so hash-derived decisions (the
+/// result cache's doorkeeper cells) do not depend on the packing.
+impl Hash for KeywordSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for k in self {
+            state.write(k.0);
+            state.write_u8(0xff);
+        }
+    }
+}
+
+impl TryFrom<Vec<String>> for KeywordSet {
+    type Error = Error;
+
+    fn try_from(items: Vec<String>) -> Result<Self, Error> {
+        Self::from_strs(items)
+    }
+}
+
+impl From<KeywordSet> for Vec<String> {
+    fn from(set: KeywordSet) -> Vec<String> {
+        set.iter().map(|k| k.as_str().to_owned()).collect()
+    }
+}
+
+impl fmt::Debug for KeywordSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("KeywordSet(")?;
+        f.debug_set().entries(self.iter()).finish()?;
+        f.write_str(")")
     }
 }
 
 impl fmt::Display for KeywordSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, k) in self.0.iter().enumerate() {
+        for (i, k) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -363,7 +748,7 @@ mod tests {
         let b = KeywordSet::parse("z x y").unwrap();
         assert_eq!(a, b);
         assert_eq!(
-            a.iter().map(Keyword::as_str).collect::<Vec<_>>(),
+            a.iter().map(KeywordRef::as_str).collect::<Vec<_>>(),
             vec!["x", "y", "z"],
             "iteration is sorted"
         );

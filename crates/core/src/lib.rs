@@ -105,7 +105,7 @@ pub use hashing::KeywordHasher;
 pub use hyperdex_dht::ObjectId;
 pub use index::IndexTable;
 pub use intern::KeywordInterner;
-pub use keyword::{Keyword, KeywordSet};
+pub use keyword::{Keyword, KeywordRef, KeywordSet, PackedError};
 pub use mapping::VertexMap;
 pub use protocol::{
     FtCmd, FtCoordinator, FtCoverage, FtPolicy, RecoveryStrategy, SupersetCoordinator,

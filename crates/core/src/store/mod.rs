@@ -70,8 +70,8 @@ impl std::fmt::Display for StoreBackend {
 }
 
 /// Memory accounting for one store (see `DESIGN.md` §17 for the
-/// table-backend estimation model; slab numbers are measured buffer
-/// capacities).
+/// table-backend estimation model; slab numbers and, on both backends,
+/// the keyword sets are measured buffer sizes).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreFootprint {
     /// Total resident bytes attributed to the store.
@@ -86,8 +86,8 @@ pub struct StoreFootprint {
     /// Arena bytes retired by re-encodes and removals, not yet
     /// compacted away (0 on the table backend).
     pub arena_waste: usize,
-    /// Heap-byte estimate of the interned keyword sets (both backends,
-    /// same model).
+    /// Heap bytes of the interned keyword sets: each set's packed
+    /// buffer plus its `Arc` block (both backends, same sets).
     pub key_bytes: usize,
 }
 
@@ -115,21 +115,12 @@ impl StoreFootprint {
     }
 }
 
-/// Heap-byte estimate of one interned keyword set, charged identically
-/// to both backends (they share the interned `Arc`s): per keyword the
-/// string bytes plus `KEYWORD_NODE` for the `String` header and its
-/// `BTreeSet` node share, plus `SET_HEADER` for the set and `Arc`
-/// headers.
-pub fn keyword_set_heap_bytes(set: &KeywordSet) -> usize {
-    /// `String` (24) + amortized `BTreeSet` node share (~24).
-    const KEYWORD_NODE: usize = 48;
-    /// `BTreeSet` root (24) + `Arc` refcount header (16).
-    const SET_HEADER: usize = 40;
-    SET_HEADER
-        + set
-            .iter()
-            .map(|k| k.as_str().len() + KEYWORD_NODE)
-            .sum::<usize>()
+/// Heap bytes of one interned `Arc<KeywordSet>`, charged identically
+/// to both backends (they share the interned `Arc`s): the `Arc` block
+/// — two reference counts and the set's buffer handle — plus the
+/// packed buffer itself.
+fn key_heap_bytes(set: &KeywordSet) -> usize {
+    2 * std::mem::size_of::<usize>() + std::mem::size_of::<KeywordSet>() + set.heap_bytes()
 }
 
 /// Table-backend estimation constants (measured structures are
@@ -264,16 +255,16 @@ impl PostingStore {
         }
     }
 
-    /// Memory accounting. Slab numbers are measured capacities; table
-    /// numbers use the estimation model of `DESIGN.md` §17 (both
-    /// charge the shared interned keyword sets identically, so the
-    /// comparison isolates the container layout).
+    /// Memory accounting. Slab numbers are measured capacities; the
+    /// table's containers use the estimation model of `DESIGN.md` §17
+    /// (both charge the shared interned keyword sets their measured
+    /// bytes, so the comparison isolates the container layout).
     pub fn footprint(&self) -> StoreFootprint {
         match self {
             PostingStore::Table(t) => {
-                let key_bytes: usize = t.iter().map(|(k, _)| keyword_set_heap_bytes(k)).sum();
+                let key_bytes: usize = t.iter().map(|(k, _)| key_heap_bytes(k)).sum();
                 StoreFootprint {
-                    bytes_resident: std::mem::size_of::<IndexTable>()
+                    bytes_resident: std::mem::size_of::<Self>()
                         + t.keyword_set_count() * TABLE_MAP_ENTRY_BYTES
                         + t.object_count() * TABLE_SET_OBJECT_BYTES
                         + key_bytes,
@@ -423,6 +414,12 @@ mod tests {
             s.bytes_resident,
             t.bytes_resident
         );
+        // The keyword sets are measured, not modelled, and both
+        // backends hold the same ones: 50 distinct sets, each its
+        // packed buffer plus a 32-byte `Arc` block.
+        let measured: usize = table.iter().map(|(k, _)| 32 + k.as_packed().len()).sum();
+        assert_eq!(t.key_bytes, measured);
+        assert_eq!(s.key_bytes, measured);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use hyperdex_dht::ObjectId;
 
 use crate::keyword::KeywordSet;
 use crate::store::codec::{decode_into, encode_list, push_varint, DeltaIter};
-use crate::store::{keyword_set_heap_bytes, StoreFootprint};
+use crate::store::{key_heap_bytes, StoreFootprint};
 
 /// Descriptor of one slot's encoded posting list in the arena.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,7 +75,7 @@ pub struct SlabStore {
     live: usize,
     /// Total indexed objects across all slots.
     objects: usize,
-    /// Heap-byte estimate of the live interned keyword sets.
+    /// Heap bytes of the live interned keyword sets.
     key_bytes: usize,
     /// Reused decode buffer for mutations.
     scratch: Vec<u64>,
@@ -220,8 +220,8 @@ impl SlabStore {
         }
     }
 
-    /// Memory accounting: measured buffer capacities plus the shared
-    /// keyword-heap estimate (see [`crate::store::keyword_set_heap_bytes`]).
+    /// Memory accounting: measured buffer capacities plus the measured
+    /// bytes of the interned keyword sets.
     pub fn footprint(&self) -> StoreFootprint {
         let slab_bytes = self.sigs.capacity() * std::mem::size_of::<u64>();
         let resident = std::mem::size_of::<Self>()
@@ -287,7 +287,7 @@ impl SlabStore {
     fn insert_new(&mut self, keywords: Arc<KeywordSet>, sig: u64, object: ObjectId) -> bool {
         let off = u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
         let len = push_varint(&mut self.arena, object.raw()) as u32;
-        self.key_bytes += keyword_set_heap_bytes(&keywords);
+        self.key_bytes += key_heap_bytes(&keywords);
         self.sigs.push(sig);
         self.keys.push(Some(keywords));
         self.posts.push(PostingList {
@@ -378,7 +378,7 @@ impl SlabStore {
         let pl = self.posts[slot];
         self.arena_waste += pl.len as usize;
         if let Some(key) = self.keys[slot].take() {
-            self.key_bytes -= keyword_set_heap_bytes(&key);
+            self.key_bytes -= key_heap_bytes(&key);
         }
         self.sigs[slot] = 0;
         self.posts[slot] = PostingList::default();

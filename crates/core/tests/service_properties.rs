@@ -55,7 +55,7 @@ proptest! {
             prop_assert!(out.outcome.results.contains(&ObjectId::from_raw(i as u64)));
         }
         // Superset search with the first keyword finds supersets only.
-        let first: KeywordSet = sets[0].iter().take(1).cloned().collect();
+        let first: KeywordSet = sets[0].iter().take(1).collect();
         let out = svc
             .superset_search(publisher, &SupersetQuery::new(first.clone()).use_cache(false))
             .expect("valid");

@@ -150,6 +150,64 @@ fn every_variant_survives_every_split_point() {
     }
 }
 
+/// An `Insert` frame around hand-written keyword fields — what an
+/// encoder that does not sort, fold case or deduplicate would send.
+fn insert_frame(keywords: &[&str]) -> Vec<u8> {
+    let mut body = vec![0u8]; // the Insert tag
+    body.extend_from_slice(&17u64.to_le_bytes());
+    body.extend_from_slice(&(keywords.len() as u16).to_le_bytes());
+    for k in keywords {
+        body.extend_from_slice(&(k.len() as u16).to_le_bytes());
+        body.extend_from_slice(k.as_bytes());
+    }
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+#[test]
+fn non_canonical_keyword_frames_survive_every_split_point() {
+    // The keyword validator sees the frame only after reassembly, so
+    // however the stream tears, a sloppy spelling reads back as the
+    // set it names and a broken one as its typed error.
+    let expect = WireMsg::Insert {
+        object: 17,
+        keywords: KeywordSet::from_strs(["日本", "éa", "mp3"]).unwrap(),
+    };
+    let spellings: [&[&str]; 4] = [
+        &["mp3", "éa", "日本"],
+        &["日本", "mp3", "éa"],
+        &["MP3", " Éa", "日本", "mp3"],
+        &["éa", "日本\n", "Mp3", "ÉA"],
+    ];
+    for fields in spellings {
+        let frame = insert_frame(fields);
+        let unit = encode_unit(3, &frame);
+        for split in 0..=unit.len() {
+            let mut dec = StreamDecoder::new();
+            dec.push(&unit[..split]);
+            dec.push(&unit[split..]);
+            let got = dec.next_unit().expect("well-formed").expect("complete");
+            assert_eq!(got.frame, frame, "frame mangled at split {split}");
+            assert_eq!(WireMsg::decode_exact(&got.frame).as_ref(), Ok(&expect));
+            assert_eq!(dec.buffered(), 0);
+        }
+    }
+    assert_eq!(expect.encode(), insert_frame(spellings[0]));
+
+    // A keyword cut mid-character by its own length field.
+    let mut torn = insert_frame(&["日本"]);
+    let last = torn.len() - 1;
+    torn.truncate(last);
+    torn[..4].copy_from_slice(&((last - 4) as u32).to_le_bytes());
+    let at = 4 + 1 + 8 + 2;
+    torn[at..at + 2].copy_from_slice(&5u16.to_le_bytes());
+    let mut dec = StreamDecoder::new();
+    dec.push(&encode_unit(0, &torn));
+    let unit = dec.next_unit().expect("framing intact").expect("complete");
+    assert_eq!(WireMsg::decode_exact(&unit.frame), Err(WireError::BadUtf8));
+}
+
 #[test]
 fn whole_conversation_fed_one_byte_at_a_time() {
     let msgs = all_variants();
@@ -222,6 +280,19 @@ fn garbage_headers_error_or_wait_but_never_panic() {
                 Err(WireError::Oversized { .. }) => break,
                 Err(other) => panic!("unexpected decoder error: {other:?}"),
             }
+        }
+        // The same soup where an Insert's keyword field belongs, in a
+        // well-framed unit: the set validator gets to read it, and
+        // whatever it accepts must read back the same.
+        let mut frame = ((1 + 8 + soup.len()) as u32).to_le_bytes().to_vec();
+        frame.push(0);
+        frame.extend_from_slice(&17u64.to_le_bytes());
+        frame.extend_from_slice(&soup);
+        let mut dec = StreamDecoder::new();
+        dec.push(&encode_unit(0, &frame));
+        let unit = dec.next_unit().expect("framing intact").expect("complete");
+        if let Ok(msg) = WireMsg::decode_exact(&unit.frame) {
+            assert_eq!(WireMsg::decode_exact(&msg.encode()), Ok(msg));
         }
     }
 }

@@ -13,7 +13,9 @@
 //!
 //! All integers are little-endian and fixed-width. Variable-length
 //! fields carry their own count: keywords are `u16 count` then per
-//! keyword `u16 len + UTF-8 bytes`; object lists are `u32 count` of
+//! keyword `u16 len + UTF-8 bytes` — the packed form a [`KeywordSet`]
+//! holds in memory, so a set is written with one copy and a canonical
+//! one is read with one validation pass; object lists are `u32 count` of
 //! fixed-width records. `Option<u8>` dimensions encode as a single
 //! byte with `0xFF` for `None` (dimensions never exceed 62).
 //!
@@ -25,7 +27,7 @@
 
 use std::fmt;
 
-use hyperdex_core::{Keyword, KeywordSet, RecoveryStrategy};
+use hyperdex_core::{Error, Keyword, KeywordSet, PackedError, RecoveryStrategy};
 
 /// Upper bound on a frame body; larger declared lengths are rejected
 /// before any allocation ([`WireError::Oversized`]).
@@ -296,6 +298,9 @@ pub enum WireError {
     /// A keyword failed [`Keyword::new`]'s validation (empty after
     /// normalization).
     BadKeyword,
+    /// A keyword normalizes to more bytes than a `u16` length prefix
+    /// can carry (lowercasing can lengthen a maximal keyword).
+    KeywordTooLong,
     /// An `FtQuery`'s strategy byte names no [`RecoveryStrategy`].
     BadStrategy(u8),
 }
@@ -315,6 +320,7 @@ impl fmt::Display for WireError {
             }
             WireError::BadUtf8 => write!(f, "keyword bytes are not valid UTF-8"),
             WireError::BadKeyword => write!(f, "keyword failed validation"),
+            WireError::KeywordTooLong => write!(f, "keyword exceeds the length limit"),
             WireError::BadStrategy(b) => write!(f, "unknown recovery strategy byte {b:#04x}"),
         }
     }
@@ -830,25 +836,36 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_keywords(out: &mut Vec<u8>, set: &KeywordSet) {
-    put_u16(out, set.len() as u16);
-    for kw in set.iter() {
-        let bytes = kw.as_bytes();
-        put_u16(out, bytes.len() as u16);
-        out.extend_from_slice(bytes);
-    }
+    out.extend_from_slice(set.as_packed());
 }
 
 fn get_keywords(r: &mut Reader<'_>) -> Result<KeywordSet, WireError> {
+    match KeywordSet::decode_packed(&r.buf[r.pos..]) {
+        Ok((set, used)) => {
+            r.pos += used;
+            Ok(set)
+        }
+        Err(PackedError::Truncated { needed, have }) => Err(WireError::Truncated { needed, have }),
+        Err(PackedError::BadUtf8) => Err(WireError::BadUtf8),
+        Err(PackedError::NotCanonical) => get_keywords_normalizing(r),
+    }
+}
+
+/// Reads a keyword set some other encoder wrote unsorted, duplicated or
+/// unnormalized: every keyword goes through [`Keyword::new`].
+fn get_keywords_normalizing(r: &mut Reader<'_>) -> Result<KeywordSet, WireError> {
     let n = r.u16()? as usize;
-    let mut set = KeywordSet::new();
+    let mut keywords = Vec::with_capacity(n.min(r.buf.len() - r.pos));
     for _ in 0..n {
         let len = r.u16()? as usize;
         let bytes = r.bytes(len)?;
         let text = std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?;
-        let kw = Keyword::new(text).map_err(|_| WireError::BadKeyword)?;
-        set.insert(kw);
+        keywords.push(Keyword::new(text).map_err(|e| match e {
+            Error::KeywordTooLong { .. } => WireError::KeywordTooLong,
+            _ => WireError::BadKeyword,
+        })?);
     }
-    Ok(set)
+    Ok(keywords.into_iter().collect())
 }
 
 /// Bounds-checked body reader; every miss is a precise `Truncated`.
@@ -1166,6 +1183,164 @@ mod tests {
         let mut frame = (body.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&body);
         assert_eq!(WireMsg::decode_exact(&frame), Err(WireError::BadUtf8));
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        text.split_whitespace()
+            .map(|b| u8::from_str_radix(b, 16).unwrap())
+            .collect()
+    }
+
+    /// Frames captured from the encoder as it was when a `KeywordSet`
+    /// was a `BTreeSet<String>` walked keyword by keyword: the packed
+    /// set must put the very same bytes on the wire.
+    #[test]
+    fn canonical_sets_encode_to_the_golden_frames() {
+        let keywords = KeywordSet::from_strs(["mp3", "jazz", "a b", "日本"]).unwrap();
+        let set_bytes = "04 00 03 00 61 20 62 04 00 6a 61 7a 7a 03 00 6d 70 33 \
+                         06 00 e6 97 a5 e6 9c ac";
+        let golden = [
+            (
+                WireMsg::Pin {
+                    query_id: 0x0102_0304_0506_0708,
+                    keywords: keywords.clone(),
+                },
+                format!("23 00 00 00 05 08 07 06 05 04 03 02 01 {set_bytes}"),
+            ),
+            (
+                WireMsg::Insert {
+                    object: 0xDEAD_BEEF,
+                    keywords: keywords.clone(),
+                },
+                format!("23 00 00 00 00 ef be ad de 00 00 00 00 {set_bytes}"),
+            ),
+            (
+                WireMsg::QueryAt {
+                    query_id: 11,
+                    keywords,
+                    threshold: 20,
+                    marks: vec![65_590, 0, 7],
+                },
+                format!(
+                    "45 00 00 00 10 0b 00 00 00 00 00 00 00 14 00 00 00 00 00 00 00 {set_bytes} \
+                     03 00 36 00 01 00 00 00 00 00 00 00 00 00 00 00 00 00 07 00 00 00 00 00 00 00"
+                ),
+            ),
+            (
+                WireMsg::Pin {
+                    query_id: 1,
+                    keywords: KeywordSet::new(),
+                },
+                "0b 00 00 00 05 01 00 00 00 00 00 00 00 00 00".to_owned(),
+            ),
+        ];
+        for (msg, hex) in golden {
+            let frame = unhex(&hex);
+            assert_eq!(msg.encode(), frame, "{msg:?}");
+            assert_eq!(WireMsg::decode_exact(&frame), Ok(msg));
+        }
+    }
+
+    /// An `Insert` frame around hand-written keyword fields.
+    fn insert_frame(keywords: &[&[u8]]) -> Vec<u8> {
+        let mut body = vec![TAG_INSERT];
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&(keywords.len() as u16).to_le_bytes());
+        for k in keywords {
+            body.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            body.extend_from_slice(k);
+        }
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    #[test]
+    fn non_canonical_keyword_fields_decode_to_the_normalized_set() {
+        let expect = WireMsg::Insert {
+            object: 1,
+            keywords: set("alpha beta"),
+        };
+        let spellings: [&[&[u8]]; 6] = [
+            &[b"alpha", b"beta"],            // canonical
+            &[b"beta", b"alpha"],            // unsorted
+            &[b"alpha", b"beta", b"alpha"],  // duplicated
+            &[b"ALPHA", b"Beta"],            // upper case
+            &[b"  alpha", b"beta\t"],        // padded
+            &[b"beta", b" Alpha ", b"BETA"], // all of it
+        ];
+        for fields in spellings {
+            let frame = insert_frame(fields);
+            assert_eq!(WireMsg::decode_exact(&frame).as_ref(), Ok(&expect));
+        }
+        // The re-encoding is the canonical frame whatever came in.
+        assert_eq!(expect.encode(), insert_frame(spellings[0]));
+        // Normalization can merge keywords that were distinct on the
+        // wire, and lowercasing can change a keyword's length.
+        let merged = WireMsg::decode_exact(&insert_frame(&["İ".as_bytes(), "i̇".as_bytes()]));
+        assert_eq!(
+            merged,
+            Ok(WireMsg::Insert {
+                object: 1,
+                keywords: KeywordSet::from_strs(["i̇"]).unwrap(),
+            })
+        );
+    }
+
+    #[test]
+    fn malformed_keyword_fields_keep_their_typed_errors() {
+        // Empty and whitespace-only keywords, alone or after a
+        // canonical one.
+        for fields in [&[b"" as &[u8]] as &[&[u8]], &[b"  "], &[b"alpha", b""]] {
+            assert_eq!(
+                WireMsg::decode_exact(&insert_frame(fields)),
+                Err(WireError::BadKeyword)
+            );
+        }
+        // Bad UTF-8 behind a keyword that already forced the
+        // normalizing path, and ahead of one that would.
+        for fields in [
+            &[b"ZED" as &[u8], &[0xFF, 0xFE]] as &[&[u8]],
+            &[&[0xC3], b"ZED"],
+        ] {
+            assert_eq!(
+                WireMsg::decode_exact(&insert_frame(fields)),
+                Err(WireError::BadUtf8)
+            );
+        }
+        // Errors come in stream order: the empty keyword is met first.
+        assert_eq!(
+            WireMsg::decode_exact(&insert_frame(&[b"", &[0xFF]])),
+            Err(WireError::BadKeyword)
+        );
+    }
+
+    /// The limits live in the types, so the encoder has nothing to
+    /// truncate; the one over-limit input a frame can carry is a
+    /// maximal keyword that lowercasing lengthens.
+    #[test]
+    fn over_limit_keywords_are_rejected_not_truncated() {
+        use hyperdex_core::keyword::{MAX_KEYWORDS, MAX_KEYWORD_LEN};
+
+        let longest = "x".repeat(MAX_KEYWORD_LEN);
+        let full = WireMsg::Insert {
+            object: 1,
+            keywords: KeywordSet::from_strs([longest.as_str(), "y"]).unwrap(),
+        };
+        assert_eq!(WireMsg::decode_exact(&full.encode()), Ok(full));
+
+        let widest = WireMsg::Insert {
+            object: 1,
+            keywords: KeywordSet::from_strs((0..MAX_KEYWORDS).map(|i| format!("k{i}"))).unwrap(),
+        };
+        assert_eq!(WireMsg::decode_exact(&widest.encode()), Ok(widest));
+
+        // 'İ' is two bytes, its lowercase three.
+        let growing = "İ".repeat(MAX_KEYWORD_LEN / 2);
+        assert_eq!(
+            WireMsg::decode_exact(&insert_frame(&[growing.as_bytes()])),
+            Err(WireError::KeywordTooLong)
+        );
     }
 
     #[test]

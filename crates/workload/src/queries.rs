@@ -102,9 +102,9 @@ impl QueryLog {
             if record.keywords.len() < target_size as usize {
                 continue;
             }
-            let words: Vec<_> = record.keywords.iter().cloned().collect();
+            let words: Vec<_> = record.keywords.iter().collect();
             let chosen = rng.sample_indices(words.len(), target_size as usize);
-            let set: KeywordSet = chosen.into_iter().map(|i| words[i].clone()).collect();
+            let set: KeywordSet = chosen.into_iter().map(|i| words[i]).collect();
             if seen.insert(set.clone()) {
                 pool.push(set);
             }

@@ -27,7 +27,7 @@ fn both_schemes_answer_conjunctive_queries_identically() {
     let (mut cube, dii) = build_both(&corpus, 10);
     for record in corpus.records().iter().take(20) {
         // Query: the first two keywords of the record.
-        let query: KeywordSet = record.keywords.iter().take(2).cloned().collect();
+        let query: KeywordSet = record.keywords.iter().take(2).collect();
         let mut cube_hits: Vec<_> = cube
             .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
             .expect("valid")

@@ -42,7 +42,7 @@ fn superset_search_finds_all_and_only_matches() {
     let requester = svc.random_node();
     // Use each of the first few records' first keyword as a query.
     for record in corpus.records().iter().take(10) {
-        let first_kw = record.keywords.iter().next().expect("non-empty").clone();
+        let first_kw = record.keywords.iter().next().expect("non-empty");
         let query: KeywordSet = [first_kw].into_iter().collect();
         let out = svc
             .superset_search(
@@ -114,7 +114,7 @@ fn bottom_up_returns_deepest_first_end_to_end() {
     let (mut svc, corpus, _publisher) = service_with_corpus(200);
     let requester = svc.random_node();
     let record = &corpus.records()[0];
-    let first_kw = record.keywords.iter().next().expect("non-empty").clone();
+    let first_kw = record.keywords.iter().next().expect("non-empty");
     let query: KeywordSet = [first_kw].into_iter().collect();
     let td = svc
         .superset_search(
