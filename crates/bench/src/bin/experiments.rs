@@ -16,9 +16,7 @@
 //! `cargo build -p hyperdex-net`.
 //!
 //! Experiments with environment knobs list them under `--list` and in
-//! the run-summary table. Every executor runs the slab posting store;
-//! the `scale` harness alone builds both backends, explicitly.
-//! A final table maps each experiment run to the artifact it produced.
+//! the run-summary table. A final table maps each experiment run to the artifact it produced.
 //! ```
 
 use std::process::ExitCode;
@@ -71,9 +69,8 @@ const EXPERIMENTS: [(&str, &str, &str); 17] = [
     ),
     (
         "scale",
-        "million-object mixed traffic: table vs slab store, SLOs, bytes/object",
-        "HYPERDEX_SCALE_OBJECTS, HYPERDEX_SCALE_SMOKE, HYPERDEX_SCALE_R, \
-         HYPERDEX_SCALE_PIN_P99_US, HYPERDEX_SCALE_SUP_P99_US",
+        "million-object mixed traffic: SLOs and bytes/object",
+        "HYPERDEX_SCALE_SMOKE",
     ),
 ];
 

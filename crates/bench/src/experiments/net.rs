@@ -30,7 +30,7 @@ use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_net::client::NetConfig;
 use hyperdex_net::cluster::{server_binary, Cluster, ClusterConfig};
 use hyperdex_net::parity::assert_net_parity;
-use hyperdex_runtime::{NodeRuntime, Request, RuntimeConfig, ShardPolicy};
+use hyperdex_runtime::{NodeRuntime, Request, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::experiments::runtime::{parity_queries, requests_for, PASSES};
@@ -44,8 +44,6 @@ pub const MIXES: [&str; 3] = ["pin", "scan", "mixed"];
 
 /// Cube dimension (same scan-heavy regime as the runtime sweep).
 const NET_R: u8 = 8;
-/// Shard placement both modes run under; recorded per row.
-const POLICY: ShardPolicy = ShardPolicy::Prefix;
 
 /// Objects indexed per scale. One size per scale — each cell pays
 /// real process launches, so the sweep axis is cluster size, not
@@ -62,8 +60,6 @@ pub struct NetRow {
     pub corpus_size: usize,
     /// Query-mix name (one of [`MIXES`]).
     pub mix: &'static str,
-    /// Shard-placement policy name (both modes).
-    pub policy: &'static str,
     /// Server processes (= worker shards).
     pub servers: u32,
     /// Requests kept in flight per connection (`NetConfig::window`).
@@ -194,14 +190,9 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
             .map(|pass| requests_for(mix, &corpus, &log, pass))
             .collect();
         for &servers in sizes {
-            // Channel mode: the in-process baseline on the same batch,
-            // same placement policy.
-            let mut rt = NodeRuntime::start(
-                RuntimeConfig::new(NET_R, servers)
-                    .seed(cell_seed)
-                    .policy(POLICY),
-            )
-            .expect("valid r");
+            // Channel mode: the in-process baseline on the same batch.
+            let mut rt = NodeRuntime::start(RuntimeConfig::new(NET_R, servers).seed(cell_seed))
+                .expect("valid r");
             rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
                 .expect("non-empty sets");
             rt.flush();
@@ -215,7 +206,6 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
 
             // Socket mode: one process per shard over loopback.
             let mut cfg = ClusterConfig::new(NET_R, cell_seed, servers, servers);
-            cfg.policy = POLICY;
             cfg.server_bin = Some(bin.clone());
             let cluster = Cluster::launch(cfg).expect("cluster launch");
             let mut client = cluster.client().expect("cluster client");
@@ -239,7 +229,6 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
                 r: NET_R,
                 corpus_size: objects,
                 mix,
-                policy: POLICY.name(),
                 servers,
                 window,
                 requests: passes[0].len(),
@@ -298,7 +287,6 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
         "r",
         "objects",
         "mix",
-        "policy",
         "processes",
         "window",
         "requests",
@@ -315,7 +303,6 @@ pub fn run(ctx: &SharedContext) -> Vec<NetRow> {
             row.r.to_string(),
             row.corpus_size.to_string(),
             row.mix.to_string(),
-            row.policy.to_string(),
             row.servers.to_string(),
             row.window.to_string(),
             row.requests.to_string(),
@@ -362,7 +349,7 @@ pub fn write_json(rows: &[NetRow], seed: u64, path: &Path) -> std::io::Result<()
         .iter()
         .map(|r| {
             format!(
-                "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\"policy\":\"{}\",\
+                "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\
                  \"servers\":{},\"window\":{},\
                  \"requests\":{},\"qps\":{:.2},\"p50_us\":{:.2},\"p99_us\":{:.2},\
                  \"frames\":{},\"channel_qps\":{:.2},\"socket_vs_channel\":{:.4},\
@@ -370,7 +357,6 @@ pub fn write_json(rows: &[NetRow], seed: u64, path: &Path) -> std::io::Result<()
                 r.r,
                 r.corpus_size,
                 r.mix,
-                r.policy,
                 r.servers,
                 r.window,
                 r.requests,
@@ -397,7 +383,6 @@ mod tests {
             r: 8,
             corpus_size: 1_000,
             mix: "pin",
-            policy: "prefix",
             servers: 2,
             window: 32,
             requests: 512,
@@ -416,7 +401,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.starts_with("{\"seed\":42,\"rows\":[\n"));
         assert!(text.contains("\"servers\":2"));
-        assert!(text.contains("\"policy\":\"prefix\""));
         assert!(text.contains("\"window\":32"));
         assert!(text.contains("\"channel_qps\":4500.00"));
         assert!(text.contains("\"socket_vs_channel\":0.2000"));

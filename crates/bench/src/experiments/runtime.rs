@@ -4,11 +4,10 @@
 //! The shared-nothing runtime claims that sharding the hypercube's
 //! vertices across worker threads buys throughput without changing a
 //! single result. This sweep measures both halves of the claim across
-//! **worker count**, **corpus size**, **query mix**, and **shard
-//! policy** (legacy uniform hash vs. prefix locality):
+//! **worker count**, **corpus size**, and **query mix**:
 //!
-//! * before anything is timed, every `(corpus, workers, policy)` cell
-//!   runs [`hyperdex_runtime::assert_sim_parity_with`] — runtime vs.
+//! * before anything is timed, every `(corpus, workers)` cell runs
+//!   [`hyperdex_runtime::assert_sim_parity`] — runtime vs.
 //!   message simulator vs. direct engine, set-identical results per
 //!   query plus frame conservation at shutdown, or the bench panics
 //!   (non-zero exit under the CI smoke job);
@@ -19,8 +18,8 @@
 //!   per-request latency.
 //!
 //! Most wall-clock numbers are reported, not asserted — CI boxes are
-//! noisy — but the issue-8 regression bar *is* enforced in-run: under
-//! the prefix policy the scan mix at the widest worker count `w` must
+//! noisy — but the issue-8 regression bar *is* enforced in-run: the
+//! scan mix at the widest worker count `w` must
 //! stay within the locality envelope of `w`× the 1-worker frame
 //! volume — the point-to-point floor is 2(regions−1)+2 frames per
 //! query against a 2-frame baseline, so the ratio is bounded by `w`
@@ -43,7 +42,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use hyperdex_core::{KeywordSet, ObjectId};
-use hyperdex_runtime::{assert_sim_parity_with, NodeRuntime, Request, RuntimeConfig, ShardPolicy};
+use hyperdex_runtime::{assert_sim_parity, NodeRuntime, Request, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::report::{f, json_series, section, Table};
@@ -51,8 +50,6 @@ use crate::{Scale, SharedContext};
 
 /// Worker-thread counts swept (the thread-count axis).
 pub const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
-/// Shard-placement policies swept (the locality axis).
-pub const POLICIES: [ShardPolicy; 2] = [ShardPolicy::Hash, ShardPolicy::Prefix];
 /// Corpus sizes swept at full scale.
 pub const CORPUS_SIZES_FULL: [usize; 2] = [16_000, 64_000];
 /// Corpus sizes swept at small scale (CI smoke). Sharding only pays
@@ -84,8 +81,6 @@ pub struct RuntimeRow {
     pub corpus_size: usize,
     /// Query-mix name (one of [`MIXES`]).
     pub mix: &'static str,
-    /// Shard-placement policy name (one of [`POLICIES`]).
-    pub policy: &'static str,
     /// Worker threads.
     pub workers: u32,
     /// Requests replayed through the batch window.
@@ -97,15 +92,14 @@ pub struct RuntimeRow {
     /// 99th-percentile per-request latency, microseconds.
     pub p99_us: f64,
     /// Total frames sent over the run (deterministic for a fixed seed,
-    /// corpus, policy, and worker count; conservation-checked at
-    /// shutdown).
+    /// corpus, and worker count; conservation-checked at shutdown).
     pub frames: u64,
     /// This cell's frames over the 1-worker frames of the same
-    /// `(corpus, mix, policy)` — the fan-out factor sharding costs.
+    /// `(corpus, mix)` — the fan-out factor sharding costs.
     /// Deterministic, so it doubles as a regression surface.
     pub frames_vs_single: f64,
     /// This cell's qps over the 1-worker qps of the same `(corpus,
-    /// mix, policy)` — > 1 ⇒ the extra threads paid for themselves.
+    /// mix)` — > 1 ⇒ the extra threads paid for themselves.
     pub speedup: f64,
     /// Share of the superset queries the workers' result caches
     /// answered without a traversal (hits plus coalesced waits) — a
@@ -116,13 +110,11 @@ pub struct RuntimeRow {
 impl RuntimeRow {
     /// The deterministic (seed-reproducible) projection of the row —
     /// everything except the wall-clock numbers.
-    #[allow(clippy::type_complexity)]
-    pub fn deterministic_key(&self) -> (u8, usize, &'static str, &'static str, u32, usize, u64) {
+    pub fn deterministic_key(&self) -> (u8, usize, &'static str, u32, usize, u64) {
         (
             self.r,
             self.corpus_size,
             self.mix,
-            self.policy,
             self.workers,
             self.requests,
             self.frames,
@@ -246,21 +238,16 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
         let entries: Vec<(ObjectId, KeywordSet)> =
             corpus.indexable().map(|(id, k)| (id, k.clone())).collect();
 
-        // Parity first, untimed: every worker count × policy must
-        // return set-identical results to the simulator and the direct
+        // Parity first, untimed: every worker count must return
+        // set-identical results to the simulator and the direct
         // engine, and conserve frames.
         let checks = parity_queries(&log);
         for &workers in &WORKER_COUNTS {
-            for policy in POLICIES {
-                let report = assert_sim_parity_with(
-                    RUNTIME_R, cell_seed, workers, policy, &entries, &checks,
-                );
-                assert_eq!(report.shutdown.in_flight(), 0);
-            }
+            let report = assert_sim_parity(RUNTIME_R, cell_seed, workers, &entries, &checks);
+            assert_eq!(report.shutdown.in_flight(), 0);
         }
         println!(
-            "parity: {} objects × {} queries × workers {WORKER_COUNTS:?} × \
-             policies [hash, prefix] — ok",
+            "parity: {} objects × {} queries × workers {WORKER_COUNTS:?} — ok",
             entries.len(),
             checks.len()
         );
@@ -269,78 +256,72 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
             let passes: Vec<Vec<Request>> = (0..PASSES)
                 .map(|pass| requests_for(mix, &corpus, &log, pass))
                 .collect();
-            for policy in POLICIES {
-                for &workers in &WORKER_COUNTS {
-                    let mut rt = NodeRuntime::start(
-                        RuntimeConfig::new(RUNTIME_R, workers)
-                            .seed(cell_seed)
-                            .policy(policy),
-                    )
-                    .expect("valid r");
-                    rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
-                        .expect("non-empty sets");
-                    rt.flush();
+            for &workers in &WORKER_COUNTS {
+                let mut rt =
+                    NodeRuntime::start(RuntimeConfig::new(RUNTIME_R, workers).seed(cell_seed))
+                        .expect("valid r");
+                rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
+                    .expect("non-empty sets");
+                rt.flush();
 
-                    // One warmup pass, then the best of REPS timed passes.
-                    rt.run_batch(&passes[0], WINDOW);
-                    let mut best_qps = 0.0f64;
-                    let mut best_lat: Vec<f64> = Vec::new();
-                    for requests in &passes[1..] {
-                        let t0 = Instant::now();
-                        let batch = rt.run_batch(requests, WINDOW);
-                        let secs = t0.elapsed().as_secs_f64();
-                        let qps = if secs == 0.0 {
-                            f64::INFINITY
-                        } else {
-                            requests.len() as f64 / secs
-                        };
-                        if qps >= best_qps {
-                            best_qps = qps;
-                            best_lat = batch
-                                .iter()
-                                .map(|b| b.latency.as_secs_f64() * 1e6)
-                                .collect();
-                        }
+                // One warmup pass, then the best of REPS timed passes.
+                rt.run_batch(&passes[0], WINDOW);
+                let mut best_qps = 0.0f64;
+                let mut best_lat: Vec<f64> = Vec::new();
+                for requests in &passes[1..] {
+                    let t0 = Instant::now();
+                    let batch = rt.run_batch(requests, WINDOW);
+                    let secs = t0.elapsed().as_secs_f64();
+                    let qps = if secs == 0.0 {
+                        f64::INFINITY
+                    } else {
+                        requests.len() as f64 / secs
+                    };
+                    if qps >= best_qps {
+                        best_qps = qps;
+                        best_lat = batch
+                            .iter()
+                            .map(|b| b.latency.as_secs_f64() * 1e6)
+                            .collect();
                     }
-                    best_lat.sort_by(|a, b| a.total_cmp(b));
-                    let pct = |p: f64| best_lat[((best_lat.len() - 1) as f64 * p) as usize];
-
-                    let report = rt.shutdown();
-                    report.assert_conserved();
-
-                    rows.push(RuntimeRow {
-                        r: RUNTIME_R,
-                        corpus_size: n,
-                        mix,
-                        policy: policy.name(),
-                        workers,
-                        requests: passes[0].len(),
-                        qps: best_qps,
-                        p50_us: pct(0.50),
-                        p99_us: pct(0.99),
-                        frames: report.total_sent(),
-                        // Both filled in below from the 1-worker
-                        // baseline of the same (corpus, mix, policy).
-                        frames_vs_single: 0.0,
-                        speedup: 0.0,
-                        cache_hit_ratio: report.cache().hit_ratio(),
-                    });
                 }
+                best_lat.sort_by(|a, b| a.total_cmp(b));
+                let pct = |p: f64| best_lat[((best_lat.len() - 1) as f64 * p) as usize];
+
+                let report = rt.shutdown();
+                report.assert_conserved();
+
+                rows.push(RuntimeRow {
+                    r: RUNTIME_R,
+                    corpus_size: n,
+                    mix,
+                    workers,
+                    requests: passes[0].len(),
+                    qps: best_qps,
+                    p50_us: pct(0.50),
+                    p99_us: pct(0.99),
+                    frames: report.total_sent(),
+                    // Both filled in below from the 1-worker
+                    // baseline of the same (corpus, mix).
+                    frames_vs_single: 0.0,
+                    speedup: 0.0,
+                    cache_hit_ratio: report.cache().hit_ratio(),
+                });
             }
         }
     }
 
     // Speedup and frame fan-out over the 1-worker run of the same
-    // (corpus, mix, policy).
-    let baselines: Vec<(usize, &'static str, &'static str, f64, u64)> = rows
+    // (corpus, mix).
+    let baselines: Vec<(usize, &'static str, f64, u64)> = rows
         .iter()
         .filter(|r| r.workers == 1)
-        .map(|r| (r.corpus_size, r.mix, r.policy, r.qps, r.frames))
+        .map(|r| (r.corpus_size, r.mix, r.qps, r.frames))
         .collect();
     for row in &mut rows {
-        let (_, _, _, base_qps, base_frames) = *baselines
+        let (_, _, base_qps, base_frames) = *baselines
             .iter()
-            .find(|(n, m, p, ..)| *n == row.corpus_size && *m == row.mix && *p == row.policy)
+            .find(|(n, m, ..)| *n == row.corpus_size && *m == row.mix)
             .expect("1-worker baseline exists");
         row.speedup = if base_qps == 0.0 {
             0.0
@@ -355,15 +336,15 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
     }
 
     // The issue-8 regression bar, asserted in-run so the CI bench
-    // smoke fails the build on a locality regression: under the prefix
-    // policy at the widest worker count, scans must beat the 1-worker
+    // smoke fails the build on a locality regression: at the widest
+    // worker count, scans must beat the 1-worker
     // baseline and stay within the locality envelope on frames. The
     // envelope is the point-to-point floor: a query spanning R prefix
     // regions needs one dispatch and one reply per cross-region edge
     // (2(R-1) frames) plus Query/QueryDone, R ≤ 2^⌈log2 w⌉ ≤ 2w, and
     // the 1-worker baseline pays 2 frames per query — so the ratio is
-    // bounded by w. (Measured: ~5.5 at w = 8, versus 22-64× for the
-    // hash policy or per-vertex dispatch.) The frame bound is
+    // bounded by w. (Measured: ~5.5 at w = 8, versus 22-64× for
+    // per-vertex hash placement or per-vertex dispatch.) The frame bound is
     // deterministic and always enforced; the wall-clock half only
     // means something in an optimized build on a host that actually
     // has `widest` cores — w threads on fewer cores can only
@@ -379,9 +360,10 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
             "a scan request was served from a result cache: {row:?}"
         );
     }
-    for row in rows.iter().filter(|r| {
-        r.policy == ShardPolicy::Prefix.name() && r.mix == "scan" && r.workers == widest
-    }) {
+    for row in rows
+        .iter()
+        .filter(|r| r.mix == "scan" && r.workers == widest)
+    {
         assert!(
             row.frames_vs_single <= widest as f64,
             "scan frame fan-out regressed: {row:?}"
@@ -401,7 +383,6 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
         "r",
         "objects",
         "mix",
-        "policy",
         "workers",
         "requests",
         "qps",
@@ -417,7 +398,6 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
             row.r.to_string(),
             row.corpus_size.to_string(),
             row.mix.to_string(),
-            row.policy.to_string(),
             row.workers.to_string(),
             row.requests.to_string(),
             f(row.qps, 0),
@@ -441,29 +421,21 @@ pub fn run(ctx: &SharedContext) -> Vec<RuntimeRow> {
     println!("\n### JSON series (vs worker count)\n");
     for &n in &corpus_sizes {
         for mix in MIXES {
-            for policy in POLICIES {
-                let points: Vec<(f64, f64)> = rows
-                    .iter()
-                    .filter(|row| {
-                        row.corpus_size == n && row.mix == mix && row.policy == policy.name()
-                    })
-                    .map(|row| (f64::from(row.workers), row.qps))
-                    .collect();
-                println!(
-                    "{}",
-                    json_series(
-                        "runtime_qps",
-                        &[
-                            ("objects", n.to_string()),
-                            ("mix", mix.to_string()),
-                            ("policy", policy.name().to_string()),
-                        ],
-                        "workers",
-                        "queries/sec",
-                        &points,
-                    )
-                );
-            }
+            let points: Vec<(f64, f64)> = rows
+                .iter()
+                .filter(|row| row.corpus_size == n && row.mix == mix)
+                .map(|row| (f64::from(row.workers), row.qps))
+                .collect();
+            println!(
+                "{}",
+                json_series(
+                    "runtime_qps",
+                    &[("objects", n.to_string()), ("mix", mix.to_string())],
+                    "workers",
+                    "queries/sec",
+                    &points,
+                )
+            );
         }
     }
     rows
@@ -480,14 +452,13 @@ pub fn write_json(rows: &[RuntimeRow], seed: u64, path: &Path) -> std::io::Resul
         .iter()
         .map(|r| {
             format!(
-                "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\"policy\":\"{}\",\
+                "{{\"r\":{},\"corpus_size\":{},\"mix\":\"{}\",\
                  \"workers\":{},\"requests\":{},\"qps\":{:.2},\"p50_us\":{:.2},\
                  \"p99_us\":{:.2},\"frames\":{},\"frames_vs_single\":{:.4},\
                  \"speedup\":{:.4},\"cache_hit_ratio\":{:.4}}}",
                 r.r,
                 r.corpus_size,
                 r.mix,
-                r.policy,
                 r.workers,
                 r.requests,
                 r.qps,
@@ -513,7 +484,7 @@ mod tests {
         let rows = run(&ctx);
         assert_eq!(
             rows.len(),
-            CORPUS_SIZES_SMALL.len() * MIXES.len() * POLICIES.len() * WORKER_COUNTS.len()
+            CORPUS_SIZES_SMALL.len() * MIXES.len() * WORKER_COUNTS.len()
         );
         for row in &rows {
             assert!(row.requests > 0, "empty batch in {row:?}");
@@ -538,7 +509,6 @@ mod tests {
             r: 8,
             corpus_size: 1_000,
             mix: "scan",
-            policy: "prefix",
             workers: 4,
             requests: 96,
             qps: 1234.5,
@@ -556,7 +526,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.starts_with("{\"seed\":42,\"rows\":[\n"));
         assert!(text.contains("\"mix\":\"scan\""));
-        assert!(text.contains("\"policy\":\"prefix\""));
         assert!(text.contains("\"qps\":1234.50"));
         assert!(text.contains("\"frames_vs_single\":1.2500"));
         assert!(text.contains("\"speedup\":2.5000"));

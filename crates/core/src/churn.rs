@@ -752,10 +752,7 @@ fn start_handoff(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, src: u64
         return;
     }
     st.stats.handoffs_started += 1;
-    let table = sim
-        .tables
-        .remove(&bits)
-        .unwrap_or_else(|| PostingStore::new(sim.store));
+    let table = sim.tables.remove(&bits).unwrap_or_default();
     let entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)> = table
         .iter()
         .map(|(k, objs)| (Arc::clone(k), objs.collect()))
@@ -780,7 +777,7 @@ fn start_handoff(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, src: u64
             batches,
             acked: 0,
             received: 0,
-            staged: PostingStore::new(sim.store),
+            staged: PostingStore::default(),
             complete: false,
             attempts: 0,
             timer: None,
@@ -875,9 +872,7 @@ fn on_handoff_batch(
             h.received += 1;
             let installed = last.then(|| {
                 h.complete = true;
-                let backend = h.staged.backend();
-                let staged = std::mem::replace(&mut h.staged, PostingStore::new(backend));
-                (staged, h.dst)
+                (std::mem::take(&mut h.staged), h.dst)
             });
             Some((count, installed))
         }
@@ -1118,10 +1113,7 @@ fn on_repair_push(
     entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)>,
 ) {
     let mut added = 0u64;
-    let table = sim
-        .tables
-        .entry(bits)
-        .or_insert_with(|| PostingStore::new(sim.store));
+    let table = sim.tables.entry(bits).or_default();
     for (k, objs) in entries {
         for o in objs {
             if table.insert_arc(Arc::clone(&k), o) {

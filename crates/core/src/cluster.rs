@@ -46,8 +46,6 @@ pub struct HypercubeIndex {
     // index; each per-node cache catches up when next touched, so an
     // entry computed before a write never serves after it.
     generation: u64,
-    // Posting layout for every materialized vertex (DESIGN.md §17).
-    backend: StoreBackend,
     // Occupancy digests over prefix regions, kept exact on every
     // insert/remove so searches can prune provably-empty SBT subtrees.
     summary: OccupancySummary,
@@ -58,32 +56,31 @@ pub struct HypercubeIndex {
 
 impl HypercubeIndex {
     /// Creates an index over an `r`-dimensional hypercube with hash
-    /// seed `seed`, caches disabled, and the default posting backend
-    /// ([`StoreBackend::Slab`]).
+    /// seed `seed` and caches disabled.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
     pub fn new(r: u8, seed: u64) -> Result<Self, Error> {
-        Self::with_store(r, seed, StoreBackend::default())
-    }
-
-    /// [`HypercubeIndex::new`] with an explicit posting backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
-    pub fn with_store(r: u8, seed: u64, backend: StoreBackend) -> Result<Self, Error> {
         Ok(HypercubeIndex {
             hasher: KeywordHasher::new(r, seed)?,
             nodes: HashMap::new(),
             object_count: 0,
             cache_capacity: 0,
             generation: 0,
-            backend,
             summary: OccupancySummary::new(r),
             frontier: VecDeque::new(),
         })
+    }
+
+    /// [`HypercubeIndex::new`]. Shim: `benchmark/` names the (only)
+    /// backend here; remove with [`StoreBackend`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
+    pub fn with_store(r: u8, seed: u64, _backend: StoreBackend) -> Result<Self, Error> {
+        Self::new(r, seed)
     }
 
     /// Aggregate memory footprint of every materialized posting store
@@ -312,11 +309,10 @@ impl HypercubeIndex {
     /// configured).
     pub(crate) fn node_mut(&mut self, vertex: Vertex) -> &mut IndexNode {
         let capacity = self.cache_capacity;
-        let backend = self.backend;
         self.nodes
             .entry(vertex.bits())
             .or_insert_with(|| IndexNode {
-                store: PostingStore::new(backend),
+                store: PostingStore::default(),
                 cache: (capacity > 0).then(|| Box::new(FifoCache::new(capacity))),
             })
     }

@@ -204,8 +204,7 @@ impl IndexTable {
 
 /// Posting iterator of one table entry: the `BTreeSet` walk, plus an
 /// `Option` layer so a missed lookup yields an empty iterator of the
-/// same type. Named (not `impl Iterator`) so the backend-dispatching
-/// [`crate::store::PostingStore`] can embed it in an enum.
+/// same type.
 pub type TableObjects<'a> =
     std::iter::Flatten<std::option::IntoIter<std::iter::Copied<btree_set::Iter<'a, ObjectId>>>>;
 

@@ -44,9 +44,10 @@
 //! * [`summary`] — occupancy digests over prefix regions of the cube,
 //!   letting every search variant prune provably-empty SBT subtrees
 //!   while staying recall-safe (DESIGN.md §10).
-//! * [`store`] — pluggable per-vertex posting storage: the `BTreeMap`
-//!   tables of [`index`] or the struct-of-arrays slab layout with
-//!   delta-encoded postings — the default (DESIGN.md §17).
+//! * [`store`] — per-vertex posting storage: the struct-of-arrays
+//!   slab with delta-encoded postings every executor runs; the
+//!   `BTreeMap` tables of [`index`] are its test oracle (DESIGN.md
+//!   §17).
 //! * [`decompose`] — decomposed (multi-hypercube) indexes (§3.4).
 //! * [`analysis`] — Equation (1) and dimensioning guidance.
 //! * [`baseline`] — distributed inverted index and direct-DHT baselines
@@ -115,5 +116,5 @@ pub use search::{
 };
 pub use service::KeywordSearchService;
 pub use sim_protocol::{CoverageReport, FtConfig, ProtocolSim};
-pub use store::{PostingStore, SlabStore, StoreBackend, StoreFootprint};
+pub use store::{PostingStore, StoreBackend, StoreFootprint};
 pub use summary::{OccupancySummary, SubtreeDigest};

@@ -829,7 +829,6 @@ mod tests {
     use super::*;
     use crate::cluster::HypercubeIndex;
     use crate::search::SupersetQuery;
-    use crate::store::StoreBackend;
     use hyperdex_dht::ObjectId;
 
     fn set(s: &str) -> KeywordSet {
@@ -1020,25 +1019,23 @@ mod tests {
         let q = set("a");
         let mut out = Vec::new();
         assert_eq!(scan_store(None, &q, q.signature(), 10, &mut out), 0);
-        for backend in [StoreBackend::Table, StoreBackend::Slab] {
-            let mut store = PostingStore::new(backend);
-            for i in 0..5 {
-                store.insert(set(&format!("a extra{i}")), oid(i));
-            }
-            out.clear();
-            assert_eq!(scan_store(Some(&store), &q, q.signature(), 3, &mut out), 3);
-            assert_eq!(out.len(), 3);
-            // Appends: earlier contents stay, the prefilter-off scan agrees.
-            assert_eq!(scan_store(Some(&store), &q, 0, 99, &mut out), 5);
-            assert_eq!(out.len(), 8);
-            assert_eq!(out[..3], out[3..6]);
-            assert!(out.iter().all(|r| r.extra_keywords == 1));
-            let miss = set("q");
-            assert_eq!(
-                scan_store(Some(&store), &miss, miss.signature(), 99, &mut out),
-                0
-            );
+        let mut store = PostingStore::default();
+        for i in 0..5 {
+            store.insert(set(&format!("a extra{i}")), oid(i));
         }
+        out.clear();
+        assert_eq!(scan_store(Some(&store), &q, q.signature(), 3, &mut out), 3);
+        assert_eq!(out.len(), 3);
+        // Appends: earlier contents stay, the prefilter-off scan agrees.
+        assert_eq!(scan_store(Some(&store), &q, 0, 99, &mut out), 5);
+        assert_eq!(out.len(), 8);
+        assert_eq!(out[..3], out[3..6]);
+        assert!(out.iter().all(|r| r.extra_keywords == 1));
+        let miss = set("q");
+        assert_eq!(
+            scan_store(Some(&store), &miss, miss.signature(), 99, &mut out),
+            0
+        );
     }
 
     #[test]

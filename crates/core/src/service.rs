@@ -35,7 +35,6 @@ pub struct ServiceBuilder {
     seed: u64,
     replication: usize,
     cache_capacity: usize,
-    store: Option<crate::store::StoreBackend>,
 }
 
 impl Default for ServiceBuilder {
@@ -46,7 +45,6 @@ impl Default for ServiceBuilder {
             seed: 0,
             replication: 0,
             cache_capacity: 0,
-            store: None,
         }
     }
 }
@@ -83,10 +81,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Posting-storage backend for the index layer (default: the
-    /// slab; DESIGN.md §17).
-    pub fn store(mut self, store: crate::store::StoreBackend) -> Self {
-        self.store = Some(store);
+    /// No-op shim: `benchmark/` names the (only) posting backend here;
+    /// remove with [`StoreBackend`](crate::store::StoreBackend).
+    pub fn store(self, _store: crate::store::StoreBackend) -> Self {
         self
     }
 
@@ -100,8 +97,7 @@ impl ServiceBuilder {
     ///
     /// Panics if `nodes == 0`.
     pub fn build(self) -> Result<KeywordSearchService, Error> {
-        let store = self.store.unwrap_or_default();
-        let mut index = HypercubeIndex::with_store(self.r, self.seed, store)?;
+        let mut index = HypercubeIndex::new(self.r, self.seed)?;
         if self.cache_capacity > 0 {
             index.set_cache_capacity(self.cache_capacity);
         }

@@ -316,9 +316,6 @@ pub struct ProtocolSim {
     /// deterministic: only occupied vertices cost memory, and
     /// iteration order is ascending bits (churn repair depends on it).
     pub(crate) tables: BTreeMap<u64, PostingStore>,
-    /// Posting-storage backend every lazily-created table uses
-    /// (DESIGN.md §17).
-    pub(crate) store: StoreBackend,
     /// Secondary-cube hasher (different seed, same dimension).
     pub(crate) hasher2: KeywordHasher,
     /// Secondary index tables, co-hosted on the same endpoints.
@@ -361,21 +358,6 @@ impl ProtocolSim {
     ///
     /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
     pub fn new(r: u8, seed: u64, latency: LatencyModel) -> Result<Self, Error> {
-        Self::with_store(r, seed, latency, StoreBackend::default())
-    }
-
-    /// [`ProtocolSim::new`] with an explicit posting-store backend
-    /// instead of the default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
-    pub fn with_store(
-        r: u8,
-        seed: u64,
-        latency: LatencyModel,
-        store: StoreBackend,
-    ) -> Result<Self, Error> {
         let hasher = KeywordHasher::new(r, seed)?;
         let shape = hasher.shape();
         let hasher2 = KeywordHasher::new(r, seed ^ crate::replication::SECONDARY_SEED_OFFSET)?;
@@ -386,7 +368,6 @@ impl ProtocolSim {
             shape,
             hasher,
             tables: BTreeMap::new(),
-            store,
             hasher2,
             tables2: BTreeMap::new(),
             eps: BTreeMap::new(),
@@ -400,6 +381,21 @@ impl ProtocolSim {
             prune: false,
             churn: None,
         })
+    }
+
+    /// [`ProtocolSim::new`]. Shim: `benchmark/` names the (only)
+    /// posting backend here; remove with [`StoreBackend`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Dimension`] unless `1 ≤ r ≤ 63`.
+    pub fn with_store(
+        r: u8,
+        seed: u64,
+        latency: LatencyModel,
+        _store: StoreBackend,
+    ) -> Result<Self, Error> {
+        Self::new(r, seed, latency)
     }
 
     /// Enables or disables occupancy-guided pruning for
@@ -437,11 +433,10 @@ impl ProtocolSim {
         let keywords = self.interner.intern(keywords);
         let vertex = self.hasher.vertex_for(&keywords);
         let vertex2 = self.hasher2.vertex_for(&keywords);
-        let backend = self.store;
         if self
             .tables
             .entry(vertex.bits())
-            .or_insert_with(|| PostingStore::new(backend))
+            .or_default()
             .insert_arc(Arc::clone(&keywords), object)
         {
             self.summary.record_insert(vertex.bits());
@@ -449,7 +444,7 @@ impl ProtocolSim {
         if self
             .tables2
             .entry(vertex2.bits())
-            .or_insert_with(|| PostingStore::new(backend))
+            .or_default()
             .insert_arc(keywords, object)
         {
             self.summary2.record_insert(vertex2.bits());

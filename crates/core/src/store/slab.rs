@@ -1,9 +1,10 @@
 //! The struct-of-arrays slab posting store.
 //!
-//! One [`SlabStore`] replaces one [`IndexTable`](crate::index::IndexTable):
-//! the per-vertex table of `⟨keyword_set, {σ₁…σₙ}⟩` entries. Instead of
-//! a `BTreeMap` of per-entry `BTreeSet`s, the slab keeps three parallel
-//! arrays indexed by *slot*:
+//! One [`PostingStore`] is one vertex's table of
+//! `⟨keyword_set, {σ₁…σₙ}⟩` entries. Instead of the `BTreeMap` of
+//! per-entry `BTreeSet`s the reference
+//! [`IndexTable`](crate::index::IndexTable) uses, the slab keeps three
+//! parallel arrays indexed by *slot*:
 //!
 //! * `sigs` — the 64-bit keyword-set signatures, one contiguous slab.
 //!   The PR 4 signature prefilter becomes a tight linear pass over this
@@ -17,7 +18,7 @@
 //! Mutation appends: growing a list whose bytes sit at the arena tail
 //! extends in place; anywhere else re-encodes at the tail and retires
 //! the old range as *waste*. Deleting a last object tombstones the
-//! slot. Both kinds of garbage are bounded by [`SlabStore::compact`],
+//! slot. Both kinds of garbage are bounded by [`PostingStore::compact`],
 //! triggered automatically once waste crosses a threshold.
 //!
 //! # Parity contract
@@ -26,8 +27,8 @@
 //! collect the signature-passing slots, sort them by keyword set (the
 //! `BTreeMap` iteration order), and confirm with
 //! [`KeywordSet::is_superset`]; exact lookups confirm with equality.
-//! The property oracle in `tests/store_parity.rs` drives both backends
-//! through random interleavings to hold this line.
+//! The property oracle in `tests/store_parity.rs` drives both through
+//! random interleavings to hold this line.
 
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ use hyperdex_dht::ObjectId;
 
 use crate::keyword::KeywordSet;
 use crate::store::codec::{decode_into, encode_list, push_varint, DeltaIter};
-use crate::store::{key_heap_bytes, StoreFootprint};
+use crate::store::{key_heap_bytes, StoreBackend, StoreFootprint};
 
 /// Descriptor of one slot's encoded posting list in the arena.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,7 +59,7 @@ const WASTE_FLOOR: usize = 4096;
 
 /// A struct-of-arrays posting store for one hypercube vertex.
 #[derive(Debug, Clone, Default)]
-pub struct SlabStore {
+pub struct PostingStore {
     /// The contiguous signature slab (0 for tombstoned slots).
     sigs: Vec<u64>,
     /// Interned keyword set per slot; `None` marks a tombstone.
@@ -81,9 +82,10 @@ pub struct SlabStore {
     scratch: Vec<u64>,
 }
 
-impl SlabStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
+impl PostingStore {
+    /// An empty store. Shim: `benchmark/` passes the (only) backend;
+    /// everything else uses `default()`. Remove with [`StoreBackend`].
+    pub fn new(_backend: StoreBackend) -> Self {
         Self::default()
     }
 
@@ -97,7 +99,7 @@ impl SlabStore {
         }
     }
 
-    /// [`SlabStore::insert`] for an already-interned keyword set.
+    /// [`PostingStore::insert`] for an already-interned keyword set.
     pub fn insert_arc(&mut self, keywords: Arc<KeywordSet>, object: ObjectId) -> bool {
         let sig = keywords.signature();
         match self.find_slot(&keywords, sig) {
@@ -142,8 +144,7 @@ impl SlabStore {
     }
 
     /// The objects indexed under exactly `keywords` (pin-search
-    /// source), with the union-signature short-circuit of the table
-    /// backend.
+    /// source), short-circuited by the union signature.
     pub fn objects_with<'a>(&'a self, keywords: &KeywordSet) -> DeltaIter<'a> {
         let qsig = keywords.signature();
         if qsig & self.union_sig != qsig {
@@ -160,12 +161,12 @@ impl SlabStore {
         self.superset_entries_sig(query, query.signature())
     }
 
-    /// [`SlabStore::superset_entries`] with the query signature
+    /// [`PostingStore::superset_entries`] with the query signature
     /// precomputed (`qsig = 0` disables the prefilter — the unfiltered
     /// parity-reference scan).
     pub fn superset_entries_sig<'a>(&'a self, query: &'a KeywordSet, qsig: u64) -> SlabEntries<'a> {
         let hits = if qsig & self.union_sig != qsig {
-            // Whole-store short-circuit, as on the table backend.
+            // Whole-store short-circuit.
             Vec::new()
         } else if qsig == 0 {
             self.live_slots_sorted()
@@ -210,8 +211,7 @@ impl SlabStore {
     }
 
     /// Iterates over all `(keyword set, objects)` entries in sorted
-    /// keyword-set order — the `BTreeMap` iteration order of the table
-    /// backend.
+    /// keyword-set order — the oracle's `BTreeMap` iteration order.
     pub fn iter(&self) -> SlabEntries<'_> {
         SlabEntries {
             store: self,
@@ -407,8 +407,8 @@ impl SlabStore {
         slots
     }
 
-    /// Sorts live slot indices into keyword-set order (the table
-    /// backend's `BTreeMap` iteration order).
+    /// Sorts live slot indices into keyword-set order (the oracle's
+    /// `BTreeMap` iteration order).
     fn sort_by_key_order(&self, slots: &mut [u32]) {
         slots.sort_unstable_by(|&a, &b| {
             let ka = self.keys[a as usize].as_ref().expect("sorting a live slot");
@@ -428,11 +428,10 @@ impl SlabStore {
 }
 
 /// Iterator over slab entries in keyword-set order, optionally
-/// confirmed against a superset query — the named counterpart of the
-/// table backend's entry iterators.
+/// confirmed against a superset query.
 #[derive(Debug)]
 pub struct SlabEntries<'a> {
-    store: &'a SlabStore,
+    store: &'a PostingStore,
     /// `Some` = confirm `K' ⊇ query` before yielding; `None` = plain
     /// iteration.
     query: Option<&'a KeywordSet>,
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn entries_with_same_set_combine() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         assert!(st.insert(set("a b"), oid(1)));
         assert!(st.insert(set("a b"), oid(2)));
         assert!(!st.insert(set("a b"), oid(1)), "duplicate entry");
@@ -482,7 +481,7 @@ mod tests {
 
     #[test]
     fn out_of_order_inserts_come_back_sorted() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         for id in [9u64, 2, 7, 1, 8] {
             st.insert(set("k"), oid(id));
         }
@@ -492,7 +491,7 @@ mod tests {
 
     #[test]
     fn remove_tombstones_and_union_follows() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         st.insert(set("a"), oid(1));
         st.insert(set("b c"), oid(2));
         assert!(st.remove(&set("a"), oid(1)));
@@ -506,7 +505,7 @@ mod tests {
 
     #[test]
     fn superset_scan_is_sorted_and_confirmed() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         st.insert(set("a b"), oid(1));
         st.insert(set("a b c"), oid(2));
         st.insert(set("x y"), oid(3));
@@ -524,7 +523,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_answers() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         for i in 0..200u64 {
             st.insert(set(&format!("kw{}", i % 10)), oid(i));
         }
@@ -541,7 +540,7 @@ mod tests {
 
     #[test]
     fn footprint_tracks_waste_and_occupancy() {
-        let mut st = SlabStore::new();
+        let mut st = PostingStore::default();
         st.insert(set("a"), oid(2));
         st.insert(set("b"), oid(1));
         assert!((st.footprint().slot_occupancy - 1.0).abs() < f64::EPSILON);

@@ -1,17 +1,17 @@
-//! Property-based parity oracle for the posting-store backends.
+//! Property-based parity oracle for the posting store.
 //!
-//! [`SlabStore`] (struct-of-arrays slab, delta-encoded postings) must
-//! answer every read *byte-identically* to [`IndexTable`] (the
-//! `BTreeMap` reference implementation) — the backend choice is only
-//! allowed to change layout, never results. These properties
-//! drive both backends through random interleavings of inserts,
+//! [`PostingStore`] (struct-of-arrays slab, delta-encoded postings)
+//! must answer every read *byte-identically* to [`IndexTable`] (the
+//! `BTreeMap` reference implementation no executor runs) — the slab is
+//! only allowed to change layout, never results. These properties
+//! drive both through random interleavings of inserts,
 //! removes, and churn-style handoffs (drain one store, rebuild
 //! another), comparing entry order, object order, counts, and
 //! signatures after every batch.
 
 use std::sync::Arc;
 
-use hyperdex_core::{IndexTable, KeywordSet, ObjectId, SlabStore};
+use hyperdex_core::{IndexTable, KeywordSet, ObjectId, PostingStore};
 use proptest::prelude::*;
 
 /// A small closed keyword universe so random sets collide often —
@@ -42,7 +42,7 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn apply(table: &mut IndexTable, slab: &mut SlabStore, op: &Op) {
+fn apply(table: &mut IndexTable, slab: &mut PostingStore, op: &Op) {
     match op {
         Op::Insert(k, o) => {
             let shared = Arc::new(k.clone());
@@ -61,7 +61,7 @@ fn apply(table: &mut IndexTable, slab: &mut SlabStore, op: &Op) {
 /// Full-state comparison: identical entry sequence (keyword-set order)
 /// with identical object sequences, plus matching counts and
 /// signatures.
-fn assert_parity(table: &IndexTable, slab: &SlabStore, queries: &[KeywordSet]) {
+fn assert_parity(table: &IndexTable, slab: &PostingStore, queries: &[KeywordSet]) {
     assert_eq!(table.keyword_set_count(), slab.keyword_set_count());
     assert_eq!(table.object_count(), slab.object_count());
     assert_eq!(table.is_empty(), slab.is_empty());
@@ -90,16 +90,45 @@ fn assert_parity(table: &IndexTable, slab: &SlabStore, queries: &[KeywordSet]) {
     }
 }
 
+/// A small fixed script — the cheap always-the-same cousin of the
+/// properties below, covering the empty and the absent query.
+#[test]
+fn slab_matches_table_on_a_fixed_script() {
+    let set = |s: &str| KeywordSet::parse(s).expect("non-empty words");
+    let mut table = IndexTable::new();
+    let mut slab = PostingStore::default();
+    let script = [
+        ("a b", 1u64),
+        ("a b c", 2),
+        ("a b", 7),
+        ("x", 3),
+        ("a b", 4),
+        ("b c", 5),
+    ];
+    for (kw, id) in script {
+        apply(&mut table, &mut slab, &Op::Insert(set(kw), id));
+    }
+    apply(&mut table, &mut slab, &Op::Remove(set("a b"), 7));
+    let queries = [
+        set("a b"),
+        set("a"),
+        set("x"),
+        set("absent"),
+        KeywordSet::new(),
+    ];
+    assert_parity(&table, &slab, &queries);
+}
+
 proptest! {
-    /// Random insert/remove interleavings leave the two backends
-    /// byte-identical under every read the protocol performs.
+    /// Random insert/remove interleavings leave the slab and the
+    /// oracle byte-identical under every read the protocol performs.
     #[test]
     fn slab_matches_table_under_mutation(
         ops in prop::collection::vec(op(), 1..80),
         queries in prop::collection::vec(keyword_set(), 1..6),
     ) {
         let mut table = IndexTable::new();
-        let mut slab = SlabStore::new();
+        let mut slab = PostingStore::default();
         for (i, op) in ops.iter().enumerate() {
             apply(&mut table, &mut slab, op);
             // Checking at every step keeps shrunk counterexamples
@@ -113,8 +142,8 @@ proptest! {
 
     /// A churn-style handoff — drain every entry out of one store,
     /// stream it into a fresh one in batches — lands byte-identically
-    /// on both backends, including when source and destination use
-    /// *different* backends.
+    /// on slab and oracle, including when source and destination are
+    /// of *different* kinds.
     #[test]
     fn handoff_preserves_parity_across_backends(
         ops in prop::collection::vec(op(), 1..60),
@@ -122,7 +151,7 @@ proptest! {
         queries in prop::collection::vec(keyword_set(), 1..4),
     ) {
         let mut table = IndexTable::new();
-        let mut slab = SlabStore::new();
+        let mut slab = PostingStore::default();
         for op in &ops {
             apply(&mut table, &mut slab, op);
         }
@@ -133,7 +162,7 @@ proptest! {
             .map(|(k, o)| (Arc::clone(k), o.collect()))
             .collect();
         let mut rebuilt_table = IndexTable::new();
-        let mut rebuilt_slab = SlabStore::new();
+        let mut rebuilt_slab = PostingStore::default();
         for chunk in entries.chunks(batch) {
             for (k, objs) in chunk {
                 for &o in objs {
@@ -156,7 +185,7 @@ proptest! {
         queries in prop::collection::vec(keyword_set(), 1..4),
     ) {
         let mut table = IndexTable::new();
-        let mut slab = SlabStore::new();
+        let mut slab = PostingStore::default();
         for op in &ops {
             apply(&mut table, &mut slab, op);
         }

@@ -5,7 +5,7 @@
 //! ```text
 //! hyperdex-server --index 0 --servers 2 --listen 127.0.0.1:0 \
 //!     --r 12 --seed 42 --workers 4 --capacity 64 \
-//!     [--policy hash|prefix] [--store table|slab] [--crash W@N]
+//!     [--crash W@N]
 //! ```
 //!
 //! The process binds, prints `LISTENING <addr>`, reads one
@@ -18,17 +18,14 @@ use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-use hyperdex_core::StoreBackend;
 use hyperdex_net::server::{self, ServerConfig};
 use hyperdex_runtime::fault::CrashPoint;
-use hyperdex_runtime::ShardPolicy;
 
 fn usage(detail: &str) -> ExitCode {
     eprintln!("hyperdex-server: {detail}");
     eprintln!(
         "usage: hyperdex-server --index I --servers N --listen ADDR \
-         --r R --seed S --workers W --capacity C \
-         [--policy hash|prefix] [--store table|slab] [--crash W@N]"
+         --r R --seed S --workers W --capacity C [--crash W@N]"
     );
     ExitCode::FAILURE
 }
@@ -50,8 +47,6 @@ fn main() -> ExitCode {
     let mut seed: u64 = 0;
     let mut workers: Option<u32> = None;
     let mut capacity: usize = 64;
-    let mut policy = ShardPolicy::default();
-    let mut store = StoreBackend::default();
     let mut crash: Option<CrashPoint> = None;
 
     let mut args = std::env::args().skip(1);
@@ -70,20 +65,6 @@ fn main() -> ExitCode {
             "--seed" => value.parse().map(|v| seed = v).is_ok(),
             "--workers" => value.parse().map(|v| workers = Some(v)).is_ok(),
             "--capacity" => value.parse().map(|v| capacity = v).is_ok(),
-            "--policy" => match ShardPolicy::parse(&value) {
-                Some(p) => {
-                    policy = p;
-                    true
-                }
-                None => false,
-            },
-            "--store" => match StoreBackend::parse(&value) {
-                Some(b) => {
-                    store = b;
-                    true
-                }
-                None => false,
-            },
             "--crash" => {
                 crash = parse_crash(&value);
                 crash.is_some()
@@ -132,8 +113,6 @@ fn main() -> ExitCode {
         seed,
         total_workers: workers,
         capacity,
-        policy,
-        store,
         crash,
     };
     match server::run(cfg, listener, &peer_addrs) {

@@ -33,7 +33,7 @@ use hyperdex_runtime::runtime::{
     BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
 use hyperdex_runtime::wire::WireMsg;
-use hyperdex_runtime::{ShardMap, ShardPolicy};
+use hyperdex_runtime::ShardMap;
 
 use crate::server::server_of;
 use crate::stream::{push_unit, StreamDecoder, CLIENT_DEST};
@@ -130,10 +130,11 @@ impl ClientClose {
 }
 
 impl NetClient {
-    /// Connects to every server of a cluster under the default
-    /// [`ShardPolicy`]. `addrs` lists the servers' listen addresses in
-    /// cluster order; `total_workers`, `r`, and `seed` must match the
-    /// servers' configuration (they determine routing).
+    /// Connects to every server of a cluster. `addrs` lists the
+    /// servers' listen addresses in cluster order; `total_workers`,
+    /// `r`, and `seed` must match the servers' configuration — the
+    /// client computes the same vertex → worker map as the servers, so
+    /// a mismatch would misroute every insert.
     ///
     /// # Errors
     ///
@@ -146,27 +147,8 @@ impl NetClient {
         total_workers: u32,
         cfg: NetConfig,
     ) -> Result<NetClient, Error> {
-        NetClient::connect_with(addrs, r, seed, total_workers, ShardPolicy::default(), cfg)
-    }
-
-    /// [`NetClient::connect`] with an explicit placement policy — the
-    /// client computes the same vertex → worker map as the servers, so
-    /// a policy mismatch would misroute every insert.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ConnectionLost`] when any server cannot be reached
-    /// within the connect timeout.
-    pub fn connect_with(
-        addrs: &[String],
-        r: u8,
-        seed: u64,
-        total_workers: u32,
-        policy: ShardPolicy,
-        cfg: NetConfig,
-    ) -> Result<NetClient, Error> {
         let hasher = KeywordHasher::new(r, seed)?;
-        let shards = ShardMap::with_policy(policy, r, total_workers.max(1), seed);
+        let shards = ShardMap::new(r, total_workers, seed);
         let (events_tx, events_rx) = channel();
         let mut link = TcpLink {
             cfg,

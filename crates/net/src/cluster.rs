@@ -45,10 +45,11 @@ pub struct ClusterConfig {
     pub servers: u32,
     /// Inbox and writer-queue bound, in packets.
     pub capacity: usize,
-    /// Vertex → worker placement, shared by every server and the
-    /// client.
+    /// Zero-sized, selects nothing: `benchmark/` writes this field in
+    /// its struct literal. Remove with [`ShardPolicy`].
     pub policy: ShardPolicy,
-    /// Posting-storage backend every server process runs with.
+    /// Zero-sized, selects nothing: `benchmark/` writes this field in
+    /// its struct literal. Remove with [`StoreBackend`].
     pub store: StoreBackend,
     /// Optional scheduled crash, exercised end-to-end over TCP.
     pub crash: Option<CrashPoint>,
@@ -68,8 +69,8 @@ impl ClusterConfig {
             total_workers,
             servers,
             capacity: 64,
-            policy: ShardPolicy::default(),
-            store: StoreBackend::default(),
+            policy: ShardPolicy::Prefix,
+            store: StoreBackend::Slab,
             crash: None,
             server_bin: None,
             net: NetConfig::default(),
@@ -168,10 +169,6 @@ impl Cluster {
                 .arg(cfg.total_workers.to_string())
                 .arg("--capacity")
                 .arg(cfg.capacity.to_string())
-                .arg("--policy")
-                .arg(cfg.policy.name())
-                .arg("--store")
-                .arg(cfg.store.name())
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit());
@@ -221,12 +218,11 @@ impl Cluster {
     ///
     /// [`Error::ConnectionLost`] when a server is unreachable.
     pub fn client(&self) -> Result<NetClient, Error> {
-        NetClient::connect_with(
+        NetClient::connect(
             &self.addrs,
             self.cfg.r,
             self.cfg.seed,
             self.cfg.total_workers,
-            self.cfg.policy,
             self.cfg.net,
         )
     }

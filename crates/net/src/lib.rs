@@ -24,8 +24,8 @@
 //! frames (one frame per destination worker per frontier burst rather
 //! than one per vertex), so the socket-mode frame count — and with it
 //! the per-unit overhead this crate pays on every `[dest][frame]`
-//! unit — shrinks by the batching factor; under the prefix shard
-//! policy most hops never reach a socket at all.
+//! unit — shrinks by the batching factor; with prefix shard placement
+//! most hops never reach a socket at all.
 
 pub mod client;
 pub mod cluster;
@@ -35,6 +35,6 @@ pub mod stream;
 
 pub use client::{ClientClose, NetClient, NetConfig};
 pub use cluster::{server_binary, Cluster, ClusterConfig};
-pub use parity::{assert_net_parity, assert_net_parity_with, NetParityReport};
+pub use parity::{assert_net_parity, NetParityReport};
 pub use server::{local_workers, server_of, ServerConfig};
 pub use stream::{StreamDecoder, Unit, CLIENT_DEST};

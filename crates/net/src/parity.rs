@@ -10,8 +10,8 @@
 use std::path::PathBuf;
 
 use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
-use hyperdex_runtime::parity::assert_sim_parity_with;
-use hyperdex_runtime::{ParityReport, ShardPolicy, ShutdownReport};
+use hyperdex_runtime::parity::assert_sim_parity;
+use hyperdex_runtime::{ParityReport, ShutdownReport};
 
 use crate::cluster::{Cluster, ClusterConfig};
 
@@ -47,33 +47,7 @@ pub fn assert_net_parity(
     queries: &[(KeywordSet, usize)],
     server_bin: Option<PathBuf>,
 ) -> NetParityReport {
-    assert_net_parity_with(
-        r,
-        seed,
-        workers,
-        servers,
-        ShardPolicy::default(),
-        corpus,
-        queries,
-        server_bin,
-    )
-}
-
-/// [`assert_net_parity`] with an explicit [`ShardPolicy`], applied to
-/// both the in-process executors and the TCP cluster — placement must
-/// never change what a query returns, in-process or across sockets.
-#[allow(clippy::too_many_arguments)]
-pub fn assert_net_parity_with(
-    r: u8,
-    seed: u64,
-    workers: u32,
-    servers: u32,
-    policy: ShardPolicy,
-    corpus: &[(ObjectId, KeywordSet)],
-    queries: &[(KeywordSet, usize)],
-    server_bin: Option<PathBuf>,
-) -> NetParityReport {
-    let in_process = assert_sim_parity_with(r, seed, workers, policy, corpus, queries);
+    let in_process = assert_sim_parity(r, seed, workers, corpus, queries);
 
     let mut direct = HypercubeIndex::new(r, seed).expect("valid r");
     for (object, keywords) in corpus {
@@ -81,7 +55,6 @@ pub fn assert_net_parity_with(
     }
 
     let mut cfg = ClusterConfig::new(r, seed, workers, servers);
-    cfg.policy = policy;
     cfg.server_bin = server_bin;
     let cluster = Cluster::launch(cfg).expect("cluster launch");
     let mut client = cluster.client().expect("cluster client");

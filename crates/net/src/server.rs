@@ -33,10 +33,12 @@
 //!
 //! # Recovery and accounting
 //!
-//! A local supervisor mirrors the in-process one: a crashed worker
-//! (scheduled via [`CrashPoint`]) is respawned on the same inbox,
-//! its shard replayed from a journal of the load frames this server
-//! received, and released with `RepairDone`. At shutdown the server
+//! The server runs the runtime's one supervisor
+//! ([`hyperdex_runtime::runtime::supervise`]) over its local shards,
+//! handing it a `MeshTransport` builder: a crashed worker (scheduled
+//! via [`CrashPoint`]) is respawned on the same inbox, its shard
+//! replayed from a journal of the load frames this server received,
+//! and released with `RepairDone`. At shutdown the server
 //! prints a plain-text frame-conservation report (`WSTATS` per worker,
 //! one `SSTATS`, then `REPORT_END`) that the cluster launcher
 //! aggregates into the same [`hyperdex_runtime::ShutdownReport`] the
@@ -46,26 +48,23 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hyperdex_core::{KeywordHasher, StoreBackend};
+use hyperdex_core::KeywordHasher;
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::fault::{CrashPoint, FaultInjector, FaultPlan};
+use hyperdex_runtime::runtime::{supervise, Journal, Spawner};
 use hyperdex_runtime::transport::{
     coalesce_pooled, count_frames, FlushStatus, Transport, SPENT_POOL_CAP,
 };
 use hyperdex_runtime::wire::WireMsg;
-use hyperdex_runtime::worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};
-use hyperdex_runtime::{ShardMap, ShardPolicy, SupervisorStats};
+use hyperdex_runtime::worker::WorkerStats;
+use hyperdex_runtime::{ShardMap, SupervisorStats};
 
 use crate::stream::{count_units, push_unit, StreamDecoder, CLIENT_DEST, DEST_LEN};
-
-/// Load frames this server received, for crash repair: `(dest worker,
-/// encoded frame)`.
-type Journal = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
 
 /// How one server process is shaped. All servers of a cluster share
 /// `r`, `seed`, `total_workers`, and `servers`; only `index` differs.
@@ -83,12 +82,6 @@ pub struct ServerConfig {
     pub total_workers: u32,
     /// Bound of every inbox channel and writer queue, in packets.
     pub capacity: usize,
-    /// Vertex → worker placement. Every server and the client must
-    /// agree, like `r` and `seed`.
-    pub policy: ShardPolicy,
-    /// Posting-storage backend for every local shard table
-    /// (server-local: result parity is byte-identical either way).
-    pub store: StoreBackend,
     /// Optional scheduled crash of one local worker.
     pub crash: Option<CrashPoint>,
 }
@@ -387,62 +380,6 @@ impl Transport for MeshTransport {
     }
 }
 
-/// Everything needed to (re)spawn a local worker.
-struct NetSpawner {
-    cfg: ServerConfig,
-    shape: Shape,
-    hasher: KeywordHasher,
-    shards: ShardMap,
-    inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
-    peer_tx: Vec<Option<SyncSender<Vec<u8>>>>,
-    client_tx: SyncSender<Vec<u8>>,
-    exit_tx: Sender<WorkerExit>,
-    pool: BufferPool,
-}
-
-impl NetSpawner {
-    fn spawn(
-        &self,
-        worker: u32,
-        inbox: Receiver<Vec<u8>>,
-        injector: Option<FaultInjector>,
-        repairing: bool,
-    ) -> JoinHandle<()> {
-        let mut inboxes = self.inbox_tx.clone();
-        inboxes[worker as usize] = None;
-        let transport = MeshTransport {
-            own: worker,
-            servers: self.cfg.servers,
-            server_index: self.cfg.index,
-            total: self.cfg.total_workers as usize,
-            inboxes,
-            peers: self.peer_tx.clone(),
-            client: self.client_tx.clone(),
-            peer_acc: (0..self.cfg.servers).map(|_| AccBuf::default()).collect(),
-            client_acc: AccBuf::default(),
-            spent: Vec::new(),
-            pool: self.pool.clone(),
-        };
-        let ctx = WorkerContext {
-            index: worker,
-            shape: self.shape,
-            hasher: self.hasher,
-            shards: self.shards,
-            store: self.cfg.store,
-            injector,
-            repairing,
-        };
-        let exit_tx = self.exit_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("hyperdex-net-worker-{worker}"))
-            .spawn(move || {
-                let exit = run_worker(ctx, Box::new(transport), inbox);
-                let _ = exit_tx.send(exit);
-            })
-            .expect("spawn worker thread")
-    }
-}
-
 /// Reads units off one inbound connection and delivers them to local
 /// worker inboxes. Each read lands straight in the decoder's buffer
 /// ([`StreamDecoder::fill_from`]); the decoded units of one read batch
@@ -613,7 +550,7 @@ fn dial(addr: &str) -> io::Result<TcpStream> {
 pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> io::Result<()> {
     let shape = Shape::new(cfg.r).expect("validated r");
     let hasher = KeywordHasher::new(cfg.r, cfg.seed).expect("validated r");
-    let shards = ShardMap::with_policy(cfg.policy, cfg.r, cfg.total_workers.max(1), cfg.seed);
+    let shards = ShardMap::new(cfg.r, cfg.total_workers, cfg.seed);
     let local = local_workers(cfg.total_workers, cfg.servers, cfg.index);
     let cap = cfg.capacity.max(1);
 
@@ -712,19 +649,36 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
             .expect("spawn accept thread");
     }
 
-    // Spawn the local shards.
-    let (exit_tx, exit_rx) = channel::<WorkerExit>();
-    let spawner = NetSpawner {
-        cfg: cfg.clone(),
+    // Spawn the local shards, each behind its own view of the mesh.
+    let (event_tx, event_rx) = channel();
+    let (servers, server_index, total) = (cfg.servers, cfg.index, cfg.total_workers as usize);
+    let spawner = Spawner {
         shape,
         hasher,
         shards,
-        inbox_tx: inbox_tx.clone(),
-        peer_tx,
-        client_tx,
-        exit_tx,
-        pool,
+        inbox_tx,
+        transport: move |inboxes: &[Option<SyncSender<Vec<u8>>>],
+                         worker: u32|
+              -> Box<dyn Transport> {
+            let mut inboxes = inboxes.to_vec();
+            inboxes[worker as usize] = None;
+            Box::new(MeshTransport {
+                own: worker,
+                servers,
+                server_index,
+                total,
+                inboxes,
+                peers: peer_tx.clone(),
+                client: client_tx.clone(),
+                peer_acc: (0..servers).map(|_| AccBuf::default()).collect(),
+                client_acc: AccBuf::default(),
+                spent: Vec::new(),
+                pool: pool.clone(),
+            })
+        },
+        event_tx,
     };
+    let mut handles: Vec<Option<JoinHandle<()>>> = (0..total).map(|_| None).collect();
     for &w in &local {
         let injector = cfg.crash.and_then(|c| {
             (c.worker == w).then(|| {
@@ -735,65 +689,15 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
             })
         });
         let rx = inbox_rx.remove(&w).expect("inbox created");
-        spawner.spawn(w, rx, injector, false);
+        handles[w as usize] = Some(spawner.spawn(w, rx, injector, false));
     }
     println!("READY");
     io::stdout().flush().ok();
 
-    // Local supervision: merge exits, respawn + repair crashes.
-    let mut stats: HashMap<u32, WorkerStats> = local
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                WorkerStats {
-                    worker: w,
-                    ..WorkerStats::default()
-                },
-            )
-        })
-        .collect();
-    let mut sup = SupervisorStats::default();
-    let mut exited: Vec<Receiver<Vec<u8>>> = Vec::new();
-    let mut live = local.len();
-    while live > 0 {
-        let Ok(exit) = exit_rx.recv() else { break };
-        let w = exit.stats.worker;
-        stats.get_mut(&w).expect("local worker").merge(&exit.stats);
-        match exit.cause {
-            ExitCause::Clean => {
-                exited.push(exit.inbox);
-                live -= 1;
-            }
-            ExitCause::Crashed => {
-                sup.respawns += 1;
-                // Respawn on the same inbox, then replay this shard's
-                // load frames and release it with RepairDone.
-                let tx = inbox_tx[w as usize].as_ref().expect("local inbox").clone();
-                spawner.spawn(w, exit.inbox, None, true);
-                if let Some(journal) = &journal {
-                    let entries = journal.lock().expect("journal lock");
-                    for (dest, frame) in entries.iter() {
-                        if *dest == w && tx.send(frame.clone()).is_ok() {
-                            sup.frames_sent += 1;
-                            sup.replayed_frames += 1;
-                        }
-                    }
-                }
-                if tx.send(WireMsg::RepairDone { worker: w }.encode()).is_ok() {
-                    sup.frames_sent += 1;
-                }
-            }
-        }
-    }
-    // Every local worker exited: drain their inboxes so conservation
-    // closes, then let the writer threads finish flushing.
-    for rx in &exited {
-        while let Ok(packet) = rx.try_recv() {
-            sup.frames_drained += count_frames(&packet);
-        }
-    }
-    drop(spawner);
+    // Supervise until the client's `Shutdown` frames have stopped every
+    // local worker. Dropping the spawner on return closes the writer
+    // queues, so the writer threads finish flushing and exit.
+    let (stats, mut sup) = supervise(spawner, handles, journal, event_rx);
     for handle in writers {
         let _ = handle.join();
     }
@@ -806,10 +710,7 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
 
     // Conservation report, parsed by the cluster launcher.
     let mut lines = String::new();
-    let mut order: Vec<u32> = stats.keys().copied().collect();
-    order.sort_unstable();
-    for w in order {
-        let s = &stats[&w];
+    for s in &stats {
         lines.push_str(&format!(
             "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
             s.worker,

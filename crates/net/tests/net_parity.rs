@@ -10,10 +10,9 @@ use std::path::PathBuf;
 
 use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
-use hyperdex_net::parity::{assert_net_parity, assert_net_parity_with};
+use hyperdex_net::parity::assert_net_parity;
 use hyperdex_runtime::fault::CrashPoint;
 use hyperdex_runtime::runtime::FtSearchOptions;
-use hyperdex_runtime::ShardPolicy;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// The server binary Cargo built alongside this test.
@@ -63,16 +62,13 @@ fn two_processes_two_workers_match_at_r8_and_r12() {
 }
 
 #[test]
-fn both_shard_policies_match_across_two_processes() {
-    // The placement policy must be invisible to results over TCP too:
-    // client, servers, and the in-process executors all agree on the
-    // map, whichever one is configured.
+fn placement_agrees_across_two_processes() {
+    // Placement must be invisible to results over TCP too: client,
+    // servers, and the in-process executors all build the same map.
     let (corpus, queries) = workload(7, 120);
-    for policy in [ShardPolicy::Hash, ShardPolicy::Prefix] {
-        let report = assert_net_parity_with(8, 7, 4, 2, policy, &corpus, &queries, server_bin());
-        assert!(report.queries_checked >= 6);
-        assert_eq!(report.shutdown.in_flight(), 0);
-    }
+    let report = assert_net_parity(8, 7, 4, 2, &corpus, &queries, server_bin());
+    assert!(report.queries_checked >= 6);
+    assert_eq!(report.shutdown.in_flight(), 0);
 }
 
 #[test]

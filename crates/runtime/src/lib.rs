@@ -33,8 +33,8 @@
 //! * [`worker`] — the shard-owning event loop, transport-agnostic so
 //!   the same code runs in-process and inside a server binary.
 //! * [`runtime`] — the in-process handle (the client core over the
-//!   channel link), the supervisor, the shutdown/conservation
-//!   protocol.
+//!   channel link), the one supervisor every deployment runs
+//!   ([`runtime::supervise`]), the shutdown/conservation protocol.
 //! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
 //!   harness used by tests and the `runtime` bench, including faulted
 //!   executions.
@@ -67,9 +67,7 @@ pub use client_core::{
     BatchResult, ClientCore, ClientLink, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
 pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
-pub use parity::{
-    assert_fault_parity, assert_sim_parity, assert_sim_parity_with, FaultParityReport, ParityReport,
-};
+pub use parity::{assert_fault_parity, assert_sim_parity, FaultParityReport, ParityReport};
 pub use runtime::{NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
 pub use transport::{count_frames, take_frame, ChannelTransport, FlushStatus, Transport};

@@ -21,7 +21,6 @@ use hyperdex_simnet::latency::LatencyModel;
 
 use crate::fault::FaultPlan;
 use crate::runtime::{FtSearchOptions, NodeRuntime, RuntimeConfig, ShutdownReport};
-use crate::shard::ShardPolicy;
 
 /// What one parity run checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,25 +49,10 @@ pub fn assert_sim_parity(
     corpus: &[(ObjectId, KeywordSet)],
     queries: &[(KeywordSet, usize)],
 ) -> ParityReport {
-    assert_sim_parity_with(r, seed, workers, ShardPolicy::default(), corpus, queries)
-}
-
-/// [`assert_sim_parity`] with an explicit [`ShardPolicy`] — the CI
-/// parity matrix runs both placements, since the contract is that
-/// sharding never changes *what* a query returns, only where the work
-/// lands.
-pub fn assert_sim_parity_with(
-    r: u8,
-    seed: u64,
-    workers: u32,
-    policy: ShardPolicy,
-    corpus: &[(ObjectId, KeywordSet)],
-    queries: &[(KeywordSet, usize)],
-) -> ParityReport {
     let mut direct = HypercubeIndex::new(r, seed).expect("valid r");
     let mut sim = ProtocolSim::new(r, seed, LatencyModel::constant(1)).expect("valid r");
-    let mut runtime = NodeRuntime::start(RuntimeConfig::new(r, workers).seed(seed).policy(policy))
-        .expect("valid r");
+    let mut runtime =
+        NodeRuntime::start(RuntimeConfig::new(r, workers).seed(seed)).expect("valid r");
 
     for (object, keywords) in corpus {
         direct.insert(*object, keywords.clone()).expect("non-empty");
@@ -327,12 +311,10 @@ mod tests {
             (set("zzz"), 5),
         ];
         for workers in [1, 3] {
-            for policy in [ShardPolicy::Hash, ShardPolicy::Prefix] {
-                let report = assert_sim_parity_with(8, 42, workers, policy, &corpus, &queries);
-                assert_eq!(report.superset_checked, 4);
-                assert_eq!(report.pin_checked, 4);
-                assert_eq!(report.shutdown.in_flight(), 0);
-            }
+            let report = assert_sim_parity(8, 42, workers, &corpus, &queries);
+            assert_eq!(report.superset_checked, 4);
+            assert_eq!(report.pin_checked, 4);
+            assert_eq!(report.shutdown.in_flight(), 0);
         }
     }
 }

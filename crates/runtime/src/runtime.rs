@@ -5,7 +5,7 @@
 //!
 //! [`NodeRuntime::start`] spawns `workers` OS threads. Each owns the
 //! disjoint set of hypercube vertices [`ShardMap`] assigns to it —
-//! `IndexTable`s, interners, and per-query coordinator state live on
+//! `PostingStore`s, interners, and per-query coordinator state live on
 //! exactly one thread and are never shared, never locked. Everything
 //! that crosses a thread boundary is a length-prefixed byte frame
 //! ([`crate::wire`]), so the worker boundary behaves like a socket.
@@ -45,12 +45,13 @@
 //! [`NodeRuntime::start_faulted`] arms a seeded [`FaultPlan`]: worker→
 //! worker traversal frames may be dropped, duplicated, or delayed
 //! (which reorders), and whole workers crash-stop at scheduled points,
-//! losing every byte of in-memory state. A supervisor thread owns the
-//! worker join handles; when a worker reports a crash the supervisor
-//! respawns it **on the same inbox channel** (peers never observe a
-//! disconnect — exactly a process restart behind a stable address),
-//! replays the crashed shard's index state from the client's load
-//! journal as `Handoff` frames, and finishes with `RepairDone`. Until
+//! losing every byte of in-memory state. A supervisor thread
+//! ([`supervise`] — the same loop a `hyperdex-net` server runs over
+//! its local shards) owns the worker join handles; when a worker
+//! reports a crash the supervisor respawns it **on the same inbox
+//! channel** (peers never observe a disconnect — exactly a process
+//! restart behind a stable address), replays the crashed shard's load
+//! frames from the [`Journal`], and finishes with `RepairDone`. Until
 //! repair completes the respawned worker parks query frames, so scans
 //! never run against a half-restored table. If recovery cannot finish
 //! within the client's deadline, [`NodeRuntime::superset_search_ft`]
@@ -89,7 +90,7 @@ use hyperdex_hypercube::Shape;
 use crate::client_core::{ClientCore, ClientLink};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::shard::{ShardMap, ShardPolicy};
-use crate::transport::{count_frames, take_frame, ChannelTransport};
+use crate::transport::{count_frames, take_frame, ChannelTransport, Transport};
 use crate::wire::WireMsg;
 use crate::worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};
 
@@ -98,9 +99,11 @@ pub use crate::client_core::{
 };
 
 /// The load journal: `(owning worker, encoded frame)` per load frame
-/// the client sent, shared between the channel link and the supervisor
-/// so a respawned worker's shard can be replayed.
-type Journal = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
+/// (`Insert`/`Handoff`) that entered this process, shared between
+/// whoever sees those frames arrive (the channel link, a server's
+/// socket readers) and the supervisor, so a respawned worker's shard
+/// can be replayed.
+pub type Journal = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
 
 /// How a [`NodeRuntime`] is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,26 +116,24 @@ pub struct RuntimeConfig {
     pub workers: u32,
     /// Bound of every inbox channel, in frames.
     pub channel_capacity: usize,
-    /// Vertex → worker placement. Defaults to [`ShardPolicy::Prefix`]
-    /// (locality-preserving); [`ShardPolicy::Hash`] is the legacy
-    /// scatter, kept selectable so benches report both.
+    /// Zero-sized, selects nothing: `benchmark/` writes this field in
+    /// its struct literal. Remove with [`ShardPolicy`].
     pub policy: ShardPolicy,
-    /// Posting-storage backend for every shard table. Defaults to
-    /// [`StoreBackend::Slab`] (DESIGN.md §17).
+    /// Zero-sized, selects nothing: `benchmark/` writes this field in
+    /// its struct literal. Remove with [`StoreBackend`].
     pub store: StoreBackend,
 }
 
 impl RuntimeConfig {
-    /// A config with the default seed (0), channel bound (256), and
-    /// prefix shard placement.
+    /// A config with the default seed (0) and channel bound (256).
     pub fn new(r: u8, workers: u32) -> RuntimeConfig {
         RuntimeConfig {
             r,
             seed: 0,
             workers,
             channel_capacity: 256,
-            policy: ShardPolicy::default(),
-            store: StoreBackend::default(),
+            policy: ShardPolicy::Prefix,
+            store: StoreBackend::Slab,
         }
     }
 
@@ -148,24 +149,12 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the posting-storage backend.
-    pub fn store(mut self, store: StoreBackend) -> RuntimeConfig {
-        self.store = store;
-        self
-    }
-
-    /// Overrides the shard placement policy.
-    pub fn policy(mut self, policy: ShardPolicy) -> RuntimeConfig {
-        self.policy = policy;
-        self
-    }
-
     /// The [`ShardMap`] this config's runtime routes with — exposed so
     /// tests and benches can compute ownership (e.g. pick a crash
     /// victim that provably holds data) without duplicating the
     /// construction recipe.
     pub fn shard_map(&self) -> ShardMap {
-        ShardMap::with_policy(self.policy, self.r, self.workers.max(1), self.seed)
+        ShardMap::new(self.r, self.workers, self.seed)
     }
 }
 
@@ -396,9 +385,20 @@ impl NodeRuntime {
             shape,
             hasher,
             shards,
-            store: cfg.store,
-            worker_tx: worker_tx.clone(),
-            client_tx,
+            inbox_tx: worker_tx.iter().cloned().map(Some).collect(),
+            // A worker's fabric: a channel to every other worker, none
+            // to itself, the client inbox last.
+            transport: move |inboxes: &[Option<SyncSender<Vec<u8>>>],
+                             index: u32|
+                  -> Box<dyn Transport> {
+                let links = inboxes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, tx)| tx.clone().filter(|_| j != index as usize))
+                    .chain(std::iter::once(Some(client_tx.clone())))
+                    .collect();
+                Box::new(ChannelTransport::new(links))
+            },
             event_tx: event_tx.clone(),
         };
         let mut handles: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(workers as usize);
@@ -572,77 +572,89 @@ impl NodeRuntime {
     }
 }
 
-/// Everything the supervisor needs to (re)build a worker.
-struct Spawner {
-    shape: Shape,
-    hasher: KeywordHasher,
-    shards: ShardMap,
-    store: StoreBackend,
-    worker_tx: Vec<SyncSender<Vec<u8>>>,
-    client_tx: SyncSender<Vec<u8>>,
-    event_tx: Sender<SupervisorEvent>,
+/// Everything a supervisor needs to (re)build the workers this process
+/// hosts. `F` builds one worker's view of the fabric — the only thing
+/// that differs between the in-process runtime (bounded channels) and
+/// a `hyperdex-net` server (the TCP mesh).
+pub struct Spawner<F> {
+    /// Hypercube shape (dimension `r`).
+    pub shape: Shape,
+    /// The keyword → vertex hash every endpoint shares.
+    pub hasher: KeywordHasher,
+    /// The global vertex → worker map.
+    pub shards: ShardMap,
+    /// Per global worker index: its inbox sender when this process
+    /// hosts it, `None` otherwise. The supervisor replays, releases and
+    /// shuts down workers through these.
+    pub inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
+    /// Builds worker `index`'s [`Transport`] from `inbox_tx`.
+    pub transport: F,
+    /// Where every worker's [`WorkerExit`] goes.
+    pub event_tx: Sender<SupervisorEvent>,
 }
 
-impl Spawner {
+impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Box<dyn Transport>> Spawner<F> {
     /// Spawns (or respawns) worker `index` on `inbox`. A respawn
     /// starts in repair mode: query frames park until `RepairDone`.
-    fn spawn(
+    pub fn spawn(
         &self,
         index: u32,
         inbox: Receiver<Vec<u8>>,
         injector: Option<FaultInjector>,
         repairing: bool,
     ) -> JoinHandle<()> {
-        let links: Vec<Option<SyncSender<Vec<u8>>>> = self
-            .worker_tx
-            .iter()
-            .enumerate()
-            .map(|(j, tx)| (j != index as usize).then(|| tx.clone()))
-            .chain(std::iter::once(Some(self.client_tx.clone())))
-            .collect();
         let ctx = WorkerContext {
             index,
             shape: self.shape,
             hasher: self.hasher,
             shards: self.shards,
-            store: self.store,
             injector,
             repairing,
         };
+        let transport = (self.transport)(&self.inbox_tx, index);
         let event_tx = self.event_tx.clone();
         std::thread::Builder::new()
             .name(format!("hyperdex-worker-{index}"))
             .spawn(move || {
-                let exit = run_worker(ctx, Box::new(ChannelTransport::new(links)), inbox);
+                let exit = run_worker(ctx, transport, inbox);
                 let _ = event_tx.send(SupervisorEvent::Exited(exit));
             })
             .expect("spawn worker thread")
     }
 }
 
-enum SupervisorEvent {
+/// What a supervisor hears.
+pub enum SupervisorEvent {
+    /// A worker's event loop returned.
     Exited(WorkerExit),
+    /// The process owning the workers wants them stopped: the
+    /// supervisor broadcasts `Shutdown`. (A server's workers instead
+    /// receive the client's `Shutdown` frames off the wire.)
     ClientShutdown,
 }
 
-/// The supervisor loop: collect exits, respawn+repair crashed workers,
-/// broadcast shutdown, and drain dead inboxes so conservation closes.
-fn supervise(
-    spawner: Spawner,
+/// The supervisor loop over the workers `spawner` hosts: collect
+/// exits, respawn + replay + release crashed workers, broadcast
+/// shutdown when asked, and drain dead inboxes so conservation closes.
+/// `handles` is indexed by global worker like [`Spawner::inbox_tx`].
+/// Returns the hosted workers' merged counters in index order.
+pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Box<dyn Transport>>(
+    spawner: Spawner<F>,
     mut handles: Vec<Option<JoinHandle<()>>>,
     journal: Option<Journal>,
     events: Receiver<SupervisorEvent>,
 ) -> (Vec<WorkerStats>, SupervisorStats) {
-    let workers = spawner.worker_tx.len();
-    let mut stats: Vec<WorkerStats> = (0..workers)
+    let inbox = |i: usize| spawner.inbox_tx[i].as_ref().expect("hosted worker");
+    let total = spawner.inbox_tx.len();
+    let mut stats: Vec<WorkerStats> = (0..total)
         .map(|i| WorkerStats {
             worker: i as u32,
             ..WorkerStats::default()
         })
         .collect();
     let mut sup = SupervisorStats::default();
-    let mut exited: Vec<Option<Receiver<Vec<u8>>>> = (0..workers).map(|_| None).collect();
-    let mut live = workers;
+    let mut exited: Vec<Receiver<Vec<u8>>> = Vec::new();
+    let mut live = spawner.inbox_tx.iter().flatten().count();
     let mut shutting = false;
 
     while live > 0 {
@@ -663,7 +675,7 @@ fn supervise(
         match event {
             Some(SupervisorEvent::ClientShutdown) => {
                 shutting = true;
-                for tx in &spawner.worker_tx {
+                for tx in spawner.inbox_tx.iter().flatten() {
                     tx.send(WireMsg::Shutdown.encode())
                         .expect("worker channel alive");
                     sup.frames_sent += 1;
@@ -676,15 +688,18 @@ fn supervise(
                 }
                 stats[i].merge(&exit.stats);
                 match exit.cause {
+                    // A worker only exits cleanly on `Shutdown`: the
+                    // run is over, whoever sent it.
                     ExitCause::Clean => {
-                        exited[i] = Some(exit.inbox);
+                        shutting = true;
+                        exited.push(exit.inbox);
                         live -= 1;
                     }
                     ExitCause::Crashed if shutting => {
                         // The run is over; a respawn would only race the
                         // barrier. Treat the crash as this worker's exit
                         // and drain whatever it never read.
-                        exited[i] = Some(exit.inbox);
+                        exited.push(exit.inbox);
                         live -= 1;
                     }
                     ExitCause::Crashed => {
@@ -696,15 +711,13 @@ fn supervise(
                             let entries = journal.lock().expect("journal lock");
                             for (owner, frame) in entries.iter() {
                                 if *owner == i as u32 {
-                                    spawner.worker_tx[i]
-                                        .send(frame.clone())
-                                        .expect("worker channel alive");
+                                    inbox(i).send(frame.clone()).expect("worker channel alive");
                                     sup.frames_sent += 1;
                                     sup.replayed_frames += 1;
                                 }
                             }
                         }
-                        spawner.worker_tx[i]
+                        inbox(i)
                             .send(WireMsg::RepairDone { worker: i as u32 }.encode())
                             .expect("worker channel alive");
                         sup.frames_sent += 1;
@@ -714,7 +727,7 @@ fn supervise(
             None => {}
         }
         if shutting {
-            for rx in exited.iter().flatten() {
+            for rx in &exited {
                 while let Ok(packet) = rx.try_recv() {
                     sup.frames_drained += count_frames(&packet);
                 }
@@ -723,12 +736,17 @@ fn supervise(
     }
     // All workers have exited: nothing can still be sending. One final
     // sweep closes the books.
-    for rx in exited.iter().flatten() {
+    for rx in &exited {
         while let Ok(packet) = rx.try_recv() {
             sup.frames_drained += count_frames(&packet);
         }
     }
-    (stats, sup)
+    let hosted = stats
+        .into_iter()
+        .zip(&spawner.inbox_tx)
+        .filter_map(|(s, tx)| tx.is_some().then_some(s))
+        .collect();
+    (hosted, sup)
 }
 
 #[cfg(test)]
@@ -904,18 +922,14 @@ mod tests {
 
     #[test]
     fn batch_frames_count_once_but_deliver_many_entries() {
-        // Under the hash policy almost every SBT hop is remote, so a
-        // broad scan must form multi-entry batches. One batch frame is
+        // The one-keyword query's subcube spans all four prefix regions
+        // (`a` fixes bit 5, below the two prefix bits), so the scan
+        // crosses every ownership cut and each region's owner answers
+        // with its whole expanded subtree. One batch frame is
         // one ledger frame on both sides — conservation closes — while
         // the entry counter records the logical traversal volume the
         // batching collapsed.
-        let mut rt =
-            NodeRuntime::start(RuntimeConfig::new(8, 4).seed(42).policy(ShardPolicy::Hash))
-                .unwrap();
-        for &(id, kws) in CORPUS {
-            rt.insert(ObjectId::from_raw(id), set(kws)).unwrap();
-        }
-        rt.flush();
+        let mut rt = loaded(4);
         let mut ids: Vec<u64> = rt
             .superset_search(&set("a"), usize::MAX - 1)
             .unwrap()
@@ -936,35 +950,26 @@ mod tests {
     }
 
     #[test]
-    fn prefix_policy_cuts_scan_frames_versus_hash() {
-        // The point of the locality policy, asserted at runtime scale:
-        // the same broad scan ships fewer frames under prefix sharding
-        // than under hash sharding at the same worker count.
-        let frames_under = |policy: ShardPolicy| {
-            let mut rt =
-                NodeRuntime::start(RuntimeConfig::new(8, 8).seed(42).policy(policy)).unwrap();
-            for &(id, kws) in CORPUS {
-                rt.insert(ObjectId::from_raw(id), set(kws)).unwrap();
-            }
-            rt.flush();
-            let mut ids: Vec<u64> = rt
-                .superset_search(&set("a"), usize::MAX - 1)
-                .unwrap()
-                .iter()
-                .map(|m| m.object.raw())
-                .collect();
-            ids.sort_unstable();
-            assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
-            let report = rt.shutdown();
-            report.assert_conserved();
-            report.total_sent()
-        };
-        let hash = frames_under(ShardPolicy::Hash);
-        let prefix = frames_under(ShardPolicy::Prefix);
-        assert!(
-            prefix < hash,
-            "prefix sharding must ship fewer frames ({prefix} vs {hash})"
-        );
+    fn broad_scan_frame_count_is_pinned() {
+        // Burst composition is a pure function of the traversal, so the
+        // broad scan's ledger is a golden number: 8 inserts, two flush
+        // rounds and the shutdown round (48), `Query`/`QueryDone`, and
+        // one delegation + one reply for each of the three remote
+        // prefix regions the subcube spans (`a` fixes bit 5, halving
+        // the eight). The retired per-vertex hash placement shipped 210
+        // frames for the same scan.
+        let mut rt = loaded(8);
+        let mut ids: Vec<u64> = rt
+            .superset_search(&set("a"), usize::MAX - 1)
+            .unwrap()
+            .iter()
+            .map(|m| m.object.raw())
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
+        let report = rt.shutdown();
+        report.assert_conserved();
+        assert_eq!(report.total_sent(), 56);
     }
 
     #[test]
@@ -1096,14 +1101,11 @@ mod tests {
         // after one 30 ms timer, so the coordinator completes no sooner
         // than 30 ms in — long after the client's 1 ms attempt budget
         // ran out. Its `FtQueryDone` then sits in the client inbox ahead
-        // of whatever the next request waits for.
+        // of whatever the next request waits for. (The one-keyword
+        // subcube spans all four prefix regions, so every attempt has
+        // remote visits to lose.)
         let plan = FaultPlan::lossy(11, 1000, 0, 0);
-        let cfg = RuntimeConfig::new(8, 4).seed(42).policy(ShardPolicy::Hash);
-        let mut rt = NodeRuntime::start_faulted(cfg, plan).unwrap();
-        for &(id, kws) in CORPUS {
-            rt.insert(oid(id), set(kws)).unwrap();
-        }
-        rt.flush();
+        let mut rt = loaded_faulted(4, plan);
         let abandon = FtSearchOptions {
             strategy: hyperdex_core::RecoveryStrategy::RetryOnly,
             max_retries: 0,
@@ -1125,7 +1127,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(150));
             next_request(&mut rt);
         }
-        rt.shutdown().assert_conserved();
+        let report = rt.shutdown();
+        report.assert_conserved();
+        assert!(report.total_dropped() > 0, "no remote visit was dropped");
     }
 
     #[test]

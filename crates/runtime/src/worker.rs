@@ -3,7 +3,7 @@
 //!
 //! A worker is a pure protocol engine: it drains one inbox of packets
 //! (each packet one or more length-prefixed [`WireMsg`] frames),
-//! mutates only its own shard's `IndexTable`s, and emits frames
+//! mutates only its own shard's `PostingStore`s, and emits frames
 //! through a [`Transport`]. Nothing in here knows whether the fabric
 //! is a bounded channel ([`crate::transport::ChannelTransport`], the
 //! [`crate::runtime::NodeRuntime`] deployment) or a TCP mesh
@@ -35,7 +35,7 @@ use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{child_contacts, scan_store, SupersetCoordinator};
 use hyperdex_core::{
     FtCmd, FtCoordinator, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId,
-    PostingStore, StoreBackend,
+    PostingStore,
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
@@ -201,9 +201,6 @@ pub struct WorkerContext {
     pub hasher: KeywordHasher,
     /// The global vertex → worker map.
     pub shards: ShardMap,
-    /// Posting-storage backend for every shard table this worker owns
-    /// (DESIGN.md §17).
-    pub store: StoreBackend,
     /// Seeded fault injector, when the deployment schedules faults.
     pub injector: Option<FaultInjector>,
     /// `true` when respawning after a crash: query frames park until
@@ -226,7 +223,6 @@ pub fn run_worker(
         hasher: ctx.hasher,
         shards: ctx.shards,
         tables: HashMap::new(),
-        store: ctx.store,
         interner: KeywordInterner::new(),
         transport,
         outbox: (0..endpoints).map(|_| VecDeque::new()).collect(),
@@ -348,8 +344,6 @@ struct Worker {
     hasher: KeywordHasher,
     shards: ShardMap,
     tables: HashMap<u64, PostingStore>,
-    /// Backend every lazily-created shard table uses.
-    store: StoreBackend,
     interner: KeywordInterner,
     transport: Box<dyn Transport>,
     outbox: Vec<VecDeque<Vec<u8>>>,
@@ -570,11 +564,10 @@ impl Worker {
                 let kw = self.interner.intern(keywords);
                 let bits = self.hasher.vertex_for(&kw).bits();
                 debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted insert");
-                let store = self.store;
                 if self
                     .tables
                     .entry(bits)
-                    .or_insert_with(|| PostingStore::new(store))
+                    .or_default()
                     .insert_arc(kw, ObjectId::from_raw(object))
                 {
                     self.stats.inserts += 1;
@@ -583,11 +576,7 @@ impl Worker {
             }
             WireMsg::Handoff { bits, entries } => {
                 debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted handoff");
-                let store = self.store;
-                let table = self
-                    .tables
-                    .entry(bits)
-                    .or_insert_with(|| PostingStore::new(store));
+                let table = self.tables.entry(bits).or_default();
                 for (set, objects) in entries {
                     let kw = self.interner.intern(set);
                     for raw in objects {
@@ -763,14 +752,11 @@ impl Worker {
                         .on_reply(bits, added, &children, |_, _| false, &mut cmds);
                     self.ft_exec(query_id, &mut state, cmds);
                     self.ft_settle(query_id, state);
-                } else if let Some(mut state) = self.queries.remove(&query_id) {
-                    state.replies.insert(bits, (objects, children));
-                    if !self.drive(query_id, &mut state) {
-                        self.queries.insert(query_id, state);
-                    }
                 }
                 // else: a duplicate or post-completion continuation —
-                // injected faults make these normal; drop it.
+                // injected faults make these normal; drop it. (Only the
+                // FT path sends a bare `TQuery`; the sequential
+                // coordinator always ships batches.)
             }
             WireMsg::TContBatch {
                 query_id,

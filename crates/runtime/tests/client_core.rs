@@ -9,9 +9,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
-use hyperdex_runtime::{
-    ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, ShardPolicy, WireMsg,
-};
+use hyperdex_runtime::{ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, WireMsg};
 
 const WORKERS: u32 = 4;
 
@@ -71,7 +69,7 @@ fn client(
     };
     ClientCore::new(
         KeywordHasher::new(8, 42).unwrap(),
-        ShardMap::with_policy(ShardPolicy::Prefix, 8, WORKERS, 42),
+        ShardMap::new(8, WORKERS, 42),
         link,
         Some(Duration::from_millis(20)),
     )

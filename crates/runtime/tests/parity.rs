@@ -7,14 +7,11 @@
 //! with frame conservation holding on every shutdown. Worker counts
 //! come from `HYPERDEX_RUNTIME_WORKERS` (comma-separated) when set —
 //! CI uses that to fan the same test across a thread-count matrix —
-//! and default to 1, 2, 4, 8. Both placement policies run every time.
+//! and default to 1, 2, 4, 8.
 
 use hyperdex_core::{KeywordSet, ObjectId};
-use hyperdex_runtime::{assert_sim_parity_with, ShardPolicy};
+use hyperdex_runtime::assert_sim_parity;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
-
-/// Shard policies under test.
-const POLICIES: [ShardPolicy; 2] = [ShardPolicy::Hash, ShardPolicy::Prefix];
 
 /// Worker counts under test: the env override, or the default ladder.
 fn worker_counts() -> Vec<u32> {
@@ -64,12 +61,10 @@ fn workload(seed: u64, objects: usize) -> (Vec<(ObjectId, KeywordSet)>, Vec<(Key
 fn runtime_matches_sim_at_r8_across_worker_counts() {
     let (corpus, queries) = workload(42, 400);
     for workers in worker_counts() {
-        for policy in POLICIES {
-            let report = assert_sim_parity_with(8, 42, workers, policy, &corpus, &queries);
-            assert!(report.superset_checked >= 9, "query mix shrank");
-            assert!(report.pin_checked >= 9);
-            assert_eq!(report.shutdown.in_flight(), 0);
-        }
+        let report = assert_sim_parity(8, 42, workers, &corpus, &queries);
+        assert!(report.superset_checked >= 9, "query mix shrank");
+        assert!(report.pin_checked >= 9);
+        assert_eq!(report.shutdown.in_flight(), 0);
     }
 }
 
@@ -77,11 +72,9 @@ fn runtime_matches_sim_at_r8_across_worker_counts() {
 fn runtime_matches_sim_at_r12_across_worker_counts() {
     let (corpus, queries) = workload(7, 400);
     for workers in worker_counts() {
-        for policy in POLICIES {
-            let report = assert_sim_parity_with(12, 7, workers, policy, &corpus, &queries);
-            assert!(report.superset_checked >= 9);
-            assert_eq!(report.shutdown.in_flight(), 0);
-        }
+        let report = assert_sim_parity(12, 7, workers, &corpus, &queries);
+        assert!(report.superset_checked >= 9);
+        assert_eq!(report.shutdown.in_flight(), 0);
     }
 }
 
@@ -91,8 +84,6 @@ fn parity_survives_a_second_seed_and_small_corpus() {
     // divergence; exercises sparse vertices (many unmaterialized).
     let (corpus, queries) = workload(1234, 120);
     for workers in worker_counts() {
-        for policy in POLICIES {
-            assert_sim_parity_with(8, 1234, workers, policy, &corpus, &queries);
-        }
+        assert_sim_parity(8, 1234, workers, &corpus, &queries);
     }
 }

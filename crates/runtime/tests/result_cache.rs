@@ -28,8 +28,8 @@ use hyperdex_hypercube::Shape;
 use hyperdex_runtime::worker::LEADER_SILENCE;
 use hyperdex_runtime::{
     run_worker, take_frame, ChannelTransport, ExitCause, FaultInjector, FaultPlan, FtSearchOptions,
-    NodeRuntime, Request, RuntimeConfig, ShardMap, ShardPolicy, ShutdownReport, WireMsg,
-    WorkerContext, WorkerExit,
+    NodeRuntime, Request, RuntimeConfig, ShardMap, ShutdownReport, WireMsg, WorkerContext,
+    WorkerExit,
 };
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 use proptest::prelude::*;
@@ -356,7 +356,7 @@ struct Rig {
 impl Rig {
     fn start() -> Rig {
         let hasher = KeywordHasher::new(RIG_R, SEED).unwrap();
-        let shards = ShardMap::with_policy(ShardPolicy::Prefix, RIG_R, 2, SEED);
+        let shards = ShardMap::new(RIG_R, 2, SEED);
         let (client_tx, client) = sync_channel(1024);
         let mut inbox = Vec::new();
         let mut wire = Vec::new();
@@ -371,7 +371,6 @@ impl Rig {
                 shape: Shape::new(RIG_R).unwrap(),
                 hasher,
                 shards,
-                store: Default::default(),
                 injector: None,
                 repairing: false,
             };
@@ -719,7 +718,7 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
     // One worker, crashed on its first query-path frame and respawned
     // on the same inbox the way the supervisor does it.
     let hasher = KeywordHasher::new(RIG_R, SEED).unwrap();
-    let shards = ShardMap::with_policy(ShardPolicy::Prefix, RIG_R, 1, SEED);
+    let shards = ShardMap::new(RIG_R, 1, SEED);
     let (client_tx, client) = sync_channel(64);
     let (inbox_tx, inbox_rx) = sync_channel::<Vec<u8>>(64);
     let spawn = |inbox, injector, repairing| {
@@ -728,7 +727,6 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
             shape: Shape::new(RIG_R).unwrap(),
             hasher,
             shards,
-            store: Default::default(),
             injector,
             repairing,
         };

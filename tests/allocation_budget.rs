@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId, StoreBackend};
+use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId};
 use hyperdex::workload::{Corpus, CorpusConfig};
 
 struct Counting;
@@ -80,7 +80,7 @@ fn a_stored_entry_is_two_small_blocks_and_the_footprint_says_so() {
         .indexable()
         .map(|(id, keywords)| (id, keywords.clone()))
         .collect();
-    let mut index = HypercubeIndex::with_store(R, 14, StoreBackend::Slab).expect("valid r");
+    let mut index = HypercubeIndex::new(R, 14).expect("valid r");
     let before = allocations();
     for (id, keywords) in entries.drain(..) {
         index.insert(id, keywords).expect("non-empty set");
