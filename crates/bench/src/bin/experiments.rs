@@ -4,73 +4,44 @@
 //! experiments [EXPERIMENT ...] [--scale full|small] [--seed N] [--list]
 //!
 //! EXPERIMENT: table1 fig5 fig6 fig7 fig8 fig9 eq1 ablation xcheck
-//!             availability churn prune throughput runtime faults net
-//!             scale   all (default: all)
+//!             availability churn prune faults   all (default: all)
 //!
-//! `churn`, `prune`, `throughput`, `runtime`, `faults`, `net`, and
-//! `scale` additionally write their rows to `BENCH_churn.json` /
-//! `BENCH_prune.json` / `BENCH_throughput.json` / `BENCH_runtime.json`
-//! / `BENCH_faults.json` / `BENCH_net.json` / `BENCH_scale.json` in
-//! the current directory, each stamped with the effective seed. `net`
-//! launches real `hyperdex-server` processes — build them first with
-//! `cargo build -p hyperdex-net`.
+//! `churn`, `prune` and `faults` additionally write their rows to
+//! `BENCH_churn.json` / `BENCH_prune.json` / `BENCH_faults.json` in
+//! the current directory, each stamped with the effective seed.
 //!
-//! Experiments with environment knobs list them under `--list` and in
-//! the run-summary table. A final table maps each experiment run to the artifact it produced.
+//! A final table maps each experiment run to the artifact it produced.
 //! ```
 
 use std::process::ExitCode;
 
 use hyperdex_bench::experiments::{
-    ablation, availability, churn, eq1, faults, fig5, fig6, fig7, fig8, fig9, net, prune, runtime,
-    scale as scale_exp, table1, throughput, xcheck,
+    ablation, availability, churn, eq1, faults, fig5, fig6, fig7, fig8, fig9, prune, table1, xcheck,
 };
 use hyperdex_bench::report::Table;
 use hyperdex_bench::{Scale, SharedContext};
 
 const USAGE: &str = "usage: experiments \
-                     [table1|fig5|...|eq1|ablation|xcheck|availability|churn|prune|throughput\
-                     |runtime|faults|net|scale|all ...] [--scale full|small] [--seed N] [--list]";
+                     [table1|fig5|...|eq1|ablation|xcheck|availability|churn|prune|faults|all ...] \
+                     [--scale full|small] [--seed N] [--list]";
 
-/// Every experiment: name, one-line description, and the environment
-/// knobs it reads (empty when none), in run order.
-const EXPERIMENTS: [(&str, &str, &str); 17] = [
-    ("table1", "load distribution across index nodes", ""),
-    ("fig5", "keyword-set size distribution", ""),
-    ("fig6", "query popularity distribution", ""),
-    ("fig7", "index storage per node", ""),
-    ("fig8", "nodes contacted vs threshold (top-down)", ""),
-    ("fig9", "nodes contacted vs threshold (bottom-up)", ""),
-    ("eq1", "analytic node-count formula cross-check", ""),
-    ("ablation", "design-knob ablation", ""),
-    ("xcheck", "engine vs message-protocol parity", ""),
-    ("availability", "recall under static node failures", ""),
-    ("churn", "recall and repair under live membership churn", ""),
-    ("prune", "occupancy-guided SBT pruning savings", ""),
-    (
-        "throughput",
-        "insert/pin/superset rates, mask prefilter on/off",
-        "",
-    ),
-    (
-        "runtime",
-        "threaded shared-nothing qps/latency vs worker count",
-        "",
-    ),
+/// Every experiment: name and one-line description, in run order.
+const EXPERIMENTS: [(&str, &str); 13] = [
+    ("table1", "load distribution across index nodes"),
+    ("fig5", "keyword-set size distribution"),
+    ("fig6", "query popularity distribution"),
+    ("fig7", "index storage per node"),
+    ("fig8", "nodes contacted vs threshold (top-down)"),
+    ("fig9", "nodes contacted vs threshold (bottom-up)"),
+    ("eq1", "analytic node-count formula cross-check"),
+    ("ablation", "design-knob ablation"),
+    ("xcheck", "engine vs message-protocol parity"),
+    ("availability", "recall under static node failures"),
+    ("churn", "recall and repair under live membership churn"),
+    ("prune", "occupancy-guided SBT pruning savings"),
     (
         "faults",
         "recall/latency under frame loss and worker crashes",
-        "",
-    ),
-    (
-        "net",
-        "socket-mode qps/latency vs the in-process channel fabric",
-        "HYPERDEX_NET_SMOKE",
-    ),
-    (
-        "scale",
-        "million-object mixed traffic: SLOs and bytes/object",
-        "HYPERDEX_SCALE_SMOKE",
     ),
 ];
 
@@ -98,11 +69,8 @@ fn main() -> ExitCode {
                 }
             },
             "--list" => {
-                for (name, what, knobs) in EXPERIMENTS {
+                for (name, what) in EXPERIMENTS {
                     println!("{name:<14} {what}");
-                    if !knobs.is_empty() {
-                        println!("{:<14} knobs: {knobs}", "");
-                    }
                 }
                 return ExitCode::SUCCESS;
             }
@@ -114,7 +82,7 @@ fn main() -> ExitCode {
         }
     }
     if chosen.is_empty() || chosen.iter().any(|c| c == "all") {
-        chosen = EXPERIMENTS.map(|(name, _, _)| name.to_string()).to_vec();
+        chosen = EXPERIMENTS.map(|(name, _)| name.to_string()).to_vec();
     }
 
     let scale_name = match scale {
@@ -190,54 +158,10 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "throughput" => {
-                let rows = throughput::run(&ctx);
-                let path = std::path::Path::new("BENCH_throughput.json");
-                match throughput::write_json(&rows, seed, path) {
-                    Ok(()) => artifact = path.display().to_string(),
-                    Err(e) => {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "runtime" => {
-                let rows = runtime::run(&ctx);
-                let path = std::path::Path::new("BENCH_runtime.json");
-                match runtime::write_json(&rows, seed, path) {
-                    Ok(()) => artifact = path.display().to_string(),
-                    Err(e) => {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "faults" => {
                 let rows = faults::run(&ctx);
                 let path = std::path::Path::new("BENCH_faults.json");
                 match faults::write_json(&rows, seed, path) {
-                    Ok(()) => artifact = path.display().to_string(),
-                    Err(e) => {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "net" => {
-                let rows = net::run(&ctx);
-                let path = std::path::Path::new("BENCH_net.json");
-                match net::write_json(&rows, seed, path) {
-                    Ok(()) => artifact = path.display().to_string(),
-                    Err(e) => {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "scale" => {
-                let rows = scale_exp::run(&ctx);
-                let path = std::path::Path::new("BENCH_scale.json");
-                match scale_exp::write_json(&rows, seed, path) {
                     Ok(()) => artifact = path.display().to_string(),
                     Err(e) => {
                         eprintln!("failed to write {}: {e}", path.display());
@@ -255,17 +179,11 @@ fn main() -> ExitCode {
 
     println!("\n## Run summary\n");
     // The effective seed rides along on every row so a pasted summary
-    // is reproducible without the preamble; the knobs column records
-    // which environment variables could have shaped each row.
+    // is reproducible without the preamble.
     let seed_text = seed.to_string();
-    let mut summary = Table::new(["experiment", "seed", "knobs", "output"]);
+    let mut summary = Table::new(["experiment", "seed", "output"]);
     for (name, artifact) in &ran {
-        let knobs = EXPERIMENTS
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map_or("", |(_, _, k)| *k);
-        let knobs = if knobs.is_empty() { "—" } else { knobs };
-        summary.row([name.as_str(), seed_text.as_str(), knobs, artifact.as_str()]);
+        summary.row([name.as_str(), seed_text.as_str(), artifact.as_str()]);
     }
     print!("{}", summary.to_markdown());
     println!("\ndone.");

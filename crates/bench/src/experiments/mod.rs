@@ -13,12 +13,8 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod net;
 pub mod prune;
-pub mod runtime;
-pub mod scale;
 pub mod table1;
-pub mod throughput;
 pub mod xcheck;
 
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};

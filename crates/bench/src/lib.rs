@@ -15,10 +15,8 @@
 //! CSV series) to stdout; EXPERIMENTS.md records a full-scale run next
 //! to the paper's published curves.
 //!
-//! Criterion micro-benches live under `benches/` and cover the
-//! per-operation costs (§3.5): pin search, superset search, insert and
-//! delete versus the DII baseline, hypercube primitives, and DHT
-//! routing.
+//! Nothing here times the serving path: per-operation and end-to-end
+//! wall-clock numbers come from the standalone `benchmark/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

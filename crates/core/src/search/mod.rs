@@ -73,17 +73,11 @@ pub struct SupersetQuery {
     /// Whether occupancy summaries may prune provably-empty SBT
     /// subtrees (recall-safe; see [`crate::summary`]).
     pub prune: bool,
-    /// Whether per-node scans use the 64-bit keyword-signature
-    /// prefilter (on by default; results are identical either way —
-    /// the off switch exists so benchmarks can measure the
-    /// pre-optimization string-compare scan).
-    pub mask: bool,
 }
 
 impl SupersetQuery {
     /// Creates a query returning *all* matches (threshold `usize::MAX`),
-    /// top-down, sequential, cache enabled, pruning disabled, signature
-    /// prefilter enabled.
+    /// top-down, sequential, cache enabled, pruning disabled.
     pub fn new(keywords: KeywordSet) -> Self {
         SupersetQuery {
             keywords,
@@ -92,7 +86,6 @@ impl SupersetQuery {
             mode: ExecutionMode::Sequential,
             use_cache: true,
             prune: false,
-            mask: true,
         }
     }
 
@@ -123,12 +116,6 @@ impl SupersetQuery {
     /// Enables or disables occupancy-guided subtree pruning.
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
-        self
-    }
-
-    /// Enables or disables the keyword-signature scan prefilter.
-    pub fn mask(mut self, on: bool) -> Self {
-        self.mask = on;
         self
     }
 
@@ -224,9 +211,7 @@ mod tests {
         assert_eq!(q.mode, ExecutionMode::Sequential);
         assert!(q.use_cache);
         assert!(!q.prune, "pruning is opt-in");
-        assert!(q.mask, "signature prefilter is on by default");
         assert!(q.validate().is_ok());
-        assert!(!q.clone().mask(false).mask);
         assert!(q.prune(true).prune);
     }
 

@@ -71,14 +71,8 @@ pub(crate) fn run(
         }
     }
 
-    // Query signature, computed once for the whole traversal. `0`
-    // passes every entry through the prefilter — exactly the
-    // pre-optimization unfiltered scan.
-    let qsig = if query.mask {
-        query.keywords.signature()
-    } else {
-        0
-    };
+    // Query signature, computed once for the whole traversal.
+    let qsig = query.keywords.signature();
 
     // The reusable frontier queue, moved out for the duration of the
     // search (the traversals borrow the index immutably).

@@ -36,7 +36,7 @@
 //!   channel link), the one supervisor every deployment runs
 //!   ([`runtime::supervise`]), the shutdown/conservation protocol.
 //! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
-//!   harness used by tests and the `runtime` bench, including faulted
+//!   harness the integration tests call, including faulted
 //!   executions.
 //!
 //! ```

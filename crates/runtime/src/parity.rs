@@ -10,8 +10,8 @@
 //! lost or duplicated frame fails the run even when results happen to
 //! match.
 //!
-//! Both the integration tests and the `runtime` bench call into this
-//! module, keeping "what parity means" defined in exactly one place.
+//! The integration tests of this crate and of `hyperdex-net` call into
+//! this module, keeping "what parity means" defined in exactly one place.
 
 use std::collections::{HashMap, HashSet};
 

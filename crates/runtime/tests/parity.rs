@@ -10,7 +10,7 @@
 //! and default to 1, 2, 4, 8.
 
 use hyperdex_core::{KeywordSet, ObjectId};
-use hyperdex_runtime::assert_sim_parity;
+use hyperdex_runtime::{assert_sim_parity, NodeRuntime, Request, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// Worker counts under test: the env override, or the default ladder.
@@ -85,5 +85,59 @@ fn parity_survives_a_second_seed_and_small_corpus() {
     let (corpus, queries) = workload(1234, 120);
     for workers in worker_counts() {
         assert_sim_parity(8, 1234, workers, &corpus, &queries);
+    }
+}
+
+/// Frames the `scans` themselves cost on a `workers`-thread runtime
+/// loaded with `corpus` at r = 8: a conserved run that replays them
+/// once, minus an identical run that only loads.
+fn scan_frames(workers: u32, corpus: &[(ObjectId, KeywordSet)], scans: &[Request]) -> u64 {
+    let total_sent = |requests: &[Request]| {
+        let mut rt = NodeRuntime::start(RuntimeConfig::new(8, workers).seed(42)).expect("valid r");
+        rt.bulk_load(corpus.iter().map(|(id, k)| (*id, k)))
+            .expect("non-empty sets");
+        rt.flush();
+        rt.run_batch(requests, 32);
+        let report = rt.shutdown();
+        report.assert_conserved();
+        assert_eq!(
+            report.cache().hit_ratio(),
+            0.0,
+            "a never-repeating scan was served from a result cache"
+        );
+        report.total_sent()
+    };
+    total_sent(scans) - total_sent(&[])
+}
+
+#[test]
+fn scan_frames_stay_within_the_locality_envelope() {
+    // A query spanning R prefix regions costs 2(R−1) + 2 frames against
+    // the single worker's 2, and R ≤ w — so sharding may multiply the
+    // frames of exhaustive scans by at most the worker count (5.9× at
+    // w = 8 here; per-vertex dispatch was 22–64×).
+    let (corpus, queries) = workload(42, 4_000);
+    let scans: Vec<Request> = queries
+        .into_iter()
+        .filter(|(_, threshold)| *threshold == usize::MAX - 1)
+        .map(|(keywords, threshold)| Request::Superset {
+            keywords,
+            threshold,
+        })
+        .collect();
+    assert!(scans.len() >= 8, "query mix shrank");
+    let single = scan_frames(1, &corpus, &scans);
+    assert_eq!(single, 2 * scans.len() as u64);
+    for workers in worker_counts() {
+        let frames = scan_frames(workers, &corpus, &scans);
+        assert!(
+            frames <= u64::from(workers) * single,
+            "scan frame fan-out regressed: {frames} frames at {workers} workers vs {single} at 1"
+        );
+        assert_eq!(
+            frames,
+            scan_frames(workers, &corpus, &scans),
+            "frame counts are not deterministic at {workers} workers"
+        );
     }
 }

@@ -94,9 +94,9 @@ fn a_stored_entry_is_two_small_blocks_and_the_footprint_says_so() {
     let counted = live_bytes() - base;
     let per_object = counted as f64 / OBJECTS as f64;
     let reported = index.store_footprint().bytes_resident;
+    let reported_per_object = reported as f64 / OBJECTS as f64;
     println!(
-        "{per_object:.1} B/object counted, {:.1} B/object reported, {per_insert:.2} allocations/insert",
-        reported as f64 / OBJECTS as f64
+        "{per_object:.1} B/object counted, {reported_per_object:.1} B/object reported, {per_insert:.2} allocations/insert"
     );
     assert!(
         per_object <= 260.0,
@@ -105,6 +105,12 @@ fn a_stored_entry_is_two_small_blocks_and_the_footprint_says_so() {
     assert!(
         per_insert <= 3.0,
         "{per_insert:.2} allocations per insert of a fresh set (budget 3)"
+    );
+    // The store's own accounting has an absolute budget too (DESIGN
+    // §17), stated at this density of ~12 objects per vertex.
+    assert!(
+        reported_per_object <= 240.0,
+        "store_footprint reports {reported_per_object:.1} bytes per object (budget 240)"
     );
     let ratio = reported as f64 / counted as f64;
     assert!(
