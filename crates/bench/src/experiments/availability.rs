@@ -19,7 +19,7 @@
 use hyperdex_core::baseline::DistributedInvertedIndex;
 use hyperdex_core::replication::ReplicatedIndex;
 use hyperdex_core::sim_protocol::{FtConfig, ProtocolSim, RecoveryStrategy};
-use hyperdex_core::{HypercubeIndex, SupersetQuery};
+use hyperdex_core::{FtCoverage, HypercubeIndex, SupersetQuery};
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::rng::SimRng;
 
@@ -263,8 +263,7 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                 let cfg = FtConfig::new(strategy).max_retries(8);
                 let mut recall = 0.0;
                 let mut counted = 0usize;
-                let mut retries = 0u64;
-                let mut redelegations = 0u64;
+                let mut traffic = FtCoverage::default();
                 let before = sim.network().metrics().messages_sent.get();
                 for (q, &truth) in queries.iter().zip(&truths) {
                     if truth == 0 {
@@ -275,8 +274,7 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                         .search_fault_tolerant(q, usize::MAX >> 1, cfg)
                         .expect("valid");
                     recall += out.results.len() as f64 / truth as f64;
-                    retries += out.coverage.retries;
-                    redelegations += out.coverage.redelegations;
+                    traffic.add_traffic(&out.coverage.ft);
                 }
                 let messages = sim.network().metrics().messages_sent.get() - before;
                 let n = counted.max(1) as f64;
@@ -285,8 +283,8 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                     crash_fraction: crash,
                     drop_probability: drop_p,
                     recall: recall / n,
-                    retries: retries as f64 / n,
-                    redelegations: redelegations as f64 / n,
+                    retries: traffic.retries as f64 / n,
+                    redelegations: traffic.redelegations as f64 / n,
                     messages: messages as f64 / n,
                 });
             }

@@ -17,7 +17,7 @@
 //!   of timeouts, backoff, and supervised repair is visible in the max;
 //! * retries, timeouts, re-delegations, supervisor respawns, and the
 //!   injector's dropped/duplicated frame counts come from the
-//!   [`hyperdex_core::CoverageReport`]s and the conservation-checked
+//!   [`hyperdex_core::FtCoverage`]s and the conservation-checked
 //!   shutdown report. Per-frame fates replay exactly for a seed, but
 //!   *how many* frames a run sends depends on wall-clock timeout races
 //!   — so the sweep asserts determinism only on the schedule-driven
@@ -31,7 +31,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use hyperdex_core::{
-    HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy, SupersetQuery,
+    FtCoverage, FtPolicy, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy,
+    SupersetQuery,
 };
 use hyperdex_runtime::{FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
@@ -204,9 +205,11 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                 // scheduler starvation from masquerading as frame
                 // loss and exhausting the retry budget.
                 let opts = FtSearchOptions {
-                    strategy,
-                    max_retries: 6,
-                    base_timeout_ms: 50,
+                    policy: FtPolicy {
+                        strategy,
+                        max_retries: 6,
+                        base_timeout: 50,
+                    },
                     attempt_timeout_ms: 5_000,
                     attempts: 5,
                 };
@@ -223,7 +226,7 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                 let mut lat_us: Vec<f64> = Vec::new();
                 let (mut found, mut truth_total) = (0usize, 0usize);
                 let mut complete = 0usize;
-                let (mut retries, mut timeouts, mut redelegations) = (0u64, 0u64, 0u64);
+                let mut traffic = FtCoverage::default();
                 for (q, truth) in queries.iter().zip(&truths) {
                     let t0 = Instant::now();
                     let out = rt
@@ -240,9 +243,7 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                     truth_total += truth.len();
                     complete += usize::from(out.complete);
                     if let Some(cov) = &out.coverage {
-                        retries += cov.retries;
-                        timeouts += cov.timeouts;
-                        redelegations += cov.redelegations;
+                        traffic.add_traffic(cov);
                     }
                 }
                 let report = rt.shutdown();
@@ -276,9 +277,9 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                     complete,
                     p50_us: lat_us[(lat_us.len() - 1) / 2],
                     max_us: lat_us[lat_us.len() - 1],
-                    retries,
-                    timeouts,
-                    redelegations,
+                    retries: traffic.retries,
+                    timeouts: traffic.timeouts,
+                    redelegations: traffic.redelegations,
                     respawns: report.supervisor.respawns,
                     dropped_frames: report.total_dropped(),
                     duplicated_frames: report.total_duplicated(),

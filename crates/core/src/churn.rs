@@ -10,7 +10,7 @@
 //!
 //! * **Graceful leave** — the departing host streams every vertex table
 //!   it owns to that vertex's new surrogate in bounded-size
-//!   [`KwMsg::HandoffBatch`] messages (stop-and-wait, retransmitted on
+//!   [`ChurnMsg::HandoffBatch`] messages (stop-and-wait, retransmitted on
 //!   timeout). The host stays online until its last batch is
 //!   acknowledged, then goes dark.
 //! * **Join** — the new host's ownership claims are reconciled at the
@@ -22,7 +22,7 @@
 //!   surrogate (with an empty table), and periodic **anti-entropy
 //!   repair** re-pushes the lost postings from the secondary hypercube
 //!   (the second hash seed of [`crate::replication`]) in
-//!   [`KwMsg::RepairPush`] batches until the diff is empty.
+//!   [`ChurnMsg::RepairPush`] batches until the diff is empty.
 //!
 //! While a vertex is mid-handoff, crashed and not yet reassigned, or
 //! reassigned but still awaiting repair, it answers nothing: a
@@ -76,30 +76,73 @@ use std::sync::Arc;
 use hyperdex_dht::{keyhash, NodeId, ObjectId, Ring};
 use hyperdex_simnet::churn::{ChurnEvent, ChurnKind, ChurnPlan};
 use hyperdex_simnet::net::{EndpointId, NetEvent, TimerId};
-use hyperdex_simnet::time::SimTime;
+use hyperdex_simnet::time::{SimDuration, SimTime};
 
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::sim_protocol::{KwMsg, ProtocolSim};
+use crate::sim_protocol::{KwMsg, ProtocolSim, SimTimer};
 use crate::store::PostingStore;
 
-/// High-bit namespace separating churn timer tokens from the search
-/// layer's vertex-bits tokens (which are `< 2^16`).
-const CHURN_TOKEN_NS: u64 = 1 << 48;
-/// Timer kind: a stabilization round is due.
-const KIND_STABILIZE: u64 = 1 << 40;
-/// Timer kind: an anti-entropy repair round is due.
-const KIND_REPAIR: u64 = 2 << 40;
-/// Timer kind: retransmit the current batch of the handoff for the
-/// vertex in the token's low bits.
-const KIND_HANDOFF: u64 = 3 << 40;
-/// Timer kind: clock marker used by [`ProtocolSim::run_churn_to`] to
-/// advance virtual time to a membership event's instant.
-const KIND_MARKER: u64 = 4 << 40;
-/// Mask extracting the timer kind from a churn token.
-const KIND_MASK: u64 = 0xFF << 40;
-/// Mask extracting the vertex bits from a `KIND_HANDOFF` token.
-const BITS_MASK: u64 = (1 << 40) - 1;
+/// What a membership timer is for ([`SimTimer::Churn`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChurnTimer {
+    /// A stabilization round is due.
+    Stabilize,
+    /// An anti-entropy repair round is due.
+    Repair,
+    /// Retransmit the current batch of the handoff of this vertex.
+    Handoff(u64),
+    /// Clock marker [`ProtocolSim::run_churn_to`] uses to advance
+    /// virtual time to a membership event's instant.
+    Marker,
+}
+
+/// Membership messages ([`KwMsg::Churn`]), exchanged in churn mode
+/// only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChurnMsg {
+    /// Host → host: one bounded batch of a vertex's index entries,
+    /// streamed during a key-range handoff (stop-and-wait).
+    HandoffBatch {
+        /// The vertex whose table is being moved.
+        bits: u64,
+        /// Batch sequence number (0-based).
+        seq: u32,
+        /// The entries in this batch (keyword sets interned — the batch
+        /// shares the sender's allocations).
+        entries: EntryBatch,
+        /// Whether this is the final batch.
+        last: bool,
+    },
+    /// Host → host: acknowledges one handoff batch.
+    HandoffAck {
+        /// The vertex being moved.
+        bits: u64,
+        /// The acknowledged sequence number.
+        seq: u32,
+    },
+    /// Secondary-cube vertex → primary host: replica entries re-pushed
+    /// by anti-entropy repair after a crash lost the primary copy.
+    RepairPush {
+        /// The primary vertex being repaired.
+        bits: u64,
+        /// The entries restored by this push (keyword sets interned).
+        entries: EntryBatch,
+    },
+    /// Vertex → prefix-anchor: a full-state occupancy refresh for one
+    /// summary leaf, sent up the anchor chain after a repair completes
+    /// or a handoff installs. Carries the leaf's exact object count;
+    /// receivers apply it idempotently
+    /// ([`crate::summary::OccupancySummary::refresh_leaf`]), so loss or
+    /// reordering only prolongs safe over-counting — a stale summary
+    /// costs an extra visit, never a missed result.
+    TSummary {
+        /// The vertex whose occupancy changed.
+        bits: u64,
+        /// Its exact object count after the change.
+        count: u64,
+    },
+}
 
 /// Posting-list entries moved by one handoff or repair batch: interned
 /// keyword sets with the objects homed under each.
@@ -408,11 +451,6 @@ impl ChurnState {
     pub fn live_nodes(&self) -> usize {
         self.live.len()
     }
-
-    /// Plan events not yet applied.
-    pub fn pending_events(&self) -> usize {
-        self.plan.len() - self.next_event
-    }
 }
 
 /// Payload bytes of one batch: 16 per keyword, 8 per object id, 16 of
@@ -549,7 +587,7 @@ impl ProtocolSim {
         let delay = ev.at.saturating_since(self.net.now());
         let marker = self
             .net
-            .set_timer(self.requester, delay, CHURN_TOKEN_NS | KIND_MARKER);
+            .set_timer(self.requester, delay, SimTimer::Churn(ChurnTimer::Marker));
         while let Some(nev) = self.net.step_event() {
             if matches!(&nev, NetEvent::Timer(t) if t.id == marker) {
                 break;
@@ -567,47 +605,42 @@ impl ProtocolSim {
     /// Consumes churn-owned events (handoff / repair deliveries, churn
     /// timers); returns search-layer events untouched. With churn
     /// disabled everything passes through.
-    pub(crate) fn churn_intercept(&mut self, ev: NetEvent<KwMsg>) -> Option<NetEvent<KwMsg>> {
-        if self.churn.is_none() {
+    pub(crate) fn churn_intercept(
+        &mut self,
+        ev: NetEvent<KwMsg, SimTimer>,
+    ) -> Option<NetEvent<KwMsg, SimTimer>> {
+        let Some(mut st) = self.churn.take() else {
             return Some(ev);
-        }
-        match ev {
+        };
+        let passed = match ev {
             NetEvent::Delivery(d) => match d.payload {
-                KwMsg::HandoffBatch {
-                    bits,
-                    seq,
-                    entries,
-                    last,
-                } => {
-                    let mut st = self.churn.take().expect("checked above");
-                    on_handoff_batch(self, &mut st, d.to, d.from, bits, seq, entries, last);
-                    self.churn = Some(st);
-                    None
-                }
-                KwMsg::HandoffAck { bits, seq } => {
-                    let mut st = self.churn.take().expect("checked above");
-                    on_handoff_ack(self, &mut st, bits, seq);
-                    self.churn = Some(st);
-                    None
-                }
-                KwMsg::RepairPush { bits, entries } => {
-                    let mut st = self.churn.take().expect("checked above");
-                    on_repair_push(self, &mut st, bits, entries);
-                    self.churn = Some(st);
-                    None
-                }
-                KwMsg::TSummary { bits, count } => {
-                    // Full-state refresh: idempotent, so duplicates and
-                    // reordering are harmless. Ignored while a repair is
-                    // pending for the vertex — the count is about to
-                    // rise again, and an interim refresh could unsafely
-                    // shrink the digest below truth.
-                    let pending = self
-                        .churn
-                        .as_deref()
-                        .is_some_and(|c| c.repair_pending.contains_key(&bits));
-                    if !pending {
-                        self.summary.refresh_leaf(bits, count);
+                KwMsg::Churn(msg) => {
+                    match msg {
+                        ChurnMsg::HandoffBatch {
+                            bits,
+                            seq,
+                            entries,
+                            last,
+                        } => {
+                            on_handoff_batch(self, &mut st, d.to, d.from, bits, seq, entries, last)
+                        }
+                        ChurnMsg::HandoffAck { bits, seq } => {
+                            on_handoff_ack(self, &mut st, bits, seq);
+                        }
+                        ChurnMsg::RepairPush { bits, entries } => {
+                            on_repair_push(self, &mut st, bits, entries);
+                        }
+                        // Full-state refresh: idempotent, so duplicates
+                        // and reordering are harmless. Ignored while a
+                        // repair is pending for the vertex — the count
+                        // is about to rise again, and an interim
+                        // refresh could unsafely shrink the digest
+                        // below truth.
+                        ChurnMsg::TSummary { bits, count } => {
+                            if !st.repair_pending.contains_key(&bits) {
+                                self.summary.refresh_leaf(bits, count);
+                            }
+                        }
                     }
                     None
                 }
@@ -618,20 +651,22 @@ impl ProtocolSim {
                     payload,
                 })),
             },
-            NetEvent::Timer(t) if t.token & CHURN_TOKEN_NS != 0 => {
-                let mut st = self.churn.take().expect("checked above");
-                match t.token & KIND_MASK {
-                    KIND_STABILIZE => on_stabilize(self, &mut st),
-                    KIND_REPAIR => on_repair(self, &mut st),
-                    KIND_HANDOFF => on_handoff_timer(self, &mut st, t.token & BITS_MASK),
-                    // Stray marker (its drain loop already exited).
-                    _ => {}
+            NetEvent::Timer(t) => match t.token {
+                SimTimer::Churn(timer) => {
+                    match timer {
+                        ChurnTimer::Stabilize => on_stabilize(self, &mut st),
+                        ChurnTimer::Repair => on_repair(self, &mut st),
+                        ChurnTimer::Handoff(bits) => on_handoff_timer(self, &mut st, bits),
+                        // Stray marker (its drain loop already exited).
+                        ChurnTimer::Marker => {}
+                    }
+                    None
                 }
-                self.churn = Some(st);
-                None
-            }
-            other => Some(other),
-        }
+                SimTimer::Ft { .. } => Some(NetEvent::Timer(t)),
+            },
+        };
+        self.churn = Some(st);
+        passed
     }
 
     /// Whether vertex `bits` must stay silent: mid-handoff, crashed and
@@ -819,18 +854,18 @@ fn send_current_batch(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64) {
     sim.net.send_sized(
         src_ep,
         dst_ep,
-        KwMsg::HandoffBatch {
+        KwMsg::Churn(ChurnMsg::HandoffBatch {
             bits,
             seq,
             entries,
             last,
-        },
+        }),
         bytes,
     );
     let timer = sim.net.set_timer(
         sim.requester,
-        hyperdex_simnet::time::SimDuration::from_ticks(timeout),
-        CHURN_TOKEN_NS | KIND_HANDOFF | bits,
+        SimDuration::from_ticks(timeout),
+        SimTimer::Churn(ChurnTimer::Handoff(bits)),
     );
     st.stats.handoff_bytes += bytes;
     if let Some(h) = st.handoffs.get_mut(&bits) {
@@ -857,7 +892,8 @@ fn on_handoff_batch(
     // only the final ack was lost).
     let fresh = {
         let Some(h) = st.handoffs.get_mut(&bits) else {
-            sim.net.send(to, from, KwMsg::HandoffAck { bits, seq });
+            sim.net
+                .send(to, from, KwMsg::Churn(ChurnMsg::HandoffAck { bits, seq }));
             return;
         };
         if h.complete || (seq as usize) != h.received {
@@ -889,7 +925,8 @@ fn on_handoff_batch(
             push_summary_refresh(sim, st, bits);
         }
     }
-    sim.net.send(to, from, KwMsg::HandoffAck { bits, seq });
+    sim.net
+        .send(to, from, KwMsg::Churn(ChurnMsg::HandoffAck { bits, seq }));
 }
 
 /// Source side: an in-order ack advances the window; the final ack
@@ -978,8 +1015,8 @@ fn arm_stabilize(sim: &mut ProtocolSim, st: &mut ChurnState) {
         st.stab_armed = true;
         sim.net.set_timer(
             sim.requester,
-            hyperdex_simnet::time::SimDuration::from_ticks(st.cfg.stabilization_interval),
-            CHURN_TOKEN_NS | KIND_STABILIZE,
+            SimDuration::from_ticks(st.cfg.stabilization_interval),
+            SimTimer::Churn(ChurnTimer::Stabilize),
         );
     }
 }
@@ -990,8 +1027,8 @@ fn arm_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
         st.repair_armed = true;
         sim.net.set_timer(
             sim.requester,
-            hyperdex_simnet::time::SimDuration::from_ticks(st.cfg.repair_interval),
-            CHURN_TOKEN_NS | KIND_REPAIR,
+            SimDuration::from_ticks(st.cfg.repair_interval),
+            SimTimer::Churn(ChurnTimer::Repair),
         );
     }
 }
@@ -1090,10 +1127,10 @@ fn on_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
                 sim.net.send_sized(
                     from,
                     owner_ep,
-                    KwMsg::RepairPush {
+                    KwMsg::Churn(ChurnMsg::RepairPush {
                         bits,
                         entries: chunk.to_vec(),
-                    },
+                    }),
                     bytes,
                 );
                 st.stats.repair_pushes += 1;
@@ -1128,7 +1165,7 @@ fn on_repair_push(
 
 /// Refreshes the primary occupancy summary for vertex `bits` from its
 /// now-authoritative table and streams the exact count up the vertex's
-/// prefix anchor chain as [`KwMsg::TSummary`] messages (one per summary
+/// prefix anchor chain as [`ChurnMsg::TSummary`] messages (one per summary
 /// level, to the vertex anchoring each enclosing region).
 ///
 /// Skipped while a repair is still pending for the vertex: the table
@@ -1147,7 +1184,11 @@ fn push_summary_refresh(sim: &mut ProtocolSim, st: &ChurnState, bits: u64) {
     let from = sim.endpoint_of(bits);
     for (j, prefix) in hyperdex_hypercube::sbt::summary_path(bits, r).skip(1) {
         let anchor = sim.endpoint_of(prefix << j);
-        sim.net.send(from, anchor, KwMsg::TSummary { bits, count });
+        sim.net.send(
+            from,
+            anchor,
+            KwMsg::Churn(ChurnMsg::TSummary { bits, count }),
+        );
         sim.net.metrics_mut().summary_deltas.incr();
     }
 }
@@ -1159,22 +1200,8 @@ mod tests {
     use hyperdex_simnet::time::SimTime;
 
     use super::*;
+    use crate::fixtures::{set, CORPUS};
     use crate::sim_protocol::{FtConfig, RecoveryStrategy};
-
-    const CORPUS: &[(u64, &str)] = &[
-        (1, "a"),
-        (2, "a b"),
-        (3, "a b c"),
-        (4, "a c"),
-        (5, "b c"),
-        (6, "a d e"),
-        (7, "x y"),
-        (8, "a b d"),
-    ];
-
-    fn set(s: &str) -> KeywordSet {
-        KeywordSet::parse(s).unwrap()
-    }
 
     fn sim_with_corpus(r: u8, seed: u64) -> ProtocolSim {
         let mut sim = ProtocolSim::new(r, seed, LatencyModel::constant(1)).unwrap();
@@ -1185,11 +1212,17 @@ mod tests {
     }
 
     fn recall_ids(sim: &mut ProtocolSim, query: &str) -> Vec<u64> {
+        recall_ids_with(sim, query, false)
+    }
+
+    /// The ids a failover search for `query` returns, with or without
+    /// occupancy pruning.
+    fn recall_ids_with(sim: &mut ProtocolSim, query: &str, prune: bool) -> Vec<u64> {
         let out = sim
             .search_fault_tolerant(
                 &set(query),
                 usize::MAX - 1,
-                FtConfig::new(RecoveryStrategy::ReplicatedFailover),
+                FtConfig::new(RecoveryStrategy::ReplicatedFailover).prune(prune),
             )
             .unwrap();
         let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
@@ -1250,17 +1283,7 @@ mod tests {
         // Nothing was lost to the crash. The sweep must prune by
         // occupancy: unpruned superset search would walk the query's
         // 2^31-vertex induced subcube.
-        let out = sim
-            .search_fault_tolerant(
-                &set("a"),
-                usize::MAX - 1,
-                FtConfig::new(RecoveryStrategy::ReplicatedFailover).prune(true),
-            )
-            .unwrap();
-        let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
+        assert_eq!(recall_ids_with(&mut sim, "a", true), vec![1, 2, 3, 4, 6, 8]);
     }
 
     #[test]
@@ -1392,6 +1415,72 @@ mod tests {
     }
 
     #[test]
+    fn timers_keep_their_kind_at_dimensions_past_the_old_token_fields() {
+        // Timer tokens used to pack `namespace | kind << 40 | bits` into
+        // one u64: at r = 50 a vertex with bit 42 set corrupted a
+        // handoff timer's kind (the handoff never retransmitted) and an
+        // FT retry timer for a vertex with bit 48 set was taken for a
+        // churn timer (the coordinator never retried).
+        const R: u8 = 50;
+        let mut sim = ProtocolSim::new(R, 7, LatencyModel::constant(1)).unwrap();
+        let hasher = sim.hasher;
+        // One-keyword sets `w0, w1, …` with the bit each hashes to.
+        let words = || {
+            (0..).map(|i| {
+                let word = set(&format!("w{i}"));
+                let bit = hasher.vertex_for(&word).bits().trailing_zeros();
+                (word, bit)
+            })
+        };
+
+        // An object homed on a vertex with bit 42 set.
+        let (word42, _) = words().find(|&(_, bit)| bit == 42).unwrap();
+        let home = 1 << 42;
+        sim.insert(ObjectId::from_raw(1), word42).unwrap();
+        // Host 1, the sole member, owns it; the plan has host 2 join
+        // and host 1 leave, streaming the table to it.
+        let mut plan = ChurnPlan::default();
+        plan.join_at(SimTime::from_ticks(1), 2);
+        plan.leave_at(SimTime::from_ticks(5), 1);
+        sim.enable_churn(&plan, StabilizationConfig::default(), &[1])
+            .unwrap();
+
+        // First a search, over a dead vertex with bit 48 set: a query
+        // whose root leaves that bit (and few others) free, so its
+        // subcube is small.
+        let mut query = KeywordSet::new();
+        for (word, _) in words().filter(|&(_, bit)| bit != 48) {
+            query = query.union(&word);
+            if hasher.vertex_for(&query).bits().count_ones() >= u32::from(R) - 6 {
+                break;
+            }
+        }
+        let root = sim.query_root(&query);
+        let dead = root.flip(48).bits();
+        let ep = sim.endpoint_of(dead);
+        sim.network_mut().faults_mut().kill(ep);
+        let config = FtConfig::new(RecoveryStrategy::RetryOnly).max_retries(3);
+        let out = sim
+            .search_fault_tolerant(&query, usize::MAX - 1, config)
+            .unwrap();
+        assert_eq!(out.coverage.ft.retries, 3, "{:?}", out.coverage);
+        assert_eq!(out.coverage.ft.timeouts, 1);
+
+        // Then the plan, with half of all messages lost.
+        sim.network_mut().faults_mut().set_drop_probability(0.5);
+        sim.run_churn_to_quiescence();
+        sim.network_mut().faults_mut().set_drop_probability(0.0);
+        let st = sim.churn().unwrap();
+        assert!(
+            st.stats().handoff_retransmits > 0,
+            "50% loss must cost retransmits: {:?}",
+            st.stats()
+        );
+        assert!(st.converged(), "handoff never landed: {:?}", st.stats());
+        assert_eq!(st.view_owner(home), Some(2));
+    }
+
+    #[test]
     fn generated_plans_converge_deterministically() {
         let members: Vec<u64> = (1..=8).collect();
         let cfg = ChurnConfig {
@@ -1451,19 +1540,8 @@ mod tests {
                     ("b", vec![2, 3, 5, 8]),
                     ("x", vec![7]),
                 ] {
-                    let out = sim
-                        .search_fault_tolerant(
-                            &set(query),
-                            usize::MAX - 1,
-                            FtConfig::new(RecoveryStrategy::ReplicatedFailover).prune(true),
-                        )
-                        .unwrap();
-                    let mut ids: Vec<u64> =
-                        out.results.iter().map(|r| r.object.raw()).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
                     proptest::prop_assert_eq!(
-                        ids, want,
+                        recall_ids_with(&mut sim, query, true), want,
                         "seed {} probe {} query {}: pruning lost recall",
                         seed, probe, query
                     );
@@ -1493,17 +1571,11 @@ mod tests {
             !sim.churn().unwrap().converged(),
             "handoff should still be in flight"
         );
-        let out = sim
-            .search_fault_tolerant(
-                &set("a"),
-                usize::MAX - 1,
-                FtConfig::new(RecoveryStrategy::ReplicatedFailover),
-            )
-            .unwrap();
-        let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8], "recall lost mid-handoff");
+        assert_eq!(
+            recall_ids(&mut sim, "a"),
+            vec![1, 2, 3, 4, 6, 8],
+            "recall lost mid-handoff"
+        );
         // Draining the search also drained the handoff.
         assert!(sim.churn().unwrap().converged());
     }
@@ -1534,7 +1606,11 @@ mod tests {
         let from = sim.endpoint_of(bits);
         let anchor = sim.endpoint_of(0);
         for _ in 0..3 {
-            sim.net.send(from, anchor, KwMsg::TSummary { bits, count });
+            sim.net.send(
+                from,
+                anchor,
+                KwMsg::Churn(ChurnMsg::TSummary { bits, count }),
+            );
         }
         sim.run_churn_to_quiescence();
 

@@ -118,3 +118,28 @@ pub use service::KeywordSearchService;
 pub use sim_protocol::{CoverageReport, FtConfig, ProtocolSim};
 pub use store::{PostingStore, StoreBackend, StoreFootprint};
 pub use summary::{OccupancySummary, SubtreeDigest};
+
+/// What the protocol, simulator and churn unit tests share.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use crate::{KeywordSet, ObjectId};
+
+    pub(crate) fn set(s: &str) -> KeywordSet {
+        KeywordSet::parse(s).unwrap()
+    }
+
+    pub(crate) fn oid(n: u64) -> ObjectId {
+        ObjectId::from_raw(n)
+    }
+
+    pub(crate) const CORPUS: &[(u64, &str)] = &[
+        (1, "a"),
+        (2, "a b"),
+        (3, "a b c"),
+        (4, "a c"),
+        (5, "b c"),
+        (6, "a d e"),
+        (7, "x y"),
+        (8, "a b d"),
+    ];
+}

@@ -31,6 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
+use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Sbt, Shape, Vertex};
 
 use crate::keyword::KeywordSet;
@@ -450,7 +451,9 @@ pub enum RecoveryStrategy {
 
 /// Retry/backoff tuning for one fault-tolerant pass, in
 /// substrate-defined timeout ticks (virtual ticks in the simulator,
-/// milliseconds in the threaded runtime).
+/// milliseconds in the threaded runtime). The one declaration of the
+/// policy: `FtConfig`, `FtSearchOptions` and `WireMsg::FtQuery` embed
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtPolicy {
     /// Recovery behaviour on timeout.
@@ -472,13 +475,13 @@ pub fn ft_backoff(base: u64, attempts: u32) -> u64 {
 /// The substrate (simnet event loop, threaded-runtime worker) executes
 /// each command with its own transport and timer facility and feeds
 /// outcomes back via [`FtCoordinator::on_reply`] /
-/// [`FtCoordinator::on_timeout`].
+/// [`FtCoordinator::on_scan`] / [`FtCoordinator::on_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FtCmd {
     /// (Re)transmit a `T_QUERY` to vertex `bits` and, when `timeout` is
     /// set, arm a retransmission timer for that many ticks. A vertex
     /// the substrate can scan locally may be answered inline by calling
-    /// `on_reply` immediately instead of sending anything.
+    /// [`FtCoordinator::on_scan`] instead of sending anything.
     Send {
         /// The vertex to query.
         bits: u64,
@@ -489,9 +492,15 @@ pub enum FtCmd {
         /// Timer to arm, in ticks ([`RecoveryStrategy::Naive`] arms
         /// none).
         timeout: Option<u64>,
+        /// Names this transmission's timer: hand it back to
+        /// [`FtCoordinator::on_timeout`], which ignores every
+        /// generation but the vertex's latest — a substrate need not
+        /// be able to disarm a timer.
+        generation: u64,
     },
     /// Disarm the timer guarding `bits` (the vertex answered, or the
     /// threshold was met and the outstanding query no longer matters).
+    /// Advisory: a timer left armed fires into a no-op.
     Cancel {
         /// The vertex whose timer dies.
         bits: u64,
@@ -504,13 +513,16 @@ pub enum FtCmd {
     Promote,
 }
 
-/// Exact coverage accounting produced by [`FtCoordinator::finish`].
+/// Exact coverage accounting produced by [`FtCoordinator::finish`] —
+/// the one declaration of these counters: `WireMsg::FtQueryDone`
+/// carries it, `CoverageReport` embeds it, the runtime client hands it
+/// through.
 ///
 /// The invariant every substrate asserts: `reached + skipped.len() +
 /// (vertices pruned by the substrate) == subcube_vertices`, unless the
 /// threshold stopped the traversal early (then the remainder is simply
 /// unvisited).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtCoverage {
     /// Vertices in the query's induced subcube (`2^{r−|One|}`).
     pub subcube_vertices: u64,
@@ -520,6 +532,10 @@ pub struct FtCoverage {
     pub skipped: Vec<u64>,
     /// `T_QUERY` transmissions, including retransmissions.
     pub queries_sent: u64,
+    /// Continuation messages the coordinator received.
+    pub conts: u64,
+    /// Continuations that carried at least one result object.
+    pub result_messages: u64,
     /// Retransmissions after a timeout.
     pub retries: u64,
     /// Children declared dead after the retry budget ran out.
@@ -528,51 +544,70 @@ pub struct FtCoverage {
     pub redelegations: u64,
 }
 
+impl FtCoverage {
+    /// Adds another pass's message and recovery counters (everything
+    /// but the vertex accounting, which stays this pass's own).
+    pub fn add_traffic(&mut self, other: &FtCoverage) {
+        self.queries_sent += other.queries_sent;
+        self.conts += other.conts;
+        self.result_messages += other.result_messages;
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.redelegations += other.redelegations;
+    }
+}
+
 /// One outstanding fault-tolerant child query.
 #[derive(Debug, Clone, Copy)]
 struct FtPending {
     attempts: u32,
     via_dim: Option<u8>,
+    /// Generation of the latest transmission (the live timer).
+    generation: u64,
 }
 
 /// The root-side coordinator of one fault-tolerant superset pass
 /// (§3.4) — retry with exponential backoff, SBT subtree re-delegation,
-/// and exact reached/skipped accounting — as a sans-I/O state machine.
+/// result collection, and exact reached/skipped accounting — as a
+/// sans-I/O state machine over result items of type `T`.
 ///
-/// This is the single shared recovery implementation: the simulator
-/// drives it with virtual-time timers and simnet messages, the
-/// threaded runtime with wall-clock deadlines and wire frames. The
-/// substrate owns transport, timers, per-vertex scans, result
-/// de-duplication, and (optionally) occupancy-based pruning via the
-/// `prune` filter passed to [`FtCoordinator::on_reply`] /
-/// [`FtCoordinator::on_timeout`]; the machine owns which vertex is
-/// outstanding, retry budgets, recovery strategy, and coverage.
+/// This is the single shared implementation: the simulator drives it
+/// with virtual-time timers and simnet messages, the threaded runtime
+/// with wall-clock deadlines and wire frames. The substrate owns
+/// transport, timers, per-vertex scans, and (optionally)
+/// occupancy-based pruning via the `prune` filter passed to the event
+/// methods; the machine owns everything else: which vertex is
+/// outstanding and which timer is current, retry budgets, recovery
+/// strategy, the de-duplicated result list and its threshold cut, and
+/// every counter of [`FtCoverage`].
 ///
 /// Protocol: call [`FtCoordinator::start`], execute the emitted
-/// [`FtCmd`]s, then feed every continuation to `on_reply` and every
-/// expired timer to `on_timeout` (executing the commands each emits)
-/// until [`FtCoordinator::in_flight`] reaches zero or
-/// [`FtCoordinator::is_done`]. Finally [`FtCoordinator::finish`]
-/// accounts whatever never answered.
+/// [`FtCmd`]s, then feed every continuation to `on_reply` (a local
+/// scan to `on_scan`) and every expired timer to `on_timeout`,
+/// executing the commands each emits, until
+/// [`FtCoordinator::in_flight`] reaches zero. Finally
+/// [`FtCoordinator::finish`] accounts whatever never answered and
+/// [`FtCoordinator::into_results`] yields the results.
 #[derive(Debug)]
-pub struct FtCoordinator {
-    shape: Shape,
+pub struct FtCoordinator<T> {
+    root: Vertex,
     keywords: Arc<KeywordSet>,
+    threshold: usize,
     remaining: usize,
-    root_bits: u64,
-    subcube_vertices: u64,
     policy: FtPolicy,
     pending: BTreeMap<u64, FtPending>,
     covered: HashSet<u64>,
     skipped: BTreeSet<u64>,
     done: bool,
-    queries_sent: u64,
-    retries: u64,
-    timeouts: u64,
-    redelegations: u64,
+    /// Accepted results in arrival order, and the ids among them.
+    results: Vec<T>,
+    seen: HashSet<ObjectId>,
+    /// Counters accumulated so far; `subcube_vertices` is set at
+    /// construction, the vertex accounting at [`FtCoordinator::finish`].
+    tally: FtCoverage,
 }
 
-impl FtCoordinator {
+impl<T> FtCoordinator<T> {
     /// A machine for one pass rooted at `root` wanting up to
     /// `threshold` results. Callers validate `threshold > 0` and, for
     /// timered strategies, `policy.base_timeout > 0` (see
@@ -584,21 +619,39 @@ impl FtCoordinator {
         policy: FtPolicy,
     ) -> Self {
         FtCoordinator {
-            shape: root.shape(),
+            root,
             keywords,
+            threshold,
             remaining: threshold,
-            root_bits: root.bits(),
-            subcube_vertices: 1u64 << root.zero_positions().count(),
             policy,
             pending: BTreeMap::new(),
             covered: HashSet::new(),
             skipped: BTreeSet::new(),
             done: false,
-            queries_sent: 0,
-            retries: 0,
-            timeouts: 0,
-            redelegations: 0,
+            results: Vec::new(),
+            seen: HashSet::new(),
+            tally: FtCoverage {
+                subcube_vertices: 1u64 << root.zero_positions().count(),
+                ..FtCoverage::default()
+            },
         }
+    }
+
+    /// A machine for a second sweep of the same query — rooted at
+    /// `root` in another cube, under `policy` — that keeps this one's
+    /// results, so an object both cubes hold is returned once. The
+    /// budget starts over at the threshold.
+    pub fn sweep_again(self, root: Vertex, policy: FtPolicy) -> Self {
+        FtCoordinator {
+            results: self.results,
+            seen: self.seen,
+            ..FtCoordinator::new(root, self.keywords, self.threshold, policy)
+        }
+    }
+
+    /// The traversal root this pass sweeps from.
+    pub fn root(&self) -> Vertex {
+        self.root
     }
 
     /// The queried keyword set (shared across every hop).
@@ -627,42 +680,19 @@ impl FtCoordinator {
         self.covered.contains(&bits)
     }
 
-    /// Whether `bits` is currently given up on (a late reply would
-    /// resurrect it).
-    pub fn is_skipped(&self, bits: u64) -> bool {
-        self.skipped.contains(&bits)
-    }
-
-    /// Children declared dead so far (running counter; substrates use
-    /// call-to-call deltas for their own metrics).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Dead children whose subtrees were re-delegated so far.
-    pub fn redelegations(&self) -> u64 {
-        self.redelegations
-    }
-
     /// Emits the initial root query. Call exactly once.
     pub fn start(&mut self, cmds: &mut Vec<FtCmd>) {
         debug_assert!(self.pending.is_empty() && self.covered.is_empty());
-        self.transmit(self.root_bits, None, 0, cmds);
-        self.pending.insert(
-            self.root_bits,
-            FtPending {
-                attempts: 0,
-                via_dim: None,
-            },
-        );
+        self.transmit(self.root.bits(), None, 0, cmds);
     }
 
-    /// Folds one vertex's answer in. `added` is how many *new* result
-    /// objects the continuation carried (the substrate de-duplicates by
-    /// object id — retransmitted queries re-deliver their results);
-    /// `children` are the vertex's SBT child contacts; `prune` returns
-    /// `true` for children whose subtree the substrate can disprove
-    /// (accounting them on its side).
+    /// Folds in one continuation *message* from vertex `bits`:
+    /// `objects` are the matches it carried, keyed by object id (a
+    /// retransmitted query re-delivers its results, so only ids not
+    /// seen before are kept and consume budget); `children` are the
+    /// vertex's SBT child contacts; `prune` returns `true` for children
+    /// whose subtree the substrate can disprove (accounting them on its
+    /// side).
     ///
     /// A reply from a vertex already given up on resurrects it: it is
     /// alive, merely slow or unlucky. Duplicate replies still consume
@@ -671,7 +701,24 @@ impl FtCoordinator {
     pub fn on_reply(
         &mut self,
         bits: u64,
-        added: usize,
+        objects: impl IntoIterator<Item = (ObjectId, T)>,
+        children: &[(u64, u8)],
+        prune: impl FnMut(u64, u8) -> bool,
+        cmds: &mut Vec<FtCmd>,
+    ) {
+        let mut objects = objects.into_iter().peekable();
+        self.tally.conts += 1;
+        self.tally.result_messages += u64::from(objects.peek().is_some());
+        self.on_scan(bits, objects, children, prune, cmds);
+    }
+
+    /// [`FtCoordinator::on_reply`] for a vertex the substrate scanned
+    /// in place of executing a [`FtCmd::Send`]: no message travelled,
+    /// so none is counted.
+    pub fn on_scan(
+        &mut self,
+        bits: u64,
+        objects: impl IntoIterator<Item = (ObjectId, T)>,
         children: &[(u64, u8)],
         prune: impl FnMut(u64, u8) -> bool,
         cmds: &mut Vec<FtCmd>,
@@ -684,7 +731,13 @@ impl FtCoordinator {
             }
             self.covered.insert(bits);
         }
-        self.remaining = self.remaining.saturating_sub(added);
+        let before = self.results.len();
+        for (id, object) in objects {
+            if self.seen.insert(id) {
+                self.results.push(object);
+            }
+        }
+        self.remaining = self.remaining.saturating_sub(self.results.len() - before);
         if self.remaining == 0 {
             self.stop(cmds);
         } else if fresh && !self.done {
@@ -692,13 +745,17 @@ impl FtCoordinator {
         }
     }
 
-    /// A retransmission timer for `bits` expired: retry with doubled
-    /// timeout while budget remains, otherwise declare the child dead
-    /// and apply the recovery strategy. `prune` filters re-delegated
-    /// grandchildren exactly like [`FtCoordinator::on_reply`].
+    /// The retransmission timer armed by the [`FtCmd::Send`] of
+    /// `generation` for `bits` expired: retry with doubled timeout
+    /// while budget remains, otherwise declare the child dead and apply
+    /// the recovery strategy. A timer that is not the vertex's current
+    /// one (it answered, was retried, or the threshold was met) is
+    /// ignored. `prune` filters re-delegated grandchildren exactly like
+    /// [`FtCoordinator::on_reply`].
     pub fn on_timeout(
         &mut self,
         bits: u64,
+        generation: u64,
         prune: impl FnMut(u64, u8) -> bool,
         cmds: &mut Vec<FtCmd>,
     ) {
@@ -706,32 +763,24 @@ impl FtCoordinator {
             return;
         }
         let Some(p) = self.pending.get(&bits).copied() else {
-            return; // stale timer: the vertex answered meanwhile
+            return;
         };
+        if p.generation != generation {
+            return;
+        }
         if p.attempts < self.policy.max_retries {
-            self.retries += 1;
-            let attempt = p.attempts + 1;
-            self.pending.get_mut(&bits).expect("checked above").attempts = attempt;
-            self.transmit(bits, p.via_dim, attempt, cmds);
+            self.tally.retries += 1;
+            self.transmit(bits, p.via_dim, p.attempts + 1, cmds);
             return;
         }
         // Budget exhausted: the child is dead.
         self.pending.remove(&bits);
-        self.timeouts += 1;
-        let vertex = Vertex::from_bits(self.shape, bits).expect("pending keys are vertices");
+        self.tally.timeouts += 1;
+        let vertex = Vertex::from_bits(self.root.shape(), bits).expect("pending keys are vertices");
         match self.policy.strategy {
             RecoveryStrategy::Naive => unreachable!("naive arms no timers"),
-            RecoveryStrategy::RetryOnly => {
-                // The whole subtree behind the dead child is
-                // unreachable.
-                let mut subtree = Vec::new();
-                subtree_bits(self.shape, vertex, p.via_dim, &mut subtree);
-                for w in subtree {
-                    if !self.covered.contains(&w) {
-                        self.skipped.insert(w);
-                    }
-                }
-            }
+            // The whole subtree behind the dead child is unreachable.
+            RecoveryStrategy::RetryOnly => self.skip_subtree(vertex, p.via_dim),
             RecoveryStrategy::Redelegate | RecoveryStrategy::ReplicatedFailover => {
                 self.skipped.insert(bits);
                 if p.via_dim.is_none() {
@@ -740,7 +789,7 @@ impl FtCoordinator {
                 }
                 let children = child_contacts(vertex, p.via_dim).collect::<Vec<_>>();
                 if !children.is_empty() {
-                    self.redelegations += 1;
+                    self.tally.redelegations += 1;
                     self.enqueue_children(&children, prune, cmds);
                 }
             }
@@ -751,26 +800,32 @@ impl FtCoordinator {
     /// armed, or the coordinator died) as skipped subtrees and returns
     /// the pass's exact coverage.
     pub fn finish(&mut self) -> FtCoverage {
-        let mut subtree = Vec::new();
         for (bits, p) in std::mem::take(&mut self.pending) {
-            let vertex = Vertex::from_bits(self.shape, bits).expect("pending keys are vertices");
-            subtree.clear();
-            subtree_bits(self.shape, vertex, p.via_dim, &mut subtree);
-            for &w in &subtree {
-                if !self.covered.contains(&w) {
-                    self.skipped.insert(w);
-                }
-            }
+            let vertex =
+                Vertex::from_bits(self.root.shape(), bits).expect("pending keys are vertices");
+            self.skip_subtree(vertex, p.via_dim);
         }
         FtCoverage {
-            subcube_vertices: self.subcube_vertices,
             reached: self.covered.len() as u64,
             skipped: self.skipped.iter().copied().collect(),
-            queries_sent: self.queries_sent,
-            retries: self.retries,
-            timeouts: self.timeouts,
-            redelegations: self.redelegations,
+            ..self.tally.clone()
         }
+    }
+
+    /// The de-duplicated results in arrival order, cut to the
+    /// threshold.
+    pub fn into_results(mut self) -> Vec<T> {
+        self.results.truncate(self.threshold);
+        self.results
+    }
+
+    /// Marks every not-yet-covered vertex of the SBT subtree under
+    /// `vertex` as given up on.
+    fn skip_subtree(&mut self, vertex: Vertex, via_dim: Option<u8>) {
+        let mut subtree = Vec::new();
+        subtree_bits(self.root.shape(), vertex, via_dim, &mut subtree);
+        self.skipped
+            .extend(subtree.into_iter().filter(|w| !self.covered.contains(w)));
     }
 
     /// Threshold met: latch done and cancel everything outstanding
@@ -801,18 +856,24 @@ impl FtCoordinator {
                 continue;
             }
             self.transmit(bits, Some(dim), 0, cmds);
-            self.pending.insert(
-                bits,
-                FtPending {
-                    attempts: 0,
-                    via_dim: Some(dim),
-                },
-            );
         }
     }
 
+    /// Emits one (re)transmission and makes its timer the vertex's
+    /// current one.
     fn transmit(&mut self, bits: u64, via_dim: Option<u8>, attempt: u32, cmds: &mut Vec<FtCmd>) {
-        self.queries_sent += 1;
+        self.tally.queries_sent += 1;
+        // Transmissions are numbered as they are counted, so every one
+        // has a generation of its own.
+        let generation = self.tally.queries_sent;
+        self.pending.insert(
+            bits,
+            FtPending {
+                attempts: attempt,
+                via_dim,
+                generation,
+            },
+        );
         let timeout = (self.policy.strategy != RecoveryStrategy::Naive)
             .then(|| ft_backoff(self.policy.base_timeout, attempt));
         cmds.push(FtCmd::Send {
@@ -820,6 +881,7 @@ impl FtCoordinator {
             via_dim,
             attempt,
             timeout,
+            generation,
         });
     }
 }
@@ -828,27 +890,8 @@ impl FtCoordinator {
 mod tests {
     use super::*;
     use crate::cluster::HypercubeIndex;
+    use crate::fixtures::{oid, set, CORPUS};
     use crate::search::SupersetQuery;
-    use hyperdex_dht::ObjectId;
-
-    fn set(s: &str) -> KeywordSet {
-        KeywordSet::parse(s).unwrap()
-    }
-
-    fn oid(n: u64) -> ObjectId {
-        ObjectId::from_raw(n)
-    }
-
-    const CORPUS: &[(u64, &str)] = &[
-        (1, "a"),
-        (2, "a b"),
-        (3, "a b c"),
-        (4, "a c"),
-        (5, "b c"),
-        (6, "a d e"),
-        (7, "x y"),
-        (8, "a b d"),
-    ];
 
     fn index(r: u8) -> HypercubeIndex {
         let mut idx = HypercubeIndex::new(r, 0).unwrap();
@@ -1088,35 +1131,73 @@ mod tests {
         }
     }
 
-    /// Drives the machine against a perfect substrate: every `Send` is
-    /// answered immediately with zero results and true SBT children.
-    fn drive_perfect(machine: &mut FtCoordinator, shape: Shape) {
-        let mut cmds = Vec::new();
-        machine.start(&mut cmds);
+    /// The machine over bare object ids.
+    type Machine = FtCoordinator<ObjectId>;
+
+    /// A machine for the query `a` in `H_6`, with its root.
+    fn machine(threshold: usize, policy: FtPolicy) -> (Machine, Vertex) {
+        let kw = Arc::new(set("a"));
+        let root = crate::hashing::KeywordHasher::new(6, 0)
+            .unwrap()
+            .vertex_for(&kw);
+        (Machine::new(root, kw, threshold, policy), root)
+    }
+
+    /// `n` result items with ids `from..from + n`.
+    fn hits(from: u64, n: u64) -> Vec<(ObjectId, ObjectId)> {
+        (from..from + n).map(|i| (oid(i), oid(i))).collect()
+    }
+
+    /// The generation of the transmission to `bits` among `cmds`.
+    fn generation_of(cmds: &[FtCmd], bits: u64) -> u64 {
+        cmds.iter()
+            .find_map(|c| match c {
+                FtCmd::Send {
+                    bits: b,
+                    generation,
+                    ..
+                } if *b == bits => Some(*generation),
+                _ => None,
+            })
+            .expect("a transmission to the vertex")
+    }
+
+    /// An unarmed first transmission, for re-driving a consumed `Send`.
+    fn resend(bits: u64, dim: u8) -> FtCmd {
+        FtCmd::Send {
+            bits,
+            via_dim: Some(dim),
+            attempt: 0,
+            timeout: None,
+            generation: 0,
+        }
+    }
+
+    /// A perfect substrate: every `Send` among `cmds`, and every one
+    /// answering it emits, is answered at once with zero results and
+    /// the true SBT children.
+    fn answer_all(machine: &mut Machine, root: Vertex, mut cmds: Vec<FtCmd>) {
         while let Some(cmd) = cmds.pop() {
             if let FtCmd::Send { bits, via_dim, .. } = cmd {
-                let v = Vertex::from_bits(shape, bits).unwrap();
+                let v = Vertex::from_bits(root.shape(), bits).unwrap();
                 let children = child_contacts(v, via_dim).collect::<Vec<_>>();
-                machine.on_reply(bits, 0, &children, |_, _| false, &mut cmds);
+                machine.on_reply(bits, hits(0, 0), &children, |_, _| false, &mut cmds);
             }
         }
+        assert_eq!(machine.in_flight(), 0);
     }
 
     #[test]
     fn ft_machine_fault_free_covers_the_subcube() {
-        let shape = Shape::new(6).unwrap();
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
         for strategy in [
             RecoveryStrategy::Naive,
             RecoveryStrategy::RetryOnly,
             RecoveryStrategy::Redelegate,
         ] {
-            let mut m =
-                FtCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1, ft_policy(strategy));
-            drive_perfect(&mut m, shape);
-            assert_eq!(m.in_flight(), 0);
+            let (mut m, root) = machine(usize::MAX - 1, ft_policy(strategy));
+            let mut cmds = Vec::new();
+            m.start(&mut cmds);
+            answer_all(&mut m, root, cmds);
             let cov = m.finish();
             assert_eq!(cov.reached, cov.subcube_vertices, "{strategy:?}");
             assert!(cov.skipped.is_empty());
@@ -1128,24 +1209,28 @@ mod tests {
 
     #[test]
     fn ft_machine_retries_then_redelegates_a_dead_child() {
-        let shape = Shape::new(6).unwrap();
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
         let policy = ft_policy(RecoveryStrategy::Redelegate);
-        let mut m = FtCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1, policy);
+        let (mut m, root) = machine(usize::MAX - 1, policy);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         // Root answers with its children; pick the first child as dead.
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
         let (dead, dead_dim) = children[0];
+        let mut timer = generation_of(&cmds, dead);
         // Timers expire: max_retries retransmissions, each with doubled
         // timeout, then the child is declared dead and re-delegated.
         for attempt in 1..=policy.max_retries {
             cmds.clear();
-            m.on_timeout(dead, |_, _| false, &mut cmds);
+            m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+            // The timer that just fired is spent: firing it again (a
+            // substrate that cannot disarm) changes nothing.
+            let stale = timer;
+            timer = generation_of(&cmds, dead);
+            let mut none = Vec::new();
+            m.on_timeout(dead, stale, |_, _| false, &mut none);
+            assert!(none.is_empty(), "stale timer acted: {none:?}");
             assert!(
                 cmds.iter().any(|c| matches!(
                     c,
@@ -1158,10 +1243,9 @@ mod tests {
             );
         }
         cmds.clear();
-        m.on_timeout(dead, |_, _| false, &mut cmds);
-        let grandchildren = child_contacts(Vertex::from_bits(shape, dead).unwrap(), Some(dead_dim))
-            .collect::<Vec<_>>();
-        for &(gc, _) in &grandchildren {
+        m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+        let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
+        for (gc, _) in child_contacts(dead_vertex, Some(dead_dim)) {
             assert!(
                 cmds.iter()
                     .any(|c| matches!(c, FtCmd::Send { bits, .. } if *bits == gc)),
@@ -1171,20 +1255,8 @@ mod tests {
         // Answer everything still outstanding: the re-delegated
         // grandchildren plus the root's other children (whose original
         // `Send`s were consumed above).
-        cmds.extend(children.iter().skip(1).map(|&(bits, dim)| FtCmd::Send {
-            bits,
-            via_dim: Some(dim),
-            attempt: 0,
-            timeout: None,
-        }));
-        while let Some(cmd) = cmds.pop() {
-            if let FtCmd::Send { bits, via_dim, .. } = cmd {
-                let v = Vertex::from_bits(shape, bits).unwrap();
-                let kids = child_contacts(v, via_dim).collect::<Vec<_>>();
-                m.on_reply(bits, 0, &kids, |_, _| false, &mut cmds);
-            }
-        }
-        assert_eq!(m.in_flight(), 0);
+        cmds.extend(children.iter().skip(1).map(|&(b, d)| resend(b, d)));
+        answer_all(&mut m, root, cmds);
         let cov = m.finish();
         assert_eq!(cov.skipped, vec![dead], "only the dead child skipped");
         assert_eq!(cov.reached, cov.subcube_vertices - 1);
@@ -1195,24 +1267,16 @@ mod tests {
 
     #[test]
     fn ft_machine_threshold_stop_cancels_not_skips() {
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
-        let mut m = FtCoordinator::new(
-            root,
-            Arc::clone(&kw),
-            1,
-            ft_policy(RecoveryStrategy::RetryOnly),
-        );
+        let (mut m, root) = machine(1, ft_policy(RecoveryStrategy::RetryOnly));
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
         assert!(m.in_flight() > 0);
         // First child satisfies the threshold: everything else cancels.
         cmds.clear();
-        m.on_reply(children[0].0, 1, &[], |_, _| false, &mut cmds);
+        m.on_reply(children[0].0, hits(0, 1), &[], |_, _| false, &mut cmds);
         assert!(m.is_done());
         assert_eq!(m.in_flight(), 0);
         assert!(cmds.iter().all(|c| matches!(c, FtCmd::Cancel { .. })));
@@ -1222,29 +1286,26 @@ mod tests {
 
     #[test]
     fn ft_machine_late_reply_resurrects_a_skipped_vertex() {
-        let shape = Shape::new(6).unwrap();
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
         let mut policy = ft_policy(RecoveryStrategy::Redelegate);
         policy.max_retries = 0;
-        let mut m = FtCoordinator::new(root, Arc::clone(&kw), usize::MAX - 1, policy);
+        let (mut m, root) = machine(usize::MAX - 1, policy);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), 0, &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
         let (dead, dead_dim) = children[0];
+        let timer = generation_of(&cmds, dead);
         cmds.clear();
-        m.on_timeout(dead, |_, _| false, &mut cmds);
-        assert!(m.is_skipped(dead));
+        m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+        assert!(m.skipped.contains(&dead));
         // The "dead" child answers after all — it returns to reached and
         // its (already re-delegated) children are not double-enqueued.
         let redelegated = cmds.clone();
         cmds.clear();
-        let kids = child_contacts(Vertex::from_bits(shape, dead).unwrap(), Some(dead_dim))
-            .collect::<Vec<_>>();
-        m.on_reply(dead, 0, &kids, |_, _| false, &mut cmds);
+        let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
+        let kids = child_contacts(dead_vertex, Some(dead_dim)).collect::<Vec<_>>();
+        m.on_reply(dead, hits(0, 0), &kids, |_, _| false, &mut cmds);
         assert!(m.is_covered(dead));
         assert!(!cmds
             .iter()
@@ -1252,36 +1313,55 @@ mod tests {
         // Answer everything still outstanding (original children and the
         // re-delegated grandchildren), then verify the resurrection.
         let mut queue: Vec<FtCmd> = redelegated;
-        queue.extend(children.iter().skip(1).map(|&(bits, dim)| FtCmd::Send {
-            bits,
-            via_dim: Some(dim),
-            attempt: 0,
-            timeout: None,
-        }));
-        while let Some(cmd) = queue.pop() {
-            if let FtCmd::Send { bits, via_dim, .. } = cmd {
-                let v = Vertex::from_bits(shape, bits).unwrap();
-                let k = child_contacts(v, via_dim).collect::<Vec<_>>();
-                m.on_reply(bits, 0, &k, |_, _| false, &mut queue);
-            }
-        }
-        assert_eq!(m.in_flight(), 0);
+        queue.extend(children.iter().skip(1).map(|&(b, d)| resend(b, d)));
+        answer_all(&mut m, root, queue);
         let cov = m.finish();
         assert!(cov.skipped.is_empty(), "resurrected: {:?}", cov.skipped);
         assert_eq!(cov.reached, cov.subcube_vertices);
     }
 
     #[test]
+    fn ft_machine_collects_each_object_once_and_cuts_at_the_threshold() {
+        let policy = ft_policy(RecoveryStrategy::Redelegate);
+        let (mut m, root) = machine(4, policy);
+        let mut cmds = Vec::new();
+        m.start(&mut cmds);
+        let children = child_contacts(root, None).collect::<Vec<_>>();
+        // The root is scanned in place: objects 0 and 1, no message.
+        m.on_scan(root.bits(), hits(0, 2), &children, |_, _| false, &mut cmds);
+        assert_eq!(m.remaining(), 2);
+        // A continuation re-delivering object 1 beside the new object 2
+        // consumes budget for the new one only…
+        m.on_reply(children[0].0, hits(1, 2), &[], |_, _| false, &mut cmds);
+        assert_eq!(m.remaining(), 1);
+        // …an empty one is a continuation but no result message, and a
+        // duplicate of the first changes nothing but the tallies…
+        m.on_reply(children[1].0, hits(0, 0), &[], |_, _| false, &mut cmds);
+        m.on_reply(children[0].0, hits(1, 2), &[], |_, _| false, &mut cmds);
+        assert!(!m.is_done());
+        // …and one that overshoots the budget stops the pass.
+        m.on_reply(children[2].0, hits(3, 3), &[], |_, _| false, &mut cmds);
+        assert!(m.is_done());
+        let cov = m.finish();
+        assert_eq!((cov.conts, cov.result_messages), (4, 3));
+        assert_eq!(cov.reached, 4);
+
+        // A second sweep keeps what the first collected: a replica of
+        // object 0 is not returned again, and the results are cut to
+        // the threshold in arrival order.
+        let mut again = m.sweep_again(root, policy);
+        cmds.clear();
+        again.start(&mut cmds);
+        assert_eq!(again.remaining(), 4);
+        again.on_scan(root.bits(), hits(0, 1), &[], |_, _| false, &mut cmds);
+        assert_eq!(again.remaining(), 4);
+        assert_eq!(again.finish().conts, 0);
+        assert_eq!(again.into_results(), [0, 1, 2, 3].map(oid));
+    }
+
+    #[test]
     fn ft_machine_naive_arms_no_timers_and_accounts_pending() {
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
-        let mut m = FtCoordinator::new(
-            root,
-            Arc::clone(&kw),
-            usize::MAX - 1,
-            ft_policy(RecoveryStrategy::Naive),
-        );
+        let (mut m, _) = machine(usize::MAX - 1, ft_policy(RecoveryStrategy::Naive));
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         assert!(matches!(cmds[0], FtCmd::Send { timeout: None, .. }));

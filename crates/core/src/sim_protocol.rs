@@ -25,7 +25,7 @@
 //! returns a [`CoverageReport`] accounting exactly for reached and
 //! skipped vertices, retries, timeouts, and messages by kind.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use hyperdex_simnet::latency::LatencyModel;
@@ -35,6 +35,7 @@ use hyperdex_simnet::time::SimDuration;
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
 
+use crate::churn::{ChurnMsg, ChurnTimer};
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
@@ -89,49 +90,10 @@ pub enum KwMsg {
         /// The matches found at one node.
         objects: Vec<RankedObject>,
     },
-    /// Host → host, churn mode only: one bounded batch of a vertex's
-    /// index entries, streamed during a key-range handoff
-    /// (stop-and-wait; see [`crate::churn`]).
-    HandoffBatch {
-        /// The vertex whose table is being moved.
-        bits: u64,
-        /// Batch sequence number (0-based).
-        seq: u32,
-        /// The entries in this batch (keyword sets interned — the batch
-        /// shares the sender's allocations).
-        entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)>,
-        /// Whether this is the final batch.
-        last: bool,
-    },
-    /// Host → host, churn mode only: acknowledges one handoff batch.
-    HandoffAck {
-        /// The vertex being moved.
-        bits: u64,
-        /// The acknowledged sequence number.
-        seq: u32,
-    },
-    /// Secondary-cube vertex → primary host, churn mode only: replica
-    /// entries re-pushed by anti-entropy repair after a crash lost the
-    /// primary copy.
-    RepairPush {
-        /// The primary vertex being repaired.
-        bits: u64,
-        /// The entries restored by this push (keyword sets interned).
-        entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)>,
-    },
-    /// Vertex → prefix-anchor, churn mode only: a full-state occupancy
-    /// refresh for one summary leaf, sent up the anchor chain after a
-    /// repair completes or a handoff installs. Carries the leaf's exact
-    /// object count; receivers apply it idempotently
-    /// ([`crate::summary::OccupancySummary::refresh_leaf`]), so loss or
-    /// reordering only prolongs safe over-counting — a stale summary
-    /// costs an extra visit, never a missed result.
-    TSummary {
-        /// The vertex whose occupancy changed.
-        bits: u64,
-        /// Its exact object count after the change.
-        count: u64,
-    },
+    /// Membership traffic (handoff, repair, summary refresh), churn
+    /// mode only; [`crate::churn`] consumes it before a search loop
+    /// looks at the event.
+    Churn(ChurnMsg),
     /// Requester → `F_h(K)`'s host: exact-match pin lookup (§3.2) —
     /// one message to the single vertex the full keyword set hashes to.
     Pin {
@@ -149,16 +111,30 @@ pub enum KwMsg {
 
 pub use crate::protocol::RecoveryStrategy;
 
-/// Tuning for [`ProtocolSim::search_fault_tolerant`].
+/// What a timer on a [`ProtocolSim`]'s network is for. Searches and
+/// membership share one network, so the token is typed: no vertex's
+/// bits can be mistaken for another layer's timer, at any `r`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimTimer {
+    /// A fault-tolerant search's retransmission timer for vertex
+    /// `bits` ([`FtCmd::Send`]'s generation rides along).
+    Ft {
+        /// The vertex whose answer is awaited.
+        bits: u64,
+        /// The transmission the timer guards.
+        generation: u64,
+    },
+    /// A membership timer; [`crate::churn`] consumes it.
+    Churn(ChurnTimer),
+}
+
+/// Tuning for [`ProtocolSim::search_fault_tolerant`]: the shared
+/// [`FtPolicy`] (timeouts in virtual ticks) plus the simulator's
+/// pruning switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtConfig {
-    /// Recovery behaviour on timeout.
-    pub strategy: RecoveryStrategy,
-    /// Retransmissions per child before declaring it dead.
-    pub max_retries: u32,
-    /// Timeout for the first attempt; doubles per retry (capped at
-    /// `base_timeout × 64`).
-    pub base_timeout: SimDuration,
+    /// Strategy, retry budget and base timeout.
+    pub policy: FtPolicy,
     /// Whether occupancy summaries may prune provably-empty SBT
     /// subtrees before enqueuing them (recall-safe; see
     /// [`crate::summary`]). Off by default.
@@ -170,22 +146,18 @@ impl FtConfig {
     /// base timeout, pruning off.
     pub fn new(strategy: RecoveryStrategy) -> Self {
         FtConfig {
-            strategy,
-            max_retries: 4,
-            base_timeout: SimDuration::from_ticks(16),
+            policy: FtPolicy {
+                strategy,
+                max_retries: 4,
+                base_timeout: 16,
+            },
             prune: false,
         }
     }
 
     /// Overrides the retry budget.
     pub fn max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Overrides the base timeout.
-    pub fn base_timeout(mut self, d: SimDuration) -> Self {
-        self.base_timeout = d;
+        self.policy.max_retries = n;
         self
     }
 
@@ -196,36 +168,20 @@ impl FtConfig {
     }
 }
 
-/// Exact coordinator-side accounting for one fault-tolerant search.
+/// Exact coordinator-side accounting for one fault-tolerant search:
+/// the shared [`FtCoverage`] plus what only the simulator has —
+/// pruning, the secondary-cube sweep, virtual time.
 ///
 /// At quiescence every vertex of the query's induced subcube is either
 /// *reached* (it answered), *skipped* (declared dead, or unreachable
-/// behind a dead ancestor), or unvisited because the result threshold
-/// stopped the traversal early.
+/// behind a dead ancestor), *pruned*, or unvisited because the result
+/// threshold stopped the traversal early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageReport {
-    /// The strategy that produced this report.
-    pub strategy: RecoveryStrategy,
-    /// Vertices in the query's induced subcube (`2^{r−|One|}`).
-    pub subcube_vertices: u64,
-    /// Distinct vertices confirmed by the coordinator (primary cube).
-    pub vertices_reached: u64,
-    /// Distinct vertices given up on (primary cube).
-    pub vertices_skipped: u64,
-    /// Bits of the skipped primary vertices, sorted.
-    pub skipped: Vec<u64>,
-    /// `T_QUERY` transmissions, including retransmissions.
-    pub queries_sent: u64,
-    /// Continuation messages the coordinator received.
-    pub conts: u64,
-    /// Continuations that carried at least one result object.
-    pub result_messages: u64,
-    /// Retransmissions after a timeout.
-    pub retries: u64,
-    /// Children declared dead after the retry budget ran out.
-    pub timeouts: u64,
-    /// Dead children whose subtrees were re-delegated.
-    pub redelegations: u64,
+    /// The primary cube's vertex accounting (`subcube_vertices`,
+    /// `reached`, `skipped`), with the message and recovery counters of
+    /// both sweeps.
+    pub ft: FtCoverage,
     /// SBT subtrees never enqueued because an occupancy summary
     /// disproved them (pruning mode only; 0 otherwise).
     pub pruned_subtrees: u64,
@@ -309,7 +265,7 @@ struct Coordinator {
 /// ```
 #[derive(Debug)]
 pub struct ProtocolSim {
-    pub(crate) net: Network<KwMsg>,
+    pub(crate) net: Network<KwMsg, SimTimer>,
     pub(crate) shape: Shape,
     pub(crate) hasher: KeywordHasher,
     /// Primary index tables, keyed by vertex bits. Sparse and
@@ -555,10 +511,7 @@ impl ProtocolSim {
                 // by this path (churned networks search via
                 // `search_fault_tolerant`).
                 KwMsg::TContFt { .. }
-                | KwMsg::HandoffBatch { .. }
-                | KwMsg::HandoffAck { .. }
-                | KwMsg::RepairPush { .. }
-                | KwMsg::TSummary { .. }
+                | KwMsg::Churn(_)
                 | KwMsg::Pin { .. }
                 | KwMsg::PinResults { .. } => {}
             }
@@ -628,10 +581,7 @@ impl ProtocolSim {
                 | KwMsg::TStop
                 | KwMsg::TContFt { .. }
                 | KwMsg::Results { .. }
-                | KwMsg::HandoffBatch { .. }
-                | KwMsg::HandoffAck { .. }
-                | KwMsg::RepairPush { .. }
-                | KwMsg::TSummary { .. } => {}
+                | KwMsg::Churn(_) => {}
             }
         }
 
@@ -715,10 +665,7 @@ impl ProtocolSim {
                     KwMsg::TCont { .. }
                     | KwMsg::TStop
                     | KwMsg::TContFt { .. }
-                    | KwMsg::HandoffBatch { .. }
-                    | KwMsg::HandoffAck { .. }
-                    | KwMsg::RepairPush { .. }
-                    | KwMsg::TSummary { .. }
+                    | KwMsg::Churn(_)
                     | KwMsg::Pin { .. }
                     | KwMsg::PinResults { .. } => {}
                 }
@@ -765,123 +712,92 @@ impl ProtocolSim {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        if config.strategy != RecoveryStrategy::Naive && config.base_timeout.ticks() == 0 {
+        let policy = config.policy;
+        if policy.strategy != RecoveryStrategy::Naive && policy.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
         let start = self.net.now();
-        let mut results = Vec::new();
-        let mut seen = HashSet::new();
-        let (primary, extra) =
-            self.run_ft_pass(keywords, threshold, config, false, &mut results, &mut seen);
+        // Interned: every (re)transmission of both sweeps shares it.
+        let kw = self.interner.intern(keywords.clone());
+        let mut core = FtCoordinator::new(self.hasher.vertex_for(&kw), kw, threshold, policy);
+        let (ft, pruned) = self.run_ft_pass(&mut core, config.prune, false);
         let mut report = CoverageReport {
-            strategy: config.strategy,
-            subcube_vertices: primary.subcube_vertices,
-            vertices_reached: primary.reached,
-            vertices_skipped: primary.skipped.len() as u64,
-            skipped: primary.skipped,
-            queries_sent: primary.queries_sent,
-            conts: extra.conts,
-            result_messages: extra.result_messages,
-            retries: primary.retries,
-            timeouts: primary.timeouts,
-            redelegations: primary.redelegations,
-            pruned_subtrees: extra.pruned_subtrees,
-            vertices_pruned: extra.vertices_pruned,
+            ft,
+            pruned_subtrees: pruned.subtrees,
+            vertices_pruned: pruned.vertices,
             failed_over: false,
             secondary_reached: 0,
             secondary_skipped: 0,
             elapsed: SimDuration::ZERO,
         };
-        if config.strategy == RecoveryStrategy::ReplicatedFailover && !report.skipped.is_empty() {
+        if policy.strategy == RecoveryStrategy::ReplicatedFailover && !report.ft.skipped.is_empty()
+        {
             // Objects homed on the skipped vertices are lost to the
             // primary sweep; recover them from the secondary cube. The
             // sweep itself recovers via re-delegation (no third cube to
             // fail over to).
             report.failed_over = true;
             self.net.metrics_mut().failovers.incr();
-            let cfg2 = FtConfig {
-                strategy: RecoveryStrategy::Redelegate,
-                ..config
-            };
-            let (sec, extra) =
-                self.run_ft_pass(keywords, threshold, cfg2, true, &mut results, &mut seen);
+            core = core.sweep_again(
+                self.hasher2.vertex_for(keywords),
+                FtPolicy {
+                    strategy: RecoveryStrategy::Redelegate,
+                    ..policy
+                },
+            );
+            let (sec, pruned) = self.run_ft_pass(&mut core, config.prune, true);
+            report.ft.add_traffic(&sec);
             report.secondary_reached = sec.reached;
             report.secondary_skipped = sec.skipped.len() as u64;
-            report.queries_sent += sec.queries_sent;
-            report.conts += extra.conts;
-            report.result_messages += extra.result_messages;
-            report.retries += sec.retries;
-            report.timeouts += sec.timeouts;
-            report.redelegations += sec.redelegations;
-            report.pruned_subtrees += extra.pruned_subtrees;
-            report.vertices_pruned += extra.vertices_pruned;
+            report.pruned_subtrees += pruned.subtrees;
+            report.vertices_pruned += pruned.vertices;
         }
         report.elapsed = self.net.now().saturating_since(start);
-        results.truncate(threshold);
         Ok(FtSearchOutcome {
-            results,
+            results: core.into_results(),
             coverage: report,
         })
     }
 
     /// One coordinator-driven sweep over the primary or secondary cube.
     ///
-    /// The recovery logic itself — retry budgets, backoff, subtree
-    /// re-delegation, coverage accounting — lives in the shared
-    /// sans-I/O [`FtCoordinator`]; this method is only the simnet
-    /// substrate: it turns [`FtCmd`]s into messages and virtual-time
-    /// timers, scans vertices, and feeds deliveries and expirations
-    /// back into the machine. The threaded runtime drives the *same*
-    /// machine over wire frames and wall-clock deadlines.
+    /// Everything but I/O — retry budgets, backoff, stale timers,
+    /// subtree re-delegation, result collection, coverage accounting —
+    /// lives in the shared sans-I/O [`FtCoordinator`]; this method is
+    /// only the simnet substrate: it turns [`FtCmd`]s into messages and
+    /// virtual-time timers, scans vertices, and feeds deliveries and
+    /// expirations back into the machine. The threaded runtime drives
+    /// the *same* machine over wire frames and wall-clock deadlines.
     fn run_ft_pass(
         &mut self,
-        keywords: &KeywordSet,
-        threshold: usize,
-        config: FtConfig,
+        core: &mut FtCoordinator<RankedObject>,
+        prune: bool,
         secondary: bool,
-        results: &mut Vec<RankedObject>,
-        seen: &mut HashSet<ObjectId>,
-    ) -> (FtCoverage, PassExtra) {
-        // KeywordHasher is Copy; copying sidesteps a borrow across the
-        // lazy endpoint materialization below.
-        let hasher = if secondary { self.hasher2 } else { self.hasher };
-        let root_vertex = hasher.vertex_for(keywords);
+    ) -> (FtCoverage, Pruned) {
+        let root_vertex = core.root();
         let root_ep = self.endpoint_of(root_vertex.bits());
-        // Interned: every (re)transmission of this pass shares it.
-        let kw = self.interner.intern(keywords.clone());
-        let prune = config.prune.then(|| FtPrune {
+        let prune = prune.then(|| FtPrune {
             required: root_vertex.bits(),
             zero_mask: root_vertex.zero_positions().fold(0u64, |m, i| m | 1 << i),
             secondary,
         });
-
-        let mut core = FtCoordinator::new(
-            root_vertex,
-            Arc::clone(&kw),
-            threshold,
-            FtPolicy {
-                strategy: config.strategy,
-                max_retries: config.max_retries,
-                base_timeout: config.base_timeout.ticks(),
-            },
-        );
-        let mut extra = PassExtra::default();
+        let mut pruned = Pruned::default();
         // Coordinator endpoint: the root, until a dead root promotes
         // the requester (`FtCmd::Promote`).
         let mut coord = root_ep;
-        // Armed retransmission timers by vertex bits; a fired timer
-        // must match the armed id or it is stale.
+        // Armed retransmission timers by vertex bits, kept only to
+        // disarm them: a timer left to fire into the machine's no-op
+        // would still advance the clock `elapsed` is read from.
         let mut timers: HashMap<u64, TimerId> = HashMap::new();
         let mut cmds = Vec::new();
 
         core.start(&mut cmds);
-        self.ft_exec(&core, &mut cmds, &kw, &mut coord, &mut timers);
+        self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
 
         while let Some(ev) = self.net.step_event() {
             // Churn traffic (membership timers, handoff batches, repair
             // pushes) interleaves with the search on the same network;
-            // it is consumed here, before the search's own Timer arm
-            // would discard its tokens as stale.
+            // it is consumed here.
             let Some(ev) = self.churn_intercept(ev) else {
                 continue;
             };
@@ -913,16 +829,15 @@ impl ProtocolSim {
                                     continue; // duplicate of a retried query
                                 }
                                 let objects = self.scan(vertex, &qkw, rem, secondary);
-                                let added = ft_record(objects, results, seen);
                                 let children: Vec<_> = child_contacts(vertex, None).collect();
-                                core.on_reply(
+                                core.on_scan(
                                     bits,
-                                    added,
+                                    objects.into_iter().map(|o| (o.object, o)),
                                     &children,
-                                    |b, dim| self.ft_try_prune(prune, &mut extra, b, dim),
+                                    |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
                                     &mut cmds,
                                 );
-                                self.ft_exec(&core, &mut cmds, &kw, &mut coord, &mut timers);
+                                self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
                             } else {
                                 // Ordinary node: continuation back to
                                 // the coordinator named in the query,
@@ -940,20 +855,14 @@ impl ProtocolSim {
                             if to != coord {
                                 continue; // stale coordinator address
                             }
-                            extra.conts += 1;
-                            if !objects.is_empty() {
-                                extra.result_messages += 1;
-                            }
-                            let added = ft_record(objects, results, seen);
-                            let bits = self.vertex_of(from).bits();
                             core.on_reply(
-                                bits,
-                                added,
+                                self.vertex_of(from).bits(),
+                                objects.into_iter().map(|o| (o.object, o)),
                                 &children,
-                                |b, dim| self.ft_try_prune(prune, &mut extra, b, dim),
+                                |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
                                 &mut cmds,
                             );
-                            self.ft_exec(&core, &mut cmds, &kw, &mut coord, &mut timers);
+                            self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
                         }
                         // Legacy sequential/parallel variants cannot
                         // appear mid-pass (every search drains the
@@ -963,41 +872,35 @@ impl ProtocolSim {
                         KwMsg::TCont { .. }
                         | KwMsg::TStop
                         | KwMsg::Results { .. }
-                        | KwMsg::HandoffBatch { .. }
-                        | KwMsg::HandoffAck { .. }
-                        | KwMsg::RepairPush { .. }
-                        | KwMsg::TSummary { .. }
+                        | KwMsg::Churn(_)
                         | KwMsg::Pin { .. }
                         | KwMsg::PinResults { .. } => {}
                     }
                 }
                 NetEvent::Timer(t) => {
-                    let bits = t.token;
-                    if timers.get(&bits) != Some(&t.id) || core.is_done() {
-                        continue; // stale timer
-                    }
-                    timers.remove(&bits);
-                    let (deaths, redelegs) = (core.timeouts(), core.redelegations());
+                    let SimTimer::Ft { bits, generation } = t.token else {
+                        continue; // a churn timer, with churn disabled
+                    };
                     core.on_timeout(
                         bits,
-                        |b, dim| self.ft_try_prune(prune, &mut extra, b, dim),
+                        generation,
+                        |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
                         &mut cmds,
                     );
-                    if core.timeouts() > deaths {
-                        self.net.metrics_mut().timeouts.incr();
-                    }
-                    if core.redelegations() > redelegs {
-                        self.net.metrics_mut().redelegations.incr();
-                    }
-                    self.ft_exec(&core, &mut cmds, &kw, &mut coord, &mut timers);
+                    self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
                 }
             }
         }
 
         // Quiescence: the machine accounts queries still outstanding
         // (no timers were armed, or the coordinator died) as skipped
-        // subtrees.
-        (core.finish(), extra)
+        // subtrees; the network's recovery counters take its tallies.
+        let coverage = core.finish();
+        let metrics = self.net.metrics_mut();
+        metrics.retries.add(coverage.retries);
+        metrics.timeouts.add(coverage.timeouts);
+        metrics.redelegations.add(coverage.redelegations);
+        (coverage, pruned)
     }
 
     /// Executes the machine's pending commands over simnet transport:
@@ -1006,9 +909,8 @@ impl ProtocolSim {
     /// the requester.
     fn ft_exec(
         &mut self,
-        core: &FtCoordinator,
+        core: &FtCoordinator<RankedObject>,
         cmds: &mut Vec<FtCmd>,
-        keywords: &Arc<KeywordSet>,
         coord: &mut EndpointId,
         timers: &mut HashMap<u64, TimerId>,
     ) {
@@ -1023,12 +925,10 @@ impl ProtocolSim {
                 FtCmd::Send {
                     bits,
                     via_dim,
-                    attempt,
+                    attempt: _,
                     timeout,
+                    generation,
                 } => {
-                    if attempt > 0 {
-                        self.net.metrics_mut().retries.incr();
-                    }
                     // The requester owns the root query and its retries
                     // (the root itself may be dead); the coordinator
                     // owns every child query.
@@ -1037,11 +937,24 @@ impl ProtocolSim {
                     } else {
                         *coord
                     };
-                    self.ft_send_query(owner, bits, via_dim, keywords, core.remaining(), *coord);
+                    let to = self.endpoint_of(bits);
+                    self.net.send(
+                        owner,
+                        to,
+                        KwMsg::TQuery {
+                            keywords: Arc::clone(core.keywords()),
+                            remaining: core.remaining(),
+                            requester: self.requester,
+                            via_dim,
+                            root: *coord,
+                        },
+                    );
                     if let Some(ticks) = timeout {
-                        let timer = self
-                            .net
-                            .set_timer(owner, SimDuration::from_ticks(ticks), bits);
+                        let timer = self.net.set_timer(
+                            owner,
+                            SimDuration::from_ticks(ticks),
+                            SimTimer::Ft { bits, generation },
+                        );
                         timers.insert(bits, timer);
                     }
                 }
@@ -1055,7 +968,7 @@ impl ProtocolSim {
     fn ft_try_prune(
         &self,
         prune: Option<FtPrune>,
-        extra: &mut PassExtra,
+        pruned: &mut Pruned,
         bits: u64,
         dim: u8,
     ) -> bool {
@@ -1068,39 +981,15 @@ impl ProtocolSim {
             &self.summary
         };
         if summary.can_prune(bits, dim, p.required) {
-            extra.pruned_subtrees += 1;
+            pruned.subtrees += 1;
             // The child's subtree spans the free dims strictly below
             // its arrival dimension.
             let free_below = (p.zero_mask & ((1u64 << dim) - 1)).count_ones();
-            extra.vertices_pruned += 1u64 << free_below;
+            pruned.vertices += 1u64 << free_below;
             true
         } else {
             false
         }
-    }
-
-    /// Sends one `T_QUERY` for the fault-tolerant traversal.
-    fn ft_send_query(
-        &mut self,
-        from: EndpointId,
-        bits: u64,
-        via_dim: Option<u8>,
-        keywords: &Arc<KeywordSet>,
-        remaining: usize,
-        coord: EndpointId,
-    ) {
-        let to = self.endpoint_of(bits);
-        self.net.send(
-            from,
-            to,
-            KwMsg::TQuery {
-                keywords: Arc::clone(keywords),
-                remaining,
-                requester: self.requester,
-                via_dim,
-                root: coord,
-            },
-        );
     }
 
     /// Scans a vertex's table (primary or secondary) for supersets of
@@ -1191,13 +1080,13 @@ impl ProtocolSim {
     }
 
     /// Read access to the underlying network (metrics, faults).
-    pub fn network(&self) -> &Network<KwMsg> {
+    pub fn network(&self) -> &Network<KwMsg, SimTimer> {
         &self.net
     }
 
     /// Mutable access to the underlying network, for fault injection
     /// (kills, outages, link loss) in tests and experiments.
-    pub fn network_mut(&mut self) -> &mut Network<KwMsg> {
+    pub fn network_mut(&mut self) -> &mut Network<KwMsg, SimTimer> {
         &mut self.net
     }
 
@@ -1240,14 +1129,12 @@ impl ProtocolSim {
     }
 }
 
-/// Counters the shared machine doesn't track: message-kind tallies and
-/// pruning accounting, owned by the simnet substrate.
+/// What one pass's occupancy pruning left out — the one tally the
+/// simnet substrate owns, since pruning is its filter.
 #[derive(Debug, Default)]
-struct PassExtra {
-    conts: u64,
-    result_messages: u64,
-    pruned_subtrees: u64,
-    vertices_pruned: u64,
+struct Pruned {
+    subtrees: u64,
+    vertices: u64,
 }
 
 /// Pass-constant pruning context for the fault-tolerant traversal.
@@ -1261,36 +1148,12 @@ struct FtPrune {
     secondary: bool,
 }
 
-/// Dedups `objects` into `results` by object id, returning how many
-/// were new.
-fn ft_record(
-    objects: Vec<RankedObject>,
-    results: &mut Vec<RankedObject>,
-    seen: &mut HashSet<ObjectId>,
-) -> usize {
-    let mut added = 0;
-    for obj in objects {
-        if seen.insert(obj.object) {
-            results.push(obj);
-            added += 1;
-        }
-    }
-    added
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::HypercubeIndex;
+    use crate::fixtures::{oid, set, CORPUS};
     use crate::search::SupersetQuery;
-
-    fn set(s: &str) -> KeywordSet {
-        KeywordSet::parse(s).unwrap()
-    }
-
-    fn oid(n: u64) -> ObjectId {
-        ObjectId::from_raw(n)
-    }
 
     /// Builds both the direct index and the protocol sim with identical
     /// content.
@@ -1304,17 +1167,6 @@ mod tests {
         (direct, sim)
     }
 
-    const CORPUS: &[(u64, &str)] = &[
-        (1, "a"),
-        (2, "a b"),
-        (3, "a b c"),
-        (4, "a c"),
-        (5, "b c"),
-        (6, "a d e"),
-        (7, "x y"),
-        (8, "a b d"),
-    ];
-
     #[test]
     fn sequential_matches_direct_engine() {
         let (mut direct, mut sim) = twin(8, CORPUS);
@@ -1323,11 +1175,7 @@ mod tests {
                 .superset_search(&SupersetQuery::new(set(query)).use_cache(false))
                 .unwrap();
             let s = sim.search_sequential(&set(query), usize::MAX - 1).unwrap();
-            let mut d_ids: Vec<ObjectId> = d.results.iter().map(|r| r.object).collect();
-            let mut s_ids: Vec<ObjectId> = s.results.iter().map(|r| r.object).collect();
-            d_ids.sort_unstable();
-            s_ids.sort_unstable();
-            assert_eq!(d_ids, s_ids, "query {query}");
+            assert_eq!(ids(&d.results), ids(&s.results), "query {query}");
             assert_eq!(
                 d.stats.nodes_contacted, s.nodes_contacted,
                 "node parity for {query}"
@@ -1357,11 +1205,7 @@ mod tests {
         let (_, mut sim) = twin(8, CORPUS);
         let seq = sim.search_sequential(&set("a"), 100).unwrap();
         let par = sim.search_parallel(&set("a"), 100).unwrap();
-        let mut a: Vec<ObjectId> = seq.results.iter().map(|r| r.object).collect();
-        let mut b: Vec<ObjectId> = par.results.iter().map(|r| r.object).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(ids(&seq.results), ids(&par.results));
     }
 
     #[test]
@@ -1463,10 +1307,10 @@ mod tests {
                 .unwrap();
             assert_eq!(ids(&seq.results), ids(&out.results), "{strategy:?}");
             let c = &out.coverage;
-            assert_eq!(c.vertices_reached, c.subcube_vertices, "{strategy:?}");
-            assert_eq!(c.vertices_skipped, 0);
-            assert_eq!(c.retries, 0);
-            assert_eq!(c.timeouts, 0);
+            assert_eq!(c.ft.reached, c.ft.subcube_vertices, "{strategy:?}");
+            assert_eq!(c.ft.skipped.len() as u64, 0);
+            assert_eq!(c.ft.retries, 0);
+            assert_eq!(c.ft.timeouts, 0);
             assert!(!c.failed_over);
         }
     }
@@ -1484,9 +1328,9 @@ mod tests {
             .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::RetryOnly))
             .unwrap();
         assert_eq!(want, ids(&out.results), "retries must restore full recall");
-        assert!(out.coverage.retries > 0, "20% loss must trigger retries");
+        assert!(out.coverage.ft.retries > 0, "20% loss must trigger retries");
         assert_eq!(
-            out.coverage.vertices_reached, out.coverage.subcube_vertices,
+            out.coverage.ft.reached, out.coverage.ft.subcube_vertices,
             "every vertex is live, so all must eventually answer"
         );
     }
@@ -1513,10 +1357,10 @@ mod tests {
             .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
             .unwrap();
         let c = &out.coverage;
-        assert_eq!(c.skipped, vec![dead], "only the crashed vertex is lost");
-        assert_eq!(c.vertices_reached, c.subcube_vertices - 1);
-        assert!(c.redelegations >= 1);
-        assert!(c.timeouts >= 1);
+        assert_eq!(c.ft.skipped, vec![dead], "only the crashed vertex is lost");
+        assert_eq!(c.ft.reached, c.ft.subcube_vertices - 1);
+        assert!(c.ft.redelegations >= 1);
+        assert!(c.ft.timeouts >= 1);
     }
 
     #[test]
@@ -1528,11 +1372,14 @@ mod tests {
             .unwrap();
         let c = &out.coverage;
         assert_eq!(
-            c.vertices_skipped,
-            c.subcube_vertices / 2,
+            c.ft.skipped.len() as u64,
+            c.ft.subcube_vertices / 2,
             "the dead child's subtree is half the subcube"
         );
-        assert_eq!(c.vertices_reached + c.vertices_skipped, c.subcube_vertices);
+        assert_eq!(
+            c.ft.reached + c.ft.skipped.len() as u64,
+            c.ft.subcube_vertices
+        );
     }
 
     #[test]
@@ -1543,11 +1390,11 @@ mod tests {
             .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Naive))
             .unwrap();
         let c = &out.coverage;
-        assert_eq!(c.retries, 0);
-        assert!(c.vertices_reached < c.subcube_vertices);
+        assert_eq!(c.ft.retries, 0);
+        assert!(c.ft.reached < c.ft.subcube_vertices);
         assert_eq!(
-            c.vertices_reached + c.vertices_skipped,
-            c.subcube_vertices,
+            c.ft.reached + c.ft.skipped.len() as u64,
+            c.ft.subcube_vertices,
             "quiescence accounting must cover the whole subcube"
         );
     }
@@ -1562,10 +1409,10 @@ mod tests {
             .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
             .unwrap();
         let c = &out.coverage;
-        assert_eq!(c.skipped, vec![root], "only the root itself is lost");
+        assert_eq!(c.ft.skipped, vec![root], "only the root itself is lost");
         assert_eq!(
-            c.vertices_reached,
-            c.subcube_vertices - 1,
+            c.ft.reached,
+            c.ft.subcube_vertices - 1,
             "the requester must take over the dead root's frontier"
         );
     }
@@ -1608,7 +1455,7 @@ mod tests {
             .search_fault_tolerant(&set("a"), 1, ft(RecoveryStrategy::Redelegate))
             .unwrap();
         assert_eq!(out.results.len(), 1);
-        assert_eq!(out.coverage.vertices_skipped, 0);
+        assert_eq!(out.coverage.ft.skipped.len(), 0);
     }
 
     #[test]
@@ -1687,10 +1534,10 @@ mod tests {
         assert_eq!(ids(&a.results), ids(&b.results));
         let c = &b.coverage;
         assert!(c.pruned_subtrees > 0);
-        assert!(c.vertices_reached < a.coverage.vertices_reached);
+        assert!(c.ft.reached < a.coverage.ft.reached);
         assert_eq!(
-            c.vertices_reached + c.vertices_skipped + c.vertices_pruned,
-            c.subcube_vertices,
+            c.ft.reached + c.ft.skipped.len() as u64 + c.vertices_pruned,
+            c.ft.subcube_vertices,
             "every subcube vertex is reached, skipped, or pruned"
         );
         assert_eq!(a.coverage.pruned_subtrees, 0, "pruning is opt-in");
@@ -1715,7 +1562,7 @@ mod tests {
             .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate).prune(true))
             .unwrap();
         assert_eq!(
-            out.coverage.timeouts, 0,
+            out.coverage.ft.timeouts, 0,
             "the dead vertex was never contacted"
         );
         assert!(out.coverage.pruned_subtrees > 0);
@@ -1733,15 +1580,14 @@ mod tests {
             sim.search_fault_tolerant(&set("a"), 0, ft(RecoveryStrategy::Redelegate)),
             Err(Error::ZeroThreshold)
         );
-        let zero = FtConfig::new(RecoveryStrategy::RetryOnly)
-            .base_timeout(hyperdex_simnet::time::SimDuration::ZERO);
+        let mut zero = FtConfig::new(RecoveryStrategy::RetryOnly);
+        zero.policy.base_timeout = 0;
         assert_eq!(
             sim.search_fault_tolerant(&set("a"), 5, zero),
             Err(Error::ZeroTimeout)
         );
         // Naive never waits, so a zero timeout is fine there.
-        let naive = FtConfig::new(RecoveryStrategy::Naive)
-            .base_timeout(hyperdex_simnet::time::SimDuration::ZERO);
-        assert!(sim.search_fault_tolerant(&set("a"), 5, naive).is_ok());
+        zero.policy.strategy = RecoveryStrategy::Naive;
+        assert!(sim.search_fault_tolerant(&set("a"), 5, zero).is_ok());
     }
 }

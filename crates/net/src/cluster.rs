@@ -28,7 +28,7 @@ use hyperdex_runtime::fault::CrashPoint;
 use hyperdex_runtime::{ShardPolicy, ShutdownReport, SupervisorStats, WorkerStats};
 
 use crate::client::{NetClient, NetConfig};
-use crate::server::{parse_sstats, parse_wstats, server_of};
+use crate::server::server_of;
 
 /// How a cluster is shaped. Mirrors
 /// [`hyperdex_runtime::RuntimeConfig`] plus process placement.
@@ -249,10 +249,10 @@ impl Cluster {
                     let mut ws: Vec<WorkerStats> = Vec::new();
                     let mut ss = SupervisorStats::default();
                     move |line| {
-                        if let Some(stat) = parse_wstats(line) {
+                        if let Some(stat) = WorkerStats::parse_line(line) {
                             ws.push(stat);
                             None
-                        } else if let Some(stat) = parse_sstats(line) {
+                        } else if let Some(stat) = SupervisorStats::parse_line(line) {
                             ss = stat;
                             None
                         } else if line == "REPORT_END" {
@@ -264,10 +264,7 @@ impl Cluster {
                 })
                 .map_err(io_err)?;
             workers.extend(w);
-            supervisor.respawns += s.respawns;
-            supervisor.replayed_frames += s.replayed_frames;
-            supervisor.frames_sent += s.frames_sent;
-            supervisor.frames_drained += s.frames_drained;
+            supervisor.merge(&s);
         }
         for proc in &mut self.children {
             proc.child.wait().map_err(io_err)?;

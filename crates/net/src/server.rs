@@ -61,8 +61,7 @@ use hyperdex_runtime::transport::{
     coalesce_pooled, count_frames, FlushStatus, Transport, SPENT_POOL_CAP,
 };
 use hyperdex_runtime::wire::WireMsg;
-use hyperdex_runtime::worker::WorkerStats;
-use hyperdex_runtime::{ShardMap, SupervisorStats};
+use hyperdex_runtime::ShardMap;
 
 use crate::stream::{count_units, push_unit, StreamDecoder, CLIENT_DEST, DEST_LEN};
 
@@ -711,73 +710,14 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // Conservation report, parsed by the cluster launcher.
     let mut lines = String::new();
     for s in &stats {
-        lines.push_str(&format!(
-            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
-            s.worker,
-            s.frames_sent,
-            s.frames_received,
-            s.backpressure_hits,
-            s.inserts,
-            s.scans,
-            s.queries_coordinated,
-            s.frames_dropped,
-            s.frames_duplicated,
-            s.frames_delayed,
-            s.wakeups,
-            s.batch_frames_sent,
-            s.batch_entries_sent,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_coalesced,
-            s.cache_stale,
-            s.cache_evictions,
-        ));
+        lines.push_str(&s.report_line());
+        lines.push('\n');
     }
-    lines.push_str(&format!(
-        "SSTATS {} {} {} {}\nREPORT_END\n",
-        sup.respawns, sup.replayed_frames, sup.frames_sent, sup.frames_drained,
-    ));
+    lines.push_str(&sup.report_line());
+    lines.push_str("\nREPORT_END\n");
     print!("{lines}");
     io::stdout().flush().ok();
     Ok(())
-}
-
-/// Parses one `WSTATS` report line back into [`WorkerStats`].
-pub fn parse_wstats(line: &str) -> Option<WorkerStats> {
-    let mut it = line.strip_prefix("WSTATS ")?.split_whitespace();
-    let mut next = || it.next()?.parse::<u64>().ok();
-    Some(WorkerStats {
-        worker: next()? as u32,
-        frames_sent: next()?,
-        frames_received: next()?,
-        backpressure_hits: next()?,
-        inserts: next()?,
-        scans: next()?,
-        queries_coordinated: next()?,
-        frames_dropped: next()?,
-        frames_duplicated: next()?,
-        frames_delayed: next()?,
-        wakeups: next()?,
-        batch_frames_sent: next()?,
-        batch_entries_sent: next()?,
-        cache_hits: next()?,
-        cache_misses: next()?,
-        cache_coalesced: next()?,
-        cache_stale: next()?,
-        cache_evictions: next()?,
-    })
-}
-
-/// Parses one `SSTATS` report line back into [`SupervisorStats`].
-pub fn parse_sstats(line: &str) -> Option<SupervisorStats> {
-    let mut it = line.strip_prefix("SSTATS ")?.split_whitespace();
-    let mut next = || it.next()?.parse::<u64>().ok();
-    Some(SupervisorStats {
-        respawns: next()?,
-        replayed_frames: next()?,
-        frames_sent: next()?,
-        frames_drained: next()?,
-    })
 }
 
 #[cfg(test)]
@@ -795,65 +735,5 @@ mod tests {
                 assert_eq!(server_of(w, 3), i as u32);
             }
         }
-    }
-
-    #[test]
-    fn report_lines_roundtrip() {
-        let s = WorkerStats {
-            worker: 3,
-            frames_sent: 10,
-            frames_received: 11,
-            backpressure_hits: 1,
-            inserts: 2,
-            scans: 3,
-            queries_coordinated: 4,
-            frames_dropped: 5,
-            frames_duplicated: 6,
-            frames_delayed: 7,
-            wakeups: 8,
-            batch_frames_sent: 9,
-            batch_entries_sent: 27,
-            cache_hits: 12,
-            cache_misses: 13,
-            cache_coalesced: 14,
-            cache_stale: 15,
-            cache_evictions: 16,
-        };
-        let line = format!(
-            "WSTATS {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            s.worker,
-            s.frames_sent,
-            s.frames_received,
-            s.backpressure_hits,
-            s.inserts,
-            s.scans,
-            s.queries_coordinated,
-            s.frames_dropped,
-            s.frames_duplicated,
-            s.frames_delayed,
-            s.wakeups,
-            s.batch_frames_sent,
-            s.batch_entries_sent,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_coalesced,
-            s.cache_stale,
-            s.cache_evictions,
-        );
-        assert_eq!(parse_wstats(&line).unwrap(), s);
-        // A line one counter short (the cache columns' predecessor
-        // format included) is rejected, never zero-filled.
-        let short = line.rsplit_once(' ').unwrap().0;
-        assert!(parse_wstats(short).is_none());
-        assert!(parse_wstats("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
-        let sup = SupervisorStats {
-            respawns: 1,
-            replayed_frames: 2,
-            frames_sent: 3,
-            frames_drained: 4,
-        };
-        assert_eq!(parse_sstats("SSTATS 1 2 3 4").unwrap(), sup);
-        assert!(parse_wstats("WSTATS 1 2").is_none());
-        assert!(parse_sstats("garbage").is_none());
     }
 }

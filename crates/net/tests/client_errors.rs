@@ -8,7 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{Error, KeywordSet};
+use hyperdex_core::{Error, FtCoverage, KeywordSet};
 use hyperdex_net::client::{NetClient, NetConfig};
 use hyperdex_net::stream::{encode_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::runtime::FtSearchOptions;
@@ -30,15 +30,14 @@ fn ft_done(query_id: u64, objects: Vec<(u64, u32)>) -> WireMsg {
     WireMsg::FtQueryDone {
         query_id,
         objects,
-        subcube: 1,
-        reached: 1,
-        retries: 0,
-        timeouts: 0,
-        redelegations: 0,
-        queries_sent: 1,
-        conts: 1,
-        result_messages: 1,
-        skipped: Vec::new(),
+        coverage: FtCoverage {
+            subcube_vertices: 1,
+            reached: 1,
+            queries_sent: 1,
+            conts: 1,
+            result_messages: 1,
+            ..FtCoverage::default()
+        },
     }
 }
 

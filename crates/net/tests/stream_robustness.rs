@@ -4,121 +4,13 @@
 //! no matter how the stream fragments, and malformed bytes surface as
 //! typed errors — never a panic, never a silent loss.
 
-use hyperdex_core::{KeywordSet, RecoveryStrategy};
+use hyperdex_core::KeywordSet;
 use hyperdex_net::stream::{encode_unit, push_unit, StreamDecoder, CLIENT_DEST};
-use hyperdex_runtime::wire::{WireError, WireMsg};
-
-fn set(s: &str) -> KeywordSet {
-    KeywordSet::parse(s).unwrap()
-}
-
-/// One representative of every `WireMsg` variant, with non-trivial
-/// payloads (empty and non-empty vectors, `None` and `Some` dims).
-fn all_variants() -> Vec<WireMsg> {
-    vec![
-        WireMsg::Insert {
-            object: 17,
-            keywords: set("alpha beta gamma"),
-        },
-        WireMsg::Query {
-            query_id: 1,
-            keywords: set("alpha"),
-            threshold: 42,
-        },
-        WireMsg::TQuery {
-            query_id: 2,
-            bits: 0b1011,
-            keywords: set("alpha beta"),
-            remaining: 7,
-            via_dim: None,
-            coord: 3,
-        },
-        WireMsg::TQuery {
-            query_id: 3,
-            bits: u64::MAX >> 1,
-            keywords: set("x"),
-            remaining: 1,
-            via_dim: Some(11),
-            coord: 0,
-        },
-        WireMsg::TCont {
-            query_id: 4,
-            bits: 0,
-            objects: vec![(9, 2), (10, 0)],
-            children: vec![(0b111, 2), (0b101, 0)],
-        },
-        WireMsg::QueryDone {
-            query_id: 5,
-            objects: vec![],
-        },
-        WireMsg::Pin {
-            query_id: 6,
-            keywords: set("pin me down"),
-        },
-        WireMsg::PinResults {
-            query_id: 7,
-            objects: vec![1, 2, 3],
-        },
-        WireMsg::Handoff {
-            bits: 0b1100,
-            entries: vec![(set("a b"), vec![4, 5]), (set("c"), vec![])],
-        },
-        WireMsg::Flush { token: 8 },
-        WireMsg::FlushAck {
-            token: 8,
-            worker: 2,
-            epoch: 65_590,
-        },
-        WireMsg::Shutdown,
-        WireMsg::FtQuery {
-            query_id: 9,
-            keywords: set("fault tolerant"),
-            threshold: u64::MAX,
-            strategy: RecoveryStrategy::Redelegate,
-            max_retries: 3,
-            base_timeout_ms: 16,
-        },
-        WireMsg::FtQueryDone {
-            query_id: 10,
-            objects: vec![(11, 1)],
-            subcube: 8,
-            reached: 6,
-            retries: 2,
-            timeouts: 1,
-            redelegations: 1,
-            queries_sent: 9,
-            conts: 6,
-            result_messages: 3,
-            skipped: vec![0b001, 0b100],
-        },
-        WireMsg::RepairDone { worker: 5 },
-        WireMsg::TQueryBatch {
-            query_id: 11,
-            keywords: set("alpha"),
-            remaining: 12,
-            coord: 1,
-            entries: vec![(0b1100, 2), (0b1010, 12)],
-        },
-        WireMsg::TContBatch {
-            query_id: 11,
-            epoch: 65_590,
-            entries: vec![
-                (0b1100, vec![(4, 1)], vec![(0b1101, 0)]),
-                (0b1010, vec![], vec![]),
-            ],
-        },
-        WireMsg::QueryAt {
-            query_id: 12,
-            keywords: set("alpha beta"),
-            threshold: 20,
-            marks: vec![65_590, 0],
-        },
-    ]
-}
+use hyperdex_runtime::wire::{exemplars, insert_frame, WireError, WireMsg};
 
 #[test]
 fn every_variant_survives_every_split_point() {
-    for (dest, msg) in all_variants().into_iter().enumerate() {
+    for (dest, msg) in exemplars().into_iter().enumerate() {
         let frame = msg.encode();
         let unit = encode_unit(dest as u32, &frame);
         for split in 0..=unit.len() {
@@ -150,28 +42,13 @@ fn every_variant_survives_every_split_point() {
     }
 }
 
-/// An `Insert` frame around hand-written keyword fields — what an
-/// encoder that does not sort, fold case or deduplicate would send.
-fn insert_frame(keywords: &[&str]) -> Vec<u8> {
-    let mut body = vec![0u8]; // the Insert tag
-    body.extend_from_slice(&17u64.to_le_bytes());
-    body.extend_from_slice(&(keywords.len() as u16).to_le_bytes());
-    for k in keywords {
-        body.extend_from_slice(&(k.len() as u16).to_le_bytes());
-        body.extend_from_slice(k.as_bytes());
-    }
-    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&body);
-    frame
-}
-
 #[test]
 fn non_canonical_keyword_frames_survive_every_split_point() {
     // The keyword validator sees the frame only after reassembly, so
     // however the stream tears, a sloppy spelling reads back as the
     // set it names and a broken one as its typed error.
     let expect = WireMsg::Insert {
-        object: 17,
+        object: 1,
         keywords: KeywordSet::from_strs(["日本", "éa", "mp3"]).unwrap(),
     };
     let spellings: [&[&str]; 4] = [
@@ -210,7 +87,7 @@ fn non_canonical_keyword_frames_survive_every_split_point() {
 
 #[test]
 fn whole_conversation_fed_one_byte_at_a_time() {
-    let msgs = all_variants();
+    let msgs = exemplars();
     let mut stream = Vec::new();
     for msg in &msgs {
         push_unit(&mut stream, CLIENT_DEST, &msg.encode());
@@ -233,7 +110,7 @@ fn trailing_garbage_inside_a_frame_is_a_typed_error() {
     // A unit whose header over-declares the body by one byte: the
     // decoder yields it (framing is consistent), but the frame decode
     // reports the surplus instead of panicking.
-    for msg in all_variants() {
+    for msg in exemplars() {
         let frame = msg.encode();
         let mut padded = frame.clone();
         padded.push(0xAA);
@@ -302,7 +179,7 @@ fn coalesced_multi_unit_packets_survive_every_split_point() {
     // One wire packet holding every variant back to back — exactly
     // what the accumulation buffer ships — split at every byte
     // boundary across two pushes.
-    let msgs = all_variants();
+    let msgs = exemplars();
     let mut packet = Vec::new();
     for (dest, msg) in msgs.iter().enumerate() {
         push_unit(&mut packet, dest as u32, &msg.encode());
@@ -383,7 +260,7 @@ fn fill_from_reads_straight_into_the_decoder() {
     // The batched read path: a reader-style loop over an in-memory
     // stream must yield the same units as push(), including across
     // unit boundaries that land mid-read.
-    let msgs = all_variants();
+    let msgs = exemplars();
     let mut stream = Vec::new();
     for msg in &msgs {
         push_unit(&mut stream, CLIENT_DEST, &msg.encode());

@@ -23,7 +23,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{CoverageReport, Error, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_core::{
+    Error, FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy,
+};
 
 use crate::shard::ShardMap;
 use crate::wire::WireMsg;
@@ -92,17 +94,14 @@ pub struct BatchResult {
 /// Knobs for a fault-tolerant superset search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtSearchOptions {
-    /// Recovery behaviour on a missed deadline. The runtime arms real
-    /// timers only for [`RecoveryStrategy::RetryOnly`] and
+    /// What the coordinating worker's machine runs under, sent as is:
+    /// the base timeout is the first-attempt child deadline in
+    /// milliseconds. The runtime arms real timers only for
+    /// [`RecoveryStrategy::RetryOnly`] and
     /// [`RecoveryStrategy::Redelegate`]; `Naive` never recovers (the
     /// client deadline is its only bound) and `ReplicatedFailover`
     /// re-delegates without the simulator-only secondary sweep.
-    pub strategy: RecoveryStrategy,
-    /// Retransmissions per child before declaring it dead.
-    pub max_retries: u32,
-    /// First-attempt child deadline in milliseconds; doubles per
-    /// retry.
-    pub base_timeout_ms: u64,
+    pub policy: FtPolicy,
     /// Overall per-attempt client deadline in milliseconds. If the
     /// coordinator itself dies, the client re-issues the query after
     /// this long.
@@ -115,9 +114,11 @@ pub struct FtSearchOptions {
 impl Default for FtSearchOptions {
     fn default() -> FtSearchOptions {
         FtSearchOptions {
-            strategy: RecoveryStrategy::Redelegate,
-            max_retries: 2,
-            base_timeout_ms: 25,
+            policy: FtPolicy {
+                strategy: RecoveryStrategy::Redelegate,
+                max_retries: 2,
+                base_timeout: 25,
+            },
             attempt_timeout_ms: 2_000,
             attempts: 3,
         }
@@ -135,9 +136,10 @@ pub struct FtSearchOutcome {
     pub complete: bool,
     /// Client attempts consumed (1 = first try succeeded).
     pub attempts: u32,
-    /// The coordinator's exact coverage accounting; `None` when no
-    /// coordinator ever answered (every attempt timed out).
-    pub coverage: Option<CoverageReport>,
+    /// The coordinator's exact coverage accounting, as its frame
+    /// carried it; `None` when no coordinator ever answered (every
+    /// attempt timed out).
+    pub coverage: Option<FtCoverage>,
 }
 
 /// The client request protocol over any [`ClientLink`]. Synchronous
@@ -344,7 +346,7 @@ impl<L: ClientLink> ClientCore<L> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        if opts.base_timeout_ms == 0 {
+        if opts.policy.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
         struct Flight {
@@ -382,15 +384,7 @@ impl<L: ClientLink> ClientCore<L> {
                 Some(WireMsg::FtQueryDone {
                     query_id,
                     objects,
-                    subcube,
-                    reached,
-                    retries,
-                    timeouts,
-                    redelegations,
-                    queries_sent,
-                    conts,
-                    result_messages,
-                    skipped,
+                    coverage,
                 }) => {
                     // A miss is the completion of an abandoned attempt:
                     // the old coordinator was slow, not dead. Discard.
@@ -399,28 +393,9 @@ impl<L: ClientLink> ClientCore<L> {
                     };
                     out[flight.slot] = Some(FtSearchOutcome {
                         matches: matches(objects),
-                        complete: skipped.is_empty(),
+                        complete: coverage.skipped.is_empty(),
                         attempts: flight.attempt,
-                        coverage: Some(CoverageReport {
-                            strategy: opts.strategy,
-                            subcube_vertices: subcube,
-                            vertices_reached: reached,
-                            vertices_skipped: skipped.len() as u64,
-                            skipped,
-                            queries_sent,
-                            conts,
-                            result_messages,
-                            retries,
-                            timeouts,
-                            redelegations,
-                            pruned_subtrees: 0,
-                            vertices_pruned: 0,
-                            failed_over: false,
-                            secondary_reached: 0,
-                            secondary_skipped: 0,
-                            // Wall-clock runs have no virtual time.
-                            elapsed: hyperdex_simnet::time::SimDuration::ZERO,
-                        }),
+                        coverage: Some(coverage),
                     });
                     done += 1;
                 }
@@ -579,9 +554,7 @@ impl<L: ClientLink> ClientCore<L> {
                 query_id: id,
                 keywords: keywords.clone(),
                 threshold: threshold as u64,
-                strategy: opts.strategy,
-                max_retries: opts.max_retries,
-                base_timeout_ms: opts.base_timeout_ms,
+                policy: opts.policy,
             },
         );
         id

@@ -216,14 +216,14 @@ pub fn assert_fault_parity(
                      workers={workers} K={keywords:?} cov={cov:?}"
                 );
                 assert_eq!(
-                    cov.vertices_reached, cov.subcube_vertices,
+                    cov.reached, cov.subcube_vertices,
                     "complete outcome with unreached vertices: {cov:?}"
                 );
                 complete += 1;
             }
             Some(cov) => {
                 assert_eq!(
-                    cov.vertices_reached + cov.vertices_skipped,
+                    cov.reached + cov.skipped.len() as u64,
                     cov.subcube_vertices,
                     "coverage accounting not exact: {cov:?}"
                 );
@@ -275,13 +275,16 @@ mod tests {
         KeywordSet::parse(s).unwrap()
     }
 
+    fn small_corpus() -> Vec<(ObjectId, KeywordSet)> {
+        [(1, "a"), (2, "a b"), (3, "a b c"), (4, "b c"), (5, "a c d")]
+            .into_iter()
+            .map(|(id, k)| (ObjectId::from_raw(id), set(k)))
+            .collect()
+    }
+
     #[test]
     fn fault_parity_grades_every_outcome() {
-        let corpus: Vec<(ObjectId, KeywordSet)> =
-            [(1, "a"), (2, "a b"), (3, "a b c"), (4, "b c"), (5, "a c d")]
-                .into_iter()
-                .map(|(id, k)| (ObjectId::from_raw(id), set(k)))
-                .collect();
+        let corpus = small_corpus();
         let queries = vec![set("a"), set("b"), set("a b")];
         let plan = FaultPlan::lossy(3, 80, 40, 40).crash(1, 2);
         let report = assert_fault_parity(
@@ -299,11 +302,7 @@ mod tests {
 
     #[test]
     fn parity_on_a_small_corpus() {
-        let corpus: Vec<(ObjectId, KeywordSet)> =
-            [(1, "a"), (2, "a b"), (3, "a b c"), (4, "b c"), (5, "a c d")]
-                .into_iter()
-                .map(|(id, k)| (ObjectId::from_raw(id), set(k)))
-                .collect();
+        let corpus = small_corpus();
         let queries = vec![
             (set("a"), usize::MAX - 1),
             (set("a b"), usize::MAX - 1),

@@ -56,7 +56,7 @@
 //! never run against a half-restored table. If recovery cannot finish
 //! within the client's deadline, [`NodeRuntime::superset_search_ft`]
 //! degrades gracefully: it returns a partial result whose
-//! [`hyperdex_core::CoverageReport`] accounts every unreached vertex
+//! [`hyperdex_core::FtCoverage`] accounts every unreached vertex
 //! exactly.
 //!
 //! # Shutdown protocol and conservation
@@ -92,7 +92,9 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::shard::{ShardMap, ShardPolicy};
 use crate::transport::{count_frames, take_frame, ChannelTransport, Transport};
 use crate::wire::WireMsg;
-use crate::worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};
+use crate::worker::{
+    counter_record, run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats,
+};
 
 pub use crate::client_core::{
     BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
@@ -158,18 +160,20 @@ impl RuntimeConfig {
     }
 }
 
-/// The supervisor thread's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Workers respawned after a crash.
-    pub respawns: u64,
-    /// Journal frames replayed into respawned workers.
-    pub replayed_frames: u64,
-    /// Frames the supervisor itself sent (replays, `RepairDone`,
-    /// `Shutdown`).
-    pub frames_sent: u64,
-    /// Frames drained from inboxes after their workers exited.
-    pub frames_drained: u64,
+counter_record! {
+    /// The supervisor thread's counters.
+    SupervisorStats, "SSTATS",
+    {
+        /// Workers respawned after a crash.
+        respawns,
+        /// Journal frames replayed into respawned workers.
+        replayed_frames,
+        /// Frames the supervisor itself sent (replays, `RepairDone`,
+        /// `Shutdown`).
+        frames_sent,
+        /// Frames drained from inboxes after their workers exited.
+        frames_drained,
+    }
 }
 
 /// Frame accounting for a whole runtime run, built at shutdown.
@@ -523,7 +527,7 @@ impl NodeRuntime {
     /// # Errors
     ///
     /// Returns [`Error::ZeroThreshold`] when `threshold == 0` and
-    /// [`Error::ZeroTimeout`] when `opts.base_timeout_ms == 0`.
+    /// [`Error::ZeroTimeout`] when `opts.policy.base_timeout == 0`.
     pub fn superset_search_ft(
         &mut self,
         keywords: &KeywordSet,
@@ -1011,7 +1015,7 @@ mod tests {
         assert!(out.complete);
         assert_eq!(out.attempts, 1);
         let cov = out.coverage.expect("coordinator answered");
-        assert_eq!(cov.vertices_reached, cov.subcube_vertices);
+        assert_eq!(cov.reached, cov.subcube_vertices);
         assert!(cov.skipped.is_empty());
         let mut ids: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
         ids.sort_unstable();
@@ -1034,7 +1038,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
         let cov = out.coverage.expect("coordinator answered");
         assert_eq!(
-            cov.vertices_reached + cov.vertices_skipped,
+            cov.reached + cov.skipped.len() as u64,
             cov.subcube_vertices,
             "coverage accounting must be exact: {cov:?}"
         );
@@ -1077,11 +1081,8 @@ mod tests {
             .owner_of(hasher.vertex_for(&set("a b")).bits());
         let plan = FaultPlan::default().crash(victim, 1);
         let mut rt = loaded_faulted(4, plan);
-        let opts = FtSearchOptions {
-            base_timeout_ms: 15,
-            attempt_timeout_ms: 2_000,
-            ..FtSearchOptions::default()
-        };
+        let mut opts = FtSearchOptions::default();
+        opts.policy.base_timeout = 15;
         let out = rt
             .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
             .unwrap();
@@ -1107,9 +1108,11 @@ mod tests {
         let plan = FaultPlan::lossy(11, 1000, 0, 0);
         let mut rt = loaded_faulted(4, plan);
         let abandon = FtSearchOptions {
-            strategy: hyperdex_core::RecoveryStrategy::RetryOnly,
-            max_retries: 0,
-            base_timeout_ms: 30,
+            policy: hyperdex_core::FtPolicy {
+                strategy: hyperdex_core::RecoveryStrategy::RetryOnly,
+                max_retries: 0,
+                base_timeout: 30,
+            },
             attempt_timeout_ms: 1,
             attempts: 1,
         };

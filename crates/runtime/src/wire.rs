@@ -27,7 +27,9 @@
 
 use std::fmt;
 
-use hyperdex_core::{Error, Keyword, KeywordSet, PackedError, RecoveryStrategy};
+use hyperdex_core::{
+    Error, FtCoverage, FtPolicy, Keyword, KeywordSet, PackedError, RecoveryStrategy,
+};
 
 /// Upper bound on a frame body; larger declared lengths are rejected
 /// before any allocation ([`WireError::Oversized`]).
@@ -35,6 +37,11 @@ pub const MAX_BODY_LEN: u32 = 16 * 1024 * 1024;
 
 /// The length prefix's width in bytes.
 pub const PREFIX_LEN: usize = 4;
+
+/// Most entries one [`WireMsg::TQueryBatch`] or [`WireMsg::TContBatch`]
+/// carries: their entry count is a `u16`. Senders split longer lists
+/// over several frames.
+pub const MAX_BATCH_ENTRIES: usize = u16::MAX as usize;
 
 /// One protocol frame between runtime endpoints (workers, or the
 /// client handle).
@@ -188,12 +195,9 @@ pub enum WireMsg {
         keywords: KeywordSet,
         /// Results wanted (the paper's `c`).
         threshold: u64,
-        /// Recovery behaviour on a missed deadline.
-        strategy: RecoveryStrategy,
-        /// Retransmissions per child before declaring it dead.
-        max_retries: u32,
-        /// First-attempt deadline in milliseconds; doubles per retry.
-        base_timeout_ms: u64,
+        /// Strategy, retry budget and first-attempt deadline, the
+        /// latter in milliseconds.
+        policy: FtPolicy,
     },
     /// Coordinator → client: the fault-tolerant search finished, with
     /// its exact coverage accounting.
@@ -202,24 +206,8 @@ pub enum WireMsg {
         query_id: u64,
         /// All matches, truncated to the threshold.
         objects: Vec<(u64, u32)>,
-        /// Vertices in the query's induced subcube.
-        subcube: u64,
-        /// Distinct vertices that answered.
-        reached: u64,
-        /// Retransmissions after a missed deadline.
-        retries: u64,
-        /// Children declared dead after the retry budget ran out.
-        timeouts: u64,
-        /// Dead children whose subtrees were re-delegated.
-        redelegations: u64,
-        /// `T_QUERY` transmissions, including retransmissions.
-        queries_sent: u64,
-        /// Continuation messages the coordinator received.
-        conts: u64,
-        /// Continuations that carried at least one fresh result.
-        result_messages: u64,
-        /// Bits of the vertices given up on, sorted ascending.
-        skipped: Vec<u64>,
+        /// The coordinator's accounting, as its machine produced it.
+        coverage: FtCoverage,
     },
     /// Supervisor → respawned worker: the journal replay for its shard
     /// is complete; parked frames may now be processed.
@@ -385,16 +373,8 @@ impl WireMsg {
                 body.push(TAG_TCONT);
                 put_u64(body, *query_id);
                 put_u64(body, *bits);
-                put_u32(body, objects.len() as u32);
-                for (id, extra) in objects {
-                    put_u64(body, *id);
-                    put_u32(body, *extra);
-                }
-                put_u16(body, children.len() as u16);
-                for (bits, dim) in children {
-                    put_u64(body, *bits);
-                    body.push(*dim);
-                }
+                put_hits(body, objects);
+                put_contacts(body, children);
             }
             WireMsg::TQueryBatch {
                 query_id,
@@ -408,11 +388,7 @@ impl WireMsg {
                 put_u64(body, *remaining);
                 put_u32(body, *coord);
                 put_keywords(body, keywords);
-                put_u16(body, entries.len() as u16);
-                for (bits, dim) in entries {
-                    put_u64(body, *bits);
-                    body.push(*dim);
-                }
+                put_contacts(body, entries);
             }
             WireMsg::TContBatch {
                 query_id,
@@ -422,29 +398,17 @@ impl WireMsg {
                 body.push(TAG_TCONT_BATCH);
                 put_u64(body, *query_id);
                 put_u64(body, *epoch);
-                put_u16(body, entries.len() as u16);
+                put_u16(body, count16(entries.len()));
                 for (bits, objects, children) in entries {
                     put_u64(body, *bits);
-                    put_u32(body, objects.len() as u32);
-                    for (id, extra) in objects {
-                        put_u64(body, *id);
-                        put_u32(body, *extra);
-                    }
-                    put_u16(body, children.len() as u16);
-                    for (bits, dim) in children {
-                        put_u64(body, *bits);
-                        body.push(*dim);
-                    }
+                    put_hits(body, objects);
+                    put_contacts(body, children);
                 }
             }
             WireMsg::QueryDone { query_id, objects } => {
                 body.push(TAG_QUERY_DONE);
                 put_u64(body, *query_id);
-                put_u32(body, objects.len() as u32);
-                for (id, extra) in objects {
-                    put_u64(body, *id);
-                    put_u32(body, *extra);
-                }
+                put_hits(body, objects);
             }
             WireMsg::Pin { query_id, keywords } => {
                 body.push(TAG_PIN);
@@ -454,10 +418,7 @@ impl WireMsg {
             WireMsg::PinResults { query_id, objects } => {
                 body.push(TAG_PIN_RESULTS);
                 put_u64(body, *query_id);
-                put_u32(body, objects.len() as u32);
-                for id in objects {
-                    put_u64(body, *id);
-                }
+                put_ids(body, objects);
             }
             WireMsg::Handoff { bits, entries } => {
                 body.push(TAG_HANDOFF);
@@ -465,10 +426,7 @@ impl WireMsg {
                 put_u32(body, entries.len() as u32);
                 for (set, objects) in entries {
                     put_keywords(body, set);
-                    put_u32(body, objects.len() as u32);
-                    for id in objects {
-                        put_u64(body, *id);
-                    }
+                    put_ids(body, objects);
                 }
             }
             WireMsg::Flush { token } => {
@@ -490,50 +448,33 @@ impl WireMsg {
                 query_id,
                 keywords,
                 threshold,
-                strategy,
-                max_retries,
-                base_timeout_ms,
+                policy,
             } => {
                 body.push(TAG_FT_QUERY);
                 put_u64(body, *query_id);
                 put_u64(body, *threshold);
-                body.push(strategy_byte(*strategy));
-                put_u32(body, *max_retries);
-                put_u64(body, *base_timeout_ms);
+                body.push(strategy_byte(policy.strategy));
+                put_u32(body, policy.max_retries);
+                put_u64(body, policy.base_timeout);
                 put_keywords(body, keywords);
             }
             WireMsg::FtQueryDone {
                 query_id,
                 objects,
-                subcube,
-                reached,
-                retries,
-                timeouts,
-                redelegations,
-                queries_sent,
-                conts,
-                result_messages,
-                skipped,
+                coverage,
             } => {
                 body.push(TAG_FT_QUERY_DONE);
                 put_u64(body, *query_id);
-                put_u64(body, *subcube);
-                put_u64(body, *reached);
-                put_u64(body, *retries);
-                put_u64(body, *timeouts);
-                put_u64(body, *redelegations);
-                put_u64(body, *queries_sent);
-                put_u64(body, *conts);
-                put_u64(body, *result_messages);
-                put_u32(body, objects.len() as u32);
-                for (id, extra) in objects {
-                    put_u64(body, *id);
-                    put_u32(body, *extra);
-                }
-                put_u32(body, skipped.len() as u32);
-                for bits in skipped {
-                    put_u64(body, *bits);
-                }
+                put_u64(body, coverage.subcube_vertices);
+                put_u64(body, coverage.reached);
+                put_u64(body, coverage.retries);
+                put_u64(body, coverage.timeouts);
+                put_u64(body, coverage.redelegations);
+                put_u64(body, coverage.queries_sent);
+                put_u64(body, coverage.conts);
+                put_u64(body, coverage.result_messages);
+                put_hits(body, objects);
+                put_ids(body, &coverage.skipped);
             }
             WireMsg::RepairDone { worker } => {
                 body.push(TAG_REPAIR_DONE);
@@ -634,61 +575,28 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             coord: r.u32()?,
             keywords: get_keywords(r)?,
         }),
-        TAG_TCONT => {
-            let query_id = r.u64()?;
-            let bits = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut objects = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                objects.push((r.u64()?, r.u32()?));
-            }
-            let n = r.u16()? as usize;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                children.push((r.u64()?, r.u8()?));
-            }
-            Ok(WireMsg::TCont {
-                query_id,
-                bits,
-                objects,
-                children,
-            })
-        }
-        TAG_QUERY_DONE => {
-            let query_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut objects = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                objects.push((r.u64()?, r.u32()?));
-            }
-            Ok(WireMsg::QueryDone { query_id, objects })
-        }
+        TAG_TCONT => Ok(WireMsg::TCont {
+            query_id: r.u64()?,
+            bits: r.u64()?,
+            objects: r.hits()?,
+            children: r.contacts()?,
+        }),
+        TAG_QUERY_DONE => Ok(WireMsg::QueryDone {
+            query_id: r.u64()?,
+            objects: r.hits()?,
+        }),
         TAG_PIN => Ok(WireMsg::Pin {
             query_id: r.u64()?,
             keywords: get_keywords(r)?,
         }),
-        TAG_PIN_RESULTS => {
-            let query_id = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut objects = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                objects.push(r.u64()?);
-            }
-            Ok(WireMsg::PinResults { query_id, objects })
-        }
+        TAG_PIN_RESULTS => Ok(WireMsg::PinResults {
+            query_id: r.u64()?,
+            objects: r.ids()?,
+        }),
         TAG_HANDOFF => {
             let bits = r.u64()?;
             let n = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let set = get_keywords(r)?;
-                let m = r.u32()? as usize;
-                let mut objects = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    objects.push(r.u64()?);
-                }
-                entries.push((set, objects));
-            }
+            let entries = r.list(n, |r| Ok((get_keywords(r)?, r.ids()?)))?;
             Ok(WireMsg::Handoff { bits, entries })
         }
         TAG_FLUSH => Ok(WireMsg::Flush { token: r.u64()? }),
@@ -701,83 +609,47 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
         TAG_FT_QUERY => Ok(WireMsg::FtQuery {
             query_id: r.u64()?,
             threshold: r.u64()?,
-            strategy: strategy_from_byte(r.u8()?)?,
-            max_retries: r.u32()?,
-            base_timeout_ms: r.u64()?,
+            policy: FtPolicy {
+                strategy: strategy_from_byte(r.u8()?)?,
+                max_retries: r.u32()?,
+                base_timeout: r.u64()?,
+            },
             keywords: get_keywords(r)?,
         }),
         TAG_FT_QUERY_DONE => {
             let query_id = r.u64()?;
-            let subcube = r.u64()?;
-            let reached = r.u64()?;
-            let retries = r.u64()?;
-            let timeouts = r.u64()?;
-            let redelegations = r.u64()?;
-            let queries_sent = r.u64()?;
-            let conts = r.u64()?;
-            let result_messages = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut objects = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                objects.push((r.u64()?, r.u32()?));
-            }
-            let n = r.u32()? as usize;
-            let mut skipped = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                skipped.push(r.u64()?);
-            }
+            let mut coverage = FtCoverage {
+                subcube_vertices: r.u64()?,
+                reached: r.u64()?,
+                retries: r.u64()?,
+                timeouts: r.u64()?,
+                redelegations: r.u64()?,
+                queries_sent: r.u64()?,
+                conts: r.u64()?,
+                result_messages: r.u64()?,
+                skipped: Vec::new(),
+            };
+            let objects = r.hits()?;
+            coverage.skipped = r.ids()?;
             Ok(WireMsg::FtQueryDone {
                 query_id,
                 objects,
-                subcube,
-                reached,
-                retries,
-                timeouts,
-                redelegations,
-                queries_sent,
-                conts,
-                result_messages,
-                skipped,
+                coverage,
             })
         }
         TAG_REPAIR_DONE => Ok(WireMsg::RepairDone { worker: r.u32()? }),
-        TAG_TQUERY_BATCH => {
-            let query_id = r.u64()?;
-            let remaining = r.u64()?;
-            let coord = r.u32()?;
-            let keywords = get_keywords(r)?;
-            let n = r.u16()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((r.u64()?, r.u8()?));
-            }
-            Ok(WireMsg::TQueryBatch {
-                query_id,
-                keywords,
-                remaining,
-                coord,
-                entries,
-            })
-        }
+        TAG_TQUERY_BATCH => Ok(WireMsg::TQueryBatch {
+            query_id: r.u64()?,
+            remaining: r.u64()?,
+            coord: r.u32()?,
+            keywords: get_keywords(r)?,
+            entries: r.contacts()?,
+        }),
         TAG_TCONT_BATCH => {
             let query_id = r.u64()?;
             let epoch = r.u64()?;
             let n = r.u16()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let bits = r.u64()?;
-                let m = r.u32()? as usize;
-                let mut objects = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    objects.push((r.u64()?, r.u32()?));
-                }
-                let c = r.u16()? as usize;
-                let mut children = Vec::with_capacity(c);
-                for _ in 0..c {
-                    children.push((r.u64()?, r.u8()?));
-                }
-                entries.push((bits, objects, children));
-            }
+            let entries = r.list(n, |r| Ok((r.u64()?, r.hits()?, r.contacts()?)))?;
             Ok(WireMsg::TContBatch {
                 query_id,
                 epoch,
@@ -789,10 +661,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             let threshold = r.u64()?;
             let keywords = get_keywords(r)?;
             let n = r.u16()? as usize;
-            let mut marks = Vec::with_capacity(n);
-            for _ in 0..n {
-                marks.push(r.u64()?);
-            }
+            let marks = r.list(n, Reader::u64)?;
             Ok(WireMsg::QueryAt {
                 query_id,
                 keywords,
@@ -801,6 +670,40 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             })
         }
         other => Err(WireError::BadTag(other)),
+    }
+}
+
+/// A `u16` list count. A longer list is a sender's bug (batches are
+/// split at [`MAX_BATCH_ENTRIES`]; a vertex has at most 63 children)
+/// that must not reach the wire as a wrapped count the peer would read
+/// as a corrupt frame.
+fn count16(len: usize) -> u16 {
+    u16::try_from(len).expect("senders split batches at MAX_BATCH_ENTRIES")
+}
+
+/// `u32 count` then `(object id, extra keywords)` records.
+fn put_hits(out: &mut Vec<u8>, hits: &[(u64, u32)]) {
+    put_u32(out, hits.len() as u32);
+    for (id, extra) in hits {
+        put_u64(out, *id);
+        put_u32(out, *extra);
+    }
+}
+
+/// `u16 count` then `(vertex bits, dimension)` records.
+fn put_contacts(out: &mut Vec<u8>, contacts: &[(u64, u8)]) {
+    put_u16(out, count16(contacts.len()));
+    for (bits, dim) in contacts {
+        put_u64(out, *bits);
+        out.push(*dim);
+    }
+}
+
+/// `u32 count` then bare `u64`s.
+fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    put_u32(out, ids.len() as u32);
+    for id in ids {
+        put_u64(out, *id);
     }
 }
 
@@ -903,6 +806,223 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
     }
+
+    /// `count` records read by `item`; the declared count reserves at
+    /// most 1024 slots before any record has been seen.
+    fn list<T>(
+        &mut self,
+        count: usize,
+        item: impl Fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// What [`put_hits`] wrote.
+    fn hits(&mut self) -> Result<Vec<(u64, u32)>, WireError> {
+        let n = self.u32()? as usize;
+        self.list(n, |r| Ok((r.u64()?, r.u32()?)))
+    }
+
+    /// What [`put_contacts`] wrote.
+    fn contacts(&mut self) -> Result<Vec<(u64, u8)>, WireError> {
+        let n = self.u16()? as usize;
+        self.list(n, |r| Ok((r.u64()?, r.u8()?)))
+    }
+
+    /// What [`put_ids`] wrote.
+    fn ids(&mut self) -> Result<Vec<u64>, WireError> {
+        let n = self.u32()? as usize;
+        self.list(n, Self::u64)
+    }
+}
+
+/// The wire vocabulary by example: every variant at least once, with
+/// non-trivial field values (empty and non-empty lists, `None` and
+/// `Some` dimensions, multi-byte keywords) so every codec branch is
+/// exercised. The codec, fuzz and stream suites all sweep this one
+/// list; a test holds its tag bytes to exactly the defined tags.
+#[doc(hidden)]
+pub fn exemplars() -> Vec<WireMsg> {
+    let set = |s: &str| KeywordSet::parse(s).expect("exemplar keywords are valid");
+    vec![
+        WireMsg::Insert {
+            object: 0xDEAD_BEEF,
+            keywords: set("alpha beta gamma"),
+        },
+        WireMsg::Query {
+            query_id: 7,
+            keywords: set("alpha"),
+            threshold: u64::MAX - 1,
+        },
+        WireMsg::TQuery {
+            query_id: 8,
+            bits: 0b1010_1100,
+            keywords: set("alpha beta"),
+            remaining: 41,
+            via_dim: Some(5),
+            coord: 3,
+        },
+        WireMsg::TQuery {
+            query_id: 9,
+            bits: 0,
+            keywords: set("x"),
+            remaining: 1,
+            via_dim: None,
+            coord: 0,
+        },
+        WireMsg::TCont {
+            query_id: 8,
+            bits: 0b1010_1100,
+            objects: vec![(1, 0), (99, 2)],
+            children: vec![(0b1110_1100, 4), (0b1010_1101, 0)],
+        },
+        WireMsg::TCont {
+            query_id: 10,
+            bits: 0,
+            objects: vec![],
+            children: vec![],
+        },
+        WireMsg::QueryDone {
+            query_id: 8,
+            objects: vec![(1, 0), (2, 1), (3, 7)],
+        },
+        WireMsg::Pin {
+            query_id: 11,
+            keywords: set("exact match terms"),
+        },
+        WireMsg::PinResults {
+            query_id: 11,
+            objects: vec![5, 6, 7],
+        },
+        WireMsg::Handoff {
+            bits: 0b11,
+            entries: vec![
+                (set("a b"), vec![1, 2]),
+                (set("a b c"), vec![3]),
+                (set("z"), vec![]),
+            ],
+        },
+        WireMsg::Flush { token: 1234 },
+        WireMsg::FlushAck {
+            token: 1234,
+            worker: 7,
+            epoch: 65_590,
+        },
+        WireMsg::Shutdown,
+        WireMsg::FtQuery {
+            query_id: 21,
+            keywords: set("alpha beta"),
+            threshold: 40,
+            policy: FtPolicy {
+                strategy: RecoveryStrategy::Redelegate,
+                max_retries: 2,
+                base_timeout: 16,
+            },
+        },
+        WireMsg::FtQuery {
+            query_id: 22,
+            keywords: set("x"),
+            threshold: 1,
+            policy: FtPolicy {
+                strategy: RecoveryStrategy::Naive,
+                max_retries: 0,
+                base_timeout: 0,
+            },
+        },
+        WireMsg::FtQueryDone {
+            query_id: 21,
+            objects: vec![(4, 1), (5, 0)],
+            coverage: FtCoverage {
+                subcube_vertices: 8,
+                reached: 6,
+                skipped: vec![0b0101, 0b0111],
+                queries_sent: 11,
+                conts: 6,
+                result_messages: 2,
+                retries: 3,
+                timeouts: 1,
+                redelegations: 1,
+            },
+        },
+        WireMsg::FtQueryDone {
+            query_id: 22,
+            objects: vec![],
+            coverage: FtCoverage {
+                subcube_vertices: 1,
+                reached: 1,
+                queries_sent: 1,
+                ..FtCoverage::default()
+            },
+        },
+        WireMsg::RepairDone { worker: 3 },
+        WireMsg::TQueryBatch {
+            query_id: 30,
+            keywords: set("alpha beta"),
+            remaining: 17,
+            coord: 2,
+            entries: vec![(0b1010_1100, 5), (0b1010_1101, 0), (0b1110_1100, 4)],
+        },
+        WireMsg::TQueryBatch {
+            query_id: 31,
+            keywords: set("x"),
+            remaining: 1,
+            coord: 0,
+            entries: vec![],
+        },
+        WireMsg::TContBatch {
+            query_id: 30,
+            epoch: 65_590,
+            entries: vec![
+                (0b1010_1100, vec![(1, 0), (99, 2)], vec![(0b1011_1100, 4)]),
+                (0b1010_1101, vec![], vec![]),
+            ],
+        },
+        WireMsg::TContBatch {
+            query_id: 31,
+            epoch: 0,
+            entries: vec![],
+        },
+        WireMsg::QueryAt {
+            query_id: 40,
+            keywords: set("alpha beta"),
+            threshold: 20,
+            marks: vec![65_590, 0, u64::MAX],
+        },
+        WireMsg::QueryAt {
+            query_id: 41,
+            keywords: set("x"),
+            threshold: u64::MAX - 1,
+            marks: vec![],
+        },
+        // Multi-byte keywords, one a byte-prefix of another: a flipped
+        // bit here breaks UTF-8, case or the sort order.
+        WireMsg::Pin {
+            query_id: 13,
+            keywords: set("日 日本 éa mp3"),
+        },
+    ]
+}
+
+/// An `Insert` frame for object 1 around hand-written keyword fields
+/// — what an encoder that does not sort, fold case, deduplicate or
+/// check its UTF-8 would send.
+#[doc(hidden)]
+pub fn insert_frame<K: AsRef<[u8]>>(keywords: &[K]) -> Vec<u8> {
+    let mut frame = vec![0; PREFIX_LEN];
+    frame.push(TAG_INSERT);
+    put_u64(&mut frame, 1);
+    put_u16(&mut frame, keywords.len() as u16);
+    for k in keywords {
+        put_u16(&mut frame, k.as_ref().len() as u16);
+        frame.extend_from_slice(k.as_ref());
+    }
+    let body_len = (frame.len() - PREFIX_LEN) as u32;
+    frame[..PREFIX_LEN].copy_from_slice(&body_len.to_le_bytes());
+    frame
 }
 
 #[cfg(test)]
@@ -913,157 +1033,16 @@ mod tests {
         KeywordSet::parse(s).unwrap()
     }
 
-    /// One exemplar per variant, with non-trivial field values so every
-    /// encoder branch is exercised.
-    fn exemplars() -> Vec<WireMsg> {
-        vec![
-            WireMsg::Insert {
-                object: 0xDEAD_BEEF,
-                keywords: set("alpha beta gamma"),
-            },
-            WireMsg::Query {
-                query_id: 7,
-                keywords: set("alpha"),
-                threshold: u64::MAX - 1,
-            },
-            WireMsg::TQuery {
-                query_id: 8,
-                bits: 0b1010_1100,
-                keywords: set("alpha beta"),
-                remaining: 41,
-                via_dim: Some(5),
-                coord: 3,
-            },
-            WireMsg::TQuery {
-                query_id: 9,
-                bits: 0,
-                keywords: set("x"),
-                remaining: 1,
-                via_dim: None,
-                coord: 0,
-            },
-            WireMsg::TCont {
-                query_id: 8,
-                bits: 0b1010_1100,
-                objects: vec![(1, 0), (99, 2)],
-                children: vec![(0b1110_1100, 4), (0b1010_1101, 0)],
-            },
-            WireMsg::TCont {
-                query_id: 10,
-                bits: 0,
-                objects: vec![],
-                children: vec![],
-            },
-            WireMsg::QueryDone {
-                query_id: 8,
-                objects: vec![(1, 0), (2, 1), (3, 7)],
-            },
-            WireMsg::Pin {
-                query_id: 11,
-                keywords: set("exact match terms"),
-            },
-            WireMsg::PinResults {
-                query_id: 11,
-                objects: vec![5, 6, 7],
-            },
-            WireMsg::Handoff {
-                bits: 0b11,
-                entries: vec![
-                    (set("a b"), vec![1, 2]),
-                    (set("a b c"), vec![3]),
-                    (set("z"), vec![]),
-                ],
-            },
-            WireMsg::Flush { token: 1234 },
-            WireMsg::FlushAck {
-                token: 1234,
-                worker: 7,
-                epoch: 65_590,
-            },
-            WireMsg::Shutdown,
-            WireMsg::FtQuery {
-                query_id: 21,
-                keywords: set("alpha beta"),
-                threshold: 40,
-                strategy: RecoveryStrategy::Redelegate,
-                max_retries: 2,
-                base_timeout_ms: 16,
-            },
-            WireMsg::FtQuery {
-                query_id: 22,
-                keywords: set("x"),
-                threshold: 1,
-                strategy: RecoveryStrategy::Naive,
-                max_retries: 0,
-                base_timeout_ms: 0,
-            },
-            WireMsg::FtQueryDone {
-                query_id: 21,
-                objects: vec![(4, 1), (5, 0)],
-                subcube: 8,
-                reached: 6,
-                retries: 3,
-                timeouts: 1,
-                redelegations: 1,
-                queries_sent: 11,
-                conts: 6,
-                result_messages: 2,
-                skipped: vec![0b0101, 0b0111],
-            },
-            WireMsg::FtQueryDone {
-                query_id: 22,
-                objects: vec![],
-                subcube: 1,
-                reached: 1,
-                retries: 0,
-                timeouts: 0,
-                redelegations: 0,
-                queries_sent: 1,
-                conts: 0,
-                result_messages: 0,
-                skipped: vec![],
-            },
-            WireMsg::RepairDone { worker: 3 },
-            WireMsg::TQueryBatch {
-                query_id: 30,
-                keywords: set("alpha beta"),
-                remaining: 17,
-                coord: 2,
-                entries: vec![(0b1010_1100, 5), (0b1010_1101, 0), (0b1110_1100, 4)],
-            },
-            WireMsg::TQueryBatch {
-                query_id: 31,
-                keywords: set("x"),
-                remaining: 1,
-                coord: 0,
-                entries: vec![],
-            },
-            WireMsg::TContBatch {
-                query_id: 30,
-                epoch: 65_590,
-                entries: vec![
-                    (0b1010_1100, vec![(1, 0), (99, 2)], vec![(0b1011_1100, 4)]),
-                    (0b1010_1101, vec![], vec![]),
-                ],
-            },
-            WireMsg::TContBatch {
-                query_id: 31,
-                epoch: 0,
-                entries: vec![],
-            },
-            WireMsg::QueryAt {
-                query_id: 40,
-                keywords: set("alpha beta"),
-                threshold: 20,
-                marks: vec![65_590, 0, u64::MAX],
-            },
-            WireMsg::QueryAt {
-                query_id: 41,
-                keywords: set("x"),
-                threshold: u64::MAX - 1,
-                marks: vec![],
-            },
-        ]
+    #[test]
+    fn exemplars_cover_exactly_the_defined_tags() {
+        let tags: std::collections::BTreeSet<u8> =
+            exemplars().iter().map(|m| m.encode()[PREFIX_LEN]).collect();
+        assert_eq!(tags, (0..=TAG_QUERY_AT).collect());
+        assert_eq!(
+            WireMsg::decode_exact(&[1, 0, 0, 0, TAG_QUERY_AT + 1]),
+            Err(WireError::BadTag(TAG_QUERY_AT + 1)),
+            "a tag was added past the last one the exemplars are held to"
+        );
     }
 
     #[test]
@@ -1158,9 +1137,11 @@ mod tests {
             query_id: 1,
             keywords: set("a"),
             threshold: 1,
-            strategy: RecoveryStrategy::RetryOnly,
-            max_retries: 1,
-            base_timeout_ms: 1,
+            policy: FtPolicy {
+                strategy: RecoveryStrategy::RetryOnly,
+                max_retries: 1,
+                base_timeout: 1,
+            },
         }
         .encode();
         // The strategy byte sits right after the tag and two u64s.
@@ -1241,18 +1222,37 @@ mod tests {
         }
     }
 
-    /// An `Insert` frame around hand-written keyword fields.
-    fn insert_frame(keywords: &[&[u8]]) -> Vec<u8> {
-        let mut body = vec![TAG_INSERT];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&(keywords.len() as u16).to_le_bytes());
-        for k in keywords {
-            body.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            body.extend_from_slice(k);
+    /// The fault-tolerant exemplar frames as the encoder wrote them
+    /// when `FtQuery` and `FtQueryDone` listed the policy and the
+    /// counters field by field: nesting the shared records moved no
+    /// byte.
+    #[test]
+    fn ft_frames_encode_to_the_golden_frames() {
+        let golden = [
+            "2d 00 00 00 0b 15 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 02 02 00 \
+             00 00 10 00 00 00 00 00 00 00 02 00 05 00 61 6c 70 68 61 04 00 62 65 74 \
+             61",
+            "23 00 00 00 0b 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 00 00 00 \
+             00 00 00 00 00 00 00 00 00 00 01 00 01 00 78",
+            "79 00 00 00 0c 15 00 00 00 00 00 00 00 08 00 00 00 00 00 00 00 06 00 00 \
+             00 00 00 00 00 03 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 01 00 00 \
+             00 00 00 00 00 0b 00 00 00 00 00 00 00 06 00 00 00 00 00 00 00 02 00 00 \
+             00 00 00 00 00 02 00 00 00 04 00 00 00 00 00 00 00 01 00 00 00 05 00 00 \
+             00 00 00 00 00 00 00 00 00 02 00 00 00 05 00 00 00 00 00 00 00 07 00 00 \
+             00 00 00 00 00",
+            "51 00 00 00 0c 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 01 00 00 \
+             00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 \
+             00 00 00 00 00 01 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 \
+             00 00 00 00 00 00 00 00 00 00 00 00 00",
+        ];
+        let mut ft_frames = exemplars();
+        ft_frames.retain(|m| matches!(m, WireMsg::FtQuery { .. } | WireMsg::FtQueryDone { .. }));
+        assert_eq!(ft_frames.len(), golden.len());
+        for (msg, hex) in ft_frames.into_iter().zip(golden) {
+            let frame = unhex(hex);
+            assert_eq!(msg.encode(), frame, "{msg:?}");
+            assert_eq!(WireMsg::decode_exact(&frame), Ok(msg));
         }
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame
     }
 
     #[test]
@@ -1310,7 +1310,7 @@ mod tests {
         }
         // Errors come in stream order: the empty keyword is met first.
         assert_eq!(
-            WireMsg::decode_exact(&insert_frame(&[b"", &[0xFF]])),
+            WireMsg::decode_exact(&insert_frame(&[b"" as &[u8], &[0xFF]])),
             Err(WireError::BadKeyword)
         );
     }

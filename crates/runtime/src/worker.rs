@@ -34,15 +34,14 @@ use std::time::{Duration, Instant};
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{child_contacts, scan_store, SupersetCoordinator};
 use hyperdex_core::{
-    FtCmd, FtCoordinator, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId,
-    PostingStore,
+    FtCmd, FtCoordinator, KeywordHasher, KeywordInterner, KeywordSet, ObjectId, PostingStore,
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::fault::{Fate, FaultInjector};
 use crate::shard::ShardMap;
 use crate::transport::{count_frames, take_frame, FlushStatus, Transport};
-use crate::wire::WireMsg;
+use crate::wire::{WireMsg, MAX_BATCH_ENTRIES};
 
 /// Self-owned visits run from the in-worker queue in slices of this
 /// many scans per loop iteration, so a deep local subtree cannot
@@ -78,84 +77,115 @@ const RESULT_CACHE_MAX_ITEMS: usize = 4096;
 /// that retries after timing out is answered.
 pub const LEADER_SILENCE: Duration = Duration::from_secs(2);
 
-/// One worker's lifetime counters, returned when its thread exits.
-/// After a crash the supervisor merges the counters of every
-/// incarnation of the shard into one entry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// The worker's shard index.
-    pub worker: u32,
-    /// Frames this worker decided to send (logical sends, before the
-    /// fault injector rolled their fate).
-    pub frames_sent: u64,
-    /// Frames received and decoded from the inbox.
-    pub frames_received: u64,
-    /// Flush attempts the fabric pushed back on, parking frames in an
-    /// outbox.
-    pub backpressure_hits: u64,
-    /// Objects newly indexed on this shard.
-    pub inserts: u64,
-    /// Vertex scans served (local visits, `T_QUERY`s, and pins).
-    pub scans: u64,
-    /// Superset queries this worker coordinated (sequential + FT).
-    pub queries_coordinated: u64,
-    /// Frames the injector dropped, plus delay-stash remnants and
-    /// outbox/stash frames lost in a crash.
-    pub frames_dropped: u64,
-    /// Frames the injector delivered twice (counted once per extra
-    /// copy).
-    pub frames_duplicated: u64,
-    /// Frames the injector stashed behind a later send.
-    pub frames_delayed: u64,
-    /// Timed `recv` polls that expired without a frame. Zero on an
-    /// idle worker — idleness blocks, it doesn't spin.
-    pub wakeups: u64,
-    /// Batch frames (`TQueryBatch`/`TContBatch`) among `frames_sent`.
-    /// Each counts **once** in the frame ledger no matter how many
-    /// entries it aggregates.
-    pub batch_frames_sent: u64,
-    /// Logical per-vertex entries carried inside those batch frames —
-    /// the traversal volume the batching collapsed.
-    pub batch_entries_sent: u64,
-    /// Superset queries answered from the result cache: one
-    /// `QueryDone`, no traversal.
-    pub cache_hits: u64,
-    /// Superset queries that found no usable entry (absent, first
-    /// sighting, or not covering the threshold) and walked the cube.
-    pub cache_misses: u64,
-    /// Superset queries that waited for a running traversal of the
-    /// same query instead of starting their own.
-    pub cache_coalesced: u64,
-    /// Superset queries whose cached entry (or running traversal) the
-    /// epoch check rejected; they walked the cube and replaced it.
-    pub cache_stale: u64,
-    /// Cache slots pushed out by a newer reservation.
-    pub cache_evictions: u64,
+/// Declares a record of `u64` counters once: the struct, `merge`
+/// (the field-wise sum) and the text form a server process reports it
+/// in — one line, `TAG v1 v2 …` in declaration order — with its
+/// parser. An optional leading `u32` key names whose record it is: it
+/// is written first and never summed.
+macro_rules! counter_record {
+    (
+        $(#[$meta:meta])*
+        $name:ident, $tag:literal,
+        $(key { $(#[$kmeta:meta])* $key:ident },)?
+        { $($(#[$fmeta:meta])* $field:ident,)* }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$kmeta])* pub $key: u32,)?
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Adds `other`'s counters to this record's.
+            pub fn merge(&mut self, other: &$name) {
+                $(debug_assert_eq!(self.$key, other.$key);)?
+                $(self.$field += other.$field;)*
+            }
+
+            /// The record as one report line.
+            pub fn report_line(&self) -> String {
+                let mut line = String::from($tag);
+                $(line.push_str(&format!(" {}", self.$key));)?
+                $(line.push_str(&format!(" {}", self.$field));)*
+                line
+            }
+
+            /// Reads a [`Self::report_line`] back; `None` for any other
+            /// line, and for one with a field missing or to spare.
+            pub fn parse_line(line: &str) -> Option<$name> {
+                let mut fields = line.strip_prefix(concat!($tag, " "))?.split(' ');
+                let record = $name {
+                    $($key: fields.next()?.parse().ok()?,)?
+                    $($field: fields.next()?.parse().ok()?,)*
+                };
+                fields.next().is_none().then_some(record)
+            }
+        }
+    };
+}
+pub(crate) use counter_record;
+
+counter_record! {
+    /// One worker's lifetime counters, returned when its thread exits.
+    /// After a crash the supervisor merges the counters of every
+    /// incarnation of the shard into one entry.
+    WorkerStats, "WSTATS",
+    key {
+        /// The worker's shard index.
+        worker
+    },
+    {
+        /// Frames this worker decided to send (logical sends, before the
+        /// fault injector rolled their fate).
+        frames_sent,
+        /// Frames received and decoded from the inbox.
+        frames_received,
+        /// Flush attempts the fabric pushed back on, parking frames in an
+        /// outbox.
+        backpressure_hits,
+        /// Objects newly indexed on this shard.
+        inserts,
+        /// Vertex scans served (local visits, `T_QUERY`s, and pins).
+        scans,
+        /// Superset queries this worker coordinated (sequential + FT).
+        queries_coordinated,
+        /// Frames the injector dropped, plus delay-stash remnants and
+        /// outbox/stash frames lost in a crash.
+        frames_dropped,
+        /// Frames the injector delivered twice (counted once per extra
+        /// copy).
+        frames_duplicated,
+        /// Frames the injector stashed behind a later send.
+        frames_delayed,
+        /// Timed `recv` polls that expired without a frame. Zero on an
+        /// idle worker — idleness blocks, it doesn't spin.
+        wakeups,
+        /// Batch frames (`TQueryBatch`/`TContBatch`) among `frames_sent`.
+        /// Each counts **once** in the frame ledger no matter how many
+        /// entries it aggregates.
+        batch_frames_sent,
+        /// Logical per-vertex entries carried inside those batch frames —
+        /// the traversal volume the batching collapsed.
+        batch_entries_sent,
+        /// Superset queries answered from the result cache: one
+        /// `QueryDone`, no traversal.
+        cache_hits,
+        /// Superset queries that found no usable entry (absent, first
+        /// sighting, or not covering the threshold) and walked the cube.
+        cache_misses,
+        /// Superset queries that waited for a running traversal of the
+        /// same query instead of starting their own.
+        cache_coalesced,
+        /// Superset queries whose cached entry (or running traversal) the
+        /// epoch check rejected; they walked the cube and replaced it.
+        cache_stale,
+        /// Cache slots pushed out by a newer reservation.
+        cache_evictions,
+    }
 }
 
 impl WorkerStats {
-    /// Folds another incarnation's counters into this entry.
-    pub fn merge(&mut self, other: &WorkerStats) {
-        debug_assert_eq!(self.worker, other.worker);
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-        self.backpressure_hits += other.backpressure_hits;
-        self.inserts += other.inserts;
-        self.scans += other.scans;
-        self.queries_coordinated += other.queries_coordinated;
-        self.frames_dropped += other.frames_dropped;
-        self.frames_duplicated += other.frames_duplicated;
-        self.frames_delayed += other.frames_delayed;
-        self.wakeups += other.wakeups;
-        self.batch_frames_sent += other.batch_frames_sent;
-        self.batch_entries_sent += other.batch_entries_sent;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_coalesced += other.cache_coalesced;
-        self.cache_stale += other.cache_stale;
-        self.cache_evictions += other.cache_evictions;
-    }
-
     /// The result cache's share of the counters.
     pub fn cache(&self) -> CacheCounters {
         CacheCounters {
@@ -234,7 +264,6 @@ pub fn run_worker(
         local_work: VecDeque::new(),
         frame_pool: Vec::new(),
         timers: BinaryHeap::new(),
-        timer_seq: 0,
         injector: ctx.injector,
         repair: ctx.repairing.then(Vec::new),
         stats: WorkerStats {
@@ -305,35 +334,17 @@ fn fresh(remote: &[(u32, u64)], heard: &[u64], marks: &[u64]) -> bool {
     })
 }
 
-/// In-progress fault-tolerant query on its coordinator worker. Wraps
-/// the shared sans-I/O [`FtCoordinator`] machine; the worker supplies
-/// transport, wall-clock timers, local scans, and result dedup.
-struct FtQueryState {
-    core: FtCoordinator,
-    results: Vec<(u64, u32)>,
-    seen: HashSet<u64>,
-    threshold: usize,
-    /// Current timer generation per pending vertex; a heap entry whose
-    /// generation no longer matches is stale (cancelled or retried).
-    timer_gen: HashMap<u64, u64>,
-    conts: u64,
-    result_messages: u64,
-}
+/// In-progress fault-tolerant query on its coordinator worker: the
+/// shared sans-I/O machine over the `(object id, extra keywords)` pairs
+/// a `T_CONT` carries. The worker only turns its commands into frames
+/// and deadlines and feeds frames and expirations back.
+type FtMachine = FtCoordinator<(u64, u32)>;
 
-impl FtQueryState {
-    /// Records scan results, deduplicating by object id (duplicate
-    /// frame delivery must not double-count toward the threshold —
-    /// mirrors the simulator's `ft_record`).
-    fn record(&mut self, objects: Vec<(u64, u32)>) -> usize {
-        let mut added = 0;
-        for (raw, extra) in objects {
-            if self.seen.insert(raw) {
-                self.results.push((raw, extra));
-                added += 1;
-            }
-        }
-        added
-    }
+/// A frame's matches as the machine takes them: keyed by object id.
+fn keyed(objects: Vec<(u64, u32)>) -> impl Iterator<Item = (ObjectId, (u64, u32))> {
+    objects
+        .into_iter()
+        .map(|hit| (ObjectId::from_raw(hit.0), hit))
 }
 
 /// One shard-owning thread. Transport endpoints `0..W` address fellow
@@ -351,7 +362,7 @@ struct Worker {
     /// next same-destination send.
     stash: Vec<VecDeque<Vec<u8>>>,
     queries: HashMap<u64, QueryState>,
-    ft_queries: HashMap<u64, FtQueryState>,
+    ft_queries: HashMap<u64, FtMachine>,
     /// Results of the superset queries this worker coordinated, as the
     /// `(object id, extra keywords)` pairs a `QueryDone` carries. Its
     /// generation is this worker's write epoch.
@@ -366,9 +377,9 @@ struct Worker {
     /// consumed inbox packets (capped at [`FRAME_POOL_CAP`]).
     frame_pool: Vec<Vec<u8>>,
     /// `(deadline, query_id, vertex bits, generation)` — min-heap by
-    /// deadline.
+    /// deadline. Entries are never removed early: the machine ignores
+    /// a timer that is no longer its vertex's current one.
     timers: BinaryHeap<Reverse<(Instant, u64, u64, u64)>>,
-    timer_seq: u64,
     injector: Option<FaultInjector>,
     /// `Some` while repairing after a respawn: parked frames awaiting
     /// `RepairDone`.
@@ -605,9 +616,7 @@ impl Worker {
                 query_id,
                 keywords,
                 threshold,
-                strategy,
-                max_retries,
-                base_timeout_ms,
+                mut policy,
             } => {
                 self.stats.queries_coordinated += 1;
                 let kw = self.interner.intern(keywords);
@@ -617,28 +626,11 @@ impl Worker {
                     self.index,
                     "FT query routed to a non-root worker"
                 );
-                let mut state = FtQueryState {
-                    core: FtCoordinator::new(
-                        root,
-                        kw,
-                        threshold.max(1) as usize,
-                        FtPolicy {
-                            strategy,
-                            max_retries,
-                            base_timeout: base_timeout_ms.max(1),
-                        },
-                    ),
-                    results: Vec::new(),
-                    seen: HashSet::new(),
-                    threshold: threshold.max(1) as usize,
-                    timer_gen: HashMap::new(),
-                    conts: 0,
-                    result_messages: 0,
-                };
+                policy.base_timeout = policy.base_timeout.max(1);
+                let mut state = FtCoordinator::new(root, kw, threshold.max(1) as usize, policy);
                 let mut cmds = Vec::new();
-                state.core.start(&mut cmds);
-                self.ft_exec(query_id, &mut state, cmds);
-                self.ft_settle(query_id, state);
+                state.start(&mut cmds);
+                self.ft_drive(query_id, state, cmds);
             }
             WireMsg::TQuery {
                 query_id,
@@ -714,25 +706,20 @@ impl Worker {
                     replies.push((bits, objects, children));
                 }
                 for (owner, group) in forwards {
-                    self.send(
-                        owner as usize,
-                        &WireMsg::TQueryBatch {
-                            query_id,
-                            keywords: keywords.clone(),
-                            remaining,
-                            coord,
-                            entries: group,
-                        },
-                    );
-                }
-                self.send(
-                    coord as usize,
-                    &WireMsg::TContBatch {
+                    self.send_batched(owner as usize, group, |entries| WireMsg::TQueryBatch {
                         query_id,
-                        epoch: self.cache.generation(),
-                        entries: replies,
-                    },
-                );
+                        keywords: keywords.clone(),
+                        remaining,
+                        coord,
+                        entries,
+                    });
+                }
+                let epoch = self.cache.generation();
+                self.send_batched(coord as usize, replies, |entries| WireMsg::TContBatch {
+                    query_id,
+                    epoch,
+                    entries,
+                });
             }
             WireMsg::TCont {
                 query_id,
@@ -741,17 +728,9 @@ impl Worker {
                 children,
             } => {
                 if let Some(mut state) = self.ft_queries.remove(&query_id) {
-                    state.conts += 1;
-                    let added = state.record(objects);
-                    if added > 0 {
-                        state.result_messages += 1;
-                    }
                     let mut cmds = Vec::new();
-                    state
-                        .core
-                        .on_reply(bits, added, &children, |_, _| false, &mut cmds);
-                    self.ft_exec(query_id, &mut state, cmds);
-                    self.ft_settle(query_id, state);
+                    state.on_reply(bits, keyed(objects), &children, |_, _| false, &mut cmds);
+                    self.ft_drive(query_id, state, cmds);
                 }
                 // else: a duplicate or post-completion continuation —
                 // injected faults make these normal; drop it. (Only the
@@ -787,10 +766,11 @@ impl Worker {
                     }
                     // A remote child this batch lists but does not
                     // answer (here or in an already-parked reply) was
-                    // forwarded onward by the expanding worker; its
-                    // reply arrives unsolicited, so mark it
-                    // dispatch-exempt. Our own children go through the
-                    // local fast path as usual.
+                    // forwarded onward by the expanding worker, or is
+                    // answered in a later frame of a reply too long for
+                    // one; either way its reply arrives unsolicited,
+                    // so mark it dispatch-exempt. Our own children go
+                    // through the local fast path as usual.
                     for child in listed {
                         if self.shards.owner_of(child) != self.index
                             && !state.replies.contains_key(&child)
@@ -972,22 +952,39 @@ impl Worker {
                 None => groups.push((owner, vec![(bits, dim)])),
             }
         }
-        for (owner, entries) in groups {
+        let coord = self.index;
+        for (owner, group) in groups {
             // Always a batch, even for a single entry: the batch
             // handler eagerly expands the receiver's whole region, so
             // a lone cross-cut edge still delegates the subtree below
             // it instead of bouncing every child through here.
-            let keywords: KeywordSet = (*state.keywords).clone();
-            self.send(
-                owner as usize,
-                &WireMsg::TQueryBatch {
-                    query_id,
-                    keywords,
-                    remaining,
-                    coord: self.index,
-                    entries,
-                },
-            );
+            self.send_batched(owner as usize, group, |entries| WireMsg::TQueryBatch {
+                query_id,
+                keywords: (*state.keywords).clone(),
+                remaining,
+                coord,
+                entries,
+            });
+        }
+    }
+
+    /// Sends `entries` to `dest` in the batch frame `frame` builds —
+    /// in several when there are more than one frame's count field
+    /// holds. Entries are keyed by vertex, so the receiver folds each
+    /// frame on its own.
+    fn send_batched<T>(
+        &mut self,
+        dest: usize,
+        mut entries: Vec<T>,
+        frame: impl Fn(Vec<T>) -> WireMsg,
+    ) {
+        loop {
+            let rest = entries.split_off(entries.len().min(MAX_BATCH_ENTRIES));
+            self.send(dest, &frame(entries));
+            if rest.is_empty() {
+                return;
+            }
+            entries = rest;
         }
     }
 
@@ -1132,11 +1129,12 @@ impl Worker {
         }
     }
 
-    /// Executes a batch of [`FtCmd`]s from the shared machine: local
+    /// Executes a batch of [`FtCmd`]s from the shared machine — local
     /// scans run inline (their replies may emit more commands, hence
     /// the work queue), remote visits become `T_QUERY` frames with a
-    /// wall-clock deadline.
-    fn ft_exec(&mut self, query_id: u64, state: &mut FtQueryState, cmds: Vec<FtCmd>) {
+    /// wall-clock deadline — then re-files the query, or completes it
+    /// when nothing is left in flight.
+    fn ft_drive(&mut self, query_id: u64, mut state: FtMachine, cmds: Vec<FtCmd>) {
         let mut queue: VecDeque<FtCmd> = cmds.into();
         while let Some(cmd) = queue.pop_front() {
             match cmd {
@@ -1144,83 +1142,60 @@ impl Worker {
                 // coordinate; and the root scan is always local to this
                 // worker, so the root can never time out here.
                 FtCmd::Promote => debug_assert!(false, "root cannot die on its own coordinator"),
-                FtCmd::Cancel { bits } => {
-                    state.timer_gen.remove(&bits);
-                }
+                // A heap entry cannot be pulled out; it fires into the
+                // machine's stale-timer check instead.
+                FtCmd::Cancel { .. } => {}
                 FtCmd::Send {
                     bits,
                     via_dim,
                     attempt: _,
                     timeout,
+                    generation,
                 } => {
                     let owner = self.shards.owner_of(bits);
                     if owner == self.index {
-                        let (objects, children) = self.visit(
-                            bits,
-                            via_dim,
-                            state.core.keywords(),
-                            state.core.remaining(),
-                        );
-                        let added = state.record(objects);
+                        let (objects, children) =
+                            self.visit(bits, via_dim, state.keywords(), state.remaining());
                         let mut more = Vec::new();
-                        state
-                            .core
-                            .on_reply(bits, added, &children, |_, _| false, &mut more);
+                        state.on_scan(bits, keyed(objects), &children, |_, _| false, &mut more);
                         queue.extend(more);
                     } else {
-                        let keywords: KeywordSet = (**state.core.keywords()).clone();
+                        let keywords: KeywordSet = (**state.keywords()).clone();
                         self.send(
                             owner as usize,
                             &WireMsg::TQuery {
                                 query_id,
                                 bits,
                                 keywords,
-                                remaining: state.core.remaining() as u64,
+                                remaining: state.remaining() as u64,
                                 via_dim,
                                 coord: self.index,
                             },
                         );
                         if let Some(ms) = timeout {
-                            self.timer_seq += 1;
-                            let gen = self.timer_seq;
-                            state.timer_gen.insert(bits, gen);
                             self.timers.push(Reverse((
                                 Instant::now() + Duration::from_millis(ms),
                                 query_id,
                                 bits,
-                                gen,
+                                generation,
                             )));
                         }
                     }
                 }
             }
         }
-    }
-
-    /// Re-files an in-progress FT query, or completes it when nothing
-    /// is left in flight.
-    fn ft_settle(&mut self, query_id: u64, mut state: FtQueryState) {
-        if state.core.in_flight() > 0 {
+        if state.in_flight() > 0 {
             self.ft_queries.insert(query_id, state);
             return;
         }
-        let cov = state.core.finish();
-        state.results.truncate(state.threshold);
+        let coverage = state.finish();
         let client = self.client_slot();
         self.send(
             client,
             &WireMsg::FtQueryDone {
                 query_id,
-                objects: state.results,
-                subcube: cov.subcube_vertices,
-                reached: cov.reached,
-                retries: cov.retries,
-                timeouts: cov.timeouts,
-                redelegations: cov.redelegations,
-                queries_sent: cov.queries_sent,
-                conts: state.conts,
-                result_messages: state.result_messages,
-                skipped: cov.skipped,
+                objects: state.into_results(),
+                coverage,
             },
         );
     }
@@ -1229,9 +1204,8 @@ impl Worker {
         self.timers.peek().map(|Reverse((deadline, ..))| *deadline)
     }
 
-    /// Fires every expired FT deadline through the shared machine.
-    /// Heap entries whose generation no longer matches the query's
-    /// current one are stale (answered or already retried) and skip.
+    /// Fires every expired FT deadline through the shared machine,
+    /// which ignores the stale ones (answered or already retried).
     fn fire_expired_timers(&mut self) {
         loop {
             let now = Instant::now();
@@ -1239,19 +1213,13 @@ impl Worker {
                 Some(Reverse((deadline, ..))) if *deadline <= now => {}
                 _ => return,
             }
-            let Reverse((_, query_id, bits, gen)) = self.timers.pop().expect("peeked");
+            let Reverse((_, query_id, bits, generation)) = self.timers.pop().expect("peeked");
             let Some(mut state) = self.ft_queries.remove(&query_id) else {
                 continue;
             };
-            if state.timer_gen.get(&bits) != Some(&gen) {
-                self.ft_queries.insert(query_id, state);
-                continue;
-            }
-            state.timer_gen.remove(&bits);
             let mut cmds = Vec::new();
-            state.core.on_timeout(bits, |_, _| false, &mut cmds);
-            self.ft_exec(query_id, &mut state, cmds);
-            self.ft_settle(query_id, state);
+            state.on_timeout(bits, generation, |_, _| false, &mut cmds);
+            self.ft_drive(query_id, state, cmds);
         }
     }
 
@@ -1364,5 +1332,50 @@ impl Worker {
             FlushStatus::Full => self.stats.backpressure_hits += 1,
             FlushStatus::Closed { frames_dropped } => self.stats.frames_dropped += frames_dropped,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::SupervisorStats;
+
+    #[test]
+    fn report_lines_roundtrip_in_declaration_order() {
+        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16";
+        let stats = WorkerStats::parse_line(line).unwrap();
+        assert_eq!(
+            (stats.worker, stats.frames_sent, stats.scans),
+            (3, 10, 3),
+            "{stats:?}"
+        );
+        assert_eq!((stats.batch_entries_sent, stats.cache_evictions), (27, 16));
+        assert_eq!(stats.report_line(), line);
+        // A line one counter short (the cache columns' predecessor
+        // format included) or long is rejected, never zero-filled.
+        assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
+        assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
+        assert!(WorkerStats::parse_line(&format!("{line} 17")).is_none());
+        assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
+        // Merging sums every counter and leaves the key alone.
+        let mut merged = stats.clone();
+        merged.merge(&stats);
+        assert_eq!(
+            merged.report_line(),
+            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32"
+        );
+
+        let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4").unwrap();
+        assert_eq!(
+            (
+                sup.respawns,
+                sup.replayed_frames,
+                sup.frames_sent,
+                sup.frames_drained
+            ),
+            (1, 2, 3, 4)
+        );
+        assert_eq!(sup.report_line(), "SSTATS 1 2 3 4");
+        assert!(SupervisorStats::parse_line("garbage").is_none());
     }
 }

@@ -7,13 +7,8 @@
 //! fault-tolerant coordinator; and graded fault parity holds across a
 //! worker-count × fault-mode matrix, with frame conservation on every
 //! shutdown.
-//!
-//! CI fans this file across its fault matrix via two env vars:
-//! `HYPERDEX_RUNTIME_WORKERS` (comma-separated worker counts, default
-//! `2,4`) and `HYPERDEX_FAULT_MODE` (`crash`, `loss`, or `crash+loss`,
-//! default: all three).
 
-use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
 use hyperdex_runtime::{
     assert_fault_parity, FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig,
 };
@@ -37,41 +32,19 @@ fn set(s: &str) -> KeywordSet {
     KeywordSet::parse(s).unwrap()
 }
 
-/// Worker counts under test: the env override, or a small default
-/// ladder (CI's matrix passes `2` and `8`).
-fn worker_counts() -> Vec<u32> {
-    match std::env::var("HYPERDEX_RUNTIME_WORKERS") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad HYPERDEX_RUNTIME_WORKERS entry {s:?}"))
-            })
-            .collect(),
-        Err(_) => vec![2, 4],
-    }
-}
-
-/// Fault modes under test: the env override, or all three.
-fn fault_modes() -> Vec<String> {
-    match std::env::var("HYPERDEX_FAULT_MODE") {
-        Ok(raw) => vec![raw],
-        Err(_) => ["crash", "loss", "crash+loss"]
-            .into_iter()
-            .map(String::from)
-            .collect(),
-    }
-}
+/// The matrix: every worker count under every fault mode.
+const WORKER_COUNTS: [u32; 3] = [2, 4, 8];
+const FAULT_MODES: [&str; 3] = ["crash", "loss", "crash+loss"];
 
 /// The fault plan a mode names. Crashes target `victim`; loss is 8%
 /// drop + 4% duplicate + 4% delay on the traversal path.
 fn plan_for(mode: &str, fault_seed: u64, victim: u32) -> FaultPlan {
+    let lossy = FaultPlan::lossy(fault_seed, 80, 40, 40);
     match mode {
         "crash" => FaultPlan::default().crash(victim, 1),
-        "loss" => FaultPlan::lossy(fault_seed, 80, 40, 40),
-        "crash+loss" => FaultPlan::lossy(fault_seed, 80, 40, 40).crash(victim, 1),
-        other => panic!("unknown HYPERDEX_FAULT_MODE {other:?}"),
+        "loss" => lossy,
+        "crash+loss" => lossy.crash(victim, 1),
+        other => unreachable!("{other} is not in FAULT_MODES"),
     }
 }
 
@@ -123,9 +96,11 @@ fn payload(rt: &mut NodeRuntime, opts: &FtSearchOptions) -> Vec<(u64, u32)> {
 /// exactly.
 fn recovering_opts() -> FtSearchOptions {
     FtSearchOptions {
-        strategy: RecoveryStrategy::Redelegate,
-        max_retries: 5,
-        base_timeout_ms: 20,
+        policy: FtPolicy {
+            strategy: RecoveryStrategy::Redelegate,
+            max_retries: 5,
+            base_timeout: 20,
+        },
         attempt_timeout_ms: 1_500,
         attempts: 3,
     }
@@ -134,15 +109,15 @@ fn recovering_opts() -> FtSearchOptions {
 #[test]
 fn faulted_runs_reproduce_the_unfaulted_payload_byte_for_byte() {
     let opts = recovering_opts();
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let mut clean = loaded(workers, FaultPlan::default());
         let truth = payload(&mut clean, &opts);
         assert!(!truth.is_empty());
         clean.shutdown().assert_conserved();
 
-        for mode in fault_modes() {
+        for mode in FAULT_MODES {
             let victim = data_owning_worker(workers);
-            let mut faulted = loaded(workers, plan_for(&mode, 0xFA17, victim));
+            let mut faulted = loaded(workers, plan_for(mode, 0xFA17, victim));
             let got = payload(&mut faulted, &opts);
             assert_eq!(
                 got, truth,
@@ -182,10 +157,10 @@ fn fault_parity_holds_across_the_matrix() {
         queries.push(corpus[0].1.clone());
     }
 
-    for workers in worker_counts() {
-        for mode in fault_modes() {
+    for workers in WORKER_COUNTS {
+        for mode in FAULT_MODES {
             let victim = data_owning_worker(workers);
-            let plan = plan_for(&mode, 0xBEEF, victim);
+            let plan = plan_for(mode, 0xBEEF, victim);
             let report = assert_fault_parity(
                 R,
                 SEED,

@@ -4,33 +4,14 @@
 //! The ISSUE-5 contract: for a shared seed and corpus, the threaded
 //! runtime returns set-identical pin and superset results to
 //! `ProtocolSim` at r ∈ {8, 12} across at least three worker counts,
-//! with frame conservation holding on every shutdown. Worker counts
-//! come from `HYPERDEX_RUNTIME_WORKERS` (comma-separated) when set —
-//! CI uses that to fan the same test across a thread-count matrix —
-//! and default to 1, 2, 4, 8.
+//! with frame conservation holding on every shutdown.
 
 use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_runtime::{assert_sim_parity, NodeRuntime, Request, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
-/// Worker counts under test: the env override, or the default ladder.
-fn worker_counts() -> Vec<u32> {
-    match std::env::var("HYPERDEX_RUNTIME_WORKERS") {
-        Ok(raw) => {
-            let parsed: Vec<u32> = raw
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad HYPERDEX_RUNTIME_WORKERS entry {s:?}"))
-                })
-                .collect();
-            assert!(!parsed.is_empty(), "HYPERDEX_RUNTIME_WORKERS is empty");
-            parsed
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+/// Worker counts under test.
+const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 /// A generated corpus plus a query mix of broad (|K| = 1), narrower
 /// (|K| = 2), thresholded, and definitely-missing sets.
@@ -60,7 +41,7 @@ fn workload(seed: u64, objects: usize) -> (Vec<(ObjectId, KeywordSet)>, Vec<(Key
 #[test]
 fn runtime_matches_sim_at_r8_across_worker_counts() {
     let (corpus, queries) = workload(42, 400);
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let report = assert_sim_parity(8, 42, workers, &corpus, &queries);
         assert!(report.superset_checked >= 9, "query mix shrank");
         assert!(report.pin_checked >= 9);
@@ -71,7 +52,7 @@ fn runtime_matches_sim_at_r8_across_worker_counts() {
 #[test]
 fn runtime_matches_sim_at_r12_across_worker_counts() {
     let (corpus, queries) = workload(7, 400);
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let report = assert_sim_parity(12, 7, workers, &corpus, &queries);
         assert!(report.superset_checked >= 9);
         assert_eq!(report.shutdown.in_flight(), 0);
@@ -83,7 +64,7 @@ fn parity_survives_a_second_seed_and_small_corpus() {
     // A second (seed, size) point so a lucky hash layout cannot hide a
     // divergence; exercises sparse vertices (many unmaterialized).
     let (corpus, queries) = workload(1234, 120);
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         assert_sim_parity(8, 1234, workers, &corpus, &queries);
     }
 }
@@ -128,7 +109,7 @@ fn scan_frames_stay_within_the_locality_envelope() {
     assert!(scans.len() >= 8, "query mix shrank");
     let single = scan_frames(1, &corpus, &scans);
     assert_eq!(single, 2 * scans.len() as u64);
-    for workers in worker_counts() {
+    for workers in WORKER_COUNTS {
         let frames = scan_frames(workers, &corpus, &scans);
         assert!(
             frames <= u64::from(workers) * single,
@@ -140,4 +121,19 @@ fn scan_frames_stay_within_the_locality_envelope() {
             "frame counts are not deterministic at {workers} workers"
         );
     }
+}
+
+#[test]
+fn a_region_longer_than_one_batch_frame_is_answered_in_several() {
+    // Two workers at r = 18: a one-keyword query's subcube is 2^17
+    // vertices, half of them the non-coordinating worker's — one more
+    // than a batch frame's u16 entry count holds, answered in one eager
+    // expansion. (The count used to wrap to 0, the peer read a corrupt
+    // frame and died.)
+    let (corpus, queries) = workload(42, 400);
+    let scan = queries[0].clone();
+    assert_eq!((scan.0.len(), scan.1), (1, usize::MAX - 1));
+    let report = assert_sim_parity(18, 42, 2, &corpus, &[scan]);
+    let entries = report.shutdown.workers.iter().map(|w| w.batch_entries_sent);
+    assert!(entries.max() > Some(u64::from(u16::MAX)), "{report:?}");
 }

@@ -14,9 +14,6 @@
 //!   worker's epoch.
 //! * A worker crash between two cached answers.
 //! * An answer too long to keep.
-//!
-//! `HYPERDEX_RUNTIME_WORKERS` (comma-separated) overrides the worker
-//! counts of the first two, as in the parity suite.
 
 use std::collections::BTreeSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -40,19 +37,8 @@ fn set(s: &str) -> KeywordSet {
     KeywordSet::parse(s).unwrap()
 }
 
-fn worker_counts(default: &[u32]) -> Vec<u32> {
-    match std::env::var("HYPERDEX_RUNTIME_WORKERS") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad HYPERDEX_RUNTIME_WORKERS entry {s:?}"))
-            })
-            .collect(),
-        Err(_) => default.to_vec(),
-    }
-}
+/// Worker counts the first two run at.
+const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------
 // Coherence: random interleavings against an uncached oracle
@@ -225,7 +211,7 @@ proptest! {
     fn answers_match_an_uncached_oracle(
         ops in prop::collection::vec((0u8..8, 0usize..64, 0usize..64), 20..60),
     ) {
-        for workers in worker_counts(&[1, 2, 3]) {
+        for workers in WORKER_COUNTS {
             let mut model = Model::new(workers);
             for op in &ops {
                 model.apply(*op)?;
@@ -292,7 +278,7 @@ fn fingerprint(report: &ShutdownReport) -> (u64, Vec<(u64, u64, u64, u64)>) {
 #[test]
 fn the_same_request_list_costs_the_same_frames_and_cache_decisions() {
     let (entries, requests) = hot_workload();
-    for workers in worker_counts(&[1, 2, 3]) {
+    for workers in WORKER_COUNTS {
         let run = || {
             let mut rt = NodeRuntime::start(RuntimeConfig::new(8, workers).seed(SEED)).unwrap();
             rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))

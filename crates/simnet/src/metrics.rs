@@ -98,11 +98,6 @@ impl NetMetrics {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// A collection of `f64` observations supporting summary statistics.
@@ -237,15 +232,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn net_metrics_reset() {
-        let mut m = NetMetrics::new();
-        m.messages_sent.add(3);
-        m.bytes_sent.add(100);
-        m.reset();
-        assert_eq!(m, NetMetrics::default());
     }
 
     #[test]

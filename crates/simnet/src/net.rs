@@ -57,11 +57,11 @@ struct InFlight<M> {
 
 /// Anything the event queue can hold: a message or a pending timer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Queued<M> {
+enum Queued<M, T> {
     Message(InFlight<M>),
     Timer {
         owner: EndpointId,
-        token: u64,
+        token: T,
         id: u64,
     },
 }
@@ -77,26 +77,27 @@ impl TimerId {
     }
 }
 
-/// A timer that fired at its owner.
+/// A timer that fired at its owner, carrying the token of type `T` it
+/// was set with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerFired {
+pub struct TimerFired<T = u64> {
     /// Firing instant.
     pub at: SimTime,
     /// The endpoint that set the timer.
     pub owner: EndpointId,
     /// The caller-chosen token passed to [`Network::set_timer`].
-    pub token: u64,
+    pub token: T,
     /// The timer's handle.
     pub id: TimerId,
 }
 
 /// One event as seen by [`Network::step_event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetEvent<M> {
+pub enum NetEvent<M, T = u64> {
     /// A message arrived at a live endpoint.
     Delivery(Delivery<M>),
     /// A timer fired at its live owner.
-    Timer(TimerFired),
+    Timer(TimerFired<T>),
 }
 
 /// A delivered message, as returned by [`Network::step`].
@@ -112,7 +113,9 @@ pub struct Delivery<M> {
     pub payload: M,
 }
 
-/// A deterministic simulated network carrying messages of type `M`.
+/// A deterministic simulated network carrying messages of type `M`,
+/// whose timers carry tokens of type `T` (an enum when one network
+/// hosts several kinds of timer; a plain `u64` by default).
 ///
 /// # Example
 ///
@@ -128,8 +131,8 @@ pub struct Delivery<M> {
 /// assert_eq!(d.at.ticks(), 2);
 /// ```
 #[derive(Debug)]
-pub struct Network<M> {
-    queue: EventQueue<Queued<M>>,
+pub struct Network<M, T = u64> {
+    queue: EventQueue<Queued<M, T>>,
     latency: LatencyModel,
     faults: FaultPlan,
     rng: SimRng,
@@ -143,7 +146,7 @@ pub struct Network<M> {
     cancelled_timers: HashSet<u64>,
 }
 
-impl<M> Network<M> {
+impl<M, T> Network<M, T> {
     /// Creates a network with the given latency model and RNG seed.
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
         Network {
@@ -214,11 +217,6 @@ impl<M> Network<M> {
         &mut self.metrics
     }
 
-    /// Resets message accounting (virtual time is unaffected).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
     /// Mutable access to the fault plan.
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
         &mut self.faults
@@ -279,14 +277,13 @@ impl<M> Network<M> {
     /// a handle for [`Network::cancel_timer`].
     ///
     /// The `token` is an opaque caller-chosen value handed back in the
-    /// [`TimerFired`] event, typically identifying the request being
-    /// timed. A timer whose owner is down at the deadline is silently
+    /// [`TimerFired`] event, identifying what is being timed. A timer whose owner is down at the deadline is silently
     /// discarded (a crashed process observes nothing).
     ///
     /// # Panics
     ///
     /// Panics if `owner` was never registered.
-    pub fn set_timer(&mut self, owner: EndpointId, after: SimDuration, token: u64) -> TimerId {
+    pub fn set_timer(&mut self, owner: EndpointId, after: SimDuration, token: T) -> TimerId {
         assert!(owner.0 < self.endpoints, "unknown timer owner {owner}");
         let id = self.next_timer;
         self.next_timer += 1;
@@ -319,7 +316,7 @@ impl<M> Network<M> {
     /// flight and no live timers pending). Messages whose destination
     /// is down at delivery time are counted as dropped and skipped;
     /// cancelled timers and timers of dead owners are skipped silently.
-    pub fn step_event(&mut self) -> Option<NetEvent<M>> {
+    pub fn step_event(&mut self) -> Option<NetEvent<M, T>> {
         while let Some((at, queued)) = self.queue.pop() {
             match queued {
                 Queued::Timer { owner, token, id } => {

@@ -79,11 +79,6 @@ impl SimRng {
         result
     }
 
-    /// Returns a uniformly random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform value in `[0, bound)` without modulo bias.
     ///
     /// # Panics

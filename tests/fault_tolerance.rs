@@ -207,9 +207,9 @@ fn lossy_search_with_retry_budget_matches_fault_free_run() {
         baseline_ids,
         "retries must recover the exact fault-free result set"
     );
-    assert!(out.coverage.retries > 0, "20% loss must trigger retries");
-    assert_eq!(out.coverage.vertices_reached, out.coverage.subcube_vertices);
-    assert!(out.coverage.skipped.is_empty());
+    assert!(out.coverage.ft.retries > 0, "20% loss must trigger retries");
+    assert_eq!(out.coverage.ft.reached, out.coverage.ft.subcube_vertices);
+    assert!(out.coverage.ft.skipped.is_empty());
 }
 
 #[test]
@@ -231,13 +231,13 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
         .expect("valid");
     // Exactly the crashed vertex is lost; every vertex of its subtree
     // was re-delegated and answered.
-    assert_eq!(out.coverage.skipped, vec![dead.bits()]);
+    assert_eq!(out.coverage.ft.skipped, vec![dead.bits()]);
     assert_eq!(
-        out.coverage.vertices_reached,
-        out.coverage.subcube_vertices - 1
+        out.coverage.ft.reached,
+        out.coverage.ft.subcube_vertices - 1
     );
     assert!(
-        out.coverage.redelegations >= 1,
+        out.coverage.ft.redelegations >= 1,
         "subtree must be re-delegated"
     );
 
@@ -255,8 +255,8 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
         )
         .expect("valid");
     assert_eq!(
-        abandoned.coverage.vertices_skipped,
-        out.coverage.subcube_vertices / 2,
+        abandoned.coverage.ft.skipped.len() as u64,
+        out.coverage.ft.subcube_vertices / 2,
         "without re-delegation the dead child's half-cube is lost"
     );
 }
@@ -294,14 +294,13 @@ fn acceptance_crashes_plus_loss_terminate_with_exact_accounting() {
         // skipped is exactly the crashed set.
         let mut expected = crashed.clone();
         expected.sort_unstable();
-        assert_eq!(out.coverage.skipped, expected);
-        assert_eq!(out.coverage.vertices_skipped, 3);
+        assert_eq!(out.coverage.ft.skipped, expected);
         assert_eq!(
-            out.coverage.vertices_reached,
-            out.coverage.subcube_vertices - 3
+            out.coverage.ft.reached,
+            out.coverage.ft.subcube_vertices - 3
         );
-        assert!(out.coverage.timeouts >= 3, "each dead vertex times out");
-        assert!(out.coverage.retries >= out.coverage.timeouts);
+        assert!(out.coverage.ft.timeouts >= 3, "each dead vertex times out");
+        assert!(out.coverage.ft.retries >= out.coverage.ft.timeouts);
         (sorted_ids(&out), out.coverage)
     };
     let (ids_a, cov_a) = run();
