@@ -36,7 +36,7 @@ use hyperdex_runtime::wire::WireMsg;
 use hyperdex_runtime::ShardMap;
 
 use crate::server::server_of;
-use crate::stream::{push_unit, StreamDecoder, CLIENT_DEST};
+use crate::stream::{StreamDecoder, CLIENT_DEST};
 
 /// Client-side knobs: connection and request deadlines, reconnect
 /// budget.
@@ -389,7 +389,10 @@ impl ClientLink for TcpLink {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
         let server = self.server_of(worker);
         let (buf, frames) = &mut self.wqueue[server];
-        push_unit(buf, worker, &msg.encode());
+        // One unit, written in place: the routing header, then the
+        // frame encoded straight behind it.
+        buf.extend_from_slice(&worker.to_le_bytes());
+        msg.encode_append(buf);
         *frames += 1;
     }
 

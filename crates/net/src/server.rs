@@ -20,22 +20,23 @@
 //! writer blocks: TCP itself propagates the same backpressure the
 //! in-process fabric expresses with `try_send`.
 //!
-//! Outbound, the wire path batches adaptively. [`MeshTransport`]
-//! accepts flushed frames into a per-peer **accumulation buffer**
-//! instead of shipping a packet per flush; the buffer drains to the
-//! connection's writer queue when it crosses a size watermark or when
-//! the worker's event loop closes its batching window (nothing left
-//! to fold into the batch — see `Transport::drain`). The writer
-//! thread drains its whole queue greedily and ships the packets with
-//! one vectored write, then recycles the packet buffers through a
-//! shared pool back to the accumulating transports, so the
-//! steady-state wire path allocates nothing.
+//! Outbound, the wire path batches adaptively. A worker's
+//! [`Fabric`] routes every remote worker and the client to a **socket
+//! lane** — one per connection — where each frame is encoded once,
+//! behind its unit header, into the packet the writer will put on the
+//! socket. The lane is offered to the connection's writer queue when
+//! it crosses a size watermark or when the worker's event loop closes
+//! its batching window (nothing left to fold into the batch). The
+//! writer thread drains its whole queue greedily and ships the packets
+//! with one vectored write, then returns the packet buffers to the
+//! [`PacketPool`] the lanes draw their spares from, so the steady-state
+//! wire path allocates nothing.
 //!
 //! # Recovery and accounting
 //!
 //! The server runs the runtime's one supervisor
 //! ([`hyperdex_runtime::runtime::supervise`]) over its local shards,
-//! handing it a `MeshTransport` builder: a crashed worker (scheduled
+//! handing it a builder for that fabric: a crashed worker (scheduled
 //! via [`CrashPoint`]) is respawned on the same inbox, its shard
 //! replayed from a journal of the load frames this server received,
 //! and released with `RepairDone`. At shutdown the server
@@ -44,11 +45,11 @@
 //! aggregates into the same [`hyperdex_runtime::ShutdownReport`] the
 //! other executors use.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -57,13 +58,10 @@ use hyperdex_core::KeywordHasher;
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::fault::{CrashPoint, FaultInjector, FaultPlan};
 use hyperdex_runtime::runtime::{supervise, Journal, Spawner};
-use hyperdex_runtime::transport::{
-    coalesce_pooled, count_frames, FlushStatus, Transport, SPENT_POOL_CAP,
-};
 use hyperdex_runtime::wire::WireMsg;
-use hyperdex_runtime::ShardMap;
+use hyperdex_runtime::{Fabric, PacketPool, ShardMap};
 
-use crate::stream::{count_units, push_unit, StreamDecoder, CLIENT_DEST, DEST_LEN};
+use crate::stream::{count_units, StreamDecoder, CLIENT_DEST};
 
 /// How one server process is shaped. All servers of a cluster share
 /// `r`, `seed`, `total_workers`, and `servers`; only `index` differs.
@@ -97,286 +95,14 @@ pub fn server_of(worker: u32, servers: u32) -> u32 {
     worker % servers.max(1)
 }
 
-/// Accumulated bytes that trigger a hand-off to the writer queue even
-/// while the batching window is still open.
-const ACC_WATERMARK: usize = 32 * 1024;
-
-/// Accumulation bound: once the buffer holds this much and the writer
-/// queue refuses to take it, the transport reports `Full` and the
-/// worker's outbox backpressure engages.
-const ACC_HARD_CAP: usize = 4 * ACC_WATERMARK;
-
-/// Packet buffers the shared pool retains.
-const PACKET_POOL_CAP: usize = 64;
-
-/// Recycled wire-packet buffers, shared between the accumulating
-/// transports (which take) and the writer threads (which return
-/// drained packets).
-#[derive(Clone, Default)]
-pub(crate) struct BufferPool(Arc<Mutex<Vec<Vec<u8>>>>);
-
-impl BufferPool {
-    fn take(&self) -> Vec<u8> {
-        self.0
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default()
-    }
-
-    fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        if let Ok(mut pool) = self.0.lock() {
-            if pool.len() < PACKET_POOL_CAP {
-                pool.push(buf);
-            }
-        }
-    }
-}
-
-/// One connection's accumulation buffer: wire units awaiting a
-/// watermark or window-close drain, with their logical frame count
-/// (what `Transport::pending` reports).
+/// What inbound connections fed this server that it could not use —
+/// input from outside the process, so counted, never asserted.
 #[derive(Default)]
-struct AccBuf {
-    buf: Vec<u8>,
-    frames: u64,
-}
-
-/// What [`MeshTransport::ship`] did with an accumulation buffer.
-enum ShipOutcome {
-    /// The packet is on the writer queue (or the buffer was empty).
-    Shipped,
-    /// The writer queue is full; the buffer keeps accumulating.
-    Full,
-    /// The writer is gone; the buffered frames were discarded.
-    Closed { frames_dropped: u64 },
-}
-
-/// The TCP fabric seen by one worker: local peers over channels,
-/// remote peers and the client over per-connection writer queues fed
-/// by adaptive accumulation buffers.
-struct MeshTransport {
-    own: u32,
-    servers: u32,
-    server_index: u32,
-    total: usize,
-    /// Per global worker: `Some` only for co-located workers (and
-    /// `None` at the owning worker's own slot).
-    inboxes: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Per server: the writer queue toward that server; `None` at our
-    /// own slot.
-    peers: Vec<Option<SyncSender<Vec<u8>>>>,
-    client: SyncSender<Vec<u8>>,
-    /// Per server: units accumulated toward that peer's next packet.
-    peer_acc: Vec<AccBuf>,
-    /// Client-bound accumulation.
-    client_acc: AccBuf,
-    /// Emptied frame buffers, handed back via `Transport::reclaim`.
-    spent: Vec<Vec<u8>>,
-    /// Shared packet-buffer pool (writer threads return drained
-    /// packets here).
-    pool: BufferPool,
-}
-
-impl MeshTransport {
-    /// Swaps the accumulation buffer for a pooled one and offers the
-    /// packet to the writer queue, without blocking.
-    fn ship(acc: &mut AccBuf, tx: &SyncSender<Vec<u8>>, pool: &BufferPool) -> ShipOutcome {
-        if acc.buf.is_empty() {
-            return ShipOutcome::Shipped;
-        }
-        let packet = std::mem::replace(&mut acc.buf, pool.take());
-        match tx.try_send(packet) {
-            Ok(()) => {
-                acc.frames = 0;
-                ShipOutcome::Shipped
-            }
-            Err(TrySendError::Full(packet)) => {
-                // Keep accumulating into the same buffer; the fresh
-                // pool buffer goes back unused.
-                pool.put(std::mem::replace(&mut acc.buf, packet));
-                ShipOutcome::Full
-            }
-            Err(TrySendError::Disconnected(packet)) => {
-                // Writer gone: only possible once the run is over.
-                pool.put(packet);
-                let dropped = acc.frames;
-                acc.frames = 0;
-                ShipOutcome::Closed {
-                    frames_dropped: dropped,
-                }
-            }
-        }
-    }
-
-    /// Moves every queued frame into the accumulation buffer as
-    /// `[dest][frame]` units. The buffer drains to the writer queue at
-    /// the watermark; past the hard cap with a full writer queue the
-    /// remaining frames stay in the worker's outbox (`Full`).
-    fn acc_flush(
-        acc: &mut AccBuf,
-        tx: &SyncSender<Vec<u8>>,
-        pool: &BufferPool,
-        spent: &mut Vec<Vec<u8>>,
-        dest: u32,
-        queue: &mut VecDeque<Vec<u8>>,
-    ) -> FlushStatus {
-        while let Some(front) = queue.front() {
-            if !acc.buf.is_empty() && acc.buf.len() + DEST_LEN + front.len() > ACC_HARD_CAP {
-                match MeshTransport::ship(acc, tx, pool) {
-                    ShipOutcome::Shipped => {}
-                    ShipOutcome::Full => return FlushStatus::Full,
-                    ShipOutcome::Closed { frames_dropped } => {
-                        let dropped =
-                            frames_dropped + queue.iter().map(|f| count_frames(f)).sum::<u64>();
-                        queue.clear();
-                        return FlushStatus::Closed {
-                            frames_dropped: dropped,
-                        };
-                    }
-                }
-            }
-            let mut frame = queue.pop_front().expect("checked front");
-            push_unit(&mut acc.buf, dest, &frame);
-            acc.frames += 1;
-            if spent.len() < SPENT_POOL_CAP {
-                frame.clear();
-                spent.push(frame);
-            }
-        }
-        if acc.buf.len() >= ACC_WATERMARK {
-            match MeshTransport::ship(acc, tx, pool) {
-                // A full writer queue at the watermark is fine: the
-                // frames are accepted (pending) and retry at the next
-                // flush or window close.
-                ShipOutcome::Shipped | ShipOutcome::Full => {}
-                ShipOutcome::Closed { frames_dropped } => {
-                    return FlushStatus::Closed { frames_dropped }
-                }
-            }
-        }
-        FlushStatus::Done
-    }
-}
-
-impl Transport for MeshTransport {
-    fn endpoints(&self) -> usize {
-        self.total + 1
-    }
-
-    fn flush(&mut self, dest: usize, queue: &mut VecDeque<Vec<u8>>) -> FlushStatus {
-        if queue.is_empty() {
-            return FlushStatus::Done;
-        }
-        if dest == self.total {
-            return MeshTransport::acc_flush(
-                &mut self.client_acc,
-                &self.client,
-                &self.pool,
-                &mut self.spent,
-                CLIENT_DEST,
-                queue,
-            );
-        }
-        let dest_w = dest as u32;
-        if server_of(dest_w, self.servers) == self.server_index {
-            // Co-located worker: raw coalesced packet over the channel,
-            // identical to the in-process fabric.
-            let Some(tx) = &self.inboxes[dest] else {
-                debug_assert!(dest_w == self.own, "missing inbox for local worker");
-                let dropped = queue.iter().map(|f| count_frames(f)).sum();
-                queue.clear();
-                return FlushStatus::Closed {
-                    frames_dropped: dropped,
-                };
-            };
-            while !queue.is_empty() {
-                let packet = coalesce_pooled(queue, &mut self.spent);
-                match tx.try_send(packet) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(packet)) => {
-                        queue.push_front(packet);
-                        return FlushStatus::Full;
-                    }
-                    Err(TrySendError::Disconnected(packet)) => {
-                        let dropped = count_frames(&packet)
-                            + queue.iter().map(|f| count_frames(f)).sum::<u64>();
-                        queue.clear();
-                        return FlushStatus::Closed {
-                            frames_dropped: dropped,
-                        };
-                    }
-                }
-            }
-            return FlushStatus::Done;
-        }
-        let peer = server_of(dest_w, self.servers) as usize;
-        let Some(tx) = &self.peers[peer] else {
-            debug_assert!(false, "remote dest mapped to own server");
-            let dropped = queue.iter().map(|f| count_frames(f)).sum();
-            queue.clear();
-            return FlushStatus::Closed {
-                frames_dropped: dropped,
-            };
-        };
-        MeshTransport::acc_flush(
-            &mut self.peer_acc[peer],
-            tx,
-            &self.pool,
-            &mut self.spent,
-            dest_w,
-            queue,
-        )
-    }
-
-    fn pending(&self) -> u64 {
-        self.client_acc.frames + self.peer_acc.iter().map(|a| a.frames).sum::<u64>()
-    }
-
-    fn drain(&mut self) -> FlushStatus {
-        let mut full = false;
-        let mut dropped = 0;
-        for peer in 0..self.peer_acc.len() {
-            if self.peer_acc[peer].frames == 0 {
-                continue;
-            }
-            let Some(tx) = &self.peers[peer] else {
-                continue;
-            };
-            match MeshTransport::ship(&mut self.peer_acc[peer], tx, &self.pool) {
-                ShipOutcome::Shipped => {}
-                ShipOutcome::Full => full = true,
-                ShipOutcome::Closed { frames_dropped } => dropped += frames_dropped,
-            }
-        }
-        if self.client_acc.frames > 0 {
-            match MeshTransport::ship(&mut self.client_acc, &self.client, &self.pool) {
-                ShipOutcome::Shipped => {}
-                ShipOutcome::Full => full = true,
-                ShipOutcome::Closed { frames_dropped } => dropped += frames_dropped,
-            }
-        }
-        if dropped > 0 {
-            FlushStatus::Closed {
-                frames_dropped: dropped,
-            }
-        } else if full {
-            FlushStatus::Full
-        } else {
-            FlushStatus::Done
-        }
-    }
-
-    fn reclaim(&mut self, pool: &mut Vec<Vec<u8>>, cap: usize) {
-        while pool.len() < cap {
-            let Some(buf) = self.spent.pop() else { return };
-            pool.push(buf);
-        }
-    }
+struct InboundAnomalies {
+    /// Connections dropped on a stream that stopped parsing as units.
+    streams_corrupt: AtomicU64,
+    /// Units skipped because they named a worker not hosted here.
+    units_misrouted: AtomicU64,
 }
 
 /// Reads units off one inbound connection and delivers them to local
@@ -390,6 +116,7 @@ fn reader_loop(
     mut stream: TcpStream,
     inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
     journal: Option<Journal>,
+    anomalies: Arc<InboundAnomalies>,
 ) {
     let mut dec = StreamDecoder::new();
     // Per-dest frame groups for the current read batch; reused across
@@ -407,10 +134,14 @@ fn reader_loop(
         loop {
             match dec.next_unit_ref() {
                 Ok(None) => break,
-                Err(_) => return, // corrupt stream: drop the connection
+                Err(_) => {
+                    // Cannot be resynchronized: drop the connection.
+                    anomalies.streams_corrupt.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
                 Ok(Some((dest, frame))) => {
                     if inbox_tx.get(dest as usize).is_none_or(Option::is_none) {
-                        debug_assert!(false, "unit for non-local worker {dest}");
+                        anomalies.units_misrouted.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     if let Some(journal) = &journal {
@@ -462,7 +193,7 @@ fn reader_loop(
 fn writer_loop(
     rx: Receiver<Vec<u8>>,
     mut stream: TcpStream,
-    pool: BufferPool,
+    pool: PacketPool,
     lost: Arc<AtomicU64>,
 ) {
     let mut batch: Vec<Vec<u8>> = Vec::new();
@@ -581,10 +312,11 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
         .then(|| Arc::new(Mutex::new(Vec::new())));
 
     // Dial the mesh and start one writer per outbound connection. The
-    // packet pool is shared by the accumulating transports and every
-    // writer; `wire_lost` counts units a broken socket never delivered.
-    let pool = BufferPool::default();
+    // packet pool is shared by every worker's lanes and every writer;
+    // `wire_lost` counts units a broken socket never delivered.
+    let pool = PacketPool::default();
     let wire_lost = Arc::new(AtomicU64::new(0));
+    let anomalies = Arc::new(InboundAnomalies::default());
     let mut writers: Vec<JoinHandle<()>> = Vec::new();
     for j in 0..cfg.servers {
         if j == cfg.index {
@@ -615,6 +347,7 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
         let client_writer = Arc::clone(&client_writer);
         let pool = pool.clone();
         let wire_lost = Arc::clone(&wire_lost);
+        let anomalies = Arc::clone(&anomalies);
         std::thread::Builder::new()
             .name(format!("hyperdex-net-accept-{}", cfg.index))
             .spawn(move || {
@@ -639,41 +372,42 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
                     }
                     let inbox_tx = inbox_tx.clone();
                     let journal = journal.clone();
+                    let anomalies = Arc::clone(&anomalies);
                     std::thread::Builder::new()
                         .name("hyperdex-net-reader".into())
-                        .spawn(move || reader_loop(stream, inbox_tx, journal))
+                        .spawn(move || reader_loop(stream, inbox_tx, journal, anomalies))
                         .expect("spawn reader thread");
                 }
             })
             .expect("spawn accept thread");
     }
 
-    // Spawn the local shards, each behind its own view of the mesh.
+    // Spawn the local shards, each behind its own view of the mesh:
+    // an inbox lane to every co-located worker, one socket lane per
+    // remote server carrying the units of all its workers, and one for
+    // the client.
     let (event_tx, event_rx) = channel();
-    let (servers, server_index, total) = (cfg.servers, cfg.index, cfg.total_workers as usize);
+    let (servers, total) = (cfg.servers, cfg.total_workers);
     let spawner = Spawner {
         shape,
         hasher,
         shards,
         inbox_tx,
-        transport: move |inboxes: &[Option<SyncSender<Vec<u8>>>],
-                         worker: u32|
-              -> Box<dyn Transport> {
-            let mut inboxes = inboxes.to_vec();
-            inboxes[worker as usize] = None;
-            Box::new(MeshTransport {
-                own: worker,
-                servers,
-                server_index,
-                total,
-                inboxes,
-                peers: peer_tx.clone(),
-                client: client_tx.clone(),
-                peer_acc: (0..servers).map(|_| AccBuf::default()).collect(),
-                client_acc: AccBuf::default(),
-                spent: Vec::new(),
-                pool: pool.clone(),
-            })
+        fabric: move |inboxes: &[Option<SyncSender<Vec<u8>>>], worker: u32| {
+            let mut fabric = Fabric::new(total as usize + 1, pool.clone());
+            for (w, tx) in inboxes.iter().enumerate() {
+                if let Some(tx) = tx.as_ref().filter(|_| w != worker as usize) {
+                    fabric.inbox_lane(w, tx.clone());
+                }
+            }
+            for (peer, tx) in peer_tx.iter().enumerate() {
+                if let Some(tx) = tx {
+                    let hosted = (0..total).filter(|&w| server_of(w, servers) as usize == peer);
+                    fabric.socket_lane(tx.clone(), hosted.map(|w| (w as usize, w)));
+                }
+            }
+            fabric.socket_lane(client_tx.clone(), [(total as usize, CLIENT_DEST)]);
+            fabric
         },
         event_tx,
     };
@@ -706,6 +440,8 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // Units a broken socket never delivered count as drained: they
     // left the workers' ledgers as sent but never reached a receiver.
     sup.frames_drained += wire_lost.load(Ordering::Relaxed);
+    sup.streams_corrupt = anomalies.streams_corrupt.load(Ordering::Relaxed);
+    sup.units_misrouted = anomalies.units_misrouted.load(Ordering::Relaxed);
 
     // Conservation report, parsed by the cluster launcher.
     let mut lines = String::new();

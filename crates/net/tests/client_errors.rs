@@ -2,6 +2,9 @@
 //! deadline that expires yields [`Error::Timeout`], a dead connection
 //! is re-dialed with exponential backoff, and an unreachable server
 //! surfaces as [`Error::ConnectionLost`] — typed errors, never panics.
+//! Pipelined request windows complete out of order, degrade a single
+//! timed-out search without stalling the rest, and re-issue across a
+//! mid-window reconnect.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -2,7 +2,9 @@
 //! TCP frame decoder, split at every possible byte boundary, plus
 //! corrupt tails. The contract: complete units decode byte-identically
 //! no matter how the stream fragments, and malformed bytes surface as
-//! typed errors — never a panic, never a silent loss.
+//! typed errors — never a panic, never a silent loss. Coalesced
+//! multi-unit packets go through the same split sweep, and the
+//! length-prefix pre-reservation is held to its bounds.
 
 use hyperdex_core::KeywordSet;
 use hyperdex_net::stream::{encode_unit, push_unit, StreamDecoder, CLIENT_DEST};

@@ -18,8 +18,8 @@
 //! the same destination, which is also how the plan reorders traffic.
 //!
 //! A crash point stops a worker cold on the N-th query-path frame it
-//! receives, *before* processing it: in-memory tables, parked outbox
-//! frames, and coordinator state all vanish, exactly like a process
+//! receives, *before* processing it: in-memory tables, frames parked
+//! on lanes, and coordinator state all vanish, exactly like a process
 //! kill. Recovery is the supervisor's job ([`crate::runtime`]).
 
 use hyperdex_dht::stable_hash64_seeded;

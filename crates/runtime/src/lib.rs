@@ -27,11 +27,12 @@
 //! * [`shard`] — pure, seeded vertex → worker ownership.
 //! * [`fault`] — deterministic fault plans and the per-worker
 //!   injector.
-//! * [`transport`] — the fabric abstraction ([`Transport`]) with the
-//!   bounded-channel implementation and packet coalescing helpers;
-//!   `hyperdex-net` plugs a TCP mesh into the same trait.
-//! * [`worker`] — the shard-owning event loop, transport-agnostic so
-//!   the same code runs in-process and inside a server binary.
+//! * [`transport`] — the worker fabric ([`Fabric`]): one lane per
+//!   destination, each frame encoded once into the packet that
+//!   travels; inbox lanes for co-located sinks, socket lanes for the
+//!   writer queues `hyperdex-net` hangs behind them.
+//! * [`worker`] — the shard-owning event loop, the same code
+//!   in-process and inside a server binary.
 //! * [`runtime`] — the in-process handle (the client core over the
 //!   channel link), the one supervisor every deployment runs
 //!   ([`runtime::supervise`]), the shutdown/conservation protocol.
@@ -70,6 +71,6 @@ pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
 pub use parity::{assert_fault_parity, assert_sim_parity, FaultParityReport, ParityReport};
 pub use runtime::{NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
-pub use transport::{count_frames, take_frame, ChannelTransport, FlushStatus, Transport};
+pub use transport::{count_frames, take_frame, Fabric, PacketPool};
 pub use wire::{WireError, WireMsg};
 pub use worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};

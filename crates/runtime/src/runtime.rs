@@ -17,9 +17,11 @@
 //! block on `send` — workers always return to draining their inboxes,
 //! so a blocked client always unblocks. Workers themselves **never**
 //! block on a send: a full peer inbox would otherwise deadlock two
-//! workers sending to each other. Instead a worker `try_send`s, and on
-//! `Full` parks the frame in a per-destination outbox that is
-//! re-flushed on every loop iteration, counting the event in
+//! workers sending to each other. Instead a worker encodes each frame
+//! onto its destination's lane ([`crate::transport::Fabric`]) and
+//! `try_send`s the lane's packet once per loop turn; on `Full` the
+//! lane simply keeps its bytes — the parked outbox *is* the lane — and
+//! is offered again next turn, the event counted in
 //! [`WorkerStats::backpressure_hits`]. When a worker is fully idle —
 //! no parked frames, no armed deadlines — it blocks on `recv` and
 //! burns no CPU ([`WorkerStats::wakeups`] counts the timed polls it
@@ -90,7 +92,7 @@ use hyperdex_hypercube::Shape;
 use crate::client_core::{ClientCore, ClientLink};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::shard::{ShardMap, ShardPolicy};
-use crate::transport::{count_frames, take_frame, ChannelTransport, Transport};
+use crate::transport::{count_frames, take_frame, Fabric};
 use crate::wire::WireMsg;
 use crate::worker::{
     counter_record, run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats,
@@ -173,6 +175,12 @@ counter_record! {
         frames_sent,
         /// Frames drained from inboxes after their workers exited.
         frames_drained,
+        /// Inbound connections a server dropped because their byte
+        /// stream stopped parsing as units.
+        streams_corrupt,
+        /// Inbound units a server skipped because they named a worker
+        /// it does not host.
+        units_misrouted,
     }
 }
 
@@ -390,18 +398,16 @@ impl NodeRuntime {
             hasher,
             shards,
             inbox_tx: worker_tx.iter().cloned().map(Some).collect(),
-            // A worker's fabric: a channel to every other worker, none
-            // to itself, the client inbox last.
-            transport: move |inboxes: &[Option<SyncSender<Vec<u8>>>],
-                             index: u32|
-                  -> Box<dyn Transport> {
+            // A worker's fabric: an inbox lane to every other worker,
+            // none to itself, the client inbox last.
+            fabric: move |inboxes: &[Option<SyncSender<Vec<u8>>>], index: u32| {
                 let links = inboxes
                     .iter()
                     .enumerate()
                     .map(|(j, tx)| tx.clone().filter(|_| j != index as usize))
                     .chain(std::iter::once(Some(client_tx.clone())))
                     .collect();
-                Box::new(ChannelTransport::new(links))
+                Fabric::inboxes(links)
             },
             event_tx: event_tx.clone(),
         };
@@ -577,9 +583,9 @@ impl NodeRuntime {
 }
 
 /// Everything a supervisor needs to (re)build the workers this process
-/// hosts. `F` builds one worker's view of the fabric — the only thing
-/// that differs between the in-process runtime (bounded channels) and
-/// a `hyperdex-net` server (the TCP mesh).
+/// hosts. `F` builds one worker's [`Fabric`] — the only thing that
+/// differs between the in-process runtime (inbox lanes only) and a
+/// `hyperdex-net` server (inbox and socket lanes).
 pub struct Spawner<F> {
     /// Hypercube shape (dimension `r`).
     pub shape: Shape,
@@ -591,13 +597,13 @@ pub struct Spawner<F> {
     /// hosts it, `None` otherwise. The supervisor replays, releases and
     /// shuts down workers through these.
     pub inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Builds worker `index`'s [`Transport`] from `inbox_tx`.
-    pub transport: F,
+    /// Builds worker `index`'s [`Fabric`] from `inbox_tx`.
+    pub fabric: F,
     /// Where every worker's [`WorkerExit`] goes.
     pub event_tx: Sender<SupervisorEvent>,
 }
 
-impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Box<dyn Transport>> Spawner<F> {
+impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
     /// Spawns (or respawns) worker `index` on `inbox`. A respawn
     /// starts in repair mode: query frames park until `RepairDone`.
     pub fn spawn(
@@ -615,12 +621,12 @@ impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Box<dyn Transport>> Spawner<F
             injector,
             repairing,
         };
-        let transport = (self.transport)(&self.inbox_tx, index);
+        let fabric = (self.fabric)(&self.inbox_tx, index);
         let event_tx = self.event_tx.clone();
         std::thread::Builder::new()
             .name(format!("hyperdex-worker-{index}"))
             .spawn(move || {
-                let exit = run_worker(ctx, transport, inbox);
+                let exit = run_worker(ctx, fabric, inbox);
                 let _ = event_tx.send(SupervisorEvent::Exited(exit));
             })
             .expect("spawn worker thread")
@@ -642,7 +648,7 @@ pub enum SupervisorEvent {
 /// shutdown when asked, and drain dead inboxes so conservation closes.
 /// `handles` is indexed by global worker like [`Spawner::inbox_tx`].
 /// Returns the hosted workers' merged counters in index order.
-pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Box<dyn Transport>>(
+pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric>(
     spawner: Spawner<F>,
     mut handles: Vec<Option<JoinHandle<()>>>,
     journal: Option<Journal>,

@@ -1,187 +1,228 @@
-//! The transport abstraction under the worker fabric.
+//! The worker fabric: one lane per destination.
 //!
-//! A worker never talks to an `mpsc` sender (or a socket) directly: it
-//! parks outbound frames in a per-destination outbox and asks its
-//! [`Transport`] to flush them. The trait captures exactly the
-//! never-block discipline the runtime was built on — a flush either
-//! ships frames, reports *Full* (fabric pushed back, frames stay
-//! parked for a later retry), or reports *Closed* (destination gone,
-//! frames dropped **with a count** so conservation still balances).
+//! A worker never talks to an `mpsc` sender (or a socket) directly. It
+//! appends each outbound frame — encoded once, in place — to the
+//! **lane** of the frame's destination: the growing packet the fabric
+//! will carry, plus the sender it goes to. A lane ships by swapping its
+//! packet against a spare and `try_send`ing it. The never-block
+//! discipline the runtime was built on is the lane's whole contract: a
+//! ship either hands the packet over, finds the sink *full* (the lane
+//! keeps its bytes and keeps growing — that is the parked outbox — and
+//! the push-back is counted), or finds it *closed* (the lane's frames
+//! are dropped **with a count**, so conservation still balances).
 //!
-//! Two implementations exist:
+//! There are two lane kinds because there are two kinds of sink:
 //!
-//! * [`ChannelTransport`] — bounded in-process channels, the
-//!   [`crate::runtime::NodeRuntime`] fabric;
-//! * `hyperdex-net`'s TCP mesh transport — the same worker event loop
-//!   across OS processes over loopback or a real network.
+//! * an **inbox lane** feeds a co-located worker or the in-process
+//!   client: raw frames back to back, offered on every loop turn;
+//! * a **socket lane** feeds a connection's writer queue (a remote
+//!   server, or the TCP client): `[dest u32][frame]` units — what
+//!   `hyperdex-net`'s stream decoder reads — offered when the worker
+//!   closes its batching window or once the packet passes
+//!   [`LANE_WATERMARK`].
 //!
-//! # Coalescing
-//!
-//! A flush hands the transport the *whole* per-destination queue, so
-//! many frames bound for one destination travel as a single fabric
-//! operation: one channel message in-process, one `write` syscall on a
-//! socket. The unit on the fabric is therefore a **packet** — one or
-//! more length-prefixed [`crate::wire::WireMsg`] frames back to back —
-//! and every receive path splits packets with [`take_frame`] and
-//! counts logical frames, never fabric operations.
+//! [`crate::runtime::NodeRuntime`] builds fabrics of inbox lanes only;
+//! a `hyperdex-net` server routes co-located workers to inbox lanes and
+//! everything else to socket lanes. The unit on every sink is therefore
+//! a **packet** — one or more length-prefixed [`WireMsg`] frames — and
+//! every receive path splits packets with [`take_frame`] and counts
+//! logical frames, never fabric operations.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 
-use crate::wire::{self, WireError};
+use crate::wire::{self, WireError, WireMsg};
 
-/// What a [`Transport::flush`] did with the queued frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushStatus {
-    /// Every queued frame was handed to the fabric.
-    Done,
-    /// The fabric pushed back; undelivered frames remain in the queue
-    /// (possibly re-packed into one packet) for a later retry.
-    Full,
-    /// The destination is gone. The queue was drained and its frames
-    /// discarded; the count keeps the conservation law balanced.
-    Closed {
-        /// Logical frames discarded.
-        frames_dropped: u64,
-    },
-}
+/// Bytes a socket lane's packet reaches before it is offered to the
+/// writer queue even while the batching window is still open.
+pub const LANE_WATERMARK: usize = 32 * 1024;
 
-/// The worker fabric: endpoint-addressed, never-blocking frame
-/// delivery. Endpoints `0..endpoints()-1` are workers (global shard
-/// indices); the last endpoint is the client.
-pub trait Transport: Send {
-    /// Addressable endpoints, including the trailing client slot.
-    fn endpoints(&self) -> usize;
+/// Packet buffers a [`PacketPool`] retains.
+pub const PACKET_POOL_CAP: usize = 64;
 
-    /// Tries to ship every frame queued for `dest`, coalescing
-    /// adjacent frames into one fabric operation where the transport
-    /// supports it. Must never block.
-    ///
-    /// A transport may *accept* frames without putting them on the
-    /// fabric yet (accumulating toward a batch); such frames count in
-    /// [`Transport::pending`] until a later flush or
-    /// [`Transport::drain`] ships them.
-    fn flush(&mut self, dest: usize, queue: &mut VecDeque<Vec<u8>>) -> FlushStatus;
+/// Recycled packet buffers, shared by everything that empties a packet
+/// (a worker done with an inbound one, a writer thread done with an
+/// outbound one) and the lanes, which draw their spares here — the
+/// steady-state send path allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PacketPool(Arc<Mutex<Vec<Vec<u8>>>>);
 
-    /// Logical frames `flush` accepted but is still buffering inside
-    /// the transport (accumulated toward a batch, not yet handed to
-    /// the fabric). Zero for transports that ship eagerly.
-    fn pending(&self) -> u64 {
-        0
+impl PacketPool {
+    /// An empty buffer, recycled when one is available.
+    pub fn take(&self) -> Vec<u8> {
+        self.0
+            .lock()
+            .ok()
+            .and_then(|mut pool| pool.pop())
+            .unwrap_or_default()
     }
 
-    /// Window close: pushes every accumulated frame toward the fabric.
-    /// `Full` means some remain buffered (the fabric pushed back —
-    /// retry later); `Closed` counts frames discarded toward a dead
-    /// destination. Must never block.
-    fn drain(&mut self) -> FlushStatus {
-        FlushStatus::Done
-    }
-
-    /// Moves spent frame buffers (consumed and emptied by `flush`)
-    /// into `pool` until it holds `cap` buffers, so the caller's
-    /// encode path can reuse them instead of allocating.
-    fn reclaim(&mut self, pool: &mut Vec<Vec<u8>>, cap: usize) {
-        let _ = (pool, cap);
-    }
-}
-
-/// Spent frame buffers a transport retains for reuse before
-/// [`Transport::reclaim`] hands them back to the worker's pool.
-pub const SPENT_POOL_CAP: usize = 32;
-
-/// The in-process fabric: one bounded [`SyncSender`] per endpoint,
-/// `None` at the owning worker's slot (frames to self never travel).
-#[derive(Debug)]
-pub struct ChannelTransport {
-    links: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Emptied frame buffers salvaged by the pooled coalesce, handed
-    /// back to the worker via [`Transport::reclaim`].
-    spent: Vec<Vec<u8>>,
-}
-
-impl ChannelTransport {
-    /// Wraps the per-endpoint senders. `links[i] == None` marks the
-    /// slot of the worker holding this transport.
-    pub fn new(links: Vec<Option<SyncSender<Vec<u8>>>>) -> ChannelTransport {
-        ChannelTransport {
-            links,
-            spent: Vec::new(),
+    /// Hands a spent buffer back (cleared here; dropped when the pool
+    /// already holds [`PACKET_POOL_CAP`]).
+    pub fn put(&self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        if let Ok(mut pool) = self.0.lock() {
+            if pool.len() < PACKET_POOL_CAP {
+                pool.push(buf);
+            }
         }
     }
 }
 
-impl Transport for ChannelTransport {
-    fn endpoints(&self) -> usize {
-        self.links.len()
+/// One destination sink: where packets go and the packet being grown.
+#[derive(Debug)]
+struct Lane {
+    tx: SyncSender<Vec<u8>>,
+    packet: Vec<u8>,
+    /// Logical frames in `packet`.
+    frames: u64,
+    /// A socket lane waits for the watermark or the window close; an
+    /// inbox lane is offered every turn.
+    socket: bool,
+}
+
+/// A worker's view of the fabric: endpoint-addressed, never-blocking
+/// frame delivery. Endpoints `0..endpoints()-1` are workers (global
+/// shard indices); the last endpoint is the client.
+#[derive(Debug)]
+pub struct Fabric {
+    lanes: Vec<Lane>,
+    /// Per endpoint: its lane and the `dest` its frames' unit headers
+    /// name when that lane is a socket lane. `None` at the owning
+    /// worker's own slot (frames to self never travel).
+    routes: Vec<Option<(usize, u32)>>,
+    pool: PacketPool,
+    backpressure_hits: u64,
+    frames_dropped: u64,
+}
+
+impl Fabric {
+    /// A fabric of `endpoints` unrouted slots drawing spares from
+    /// `pool`.
+    pub fn new(endpoints: usize, pool: PacketPool) -> Fabric {
+        Fabric {
+            lanes: Vec::new(),
+            routes: vec![None; endpoints],
+            pool,
+            backpressure_hits: 0,
+            frames_dropped: 0,
+        }
     }
 
-    fn flush(&mut self, dest: usize, queue: &mut VecDeque<Vec<u8>>) -> FlushStatus {
-        let Some(tx) = &self.links[dest] else {
-            debug_assert!(queue.is_empty(), "frames addressed to self");
-            let dropped = drain_frames(queue);
-            return if dropped == 0 {
-                FlushStatus::Done
-            } else {
-                FlushStatus::Closed {
-                    frames_dropped: dropped,
-                }
-            };
+    /// The in-process fabric: an inbox lane per endpoint, `None` at the
+    /// slot of the worker holding it.
+    pub fn inboxes(links: Vec<Option<SyncSender<Vec<u8>>>>) -> Fabric {
+        let mut fabric = Fabric::new(links.len(), PacketPool::default());
+        for (dest, tx) in links.into_iter().enumerate() {
+            if let Some(tx) = tx {
+                fabric.inbox_lane(dest, tx);
+            }
+        }
+        fabric
+    }
+
+    /// Routes endpoint `dest` to its own inbox lane.
+    pub fn inbox_lane(&mut self, dest: usize, tx: SyncSender<Vec<u8>>) {
+        self.routes[dest] = Some((self.lanes.len(), dest as u32));
+        self.add_lane(tx, false);
+    }
+
+    /// Adds one socket lane and routes every `(endpoint, unit dest)`
+    /// of `dests` to it.
+    pub fn socket_lane(
+        &mut self,
+        tx: SyncSender<Vec<u8>>,
+        dests: impl IntoIterator<Item = (usize, u32)>,
+    ) {
+        for (endpoint, unit_dest) in dests {
+            self.routes[endpoint] = Some((self.lanes.len(), unit_dest));
+        }
+        self.add_lane(tx, true);
+    }
+
+    fn add_lane(&mut self, tx: SyncSender<Vec<u8>>, socket: bool) {
+        self.lanes.push(Lane {
+            tx,
+            packet: Vec::new(),
+            frames: 0,
+            socket,
+        });
+    }
+
+    /// Addressable endpoints, including the trailing client slot.
+    pub fn endpoints(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// Encodes `msg` onto the end of `dest`'s packet, behind its unit
+    /// header on a socket lane.
+    pub fn append(&mut self, dest: usize, msg: &WireMsg) {
+        let Some((lane, unit_dest)) = self.routes[dest] else {
+            debug_assert!(false, "frame addressed to unrouted endpoint {dest}");
+            self.frames_dropped += 1;
+            return;
         };
-        while !queue.is_empty() {
-            let packet = coalesce_pooled(queue, &mut self.spent);
-            match tx.try_send(packet) {
-                Ok(()) => {}
+        let lane = &mut self.lanes[lane];
+        if lane.socket {
+            lane.packet.extend_from_slice(&unit_dest.to_le_bytes());
+        }
+        msg.encode_append(&mut lane.packet);
+        lane.frames += 1;
+    }
+
+    /// Offers lanes to their sinks without blocking: every lane that
+    /// holds frames when `window_closed` (nothing more can join the
+    /// batch), otherwise the inbox lanes and any socket lane past the
+    /// watermark. A worker offers once per loop turn, so a lane is
+    /// refused — and counted — at most once a turn.
+    pub fn offer(&mut self, window_closed: bool) {
+        for lane in &mut self.lanes {
+            let due = window_closed || !lane.socket || lane.packet.len() >= LANE_WATERMARK;
+            if lane.frames == 0 || !due {
+                continue;
+            }
+            let packet = std::mem::replace(&mut lane.packet, self.pool.take());
+            match lane.tx.try_send(packet) {
+                Ok(()) => lane.frames = 0,
                 Err(TrySendError::Full(packet)) => {
-                    // Park the (possibly multi-frame) packet back at the
-                    // front; it re-flushes on the next loop iteration.
-                    queue.push_front(packet);
-                    return FlushStatus::Full;
+                    // The lane keeps its bytes and keeps growing; the
+                    // spare goes back unused.
+                    self.pool.put(std::mem::replace(&mut lane.packet, packet));
+                    self.backpressure_hits += 1;
                 }
                 Err(TrySendError::Disconnected(packet)) => {
-                    // Only possible after the shutdown barrier, when no
-                    // protocol frame can still be pending.
-                    debug_assert!(false, "send to a disconnected endpoint");
-                    let dropped = count_frames(&packet) + drain_frames(queue);
-                    return FlushStatus::Closed {
-                        frames_dropped: dropped,
-                    };
+                    // Sink gone: only possible once the run is over.
+                    self.pool.put(packet);
+                    self.frames_dropped += lane.frames;
+                    lane.frames = 0;
                 }
             }
         }
-        FlushStatus::Done
     }
 
-    fn reclaim(&mut self, pool: &mut Vec<Vec<u8>>, cap: usize) {
-        while pool.len() < cap {
-            let Some(buf) = self.spent.pop() else { return };
-            pool.push(buf);
-        }
+    /// Logical frames appended but not yet handed to a sink.
+    pub fn pending(&self) -> u64 {
+        self.lanes.iter().map(|lane| lane.frames).sum()
     }
-}
 
-/// Pops the whole queue into one packet (frames concatenated, each
-/// keeping its own length prefix); a single queued frame travels
-/// as-is. The packet buffer comes from `pool` when one is available,
-/// and the emptied frame buffers go back into `pool` (up to
-/// [`SPENT_POOL_CAP`]) instead of being dropped — the steady-state
-/// coalesce path allocates nothing.
-pub fn coalesce_pooled(queue: &mut VecDeque<Vec<u8>>, pool: &mut Vec<Vec<u8>>) -> Vec<u8> {
-    if queue.len() == 1 {
-        return queue.pop_front().expect("checked non-empty");
+    /// Times a lane was offered and found its sink full.
+    pub fn backpressure_hits(&self) -> u64 {
+        self.backpressure_hits
     }
-    let total: usize = queue.iter().map(Vec::len).sum();
-    let mut packet = pool.pop().unwrap_or_default();
-    packet.clear();
-    packet.reserve(total);
-    for mut frame in queue.drain(..) {
-        packet.extend_from_slice(&frame);
-        if pool.len() < SPENT_POOL_CAP {
-            frame.clear();
-            pool.push(frame);
-        }
+
+    /// Frames discarded toward a closed sink or an unrouted endpoint.
+    pub fn frames_dropped(&self) -> u64 {
+        self.frames_dropped
     }
-    packet
+
+    /// Returns a consumed inbound packet's buffer to the pool the lanes
+    /// draw their spares from.
+    pub fn recycle(&self, packet: Vec<u8>) {
+        self.pool.put(packet);
+    }
 }
 
 /// Splits one frame off the front of a packet: `(frame, rest)`, where
@@ -234,94 +275,138 @@ pub fn count_frames(packet: &[u8]) -> u64 {
     n
 }
 
-/// Empties the queue, returning how many logical frames it held.
-fn drain_frames(queue: &mut VecDeque<Vec<u8>>) -> u64 {
-    let n = queue.iter().map(|f| count_frames(f)).sum();
-    queue.clear();
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireMsg;
-    use std::sync::mpsc::sync_channel;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+    use std::sync::mpsc::{sync_channel, Receiver};
 
-    fn frame(token: u64) -> Vec<u8> {
-        WireMsg::Flush { token }.encode()
+    /// What the model knows of one lane: its sink's receiver until it
+    /// hangs up, the packets queued on the sink, and the bytes parked
+    /// on the lane — in append order, raw frames on an inbox lane,
+    /// `[dest u32 LE][frame]` units on a socket lane.
+    struct Model {
+        socket: bool,
+        rx: Option<Receiver<Vec<u8>>>,
+        capacity: usize,
+        queued: VecDeque<Vec<u8>>,
+        parked: Vec<u8>,
+        parked_frames: u64,
     }
 
-    #[test]
-    fn coalesce_concatenates_and_preserves_frames() {
-        let mut q: VecDeque<Vec<u8>> = [frame(1), frame(2), frame(3)].into_iter().collect();
-        let packet = coalesce_pooled(&mut q, &mut Vec::new());
-        assert!(q.is_empty());
-        assert_eq!(count_frames(&packet), 3);
-        let (f1, rest) = take_frame(&packet).unwrap();
-        assert_eq!(
-            WireMsg::decode_exact(f1).unwrap(),
-            WireMsg::Flush { token: 1 }
-        );
-        let (f2, rest) = take_frame(rest).unwrap();
-        assert_eq!(
-            WireMsg::decode_exact(f2).unwrap(),
-            WireMsg::Flush { token: 2 }
-        );
-        let (f3, rest) = take_frame(rest).unwrap();
-        assert_eq!(
-            WireMsg::decode_exact(f3).unwrap(),
-            WireMsg::Flush { token: 3 }
-        );
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn single_frame_passes_through_uncopied() {
-        let f = frame(9);
-        let mut q: VecDeque<Vec<u8>> = [f.clone()].into_iter().collect();
-        assert_eq!(coalesce_pooled(&mut q, &mut Vec::new()), f);
-    }
-
-    #[test]
-    fn channel_flush_coalesces_into_one_message() {
-        let (tx, rx) = sync_channel::<Vec<u8>>(4);
-        let mut t = ChannelTransport::new(vec![Some(tx)]);
-        let mut q: VecDeque<Vec<u8>> = (0..5).map(frame).collect();
-        assert_eq!(t.flush(0, &mut q), FlushStatus::Done);
-        assert!(q.is_empty());
-        let packet = rx.try_recv().expect("one packet");
-        assert_eq!(count_frames(&packet), 5);
-        assert!(rx.try_recv().is_err(), "five frames, one channel op");
-    }
-
-    #[test]
-    fn channel_flush_reports_full_and_keeps_frames() {
-        let (tx, _rx) = sync_channel::<Vec<u8>>(1);
-        let mut t = ChannelTransport::new(vec![Some(tx)]);
-        let mut q: VecDeque<Vec<u8>> = [frame(1)].into_iter().collect();
-        assert_eq!(t.flush(0, &mut q), FlushStatus::Done);
-        // Channel now full: the next flush must park, not lose.
-        let mut q2: VecDeque<Vec<u8>> = [frame(2), frame(3)].into_iter().collect();
-        assert_eq!(t.flush(0, &mut q2), FlushStatus::Full);
-        assert_eq!(q2.iter().map(|f| count_frames(f)).sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn closed_destination_counts_dropped_frames() {
-        let (tx, rx) = sync_channel::<Vec<u8>>(1);
-        drop(rx);
-        let mut t = ChannelTransport::new(vec![Some(tx)]);
-        let mut q: VecDeque<Vec<u8>> = [frame(1), frame(2)].into_iter().collect();
-        // debug_assert fires under cfg(debug_assertions); release-mode
-        // behaviour is the counted drop. Run the release path only.
-        if cfg!(debug_assertions) {
-            return;
+    proptest! {
+        /// A random script of *append frame to dest / loop turn /
+        /// window close / receiver takes k packets / receiver hangs up*
+        /// against a fabric routing endpoint 0 to an inbox lane
+        /// (capacity 1), endpoints 1 and 2 to one shared socket lane
+        /// (capacity 4) and endpoint 3 to a socket lane of its own
+        /// (capacity 1). The fabric must match the model after every
+        /// step; the script runs on one thread, so finishing at all is
+        /// the proof that nothing ever blocks. (That a socket lane's
+        /// packet is what the stream decoder reads: `hyperdex-net`'s
+        /// `lane_packets` suite, where the decoder is.)
+        #[test]
+        fn lanes_follow_the_model(
+            script in prop::collection::vec((0u8..8, 0usize..4, 1usize..4), 1..200)
+        ) {
+            const LANE_OF: [usize; 4] = [0, 1, 1, 2];
+            let mut fabric = Fabric::new(4, PacketPool::default());
+            let mut lanes = Vec::new();
+            for (capacity, dests) in [(1, vec![0]), (4, vec![1, 2]), (1, vec![3])] {
+                let (tx, rx) = sync_channel(capacity);
+                let socket = dests != [0];
+                if socket {
+                    fabric.socket_lane(tx, dests.iter().map(|&d| (d, 100 + d as u32)));
+                } else {
+                    fabric.inbox_lane(0, tx);
+                }
+                lanes.push(Model {
+                    socket,
+                    rx: Some(rx),
+                    capacity,
+                    queued: VecDeque::new(),
+                    parked: Vec::new(),
+                    parked_frames: 0,
+                });
+            }
+            let (mut appended, mut delivered, mut dropped, mut hits) = (0u64, 0u64, 0u64, 0u64);
+            for (step, (op, dest, k)) in script.into_iter().enumerate() {
+                let lane = &mut lanes[LANE_OF[dest]];
+                match op {
+                    // Small frames mostly; a 24 KiB one now and then, so
+                    // socket lanes cross the watermark with the window
+                    // still open.
+                    0..=2 => {
+                        let msg = match op {
+                            2 => WireMsg::PinResults { query_id: step as u64, objects: vec![7; 3000] },
+                            _ => WireMsg::Flush { token: step as u64 },
+                        };
+                        fabric.append(dest, &msg);
+                        if lane.socket {
+                            lane.parked.extend_from_slice(&(100 + dest as u32).to_le_bytes());
+                        }
+                        lane.parked.extend_from_slice(&msg.encode());
+                        lane.parked_frames += 1;
+                        appended += 1;
+                    }
+                    3..=5 => {
+                        let before: Vec<Vec<u8>> =
+                            fabric.lanes.iter().map(|lane| lane.packet.clone()).collect();
+                        fabric.offer(op == 5);
+                        for (i, lane) in lanes.iter_mut().enumerate() {
+                            let due = op == 5 || !lane.socket || lane.parked.len() >= LANE_WATERMARK;
+                            if lane.parked_frames == 0 || !due {
+                                continue;
+                            }
+                            if lane.rx.is_none() {
+                                dropped += lane.parked_frames;
+                                lane.parked.clear();
+                            } else if lane.queued.len() == lane.capacity {
+                                hits += 1;
+                                prop_assert_eq!(
+                                    &fabric.lanes[i].packet,
+                                    &before[i],
+                                    "a full sink must leave the lane's bytes untouched"
+                                );
+                                continue;
+                            } else {
+                                delivered += lane.parked_frames;
+                                lane.queued.push_back(std::mem::take(&mut lane.parked));
+                            }
+                            lane.parked_frames = 0;
+                        }
+                    }
+                    6 => {
+                        for _ in 0..k {
+                            let got = lane.rx.as_ref().and_then(|rx| rx.try_recv().ok());
+                            // Byte for byte what was appended since the
+                            // lane last shipped, in append order.
+                            prop_assert_eq!(&got, &lane.queued.pop_front());
+                            let Some(packet) = got else { break };
+                            let mut rest = &packet[..];
+                            while !rest.is_empty() {
+                                if lane.socket {
+                                    rest = &rest[4..];
+                                }
+                                let (frame, tail) = take_frame(rest).map_err(|e| e.to_string())?;
+                                prop_assert!(WireMsg::decode_exact(frame).is_ok());
+                                rest = tail;
+                            }
+                        }
+                    }
+                    _ => {
+                        lane.rx = None;
+                        lane.queued.clear();
+                    }
+                }
+                let parked: u64 = lanes.iter().map(|lane| lane.parked_frames).sum();
+                prop_assert_eq!(fabric.pending(), parked);
+                prop_assert_eq!(fabric.frames_dropped(), dropped);
+                prop_assert_eq!(fabric.backpressure_hits(), hits);
+                prop_assert_eq!(appended, delivered + dropped + fabric.pending());
+            }
         }
-        assert_eq!(
-            t.flush(0, &mut q),
-            FlushStatus::Closed { frames_dropped: 2 }
-        );
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -333,7 +418,7 @@ mod tests {
         let mut bad = (wire::MAX_BODY_LEN + 1).to_le_bytes().to_vec();
         bad.push(0);
         assert!(matches!(take_frame(&bad), Err(WireError::Oversized { .. })));
-        let mut short = frame(1);
+        let mut short = WireMsg::Flush { token: 1 }.encode();
         short.pop();
         assert!(matches!(
             take_frame(&short),

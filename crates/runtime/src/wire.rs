@@ -43,6 +43,50 @@ pub const PREFIX_LEN: usize = 4;
 /// over several frames.
 pub const MAX_BATCH_ENTRIES: usize = u16::MAX as usize;
 
+/// Encoded bytes of one `(object id, extra keywords)` record.
+const HIT_LEN: usize = 12;
+
+/// Encoded bytes of one `(vertex bits, dimension)` record — one
+/// [`WireMsg::TQueryBatch`] entry.
+pub const CONTACT_LEN: usize = 9;
+
+/// Encoded bytes of one [`WireMsg::TContBatch`] entry.
+pub fn batch_reply_len((_, objects, children): &BatchReply) -> usize {
+    8 + 4 + objects.len() * HIT_LEN + 2 + children.len() * CONTACT_LEN
+}
+
+/// Body bytes a batch frame spends before its entries: tag, ids, entry
+/// count, and the `keywords` a [`WireMsg::TQueryBatch`] carries (a
+/// [`WireMsg::TContBatch`] carries none).
+pub fn batch_header_len(keywords: Option<&KeywordSet>) -> usize {
+    match keywords {
+        Some(keywords) => 1 + 8 + 8 + 4 + keywords.as_packed().len() + 2,
+        None => 1 + 8 + 8 + 2,
+    }
+}
+
+/// How many leading entries of a batch its next frame takes: as many
+/// as fit under both caps — `max_entries` by count, `max_bytes` by the
+/// sum of their encoded `sizes` — and never fewer than one of a
+/// non-empty list (a single entry over the byte cap cannot be split;
+/// the encoder's frame check stops it at the sender).
+pub fn batch_prefix(
+    sizes: impl IntoIterator<Item = usize>,
+    max_entries: usize,
+    max_bytes: usize,
+) -> usize {
+    let mut bytes = 0usize;
+    let mut taken = 0;
+    for size in sizes.into_iter().take(max_entries) {
+        bytes = bytes.saturating_add(size);
+        if taken > 0 && bytes > max_bytes {
+            break;
+        }
+        taken += 1;
+    }
+    taken
+}
+
 /// One protocol frame between runtime endpoints (workers, or the
 /// client handle).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,7 +227,7 @@ pub enum WireMsg {
         /// was shown back on its next [`WireMsg::QueryAt`].
         epoch: u64,
     },
-    /// Client → worker: flush outboxes and exit the event loop.
+    /// Client → worker: ship every lane and exit the event loop.
     Shutdown,
     /// Client → root owner: start a *fault-tolerant* superset search
     /// (§3.4). The receiving worker coordinates the traversal with
@@ -321,17 +365,30 @@ impl WireMsg {
     /// included).
     pub fn encode(&self) -> Vec<u8> {
         let mut frame = Vec::with_capacity(64);
-        self.encode_into(&mut frame);
+        self.encode_append(&mut frame);
         frame
     }
 
     /// Serializes the message into `frame` (cleared first), producing
-    /// the same bytes as [`WireMsg::encode`]. Hot send paths reuse one
-    /// scratch buffer across frames instead of allocating per frame.
+    /// the same bytes as [`WireMsg::encode`].
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
         frame.clear();
-        frame.resize(PREFIX_LEN, 0);
-        let body = frame;
+        self.encode_append(frame);
+    }
+
+    /// Appends the message's complete frame to `out`, leaving what
+    /// `out` already holds untouched: the one encoder body. A send path
+    /// writes each frame once, straight into the packet that travels.
+    ///
+    /// # Panics
+    ///
+    /// When the body would exceed [`MAX_BODY_LEN`] — in every build
+    /// profile: a peer reads such a frame as a corrupt stream and drops
+    /// the connection, so a sender's bug must stop at the sender.
+    pub fn encode_append(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + PREFIX_LEN, 0);
+        let body = out;
         match self {
             WireMsg::Insert { object, keywords } => {
                 body.push(TAG_INSERT);
@@ -496,9 +553,12 @@ impl WireMsg {
                 }
             }
         }
-        let body_len = (body.len() - PREFIX_LEN) as u32;
-        debug_assert!(body_len <= MAX_BODY_LEN);
-        body[..PREFIX_LEN].copy_from_slice(&body_len.to_le_bytes());
+        let body_len = body.len() - start - PREFIX_LEN;
+        assert!(
+            body_len <= MAX_BODY_LEN as usize,
+            "frame body of {body_len} bytes exceeds MAX_BODY_LEN"
+        );
+        body[start..start + PREFIX_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
     }
 
     /// Parses one frame from the front of `buf`, returning the message
@@ -1059,15 +1119,75 @@ mod tests {
         }
     }
 
+    /// The exemplar frames, back to back, as the encoder wrote them
+    /// when `encode_into` was its only body (FNV-1a over 1,142 bytes).
+    /// One scratch buffer is cleared and refilled and one buffer only
+    /// ever appended to, both across every exemplar in growing and
+    /// shrinking order: each call writes the bytes of a fresh encode,
+    /// and appending moves nothing already in the buffer.
     #[test]
-    fn encode_into_reuses_the_buffer_and_matches_encode() {
-        // One scratch buffer across every exemplar, in both growing
-        // and shrinking order: the bytes must equal a fresh encode.
-        let mut scratch = Vec::new();
+    fn encode_into_and_encode_append_write_the_golden_bytes() {
+        let (mut scratch, mut appended) = (vec![0xEE; 7], Vec::new());
         for msg in exemplars().iter().chain(exemplars().iter().rev()) {
             msg.encode_into(&mut scratch);
             assert_eq!(scratch, msg.encode(), "{msg:?}");
+            msg.encode_append(&mut appended);
+            assert!(appended.ends_with(&scratch), "{msg:?}");
         }
+        let forward = &appended[..appended.len() / 2];
+        let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!((forward.len(), digest), (1142, 0x0729_cddb_75bb_ed5b));
+    }
+
+    /// In every build profile: an over-cap frame must stop at the
+    /// sender, not reach a peer that reads it as a corrupt stream.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_BODY_LEN")]
+    fn an_over_cap_frame_panics_in_the_encoder() {
+        let objects = vec![0; MAX_BODY_LEN as usize / 8];
+        let _ = WireMsg::PinResults {
+            query_id: 1,
+            objects,
+        }
+        .encode();
+    }
+
+    #[test]
+    fn batches_split_on_the_entry_cap_and_on_the_byte_cap() {
+        // The splitter's sizes are the encoder's: header plus entries
+        // is the body, for both batch frames.
+        for msg in exemplars() {
+            let predicted = match &msg {
+                WireMsg::TQueryBatch {
+                    keywords, entries, ..
+                } => batch_header_len(Some(keywords)) + entries.len() * CONTACT_LEN,
+                WireMsg::TContBatch { entries, .. } => {
+                    batch_header_len(None) + entries.iter().map(batch_reply_len).sum::<usize>()
+                }
+                _ => continue,
+            };
+            assert_eq!(msg.encode().len() - PREFIX_LEN, predicted, "{msg:?}");
+        }
+        let chunks = |sizes: &[usize], max_entries, max_bytes| {
+            let (mut rest, mut out) = (sizes, Vec::new());
+            while !rest.is_empty() {
+                let take = batch_prefix(rest.iter().copied(), max_entries, max_bytes);
+                out.push(take);
+                rest = &rest[take..];
+            }
+            out
+        };
+        // Count cap alone, byte cap alone, both at once.
+        assert_eq!(chunks(&[9; 7], 3, usize::MAX), [3, 3, 1]);
+        assert_eq!(chunks(&[40, 40, 40, 10, 10], 100, 100), [2, 3]);
+        assert_eq!(chunks(&[10, 10, 10, 95, 10], 2, 100), [2, 1, 1, 1]);
+        // A sum that lands exactly on the cap fits; one entry over it
+        // on its own still travels alone (the encoder judges it).
+        assert_eq!(chunks(&[50, 50, 1], 100, 100), [2, 1]);
+        assert_eq!(chunks(&[10, 500, 10], 100, 100), [1, 1, 1]);
+        assert_eq!(batch_prefix([], 100, 100), 0);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The shard-owning worker event loop, factored out of the in-process
-//! runtime so any [`Transport`] can host it.
+//! runtime so any deployment can host it.
 //!
 //! A worker is a pure protocol engine: it drains one inbox of packets
 //! (each packet one or more length-prefixed [`WireMsg`] frames),
-//! mutates only its own shard's `PostingStore`s, and emits frames
-//! through a [`Transport`]. Nothing in here knows whether the fabric
-//! is a bounded channel ([`crate::transport::ChannelTransport`], the
-//! [`crate::runtime::NodeRuntime`] deployment) or a TCP mesh
-//! (`hyperdex-net`'s multi-process deployment) — which is exactly what
-//! lets the parity harness demand identical results from both.
+//! mutates only its own shard's `PostingStore`s, and encodes each
+//! outbound frame once, onto its destination's lane of a [`Fabric`].
+//! Nothing in here knows whether a lane ends in a co-located inbox
+//! (every lane of a [`crate::runtime::NodeRuntime`]) or in a socket's
+//! writer queue (`hyperdex-net`'s multi-process deployment) — which is
+//! exactly what lets the parity harness demand identical results from
+//! both.
 //!
 //! Every worker keeps a result cache in front of its coordinator path
 //! ([`hyperdex_core::cache::FifoCache`], DESIGN.md § "Serving-path
@@ -27,7 +28,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,18 +41,13 @@ use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::fault::{Fate, FaultInjector};
 use crate::shard::ShardMap;
-use crate::transport::{count_frames, take_frame, FlushStatus, Transport};
-use crate::wire::{WireMsg, MAX_BATCH_ENTRIES};
+use crate::transport::{count_frames, take_frame, Fabric};
+use crate::wire::{self, WireMsg, CONTACT_LEN, MAX_BATCH_ENTRIES, MAX_BODY_LEN};
 
 /// Self-owned visits run from the in-worker queue in slices of this
 /// many scans per loop iteration, so a deep local subtree cannot
 /// starve the inbox (the loop polls for frames between slices).
 const LOCAL_WORK_BUDGET: usize = 32;
-
-/// Retained encode/packet buffers. Inbound packets are recycled into
-/// the frame send path, so a steady one-in-one-out worker (the pin
-/// mix) stops allocating per frame.
-const FRAME_POOL_CAP: usize = 32;
 
 /// Cached queries a worker's result cache holds. The paper sizes a
 /// node's cache at `α = 1/6` of its index — tens of thousands of
@@ -141,8 +137,9 @@ counter_record! {
         frames_sent,
         /// Frames received and decoded from the inbox.
         frames_received,
-        /// Flush attempts the fabric pushed back on, parking frames in an
-        /// outbox.
+        /// Times a lane was offered and its full sink pushed back,
+        /// leaving the frames parked on it: at most one per lane per
+        /// loop turn (the loop offers once a turn).
         backpressure_hits,
         /// Objects newly indexed on this shard.
         inserts,
@@ -151,7 +148,7 @@ counter_record! {
         /// Superset queries this worker coordinated (sequential + FT).
         queries_coordinated,
         /// Frames the injector dropped, plus delay-stash remnants and
-        /// outbox/stash frames lost in a crash.
+        /// lane/stash frames lost in a crash.
         frames_dropped,
         /// Frames the injector delivered twice (counted once per extra
         /// copy).
@@ -220,7 +217,7 @@ pub struct WorkerExit {
     pub inbox: Receiver<Vec<u8>>,
 }
 
-/// Everything a worker needs besides its transport and inbox.
+/// Everything a worker needs besides its fabric and inbox.
 #[derive(Debug)]
 pub struct WorkerContext {
     /// The worker's global shard index.
@@ -238,15 +235,11 @@ pub struct WorkerContext {
     pub repairing: bool,
 }
 
-/// Runs one worker to completion on the calling thread. The transport
-/// decides where frames physically go; the loop is identical across
-/// deployments.
-pub fn run_worker(
-    ctx: WorkerContext,
-    transport: Box<dyn Transport>,
-    inbox: Receiver<Vec<u8>>,
-) -> WorkerExit {
-    let endpoints = transport.endpoints();
+/// Runs one worker to completion on the calling thread. The fabric's
+/// lanes decide where frames physically go; the loop is identical
+/// across deployments.
+pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) -> WorkerExit {
+    let endpoints = fabric.endpoints();
     let worker = Worker {
         index: ctx.index,
         shape: ctx.shape,
@@ -254,15 +247,13 @@ pub fn run_worker(
         shards: ctx.shards,
         tables: HashMap::new(),
         interner: KeywordInterner::new(),
-        transport,
-        outbox: (0..endpoints).map(|_| VecDeque::new()).collect(),
-        stash: (0..endpoints).map(|_| VecDeque::new()).collect(),
+        fabric,
+        stash: vec![Vec::new(); endpoints],
         queries: HashMap::new(),
         ft_queries: HashMap::new(),
         cache: FifoCache::new(RESULT_CACHE_SLOTS),
         heard: vec![0; endpoints - 1],
         local_work: VecDeque::new(),
-        frame_pool: Vec::new(),
         timers: BinaryHeap::new(),
         injector: ctx.injector,
         repair: ctx.repairing.then(Vec::new),
@@ -347,7 +338,7 @@ fn keyed(objects: Vec<(u64, u32)>) -> impl Iterator<Item = (ObjectId, (u64, u32)
         .map(|hit| (ObjectId::from_raw(hit.0), hit))
 }
 
-/// One shard-owning thread. Transport endpoints `0..W` address fellow
+/// One shard-owning thread. Fabric endpoints `0..W` address fellow
 /// workers, endpoint `W` the client.
 struct Worker {
     index: u32,
@@ -356,11 +347,10 @@ struct Worker {
     shards: ShardMap,
     tables: HashMap<u64, PostingStore>,
     interner: KeywordInterner,
-    transport: Box<dyn Transport>,
-    outbox: Vec<VecDeque<Vec<u8>>>,
+    fabric: Fabric,
     /// Injector-delayed frames, per destination; released behind the
     /// next same-destination send.
-    stash: Vec<VecDeque<Vec<u8>>>,
+    stash: Vec<Vec<WireMsg>>,
     queries: HashMap<u64, QueryState>,
     ft_queries: HashMap<u64, FtMachine>,
     /// Results of the superset queries this worker coordinated, as the
@@ -373,9 +363,6 @@ struct Worker {
     /// via_dim)` — the fast path that skips encode/decode entirely.
     /// Entries whose query has since completed are skipped on pop.
     local_work: VecDeque<(u64, u64, Option<u8>)>,
-    /// Recycled buffers for [`Worker::send`]'s `encode_into` and
-    /// consumed inbox packets (capped at [`FRAME_POOL_CAP`]).
-    frame_pool: Vec<Vec<u8>>,
     /// `(deadline, query_id, vertex bits, generation)` — min-heap by
     /// deadline. Entries are never removed early: the machine ignores
     /// a timer that is no longer its vertex's current one.
@@ -389,7 +376,7 @@ struct Worker {
 
 impl Worker {
     fn client_slot(&self) -> usize {
-        self.transport.endpoints() - 1
+        self.fabric.endpoints() - 1
     }
 
     fn run(mut self, inbox: Receiver<Vec<u8>>) -> WorkerExit {
@@ -397,61 +384,48 @@ impl Worker {
         loop {
             self.fire_expired_timers();
             self.run_local_work();
-            self.flush_outboxes();
-            self.transport.reclaim(&mut self.frame_pool, FRAME_POOL_CAP);
-            if shutting_down && self.outboxes_empty() && self.local_work.is_empty() {
-                // Window close on the way out: a batching transport may
-                // still hold accepted-but-unshipped frames.
-                if self.transport.pending() > 0 {
-                    self.drain_transport();
-                }
-                if self.transport.pending() == 0 {
-                    break;
-                }
-            }
-            // Pick the cheapest wait that can't stall anything: drain
-            // the inbox without waiting while local work is queued
-            // (the fast path must not starve peers), poll only while
-            // parked frames need re-flushing, sleep until the earliest
-            // FT deadline when one is armed, and block outright when
-            // idle (zero wakeups, zero CPU). Any wait is a window
-            // close: frames a batching transport accumulated cannot
-            // grow their batch further, so they drain to the fabric
-            // first.
-            let recv = if !self.local_work.is_empty() {
-                match inbox.try_recv() {
-                    Ok(packet) => Ok(packet),
-                    // Not a wakeup: the loop turn does local scans.
-                    Err(std::sync::mpsc::TryRecvError::Empty) => continue,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        Err(RecvTimeoutError::Disconnected)
-                    }
-                }
-            } else if !self.outboxes_empty() || shutting_down {
-                self.drain_transport();
-                inbox.recv_timeout(Duration::from_millis(1))
+            // The turn's one offer waits for the inbox's answer, because
+            // that decides whether the batching window is still open:
+            // drain without waiting while local work is queued (the
+            // fast path must not starve peers) or more inbound work is
+            // immediately available (outbound frames keep batching).
+            // Otherwise the worker is about to wait, and any wait is a
+            // window close: no lane's packet can grow further, so every
+            // lane is offered. On the way out the window is closed and
+            // the inbox is not consulted until the lanes are empty.
+            let leaving = shutting_down && self.local_work.is_empty();
+            let polled = if leaving {
+                Err(TryRecvError::Empty)
             } else {
-                match inbox.try_recv() {
-                    // More inbound work is immediately available: keep
-                    // the window open so outbound frames keep batching.
-                    Ok(packet) => Ok(packet),
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        Err(RecvTimeoutError::Disconnected)
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => {
-                        self.drain_transport();
-                        if self.transport.pending() > 0 {
-                            // Fabric pushed back on the drain: poll.
-                            inbox.recv_timeout(Duration::from_millis(1))
-                        } else if let Some(deadline) = self.next_timer_deadline() {
-                            let wait = deadline.saturating_duration_since(Instant::now());
-                            if wait.is_zero() {
-                                continue;
-                            }
-                            inbox.recv_timeout(wait)
-                        } else {
-                            inbox.recv().map_err(|_| RecvTimeoutError::Disconnected)
+                inbox.try_recv()
+            };
+            let idle = self.local_work.is_empty() && matches!(polled, Err(TryRecvError::Empty));
+            self.fabric.offer(idle);
+            if leaving && self.fabric.pending() == 0 {
+                break;
+            }
+            // Pick the cheapest wait that can't stall anything: poll
+            // while a full sink still has frames parked on its lane
+            // (on the way out that is the only case left, so a worker
+            // shutting down never blocks), sleep until the earliest FT
+            // deadline when one is armed, and block outright when idle
+            // (zero wakeups, zero CPU).
+            let recv = match polled {
+                Ok(packet) => Ok(packet),
+                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+                // Not a wakeup: the loop turn does local scans.
+                Err(TryRecvError::Empty) if !idle => continue,
+                Err(TryRecvError::Empty) => {
+                    if self.fabric.pending() > 0 {
+                        inbox.recv_timeout(Duration::from_millis(1))
+                    } else if let Some(deadline) = self.next_timer_deadline() {
+                        let wait = deadline.saturating_duration_since(Instant::now());
+                        if wait.is_zero() {
+                            continue;
                         }
+                        inbox.recv_timeout(wait)
+                    } else {
+                        inbox.recv().map_err(|_| RecvTimeoutError::Disconnected)
                     }
                 }
             };
@@ -512,7 +486,7 @@ impl Worker {
                 }
                 self.handle(msg);
             }
-            self.recycle(packet);
+            self.fabric.recycle(packet);
         }
         self.abandon_stash();
         WorkerExit {
@@ -522,8 +496,11 @@ impl Worker {
         }
     }
 
-    /// The incarnation's counters, the cache's folded in.
+    /// The incarnation's counters, the cache's and the fabric's folded
+    /// in.
     fn final_stats(mut self) -> WorkerStats {
+        self.stats.backpressure_hits += self.fabric.backpressure_hits();
+        self.stats.frames_dropped += self.fabric.frames_dropped();
         let cache = self.cache.counters();
         self.stats.cache_hits = cache.hits;
         self.stats.cache_misses = cache.misses;
@@ -533,19 +510,12 @@ impl Worker {
         self.stats
     }
 
-    /// Crash-stop: everything in memory is lost. Frames parked in
-    /// outboxes, the delay stash, or a batching transport's
-    /// accumulation buffer were promised to the network but will never
-    /// leave — count them dropped so conservation closes.
+    /// Crash-stop: everything in memory is lost. Frames still on a
+    /// lane or in the delay stash were promised to the network but
+    /// will never leave — count them dropped so conservation closes.
     fn crash(mut self, inbox: Receiver<Vec<u8>>) -> WorkerExit {
-        let lost: u64 = self
-            .outbox
-            .iter()
-            .chain(self.stash.iter())
-            .flatten()
-            .map(|f| count_frames(f))
-            .sum();
-        self.stats.frames_dropped += lost + self.transport.pending();
+        self.abandon_stash();
+        self.stats.frames_dropped += self.fabric.pending();
         WorkerExit {
             cause: ExitCause::Crashed,
             stats: self.final_stats(),
@@ -705,21 +675,34 @@ impl Worker {
                     }
                     replies.push((bits, objects, children));
                 }
+                let forward_header = wire::batch_header_len(Some(&keywords));
                 for (owner, group) in forwards {
-                    self.send_batched(owner as usize, group, |entries| WireMsg::TQueryBatch {
-                        query_id,
-                        keywords: keywords.clone(),
-                        remaining,
-                        coord,
-                        entries,
-                    });
+                    self.send_batched(
+                        owner as usize,
+                        group,
+                        forward_header,
+                        |_| CONTACT_LEN,
+                        |entries| WireMsg::TQueryBatch {
+                            query_id,
+                            keywords: keywords.clone(),
+                            remaining,
+                            coord,
+                            entries,
+                        },
+                    );
                 }
                 let epoch = self.cache.generation();
-                self.send_batched(coord as usize, replies, |entries| WireMsg::TContBatch {
-                    query_id,
-                    epoch,
-                    entries,
-                });
+                self.send_batched(
+                    coord as usize,
+                    replies,
+                    wire::batch_header_len(None),
+                    wire::batch_reply_len,
+                    |entries| WireMsg::TContBatch {
+                        query_id,
+                        epoch,
+                        entries,
+                    },
+                );
             }
             WireMsg::TCont {
                 query_id,
@@ -958,28 +941,40 @@ impl Worker {
             // handler eagerly expands the receiver's whole region, so
             // a lone cross-cut edge still delegates the subtree below
             // it instead of bouncing every child through here.
-            self.send_batched(owner as usize, group, |entries| WireMsg::TQueryBatch {
-                query_id,
-                keywords: (*state.keywords).clone(),
-                remaining,
-                coord,
-                entries,
-            });
+            self.send_batched(
+                owner as usize,
+                group,
+                wire::batch_header_len(Some(&state.keywords)),
+                |_| CONTACT_LEN,
+                |entries| WireMsg::TQueryBatch {
+                    query_id,
+                    keywords: (*state.keywords).clone(),
+                    remaining,
+                    coord,
+                    entries,
+                },
+            );
         }
     }
 
     /// Sends `entries` to `dest` in the batch frame `frame` builds —
     /// in several when there are more than one frame's count field
-    /// holds. Entries are keyed by vertex, so the receiver folds each
+    /// holds or more bytes than one frame's body may carry
+    /// (`header_len` of it spent before the entries, `entry_len` per
+    /// entry). Entries are keyed by vertex, so the receiver folds each
     /// frame on its own.
     fn send_batched<T>(
         &mut self,
         dest: usize,
         mut entries: Vec<T>,
+        header_len: usize,
+        entry_len: impl Fn(&T) -> usize,
         frame: impl Fn(Vec<T>) -> WireMsg,
     ) {
+        let room = MAX_BODY_LEN as usize - header_len;
         loop {
-            let rest = entries.split_off(entries.len().min(MAX_BATCH_ENTRIES));
+            let sizes = entries.iter().map(&entry_len);
+            let rest = entries.split_off(wire::batch_prefix(sizes, MAX_BATCH_ENTRIES, room));
             self.send(dest, &frame(entries));
             if rest.is_empty() {
                 return;
@@ -1223,10 +1218,10 @@ impl Worker {
         }
     }
 
-    /// Queues one frame for `dest`, rolling its fate when the fault
-    /// injector covers it (worker→worker traversal frames only).
-    /// Delivery happens at the next flush point, which is what lets
-    /// every frame emitted while handling one packet coalesce into a
+    /// Encodes one frame onto `dest`'s lane, rolling its fate when the
+    /// fault injector covers it (worker→worker traversal frames only).
+    /// The lane is offered at the next loop turn, which is what lets
+    /// every frame emitted while handling one packet travel as a
     /// single fabric operation per destination.
     fn send(&mut self, dest: usize, msg: &WireMsg) {
         self.stats.frames_sent += 1;
@@ -1238,8 +1233,6 @@ impl Worker {
             self.stats.batch_frames_sent += 1;
             self.stats.batch_entries_sent += entries.len() as u64;
         }
-        let mut frame = self.frame_pool.pop().unwrap_or_default();
-        msg.encode_into(&mut frame);
         let injectable = dest != self.client_slot()
             && matches!(
                 msg,
@@ -1258,79 +1251,30 @@ impl Worker {
                     }
                     Fate::Duplicate => {
                         self.stats.frames_duplicated += 1;
-                        self.outbox[dest].push_back(frame.clone());
+                        self.fabric.append(dest, msg);
                     }
                     Fate::Delay => {
                         self.stats.frames_delayed += 1;
-                        self.stash[dest].push_back(frame);
+                        self.stash[dest].push(msg.clone());
                         return;
                     }
                 }
             }
         }
-        self.outbox[dest].push_back(frame);
+        self.fabric.append(dest, msg);
         // A delivered frame releases anything stashed for this
         // destination *behind* it — delay == reorder.
-        while let Some(stashed) = self.stash[dest].pop_front() {
-            self.outbox[dest].push_back(stashed);
-        }
-    }
-
-    /// Returns a consumed packet buffer to the pool so the next
-    /// [`Worker::send`] encodes into it instead of allocating.
-    fn recycle(&mut self, buf: Vec<u8>) {
-        if self.frame_pool.len() < FRAME_POOL_CAP {
-            self.frame_pool.push(buf);
+        for stashed in self.stash[dest].drain(..) {
+            self.fabric.append(dest, &stashed);
         }
     }
 
     /// Writes off frames still sitting in the delay stash (shutdown or
     /// crash): they were counted as sent but will never travel.
     fn abandon_stash(&mut self) {
-        let stranded: usize = self.stash.iter().map(VecDeque::len).sum();
-        self.stats.frames_dropped += stranded as u64;
-        for q in &mut self.stash {
-            q.clear();
-        }
-    }
-
-    fn flush_outboxes(&mut self) {
-        for dest in 0..self.outbox.len() {
-            self.flush_outbox(dest);
-        }
-    }
-
-    fn flush_outbox(&mut self, dest: usize) {
-        if self.outbox[dest].is_empty() {
-            return;
-        }
-        match self.transport.flush(dest, &mut self.outbox[dest]) {
-            FlushStatus::Done => {}
-            FlushStatus::Full => {
-                // Fabric pushed back: frames stay parked and re-flush
-                // on the next loop iteration.
-                self.stats.backpressure_hits += 1;
-            }
-            FlushStatus::Closed { frames_dropped } => {
-                // Destination gone (only possible once the run is
-                // over); the transport counted what it discarded.
-                self.stats.frames_dropped += frames_dropped;
-            }
-        }
-    }
-
-    fn outboxes_empty(&self) -> bool {
-        self.outbox.iter().all(VecDeque::is_empty)
-    }
-
-    /// Window close: asks a batching transport to push its accumulated
-    /// frames to the fabric, folding the outcome into the same
-    /// counters a flush uses.
-    fn drain_transport(&mut self) {
-        match self.transport.drain() {
-            FlushStatus::Done => {}
-            FlushStatus::Full => self.stats.backpressure_hits += 1,
-            FlushStatus::Closed { frames_dropped } => self.stats.frames_dropped += frames_dropped,
+        for stashed in &mut self.stash {
+            self.stats.frames_dropped += stashed.len() as u64;
+            stashed.clear();
         }
     }
 }
@@ -1365,17 +1309,60 @@ mod tests {
             "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32"
         );
 
-        let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4").unwrap();
+        let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5 6").unwrap();
         assert_eq!(
-            (
-                sup.respawns,
-                sup.replayed_frames,
-                sup.frames_sent,
-                sup.frames_drained
-            ),
-            (1, 2, 3, 4)
+            (sup.respawns, sup.replayed_frames, sup.frames_sent),
+            (1, 2, 3)
         );
-        assert_eq!(sup.report_line(), "SSTATS 1 2 3 4");
+        assert_eq!(
+            (sup.frames_drained, sup.streams_corrupt, sup.units_misrouted),
+            (4, 5, 6)
+        );
+        assert_eq!(sup.report_line(), "SSTATS 1 2 3 4 5 6");
         assert!(SupervisorStats::parse_line("garbage").is_none());
+    }
+
+    /// A worker shutting down with a frame parked on a capacity-1 sink
+    /// that flaps between full and free: whichever of its offers the
+    /// free slot meets, the worker must hand the frame over exactly
+    /// once and exit — a blocking wait here would never be woken (the
+    /// supervisor holds the inbox open).
+    #[test]
+    fn a_worker_leaves_through_a_sink_that_flaps_between_full_and_free() {
+        let filler = WireMsg::Flush { token: 0 }.encode();
+        for round in 1..=256 {
+            let (client_tx, client) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
+            let (inbox_tx, inbox) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
+            client_tx.try_send(filler.clone()).unwrap();
+            // One packet, so one turn: the ack parks on the full lane
+            // and the worker is on its way out.
+            let mut packet = WireMsg::Flush { token: round }.encode();
+            packet.extend(WireMsg::Shutdown.encode());
+            inbox_tx.send(packet).unwrap();
+            let ctx = WorkerContext {
+                index: 0,
+                shape: Shape::new(8).unwrap(),
+                hasher: KeywordHasher::new(8, 42).unwrap(),
+                shards: ShardMap::new(8, 1, 42),
+                injector: None,
+                repairing: false,
+            };
+            let links = vec![None, Some(client_tx.clone())];
+            let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut acks = 0;
+            while !worker.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: blocked on the way out"
+                );
+                acks += client.try_recv().is_ok_and(|p| p != filler) as u32;
+                let _ = client_tx.try_send(filler.clone());
+            }
+            acks += client.try_iter().filter(|p| *p != filler).count() as u32;
+            let exit = worker.join().unwrap();
+            assert_eq!(exit.cause, ExitCause::Clean);
+            assert_eq!((acks, exit.stats.frames_dropped), (1, 0), "round {round}");
+        }
     }
 }

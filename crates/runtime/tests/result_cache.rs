@@ -24,7 +24,7 @@ use hyperdex_core::{HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, Superse
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::worker::LEADER_SILENCE;
 use hyperdex_runtime::{
-    run_worker, take_frame, ChannelTransport, ExitCause, FaultInjector, FaultPlan, FtSearchOptions,
+    run_worker, take_frame, ExitCause, Fabric, FaultInjector, FaultPlan, FtSearchOptions,
     NodeRuntime, Request, RuntimeConfig, ShardMap, ShutdownReport, WireMsg, WorkerContext,
     WorkerExit,
 };
@@ -361,7 +361,7 @@ impl Rig {
                 repairing: false,
             };
             threads.push(std::thread::spawn(move || {
-                run_worker(ctx, Box::new(ChannelTransport::new(links)), inbox_rx)
+                run_worker(ctx, Fabric::inboxes(links), inbox_rx)
             }));
             inbox.push(inbox_tx);
             wire.push(wire_rx);
@@ -717,7 +717,7 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
             repairing,
         };
         let links = vec![None, Some(client_tx.clone())];
-        std::thread::spawn(move || run_worker(ctx, Box::new(ChannelTransport::new(links)), inbox))
+        std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox))
     };
     let epoch_at_barrier = |token| {
         inbox_tx.send(WireMsg::Flush { token }.encode()).unwrap();
