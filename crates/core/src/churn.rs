@@ -31,7 +31,16 @@
 //! after the handoff (or repair) lands succeeds. A vertex that stays
 //! silent past the retry budget is re-delegated or failed over exactly
 //! as in §3.4, so every search still returns an exact
-//! [`CoverageReport`](crate::sim_protocol::CoverageReport).
+//! [`CoverageReport`](crate::sim_protocol::CoverageReport). The other
+//! searches have no timers: a sequential walk stops at a silent vertex,
+//! a parallel round or a pin lookup misses its postings, and each
+//! returns what it collected once the network is quiescent — no hang.
+//!
+//! Membership traffic and searches share one network and one receive
+//! path ([`crate::sim_protocol`] § "One receive path"): whichever
+//! driver steps the network — a search of any kind or
+//! [`ProtocolSim::run_churn_to`] — handoff batches, repair pushes and
+//! churn timers reach this module, and queries reach their vertex.
 //!
 //! Handoffs bump a per-vertex *generation* counter; result caches keyed
 //! by vertex (see [`crate::cache::FifoCache::bump_generation`]) use it
@@ -75,12 +84,12 @@ use std::sync::Arc;
 
 use hyperdex_dht::{keyhash, NodeId, ObjectId, Ring};
 use hyperdex_simnet::churn::{ChurnEvent, ChurnKind, ChurnPlan};
-use hyperdex_simnet::net::{EndpointId, NetEvent, TimerId};
+use hyperdex_simnet::net::{EndpointId, TimerId};
 use hyperdex_simnet::time::{SimDuration, SimTime};
 
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::sim_protocol::{KwMsg, ProtocolSim, SimTimer};
+use crate::sim_protocol::{KwMsg, ProtocolSim, SimTimer, Until};
 use crate::store::PostingStore;
 
 /// What a membership timer is for ([`SimTimer::Churn`]).
@@ -551,11 +560,7 @@ impl ProtocolSim {
         {
             self.apply_next_plan_event();
         }
-        while self.net.next_due().is_some_and(|d| d <= until) {
-            if let Some(ev) = self.net.step_event() {
-                let _ = self.churn_intercept(ev);
-            }
-        }
+        self.pump(Until::Instant(until), &mut |_, _| {});
     }
 
     /// Applies the whole remaining plan and drains the network to
@@ -569,9 +574,7 @@ impl ProtocolSim {
         {
             self.apply_next_plan_event();
         }
-        while let Some(ev) = self.net.step_event() {
-            let _ = self.churn_intercept(ev);
-        }
+        self.pump(Until::Quiescence, &mut |_, _| {});
     }
 
     /// Advances the clock to the next plan event's instant (via a marker
@@ -588,12 +591,7 @@ impl ProtocolSim {
         let marker = self
             .net
             .set_timer(self.requester, delay, SimTimer::Churn(ChurnTimer::Marker));
-        while let Some(nev) = self.net.step_event() {
-            if matches!(&nev, NetEvent::Timer(t) if t.id == marker) {
-                break;
-            }
-            let _ = self.churn_intercept(nev);
-        }
+        self.pump(Until::Timer(marker), &mut |_, _| {});
         let Some(mut st) = self.churn.take() else {
             return;
         };
@@ -602,71 +600,50 @@ impl ProtocolSim {
         self.churn = Some(st);
     }
 
-    /// Consumes churn-owned events (handoff / repair deliveries, churn
-    /// timers); returns search-layer events untouched. With churn
-    /// disabled everything passes through.
-    pub(crate) fn churn_intercept(
-        &mut self,
-        ev: NetEvent<KwMsg, SimTimer>,
-    ) -> Option<NetEvent<KwMsg, SimTimer>> {
+    /// A membership message arrived (the pump routes every
+    /// [`KwMsg::Churn`] here). With churn disabled it is dropped.
+    pub(crate) fn churn_deliver(&mut self, to: EndpointId, from: EndpointId, msg: ChurnMsg) {
         let Some(mut st) = self.churn.take() else {
-            return Some(ev);
+            return;
         };
-        let passed = match ev {
-            NetEvent::Delivery(d) => match d.payload {
-                KwMsg::Churn(msg) => {
-                    match msg {
-                        ChurnMsg::HandoffBatch {
-                            bits,
-                            seq,
-                            entries,
-                            last,
-                        } => {
-                            on_handoff_batch(self, &mut st, d.to, d.from, bits, seq, entries, last)
-                        }
-                        ChurnMsg::HandoffAck { bits, seq } => {
-                            on_handoff_ack(self, &mut st, bits, seq);
-                        }
-                        ChurnMsg::RepairPush { bits, entries } => {
-                            on_repair_push(self, &mut st, bits, entries);
-                        }
-                        // Full-state refresh: idempotent, so duplicates
-                        // and reordering are harmless. Ignored while a
-                        // repair is pending for the vertex — the count
-                        // is about to rise again, and an interim
-                        // refresh could unsafely shrink the digest
-                        // below truth.
-                        ChurnMsg::TSummary { bits, count } => {
-                            if !st.repair_pending.contains_key(&bits) {
-                                self.summary.refresh_leaf(bits, count);
-                            }
-                        }
-                    }
-                    None
+        match msg {
+            ChurnMsg::HandoffBatch {
+                bits,
+                seq,
+                entries,
+                last,
+            } => on_handoff_batch(self, &mut st, to, from, bits, seq, entries, last),
+            ChurnMsg::HandoffAck { bits, seq } => on_handoff_ack(self, &mut st, bits, seq),
+            ChurnMsg::RepairPush { bits, entries } => on_repair_push(self, &mut st, bits, entries),
+            // Full-state refresh: idempotent, so duplicates and
+            // reordering are harmless. Ignored while a repair is
+            // pending for the vertex — the count is about to rise
+            // again, and an interim refresh could unsafely shrink the
+            // digest below truth.
+            ChurnMsg::TSummary { bits, count } => {
+                if !st.repair_pending.contains_key(&bits) {
+                    self.summary.refresh_leaf(bits, count);
                 }
-                payload => Some(NetEvent::Delivery(hyperdex_simnet::net::Delivery {
-                    at: d.at,
-                    from: d.from,
-                    to: d.to,
-                    payload,
-                })),
-            },
-            NetEvent::Timer(t) => match t.token {
-                SimTimer::Churn(timer) => {
-                    match timer {
-                        ChurnTimer::Stabilize => on_stabilize(self, &mut st),
-                        ChurnTimer::Repair => on_repair(self, &mut st),
-                        ChurnTimer::Handoff(bits) => on_handoff_timer(self, &mut st, bits),
-                        // Stray marker (its drain loop already exited).
-                        ChurnTimer::Marker => {}
-                    }
-                    None
-                }
-                SimTimer::Ft { .. } => Some(NetEvent::Timer(t)),
-            },
-        };
+            }
+        }
         self.churn = Some(st);
-        passed
+    }
+
+    /// A membership timer fired (the pump routes every
+    /// [`SimTimer::Churn`] here).
+    pub(crate) fn churn_timer(&mut self, timer: ChurnTimer) {
+        let Some(mut st) = self.churn.take() else {
+            return;
+        };
+        match timer {
+            ChurnTimer::Stabilize => on_stabilize(self, &mut st),
+            ChurnTimer::Repair => on_repair(self, &mut st),
+            ChurnTimer::Handoff(bits) => on_handoff_timer(self, &mut st, bits),
+            // Only [`ProtocolSim::apply_next_plan_event`] arms one, and
+            // the pump consumes it there.
+            ChurnTimer::Marker => {}
+        }
+        self.churn = Some(st);
     }
 
     /// Whether vertex `bits` must stay silent: mid-handoff, crashed and
@@ -1578,6 +1555,61 @@ mod tests {
         );
         // Draining the search also drained the handoff.
         assert!(sim.churn().unwrap().converged());
+    }
+
+    #[test]
+    fn every_search_kind_shares_the_network_with_handoffs_in_flight() {
+        // Host 1 leaves at 40 and is still streaming its tables when a
+        // search starts at 41; host 2's leave is yet to come. Whatever
+        // the search, the membership traffic it steps over is consumed
+        // by the churn engine, not eaten.
+        type Search = fn(&mut ProtocolSim, &KeywordSet) -> Vec<ObjectId>;
+        fn ranked(out: crate::sim_protocol::SimSearchOutcome) -> Vec<ObjectId> {
+            out.results.iter().map(|r| r.object).collect()
+        }
+        let searches: [(Search, &[u64]); 3] = [
+            (
+                |sim, q| ranked(sim.search_sequential(q, usize::MAX - 1).unwrap()),
+                &[2, 3, 8],
+            ),
+            (
+                |sim, q| ranked(sim.search_parallel(q, usize::MAX - 1).unwrap()),
+                &[2, 3, 8],
+            ),
+            (|sim, q| sim.pin_search(q).results, &[2]),
+        ];
+        for (kind, (search, settled)) in searches.into_iter().enumerate() {
+            let mut sim = sim_with_corpus(5, 7);
+            let mut plan = ChurnPlan::default();
+            plan.leave_at(SimTime::from_ticks(40), 1);
+            plan.leave_at(SimTime::from_ticks(80), 2);
+            let cfg = StabilizationConfig {
+                batch_entries: 1,
+                ..StabilizationConfig::default()
+            };
+            sim.enable_churn(&plan, cfg, &[1, 2, 3, 4]).unwrap();
+            sim.run_churn_to(SimTime::from_ticks(41));
+
+            // `F_h({a, b})` is one of the vertices mid-handoff: it is
+            // silent, so the search returns what it collected — nothing
+            // — once the network is quiescent.
+            let query = set("a b");
+            let home = sim.query_root(&query).bits();
+            assert!(!sim.churn().unwrap().vertex_available(home));
+            assert_eq!(search(&mut sim, &query), vec![], "search kind {kind}");
+
+            sim.run_churn_to_quiescence();
+            let st = sim.churn().unwrap();
+            assert!(st.converged(), "kind {kind}: {:?}", st.stats());
+            assert_eq!(st.consistency(), 1.0, "kind {kind}");
+            assert_eq!(st.stats().leaves, 2, "kind {kind}");
+            assert!(st.stats().handoffs_completed >= st.stats().leaves);
+            assert_eq!(recall_ids(&mut sim, "a"), vec![1, 2, 3, 4, 6, 8]);
+            let mut got = search(&mut sim, &query);
+            got.sort_unstable();
+            let settled: Vec<ObjectId> = settled.iter().map(|&n| ObjectId::from_raw(n)).collect();
+            assert_eq!(got, settled, "kind {kind}: the landed table answers");
+        }
     }
 
     #[test]

@@ -67,6 +67,13 @@ pub enum Error {
         /// The deadline that expired, in milliseconds.
         after_ms: u64,
     },
+    /// A client received a well-formed frame of a kind no client is
+    /// ever sent (a worker-bound request, say): the peer is not
+    /// speaking the client protocol.
+    UnexpectedFrame {
+        /// The frame kind, e.g. `TQueryBatch`.
+        kind: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -110,6 +117,9 @@ impl fmt::Display for Error {
                 after_ms,
             } => {
                 write!(f, "{operation} timed out after {after_ms} ms")
+            }
+            Error::UnexpectedFrame { kind } => {
+                write!(f, "received a {kind} frame, which no client is ever sent")
             }
         }
     }

@@ -24,13 +24,26 @@
 //! in [`crate::replication`]) when any vertex stayed dead. Every search
 //! returns a [`CoverageReport`] accounting exactly for reached and
 //! skipped vertices, retries, timeouts, and messages by kind.
+//!
+//! # One receive path
+//!
+//! Every search, and every churn driver in [`crate::churn`], steps the
+//! network through one pump. It gives membership traffic and timers to
+//! the churn engine, answers a node-bound message (`T_QUERY`, `Pin`)
+//! in the single node handler — what the node sends back is named by
+//! the query itself ([`QueryReply`]) — and hands what is addressed to
+//! a coordinator or the requester to the search in progress. A vertex
+//! that is mid-handoff or awaiting repair answers nothing, whoever
+//! asks: a fault-tolerant coordinator retries it; a sequential,
+//! parallel or pin search returns what it collected once the network
+//! is quiescent — never a hang.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use hyperdex_simnet::latency::LatencyModel;
-use hyperdex_simnet::net::{EndpointId, NetEvent, Network, TimerId};
-use hyperdex_simnet::time::SimDuration;
+use hyperdex_simnet::net::{Delivery, EndpointId, NetEvent, Network, TimerId};
+use hyperdex_simnet::time::{SimDuration, SimTime};
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
@@ -65,6 +78,8 @@ pub enum KwMsg {
         via_dim: Option<u8>,
         /// The coordinating root endpoint (`v`).
         root: EndpointId,
+        /// What the node sends back, and from which cube.
+        reply: QueryReply,
     },
     /// Node → root: found `c1` objects, here are my children.
     TCont {
@@ -91,8 +106,7 @@ pub enum KwMsg {
         objects: Vec<RankedObject>,
     },
     /// Membership traffic (handoff, repair, summary refresh), churn
-    /// mode only; [`crate::churn`] consumes it before a search loop
-    /// looks at the event.
+    /// mode only; [`crate::churn`] consumes it.
     Churn(ChurnMsg),
     /// Requester → `F_h(K)`'s host: exact-match pin lookup (§3.2) —
     /// one message to the single vertex the full keyword set hashes to.
@@ -106,6 +120,23 @@ pub enum KwMsg {
     PinResults {
         /// Objects indexed under exactly the queried set.
         objects: Vec<ObjectId>,
+    },
+}
+
+/// What a `T_QUERY`'s receiver sends back, and from which cube it
+/// scans — carried by the query, so a node's reaction never depends on
+/// who coordinates or what else is in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryReply {
+    /// §3.3: matches to the requester, `T_CONT` or `T_STOP` to the root.
+    Cont,
+    /// §3.5: matches to the requester and nothing else — the root
+    /// enumerates the SBT levels itself.
+    Results,
+    /// §3.4: one `TContFt` to the coordinator, matches piggybacked.
+    ContFt {
+        /// Scan the secondary cube's table instead of the primary's.
+        secondary: bool,
     },
 }
 
@@ -216,7 +247,7 @@ pub struct SimSearchOutcome {
     pub nodes_contacted: u64,
     /// Total messages the network carried.
     pub messages: u64,
-    /// Virtual time from first send to last delivery.
+    /// Virtual time from first send to the last network event.
     pub elapsed: hyperdex_simnet::time::SimDuration,
     /// SBT subtrees skipped by occupancy-guided pruning (0 unless
     /// [`ProtocolSim::set_pruning`] enabled it).
@@ -230,22 +261,62 @@ pub struct SimPinOutcome {
     pub results: Vec<ObjectId>,
     /// Total messages the network carried (request + reply).
     pub messages: u64,
-    /// Virtual time from send to the reply's delivery.
+    /// Virtual time from send to the last network event (the reply's
+    /// delivery, on a network carrying nothing else).
     pub elapsed: hyperdex_simnet::time::SimDuration,
 }
 
-/// Root-side coordinator state for one sequential search: the shared
-/// [`SupersetCoordinator`] state machine plus the sim-only bookkeeping
-/// (the query payload, who gets the results, what pruning skipped).
+/// Where one search started ([`ProtocolSim::begin`]): the interned
+/// query, its root in the primary cube, and the readings its cost is
+/// measured against.
 #[derive(Debug)]
-struct Coordinator {
-    /// The transport-agnostic traversal machine — the same one the
-    /// direct engine and the threaded runtime execute.
-    core: SupersetCoordinator,
+struct Started {
     keywords: Arc<KeywordSet>,
-    requester: EndpointId,
-    /// Subtrees the coordinator pruned instead of querying.
-    pruned: u64,
+    root: Vertex,
+    root_ep: EndpointId,
+    at: SimTime,
+    sent: u64,
+    visits: u64,
+}
+
+/// How far [`ProtocolSim::pump`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Until {
+    /// Until nothing is in flight and no timer is armed.
+    Quiescence,
+    /// While the next event is due at or before this instant.
+    Instant(SimTime),
+    /// Until this timer fires (the pump consumes it).
+    Timer(TimerId),
+}
+
+/// What the pump hands the search in progress: everything addressed to
+/// a coordinator or to the requester.
+#[derive(Debug)]
+pub(crate) enum SearchEvent {
+    /// `T_CONT`, or the coordinating root's own visit.
+    Cont {
+        found: usize,
+        children: Vec<(u64, u8)>,
+    },
+    /// `T_STOP`.
+    Stop,
+    /// `TContFt` from vertex `bits` reaching coordinator endpoint `at`,
+    /// or — `local` — the coordinating root's own visit.
+    ContFt {
+        at: EndpointId,
+        bits: u64,
+        objects: Vec<RankedObject>,
+        children: Vec<(u64, u8)>,
+        local: bool,
+    },
+    Results(Vec<RankedObject>),
+    Pinned(Vec<ObjectId>),
+    /// A fault-tolerant search's retransmission timer fired.
+    Timeout {
+        bits: u64,
+        generation: u64,
+    },
 }
 
 /// A logical hypercube whose nodes exchange real protocol messages.
@@ -299,6 +370,9 @@ pub struct ProtocolSim {
     pub(crate) summary2: OccupancySummary,
     /// Whether sequential/parallel searches consult the summaries.
     pub(crate) prune: bool,
+    /// `T_QUERY`s answered so far, by any vertex for any search; a
+    /// search's `nodes_contacted` is the difference across it.
+    visits: u64,
     /// Live-membership state, present once [`ProtocolSim::enable_churn`]
     /// has been called (boxed: it is large and usually absent).
     pub(crate) churn: Option<Box<crate::churn::ChurnState>>,
@@ -335,6 +409,7 @@ impl ProtocolSim {
             summary: OccupancySummary::new(r),
             summary2: OccupancySummary::new(r),
             prune: false,
+            visits: 0,
             churn: None,
         })
     }
@@ -426,169 +501,64 @@ impl ProtocolSim {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        let root_vertex = self.hasher.vertex_for(keywords);
-        let root_ep = self.endpoint_of(root_vertex.bits());
-        let start = self.net.now();
-        let sent_before = self.net.metrics().messages_sent.get();
-
-        // Interned: repeated queries for the same set share one Arc,
-        // and every later hop of this search shares it too.
-        let shared_kw = self.interner.intern(keywords.clone());
+        let run = self.begin(keywords);
         self.net.send(
             self.requester,
-            root_ep,
+            run.root_ep,
             KwMsg::TQuery {
-                keywords: shared_kw,
+                keywords: Arc::clone(&run.keywords),
                 remaining: threshold,
                 requester: self.requester,
                 via_dim: None,
-                root: root_ep,
+                root: run.root_ep,
+                reply: QueryReply::Cont,
             },
         );
-
-        let mut coordinator: Option<Coordinator> = None;
-        let mut results = Vec::new();
-        let mut contacted = 0u64;
-        let mut last_at = start;
-
-        while let Some(d) = self.net.step() {
-            last_at = d.at;
-            let to = d.to;
-            match d.payload {
-                KwMsg::TQuery {
-                    keywords,
-                    remaining,
-                    requester,
-                    via_dim,
-                    root,
-                } => {
-                    contacted += 1;
-                    let vertex = self.vertex_of(to);
-                    let found = self.scan_and_reply(vertex, &keywords, remaining, requester);
-                    if to == root {
-                        // The root doubles as coordinator. Its frontier
-                        // queue is the sim's reused buffer.
-                        let frontier = std::mem::take(&mut self.frontier);
-                        let mut core = SupersetCoordinator::with_queue(vertex, remaining, frontier);
-                        // Consume the machine's root step — this arm IS
-                        // that visit — and fold the local scan in.
-                        let _root = core.next_step();
-                        core.record_visit(found, child_contacts(vertex, None));
-                        let mut coord = Coordinator {
-                            core,
-                            keywords,
-                            requester,
-                            pruned: 0,
-                        };
-                        self.advance(&mut coord, root);
-                        coordinator = Some(coord);
-                    } else {
-                        // Ordinary node: report back to the root.
-                        let dim = via_dim.expect("non-root nodes are reached via a dimension");
-                        if found >= remaining {
-                            self.net.send(to, root, KwMsg::TStop);
-                        } else {
-                            let children = child_contacts(vertex, Some(dim)).collect();
-                            self.net.send(to, root, KwMsg::TCont { found, children });
-                        }
-                    }
-                }
-                KwMsg::TCont { found, children } => {
-                    let coord = coordinator.as_mut().expect("TCont implies a coordinator");
-                    coord.core.record_visit(found, children);
-                    self.advance(coord, to);
-                }
-                KwMsg::TStop => {
-                    if let Some(coord) = coordinator.as_mut() {
-                        coord.core.stop();
-                    }
-                }
-                KwMsg::Results { objects } => {
-                    debug_assert_eq!(to, self.requester);
-                    results.extend(objects);
-                }
-                // Fault-tolerant-/churn-/pin-mode messages; never sent
-                // by this path (churned networks search via
-                // `search_fault_tolerant`).
-                KwMsg::TContFt { .. }
-                | KwMsg::Churn(_)
-                | KwMsg::Pin { .. }
-                | KwMsg::PinResults { .. } => {}
+        // The root doubles as coordinator; its frontier queue is the
+        // sim's reused buffer. The machine's root step is consumed
+        // here: that visit is the query just sent, and its outcome
+        // arrives as the first continuation.
+        let frontier = std::mem::take(&mut self.frontier);
+        let mut core = SupersetCoordinator::with_queue(run.root, threshold, frontier);
+        let _root = core.next_step();
+        let (mut results, mut pruned) = (Vec::new(), 0);
+        self.pump(Until::Quiescence, &mut |sim, event| match event {
+            SearchEvent::Cont { found, children } => {
+                core.record_visit(found, children);
+                pruned += sim.advance(&mut core, &run);
             }
-        }
-
+            SearchEvent::Stop => core.stop(),
+            SearchEvent::Results(objects) => results.extend(objects),
+            _ => {}
+        });
         // Reclaim the frontier buffer for the next search.
-        let pruned_subtrees = match coordinator {
-            Some(c) => {
-                self.frontier = c.core.into_queue();
-                c.pruned
-            }
-            None => 0,
-        };
-        results.truncate(threshold);
-        Ok(SimSearchOutcome {
-            results,
-            nodes_contacted: contacted,
-            messages: self.net.metrics().messages_sent.get() - sent_before,
-            elapsed: last_at.saturating_since(start),
-            pruned_subtrees,
-        })
+        self.frontier = core.into_queue();
+        Ok(self.outcome(&run, results, threshold, pruned))
     }
 
     /// Runs the paper's pin search (§3.2) as messages: one `Pin` to the
     /// vertex the full keyword set hashes to, one `PinResults` back.
     pub fn pin_search(&mut self, keywords: &KeywordSet) -> SimPinOutcome {
-        let vertex = self.hasher.vertex_for(keywords);
-        let ep = self.endpoint_of(vertex.bits());
-        let start = self.net.now();
-        let sent_before = self.net.metrics().messages_sent.get();
-        let shared_kw = self.interner.intern(keywords.clone());
+        let run = self.begin(keywords);
         self.net.send(
             self.requester,
-            ep,
+            run.root_ep,
             KwMsg::Pin {
-                keywords: shared_kw,
+                keywords: Arc::clone(&run.keywords),
                 requester: self.requester,
             },
         );
-
         let mut results = Vec::new();
-        let mut last_at = start;
-        while let Some(d) = self.net.step() {
-            last_at = d.at;
-            let to = d.to;
-            match d.payload {
-                KwMsg::Pin {
-                    keywords,
-                    requester,
-                } => {
-                    let vertex = self.vertex_of(to);
-                    let objects: Vec<ObjectId> = self
-                        .tables
-                        .get(&vertex.bits())
-                        .map(|t| t.objects_with(&keywords).collect())
-                        .unwrap_or_default();
-                    self.net.send(to, requester, KwMsg::PinResults { objects });
-                }
-                KwMsg::PinResults { objects } => {
-                    debug_assert_eq!(to, self.requester);
-                    results.extend(objects);
-                }
-                // Traversal/churn messages cannot appear: every search
-                // drains the network before returning.
-                KwMsg::TQuery { .. }
-                | KwMsg::TCont { .. }
-                | KwMsg::TStop
-                | KwMsg::TContFt { .. }
-                | KwMsg::Results { .. }
-                | KwMsg::Churn(_) => {}
+        self.pump(Until::Quiescence, &mut |_, event| {
+            if let SearchEvent::Pinned(objects) = event {
+                results.extend(objects);
             }
-        }
-
+        });
+        let (messages, elapsed) = self.cost(&run);
         SimPinOutcome {
             results,
-            messages: self.net.metrics().messages_sent.get() - sent_before,
-            elapsed: last_at.saturating_since(start),
+            messages,
+            elapsed,
         }
     }
 
@@ -606,85 +576,47 @@ impl ProtocolSim {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        let root_vertex = self.hasher.vertex_for(keywords);
-        let root_ep = self.endpoint_of(root_vertex.bits());
-        let start = self.net.now();
-        let sent_before = self.net.metrics().messages_sent.get();
-
-        // Interned: every per-node query (and repeat searches for the
-        // same set) share one allocation.
-        let shared_kw = self.interner.intern(keywords.clone());
+        let run = self.begin(keywords);
         // With pruning on, whole levels shrink to the vertices whose
         // subtree the occupancy summary cannot disprove. Either way the
         // frontier streams one level at a time — an early threshold
         // exit never enumerates the deeper levels at all.
-        let mut levels = FrontierLevels::new(&self.summary, root_vertex, self.prune, false);
-
+        let mut levels = FrontierLevels::new(&self.summary, run.root, self.prune, false);
         let mut results = Vec::new();
-        let mut contacted = 0u64;
-        let mut last_at = start;
-        let mut satisfied = 0usize;
-        let mut depth = 0usize;
-
+        // The requester asks the root (level 0); the root addresses
+        // every deeper node directly (any node is reachable through the
+        // underlying DHT).
+        let mut from = self.requester;
         while let Some(level) = levels.next_level(&self.summary) {
-            // The root addresses every level-d node directly (any node
-            // is reachable through the underlying DHT).
             for w in &level {
-                let from = if depth == 0 { self.requester } else { root_ep };
                 let to = self.endpoint_of(w.bits());
                 self.net.send(
                     from,
                     to,
                     KwMsg::TQuery {
-                        keywords: Arc::clone(&shared_kw),
-                        remaining: threshold - satisfied.min(threshold),
+                        keywords: Arc::clone(&run.keywords),
+                        remaining: threshold - results.len().min(threshold),
                         requester: self.requester,
                         via_dim: None,
-                        root: root_ep,
+                        root: run.root_ep,
+                        reply: QueryReply::Results,
                     },
                 );
             }
             // Synchronize the round: deliver everything in flight.
-            while let Some(d) = self.net.step() {
-                last_at = d.at;
-                match d.payload {
-                    KwMsg::TQuery {
-                        keywords,
-                        remaining,
-                        requester,
-                        ..
-                    } => {
-                        contacted += 1;
-                        let vertex = self.vertex_of(d.to);
-                        self.scan_and_reply(vertex, &keywords, remaining, requester);
-                    }
-                    KwMsg::Results { objects } => {
-                        satisfied += objects.len();
-                        results.extend(objects);
-                    }
-                    KwMsg::TCont { .. }
-                    | KwMsg::TStop
-                    | KwMsg::TContFt { .. }
-                    | KwMsg::Churn(_)
-                    | KwMsg::Pin { .. }
-                    | KwMsg::PinResults { .. } => {}
+            self.pump(Until::Quiescence, &mut |_, event| {
+                if let SearchEvent::Results(objects) = event {
+                    results.extend(objects);
                 }
-            }
-            if satisfied >= threshold {
+            });
+            if results.len() >= threshold {
                 break;
             }
-            depth += 1;
+            from = run.root_ep;
         }
-
-        results.truncate(threshold);
-        Ok(SimSearchOutcome {
-            results,
-            nodes_contacted: contacted,
-            messages: self.net.metrics().messages_sent.get() - sent_before,
-            elapsed: last_at.saturating_since(start),
-            // The whole-tree count, even after an early exit.
-            pruned_subtrees: levels.drain(&self.summary),
-        })
+        // The whole-tree count, even after an early exit.
+        let pruned = levels.drain(&self.summary);
+        Ok(self.outcome(&run, results, threshold, pruned))
     }
 
     /// Runs the fault-tolerant superset search (§3.4).
@@ -693,8 +625,8 @@ impl ProtocolSim {
     /// root, or the requester if the root is dead) tracks every
     /// outstanding child query with a network timer, retransmits with
     /// exponential backoff up to `config.max_retries`, and applies
-    /// `config.strategy` once a child's budget is exhausted. The event
-    /// loop drains the network to quiescence, so the search terminates
+    /// `config.strategy` once a child's budget is exhausted. The pump
+    /// drains the network to quiescence, so the search terminates
     /// even when every vertex is dead — losses show up as skipped
     /// vertices in the [`CoverageReport`], never as a hang.
     ///
@@ -716,10 +648,9 @@ impl ProtocolSim {
         if policy.strategy != RecoveryStrategy::Naive && policy.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
-        let start = self.net.now();
-        // Interned: every (re)transmission of both sweeps shares it.
-        let kw = self.interner.intern(keywords.clone());
-        let mut core = FtCoordinator::new(self.hasher.vertex_for(&kw), kw, threshold, policy);
+        // Every (re)transmission of both sweeps shares the interned set.
+        let run = self.begin(keywords);
+        let mut core = FtCoordinator::new(run.root, Arc::clone(&run.keywords), threshold, policy);
         let (ft, pruned) = self.run_ft_pass(&mut core, config.prune, false);
         let mut report = CoverageReport {
             ft,
@@ -752,7 +683,7 @@ impl ProtocolSim {
             report.pruned_subtrees += pruned.subtrees;
             report.vertices_pruned += pruned.vertices;
         }
-        report.elapsed = self.net.now().saturating_since(start);
+        report.elapsed = self.cost(&run).1;
         Ok(FtSearchOutcome {
             results: core.into_results(),
             coverage: report,
@@ -765,7 +696,7 @@ impl ProtocolSim {
     /// subtree re-delegation, result collection, coverage accounting —
     /// lives in the shared sans-I/O [`FtCoordinator`]; this method is
     /// only the simnet substrate: it turns [`FtCmd`]s into messages and
-    /// virtual-time timers, scans vertices, and feeds deliveries and
+    /// virtual-time timers and feeds the pump's continuations and
     /// expirations back into the machine. The threaded runtime drives
     /// the *same* machine over wire frames and wall-clock deadlines.
     fn run_ft_pass(
@@ -774,123 +705,51 @@ impl ProtocolSim {
         prune: bool,
         secondary: bool,
     ) -> (FtCoverage, Pruned) {
-        let root_vertex = core.root();
-        let root_ep = self.endpoint_of(root_vertex.bits());
-        let prune = prune.then(|| FtPrune {
-            required: root_vertex.bits(),
-            zero_mask: root_vertex.zero_positions().fold(0u64, |m, i| m | 1 << i),
+        let root = core.root();
+        let mut pass = FtPass {
+            coord: self.endpoint_of(root.bits()),
+            timers: HashMap::new(),
             secondary,
-        });
-        let mut pruned = Pruned::default();
-        // Coordinator endpoint: the root, until a dead root promotes
-        // the requester (`FtCmd::Promote`).
-        let mut coord = root_ep;
-        // Armed retransmission timers by vertex bits, kept only to
-        // disarm them: a timer left to fire into the machine's no-op
-        // would still advance the clock `elapsed` is read from.
-        let mut timers: HashMap<u64, TimerId> = HashMap::new();
+            prune: prune.then(|| {
+                let zero_mask = root.zero_positions().fold(0u64, |m, i| m | 1 << i);
+                (root.bits(), zero_mask)
+            }),
+            pruned: Pruned::default(),
+        };
         let mut cmds = Vec::new();
 
         core.start(&mut cmds);
-        self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
-
-        while let Some(ev) = self.net.step_event() {
-            // Churn traffic (membership timers, handoff batches, repair
-            // pushes) interleaves with the search on the same network;
-            // it is consumed here.
-            let Some(ev) = self.churn_intercept(ev) else {
-                continue;
-            };
-            match ev {
-                NetEvent::Delivery(d) => {
-                    let (to, from) = (d.to, d.from);
-                    match d.payload {
-                        KwMsg::TQuery {
-                            keywords: qkw,
-                            remaining: rem,
-                            via_dim,
-                            root,
-                            ..
-                        } => {
-                            let vertex = self.vertex_of(to);
-                            if self.churn_vertex_silent(vertex.bits()) {
-                                // Mid-handoff or crashed-unreassigned:
-                                // the vertex stays silent, so the
-                                // coordinator's timer makes it a
-                                // retriable target — a later retry can
-                                // succeed once the handoff lands.
-                                continue;
-                            }
-                            if to == coord && via_dim.is_none() {
-                                // The root doubles as coordinator: it
-                                // scans locally, no self-messages.
-                                let bits = vertex.bits();
-                                if core.is_covered(bits) {
-                                    continue; // duplicate of a retried query
-                                }
-                                let objects = self.scan(vertex, &qkw, rem, secondary);
-                                let children: Vec<_> = child_contacts(vertex, None).collect();
-                                core.on_scan(
-                                    bits,
-                                    objects.into_iter().map(|o| (o.object, o)),
-                                    &children,
-                                    |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
-                                    &mut cmds,
-                                );
-                                self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
-                            } else {
-                                // Ordinary node: continuation back to
-                                // the coordinator named in the query,
-                                // results piggybacked so retransmitted
-                                // queries re-deliver them.
-                                let objects = self.scan(vertex, &qkw, rem, secondary);
-                                let children = child_contacts(vertex, via_dim).collect();
-                                if root != to {
-                                    self.net
-                                        .send(to, root, KwMsg::TContFt { objects, children });
-                                }
-                            }
-                        }
-                        KwMsg::TContFt { objects, children } => {
-                            if to != coord {
-                                continue; // stale coordinator address
-                            }
-                            core.on_reply(
-                                self.vertex_of(from).bits(),
-                                objects.into_iter().map(|o| (o.object, o)),
-                                &children,
-                                |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
-                                &mut cmds,
-                            );
-                            self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
-                        }
-                        // Legacy sequential/parallel variants cannot
-                        // appear mid-pass (every search drains the
-                        // network first); ignore them defensively.
-                        // Churn messages were consumed by the intercept
-                        // above.
-                        KwMsg::TCont { .. }
-                        | KwMsg::TStop
-                        | KwMsg::Results { .. }
-                        | KwMsg::Churn(_)
-                        | KwMsg::Pin { .. }
-                        | KwMsg::PinResults { .. } => {}
+        self.ft_exec(core, &mut cmds, &mut pass);
+        self.pump(Until::Quiescence, &mut |sim, event| {
+            match event {
+                SearchEvent::ContFt {
+                    at,
+                    bits,
+                    objects,
+                    children,
+                    local,
+                } => {
+                    // A stale coordinator address, or the duplicate of
+                    // a retried root query.
+                    if at != pass.coord || (local && core.is_covered(bits)) {
+                        return;
+                    }
+                    let objects = objects.into_iter().map(|o| (o.object, o));
+                    let filter = |b, dim| sim.ft_try_prune(&mut pass, b, dim);
+                    if local {
+                        core.on_scan(bits, objects, &children, filter, &mut cmds);
+                    } else {
+                        core.on_reply(bits, objects, &children, filter, &mut cmds);
                     }
                 }
-                NetEvent::Timer(t) => {
-                    let SimTimer::Ft { bits, generation } = t.token else {
-                        continue; // a churn timer, with churn disabled
-                    };
-                    core.on_timeout(
-                        bits,
-                        generation,
-                        |b, dim| self.ft_try_prune(prune, &mut pruned, b, dim),
-                        &mut cmds,
-                    );
-                    self.ft_exec(core, &mut cmds, &mut coord, &mut timers);
+                SearchEvent::Timeout { bits, generation } => {
+                    let filter = |b, dim| sim.ft_try_prune(&mut pass, b, dim);
+                    core.on_timeout(bits, generation, filter, &mut cmds);
                 }
+                _ => return,
             }
-        }
+            sim.ft_exec(core, &mut cmds, &mut pass);
+        });
 
         // Quiescence: the machine accounts queries still outstanding
         // (no timers were armed, or the coordinator died) as skipped
@@ -900,7 +759,7 @@ impl ProtocolSim {
         metrics.retries.add(coverage.retries);
         metrics.timeouts.add(coverage.timeouts);
         metrics.redelegations.add(coverage.redelegations);
-        (coverage, pruned)
+        (coverage, pass.pruned)
     }
 
     /// Executes the machine's pending commands over simnet transport:
@@ -911,14 +770,13 @@ impl ProtocolSim {
         &mut self,
         core: &FtCoordinator<RankedObject>,
         cmds: &mut Vec<FtCmd>,
-        coord: &mut EndpointId,
-        timers: &mut HashMap<u64, TimerId>,
+        pass: &mut FtPass,
     ) {
         for cmd in cmds.drain(..) {
             match cmd {
-                FtCmd::Promote => *coord = self.requester,
+                FtCmd::Promote => pass.coord = self.requester,
                 FtCmd::Cancel { bits } => {
-                    if let Some(t) = timers.remove(&bits) {
+                    if let Some(t) = pass.timers.remove(&bits) {
                         self.net.cancel_timer(t);
                     }
                 }
@@ -935,7 +793,7 @@ impl ProtocolSim {
                     let owner = if via_dim.is_none() {
                         self.requester
                     } else {
-                        *coord
+                        pass.coord
                     };
                     let to = self.endpoint_of(bits);
                     self.net.send(
@@ -946,7 +804,10 @@ impl ProtocolSim {
                             remaining: core.remaining(),
                             requester: self.requester,
                             via_dim,
-                            root: *coord,
+                            root: pass.coord,
+                            reply: QueryReply::ContFt {
+                                secondary: pass.secondary,
+                            },
                         },
                     );
                     if let Some(ticks) = timeout {
@@ -955,7 +816,7 @@ impl ProtocolSim {
                             SimDuration::from_ticks(ticks),
                             SimTimer::Ft { bits, generation },
                         );
-                        timers.insert(bits, timer);
+                        pass.timers.insert(bits, timer);
                     }
                 }
             }
@@ -965,110 +826,235 @@ impl ProtocolSim {
     /// Prune filter handed to the shared machine: consults the
     /// occupancy summary of the swept cube and accounts what it
     /// disproves.
-    fn ft_try_prune(
-        &self,
-        prune: Option<FtPrune>,
-        pruned: &mut Pruned,
-        bits: u64,
-        dim: u8,
-    ) -> bool {
-        let Some(p) = prune else {
+    fn ft_try_prune(&self, pass: &mut FtPass, bits: u64, dim: u8) -> bool {
+        let Some((required, zero_mask)) = pass.prune else {
             return false;
         };
-        let summary = if p.secondary {
+        let summary = if pass.secondary {
             &self.summary2
         } else {
             &self.summary
         };
-        if summary.can_prune(bits, dim, p.required) {
-            pruned.subtrees += 1;
-            // The child's subtree spans the free dims strictly below
-            // its arrival dimension.
-            let free_below = (p.zero_mask & ((1u64 << dim) - 1)).count_ones();
-            pruned.vertices += 1u64 << free_below;
-            true
-        } else {
-            false
+        if !summary.can_prune(bits, dim, required) {
+            return false;
+        }
+        pass.pruned.subtrees += 1;
+        // The child's subtree spans the free dims strictly below its
+        // arrival dimension.
+        let free_below = (zero_mask & ((1u64 << dim) - 1)).count_ones();
+        pass.pruned.vertices += 1u64 << free_below;
+        true
+    }
+
+    /// Every search's prologue, taken before its first send. Interned:
+    /// repeated searches and every hop share one allocation.
+    fn begin(&mut self, keywords: &KeywordSet) -> Started {
+        let root = self.hasher.vertex_for(keywords);
+        Started {
+            keywords: self.interner.intern(keywords.clone()),
+            root,
+            root_ep: self.endpoint_of(root.bits()),
+            at: self.net.now(),
+            sent: self.net.metrics().messages_sent.get(),
+            visits: self.visits,
         }
     }
 
-    /// Scans a vertex's table (primary or secondary) for supersets of
-    /// `keywords`, returning at most `remaining` matches.
-    fn scan(
+    /// Messages carried and virtual time passed since `run` began, up
+    /// to the last network event.
+    fn cost(&self, run: &Started) -> (u64, SimDuration) {
+        (
+            self.net.metrics().messages_sent.get() - run.sent,
+            self.net.now().saturating_since(run.at),
+        )
+    }
+
+    fn outcome(
         &self,
-        vertex: Vertex,
-        keywords: &KeywordSet,
-        remaining: usize,
-        secondary: bool,
-    ) -> Vec<RankedObject> {
-        let tables = if secondary {
-            &self.tables2
-        } else {
-            &self.tables
-        };
-        // Unmaterialized vertex: logically contacted, holds nothing
-        // (`scan_store` treats `None` exactly that way).
-        let mut found = Vec::new();
-        scan_store(
-            tables.get(&vertex.bits()),
-            keywords,
-            keywords.signature(),
-            remaining,
-            &mut found,
-        );
-        found
-    }
-
-    /// Scans a vertex's primary table, sends matches to the requester,
-    /// and returns how many were sent.
-    fn scan_and_reply(
-        &mut self,
-        vertex: Vertex,
-        keywords: &KeywordSet,
-        remaining: usize,
-        requester: EndpointId,
-    ) -> usize {
-        let found = self.scan(vertex, keywords, remaining, false);
-        let count = found.len();
-        if count > 0 {
-            let from = self.endpoint_of(vertex.bits());
-            self.net
-                .send(from, requester, KwMsg::Results { objects: found });
+        run: &Started,
+        mut results: Vec<RankedObject>,
+        threshold: usize,
+        pruned_subtrees: u64,
+    ) -> SimSearchOutcome {
+        results.truncate(threshold);
+        let (messages, elapsed) = self.cost(run);
+        SimSearchOutcome {
+            results,
+            nodes_contacted: self.visits - run.visits,
+            messages,
+            elapsed,
+            pruned_subtrees,
         }
-        count
     }
 
-    /// Pops the coordinator's next frontier node and queries it, or
-    /// marks the search done.
-    fn advance(&mut self, coord: &mut Coordinator, root_ep: EndpointId) {
-        // With pruning on, provably-empty frontier entries are consumed
-        // (and counted) without sending anything; the coordinator
-        // carries `One(F_h(K))` explicitly.
+    /// The one place the network is stepped. Pops events until `until`,
+    /// gives membership timers to the churn engine and deliveries to
+    /// [`ProtocolSim::receive`], and hands whatever is addressed to a
+    /// coordinator or the requester to `search` — the one search in
+    /// progress (the churn drivers run none and pass a no-op).
+    pub(crate) fn pump(&mut self, until: Until, search: &mut dyn FnMut(&mut Self, SearchEvent)) {
         loop {
-            match coord.core.next_step() {
-                Step::Finished => return,
-                Step::Visit { bits, via_dim } => {
-                    let dim = via_dim.expect("the root visit was consumed at creation");
-                    if self.prune && self.summary.can_prune(bits, dim, coord.core.root_bits()) {
-                        coord.pruned += 1;
-                        continue;
-                    }
-                    let to = self.endpoint_of(bits);
-                    self.net.send(
-                        root_ep,
-                        to,
-                        KwMsg::TQuery {
-                            keywords: Arc::clone(&coord.keywords),
-                            remaining: coord.core.remaining(),
-                            requester: coord.requester,
-                            via_dim: Some(dim),
-                            root: root_ep,
-                        },
-                    );
+            if let Until::Instant(t) = until {
+                if self.net.next_due().is_none_or(|due| due > t) {
                     return;
                 }
             }
+            let event = match self.net.step_event() {
+                None => return,
+                Some(NetEvent::Timer(t)) if until == Until::Timer(t.id) => return,
+                Some(NetEvent::Timer(t)) => match t.token {
+                    SimTimer::Churn(timer) => {
+                        self.churn_timer(timer);
+                        None
+                    }
+                    SimTimer::Ft { bits, generation } => {
+                        Some(SearchEvent::Timeout { bits, generation })
+                    }
+                },
+                Some(NetEvent::Delivery(d)) => self.receive(d),
+            };
+            if let Some(event) = event {
+                search(self, event);
+            }
         }
+    }
+
+    /// One delivery, received — the single message handler, shaped
+    /// `handle(msg) → sends`. Membership traffic goes to the churn
+    /// engine; a node-bound message (`T_QUERY`, `Pin`) is answered
+    /// here, whatever search sent it; a message for a coordinator or
+    /// the requester is returned for the search in progress, as is the
+    /// continuation of a root that coordinates its own query (it scans
+    /// locally, no self-message).
+    fn receive(&mut self, d: Delivery<KwMsg>) -> Option<SearchEvent> {
+        let to = d.to;
+        match d.payload {
+            KwMsg::Churn(msg) => {
+                self.churn_deliver(to, d.from, msg);
+                None
+            }
+            KwMsg::TQuery {
+                keywords,
+                remaining,
+                requester,
+                via_dim,
+                root,
+                reply,
+            } => {
+                let vertex = self.vertex_of(to);
+                if self.churn_vertex_silent(vertex.bits()) {
+                    return None;
+                }
+                self.visits += 1;
+                let secondary = reply == QueryReply::ContFt { secondary: true };
+                let tables = if secondary {
+                    &self.tables2
+                } else {
+                    &self.tables
+                };
+                // Unmaterialized vertex: logically contacted, holds
+                // nothing (`scan_store` treats `None` exactly that way).
+                let mut objects = Vec::new();
+                scan_store(
+                    tables.get(&vertex.bits()),
+                    &keywords,
+                    keywords.signature(),
+                    remaining,
+                    &mut objects,
+                );
+                let children = || child_contacts(vertex, via_dim).collect();
+                if let QueryReply::ContFt { .. } = reply {
+                    // Results ride the continuation, so a retransmitted
+                    // query re-delivers them.
+                    if to != root {
+                        let children = children();
+                        self.net
+                            .send(to, root, KwMsg::TContFt { objects, children });
+                        return None;
+                    }
+                    return via_dim.is_none().then(|| SearchEvent::ContFt {
+                        at: to,
+                        bits: vertex.bits(),
+                        objects,
+                        children: children(),
+                        local: true,
+                    });
+                }
+                let found = objects.len();
+                if found > 0 {
+                    self.net.send(to, requester, KwMsg::Results { objects });
+                }
+                if reply == QueryReply::Results {
+                    None
+                } else if to == root {
+                    let children = children();
+                    Some(SearchEvent::Cont { found, children })
+                } else if found >= remaining {
+                    self.net.send(to, root, KwMsg::TStop);
+                    None
+                } else {
+                    let children = children();
+                    self.net.send(to, root, KwMsg::TCont { found, children });
+                    None
+                }
+            }
+            KwMsg::Pin {
+                keywords,
+                requester,
+            } => {
+                let bits = self.vertex_of(to).bits();
+                if !self.churn_vertex_silent(bits) {
+                    let objects = self
+                        .tables
+                        .get(&bits)
+                        .map(|t| t.objects_with(&keywords).collect())
+                        .unwrap_or_default();
+                    self.net.send(to, requester, KwMsg::PinResults { objects });
+                }
+                None
+            }
+            KwMsg::TCont { found, children } => Some(SearchEvent::Cont { found, children }),
+            KwMsg::TStop => Some(SearchEvent::Stop),
+            KwMsg::TContFt { objects, children } => Some(SearchEvent::ContFt {
+                at: to,
+                bits: self.vertex_of(d.from).bits(),
+                objects,
+                children,
+                local: false,
+            }),
+            KwMsg::Results { objects } => Some(SearchEvent::Results(objects)),
+            KwMsg::PinResults { objects } => Some(SearchEvent::Pinned(objects)),
+        }
+    }
+
+    /// Pops the sequential coordinator's next frontier node and queries
+    /// it, or finds the search done. With pruning on, provably-empty
+    /// frontier entries are consumed without sending anything; returns
+    /// how many.
+    fn advance(&mut self, core: &mut SupersetCoordinator, run: &Started) -> u64 {
+        let mut pruned = 0;
+        while let Step::Visit { bits, via_dim } = core.next_step() {
+            let dim = via_dim.expect("the root visit was consumed at creation");
+            if self.prune && self.summary.can_prune(bits, dim, core.root_bits()) {
+                pruned += 1;
+                continue;
+            }
+            let to = self.endpoint_of(bits);
+            self.net.send(
+                run.root_ep,
+                to,
+                KwMsg::TQuery {
+                    keywords: Arc::clone(&run.keywords),
+                    remaining: core.remaining(),
+                    requester: self.requester,
+                    via_dim: Some(dim),
+                    root: run.root_ep,
+                    reply: QueryReply::Cont,
+                },
+            );
+            break;
+        }
+        pruned
     }
 
     fn vertex_of(&self, ep: EndpointId) -> Vertex {
@@ -1137,15 +1123,22 @@ struct Pruned {
     vertices: u64,
 }
 
-/// Pass-constant pruning context for the fault-tolerant traversal.
-#[derive(Debug, Clone, Copy)]
-struct FtPrune {
-    /// `One(F_h(K))`: the keyword positions every match must cover.
-    required: u64,
-    /// Mask of the query root's free dimensions (subtree sizing).
-    zero_mask: u64,
+/// The simnet side of one fault-tolerant sweep.
+#[derive(Debug)]
+struct FtPass {
+    /// Coordinator endpoint: the root, until a dead root promotes the
+    /// requester (`FtCmd::Promote`).
+    coord: EndpointId,
+    /// Armed retransmission timers by vertex bits, kept only to disarm
+    /// them.
+    timers: HashMap<u64, TimerId>,
     /// Whether this pass sweeps the secondary cube.
     secondary: bool,
+    /// With pruning on: `One(F_h(K))`, the keyword positions every
+    /// match must cover, and the mask of the root's free dimensions
+    /// (subtree sizing).
+    prune: Option<(u64, u64)>,
+    pruned: Pruned,
 }
 
 #[cfg(test)]

@@ -3,12 +3,16 @@
 //! corrupt tails. The contract: complete units decode byte-identically
 //! no matter how the stream fragments, and malformed bytes surface as
 //! typed errors — never a panic, never a silent loss. Coalesced
-//! multi-unit packets go through the same split sweep, and the
-//! length-prefix pre-reservation is held to its bounds.
+//! multi-unit packets go through the same split sweep — the packet a
+//! socket lane really ships included — and the length-prefix
+//! pre-reservation is held to its bounds.
+
+use std::sync::mpsc::sync_channel;
 
 use hyperdex_core::KeywordSet;
 use hyperdex_net::stream::{encode_unit, push_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::wire::{exemplars, insert_frame, WireError, WireMsg};
+use hyperdex_runtime::{Fabric, PacketPool};
 
 #[test]
 fn every_variant_survives_every_split_point() {
@@ -199,6 +203,38 @@ fn coalesced_multi_unit_packets_survive_every_split_point() {
         assert_eq!(got, msgs, "unit set diverged at split {split}");
         assert_eq!(dec.buffered(), 0, "leftover bytes at split {split}");
     }
+}
+
+#[test]
+fn a_socket_lanes_packet_is_the_unit_stream_the_decoder_reads() {
+    // What a socket lane puts on a writer queue is byte for byte the
+    // `[dest][frame]` unit stream `push_unit` writes for the frames
+    // appended, in append order, and the decoder splits it cleanly
+    // back into them. (The lane's behaviour under full and closed
+    // sinks is property-tested against a model in `hyperdex-runtime`'s
+    // `transport` tests.)
+    let (tx, rx) = sync_channel(1);
+    let mut fabric = Fabric::new(3, PacketPool::default());
+    fabric.socket_lane(tx, [(0, 5), (2, CLIENT_DEST)]);
+    let mut expected = Vec::new();
+    for (i, msg) in exemplars().iter().enumerate() {
+        let (endpoint, unit_dest) = [(0, 5), (2, CLIENT_DEST)][i % 2];
+        fabric.append(endpoint, msg);
+        push_unit(&mut expected, unit_dest, &msg.encode());
+    }
+    fabric.offer(true);
+    assert_eq!(fabric.pending(), 0);
+    let packet = rx.try_recv().expect("one packet for the whole window");
+    assert_eq!(packet, expected);
+
+    let mut dec = StreamDecoder::new();
+    dec.push(&packet);
+    for (i, msg) in exemplars().iter().enumerate() {
+        let unit = dec.next_unit().expect("well-formed").expect("buffered");
+        assert_eq!(unit.dest, [5, CLIENT_DEST][i % 2]);
+        assert_eq!(WireMsg::decode_exact(&unit.frame).as_ref(), Ok(msg));
+    }
+    assert_eq!(dec.buffered(), 0, "the packet ends on a unit boundary");
 }
 
 #[test]

@@ -16,11 +16,16 @@
 //! predates a write this client flushed (DESIGN.md § "Serving-path
 //! result cache"). The marks ride the request frame; no frame is added.
 //!
-//! An FT attempt the client gave up on may still finish, its
-//! `FtQueryDone` arriving ahead of whatever the client asked for next;
-//! every wait in the core discards such frames.
+//! Every client-bound frame is received in one place,
+//! `ClientCore::recv`, whichever operation is waiting: a `FlushAck`
+//! always folds its epoch into the marks; a reply under an id nobody
+//! awaits — the completion of a request that timed out, of an FT
+//! attempt the client gave up on, the ack of an abandoned barrier — is
+//! dropped and counted ([`ClientCore::stale_replies`]), so a request
+//! issued after an [`Error::Timeout`] is safe; and a frame kind no
+//! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use hyperdex_core::{
@@ -156,6 +161,16 @@ pub struct ClientCore<L> {
     next_id: u64,
     /// Per worker: the highest write epoch a `FlushAck` carried.
     marks: Vec<u64>,
+    /// Replies dropped because nobody awaited their id.
+    stale_replies: u64,
+}
+
+/// What a reply carries besides its id: matches (a pin's are exact, so
+/// zero extra keywords; a `FlushAck` has none) and, from an FT
+/// coordinator, its coverage.
+struct Reply {
+    matches: Vec<(u64, u32)>,
+    coverage: Option<FtCoverage>,
 }
 
 impl<L: ClientLink> ClientCore<L> {
@@ -174,7 +189,14 @@ impl<L: ClientLink> ClientCore<L> {
             request_timeout,
             next_id: 0,
             marks: vec![0; shards.workers() as usize],
+            stale_replies: 0,
         }
+    }
+
+    /// Replies dropped because no request awaited their id any more
+    /// (it timed out, or its FT attempt was abandoned).
+    pub fn stale_replies(&self) -> u64 {
+        self.stale_replies
     }
 
     /// The keyword → vertex hash the cluster shares.
@@ -236,26 +258,8 @@ impl<L: ClientLink> ClientCore<L> {
             self.link.queue(w, &WireMsg::Flush { token });
         }
         self.link.ship()?;
-        let mut pending = workers;
-        while pending > 0 {
-            let deadline = self.request_deadline();
-            match self.recv_reply(deadline, "flush ack", None)? {
-                // An ack of a barrier that timed out still says how
-                // far its worker's shard has moved.
-                WireMsg::FlushAck {
-                    token: acked,
-                    worker,
-                    epoch,
-                } => {
-                    if let Some(mark) = self.marks.get_mut(worker as usize) {
-                        *mark = (*mark).max(epoch);
-                    }
-                    pending -= u32::from(acked == token);
-                }
-                // Completions of abandoned FT attempts.
-                WireMsg::FtQueryDone { .. } => {}
-                other => panic!("unexpected frame during flush barrier: {other:?}"),
-            }
+        for _ in 0..workers {
+            self.recv_reply("flush ack", None, |id| (id == token).then_some(()))?;
         }
         Ok(())
     }
@@ -267,17 +271,7 @@ impl<L: ClientLink> ClientCore<L> {
     /// [`Error::Timeout`] on a late reply, otherwise the link's errors.
     pub fn pin_search(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
         let (id, owner) = self.queue_pin(keywords);
-        self.link.ship()?;
-        let deadline = self.request_deadline();
-        loop {
-            match self.recv_reply(deadline, "pin reply", Some(owner))? {
-                WireMsg::PinResults { query_id, objects } if query_id == id => {
-                    return Ok(object_ids(objects));
-                }
-                WireMsg::FtQueryDone { .. } => {}
-                other => panic!("unexpected frame awaiting pin results: {other:?}"),
-            }
-        }
+        Ok(object_ids(self.complete(id, owner, "pin reply")?.matches))
     }
 
     /// Superset search (§3.3) on the perfect-transport path: blocks
@@ -296,17 +290,7 @@ impl<L: ClientLink> ClientCore<L> {
             return Err(Error::ZeroThreshold);
         }
         let (id, owner) = self.queue_superset(keywords, threshold);
-        self.link.ship()?;
-        let deadline = self.request_deadline();
-        loop {
-            match self.recv_reply(deadline, "superset reply", Some(owner))? {
-                WireMsg::QueryDone { query_id, objects } if query_id == id => {
-                    return Ok(matches(objects));
-                }
-                WireMsg::FtQueryDone { .. } => {}
-                other => panic!("unexpected frame awaiting query results: {other:?}"),
-            }
-        }
+        Ok(matches(self.complete(id, owner, "superset reply")?.matches))
     }
 
     /// Fault-tolerant superset search (§3.4): a window of one.
@@ -359,20 +343,25 @@ impl<L: ClientLink> ClientCore<L> {
         let attempt_timeout = Duration::from_millis(opts.attempt_timeout_ms.max(1));
         let mut out: Vec<Option<FtSearchOutcome>> = queries.iter().map(|_| None).collect();
         let mut flights: HashMap<u64, Flight> = HashMap::new();
-        let mut next = 0usize;
+        // `(slot, attempt)` still to issue; a re-issue goes first, into
+        // the window slot its expired attempt just left.
+        let mut due: VecDeque<(usize, u32)> = (0..queries.len()).map(|slot| (slot, 1)).collect();
         let mut done = 0usize;
         while done < queries.len() {
-            while next < queries.len() && flights.len() < window {
-                let id = self.queue_ft(&queries[next], threshold, opts);
+            while flights.len() < window {
+                let Some((slot, attempt)) = due.pop_front() else {
+                    break;
+                };
+                let id = self.queue_ft(&queries[slot], threshold, opts);
+                let deadline = Instant::now() + attempt_timeout;
                 flights.insert(
                     id,
                     Flight {
-                        slot: next,
-                        attempt: 1,
-                        deadline: Instant::now() + attempt_timeout,
+                        slot,
+                        attempt,
+                        deadline,
                     },
                 );
-                next += 1;
             }
             self.link.ship()?;
             let deadline = flights
@@ -380,26 +369,19 @@ impl<L: ClientLink> ClientCore<L> {
                 .map(|f| f.deadline)
                 .min()
                 .expect("incomplete slots are in flight");
-            match self.link.recv(Some(deadline), None)? {
-                Some(WireMsg::FtQueryDone {
-                    query_id,
-                    objects,
-                    coverage,
-                }) => {
-                    // A miss is the completion of an abandoned attempt:
-                    // the old coordinator was slow, not dead. Discard.
-                    let Some(flight) = flights.remove(&query_id) else {
-                        continue;
-                    };
+            match self.recv(Some(deadline), None, |id| flights.remove(&id))? {
+                Some((flight, reply)) => {
                     out[flight.slot] = Some(FtSearchOutcome {
-                        matches: matches(objects),
-                        complete: coverage.skipped.is_empty(),
+                        matches: matches(reply.matches),
+                        complete: reply
+                            .coverage
+                            .as_ref()
+                            .is_some_and(|c| c.skipped.is_empty()),
                         attempts: flight.attempt,
-                        coverage: Some(coverage),
+                        coverage: reply.coverage,
                     });
                     done += 1;
                 }
-                Some(other) => panic!("unexpected frame awaiting FT results: {other:?}"),
                 None => {
                     // Only the expired flights re-issue (fresh id) or
                     // degrade; the rest of the window keeps waiting.
@@ -411,28 +393,20 @@ impl<L: ClientLink> ClientCore<L> {
                         .collect();
                     for id in expired {
                         let flight = flights.remove(&id).expect("collected above");
-                        if flight.attempt >= attempts {
-                            // Every attempt timed out — no coordinator
-                            // ever answered. Degrade with an honest
-                            // "nothing confirmed" report.
-                            out[flight.slot] = Some(FtSearchOutcome {
-                                matches: Vec::new(),
-                                complete: false,
-                                attempts,
-                                coverage: None,
-                            });
-                            done += 1;
-                        } else {
-                            let new_id = self.queue_ft(&queries[flight.slot], threshold, opts);
-                            flights.insert(
-                                new_id,
-                                Flight {
-                                    slot: flight.slot,
-                                    attempt: flight.attempt + 1,
-                                    deadline: Instant::now() + attempt_timeout,
-                                },
-                            );
+                        if flight.attempt < attempts {
+                            due.push_front((flight.slot, flight.attempt + 1));
+                            continue;
                         }
+                        // Every attempt timed out — no coordinator ever
+                        // answered. Degrade with an honest "nothing
+                        // confirmed" report.
+                        out[flight.slot] = Some(FtSearchOutcome {
+                            matches: Vec::new(),
+                            complete: false,
+                            attempts,
+                            coverage: None,
+                        });
+                        done += 1;
                     }
                 }
             }
@@ -470,24 +444,10 @@ impl<L: ClientLink> ClientCore<L> {
                 next += 1;
             }
             self.link.ship()?;
-            let deadline = self.request_deadline();
-            let (query_id, objects) = match self.recv_reply(deadline, "batch reply", None)? {
-                WireMsg::PinResults { query_id, objects } => (query_id, object_ids(objects)),
-                WireMsg::QueryDone { query_id, objects } => (
-                    query_id,
-                    objects
-                        .into_iter()
-                        .map(|(raw, _)| ObjectId::from_raw(raw))
-                        .collect(),
-                ),
-                WireMsg::FtQueryDone { .. } => continue,
-                other => panic!("unexpected frame during batch: {other:?}"),
-            };
-            let (slot, started) = in_flight
-                .remove(&query_id)
-                .expect("completion for an in-flight request");
+            let ((slot, started), reply) =
+                self.recv_reply("batch reply", None, |id| in_flight.remove(&id))?;
             out[slot] = Some(BatchResult {
-                objects,
+                objects: object_ids(reply.matches),
                 latency: started.elapsed(),
             });
             completed += 1;
@@ -560,29 +520,94 @@ impl<L: ClientLink> ClientCore<L> {
         id
     }
 
-    fn request_deadline(&self) -> Option<Instant> {
-        self.request_timeout.map(|t| Instant::now() + t)
+    /// Ships what is queued and waits for request `id`'s completion
+    /// from `owner` — a window of one.
+    fn complete(&mut self, id: u64, owner: u32, operation: &str) -> Result<Reply, Error> {
+        self.link.ship()?;
+        let ((), reply) =
+            self.recv_reply(operation, Some(owner), |got| (got == id).then_some(()))?;
+        Ok(reply)
     }
 
-    /// One frame before `deadline`, a missed deadline being
-    /// [`Error::Timeout`] naming `operation`.
-    fn recv_reply(
+    /// One awaited reply within the request deadline, a missed
+    /// deadline being [`Error::Timeout`] naming `operation`.
+    fn recv_reply<T>(
         &mut self,
-        deadline: Option<Instant>,
         operation: &str,
         awaiting: Option<u32>,
-    ) -> Result<WireMsg, Error> {
-        self.link
-            .recv(deadline, awaiting)?
+        claim: impl FnMut(u64) -> Option<T>,
+    ) -> Result<(T, Reply), Error> {
+        let deadline = self.request_timeout.map(|t| Instant::now() + t);
+        self.recv(deadline, awaiting, claim)?
             .ok_or_else(|| Error::Timeout {
                 operation: operation.to_string(),
                 after_ms: self.request_timeout.map_or(0, |t| t.as_millis() as u64),
             })
     }
+
+    /// The one receive path: the next reply some request awaits, or
+    /// `None` once `deadline` passes. `claim` takes a reply's id (query
+    /// id or flush token — one counter issues both) out of the caller's
+    /// window; an id it does not know is a stale reply, dropped and
+    /// counted.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnexpectedFrame`] for a frame kind no client is ever
+    /// sent, otherwise the link's errors.
+    fn recv<T>(
+        &mut self,
+        deadline: Option<Instant>,
+        awaiting: Option<u32>,
+        mut claim: impl FnMut(u64) -> Option<T>,
+    ) -> Result<Option<(T, Reply)>, Error> {
+        while let Some(frame) = self.link.recv(deadline, awaiting)? {
+            let (id, matches, coverage) = match frame {
+                // Even the ack of a barrier that timed out says how far
+                // its worker's shard has moved.
+                WireMsg::FlushAck {
+                    token,
+                    worker,
+                    epoch,
+                } => {
+                    if let Some(mark) = self.marks.get_mut(worker as usize) {
+                        *mark = (*mark).max(epoch);
+                    }
+                    (token, Vec::new(), None)
+                }
+                WireMsg::PinResults { query_id, objects } => (
+                    query_id,
+                    objects.into_iter().map(|raw| (raw, 0)).collect(),
+                    None,
+                ),
+                WireMsg::QueryDone { query_id, objects } => (query_id, objects, None),
+                WireMsg::FtQueryDone {
+                    query_id,
+                    objects,
+                    coverage,
+                } => (query_id, objects, Some(coverage)),
+                other => {
+                    let debug = format!("{other:?}");
+                    let kind = debug.split(|c: char| !c.is_alphanumeric()).next();
+                    return Err(Error::UnexpectedFrame {
+                        kind: kind.unwrap_or_default().to_string(),
+                    });
+                }
+            };
+            match claim(id) {
+                Some(kept) => return Ok(Some((kept, Reply { matches, coverage }))),
+                None => self.stale_replies += 1,
+            }
+        }
+        Ok(None)
+    }
 }
 
-fn object_ids(raw: Vec<u64>) -> Vec<ObjectId> {
-    raw.into_iter().map(ObjectId::from_raw).collect()
+fn object_ids(matches: Vec<(u64, u32)>) -> Vec<ObjectId> {
+    matches
+        .into_iter()
+        .map(|(raw, _)| ObjectId::from_raw(raw))
+        .collect()
 }
 
 fn matches(objects: Vec<(u64, u32)>) -> Vec<RuntimeMatch> {

@@ -305,7 +305,7 @@ mod tests {
         /// step; the script runs on one thread, so finishing at all is
         /// the proof that nothing ever blocks. (That a socket lane's
         /// packet is what the stream decoder reads: `hyperdex-net`'s
-        /// `lane_packets` suite, where the decoder is.)
+        /// `stream_robustness` suite, where the decoder is.)
         #[test]
         fn lanes_follow_the_model(
             script in prop::collection::vec((0u8..8, 0usize..4, 1usize..4), 1..200)

@@ -179,6 +179,11 @@ counter_record! {
         cache_stale,
         /// Cache slots pushed out by a newer reservation.
         cache_evictions,
+        /// Inbox frames that did not decode (or a packet remainder that
+        /// did not split into frames): skipped, and counted here
+        /// *instead of* `frames_received` — no honest sender counted
+        /// them as sent, so the frame ledger balances without them.
+        frames_undecodable,
     }
 }
 
@@ -441,12 +446,19 @@ impl Worker {
             // logical receive.
             let mut rest: &[u8] = &packet;
             while !rest.is_empty() {
-                let (frame, tail) =
-                    take_frame(rest).expect("runtime peers emit well-formed frames");
+                // The bytes may have come off a socket: what does not
+                // split or decode is counted and skipped — a remainder
+                // that cannot be split, once.
+                let Ok((frame, tail)) = take_frame(rest) else {
+                    self.stats.frames_undecodable += 1;
+                    break;
+                };
                 rest = tail;
+                let Ok(msg) = WireMsg::decode_exact(frame) else {
+                    self.stats.frames_undecodable += 1;
+                    continue;
+                };
                 self.stats.frames_received += 1;
-                let msg =
-                    WireMsg::decode_exact(frame).expect("runtime peers emit well-formed frames");
                 if matches!(msg, WireMsg::Shutdown) {
                     shutting_down = true;
                     // Delayed frames still stashed will never be
@@ -1286,7 +1298,7 @@ mod tests {
 
     #[test]
     fn report_lines_roundtrip_in_declaration_order() {
-        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16";
+        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17";
         let stats = WorkerStats::parse_line(line).unwrap();
         assert_eq!(
             (stats.worker, stats.frames_sent, stats.scans),
@@ -1294,19 +1306,20 @@ mod tests {
             "{stats:?}"
         );
         assert_eq!((stats.batch_entries_sent, stats.cache_evictions), (27, 16));
+        assert_eq!(stats.frames_undecodable, 17);
         assert_eq!(stats.report_line(), line);
         // A line one counter short (the cache columns' predecessor
         // format included) or long is rejected, never zero-filled.
         assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
         assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
-        assert!(WorkerStats::parse_line(&format!("{line} 17")).is_none());
+        assert!(WorkerStats::parse_line(&format!("{line} 18")).is_none());
         assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
         // Merging sums every counter and leaves the key alone.
         let mut merged = stats.clone();
         merged.merge(&stats);
         assert_eq!(
             merged.report_line(),
-            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32"
+            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34"
         );
 
         let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5 6").unwrap();

@@ -2,8 +2,9 @@
 //! scripted in-memory [`ClientLink`] — no sockets, no threads: window
 //! refill and out-of-order completion, an FT flight re-issuing under a
 //! fresh id while the rest of its window completes, degrade-to-empty
-//! after the attempt budget, stale completions, and how many frames
-//! each operation ships.
+//! after the attempt budget, stale completions (an abandoned FT
+//! attempt's, a timed-out request's), a frame kind no client is sent,
+//! and how many frames each operation ships.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -95,9 +96,11 @@ fn ft_done(query_id: u64) -> WireMsg {
     }
 }
 
-/// The honest reply to a pin, sequential query or flush frame.
+/// The honest reply to a pin, sequential query, FT query or flush
+/// frame.
 fn echo(worker: u32, msg: &WireMsg) -> WireMsg {
     match msg {
+        WireMsg::FtQuery { query_id, .. } => ft_done(*query_id),
         WireMsg::Pin { query_id, .. } => WireMsg::PinResults {
             query_id: *query_id,
             objects: vec![*query_id],
@@ -125,29 +128,67 @@ fn quick(attempts: u32) -> FtSearchOptions {
 }
 
 #[test]
-fn stale_ft_completions_are_discarded_by_every_wait() {
-    // The completion of an attempt the client abandoned lands ahead
-    // of each reply the client actually waits for.
-    let mut c = client(|burst, inbox| {
-        inbox.push_back(ft_done(9_999));
-        inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+fn stale_replies_are_dropped_and_counted_by_every_wait() {
+    // Nobody answers the first pin in time. Its reply then lands ahead
+    // of the replies to every later burst, and with it the completion
+    // of an FT attempt the client abandoned.
+    let mut c = client({
+        let mut late = None;
+        move |burst, inbox| match &late {
+            None => late = Some(echo(burst[0].0, &burst[0].1)),
+            Some(stale) => {
+                inbox.extend([stale.clone(), ft_done(9_999)]);
+                inbox.extend(burst.iter().map(|(w, msg)| echo(*w, msg)));
+            }
+        }
     });
-    assert_eq!(c.pin_search(&set("a b")).unwrap().len(), 1);
-    assert_eq!(c.superset_search(&set("a"), 5).unwrap().len(), 1);
+    assert!(matches!(
+        c.pin_search(&set("slow")),
+        Err(Error::Timeout { .. })
+    ));
+    assert_eq!(c.stale_replies(), 0);
+    // Every canned reply carries its query id as the object: the
+    // second pin (id 2) gets its own, not the first one's.
+    assert_eq!(
+        c.pin_search(&set("next")).unwrap(),
+        vec![ObjectId::from_raw(2)]
+    );
+    assert_eq!(c.stale_replies(), 2);
+    assert_eq!(c.superset_search(&set("a"), 5).unwrap()[0].object.raw(), 3);
     c.flush().unwrap();
-    let batch = c
-        .run_batch(
-            &[
-                Request::Pin(set("a")),
-                Request::Superset {
-                    keywords: set("b"),
-                    threshold: 3,
-                },
-            ],
-            1,
-        )
+
+    let requests = [
+        Request::Pin(set("a")),
+        Request::Superset {
+            keywords: set("b"),
+            threshold: 3,
+        },
+    ];
+    let batch = c.run_batch(&requests, 2).unwrap();
+    let objects: Vec<u64> = batch.iter().map(|r| r.objects[0].raw()).collect();
+    assert_eq!(objects, vec![5, 6], "id 4 was the barrier's token");
+
+    let out = c
+        .superset_search_ft_batch(&[set("one"), set("two")], 16, &quick(3), 2)
         .unwrap();
-    assert_eq!(batch.len(), 2);
+    assert!(out.iter().all(|o| o.complete && o.attempts == 1));
+    assert_eq!(c.stale_replies(), 10, "two ahead of each of five bursts");
+    assert_eq!(c.into_link().shipped.len(), 11, "nothing was re-issued");
+}
+
+#[test]
+fn a_frame_kind_no_client_is_sent_is_a_typed_error() {
+    let stray = hyperdex_runtime::wire::exemplars()
+        .into_iter()
+        .find(|msg| matches!(msg, WireMsg::TQueryBatch { .. }))
+        .expect("the exemplars cover every kind");
+    let mut c = client(move |_, inbox| inbox.push_back(stray.clone()));
+    assert_eq!(
+        c.pin_search(&set("a")),
+        Err(Error::UnexpectedFrame {
+            kind: "TQueryBatch".to_string()
+        })
+    );
 }
 
 #[test]

@@ -375,8 +375,11 @@ impl<M, T> Network<M, T> {
     ///
     /// Returns `None` when the network is quiescent. Messages whose
     /// destination is down at delivery time are counted as dropped and
-    /// skipped, and timer firings are discarded — timer-aware protocols
-    /// should drive the network with [`Network::step_event`] instead.
+    /// skipped, and timer firings are **discarded**: only for protocols
+    /// that arm no timers (the remaining caller is `hyperdex-dht`'s
+    /// lookup simulation). Anything that sets one must drive the
+    /// network with [`Network::step_event`], or a loop delivering one
+    /// conversation eats another's deadlines.
     pub fn step(&mut self) -> Option<Delivery<M>> {
         while let Some(event) = self.step_event() {
             if let NetEvent::Delivery(d) = event {
