@@ -71,7 +71,7 @@ pub enum Error {
     /// ever sent (a worker-bound request, say): the peer is not
     /// speaking the client protocol.
     UnexpectedFrame {
-        /// The frame kind, e.g. `TQueryBatch`.
+        /// The frame kind, e.g. `RegionQuery`.
         kind: String,
     },
 }

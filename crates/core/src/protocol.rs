@@ -11,11 +11,14 @@
 //!   (frontier queue `U`, budget `c`, `T_CONT`/`T_STOP`). The direct
 //!   engine's sequential top-down search and
 //!   [`crate::search::cumulative::CumulativeSearch`] call it in a loop,
-//!   the simulator feeds it `T_CONT` messages, a runtime worker feeds it
-//!   continuation frames (in bursts, via
-//!   [`SupersetCoordinator::drain_frontier`]).
+//!   the simulator feeds it `T_CONT` messages.
 //! * [`child_contacts`] — a node's SBT children from its bits and
-//!   arrival dimension alone (Lemma 3.2).
+//!   arrival dimension alone (Lemma 3.2) — with [`visit_order_key`], the
+//!   closed form of the order the coordinator visits them in, and
+//!   [`region_entries`], the subcube cut into regions that can each be
+//!   walked on their own: what lets a runtime worker answer a sequential
+//!   search in one round per region instead of driving the machine over
+//!   the wire.
 //! * [`scan_store`] — the per-vertex `T_QUERY` handler: the ranked scan
 //!   of one posting store.
 //! * [`FrontierLevels`] — the per-depth frontier of the level-order
@@ -28,6 +31,7 @@
 //! Everything here is sans-I/O: the substrate supplies transport (a
 //! call, a simnet message, a wire frame) and timers.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -164,27 +168,6 @@ impl SupersetCoordinator {
         }
     }
 
-    /// Drains every currently-issuable visit into `out` — the root
-    /// (`None`) if it has not been issued yet, then the whole frontier
-    /// in FIFO order — without latching `done`. This is the batched
-    /// counterpart of [`SupersetCoordinator::next_step`]: a driver that
-    /// dispatches visits concurrently (grouping them by owner) takes
-    /// the frontier as one burst and keeps folding replies with
-    /// [`SupersetCoordinator::record_visit`] while visits are still
-    /// outstanding, whereas `next_step` would misread the momentarily
-    /// empty frontier as termination. Emits nothing once the machine
-    /// is done or the budget is exhausted.
-    pub fn drain_frontier(&mut self, out: &mut Vec<(u64, Option<u8>)>) {
-        if self.done || self.remaining == 0 {
-            return;
-        }
-        if !self.root_issued {
-            self.root_issued = true;
-            out.push((self.root_bits, None));
-        }
-        out.extend(self.frontier.drain(..).map(|(bits, dim)| (bits, Some(dim))));
-    }
-
     /// Folds one node's answer back in: `found` results consume budget,
     /// its SBT children join the frontier. (When the budget reaches
     /// zero the machine is done; `children` is not even iterated, so a
@@ -217,6 +200,36 @@ pub fn child_contacts(w: Vertex, via_dim: Option<u8>) -> impl Iterator<Item = (u
         .rev()
         .filter(move |&i| !w.bit(i))
         .map(move |i| (w.flip(i).bits(), i))
+}
+
+/// Where the sequential traversal rooted at `root_bits` visits `bits`
+/// among the vertices of `H_r(root)`: sort by this key and you have the
+/// order [`SupersetCoordinator`] issues its visits in. The frontier is
+/// a FIFO and [`child_contacts`] enumerates dimensions downward, so a
+/// vertex is visited after everything with fewer extra dimensions set
+/// (breadth first) and, within a depth, after everything whose extra
+/// dimensions read as a larger number.
+pub fn visit_order_key(root_bits: u64, bits: u64) -> (u32, Reverse<u64>) {
+    let extra = bits ^ root_bits;
+    (extra.count_ones(), Reverse(extra))
+}
+
+/// The entry vertices of the regions `H_r(root)` falls into when the
+/// dimensions from `cut` upward name a region: `root | P` for every
+/// setting `P` of root's free dimensions at or above `cut`, the root's
+/// own region (`P = 0`) first. Walking an entry breadth-first with
+/// arrival dimension `cut` — `child_contacts(entry, Some(cut))` and on
+/// down — visits exactly its region's share of the subcube, in
+/// [`visit_order_key`] order.
+pub fn region_entries(root: Vertex, cut: u8) -> impl Iterator<Item = u64> {
+    let free = root.zero_mask() & !((1u64 << cut) - 1);
+    let mut next = Some(0u64);
+    std::iter::from_fn(move || {
+        let prefix = next?;
+        // The subsets of `free`, counting up through its set positions.
+        next = Some(prefix.wrapping_sub(free) & free).filter(|&p| p != 0);
+        Some(root.bits() | prefix)
+    })
 }
 
 /// Collects the bits of every vertex in the SBT subtree rooted at `w`
@@ -944,52 +957,6 @@ mod tests {
         coord.record_visit(1, child_contacts(v, via_dim));
         assert!(coord.is_done());
         assert_eq!(coord.next_step(), Step::Finished);
-    }
-
-    #[test]
-    fn drain_frontier_matches_sequential_visit_order() {
-        // The batched drive's dispatch order must equal the sequential
-        // machine's visit order when every visit returns no results
-        // (the unthresholded case): drain bursts, fold in burst order.
-        let shape = Shape::new(6).unwrap();
-        let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
-        let root = hasher.vertex_for(&kw);
-
-        let mut seq = SupersetCoordinator::new(root, usize::MAX - 1);
-        let mut sequential = Vec::new();
-        loop {
-            match seq.next_step() {
-                Step::Finished => break,
-                Step::Visit { bits, via_dim } => {
-                    sequential.push(bits);
-                    let v = Vertex::from_bits(shape, bits).unwrap();
-                    seq.record_visit(0, child_contacts(v, via_dim));
-                }
-            }
-        }
-
-        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
-        let mut batched = Vec::new();
-        let mut burst = Vec::new();
-        loop {
-            coord.drain_frontier(&mut burst);
-            if burst.is_empty() {
-                break;
-            }
-            assert!(!coord.is_done(), "drain_frontier never latches done");
-            for (bits, via_dim) in burst.drain(..) {
-                batched.push(bits);
-                let v = Vertex::from_bits(shape, bits).unwrap();
-                coord.record_visit(0, child_contacts(v, via_dim));
-            }
-        }
-        assert_eq!(batched, sequential);
-
-        // Once stopped, the drain emits nothing more.
-        coord.stop();
-        coord.drain_frontier(&mut burst);
-        assert!(burst.is_empty());
     }
 
     #[test]

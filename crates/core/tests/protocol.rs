@@ -245,3 +245,63 @@ fn truncated_results_never_poison_the_cache() {
         );
     }
 }
+
+proptest! {
+    /// The lemma a runtime worker's region merge rests on (Lemma 3.2
+    /// with the frontier's FIFO and `child_contacts`' descending
+    /// dimensions): the order the sequential coordinator issues its
+    /// visits in has a closed form, and cutting the subcube at any
+    /// dimension leaves regions that each walk, on their own, exactly
+    /// their share of that order.
+    #[test]
+    fn the_visit_order_has_a_closed_form_and_every_region_walks_its_share_of_it(
+        r in 1u8..=12,
+        root_bits in any::<u64>(),
+        prefix_dims in 0u8..=4,
+    ) {
+        use std::collections::VecDeque;
+
+        use hyperdex_core::protocol::{
+            child_contacts, region_entries, visit_order_key, Step, SupersetCoordinator,
+        };
+        use hyperdex_hypercube::{Sbt, Shape, Vertex};
+
+        let shape = Shape::new(r).unwrap();
+        let vertex = |bits: u64| Vertex::from_bits(shape, bits).unwrap();
+        let root = vertex(root_bits & shape.full_mask());
+
+        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
+        let mut issued = Vec::new();
+        while let Step::Visit { bits, via_dim } = coord.next_step() {
+            issued.push(bits);
+            coord.record_visit(0, child_contacts(vertex(bits), via_dim));
+        }
+        let mut sorted: Vec<u64> = root.subcube().iter().map(Vertex::bits).collect();
+        sorted.sort_by_key(|&bits| visit_order_key(root.bits(), bits));
+        prop_assert_eq!(&sorted, &issued);
+        let bfs: Vec<u64> = Sbt::induced(root).bfs().map(|(v, _)| v.bits()).collect();
+        prop_assert_eq!(&bfs, &issued);
+
+        let cut = r - prefix_dims.min(r);
+        let mut covered = Vec::new();
+        for entry in region_entries(root, cut) {
+            let mut walk = Vec::new();
+            let mut queue = VecDeque::from([(entry, cut)]);
+            while let Some((bits, via_dim)) = queue.pop_front() {
+                walk.push(bits);
+                queue.extend(child_contacts(vertex(bits), Some(via_dim)));
+            }
+            let share: Vec<u64> = issued
+                .iter()
+                .copied()
+                .filter(|bits| bits >> cut == entry >> cut)
+                .collect();
+            prop_assert_eq!(&walk, &share, "region {:#b} cut at {}", entry, cut);
+            covered.extend(walk);
+        }
+        // Every vertex of the subcube in exactly one region.
+        covered.sort_unstable();
+        sorted.sort_unstable();
+        prop_assert_eq!(covered, sorted);
+    }
+}

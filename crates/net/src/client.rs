@@ -208,9 +208,9 @@ impl NetClient {
         self.core.pin_search(keywords)
     }
 
-    /// Superset search (§3.3), coordinated by a round-robin-chosen
-    /// worker — possibly in a different process, with the SBT
-    /// traversal fanning out across the whole cluster.
+    /// Superset search (§3.3), coordinated by the worker that owns
+    /// `F_h(K)`, with one round trip to every other worker — possibly
+    /// in a different process — that owns part of the query's subcube.
     ///
     /// # Errors
     ///

@@ -20,12 +20,12 @@
 //!   produce result sets identical to the direct engine, the
 //!   message-level sim, and the threaded runtime.
 //!
-//! Traversal traffic rides the mesh as `TQueryBatch`/`TContBatch`
-//! frames (one frame per destination worker per frontier burst rather
-//! than one per vertex), so the socket-mode frame count — and with it
-//! the per-unit overhead this crate pays on every `[dest][frame]`
-//! unit — shrinks by the batching factor; with prefix shard placement
-//! most hops never reach a socket at all.
+//! Traversal traffic rides the mesh as `RegionQuery`/`RegionDone`
+//! frames: one round trip per worker owning part of a query's subcube
+//! rather than one per vertex, so the socket-mode frame count — and
+//! with it the per-unit overhead this crate pays on every
+//! `[dest][frame]` unit — is bounded by the worker count; with prefix
+//! shard placement most hops never reach a socket at all.
 
 pub mod client;
 pub mod cluster;

@@ -1,21 +1,30 @@
 //! Input from outside the process that a server cannot use is counted
 //! under a name, never asserted on and never silent: a live
 //! single-server cluster is fed a unit for a worker it does not host,
-//! a perfectly framed unit per worker whose body is no message, and
-//! then a header no stream can recover from; it keeps serving, and
-//! reports all three in its `SSTATS` and `WSTATS` lines.
+//! a perfectly framed unit per worker whose body is no message, an
+//! insert and a pin for a vertex their receiver does not own, and then
+//! a header no stream can recover from; it keeps serving, and reports
+//! all four in its `SSTATS` and `WSTATS` lines.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 
-use hyperdex_core::{KeywordSet, ObjectId};
+use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
 use hyperdex_net::stream::push_unit;
 use hyperdex_runtime::wire::{WireMsg, MAX_BODY_LEN};
+use hyperdex_runtime::ShardMap;
 
 #[test]
 fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_serving() {
+    let owner = |keywords: &KeywordSet| {
+        let bits = KeywordHasher::new(8, 42)
+            .unwrap()
+            .vertex_for(keywords)
+            .bits();
+        ShardMap::new(8, 2, 42).owner_of(bits)
+    };
     let mut cfg = ClusterConfig::new(8, 42, 2, 1);
     cfg.server_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_hyperdex-server")));
     let cluster = Cluster::launch(cfg).expect("cluster launch");
@@ -45,6 +54,25 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
         push_unit(&mut units, worker, &[1, 0, 0, 0, 0xEE]);
     }
     feed(&units);
+    // A write and a read handed to the worker that does not own their
+    // vertex: the write must not be indexed where nobody will ever ask
+    // for it, the read finds nothing (its reply, under an id the client
+    // never issued, is dropped there).
+    let stray = KeywordSet::parse("stray set").unwrap();
+    let mut units = Vec::new();
+    for msg in [
+        WireMsg::Insert {
+            object: 8,
+            keywords: stray.clone(),
+        },
+        WireMsg::Pin {
+            query_id: u64::MAX,
+            keywords: stray.clone(),
+        },
+    ] {
+        push_unit(&mut units, 1 - owner(&stray), &msg.encode());
+    }
+    feed(&units);
     // A header announcing an impossible body.
     let mut header = 0u32.to_le_bytes().to_vec();
     header.extend_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
@@ -60,8 +88,25 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
         vec![ObjectId::from_raw(7)]
     );
 
+    assert_eq!(client.pin_search(&stray).expect("pin"), vec![]);
+    assert_eq!(
+        client.superset_search(&stray, 10).expect("superset"),
+        vec![]
+    );
+
     let report = cluster.shutdown(client).expect("cluster shutdown");
-    report.assert_conserved();
+    // The two misrouted frames are in nobody's `sent`: the ledger is
+    // over by exactly them (the stray pin's reply was sent and received
+    // like any other).
+    assert_eq!(
+        report.total_received(),
+        report.total_sent() + 2,
+        "{report:?}"
+    );
+    let misrouted: Vec<u64> = report.workers.iter().map(|w| w.frames_misrouted).collect();
+    let mut expected = vec![0, 0];
+    expected[1 - owner(&stray) as usize] = 2;
+    assert_eq!(misrouted, expected, "{report:?}");
     assert_eq!(report.supervisor.units_misrouted, 1, "{report:?}");
     assert_eq!(report.supervisor.streams_corrupt, 1, "{report:?}");
     let undecodable: u64 = report.workers.iter().map(|w| w.frames_undecodable).sum();

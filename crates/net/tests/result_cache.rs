@@ -4,6 +4,7 @@
 //! threaded runtime's, and the per-worker cache counters survive the
 //! `WSTATS` report line into the cluster's `ShutdownReport`.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use hyperdex_core::{KeywordSet, ObjectId};
@@ -102,6 +103,21 @@ fn two_processes_repeat_their_frames_and_cache_decisions() {
     assert!(
         (cache.hits + cache.coalesced) * 2 > requests.len() as u64,
         "a dozen hot queries must mostly repeat: {cache:?}"
+    );
+    // Every arrival of a query lands on its root's owner: the cluster
+    // walks a repeated query twice (first sighting, then the admitting
+    // walk), not twice per worker.
+    let mut arrivals: HashMap<&KeywordSet, u64> = HashMap::new();
+    for request in &requests {
+        let Request::Superset { keywords, .. } = request else {
+            unreachable!("only supersets were built");
+        };
+        *arrivals.entry(keywords).or_default() += 1;
+    }
+    assert_eq!(
+        cache.misses,
+        arrivals.values().map(|&count| count.min(2)).sum::<u64>(),
+        "a repeated query was admitted on more than one worker: {cache:?}"
     );
 
     // The same stream through the threaded runtime: same answers, and

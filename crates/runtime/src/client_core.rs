@@ -1,8 +1,8 @@
 //! The client half of the request protocol, written once.
 //!
 //! Whatever carries its frames, a client allocates a query id, routes
-//! the request (pin and insert to `F_h(K)`'s owner, superset search to
-//! a round-robin coordinator), ships the frame, matches the completion
+//! the request to `F_h(K)`'s owner (insert, pin and superset search
+//! alike: one rule), ships the frame, matches the completion
 //! by id, and re-issues a fault-tolerant search under a fresh id when
 //! an attempt's deadline passes. That is [`ClientCore`]. How a frame
 //! reaches a worker and a reply comes back is the three-method
@@ -275,7 +275,8 @@ impl<L: ClientLink> ClientCore<L> {
     }
 
     /// Superset search (§3.3) on the perfect-transport path: blocks
-    /// until the round-robin-chosen coordinator finishes the traversal.
+    /// until the root's owner, which coordinates, finishes the
+    /// traversal.
     ///
     /// # Errors
     ///
@@ -481,16 +482,15 @@ impl<L: ClientLink> ClientCore<L> {
         (id, owner)
     }
 
-    /// Queues one sequential superset search under a fresh id,
-    /// returning the id and its coordinator: plain round-robin. Any
-    /// worker can coordinate any query — the root's region reaches its
-    /// owner as a delegated batch like every other region — and
-    /// spreading coordinators keeps one popular root prefix from
-    /// serializing a whole mix on a single worker. The frame carries
-    /// this client's flush marks.
+    /// Queues one sequential superset search for `F_h(K)`'s owner under
+    /// a fresh id, returning the id and that worker — the query's
+    /// coordinator. The paper's placement: the root is where the
+    /// traversal starts and where its answer is cached, so every
+    /// client's repeat of a query meets the one entry the cluster keeps
+    /// for it. The frame carries this client's flush marks.
     fn queue_superset(&mut self, keywords: &KeywordSet, threshold: usize) -> (u64, u32) {
         let id = self.fresh_id();
-        let coordinator = (id % u64::from(self.shards.workers())) as u32;
+        let coordinator = self.owner_of(keywords);
         self.link.queue(
             coordinator,
             &WireMsg::QueryAt {

@@ -4,9 +4,11 @@
 //! SBT superset traversal, inserts — executes here on a multithreaded
 //! **shared-nothing** cluster: worker threads own disjoint vertex
 //! shards, exchange length-prefixed protocol frames over bounded
-//! channels with explicit backpressure, and run the *same*
-//! [`hyperdex_core::protocol::SupersetCoordinator`] state machine as
-//! the single-threaded simulator, which is what lets the [`parity`]
+//! channels with explicit backpressure, and answer a superset search
+//! with exactly what the single-threaded simulator's
+//! [`hyperdex_core::protocol::SupersetCoordinator`] folds — each
+//! worker walks its regions of the subcube in that machine's visit
+//! order, the root's owner merges — which is what lets the [`parity`]
 //! harness demand set-identical results at every thread count.
 //!
 //! The cluster also survives being hurt: [`fault`] injects seeded

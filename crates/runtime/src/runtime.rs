@@ -34,9 +34,10 @@
 //! in-process channel link into it and adds what only a process that
 //! owns its workers can do: start, supervise, journal, bulk-load, shut
 //! down. On the worker side the sequential path
-//! ([`NodeRuntime::superset_search`]) runs the same
-//! `SupersetCoordinator` machine as the simulator and the direct
-//! engine, and the fault-tolerant path
+//! ([`NodeRuntime::superset_search`]) answers in one round per prefix
+//! region, merged into the very answer the `SupersetCoordinator`
+//! machine of the simulator and the direct engine folds, and the
+//! fault-tolerant path
 //! ([`NodeRuntime::superset_search_ft`]) the shared `FtCoordinator` —
 //! the very one `ProtocolSim` drives under virtual time — with
 //! wall-clock deadlines, retry backoff, and subtree re-delegation
@@ -506,8 +507,8 @@ impl NodeRuntime {
         self.core.pin_search(keywords).expect(INFALLIBLE)
     }
 
-    /// Superset search (§3.3), coordinated by a round-robin-chosen
-    /// worker. Blocks until the traversal finishes. This is the
+    /// Superset search (§3.3), coordinated by the owner of `F_h(K)`.
+    /// Blocks until the traversal finishes. This is the
     /// perfect-transport path — under an active fault plan use
     /// [`NodeRuntime::superset_search_ft`], which recovers from loss
     /// and crashes instead of hanging on them.
@@ -931,43 +932,53 @@ mod tests {
     }
 
     #[test]
-    fn batch_frames_count_once_but_deliver_many_entries() {
+    fn region_frames_count_once_and_carry_only_the_vertices_that_hold_matches() {
         // The one-keyword query's subcube spans all four prefix regions
-        // (`a` fixes bit 5, below the two prefix bits), so the scan
-        // crosses every ownership cut and each region's owner answers
-        // with its whole expanded subtree. One batch frame is
-        // one ledger frame on both sides — conservation closes — while
-        // the entry counter records the logical traversal volume the
-        // batching collapsed.
+        // (`a` fixes bit 5, below the two prefix bits): the root's owner
+        // coordinates, each of the three other owners is asked once and
+        // answers once. A region frame is one ledger frame on both
+        // sides — conservation closes — and an answer names the
+        // vertices where something matched, not the vertices walked.
         let mut rt = loaded(4);
-        let mut ids: Vec<u64> = rt
-            .superset_search(&set("a"), usize::MAX - 1)
-            .unwrap()
-            .iter()
-            .map(|m| m.object.raw())
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
+        let extra: Vec<(u64, String)> = (100..132).map(|i| (i, format!("a w{i}"))).collect();
+        for (id, kws) in &extra {
+            rt.insert(oid(*id), set(kws)).unwrap();
+        }
+        rt.flush();
+        let found = rt.superset_search(&set("a"), usize::MAX - 1).unwrap();
+        assert_eq!(found.len(), 6 + extra.len());
         let report = rt.shutdown();
         report.assert_conserved();
-        let batch_frames: u64 = report.workers.iter().map(|w| w.batch_frames_sent).sum();
-        let batch_entries: u64 = report.workers.iter().map(|w| w.batch_entries_sent).sum();
-        assert!(batch_frames > 0, "broad scan across shards must batch");
-        assert!(
-            batch_entries > batch_frames,
-            "batches must aggregate ({batch_entries} entries in {batch_frames} frames)"
+
+        let hasher = KeywordHasher::new(8, 42).unwrap();
+        let shards = RuntimeConfig::new(8, 4).seed(42).shard_map();
+        let owner = |kws: &str| shards.owner_of(hasher.vertex_for(&set(kws)).bits());
+        let coordinator = owner("a");
+        let remote_vertices: std::collections::BTreeSet<u64> = extra
+            .iter()
+            .filter(|(_, kws)| owner(kws) != coordinator)
+            .map(|(_, kws)| hasher.vertex_for(&set(kws)).bits())
+            .collect();
+        // (Of `CORPUS` itself, every match is the coordinator's.)
+        assert!(!remote_vertices.is_empty());
+        let region_frames: u64 = report.workers.iter().map(|w| w.batch_frames_sent).sum();
+        let groups: u64 = report.workers.iter().map(|w| w.batch_entries_sent).sum();
+        assert_eq!(region_frames, 2 * 3);
+        assert_eq!(groups, remote_vertices.len() as u64);
+        assert_eq!(
+            report.workers[coordinator as usize].queries_coordinated, 1,
+            "the root's owner coordinates"
         );
     }
 
     #[test]
     fn broad_scan_frame_count_is_pinned() {
-        // Burst composition is a pure function of the traversal, so the
-        // broad scan's ledger is a golden number: 8 inserts, two flush
-        // rounds and the shutdown round (48), `Query`/`QueryDone`, and
-        // one delegation + one reply for each of the three remote
-        // prefix regions the subcube spans (`a` fixes bit 5, halving
-        // the eight). The retired per-vertex hash placement shipped 210
-        // frames for the same scan.
+        // The broad scan's ledger is a golden number: 8 inserts, two
+        // flush rounds and the shutdown round (48), `Query`/`QueryDone`,
+        // and one `RegionQuery` + one `RegionDone` for each of the three
+        // other owners of the prefix regions the subcube spans (`a`
+        // fixes bit 5, halving the eight). The retired per-vertex hash
+        // placement shipped 210 frames for the same scan.
         let mut rt = loaded(8);
         let mut ids: Vec<u64> = rt
             .superset_search(&set("a"), usize::MAX - 1)

@@ -96,6 +96,15 @@ impl ShardMap {
         self.workers
     }
 
+    /// The lowest dimension the placement reads (`r − k`): an SBT
+    /// subtree entered via it is wholly one worker's, so the dimensions
+    /// from here upward cut any query's subcube into at most `2^k`
+    /// single-owner regions
+    /// ([`hyperdex_core::protocol::region_entries`]).
+    pub fn region_cut(&self) -> u8 {
+        self.shift as u8
+    }
+
     /// The worker that owns vertex `bits`. Stable across runs for a
     /// given `(r, workers, seed)` triple.
     pub fn owner_of(&self, bits: u64) -> u32 {
@@ -151,7 +160,9 @@ mod tests {
     proptest! {
         /// For any cube, worker count and seed: owners are in range,
         /// every subtree entered at or below the prefix cut
-        /// (`r − ceil_log2(workers)`) has one owner, every worker owns
+        /// (`r − ceil_log2(workers)`, which `region_cut` reports — so
+        /// every region a query's subcube is cut into lies on one
+        /// worker, whatever the root) has one owner, every worker owns
         /// at least `2^−k` of the cube, and the maps the client, the
         /// workers and a server build from the same triple agree.
         #[test]
@@ -168,6 +179,7 @@ mod tests {
 
             let k = ceil_log2(workers).min(u32::from(r));
             let cut = (u32::from(r) - k) as u8;
+            prop_assert_eq!(map.region_cut(), cut);
             let total = 1u64 << r;
             let mut counts = vec![0u64; workers as usize];
             let mut members = Vec::new();

@@ -38,31 +38,20 @@ pub const MAX_BODY_LEN: u32 = 16 * 1024 * 1024;
 /// The length prefix's width in bytes.
 pub const PREFIX_LEN: usize = 4;
 
-/// Most entries one [`WireMsg::TQueryBatch`] or [`WireMsg::TContBatch`]
-/// carries: their entry count is a `u16`. Senders split longer lists
-/// over several frames.
+/// Most vertex groups one [`WireMsg::RegionDone`] carries: their count
+/// is a `u16`. Senders split longer replies over several frames.
 pub const MAX_BATCH_ENTRIES: usize = u16::MAX as usize;
 
 /// Encoded bytes of one `(object id, extra keywords)` record.
 const HIT_LEN: usize = 12;
 
-/// Encoded bytes of one `(vertex bits, dimension)` record — one
-/// [`WireMsg::TQueryBatch`] entry.
-pub const CONTACT_LEN: usize = 9;
+/// Body bytes a [`WireMsg::RegionDone`] spends before its groups: tag,
+/// query id, worker, epoch, `more` flag, group count.
+pub const REGION_DONE_HEADER_LEN: usize = 1 + 8 + 4 + 8 + 1 + 2;
 
-/// Encoded bytes of one [`WireMsg::TContBatch`] entry.
-pub fn batch_reply_len((_, objects, children): &BatchReply) -> usize {
-    8 + 4 + objects.len() * HIT_LEN + 2 + children.len() * CONTACT_LEN
-}
-
-/// Body bytes a batch frame spends before its entries: tag, ids, entry
-/// count, and the `keywords` a [`WireMsg::TQueryBatch`] carries (a
-/// [`WireMsg::TContBatch`] carries none).
-pub fn batch_header_len(keywords: Option<&KeywordSet>) -> usize {
-    match keywords {
-        Some(keywords) => 1 + 8 + 8 + 4 + keywords.as_packed().len() + 2,
-        None => 1 + 8 + 8 + 2,
-    }
+/// Encoded bytes of one [`WireMsg::RegionDone`] group.
+pub fn region_group_len((_, objects): &RegionGroup) -> usize {
+    8 + 4 + objects.len() * HIT_LEN
 }
 
 /// How many leading entries of a batch its next frame takes: as many
@@ -100,12 +89,13 @@ pub enum WireMsg {
         /// Its full keyword set.
         keywords: KeywordSet,
     },
-    /// Client → any worker: start a superset search. The receiving
-    /// worker becomes the query's coordinator whichever vertices it
-    /// owns (clients spread coordinators round-robin); a remote root
-    /// region is delegated to its owner like every other region. The
-    /// bare form of [`WireMsg::QueryAt`]: a worker treats it as that
-    /// variant with no marks.
+    /// Client → root owner: start a superset search. The receiving
+    /// worker becomes the query's coordinator; clients send it to the
+    /// owner of `F_h(K)`, which answers from the root alone when that
+    /// fills the threshold, but any worker coordinates what it is sent
+    /// (the root's region is then one more remote region). The bare
+    /// form of [`WireMsg::QueryAt`]: a worker treats it as that variant
+    /// with no marks.
     Query {
         /// Client-assigned correlation id.
         query_id: u64,
@@ -144,41 +134,40 @@ pub enum WireMsg {
         /// SBT child contacts `(vertex bits, dimension)`.
         children: Vec<(u64, u8)>,
     },
-    /// Coordinator → vertex owner: visit several SBT nodes of one
-    /// query in a single frame (frontier aggregation). All entries
-    /// share the query's keywords and the coordinator's result budget
-    /// at dispatch time; each entry carries its own vertex and arrival
-    /// dimension. A traversal root whose owner is not the coordinator
-    /// rides the same frame with dimension `r` — an arrival dimension
-    /// of `r` spans every free dimension below it, exactly the root's
-    /// frontier — so the dimension is a plain byte. One batch frame
-    /// counts as **one** frame in the conservation ledger; per-entry
-    /// volume is tracked by the worker's `batch_entries_sent` counter.
-    TQueryBatch {
+    /// Coordinator → region owner: walk every prefix region of
+    /// `H_r(F_h(K))` you own — the receiver works out which from the
+    /// keywords and the shard map — each up to `threshold` matches, and
+    /// answer with one [`WireMsg::RegionDone`].
+    RegionQuery {
         /// Correlation id of the driving query.
         query_id: u64,
         /// The queried keyword set.
         keywords: KeywordSet,
-        /// Results still wanted when the batch was dispatched.
-        remaining: u64,
+        /// Results wanted (the whole query's: a region cannot know how
+        /// many the regions visited before it will contribute).
+        threshold: u64,
         /// Worker index of the coordinator (where to send the reply).
         coord: u32,
-        /// The vertices to scan, as `(bits, via_dim)` pairs in
-        /// dispatch order.
-        entries: Vec<(u64, u8)>,
     },
-    /// Vertex owner → coordinator: the replies to a whole
-    /// [`WireMsg::TQueryBatch`], one entry per scanned vertex, in the
-    /// batch's order.
-    TContBatch {
+    /// Region owner → coordinator: the answer to a
+    /// [`WireMsg::RegionQuery`] — the owner's first `threshold` matches
+    /// in the sequential traversal's visit order, grouped by vertex,
+    /// vertices holding none left out. An answer too long for one frame
+    /// travels in several, all but the last flagged `more`; each counts
+    /// as one frame in the conservation ledger.
+    RegionDone {
         /// Correlation id of the driving query.
         query_id: u64,
+        /// The answering worker's index.
+        worker: u32,
         /// The sender's write epoch when it scanned: how many objects
         /// its shard had indexed. The coordinator stamps cached
         /// results with it.
         epoch: u64,
-        /// Per-vertex replies.
-        entries: Vec<BatchReply>,
+        /// Whether another frame of this answer follows.
+        more: bool,
+        /// The vertices that hold matches, in visit order.
+        groups: Vec<RegionGroup>,
     },
     /// Coordinator → client: the search finished.
     QueryDone {
@@ -259,7 +248,7 @@ pub enum WireMsg {
         /// The recovering worker's index.
         worker: u32,
     },
-    /// Client → any worker: a [`WireMsg::Query`] that also says which
+    /// Client → root owner: a [`WireMsg::Query`] that also says which
     /// writes the client already knows are in place, so a coordinator
     /// never answers it from a cached result that predates them.
     QueryAt {
@@ -275,10 +264,10 @@ pub enum WireMsg {
     },
 }
 
-/// One scanned vertex's reply inside a [`WireMsg::TContBatch`]:
-/// `(bits, objects, children)` — the same payload a standalone
+/// One vertex's matches inside a [`WireMsg::RegionDone`]: `(bits,
+/// objects)`, the objects as the `(id, extra keywords)` pairs a
 /// [`WireMsg::TCont`] carries for that vertex.
-pub type BatchReply = (u64, Vec<(u64, u32)>, Vec<(u64, u8)>);
+pub type RegionGroup = (u64, Vec<(u64, u32)>);
 
 const TAG_INSERT: u8 = 0;
 const TAG_QUERY: u8 = 1;
@@ -294,8 +283,8 @@ const TAG_SHUTDOWN: u8 = 10;
 const TAG_FT_QUERY: u8 = 11;
 const TAG_FT_QUERY_DONE: u8 = 12;
 const TAG_REPAIR_DONE: u8 = 13;
-const TAG_TQUERY_BATCH: u8 = 14;
-const TAG_TCONT_BATCH: u8 = 15;
+const TAG_REGION_QUERY: u8 = 14;
+const TAG_REGION_DONE: u8 = 15;
 const TAG_QUERY_AT: u8 = 16;
 
 /// The `via_dim` byte that stands for `None`.
@@ -433,33 +422,34 @@ impl WireMsg {
                 put_hits(body, objects);
                 put_contacts(body, children);
             }
-            WireMsg::TQueryBatch {
+            WireMsg::RegionQuery {
                 query_id,
                 keywords,
-                remaining,
+                threshold,
                 coord,
-                entries,
             } => {
-                body.push(TAG_TQUERY_BATCH);
+                body.push(TAG_REGION_QUERY);
                 put_u64(body, *query_id);
-                put_u64(body, *remaining);
+                put_u64(body, *threshold);
                 put_u32(body, *coord);
                 put_keywords(body, keywords);
-                put_contacts(body, entries);
             }
-            WireMsg::TContBatch {
+            WireMsg::RegionDone {
                 query_id,
+                worker,
                 epoch,
-                entries,
+                more,
+                groups,
             } => {
-                body.push(TAG_TCONT_BATCH);
+                body.push(TAG_REGION_DONE);
                 put_u64(body, *query_id);
+                put_u32(body, *worker);
                 put_u64(body, *epoch);
-                put_u16(body, count16(entries.len()));
-                for (bits, objects, children) in entries {
+                body.push(u8::from(*more));
+                put_u16(body, count16(groups.len()));
+                for (bits, objects) in groups {
                     put_u64(body, *bits);
                     put_hits(body, objects);
-                    put_contacts(body, children);
                 }
             }
             WireMsg::QueryDone { query_id, objects } => {
@@ -698,22 +688,26 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             })
         }
         TAG_REPAIR_DONE => Ok(WireMsg::RepairDone { worker: r.u32()? }),
-        TAG_TQUERY_BATCH => Ok(WireMsg::TQueryBatch {
+        TAG_REGION_QUERY => Ok(WireMsg::RegionQuery {
             query_id: r.u64()?,
-            remaining: r.u64()?,
+            threshold: r.u64()?,
             coord: r.u32()?,
             keywords: get_keywords(r)?,
-            entries: r.contacts()?,
         }),
-        TAG_TCONT_BATCH => {
+        TAG_REGION_DONE => {
             let query_id = r.u64()?;
+            let worker = r.u32()?;
             let epoch = r.u64()?;
+            // Any non-zero byte reads as "more": the encoder writes 1.
+            let more = r.u8()? != 0;
             let n = r.u16()? as usize;
-            let entries = r.list(n, |r| Ok((r.u64()?, r.hits()?, r.contacts()?)))?;
-            Ok(WireMsg::TContBatch {
+            let groups = r.list(n, |r| Ok((r.u64()?, r.hits()?)))?;
+            Ok(WireMsg::RegionDone {
                 query_id,
+                worker,
                 epoch,
-                entries,
+                more,
+                groups,
             })
         }
         TAG_QUERY_AT => {
@@ -733,8 +727,8 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
     }
 }
 
-/// A `u16` list count. A longer list is a sender's bug (batches are
-/// split at [`MAX_BATCH_ENTRIES`]; a vertex has at most 63 children)
+/// A `u16` list count. A longer list is a sender's bug (region replies
+/// are split at [`MAX_BATCH_ENTRIES`]; a vertex has at most 63 children)
 /// that must not reach the wire as a wrapped count the peer would read
 /// as a corrupt frame.
 fn count16(len: usize) -> u16 {
@@ -1019,32 +1013,34 @@ pub fn exemplars() -> Vec<WireMsg> {
             },
         },
         WireMsg::RepairDone { worker: 3 },
-        WireMsg::TQueryBatch {
+        WireMsg::RegionQuery {
             query_id: 30,
             keywords: set("alpha beta"),
-            remaining: 17,
+            threshold: 17,
             coord: 2,
-            entries: vec![(0b1010_1100, 5), (0b1010_1101, 0), (0b1110_1100, 4)],
         },
-        WireMsg::TQueryBatch {
+        WireMsg::RegionQuery {
             query_id: 31,
             keywords: set("x"),
-            remaining: 1,
+            threshold: u64::MAX - 1,
             coord: 0,
-            entries: vec![],
         },
-        WireMsg::TContBatch {
+        WireMsg::RegionDone {
             query_id: 30,
+            worker: 3,
             epoch: 65_590,
-            entries: vec![
-                (0b1010_1100, vec![(1, 0), (99, 2)], vec![(0b1011_1100, 4)]),
-                (0b1010_1101, vec![], vec![]),
+            more: true,
+            groups: vec![
+                (0b1010_1100, vec![(1, 0), (99, 2)]),
+                (0b1010_1101, vec![(7, 1)]),
             ],
         },
-        WireMsg::TContBatch {
+        WireMsg::RegionDone {
             query_id: 31,
+            worker: 0,
             epoch: 0,
-            entries: vec![],
+            more: false,
+            groups: vec![],
         },
         WireMsg::QueryAt {
             query_id: 40,
@@ -1120,7 +1116,7 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 1,142 bytes).
+    /// when `encode_into` was its only body (FNV-1a over 1,120 bytes).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -1138,7 +1134,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (1142, 0x0729_cddb_75bb_ed5b));
+        assert_eq!((forward.len(), digest), (1120, 0x69ff_d0f4_cd52_956a));
     }
 
     /// In every build profile: an over-cap frame must stop at the
@@ -1156,18 +1152,14 @@ mod tests {
 
     #[test]
     fn batches_split_on_the_entry_cap_and_on_the_byte_cap() {
-        // The splitter's sizes are the encoder's: header plus entries
-        // is the body, for both batch frames.
+        // The splitter's sizes are the encoder's: header plus groups
+        // is the body.
         for msg in exemplars() {
-            let predicted = match &msg {
-                WireMsg::TQueryBatch {
-                    keywords, entries, ..
-                } => batch_header_len(Some(keywords)) + entries.len() * CONTACT_LEN,
-                WireMsg::TContBatch { entries, .. } => {
-                    batch_header_len(None) + entries.iter().map(batch_reply_len).sum::<usize>()
-                }
-                _ => continue,
+            let WireMsg::RegionDone { groups, .. } = &msg else {
+                continue;
             };
+            let predicted =
+                REGION_DONE_HEADER_LEN + groups.iter().map(region_group_len).sum::<usize>();
             assert_eq!(msg.encode().len() - PREFIX_LEN, predicted, "{msg:?}");
         }
         let chunks = |sizes: &[usize], max_entries, max_bytes| {

@@ -18,8 +18,15 @@
 //! being coordinated here wait for the running traversal, and the
 //! worker's *write epoch* — the cache's generation, bumped once per
 //! object newly indexed on this shard, reported on every `FlushAck`
-//! and `TContBatch` — keeps the answers coherent with flushed writes
+//! and `RegionDone` — keeps the answers coherent with flushed writes
 //! without a single extra frame.
+//!
+//! A query that does walk costs one round per prefix region
+//! (DESIGN.md § "One round per region"): the coordinator walks the
+//! regions of the query's subcube it owns, every other owner walks its
+//! own on one `RegionQuery` and answers with one `RegionDone`, and the
+//! coordinator merges the answers in the sequential traversal's visit
+//! order.
 //!
 //! [`run_worker`] is the entry point: it consumes a [`WorkerContext`],
 //! runs the loop until shutdown or a scheduled crash, and returns a
@@ -27,13 +34,13 @@
 //! inbox (so a supervisor can respawn the shard on the same address).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
-use hyperdex_core::protocol::{child_contacts, scan_store, SupersetCoordinator};
+use hyperdex_core::protocol::{child_contacts, region_entries, scan_store, visit_order_key};
 use hyperdex_core::{
     FtCmd, FtCoordinator, KeywordHasher, KeywordInterner, KeywordSet, ObjectId, PostingStore,
 };
@@ -42,12 +49,9 @@ use hyperdex_hypercube::{Shape, Vertex};
 use crate::fault::{Fate, FaultInjector};
 use crate::shard::ShardMap;
 use crate::transport::{count_frames, take_frame, Fabric};
-use crate::wire::{self, WireMsg, CONTACT_LEN, MAX_BATCH_ENTRIES, MAX_BODY_LEN};
-
-/// Self-owned visits run from the in-worker queue in slices of this
-/// many scans per loop iteration, so a deep local subtree cannot
-/// starve the inbox (the loop polls for frames between slices).
-const LOCAL_WORK_BUDGET: usize = 32;
+use crate::wire::{
+    self, RegionGroup, WireMsg, MAX_BATCH_ENTRIES, MAX_BODY_LEN, REGION_DONE_HEADER_LEN,
+};
 
 /// Cached queries a worker's result cache holds. The paper sizes a
 /// node's cache at `α = 1/6` of its index — tens of thousands of
@@ -66,7 +70,7 @@ const RESULT_CACHE_MAX_ITEMS: usize = 4096;
 /// How long a traversal may sit parked with no reply arriving before
 /// identical queries stop waiting for it. Replies of a healthy
 /// traversal are milliseconds apart; one silent this long has lost a
-/// frame for good (a dropped batch, a crashed peer), so the next
+/// frame for good (a dropped region frame, a crashed peer), so the next
 /// identical query walks the cube itself and takes the cache slot
 /// over. Equal to the fault-tolerant path's default attempt deadline
 /// and well below `NetConfig`'s default request timeout, so a client
@@ -158,12 +162,12 @@ counter_record! {
         /// Timed `recv` polls that expired without a frame. Zero on an
         /// idle worker — idleness blocks, it doesn't spin.
         wakeups,
-        /// Batch frames (`TQueryBatch`/`TContBatch`) among `frames_sent`.
+        /// Region frames (`RegionQuery`/`RegionDone`) among `frames_sent`.
         /// Each counts **once** in the frame ledger no matter how many
-        /// entries it aggregates.
+        /// vertices it answers for.
         batch_frames_sent,
-        /// Logical per-vertex entries carried inside those batch frames —
-        /// the traversal volume the batching collapsed.
+        /// Vertex groups carried inside those region frames: the
+        /// vertices that held a match, not the vertices walked.
         batch_entries_sent,
         /// Superset queries answered from the result cache: one
         /// `QueryDone`, no traversal.
@@ -184,6 +188,14 @@ counter_record! {
         /// *instead of* `frames_received` — no honest sender counted
         /// them as sent, so the frame ledger balances without them.
         frames_undecodable,
+        /// Frames about a vertex (an insert, a handoff, a `T_QUERY`, a
+        /// pin, an `FtQuery`'s root) or a subcube (a `RegionQuery`) none
+        /// of which this worker owns: a write is dropped — indexed
+        /// here, nobody would ever ask for it — and a read is answered
+        /// with what this worker holds of it, nothing. An anomaly count,
+        /// not a term of the frame ledger: the frames are received like
+        /// any other.
+        frames_misrouted,
     }
 }
 
@@ -258,7 +270,6 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
         ft_queries: HashMap::new(),
         cache: FifoCache::new(RESULT_CACHE_SLOTS),
         heard: vec![0; endpoints - 1],
-        local_work: VecDeque::new(),
         timers: BinaryHeap::new(),
         injector: ctx.injector,
         repair: ctx.repairing.then(Vec::new),
@@ -274,40 +285,32 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
 /// children as `(bits, via_dim)` pairs.
 type VisitReply = (Vec<(u64, u32)>, Vec<(u64, u8)>);
 
-/// In-progress sequential query on its coordinator worker.
-///
-/// The batched drive keeps many visits outstanding at once, but the
-/// fold order is pinned: `pending` records the dispatch order (which
-/// equals the sequential machine's visit order), and replies park in
-/// `replies` until their vertex reaches the front. Folding strictly
-/// in dispatch order, truncating each reply to the budget live at
-/// fold time, makes the batched traversal result-identical to the
-/// one-visit-at-a-time machine — including under a binding threshold.
+/// In-progress sequential query on its coordinator worker: the
+/// coordinator's own share is walked, the other owners' answers are
+/// still arriving.
 #[derive(Debug)]
 struct QueryState {
-    coord: SupersetCoordinator,
     keywords: Arc<KeywordSet>,
-    results: Vec<(u64, u32)>,
-    /// Dispatched, not-yet-folded vertices in dispatch order.
-    pending: VecDeque<u64>,
-    /// Replies that arrived out of order, keyed by vertex bits.
-    replies: HashMap<u64, VisitReply>,
-    /// Cross-cut children a remote expansion already forwarded to
-    /// their owner on this query's behalf (chained delegation): their
-    /// replies arrive unsolicited, so the dispatcher must not ship a
-    /// second visit when they surface in the frontier.
-    predelegated: HashSet<u64>,
+    /// `F_h(K)`, which the merge orders vertices around.
+    root_bits: u64,
+    threshold: usize,
+    /// The vertices holding matches: this worker's share, then each
+    /// answer as it arrived. [`cut_groups`] puts them in visit order.
+    groups: Vec<RegionGroup>,
+    /// Owners whose `RegionDone` (its last frame) is still to come. A
+    /// frame from anyone else is a duplicate or a straggler.
+    awaiting: Vec<u32>,
     /// Whether this traversal holds the query's cache slot (and fills
     /// it when done) or runs on a first sighting and keeps nothing.
     slot: bool,
     /// This worker's write epoch when the traversal started.
     own_epoch: u64,
     /// `(peer, epoch)`: the lowest write epoch each peer reported on a
-    /// `TContBatch` of this traversal.
+    /// `RegionDone` of this traversal.
     peer_epochs: Vec<(u32, u64)>,
     /// Identical queries that arrived while this traversal ran.
     waiters: Vec<Waiter>,
-    /// When the traversal last parked to wait for replies.
+    /// When the traversal last heard from an owner it waits for.
     parked_at: Instant,
 }
 
@@ -343,6 +346,67 @@ fn keyed(objects: Vec<(u64, u32)>) -> impl Iterator<Item = (ObjectId, (u64, u32)
         .map(|hit| (ObjectId::from_raw(hit.0), hit))
 }
 
+/// Puts `groups` — vertices of `H_r(root)` with their matches, from any
+/// number of regions, each scanned under a budget no smaller than the
+/// sequential traversal's at that vertex — in the traversal's visit
+/// order, one group per vertex, and cuts the list where `threshold`
+/// matches are reached: what is left is, vertex for vertex and object
+/// for object, what [`hyperdex_core::protocol::SupersetCoordinator`]
+/// would have folded.
+fn cut_groups(root_bits: u64, groups: &mut Vec<RegionGroup>, threshold: usize) {
+    groups.sort_unstable_by_key(|&(bits, _)| visit_order_key(root_bits, bits));
+    // A duplicated frame of a multi-frame answer repeats its vertices.
+    groups.dedup_by_key(|&mut (bits, _)| bits);
+    let mut wanted = threshold;
+    let mut keep = 0;
+    for (_, objects) in groups.iter_mut() {
+        if wanted == 0 {
+            break;
+        }
+        objects.truncate(wanted);
+        wanted -= objects.len();
+        keep += 1;
+    }
+    groups.truncate(keep);
+}
+
+/// Whether the traversal root alone fills the threshold. The root is
+/// first in visit order, so then its matches are the whole answer and
+/// no other vertex needs a look. `groups` is a walk that began at the
+/// root's region.
+fn root_fills(groups: &[RegionGroup], root_bits: u64, threshold: usize) -> bool {
+    matches!(groups.first(), Some((bits, objects)) if *bits == root_bits && objects.len() >= threshold)
+}
+
+/// One owner's answer as the `RegionDone` frames that carry it: all of
+/// `groups` in order, a frame closed where the next group would pass
+/// the group-count field or `room` body bytes, all but the last
+/// flagged `more`.
+fn region_done_frames(
+    query_id: u64,
+    worker: u32,
+    epoch: u64,
+    mut groups: Vec<RegionGroup>,
+    room: usize,
+) -> Vec<WireMsg> {
+    let mut frames = Vec::new();
+    loop {
+        let sizes = groups.iter().map(wire::region_group_len);
+        let rest = groups.split_off(wire::batch_prefix(sizes, MAX_BATCH_ENTRIES, room));
+        frames.push(WireMsg::RegionDone {
+            query_id,
+            worker,
+            epoch,
+            more: !rest.is_empty(),
+            groups,
+        });
+        if rest.is_empty() {
+            return frames;
+        }
+        groups = rest;
+    }
+}
+
 /// One shard-owning thread. Fabric endpoints `0..W` address fellow
 /// workers, endpoint `W` the client.
 struct Worker {
@@ -362,12 +426,8 @@ struct Worker {
     /// `(object id, extra keywords)` pairs a `QueryDone` carries. Its
     /// generation is this worker's write epoch.
     cache: FifoCache<(u64, u32)>,
-    /// Per worker: the highest write epoch heard on a `TContBatch`.
+    /// Per worker: the highest write epoch heard on a `RegionDone`.
     heard: Vec<u64>,
-    /// Self-owned visits awaiting a local scan, as `(query_id, bits,
-    /// via_dim)` — the fast path that skips encode/decode entirely.
-    /// Entries whose query has since completed are skipped on pop.
-    local_work: VecDeque<(u64, u64, Option<u8>)>,
     /// `(deadline, query_id, vertex bits, generation)` — min-heap by
     /// deadline. Entries are never removed early: the machine ignores
     /// a timer that is no longer its vertex's current one.
@@ -388,25 +448,22 @@ impl Worker {
         let mut shutting_down = false;
         loop {
             self.fire_expired_timers();
-            self.run_local_work();
             // The turn's one offer waits for the inbox's answer, because
             // that decides whether the batching window is still open:
-            // drain without waiting while local work is queued (the
-            // fast path must not starve peers) or more inbound work is
+            // drain without waiting while more inbound work is
             // immediately available (outbound frames keep batching).
             // Otherwise the worker is about to wait, and any wait is a
             // window close: no lane's packet can grow further, so every
             // lane is offered. On the way out the window is closed and
             // the inbox is not consulted until the lanes are empty.
-            let leaving = shutting_down && self.local_work.is_empty();
-            let polled = if leaving {
+            let polled = if shutting_down {
                 Err(TryRecvError::Empty)
             } else {
                 inbox.try_recv()
             };
-            let idle = self.local_work.is_empty() && matches!(polled, Err(TryRecvError::Empty));
+            let idle = matches!(polled, Err(TryRecvError::Empty));
             self.fabric.offer(idle);
-            if leaving && self.fabric.pending() == 0 {
+            if shutting_down && self.fabric.pending() == 0 {
                 break;
             }
             // Pick the cheapest wait that can't stall anything: poll
@@ -418,8 +475,6 @@ impl Worker {
             let recv = match polled {
                 Ok(packet) => Ok(packet),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-                // Not a wakeup: the loop turn does local scans.
-                Err(TryRecvError::Empty) if !idle => continue,
                 Err(TryRecvError::Empty) => {
                     if self.fabric.pending() > 0 {
                         inbox.recv_timeout(Duration::from_millis(1))
@@ -544,11 +599,21 @@ impl Worker {
                 | WireMsg::QueryAt { .. }
                 | WireMsg::FtQuery { .. }
                 | WireMsg::TQuery { .. }
-                | WireMsg::TQueryBatch { .. }
                 | WireMsg::TCont { .. }
-                | WireMsg::TContBatch { .. }
+                | WireMsg::RegionQuery { .. }
+                | WireMsg::RegionDone { .. }
                 | WireMsg::Pin { .. }
         )
+    }
+
+    /// Whether this worker owns vertex `bits`; counts the frame that
+    /// named it when not.
+    fn owns(&mut self, bits: u64) -> bool {
+        let mine = self.shards.owner_of(bits) == self.index;
+        if !mine {
+            self.stats.frames_misrouted += 1;
+        }
+        mine
     }
 
     fn handle(&mut self, msg: WireMsg) {
@@ -556,7 +621,9 @@ impl Worker {
             WireMsg::Insert { object, keywords } => {
                 let kw = self.interner.intern(keywords);
                 let bits = self.hasher.vertex_for(&kw).bits();
-                debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted insert");
+                if !self.owns(bits) {
+                    return;
+                }
                 if self
                     .tables
                     .entry(bits)
@@ -568,7 +635,9 @@ impl Worker {
                 }
             }
             WireMsg::Handoff { bits, entries } => {
-                debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted handoff");
+                if !self.owns(bits) {
+                    return;
+                }
                 let table = self.tables.entry(bits).or_default();
                 for (set, objects) in entries {
                     let kw = self.interner.intern(set);
@@ -580,9 +649,9 @@ impl Worker {
                     }
                 }
             }
-            // Any worker coordinates: the client round-robins
-            // sequential queries, and a remote root region is
-            // delegated to its owner like every other region.
+            // Clients send a query to its root's owner, but any worker
+            // coordinates what it is sent: a root region it does not
+            // own is one more remote region.
             WireMsg::Query {
                 query_id,
                 keywords,
@@ -603,11 +672,9 @@ impl Worker {
                 self.stats.queries_coordinated += 1;
                 let kw = self.interner.intern(keywords);
                 let root = self.hasher.vertex_for(&kw);
-                debug_assert_eq!(
-                    self.shards.owner_of(root.bits()),
-                    self.index,
-                    "FT query routed to a non-root worker"
-                );
+                // Misrouted, the machine reaches the root like any other
+                // remote vertex.
+                self.owns(root.bits());
                 policy.base_timeout = policy.base_timeout.max(1);
                 let mut state = FtCoordinator::new(root, kw, threshold.max(1) as usize, policy);
                 let mut cmds = Vec::new();
@@ -622,7 +689,9 @@ impl Worker {
                 via_dim,
                 coord,
             } => {
-                debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted T_QUERY");
+                // Misrouted, it finds no table and answers empty — with
+                // the children, which follow from the bits alone.
+                self.owns(bits);
                 let (objects, children) = self.visit(bits, via_dim, &keywords, remaining as usize);
                 self.send(
                     coord as usize,
@@ -634,87 +703,24 @@ impl Worker {
                     },
                 );
             }
-            WireMsg::TQueryBatch {
+            WireMsg::RegionQuery {
                 query_id,
                 keywords,
-                remaining,
+                threshold,
                 coord,
-                entries,
             } => {
-                // Expand each entry's whole locally-owned subtree
-                // region right here: a discovered child that this
-                // worker also owns is scanned immediately instead of
-                // bouncing through the coordinator, so one delegation
-                // covers the region and the per-query frame count is
-                // bounded by the number of ownership cuts, not the
-                // subcube size. The reply still carries one entry per
-                // vertex (with its full child list), and the
-                // coordinator folds them in sequential dispatch order
-                // — the traversal's observable behaviour is identical
-                // to per-vertex hops. Scans run against the shared
-                // budget; the coordinator re-truncates each reply to
-                // its live budget at fold time, so over-scanning here
-                // is safe.
-                let mut queue: VecDeque<(u64, u8)> = entries.into();
-                let mut replies = Vec::with_capacity(queue.len());
-                // Cross-cut children grouped per owner in discovery
-                // order (deterministic), forwarded straight to their
-                // owners below — chained delegation — so the region
-                // pipeline is one hop per ownership cut instead of a
-                // coordinator round trip per cut.
-                let mut forwards: Vec<(u32, Vec<(u64, u8)>)> = Vec::new();
-                while let Some((bits, via_dim)) = queue.pop_front() {
-                    debug_assert_eq!(
-                        self.shards.owner_of(bits),
-                        self.index,
-                        "misrouted batch entry"
-                    );
-                    let (objects, children) =
-                        self.visit(bits, Some(via_dim), &keywords, remaining as usize);
-                    for &(child, dim) in &children {
-                        let owner = self.shards.owner_of(child);
-                        if owner == self.index {
-                            queue.push_back((child, dim));
-                        } else if owner != coord {
-                            // The coordinator's own children stay in
-                            // the reply only: it runs them through its
-                            // local fast path when they surface.
-                            match forwards.iter_mut().find(|(o, _)| *o == owner) {
-                                Some((_, group)) => group.push((child, dim)),
-                                None => forwards.push((owner, vec![(child, dim)])),
-                            }
-                        }
-                    }
-                    replies.push((bits, objects, children));
-                }
-                let forward_header = wire::batch_header_len(Some(&keywords));
-                for (owner, group) in forwards {
-                    self.send_batched(
-                        owner as usize,
-                        group,
-                        forward_header,
-                        |_| CONTACT_LEN,
-                        |entries| WireMsg::TQueryBatch {
-                            query_id,
-                            keywords: keywords.clone(),
-                            remaining,
-                            coord,
-                            entries,
-                        },
-                    );
-                }
+                let root = self.hasher.vertex_for(&keywords);
                 let epoch = self.cache.generation();
-                self.send_batched(
-                    coord as usize,
-                    replies,
-                    wire::batch_header_len(None),
-                    wire::batch_reply_len,
-                    |entries| WireMsg::TContBatch {
-                        query_id,
-                        epoch,
-                        entries,
-                    },
-                );
+                let groups = self
+                    .walk_share(root, &keywords, threshold as usize)
+                    .unwrap_or_else(|| {
+                        self.stats.frames_misrouted += 1;
+                        Vec::new()
+                    });
+                let room = MAX_BODY_LEN as usize - REGION_DONE_HEADER_LEN;
+                for frame in region_done_frames(query_id, self.index, epoch, groups, room) {
+                    self.send(coord as usize, &frame);
+                }
             }
             WireMsg::TCont {
                 query_id,
@@ -729,61 +735,48 @@ impl Worker {
                 }
                 // else: a duplicate or post-completion continuation —
                 // injected faults make these normal; drop it. (Only the
-                // FT path sends a bare `TQuery`; the sequential
-                // coordinator always ships batches.)
+                // FT path sends a `TQuery`.)
             }
-            WireMsg::TContBatch {
+            WireMsg::RegionDone {
                 query_id,
+                worker,
                 epoch,
-                entries,
+                more,
+                groups,
             } => {
-                // One batch is one worker's scans: its first vertex
-                // names the sender. Late and duplicate batches still
-                // say how far that peer's shard has moved.
-                let sender = entries
-                    .first()
-                    .map(|&(bits, ..)| self.shards.owner_of(bits));
-                if let Some(sender) = sender {
-                    let heard = &mut self.heard[sender as usize];
+                // Late and duplicate answers still say how far that
+                // peer's shard has moved.
+                if let Some(heard) = self.heard.get_mut(worker as usize) {
                     *heard = (*heard).max(epoch);
                 }
-                if let Some(mut state) = self.queries.remove(&query_id) {
-                    if let Some(sender) = sender {
-                        match state.peer_epochs.iter_mut().find(|(p, _)| *p == sender) {
-                            Some((_, lowest)) => *lowest = (*lowest).min(epoch),
-                            None => state.peer_epochs.push((sender, epoch)),
-                        }
-                    }
-                    let mut listed: Vec<u64> = Vec::new();
-                    for (bits, objects, children) in entries {
-                        listed.extend(children.iter().map(|&(child, _)| child));
-                        state.replies.insert(bits, (objects, children));
-                    }
-                    // A remote child this batch lists but does not
-                    // answer (here or in an already-parked reply) was
-                    // forwarded onward by the expanding worker, or is
-                    // answered in a later frame of a reply too long for
-                    // one; either way its reply arrives unsolicited,
-                    // so mark it dispatch-exempt. Our own children go
-                    // through the local fast path as usual.
-                    for child in listed {
-                        if self.shards.owner_of(child) != self.index
-                            && !state.replies.contains_key(&child)
-                        {
-                            state.predelegated.insert(child);
-                        }
-                    }
-                    if !self.drive(query_id, &mut state) {
-                        self.queries.insert(query_id, state);
-                    }
+                // Only an owner still waited for is listened to: a
+                // duplicate, a straggler behind a finished query or a
+                // frame nobody asked for is dropped.
+                let Some(state) = self.queries.get_mut(&query_id) else {
+                    return;
+                };
+                if !state.awaiting.contains(&worker) {
+                    return;
                 }
-                // else: duplicate or post-completion (threshold met
-                // mid-burst) — drop, like a stray TCont.
+                match state.peer_epochs.iter_mut().find(|(p, _)| *p == worker) {
+                    Some((_, lowest)) => *lowest = (*lowest).min(epoch),
+                    None => state.peer_epochs.push((worker, epoch)),
+                }
+                state.groups.extend(groups);
+                state.parked_at = Instant::now();
+                if !more {
+                    state.awaiting.retain(|&w| w != worker);
+                }
+                if state.awaiting.is_empty() {
+                    let mut state = self.queries.remove(&query_id).expect("looked up above");
+                    self.finish_query(query_id, &mut state);
+                }
             }
             WireMsg::Pin { query_id, keywords } => {
                 self.stats.scans += 1;
                 let bits = self.hasher.vertex_for(&keywords).bits();
-                debug_assert_eq!(self.shards.owner_of(bits), self.index, "misrouted pin");
+                // Misrouted, it finds no table and answers empty.
+                self.owns(bits);
                 let objects = self
                     .tables
                     .get(&bits)
@@ -820,8 +813,8 @@ impl Worker {
         }
     }
 
-    /// The per-vertex `T_QUERY` handler, however the visit arrived (a
-    /// frame, a batch entry, the local fast path, an FT command): scan
+    /// The per-vertex `T_QUERY` handler of the fault-tolerant path
+    /// (a frame, or an FT command for a vertex this worker owns): scan
     /// the vertex's store for at most `remaining` supersets of
     /// `keywords` and derive its SBT children from its bits and arrival
     /// dimension alone (Lemma 3.2).
@@ -832,178 +825,114 @@ impl Worker {
         keywords: &KeywordSet,
         remaining: usize,
     ) -> VisitReply {
-        self.stats.scans += 1;
-        let store = self.tables.get(&bits);
         // Most visited vertices hold nothing: hash the query's
         // signature only where there is a store to prefilter.
-        let qsig = store.map_or(0, |_| keywords.signature());
-        let mut found = Vec::new();
-        scan_store(store, keywords, qsig, remaining, &mut found);
-        let objects = found
-            .iter()
-            .map(|r| (r.object.raw(), r.extra_keywords))
-            .collect();
+        let qsig = if self.tables.contains_key(&bits) {
+            keywords.signature()
+        } else {
+            0
+        };
+        let objects = self.scan(bits, keywords, qsig, remaining);
         let vertex = Vertex::from_bits(self.shape, bits).expect("coordinators stay in the cube");
         (objects, child_contacts(vertex, via_dim).collect())
     }
 
-    /// Advances one batched sequential query: folds buffered replies
-    /// strictly in dispatch order, then — once the whole outstanding
-    /// wave has folded — dispatches the next frontier at once,
-    /// self-owned visits onto the local work queue, remote visits
-    /// grouped per owner into `TQueryBatch` frames. Returns `true`
-    /// when the query finished (`QueryDone` sent), `false` while
-    /// visits are outstanding.
-    fn drive(&mut self, query_id: u64, state: &mut QueryState) -> bool {
-        loop {
-            // Fold in dispatch order only — a reply for a later vertex
-            // parks until everything dispatched before it has folded,
-            // which reproduces the sequential machine's budget
-            // accounting exactly.
-            while !state.coord.is_done() {
-                let Some(&bits) = state.pending.front() else {
-                    break;
-                };
-                let Some((objects, children)) = state.replies.remove(&bits) else {
-                    break;
-                };
-                state.pending.pop_front();
-                // The scan ran under the budget live at dispatch (or
-                // scan) time, which is ≥ the budget live now; the scan
-                // order is deterministic, so the fold-time prefix is
-                // exactly what a sequential visit would have returned.
-                let take = objects.len().min(state.coord.remaining());
-                state.results.extend(objects.into_iter().take(take));
-                state.coord.record_visit(take, children);
-            }
-            if state.coord.is_done() {
-                // Threshold met: replies still in flight (or parked,
-                // or queued locally) are discarded on arrival.
-                self.finish_query(query_id, state, false);
-                return true;
-            }
-            if !state.pending.is_empty() {
-                // Wave barrier: the next frontier ships only once
-                // every visit from the current one has folded, so
-                // burst composition — and with it the batch-frame
-                // count — is a pure function of the traversal, never
-                // of reply arrival timing.
-                state.parked_at = Instant::now();
-                return false;
-            }
-            let mut burst = Vec::new();
-            state.coord.drain_frontier(&mut burst);
-            if burst.is_empty() {
-                // Frontier exhausted, nothing outstanding: the
-                // traversal covered its subcube.
-                self.finish_query(query_id, state, true);
-                return true;
-            }
-            self.dispatch_burst(query_id, state, burst);
-        }
-    }
-
-    /// Ships one frontier burst: `pending` records the burst order,
-    /// self-owned vertices queue for the local fast path, and remote
-    /// vertices group per owner into `TQueryBatch` frames. Vertices
-    /// whose reply is already parked — delivered ahead of time by a
-    /// remote worker's eager region expansion — enter `pending` but
-    /// are never re-dispatched.
-    fn dispatch_burst(
+    /// At most `limit` of vertex `bits`' matches for `keywords`, in the
+    /// store's order.
+    fn scan(
         &mut self,
-        query_id: u64,
-        state: &mut QueryState,
-        burst: Vec<(u64, Option<u8>)>,
-    ) {
-        let remaining = state.coord.remaining() as u64;
-        // Insertion-ordered grouping keeps frame emission (and thus
-        // the bench's frame counts) deterministic.
-        let mut groups: Vec<(u32, Vec<(u64, u8)>)> = Vec::new();
-        for (bits, via_dim) in burst {
-            state.pending.push_back(bits);
-            if state.replies.contains_key(&bits) {
-                // Already answered by the owning worker's eager
-                // expansion; the fold loop will consume it in order.
-                state.predelegated.remove(&bits);
-                continue;
-            }
-            if state.predelegated.remove(&bits) {
-                // A remote expansion already forwarded this visit to
-                // its owner; the reply is on its way unsolicited.
-                continue;
-            }
-            let owner = self.shards.owner_of(bits);
-            if owner == self.index {
-                self.local_work.push_back((query_id, bits, via_dim));
-                continue;
-            }
-            // Only the traversal root lacks a dimension. An arrival dim
-            // of `r` spans every free dim below it — exactly the root's
-            // frontier — so the root rides the same batch path and its
-            // region expands eagerly at the owner like any other.
-            let dim = via_dim.unwrap_or(self.shape.r());
-            match groups.iter_mut().find(|(o, _)| *o == owner) {
-                Some((_, entries)) => entries.push((bits, dim)),
-                None => groups.push((owner, vec![(bits, dim)])),
-            }
-        }
-        let coord = self.index;
-        for (owner, group) in groups {
-            // Always a batch, even for a single entry: the batch
-            // handler eagerly expands the receiver's whole region, so
-            // a lone cross-cut edge still delegates the subtree below
-            // it instead of bouncing every child through here.
-            self.send_batched(
-                owner as usize,
-                group,
-                wire::batch_header_len(Some(&state.keywords)),
-                |_| CONTACT_LEN,
-                |entries| WireMsg::TQueryBatch {
-                    query_id,
-                    keywords: (*state.keywords).clone(),
-                    remaining,
-                    coord,
-                    entries,
-                },
-            );
-        }
+        bits: u64,
+        keywords: &KeywordSet,
+        qsig: u64,
+        limit: usize,
+    ) -> Vec<(u64, u32)> {
+        self.stats.scans += 1;
+        let mut found = Vec::new();
+        scan_store(self.tables.get(&bits), keywords, qsig, limit, &mut found);
+        found
+            .iter()
+            .map(|r| (r.object.raw(), r.extra_keywords))
+            .collect()
     }
 
-    /// Sends `entries` to `dest` in the batch frame `frame` builds —
-    /// in several when there are more than one frame's count field
-    /// holds or more bytes than one frame's body may carry
-    /// (`header_len` of it spent before the entries, `entry_len` per
-    /// entry). Entries are keyed by vertex, so the receiver folds each
-    /// frame on its own.
-    fn send_batched<T>(
+    /// This worker's share of one sequential query: every prefix region
+    /// of `H_r(root)` it owns, walked; the vertices holding matches in
+    /// visit order, cut at the share's first `threshold` matches — the
+    /// query's first `threshold` are among them and the other owners'.
+    /// `None` when it owns no region of the subcube. The coordinator
+    /// and every other owner answer through here.
+    fn walk_share(
         &mut self,
-        dest: usize,
-        mut entries: Vec<T>,
-        header_len: usize,
-        entry_len: impl Fn(&T) -> usize,
-        frame: impl Fn(Vec<T>) -> WireMsg,
-    ) {
-        let room = MAX_BODY_LEN as usize - header_len;
-        loop {
-            let sizes = entries.iter().map(&entry_len);
-            let rest = entries.split_off(wire::batch_prefix(sizes, MAX_BATCH_ENTRIES, room));
-            self.send(dest, &frame(entries));
-            if rest.is_empty() {
-                return;
+        root: Vertex,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Option<Vec<RegionGroup>> {
+        let cut = self.shards.region_cut();
+        let qsig = keywords.signature();
+        let mut groups = Vec::new();
+        let mut regions = 0;
+        // The root's region comes first.
+        for entry in region_entries(root, cut) {
+            if self.shards.owner_of(entry) != self.index {
+                continue;
             }
-            entries = rest;
+            regions += 1;
+            self.walk_region(entry, cut, keywords, qsig, threshold, &mut groups);
+            if root_fills(&groups, root.bits(), threshold) {
+                break;
+            }
+        }
+        if regions > 1 {
+            cut_groups(root.bits(), &mut groups, threshold);
+        }
+        (regions > 0).then_some(groups)
+    }
+
+    /// Walks one region breadth-first from its `entry` vertex with
+    /// arrival dimension `cut` — its share of the sequential
+    /// traversal's visits, in that order — pushing every vertex that
+    /// holds a match, until the region has yielded `threshold` of them:
+    /// whatever it holds beyond is behind `threshold` matches in the
+    /// whole query's order too.
+    fn walk_region(
+        &mut self,
+        entry: u64,
+        cut: u8,
+        keywords: &KeywordSet,
+        qsig: u64,
+        threshold: usize,
+        groups: &mut Vec<RegionGroup>,
+    ) {
+        let mut queue = VecDeque::from([(entry, cut)]);
+        let mut found = 0;
+        while let Some((bits, via_dim)) = queue.pop_front() {
+            let objects = self.scan(bits, keywords, qsig, threshold - found);
+            found += objects.len();
+            if !objects.is_empty() {
+                groups.push((bits, objects));
+            }
+            if found >= threshold {
+                break;
+            }
+            let vertex = Vertex::from_bits(self.shape, bits).expect("regions stay in the cube");
+            queue.extend(child_contacts(vertex, Some(via_dim)));
         }
     }
 
-    /// Completes one sequential query: ships `QueryDone` to the client
-    /// (the fold loop takes at most the live budget from every reply,
-    /// so the results never exceed the threshold) and, when the
-    /// traversal holds its query's cache slot, to every waiter the
-    /// answer is fresh enough for, then fills the slot. `exhausted`
-    /// says the traversal covered its whole subcube.
-    fn finish_query(&mut self, query_id: u64, state: &mut QueryState, exhausted: bool) {
-        state.coord.stop();
-        let objects = std::mem::take(&mut state.results);
+    /// Completes one sequential query once every owner has answered:
+    /// merges the groups into the sequential traversal's answer, ships
+    /// `QueryDone` to the client and, when the traversal holds its
+    /// query's cache slot, to every waiter the answer is fresh enough
+    /// for, then fills the slot.
+    fn finish_query(&mut self, query_id: u64, state: &mut QueryState) {
+        cut_groups(state.root_bits, &mut state.groups, state.threshold);
+        let objects: Vec<(u64, u32)> = state
+            .groups
+            .drain(..)
+            .flat_map(|(_, objects)| objects)
+            .collect();
+        // Short of the threshold, every region was walked to its end.
+        let exhausted = objects.len() < state.threshold;
         if !state.slot {
             let client = self.client_slot();
             self.send(client, &WireMsg::QueryDone { query_id, objects });
@@ -1098,41 +1027,48 @@ impl Worker {
             Claim::Pass => false,
         };
         let root = self.hasher.vertex_for(&keywords);
+        let own_epoch = self.cache.generation();
+        let groups = self
+            .walk_share(root, &keywords, threshold)
+            .unwrap_or_default();
+        // One round: every other owner of a region hears once, unless
+        // the root already settled the answer.
+        let mut awaiting = Vec::new();
+        if !root_fills(&groups, root.bits(), threshold) {
+            for entry in region_entries(root, self.shards.region_cut()) {
+                let owner = self.shards.owner_of(entry);
+                if owner != self.index && !awaiting.contains(&owner) {
+                    awaiting.push(owner);
+                }
+            }
+        }
+        for &owner in &awaiting {
+            self.send(
+                owner as usize,
+                &WireMsg::RegionQuery {
+                    query_id,
+                    keywords: (*keywords).clone(),
+                    threshold: threshold as u64,
+                    coord: self.index,
+                },
+            );
+        }
         let mut state = QueryState {
-            coord: SupersetCoordinator::new(root, threshold),
             keywords,
-            results: Vec::new(),
-            pending: VecDeque::new(),
-            replies: HashMap::new(),
-            predelegated: HashSet::new(),
+            root_bits: root.bits(),
+            threshold,
+            groups,
+            awaiting,
             slot,
-            own_epoch: self.cache.generation(),
+            own_epoch,
             peer_epochs: Vec::new(),
             waiters: Vec::new(),
             parked_at: Instant::now(),
         };
-        if !self.drive(query_id, &mut state) {
+        if state.awaiting.is_empty() {
+            self.finish_query(query_id, &mut state);
+        } else {
             self.queries.insert(query_id, state);
-        }
-    }
-
-    /// Runs up to [`LOCAL_WORK_BUDGET`] queued self-owned visits: scan
-    /// inline (no encode/decode), park the reply, re-drive the query.
-    /// Entries whose query has completed (threshold met while they
-    /// waited) are skipped, mirroring a dropped late continuation.
-    fn run_local_work(&mut self) {
-        for _ in 0..LOCAL_WORK_BUDGET {
-            let Some((query_id, bits, via_dim)) = self.local_work.pop_front() else {
-                return;
-            };
-            let Some(mut state) = self.queries.remove(&query_id) else {
-                continue;
-            };
-            let reply = self.visit(bits, via_dim, &state.keywords, state.coord.remaining());
-            state.replies.insert(bits, reply);
-            if !self.drive(query_id, &mut state) {
-                self.queries.insert(query_id, state);
-            }
         }
     }
 
@@ -1237,21 +1173,21 @@ impl Worker {
     /// single fabric operation per destination.
     fn send(&mut self, dest: usize, msg: &WireMsg) {
         self.stats.frames_sent += 1;
-        if let WireMsg::TQueryBatch { entries, .. } = msg {
-            self.stats.batch_frames_sent += 1;
-            self.stats.batch_entries_sent += entries.len() as u64;
-        }
-        if let WireMsg::TContBatch { entries, .. } = msg {
-            self.stats.batch_frames_sent += 1;
-            self.stats.batch_entries_sent += entries.len() as u64;
+        match msg {
+            WireMsg::RegionQuery { .. } => self.stats.batch_frames_sent += 1,
+            WireMsg::RegionDone { groups, .. } => {
+                self.stats.batch_frames_sent += 1;
+                self.stats.batch_entries_sent += groups.len() as u64;
+            }
+            _ => {}
         }
         let injectable = dest != self.client_slot()
             && matches!(
                 msg,
                 WireMsg::TQuery { .. }
-                    | WireMsg::TQueryBatch { .. }
                     | WireMsg::TCont { .. }
-                    | WireMsg::TContBatch { .. }
+                    | WireMsg::RegionQuery { .. }
+                    | WireMsg::RegionDone { .. }
             );
         if injectable {
             if let Some(injector) = &mut self.injector {
@@ -1298,7 +1234,7 @@ mod tests {
 
     #[test]
     fn report_lines_roundtrip_in_declaration_order() {
-        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17";
+        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18";
         let stats = WorkerStats::parse_line(line).unwrap();
         assert_eq!(
             (stats.worker, stats.frames_sent, stats.scans),
@@ -1306,20 +1242,20 @@ mod tests {
             "{stats:?}"
         );
         assert_eq!((stats.batch_entries_sent, stats.cache_evictions), (27, 16));
-        assert_eq!(stats.frames_undecodable, 17);
+        assert_eq!((stats.frames_undecodable, stats.frames_misrouted), (17, 18));
         assert_eq!(stats.report_line(), line);
         // A line one counter short (the cache columns' predecessor
         // format included) or long is rejected, never zero-filled.
         assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
         assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
-        assert!(WorkerStats::parse_line(&format!("{line} 18")).is_none());
+        assert!(WorkerStats::parse_line(&format!("{line} 19")).is_none());
         assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
         // Merging sums every counter and leaves the key alone.
         let mut merged = stats.clone();
         merged.merge(&stats);
         assert_eq!(
             merged.report_line(),
-            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34"
+            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36"
         );
 
         let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5 6").unwrap();
@@ -1333,6 +1269,54 @@ mod tests {
         );
         assert_eq!(sup.report_line(), "SSTATS 1 2 3 4 5 6");
         assert!(SupervisorStats::parse_line("garbage").is_none());
+    }
+
+    /// An answer forced over a tiny body cap travels in several frames,
+    /// every one within the cap and all but the last flagged `more`,
+    /// and the coordinator's merge reads the same answer out of them —
+    /// with a frame duplicated on the way, too.
+    #[test]
+    fn an_answer_split_over_several_frames_merges_to_the_unsplit_answer() {
+        let root = 0b0000_0100u64;
+        // Vertices of `H_8(root)` in visit order, 1–3 matches each.
+        let mut vertices: Vec<u64> = (0..256)
+            .filter(|v| v & root == root && v % 3 != 0)
+            .collect();
+        vertices.sort_by_key(|&v| visit_order_key(root, v));
+        let groups: Vec<RegionGroup> = vertices
+            .iter()
+            .map(|&v| (v, (0..=v % 3).map(|i| (v * 10 + i, i as u32)).collect()))
+            .collect();
+        let merged = |mut groups: Vec<RegionGroup>, threshold| {
+            cut_groups(root, &mut groups, threshold);
+            groups
+        };
+
+        let room = 100;
+        let frames = region_done_frames(7, 1, 42, groups.clone(), room);
+        assert!(frames.len() > 10, "{} frames", frames.len());
+        let mut arrived = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            assert!(frame.encode().len() - wire::PREFIX_LEN <= REGION_DONE_HEADER_LEN + room);
+            let WireMsg::RegionDone { more, groups, .. } = frame else {
+                panic!("not a region answer: {frame:?}");
+            };
+            assert_eq!(*more, i + 1 < frames.len());
+            assert!(!groups.is_empty());
+            arrived.extend(groups.iter().cloned());
+            if i == 3 {
+                arrived.extend(groups.iter().cloned());
+            }
+        }
+        for threshold in [1, 2, 20, usize::MAX - 1] {
+            assert_eq!(
+                merged(arrived.clone(), threshold),
+                merged(groups.clone(), threshold)
+            );
+        }
+        assert_eq!(merged(arrived, usize::MAX - 1), groups);
+        // Nothing to say is still one frame: the coordinator waits for it.
+        assert_eq!(region_done_frames(7, 1, 42, Vec::new(), room).len(), 1);
     }
 
     /// A worker shutting down with a frame parked on a capacity-1 sink

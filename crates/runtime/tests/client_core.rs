@@ -180,13 +180,13 @@ fn stale_replies_are_dropped_and_counted_by_every_wait() {
 fn a_frame_kind_no_client_is_sent_is_a_typed_error() {
     let stray = hyperdex_runtime::wire::exemplars()
         .into_iter()
-        .find(|msg| matches!(msg, WireMsg::TQueryBatch { .. }))
+        .find(|msg| matches!(msg, WireMsg::RegionQuery { .. }))
         .expect("the exemplars cover every kind");
     let mut c = client(move |_, inbox| inbox.push_back(stray.clone()));
     assert_eq!(
         c.pin_search(&set("a")),
         Err(Error::UnexpectedFrame {
-            kind: "TQueryBatch".to_string()
+            kind: "RegionQuery".to_string()
         })
     );
 }
@@ -220,12 +220,15 @@ fn run_batch_matches_out_of_order_completions_and_counts_frames() {
     assert_eq!(link.shipped.len(), 7, "one frame per request");
     // A full window first, then one refill per completion.
     assert_eq!(link.bursts, vec![3, 1, 1, 1, 1]);
-    // Superset searches round-robin over coordinators by id; pins go
-    // to their root's owner.
+    // One routing rule: a pin and a superset search alike go to the
+    // owner of their keywords' vertex.
+    let hasher = KeywordHasher::new(8, 42).unwrap();
+    let shards = ShardMap::new(8, WORKERS, 42);
     for (worker, msg) in &link.shipped {
-        if let WireMsg::QueryAt { query_id, .. } = msg {
-            assert_eq!(u64::from(*worker), query_id % u64::from(WORKERS));
-        }
+        let (WireMsg::QueryAt { keywords, .. } | WireMsg::Pin { keywords, .. }) = msg else {
+            panic!("only pins and superset searches were requested: {msg:?}");
+        };
+        assert_eq!(*worker, shards.owner_of(hasher.vertex_for(keywords).bits()));
     }
 }
 

@@ -6,7 +6,9 @@
 //! `ProtocolSim` at r ∈ {8, 12} across at least three worker counts,
 //! with frame conservation holding on every shutdown.
 
-use hyperdex_core::{KeywordSet, ObjectId};
+use std::collections::BTreeSet;
+
+use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::{assert_sim_parity, NodeRuntime, Request, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
@@ -92,13 +94,14 @@ fn scan_frames(workers: u32, corpus: &[(ObjectId, KeywordSet)], scans: &[Request
 }
 
 #[test]
-fn scan_frames_stay_within_the_locality_envelope() {
-    // A query spanning R prefix regions costs 2(R−1) + 2 frames against
-    // the single worker's 2, and R ≤ w — so sharding may multiply the
-    // frames of exhaustive scans by at most the worker count (5.9× at
-    // w = 8 here; per-vertex dispatch was 22–64×).
+fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
+    // `Query`/`QueryDone`, and one `RegionQuery`/`RegionDone` pair for
+    // every worker other than the coordinator (the root's owner) that
+    // owns a vertex of the query's subcube — unless the root alone
+    // fills the threshold, which ends the query before anyone is asked.
     let (corpus, queries) = workload(42, 4_000);
-    let scans: Vec<Request> = queries
+    let hasher = KeywordHasher::new(8, 42).expect("valid r");
+    let mut scans: Vec<Request> = queries
         .into_iter()
         .filter(|(_, threshold)| *threshold == usize::MAX - 1)
         .map(|(keywords, threshold)| Request::Superset {
@@ -107,14 +110,44 @@ fn scan_frames_stay_within_the_locality_envelope() {
         })
         .collect();
     assert!(scans.len() >= 8, "query mix shrank");
-    let single = scan_frames(1, &corpus, &scans);
-    assert_eq!(single, 2 * scans.len() as u64);
-    for workers in WORKER_COUNTS {
+    // A stored set asked for with `t = 1`: its own vertex answers.
+    let settled_at_the_root = Request::Superset {
+        keywords: corpus[0].1.clone(),
+        threshold: 1,
+    };
+    assert!(!scans.contains(&Request::Superset {
+        keywords: corpus[0].1.clone(),
+        threshold: usize::MAX - 1,
+    }));
+    scans.push(settled_at_the_root);
+
+    for workers in [1, 2, 3, 4, 8] {
+        let shards = RuntimeConfig::new(8, workers).seed(42).shard_map();
+        let expected: u64 = scans
+            .iter()
+            .map(|scan| {
+                let Request::Superset {
+                    keywords,
+                    threshold,
+                } = scan
+                else {
+                    unreachable!("only supersets were built");
+                };
+                if *threshold == 1 {
+                    return 2;
+                }
+                let root = hasher.vertex_for(keywords);
+                let owners: BTreeSet<u32> = root
+                    .subcube()
+                    .iter()
+                    .map(|v| shards.owner_of(v.bits()))
+                    .collect();
+                assert!(owners.contains(&shards.owner_of(root.bits())));
+                2 + 2 * (owners.len() as u64 - 1)
+            })
+            .sum();
         let frames = scan_frames(workers, &corpus, &scans);
-        assert!(
-            frames <= u64::from(workers) * single,
-            "scan frame fan-out regressed: {frames} frames at {workers} workers vs {single} at 1"
-        );
+        assert_eq!(frames, expected, "{workers} workers");
         assert_eq!(
             frames,
             scan_frames(workers, &corpus, &scans),
@@ -124,16 +157,61 @@ fn scan_frames_stay_within_the_locality_envelope() {
 }
 
 #[test]
-fn a_region_longer_than_one_batch_frame_is_answered_in_several() {
+fn thresholded_answers_match_the_sequential_machines_at_every_worker_count() {
+    // Which matches a binding threshold keeps is decided by the visit
+    // order: the region merge must keep the ones the simulator's and
+    // the direct engine's sequential fold keeps, however many workers
+    // the subcube is cut across (non-powers of two included). First
+    // the suites' own query mix ...
+    let (corpus, queries) = workload(42, 400);
+    // ... then every threshold that matters, over a corpus whose every
+    // set has three words: all matches of a query then carry the same
+    // extra-keyword count, so the direct engine's ranking within a
+    // vertex (the one thing it does that the message executors do not)
+    // is the scan order, and the three must agree id for id wherever
+    // the cut falls.
+    let words: Vec<String> = (0..12).map(|w| format!("w{w}")).collect();
+    let mut uniform = Vec::new();
+    for a in 0..words.len() {
+        for b in a + 1..words.len() {
+            for c in b + 1..words.len() {
+                let set = KeywordSet::from_strs([&words[a], &words[b], &words[c]]).unwrap();
+                for _ in 0..2 {
+                    let id = ObjectId::from_raw(uniform.len() as u64);
+                    uniform.push((id, set.clone()));
+                }
+            }
+        }
+    }
+    let thresholded: Vec<(KeywordSet, usize)> = (0..words.len())
+        .map(|w| KeywordSet::from_strs([&words[w]]).unwrap())
+        .chain((0..4).map(|w| KeywordSet::from_strs([&words[w], &words[w + 5]]).unwrap()))
+        .flat_map(|keywords| {
+            [1, 2, 20, usize::MAX - 1].map(|threshold| (keywords.clone(), threshold))
+        })
+        .collect();
+    for workers in 1..=9 {
+        let report = assert_sim_parity(8, 42, workers, &corpus, &queries);
+        assert_eq!(report.superset_checked, queries.len());
+        let report = assert_sim_parity(8, 42, workers, &uniform, &thresholded);
+        assert_eq!(report.superset_checked, thresholded.len());
+        assert_eq!(report.shutdown.in_flight(), 0);
+    }
+}
+
+#[test]
+fn a_broad_scan_at_r18_is_answered_in_one_round() {
     // Two workers at r = 18: a one-keyword query's subcube is 2^17
-    // vertices, half of them the non-coordinating worker's — one more
-    // than a batch frame's u16 entry count holds, answered in one eager
-    // expansion. (The count used to wrap to 0, the peer read a corrupt
-    // frame and died.)
+    // vertices, half of them the non-coordinating worker's — walked
+    // there in one go and answered by naming only the vertices that
+    // hold a match.
     let (corpus, queries) = workload(42, 400);
     let scan = queries[0].clone();
     assert_eq!((scan.0.len(), scan.1), (1, usize::MAX - 1));
     let report = assert_sim_parity(18, 42, 2, &corpus, &[scan]);
-    let entries = report.shutdown.workers.iter().map(|w| w.batch_entries_sent);
-    assert!(entries.max() > Some(u64::from(u16::MAX)), "{report:?}");
+    let workers = &report.shutdown.workers;
+    let scans: u64 = workers.iter().map(|w| w.scans).sum();
+    assert!(scans > 1 << 17, "{report:?}");
+    let groups: u64 = workers.iter().map(|w| w.batch_entries_sent).sum();
+    assert!(groups <= corpus.len() as u64, "{report:?}");
 }

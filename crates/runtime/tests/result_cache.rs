@@ -4,18 +4,21 @@
 //!   searches and pipelined batches with duplicated queries, every
 //!   answer compared with a `HypercubeIndex` oracle that never caches.
 //! * Determinism: the same request list gives the same frame count and
-//!   the same cache decisions on every run.
+//!   the same cache decisions on every run, and the cluster admits a
+//!   repeated query once — on its root's owner — not once per worker.
 //! * Two real workers with the test standing in for the wire between
 //!   them (and for the client), so the interleavings the epoch rules
 //!   exist for can be forced frame by frame: a repeat answered with no
 //!   traversal frame, a flushed write made visible by the request's
 //!   marks, a waiter whose marks the finished traversal cannot
-//!   satisfy, a traversal whose frame the wire lost, a respawned
-//!   worker's epoch.
+//!   satisfy, a traversal whose answer the fault plan lost and one it
+//!   duplicated, an answer that arrives in several frames, a query sent
+//!   to a worker that does not own its root, a respawned worker's
+//!   epoch.
 //! * A worker crash between two cached answers.
 //! * An answer too long to keep.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -24,7 +27,7 @@ use hyperdex_core::{HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, Superse
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::worker::LEADER_SILENCE;
 use hyperdex_runtime::{
-    run_worker, take_frame, ExitCause, Fabric, FaultInjector, FaultPlan, FtSearchOptions,
+    run_worker, take_frame, ExitCause, Fabric, Fate, FaultInjector, FaultPlan, FtSearchOptions,
     NodeRuntime, Request, RuntimeConfig, ShardMap, ShutdownReport, WireMsg, WorkerContext,
     WorkerExit,
 };
@@ -278,6 +281,8 @@ fn fingerprint(report: &ShutdownReport) -> (u64, Vec<(u64, u64, u64, u64)>) {
 #[test]
 fn the_same_request_list_costs_the_same_frames_and_cache_decisions() {
     let (entries, requests) = hot_workload();
+    let hasher = KeywordHasher::new(8, SEED).unwrap();
+    let shards = |workers| RuntimeConfig::new(8, workers).seed(SEED).shard_map();
     for workers in WORKER_COUNTS {
         let run = || {
             let mut rt = NodeRuntime::start(RuntimeConfig::new(8, workers).seed(SEED)).unwrap();
@@ -306,6 +311,30 @@ fn the_same_request_list_costs_the_same_frames_and_cache_decisions() {
             (cache.hits + cache.coalesced) * 2 > requests.len() as u64,
             "workers={workers}: a dozen hot queries must mostly repeat: {cache:?}"
         );
+        // Every arrival of a query lands on its root's owner, so the
+        // cluster walks a repeated query twice (first sighting, then the
+        // admitting walk) — not twice per worker — and nobody else ever
+        // hears of it.
+        let mut arrivals: HashMap<&KeywordSet, (u32, u64)> = HashMap::new();
+        for request in &requests {
+            let Request::Superset { keywords, .. } = request else {
+                unreachable!("only supersets were built");
+            };
+            let owner = shards(workers).owner_of(hasher.vertex_for(keywords).bits());
+            arrivals.entry(keywords).or_insert((owner, 0)).1 += 1;
+        }
+        for (w, stats) in first.workers.iter().enumerate() {
+            let here = || arrivals.values().filter(|(owner, _)| *owner == w as u32);
+            assert_eq!(
+                stats.cache_misses,
+                here().map(|(_, count)| (*count).min(2)).sum::<u64>(),
+                "workers={workers}: worker {w} admitted a query that is not its own"
+            );
+            assert_eq!(
+                stats.queries_coordinated,
+                here().map(|(_, count)| count).sum::<u64>()
+            );
+        }
     }
 }
 
@@ -341,13 +370,18 @@ struct Rig {
 
 impl Rig {
     fn start() -> Rig {
+        Rig::start_faulted([FaultPlan::default(), FaultPlan::default()])
+    }
+
+    /// Worker `w` sends its traversal frames through `plans[w]`.
+    fn start_faulted(plans: [FaultPlan; 2]) -> Rig {
         let hasher = KeywordHasher::new(RIG_R, SEED).unwrap();
         let shards = ShardMap::new(RIG_R, 2, SEED);
         let (client_tx, client) = sync_channel(1024);
         let mut inbox = Vec::new();
         let mut wire = Vec::new();
         let mut threads = Vec::new();
-        for index in 0..2u32 {
+        for (index, plan) in (0..2u32).zip(plans) {
             let (inbox_tx, inbox_rx) = sync_channel(1024);
             let (wire_tx, wire_rx) = sync_channel(1024);
             let mut links = vec![Some(wire_tx), Some(client_tx.clone())];
@@ -357,7 +391,7 @@ impl Rig {
                 shape: Shape::new(RIG_R).unwrap(),
                 hasher,
                 shards,
-                injector: None,
+                injector: plan.is_active().then(|| FaultInjector::new(plan, index)),
                 repairing: false,
             };
             threads.push(std::thread::spawn(move || {
@@ -461,8 +495,18 @@ impl Rig {
     /// Sends a superset query to worker 0 and carries frames until it
     /// completes: the sorted ids and the frames that crossed.
     fn search(&self, query_id: u64, keywords: &KeywordSet, marks: &[u64]) -> (Vec<u64>, usize) {
+        self.search_at(0, query_id, keywords, marks)
+    }
+
+    fn search_at(
+        &self,
+        coordinator: u32,
+        query_id: u64,
+        keywords: &KeywordSet,
+        marks: &[u64],
+    ) -> (Vec<u64>, usize) {
         self.send(
-            0,
+            coordinator,
             &WireMsg::QueryAt {
                 query_id,
                 keywords: keywords.clone(),
@@ -526,7 +570,7 @@ fn a_repeat_costs_two_frames_and_a_flushed_write_costs_no_extra_frame() {
     // fills the slot; from the third on nothing crosses the wire.
     let (first, walked) = rig.search(1, &query, &marks);
     assert_eq!(first, vec![1, 2]);
-    assert!(walked >= 2, "the walk must reach worker 1");
+    assert_eq!(walked, 2, "one round: worker 1 is asked and answers");
     assert_eq!(rig.search(2, &query, &marks), (vec![1, 2], walked));
     assert_eq!(rig.search(3, &query, &marks), (vec![1, 2], 0));
     // A bare `Query` is the same request with no marks.
@@ -593,16 +637,21 @@ fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
             marks: vec![2, 1],
         },
     );
-    assert!(matches!(rig.carry(0)[..], [WireMsg::TQueryBatch { .. }]));
+    assert!(matches!(rig.carry(0)[..], [WireMsg::RegionQuery { .. }]));
     // ... while the reply is still on the wire, another client's write
     // reaches worker 1 and is flushed (epoch 2), and that client asks
     // the same query: it joins the running traversal.
     let reply = rig.wire[1]
         .recv_timeout(Duration::from_secs(10))
-        .expect("worker 1 answers the batch");
+        .expect("worker 1 answers for its region");
     assert!(matches!(
         decode_all(&reply)[..],
-        [WireMsg::TContBatch { epoch: 1, .. }]
+        [WireMsg::RegionDone {
+            worker: 1,
+            epoch: 1,
+            more: false,
+            ..
+        }]
     ));
     assert_eq!(rig.insert_flushed(4, &owned[1][1]), 2);
     rig.send(
@@ -626,7 +675,7 @@ fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
     // scanned worker 1 too early, so it walks again and sees it.
     let (second, crossed) = rig.carry_until_reply();
     assert_eq!(done_ids(second, 11), vec![1, 2, 3, 4]);
-    assert!(crossed >= 2, "query 11 needed its own walk");
+    assert_eq!(crossed, 2, "query 11 needed its own walk");
 
     let exits = rig.shutdown();
     let w0 = &exits[0].stats;
@@ -643,9 +692,26 @@ fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
     );
 }
 
+/// A plan under which worker 1's traversal frames toward worker 0 meet,
+/// in send order, exactly `fates` (and are delivered from then on for a
+/// while).
+fn plan_with_fates(fates: &[Fate]) -> FaultPlan {
+    (0..100_000)
+        .map(|seed| FaultPlan::lossy(seed, 250, 250, 0))
+        .find(|plan| {
+            let mut injector = FaultInjector::new(plan.clone(), 1);
+            fates.iter().all(|&fate| injector.fate(0) == fate)
+                && (0..4).all(|_| injector.fate(0) == Fate::Deliver)
+        })
+        .expect("some seed deals these fates")
+}
+
 #[test]
-fn a_repeat_of_a_query_whose_traversal_was_lost_is_still_answered() {
-    let rig = Rig::start();
+fn a_lost_answer_releases_its_waiters_and_a_duplicated_one_is_heard_once() {
+    // Worker 1's first answer arrives, its second is lost, its third
+    // arrives twice.
+    let plan = plan_with_fates(&[Fate::Deliver, Fate::Drop, Fate::Duplicate]);
+    let rig = Rig::start_faulted([FaultPlan::default(), plan]);
     let (query, owned) = spanning_query(&rig);
     rig.insert_flushed(1, &owned[0][0]);
     rig.insert_flushed(2, &owned[1][0]);
@@ -661,32 +727,34 @@ fn a_repeat_of_a_query_whose_traversal_was_lost_is_still_answered() {
             },
         );
     };
-    let (_, walked) = rig.search(1, &query, &marks);
+    assert_eq!(rig.search(1, &query, &marks), (vec![1, 2], 2));
 
-    // The second sighting reserves the slot, and the wire loses its
-    // first frame to worker 1: query 2 will never finish.
+    // The second sighting reserves the slot, and worker 1's answer to
+    // it never leaves worker 1: query 2 will never finish.
     ask(2);
-    let lost = rig.wire[0]
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the walk reaches for worker 1");
     assert!(matches!(
-        decode_all(&lost)[..],
-        [WireMsg::TQueryBatch { query_id: 2, .. }]
+        rig.carry(0)[..],
+        [WireMsg::RegionQuery { query_id: 2, .. }]
     ));
-    // An identical query right behind it waits for that traversal (the
-    // barrier's ack is the only frame worker 0 has for the client).
+    // An identical query right behind it waits for that traversal. The
+    // barriers prove both workers are through: worker 1 has answered
+    // into the void, and the ack is the only frame worker 0 has for
+    // the client.
     ask(3);
+    assert_eq!(rig.flush(1), 1);
     assert_eq!(rig.flush(0), 1);
+    assert!(matches!(rig.wire[1].try_recv(), Err(TryRecvError::Empty)));
 
     // Once the traversal has been silent for too long nobody waits for
-    // it any more: the next identical query walks, is answered, and
-    // holds the slot from then on.
+    // it any more: the next identical query walks, is answered — by an
+    // answer that arrives twice, the copy behind a finished query —
+    // and holds the slot from then on.
     std::thread::sleep(LEADER_SILENCE + Duration::from_millis(100));
-    assert_eq!(rig.search(4, &query, &marks), (vec![1, 2], walked));
+    assert_eq!(rig.search(4, &query, &marks), (vec![1, 2], 3));
     assert_eq!(rig.search(5, &query, &marks), (vec![1, 2], 0));
 
     let exits = rig.shutdown();
-    let w0 = &exits[0].stats;
+    let (w0, w1) = (&exits[0].stats, &exits[1].stats);
     assert_eq!(
         (
             w0.cache_hits,
@@ -697,6 +765,98 @@ fn a_repeat_of_a_query_whose_traversal_was_lost_is_still_answered() {
         (1, 2, 1, 1),
         "{w0:?}"
     );
+    assert_eq!((w1.frames_dropped, w1.frames_duplicated), (1, 1), "{w1:?}");
+    // Every copy that travelled was received: two inserts, four
+    // barriers, five queries and two shutdowns came from the test,
+    // four acks and three `QueryDone`s went to it.
+    let sent = w0.frames_sent + w1.frames_sent + w1.frames_duplicated;
+    let received = w0.frames_received + w1.frames_received + w1.frames_dropped;
+    assert_eq!(sent + 13, received + 7, "{exits:?}");
+}
+
+// ---------------------------------------------------------------
+// One round per region
+// ---------------------------------------------------------------
+
+#[test]
+fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
+    let rig = Rig::start();
+    let (query, owned) = spanning_query(&rig);
+    rig.insert_flushed(1, &owned[0][0]);
+    for (object, keywords) in (2..).zip(&owned[1][..4]) {
+        rig.insert_flushed(object, keywords);
+    }
+    let marks = [1, 4];
+    let (whole, _) = rig.search(1, &query, &marks);
+    assert_eq!(whole, vec![1, 2, 3, 4, 5]);
+
+    // The same walk again, but worker 1's answer is cut on the wire
+    // into one frame per vertex — what a body cap would force — and
+    // one of the frames is delivered twice.
+    rig.send(
+        0,
+        &WireMsg::QueryAt {
+            query_id: 2,
+            keywords: query.clone(),
+            threshold: u64::MAX - 1,
+            marks: marks.to_vec(),
+        },
+    );
+    rig.carry(0);
+    let answer = rig.wire[1]
+        .recv_timeout(Duration::from_secs(10))
+        .expect("worker 1 answers for its region");
+    let [WireMsg::RegionDone {
+        query_id,
+        worker,
+        epoch,
+        more: false,
+        groups,
+    }] = &decode_all(&answer)[..]
+    else {
+        panic!("one whole answer expected");
+    };
+    assert!(groups.len() >= 2, "worker 1's matches share one vertex");
+    for (i, group) in groups.iter().enumerate() {
+        let frame = WireMsg::RegionDone {
+            query_id: *query_id,
+            worker: *worker,
+            epoch: *epoch,
+            more: i + 1 < groups.len(),
+            groups: vec![group.clone()],
+        };
+        for _ in 0..if i == 0 { 2 } else { 1 } {
+            rig.send(0, &frame);
+        }
+    }
+    let (reply, crossed) = rig.carry_until_reply();
+    assert_eq!((done_ids(reply, 2), crossed), (whole, 0));
+    // It filled the slot like any other answer.
+    assert_eq!(rig.search(3, &query, &marks), (vec![1, 2, 3, 4, 5], 0));
+    rig.shutdown();
+}
+
+#[test]
+fn a_worker_that_does_not_own_the_root_coordinates_what_it_is_sent() {
+    let rig = Rig::start();
+    let (query, owned) = spanning_query(&rig);
+    rig.insert_flushed(1, &owned[0][0]);
+    rig.insert_flushed(2, &owned[1][0]);
+    rig.insert_flushed(3, &owned[1][1]);
+    let marks = [1, 2];
+    // One of the two is not the root's owner: to it the root's region
+    // is one more remote region. Same answer, same two frames.
+    let at_owner = rig.search_at(rig.owner(&query), 1, &query, &marks);
+    let elsewhere = rig.search_at(1 - rig.owner(&query), 2, &query, &marks);
+    assert_eq!(at_owner, (vec![1, 2, 3], 2));
+    assert_eq!(elsewhere, at_owner);
+    for exit in rig.shutdown() {
+        assert_eq!(exit.stats.queries_coordinated, 1);
+        assert_eq!(
+            exit.stats.frames_misrouted, 0,
+            "a query is nobody's to refuse"
+        );
+    }
 }
 
 #[test]
@@ -783,17 +943,16 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
 // ---------------------------------------------------------------
 
 const CRASH_WORKERS: u32 = 2;
-const VICTIM: u32 = 1;
 
 fn crash_corpus_set(object: u64) -> KeywordSet {
     set(&format!("hot w{}", object % 10))
 }
 
-/// Loads a small corpus and warms every coordinator's cache with one
-/// query. Then, when `whole`: an FT search rooted on the victim (the
-/// crash trigger — the one request whose loss the client survives),
-/// the query again on every coordinator, one more flushed write on
-/// the victim's shard, and the query again.
+/// Loads a small corpus and warms the coordinator's cache with the
+/// query (three sightings: pass, fill, hit). Then, when `whole`: an FT
+/// search rooted on the victim (the crash trigger — the one request
+/// whose loss the client survives), the query again, one more flushed
+/// write on the victim's shard, and the query twice more.
 fn crash_script(
     plan: FaultPlan,
     victim_set: &KeywordSet,
@@ -818,8 +977,7 @@ fn crash_script(
         ids
     };
     let mut answers = Vec::new();
-    // Three sightings on each coordinator: pass, fill, hit.
-    for _ in 0..3 * CRASH_WORKERS {
+    for _ in 0..3 {
         answers.push(ask(&mut rt));
     }
     if whole {
@@ -829,13 +987,11 @@ fn crash_script(
         };
         let out = rt.superset_search_ft(victim_set, 5, &opts).unwrap();
         assert!(out.complete, "{out:?}");
-        for _ in 0..CRASH_WORKERS {
-            answers.push(ask(&mut rt));
-        }
+        answers.push(ask(&mut rt));
         rt.insert(ObjectId::from_raw(40), victim_set.clone())
             .unwrap();
         rt.flush();
-        for _ in 0..CRASH_WORKERS {
+        for _ in 0..2 {
             answers.push(ask(&mut rt));
         }
     }
@@ -848,47 +1004,55 @@ fn crash_script(
 fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_fresh_walk() {
     let shards = RuntimeConfig::new(8, CRASH_WORKERS).seed(SEED).shard_map();
     let hasher = KeywordHasher::new(8, SEED).unwrap();
-    let owned_by_victim =
-        |keywords: &KeywordSet| shards.owner_of(hasher.vertex_for(keywords).bits()) == VICTIM;
+    let owner = |keywords: &KeywordSet| shards.owner_of(hasher.vertex_for(keywords).bits());
+    // The query's one cache entry lives on its root's owner; the
+    // victim is the other worker, which stamps part of that entry.
+    let coordinator = owner(&set("hot"));
+    let victim = 1 - coordinator;
     let victim_set = (0..10)
         .map(crash_corpus_set)
-        .find(owned_by_victim)
+        .find(|keywords| owner(keywords) == victim)
         .expect("the victim owns part of the corpus");
 
     // What a run without faults answers.
     let (expected, clean) = crash_script(FaultPlan::default(), &victim_set, true);
     let before: Vec<u64> = (0..40).collect();
     let after: Vec<u64> = (0..41).collect();
-    assert!(expected[..8].iter().all(|answer| answer == &before));
-    assert!(expected[8..].iter().all(|answer| answer == &after));
-    let w0 = &clean.workers[0];
+    assert!(expected[..4].iter().all(|answer| answer == &before));
+    assert!(expected[4..].iter().all(|answer| answer == &after));
+    let at_coordinator = &clean.workers[coordinator as usize];
     assert_eq!(
-        (w0.cache_hits, w0.cache_stale),
-        (2, 1),
-        "worker 0 must have answered from an entry the victim stamped: {w0:?}"
+        (at_coordinator.cache_hits, at_coordinator.cache_stale),
+        (3, 1),
+        "the coordinator must have answered from an entry the victim stamped: {at_coordinator:?}"
     );
+    assert_eq!(clean.workers[victim as usize].cache(), Default::default());
 
     // Where the trigger falls: every frame the victim receives up to
     // it is a load frame, one of two barriers (ours and shutdown's),
     // the final `Shutdown`, or a query-path frame.
     let (_, warm) = crash_script(FaultPlan::default(), &victim_set, false);
     let loads = (0..40)
-        .filter(|&object| owned_by_victim(&crash_corpus_set(object)))
+        .filter(|&object| owner(&crash_corpus_set(object)) == victim)
         .count() as u64;
-    let query_path = warm.workers[VICTIM as usize].frames_received - loads - 2 - 1;
+    let query_path = warm.workers[victim as usize].frames_received - loads - 2 - 1;
+    assert_eq!(
+        query_path, 2,
+        "the pass and the fill each asked the victim once"
+    );
 
-    // The victim dies on the FT query: its tables, its cache and every
-    // epoch it ever reported are gone; the supervisor replays its
-    // shard. Worker 0 still holds an entry stamped by the previous
+    // The victim dies on the FT query: its tables and every epoch it
+    // ever reported are gone; the supervisor replays its shard. The
+    // coordinator still holds an entry stamped by the previous
     // incarnation — and every answer must be what a fresh walk gives.
-    let plan = FaultPlan::default().crash(VICTIM, query_path + 1);
+    let plan = FaultPlan::default().crash(victim, query_path + 1);
     let (answers, report) = crash_script(plan, &victim_set, true);
     assert_eq!(report.supervisor.respawns, 1, "{report:?}");
     assert!(report.supervisor.replayed_frames > 0);
     assert_eq!(answers, expected);
     assert!(
-        report.workers[0].cache_hits >= 2,
-        "worker 0's entry outlived the crash and still served: {report:?}"
+        report.workers[coordinator as usize].cache_hits >= 2,
+        "the coordinator's entry outlived the crash and still served: {report:?}"
     );
 }
 
