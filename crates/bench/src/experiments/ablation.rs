@@ -62,7 +62,8 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
     let mut bu_extra = 0.0;
     let mut measured = 0.0;
     for q in &queries {
-        let base = SupersetQuery::new(q.clone()).use_cache(false);
+        // Every arm of the ablation varies the walk as published.
+        let base = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
         let seq = index.superset_search(&base.clone()).expect("valid");
         let par = index
             .superset_search(&base.clone().mode(ExecutionMode::LevelParallel))
@@ -132,11 +133,10 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
         deco.insert("kw", id, keywords.clone()).expect("insertable");
     }
     if let Some(q) = queries.first() {
-        let mono = index
-            .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
-            .expect("valid");
+        let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+        let mono = index.superset_search(&published).expect("valid");
         let sub = deco
-            .superset_search("kw", &SupersetQuery::new(q.clone()).use_cache(false))
+            .superset_search("kw", &published)
             .expect("field exists");
         println!(
             "decomposition: monolithic r=10 contacted {} nodes; decomposed r=6 field \
@@ -157,7 +157,8 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
             .superset_search(
                 &SupersetQuery::new((*q).clone())
                     .threshold(20)
-                    .use_cache(false),
+                    .use_cache(false)
+                    .prune(false),
             )
             .expect("valid");
         let sbt = hyperdex_hypercube::Sbt::induced(index.vertex_for(q));

@@ -61,9 +61,11 @@ pub fn run(ctx: &SharedContext) -> Vec<Fig8Cell> {
                     let threshold = ((matching as f64 * recall).ceil() as usize).max(1);
                     let out = index
                         .superset_search(
+                            // Figure 8 counts the walk as published.
                             &SupersetQuery::new(q.clone())
                                 .threshold(threshold)
-                                .use_cache(false),
+                                .use_cache(false)
+                                .prune(false),
                         )
                         .expect("positive threshold");
                     debug_assert!(out.results.len() >= threshold.min(matching));

@@ -84,8 +84,12 @@ pub fn run(ctx: &SharedContext) -> Vec<Fig9Cell> {
                         continue;
                     }
                     let threshold = ((found as f64 * recall).ceil() as usize).max(1);
+                    // Figure 9 counts the walk as published.
+                    let published = SupersetQuery::new((*q).clone())
+                        .threshold(threshold)
+                        .prune(false);
                     let out = index
-                        .superset_search(&SupersetQuery::new((*q).clone()).threshold(threshold))
+                        .superset_search(&published)
                         .expect("positive threshold");
                     contacted += out.stats.nodes_contacted;
                     hits += u64::from(out.stats.cache_hit);

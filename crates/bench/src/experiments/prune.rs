@@ -132,8 +132,11 @@ pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
                 };
                 for q in &batch {
                     let base = SupersetQuery::new(q.clone()).use_cache(false);
-                    let plain = index.superset_search(&base.clone()).expect("valid");
-                    let pruned = index.superset_search(&base.prune(true)).expect("valid");
+                    // Baseline column: the walk as published.
+                    let plain = index
+                        .superset_search(&base.clone().prune(false))
+                        .expect("valid");
+                    let pruned = index.superset_search(&base).expect("valid");
 
                     let mut ids: Vec<_> = plain.results.iter().map(|r| r.object).collect();
                     let mut pruned_ids: Vec<_> = pruned.results.iter().map(|r| r.object).collect();

@@ -57,9 +57,10 @@ pub fn run(ctx: &SharedContext) -> Vec<XcheckRow> {
         let mut seq_total = 0u64;
         let mut par_total = 0u64;
         for q in &queries {
-            let d = direct
-                .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
-                .expect("valid");
+            // The simulator runs the protocol as published; the direct
+            // engine is counted on the same walk.
+            let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+            let d = direct.superset_search(&published).expect("valid");
             let s = sim.search_sequential(q, usize::MAX - 1).expect("valid");
             let p = sim.search_parallel(q, usize::MAX - 1).expect("valid");
             let mut d_ids: Vec<_> = d.results.iter().map(|r| r.object).collect();

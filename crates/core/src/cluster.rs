@@ -46,8 +46,8 @@ pub struct HypercubeIndex {
     // index; each per-node cache catches up when next touched, so an
     // entry computed before a write never serves after it.
     generation: u64,
-    // Occupancy digests over prefix regions, kept exact on every
-    // insert/remove so searches can prune provably-empty SBT subtrees.
+    // Occupancy of the cube's prefix regions, kept exact on every
+    // insert/remove so searches prune provably-empty SBT subtrees.
     summary: OccupancySummary,
     // The sequential protocol's frontier queue `U`, lent to the search
     // engine per query so searches stop allocating a fresh one.
@@ -198,6 +198,14 @@ impl HypercubeIndex {
             self.object_count -= 1;
             self.generation += 1;
             self.summary.record_remove(vertex.bits());
+            // An emptied vertex goes back to unmaterialized — its arena
+            // and table slot with it — unless it still holds a cache.
+            if node.store.is_empty() && node.cache.is_none() {
+                self.nodes.remove(&vertex.bits());
+                if self.nodes.is_empty() {
+                    self.nodes.shrink_to_fit();
+                }
+            }
         }
         removed
     }
@@ -439,6 +447,35 @@ mod tests {
         idx.drop_node(v);
         assert_eq!(idx.summary().total_objects(), 1);
         assert_eq!(idx.summary().leaf_count(v.bits()), 0);
+    }
+
+    /// A vertex whose last entry goes is unmaterialized again: churn
+    /// does not accumulate empty nodes, and an emptied index reports
+    /// the footprint of a new one.
+    #[test]
+    fn emptied_vertices_are_dropped() {
+        let mut idx = HypercubeIndex::new(10, 0).unwrap();
+        let empty = idx.store_footprint();
+        let words: Vec<KeywordSet> = (0..200).map(|i| set(&format!("w{i} x{}", i % 7))).collect();
+        for round in 0..2 {
+            for (i, k) in words.iter().enumerate() {
+                idx.insert(oid(i as u64), k.clone()).unwrap();
+            }
+            let occupied = idx.node_loads().len();
+            assert_eq!(idx.materialized_nodes(), occupied, "round {round}");
+            for (i, k) in words.iter().enumerate() {
+                assert!(idx.remove(oid(i as u64), k));
+            }
+            assert_eq!(idx.materialized_nodes(), 0, "round {round}");
+            assert_eq!(idx.store_footprint(), empty, "round {round}");
+            assert_eq!(idx.summary().region_count(), 0, "round {round}");
+        }
+        // A vertex that still holds a cache stays.
+        idx.set_cache_capacity(4);
+        let v = idx.insert(oid(1), set("a b")).unwrap();
+        assert!(idx.remove(oid(1), &set("a b")));
+        assert_eq!(idx.materialized_nodes(), 1);
+        assert!(idx.cache_mut(v).is_some());
     }
 
     #[test]

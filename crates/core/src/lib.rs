@@ -117,7 +117,7 @@ pub use search::{
 pub use service::KeywordSearchService;
 pub use sim_protocol::{CoverageReport, FtConfig, ProtocolSim};
 pub use store::{PostingStore, StoreBackend, StoreFootprint};
-pub use summary::{OccupancySummary, SubtreeDigest};
+pub use summary::OccupancySummary;
 
 /// What the protocol, simulator and churn unit tests share.
 #[cfg(test)]

@@ -994,9 +994,10 @@ mod tests {
         for query in ["a", "a b", "b", "x", "zzz"] {
             let kw = set(query);
             let root = idx.vertex_for(&kw);
-            let direct = idx
-                .superset_search(&SupersetQuery::new(kw.clone()).use_cache(false))
-                .unwrap();
+            // The walk as published: it is the one that visits all of
+            // `H_r(root)`.
+            let published = SupersetQuery::new(kw.clone()).use_cache(false).prune(false);
+            let direct = idx.superset_search(&published).unwrap();
             let mut got: Vec<ObjectId> = direct.results.iter().map(|r| r.object).collect();
             got.sort_unstable();
             let want: Vec<ObjectId> = CORPUS

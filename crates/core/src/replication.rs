@@ -277,11 +277,10 @@ mod tests {
             .find(|v| !v.contains(root))
             .expect("exists");
         idx.fail_primary(outside);
-        let baseline = idx
-            .superset_search(&SupersetQuery::new(set("a")).use_cache(false))
-            .unwrap();
-        // Single-cube traversal only: nodes contacted equals the
-        // subcube size.
+        let published = SupersetQuery::new(set("a")).use_cache(false).prune(false);
+        let baseline = idx.superset_search(&published).unwrap();
+        // Single-cube traversal only: as published, nodes contacted
+        // equals the subcube size.
         assert_eq!(baseline.stats.nodes_contacted, 1u64 << root.zero_count());
     }
 

@@ -9,7 +9,10 @@
 //! [`SupersetCoordinator`] machine (whose frontier queue is `U`) plus a
 //! buffer of scanned-but-undelivered results (a node may hold more
 //! matches than the batch needed; the root buffers the overflow so
-//! later batches do not re-contact the node).
+//! later batches do not re-contact the node). The walk is the product
+//! default — children the occupancy summary disproves at the time
+//! their parent is visited never enter `U` — so the pages of a session
+//! over an unchanging index cost what the one-shot search costs.
 
 use std::collections::VecDeque;
 
@@ -18,7 +21,8 @@ use hyperdex_hypercube::Vertex;
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
+use crate::protocol::{scan_store, Step, SupersetCoordinator};
+use crate::search::superset::unpruned_children;
 use crate::search::{RankedObject, SearchStats, SupersetOutcome};
 
 /// A resumable top-down superset search over one keyword set.
@@ -102,6 +106,7 @@ impl CumulativeSearch {
         let mut results = Vec::with_capacity(t.min(64));
         let qsig = self.keywords.signature();
         let mut found = Vec::new();
+        let mut pruner = index.summary().pruner(self.coord.root_bits());
 
         loop {
             // Serve buffered results first.
@@ -136,7 +141,9 @@ impl CumulativeSearch {
                 stats.result_messages += 1;
             }
             self.pending.extend(found.drain(..));
-            self.coord.record_visit(0, child_contacts(w, via_dim));
+            let children =
+                unpruned_children(Some(&mut pruner), (w, via_dim), &mut stats.pruned_subtrees);
+            self.coord.record_visit(0, children);
         }
 
         self.delivered += results.len();

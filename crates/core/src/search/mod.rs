@@ -70,14 +70,15 @@ pub struct SupersetQuery {
     pub mode: ExecutionMode,
     /// Whether per-node result caches may serve or store this query.
     pub use_cache: bool,
-    /// Whether occupancy summaries may prune provably-empty SBT
-    /// subtrees (recall-safe; see [`crate::summary`]).
+    /// Whether the occupancy summary prunes provably-empty SBT subtrees
+    /// (recall-safe; see [`crate::summary`]). `false` is the walk as
+    /// published, which the reproduction's figures count.
     pub prune: bool,
 }
 
 impl SupersetQuery {
     /// Creates a query returning *all* matches (threshold `usize::MAX`),
-    /// top-down, sequential, cache enabled, pruning disabled.
+    /// top-down, sequential, cache enabled, pruning enabled.
     pub fn new(keywords: KeywordSet) -> Self {
         SupersetQuery {
             keywords,
@@ -85,7 +86,7 @@ impl SupersetQuery {
             order: TraversalOrder::TopDown,
             mode: ExecutionMode::Sequential,
             use_cache: true,
-            prune: false,
+            prune: true,
         }
     }
 
@@ -113,7 +114,8 @@ impl SupersetQuery {
         self
     }
 
-    /// Enables or disables occupancy-guided subtree pruning.
+    /// Enables or disables occupancy-guided subtree pruning; `false`
+    /// selects the walk exactly as published.
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
@@ -210,9 +212,12 @@ mod tests {
         assert_eq!(q.order, TraversalOrder::TopDown);
         assert_eq!(q.mode, ExecutionMode::Sequential);
         assert!(q.use_cache);
-        assert!(!q.prune, "pruning is opt-in");
+        assert!(q.prune, "the product walk prunes");
         assert!(q.validate().is_ok());
-        assert!(q.prune(true).prune);
+        assert!(
+            !q.prune(false).prune,
+            "the as-published walk is one call away"
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::protocol::{child_contacts, scan_store, FrontierLevels, Step, Superset
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
+use crate::summary::Pruner;
 
 /// Runs a superset search against a logical hypercube index.
 pub(crate) fn run(
@@ -121,7 +122,7 @@ fn sequential_top_down(
     mut stats: SearchStats,
     frontier: &mut VecDeque<(u64, u8)>,
 ) -> SupersetOutcome {
-    let required = root.bits();
+    let mut pruner = query.prune.then(|| index.summary().pruner(root.bits()));
     let mut coord =
         SupersetCoordinator::with_queue(root, query.threshold, std::mem::take(frontier));
     let mut results = Vec::new();
@@ -138,11 +139,7 @@ fn sequential_top_down(
             stats.control_messages += 1;
         }
         let found = scan_node(index, w, query, qsig, &mut results, &mut stats);
-        let children = child_contacts(w, via_dim).filter(|&(child, dim)| {
-            let cut = query.prune && index.summary().can_prune(child, dim, required);
-            stats.pruned_subtrees += u64::from(cut);
-            !cut
-        });
+        let children = unpruned_children(pruner.as_mut(), (w, via_dim), &mut stats.pruned_subtrees);
         coord.record_visit(found, children);
     }
     *frontier = coord.into_queue();
@@ -159,6 +156,24 @@ fn sequential_top_down(
         stats,
         exhausted,
     }
+}
+
+/// The child contacts a top-down walk still owes a visit after `w`
+/// (reached via `via_dim`): all of them as published; with a `pruner`,
+/// those whose subtree the occupancy summary cannot prove free of
+/// matches, the rest counted in `pruned`. The one-shot and the paged
+/// walk both enumerate through here, so they visit the same nodes.
+pub(crate) fn unpruned_children(
+    pruner: Option<&mut Pruner<'_>>,
+    (w, via_dim): (Vertex, Option<u8>),
+    pruned: &mut u64,
+) -> impl Iterator<Item = (u64, u8)> {
+    let cut = pruner.map_or(0, |pruner| {
+        let below = (1u64 << via_dim.unwrap_or(w.shape().r())) - 1;
+        pruner.prunable_dims(w.bits(), w.zero_mask() & below)
+    });
+    *pruned += u64::from(cut.count_ones());
+    child_contacts(w, via_dim).filter(move |&(_, dim)| cut >> dim & 1 == 0)
 }
 
 /// Sequential bottom-up traversal by whole tree levels, deepest first

@@ -2,54 +2,119 @@
 //!
 //! The superset search of §3.3 walks the whole spanning binomial tree of
 //! the induced subcube even when most vertices index nothing. This
-//! module maintains a digest per *prefix region* `(level j, prefix p)` —
-//! the vertex set `{x : x >> j == p}` — holding the number of object
-//! entries indexed inside the region and the OR of the occupied
-//! vertices' bit patterns (the union of keyword positions present).
+//! module summarizes every *prefix region* `(level j, prefix p)` — the
+//! vertex set `{x : x >> j == p}` — by whether any vertex inside it
+//! indexes an object and by the OR of the occupied vertices' bit
+//! patterns (the union of keyword positions present).
 //!
 //! Why prefix regions: in any SBT, the subtree hanging off a child
 //! reached across dimension `j` only varies dimensions strictly below
 //! `j`, so the whole subtree lives inside the region
-//! [`hyperdex_hypercube::sbt::subtree_region`]`(child, j)`. One digest
-//! table therefore serves *every* query root at once, and an insert at
-//! vertex `w` touches exactly the `r + 1` digests on `w`'s ancestor
-//! chain ([`hyperdex_hypercube::sbt::summary_path`]) — O(r) updates,
-//! independent of how many queries might later consult them.
+//! [`hyperdex_hypercube::sbt::subtree_region`]`(child, j)`. One summary
+//! therefore serves *every* query root at once.
 //!
-//! Pruning is a recall-safe over-approximation: a region digest counts
-//! *at least* everything in the corresponding subtree, so a zero count
-//! (or a position mask missing a required query bit) proves the subtree
-//! holds no match. A stale, over-counted digest merely costs an extra
-//! visit; it can never hide a result.
+//! The regions are the nodes of the bitwise trie over the occupied
+//! vertices, and are stored as one. Its vertex level is a sparse bit
+//! vector, 64 neighbouring vertices to the word; every region of up to
+//! 64 vertices is a run of bits inside one such word, and both its
+//! emptiness and its position mask are read off the run. So one word
+//! answers for every child a walk reaches across its six lowest
+//! dimensions — nearly all of them; a [`Pruner`] decides those together
+//! — and only the regions above 64 vertices are nodes of their own,
+//! each holding its mask (8 KiB of words and at most 1,023 such nodes
+//! for all of an `r = 16` cube).
+//! Only a vertex's empty ↔ occupied transition touches the trie; any
+//! other write stops at the vertex's own entry count.
+//!
+//! Pruning is a recall-safe over-approximation: a region covers *at
+//! least* everything in the corresponding subtree, so an unoccupied
+//! region (or a position mask missing a required query bit) proves the
+//! subtree holds no match. A stale, still-occupied region merely costs
+//! an extra visit; it can never hide a result.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
-use hyperdex_hypercube::sbt::{subtree_region, summary_path};
+use hyperdex_hypercube::sbt::{region_index, subtree_region};
 
-/// Digest of one prefix region of the cube.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubtreeDigest {
-    /// Number of `(keyword set, object)` entries indexed at vertices
-    /// inside the region.
-    pub object_count: u64,
-    /// OR of the occupied vertices' bit patterns — the union of keyword
-    /// positions present anywhere in the region.
-    pub position_mask: u64,
+/// Hashes the one `u64` a key of this module's maps is: a multiply and
+/// a fold. The keys are vertex and region numbers — already outputs of
+/// the seeded keyword hash — and every write and every pruning test
+/// probes with one, so SipHash was half the cost of a write.
+#[derive(Debug, Clone, Copy, Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("summary keys are u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The table takes its bucket from the low bits and its tag from
+        // the high ones; the product is strong only at the top.
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// Incrementally maintained occupancy digests for every prefix region
-/// of an `r`-dimensional hypercube index.
+type IndexMap = HashMap<u64, u64, BuildHasherDefault<IndexHasher>>;
+
+/// The largest level whose regions are runs inside one vertex-level
+/// word (64 = 2^6 vertices).
+const WORD_LEVEL: u8 = 6;
+
+/// `HAS_BIT[j]`: the positions of a word whose index has bit `j` set —
+/// within a vertex-level word, the vertices that have dimension `j`.
+const HAS_BIT: [u64; WORD_LEVEL as usize] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The bits of `word` that stand for region `(level ≤ WORD_LEVEL,
+/// prefix)`'s vertices, in place; `word` is the one holding them.
+fn run(word: u64, level: u8, prefix: u64) -> u64 {
+    word & (u64::MAX >> (64 - (1u32 << level))) << ((prefix << level) & 63)
+}
+
+/// The positions below [`WORD_LEVEL`] that some vertex of `run` has.
+fn low_positions(run: u64) -> u64 {
+    (0..WORD_LEVEL).fold(0, |mask, j| {
+        mask | u64::from(run & HAS_BIT[j as usize] != 0) << j
+    })
+}
+
+/// Incrementally maintained occupancy of every prefix region of an
+/// `r`-dimensional hypercube index.
 ///
-/// Only regions with at least one entry are materialized; an absent
-/// region is an exact zero. [`OccupancySummary::record_insert`] and
-/// [`OccupancySummary::record_remove`] keep the digests exact in O(r);
+/// Everything held is a function of the per-vertex entry counts, and
+/// only non-empty state is materialized — two summaries that saw
+/// different histories but agree on the counts compare equal.
+/// [`OccupancySummary::record_insert`] and
+/// [`OccupancySummary::record_remove`] keep it exact;
 /// [`OccupancySummary::refresh_leaf`] installs full leaf state (used by
 /// the message-level protocol's `T_SUMMARY` refreshes, which tolerate
-/// loss by leaving digests safely over-counted).
+/// loss by leaving regions safely occupied).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancySummary {
     r: u8,
-    regions: HashMap<(u8, u64), SubtreeDigest>,
+    total: u64,
+    /// Object entries per occupied vertex.
+    leaves: IndexMap,
+    /// The trie's vertex level: bit `bits & 63` of word `bits >> 6` says
+    /// vertex `bits` is occupied. No word is zero.
+    words: IndexMap,
+    /// The trie above [`WORD_LEVEL`]: each occupied region's OR of its
+    /// occupied vertices' bit patterns, by [`region_index`]. An absent
+    /// region is unoccupied.
+    masks: IndexMap,
 }
 
 impl OccupancySummary {
@@ -58,7 +123,7 @@ impl OccupancySummary {
         debug_assert!((1..=63).contains(&r), "dimension out of range: {r}");
         OccupancySummary {
             r,
-            regions: HashMap::new(),
+            ..Default::default()
         }
     }
 
@@ -67,78 +132,80 @@ impl OccupancySummary {
         self.r
     }
 
-    /// Number of materialized (non-empty) region digests.
+    /// Number of trie nodes held: occupied vertices, plus occupied
+    /// regions above 64 vertices.
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.leaves.len() + self.masks.len()
     }
 
     /// Total object entries indexed anywhere in the cube.
-    pub fn total_objects(&self) -> u64 {
-        self.digest(self.r, 0).object_count
-    }
-
-    /// The digest of region `(level, prefix)`; absent regions read as
-    /// the zero digest.
-    pub fn digest(&self, level: u8, prefix: u64) -> SubtreeDigest {
-        self.regions
-            .get(&(level, prefix))
-            .copied()
-            .unwrap_or_default()
+    pub const fn total_objects(&self) -> u64 {
+        self.total
     }
 
     /// Object entries recorded at the single vertex `bits`.
     pub fn leaf_count(&self, bits: u64) -> u64 {
-        self.digest(0, bits).object_count
+        self.leaves.get(&bits).copied().unwrap_or(0)
     }
 
-    /// Records one new object entry indexed at vertex `bits`: bubbles a
-    /// `+1` delta up the ancestor chain of regions. O(r).
+    /// OR of the bit patterns of the occupied vertices in region
+    /// `(level, prefix)` — the union of keyword positions present there;
+    /// `None` for an unoccupied region.
+    pub fn position_mask(&self, level: u8, prefix: u64) -> Option<u64> {
+        if level > WORD_LEVEL {
+            let region = region_index(self.r, level, prefix);
+            return self.masks.get(&region).copied();
+        }
+        let run = run(self.word(prefix << level >> 6), level, prefix);
+        // A run spans only positions below `level`; the rest is `prefix`.
+        (run != 0).then(|| prefix << level | low_positions(run) & !(u64::MAX << level))
+    }
+
+    /// Records one new object entry indexed at vertex `bits`.
     pub fn record_insert(&mut self, bits: u64) {
-        for key in summary_path(bits, self.r) {
-            let digest = self.regions.entry(key).or_default();
-            digest.object_count += 1;
-            digest.position_mask |= bits;
+        let count = self.leaves.entry(bits).or_insert(0);
+        *count += 1;
+        let first = *count == 1;
+        self.total += 1;
+        if first {
+            self.occupy(bits);
         }
     }
 
-    /// Records the removal of one object entry indexed at vertex `bits`:
-    /// decrements counts up the ancestor chain, then recomputes the
-    /// position masks bottom-up along the same path (a removal can clear
-    /// bits, which OR-only deltas cannot express). O(r).
+    /// Records the removal of one object entry indexed at vertex `bits`.
     ///
     /// Removing from an empty leaf is ignored (the summary can only be
     /// over-counted by design, never driven negative).
     pub fn record_remove(&mut self, bits: u64) {
-        if self.leaf_count(bits) == 0 {
+        let Some(count) = self.leaves.get_mut(&bits) else {
             return;
+        };
+        *count -= 1;
+        let last = *count == 0;
+        self.total -= 1;
+        if last {
+            self.leaves.remove(&bits);
+            self.vacate(bits);
         }
-        for key in summary_path(bits, self.r) {
-            if let Some(digest) = self.regions.get_mut(&key) {
-                digest.object_count = digest.object_count.saturating_sub(1);
-            }
-        }
-        self.repair_path(bits);
     }
 
-    /// Installs the exact entry count for leaf `bits`, propagating the
-    /// count delta up the ancestor chain and recomputing masks. This is
-    /// the full-state form carried by `T_SUMMARY` refreshes: idempotent,
-    /// so replayed or reordered refreshes converge, and a lost refresh
-    /// merely leaves ancestors safely over-counted.
+    /// Installs the exact entry count for leaf `bits`. This is the
+    /// full-state form carried by `T_SUMMARY` refreshes: idempotent, so
+    /// replayed or reordered refreshes converge, and a lost refresh
+    /// merely leaves the enclosing regions safely occupied.
     pub fn refresh_leaf(&mut self, bits: u64, count: u64) {
-        let old = self.leaf_count(bits);
-        if count > 0 {
-            let leaf = self.regions.entry((0, bits)).or_default();
-            leaf.object_count = count;
-            leaf.position_mask = bits;
+        let old = if count > 0 {
+            self.leaves.insert(bits, count)
         } else {
-            self.regions.remove(&(0, bits));
+            self.leaves.remove(&bits)
         }
-        for key in summary_path(bits, self.r).skip(1) {
-            let digest = self.regions.entry(key).or_default();
-            digest.object_count = digest.object_count.saturating_sub(old) + count;
+        .unwrap_or(0);
+        self.total = self.total - old + count;
+        match (old > 0, count > 0) {
+            (false, true) => self.occupy(bits),
+            (true, false) => self.vacate(bits),
+            _ => {}
         }
-        self.repair_path(bits);
     }
 
     /// Whether the subtree of `child_bits` (reached across `via_dim`)
@@ -146,89 +213,235 @@ impl OccupancySummary {
     /// `required_mask` — i.e. whether a superset search rooted at a
     /// vertex with bit pattern `required_mask` may skip it.
     ///
-    /// True when the covering region is empty, or when its position mask
-    /// is missing one of the required positions (every match `K' ⊇ K`
-    /// lives at a vertex `x ⊇ F_h(K)`).
+    /// True when the covering region is unoccupied, or when its position
+    /// mask is missing one of the required positions (every match
+    /// `K' ⊇ K` lives at a vertex `x ⊇ F_h(K)`).
     pub fn can_prune(&self, child_bits: u64, via_dim: u8, required_mask: u64) -> bool {
-        let (level, prefix) = subtree_region(child_bits, via_dim);
-        let digest = self.digest(level, prefix);
-        digest.object_count == 0 || digest.position_mask & required_mask != required_mask
+        self.pruner(required_mask).prunable(child_bits, via_dim)
     }
 
-    /// Recomputes position masks bottom-up along the ancestor chain of
-    /// `bits` and drops regions whose count reached zero.
-    fn repair_path(&mut self, bits: u64) {
-        if let Some(leaf) = self.regions.get_mut(&(0, bits)) {
-            if leaf.object_count == 0 {
-                self.regions.remove(&(0, bits));
-            } else {
-                leaf.position_mask = bits;
+    /// The pruning tests of one search rooted at a vertex with bit
+    /// pattern `required_mask`.
+    pub fn pruner(&self, required_mask: u64) -> Pruner<'_> {
+        Pruner {
+            summary: self,
+            required_mask,
+            held: (u64::MAX, 0),
+        }
+    }
+
+    /// Word `at` of the vertex level; an absent word is all unoccupied.
+    fn word(&self, at: u64) -> u64 {
+        self.words.get(&at).copied().unwrap_or(0)
+    }
+
+    /// Vertex `bits` went from empty to occupied: marks it, and ORs it
+    /// into its chain of regions up to the first that already carries
+    /// its bits.
+    fn occupy(&mut self, bits: u64) {
+        *self.words.entry(bits >> 6).or_insert(0) |= 1 << (bits & 63);
+        for level in WORD_LEVEL + 1..=self.r {
+            let mask = self.masks.entry(region_index(self.r, level, bits >> level));
+            let mask = match mask {
+                // Every region above holds this one's mask already.
+                Entry::Occupied(mask) if mask.get() & bits == bits => break,
+                Entry::Occupied(mask) => mask.into_mut(),
+                Entry::Vacant(region) => region.insert(0),
+            };
+            *mask |= bits;
+        }
+    }
+
+    /// Vertex `bits` went from occupied to empty: unmarks it, then
+    /// rebuilds each enclosing region from its two halves (a removal
+    /// can clear mask bits, which an OR cannot express) up to the first
+    /// one the removal leaves as it was.
+    fn vacate(&mut self, bits: u64) {
+        if let Entry::Occupied(mut word) = self.words.entry(bits >> 6) {
+            *word.get_mut() &= !(1 << (bits & 63));
+            if *word.get() == 0 {
+                word.remove();
             }
         }
-        for (level, prefix) in summary_path(bits, self.r).skip(1) {
-            let Some(count) = self.regions.get(&(level, prefix)).map(|d| d.object_count) else {
-                continue;
-            };
-            if count == 0 {
-                self.regions.remove(&(level, prefix));
-                continue;
-            }
-            let left = self.digest(level - 1, prefix << 1).position_mask;
-            let right = self.digest(level - 1, (prefix << 1) | 1).position_mask;
-            if let Some(digest) = self.regions.get_mut(&(level, prefix)) {
-                digest.position_mask = left | right;
+        for level in WORD_LEVEL + 1..=self.r {
+            let prefix = bits >> level;
+            let region = region_index(self.r, level, prefix);
+            let halves = [2 * prefix, 2 * prefix + 1].map(|p| self.position_mask(level - 1, p));
+            match halves {
+                [None, None] => {
+                    self.masks.remove(&region);
+                }
+                [low, high] => {
+                    let mask = low.unwrap_or(0) | high.unwrap_or(0);
+                    if self.masks.insert(region, mask) == Some(mask) {
+                        break;
+                    }
+                }
             }
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+/// The pruning tests of one search, borrowed from the summary for as
+/// long as the search runs. A walk asks about neighbouring vertices
+/// one after the other, so the last vertex-level word read is kept:
+/// the borrow is what makes that safe.
+#[derive(Debug)]
+pub struct Pruner<'a> {
+    summary: &'a OccupancySummary,
+    required_mask: u64,
+    /// The last word read and where (no word is at `u64::MAX`).
+    held: (u64, u64),
+}
 
-    /// Brute-force recount of every region digest from a list of
-    /// occupied vertices (with multiplicity).
-    fn ground_truth(r: u8, entries: &[u64]) -> OccupancySummary {
-        let mut truth = OccupancySummary::new(r);
-        for &bits in entries {
-            truth.record_insert(bits);
+impl Pruner<'_> {
+    /// [`OccupancySummary::can_prune`] for several children of one
+    /// vertex at once: which of the dimensions `dims` (one bit each)
+    /// lead from `parent_bits` to a child the search may skip. The
+    /// children across dimensions 0–5 lie in the parent's own word.
+    pub fn prunable_dims(&mut self, parent_bits: u64, dims: u64) -> u64 {
+        let (mut cut, mut rest) = (0, dims);
+        while rest != 0 {
+            let dim = rest.trailing_zeros() as u8;
+            rest &= rest - 1;
+            cut |= u64::from(self.prunable(parent_bits ^ 1 << dim, dim)) << dim;
         }
-        truth
+        cut
     }
 
-    fn check_against(summary: &OccupancySummary, entries: &[u64]) {
-        let r = summary.r();
-        for level in 0..=r {
-            for prefix in entries.iter().map(|&b| b >> level) {
-                let count = entries.iter().filter(|&&b| b >> level == prefix).count() as u64;
-                let mask = entries
-                    .iter()
-                    .filter(|&&b| b >> level == prefix)
-                    .fold(0u64, |m, &b| m | b);
-                assert_eq!(
-                    summary.digest(level, prefix),
-                    SubtreeDigest {
-                        object_count: count,
-                        position_mask: mask,
-                    },
-                    "region ({level}, {prefix:#b})"
-                );
+    fn prunable(&mut self, child_bits: u64, via_dim: u8) -> bool {
+        let (level, prefix) = subtree_region(child_bits, via_dim);
+        // Every vertex of the region carries `prefix` from `level` up,
+        // so those positions need no lookup: a search only descends
+        // into vertices that carry its root, and only a root with bits
+        // below `level` leaves anything to look for.
+        let missing = self.required_mask & !(prefix << level);
+        if missing >> level != 0 {
+            return true;
+        }
+        if level > WORD_LEVEL {
+            let region = region_index(self.summary.r, level, prefix);
+            let mask = self.summary.masks.get(&region);
+            return mask.is_none_or(|mask| mask & missing != missing);
+        }
+        let at = prefix << level >> 6;
+        if self.held.0 != at {
+            self.held = (at, self.summary.word(at));
+        }
+        let run = run(self.held.1, level, prefix);
+        run == 0 || missing != 0 && missing & !low_positions(run) != 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use hyperdex_hypercube::sbt::summary_path;
+    use proptest::prelude::*;
+
+    /// The model: per-vertex entry counts, recounted by brute force.
+    #[derive(Default)]
+    struct Model(BTreeMap<u64, u64>);
+
+    impl Model {
+        fn of(entries: &[u64]) -> Self {
+            let mut model = Model::default();
+            for &bits in entries {
+                *model.0.entry(bits).or_insert(0) += 1;
+            }
+            model
+        }
+
+        fn set(&mut self, bits: u64, count: u64) {
+            if count > 0 {
+                self.0.insert(bits, count);
+            } else {
+                self.0.remove(&bits);
             }
         }
-        assert_eq!(summary.total_objects(), entries.len() as u64);
+
+        fn count(&self, bits: u64) -> u64 {
+            self.0.get(&bits).copied().unwrap_or(0)
+        }
+
+        /// Position mask of region `(level, prefix)`, if occupied.
+        fn position_mask(&self, level: u8, prefix: u64) -> Option<u64> {
+            let inside = self.0.keys().filter(|&&bits| bits >> level == prefix);
+            inside.copied().reduce(|mask, bits| mask | bits)
+        }
+
+        /// The pruning test as defined: an empty region, or one whose
+        /// mask misses a required position.
+        fn can_prune(&self, child: u64, via: u8, required: u64) -> bool {
+            self.position_mask(via, child >> via)
+                .is_none_or(|mask| mask & required != required)
+        }
+
+        fn summary(&self, r: u8) -> OccupancySummary {
+            let mut summary = OccupancySummary::new(r);
+            for (&bits, &count) in &self.0 {
+                for _ in 0..count {
+                    summary.record_insert(bits);
+                }
+            }
+            summary
+        }
+    }
+
+    /// `summary` holds exactly what `model` says, region by region,
+    /// for every region around `probes` and the occupied vertices.
+    fn check_against(summary: &OccupancySummary, model: &Model, probes: &[u64]) {
+        let r = summary.r();
+        assert_eq!(summary.total_objects(), model.0.values().sum::<u64>());
+        let mut stored_regions = std::collections::BTreeSet::new();
+        for &bits in model.0.keys().chain(probes) {
+            assert_eq!(
+                summary.leaf_count(bits),
+                model.count(bits),
+                "leaf {bits:#b}"
+            );
+            for (level, prefix) in summary_path(bits, r) {
+                let mask = model.position_mask(level, prefix);
+                assert_eq!(
+                    summary.position_mask(level, prefix),
+                    mask,
+                    "region ({level}, {prefix:#b})"
+                );
+                if mask.is_some() && (level == 0 || level > WORD_LEVEL) {
+                    stored_regions.insert((level, prefix));
+                }
+                let mask = mask.unwrap_or(0);
+                // Required masks that hit each branch of the test: the
+                // vertex itself, nothing, one position, everything the
+                // region has, and one position more than it has.
+                for required in [bits, 0, 1 << (level / 2), mask, mask | (mask + 1)] {
+                    let required = required & ((1 << r) - 1);
+                    assert_eq!(
+                        summary.can_prune(bits, level, required),
+                        model.can_prune(bits, level, required),
+                        "can_prune({bits:#b}, {level}, {required:#b})"
+                    );
+                }
+            }
+        }
+        assert_eq!(summary.region_count(), stored_regions.len());
+        assert_eq!(*summary, model.summary(r), "state depends on history");
     }
 
     #[test]
-    fn insert_updates_whole_ancestor_chain() {
-        let mut s = OccupancySummary::new(4);
-        s.record_insert(0b1010);
-        for (level, prefix) in summary_path(0b1010, 4) {
-            assert_eq!(s.digest(level, prefix).object_count, 1);
-            assert_eq!(s.digest(level, prefix).position_mask, 0b1010);
+    fn insert_marks_whole_ancestor_chain() {
+        for r in [4, 9] {
+            let mut s = OccupancySummary::new(r);
+            s.record_insert(0b1010);
+            for (level, prefix) in summary_path(0b1010, r) {
+                assert_eq!(s.position_mask(level, prefix), Some(0b1010));
+            }
+            assert_eq!(s.position_mask(0, 0b1011), None, "sibling untouched");
+            // The vertex, and at r = 9 the regions of levels 7, 8 and 9.
+            assert_eq!(s.region_count(), if r == 4 { 1 } else { 4 });
         }
-        assert_eq!(s.digest(0, 0b1011).object_count, 0, "sibling untouched");
-        assert_eq!(s.region_count(), 5);
     }
 
     #[test]
@@ -241,6 +454,7 @@ mod tests {
         s.record_remove(0b10100);
         assert_eq!(s.region_count(), 0, "empty regions are dropped");
         assert_eq!(s.total_objects(), 0);
+        assert_eq!(s, OccupancySummary::new(5));
     }
 
     #[test]
@@ -249,11 +463,11 @@ mod tests {
         s.record_insert(0b110);
         s.record_insert(0b101);
         // Region (3, 0) sees both patterns.
-        assert_eq!(s.digest(3, 0).position_mask, 0b111);
+        assert_eq!(s.position_mask(3, 0), Some(0b111));
         s.record_remove(0b110);
         // The OR must shrink back to the surviving vertex's pattern.
-        assert_eq!(s.digest(3, 0).position_mask, 0b101);
-        assert_eq!(s.digest(1, 0b10).position_mask, 0b101);
+        assert_eq!(s.position_mask(3, 0), Some(0b101));
+        assert_eq!(s.position_mask(1, 0b10), Some(0b101));
     }
 
     #[test]
@@ -261,8 +475,7 @@ mod tests {
         let mut s = OccupancySummary::new(4);
         s.record_insert(0b0001);
         s.record_remove(0b0010);
-        assert_eq!(s.total_objects(), 1);
-        check_against(&s, &[0b0001]);
+        check_against(&s, &Model::of(&[0b0001]), &[0b0010]);
     }
 
     #[test]
@@ -273,13 +486,13 @@ mod tests {
         s.record_insert(0b1100);
         // Model a crash losing vertex 0b0011's table: truth drops, the
         // summary stays over-counted until a refresh lands.
-        assert_eq!(s.digest(4, 0).object_count, 3);
+        assert_eq!(s.total_objects(), 3);
         s.refresh_leaf(0b0011, 0);
         s.refresh_leaf(0b0011, 0); // replayed refresh converges
-        check_against(&s, &[0b1100]);
-        // Repair restores one entry, then the full pair.
+        check_against(&s, &Model::of(&[0b1100]), &[0b0011]);
+        // Repair restores the full pair.
         s.refresh_leaf(0b0011, 2);
-        check_against(&s, &[0b0011, 0b0011, 0b1100]);
+        check_against(&s, &Model::of(&[0b0011, 0b0011, 0b1100]), &[]);
     }
 
     #[test]
@@ -297,29 +510,51 @@ mod tests {
         assert!(s.can_prune(0b0101, 2, 0b0001));
     }
 
+    /// One step of the model test: which vertex of the pool, which
+    /// operation, and the count a refresh installs.
+    fn steps() -> impl Strategy<Value = Vec<(usize, u8, u64)>> {
+        prop::collection::vec((0usize..12, 0u8..3, 0u64..4), 0..96)
+    }
+
     proptest! {
-        /// Summaries equal ground-truth subtree occupancy after
-        /// arbitrary interleaved insert/delete sequences.
+        /// Any interleaving of inserts, removes (also from empty leaves)
+        /// and refreshes (also to 0) leaves exactly the state a recount
+        /// gives, and `can_prune` answers as the definition does, at the
+        /// smallest, the benchmarked and the largest dimension.
         #[test]
-        fn matches_ground_truth_after_any_sequence(
-            ops in prop::collection::vec((0u64..32, any::<bool>()), 0..64)
-        ) {
-            let r = 5;
-            let mut summary = OccupancySummary::new(r);
-            let mut live: Vec<u64> = Vec::new();
-            for (bits, insert) in ops {
-                if insert {
-                    summary.record_insert(bits);
-                    live.push(bits);
-                } else if let Some(pos) = live.iter().position(|&b| b == bits) {
-                    summary.record_remove(bits);
-                    live.remove(pos);
-                } else {
-                    summary.record_remove(bits); // no-op on empty leaf
+        fn matches_a_recount_after_any_interleaving(steps in steps(), salt in any::<u64>()) {
+            for r in [4u8, 16, 63] {
+                // A pool with siblings, cousins and far-apart vertices.
+                let cube = (1u64 << r) - 1;
+                let pool: Vec<u64> = (0..12u64)
+                    .map(|i| match i % 4 {
+                        0 => salt.rotate_left(i as u32 * 5),
+                        1 => salt ^ 1,
+                        2 => salt ^ (1 << (r / 2)),
+                        _ => i,
+                    } & cube)
+                    .collect();
+                let mut summary = OccupancySummary::new(r);
+                let mut model = Model::default();
+                for &(pick, op, count) in &steps {
+                    let bits = pool[pick];
+                    match op {
+                        0 => {
+                            summary.record_insert(bits);
+                            model.set(bits, model.count(bits) + 1);
+                        }
+                        1 => {
+                            summary.record_remove(bits);
+                            model.set(bits, model.count(bits).saturating_sub(1));
+                        }
+                        _ => {
+                            summary.refresh_leaf(bits, count);
+                            model.set(bits, count);
+                        }
+                    }
                 }
+                check_against(&summary, &model, &pool);
             }
-            check_against(&summary, &live);
-            prop_assert_eq!(summary, ground_truth(r, &live));
         }
 
         /// `can_prune` never disproves a region that actually contains a
@@ -330,7 +565,7 @@ mod tests {
             required in 0u64..64,
             via in 0u8..6,
         ) {
-            let summary = ground_truth(6, &entries);
+            let summary = Model::of(&entries).summary(6);
             for &bits in &entries {
                 if bits & required == required {
                     // `bits` matches and lies in region (via, bits >> via);

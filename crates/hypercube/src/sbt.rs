@@ -225,6 +225,18 @@ pub fn summary_path(bits: u64, r: u8) -> impl DoubleEndedIterator<Item = (u8, u6
     (0..=r).map(move |j| (j, bits >> j))
 }
 
+/// Where region `(level, prefix)` of an `r`-cube sits when the prefix
+/// regions are numbered as the binary trie they form: the whole cube is
+/// node 1, the halves of node `h` are `2h` and `2h + 1` (so a parent is
+/// `h >> 1`), and vertex `bits` is leaf `(1 << r) | bits`. Walking
+/// [`summary_path`] is therefore `h`, `h >> 1`, … down to 1, and the
+/// `2^(r − level)` regions of one level are consecutive. Fits a `u64`
+/// for every `r ≤ 63`.
+pub const fn region_index(r: u8, level: u8, prefix: u64) -> u64 {
+    debug_assert!(level <= r && prefix >> (r - level) == 0);
+    (1u64 << (r - level)) | prefix
+}
+
 /// Breadth-first iterator over an [`Sbt`].
 #[derive(Debug, Clone)]
 pub struct Bfs {
@@ -422,5 +434,21 @@ mod tests {
         );
         // Region at each level halves in specificity; last covers all.
         assert_eq!(summary_path(0, 63).count(), 64);
+    }
+
+    #[test]
+    fn region_index_numbers_the_prefix_trie() {
+        for r in [1u8, 4, 16, 63] {
+            let bits = 0x5A5A_5A5A_5A5A_5A5A & ((1u64 << r) - 1);
+            let mut h = (1u64 << r) | bits;
+            for (level, prefix) in summary_path(bits, r) {
+                assert_eq!(region_index(r, level, prefix), h, "r={r} level={level}");
+                h >>= 1;
+            }
+            assert_eq!(h, 0, "the chain ends at node 1, the whole cube");
+        }
+        // The halves of a region are its two trie children.
+        assert_eq!(region_index(4, 1, 0b100), 2 * region_index(4, 2, 0b10));
+        assert_eq!(region_index(4, 1, 0b101), 2 * region_index(4, 2, 0b10) + 1);
     }
 }

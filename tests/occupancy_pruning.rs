@@ -12,6 +12,9 @@ use hyperdex::core::{HypercubeIndex, SupersetQuery};
 use hyperdex::simnet::latency::LatencyModel;
 use hyperdex::workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
+/// Threshold of the benchmark's superset searches.
+const T: usize = 20;
+
 fn corpus() -> Corpus {
     Corpus::generate(&CorpusConfig::small_test().with_objects(1_500), 33)
 }
@@ -31,8 +34,12 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
     for (qi, q) in log.pool().iter().take(30).enumerate() {
         for mode in [ExecutionMode::Sequential, ExecutionMode::LevelParallel] {
             let base = SupersetQuery::new(q.clone()).use_cache(false).mode(mode);
-            let plain = index.superset_search(&base.clone()).expect("valid");
-            let pruned = index.superset_search(&base.prune(true)).expect("valid");
+            // The walk as published is the baseline the default is
+            // held against.
+            let plain = index
+                .superset_search(&base.clone().prune(false))
+                .expect("valid");
+            let pruned = index.superset_search(&base).expect("valid");
 
             let mut want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
             let mut got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
@@ -55,6 +62,58 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
         "pruning saved nothing ({pruned_nodes} vs {plain_nodes})"
     );
     assert!(subtrees_cut > 0, "no subtree was ever pruned");
+}
+
+/// The gate behind the product default, on the benchmark's shape (the
+/// pchome corpus and query pool at r = 16, thinned to test size): the
+/// default walk returns the as-published walk's result *sequence* at
+/// t = 20 and t = all for every query of the pool, and contacts strictly
+/// fewer nodes over the pool — on the loaded index, and again after a
+/// round of removes and a crashed vertex have moved the summary.
+#[test]
+fn default_walk_is_the_published_walk_minus_empty_subtrees_at_r16() {
+    let corpus = Corpus::generate(&CorpusConfig::pchome().with_objects(20_000), 2005);
+    let mut log_cfg = QueryLogConfig::pchome_day().with_queries(1);
+    log_cfg.distinct_pool = 60;
+    let log = QueryLog::generate(&log_cfg, &corpus, 2005);
+    let mut index = HypercubeIndex::new(16, 7).expect("valid");
+    for (id, k) in corpus.indexable() {
+        index.insert(id, k.clone()).expect("non-empty");
+    }
+
+    let check = |index: &mut HypercubeIndex, when: &str| {
+        for t in [T, usize::MAX] {
+            let (mut default_nodes, mut published_nodes) = (0, 0);
+            for q in log.pool() {
+                let query = SupersetQuery::new(q.clone()).threshold(t).use_cache(false);
+                let default = index.superset_search(&query).expect("valid");
+                let published = index.superset_search(&query.prune(false)).expect("valid");
+                assert_eq!(default.results, published.results, "{when}, t = {t}, {q}");
+                assert_eq!(
+                    default.exhausted, published.exhausted,
+                    "{when}, t = {t}, {q}"
+                );
+                default_nodes += default.stats.nodes_contacted;
+                published_nodes += published.stats.nodes_contacted;
+            }
+            assert!(
+                default_nodes < published_nodes,
+                "{when}, t = {t}: {default_nodes} nodes by default, {published_nodes} as published"
+            );
+        }
+    };
+    check(&mut index, "loaded");
+
+    for (id, k) in corpus.indexable().step_by(3) {
+        assert!(index.remove(id, k), "inserted object must be removable");
+    }
+    let (busiest, _) = index
+        .node_loads()
+        .into_iter()
+        .max_by_key(|&(v, load)| (load, v.bits()))
+        .expect("objects remain");
+    assert!(index.drop_node(busiest) > 0);
+    check(&mut index, "after removes and a crash");
 }
 
 #[test]
@@ -105,7 +164,7 @@ fn message_protocol_prunes_to_the_same_results_as_the_direct_engine() {
 
     for q in log.pool().iter().take(20) {
         let direct = index
-            .superset_search(&SupersetQuery::new(q.clone()).use_cache(false).prune(true))
+            .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
             .expect("valid");
         let wire = sim.search_sequential(q, usize::MAX - 1).expect("valid");
 

@@ -24,9 +24,10 @@ fn message_protocol_matches_direct_engine_on_corpus() {
         sim.insert(id, k.clone()).expect("non-empty");
     }
     for q in log.pool().iter().take(25) {
-        let d = direct
-            .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
-            .expect("valid");
+        // The simulator's default is the protocol as published; the
+        // direct engine is held to the same walk.
+        let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+        let d = direct.superset_search(&published).expect("valid");
         let s = sim.search_sequential(q, usize::MAX - 1).expect("valid");
         let mut d_ids: Vec<ObjectId> = d.results.iter().map(|r| r.object).collect();
         let mut s_ids: Vec<ObjectId> = s.results.iter().map(|r| r.object).collect();

@@ -87,13 +87,10 @@ fn r48_direct_engine_serves_pin_and_superset() {
     assert_eq!(pin.results, vec![oid(3)]);
     assert_eq!(pin.stats.nodes_contacted, 1);
 
-    // Pruned superset search stays within the occupied subtrees.
+    // The default superset search prunes: it stays within the
+    // occupied subtrees.
     let out = idx
-        .superset_search(
-            &SupersetQuery::new(set("shared"))
-                .use_cache(false)
-                .prune(true),
-        )
+        .superset_search(&SupersetQuery::new(set("shared")).use_cache(false))
         .expect("valid");
     assert_eq!(out.results.len(), 60, "full recall at r = 48");
 }
