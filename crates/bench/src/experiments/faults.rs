@@ -1,32 +1,39 @@
-//! Fault-injected runtime: recall and latency under lossy wires and
-//! worker crashes, by recovery strategy.
+//! Fault-injected runtime: recall, latency and frames under lossy
+//! wires and worker crashes.
 //!
-//! The robustness claim of the threaded runtime is graded, not binary:
-//! under frame loss and crash-stops, **re-delegation** (Lemma 3.2's
-//! subtree reconstruction, ported from the simulator into the shared
-//! [`hyperdex_core::FtCoordinator`]) keeps recall at 1.0 while plain
-//! **retry-only** recovery degrades — it can only write off a dead
-//! child's whole subtree. This sweep measures that difference across
-//! **frame-loss rate** × **worker crashes** × **strategy** on a fixed
-//! 4-worker cluster:
+//! The runtime has one superset traversal — one round per prefix
+//! region — and one unit of recovery, a region owner still awaited:
+//! its `RegionQuery` is sent again when its deadline passes, and an
+//! owner silent through the whole budget is given up as skipped
+//! coverage. (A region has no subtree to route around, so the retry
+//! and re-delegation strategies the simulator's `availability` sweep
+//! compares are the same thing here; the sweep has no strategy axis.)
+//! This sweep measures that machine across **frame-loss rate** ×
+//! **worker crashes** on a fixed 4-worker cluster:
 //!
 //! * every query's result set is scored against the fault-free direct
 //!   engine (recall = found/truth, aggregated over the query mix);
-//! * per-query wall latency is reported as median and worst of the
-//!   cell (eight samples carry no percentile beyond that) — the price
-//!   of timeouts, backoff, and supervised repair is visible in the max;
-//! * retries, timeouts, re-delegations, supervisor respawns, and the
-//!   injector's dropped/duplicated frame counts come from the
+//! * per-query wall latency is reported as median, 99th percentile and
+//!   worst of the cell's 200 samples — the price of a deadline, backoff
+//!   and supervised repair is visible in the tail;
+//! * `frames_per_query` is every frame the cell's queries caused — the
+//!   run's ledger less a load-only run's — so retransmissions, answers
+//!   to them and journal replays all count;
+//! * retries, timeouts, supervisor respawns, and the injector's
+//!   dropped/duplicated frame counts come from the
 //!   [`hyperdex_core::FtCoverage`]s and the conservation-checked
 //!   shutdown report. Per-frame fates replay exactly for a seed, but
 //!   *how many* frames a run sends depends on wall-clock timeout races
 //!   — so the sweep asserts determinism only on the schedule-driven
 //!   columns (crash/respawn counts) and reports the rest;
-//! * the acceptance gate runs in-process: with **re-delegation**, at
-//!   ≤ 10% frame loss and a mid-scan crash of a data-owning worker,
-//!   recall must be exactly 1.0 — the bench panics otherwise (CI runs
+//! * the acceptance gates run in-process: at every swept loss rate
+//!   (≤ 10%), with and without a mid-scan crash of a data-owning
+//!   worker, recall must be exactly 1.0; and the fault-free cell must
+//!   cost exactly the floor, `2 + 2·(other owners of the query's
+//!   subcube)` frames a query — the bench panics otherwise (CI runs
 //!   this as its fault smoke).
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::Instant;
 
@@ -45,9 +52,6 @@ pub const LOSS_PER_MILLE: [u16; 3] = [0, 50, 100];
 /// Crash counts swept (0 = wires only; 1 = a data-owning worker dies
 /// on its first mid-scan frame).
 pub const CRASHES: [u32; 2] = [0, 1];
-/// Recovery strategies swept.
-pub const STRATEGIES: [RecoveryStrategy; 2] =
-    [RecoveryStrategy::RetryOnly, RecoveryStrategy::Redelegate];
 
 /// Cube dimension: dense vertices, long broad-query traversals.
 const FAULTS_R: u8 = 8;
@@ -55,6 +59,9 @@ const FAULTS_R: u8 = 8;
 const FAULTS_WORKERS: u32 = 4;
 /// Objects indexed per cell.
 const FAULTS_OBJECTS: usize = 2_000;
+/// Queries per cell: enough for the 99th percentile to have samples
+/// beyond it.
+const FAULTS_QUERIES: usize = 200;
 
 /// One measured cell of the fault sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,8 +74,6 @@ pub struct FaultsRow {
     pub loss_per_mille: u16,
     /// Scheduled worker crashes.
     pub crashes: u32,
-    /// Recovery strategy name.
-    pub strategy: &'static str,
     /// Queries scored.
     pub queries: usize,
     /// Found / truth over all queries (1.0 = nothing lost).
@@ -77,14 +82,16 @@ pub struct FaultsRow {
     pub complete: usize,
     /// Median per-query latency, microseconds.
     pub p50_us: f64,
+    /// 99th-percentile per-query latency, microseconds.
+    pub p99_us: f64,
     /// Worst per-query latency of the cell, microseconds.
     pub max_us: f64,
-    /// Retransmissions across all queries.
+    /// Frames the cell's queries caused, per query.
+    pub frames_per_query: f64,
+    /// `RegionQuery` retransmissions across all queries.
     pub retries: u64,
-    /// Children declared dead across all queries.
+    /// Region owners given up across all queries.
     pub timeouts: u64,
-    /// Dead subtrees re-delegated across all queries.
-    pub redelegations: u64,
     /// Workers the supervisor respawned.
     pub respawns: u64,
     /// Frames the injector (or a crash) destroyed.
@@ -98,25 +105,15 @@ impl FaultsRow {
     /// plus the schedule-driven counters. Frame and retry totals are
     /// excluded — per-frame fates replay exactly, but how many frames
     /// a run sends depends on wall-clock timeout races.
-    pub fn deterministic_key(&self) -> (u8, u32, u16, u32, &'static str, usize, u64) {
+    pub fn deterministic_key(&self) -> (u8, u32, u16, u32, usize, u64) {
         (
             self.r,
             self.workers,
             self.loss_per_mille,
             self.crashes,
-            self.strategy,
             self.queries,
             self.respawns,
         )
-    }
-}
-
-fn strategy_name(s: RecoveryStrategy) -> &'static str {
-    match s {
-        RecoveryStrategy::Naive => "naive",
-        RecoveryStrategy::RetryOnly => "retry",
-        RecoveryStrategy::Redelegate => "redelegate",
-        RecoveryStrategy::ReplicatedFailover => "failover",
     }
 }
 
@@ -125,11 +122,11 @@ fn strategy_name(s: RecoveryStrategy) -> &'static str {
 ///
 /// # Panics
 ///
-/// Panics when the acceptance gate fails — re-delegation must hold
-/// recall at exactly 1.0 for every swept loss rate (≤ 10%) with a
-/// worker crash — or when any shutdown violates frame conservation.
+/// Panics when an acceptance gate fails — recall must be exactly 1.0
+/// in every cell, the fault-free cell must cost exactly the frame
+/// floor — or when any shutdown violates frame conservation.
 pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
-    section("Faults — recall and latency under loss, crashes, and recovery strategy");
+    section("Faults — recall, latency and frames under loss and crashes");
 
     let cell_seed = ctx.seed ^ 0xFA17_0000;
     let corpus = Corpus::generate(
@@ -144,10 +141,13 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     let entries: Vec<(ObjectId, KeywordSet)> =
         corpus.indexable().map(|(id, k)| (id, k.clone())).collect();
 
-    // Query mix: broad (|K|=1) and narrower (|K|=2) popular sets.
-    let mut queries: Vec<KeywordSet> = log.popular_of_size(1, 4);
-    queries.extend(log.popular_of_size(2, 4));
-    assert!(!queries.is_empty(), "query log produced no popular sets");
+    // Query mix: broad (|K|=1) and narrower (|K|=2) popular sets,
+    // cycled: an `FtQuery` is never served from a cache, so a repeat is
+    // a whole traversal again.
+    let mut mix: Vec<KeywordSet> = log.popular_of_size(1, 20);
+    mix.extend(log.popular_of_size(2, 20));
+    assert!(!mix.is_empty(), "query log produced no popular sets");
+    let queries: Vec<&KeywordSet> = mix.iter().cycle().take(FAULTS_QUERIES).collect();
 
     // Fault-free ground truth per query, from the direct engine.
     let mut direct = HypercubeIndex::new(FAULTS_R, cell_seed).expect("valid r");
@@ -156,7 +156,7 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     }
     let truths: Vec<Vec<u64>> = queries
         .iter()
-        .map(|q| {
+        .map(|&q| {
             let mut ids: Vec<u64> = direct
                 .superset_search(
                     &SupersetQuery::new(q.clone())
@@ -178,133 +178,166 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     // the first corpus object, located under the placement policy the
     // runtime will actually use.
     let hasher = KeywordHasher::new(FAULTS_R, cell_seed).expect("valid r");
-    let victim = RuntimeConfig::new(FAULTS_R, FAULTS_WORKERS)
-        .seed(cell_seed)
-        .shard_map()
-        .owner_of(hasher.vertex_for(&entries[0].1).bits());
+    let cfg = RuntimeConfig::new(FAULTS_R, FAULTS_WORKERS).seed(cell_seed);
+    let shards = cfg.shard_map();
+    let victim = shards.owner_of(hasher.vertex_for(&entries[0].1).bits());
+    // What the mix costs when nothing is lost: `FtQuery`/`FtQueryDone`
+    // and one region round with every other owner of the subcube.
+    let floor: u64 = queries
+        .iter()
+        .map(|&q| {
+            let owners: BTreeSet<u32> = hasher
+                .vertex_for(q)
+                .subcube()
+                .iter()
+                .map(|v| shards.owner_of(v.bits()))
+                .collect();
+            2 * owners.len() as u64
+        })
+        .sum();
+
+    // A faulted cluster, loaded and flushed.
+    let loaded = |plan: FaultPlan| {
+        let mut rt = NodeRuntime::start_faulted(cfg, plan).expect("valid r");
+        rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
+            .expect("non-empty sets");
+        rt.flush();
+        rt
+    };
+    let load_frames = loaded(FaultPlan::default()).shutdown().total_sent();
 
     let mut rows = Vec::new();
     for &loss in &LOSS_PER_MILLE {
         for &crashes in &CRASHES {
-            for &strategy in &STRATEGIES {
-                // Loss is split: 80% outright drops, 10% duplicates,
-                // 10% delays (which reorder).
-                let mut plan = FaultPlan::lossy(
-                    cell_seed ^ u64::from(loss),
-                    loss - loss / 5,
-                    loss / 10,
-                    loss / 10,
-                );
-                for c in 0..crashes {
-                    plan = plan.crash(victim, u64::from(c) + 1);
-                }
-                // Patience is sized for a loaded machine (the sweep
-                // also runs inside the parallel test suite): timers
-                // only fire on real drops/crashes, so generous budgets
-                // cost nothing in the fault-free cells but keep
-                // scheduler starvation from masquerading as frame
-                // loss and exhausting the retry budget.
-                let opts = FtSearchOptions {
-                    policy: FtPolicy {
-                        strategy,
-                        max_retries: 6,
-                        base_timeout: 50,
-                    },
-                    attempt_timeout_ms: 5_000,
-                    attempts: 5,
-                };
-
-                let mut rt = NodeRuntime::start_faulted(
-                    RuntimeConfig::new(FAULTS_R, FAULTS_WORKERS).seed(cell_seed),
-                    plan,
-                )
-                .expect("valid r");
-                rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
-                    .expect("non-empty sets");
-                rt.flush();
-
-                let mut lat_us: Vec<f64> = Vec::new();
-                let (mut found, mut truth_total) = (0usize, 0usize);
-                let mut complete = 0usize;
-                let mut traffic = FtCoverage::default();
-                for (q, truth) in queries.iter().zip(&truths) {
-                    let t0 = Instant::now();
-                    let out = rt
-                        .superset_search_ft(q, usize::MAX - 1, &opts)
-                        .expect("non-zero threshold");
-                    lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    let mut got: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
-                    got.sort_unstable();
-                    got.dedup();
-                    found += got
-                        .iter()
-                        .filter(|id| truth.binary_search(id).is_ok())
-                        .count();
-                    truth_total += truth.len();
-                    complete += usize::from(out.complete);
-                    if let Some(cov) = &out.coverage {
-                        traffic.add_traffic(cov);
-                    }
-                }
-                let report = rt.shutdown();
-                report.assert_conserved();
-
-                let recall = if truth_total == 0 {
-                    1.0
-                } else {
-                    found as f64 / truth_total as f64
-                };
-                // The acceptance gate: re-delegation survives every
-                // swept loss rate plus a data-owning crash at full
-                // recall.
-                if strategy == RecoveryStrategy::Redelegate {
-                    assert!(
-                        (recall - 1.0).abs() < f64::EPSILON,
-                        "re-delegation lost recall: loss={loss}‰ crashes={crashes} \
-                         recall={recall}"
-                    );
-                }
-
-                lat_us.sort_by(|a, b| a.total_cmp(b));
-                rows.push(FaultsRow {
-                    r: FAULTS_R,
-                    workers: FAULTS_WORKERS,
-                    loss_per_mille: loss,
-                    crashes,
-                    strategy: strategy_name(strategy),
-                    queries: queries.len(),
-                    recall,
-                    complete,
-                    p50_us: lat_us[(lat_us.len() - 1) / 2],
-                    max_us: lat_us[lat_us.len() - 1],
-                    retries: traffic.retries,
-                    timeouts: traffic.timeouts,
-                    redelegations: traffic.redelegations,
-                    respawns: report.supervisor.respawns,
-                    dropped_frames: report.total_dropped(),
-                    duplicated_frames: report.total_duplicated(),
-                });
+            // Loss is split: 80% outright drops, 10% duplicates,
+            // 10% delays (which reorder).
+            let mut plan = FaultPlan::lossy(
+                cell_seed ^ u64::from(loss),
+                loss - loss / 5,
+                loss / 10,
+                loss / 10,
+            );
+            for c in 0..crashes {
+                plan = plan.crash(victim, u64::from(c) + 1);
             }
+            // Patience is sized for a loaded machine (the sweep also
+            // runs inside the parallel test suite): deadlines only
+            // pass on real drops/crashes, so generous budgets cost
+            // nothing in the fault-free cells but keep scheduler
+            // starvation from masquerading as frame loss and
+            // exhausting the retry budget.
+            let opts = FtSearchOptions {
+                policy: FtPolicy {
+                    strategy: RecoveryStrategy::RetryOnly,
+                    max_retries: 6,
+                    base_timeout: 50,
+                },
+                attempt_timeout_ms: 5_000,
+                attempts: 5,
+            };
+
+            let mut rt = loaded(plan);
+            let mut lat_us: Vec<f64> = Vec::new();
+            let (mut found, mut truth_total) = (0usize, 0usize);
+            let mut complete = 0usize;
+            let mut traffic = FtCoverage::default();
+            for (&q, truth) in queries.iter().zip(&truths) {
+                let t0 = Instant::now();
+                let out = rt
+                    .superset_search_ft(q, usize::MAX - 1, &opts)
+                    .expect("non-zero threshold");
+                lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
+                let mut got: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
+                got.sort_unstable();
+                got.dedup();
+                found += got
+                    .iter()
+                    .filter(|id| truth.binary_search(id).is_ok())
+                    .count();
+                truth_total += truth.len();
+                complete += usize::from(out.complete);
+                if let Some(cov) = &out.coverage {
+                    traffic.add_traffic(cov);
+                }
+            }
+            let report = rt.shutdown();
+            report.assert_conserved();
+
+            let recall = if truth_total == 0 {
+                1.0
+            } else {
+                found as f64 / truth_total as f64
+            };
+            // The acceptance gates: every swept loss rate, with or
+            // without a data-owning crash, is survived at full recall;
+            // and with no fault a query costs the floor, to the frame
+            // (a deadline a starved thread let pass costs exactly one
+            // more `RegionQuery` and one more answer).
+            assert!(
+                (recall - 1.0).abs() < f64::EPSILON,
+                "recall lost: loss={loss}‰ crashes={crashes} recall={recall}"
+            );
+            let query_frames = report.total_sent() - load_frames;
+            if loss == 0 && crashes == 0 {
+                assert_eq!(
+                    query_frames,
+                    floor + 2 * traffic.retries,
+                    "a fault-free query costs the floor"
+                );
+            }
+
+            lat_us.sort_by(|a, b| a.total_cmp(b));
+            let percentile = |p: usize| lat_us[(lat_us.len() - 1) * p / 100];
+            rows.push(FaultsRow {
+                r: FAULTS_R,
+                workers: FAULTS_WORKERS,
+                loss_per_mille: loss,
+                crashes,
+                queries: queries.len(),
+                recall,
+                complete,
+                p50_us: percentile(50),
+                p99_us: percentile(99),
+                max_us: percentile(100),
+                frames_per_query: query_frames as f64 / queries.len() as f64,
+                retries: traffic.retries,
+                timeouts: traffic.timeouts,
+                respawns: report.supervisor.respawns,
+                dropped_frames: report.total_dropped(),
+                duplicated_frames: report.total_duplicated(),
+            });
         }
     }
 
     let mut table = Table::new([
-        "loss ‰", "crashes", "strategy", "queries", "recall", "complete", "p50 µs", "max µs",
-        "retries", "timeouts", "redeleg", "respawns", "dropped", "dup",
+        "loss ‰",
+        "crashes",
+        "queries",
+        "recall",
+        "complete",
+        "p50 µs",
+        "p99 µs",
+        "max µs",
+        "frames/query",
+        "retries",
+        "timeouts",
+        "respawns",
+        "dropped",
+        "dup",
     ]);
     for row in &rows {
         table.row([
             row.loss_per_mille.to_string(),
             row.crashes.to_string(),
-            row.strategy.to_string(),
             row.queries.to_string(),
             f(row.recall, 4),
             row.complete.to_string(),
             f(row.p50_us, 1),
+            f(row.p99_us, 1),
             f(row.max_us, 1),
+            f(row.frames_per_query, 3),
             row.retries.to_string(),
             row.timeouts.to_string(),
-            row.redelegations.to_string(),
             row.respawns.to_string(),
             row.dropped_frames.to_string(),
             row.duplicated_frames.to_string(),
@@ -312,33 +345,30 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     }
     print!("{}", table.to_markdown());
     println!(
-        "\nre-delegation held recall 1.0 across loss {:?}‰ × crashes {:?} (asserted in-run)",
-        LOSS_PER_MILLE, CRASHES
+        "\nrecall held at 1.0 across loss {:?}‰ × crashes {:?}, and the fault-free cell cost \
+         the floor of {:.3} frames a query (both asserted in-run)",
+        LOSS_PER_MILLE,
+        CRASHES,
+        floor as f64 / queries.len() as f64
     );
 
     println!("\n### JSON series (vs loss rate)\n");
     for &crashes in &CRASHES {
-        for &strategy in &STRATEGIES {
-            let name = strategy_name(strategy);
-            let points: Vec<(f64, f64)> = rows
-                .iter()
-                .filter(|row| row.crashes == crashes && row.strategy == name)
-                .map(|row| (f64::from(row.loss_per_mille) / 10.0, row.recall))
-                .collect();
-            println!(
-                "{}",
-                json_series(
-                    "faults_recall",
-                    &[
-                        ("strategy", name.to_string()),
-                        ("crashes", crashes.to_string()),
-                    ],
-                    "loss %",
-                    "recall",
-                    &points,
-                )
-            );
-        }
+        let points: Vec<(f64, f64)> = rows
+            .iter()
+            .filter(|row| row.crashes == crashes)
+            .map(|row| (f64::from(row.loss_per_mille) / 10.0, row.frames_per_query))
+            .collect();
+        println!(
+            "{}",
+            json_series(
+                "faults_frames_per_query",
+                &[("crashes", crashes.to_string())],
+                "loss %",
+                "frames per query",
+                &points,
+            )
+        );
     }
     rows
 }
@@ -355,23 +385,24 @@ pub fn write_json(rows: &[FaultsRow], seed: u64, path: &Path) -> std::io::Result
         .map(|r| {
             format!(
                 "{{\"r\":{},\"workers\":{},\"loss_per_mille\":{},\"crashes\":{},\
-                 \"strategy\":\"{}\",\"queries\":{},\"recall\":{:.6},\"complete\":{},\
-                 \"p50_us\":{:.2},\"max_us\":{:.2},\"retries\":{},\"timeouts\":{},\
-                 \"redelegations\":{},\"respawns\":{},\"dropped_frames\":{},\
+                 \"queries\":{},\"recall\":{:.6},\"complete\":{},\
+                 \"p50_us\":{:.2},\"p99_us\":{:.2},\"max_us\":{:.2},\
+                 \"frames_per_query\":{:.3},\"retries\":{},\"timeouts\":{},\
+                 \"respawns\":{},\"dropped_frames\":{},\
                  \"duplicated_frames\":{}}}",
                 r.r,
                 r.workers,
                 r.loss_per_mille,
                 r.crashes,
-                r.strategy,
                 r.queries,
                 r.recall,
                 r.complete,
                 r.p50_us,
+                r.p99_us,
                 r.max_us,
+                r.frames_per_query,
                 r.retries,
                 r.timeouts,
-                r.redelegations,
                 r.respawns,
                 r.dropped_frames,
                 r.duplicated_frames,
@@ -387,24 +418,20 @@ mod tests {
     use crate::Scale;
 
     #[test]
-    fn sweep_grades_strategies_and_is_deterministic() {
+    fn sweep_holds_recall_and_is_deterministic() {
         let ctx = SharedContext::new(Scale::Small, 1);
         let rows = run(&ctx);
-        assert_eq!(
-            rows.len(),
-            LOSS_PER_MILLE.len() * CRASHES.len() * STRATEGIES.len()
-        );
+        assert_eq!(rows.len(), LOSS_PER_MILLE.len() * CRASHES.len());
         for row in &rows {
-            assert!(row.queries > 0, "{row:?}");
-            assert!((0.0..=1.0).contains(&row.recall), "{row:?}");
-            assert!(row.p50_us <= row.max_us, "{row:?}");
-            if row.strategy == "redelegate" {
-                assert!((row.recall - 1.0).abs() < f64::EPSILON, "{row:?}");
-            }
+            assert_eq!(row.queries, FAULTS_QUERIES, "{row:?}");
+            assert_eq!(row.recall, 1.0, "{row:?}");
+            assert!(
+                row.p50_us <= row.p99_us && row.p99_us <= row.max_us,
+                "{row:?}"
+            );
             if row.loss_per_mille == 0 && row.crashes == 0 {
-                assert_eq!(row.recall, 1.0, "fault-free cell lost recall: {row:?}");
-                assert_eq!(row.dropped_frames, 0, "{row:?}");
-                assert_eq!(row.respawns, 0, "{row:?}");
+                assert_eq!(row.complete, row.queries, "{row:?}");
+                assert_eq!((row.dropped_frames, row.respawns), (0, 0), "{row:?}");
             }
             if row.crashes > 0 {
                 assert!(row.respawns >= 1, "crash cell never respawned: {row:?}");
@@ -424,15 +451,15 @@ mod tests {
             workers: 4,
             loss_per_mille: 100,
             crashes: 1,
-            strategy: "redelegate",
-            queries: 8,
+            queries: 200,
             recall: 1.0,
-            complete: 7,
+            complete: 199,
             p50_us: 900.0,
+            p99_us: 30_000.0,
             max_us: 40_000.0,
+            frames_per_query: 6.25,
             retries: 31,
             timeouts: 2,
-            redelegations: 2,
             respawns: 1,
             dropped_frames: 120,
             duplicated_frames: 14,
@@ -443,7 +470,8 @@ mod tests {
         write_json(&[row], 42, &path).expect("write");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.starts_with("{\"seed\":42,\"rows\":[\n"));
-        assert!(text.contains("\"strategy\":\"redelegate\""));
+        assert!(text.contains("\"p99_us\":30000.00,\"max_us\":40000.00"));
+        assert!(text.contains("\"frames_per_query\":6.250"));
         assert!(text.contains("\"recall\":1.000000"));
         assert!(text.contains("\"respawns\":1"));
         assert!(text.trim_end().ends_with("]}"));

@@ -33,10 +33,10 @@
 //! signatures remembers the first), its slot is reserved when it
 //! *arrives* — not when its traversal happens to finish — and identical
 //! queries arriving while the slot's traversal runs are told to wait
-//! for it. Every decision is a function of the arrival order alone —
-//! unless the caller reports the slot's traversal lost (`live`), which
-//! is the one way a reservation that will never be filled is released
-//! to the next arrival.
+//! for it. Every decision is a function of the arrival order alone: a
+//! reservation's holder always ends by filling it or by giving it back
+//! ([`FifoCache::release`]), so nobody ever waits for a traversal that
+//! is gone.
 //!
 //! **Validity.** An entry is stamped with the cache's *generation* at
 //! the moment its traversal started; the owner bumps the generation on
@@ -308,17 +308,15 @@ impl<T> FifoCache<T> {
 
     /// The serving-path lookup: decides, from the arrival order alone,
     /// what the query arriving now should do. `token` names the
-    /// traversal the caller starts if told to [`Claim::Lead`];
-    /// `fresh` judges a current-generation entry's remote stamps and
-    /// `live` whether the traversal holding a reservation can still be
-    /// waited for.
+    /// traversal the caller starts if told to [`Claim::Lead`] — and
+    /// must end with [`FifoCache::fill`] or [`FifoCache::release`];
+    /// `fresh` judges a current-generation entry's remote stamps.
     ///
     /// * A current, fresh, covering entry → [`Claim::Hit`].
-    /// * A slot reserved under the current generation by a live
-    ///   traversal whose threshold covers this one → [`Claim::Join`].
-    /// * Any other existing slot (stale, reserved by a lost traversal,
-    ///   or too short for this threshold) is taken over in place →
-    ///   [`Claim::Lead`].
+    /// * A slot reserved under the current generation by a traversal
+    ///   whose threshold covers this one → [`Claim::Join`].
+    /// * Any other existing slot (stale, or too short for this
+    ///   threshold) is taken over in place → [`Claim::Lead`].
     /// * No slot: the first sighting is only remembered
     ///   ([`Claim::Pass`]); a later one reserves a slot at the back of
     ///   the FIFO, evicting the front if full → [`Claim::Lead`].
@@ -328,7 +326,6 @@ impl<T> FifoCache<T> {
         threshold: usize,
         token: u64,
         fresh: impl Fn(&[(u32, u64)]) -> bool,
-        live: impl Fn(u64) -> bool,
     ) -> Claim<T> {
         if self.capacity == 0 {
             self.counters.misses += 1;
@@ -360,7 +357,6 @@ impl<T> FifoCache<T> {
                 generation: started,
                 ..
             } if *started != generation => self.counters.stale += 1,
-            Slot::Reserved { token: leader, .. } if !live(*leader) => self.counters.stale += 1,
             Slot::Reserved {
                 token: leader,
                 threshold: covered,
@@ -410,8 +406,8 @@ impl<T> FifoCache<T> {
     }
 
     /// Gives back the slot reserved for the traversal `token` without
-    /// an answer (one the caller will not keep): the next arrival of
-    /// `query` reserves anew. Nothing happens when the slot has since
+    /// an answer (one the caller will not keep, or a traversal it gave
+    /// up): the next arrival of `query` reserves anew. Nothing happens when the slot has since
     /// been evicted or taken over by another traversal.
     pub fn release(&mut self, query: &KeywordSet, token: u64) {
         if matches!(self.slots.get(query), Some(Slot::Reserved { token: holder, .. }) if *holder == token)
@@ -660,7 +656,7 @@ mod tests {
 
     /// A claim whose remote stamps are always good enough.
     fn claim(c: &mut FifoCache, query: &str, threshold: usize, token: u64) -> Claim<RankedObject> {
-        c.claim(&q(query), threshold, token, |_| true, |_| true)
+        c.claim(&q(query), threshold, token, |_| true)
     }
 
     #[test]
@@ -751,44 +747,33 @@ mod tests {
         let at_least =
             |floor: u64| move |remote: &[(u32, u64)]| remote.iter().all(|&(_, e)| e >= floor);
         assert!(matches!(
-            c.claim(&q("a"), 5, 3, at_least(40), |_| true),
+            c.claim(&q("a"), 5, 3, at_least(40)),
             Claim::Hit(_)
         ));
-        assert_eq!(c.claim(&q("a"), 5, 4, at_least(41), |_| true), Claim::Lead);
+        assert_eq!(c.claim(&q("a"), 5, 4, at_least(41)), Claim::Lead);
         assert_eq!(c.counters().stale, 1);
     }
 
     #[test]
-    fn a_reservation_whose_traversal_is_lost_goes_to_the_next_arrival() {
+    fn a_released_reservation_is_led_again() {
         let mut c = FifoCache::new(4);
         claim(&mut c, "a", 5, 1);
         assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
         assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
+        c.release(&q("a"), 9); // not the holder
+        assert_eq!(c.held(), 1);
         // The caller gives traversal 2 up: nobody waits for it again.
-        let lost = |token: u64| token != 2;
-        assert_eq!(c.claim(&q("a"), 5, 4, |_| true, lost), Claim::Lead);
-        assert_eq!(c.claim(&q("a"), 5, 5, |_| true, lost), Claim::Join(4));
+        c.release(&q("a"), 2);
+        assert_eq!(c.held(), 0);
+        assert_eq!(claim(&mut c, "a", 5, 4), Claim::Lead, "already sighted");
+        assert_eq!(claim(&mut c, "a", 5, 5), Claim::Join(4));
         // Should traversal 2 finish after all, its answer is not kept.
         c.fill(&q("a"), 2, results(1), true, Vec::new());
         assert_eq!(claim(&mut c, "a", 5, 6), Claim::Join(4));
         c.fill(&q("a"), 4, results(3), true, Vec::new());
         assert!(matches!(claim(&mut c, "a", 5, 7), Claim::Hit(r) if r.len() == 3));
         let n = c.counters();
-        assert_eq!((n.coalesced, n.stale), (3, 1));
-    }
-
-    #[test]
-    fn a_released_reservation_is_reserved_anew() {
-        let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 5, 1);
-        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
-        c.release(&q("a"), 9); // not the holder
-        assert_eq!(c.held(), 1);
-        c.release(&q("a"), 2);
-        assert_eq!(c.held(), 0);
-        assert_eq!(claim(&mut c, "a", 5, 3), Claim::Lead, "already sighted");
-        assert_eq!(c.held(), 1);
-        assert_eq!(c.counters().evictions, 0);
+        assert_eq!((n.coalesced, n.stale, n.evictions), (3, 0, 0));
     }
 
     #[test]

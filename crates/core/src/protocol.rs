@@ -24,9 +24,12 @@
 //! * [`FrontierLevels`] — the per-depth frontier of the level-order
 //!   variants (bottom-up, §3.5 level-parallel), full or
 //!   summary-pruned, in either direction.
-//! * [`FtCoordinator`] — the §3.4 recovery machine (retry, backoff,
-//!   subtree re-delegation, coverage accounting) the simulator and the
-//!   runtime workers both drive.
+//! * [`FtCoordinator`] — the §3.4 per-vertex recovery machine (retry,
+//!   backoff, subtree re-delegation, coverage accounting) the
+//!   simulator drives. A runtime worker recovers per region owner, a
+//!   unit with no children to re-delegate to; what the two share is
+//!   the retry rule, [`FtPolicy::attempt_timeout`], and the
+//!   [`FtCoverage`] record.
 //!
 //! Everything here is sans-I/O: the substrate supplies transport (a
 //! call, a simnet message, a wire frame) and timers.
@@ -464,9 +467,9 @@ pub enum RecoveryStrategy {
 
 /// Retry/backoff tuning for one fault-tolerant pass, in
 /// substrate-defined timeout ticks (virtual ticks in the simulator,
-/// milliseconds in the threaded runtime). The one declaration of the
-/// policy: `FtConfig`, `FtSearchOptions` and `WireMsg::FtQuery` embed
-/// it.
+/// milliseconds in the threaded runtime, whose unit is a region owner
+/// rather than a vertex). The one declaration of the policy:
+/// `FtConfig`, `FtSearchOptions` and `WireMsg::FtQuery` embed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtPolicy {
     /// Recovery behaviour on timeout.
@@ -483,10 +486,25 @@ pub fn ft_backoff(base: u64, attempts: u32) -> u64 {
     base.saturating_mul(1u64 << attempts.min(6))
 }
 
+impl FtPolicy {
+    /// The one retry rule, whatever the unit retried (a vertex for
+    /// [`FtCoordinator`], a region owner for the runtime worker): how
+    /// many ticks transmission number `attempt` (0 = the first) waits
+    /// for its answer, or `None` when the policy has no such timed
+    /// transmission — [`RecoveryStrategy::Naive`] arms no timer and
+    /// never retries, every other strategy retransmits `max_retries`
+    /// times under [`ft_backoff`]. A unit whose wait expired is sent
+    /// again exactly when `attempt_timeout(attempt + 1)` is `Some`.
+    pub fn attempt_timeout(&self, attempt: u32) -> Option<u64> {
+        (self.strategy != RecoveryStrategy::Naive && attempt <= self.max_retries)
+            .then(|| ft_backoff(self.base_timeout, attempt))
+    }
+}
+
 /// What the fault-tolerant coordinator wants its substrate to do.
 ///
-/// The substrate (simnet event loop, threaded-runtime worker) executes
-/// each command with its own transport and timer facility and feeds
+/// The substrate (the simnet event loop) executes each command with
+/// its own transport and timer facility and feeds
 /// outcomes back via [`FtCoordinator::on_reply`] /
 /// [`FtCoordinator::on_scan`] / [`FtCoordinator::on_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -520,16 +538,18 @@ pub enum FtCmd {
     },
     /// The traversal root itself was declared dead: the requester
     /// promotes itself to coordinator (Lemma 3.2 hands it the root's
-    /// frontier from the bits alone). Substrates with a separate
-    /// requester endpoint redirect continuations; the threaded runtime
-    /// ignores this (its client retries the whole request instead).
+    /// frontier from the bits alone): continuations are redirected to
+    /// the requester's endpoint.
     Promote,
 }
 
 /// Exact coverage accounting produced by [`FtCoordinator::finish`] —
 /// the one declaration of these counters: `WireMsg::FtQueryDone`
 /// carries it, `CoverageReport` embeds it, the runtime client hands it
-/// through.
+/// through. A runtime worker fills it per region: `reached` and
+/// `skipped` are the vertices of the regions answered for and given
+/// up, the message counters count region frames, the recovery counters
+/// region owners, `redelegations` stays 0.
 ///
 /// The invariant every substrate asserts: `reached + skipped.len() +
 /// (vertices pruned by the substrate) == subcube_vertices`, unless the
@@ -584,9 +604,9 @@ struct FtPending {
 /// result collection, and exact reached/skipped accounting — as a
 /// sans-I/O state machine over result items of type `T`.
 ///
-/// This is the single shared implementation: the simulator drives it
-/// with virtual-time timers and simnet messages, the threaded runtime
-/// with wall-clock deadlines and wire frames. The substrate owns
+/// The simulator drives it with virtual-time timers and simnet
+/// messages (the runtime workers retry per region owner under the same
+/// [`FtPolicy::attempt_timeout`], without this machine). The substrate owns
 /// transport, timers, per-vertex scans, and (optionally)
 /// occupancy-based pruning via the `prune` filter passed to the event
 /// methods; the machine owns everything else: which vertex is
@@ -781,7 +801,7 @@ impl<T> FtCoordinator<T> {
         if p.generation != generation {
             return;
         }
-        if p.attempts < self.policy.max_retries {
+        if self.policy.attempt_timeout(p.attempts + 1).is_some() {
             self.tally.retries += 1;
             self.transmit(bits, p.via_dim, p.attempts + 1, cmds);
             return;
@@ -887,8 +907,7 @@ impl<T> FtCoordinator<T> {
                 generation,
             },
         );
-        let timeout = (self.policy.strategy != RecoveryStrategy::Naive)
-            .then(|| ft_backoff(self.policy.base_timeout, attempt));
+        let timeout = self.policy.attempt_timeout(attempt);
         cmds.push(FtCmd::Send {
             bits,
             via_dim,

@@ -225,7 +225,7 @@ impl NetClient {
     }
 
     /// Fault-tolerant superset search over the wire: the coordinating
-    /// worker retries and re-delegates; the client re-issues the query
+    /// worker retries each region owner; the client re-issues the query
     /// when a whole attempt dies, and degrades to an honest empty
     /// outcome when nobody ever answers.
     ///

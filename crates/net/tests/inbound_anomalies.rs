@@ -2,9 +2,10 @@
 //! under a name, never asserted on and never silent: a live
 //! single-server cluster is fed a unit for a worker it does not host,
 //! a perfectly framed unit per worker whose body is no message, an
-//! insert and a pin for a vertex their receiver does not own, and then
-//! a header no stream can recover from; it keeps serving, and reports
-//! all four in its `SSTATS` and `WSTATS` lines.
+//! insert and a pin for a vertex their receiver does not own, three
+//! frames of kinds no worker is ever sent, and then a header no stream
+//! can recover from; it keeps serving, and reports all of it in its
+//! `SSTATS` and `WSTATS` lines.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -73,6 +74,21 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
         push_unit(&mut units, 1 - owner(&stray), &msg.encode());
     }
     feed(&units);
+    // Frames that decode but are no worker's to act on, all to worker
+    // 0: a repair release for another worker, one for itself while it
+    // repairs nothing, a reply meant for a client.
+    let mut units = Vec::new();
+    for msg in [
+        WireMsg::RepairDone { worker: 1 },
+        WireMsg::RepairDone { worker: 0 },
+        WireMsg::QueryDone {
+            query_id: u64::MAX,
+            objects: vec![(8, 0)],
+        },
+    ] {
+        push_unit(&mut units, 0, &msg.encode());
+    }
+    feed(&units);
     // A header announcing an impossible body.
     let mut header = 0u32.to_le_bytes().to_vec();
     header.extend_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
@@ -95,17 +111,17 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
     );
 
     let report = cluster.shutdown(client).expect("cluster shutdown");
-    // The two misrouted frames are in nobody's `sent`: the ledger is
+    // The five misrouted frames are in nobody's `sent`: the ledger is
     // over by exactly them (the stray pin's reply was sent and received
     // like any other).
     assert_eq!(
         report.total_received(),
-        report.total_sent() + 2,
+        report.total_sent() + 5,
         "{report:?}"
     );
     let misrouted: Vec<u64> = report.workers.iter().map(|w| w.frames_misrouted).collect();
-    let mut expected = vec![0, 0];
-    expected[1 - owner(&stray) as usize] = 2;
+    let mut expected = vec![3, 0];
+    expected[1 - owner(&stray) as usize] += 2;
     assert_eq!(misrouted, expected, "{report:?}");
     assert_eq!(report.supervisor.units_misrouted, 1, "{report:?}");
     assert_eq!(report.supervisor.streams_corrupt, 1, "{report:?}");

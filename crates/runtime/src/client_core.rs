@@ -99,13 +99,15 @@ pub struct BatchResult {
 /// Knobs for a fault-tolerant superset search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtSearchOptions {
-    /// What the coordinating worker's machine runs under, sent as is:
-    /// the base timeout is the first-attempt child deadline in
-    /// milliseconds. The runtime arms real timers only for
-    /// [`RecoveryStrategy::RetryOnly`] and
-    /// [`RecoveryStrategy::Redelegate`]; `Naive` never recovers (the
-    /// client deadline is its only bound) and `ReplicatedFailover`
-    /// re-delegates without the simulator-only secondary sweep.
+    /// What the coordinating worker holds each region owner to, sent
+    /// as is: the base timeout is the owner's first-attempt deadline in
+    /// milliseconds, doubling per retry, and an owner silent through
+    /// `max_retries` retransmissions is given up — its regions are the
+    /// outcome's skipped vertices. A region has no subtree to route
+    /// around, so every strategy but [`RecoveryStrategy::Naive`] means
+    /// exactly that (re-delegation and the secondary sweep are the
+    /// simulator's); `Naive` sends once and gives an owner up after
+    /// one base timeout.
     pub policy: FtPolicy,
     /// Overall per-attempt client deadline in milliseconds. If the
     /// coordinator itself dies, the client re-issues the query after
@@ -274,9 +276,11 @@ impl<L: ClientLink> ClientCore<L> {
         Ok(object_ids(self.complete(id, owner, "pin reply")?.matches))
     }
 
-    /// Superset search (§3.3) on the perfect-transport path: blocks
-    /// until the root's owner, which coordinates, finishes the
-    /// traversal.
+    /// Superset search (§3.3): blocks until the root's owner, which
+    /// coordinates, finishes the traversal. Lost region frames are
+    /// retried there; a query that loses an owner for good is dropped
+    /// unanswered (never answered short), which the caller sees as
+    /// [`Error::Timeout`].
     ///
     /// # Errors
     ///
@@ -311,7 +315,7 @@ impl<L: ClientLink> ClientCore<L> {
     }
 
     /// Windowed fault-tolerant search (§3.4): the coordinating workers
-    /// retry and re-delegate; the client keeps up to `window` searches
+    /// retry per region owner; the client keeps up to `window` searches
     /// in flight, matches completions by id, re-issues a search whose
     /// attempt deadline passed under a fresh id, and degrades it to an
     /// honest empty outcome (`complete: false`, no coverage) once its
@@ -503,8 +507,8 @@ impl<L: ClientLink> ClientCore<L> {
         (id, coordinator)
     }
 
-    /// Queues one FT query toward its root's owner (the FT coordinator
-    /// scans the root locally) and returns the fresh query id.
+    /// Queues one FT query toward its root's owner (one routing rule)
+    /// and returns the fresh query id.
     fn queue_ft(&mut self, keywords: &KeywordSet, threshold: usize, opts: &FtSearchOptions) -> u64 {
         let id = self.fresh_id();
         let owner = self.owner_of(keywords);

@@ -9,14 +9,12 @@
 //! harness and the `faults` bench rely on.
 //!
 //! Scope: injection applies only to **worker → worker traversal
-//! frames** (`T_QUERY`/`T_CONT`, and the sequential search's
-//! `RegionQuery`/`RegionDone`). Client-bound frames, control frames
-//! (flush/shutdown/repair), and load frames (insert/handoff) are
-//! reliable — so the indexed corpus is always well-defined and every
-//! lost `T_QUERY`/`T_CONT` is one the fault-tolerant coordinator knows
-//! how to recover (retry, re-delegate, or account as skipped
-//! coverage); the sequential search is the perfect-transport path and
-//! only stops identical queries waiting on a traversal that lost one.
+//! frames** (`RegionQuery`/`RegionDone`). Client-bound frames, control
+//! frames (flush/shutdown/repair), and load frames (insert/handoff)
+//! are reliable — so the indexed corpus is always well-defined and
+//! every lost frame is one its coordinator knows how to recover: the
+//! owner is asked again under its deadline, and given up only as
+//! skipped coverage of an `FtQuery` or the end of a plain query.
 //! Delayed frames are stashed and released behind the *next* frame to
 //! the same destination, which is also how the plan reorders traffic.
 //!

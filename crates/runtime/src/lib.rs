@@ -14,9 +14,12 @@
 //! The cluster also survives being hurt: [`fault`] injects seeded
 //! drop/duplicate/delay faults and crash-stops on the wire path, while
 //! the [`runtime`] supervisor respawns crashed workers and replays
-//! their shards, and [`NodeRuntime::superset_search_ft`] runs the
-//! shared [`hyperdex_core::FtCoordinator`] recovery machine (retries,
-//! backoff, subtree re-delegation) against real wall-clock deadlines.
+//! their shards, and every superset traversal holds the region owners
+//! it waits for to wall-clock deadlines under the retry rule the
+//! simulator's recovery machine reads too
+//! ([`hyperdex_core::FtPolicy::attempt_timeout`]);
+//! [`NodeRuntime::superset_search_ft`] names the policy and gets an
+//! exact account of what was covered.
 //!
 //! Module map:
 //!

@@ -23,9 +23,9 @@
 //! lane simply keeps its bytes — the parked outbox *is* the lane — and
 //! is offered again next turn, the event counted in
 //! [`WorkerStats::backpressure_hits`]. When a worker is fully idle —
-//! no parked frames, no armed deadlines — it blocks on `recv` and
-//! burns no CPU ([`WorkerStats::wakeups`] counts the timed polls it
-//! did need).
+//! no parked frames, no traversal waiting on an owner — it blocks on
+//! `recv` and burns no CPU ([`WorkerStats::wakeups`] counts the timed
+//! polls it did need).
 //!
 //! # Queries
 //!
@@ -33,15 +33,15 @@
 //! re-issue — is the shared [`ClientCore`]; [`NodeRuntime`] plugs the
 //! in-process channel link into it and adds what only a process that
 //! owns its workers can do: start, supervise, journal, bulk-load, shut
-//! down. On the worker side the sequential path
-//! ([`NodeRuntime::superset_search`]) answers in one round per prefix
-//! region, merged into the very answer the `SupersetCoordinator`
-//! machine of the simulator and the direct engine folds, and the
-//! fault-tolerant path
-//! ([`NodeRuntime::superset_search_ft`]) the shared `FtCoordinator` —
-//! the very one `ProtocolSim` drives under virtual time — with
-//! wall-clock deadlines, retry backoff, and subtree re-delegation
-//! (Lemma 3.2), so all executors share one recovery implementation.
+//! down. On the worker side there is one superset traversal: one
+//! round per prefix region, merged into the very answer the
+//! `SupersetCoordinator` machine of the simulator and the direct
+//! engine folds, every awaited region owner under a wall-clock
+//! deadline and the retry rule `ProtocolSim`'s `FtCoordinator` reads
+//! too (`FtPolicy::attempt_timeout`). [`NodeRuntime::superset_search`]
+//! runs it under the worker's own patient policy and is answered whole
+//! or not at all; [`NodeRuntime::superset_search_ft`] names the policy
+//! and is always answered, with the regions given up accounted.
 //!
 //! # Faults and supervision
 //!
@@ -57,7 +57,7 @@
 //! frames from the [`Journal`], and finishes with `RepairDone`. Until
 //! repair completes the respawned worker parks query frames, so scans
 //! never run against a half-restored table. If recovery cannot finish
-//! within the client's deadline, [`NodeRuntime::superset_search_ft`]
+//! within the retry budget, [`NodeRuntime::superset_search_ft`]
 //! degrades gracefully: it returns a partial result whose
 //! [`hyperdex_core::FtCoverage`] accounts every unreached vertex
 //! exactly.
@@ -508,10 +508,12 @@ impl NodeRuntime {
     }
 
     /// Superset search (§3.3), coordinated by the owner of `F_h(K)`.
-    /// Blocks until the traversal finishes. This is the
-    /// perfect-transport path — under an active fault plan use
-    /// [`NodeRuntime::superset_search_ft`], which recovers from loss
-    /// and crashes instead of hanging on them.
+    /// Blocks until the traversal finishes: lost region frames are
+    /// retried, but a query whose coordinator dies, or that loses an
+    /// owner for good, is never answered, and this handle has no
+    /// request deadline — under a fault plan that crashes workers or
+    /// cuts them off use [`NodeRuntime::superset_search_ft`], which
+    /// always returns.
     ///
     /// # Errors
     ///
@@ -524,9 +526,10 @@ impl NodeRuntime {
         self.core.superset_search(keywords, threshold)
     }
 
-    /// Fault-tolerant superset search (§3.4 ported to the runtime):
-    /// the coordinator arms per-child deadlines, retries with
-    /// exponential backoff, and re-delegates dead subtrees; the client
+    /// Fault-tolerant superset search (§3.4 at the runtime's
+    /// granularity): the coordinator holds every region owner to a
+    /// deadline, retries with exponential backoff, and accounts the
+    /// regions of an owner it gives up as skipped; the client
     /// re-issues the whole query if the coordinator itself dies, and
     /// returns a coverage-accounted partial result when recovery
     /// cannot finish in time.
@@ -1041,24 +1044,28 @@ mod tests {
     }
 
     #[test]
-    fn ft_search_survives_frame_loss_with_redelegation() {
-        // 10% drop + 5% duplicate + 5% delay on the traversal path.
+    fn ft_search_survives_frame_loss() {
+        // 10% drop + 5% duplicate + 5% delay on the traversal path. A
+        // search is six region frames, so a few of them meet the plan.
         let plan = FaultPlan::lossy(9, 100, 50, 50);
         let mut rt = loaded_faulted(4, plan);
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &FtSearchOptions::default())
-            .unwrap();
-        // Recall must be total even though a few (empty) vertices may
-        // have exhausted their retry budget and been written off.
-        let mut ids: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
-        let cov = out.coverage.expect("coordinator answered");
-        assert_eq!(
-            cov.reached + cov.skipped.len() as u64,
-            cov.subcube_vertices,
-            "coverage accounting must be exact: {cov:?}"
-        );
+        for _ in 0..8 {
+            let out = rt
+                .superset_search_ft(&set("a"), usize::MAX - 1, &FtSearchOptions::default())
+                .unwrap();
+            // Of `CORPUS`, every match is the coordinator's: recall is
+            // total even if an owner exhausts its retry budget and its
+            // (empty) regions are written off.
+            let mut ids: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, vec![1, 2, 3, 4, 6, 8]);
+            let cov = out.coverage.expect("coordinator answered");
+            assert_eq!(
+                cov.reached + cov.skipped.len() as u64,
+                cov.subcube_vertices,
+                "coverage accounting must be exact: {cov:?}"
+            );
+        }
         let report = rt.shutdown();
         report.assert_conserved();
         assert!(
@@ -1069,8 +1076,8 @@ mod tests {
 
     #[test]
     fn duplicated_frames_do_not_double_count_results() {
-        // Duplicate a third of all traversal frames; dedup at the
-        // coordinator must keep the result set exact.
+        // Duplicate a third of all traversal frames; the coordinator
+        // takes each owner's answer once, so the result set is exact.
         let plan = FaultPlan::lossy(5, 0, 333, 0);
         let mut rt = loaded_faulted(4, plan);
         let out = rt
@@ -1115,13 +1122,13 @@ mod tests {
 
     #[test]
     fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
-        // Every traversal frame is dropped and children are written off
-        // after one 30 ms timer, so the coordinator completes no sooner
-        // than 30 ms in — long after the client's 1 ms attempt budget
-        // ran out. Its `FtQueryDone` then sits in the client inbox ahead
-        // of whatever the next request waits for. (The one-keyword
-        // subcube spans all four prefix regions, so every attempt has
-        // remote visits to lose.)
+        // Every traversal frame is dropped and owners are written off
+        // after one 30 ms deadline, so the coordinator completes no
+        // sooner than 30 ms in — long after the client's 1 ms attempt
+        // budget ran out. Its `FtQueryDone` then sits in the client
+        // inbox ahead of whatever the next request waits for. (The
+        // one-keyword subcube spans all four prefix regions, so every
+        // attempt has region frames to lose.)
         let plan = FaultPlan::lossy(11, 1000, 0, 0);
         let mut rt = loaded_faulted(4, plan);
         let abandon = FtSearchOptions {
@@ -1133,8 +1140,9 @@ mod tests {
             attempt_timeout_ms: 1,
             attempts: 1,
         };
-        // (Pins and the barrier only: the perfect-transport superset
-        // path cannot run under total loss.)
+        // (Pins and the barrier only: under total loss a plain
+        // superset is abandoned unanswered, and this handle would wait
+        // for it forever.)
         let next_requests: [fn(&mut NodeRuntime); 3] = [
             |rt| assert_eq!(rt.pin_search(&set("a b")), vec![oid(2)]),
             |rt| rt.flush(),
@@ -1149,7 +1157,7 @@ mod tests {
         }
         let report = rt.shutdown();
         report.assert_conserved();
-        assert!(report.total_dropped() > 0, "no remote visit was dropped");
+        assert!(report.total_dropped() > 0, "no region frame was dropped");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Shared-nothing means exactly one worker may ever touch a vertex's
 //! `PostingStore`. Ownership must also be computable by *anyone* (the
-//! client routes inserts, coordinators route `T_QUERY`s) without
+//! client routes inserts, coordinators route `RegionQuery`s) without
 //! coordination, so it is a pure function of the vertex bits, the
 //! runtime seed, and the worker count — the same recipe every node of
 //! a real DHT uses to map keys to peers.

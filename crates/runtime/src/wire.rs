@@ -16,8 +16,7 @@
 //! keyword `u16 len + UTF-8 bytes` — the packed form a [`KeywordSet`]
 //! holds in memory, so a set is written with one copy and a canonical
 //! one is read with one validation pass; object lists are `u32 count` of
-//! fixed-width records. `Option<u8>` dimensions encode as a single
-//! byte with `0xFF` for `None` (dimensions never exceed 62).
+//! fixed-width records.
 //!
 //! [`decode_exact`] is strict: a frame must parse completely — a short
 //! buffer is [`WireError::Truncated`], excess bytes (after the frame
@@ -46,8 +45,8 @@ pub const MAX_BATCH_ENTRIES: usize = u16::MAX as usize;
 const HIT_LEN: usize = 12;
 
 /// Body bytes a [`WireMsg::RegionDone`] spends before its groups: tag,
-/// query id, worker, epoch, `more` flag, group count.
-pub const REGION_DONE_HEADER_LEN: usize = 1 + 8 + 4 + 8 + 1 + 2;
+/// query id, worker, epoch, attempt, part, `more` flag, group count.
+pub const REGION_DONE_HEADER_LEN: usize = 1 + 8 + 4 + 8 + 4 + 4 + 1 + 2;
 
 /// Encoded bytes of one [`WireMsg::RegionDone`] group.
 pub fn region_group_len((_, objects): &RegionGroup) -> usize {
@@ -104,36 +103,6 @@ pub enum WireMsg {
         /// Results wanted (the paper's `c`).
         threshold: u64,
     },
-    /// Coordinator → vertex owner: visit one SBT node (`T_QUERY`).
-    TQuery {
-        /// Correlation id of the driving query.
-        query_id: u64,
-        /// The vertex to scan.
-        bits: u64,
-        /// The queried keyword set.
-        keywords: KeywordSet,
-        /// Results still wanted.
-        remaining: u64,
-        /// Arrival dimension (`None` only for a root visit).
-        via_dim: Option<u8>,
-        /// Worker index of the coordinator (where to send `TCont`).
-        coord: u32,
-    },
-    /// Vertex owner → coordinator: scan results plus SBT children
-    /// (`T_CONT`; a threshold-satisfying node simply reports enough
-    /// results for the coordinator to stop — no separate `T_STOP`).
-    TCont {
-        /// Correlation id of the driving query.
-        query_id: u64,
-        /// The scanned vertex. Sequential coordination has exactly one
-        /// visit outstanding, but the fault-tolerant coordinator keeps
-        /// many in flight — replies must name their vertex.
-        bits: u64,
-        /// Matches as `(object id, extra keyword count)` pairs.
-        objects: Vec<(u64, u32)>,
-        /// SBT child contacts `(vertex bits, dimension)`.
-        children: Vec<(u64, u8)>,
-    },
     /// Coordinator → region owner: walk every prefix region of
     /// `H_r(F_h(K))` you own — the receiver works out which from the
     /// keywords and the shard map — each up to `threshold` matches, and
@@ -148,13 +117,18 @@ pub enum WireMsg {
         threshold: u64,
         /// Worker index of the coordinator (where to send the reply).
         coord: u32,
+        /// Which transmission of this request it is (0 = the first);
+        /// the answer echoes it.
+        attempt: u32,
     },
     /// Region owner → coordinator: the answer to a
     /// [`WireMsg::RegionQuery`] — the owner's first `threshold` matches
     /// in the sequential traversal's visit order, grouped by vertex,
     /// vertices holding none left out. An answer too long for one frame
-    /// travels in several, all but the last flagged `more`; each counts
-    /// as one frame in the conservation ledger.
+    /// travels in several, numbered from 0 and all but the last flagged
+    /// `more`; each counts as one frame in the conservation ledger. The
+    /// coordinator takes an answer only whole: the parts of one
+    /// `attempt`, in order, up to the last.
     RegionDone {
         /// Correlation id of the driving query.
         query_id: u64,
@@ -164,6 +138,10 @@ pub enum WireMsg {
         /// its shard had indexed. The coordinator stamps cached
         /// results with it.
         epoch: u64,
+        /// The [`WireMsg::RegionQuery::attempt`] this answers.
+        attempt: u32,
+        /// This frame's position in the answer, from 0.
+        part: u32,
         /// Whether another frame of this answer follows.
         more: bool,
         /// The vertices that hold matches, in visit order.
@@ -219,8 +197,9 @@ pub enum WireMsg {
     /// Client → worker: ship every lane and exit the event loop.
     Shutdown,
     /// Client → root owner: start a *fault-tolerant* superset search
-    /// (§3.4). The receiving worker coordinates the traversal with
-    /// deadlines, retries, and the named recovery strategy.
+    /// (§3.4): the plain query's one round per region, each awaited
+    /// owner under the frame's deadline and retry budget, answered with
+    /// an exact account of what was and was not covered.
     FtQuery {
         /// Client-assigned correlation id.
         query_id: u64,
@@ -239,7 +218,7 @@ pub enum WireMsg {
         query_id: u64,
         /// All matches, truncated to the threshold.
         objects: Vec<(u64, u32)>,
-        /// The coordinator's accounting, as its machine produced it.
+        /// The coordinator's accounting, in regions' worth of vertices.
         coverage: FtCoverage,
     },
     /// Supervisor → respawned worker: the journal replay for its shard
@@ -266,13 +245,13 @@ pub enum WireMsg {
 
 /// One vertex's matches inside a [`WireMsg::RegionDone`]: `(bits,
 /// objects)`, the objects as the `(id, extra keywords)` pairs a
-/// [`WireMsg::TCont`] carries for that vertex.
+/// [`WireMsg::QueryDone`] carries.
 pub type RegionGroup = (u64, Vec<(u64, u32)>);
 
 const TAG_INSERT: u8 = 0;
 const TAG_QUERY: u8 = 1;
-const TAG_TQUERY: u8 = 2;
-const TAG_TCONT: u8 = 3;
+// 2 and 3 named the per-vertex visit and its continuation: retired,
+// never reused.
 const TAG_QUERY_DONE: u8 = 4;
 const TAG_PIN: u8 = 5;
 const TAG_PIN_RESULTS: u8 = 6;
@@ -286,9 +265,6 @@ const TAG_REPAIR_DONE: u8 = 13;
 const TAG_REGION_QUERY: u8 = 14;
 const TAG_REGION_DONE: u8 = 15;
 const TAG_QUERY_AT: u8 = 16;
-
-/// The `via_dim` byte that stands for `None`.
-const DIM_NONE: u8 = 0xFF;
 
 /// Decode failure. Every variant pinpoints what the bytes got wrong;
 /// none of them allocates proportionally to attacker-controlled
@@ -394,50 +370,26 @@ impl WireMsg {
                 put_u64(body, *threshold);
                 put_keywords(body, keywords);
             }
-            WireMsg::TQuery {
-                query_id,
-                bits,
-                keywords,
-                remaining,
-                via_dim,
-                coord,
-            } => {
-                body.push(TAG_TQUERY);
-                put_u64(body, *query_id);
-                put_u64(body, *bits);
-                put_u64(body, *remaining);
-                body.push(via_dim.unwrap_or(DIM_NONE));
-                put_u32(body, *coord);
-                put_keywords(body, keywords);
-            }
-            WireMsg::TCont {
-                query_id,
-                bits,
-                objects,
-                children,
-            } => {
-                body.push(TAG_TCONT);
-                put_u64(body, *query_id);
-                put_u64(body, *bits);
-                put_hits(body, objects);
-                put_contacts(body, children);
-            }
             WireMsg::RegionQuery {
                 query_id,
                 keywords,
                 threshold,
                 coord,
+                attempt,
             } => {
                 body.push(TAG_REGION_QUERY);
                 put_u64(body, *query_id);
                 put_u64(body, *threshold);
                 put_u32(body, *coord);
+                put_u32(body, *attempt);
                 put_keywords(body, keywords);
             }
             WireMsg::RegionDone {
                 query_id,
                 worker,
                 epoch,
+                attempt,
+                part,
                 more,
                 groups,
             } => {
@@ -445,6 +397,8 @@ impl WireMsg {
                 put_u64(body, *query_id);
                 put_u32(body, *worker);
                 put_u64(body, *epoch);
+                put_u32(body, *attempt);
+                put_u32(body, *part);
                 body.push(u8::from(*more));
                 put_u16(body, count16(groups.len()));
                 for (bits, objects) in groups {
@@ -614,23 +568,6 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             threshold: r.u64()?,
             keywords: get_keywords(r)?,
         }),
-        TAG_TQUERY => Ok(WireMsg::TQuery {
-            query_id: r.u64()?,
-            bits: r.u64()?,
-            remaining: r.u64()?,
-            via_dim: match r.u8()? {
-                DIM_NONE => None,
-                d => Some(d),
-            },
-            coord: r.u32()?,
-            keywords: get_keywords(r)?,
-        }),
-        TAG_TCONT => Ok(WireMsg::TCont {
-            query_id: r.u64()?,
-            bits: r.u64()?,
-            objects: r.hits()?,
-            children: r.contacts()?,
-        }),
         TAG_QUERY_DONE => Ok(WireMsg::QueryDone {
             query_id: r.u64()?,
             objects: r.hits()?,
@@ -692,12 +629,15 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             query_id: r.u64()?,
             threshold: r.u64()?,
             coord: r.u32()?,
+            attempt: r.u32()?,
             keywords: get_keywords(r)?,
         }),
         TAG_REGION_DONE => {
             let query_id = r.u64()?;
             let worker = r.u32()?;
             let epoch = r.u64()?;
+            let attempt = r.u32()?;
+            let part = r.u32()?;
             // Any non-zero byte reads as "more": the encoder writes 1.
             let more = r.u8()? != 0;
             let n = r.u16()? as usize;
@@ -706,6 +646,8 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
                 query_id,
                 worker,
                 epoch,
+                attempt,
+                part,
                 more,
                 groups,
             })
@@ -728,9 +670,8 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
 }
 
 /// A `u16` list count. A longer list is a sender's bug (region replies
-/// are split at [`MAX_BATCH_ENTRIES`]; a vertex has at most 63 children)
-/// that must not reach the wire as a wrapped count the peer would read
-/// as a corrupt frame.
+/// are split at [`MAX_BATCH_ENTRIES`]) that must not reach the wire as
+/// a wrapped count the peer would read as a corrupt frame.
 fn count16(len: usize) -> u16 {
     u16::try_from(len).expect("senders split batches at MAX_BATCH_ENTRIES")
 }
@@ -741,15 +682,6 @@ fn put_hits(out: &mut Vec<u8>, hits: &[(u64, u32)]) {
     for (id, extra) in hits {
         put_u64(out, *id);
         put_u32(out, *extra);
-    }
-}
-
-/// `u16 count` then `(vertex bits, dimension)` records.
-fn put_contacts(out: &mut Vec<u8>, contacts: &[(u64, u8)]) {
-    put_u16(out, count16(contacts.len()));
-    for (bits, dim) in contacts {
-        put_u64(out, *bits);
-        out.push(*dim);
     }
 }
 
@@ -881,12 +813,6 @@ impl<'a> Reader<'a> {
         self.list(n, |r| Ok((r.u64()?, r.u32()?)))
     }
 
-    /// What [`put_contacts`] wrote.
-    fn contacts(&mut self) -> Result<Vec<(u64, u8)>, WireError> {
-        let n = self.u16()? as usize;
-        self.list(n, |r| Ok((r.u64()?, r.u8()?)))
-    }
-
     /// What [`put_ids`] wrote.
     fn ids(&mut self) -> Result<Vec<u64>, WireError> {
         let n = self.u32()? as usize;
@@ -895,8 +821,8 @@ impl<'a> Reader<'a> {
 }
 
 /// The wire vocabulary by example: every variant at least once, with
-/// non-trivial field values (empty and non-empty lists, `None` and
-/// `Some` dimensions, multi-byte keywords) so every codec branch is
+/// non-trivial field values (empty and non-empty lists, multi-byte
+/// keywords) so every codec branch is
 /// exercised. The codec, fuzz and stream suites all sweep this one
 /// list; a test holds its tag bytes to exactly the defined tags.
 #[doc(hidden)]
@@ -911,34 +837,6 @@ pub fn exemplars() -> Vec<WireMsg> {
             query_id: 7,
             keywords: set("alpha"),
             threshold: u64::MAX - 1,
-        },
-        WireMsg::TQuery {
-            query_id: 8,
-            bits: 0b1010_1100,
-            keywords: set("alpha beta"),
-            remaining: 41,
-            via_dim: Some(5),
-            coord: 3,
-        },
-        WireMsg::TQuery {
-            query_id: 9,
-            bits: 0,
-            keywords: set("x"),
-            remaining: 1,
-            via_dim: None,
-            coord: 0,
-        },
-        WireMsg::TCont {
-            query_id: 8,
-            bits: 0b1010_1100,
-            objects: vec![(1, 0), (99, 2)],
-            children: vec![(0b1110_1100, 4), (0b1010_1101, 0)],
-        },
-        WireMsg::TCont {
-            query_id: 10,
-            bits: 0,
-            objects: vec![],
-            children: vec![],
         },
         WireMsg::QueryDone {
             query_id: 8,
@@ -1018,17 +916,21 @@ pub fn exemplars() -> Vec<WireMsg> {
             keywords: set("alpha beta"),
             threshold: 17,
             coord: 2,
+            attempt: 3,
         },
         WireMsg::RegionQuery {
             query_id: 31,
             keywords: set("x"),
             threshold: u64::MAX - 1,
             coord: 0,
+            attempt: 0,
         },
         WireMsg::RegionDone {
             query_id: 30,
             worker: 3,
             epoch: 65_590,
+            attempt: 3,
+            part: 1,
             more: true,
             groups: vec![
                 (0b1010_1100, vec![(1, 0), (99, 2)]),
@@ -1039,6 +941,8 @@ pub fn exemplars() -> Vec<WireMsg> {
             query_id: 31,
             worker: 0,
             epoch: 0,
+            attempt: 0,
+            part: 0,
             more: false,
             groups: vec![],
         },
@@ -1093,7 +997,20 @@ mod tests {
     fn exemplars_cover_exactly_the_defined_tags() {
         let tags: std::collections::BTreeSet<u8> =
             exemplars().iter().map(|m| m.encode()[PREFIX_LEN]).collect();
-        assert_eq!(tags, (0..=TAG_QUERY_AT).collect());
+        let retired = [2, 3];
+        assert_eq!(
+            tags,
+            (0..=TAG_QUERY_AT)
+                .filter(|tag| !retired.contains(tag))
+                .collect()
+        );
+        for tag in retired {
+            assert_eq!(
+                WireMsg::decode_exact(&[1, 0, 0, 0, tag]),
+                Err(WireError::BadTag(tag)),
+                "a retired tag came back"
+            );
+        }
         assert_eq!(
             WireMsg::decode_exact(&[1, 0, 0, 0, TAG_QUERY_AT + 1]),
             Err(WireError::BadTag(TAG_QUERY_AT + 1)),
@@ -1116,7 +1033,10 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 1,120 bytes).
+    /// when `encode_into` was its only body (FNV-1a over 960 bytes: the
+    /// 1,120 of the 17-variant vocabulary less the 184 of the retired
+    /// per-vertex pair's four exemplars, plus 4 per `RegionQuery` for
+    /// its attempt and 8 per `RegionDone` for its attempt and part).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -1134,7 +1054,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (1120, 0x69ff_d0f4_cd52_956a));
+        assert_eq!((forward.len(), digest), (960, 0xe1d0_d666_a0d7_2401));
     }
 
     /// In every build profile: an over-cap frame must stop at the

@@ -26,23 +26,29 @@
 //! regions of the query's subcube it owns, every other owner walks its
 //! own on one `RegionQuery` and answers with one `RegionDone`, and the
 //! coordinator merges the answers in the sequential traversal's visit
-//! order.
+//! order. `Query`, `QueryAt` and `FtQuery` are that one traversal; its
+//! unit of recovery is an owner still awaited, which has a deadline and
+//! a retry budget (`FtPolicy::attempt_timeout`), so a parked traversal
+//! always ends: an `FtQuery` with an exact account of the regions it
+//! gave up, a plain query whole or not at all.
 //!
 //! [`run_worker`] is the entry point: it consumes a [`WorkerContext`],
 //! runs the loop until shutdown or a scheduled crash, and returns a
 //! [`WorkerExit`] carrying the lifetime counters and the still-open
 //! inbox (so a supervisor can respawn the shard on the same address).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
-use hyperdex_core::protocol::{child_contacts, region_entries, scan_store, visit_order_key};
+use hyperdex_core::protocol::{
+    child_contacts, region_entries, scan_store, subtree_bits, visit_order_key,
+};
 use hyperdex_core::{
-    FtCmd, FtCoordinator, KeywordHasher, KeywordInterner, KeywordSet, ObjectId, PostingStore,
+    FtCoverage, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId, PostingStore,
+    RecoveryStrategy,
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
@@ -67,15 +73,18 @@ const RESULT_CACHE_SLOTS: usize = 1024;
 /// queries are.
 const RESULT_CACHE_MAX_ITEMS: usize = 4096;
 
-/// How long a traversal may sit parked with no reply arriving before
-/// identical queries stop waiting for it. Replies of a healthy
-/// traversal are milliseconds apart; one silent this long has lost a
-/// frame for good (a dropped region frame, a crashed peer), so the next
-/// identical query walks the cube itself and takes the cache slot
-/// over. Equal to the fault-tolerant path's default attempt deadline
-/// and well below `NetConfig`'s default request timeout, so a client
-/// that retries after timing out is answered.
-pub const LEADER_SILENCE: Duration = Duration::from_secs(2);
+/// What a plain `Query`/`QueryAt` holds each owner to: four
+/// transmissions, 1 s doubling (TCP's initial retransmission timeout:
+/// a healthy answer is milliseconds away, so only a lost frame, a dead
+/// peer or a second-long stall ever meets the first deadline) — 15 s
+/// until an owner is given up and the query with it, which outlasts
+/// `NetConfig`'s default request timeout (10 s): no client still
+/// listening is given up on.
+const PLAIN_QUERY_POLICY: FtPolicy = FtPolicy {
+    strategy: RecoveryStrategy::RetryOnly,
+    max_retries: 3,
+    base_timeout: 1_000,
+};
 
 /// Declares a record of `u64` counters once: the struct, `merge`
 /// (the field-wise sum) and the text form a server process reports it
@@ -147,9 +156,9 @@ counter_record! {
         backpressure_hits,
         /// Objects newly indexed on this shard.
         inserts,
-        /// Vertex scans served (local visits, `T_QUERY`s, and pins).
+        /// Vertex scans served (region walks and pins).
         scans,
-        /// Superset queries this worker coordinated (sequential + FT).
+        /// Superset queries this worker coordinated (plain + FT).
         queries_coordinated,
         /// Frames the injector dropped, plus delay-stash remnants and
         /// lane/stash frames lost in a crash.
@@ -159,8 +168,9 @@ counter_record! {
         frames_duplicated,
         /// Frames the injector stashed behind a later send.
         frames_delayed,
-        /// Timed `recv` polls that expired without a frame. Zero on an
-        /// idle worker — idleness blocks, it doesn't spin.
+        /// Timed `recv` polls that expired without a frame: a full sink
+        /// polled, or an awaited owner's deadline met. Zero on an idle
+        /// worker — idleness blocks, it doesn't spin.
         wakeups,
         /// Region frames (`RegionQuery`/`RegionDone`) among `frames_sent`.
         /// Each counts **once** in the frame ledger no matter how many
@@ -188,14 +198,20 @@ counter_record! {
         /// *instead of* `frames_received` — no honest sender counted
         /// them as sent, so the frame ledger balances without them.
         frames_undecodable,
-        /// Frames about a vertex (an insert, a handoff, a `T_QUERY`, a
-        /// pin, an `FtQuery`'s root) or a subcube (a `RegionQuery`) none
-        /// of which this worker owns: a write is dropped — indexed
-        /// here, nobody would ever ask for it — and a read is answered
-        /// with what this worker holds of it, nothing. An anomaly count,
-        /// not a term of the frame ledger: the frames are received like
-        /// any other.
+        /// Frames that are not this worker's to act on. About a vertex
+        /// (an insert, a handoff, a pin) or a subcube (a `RegionQuery`)
+        /// none of which it owns: a write is dropped — indexed here,
+        /// nobody would ever ask for it — and a read is answered with
+        /// what this worker holds of it, nothing. Or of a kind no
+        /// worker is sent — a client-bound reply, a `RepairDone` for
+        /// another worker or outside repair: dropped. An anomaly
+        /// count, not a term of the frame ledger: the frames are
+        /// received like any other.
         frames_misrouted,
+        /// Plain queries dropped unanswered because an owner of part of
+        /// their subcube stayed silent through the whole retry budget:
+        /// a short answer would have passed for the whole one.
+        queries_abandoned,
     }
 }
 
@@ -267,10 +283,8 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
         fabric,
         stash: vec![Vec::new(); endpoints],
         queries: HashMap::new(),
-        ft_queries: HashMap::new(),
         cache: FifoCache::new(RESULT_CACHE_SLOTS),
         heard: vec![0; endpoints - 1],
-        timers: BinaryHeap::new(),
         injector: ctx.injector,
         repair: ctx.repairing.then(Vec::new),
         stats: WorkerStats {
@@ -281,37 +295,82 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
     worker.run(inbox)
 }
 
-/// One visit's answer: the vertex's matching objects plus its frontier
-/// children as `(bits, via_dim)` pairs.
-type VisitReply = (Vec<(u64, u32)>, Vec<(u64, u8)>);
-
-/// In-progress sequential query on its coordinator worker: the
+/// In-progress superset query on its coordinator worker: the
 /// coordinator's own share is walked, the other owners' answers are
 /// still arriving.
 #[derive(Debug)]
 struct QueryState {
+    query_id: u64,
     keywords: Arc<KeywordSet>,
     /// `F_h(K)`, which the merge orders vertices around.
-    root_bits: u64,
+    root: Vertex,
     threshold: usize,
     /// The vertices holding matches: this worker's share, then each
-    /// answer as it arrived. [`cut_groups`] puts them in visit order.
+    /// owner's answer as it was committed. [`cut_groups`] puts them in
+    /// visit order.
     groups: Vec<RegionGroup>,
-    /// Owners whose `RegionDone` (its last frame) is still to come. A
-    /// frame from anyone else is a duplicate or a straggler.
-    awaiting: Vec<u32>,
+    /// Owners whose whole `RegionDone` is still to come. A frame from
+    /// anyone else is a duplicate or a straggler.
+    awaiting: Vec<Awaited>,
+    /// The deadline and retry rule every awaited owner is held to.
+    policy: FtPolicy,
+    /// `Some` for an `FtQuery`: the tally its `FtQueryDone` reports,
+    /// the regions of the owners given up in `skipped`. A plain query
+    /// keeps none — it is answered whole or dropped.
+    coverage: Option<FtCoverage>,
     /// Whether this traversal holds the query's cache slot (and fills
-    /// it when done) or runs on a first sighting and keeps nothing.
+    /// it when done) or keeps nothing: a first sighting, an `FtQuery`.
     slot: bool,
     /// This worker's write epoch when the traversal started.
     own_epoch: u64,
-    /// `(peer, epoch)`: the lowest write epoch each peer reported on a
-    /// `RegionDone` of this traversal.
+    /// `(peer, epoch)`: the write epoch each owner scanned under, as
+    /// its committed answer reported it.
     peer_epochs: Vec<(u32, u64)>,
     /// Identical queries that arrived while this traversal ran.
     waiters: Vec<Waiter>,
-    /// When the traversal last heard from an owner it waits for.
-    parked_at: Instant,
+}
+
+/// One owner a traversal waits for.
+#[derive(Debug)]
+struct Awaited {
+    owner: u32,
+    /// `RegionQuery` transmissions sent to it so far.
+    sent: u32,
+    /// When the latest of them counts as lost.
+    deadline: Instant,
+    answer: Staged,
+}
+
+/// The parts of one owner's answer that arrived so far. An answer is
+/// merged only whole, so a lost part can never pass for a short answer;
+/// the retry repairs it.
+#[derive(Debug, Default)]
+struct Staged {
+    /// The attempt whose parts are staged, once `next_part > 0`.
+    attempt: u32,
+    /// The part that attempt continues with.
+    next_part: u32,
+    groups: Vec<RegionGroup>,
+}
+
+impl Staged {
+    /// Takes one `RegionDone` frame: part 0 of an attempt not yet
+    /// staged starts staging over, the staged attempt's next part
+    /// extends it, anything else — a duplicate, a part out of order or
+    /// behind a gap — is dropped. Whether the frame was taken.
+    fn take(&mut self, attempt: u32, part: u32, groups: Vec<RegionGroup>) -> bool {
+        let staging = self.next_part > 0 && attempt == self.attempt;
+        if part == 0 && !staging {
+            self.attempt = attempt;
+            self.groups = groups;
+        } else if staging && part == self.next_part {
+            self.groups.extend(groups);
+        } else {
+            return false;
+        }
+        self.next_part = part + 1;
+        true
+    }
 }
 
 /// A query waiting for another query's traversal (single flight).
@@ -333,19 +392,6 @@ fn fresh(remote: &[(u32, u64)], heard: &[u64], marks: &[u64]) -> bool {
     })
 }
 
-/// In-progress fault-tolerant query on its coordinator worker: the
-/// shared sans-I/O machine over the `(object id, extra keywords)` pairs
-/// a `T_CONT` carries. The worker only turns its commands into frames
-/// and deadlines and feeds frames and expirations back.
-type FtMachine = FtCoordinator<(u64, u32)>;
-
-/// A frame's matches as the machine takes them: keyed by object id.
-fn keyed(objects: Vec<(u64, u32)>) -> impl Iterator<Item = (ObjectId, (u64, u32))> {
-    objects
-        .into_iter()
-        .map(|hit| (ObjectId::from_raw(hit.0), hit))
-}
-
 /// Puts `groups` — vertices of `H_r(root)` with their matches, from any
 /// number of regions, each scanned under a budget no smaller than the
 /// sequential traversal's at that vertex — in the traversal's visit
@@ -355,8 +401,6 @@ fn keyed(objects: Vec<(u64, u32)>) -> impl Iterator<Item = (ObjectId, (u64, u32)
 /// would have folded.
 fn cut_groups(root_bits: u64, groups: &mut Vec<RegionGroup>, threshold: usize) {
     groups.sort_unstable_by_key(|&(bits, _)| visit_order_key(root_bits, bits));
-    // A duplicated frame of a multi-frame answer repeats its vertices.
-    groups.dedup_by_key(|&mut (bits, _)| bits);
     let mut wanted = threshold;
     let mut keep = 0;
     for (_, objects) in groups.iter_mut() {
@@ -378,14 +422,15 @@ fn root_fills(groups: &[RegionGroup], root_bits: u64, threshold: usize) -> bool 
     matches!(groups.first(), Some((bits, objects)) if *bits == root_bits && objects.len() >= threshold)
 }
 
-/// One owner's answer as the `RegionDone` frames that carry it: all of
-/// `groups` in order, a frame closed where the next group would pass
-/// the group-count field or `room` body bytes, all but the last
-/// flagged `more`.
+/// One owner's answer to transmission `attempt` as the `RegionDone`
+/// frames that carry it: all of `groups` in order, a frame closed
+/// where the next group would pass the group-count field or `room`
+/// body bytes, numbered from 0 and all but the last flagged `more`.
 fn region_done_frames(
     query_id: u64,
     worker: u32,
     epoch: u64,
+    attempt: u32,
     mut groups: Vec<RegionGroup>,
     room: usize,
 ) -> Vec<WireMsg> {
@@ -397,6 +442,8 @@ fn region_done_frames(
             query_id,
             worker,
             epoch,
+            attempt,
+            part: frames.len() as u32,
             more: !rest.is_empty(),
             groups,
         });
@@ -420,18 +467,15 @@ struct Worker {
     /// Injector-delayed frames, per destination; released behind the
     /// next same-destination send.
     stash: Vec<Vec<WireMsg>>,
+    /// The traversals parked on an awaited owner, by query id. Their
+    /// deadlines are the only timers a worker has.
     queries: HashMap<u64, QueryState>,
-    ft_queries: HashMap<u64, FtMachine>,
     /// Results of the superset queries this worker coordinated, as the
     /// `(object id, extra keywords)` pairs a `QueryDone` carries. Its
     /// generation is this worker's write epoch.
     cache: FifoCache<(u64, u32)>,
     /// Per worker: the highest write epoch heard on a `RegionDone`.
     heard: Vec<u64>,
-    /// `(deadline, query_id, vertex bits, generation)` — min-heap by
-    /// deadline. Entries are never removed early: the machine ignores
-    /// a timer that is no longer its vertex's current one.
-    timers: BinaryHeap<Reverse<(Instant, u64, u64, u64)>>,
     injector: Option<FaultInjector>,
     /// `Some` while repairing after a respawn: parked frames awaiting
     /// `RepairDone`.
@@ -447,7 +491,7 @@ impl Worker {
     fn run(mut self, inbox: Receiver<Vec<u8>>) -> WorkerExit {
         let mut shutting_down = false;
         loop {
-            self.fire_expired_timers();
+            self.expire_deadlines();
             // The turn's one offer waits for the inbox's answer, because
             // that decides whether the batching window is still open:
             // drain without waiting while more inbound work is
@@ -469,16 +513,16 @@ impl Worker {
             // Pick the cheapest wait that can't stall anything: poll
             // while a full sink still has frames parked on its lane
             // (on the way out that is the only case left, so a worker
-            // shutting down never blocks), sleep until the earliest FT
-            // deadline when one is armed, and block outright when idle
-            // (zero wakeups, zero CPU).
+            // shutting down never blocks), sleep until the earliest
+            // deadline while a traversal is parked, and block outright
+            // when idle (zero wakeups, zero CPU).
             let recv = match polled {
                 Ok(packet) => Ok(packet),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
                 Err(TryRecvError::Empty) => {
                     if self.fabric.pending() > 0 {
                         inbox.recv_timeout(Duration::from_millis(1))
-                    } else if let Some(deadline) = self.next_timer_deadline() {
+                    } else if let Some(deadline) = self.next_deadline() {
                         let wait = deadline.saturating_duration_since(Instant::now());
                         if wait.is_zero() {
                             continue;
@@ -536,8 +580,11 @@ impl Worker {
                 }
                 if let Some(parked) = self.repair.as_mut() {
                     match msg {
-                        WireMsg::RepairDone { worker } => {
-                            debug_assert_eq!(worker, self.index, "misrouted RepairDone");
+                        // Another worker's release is not this one's.
+                        WireMsg::RepairDone { worker } if worker != self.index => {
+                            self.stats.frames_misrouted += 1;
+                        }
+                        WireMsg::RepairDone { .. } => {
                             let backlog = self.repair.take().expect("repair mode");
                             for parked_msg in backlog {
                                 self.handle(parked_msg);
@@ -598,8 +645,6 @@ impl Worker {
             WireMsg::Query { .. }
                 | WireMsg::QueryAt { .. }
                 | WireMsg::FtQuery { .. }
-                | WireMsg::TQuery { .. }
-                | WireMsg::TCont { .. }
                 | WireMsg::RegionQuery { .. }
                 | WireMsg::RegionDone { .. }
                 | WireMsg::Pin { .. }
@@ -656,51 +701,26 @@ impl Worker {
                 query_id,
                 keywords,
                 threshold,
-            } => self.coordinate(query_id, keywords, threshold, Vec::new()),
+            } => self.coordinate(query_id, keywords, threshold, Vec::new(), None),
             WireMsg::QueryAt {
                 query_id,
                 keywords,
                 threshold,
                 marks,
-            } => self.coordinate(query_id, keywords, threshold, marks),
+            } => self.coordinate(query_id, keywords, threshold, marks, None),
             WireMsg::FtQuery {
                 query_id,
                 keywords,
                 threshold,
                 mut policy,
             } => {
-                self.stats.queries_coordinated += 1;
-                let kw = self.interner.intern(keywords);
-                let root = self.hasher.vertex_for(&kw);
-                // Misrouted, the machine reaches the root like any other
-                // remote vertex.
-                self.owns(root.bits());
                 policy.base_timeout = policy.base_timeout.max(1);
-                let mut state = FtCoordinator::new(root, kw, threshold.max(1) as usize, policy);
-                let mut cmds = Vec::new();
-                state.start(&mut cmds);
-                self.ft_drive(query_id, state, cmds);
-            }
-            WireMsg::TQuery {
-                query_id,
-                bits,
-                keywords,
-                remaining,
-                via_dim,
-                coord,
-            } => {
-                // Misrouted, it finds no table and answers empty — with
-                // the children, which follow from the bits alone.
-                self.owns(bits);
-                let (objects, children) = self.visit(bits, via_dim, &keywords, remaining as usize);
-                self.send(
-                    coord as usize,
-                    &WireMsg::TCont {
-                        query_id,
-                        bits,
-                        objects,
-                        children,
-                    },
+                self.coordinate(
+                    query_id,
+                    keywords,
+                    threshold.max(1),
+                    Vec::new(),
+                    Some(policy),
                 );
             }
             WireMsg::RegionQuery {
@@ -708,6 +728,7 @@ impl Worker {
                 keywords,
                 threshold,
                 coord,
+                attempt,
             } => {
                 let root = self.hasher.vertex_for(&keywords);
                 let epoch = self.cache.generation();
@@ -718,29 +739,17 @@ impl Worker {
                         Vec::new()
                     });
                 let room = MAX_BODY_LEN as usize - REGION_DONE_HEADER_LEN;
-                for frame in region_done_frames(query_id, self.index, epoch, groups, room) {
+                let frames = region_done_frames(query_id, self.index, epoch, attempt, groups, room);
+                for frame in frames {
                     self.send(coord as usize, &frame);
                 }
-            }
-            WireMsg::TCont {
-                query_id,
-                bits,
-                objects,
-                children,
-            } => {
-                if let Some(mut state) = self.ft_queries.remove(&query_id) {
-                    let mut cmds = Vec::new();
-                    state.on_reply(bits, keyed(objects), &children, |_, _| false, &mut cmds);
-                    self.ft_drive(query_id, state, cmds);
-                }
-                // else: a duplicate or post-completion continuation —
-                // injected faults make these normal; drop it. (Only the
-                // FT path sends a `TQuery`.)
             }
             WireMsg::RegionDone {
                 query_id,
                 worker,
                 epoch,
+                attempt,
+                part,
                 more,
                 groups,
             } => {
@@ -755,21 +764,24 @@ impl Worker {
                 let Some(state) = self.queries.get_mut(&query_id) else {
                     return;
                 };
-                if !state.awaiting.contains(&worker) {
+                if let Some(coverage) = &mut state.coverage {
+                    coverage.conts += 1;
+                    coverage.result_messages += u64::from(!groups.is_empty());
+                }
+                let Some(at) = state.awaiting.iter().position(|a| a.owner == worker) else {
+                    return;
+                };
+                if !state.awaiting[at].answer.take(attempt, part, groups) || more {
                     return;
                 }
-                match state.peer_epochs.iter_mut().find(|(p, _)| *p == worker) {
-                    Some((_, lowest)) => *lowest = (*lowest).min(epoch),
-                    None => state.peer_epochs.push((worker, epoch)),
-                }
-                state.groups.extend(groups);
-                state.parked_at = Instant::now();
-                if !more {
-                    state.awaiting.retain(|&w| w != worker);
-                }
+                // The answer is whole: every part was cut from the one
+                // walk this epoch stamps.
+                let answered = state.awaiting.swap_remove(at);
+                state.groups.extend(answered.answer.groups);
+                state.peer_epochs.push((worker, epoch));
                 if state.awaiting.is_empty() {
-                    let mut state = self.queries.remove(&query_id).expect("looked up above");
-                    self.finish_query(query_id, &mut state);
+                    let state = self.queries.remove(&query_id).expect("looked up above");
+                    self.finish_query(state);
                 }
             }
             WireMsg::Pin { query_id, keywords } => {
@@ -796,45 +808,16 @@ impl Worker {
                     },
                 );
             }
-            // A RepairDone outside repair mode is a duplicate (repair
-            // frames are reliable, so this should not happen).
-            WireMsg::RepairDone { .. } => {
-                debug_assert!(false, "RepairDone outside repair mode");
-            }
-            // Client-bound and control frames never reach a worker's
-            // handler (Shutdown is intercepted in the loop).
-            WireMsg::QueryDone { .. }
+            // Nothing an honest peer sends a worker: a release outside
+            // repair, a reply meant for a client. Bytes off a socket can
+            // be anything that decodes.
+            WireMsg::RepairDone { .. }
+            | WireMsg::QueryDone { .. }
             | WireMsg::FtQueryDone { .. }
             | WireMsg::PinResults { .. }
-            | WireMsg::FlushAck { .. } => {
-                debug_assert!(false, "client-bound frame delivered to a worker");
-            }
+            | WireMsg::FlushAck { .. } => self.stats.frames_misrouted += 1,
             WireMsg::Shutdown => unreachable!("intercepted by the event loop"),
         }
-    }
-
-    /// The per-vertex `T_QUERY` handler of the fault-tolerant path
-    /// (a frame, or an FT command for a vertex this worker owns): scan
-    /// the vertex's store for at most `remaining` supersets of
-    /// `keywords` and derive its SBT children from its bits and arrival
-    /// dimension alone (Lemma 3.2).
-    fn visit(
-        &mut self,
-        bits: u64,
-        via_dim: Option<u8>,
-        keywords: &KeywordSet,
-        remaining: usize,
-    ) -> VisitReply {
-        // Most visited vertices hold nothing: hash the query's
-        // signature only where there is a store to prefilter.
-        let qsig = if self.tables.contains_key(&bits) {
-            keywords.signature()
-        } else {
-            0
-        };
-        let objects = self.scan(bits, keywords, qsig, remaining);
-        let vertex = Vertex::from_bits(self.shape, bits).expect("coordinators stay in the cube");
-        (objects, child_contacts(vertex, via_dim).collect())
     }
 
     /// At most `limit` of vertex `bits`' matches for `keywords`, in the
@@ -855,7 +838,7 @@ impl Worker {
             .collect()
     }
 
-    /// This worker's share of one sequential query: every prefix region
+    /// This worker's share of one superset query: every prefix region
     /// of `H_r(root)` it owns, walked; the vertices holding matches in
     /// visit order, cut at the share's first `threshold` matches — the
     /// query's first `threshold` are among them and the other owners'.
@@ -919,24 +902,50 @@ impl Worker {
         }
     }
 
-    /// Completes one sequential query once every owner has answered:
-    /// merges the groups into the sequential traversal's answer, ships
-    /// `QueryDone` to the client and, when the traversal holds its
-    /// query's cache slot, to every waiter the answer is fresh enough
-    /// for, then fills the slot.
-    fn finish_query(&mut self, query_id: u64, state: &mut QueryState) {
-        cut_groups(state.root_bits, &mut state.groups, state.threshold);
+    /// Completes one query once no owner is awaited any more — each has
+    /// answered whole or, for an `FtQuery`, been given up: merges the
+    /// groups into the sequential traversal's answer and ships it. An
+    /// `FtQuery` gets `FtQueryDone` with its coverage; a plain query
+    /// `QueryDone`, which, when the traversal holds its query's cache
+    /// slot, also goes to every waiter the answer is fresh enough for,
+    /// and fills the slot.
+    fn finish_query(&mut self, mut state: QueryState) {
+        let query_id = state.query_id;
+        cut_groups(state.root.bits(), &mut state.groups, state.threshold);
         let objects: Vec<(u64, u32)> = state
             .groups
             .drain(..)
             .flat_map(|(_, objects)| objects)
             .collect();
+        let client = self.client_slot();
+        if let Some(mut coverage) = state.coverage {
+            // Regions are all one size. Answered for are this worker's
+            // and those of the owners whose answer was committed; every
+            // other owner, if any was asked at all, was given up.
+            let cut = self.shards.region_cut();
+            let region = 1u64 << (state.root.zero_mask() & ((1u64 << cut) - 1)).count_ones();
+            for entry in region_entries(state.root, cut) {
+                let owner = self.shards.owner_of(entry);
+                if owner == self.index || state.peer_epochs.iter().any(|&(p, _)| p == owner) {
+                    coverage.reached += region;
+                } else if coverage.queries_sent > 0 {
+                    let entry =
+                        Vertex::from_bits(self.shape, entry).expect("regions stay in the cube");
+                    subtree_bits(self.shape, entry, Some(cut), &mut coverage.skipped);
+                }
+            }
+            coverage.skipped.sort_unstable();
+            let done = WireMsg::FtQueryDone {
+                query_id,
+                objects,
+                coverage,
+            };
+            return self.send(client, &done);
+        }
         // Short of the threshold, every region was walked to its end.
         let exhausted = objects.len() < state.threshold;
         if !state.slot {
-            let client = self.client_slot();
-            self.send(client, &WireMsg::QueryDone { query_id, objects });
-            return;
+            return self.send(client, &WireMsg::QueryDone { query_id, objects });
         }
         self.reply(query_id, &objects, usize::MAX);
         // A waiter is served under the rule a later arrival would be
@@ -945,7 +954,7 @@ impl Worker {
         // starts over as a new arrival.
         let own_moved = self.cache.generation() != state.own_epoch;
         let mut starting_over = Vec::new();
-        for waiter in std::mem::take(&mut state.waiters) {
+        for waiter in state.waiters {
             if !own_moved && fresh(&state.peer_epochs, &self.heard, &waiter.marks) {
                 self.reply(waiter.query_id, &objects, waiter.threshold);
             } else {
@@ -960,15 +969,22 @@ impl Worker {
                 query_id,
                 Arc::new(objects),
                 exhausted,
-                std::mem::take(&mut state.peer_epochs),
+                state.peer_epochs,
             );
         }
-        for waiter in starting_over {
+        self.start_over(&state.keywords, starting_over);
+    }
+
+    /// Runs `waiters` of a traversal that will not answer them as the
+    /// new arrivals of its query they now are.
+    fn start_over(&mut self, keywords: &Arc<KeywordSet>, waiters: Vec<Waiter>) {
+        for waiter in waiters {
             self.start_query(
                 waiter.query_id,
-                Arc::clone(&state.keywords),
+                Arc::clone(keywords),
                 waiter.threshold,
                 waiter.marks,
+                None,
             );
         }
     }
@@ -980,189 +996,185 @@ impl Worker {
         self.send(client, &WireMsg::QueryDone { query_id, objects });
     }
 
-    /// One superset query arrives at its coordinator.
-    fn coordinate(&mut self, query_id: u64, keywords: KeywordSet, threshold: u64, marks: Vec<u64>) {
+    /// One superset query arrives at its coordinator: a plain one with
+    /// the `marks` its client saw flushed, an `FtQuery` with the policy
+    /// (`ft`) its frame carried.
+    fn coordinate(
+        &mut self,
+        query_id: u64,
+        keywords: KeywordSet,
+        threshold: u64,
+        marks: Vec<u64>,
+        ft: Option<FtPolicy>,
+    ) {
         self.stats.queries_coordinated += 1;
         let keywords = self.interner.intern(keywords);
-        self.start_query(query_id, keywords, threshold as usize, marks);
+        self.start_query(query_id, keywords, threshold as usize, marks, ft);
     }
 
-    /// Answers the query from the result cache, parks it behind the
-    /// running traversal of the same query, or starts its own
-    /// traversal — whichever the cache decides from the arrival order.
-    /// `marks` are the per-worker write epochs the client saw flushed.
+    /// Answers a plain query from the result cache, parks it behind the
+    /// running traversal of the same query, or starts its own traversal
+    /// — whichever the cache decides from the arrival order. `marks`
+    /// are the per-worker write epochs the client saw flushed. An
+    /// `FtQuery` (`ft` is its policy) always walks and keeps nothing:
+    /// it has no marks to be fresh against, and a cached answer has no
+    /// coverage to report.
     fn start_query(
         &mut self,
         query_id: u64,
         keywords: Arc<KeywordSet>,
         threshold: usize,
         marks: Vec<u64>,
+        ft: Option<FtPolicy>,
     ) {
-        let (heard, queries) = (&self.heard, &self.queries);
-        let slot = match self.cache.claim(
-            &keywords,
-            threshold,
-            query_id,
-            |remote| fresh(remote, heard, &marks),
-            |leader| {
-                queries
-                    .get(&leader)
-                    .is_some_and(|q| q.parked_at.elapsed() < LEADER_SILENCE)
-            },
-        ) {
-            Claim::Hit(results) => return self.reply(query_id, &results, threshold),
-            Claim::Join(leader) => {
-                let leader = self
-                    .queries
-                    .get_mut(&leader)
-                    .expect("a live leader is a parked traversal");
-                leader.waiters.push(Waiter {
-                    query_id,
-                    threshold,
-                    marks,
-                });
-                return;
-            }
-            Claim::Lead => true,
-            Claim::Pass => false,
-        };
+        let heard = &self.heard;
+        let slot = ft.is_none()
+            && match self.cache.claim(&keywords, threshold, query_id, |remote| {
+                fresh(remote, heard, &marks)
+            }) {
+                Claim::Hit(results) => return self.reply(query_id, &results, threshold),
+                Claim::Join(leader) => {
+                    let leader = self
+                        .queries
+                        .get_mut(&leader)
+                        .expect("a reservation's holder is a parked traversal");
+                    leader.waiters.push(Waiter {
+                        query_id,
+                        threshold,
+                        marks,
+                    });
+                    return;
+                }
+                Claim::Lead => true,
+                Claim::Pass => false,
+            };
         let root = self.hasher.vertex_for(&keywords);
         let own_epoch = self.cache.generation();
         let groups = self
             .walk_share(root, &keywords, threshold)
             .unwrap_or_default();
-        // One round: every other owner of a region hears once, unless
-        // the root already settled the answer.
-        let mut awaiting = Vec::new();
-        if !root_fills(&groups, root.bits(), threshold) {
-            for entry in region_entries(root, self.shards.region_cut()) {
-                let owner = self.shards.owner_of(entry);
-                if owner != self.index && !awaiting.contains(&owner) {
-                    awaiting.push(owner);
-                }
-            }
-        }
-        for &owner in &awaiting {
-            self.send(
-                owner as usize,
-                &WireMsg::RegionQuery {
-                    query_id,
-                    keywords: (*keywords).clone(),
-                    threshold: threshold as u64,
-                    coord: self.index,
-                },
-            );
-        }
         let mut state = QueryState {
+            query_id,
             keywords,
-            root_bits: root.bits(),
+            root,
             threshold,
             groups,
-            awaiting,
+            awaiting: Vec::new(),
+            policy: ft.unwrap_or(PLAIN_QUERY_POLICY),
+            coverage: ft.map(|_| FtCoverage {
+                subcube_vertices: 1u64 << root.zero_count(),
+                ..FtCoverage::default()
+            }),
             slot,
             own_epoch,
             peer_epochs: Vec::new(),
             waiters: Vec::new(),
-            parked_at: Instant::now(),
         };
+        // One round: every other owner of a region hears once, unless
+        // the root already settled the answer.
+        if !root_fills(&state.groups, root.bits(), threshold) {
+            for entry in region_entries(root, self.shards.region_cut()) {
+                let owner = self.shards.owner_of(entry);
+                if owner != self.index && state.awaiting.iter().all(|a| a.owner != owner) {
+                    self.ask(&mut state, owner, 0, Staged::default());
+                }
+            }
+        }
         if state.awaiting.is_empty() {
-            self.finish_query(query_id, &mut state);
+            self.finish_query(state);
         } else {
             self.queries.insert(query_id, state);
         }
     }
 
-    /// Executes a batch of [`FtCmd`]s from the shared machine — local
-    /// scans run inline (their replies may emit more commands, hence
-    /// the work queue), remote visits become `T_QUERY` frames with a
-    /// wall-clock deadline — then re-files the query, or completes it
-    /// when nothing is left in flight.
-    fn ft_drive(&mut self, query_id: u64, mut state: FtMachine, cmds: Vec<FtCmd>) {
-        let mut queue: VecDeque<FtCmd> = cmds.into();
-        while let Some(cmd) = queue.pop_front() {
-            match cmd {
-                // The runtime's requester is the client, which cannot
-                // coordinate; and the root scan is always local to this
-                // worker, so the root can never time out here.
-                FtCmd::Promote => debug_assert!(false, "root cannot die on its own coordinator"),
-                // A heap entry cannot be pulled out; it fires into the
-                // machine's stale-timer check instead.
-                FtCmd::Cancel { .. } => {}
-                FtCmd::Send {
-                    bits,
-                    via_dim,
-                    attempt: _,
-                    timeout,
-                    generation,
-                } => {
-                    let owner = self.shards.owner_of(bits);
-                    if owner == self.index {
-                        let (objects, children) =
-                            self.visit(bits, via_dim, state.keywords(), state.remaining());
-                        let mut more = Vec::new();
-                        state.on_scan(bits, keyed(objects), &children, |_, _| false, &mut more);
-                        queue.extend(more);
-                    } else {
-                        let keywords: KeywordSet = (**state.keywords()).clone();
-                        self.send(
-                            owner as usize,
-                            &WireMsg::TQuery {
-                                query_id,
-                                bits,
-                                keywords,
-                                remaining: state.remaining() as u64,
-                                via_dim,
-                                coord: self.index,
-                            },
-                        );
-                        if let Some(ms) = timeout {
-                            self.timers.push(Reverse((
-                                Instant::now() + Duration::from_millis(ms),
-                                query_id,
-                                bits,
-                                generation,
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        if state.in_flight() > 0 {
-            self.ft_queries.insert(query_id, state);
-            return;
-        }
-        let coverage = state.finish();
-        let client = self.client_slot();
+    /// Sends `owner` transmission number `attempt` of the query's
+    /// `RegionQuery` and awaits its answer, `answer` being what is
+    /// staged of it so far. A policy that times no transmission
+    /// (`Naive`) still waits its base timeout, once, so the traversal
+    /// ends.
+    fn ask(&mut self, state: &mut QueryState, owner: u32, attempt: u32, answer: Staged) {
         self.send(
-            client,
-            &WireMsg::FtQueryDone {
-                query_id,
-                objects: state.into_results(),
-                coverage,
+            owner as usize,
+            &WireMsg::RegionQuery {
+                query_id: state.query_id,
+                keywords: (*state.keywords).clone(),
+                threshold: state.threshold as u64,
+                coord: self.index,
+                attempt,
             },
         );
+        if let Some(coverage) = &mut state.coverage {
+            coverage.queries_sent += 1;
+            coverage.retries += u64::from(attempt > 0);
+        }
+        let policy = state.policy;
+        let wait = policy
+            .attempt_timeout(attempt)
+            .unwrap_or(policy.base_timeout);
+        state.awaiting.push(Awaited {
+            owner,
+            sent: attempt.saturating_add(1),
+            // The timeout came off the wire: 49 days is as good as
+            // forever and cannot overflow the clock.
+            deadline: Instant::now() + Duration::from_millis(wait.min(u32::MAX.into())),
+            answer,
+        });
     }
 
-    fn next_timer_deadline(&self) -> Option<Instant> {
-        self.timers.peek().map(|Reverse((deadline, ..))| *deadline)
+    /// The earliest deadline among the parked traversals' awaited
+    /// owners: the one timer a worker waits on.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.queries
+            .values()
+            .flat_map(|q| &q.awaiting)
+            .map(|a| a.deadline)
+            .min()
     }
 
-    /// Fires every expired FT deadline through the shared machine,
-    /// which ignores the stale ones (answered or already retried).
-    fn fire_expired_timers(&mut self) {
-        loop {
-            let now = Instant::now();
-            match self.timers.peek() {
-                Some(Reverse((deadline, ..))) if *deadline <= now => {}
-                _ => return,
+    /// Holds every parked traversal to its deadlines. An awaited owner
+    /// whose latest `RegionQuery` went unanswered for its whole wait is
+    /// asked again while the policy's budget lasts, then given up: its
+    /// regions are the skipped vertices of an `FtQuery`, which ends
+    /// once nobody is awaited; a plain query ends there and then,
+    /// unanswered — a short answer must never pass for the whole one.
+    fn expire_deadlines(&mut self) {
+        if self.queries.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let due: Vec<u64> = self
+            .queries
+            .iter()
+            .filter(|(_, q)| q.awaiting.iter().any(|a| a.deadline <= now))
+            .map(|(&query_id, _)| query_id)
+            .collect();
+        for query_id in due {
+            let mut state = self.queries.remove(&query_id).expect("listed above");
+            let (expired, awaiting): (Vec<_>, Vec<_>) = std::mem::take(&mut state.awaiting)
+                .into_iter()
+                .partition(|a| a.deadline <= now);
+            state.awaiting = awaiting;
+            let mut given_up = 0;
+            for awaited in expired {
+                if state.policy.attempt_timeout(awaited.sent).is_some() {
+                    self.ask(&mut state, awaited.owner, awaited.sent, awaited.answer);
+                } else {
+                    given_up += 1;
+                }
             }
-            let Reverse((_, query_id, bits, generation)) = self.timers.pop().expect("peeked");
-            let Some(mut state) = self.ft_queries.remove(&query_id) else {
+            if let Some(coverage) = &mut state.coverage {
+                coverage.timeouts += given_up;
+            } else if given_up > 0 {
+                self.stats.queries_abandoned += 1;
+                self.cache.release(&state.keywords, query_id);
+                self.start_over(&state.keywords, state.waiters);
                 continue;
-            };
-            let mut cmds = Vec::new();
-            state.on_timeout(bits, generation, |_, _| false, &mut cmds);
-            self.ft_drive(query_id, state, cmds);
+            }
+            if state.awaiting.is_empty() {
+                self.finish_query(state);
+            } else {
+                self.queries.insert(query_id, state);
+            }
         }
     }
 
@@ -1184,10 +1196,7 @@ impl Worker {
         let injectable = dest != self.client_slot()
             && matches!(
                 msg,
-                WireMsg::TQuery { .. }
-                    | WireMsg::TCont { .. }
-                    | WireMsg::RegionQuery { .. }
-                    | WireMsg::RegionDone { .. }
+                WireMsg::RegionQuery { .. } | WireMsg::RegionDone { .. }
             );
         if injectable {
             if let Some(injector) = &mut self.injector {
@@ -1234,7 +1243,7 @@ mod tests {
 
     #[test]
     fn report_lines_roundtrip_in_declaration_order() {
-        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18";
+        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18 19";
         let stats = WorkerStats::parse_line(line).unwrap();
         assert_eq!(
             (stats.worker, stats.frames_sent, stats.scans),
@@ -1243,19 +1252,20 @@ mod tests {
         );
         assert_eq!((stats.batch_entries_sent, stats.cache_evictions), (27, 16));
         assert_eq!((stats.frames_undecodable, stats.frames_misrouted), (17, 18));
+        assert_eq!(stats.queries_abandoned, 19);
         assert_eq!(stats.report_line(), line);
         // A line one counter short (the cache columns' predecessor
         // format included) or long is rejected, never zero-filled.
         assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
         assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
-        assert!(WorkerStats::parse_line(&format!("{line} 19")).is_none());
+        assert!(WorkerStats::parse_line(&format!("{line} 20")).is_none());
         assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
         // Merging sums every counter and leaves the key alone.
         let mut merged = stats.clone();
         merged.merge(&stats);
         assert_eq!(
             merged.report_line(),
-            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36"
+            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36 38"
         );
 
         let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5 6").unwrap();
@@ -1272,9 +1282,11 @@ mod tests {
     }
 
     /// An answer forced over a tiny body cap travels in several frames,
-    /// every one within the cap and all but the last flagged `more`,
-    /// and the coordinator's merge reads the same answer out of them —
-    /// with a frame duplicated on the way, too.
+    /// every one within the cap, numbered in order and all but the last
+    /// flagged `more`. The coordinator stages them and reads the same
+    /// answer out — with a frame duplicated on the way, too — but only
+    /// whole: with a middle frame lost nothing is committed until the
+    /// retry's answer has arrived, and then it is the unsplit one.
     #[test]
     fn an_answer_split_over_several_frames_merges_to_the_unsplit_answer() {
         let root = 0b0000_0100u64;
@@ -1291,32 +1303,64 @@ mod tests {
             cut_groups(root, &mut groups, threshold);
             groups
         };
-
         let room = 100;
-        let frames = region_done_frames(7, 1, 42, groups.clone(), room);
+        let answer = |attempt| region_done_frames(7, 1, 42, attempt, groups.clone(), room);
+        // Stages `frames` in order; whether the last one taken closed
+        // the answer.
+        let deliver = |staged: &mut Staged, frames: &[WireMsg]| {
+            let mut whole = false;
+            for frame in frames {
+                let WireMsg::RegionDone {
+                    attempt,
+                    part,
+                    more,
+                    groups,
+                    ..
+                } = frame.clone()
+                else {
+                    panic!("not a region answer: {frame:?}");
+                };
+                if staged.take(attempt, part, groups) {
+                    whole = !more;
+                }
+            }
+            whole
+        };
+
+        let frames = answer(0);
         assert!(frames.len() > 10, "{} frames", frames.len());
-        let mut arrived = Vec::new();
         for (i, frame) in frames.iter().enumerate() {
             assert!(frame.encode().len() - wire::PREFIX_LEN <= REGION_DONE_HEADER_LEN + room);
-            let WireMsg::RegionDone { more, groups, .. } = frame else {
-                panic!("not a region answer: {frame:?}");
-            };
-            assert_eq!(*more, i + 1 < frames.len());
-            assert!(!groups.is_empty());
-            arrived.extend(groups.iter().cloned());
-            if i == 3 {
-                arrived.extend(groups.iter().cloned());
-            }
+            assert!(
+                matches!(frame, WireMsg::RegionDone { part, more, groups, .. }
+                    if *part as usize == i && *more == (i + 1 < frames.len()) && !groups.is_empty())
+            );
         }
+        // Frame 3 twice, and a stray copy of frame 0 behind it.
+        let mut doubled = frames.clone();
+        doubled.insert(4, frames[0].clone());
+        doubled.insert(4, frames[3].clone());
+        let mut staged = Staged::default();
+        assert!(deliver(&mut staged, &doubled));
+        assert_eq!(staged.groups, groups);
         for threshold in [1, 2, 20, usize::MAX - 1] {
             assert_eq!(
-                merged(arrived.clone(), threshold),
+                merged(staged.groups.clone(), threshold),
                 merged(groups.clone(), threshold)
             );
         }
-        assert_eq!(merged(arrived, usize::MAX - 1), groups);
+
+        // Frame 5 lost: everything behind the gap is dropped, the last
+        // frame included. The retry's answer replaces what was staged.
+        let mut gapped = frames.clone();
+        gapped.remove(5);
+        let mut staged = Staged::default();
+        assert!(!deliver(&mut staged, &gapped));
+        assert_eq!(staged.next_part, 5);
+        assert!(deliver(&mut staged, &answer(1)));
+        assert_eq!(staged.groups, groups);
         // Nothing to say is still one frame: the coordinator waits for it.
-        assert_eq!(region_done_frames(7, 1, 42, Vec::new(), room).len(), 1);
+        assert_eq!(region_done_frames(7, 1, 42, 0, Vec::new(), room).len(), 1);
     }
 
     /// A worker shutting down with a frame parked on a capacity-1 sink

@@ -3,14 +3,20 @@
 //! The ISSUE-6 contract: a worker crash mid-superset-scan is survived
 //! — the supervisor respawns the worker, replays its shard from the
 //! load journal, and the recovered query returns results byte-identical
-//! to an unfaulted run; lossy wires are absorbed by the shared
-//! fault-tolerant coordinator; and graded fault parity holds across a
-//! worker-count × fault-mode matrix, with frame conservation on every
-//! shutdown.
+//! to an unfaulted run; lossy wires are absorbed by the coordinator's
+//! per-owner deadlines, for fault-tolerant and plain queries alike (a
+//! plain query that loses an owner for good is dropped, never answered
+//! short); and graded fault parity holds across a worker-count ×
+//! fault-mode matrix, with frame conservation on every shutdown.
+
+use std::sync::mpsc::sync_channel;
+use std::time::Duration;
 
 use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_hypercube::Shape;
 use hyperdex_runtime::{
-    assert_fault_parity, FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig,
+    assert_fault_parity, run_worker, Fabric, FaultInjector, FaultPlan, FtSearchOptions,
+    NodeRuntime, RuntimeConfig, WireMsg, WorkerContext,
 };
 use hyperdex_workload::{Corpus, CorpusConfig};
 
@@ -123,6 +129,18 @@ fn faulted_runs_reproduce_the_unfaulted_payload_byte_for_byte() {
                 got, truth,
                 "mode={mode} workers={workers}: faulted payload diverged"
             );
+            // A plain query rides the same lossy wires (the crash is
+            // spent): whole answers only, so the same payload.
+            if mode.contains("loss") {
+                let mut plain: Vec<(u64, u32)> = faulted
+                    .superset_search(&set("a"), usize::MAX - 1)
+                    .unwrap()
+                    .iter()
+                    .map(|m| (m.object.raw(), m.extra_keywords))
+                    .collect();
+                plain.sort_unstable();
+                assert_eq!(plain, truth, "mode={mode} workers={workers}: plain query");
+            }
             let report = faulted.shutdown();
             report.assert_conserved();
             if mode.contains("crash") {
@@ -211,4 +229,56 @@ fn duplicate_handoff_frames_are_idempotent() {
         CORPUS.len() as u64,
         "replayed handoffs must not re-count inserts"
     );
+}
+
+#[test]
+fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
+    // Worker 0 of a two-worker cluster under total loss, the test as
+    // its client: every `RegionQuery` it sends worker 1 is dropped.
+    let hasher = KeywordHasher::new(R, SEED).unwrap();
+    let shards = RuntimeConfig::new(R, 2).seed(SEED).shard_map();
+    let (inbox_tx, inbox) = sync_channel::<Vec<u8>>(64);
+    let (peer_tx, peer) = sync_channel::<Vec<u8>>(64);
+    let (client_tx, client) = sync_channel::<Vec<u8>>(64);
+    let ctx = WorkerContext {
+        index: 0,
+        shape: Shape::new(R).unwrap(),
+        hasher,
+        shards,
+        injector: Some(FaultInjector::new(FaultPlan::lossy(7, 1000, 0, 0), 0)),
+        repairing: false,
+    };
+    let links = vec![None, Some(peer_tx), Some(client_tx)];
+    let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
+    // A one-word query: its subcube spans both workers' halves.
+    let ask = |query_id| {
+        let query = WireMsg::Query {
+            query_id,
+            keywords: set("a"),
+            threshold: u64::MAX - 1,
+        };
+        inbox_tx.send(query.encode()).unwrap();
+    };
+    // The first sighting walks and keeps nothing; the second reserves
+    // the cache slot. Both park on worker 1, and stay parked through
+    // the whole budget: four transmissions, 1 s doubling.
+    ask(1);
+    ask(2);
+    std::thread::sleep(Duration::from_secs(1 + 2 + 4 + 8 + 1));
+    // Had query 2's reservation outlived it, query 3 would wait for a
+    // traversal that is gone; it leads its own walk instead.
+    ask(3);
+    inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
+    let stats = worker.join().unwrap().stats;
+    assert_eq!(stats.queries_abandoned, 2, "{stats:?}");
+    assert_eq!(
+        (stats.cache_misses, stats.cache_coalesced, stats.cache_stale),
+        (3, 0, 0),
+        "{stats:?}"
+    );
+    // Four `RegionQuery`s each for the abandoned two, one for the
+    // third: nothing reached worker 1, nothing was said to the client.
+    assert_eq!((stats.batch_frames_sent, stats.frames_dropped), (9, 9));
+    assert_eq!(stats.frames_sent, 9, "{stats:?}");
+    assert!(peer.try_recv().is_err() && client.try_recv().is_err());
 }

@@ -8,8 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
-use hyperdex_runtime::{assert_sim_parity, NodeRuntime, Request, RuntimeConfig};
+use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId};
+use hyperdex_runtime::{
+    assert_sim_parity, FtSearchOptions, NodeRuntime, Request, RuntimeConfig, RuntimeMatch,
+};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// Worker counts under test.
@@ -73,14 +75,54 @@ fn parity_survives_a_second_seed_and_small_corpus() {
 
 /// Frames the `scans` themselves cost on a `workers`-thread runtime
 /// loaded with `corpus` at r = 8: a conserved run that replays them
-/// once, minus an identical run that only loads.
-fn scan_frames(workers: u32, corpus: &[(ObjectId, KeywordSet)], scans: &[Request]) -> u64 {
+/// once, minus an identical run that only loads. The replay is one
+/// pipelined batch of plain queries or, `with_ft`, each scan as a
+/// plain query and then as a fault-tolerant one, which must find the
+/// same matches.
+fn scan_frames(
+    workers: u32,
+    corpus: &[(ObjectId, KeywordSet)],
+    scans: &[Request],
+    with_ft: bool,
+) -> u64 {
+    let sorted = |mut matches: Vec<RuntimeMatch>| {
+        matches.sort_unstable_by_key(|m| m.object);
+        matches
+    };
+    // Nothing is lost here, so no deadline may pass: patience beyond
+    // any stall keeps the count exact on a loaded machine.
+    let patient = FtSearchOptions {
+        policy: FtPolicy {
+            base_timeout: 60_000,
+            ..FtSearchOptions::default().policy
+        },
+        attempt_timeout_ms: 600_000,
+        attempts: 1,
+    };
     let total_sent = |requests: &[Request]| {
         let mut rt = NodeRuntime::start(RuntimeConfig::new(8, workers).seed(42)).expect("valid r");
         rt.bulk_load(corpus.iter().map(|(id, k)| (*id, k)))
             .expect("non-empty sets");
         rt.flush();
-        rt.run_batch(requests, 32);
+        if !with_ft {
+            rt.run_batch(requests, 32);
+        } else {
+            for request in requests {
+                let Request::Superset {
+                    keywords,
+                    threshold,
+                } = request
+                else {
+                    unreachable!("only supersets were built");
+                };
+                let plain = rt.superset_search(keywords, *threshold).expect("t > 0");
+                let ft = rt
+                    .superset_search_ft(keywords, *threshold, &patient)
+                    .expect("t > 0");
+                assert!(ft.complete, "{keywords}: {:?}", ft.coverage);
+                assert_eq!(sorted(ft.matches), sorted(plain), "{keywords}");
+            }
+        }
         let report = rt.shutdown();
         report.assert_conserved();
         assert_eq!(
@@ -95,10 +137,11 @@ fn scan_frames(workers: u32, corpus: &[(ObjectId, KeywordSet)], scans: &[Request
 
 #[test]
 fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
-    // `Query`/`QueryDone`, and one `RegionQuery`/`RegionDone` pair for
-    // every worker other than the coordinator (the root's owner) that
-    // owns a vertex of the query's subcube — unless the root alone
-    // fills the threshold, which ends the query before anyone is asked.
+    // `Query`/`QueryDone` (or `FtQuery`/`FtQueryDone`), and one
+    // `RegionQuery`/`RegionDone` pair for every worker other than the
+    // coordinator (the root's owner) that owns a vertex of the query's
+    // subcube — unless the root alone fills the threshold, which ends
+    // the query before anyone is asked.
     let (corpus, queries) = workload(42, 4_000);
     let hasher = KeywordHasher::new(8, 42).expect("valid r");
     let mut scans: Vec<Request> = queries
@@ -146,12 +189,18 @@ fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
                 2 + 2 * (owners.len() as u64 - 1)
             })
             .sum();
-        let frames = scan_frames(workers, &corpus, &scans);
+        let frames = scan_frames(workers, &corpus, &scans, false);
         assert_eq!(frames, expected, "{workers} workers");
         assert_eq!(
             frames,
-            scan_frames(workers, &corpus, &scans),
+            scan_frames(workers, &corpus, &scans, false),
             "frame counts are not deterministic at {workers} workers"
+        );
+        // A fault-tolerant query is the same one round per region.
+        assert_eq!(
+            scan_frames(workers, &corpus, &scans, true),
+            2 * expected,
+            "{workers} workers, plain + FT"
         );
     }
 }
