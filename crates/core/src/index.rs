@@ -1,4 +1,7 @@
-//! Per-node index tables.
+//! `IndexTable`, the per-node index table as a `BTreeMap`, is the
+//! slab's test oracle and nothing else: every executor stores its
+//! postings in [`crate::store::PostingStore`], and only the store's
+//! parity tests and `tests/mask_parity.rs` build one of these.
 //!
 //! §3.3: each hypercube node `u` maintains a table of entries
 //! `⟨keyword_set, object_id⟩`; entries with the same keyword set are

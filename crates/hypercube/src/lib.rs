@@ -15,7 +15,6 @@
 //! * [`Subcube`] — the induced subhypercube `H_r(u)` (Definition 3.1).
 //! * [`Sbt`] — spanning binomial trees `SBT(u)` and `SBT_{H_r}(u)`
 //!   (Definition 3.2), with parent/children, levels, and BFS traversal.
-//! * [`broadcast`] — optimal SBT-based broadcast schedules.
 //!
 //! # Example
 //!
@@ -35,9 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod broadcast;
 pub mod gray;
-pub mod route;
 pub mod sbt;
 pub mod shape;
 pub mod subcube;

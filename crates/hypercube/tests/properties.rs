@@ -1,7 +1,7 @@
 //! Property-based tests for the hypercube lemmas the search scheme
 //! relies on.
 
-use hyperdex_hypercube::{broadcast, Sbt, Shape, Subcube, Vertex};
+use hyperdex_hypercube::{Sbt, Shape, Subcube, Vertex};
 use proptest::prelude::*;
 
 /// Strategy: a shape with r in 1..=10 plus a valid vertex bit pattern.
@@ -137,26 +137,6 @@ proptest! {
         }
         prop_assert_eq!(cur, root);
         prop_assert_eq!(steps, node.hamming(root));
-    }
-
-    /// Broadcast schedules inform every node exactly once in height()
-    /// rounds, along tree edges only.
-    #[test]
-    fn broadcast_covers((shape, bits) in shape_and_bits()) {
-        let root = Vertex::from_bits(shape, bits).unwrap();
-        let sbt = Sbt::induced(root);
-        let rounds = broadcast::schedule(&sbt);
-        prop_assert_eq!(rounds.len() as u32, sbt.height());
-        let mut informed = std::collections::HashSet::new();
-        informed.insert(root.bits());
-        for round in &rounds {
-            for t in round {
-                prop_assert!(informed.contains(&t.from.bits()));
-                prop_assert!(informed.insert(t.to.bits()));
-                prop_assert_eq!(sbt.parent(t.to), Some(t.from));
-            }
-        }
-        prop_assert_eq!(informed.len() as u64, sbt.node_count());
     }
 
     /// Subcube dense indexing round-trips.

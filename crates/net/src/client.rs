@@ -107,6 +107,8 @@ struct TcpLink {
     received: Arc<AtomicU64>,
     readers: Vec<JoinHandle<()>>,
     frames_sent: u64,
+    /// When the link was made: the origin of [`ClientLink::now`].
+    started: Instant,
 }
 
 /// The client's half of the conservation ledger, produced by
@@ -161,6 +163,7 @@ impl NetClient {
             received: Arc::new(AtomicU64::new(0)),
             readers: Vec::new(),
             frames_sent: 0,
+            started: Instant::now(),
         };
         for server in 0..addrs.len() {
             let stream = link.open(server)?;
@@ -430,9 +433,13 @@ impl ClientLink for TcpLink {
         Ok(())
     }
 
+    fn now(&self) -> Duration {
+        self.started.elapsed()
+    }
+
     fn recv(
         &mut self,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
         awaiting: Option<u32>,
     ) -> Result<Option<WireMsg>, Error> {
         let awaiting = awaiting.map(|worker| self.server_of(worker));
@@ -443,7 +450,7 @@ impl ClientLink for TcpLink {
             let event = match deadline {
                 None => self.events_rx.recv().ok(),
                 Some(deadline) => {
-                    let wait = deadline.saturating_duration_since(Instant::now());
+                    let wait = deadline.saturating_sub(self.now());
                     self.events_rx.recv_timeout(wait).ok()
                 }
             };

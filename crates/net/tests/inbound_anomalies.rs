@@ -3,9 +3,10 @@
 //! single-server cluster is fed a unit for a worker it does not host,
 //! a perfectly framed unit per worker whose body is no message, an
 //! insert and a pin for a vertex their receiver does not own, three
-//! frames of kinds no worker is ever sent, and then a header no stream
-//! can recover from; it keeps serving, and reports all of it in its
-//! `SSTATS` and `WSTATS` lines.
+//! frames of kinds no worker is ever sent, three region queries whose
+//! `coord` is nobody a worker could answer, and then a header no
+//! stream can recover from; it keeps serving, and reports all of it in
+//! its `SSTATS` and `WSTATS` lines.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -89,6 +90,21 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
         push_unit(&mut units, 0, &msg.encode());
     }
     feed(&units);
+    // Region queries, to worker 0, whose answer would go to no worker
+    // at all, to the client's slot, and to worker 0 itself (the first
+    // used to index the worker's lanes out of bounds).
+    let mut units = Vec::new();
+    for coord in [99, 2, 0] {
+        let msg = WireMsg::RegionQuery {
+            query_id: u64::MAX,
+            keywords: stray.clone(),
+            threshold: 1,
+            coord,
+            attempt: 0,
+        };
+        push_unit(&mut units, 0, &msg.encode());
+    }
+    feed(&units);
     // A header announcing an impossible body.
     let mut header = 0u32.to_le_bytes().to_vec();
     header.extend_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
@@ -111,16 +127,16 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
     );
 
     let report = cluster.shutdown(client).expect("cluster shutdown");
-    // The five misrouted frames are in nobody's `sent`: the ledger is
+    // The eight misrouted frames are in nobody's `sent`: the ledger is
     // over by exactly them (the stray pin's reply was sent and received
-    // like any other).
+    // like any other; the region queries were not answered).
     assert_eq!(
         report.total_received(),
-        report.total_sent() + 5,
+        report.total_sent() + 8,
         "{report:?}"
     );
     let misrouted: Vec<u64> = report.workers.iter().map(|w| w.frames_misrouted).collect();
-    let mut expected = vec![3, 0];
+    let mut expected = vec![6, 0];
     expected[1 - owner(&stray) as usize] += 2;
     assert_eq!(misrouted, expected, "{report:?}");
     assert_eq!(report.supervisor.units_misrouted, 1, "{report:?}");

@@ -5,10 +5,14 @@
 //! alike: one rule), ships the frame, matches the completion
 //! by id, and re-issues a fault-tolerant search under a fresh id when
 //! an attempt's deadline passes. That is [`ClientCore`]. How a frame
-//! reaches a worker and a reply comes back is the three-method
-//! [`ClientLink`]: the in-process channel link behind
+//! reaches a worker and a reply comes back — and what time it is — is
+//! the four-method [`ClientLink`]: the in-process channel link behind
 //! [`crate::NodeRuntime`], `hyperdex-net`'s reconnecting TCP link
-//! behind `NetClient`, and a scripted fake in `tests/client_core.rs`.
+//! behind `NetClient`, a scripted fake in `tests/client_core.rs` and
+//! the deterministic mesh the runtime's suites run worker machines on.
+//! The core keeps no clock of its own: every deadline and latency is a
+//! `Duration` on the link's ([`ClientLink::now`]), so under a link
+//! whose time is virtual the production client runs in virtual time.
 //!
 //! The core also keeps, per worker, the highest write epoch a
 //! `FlushAck` has shown it, and sends those marks on every superset
@@ -26,7 +30,7 @@
 //! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hyperdex_core::{
     Error, FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy,
@@ -49,8 +53,14 @@ pub trait ClientLink {
     /// [`Error::ConnectionLost`] when a destination stays unreachable.
     fn ship(&mut self) -> Result<(), Error>;
 
-    /// The next client-bound frame, or `None` once `deadline` passes
-    /// (no deadline: wait until one arrives). `awaiting` names the
+    /// The time on this link's clock: what deadlines handed to
+    /// [`ClientLink::recv`] are measured on. Wall time since the link
+    /// was made, for a link over real channels or sockets.
+    fn now(&self) -> Duration;
+
+    /// The next client-bound frame, or `None` once [`ClientLink::now`]
+    /// reaches `deadline` (no deadline: wait until one arrives).
+    /// `awaiting` names the
     /// worker whose reply the caller needs: a link that can lose its
     /// path to that worker fails the wait at once.
     ///
@@ -59,7 +69,7 @@ pub trait ClientLink {
     /// [`Error::ConnectionLost`] when the path to `awaiting` died.
     fn recv(
         &mut self,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
         awaiting: Option<u32>,
     ) -> Result<Option<WireMsg>, Error>;
 }
@@ -92,7 +102,7 @@ pub enum Request {
 pub struct BatchResult {
     /// Matching object ids (set semantics; order is arrival order).
     pub objects: Vec<ObjectId>,
-    /// Send-to-completion wall time for this request.
+    /// Send-to-completion time for this request, on the link's clock.
     pub latency: Duration,
 }
 
@@ -341,7 +351,7 @@ impl<L: ClientLink> ClientCore<L> {
         struct Flight {
             slot: usize,
             attempt: u32,
-            deadline: Instant,
+            deadline: Duration,
         }
         let window = window.max(1);
         let attempts = opts.attempts.max(1);
@@ -358,7 +368,7 @@ impl<L: ClientLink> ClientCore<L> {
                     break;
                 };
                 let id = self.queue_ft(&queries[slot], threshold, opts);
-                let deadline = Instant::now() + attempt_timeout;
+                let deadline = self.link.now() + attempt_timeout;
                 flights.insert(
                     id,
                     Flight {
@@ -390,12 +400,14 @@ impl<L: ClientLink> ClientCore<L> {
                 None => {
                     // Only the expired flights re-issue (fresh id) or
                     // degrade; the rest of the window keeps waiting.
-                    let now = Instant::now();
-                    let expired: Vec<u64> = flights
+                    let now = self.link.now();
+                    let mut expired: Vec<u64> = flights
                         .iter()
                         .filter(|(_, f)| f.deadline <= now)
                         .map(|(&id, _)| id)
                         .collect();
+                    // In id order: the same replies, the same re-issues.
+                    expired.sort_unstable();
                     for id in expired {
                         let flight = flights.remove(&id).expect("collected above");
                         if flight.attempt < attempts {
@@ -432,12 +444,12 @@ impl<L: ClientLink> ClientCore<L> {
     ) -> Result<Vec<BatchResult>, Error> {
         let window = window.max(1);
         let mut out: Vec<Option<BatchResult>> = requests.iter().map(|_| None).collect();
-        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
+        let mut in_flight: HashMap<u64, (usize, Duration)> = HashMap::new();
         let mut next = 0usize;
         let mut completed = 0usize;
         while completed < requests.len() {
             while next < requests.len() && in_flight.len() < window {
-                let started = Instant::now();
+                let started = self.link.now();
                 let (id, _) = match &requests[next] {
                     Request::Pin(keywords) => self.queue_pin(keywords),
                     Request::Superset {
@@ -453,7 +465,7 @@ impl<L: ClientLink> ClientCore<L> {
                 self.recv_reply("batch reply", None, |id| in_flight.remove(&id))?;
             out[slot] = Some(BatchResult {
                 objects: object_ids(reply.matches),
-                latency: started.elapsed(),
+                latency: self.link.now().saturating_sub(started),
             });
             completed += 1;
         }
@@ -541,7 +553,7 @@ impl<L: ClientLink> ClientCore<L> {
         awaiting: Option<u32>,
         claim: impl FnMut(u64) -> Option<T>,
     ) -> Result<(T, Reply), Error> {
-        let deadline = self.request_timeout.map(|t| Instant::now() + t);
+        let deadline = self.request_timeout.map(|t| self.link.now() + t);
         self.recv(deadline, awaiting, claim)?
             .ok_or_else(|| Error::Timeout {
                 operation: operation.to_string(),
@@ -561,7 +573,7 @@ impl<L: ClientLink> ClientCore<L> {
     /// sent, otherwise the link's errors.
     fn recv<T>(
         &mut self,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
         awaiting: Option<u32>,
         mut claim: impl FnMut(u64) -> Option<T>,
     ) -> Result<Option<(T, Reply)>, Error> {

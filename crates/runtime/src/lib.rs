@@ -15,7 +15,7 @@
 //! drop/duplicate/delay faults and crash-stops on the wire path, while
 //! the [`runtime`] supervisor respawns crashed workers and replays
 //! their shards, and every superset traversal holds the region owners
-//! it waits for to wall-clock deadlines under the retry rule the
+//! it waits for to deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
 //! ([`hyperdex_core::FtPolicy::attempt_timeout`]);
 //! [`NodeRuntime::superset_search_ft`] names the policy and gets an
@@ -24,9 +24,9 @@
 //! Module map:
 //!
 //! * [`client_core`] — the client half of the request protocol
-//!   ([`ClientCore`]) over a three-method link ([`ClientLink`]); the
-//!   in-process handle and `hyperdex-net`'s TCP client are both thin
-//!   shells around it.
+//!   ([`ClientCore`]) over a four-method link ([`ClientLink`], which
+//!   is also its clock); the in-process handle and `hyperdex-net`'s
+//!   TCP client are both thin shells around it.
 //! * [`wire`] — the hand-rolled length-prefixed codec; the thread
 //!   boundary is byte-defined, like a socket.
 //! * [`shard`] — pure, seeded vertex → worker ownership.
@@ -36,11 +36,14 @@
 //!   destination, each frame encoded once into the packet that
 //!   travels; inbox lanes for co-located sinks, socket lanes for the
 //!   writer queues `hyperdex-net` hangs behind them.
-//! * [`worker`] — the shard-owning event loop, the same code
-//!   in-process and inside a server binary.
-//! * [`runtime`] — the in-process handle (the client core over the
-//!   channel link), the one supervisor every deployment runs
-//!   ([`runtime::supervise`]), the shutdown/conservation protocol.
+//! * [`worker`] — the shard-owning worker as a clockless, loop-less
+//!   machine ([`NodeMachine`]): a driver hands it packets and the
+//!   time. The same code in-process, inside a server binary, and under
+//!   the test suites' simulated network.
+//! * [`runtime`] — the thread driver ([`run_worker`]), the in-process
+//!   handle (the client core over the channel link), the one
+//!   supervisor every deployment runs ([`runtime::supervise`]), the
+//!   shutdown/conservation protocol.
 //! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
 //!   harness the integration tests call, including faulted
 //!   executions.
@@ -74,8 +77,10 @@ pub use client_core::{
 };
 pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
 pub use parity::{assert_fault_parity, assert_sim_parity, FaultParityReport, ParityReport};
-pub use runtime::{NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
+pub use runtime::{
+    run_worker, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats, WorkerExit,
+};
 pub use shard::{ShardMap, ShardPolicy};
 pub use transport::{count_frames, take_frame, Fabric, PacketPool};
 pub use wire::{WireError, WireMsg};
-pub use worker::{run_worker, ExitCause, WorkerContext, WorkerExit, WorkerStats};
+pub use worker::{ExitCause, Flow, NodeMachine, WorkerContext, WorkerStats};

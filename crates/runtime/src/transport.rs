@@ -158,10 +158,10 @@ impl Fabric {
     }
 
     /// Encodes `msg` onto the end of `dest`'s packet, behind its unit
-    /// header on a socket lane.
+    /// header on a socket lane. A `dest` that is no endpoint, or an
+    /// unrouted one, drops the frame with a count.
     pub fn append(&mut self, dest: usize, msg: &WireMsg) {
-        let Some((lane, unit_dest)) = self.routes[dest] else {
-            debug_assert!(false, "frame addressed to unrouted endpoint {dest}");
+        let Some(&Some((lane, unit_dest))) = self.routes.get(dest) else {
             self.frames_dropped += 1;
             return;
         };
@@ -301,17 +301,19 @@ mod tests {
         /// against a fabric routing endpoint 0 to an inbox lane
         /// (capacity 1), endpoints 1 and 2 to one shared socket lane
         /// (capacity 4) and endpoint 3 to a socket lane of its own
-        /// (capacity 1). The fabric must match the model after every
+        /// (capacity 1); endpoint 4 is left unrouted and 5 does not
+        /// exist — a frame for either is dropped with a count. The
+        /// fabric must match the model after every
         /// step; the script runs on one thread, so finishing at all is
         /// the proof that nothing ever blocks. (That a socket lane's
         /// packet is what the stream decoder reads: `hyperdex-net`'s
         /// `stream_robustness` suite, where the decoder is.)
         #[test]
         fn lanes_follow_the_model(
-            script in prop::collection::vec((0u8..8, 0usize..4, 1usize..4), 1..200)
+            script in prop::collection::vec((0u8..8, 0usize..6, 1usize..4), 1..200)
         ) {
             const LANE_OF: [usize; 4] = [0, 1, 1, 2];
-            let mut fabric = Fabric::new(4, PacketPool::default());
+            let mut fabric = Fabric::new(5, PacketPool::default());
             let mut lanes = Vec::new();
             for (capacity, dests) in [(1, vec![0]), (4, vec![1, 2]), (1, vec![3])] {
                 let (tx, rx) = sync_channel(capacity);
@@ -332,7 +334,14 @@ mod tests {
             }
             let (mut appended, mut delivered, mut dropped, mut hits) = (0u64, 0u64, 0u64, 0u64);
             for (step, (op, dest, k)) in script.into_iter().enumerate() {
-                let lane = &mut lanes[LANE_OF[dest]];
+                let Some(&lane) = LANE_OF.get(dest) else {
+                    fabric.append(dest, &WireMsg::Flush { token: step as u64 });
+                    appended += 1;
+                    dropped += 1;
+                    prop_assert_eq!(fabric.frames_dropped(), dropped);
+                    continue;
+                };
+                let lane = &mut lanes[lane];
                 match op {
                     // Small frames mostly; a 24 KiB one now and then, so
                     // socket lanes cross the watermark with the window

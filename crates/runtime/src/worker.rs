@@ -1,8 +1,8 @@
-//! The shard-owning worker event loop, factored out of the in-process
-//! runtime so any deployment can host it.
+//! The shard-owning worker as a machine, so any deployment — and any
+//! test — can drive it.
 //!
-//! A worker is a pure protocol engine: it drains one inbox of packets
-//! (each packet one or more length-prefixed [`WireMsg`] frames),
+//! A worker is a pure protocol engine: it is handed packets (each one
+//! or more length-prefixed [`WireMsg`] frames),
 //! mutates only its own shard's `PostingStore`s, and encodes each
 //! outbound frame once, onto its destination's lane of a [`Fabric`].
 //! Nothing in here knows whether a lane ends in a co-located inbox
@@ -32,15 +32,20 @@
 //! always ends: an `FtQuery` with an exact account of the regions it
 //! gave up, a plain query whole or not at all.
 //!
-//! [`run_worker`] is the entry point: it consumes a [`WorkerContext`],
-//! runs the loop until shutdown or a scheduled crash, and returns a
-//! [`WorkerExit`] carrying the lifetime counters and the still-open
-//! inbox (so a supervisor can respawn the shard on the same address).
+//! [`NodeMachine`] is that engine and nothing else: it has no loop, no
+//! inbox and no clock. A **driver** hands it each inbound packet and
+//! the time ([`NodeMachine::receive`]), wakes it no later than the
+//! deadline it names ([`NodeMachine::next_deadline`],
+//! [`NodeMachine::tick`]) and offers its lanes once a turn; time is a
+//! `Duration` on whatever clock the driver keeps. The deployed driver
+//! is [`crate::runtime::run_worker`], a thread blocking on a channel
+//! under the wall clock; the test suites' is a deterministic mesh over
+//! `hyperdex-simnet`'s virtual time (DESIGN.md § "The node is a
+//! machine").
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{
@@ -136,7 +141,7 @@ macro_rules! counter_record {
 pub(crate) use counter_record;
 
 counter_record! {
-    /// One worker's lifetime counters, returned when its thread exits.
+    /// One worker's lifetime counters, returned when it exits.
     /// After a crash the supervisor merges the counters of every
     /// incarnation of the shard into one entry.
     WorkerStats, "WSTATS",
@@ -148,11 +153,11 @@ counter_record! {
         /// Frames this worker decided to send (logical sends, before the
         /// fault injector rolled their fate).
         frames_sent,
-        /// Frames received and decoded from the inbox.
+        /// Frames received and decoded.
         frames_received,
         /// Times a lane was offered and its full sink pushed back,
         /// leaving the frames parked on it: at most one per lane per
-        /// loop turn (the loop offers once a turn).
+        /// turn (a driver offers once a turn).
         backpressure_hits,
         /// Objects newly indexed on this shard.
         inserts,
@@ -168,9 +173,10 @@ counter_record! {
         frames_duplicated,
         /// Frames the injector stashed behind a later send.
         frames_delayed,
-        /// Timed `recv` polls that expired without a frame: a full sink
-        /// polled, or an awaited owner's deadline met. Zero on an idle
-        /// worker — idleness blocks, it doesn't spin.
+        /// The thread driver's timed waits that expired without a
+        /// packet: a full sink polled, or an awaited owner's deadline
+        /// met. Zero on an idle worker — idleness blocks, it doesn't
+        /// spin. The machine never touches it.
         wakeups,
         /// Region frames (`RegionQuery`/`RegionDone`) among `frames_sent`.
         /// Each counts **once** in the frame ledger no matter how many
@@ -228,7 +234,7 @@ impl WorkerStats {
     }
 }
 
-/// Why a worker's event loop returned.
+/// Why a worker stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExitCause {
     /// Processed `Shutdown` and flushed everything.
@@ -237,20 +243,21 @@ pub enum ExitCause {
     Crashed,
 }
 
-/// A worker's parting message to its supervisor. The inbox `Receiver`
-/// rides along so the channel never disconnects: a respawned worker
-/// resumes the same address, and peers' sends keep landing.
-#[derive(Debug)]
-pub struct WorkerExit {
-    /// Clean shutdown or crash-stop.
-    pub cause: ExitCause,
-    /// The incarnation's lifetime counters.
-    pub stats: WorkerStats,
-    /// The still-open inbox, for respawn or draining.
-    pub inbox: Receiver<Vec<u8>>,
+/// What [`NodeMachine::receive`] tells its driver to do next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep feeding packets.
+    Continue,
+    /// The packet held `Shutdown`: the window is closed. Offer the
+    /// lanes until nothing is pending, then [`NodeMachine::exit`] with
+    /// [`ExitCause::Clean`].
+    Leaving,
+    /// A scheduled crash point fired: [`NodeMachine::exit`] with
+    /// [`ExitCause::Crashed`] — whatever is on a lane dies with it.
+    Crashed,
 }
 
-/// Everything a worker needs besides its fabric and inbox.
+/// Everything a worker needs besides its fabric.
 #[derive(Debug)]
 pub struct WorkerContext {
     /// The worker's global shard index.
@@ -266,33 +273,6 @@ pub struct WorkerContext {
     /// `true` when respawning after a crash: query frames park until
     /// the supervisor's `RepairDone` arrives.
     pub repairing: bool,
-}
-
-/// Runs one worker to completion on the calling thread. The fabric's
-/// lanes decide where frames physically go; the loop is identical
-/// across deployments.
-pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) -> WorkerExit {
-    let endpoints = fabric.endpoints();
-    let worker = Worker {
-        index: ctx.index,
-        shape: ctx.shape,
-        hasher: ctx.hasher,
-        shards: ctx.shards,
-        tables: HashMap::new(),
-        interner: KeywordInterner::new(),
-        fabric,
-        stash: vec![Vec::new(); endpoints],
-        queries: HashMap::new(),
-        cache: FifoCache::new(RESULT_CACHE_SLOTS),
-        heard: vec![0; endpoints - 1],
-        injector: ctx.injector,
-        repair: ctx.repairing.then(Vec::new),
-        stats: WorkerStats {
-            worker: ctx.index,
-            ..WorkerStats::default()
-        },
-    };
-    worker.run(inbox)
 }
 
 /// In-progress superset query on its coordinator worker: the
@@ -336,8 +316,8 @@ struct Awaited {
     owner: u32,
     /// `RegionQuery` transmissions sent to it so far.
     sent: u32,
-    /// When the latest of them counts as lost.
-    deadline: Instant,
+    /// When the latest of them counts as lost, on the driver's clock.
+    deadline: Duration,
     answer: Staged,
 }
 
@@ -454,9 +434,13 @@ fn region_done_frames(
     }
 }
 
-/// One shard-owning thread. Fabric endpoints `0..W` address fellow
-/// workers, endpoint `W` the client.
-struct Worker {
+/// One shard-owning worker: tables, result cache, parked traversals,
+/// repair backlog, counters, and the [`Fabric`] its frames leave on —
+/// encoded once, in place, onto the destination's lane, so whoever
+/// holds the lanes' far ends is its driver. Fabric endpoints `0..W`
+/// address fellow workers, endpoint `W` the client.
+#[derive(Debug)]
+pub struct NodeMachine {
     index: u32,
     shape: Shape,
     hasher: KeywordHasher,
@@ -464,6 +448,8 @@ struct Worker {
     tables: HashMap<u64, PostingStore>,
     interner: KeywordInterner,
     fabric: Fabric,
+    /// The driver's clock at the call being served.
+    now: Duration,
     /// Injector-delayed frames, per destination; released behind the
     /// next same-destination send.
     stash: Vec<Vec<WireMsg>>,
@@ -483,158 +469,139 @@ struct Worker {
     stats: WorkerStats,
 }
 
-impl Worker {
+impl NodeMachine {
+    /// A worker with empty tables whose frames leave on `fabric`.
+    pub fn new(ctx: WorkerContext, fabric: Fabric) -> NodeMachine {
+        let endpoints = fabric.endpoints();
+        NodeMachine {
+            index: ctx.index,
+            shape: ctx.shape,
+            hasher: ctx.hasher,
+            shards: ctx.shards,
+            tables: HashMap::new(),
+            interner: KeywordInterner::new(),
+            fabric,
+            now: Duration::ZERO,
+            stash: vec![Vec::new(); endpoints],
+            queries: HashMap::new(),
+            cache: FifoCache::new(RESULT_CACHE_SLOTS),
+            heard: vec![0; endpoints - 1],
+            injector: ctx.injector,
+            repair: ctx.repairing.then(Vec::new),
+            stats: WorkerStats {
+                worker: ctx.index,
+                ..WorkerStats::default()
+            },
+        }
+    }
+
     fn client_slot(&self) -> usize {
         self.fabric.endpoints() - 1
     }
 
-    fn run(mut self, inbox: Receiver<Vec<u8>>) -> WorkerExit {
-        let mut shutting_down = false;
-        loop {
-            self.expire_deadlines();
-            // The turn's one offer waits for the inbox's answer, because
-            // that decides whether the batching window is still open:
-            // drain without waiting while more inbound work is
-            // immediately available (outbound frames keep batching).
-            // Otherwise the worker is about to wait, and any wait is a
-            // window close: no lane's packet can grow further, so every
-            // lane is offered. On the way out the window is closed and
-            // the inbox is not consulted until the lanes are empty.
-            let polled = if shutting_down {
-                Err(TryRecvError::Empty)
-            } else {
-                inbox.try_recv()
-            };
-            let idle = matches!(polled, Err(TryRecvError::Empty));
-            self.fabric.offer(idle);
-            if shutting_down && self.fabric.pending() == 0 {
+    /// The lanes, for the driver to offer once a turn (and to recycle
+    /// a consumed packet's buffer into).
+    pub fn fabric(&mut self) -> &mut Fabric {
+        &mut self.fabric
+    }
+
+    /// Takes one inbound packet in at time `now`: splits it, and
+    /// decodes, counts and handles every frame. A packet may coalesce
+    /// several frames; every one is a logical receive.
+    pub fn receive(&mut self, now: Duration, packet: &[u8]) -> Flow {
+        self.now = now;
+        let mut flow = Flow::Continue;
+        let mut rest = packet;
+        while !rest.is_empty() {
+            // The bytes may have come off a socket: what does not
+            // split or decode is counted and skipped — a remainder
+            // that cannot be split, once.
+            let Ok((frame, tail)) = take_frame(rest) else {
+                self.stats.frames_undecodable += 1;
                 break;
-            }
-            // Pick the cheapest wait that can't stall anything: poll
-            // while a full sink still has frames parked on its lane
-            // (on the way out that is the only case left, so a worker
-            // shutting down never blocks), sleep until the earliest
-            // deadline while a traversal is parked, and block outright
-            // when idle (zero wakeups, zero CPU).
-            let recv = match polled {
-                Ok(packet) => Ok(packet),
-                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if self.fabric.pending() > 0 {
-                        inbox.recv_timeout(Duration::from_millis(1))
-                    } else if let Some(deadline) = self.next_deadline() {
-                        let wait = deadline.saturating_duration_since(Instant::now());
-                        if wait.is_zero() {
-                            continue;
-                        }
-                        inbox.recv_timeout(wait)
-                    } else {
-                        inbox.recv().map_err(|_| RecvTimeoutError::Disconnected)
-                    }
-                }
             };
-            let packet = match recv {
-                Ok(packet) => packet,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.stats.wakeups += 1;
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
+            rest = tail;
+            let Ok(msg) = WireMsg::decode_exact(frame) else {
+                self.stats.frames_undecodable += 1;
+                continue;
             };
-            // A packet may coalesce several frames; every one is a
-            // logical receive.
-            let mut rest: &[u8] = &packet;
-            while !rest.is_empty() {
-                // The bytes may have come off a socket: what does not
-                // split or decode is counted and skipped — a remainder
-                // that cannot be split, once.
-                let Ok((frame, tail)) = take_frame(rest) else {
-                    self.stats.frames_undecodable += 1;
-                    break;
-                };
-                rest = tail;
-                let Ok(msg) = WireMsg::decode_exact(frame) else {
-                    self.stats.frames_undecodable += 1;
-                    continue;
-                };
-                self.stats.frames_received += 1;
-                if matches!(msg, WireMsg::Shutdown) {
-                    shutting_down = true;
-                    // Delayed frames still stashed will never be
-                    // released; account them as dropped so conservation
-                    // closes.
-                    self.abandon_stash();
-                    continue;
-                }
-                if self.is_query_path(&msg)
-                    && self
-                        .injector
-                        .as_mut()
-                        .is_some_and(FaultInjector::should_crash)
-                {
-                    // Frames packed behind the crash trigger die with
-                    // the worker, exactly like bytes buffered in a
-                    // killed process.
-                    self.stats.frames_dropped += count_frames(rest);
-                    return self.crash(inbox);
-                }
-                if let Some(parked) = self.repair.as_mut() {
-                    match msg {
-                        // Another worker's release is not this one's.
-                        WireMsg::RepairDone { worker } if worker != self.index => {
-                            self.stats.frames_misrouted += 1;
-                        }
-                        WireMsg::RepairDone { .. } => {
-                            let backlog = self.repair.take().expect("repair mode");
-                            for parked_msg in backlog {
-                                self.handle(parked_msg);
-                            }
-                        }
-                        // Load frames restore state — exactly what
-                        // repair is replaying — and are idempotent;
-                        // apply them.
-                        WireMsg::Insert { .. } | WireMsg::Handoff { .. } => self.handle(msg),
-                        other => parked.push(other),
-                    }
-                    continue;
-                }
-                self.handle(msg);
+            self.stats.frames_received += 1;
+            if matches!(msg, WireMsg::Shutdown) {
+                flow = Flow::Leaving;
+                // Delayed frames still stashed will never be
+                // released; account them as dropped so conservation
+                // closes.
+                self.abandon_stash();
+                continue;
             }
-            self.fabric.recycle(packet);
+            if self.is_query_path(&msg)
+                && self
+                    .injector
+                    .as_mut()
+                    .is_some_and(FaultInjector::should_crash)
+            {
+                // Frames packed behind the crash trigger die with
+                // the worker, exactly like bytes buffered in a
+                // killed process.
+                self.stats.frames_dropped += count_frames(rest);
+                return Flow::Crashed;
+            }
+            if let Some(parked) = self.repair.as_mut() {
+                match msg {
+                    // Another worker's release is not this one's.
+                    WireMsg::RepairDone { worker } if worker != self.index => {
+                        self.stats.frames_misrouted += 1;
+                    }
+                    WireMsg::RepairDone { .. } => {
+                        let backlog = self.repair.take().expect("repair mode");
+                        for parked_msg in backlog {
+                            self.handle(parked_msg);
+                        }
+                    }
+                    // Load frames restore state — exactly what
+                    // repair is replaying — and are idempotent;
+                    // apply them.
+                    WireMsg::Insert { .. } | WireMsg::Handoff { .. } => self.handle(msg),
+                    other => parked.push(other),
+                }
+                continue;
+            }
+            self.handle(msg);
         }
-        self.abandon_stash();
-        WorkerExit {
-            cause: ExitCause::Clean,
-            stats: self.final_stats(),
-            inbox,
-        }
+        flow
     }
 
-    /// The incarnation's counters, the cache's and the fabric's folded
-    /// in.
-    fn final_stats(mut self) -> WorkerStats {
-        self.stats.backpressure_hits += self.fabric.backpressure_hits();
-        self.stats.frames_dropped += self.fabric.frames_dropped();
+    /// The traversals parked on an awaited owner.
+    pub fn parked(&self) -> u64 {
+        self.queries.len() as u64
+    }
+
+    /// The counters so far, the cache's and the fabric's folded in.
+    pub fn stats(&self) -> WorkerStats {
+        let mut stats = self.stats.clone();
+        stats.backpressure_hits += self.fabric.backpressure_hits();
+        stats.frames_dropped += self.fabric.frames_dropped();
         let cache = self.cache.counters();
-        self.stats.cache_hits = cache.hits;
-        self.stats.cache_misses = cache.misses;
-        self.stats.cache_coalesced = cache.coalesced;
-        self.stats.cache_stale = cache.stale;
-        self.stats.cache_evictions = cache.evictions;
-        self.stats
+        stats.cache_hits = cache.hits;
+        stats.cache_misses = cache.misses;
+        stats.cache_coalesced = cache.coalesced;
+        stats.cache_stale = cache.stale;
+        stats.cache_evictions = cache.evictions;
+        stats
     }
 
-    /// Crash-stop: everything in memory is lost. Frames still on a
-    /// lane or in the delay stash were promised to the network but
-    /// will never leave — count them dropped so conservation closes.
-    fn crash(mut self, inbox: Receiver<Vec<u8>>) -> WorkerExit {
+    /// Ends the incarnation and returns its lifetime counters. Frames
+    /// in the delay stash — and, in a crash, still on a lane — were
+    /// promised to the network but will never leave: they are counted
+    /// dropped so conservation closes. So is every traversal still
+    /// parked: nobody will answer it now.
+    pub fn exit(mut self, cause: ExitCause) -> WorkerStats {
         self.abandon_stash();
-        self.stats.frames_dropped += self.fabric.pending();
-        WorkerExit {
-            cause: ExitCause::Crashed,
-            stats: self.final_stats(),
-            inbox,
+        if cause == ExitCause::Crashed {
+            self.stats.frames_dropped += self.fabric.pending();
         }
+        self.stats.queries_abandoned += self.parked();
+        self.stats()
     }
 
     /// Frames that count toward a crash point: the traversal and
@@ -730,6 +697,12 @@ impl Worker {
                 coord,
                 attempt,
             } => {
+                // The answer goes to `coord`, which came off the wire:
+                // only another worker coordinates.
+                if coord == self.index || coord as usize >= self.client_slot() {
+                    self.stats.frames_misrouted += 1;
+                    return;
+                }
                 let root = self.hasher.vertex_for(&keywords);
                 let epoch = self.cache.generation();
                 let groups = self
@@ -816,7 +789,7 @@ impl Worker {
             | WireMsg::FtQueryDone { .. }
             | WireMsg::PinResults { .. }
             | WireMsg::FlushAck { .. } => self.stats.frames_misrouted += 1,
-            WireMsg::Shutdown => unreachable!("intercepted by the event loop"),
+            WireMsg::Shutdown => unreachable!("intercepted by `receive`"),
         }
     }
 
@@ -1027,6 +1000,14 @@ impl Worker {
         marks: Vec<u64>,
         ft: Option<FtPolicy>,
     ) {
+        // An id that names a traversal still parked here is a repeat of
+        // its request or another sender's id colliding with it: either
+        // way not a second traversal under the one name the first's
+        // answers, waiters and cache reservation go by.
+        if self.queries.contains_key(&query_id) {
+            self.stats.frames_misrouted += 1;
+            return;
+        }
         let heard = &self.heard;
         let slot = ft.is_none()
             && match self.cache.claim(&keywords, threshold, query_id, |remote| {
@@ -1114,16 +1095,16 @@ impl Worker {
         state.awaiting.push(Awaited {
             owner,
             sent: attempt.saturating_add(1),
-            // The timeout came off the wire: 49 days is as good as
-            // forever and cannot overflow the clock.
-            deadline: Instant::now() + Duration::from_millis(wait.min(u32::MAX.into())),
+            // The timeout came off the wire: far enough is forever.
+            deadline: self.now.saturating_add(Duration::from_millis(wait)),
             answer,
         });
     }
 
     /// The earliest deadline among the parked traversals' awaited
-    /// owners: the one timer a worker waits on.
-    fn next_deadline(&self) -> Option<Instant> {
+    /// owners: the one timer a worker waits on. Its driver calls
+    /// [`NodeMachine::tick`] no later than this.
+    pub fn next_deadline(&self) -> Option<Duration> {
         self.queries
             .values()
             .flat_map(|q| &q.awaiting)
@@ -1137,17 +1118,16 @@ impl Worker {
     /// regions are the skipped vertices of an `FtQuery`, which ends
     /// once nobody is awaited; a plain query ends there and then,
     /// unanswered — a short answer must never pass for the whole one.
-    fn expire_deadlines(&mut self) {
-        if self.queries.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let due: Vec<u64> = self
+    pub fn tick(&mut self, now: Duration) {
+        self.now = now;
+        let mut due: Vec<u64> = self
             .queries
             .iter()
             .filter(|(_, q)| q.awaiting.iter().any(|a| a.deadline <= now))
             .map(|(&query_id, _)| query_id)
             .collect();
+        // In id order, so one input schedule is one output schedule.
+        due.sort_unstable();
         for query_id in due {
             let mut state = self.queries.remove(&query_id).expect("listed above");
             let (expired, awaiting): (Vec<_>, Vec<_>) = std::mem::take(&mut state.awaiting)
@@ -1180,8 +1160,8 @@ impl Worker {
 
     /// Encodes one frame onto `dest`'s lane, rolling its fate when the
     /// fault injector covers it (worker→worker traversal frames only).
-    /// The lane is offered at the next loop turn, which is what lets
-    /// every frame emitted while handling one packet travel as a
+    /// The driver offers the lane at the end of the turn, which is what
+    /// lets every frame emitted while handling one packet travel as a
     /// single fabric operation per destination.
     fn send(&mut self, dest: usize, msg: &WireMsg) {
         self.stats.frames_sent += 1;
@@ -1361,49 +1341,5 @@ mod tests {
         assert_eq!(staged.groups, groups);
         // Nothing to say is still one frame: the coordinator waits for it.
         assert_eq!(region_done_frames(7, 1, 42, 0, Vec::new(), room).len(), 1);
-    }
-
-    /// A worker shutting down with a frame parked on a capacity-1 sink
-    /// that flaps between full and free: whichever of its offers the
-    /// free slot meets, the worker must hand the frame over exactly
-    /// once and exit — a blocking wait here would never be woken (the
-    /// supervisor holds the inbox open).
-    #[test]
-    fn a_worker_leaves_through_a_sink_that_flaps_between_full_and_free() {
-        let filler = WireMsg::Flush { token: 0 }.encode();
-        for round in 1..=256 {
-            let (client_tx, client) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
-            let (inbox_tx, inbox) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
-            client_tx.try_send(filler.clone()).unwrap();
-            // One packet, so one turn: the ack parks on the full lane
-            // and the worker is on its way out.
-            let mut packet = WireMsg::Flush { token: round }.encode();
-            packet.extend(WireMsg::Shutdown.encode());
-            inbox_tx.send(packet).unwrap();
-            let ctx = WorkerContext {
-                index: 0,
-                shape: Shape::new(8).unwrap(),
-                hasher: KeywordHasher::new(8, 42).unwrap(),
-                shards: ShardMap::new(8, 1, 42),
-                injector: None,
-                repairing: false,
-            };
-            let links = vec![None, Some(client_tx.clone())];
-            let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
-            let deadline = Instant::now() + Duration::from_secs(5);
-            let mut acks = 0;
-            while !worker.is_finished() {
-                assert!(
-                    Instant::now() < deadline,
-                    "round {round}: blocked on the way out"
-                );
-                acks += client.try_recv().is_ok_and(|p| p != filler) as u32;
-                let _ = client_tx.try_send(filler.clone());
-            }
-            acks += client.try_iter().filter(|p| *p != filler).count() as u32;
-            let exit = worker.join().unwrap();
-            assert_eq!(exit.cause, ExitCause::Clean);
-            assert_eq!((acks, exit.stats.frames_dropped), (1, 0), "round {round}");
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! and how many frames each operation ships.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::{ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, WireMsg};
@@ -17,8 +17,10 @@ const WORKERS: u32 = 4;
 /// A scripted in-memory link: no sockets, no threads. `answer`
 /// decides, per shipped frame, which replies land in the inbox (and
 /// in what order). An empty inbox means nobody is going to answer:
-/// `recv` sleeps out the caller's deadline and reports it missed.
+/// `recv` sets its clock, which is virtual, to the caller's deadline and
+/// reports it missed.
 struct FakeLink {
+    now: Duration,
     queued: Vec<(u32, WireMsg)>,
     /// Everything ever shipped, in ship order.
     shipped: Vec<(u32, WireMsg)>,
@@ -44,16 +46,19 @@ impl ClientLink for FakeLink {
         Ok(())
     }
 
+    fn now(&self) -> Duration {
+        self.now
+    }
+
     fn recv(
         &mut self,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
         _awaiting: Option<u32>,
     ) -> Result<Option<WireMsg>, Error> {
         if let Some(msg) = self.inbox.pop_front() {
             return Ok(Some(msg));
         }
-        let deadline = deadline.expect("a wait nobody will answer needs a deadline");
-        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        self.now = deadline.expect("a wait nobody will answer needs a deadline");
         Ok(None)
     }
 }
@@ -62,6 +67,7 @@ fn client(
     answer: impl FnMut(&[(u32, WireMsg)], &mut VecDeque<WireMsg>) + 'static,
 ) -> ClientCore<FakeLink> {
     let link = FakeLink {
+        now: Duration::ZERO,
         queued: Vec::new(),
         shipped: Vec::new(),
         bursts: Vec::new(),

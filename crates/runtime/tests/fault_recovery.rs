@@ -7,18 +7,23 @@
 //! per-owner deadlines, for fault-tolerant and plain queries alike (a
 //! plain query that loses an owner for good is dropped, never answered
 //! short); and graded fault parity holds across a worker-count ×
-//! fault-mode matrix, with frame conservation on every shutdown.
+//! fault-mode matrix, with frame conservation on every shutdown. The
+//! matrix runs on real threads — respawn, replay and drain are the
+//! supervisor's — and the one case that is purely the machine's, a
+//! plain query sitting out its whole retry budget, on the mesh
+//! (`mesh/mod.rs`), where fifteen seconds cost nothing.
 
-use std::sync::mpsc::sync_channel;
+mod mesh;
+
 use std::time::Duration;
 
 use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
-use hyperdex_hypercube::Shape;
 use hyperdex_runtime::{
-    assert_fault_parity, run_worker, Fabric, FaultInjector, FaultPlan, FtSearchOptions,
-    NodeRuntime, RuntimeConfig, WireMsg, WorkerContext,
+    assert_fault_parity, FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig, WireMsg,
 };
+use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig};
+use mesh::{Mesh, MeshRuntime};
 
 const R: u8 = 8;
 const SEED: u64 = 42;
@@ -99,7 +104,10 @@ fn payload(rt: &mut NodeRuntime, opts: &FtSearchOptions) -> Vec<(u64, u32)> {
 
 /// Generous retry budget: with the fixed seeds below, every vertex is
 /// recovered and faulted runs must reproduce the unfaulted payload
-/// exactly.
+/// exactly. The client's patience is many short attempts rather than
+/// few long ones: a query whose coordinator is the crash victim dies
+/// with it, and on threads the first attempt's deadline is real time
+/// the matrix sits out six times over.
 fn recovering_opts() -> FtSearchOptions {
     FtSearchOptions {
         policy: FtPolicy {
@@ -107,8 +115,8 @@ fn recovering_opts() -> FtSearchOptions {
             max_retries: 5,
             base_timeout: 20,
         },
-        attempt_timeout_ms: 1_500,
-        attempts: 3,
+        attempt_timeout_ms: 250,
+        attempts: 16,
     }
 }
 
@@ -129,18 +137,6 @@ fn faulted_runs_reproduce_the_unfaulted_payload_byte_for_byte() {
                 got, truth,
                 "mode={mode} workers={workers}: faulted payload diverged"
             );
-            // A plain query rides the same lossy wires (the crash is
-            // spent): whole answers only, so the same payload.
-            if mode.contains("loss") {
-                let mut plain: Vec<(u64, u32)> = faulted
-                    .superset_search(&set("a"), usize::MAX - 1)
-                    .unwrap()
-                    .iter()
-                    .map(|m| (m.object.raw(), m.extra_keywords))
-                    .collect();
-                plain.sort_unstable();
-                assert_eq!(plain, truth, "mode={mode} workers={workers}: plain query");
-            }
             let report = faulted.shutdown();
             report.assert_conserved();
             if mode.contains("crash") {
@@ -149,6 +145,64 @@ fn faulted_runs_reproduce_the_unfaulted_payload_byte_for_byte() {
                     report.supervisor.replayed_frames > 0,
                     "mode={mode}: crash of a data-owning worker must replay state"
                 );
+            }
+        }
+    }
+}
+
+/// The same matrix on the mesh, where a lost frame's one-second
+/// deadline is virtual: the fault-tolerant payload again, and a plain
+/// query over the same lossy wires (the crash is spent) — whole answers
+/// only, so the same payload.
+#[test]
+fn faulted_plain_and_ft_queries_reproduce_the_unfaulted_payload_on_the_mesh() {
+    let opts = recovering_opts();
+    let payloads = |workers, plan: FaultPlan| {
+        let mut rt = MeshRuntime::start_faulted(R, workers, SEED, plan);
+        for &(id, kws) in CORPUS {
+            rt.insert(ObjectId::from_raw(id), set(kws)).unwrap();
+        }
+        rt.flush();
+        let out = rt
+            .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
+            .unwrap();
+        assert!(out.complete, "{:?}", out.coverage);
+        let sorted = |mut pairs: Vec<(u64, u32)>| {
+            pairs.sort_unstable();
+            pairs
+        };
+        let ft = sorted(
+            out.matches
+                .iter()
+                .map(|m| (m.object.raw(), m.extra_keywords))
+                .collect(),
+        );
+        let plain = sorted(
+            rt.superset_search(&set("a"), usize::MAX - 1)
+                .unwrap()
+                .iter()
+                .map(|m| (m.object.raw(), m.extra_keywords))
+                .collect(),
+        );
+        let report = rt.shutdown();
+        report.assert_conserved();
+        (ft, plain, report)
+    };
+    for workers in WORKER_COUNTS {
+        let (truth, plain, _) = payloads(workers, FaultPlan::default());
+        assert!(!truth.is_empty());
+        assert_eq!(plain, truth);
+        for mode in FAULT_MODES {
+            let victim = data_owning_worker(workers);
+            let (got, plain, report) = payloads(workers, plan_for(mode, 0xFA17, victim));
+            assert_eq!(
+                got, truth,
+                "mode={mode} workers={workers}: faulted payload diverged"
+            );
+            assert_eq!(plain, truth, "mode={mode} workers={workers}: plain query");
+            if mode.contains("crash") {
+                assert_eq!(report.supervisor.respawns, 1, "mode={mode}");
+                assert!(report.supervisor.replayed_frames > 0, "mode={mode}");
             }
         }
     }
@@ -235,41 +289,37 @@ fn duplicate_handoff_frames_are_idempotent() {
 fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
     // Worker 0 of a two-worker cluster under total loss, the test as
     // its client: every `RegionQuery` it sends worker 1 is dropped.
-    let hasher = KeywordHasher::new(R, SEED).unwrap();
-    let shards = RuntimeConfig::new(R, 2).seed(SEED).shard_map();
-    let (inbox_tx, inbox) = sync_channel::<Vec<u8>>(64);
-    let (peer_tx, peer) = sync_channel::<Vec<u8>>(64);
-    let (client_tx, client) = sync_channel::<Vec<u8>>(64);
-    let ctx = WorkerContext {
-        index: 0,
-        shape: Shape::new(R).unwrap(),
-        hasher,
-        shards,
-        injector: Some(FaultInjector::new(FaultPlan::lossy(7, 1000, 0, 0), 0)),
-        repairing: false,
-    };
-    let links = vec![None, Some(peer_tx), Some(client_tx)];
-    let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
+    let cfg = RuntimeConfig::new(R, 2).seed(SEED);
+    let plan = FaultPlan::lossy(7, 1000, 0, 0);
+    let mut mesh = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), SEED);
     // A one-word query: its subcube spans both workers' halves.
-    let ask = |query_id| {
+    let ask = |mesh: &mut Mesh, query_id| {
         let query = WireMsg::Query {
             query_id,
             keywords: set("a"),
             threshold: u64::MAX - 1,
         };
-        inbox_tx.send(query.encode()).unwrap();
+        mesh.send(0, &query);
     };
     // The first sighting walks and keeps nothing; the second reserves
     // the cache slot. Both park on worker 1, and stay parked through
     // the whole budget: four transmissions, 1 s doubling.
-    ask(1);
-    ask(2);
-    std::thread::sleep(Duration::from_secs(1 + 2 + 4 + 8 + 1));
+    ask(&mut mesh, 1);
+    ask(&mut mesh, 2);
+    mesh.deliver();
+    let asked = mesh.now();
+    mesh.settle();
+    let gave_up = mesh.now() - asked;
+    let budget = Duration::from_secs(1 + 2 + 4 + 8);
+    assert!(
+        (budget..budget + Duration::from_millis(10)).contains(&gave_up),
+        "{gave_up:?}"
+    );
     // Had query 2's reservation outlived it, query 3 would wait for a
     // traversal that is gone; it leads its own walk instead.
-    ask(3);
-    inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
-    let stats = worker.join().unwrap().stats;
+    ask(&mut mesh, 3);
+    mesh.deliver();
+    let stats = mesh.stats(0);
     assert_eq!(stats.queries_abandoned, 2, "{stats:?}");
     assert_eq!(
         (stats.cache_misses, stats.cache_coalesced, stats.cache_stale),
@@ -280,5 +330,9 @@ fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
     // third: nothing reached worker 1, nothing was said to the client.
     assert_eq!((stats.batch_frames_sent, stats.frames_dropped), (9, 9));
     assert_eq!(stats.frames_sent, 9, "{stats:?}");
-    assert!(peer.try_recv().is_err() && client.try_recv().is_err());
+    assert!(mesh.stats(1).frames_received == 0 && mesh.replies().is_empty());
+    // Query 3 is still parked when its worker is told to go: counted.
+    let report = mesh.shutdown();
+    report.assert_conserved();
+    assert_eq!(report.workers[0].queries_abandoned, 3);
 }

@@ -6,6 +6,8 @@
 //! `ProtocolSim` at r ∈ {8, 12} across at least three worker counts,
 //! with frame conservation holding on every shutdown.
 
+mod mesh;
+
 use std::collections::BTreeSet;
 
 use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId};
@@ -13,6 +15,7 @@ use hyperdex_runtime::{
     assert_sim_parity, FtSearchOptions, NodeRuntime, Request, RuntimeConfig, RuntimeMatch,
 };
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
+use mesh::MeshRuntime;
 
 /// Worker counts under test.
 const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -135,15 +138,10 @@ fn scan_frames(
     total_sent(scans) - total_sent(&[])
 }
 
-#[test]
-fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
-    // `Query`/`QueryDone` (or `FtQuery`/`FtQueryDone`), and one
-    // `RegionQuery`/`RegionDone` pair for every worker other than the
-    // coordinator (the root's owner) that owns a vertex of the query's
-    // subcube — unless the root alone fills the threshold, which ends
-    // the query before anyone is asked.
+/// A corpus at r = 8, seed 42, and the never-repeating scans of it:
+/// the suites' exhaustive queries and one that settles at its root.
+fn scan_mix() -> (Vec<(ObjectId, KeywordSet)>, Vec<Request>) {
     let (corpus, queries) = workload(42, 4_000);
-    let hasher = KeywordHasher::new(8, 42).expect("valid r");
     let mut scans: Vec<Request> = queries
         .into_iter()
         .filter(|(_, threshold)| *threshold == usize::MAX - 1)
@@ -163,32 +161,47 @@ fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
         threshold: usize::MAX - 1,
     }));
     scans.push(settled_at_the_root);
+    (corpus, scans)
+}
 
+/// `Query`/`QueryDone` (or `FtQuery`/`FtQueryDone`), and one
+/// `RegionQuery`/`RegionDone` pair for every worker other than the
+/// coordinator (the root's owner) that owns a vertex of the query's
+/// subcube — unless the root alone fills the threshold, which ends
+/// the query before anyone is asked.
+fn expected_frames(workers: u32, scans: &[Request]) -> u64 {
+    let hasher = KeywordHasher::new(8, 42).expect("valid r");
+    let shards = RuntimeConfig::new(8, workers).seed(42).shard_map();
+    scans
+        .iter()
+        .map(|scan| {
+            let Request::Superset {
+                keywords,
+                threshold,
+            } = scan
+            else {
+                unreachable!("only supersets were built");
+            };
+            if *threshold == 1 {
+                return 2;
+            }
+            let root = hasher.vertex_for(keywords);
+            let owners: BTreeSet<u32> = root
+                .subcube()
+                .iter()
+                .map(|v| shards.owner_of(v.bits()))
+                .collect();
+            assert!(owners.contains(&shards.owner_of(root.bits())));
+            2 + 2 * (owners.len() as u64 - 1)
+        })
+        .sum()
+}
+
+#[test]
+fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
+    let (corpus, scans) = scan_mix();
     for workers in [1, 2, 3, 4, 8] {
-        let shards = RuntimeConfig::new(8, workers).seed(42).shard_map();
-        let expected: u64 = scans
-            .iter()
-            .map(|scan| {
-                let Request::Superset {
-                    keywords,
-                    threshold,
-                } = scan
-                else {
-                    unreachable!("only supersets were built");
-                };
-                if *threshold == 1 {
-                    return 2;
-                }
-                let root = hasher.vertex_for(keywords);
-                let owners: BTreeSet<u32> = root
-                    .subcube()
-                    .iter()
-                    .map(|v| shards.owner_of(v.bits()))
-                    .collect();
-                assert!(owners.contains(&shards.owner_of(root.bits())));
-                2 + 2 * (owners.len() as u64 - 1)
-            })
-            .sum();
+        let expected = expected_frames(workers, &scans);
         let frames = scan_frames(workers, &corpus, &scans, false);
         assert_eq!(frames, expected, "{workers} workers");
         assert_eq!(
@@ -202,6 +215,37 @@ fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
             2 * expected,
             "{workers} workers, plain + FT"
         );
+    }
+}
+
+/// The same law with no thread in sight: the production client over
+/// the mesh, whose latencies permute the order across lanes. The counts
+/// are pinned too — they are what `benchmark/`'s `frames_per_op` is
+/// made of.
+#[test]
+fn an_uncached_query_costs_the_same_frames_on_the_mesh() {
+    let (corpus, scans) = scan_mix();
+    let total_sent = |workers, requests: &[Request]| {
+        let mut rt = MeshRuntime::start(8, workers, 42);
+        rt.bulk_load(corpus.iter().map(|(id, k)| (*id, k)))
+            .expect("non-empty sets");
+        rt.flush();
+        rt.run_batch(requests, 32).expect("nothing is lost");
+        let report = rt.shutdown();
+        report.assert_conserved();
+        assert_eq!(report.cache().hit_ratio(), 0.0);
+        report.total_sent()
+    };
+    for (workers, pinned) in [(1, 16), (2, 28), (3, 36), (4, 46), (8, 92)] {
+        let frames = total_sent(workers, &scans) - total_sent(workers, &[]);
+        assert_eq!(
+            frames,
+            expected_frames(workers, &scans),
+            "{workers} workers"
+        );
+        // The eight exhaustive scans, and two frames for the one that
+        // settles at its root.
+        assert_eq!(frames, pinned + 2, "{workers} workers");
     }
 }
 

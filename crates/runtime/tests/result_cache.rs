@@ -1,37 +1,44 @@
-//! The serving-path result cache, from the outside.
+//! The serving-path result cache, from the outside — and, because it
+//! holds the one model of what a cluster owes its client, the seeded
+//! schedule suite of the whole worker machine.
 //!
-//! * A property test: random interleavings of writes, flushes, single
-//!   searches and pipelined batches with duplicated queries, every
-//!   answer compared with a `HypercubeIndex` oracle that never caches.
+//! * Coherence: seeded scripts of writes, flushes, pins, single
+//!   searches, fault-tolerant searches and pipelined batches with
+//!   duplicated queries, every answer compared with a `HypercubeIndex`
+//!   oracle that never caches. The model is generic over the cluster:
+//!   thousands of fault schedules run on the deterministic mesh
+//!   (`mesh/mod.rs` — drop, duplicate, delay and crash plans, five
+//!   worker counts, two dimensions, latencies that permute the order
+//!   across lanes), where every quiescent point also balances the frame
+//!   ledger and has no traversal parked; a handful of fault-free scripts
+//!   run on real worker threads as the transport smoke.
 //! * Determinism: the same request list gives the same frame count and
 //!   the same cache decisions on every run, and the cluster admits a
-//!   repeated query once — on its root's owner — not once per worker.
-//! * Two real workers with the test standing in for the wire between
-//!   them (and for the client), so the interleavings the epoch rules
-//!   exist for can be forced frame by frame: a repeat answered with no
-//!   traversal frame, a flushed write made visible by the request's
-//!   marks, a waiter whose marks the finished traversal cannot
-//!   satisfy, a traversal whose answer the fault plan lost and one it
-//!   duplicated, an answer that arrives in several frames and one that
-//!   arrives with a frame missing, a query sent to a worker that does
-//!   not own its root, a respawned worker's epoch.
+//!   repeated query once — on its root's owner — not once per worker;
+//!   on the mesh one seed is one byte-identical packet trace.
+//! * Two worker machines on the mesh with a lane held, so the
+//!   interleavings the epoch rules exist for are forced frame by frame:
+//!   a repeat answered with no traversal frame, a flushed write made
+//!   visible by the request's marks, a waiter whose marks the finished
+//!   traversal cannot satisfy, a traversal whose answer the wire lost
+//!   and one it duplicated, an answer that arrives in several frames
+//!   and one that arrives with a frame missing, a query sent to a worker
+//!   that does not own its root, a respawned worker's epoch.
 //! * A worker crash between two cached answers.
 //! * An answer too long to keep.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+mod mesh;
 
-use hyperdex_core::{HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
-use hyperdex_hypercube::Shape;
+use std::collections::{BTreeSet, HashMap};
+
+use hyperdex_core::{Error, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex_runtime::{
-    run_worker, take_frame, ExitCause, Fabric, Fate, FaultInjector, FaultPlan, FtSearchOptions,
-    NodeRuntime, Request, RuntimeConfig, ShardMap, ShutdownReport, WireMsg, WorkerContext,
-    WorkerExit,
+    BatchResult, FaultPlan, FtSearchOptions, FtSearchOutcome, NodeRuntime, Request, RuntimeConfig,
+    RuntimeMatch, ShardMap, ShutdownReport, WireMsg, WorkerStats,
 };
+use hyperdex_simnet::{LatencyModel, SimRng};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
-use proptest::prelude::*;
+use mesh::{Mesh, MeshRuntime, Trace};
 
 const SEED: u64 = 42;
 
@@ -39,11 +46,11 @@ fn set(s: &str) -> KeywordSet {
     KeywordSet::parse(s).unwrap()
 }
 
-/// Worker counts the first two run at.
+/// Worker counts the thread suites run at.
 const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------
-// Coherence: random interleavings against an uncached oracle
+// Coherence: seeded scripts against an uncached oracle
 // ---------------------------------------------------------------
 
 const WORDS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
@@ -81,31 +88,162 @@ fn oracle_ids(index: &mut HypercubeIndex, keywords: &KeywordSet, threshold: usiz
     out.results.iter().map(|r| r.object.raw()).collect()
 }
 
-/// The runtime's view of the corpus beside the two oracles: `flushed`
-/// holds every write a flush has made visible, `all` every write sent.
-struct Model {
-    rt: NodeRuntime,
-    flushed: HypercubeIndex,
-    all: HypercubeIndex,
-    next_id: u64,
+/// What the model drives: the in-process runtime on worker threads, or
+/// the production client over the mesh.
+trait Cluster {
+    fn insert(&mut self, object: ObjectId, keywords: KeywordSet);
+    fn bulk_load(&mut self, entries: Vec<(ObjectId, &KeywordSet)>);
+    fn flush(&mut self);
+    fn pin(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error>;
+    fn superset(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Result<Vec<RuntimeMatch>, Error>;
+    fn superset_ft(&mut self, keywords: &KeywordSet, threshold: usize) -> FtSearchOutcome;
+    fn batch(&mut self, requests: &[Request], window: usize) -> Result<Vec<BatchResult>, Error>;
+    /// Requests the cluster has given up or lost so far (plain queries
+    /// abandoned, workers respawned): what an unanswered one is
+    /// accounted by.
+    fn unanswered(&self) -> u64;
+    /// Runs everything out and checks what holds at a quiescent point.
+    fn quiesce(&mut self);
+    fn shutdown(self) -> ShutdownReport;
 }
 
-impl Model {
-    fn new(workers: u32) -> Model {
-        let index = HypercubeIndex::new(PROP_R, SEED).unwrap();
+/// Worker threads lose nothing here: every request is answered.
+impl Cluster for NodeRuntime {
+    fn insert(&mut self, object: ObjectId, keywords: KeywordSet) {
+        NodeRuntime::insert(self, object, keywords).unwrap();
+    }
+    fn bulk_load(&mut self, entries: Vec<(ObjectId, &KeywordSet)>) {
+        NodeRuntime::bulk_load(self, entries).unwrap();
+    }
+    fn flush(&mut self) {
+        NodeRuntime::flush(self);
+    }
+    fn pin(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
+        Ok(self.pin_search(keywords))
+    }
+    fn superset(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Result<Vec<RuntimeMatch>, Error> {
+        self.superset_search(keywords, threshold)
+    }
+    fn superset_ft(&mut self, keywords: &KeywordSet, threshold: usize) -> FtSearchOutcome {
+        self.superset_search_ft(keywords, threshold, &FtSearchOptions::default())
+            .unwrap()
+    }
+    fn batch(&mut self, requests: &[Request], window: usize) -> Result<Vec<BatchResult>, Error> {
+        Ok(self.run_batch(requests, window))
+    }
+    fn unanswered(&self) -> u64 {
+        0
+    }
+    fn quiesce(&mut self) {}
+    fn shutdown(self) -> ShutdownReport {
+        NodeRuntime::shutdown(self)
+    }
+}
+
+impl Cluster for MeshRuntime {
+    fn insert(&mut self, object: ObjectId, keywords: KeywordSet) {
+        self.core.insert(object, keywords).unwrap();
+    }
+    fn bulk_load(&mut self, entries: Vec<(ObjectId, &KeywordSet)>) {
+        MeshRuntime::bulk_load(self, entries).unwrap();
+    }
+    fn flush(&mut self) {
+        MeshRuntime::flush(self);
+    }
+    fn pin(&mut self, keywords: &KeywordSet) -> Result<Vec<ObjectId>, Error> {
+        self.core.pin_search(keywords)
+    }
+    fn superset(
+        &mut self,
+        keywords: &KeywordSet,
+        threshold: usize,
+    ) -> Result<Vec<RuntimeMatch>, Error> {
+        self.core.superset_search(keywords, threshold)
+    }
+    fn superset_ft(&mut self, keywords: &KeywordSet, threshold: usize) -> FtSearchOutcome {
+        self.core
+            .superset_search_ft(keywords, threshold, &FtSearchOptions::default())
+            .unwrap()
+    }
+    fn batch(&mut self, requests: &[Request], window: usize) -> Result<Vec<BatchResult>, Error> {
+        self.core.run_batch(requests, window)
+    }
+    fn unanswered(&self) -> u64 {
+        self.mesh.borrow().unanswered()
+    }
+    fn quiesce(&mut self) {
+        self.mesh.borrow_mut().settle();
+    }
+    fn shutdown(self) -> ShutdownReport {
+        MeshRuntime::shutdown(self)
+    }
+}
+
+/// One step of a script: `(kind, a, b)`. Kinds 0–1 insert, 2 bulk-load,
+/// 3 flush (and check the quiescent point), 4–5 search, 6–7 a batch of
+/// duplicated searches, 8 pin, 9 search fault-tolerantly, 10 settle and
+/// compare a thresholded answer with the exhaustive one.
+type Op = (u8, usize, usize);
+
+/// The cluster's view of the corpus beside the two oracles: `flushed`
+/// holds every write a flush has made visible, `all` every write sent.
+struct Model<C> {
+    rt: C,
+    hasher: KeywordHasher,
+    shards: ShardMap,
+    flushed: HypercubeIndex,
+    all: HypercubeIndex,
+    /// Every object written, in id order (ids count from 1), and how
+    /// many of them a flush has made visible.
+    written: Vec<KeywordSet>,
+    flushed_len: usize,
+}
+
+impl<C: Cluster> Model<C> {
+    fn new(rt: C, cfg: RuntimeConfig) -> Model<C> {
+        let index = HypercubeIndex::new(cfg.r, cfg.seed).unwrap();
         Model {
-            rt: NodeRuntime::start(RuntimeConfig::new(PROP_R, workers).seed(SEED)).unwrap(),
+            rt,
+            hasher: index.hasher(),
+            shards: cfg.shard_map(),
             flushed: index.clone(),
             all: index,
-            next_id: 0,
+            written: Vec::new(),
+            flushed_len: 0,
         }
     }
 
     fn fresh_object(&mut self, keywords: &KeywordSet) -> ObjectId {
-        self.next_id += 1;
-        let id = ObjectId::from_raw(self.next_id);
+        self.written.push(keywords.clone());
+        let id = ObjectId::from_raw(self.written.len() as u64);
         self.all.insert(id, keywords.clone()).unwrap();
         id
+    }
+
+    fn settled(&self) -> bool {
+        self.flushed_len == self.written.len()
+    }
+
+    /// A request the cluster did not answer — `Error::Timeout` under
+    /// the client's (virtual) request deadline is the only way — is one
+    /// it gave up or lost since `before`: a plain query is answered
+    /// whole or not at all.
+    fn unanswered(&self, error: &Error, before: u64) -> Result<(), String> {
+        if !matches!(error, Error::Timeout { .. }) {
+            return Err(format!("a request failed with {error:?}"));
+        }
+        if self.rt.unanswered() <= before {
+            return Err("a request timed out that no worker gave up or lost".into());
+        }
+        Ok(())
     }
 
     /// Checks one answer against the uncached oracle. With nothing
@@ -123,61 +261,146 @@ impl Model {
         threshold: usize,
     ) -> Result<(), String> {
         let got: BTreeSet<u64> = answer.iter().copied().collect();
-        prop_assert_eq!(got.len(), answer.len(), "duplicate ids for {keywords}");
+        if got.len() != answer.len() {
+            return Err(format!("duplicate ids for {keywords}"));
+        }
         let owed = oracle_ids(&mut self.flushed, keywords, usize::MAX - 1);
         let allowed: BTreeSet<u64> = oracle_ids(&mut self.all, keywords, usize::MAX - 1)
             .into_iter()
             .collect();
-        prop_assert!(
-            got.is_subset(&allowed),
-            "{keywords}: {got:?} holds an object never inserted"
-        );
-        let settled = self.flushed.len() == self.all.len();
+        if !got.is_subset(&allowed) {
+            return Err(format!(
+                "{keywords}: {got:?} holds an object never inserted"
+            ));
+        }
         let at_least = owed.len().min(threshold);
-        let at_most = if settled { at_least } else { threshold };
-        prop_assert!(
-            (at_least..=at_most).contains(&got.len()),
-            "{keywords} t={threshold}: {} results, the flushed state owes {at_least}",
-            got.len()
-        );
-        if threshold >= allowed.len() {
-            prop_assert!(
-                owed.iter().all(|id| got.contains(id)),
+        let at_most = if self.settled() { at_least } else { threshold };
+        if !(at_least..=at_most).contains(&got.len()) {
+            return Err(format!(
+                "{keywords} t={threshold}: {} results, the flushed state owes {at_least}",
+                got.len()
+            ));
+        }
+        if threshold >= allowed.len() && !owed.iter().all(|id| got.contains(id)) {
+            return Err(format!(
                 "{keywords} t={threshold}: a flushed object is missing from {got:?}"
-            );
+            ));
         }
         Ok(())
     }
 
-    fn apply(&mut self, (kind, a, b): (u8, usize, usize)) -> Result<(), String> {
+    /// Checks a fault-tolerant outcome: its coverage adds up, what it
+    /// skipped is whole regions of owners other than the coordinator —
+    /// every region of each — and its matches are the oracle's outside
+    /// the skipped vertices. One nobody answered (every client attempt
+    /// timed out) lost its coordinator to a crash.
+    fn check_ft(
+        &mut self,
+        out: &FtSearchOutcome,
+        keywords: &KeywordSet,
+        threshold: usize,
+        before: u64,
+    ) -> Result<(), String> {
+        let Some(coverage) = &out.coverage else {
+            if out.complete || !out.matches.is_empty() || self.rt.unanswered() <= before {
+                return Err(format!("{keywords}: degraded for no reason: {out:?}"));
+            }
+            return Ok(());
+        };
+        let root = self.hasher.vertex_for(keywords);
+        let coordinator = self.shards.owner_of(root.bits());
+        let skipped: BTreeSet<u64> = coverage.skipped.iter().copied().collect();
+        let got: BTreeSet<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
+        let subcube: Vec<u64> = root.subcube().iter().map(|v| v.bits()).collect();
+        // Every vertex is reached or skipped — unless the root alone
+        // filled the threshold: then nobody was asked, and only the
+        // coordinator's own regions count as reached.
+        let reached = if coverage.queries_sent == 0 && got.len() >= threshold {
+            let own = |&&v: &&u64| self.shards.owner_of(v) == coordinator;
+            subcube.iter().filter(own).count()
+        } else {
+            subcube.len() - skipped.len()
+        };
+        if coverage.reached != reached as u64
+            || coverage.subcube_vertices != subcube.len() as u64
+            || out.complete != skipped.is_empty()
+        {
+            return Err(format!("{keywords}: coverage does not add up: {out:?}"));
+        }
+        let given_up: BTreeSet<u32> = skipped.iter().map(|&v| self.shards.owner_of(v)).collect();
+        let their_regions: BTreeSet<u64> = subcube
+            .iter()
+            .copied()
+            .filter(|&v| given_up.contains(&self.shards.owner_of(v)))
+            .collect();
+        if given_up.contains(&coordinator) || skipped != their_regions {
+            return Err(format!(
+                "{keywords}: skipped is not the regions of {given_up:?}: {coverage:?}"
+            ));
+        }
+        if got.len() != out.matches.len() {
+            return Err(format!("duplicate ids for {keywords}"));
+        }
+        let matching = |upto: usize| -> Vec<u64> {
+            (1..=upto as u64)
+                .filter(|&id| self.written[id as usize - 1].is_superset(keywords))
+                .collect()
+        };
+        let allowed = matching(self.written.len());
+        if !got.iter().all(|id| allowed.contains(id)) {
+            return Err(format!(
+                "{keywords}: {got:?} holds an object never inserted"
+            ));
+        }
+        let owed: Vec<u64> = matching(self.flushed_len)
+            .into_iter()
+            .filter(|&id| {
+                let vertex = self.hasher.vertex_for(&self.written[id as usize - 1]);
+                !skipped.contains(&vertex.bits())
+            })
+            .collect();
+        if got.len() < owed.len().min(threshold)
+            || (threshold >= allowed.len() && !owed.iter().all(|id| got.contains(id)))
+        {
+            return Err(format!(
+                "{keywords} t={threshold}: the vertices reached owe {owed:?}, got {got:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    fn search(&mut self, keywords: &KeywordSet, threshold: usize) -> Result<(), String> {
+        let before = self.rt.unanswered();
+        match self.rt.superset(keywords, threshold) {
+            Ok(found) => {
+                let answer: Vec<u64> = found.iter().map(|m| m.object.raw()).collect();
+                self.check(&answer, keywords, threshold)
+            }
+            Err(error) => self.unanswered(&error, before),
+        }
+    }
+
+    fn apply(&mut self, (kind, a, b): Op) -> Result<(), String> {
         match kind {
             0 | 1 => {
                 let keywords = record(a);
                 let id = self.fresh_object(&keywords);
-                self.rt.insert(id, keywords).unwrap();
+                self.rt.insert(id, keywords);
             }
             2 => {
                 let sets = [record(a), record(b), record(a + b)];
                 let entries: Vec<(ObjectId, &KeywordSet)> =
                     sets.iter().map(|k| (self.fresh_object(k), k)).collect();
-                self.rt.bulk_load(entries).unwrap();
+                self.rt.bulk_load(entries);
             }
             3 => {
                 self.rt.flush();
                 self.flushed = self.all.clone();
+                self.flushed_len = self.written.len();
+                self.rt.quiesce();
             }
-            4 | 5 => {
-                let (keywords, threshold) = (query(a), THRESHOLDS[b % 3]);
-                let answer: Vec<u64> = self
-                    .rt
-                    .superset_search(&keywords, threshold)
-                    .unwrap()
-                    .iter()
-                    .map(|m| m.object.raw())
-                    .collect();
-                self.check(&answer, &keywords, threshold)?;
-            }
-            _ => {
+            4 | 5 => self.search(&query(a), THRESHOLDS[b % 3])?,
+            6 | 7 => {
                 // Two queries, duplicated, at rotating thresholds:
                 // with a window of 4 the duplicates are in flight
                 // together.
@@ -187,7 +410,11 @@ impl Model {
                         threshold: THRESHOLDS[(b + slot) % 3],
                     })
                     .collect();
-                let answers = self.rt.run_batch(&requests, 4);
+                let before = self.rt.unanswered();
+                let answers = match self.rt.batch(&requests, 4) {
+                    Ok(answers) => answers,
+                    Err(error) => return self.unanswered(&error, before),
+                };
                 for (request, result) in requests.iter().zip(&answers) {
                     let Request::Superset {
                         keywords,
@@ -200,33 +427,183 @@ impl Model {
                     self.check(&answer, keywords, *threshold)?;
                 }
             }
+            8 => {
+                let keywords = record(a);
+                let before = self.rt.unanswered();
+                let got = match self.rt.pin(&keywords) {
+                    Ok(got) => got,
+                    Err(error) => return self.unanswered(&error, before),
+                };
+                let exact = |upto: usize| -> Vec<ObjectId> {
+                    (1..=upto as u64)
+                        .filter(|&id| self.written[id as usize - 1] == keywords)
+                        .map(ObjectId::from_raw)
+                        .collect()
+                };
+                let (owed, allowed) = (exact(self.flushed_len), exact(self.written.len()));
+                if !owed.iter().all(|id| got.contains(id))
+                    || !got.iter().all(|id| allowed.contains(id))
+                {
+                    return Err(format!("pin {keywords}: {got:?}, owed {owed:?}"));
+                }
+            }
+            9 => {
+                let (keywords, threshold) = (query(a), THRESHOLDS[b % 3]);
+                let before = self.rt.unanswered();
+                let out = self.rt.superset_ft(&keywords, threshold);
+                self.check_ft(&out, &keywords, threshold, before)?;
+            }
+            _ => {
+                // With no write in the air, a thresholded answer is the
+                // first `t` of the exhaustive one — in its order.
+                self.apply((3, 0, 0))?;
+                let keywords = query(a);
+                let Ok(whole) = self.rt.superset(&keywords, usize::MAX - 1) else {
+                    return Ok(());
+                };
+                for t in [1, 2, 20] {
+                    let Ok(cut) = self.rt.superset(&keywords, t) else {
+                        continue;
+                    };
+                    if cut[..] != whole[..t.min(whole.len())] {
+                        return Err(format!(
+                            "{keywords} t={t}: {cut:?} is not the head of {whole:?}"
+                        ));
+                    }
+                }
+            }
         }
         Ok(())
     }
+
+    /// Runs `script`, settles, asks every query at every threshold once
+    /// more and shuts down: the ledger must close.
+    fn run(mut self, script: &[Op]) -> Result<ShutdownReport, String> {
+        for op in script {
+            self.apply(*op)?;
+        }
+        self.apply((3, 0, 0))?;
+        for pick in 0..6 {
+            for t in 0..3 {
+                self.apply((4, pick, t))?;
+            }
+        }
+        let report = self.rt.shutdown();
+        if report.in_flight() != 0 {
+            return Err(format!("frames unaccounted for: {report:?}"));
+        }
+        report.assert_conserved();
+        Ok(report)
+    }
 }
 
-proptest! {
-    /// Whatever the interleaving, the cached serving path answers as
-    /// the uncached direct engine does: identical after every flush,
-    /// and a `t`-truncated entry never answers a larger `t` short.
-    #[test]
-    fn answers_match_an_uncached_oracle(
-        ops in prop::collection::vec((0u8..8, 0usize..64, 0usize..64), 20..60),
-    ) {
+/// The schedule `seed` names: the cluster's shape, its fault plan, how
+/// far apart in time two lanes can drift, and the client's script.
+fn schedule(seed: u64) -> (RuntimeConfig, FaultPlan, LatencyModel, Vec<Op>) {
+    let mut rng = SimRng::new(seed ^ 0x5C4E_D01E);
+    let workers = [1, 2, 3, 4, 8][(seed % 5) as usize];
+    let r = [6, 8][(seed / 5 % 2) as usize];
+    // 8% drop + 4% duplicate + 4% delay, `fault_recovery`'s mix.
+    let lossy = FaultPlan::lossy(seed, 80, 40, 40);
+    let victim = rng.gen_range(u64::from(workers)) as u32;
+    let crash_at = 1 + rng.gen_range(6);
+    let plan = match seed / 10 % 5 {
+        0 => FaultPlan::default(),
+        1 => lossy,
+        2 => FaultPlan::default().crash(victim, crash_at),
+        3 => lossy.crash(victim, crash_at),
+        // Half of everything lost: owners do get given up.
+        _ => FaultPlan::lossy(seed, 500, 100, 100),
+    };
+    // Under the wide one a healthy answer can outlast an `FtQuery`'s
+    // 25 ms deadline: retries cross their own answers.
+    let latency = match seed / 50 % 2 {
+        0 => LatencyModel::uniform(1, 5),
+        _ => LatencyModel::uniform(1, 60),
+    };
+    let script = (0..10 + rng.gen_range(16))
+        .map(|_| {
+            let kind = rng.gen_range(11) as u8;
+            (kind, rng.gen_index(64), rng.gen_index(64))
+        })
+        .collect();
+    (
+        RuntimeConfig::new(r, workers).seed(SEED),
+        plan,
+        latency,
+        script,
+    )
+}
+
+/// Runs schedule `seed` on the mesh against the model and returns the
+/// packet trace. The one helper to call from a `#[test]` with a seed a
+/// failure printed: a failing run prints the seed, its schedule and
+/// every packet delivered.
+fn run_schedule(seed: u64) -> Trace {
+    let (cfg, plan, latency, script) = schedule(seed);
+    let mut mesh = Mesh::start(cfg, plan.clone(), latency.clone(), seed);
+    mesh.label = format!("schedule {seed}: {cfg:?} {plan:?} {latency:?}\n  script {script:?}");
+    let rt = MeshRuntime::over(mesh);
+    let mesh = std::rc::Rc::clone(&rt.mesh);
+    if let Err(failure) = Model::new(rt, cfg).run(&script) {
+        panic!("{failure}");
+    }
+    let trace = std::mem::take(&mut mesh.borrow_mut().trace);
+    trace
+}
+
+/// Whatever the schedule, the cached serving path answers as the
+/// uncached direct engine does, whole or not at all; see [`Model`] for
+/// everything else a schedule is held to.
+fn run_schedules(seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        run_schedule(seed);
+    }
+}
+
+// Four tests so the suite uses the cores it is given.
+#[test]
+fn seeded_fault_schedules_0() {
+    run_schedules(0..520);
+}
+
+#[test]
+fn seeded_fault_schedules_1() {
+    run_schedules(520..1040);
+}
+
+#[test]
+fn seeded_fault_schedules_2() {
+    run_schedules(1040..1560);
+}
+
+#[test]
+fn seeded_fault_schedules_3() {
+    run_schedules(1560..2080);
+}
+
+#[test]
+fn one_seed_is_one_trace() {
+    for seed in (0..2080).step_by(83) {
+        let first = run_schedule(seed);
+        assert!(!first.is_empty());
+        assert!(first == run_schedule(seed), "schedule {seed} diverged");
+    }
+}
+
+/// The same model over real worker threads, fault-free: the transport
+/// smoke. (Which fates a thread schedule deals is the machine's to
+/// decide and the mesh's to vary; a channel only has to carry bytes.)
+#[test]
+fn answers_match_an_uncached_oracle_on_worker_threads() {
+    for seed in 0..2 {
+        let (cfg, _, _, script) = schedule(seed);
         for workers in WORKER_COUNTS {
-            let mut model = Model::new(workers);
-            for op in &ops {
-                model.apply(*op)?;
+            let cfg = RuntimeConfig::new(cfg.r, workers).seed(SEED);
+            let rt = NodeRuntime::start(cfg).unwrap();
+            if let Err(failure) = Model::new(rt, cfg).run(&script) {
+                panic!("seed {seed}, {workers} workers: {failure}");
             }
-            // Settle, then every query at every threshold once more.
-            model.apply((3, 0, 0))?;
-            for pick in 0..6 {
-                for t in 0..3 {
-                    model.apply((4, pick, t))?;
-                }
-            }
-            let report = model.rt.shutdown();
-            prop_assert_eq!(report.in_flight(), 0, "workers={workers}: {report:?}");
         }
     }
 }
@@ -338,200 +715,87 @@ fn the_same_request_list_costs_the_same_frames_and_cache_decisions() {
 }
 
 // ---------------------------------------------------------------
-// Two real workers, the test as the wire and the client
+// Two worker machines, the test as the client, a lane held
 // ---------------------------------------------------------------
 
 const RIG_R: u8 = 6;
 
-fn decode_all(packet: &[u8]) -> Vec<WireMsg> {
-    let mut out = Vec::new();
-    let mut rest = packet;
-    while !rest.is_empty() {
-        let (frame, tail) = take_frame(rest).expect("workers emit whole frames");
-        out.push(WireMsg::decode_exact(frame).expect("workers emit valid frames"));
-        rest = tail;
-    }
-    out
+/// Workers 0 and 1 of a two-worker cluster on the mesh.
+fn rig() -> Mesh {
+    Mesh::quiet(RIG_R, 2, SEED)
 }
 
-/// Workers 0 and 1 of a two-worker runtime, each on its own thread,
-/// with every channel end that would join them held by the test: a
-/// frame crosses only when the test carries it.
-struct Rig {
-    hasher: KeywordHasher,
-    shards: ShardMap,
-    inbox: [SyncSender<Vec<u8>>; 2],
-    /// `wire[w]`: what worker `w` sent toward the other worker.
-    wire: [Receiver<Vec<u8>>; 2],
-    client: Receiver<Vec<u8>>,
-    threads: Vec<JoinHandle<WorkerExit>>,
+/// The one frame the client has been sent.
+fn client_frame(mesh: &mut Mesh) -> WireMsg {
+    let mut msgs = mesh.replies();
+    assert_eq!(msgs.len(), 1, "one reply at a time in these scripts");
+    msgs.pop().unwrap()
 }
 
-impl Rig {
-    fn start() -> Rig {
-        Rig::start_faulted([FaultPlan::default(), FaultPlan::default()])
-    }
+/// Inserts at the owner and waits for its barrier; the epoch the
+/// `FlushAck` shows.
+fn insert_flushed(mesh: &mut Mesh, object: u64, keywords: &KeywordSet) -> u64 {
+    let owner = mesh.owner(keywords);
+    mesh.send(
+        owner,
+        &WireMsg::Insert {
+            object,
+            keywords: keywords.clone(),
+        },
+    );
+    flush(mesh, owner)
+}
 
-    /// Worker `w` sends its traversal frames through `plans[w]`.
-    fn start_faulted(plans: [FaultPlan; 2]) -> Rig {
-        let hasher = KeywordHasher::new(RIG_R, SEED).unwrap();
-        let shards = ShardMap::new(RIG_R, 2, SEED);
-        let (client_tx, client) = sync_channel(1024);
-        let mut inbox = Vec::new();
-        let mut wire = Vec::new();
-        let mut threads = Vec::new();
-        for (index, plan) in (0..2u32).zip(plans) {
-            let (inbox_tx, inbox_rx) = sync_channel(1024);
-            let (wire_tx, wire_rx) = sync_channel(1024);
-            let mut links = vec![Some(wire_tx), Some(client_tx.clone())];
-            links.insert(index as usize, None);
-            let ctx = WorkerContext {
-                index,
-                shape: Shape::new(RIG_R).unwrap(),
-                hasher,
-                shards,
-                injector: plan.is_active().then(|| FaultInjector::new(plan, index)),
-                repairing: false,
-            };
-            threads.push(std::thread::spawn(move || {
-                run_worker(ctx, Fabric::inboxes(links), inbox_rx)
-            }));
-            inbox.push(inbox_tx);
-            wire.push(wire_rx);
+fn flush(mesh: &mut Mesh, worker: u32) -> u64 {
+    mesh.send(worker, &WireMsg::Flush { token: 0 });
+    mesh.deliver();
+    match client_frame(mesh) {
+        WireMsg::FlushAck {
+            worker: acked,
+            epoch,
+            ..
+        } => {
+            assert_eq!(acked, worker);
+            epoch
         }
-        Rig {
-            hasher,
-            shards,
-            inbox: inbox.try_into().unwrap(),
-            wire: wire.try_into().unwrap(),
-            client,
-            threads,
-        }
+        other => panic!("expected a flush ack, got {other:?}"),
     }
+}
 
-    fn owner(&self, keywords: &KeywordSet) -> u32 {
-        self.shards
-            .owner_of(self.hasher.vertex_for(keywords).bits())
+fn query_at(query_id: u64, keywords: &KeywordSet, marks: &[u64]) -> WireMsg {
+    WireMsg::QueryAt {
+        query_id,
+        keywords: keywords.clone(),
+        threshold: u64::MAX - 1,
+        marks: marks.to_vec(),
     }
+}
 
-    fn send(&self, worker: u32, msg: &WireMsg) {
-        self.inbox[worker as usize].send(msg.encode()).unwrap();
-    }
+/// Sends a superset query to worker 0 and lets it complete: the sorted
+/// ids and the worker-to-worker frames that crossed.
+fn search(mesh: &mut Mesh, query_id: u64, keywords: &KeywordSet, marks: &[u64]) -> (Vec<u64>, u64) {
+    search_at(mesh, 0, query_id, keywords, marks)
+}
 
-    /// Inserts at the owner and waits for its barrier; the epoch the
-    /// `FlushAck` shows.
-    fn insert_flushed(&self, object: u64, keywords: &KeywordSet) -> u64 {
-        let owner = self.owner(keywords);
-        self.send(
-            owner,
-            &WireMsg::Insert {
-                object,
-                keywords: keywords.clone(),
-            },
-        );
-        self.flush(owner)
-    }
+fn search_at(
+    mesh: &mut Mesh,
+    coordinator: u32,
+    query_id: u64,
+    keywords: &KeywordSet,
+    marks: &[u64],
+) -> (Vec<u64>, u64) {
+    let crossed = mesh.crossed;
+    mesh.send(coordinator, &query_at(query_id, keywords, marks));
+    mesh.deliver();
+    (
+        done_ids(client_frame(mesh), query_id),
+        mesh.crossed - crossed,
+    )
+}
 
-    fn flush(&self, worker: u32) -> u64 {
-        self.send(worker, &WireMsg::Flush { token: 0 });
-        match self.client_frame() {
-            WireMsg::FlushAck {
-                worker: acked,
-                epoch,
-                ..
-            } => {
-                assert_eq!(acked, worker);
-                epoch
-            }
-            other => panic!("expected a flush ack, got {other:?}"),
-        }
-    }
-
-    fn client_frame(&self) -> WireMsg {
-        let packet = self
-            .client
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a client-bound frame");
-        let mut msgs = decode_all(&packet);
-        assert_eq!(msgs.len(), 1, "one reply at a time in these scripts");
-        msgs.pop().unwrap()
-    }
-
-    /// Carries one packet from worker `from` to the other worker,
-    /// returning what it held.
-    fn carry(&self, from: usize) -> Vec<WireMsg> {
-        let packet = self.wire[from]
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a worker-to-worker frame");
-        let msgs = decode_all(&packet);
-        self.inbox[1 - from].send(packet).unwrap();
-        msgs
-    }
-
-    /// Carries frames both ways until the next client-bound frame,
-    /// returning it and how many worker-to-worker frames crossed.
-    fn carry_until_reply(&self) -> (WireMsg, usize) {
-        let (mut msgs, crossed) = self.carry_until_replies();
-        assert_eq!(msgs.len(), 1);
-        (msgs.pop().unwrap(), crossed)
-    }
-
-    /// [`Rig::carry_until_reply`] for a traversal that answers several
-    /// queries at once: the next client-bound packet, whole.
-    fn carry_until_replies(&self) -> (Vec<WireMsg>, usize) {
-        let mut crossed = 0;
-        loop {
-            if let Ok(packet) = self.client.recv_timeout(Duration::from_millis(1)) {
-                return (decode_all(&packet), crossed);
-            }
-            for from in 0..2 {
-                match self.wire[from].try_recv() {
-                    Ok(packet) => {
-                        crossed += decode_all(&packet).len();
-                        self.inbox[1 - from].send(packet).unwrap();
-                    }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => panic!("worker {from} is gone"),
-                }
-            }
-        }
-    }
-
-    /// Sends a superset query to worker 0 and carries frames until it
-    /// completes: the sorted ids and the frames that crossed.
-    fn search(&self, query_id: u64, keywords: &KeywordSet, marks: &[u64]) -> (Vec<u64>, usize) {
-        self.search_at(0, query_id, keywords, marks)
-    }
-
-    fn search_at(
-        &self,
-        coordinator: u32,
-        query_id: u64,
-        keywords: &KeywordSet,
-        marks: &[u64],
-    ) -> (Vec<u64>, usize) {
-        self.send(
-            coordinator,
-            &WireMsg::QueryAt {
-                query_id,
-                keywords: keywords.clone(),
-                threshold: u64::MAX - 1,
-                marks: marks.to_vec(),
-            },
-        );
-        let (reply, crossed) = self.carry_until_reply();
-        (done_ids(reply, query_id), crossed)
-    }
-
-    fn shutdown(self) -> Vec<WorkerExit> {
-        for worker in 0..2 {
-            self.send(worker, &WireMsg::Shutdown);
-        }
-        self.threads
-            .into_iter()
-            .map(|t| t.join().expect("worker thread"))
-            .collect()
-    }
+/// Shuts the cluster down: each worker's lifetime counters.
+fn shutdown(mut mesh: Mesh) -> Vec<WorkerStats> {
+    mesh.shutdown().workers
 }
 
 fn done_ids(reply: WireMsg, expect_id: u64) -> Vec<u64> {
@@ -548,13 +812,13 @@ fn done_ids(reply: WireMsg, expect_id: u64) -> Vec<u64> {
 
 /// A one-word query whose subcube both workers own part of, and for
 /// each worker a keyword set under it that the worker owns.
-fn spanning_query(rig: &Rig) -> (KeywordSet, [Vec<KeywordSet>; 2]) {
+fn spanning_query(mesh: &Mesh) -> (KeywordSet, [Vec<KeywordSet>; 2]) {
     for q in 0..64 {
         let query = set(&format!("q{q}"));
         let mut owned: [Vec<KeywordSet>; 2] = [Vec::new(), Vec::new()];
         for extra in 0..64 {
             let keywords = set(&format!("q{q} x{extra}"));
-            owned[rig.owner(&keywords) as usize].push(keywords);
+            owned[mesh.owner(&keywords) as usize].push(keywords);
         }
         if owned.iter().all(|sets| sets.len() >= 4) {
             return (query, owned);
@@ -565,20 +829,21 @@ fn spanning_query(rig: &Rig) -> (KeywordSet, [Vec<KeywordSet>; 2]) {
 
 #[test]
 fn a_repeat_costs_two_frames_and_a_flushed_write_costs_no_extra_frame() {
-    let rig = Rig::start();
+    let mut rig = rig();
     let (query, owned) = spanning_query(&rig);
-    assert_eq!(rig.insert_flushed(1, &owned[0][0]), 1);
-    assert_eq!(rig.insert_flushed(2, &owned[1][0]), 1);
+    assert_eq!(insert_flushed(&mut rig, 1, &owned[0][0]), 1);
+    assert_eq!(insert_flushed(&mut rig, 2, &owned[1][0]), 1);
     let marks = [1, 1];
 
     // First sighting walks and keeps nothing; the second walks and
     // fills the slot; from the third on nothing crosses the wire.
-    let (first, walked) = rig.search(1, &query, &marks);
+    let (first, walked) = search(&mut rig, 1, &query, &marks);
     assert_eq!(first, vec![1, 2]);
     assert_eq!(walked, 2, "one round: worker 1 is asked and answers");
-    assert_eq!(rig.search(2, &query, &marks), (vec![1, 2], walked));
-    assert_eq!(rig.search(3, &query, &marks), (vec![1, 2], 0));
+    assert_eq!(search(&mut rig, 2, &query, &marks), (vec![1, 2], walked));
+    assert_eq!(search(&mut rig, 3, &query, &marks), (vec![1, 2], 0));
     // A bare `Query` is the same request with no marks.
+    let crossed = rig.crossed;
     rig.send(
         0,
         &WireMsg::Query {
@@ -587,24 +852,34 @@ fn a_repeat_costs_two_frames_and_a_flushed_write_costs_no_extra_frame() {
             threshold: u64::MAX - 1,
         },
     );
-    assert_eq!(rig.carry_until_reply(), (done_query(4, &[1, 2]), 0));
+    rig.deliver();
+    assert_eq!(
+        (client_frame(&mut rig), rig.crossed - crossed),
+        (done_query(4, &[1, 2]), 0)
+    );
 
     // A write lands on worker 1 and is flushed: the ack shows epoch 2.
-    assert_eq!(rig.insert_flushed(3, &owned[1][1]), 2);
+    assert_eq!(insert_flushed(&mut rig, 3, &owned[1][1]), 2);
     // The flushing client's next request carries that mark: worker 0
     // has heard nothing from worker 1 since, but must not answer from
     // the entry stamped at epoch 1.
-    assert_eq!(rig.search(5, &query, &[1, 2]), (vec![1, 2, 3], walked));
+    assert_eq!(
+        search(&mut rig, 5, &query, &[1, 2]),
+        (vec![1, 2, 3], walked)
+    );
     // The recomputed entry replaced the old one and serves again.
-    assert_eq!(rig.search(6, &query, &[1, 2]), (vec![1, 2, 3], 0));
+    assert_eq!(search(&mut rig, 6, &query, &[1, 2]), (vec![1, 2, 3], 0));
 
     // A write on the coordinator's own shard moves its own epoch.
-    assert_eq!(rig.insert_flushed(4, &owned[0][1]), 2);
-    assert_eq!(rig.search(7, &query, &[2, 2]), (vec![1, 2, 3, 4], walked));
-    assert_eq!(rig.search(8, &query, &[2, 2]), (vec![1, 2, 3, 4], 0));
+    assert_eq!(insert_flushed(&mut rig, 4, &owned[0][1]), 2);
+    assert_eq!(
+        search(&mut rig, 7, &query, &[2, 2]),
+        (vec![1, 2, 3, 4], walked)
+    );
+    assert_eq!(search(&mut rig, 8, &query, &[2, 2]), (vec![1, 2, 3, 4], 0));
 
-    let exits = rig.shutdown();
-    let w0 = &exits[0].stats;
+    let exits = shutdown(rig);
+    let w0 = &exits[0];
     assert_eq!(
         (w0.cache_hits, w0.cache_misses, w0.cache_stale),
         (4, 2, 2),
@@ -622,35 +897,30 @@ fn done_query(query_id: u64, ids: &[u64]) -> WireMsg {
 
 #[test]
 fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
-    let rig = Rig::start();
+    let mut rig = rig();
     let (query, owned) = spanning_query(&rig);
-    rig.insert_flushed(1, &owned[0][0]);
-    rig.insert_flushed(2, &owned[1][0]);
-    rig.search(1, &query, &[1, 1]);
-    rig.search(2, &query, &[1, 1]);
-    assert_eq!(rig.search(3, &query, &[1, 1]), (vec![1, 2], 0));
+    insert_flushed(&mut rig, 1, &owned[0][0]);
+    insert_flushed(&mut rig, 2, &owned[1][0]);
+    search(&mut rig, 1, &query, &[1, 1]);
+    search(&mut rig, 2, &query, &[1, 1]);
+    assert_eq!(search(&mut rig, 3, &query, &[1, 1]), (vec![1, 2], 0));
 
     // A local write outdates the entry, so query 10 walks again — and
     // its first frame to worker 1 is scanned there at epoch 1 ...
-    rig.insert_flushed(3, &owned[0][1]);
-    rig.send(
-        0,
-        &WireMsg::QueryAt {
-            query_id: 10,
-            keywords: query.clone(),
-            threshold: u64::MAX - 1,
-            marks: vec![2, 1],
-        },
-    );
-    assert!(matches!(rig.carry(0)[..], [WireMsg::RegionQuery { .. }]));
+    insert_flushed(&mut rig, 3, &owned[0][1]);
+    rig.hold(1, 0);
+    let sent = rig.trace.len();
+    rig.send(0, &query_at(10, &query, &[2, 1]));
+    rig.deliver();
+    assert!(matches!(
+        rig.crossed_since(sent)[..],
+        [WireMsg::RegionQuery { .. }]
+    ));
     // ... while the reply is still on the wire, another client's write
     // reaches worker 1 and is flushed (epoch 2), and that client asks
     // the same query: it joins the running traversal.
-    let reply = rig.wire[1]
-        .recv_timeout(Duration::from_secs(10))
-        .expect("worker 1 answers for its region");
     assert!(matches!(
-        decode_all(&reply)[..],
+        rig.held(1, 0)[..],
         [WireMsg::RegionDone {
             worker: 1,
             epoch: 1,
@@ -659,36 +929,39 @@ fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
             ..
         }]
     ));
-    assert_eq!(rig.insert_flushed(4, &owned[1][1]), 2);
-    rig.send(
-        0,
-        &WireMsg::QueryAt {
-            query_id: 11,
-            keywords: query.clone(),
-            threshold: u64::MAX - 1,
-            marks: vec![2, 2],
-        },
-    );
-    // Let worker 0 take query 11 in before the held reply: its inbox
-    // is FIFO, so a barrier behind the query proves it was handled.
-    assert_eq!(rig.flush(0), 2);
-    rig.inbox[0].send(reply).unwrap();
+    assert_eq!(insert_flushed(&mut rig, 4, &owned[1][1]), 2);
+    rig.send(0, &query_at(11, &query, &[2, 2]));
+    // Worker 0 takes query 11 in before the held reply.
+    assert_eq!(flush(&mut rig, 0), 2);
+    let released = rig.trace.len();
+    rig.release(1, 0);
+    rig.deliver();
 
     // Query 10 is answered by its own traversal, as of its arrival.
-    let (first, _) = rig.carry_until_reply();
+    let [first, second] = <[WireMsg; 2]>::try_from(rig.replies()).expect("two answers");
     assert_eq!(done_ids(first, 10), vec![1, 2, 3]);
     // Query 11 flushed object 4 before asking: the traversal it joined
     // scanned worker 1 too early, so it walks again and sees it.
-    let (second, crossed) = rig.carry_until_reply();
     assert_eq!(done_ids(second, 11), vec![1, 2, 3, 4]);
+    let crossed = rig
+        .crossed_since(released)
+        .into_iter()
+        .filter(|msg| {
+            matches!(
+                msg,
+                WireMsg::RegionQuery { query_id: 11, .. }
+                    | WireMsg::RegionDone { query_id: 11, .. }
+            )
+        })
+        .count();
     assert_eq!(crossed, 2, "query 11 needed its own walk");
 
-    let exits = rig.shutdown();
-    let w0 = &exits[0].stats;
+    let exits = shutdown(rig);
+    let w0 = &exits[0];
     assert_eq!(w0.cache_coalesced, 1, "{w0:?}");
     assert_eq!(w0.cache_stale, 2, "query 10, then query 11 starting over");
-    let sent: u64 = exits.iter().map(|e| e.stats.frames_sent).sum();
-    let received: u64 = exits.iter().map(|e| e.stats.frames_received).sum();
+    let sent: u64 = exits.iter().map(|e| e.frames_sent).sum();
+    let received: u64 = exits.iter().map(|e| e.frames_received).sum();
     // Test-sent frames: 4 inserts, 5 flushes, 5 queries, 2 shutdowns.
     // Client-bound frames: 5 flush acks, 5 QueryDone.
     assert_eq!(
@@ -698,74 +971,71 @@ fn a_waiter_the_running_traversal_is_too_old_for_starts_over() {
     );
 }
 
-/// A plan under which worker 1's traversal frames toward worker 0 meet,
-/// in send order, exactly `fates` (and are delivered from then on for a
-/// while).
-fn plan_with_fates(fates: &[Fate]) -> FaultPlan {
-    (0..100_000)
-        .map(|seed| FaultPlan::lossy(seed, 250, 250, 0))
-        .find(|plan| {
-            let mut injector = FaultInjector::new(plan.clone(), 1);
-            fates.iter().all(|&fate| injector.fate(0) == fate)
-                && (0..4).all(|_| injector.fate(0) == Fate::Deliver)
-        })
-        .expect("some seed deals these fates")
-}
-
 #[test]
 fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
     // Worker 1's first answer arrives, its second is lost, its third
     // arrives twice.
-    let plan = plan_with_fates(&[Fate::Deliver, Fate::Drop, Fate::Duplicate]);
-    let rig = Rig::start_faulted([FaultPlan::default(), plan]);
+    let mut rig = rig();
     let (query, owned) = spanning_query(&rig);
-    rig.insert_flushed(1, &owned[0][0]);
-    rig.insert_flushed(2, &owned[1][0]);
+    insert_flushed(&mut rig, 1, &owned[0][0]);
+    insert_flushed(&mut rig, 2, &owned[1][0]);
     let marks = vec![1, 1];
-    let ask = |query_id: u64| {
-        rig.send(
-            0,
-            &WireMsg::QueryAt {
-                query_id,
-                keywords: query.clone(),
-                threshold: u64::MAX - 1,
-                marks: marks.clone(),
-            },
-        );
-    };
-    assert_eq!(rig.search(1, &query, &marks), (vec![1, 2], 2));
+    assert_eq!(search(&mut rig, 1, &query, &marks), (vec![1, 2], 2));
 
     // The second sighting reserves the slot, and worker 1's answer to
-    // it never leaves worker 1.
-    ask(2);
+    // it never reaches worker 0.
+    rig.hold(1, 0);
+    let sent = rig.trace.len();
+    let asked_at = rig.now().as_millis() as u64;
+    rig.send(0, &query_at(2, &query, &marks));
+    rig.deliver();
     assert!(matches!(
-        rig.carry(0)[..],
+        rig.crossed_since(sent)[..],
         [WireMsg::RegionQuery {
             query_id: 2,
             attempt: 0,
             ..
         }]
     ));
-    // An identical query right behind it waits for that traversal. The
-    // barriers prove both workers are through: worker 1 has answered
-    // into the void, and the ack is the only frame worker 0 has for
-    // the client.
-    ask(3);
-    assert_eq!(rig.flush(1), 1);
-    assert_eq!(rig.flush(0), 1);
-    assert!(matches!(rig.wire[1].try_recv(), Err(TryRecvError::Empty)));
+    rig.lose(1, 0);
+    // An identical query right behind it waits for that traversal:
+    // the acks are the only frames either worker has for anybody.
+    rig.send(0, &query_at(3, &query, &marks));
+    assert_eq!(flush(&mut rig, 1), 1);
+    assert_eq!(flush(&mut rig, 0), 1);
+    assert!(rig.held(1, 0).is_empty());
 
     // The owner's deadline passes and it is asked again. That answer
     // arrives twice — the copy behind a finished query — and is the
     // answer of the traversal and of its waiter, in one packet.
-    let (replies, crossed) = rig.carry_until_replies();
-    assert_eq!(replies, [done_query(2, &[1, 2]), done_query(3, &[1, 2])]);
-    assert_eq!(crossed, 3, "the second `RegionQuery`, the answer twice");
+    rig.release(1, 0);
+    rig.copy_next(1, 0);
+    let crossed = rig.crossed;
+    rig.settle();
+    assert_eq!(
+        rig.replies(),
+        [done_query(2, &[1, 2]), done_query(3, &[1, 2])]
+    );
+    let (answered_at, _, _, answers) = rig
+        .trace
+        .iter()
+        .rfind(|(_, _, to, _)| *to == 2)
+        .expect("the answers' packet");
+    assert_eq!(mesh::decode_all(answers).len(), 2);
+    // One second after the first `RegionQuery`: the plain policy's
+    // first deadline, in virtual time.
+    assert!((1_000..1_050).contains(&(answered_at - asked_at)));
+    assert_eq!(
+        rig.crossed - crossed,
+        3,
+        "the second `RegionQuery`, the answer twice"
+    );
     // The traversal filled the slot it held all along.
-    assert_eq!(rig.search(4, &query, &marks), (vec![1, 2], 0));
+    assert_eq!(search(&mut rig, 4, &query, &marks), (vec![1, 2], 0));
 
-    let exits = rig.shutdown();
-    let (w0, w1) = (&exits[0].stats, &exits[1].stats);
+    let (lost, copied) = (rig.lost, rig.copied);
+    let exits = shutdown(rig);
+    let (w0, w1) = (&exits[0], &exits[1]);
     // Sighted, reserved, joined, served: nothing went stale, because no
     // reservation ever outlives a traversal that is still being waited
     // for.
@@ -780,12 +1050,14 @@ fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
         "{w0:?}"
     );
     assert_eq!(w0.queries_abandoned, 0, "{w0:?}");
-    assert_eq!((w1.frames_dropped, w1.frames_duplicated), (1, 1), "{w1:?}");
+    // The wire dealt the fates here, not worker 1's injector.
+    assert_eq!((lost, copied), (1, 1));
+    assert_eq!((w1.frames_dropped, w1.frames_duplicated), (0, 0), "{w1:?}");
     // Every copy that travelled was received: two inserts, four
     // barriers, four queries and two shutdowns came from the test,
     // four acks and four `QueryDone`s went to it.
-    let sent = w0.frames_sent + w1.frames_sent + w1.frames_duplicated;
-    let received = w0.frames_received + w1.frames_received + w1.frames_dropped;
+    let sent = w0.frames_sent + w1.frames_sent + copied;
+    let received = w0.frames_received + w1.frames_received + lost;
     assert_eq!(sent + 12, received + 8, "{exits:?}");
 }
 
@@ -795,39 +1067,30 @@ fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
 
 #[test]
 fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
-    let rig = Rig::start();
+    let mut rig = rig();
     let (query, owned) = spanning_query(&rig);
-    rig.insert_flushed(1, &owned[0][0]);
+    insert_flushed(&mut rig, 1, &owned[0][0]);
     // Worker 1's matches, on as many vertices as its sets reach.
     let mut vertices = BTreeSet::new();
+    let hasher = rig.hasher;
     let spread = owned[1]
         .iter()
-        .filter(|keywords| vertices.insert(rig.hasher.vertex_for(keywords).bits()));
+        .filter(|keywords| vertices.insert(hasher.vertex_for(keywords).bits()));
     for (object, keywords) in (2..).zip(spread) {
-        rig.insert_flushed(object, keywords);
+        insert_flushed(&mut rig, object, keywords);
     }
     assert!(vertices.len() >= 3, "worker 1's sets share two vertices");
     let marks = [1, vertices.len() as u64];
     let everything: Vec<u64> = (1..=1 + vertices.len() as u64).collect();
-    let (whole, _) = rig.search(1, &query, &marks);
+    let (whole, _) = search(&mut rig, 1, &query, &marks);
     assert_eq!(whole, everything);
 
     // The same walk again, but worker 1's answer is cut on the wire
     // into one frame per vertex — what a body cap would force. One of
     // the frames is delivered twice, and a middle one not at all.
-    rig.send(
-        0,
-        &WireMsg::QueryAt {
-            query_id: 2,
-            keywords: query.clone(),
-            threshold: u64::MAX - 1,
-            marks: marks.to_vec(),
-        },
-    );
-    rig.carry(0);
-    let answer = rig.wire[1]
-        .recv_timeout(Duration::from_secs(10))
-        .expect("worker 1 answers for its region");
+    rig.hold(1, 0);
+    rig.send(0, &query_at(2, &query, &marks));
+    rig.deliver();
     let [WireMsg::RegionDone {
         query_id,
         worker,
@@ -836,7 +1099,7 @@ fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
         part: 0,
         more: false,
         groups,
-    }] = &decode_all(&answer)[..]
+    }] = &rig.take_held(1, 0)[..]
     else {
         panic!("one whole answer expected");
     };
@@ -858,121 +1121,112 @@ fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
     // The frames behind the gap — the last one too — are not an
     // answer: worker 0 says nothing until the owner's deadline passes,
     // asks again, and merges the second answer, whole.
-    assert_eq!(rig.flush(0), 1);
-    let (reply, crossed) = rig.carry_until_reply();
-    assert_eq!((done_ids(reply, 2), crossed), (whole, 2));
+    assert_eq!(flush(&mut rig, 0), 1);
+    rig.release(1, 0);
+    let crossed = rig.crossed;
+    rig.settle();
+    let reply = client_frame(&mut rig);
+    assert_eq!((done_ids(reply, 2), rig.crossed - crossed), (whole, 2));
     // It filled the slot like any other answer.
-    assert_eq!(rig.search(3, &query, &marks), (everything, 0));
-    rig.shutdown();
+    assert_eq!(search(&mut rig, 3, &query, &marks), (everything, 0));
+    shutdown(rig);
 }
 
 #[test]
 fn a_worker_that_does_not_own_the_root_coordinates_what_it_is_sent() {
-    let rig = Rig::start();
+    let mut rig = rig();
     let (query, owned) = spanning_query(&rig);
-    rig.insert_flushed(1, &owned[0][0]);
-    rig.insert_flushed(2, &owned[1][0]);
-    rig.insert_flushed(3, &owned[1][1]);
+    insert_flushed(&mut rig, 1, &owned[0][0]);
+    insert_flushed(&mut rig, 2, &owned[1][0]);
+    insert_flushed(&mut rig, 3, &owned[1][1]);
     let marks = [1, 2];
     // One of the two is not the root's owner: to it the root's region
     // is one more remote region. Same answer, same two frames.
-    let at_owner = rig.search_at(rig.owner(&query), 1, &query, &marks);
-    let elsewhere = rig.search_at(1 - rig.owner(&query), 2, &query, &marks);
+    let root_owner = rig.owner(&query);
+    let at_owner = search_at(&mut rig, root_owner, 1, &query, &marks);
+    let elsewhere = search_at(&mut rig, 1 - root_owner, 2, &query, &marks);
     assert_eq!(at_owner, (vec![1, 2, 3], 2));
     assert_eq!(elsewhere, at_owner);
-    for exit in rig.shutdown() {
-        assert_eq!(exit.stats.queries_coordinated, 1);
-        assert_eq!(
-            exit.stats.frames_misrouted, 0,
-            "a query is nobody's to refuse"
-        );
+    for exit in shutdown(rig) {
+        assert_eq!(exit.queries_coordinated, 1);
+        assert_eq!(exit.frames_misrouted, 0, "a query is nobody's to refuse");
     }
 }
 
 #[test]
 fn a_replayed_workers_epoch_never_goes_backwards() {
     // One worker, crashed on its first query-path frame and respawned
-    // on the same inbox the way the supervisor does it.
-    let hasher = KeywordHasher::new(RIG_R, SEED).unwrap();
-    let shards = ShardMap::new(RIG_R, 1, SEED);
-    let (client_tx, client) = sync_channel(64);
-    let (inbox_tx, inbox_rx) = sync_channel::<Vec<u8>>(64);
-    let spawn = |inbox, injector, repairing| {
-        let ctx = WorkerContext {
-            index: 0,
-            shape: Shape::new(RIG_R).unwrap(),
-            hasher,
-            shards,
-            injector,
-            repairing,
-        };
-        let links = vec![None, Some(client_tx.clone())];
-        std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox))
-    };
-    let epoch_at_barrier = |token| {
-        inbox_tx.send(WireMsg::Flush { token }.encode()).unwrap();
-        let packet = client.recv_timeout(Duration::from_secs(10)).unwrap();
-        match decode_all(&packet)[..] {
+    // the way the supervisor does it — with the supervisor's lane held,
+    // so the repair can be watched from the middle.
+    let cfg = RuntimeConfig::new(RIG_R, 1).seed(SEED);
+    let plan = FaultPlan::default().crash(0, 1);
+    let mut rig = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), SEED);
+    let supervisor = 2;
+    let epoch_at_barrier = |rig: &mut Mesh, token| {
+        rig.send(0, &WireMsg::Flush { token });
+        rig.deliver();
+        match rig.replies()[..] {
             [WireMsg::FlushAck { epoch, .. }] => epoch,
             ref other => panic!("expected a flush ack, got {other:?}"),
         }
     };
-    let journal: Vec<Vec<u8>> = (1..=3)
-        .map(|object| {
-            WireMsg::Insert {
-                object,
-                keywords: set(&format!("a b{object}")),
-            }
-            .encode()
+    let journal: Vec<WireMsg> = (1..=3)
+        .map(|object| WireMsg::Insert {
+            object,
+            keywords: set(&format!("a b{object}")),
         })
         .collect();
 
-    let plan = FaultPlan::default().crash(0, 1);
-    let first = spawn(inbox_rx, Some(FaultInjector::new(plan, 0)), false);
     for frame in &journal {
-        inbox_tx.send(frame.clone()).unwrap();
+        rig.send(0, frame);
     }
     // A duplicate insert changes nothing and must not count.
-    inbox_tx.send(journal[0].clone()).unwrap();
-    let before = epoch_at_barrier(1);
+    rig.send(0, &journal[0]);
+    let before = epoch_at_barrier(&mut rig, 1);
     assert_eq!(before, 3, "one epoch per object newly indexed");
+    rig.hold(supervisor, 0);
     let pin = WireMsg::Pin {
         query_id: 9,
         keywords: set("a b1"),
     };
-    inbox_tx.send(pin.encode()).unwrap();
-    let exit = first.join().unwrap();
-    assert_eq!(exit.cause, ExitCause::Crashed);
+    rig.send(0, &pin);
+    rig.deliver();
+    assert_eq!(rig.supervisor.respawns, 1);
+    assert!(rig.replies().is_empty(), "the trigger died with the worker");
 
-    // Respawn in repair mode, replay the journal, release.
-    let second = spawn(exit.inbox, None, true);
-    for frame in &journal {
-        inbox_tx.send(frame.clone()).unwrap();
-    }
-    // Another worker's release does not end this one's repair: the
-    // barrier behind it stays parked until its own arrives.
-    for worker in [7, 0] {
-        inbox_tx
-            .send(WireMsg::RepairDone { worker }.encode())
-            .unwrap();
-    }
-    let replayed = epoch_at_barrier(2);
+    // The respawn is in repair mode, its journal and release still on
+    // the supervisor's lane. Another worker's release does not end this
+    // one's repair: the barrier behind it stays parked until its own
+    // arrives.
+    rig.send(0, &WireMsg::RepairDone { worker: 7 });
+    rig.send(0, &WireMsg::Flush { token: 2 });
+    rig.deliver();
+    assert!(rig.replies().is_empty());
+    rig.release(supervisor, 0);
+    rig.deliver();
+    let replayed = match rig.replies()[..] {
+        [WireMsg::FlushAck {
+            token: 2, epoch, ..
+        }] => epoch,
+        ref other => panic!("expected the parked barrier's ack, got {other:?}"),
+    };
     assert!(replayed >= before, "epoch went from {before} to {replayed}");
-    inbox_tx
-        .send(
-            WireMsg::Insert {
-                object: 4,
-                keywords: set("a b4"),
-            }
-            .encode(),
-        )
-        .unwrap();
-    assert_eq!(epoch_at_barrier(3), replayed + 1);
-    inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
-    let exit = second.join().unwrap();
+    rig.send(
+        0,
+        &WireMsg::Insert {
+            object: 4,
+            keywords: set("a b4"),
+        },
+    );
+    assert_eq!(epoch_at_barrier(&mut rig, 3), replayed + 1);
+    let report = rig.shutdown();
+    report.assert_conserved();
     assert_eq!(
-        (exit.cause, exit.stats.frames_misrouted),
-        (ExitCause::Clean, 1)
+        (
+            report.supervisor.replayed_frames,
+            report.workers[0].frames_misrouted
+        ),
+        (4, 1)
     );
 }
 

@@ -6,11 +6,104 @@
 //! a typed [`WireError`] — and that valid frames survive arbitrary
 //! corruption of *other* bytes only by being rejected, never by being
 //! silently misparsed into out-of-bounds lengths.
+//!
+//! What decodes reaches a worker, and a socket can hand a worker any
+//! *sequence* of frames that decode: the last property feeds a live
+//! [`NodeMachine`] sequences no honest peer would send.
 
-use hyperdex_core::KeywordSet;
+use std::sync::mpsc::sync_channel;
+use std::time::Duration;
+
+use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, RecoveryStrategy};
+use hyperdex_hypercube::Shape;
 use hyperdex_runtime::wire::{exemplars, insert_frame};
-use hyperdex_runtime::{WireError, WireMsg};
+use hyperdex_runtime::{
+    take_frame, ExitCause, Fabric, FaultInjector, FaultPlan, NodeMachine, ShardMap, WireError,
+    WireMsg, WorkerContext,
+};
 use proptest::prelude::*;
+
+/// Frames in `packet` as a machine counts them: every frame that
+/// splits off, plus one for a remainder that does not.
+fn frames_in(packet: &[u8]) -> u64 {
+    let mut rest = packet;
+    let mut n = 0;
+    while !rest.is_empty() {
+        n += 1;
+        match take_frame(rest) {
+            Ok((_, tail)) => rest = tail,
+            Err(_) => break,
+        }
+    }
+    n
+}
+
+/// Overwrites the fields of `msg` a peer could lie in with values drawn
+/// from `v`: ids that collide, a `coord` or `worker` that is this
+/// worker, the client slot or nobody, attempts and parts out of order,
+/// epochs from the future, thresholds of zero, policies that never
+/// time out and ones that time out at once.
+fn mutate(msg: &mut WireMsg, v: u64) {
+    let small_id = v % 4;
+    let endpoint = [0, 1, 2, 3, 99, u32::MAX][(v >> 8) as usize % 6];
+    let threshold = [0, 1, 20, u64::MAX - 1, u64::MAX][(v >> 16) as usize % 5];
+    let attempt = [0, 1, 2, u32::MAX][(v >> 24) as usize % 4];
+    match msg {
+        WireMsg::Query {
+            query_id,
+            threshold: t,
+            ..
+        } => (*query_id, *t) = (small_id, threshold),
+        WireMsg::QueryAt {
+            query_id,
+            threshold: t,
+            marks,
+            ..
+        } => {
+            (*query_id, *t) = (small_id, threshold);
+            *marks = vec![v >> 32; (v >> 40) as usize % 5];
+        }
+        WireMsg::FtQuery {
+            query_id,
+            threshold: t,
+            policy,
+            ..
+        } => {
+            (*query_id, *t) = (small_id, threshold);
+            *policy = FtPolicy {
+                strategy: [
+                    RecoveryStrategy::Naive,
+                    RecoveryStrategy::RetryOnly,
+                    RecoveryStrategy::Redelegate,
+                ][(v >> 32) as usize % 3],
+                max_retries: attempt,
+                base_timeout: [0, 1, 25, u64::MAX][(v >> 40) as usize % 4],
+            };
+        }
+        WireMsg::RegionQuery {
+            query_id,
+            threshold: t,
+            coord,
+            attempt: a,
+            ..
+        } => (*query_id, *t, *coord, *a) = (small_id, threshold, endpoint, attempt),
+        WireMsg::RegionDone {
+            query_id,
+            worker,
+            epoch,
+            attempt: a,
+            part,
+            more,
+            ..
+        } => {
+            (*query_id, *worker, *epoch, *a) = (small_id, endpoint, v >> 32, attempt);
+            (*part, *more) = ((v >> 44) as u32 % 3, v >> 48 & 1 == 1);
+        }
+        WireMsg::FlushAck { worker, .. } | WireMsg::RepairDone { worker } => *worker = endpoint,
+        WireMsg::Handoff { bits, .. } => *bits = v >> 32,
+        _ => {}
+    }
+}
 
 /// Bytes that, strung together, make keywords of every kind the
 /// decoder distinguishes: canonical, upper case, padded, empty after
@@ -126,5 +219,88 @@ proptest! {
             prop_assert_eq!(consumed, frame.len());
             prop_assert_eq!(WireMsg::decode_exact(&msg.encode()), Ok(msg));
         }
+    }
+
+    /// Sequences drawn from the exemplars, field-mutated, duplicated,
+    /// packed several to a packet or cut short, fed to a live machine —
+    /// worker 1 of three, repairing or not, its traversal frames meeting
+    /// a lossy fault plan — with ticks at arbitrary times: it never
+    /// panics, every frame it is handed is counted received or
+    /// undecodable, and every frame it counts sent (or duplicated) is on
+    /// a lane or counted dropped. One such frame, a `RegionQuery` naming
+    /// a `coord` that is no endpoint, used to take the worker thread
+    /// down.
+    #[test]
+    fn frame_sequences_never_panic_a_machine_and_its_ledger_closes(
+        repairing in 0u8..2,
+        script in prop::collection::vec(
+            (0..exemplars().len(), any::<u64>(), 0u8..16, 0u64..40_000),
+            1..80,
+        ),
+    ) {
+        let (r, seed, workers) = (8, 42, 3usize);
+        let (sinks, links): (Vec<_>, Vec<_>) = (0..=workers)
+            .map(|dest| {
+                let (tx, rx) = sync_channel::<Vec<u8>>(1);
+                (rx, (dest != 1).then_some(tx))
+            })
+            .unzip();
+        let ctx = WorkerContext {
+            index: 1,
+            shape: Shape::new(r).unwrap(),
+            hasher: KeywordHasher::new(r, seed).unwrap(),
+            shards: ShardMap::new(r, workers as u32, seed),
+            injector: Some(FaultInjector::new(FaultPlan::lossy(7, 200, 200, 200), 1)),
+            repairing: repairing == 1,
+        };
+        let mut node = NodeMachine::new(ctx, Fabric::inboxes(links));
+        let (mut fed, mut on_lanes) = (0u64, 0u64);
+        let mut now = Duration::ZERO;
+        let mut packet = Vec::new();
+        let exemplars = exemplars();
+        for (which, v, shape, elapsed) in script {
+            let mut msg = exemplars[which].clone();
+            if shape & 1 == 1 {
+                mutate(&mut msg, v);
+            }
+            for _ in 0..=(shape >> 1 & 1) {
+                msg.encode_append(&mut packet);
+            }
+            // One packet in four keeps growing: frames interleave.
+            if shape >> 2 == 1 {
+                continue;
+            }
+            // One in four is cut short, or ends in garbage.
+            match shape >> 2 {
+                2 => packet.truncate(packet.len() - 1 - v as usize % 4),
+                3 => packet.extend_from_slice(&v.to_le_bytes()),
+                _ => {}
+            }
+            // Time passes: a little, or past every deadline there is.
+            now = now.saturating_add(match elapsed {
+                0 => Duration::MAX,
+                ms => Duration::from_millis(ms),
+            });
+            fed += frames_in(&packet);
+            node.receive(now, &packet);
+            packet.clear();
+            if v & 1 == 1 {
+                node.tick(now);
+            }
+            prop_assert!(node.next_deadline().is_some() == (node.parked() > 0));
+            node.fabric().offer(true);
+            prop_assert_eq!(node.fabric().pending(), 0);
+            on_lanes += sinks.iter().flat_map(|rx| rx.try_iter()).map(|p| frames_in(&p)).sum::<u64>();
+        }
+        let parked = node.parked();
+        let live = node.stats();
+        let stats = node.exit(ExitCause::Clean);
+        prop_assert_eq!(fed, stats.frames_received + stats.frames_undecodable);
+        prop_assert_eq!(
+            stats.frames_sent + stats.frames_duplicated,
+            on_lanes + stats.frames_dropped,
+            "{:?}", stats
+        );
+        prop_assert_eq!(stats.queries_abandoned, live.queries_abandoned + parked);
     }
 }
