@@ -15,10 +15,11 @@
 //!   engine (recall = found/truth, aggregated over the query mix);
 //! * per-query wall latency is reported as median, 99th percentile and
 //!   worst of the cell's 200 samples — the price of a deadline, backoff
-//!   and supervised repair is visible in the tail;
+//!   and a supervised respawn is visible in the tail;
 //! * `frames_per_query` is every frame the cell's queries caused — the
-//!   run's ledger less a load-only run's — so retransmissions, answers
-//!   to them and journal replays all count;
+//!   run's ledger less a load-only run's — so retransmissions and the
+//!   answers to them count (a respawn restores its shard from its load
+//!   log in its constructor: no frame);
 //! * retries, timeouts, supervisor respawns, and the injector's
 //!   dropped/duplicated frame counts come from the
 //!   [`hyperdex_core::FtCoverage`]s and the conservation-checked

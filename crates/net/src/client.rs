@@ -472,43 +472,35 @@ impl ClientLink for TcpLink {
 }
 
 /// Decodes client-bound units off one connection into the shared event
-/// channel, reporting the connection's death as a final event.
+/// channel, reporting the connection's death — or the first thing on it
+/// no server sends a client — as a final event.
 fn reader_loop(mut stream: TcpStream, server: usize, tx: Sender<Event>, received: Arc<AtomicU64>) {
     let mut dec = StreamDecoder::new();
-    let detail = loop {
+    let detail = 'conn: loop {
         match dec.fill_from(&mut stream) {
             Ok(0) => break "server closed the connection".to_string(),
             Err(e) => break e.to_string(),
             Ok(_) => {}
         }
         loop {
-            match dec.next_unit_ref() {
+            let frame = match dec.next_unit_ref() {
                 Ok(None) => break,
-                Err(e) => {
-                    let _ = tx.send(Event::Lost {
-                        server,
-                        detail: format!("corrupt stream: {e}"),
-                    });
-                    return;
+                Err(e) => break 'conn format!("corrupt stream: {e}"),
+                // Whatever wrote a unit for a worker, this is not the
+                // stream a client reads.
+                Ok(Some((dest, _))) if dest != CLIENT_DEST => {
+                    break 'conn format!("worker-bound unit (worker {dest}) at the client")
                 }
-                Ok(Some((dest, frame))) => {
-                    debug_assert_eq!(dest, CLIENT_DEST, "worker-bound unit at the client");
-                    received.fetch_add(1, Ordering::SeqCst);
-                    match WireMsg::decode_exact(frame) {
-                        Ok(msg) => {
-                            if tx.send(Event::Frame(msg)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Event::Lost {
-                                server,
-                                detail: format!("undecodable frame: {e}"),
-                            });
-                            return;
-                        }
+                Ok(Some((_, frame))) => frame,
+            };
+            received.fetch_add(1, Ordering::SeqCst);
+            match WireMsg::decode_exact(frame) {
+                Ok(msg) => {
+                    if tx.send(Event::Frame(msg)).is_err() {
+                        return;
                     }
                 }
+                Err(e) => break 'conn format!("undecodable frame: {e}"),
             }
         }
     };

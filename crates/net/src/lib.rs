@@ -8,8 +8,9 @@
 //! * [`stream`] — `[dest][frame]` units on the wire and a streaming
 //!   decoder tolerant of arbitrary partial reads.
 //! * [`server`] — the server process: worker shards behind a listener,
-//!   a directed mesh between servers, local crash supervision with
-//!   journal replay, and a plain-text conservation report at shutdown.
+//!   a directed mesh between servers, local crash supervision, a
+//!   client writer that answers on the newest client connection, and a
+//!   plain-text conservation report at shutdown.
 //! * [`client`] — the client library: typed [`hyperdex_core::Error`]
 //!   results (`ConnectionLost`, `Timeout`), request deadlines, and
 //!   reconnect with exponential backoff.

@@ -38,27 +38,28 @@
 //! ([`hyperdex_runtime::runtime::supervise`]) over its local shards,
 //! handing it a builder for that fabric: a crashed worker (scheduled
 //! via [`CrashPoint`]) is respawned on the same inbox, its shard
-//! replayed from a journal of the load frames this server received,
-//! and released with `RepairDone`. At shutdown the server
-//! prints a plain-text frame-conservation report (`WSTATS` per worker,
-//! one `SSTATS`, then `REPORT_END`) that the cluster launcher
+//! restored from the load log the crashed incarnation kept (this
+//! module never looks inside a frame). What outlives a connection goes
+//! to its successor too: the client's writer queue is handed every
+//! client connection accepted and answers on the newest, so a client
+//! that re-dials a live server is served. At shutdown the
+//! server prints a plain-text frame-conservation report (`WSTATS` per
+//! worker, one `SSTATS`, then `REPORT_END`) that the cluster launcher
 //! aggregates into the same [`hyperdex_runtime::ShutdownReport`] the
 //! other executors use.
 
-use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hyperdex_core::KeywordHasher;
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::fault::{CrashPoint, FaultInjector, FaultPlan};
-use hyperdex_runtime::runtime::{supervise, Journal, Spawner};
-use hyperdex_runtime::wire::WireMsg;
+use hyperdex_runtime::runtime::{supervise, Spawner};
 use hyperdex_runtime::{Fabric, PacketPool, ShardMap};
 
 use crate::stream::{count_units, StreamDecoder, CLIENT_DEST};
@@ -115,7 +116,6 @@ struct InboundAnomalies {
 fn reader_loop(
     mut stream: TcpStream,
     inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
-    journal: Option<Journal>,
     anomalies: Arc<InboundAnomalies>,
 ) {
     let mut dec = StreamDecoder::new();
@@ -143,17 +143,6 @@ fn reader_loop(
                     if inbox_tx.get(dest as usize).is_none_or(Option::is_none) {
                         anomalies.units_misrouted.fetch_add(1, Ordering::Relaxed);
                         continue;
-                    }
-                    if let Some(journal) = &journal {
-                        if matches!(
-                            WireMsg::decode_exact(frame),
-                            Ok(WireMsg::Insert { .. } | WireMsg::Handoff { .. })
-                        ) {
-                            journal
-                                .lock()
-                                .expect("journal lock")
-                                .push((dest, frame.to_vec()));
-                        }
                     }
                     let slot = match groups[..used].iter_mut().find(|(d, _)| *d == dest) {
                         Some((_, packet)) => packet,
@@ -183,30 +172,37 @@ fn reader_loop(
     }
 }
 
-/// Drains a writer queue into one socket: greedily gathers everything
-/// queued (`try_recv` loop) and ships the whole batch with vectored
-/// writes, then recycles the packet buffers through the shared pool.
-/// Exits when every sender is gone and the queue is empty — packets
-/// queued before disconnect are still delivered. If the socket dies
-/// the loop keeps receiving (so senders never wedge) and counts every
+/// Drains a writer queue into the newest socket `streams` has handed
+/// it: greedily gathers everything queued (`try_recv` loop) and ships
+/// the whole batch with vectored writes, then recycles the packet
+/// buffers through the shared pool. The queue outlives any one
+/// connection: a peer's writer is handed the one dialed stream, the
+/// client's every client connection accepted. Exits when every sender
+/// is gone and the queue is empty — packets queued before disconnect
+/// are still delivered. With no socket yet, or once it died, the loop
+/// keeps receiving (so senders never wedge) and counts every
 /// undelivered unit into `lost` for the conservation report.
 fn writer_loop(
     rx: Receiver<Vec<u8>>,
-    mut stream: TcpStream,
+    streams: Receiver<TcpStream>,
     pool: PacketPool,
     lost: Arc<AtomicU64>,
 ) {
     let mut batch: Vec<Vec<u8>> = Vec::new();
-    let mut broken = false;
+    let mut stream: Option<TcpStream> = None;
     while let Ok(first) = rx.recv() {
         batch.push(first);
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
         }
-        if !broken && write_batch(&mut stream, &batch).is_err() {
-            broken = true;
+        if let Some(newest) = streams.try_iter().last() {
+            stream = Some(newest);
         }
-        if broken {
+        if stream
+            .as_mut()
+            .is_none_or(|stream| write_batch(stream, &batch).is_err())
+        {
+            stream = None;
             let undelivered: u64 = batch.iter().map(|p| count_units(p)).sum();
             lost.fetch_add(undelivered, Ordering::Relaxed);
         }
@@ -287,37 +283,36 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // Inboxes for local workers, addressed by global index.
     let mut inbox_tx: Vec<Option<SyncSender<Vec<u8>>>> =
         (0..cfg.total_workers).map(|_| None).collect();
-    let mut inbox_rx: HashMap<u32, Receiver<Vec<u8>>> = HashMap::new();
+    let mut inbox_rx: Vec<Receiver<Vec<u8>>> = Vec::with_capacity(local.len());
     for &w in &local {
         let (tx, rx) = sync_channel::<Vec<u8>>(cap);
         inbox_tx[w as usize] = Some(tx);
-        inbox_rx.insert(w, rx);
+        inbox_rx.push(rx);
     }
 
     // Writer queues: one per remote server, one for the client.
     let mut peer_tx: Vec<Option<SyncSender<Vec<u8>>>> = (0..cfg.servers).map(|_| None).collect();
-    let mut peer_rx: Vec<Option<Receiver<Vec<u8>>>> = (0..cfg.servers).map(|_| None).collect();
-    for j in 0..cfg.servers {
-        if j != cfg.index {
-            let (tx, rx) = sync_channel::<Vec<u8>>(cap * local.len().max(1));
-            peer_tx[j as usize] = Some(tx);
-            peer_rx[j as usize] = Some(rx);
-        }
-    }
     let (client_tx, client_rx) = sync_channel::<Vec<u8>>(cap * cfg.total_workers.max(1) as usize);
 
-    let journal: Option<Journal> = cfg
-        .crash
-        .is_some()
-        .then(|| Arc::new(Mutex::new(Vec::new())));
-
-    // Dial the mesh and start one writer per outbound connection. The
-    // packet pool is shared by every worker's lanes and every writer;
-    // `wire_lost` counts units a broken socket never delivered.
+    // Dial the mesh and start one writer per writer queue, the
+    // client's included: a queue outlives its connections. The packet
+    // pool is shared by every worker's lanes and every writer;
+    // `wire_lost` counts units no live socket delivered.
     let pool = PacketPool::default();
     let wire_lost = Arc::new(AtomicU64::new(0));
     let anomalies = Arc::new(InboundAnomalies::default());
     let mut writers: Vec<JoinHandle<()>> = Vec::new();
+    let mut writer = |name: String, rx| {
+        let (stream_tx, streams) = channel();
+        let (pool, lost) = (pool.clone(), Arc::clone(&wire_lost));
+        writers.push(
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || writer_loop(rx, streams, pool, lost))
+                .expect("spawn writer thread"),
+        );
+        stream_tx
+    };
     for j in 0..cfg.servers {
         if j == cfg.index {
             continue;
@@ -325,28 +320,19 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
         let mut stream = dial(&peer_addrs[j as usize])?;
         stream.set_nodelay(true).ok();
         stream.write_all(&cfg.index.to_le_bytes())?;
-        let rx = peer_rx[j as usize].take().expect("created above");
-        let pool = pool.clone();
-        let lost = Arc::clone(&wire_lost);
-        writers.push(
-            std::thread::Builder::new()
-                .name(format!("hyperdex-net-writer-{}-{j}", cfg.index))
-                .spawn(move || writer_loop(rx, stream, pool, lost))
-                .expect("spawn writer thread"),
-        );
+        let (tx, rx) = sync_channel::<Vec<u8>>(cap * local.len().max(1));
+        peer_tx[j as usize] = Some(tx);
+        writer(format!("hyperdex-net-writer-{}-{j}", cfg.index), rx)
+            .send(stream)
+            .expect("writer just started");
     }
+    let client_streams = writer("hyperdex-net-client-writer".into(), client_rx);
 
-    // Accept loop: mesh peers get a reader; the client connection gets
-    // a reader plus the client writer (replies flow back on the same
-    // socket).
-    let client_writer: Arc<Mutex<Option<JoinHandle<()>>>> = Arc::new(Mutex::new(None));
-    let pending_client_rx = Arc::new(Mutex::new(Some(client_rx)));
+    // Accept loop: every connection gets a reader; a client's is also
+    // handed to the client writer (replies flow back on the same
+    // socket), which from then on answers on it.
     {
         let inbox_tx = inbox_tx.clone();
-        let journal = journal.clone();
-        let client_writer = Arc::clone(&client_writer);
-        let pool = pool.clone();
-        let wire_lost = Arc::clone(&wire_lost);
         let anomalies = Arc::clone(&anomalies);
         std::thread::Builder::new()
             .name(format!("hyperdex-net-accept-{}", cfg.index))
@@ -359,23 +345,16 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
                         continue;
                     }
                     if u32::from_le_bytes(hello) == CLIENT_DEST {
-                        if let Some(rx) = pending_client_rx.lock().expect("client rx").take() {
-                            let out = stream.try_clone().expect("clone client stream");
-                            let pool = pool.clone();
-                            let lost = Arc::clone(&wire_lost);
-                            let handle = std::thread::Builder::new()
-                                .name("hyperdex-net-client-writer".into())
-                                .spawn(move || writer_loop(rx, out, pool, lost))
-                                .expect("spawn client writer");
-                            *client_writer.lock().expect("writer slot") = Some(handle);
-                        }
+                        let Ok(out) = stream.try_clone() else {
+                            continue;
+                        };
+                        let _ = client_streams.send(out);
                     }
                     let inbox_tx = inbox_tx.clone();
-                    let journal = journal.clone();
                     let anomalies = Arc::clone(&anomalies);
                     std::thread::Builder::new()
                         .name("hyperdex-net-reader".into())
-                        .spawn(move || reader_loop(stream, inbox_tx, journal, anomalies))
+                        .spawn(move || reader_loop(stream, inbox_tx, anomalies))
                         .expect("spawn reader thread");
                 }
             })
@@ -412,17 +391,16 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
         event_tx,
     };
     let mut handles: Vec<Option<JoinHandle<()>>> = (0..total).map(|_| None).collect();
-    for &w in &local {
-        let injector = cfg.crash.and_then(|c| {
-            (c.worker == w).then(|| {
-                FaultInjector::new(
-                    FaultPlan::default().crash(c.worker, c.after_query_frames),
-                    w,
-                )
-            })
-        });
-        let rx = inbox_rx.remove(&w).expect("inbox created");
-        handles[w as usize] = Some(spawner.spawn(w, rx, injector, false));
+    for (&w, rx) in local.iter().zip(inbox_rx) {
+        // The worker the crash point names gets the injector that
+        // stops it and keeps the load log that brings its shard back.
+        let plan = cfg
+            .crash
+            .filter(|c| c.worker == w)
+            .map(|c| FaultPlan::default().crash(c.worker, c.after_query_frames));
+        let log = plan.is_some().then(Vec::new);
+        let injector = plan.map(|plan| FaultInjector::new(plan, w));
+        handles[w as usize] = Some(spawner.spawn(w, rx, injector, log));
     }
     println!("READY");
     io::stdout().flush().ok();
@@ -430,14 +408,11 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // Supervise until the client's `Shutdown` frames have stopped every
     // local worker. Dropping the spawner on return closes the writer
     // queues, so the writer threads finish flushing and exit.
-    let (stats, mut sup) = supervise(spawner, handles, journal, event_rx);
+    let (stats, mut sup) = supervise(spawner, handles, event_rx);
     for handle in writers {
         let _ = handle.join();
     }
-    if let Some(handle) = client_writer.lock().expect("writer slot").take() {
-        let _ = handle.join();
-    }
-    // Units a broken socket never delivered count as drained: they
+    // Units no live socket delivered count as drained: they
     // left the workers' ledgers as sent but never reached a receiver.
     sup.frames_drained += wire_lost.load(Ordering::Relaxed);
     sup.streams_corrupt = anomalies.streams_corrupt.load(Ordering::Relaxed);

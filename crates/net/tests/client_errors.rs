@@ -1,7 +1,8 @@
 //! Client-side failure semantics against scripted fake servers: a
 //! deadline that expires yields [`Error::Timeout`], a dead connection
 //! is re-dialed with exponential backoff, and an unreachable server
-//! surfaces as [`Error::ConnectionLost`] — typed errors, never panics.
+//! surfaces as [`Error::ConnectionLost`] — typed errors, never panics —
+//! and so does a server whose stream carries what no server sends.
 //! Pipelined request windows complete out of order, degrade a single
 //! timed-out search without stalling the rest, and re-issue across a
 //! mid-window reconnect.
@@ -198,6 +199,51 @@ fn mid_session_loss_gives_up_after_backoff_and_names_the_endpoint() {
         elapsed >= Duration::from_millis(30),
         "reconnect returned too fast for its backoff schedule ({elapsed:?})"
     );
+}
+
+/// A reply unit addressed to a worker is a stream this client should
+/// not be reading: the request awaiting that server fails with
+/// `ConnectionLost`, at once, in every build profile (a debug build
+/// used to panic its reader and sit out the deadline, a release build
+/// to take the frame for the answer).
+#[test]
+fn a_worker_bound_unit_at_the_client_is_a_lost_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        assert_eq!(read_hello(&mut stream), CLIENT_DEST);
+        let mut sink = [0u8; 4096];
+        assert!(stream.read(&mut sink).expect("the pin request") > 0);
+        // The first id a client issues, the answer it hopes for — and a
+        // header that says worker 0.
+        let reply = WireMsg::PinResults {
+            query_id: 1,
+            objects: vec![7],
+        };
+        stream
+            .write_all(&encode_unit(0, &reply.encode()))
+            .expect("reply");
+        // Until the client is gone: its reader left at the bad unit.
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+
+    let cfg = NetConfig {
+        request_timeout: Duration::from_secs(3),
+        ..quick_cfg()
+    };
+    let mut client = NetClient::connect(&[addr], 8, 42, 1, cfg).unwrap();
+    let started = Instant::now();
+    let err = client
+        .pin_search(&KeywordSet::parse("misaddressed answer").unwrap())
+        .expect_err("the answer was not addressed to a client");
+    assert!(
+        matches!(&err, Error::ConnectionLost { detail, .. } if detail.contains("worker-bound")),
+        "{err}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(2), "{err}");
+    drop(client);
+    server.join().unwrap();
 }
 
 /// Reads units off `stream` until `n` FT queries have arrived,

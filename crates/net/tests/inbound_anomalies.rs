@@ -2,21 +2,24 @@
 //! under a name, never asserted on and never silent: a live
 //! single-server cluster is fed a unit for a worker it does not host,
 //! a perfectly framed unit per worker whose body is no message, an
-//! insert and a pin for a vertex their receiver does not own, three
-//! frames of kinds no worker is ever sent, three region queries whose
-//! `coord` is nobody a worker could answer, and then a header no
-//! stream can recover from; it keeps serving, and reports all of it in
-//! its `SSTATS` and `WSTATS` lines.
+//! insert and a pin for a vertex their receiver does not own, two
+//! frames under a retired tag and one of a kind no worker is ever
+//! sent, three region queries whose `coord` is nobody a worker could
+//! answer, and then a header no stream can recover from; it keeps
+//! serving, and reports all of it in its `SSTATS` and `WSTATS` lines.
+//! And a client connection is not the only one a server ever answers:
+//! the newest one gets the replies.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
 use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
-use hyperdex_net::stream::push_unit;
+use hyperdex_net::stream::{push_unit, CLIENT_DEST};
 use hyperdex_runtime::wire::{WireMsg, MAX_BODY_LEN};
-use hyperdex_runtime::ShardMap;
+use hyperdex_runtime::{ShardMap, WorkerStats};
 
 #[test]
 fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_serving() {
@@ -75,20 +78,19 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
         push_unit(&mut units, 1 - owner(&stray), &msg.encode());
     }
     feed(&units);
-    // Frames that decode but are no worker's to act on, all to worker
-    // 0: a repair release for another worker, one for itself while it
-    // repairs nothing, a reply meant for a client.
+    // All to worker 0: two whole frames under tag 13, which released a
+    // respawned worker from its replay when recovery was a protocol —
+    // retired, so undecodable — and a frame that decodes but is no
+    // worker's to act on, a reply meant for a client.
     let mut units = Vec::new();
-    for msg in [
-        WireMsg::RepairDone { worker: 1 },
-        WireMsg::RepairDone { worker: 0 },
-        WireMsg::QueryDone {
-            query_id: u64::MAX,
-            objects: vec![(8, 0)],
-        },
-    ] {
-        push_unit(&mut units, 0, &msg.encode());
+    for worker in [1u8, 0] {
+        push_unit(&mut units, 0, &[5, 0, 0, 0, 13, worker, 0, 0, 0]);
     }
+    let reply = WireMsg::QueryDone {
+        query_id: u64::MAX,
+        objects: vec![(8, 0)],
+    };
+    push_unit(&mut units, 0, &reply.encode());
     feed(&units);
     // Region queries, to worker 0, whose answer would go to no worker
     // at all, to the client's slot, and to worker 0 itself (the first
@@ -127,20 +129,59 @@ fn misrouted_undecodable_and_corrupt_input_is_counted_and_the_server_keeps_servi
     );
 
     let report = cluster.shutdown(client).expect("cluster shutdown");
-    // The eight misrouted frames are in nobody's `sent`: the ledger is
+    // The six misrouted frames are in nobody's `sent`: the ledger is
     // over by exactly them (the stray pin's reply was sent and received
     // like any other; the region queries were not answered).
     assert_eq!(
         report.total_received(),
-        report.total_sent() + 8,
+        report.total_sent() + 6,
         "{report:?}"
     );
     let misrouted: Vec<u64> = report.workers.iter().map(|w| w.frames_misrouted).collect();
-    let mut expected = vec![6, 0];
+    let mut expected = vec![4, 0];
     expected[1 - owner(&stray) as usize] += 2;
     assert_eq!(misrouted, expected, "{report:?}");
     assert_eq!(report.supervisor.units_misrouted, 1, "{report:?}");
     assert_eq!(report.supervisor.streams_corrupt, 1, "{report:?}");
     let undecodable: u64 = report.workers.iter().map(|w| w.frames_undecodable).sum();
-    assert_eq!(undecodable, 2, "{report:?}");
+    assert_eq!(undecodable, 4, "{report:?}");
+}
+
+/// The client writer's queue outlives a client connection and answers
+/// on the newest: a second connection to a live server is served, which
+/// is what lets a client that lost its socket re-dial.
+#[test]
+fn the_newest_client_connection_gets_the_replies() {
+    let mut cfg = ClusterConfig::new(8, 42, 2, 1);
+    cfg.server_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_hyperdex-server")));
+    let cluster = Cluster::launch(cfg).expect("cluster launch");
+    // A client by hand, twice: the hello, a barrier for worker 0, its
+    // ack (one 29-byte unit) read back, the hangup.
+    for token in [1, 2] {
+        let mut raw = TcpStream::connect(&cluster.addrs()[0]).expect("dial the server");
+        let mut bytes = CLIENT_DEST.to_le_bytes().to_vec();
+        push_unit(&mut bytes, 0, &WireMsg::Flush { token }.encode());
+        raw.write_all(&bytes).expect("send the barrier");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut unit = [0u8; 29];
+        raw.read_exact(&mut unit)
+            .unwrap_or_else(|e| panic!("connection {token} was never answered: {e}"));
+        let ack = WireMsg::decode_exact(&unit[4..]).expect("a frame");
+        assert!(matches!(ack, WireMsg::FlushAck { token: t, worker: 0, .. } if t == token));
+    }
+    // The third and newest connection is the library's.
+    let mut client = cluster.client().expect("cluster client");
+    let keywords = KeywordSet::parse("third time").unwrap();
+    let object = ObjectId::from_raw(7);
+    client.insert(object, keywords.clone()).expect("insert");
+    client.flush().expect("flush");
+    assert_eq!(client.pin_search(&keywords).expect("pin"), vec![object]);
+    let report = cluster.shutdown(client).expect("cluster shutdown");
+    // The raw connections' two barriers and two acks are in the
+    // workers' ledgers and not in the client's: nothing else is off, and
+    // nothing was written to a connection that was gone.
+    let sum = |counter: fn(&WorkerStats) -> u64| report.workers.iter().map(counter).sum::<u64>();
+    assert_eq!(sum(|w| w.frames_received), report.client_sent + 2);
+    assert_eq!(sum(|w| w.frames_sent), report.client_received + 2);
+    assert_eq!(report.supervisor.frames_drained, 0, "{report:?}");
 }

@@ -97,7 +97,7 @@ fn crashed_worker_recovers_over_tcp_and_the_ledger_still_balances() {
     let mut cfg = ClusterConfig::new(8, 42, 4, 2);
     cfg.server_bin = server_bin();
     // Worker 1 dies on its 3rd query-path frame; its server respawns
-    // it, replays the journal, and releases it with RepairDone.
+    // it from the load log its exit carried.
     cfg.crash = Some(CrashPoint {
         worker: 1,
         after_query_frames: 3,

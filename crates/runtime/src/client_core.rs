@@ -29,7 +29,7 @@
 //! issued after an [`Error::Timeout`] is safe; and a frame kind no
 //! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 use hyperdex_core::{
@@ -254,6 +254,36 @@ impl<L: ClientLink> ClientCore<L> {
                 keywords,
             },
         )
+    }
+
+    /// Installs whole vertex tables at once (bulk load): entries are
+    /// grouped by vertex and shipped as `Handoff` frames to the owning
+    /// shards, in vertex order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptyKeywordSet`] if any entry's set is empty (before
+    /// anything ships), otherwise the link's errors.
+    pub fn bulk_load<'a, I>(&mut self, entries: I) -> Result<(), Error>
+    where
+        I: IntoIterator<Item = (ObjectId, &'a KeywordSet)>,
+    {
+        let mut by_vertex: BTreeMap<u64, Vec<(KeywordSet, Vec<u64>)>> = BTreeMap::new();
+        for (object, keywords) in entries {
+            if keywords.is_empty() {
+                return Err(Error::EmptyKeywordSet);
+            }
+            let bits = self.hasher.vertex_for(keywords).bits();
+            by_vertex
+                .entry(bits)
+                .or_default()
+                .push((keywords.clone(), vec![object.raw()]));
+        }
+        for (bits, entries) in by_vertex {
+            let owner = self.shards.owner_of(bits);
+            self.send(owner, &WireMsg::Handoff { bits, entries })?;
+        }
+        Ok(())
     }
 
     /// Drain barrier: returns once every worker has processed every

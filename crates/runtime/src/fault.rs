@@ -10,7 +10,7 @@
 //!
 //! Scope: injection applies only to **worker → worker traversal
 //! frames** (`RegionQuery`/`RegionDone`). Client-bound frames, control
-//! frames (flush/shutdown/repair), and load frames (insert/handoff)
+//! frames (flush/shutdown), and load frames (insert/handoff)
 //! are reliable — so the indexed corpus is always well-defined and
 //! every lost frame is one its coordinator knows how to recover: the
 //! owner is asked again under its deadline, and given up only as
@@ -21,7 +21,9 @@
 //! A crash point stops a worker cold on the N-th query-path frame it
 //! receives, *before* processing it: in-memory tables, frames parked
 //! on lanes, and coordinator state all vanish, exactly like a process
-//! kill. Recovery is the supervisor's job ([`crate::runtime`]).
+//! kill. What survives is the shard's load log — the paper's surviving
+//! copy (§3.4) — and recovery is the constructor of the machine the
+//! supervisor respawns from it ([`crate::worker::WorkerContext::log`]).
 
 use hyperdex_dht::stable_hash64_seeded;
 

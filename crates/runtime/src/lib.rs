@@ -13,8 +13,8 @@
 //!
 //! The cluster also survives being hurt: [`fault`] injects seeded
 //! drop/duplicate/delay faults and crash-stops on the wire path, while
-//! the [`runtime`] supervisor respawns crashed workers and replays
-//! their shards, and every superset traversal holds the region owners
+//! the [`runtime`] supervisor respawns crashed workers from the load
+//! logs their exits carry, and every superset traversal holds the region owners
 //! it waits for to deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
 //! ([`hyperdex_core::FtPolicy::attempt_timeout`]);

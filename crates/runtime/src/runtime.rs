@@ -32,8 +32,8 @@
 //! The request protocol itself — ids, routing, reply matching, FT
 //! re-issue — is the shared [`ClientCore`]; [`NodeRuntime`] plugs the
 //! in-process channel link into it and adds what only a process that
-//! owns its workers can do: start, supervise, journal, bulk-load, shut
-//! down. On the worker side there is one superset traversal: one
+//! owns its workers can do: start, supervise, shut down. On the worker
+//! side there is one superset traversal: one
 //! round per prefix region, merged into the very answer the
 //! `SupersetCoordinator` machine of the simulator and the direct
 //! engine folds, every awaited region owner under a deadline (on the
@@ -49,19 +49,20 @@
 //! [`NodeRuntime::start_faulted`] arms a seeded [`FaultPlan`]: worker→
 //! worker traversal frames may be dropped, duplicated, or delayed
 //! (which reorders), and whole workers crash-stop at scheduled points,
-//! losing every byte of in-memory state. A supervisor thread
-//! ([`supervise`] — the same loop a `hyperdex-net` server runs over
-//! its local shards) owns the worker join handles; when a worker
-//! reports a crash the supervisor respawns it **on the same inbox
-//! channel** (peers never observe a disconnect — exactly a process
-//! restart behind a stable address), replays the crashed shard's load
-//! frames from the [`Journal`], and finishes with `RepairDone`. Until
-//! repair completes the respawned worker parks query frames, so scans
-//! never run against a half-restored table. If recovery cannot finish
-//! within the retry budget, [`NodeRuntime::superset_search_ft`]
-//! degrades gracefully: it returns a partial result whose
-//! [`hyperdex_core::FtCoverage`] accounts every unreached vertex
-//! exactly.
+//! losing every byte of in-memory state but the shard's load log — the
+//! paper's surviving copy, which a worker a crash point names writes
+//! ahead of every load frame it handles ([`WorkerContext::log`]). A
+//! supervisor thread ([`supervise`] — the same loop a `hyperdex-net`
+//! server runs over its local shards) owns the worker join handles; a
+//! crashed worker's exit carries what outlives it, and the respawn gets
+//! both: **the same inbox channel** (peers never observe a disconnect —
+//! exactly a process restart behind a stable address) and the log, from
+//! which its constructor restores the shard before its driver first
+//! reads that inbox — a scan never runs against a half-restored table.
+//! If recovery cannot finish within the retry budget,
+//! [`NodeRuntime::superset_search_ft`] degrades gracefully: it returns
+//! a partial result whose [`hyperdex_core::FtCoverage`] accounts every
+//! unreached vertex exactly.
 //!
 //! # Shutdown protocol and conservation
 //!
@@ -81,11 +82,10 @@
 //! still buffered on an inbox after its worker exited. The parity
 //! harness and the bench assert it on every run, faulted or not.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
-use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,13 +103,6 @@ use crate::worker::{counter_record, ExitCause, Flow, NodeMachine, WorkerContext,
 pub use crate::client_core::{
     BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
-
-/// The load journal: `(owning worker, encoded frame)` per load frame
-/// (`Insert`/`Handoff`) that entered this process, shared between
-/// whoever sees those frames arrive (the channel link, a server's
-/// socket readers) and the supervisor, so a respawned worker's shard
-/// can be replayed.
-pub type Journal = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
 
 /// How a [`NodeRuntime`] is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,10 +163,9 @@ counter_record! {
     {
         /// Workers respawned after a crash.
         respawns,
-        /// Journal frames replayed into respawned workers.
+        /// Load-log frames respawned workers restored their shards from.
         replayed_frames,
-        /// Frames the supervisor itself sent (replays, `RepairDone`,
-        /// `Shutdown`).
+        /// Frames the supervisor itself sent (`Shutdown`).
         frames_sent,
         /// Frames drained from inboxes after their workers exited.
         frames_drained,
@@ -279,8 +271,6 @@ struct ChannelLink {
     queued: Vec<(u32, Vec<u8>)>,
     /// Frames decoded out of a multi-frame packet, ahead of the inbox.
     pending: VecDeque<WireMsg>,
-    /// Kept exactly when the fault plan schedules crashes.
-    journal: Option<Journal>,
     clock: Clock,
     sent: u64,
     received: u64,
@@ -303,16 +293,7 @@ impl Clock {
 
 impl ClientLink for ChannelLink {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
-        let frame = msg.encode();
-        if let (Some(journal), WireMsg::Insert { .. } | WireMsg::Handoff { .. }) =
-            (&self.journal, msg)
-        {
-            journal
-                .lock()
-                .expect("journal lock")
-                .push((worker, frame.clone()));
-        }
-        self.queued.push((worker, frame));
+        self.queued.push((worker, msg.encode()));
     }
 
     fn ship(&mut self) -> Result<(), Error> {
@@ -386,9 +367,8 @@ impl NodeRuntime {
 
     /// Spawns the worker threads under a seeded fault plan. Injection
     /// applies to worker→worker traversal frames only; loads and
-    /// control frames stay reliable (see [`crate::fault`]). Crash
-    /// recovery requires the load journal, which is kept exactly when
-    /// the plan schedules crashes.
+    /// control frames stay reliable (see [`crate::fault`]). A worker
+    /// the plan schedules a crash for keeps its shard's load log.
     ///
     /// # Errors
     ///
@@ -400,20 +380,12 @@ impl NodeRuntime {
         let shards = cfg.shard_map();
         let cap = cfg.channel_capacity.max(1);
 
-        let mut worker_tx = Vec::with_capacity(workers as usize);
-        let mut worker_rx = Vec::with_capacity(workers as usize);
-        for _ in 0..workers {
-            let (tx, rx) = sync_channel::<Vec<u8>>(cap);
-            worker_tx.push(tx);
-            worker_rx.push(rx);
-        }
+        let (worker_tx, worker_rx): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| sync_channel::<Vec<u8>>(cap)).unzip();
         // The client inbox absorbs replies from every worker; scale its
         // bound so a reply burst cannot stall the whole fleet.
         let (client_tx, client_rx) = sync_channel::<Vec<u8>>(cap * workers as usize);
         let (event_tx, event_rx) = channel::<SupervisorEvent>();
-
-        let journal =
-            (!plan.crashes.is_empty()).then(|| Arc::new(Mutex::new(Vec::<(u32, Vec<u8>)>::new())));
 
         let spawner = Spawner {
             shape,
@@ -438,12 +410,13 @@ impl NodeRuntime {
             let injector = plan
                 .is_active()
                 .then(|| FaultInjector::new(plan.clone(), index as u32));
-            handles.push(Some(spawner.spawn(index as u32, rx, injector, false)));
+            let crashes = plan.crashes.iter().any(|c| c.worker == index as u32);
+            let log = crashes.then(Vec::new);
+            handles.push(Some(spawner.spawn(index as u32, rx, injector, log)));
         }
-        let sup_journal = journal.clone();
         let supervisor = std::thread::Builder::new()
             .name("hyperdex-supervisor".into())
-            .spawn(move || supervise(spawner, handles, sup_journal, event_rx))
+            .spawn(move || supervise(spawner, handles, event_rx))
             .expect("spawn supervisor thread");
 
         let link = ChannelLink {
@@ -451,7 +424,6 @@ impl NodeRuntime {
             inbox: client_rx,
             queued: Vec::new(),
             pending: VecDeque::new(),
-            journal,
             clock: Clock::start(),
             sent: 0,
             received: 0,
@@ -483,9 +455,7 @@ impl NodeRuntime {
         self.core.insert(object, keywords)
     }
 
-    /// Installs whole vertex tables at once (bulk load): entries are
-    /// grouped by vertex and shipped as `Handoff` frames to the owning
-    /// shards.
+    /// Installs whole vertex tables at once: [`ClientCore::bulk_load`].
     ///
     /// # Errors
     ///
@@ -494,28 +464,7 @@ impl NodeRuntime {
     where
         I: IntoIterator<Item = (ObjectId, &'a KeywordSet)>,
     {
-        let hasher = self.core.hasher();
-        let mut by_vertex: HashMap<u64, Vec<(KeywordSet, Vec<u64>)>> = HashMap::new();
-        for (object, keywords) in entries {
-            if keywords.is_empty() {
-                return Err(Error::EmptyKeywordSet);
-            }
-            let bits = hasher.vertex_for(keywords).bits();
-            by_vertex
-                .entry(bits)
-                .or_default()
-                .push((keywords.clone(), vec![object.raw()]));
-        }
-        // Deterministic ship order keeps table construction identical
-        // across runs regardless of HashMap iteration.
-        let mut vertices: Vec<u64> = by_vertex.keys().copied().collect();
-        vertices.sort_unstable();
-        for bits in vertices {
-            let entries = by_vertex.remove(&bits).expect("key listed");
-            let owner = self.core.shards().owner_of(bits);
-            self.core.send(owner, &WireMsg::Handoff { bits, entries })?;
-        }
-        Ok(())
+        self.core.bulk_load(entries)
     }
 
     /// Drain barrier: returns once every worker has processed every
@@ -608,9 +557,10 @@ impl NodeRuntime {
     }
 }
 
-/// A worker's parting message to its supervisor. The inbox `Receiver`
-/// rides along so the channel never disconnects: a respawned worker
-/// resumes the same address, and peers' sends keep landing.
+/// A worker's parting message to its supervisor: its counters, and
+/// for its successor what outlives it. The inbox `Receiver` so the
+/// channel never disconnects — a respawn resumes the same address,
+/// peers' sends keep landing — and the load log so the shard comes back.
 #[derive(Debug)]
 pub struct WorkerExit {
     /// Clean shutdown or crash-stop.
@@ -619,6 +569,8 @@ pub struct WorkerExit {
     pub stats: WorkerStats,
     /// The still-open inbox, for respawn or draining.
     pub inbox: Receiver<Vec<u8>>,
+    /// The shard's load log ([`WorkerContext::log`]), when it kept one.
+    pub log: Option<Vec<Vec<u8>>>,
 }
 
 /// The thread driver: runs one [`NodeMachine`] to completion on the
@@ -687,12 +639,13 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
         }
         node.fabric().recycle(packet);
     };
-    let mut stats = node.exit(cause);
+    let (mut stats, log) = node.exit(cause);
     stats.wakeups = wakeups;
     WorkerExit {
         cause,
         stats,
         inbox,
+        log,
     }
 }
 
@@ -708,8 +661,8 @@ pub struct Spawner<F> {
     /// The global vertex → worker map.
     pub shards: ShardMap,
     /// Per global worker index: its inbox sender when this process
-    /// hosts it, `None` otherwise. The supervisor replays, releases and
-    /// shuts down workers through these.
+    /// hosts it, `None` otherwise. The supervisor shuts workers down
+    /// through these.
     pub inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
     /// Builds worker `index`'s [`Fabric`] from `inbox_tx`.
     pub fabric: F,
@@ -718,14 +671,15 @@ pub struct Spawner<F> {
 }
 
 impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
-    /// Spawns (or respawns) worker `index` on `inbox`. A respawn
-    /// starts in repair mode: query frames park until `RepairDone`.
+    /// Spawns worker `index` on `inbox` with load log `log`
+    /// ([`WorkerContext::log`]); a respawn gets its predecessor's
+    /// ([`WorkerExit`]).
     pub fn spawn(
         &self,
         index: u32,
         inbox: Receiver<Vec<u8>>,
         injector: Option<FaultInjector>,
-        repairing: bool,
+        log: Option<Vec<Vec<u8>>>,
     ) -> JoinHandle<()> {
         let ctx = WorkerContext {
             index,
@@ -733,7 +687,7 @@ impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
             hasher: self.hasher,
             shards: self.shards,
             injector,
-            repairing,
+            log,
         };
         let fabric = (self.fabric)(&self.inbox_tx, index);
         let event_tx = self.event_tx.clone();
@@ -741,7 +695,7 @@ impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
             .name(format!("hyperdex-worker-{index}"))
             .spawn(move || {
                 let exit = run_worker(ctx, fabric, inbox);
-                let _ = event_tx.send(SupervisorEvent::Exited(exit));
+                let _ = event_tx.send(SupervisorEvent::Exited(Box::new(exit)));
             })
             .expect("spawn worker thread")
     }
@@ -750,7 +704,7 @@ impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
 /// What a supervisor hears.
 pub enum SupervisorEvent {
     /// A worker's event loop returned.
-    Exited(WorkerExit),
+    Exited(Box<WorkerExit>),
     /// The process owning the workers wants them stopped: the
     /// supervisor broadcasts `Shutdown`. (A server's workers instead
     /// receive the client's `Shutdown` frames off the wire.)
@@ -758,17 +712,15 @@ pub enum SupervisorEvent {
 }
 
 /// The supervisor loop over the workers `spawner` hosts: collect
-/// exits, respawn + replay + release crashed workers, broadcast
+/// exits, respawn crashed workers on what their exits carry, broadcast
 /// shutdown when asked, and drain dead inboxes so conservation closes.
 /// `handles` is indexed by global worker like [`Spawner::inbox_tx`].
 /// Returns the hosted workers' merged counters in index order.
 pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric>(
     spawner: Spawner<F>,
     mut handles: Vec<Option<JoinHandle<()>>>,
-    journal: Option<Journal>,
     events: Receiver<SupervisorEvent>,
 ) -> (Vec<WorkerStats>, SupervisorStats) {
-    let inbox = |i: usize| spawner.inbox_tx[i].as_ref().expect("hosted worker");
     let total = spawner.inbox_tx.len();
     let mut stats: Vec<WorkerStats> = (0..total)
         .map(|i| WorkerStats {
@@ -827,24 +779,10 @@ pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric>(
                         live -= 1;
                     }
                     ExitCause::Crashed => {
+                        // Respawned workers run fault-free.
                         sup.respawns += 1;
-                        // Respawn FIRST so the backlog (and our replay)
-                        // drains; respawned workers run fault-free.
-                        handles[i] = Some(spawner.spawn(i as u32, exit.inbox, None, true));
-                        if let Some(journal) = &journal {
-                            let entries = journal.lock().expect("journal lock");
-                            for (owner, frame) in entries.iter() {
-                                if *owner == i as u32 {
-                                    inbox(i).send(frame.clone()).expect("worker channel alive");
-                                    sup.frames_sent += 1;
-                                    sup.replayed_frames += 1;
-                                }
-                            }
-                        }
-                        inbox(i)
-                            .send(WireMsg::RepairDone { worker: i as u32 }.encode())
-                            .expect("worker channel alive");
-                        sup.frames_sent += 1;
+                        sup.replayed_frames += exit.log.as_ref().map_or(0, Vec::len) as u64;
+                        handles[i] = Some(spawner.spawn(i as u32, exit.inbox, None, exit.log));
                     }
                 }
             }
@@ -1001,7 +939,7 @@ mod tests {
                 hasher: KeywordHasher::new(8, 42).unwrap(),
                 shards: ShardMap::new(8, 1, 42),
                 injector: None,
-                repairing: false,
+                log: None,
             };
             let links = vec![None, Some(client_tx.clone())];
             let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
@@ -1043,7 +981,7 @@ mod tests {
     fn crashed_worker_is_respawned_and_recovers_state() {
         // Crash the worker owning object 2's vertex on its first
         // query-path frame: its in-memory tables (which provably hold
-        // data) vanish mid-traversal, and the supervisor must replay
+        // data) vanish mid-traversal, and the respawn must restore
         // its shard before the retried query can see every object.
         let hasher = KeywordHasher::new(8, 42).unwrap();
         let victim = RuntimeConfig::new(8, 4)

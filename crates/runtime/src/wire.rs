@@ -221,12 +221,6 @@ pub enum WireMsg {
         /// The coordinator's accounting, in regions' worth of vertices.
         coverage: FtCoverage,
     },
-    /// Supervisor → respawned worker: the journal replay for its shard
-    /// is complete; parked frames may now be processed.
-    RepairDone {
-        /// The recovering worker's index.
-        worker: u32,
-    },
     /// Client → root owner: a [`WireMsg::Query`] that also says which
     /// writes the client already knows are in place, so a coordinator
     /// never answers it from a cached result that predates them.
@@ -261,7 +255,7 @@ const TAG_FLUSH_ACK: u8 = 9;
 const TAG_SHUTDOWN: u8 = 10;
 const TAG_FT_QUERY: u8 = 11;
 const TAG_FT_QUERY_DONE: u8 = 12;
-const TAG_REPAIR_DONE: u8 = 13;
+// 13 released a respawned worker from repair: retired like 2 and 3.
 const TAG_REGION_QUERY: u8 = 14;
 const TAG_REGION_DONE: u8 = 15;
 const TAG_QUERY_AT: u8 = 16;
@@ -477,10 +471,6 @@ impl WireMsg {
                 put_hits(body, objects);
                 put_ids(body, &coverage.skipped);
             }
-            WireMsg::RepairDone { worker } => {
-                body.push(TAG_REPAIR_DONE);
-                put_u32(body, *worker);
-            }
             WireMsg::QueryAt {
                 query_id,
                 keywords,
@@ -624,7 +614,6 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
                 coverage,
             })
         }
-        TAG_REPAIR_DONE => Ok(WireMsg::RepairDone { worker: r.u32()? }),
         TAG_REGION_QUERY => Ok(WireMsg::RegionQuery {
             query_id: r.u64()?,
             threshold: r.u64()?,
@@ -910,7 +899,6 @@ pub fn exemplars() -> Vec<WireMsg> {
                 ..FtCoverage::default()
             },
         },
-        WireMsg::RepairDone { worker: 3 },
         WireMsg::RegionQuery {
             query_id: 30,
             keywords: set("alpha beta"),
@@ -997,7 +985,7 @@ mod tests {
     fn exemplars_cover_exactly_the_defined_tags() {
         let tags: std::collections::BTreeSet<u8> =
             exemplars().iter().map(|m| m.encode()[PREFIX_LEN]).collect();
-        let retired = [2, 3];
+        let retired = [2, 3, 13];
         assert_eq!(
             tags,
             (0..=TAG_QUERY_AT)
@@ -1033,10 +1021,11 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 960 bytes: the
+    /// when `encode_into` was its only body (FNV-1a over 951 bytes: the
     /// 1,120 of the 17-variant vocabulary less the 184 of the retired
-    /// per-vertex pair's four exemplars, plus 4 per `RegionQuery` for
-    /// its attempt and 8 per `RegionDone` for its attempt and part).
+    /// per-vertex pair's four exemplars and the 9 of the retired repair
+    /// release's one, plus 4 per `RegionQuery` for its attempt and 8
+    /// per `RegionDone` for its attempt and part).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -1054,7 +1043,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (960, 0xe1d0_d666_a0d7_2401));
+        assert_eq!((forward.len(), digest), (951, 0x9d05_92b0_37f7_121a));
     }
 
     /// In every build profile: an over-cap frame must stop at the

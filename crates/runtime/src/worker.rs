@@ -59,7 +59,7 @@ use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::fault::{Fate, FaultInjector};
 use crate::shard::ShardMap;
-use crate::transport::{count_frames, take_frame, Fabric};
+use crate::transport::{take_frame, Fabric};
 use crate::wire::{
     self, RegionGroup, WireMsg, MAX_BATCH_ENTRIES, MAX_BODY_LEN, REGION_DONE_HEADER_LEN,
 };
@@ -209,8 +209,7 @@ counter_record! {
         /// none of which it owns: a write is dropped — indexed here,
         /// nobody would ever ask for it — and a read is answered with
         /// what this worker holds of it, nothing. Or of a kind no
-        /// worker is sent — a client-bound reply, a `RepairDone` for
-        /// another worker or outside repair: dropped. An anomaly
+        /// worker is sent — a client-bound reply: dropped. An anomaly
         /// count, not a term of the frame ledger: the frames are
         /// received like any other.
         frames_misrouted,
@@ -270,9 +269,11 @@ pub struct WorkerContext {
     pub shards: ShardMap,
     /// Seeded fault injector, when the deployment schedules faults.
     pub injector: Option<FaultInjector>,
-    /// `true` when respawning after a crash: query frames park until
-    /// the supervisor's `RepairDone` arrives.
-    pub repairing: bool,
+    /// The shard's load log, for a worker a crash point names and its
+    /// successors: every `Insert`/`Handoff` frame the shard was handed,
+    /// in order. Empty, it starts a shard; the one a crashed
+    /// incarnation left ([`NodeMachine::exit`]) restores it.
+    pub log: Option<Vec<Vec<u8>>>,
 }
 
 /// In-progress superset query on its coordinator worker: the
@@ -435,7 +436,7 @@ fn region_done_frames(
 }
 
 /// One shard-owning worker: tables, result cache, parked traversals,
-/// repair backlog, counters, and the [`Fabric`] its frames leave on —
+/// load log, counters, and the [`Fabric`] its frames leave on —
 /// encoded once, in place, onto the destination's lane, so whoever
 /// holds the lanes' far ends is its driver. Fabric endpoints `0..W`
 /// address fellow workers, endpoint `W` the client.
@@ -463,17 +464,22 @@ pub struct NodeMachine {
     /// Per worker: the highest write epoch heard on a `RegionDone`.
     heard: Vec<u64>,
     injector: Option<FaultInjector>,
-    /// `Some` while repairing after a respawn: parked frames awaiting
-    /// `RepairDone`.
-    repair: Option<Vec<WireMsg>>,
+    /// [`WorkerContext::log`], written ahead of every load handled.
+    log: Option<Vec<Vec<u8>>>,
     stats: WorkerStats,
 }
 
 impl NodeMachine {
-    /// A worker with empty tables whose frames leave on `fabric`.
+    /// A worker whose frames leave on `fabric`, its tables what
+    /// `ctx.log` holds: recovery is this constructor. The logged frames
+    /// go through the arms that handled them the first time — the
+    /// interner, `inserts` and the write epoch land where the crashed
+    /// incarnation had them, no frame is sent, received or counted —
+    /// before a driver can hand the shard a query. An entry that is no
+    /// load frame is skipped.
     pub fn new(ctx: WorkerContext, fabric: Fabric) -> NodeMachine {
         let endpoints = fabric.endpoints();
-        NodeMachine {
+        let mut node = NodeMachine {
             index: ctx.index,
             shape: ctx.shape,
             hasher: ctx.hasher,
@@ -487,12 +493,21 @@ impl NodeMachine {
             cache: FifoCache::new(RESULT_CACHE_SLOTS),
             heard: vec![0; endpoints - 1],
             injector: ctx.injector,
-            repair: ctx.repairing.then(Vec::new),
+            log: None,
             stats: WorkerStats {
                 worker: ctx.index,
                 ..WorkerStats::default()
             },
+        };
+        for frame in ctx.log.iter().flatten() {
+            if let Ok(msg @ (WireMsg::Insert { .. } | WireMsg::Handoff { .. })) =
+                WireMsg::decode_exact(frame)
+            {
+                node.handle(msg);
+            }
         }
+        node.log = ctx.log;
+        node
     }
 
     fn client_slot(&self) -> usize {
@@ -507,7 +522,9 @@ impl NodeMachine {
 
     /// Takes one inbound packet in at time `now`: splits it, and
     /// decodes, counts and handles every frame. A packet may coalesce
-    /// several frames; every one is a logical receive.
+    /// several frames; every one is a logical receive. The load log
+    /// is written ahead: whatever this returns, every load frame of
+    /// `packet` is in it.
     pub fn receive(&mut self, now: Duration, packet: &[u8]) -> Flow {
         self.now = now;
         let mut flow = Flow::Continue;
@@ -525,6 +542,18 @@ impl NodeMachine {
                 self.stats.frames_undecodable += 1;
                 continue;
             };
+            if let (Some(log), WireMsg::Insert { .. } | WireMsg::Handoff { .. }) =
+                (&mut self.log, &msg)
+            {
+                log.push(frame.to_vec());
+            }
+            if flow == Flow::Crashed {
+                // Packed behind the crash trigger, it dies with the
+                // worker like bytes buffered in a killed process — but
+                // it was delivered: a load is in the log all the same.
+                self.stats.frames_dropped += 1;
+                continue;
+            }
             self.stats.frames_received += 1;
             if matches!(msg, WireMsg::Shutdown) {
                 flow = Flow::Leaving;
@@ -540,30 +569,7 @@ impl NodeMachine {
                     .as_mut()
                     .is_some_and(FaultInjector::should_crash)
             {
-                // Frames packed behind the crash trigger die with
-                // the worker, exactly like bytes buffered in a
-                // killed process.
-                self.stats.frames_dropped += count_frames(rest);
-                return Flow::Crashed;
-            }
-            if let Some(parked) = self.repair.as_mut() {
-                match msg {
-                    // Another worker's release is not this one's.
-                    WireMsg::RepairDone { worker } if worker != self.index => {
-                        self.stats.frames_misrouted += 1;
-                    }
-                    WireMsg::RepairDone { .. } => {
-                        let backlog = self.repair.take().expect("repair mode");
-                        for parked_msg in backlog {
-                            self.handle(parked_msg);
-                        }
-                    }
-                    // Load frames restore state — exactly what
-                    // repair is replaying — and are idempotent;
-                    // apply them.
-                    WireMsg::Insert { .. } | WireMsg::Handoff { .. } => self.handle(msg),
-                    other => parked.push(other),
-                }
+                flow = Flow::Crashed;
                 continue;
             }
             self.handle(msg);
@@ -590,18 +596,19 @@ impl NodeMachine {
         stats
     }
 
-    /// Ends the incarnation and returns its lifetime counters. Frames
-    /// in the delay stash — and, in a crash, still on a lane — were
-    /// promised to the network but will never leave: they are counted
-    /// dropped so conservation closes. So is every traversal still
-    /// parked: nobody will answer it now.
-    pub fn exit(mut self, cause: ExitCause) -> WorkerStats {
+    /// Ends the incarnation and returns its lifetime counters and, for
+    /// its successor, its load log: all a crash leaves of the shard.
+    /// Frames in the delay stash — and, in a crash, still on a lane —
+    /// were promised to the network but will never leave: they are
+    /// counted dropped so conservation closes. So is every traversal
+    /// still parked: nobody will answer it now.
+    pub fn exit(mut self, cause: ExitCause) -> (WorkerStats, Option<Vec<Vec<u8>>>) {
         self.abandon_stash();
         if cause == ExitCause::Crashed {
             self.stats.frames_dropped += self.fabric.pending();
         }
         self.stats.queries_abandoned += self.parked();
-        self.stats()
+        (self.stats(), self.log)
     }
 
     /// Frames that count toward a crash point: the traversal and
@@ -781,11 +788,9 @@ impl NodeMachine {
                     },
                 );
             }
-            // Nothing an honest peer sends a worker: a release outside
-            // repair, a reply meant for a client. Bytes off a socket can
-            // be anything that decodes.
-            WireMsg::RepairDone { .. }
-            | WireMsg::QueryDone { .. }
+            // Nothing an honest peer sends a worker: a reply meant for
+            // a client. Bytes off a socket can be anything that decodes.
+            WireMsg::QueryDone { .. }
             | WireMsg::FtQueryDone { .. }
             | WireMsg::PinResults { .. }
             | WireMsg::FlushAck { .. } => self.stats.frames_misrouted += 1,

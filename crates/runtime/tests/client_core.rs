@@ -388,6 +388,10 @@ fn bad_arguments_are_rejected_before_anything_ships() {
         c.insert(ObjectId::from_raw(1), KeywordSet::new()),
         Err(Error::EmptyKeywordSet)
     ));
+    // Not even the entries ahead of the empty one.
+    let (full, empty) = (set("a"), KeywordSet::new());
+    let entries = [&full, &empty].map(|k| (ObjectId::from_raw(1), k));
+    assert!(matches!(c.bulk_load(entries), Err(Error::EmptyKeywordSet)));
     assert!(matches!(
         c.superset_search(&set("a"), 0),
         Err(Error::ZeroThreshold)

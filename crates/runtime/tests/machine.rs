@@ -10,6 +10,7 @@ mod mesh;
 
 use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
 use hyperdex_runtime::{FaultPlan, FtSearchOptions, Request, RuntimeConfig, WireMsg};
+use hyperdex_simnet::LatencyModel;
 use mesh::{Mesh, MeshRuntime};
 
 fn set(s: &str) -> KeywordSet {
@@ -379,4 +380,67 @@ fn a_traversal_parked_at_exit_is_counted_abandoned() {
     mesh.send(0, &WireMsg::Shutdown);
     mesh.deliver();
     assert_eq!(mesh.stats(0).queries_abandoned, 2);
+}
+
+/// Recovery is the constructor, and the log it reads is written ahead.
+/// One worker, crashed by its ninth query-path frame, with an insert
+/// packed behind the trigger: the insert dies with the worker — counted
+/// dropped — and the respawn, built from the log the exit carried, has
+/// it, answers every pin as its predecessor did and reports the
+/// predecessor's epoch plus that one, having been sent nothing.
+#[test]
+fn a_machine_built_from_its_predecessors_log_is_its_predecessor() {
+    let cfg = RuntimeConfig::new(8, 1).seed(42);
+    let plan = FaultPlan::default().crash(0, 9);
+    let mut mesh = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), 42);
+    let keywords = set("late");
+    let late = [
+        WireMsg::Pin {
+            query_id: 0,
+            keywords,
+        },
+        insert(9, "late"),
+    ];
+    for &(object, kws) in CORPUS {
+        mesh.send(0, &insert(object, kws));
+    }
+    // A barrier and a pin of every set: the epoch, then the tables.
+    let probe = |mesh: &mut Mesh| {
+        mesh.send(0, &WireMsg::Flush { token: 0 });
+        for &(query_id, kws) in CORPUS {
+            let keywords = set(kws);
+            mesh.send(0, &WireMsg::Pin { query_id, keywords });
+        }
+        mesh.deliver();
+        mesh.replies()
+    };
+    let expected = probe(&mut mesh);
+    assert!(matches!(expected[0], WireMsg::FlushAck { epoch: 8, .. }));
+    let before = mesh.stats(0);
+
+    // The trigger dies with the worker, and the insert behind it.
+    mesh.send_packed(0, &late);
+    mesh.deliver();
+    assert!(mesh.replies().is_empty());
+    let after = mesh.stats(0);
+    assert_eq!(mesh.supervisor.replayed_frames, 9);
+    assert_eq!(after.inserts, before.inserts + 9, "the late one too");
+    assert_eq!(after.frames_received, before.frames_received + 1);
+    assert_eq!(after.frames_dropped, before.frames_dropped + 1);
+    assert_eq!(after.frames_sent, before.frames_sent);
+
+    let answers = probe(&mut mesh);
+    assert!(matches!(answers[0], WireMsg::FlushAck { epoch: 9, .. }));
+    assert_eq!(answers[1..], expected[1..]);
+    mesh.send(0, &late[0]);
+    mesh.deliver();
+    let (query_id, objects) = (0, vec![9]);
+    assert_eq!(mesh.replies(), [WireMsg::PinResults { query_id, objects }]);
+    mesh.check_respawns();
+    mesh.shutdown().assert_conserved();
+}
+
+fn insert(object: u64, kws: &str) -> WireMsg {
+    let keywords = set(kws);
+    WireMsg::Insert { object, keywords }
 }

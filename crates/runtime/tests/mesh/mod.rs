@@ -11,10 +11,10 @@
 //! permutes is the order *across* lanes. Each machine has one timer, at
 //! its [`NodeMachine::next_deadline`]. A machine's own [`FaultInjector`]
 //! rolls drop, duplicate, delay and crash; a crash is handled as
-//! `runtime::supervise` handles it — the machine is dropped, rebuilt
-//! repairing, its shard replayed from the journal of load frames and
-//! released with `RepairDone` — by a supervisor that is one more
-//! endpoint with FIFO lanes of its own.
+//! `runtime::supervise` handles it — the machine is dropped and rebuilt,
+//! fault-free, from the load log its exit returned. The supervisor is
+//! one more endpoint with FIFO lanes of its own (`Shutdown` travels on
+//! them).
 //!
 //! The mesh is a [`ClientLink`] ([`MeshLink`]), so the client under
 //! test is the production [`ClientCore`]: a wait nobody answers ends
@@ -37,7 +37,7 @@ use std::rc::Rc;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Duration;
 
-use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId};
+use hyperdex_core::{Error, KeywordHasher, KeywordSet};
 use hyperdex_hypercube::Shape;
 use hyperdex_runtime::wire::WireMsg;
 use hyperdex_runtime::{
@@ -107,7 +107,6 @@ pub struct Mesh {
     timers: Vec<Option<(Duration, TimerId)>>,
     queued: Vec<(u32, Vec<u8>)>,
     inbox: VecDeque<WireMsg>,
-    journal: Vec<(u32, Vec<u8>)>,
     shutting: bool,
     pub supervisor: SupervisorStats,
     pub client_sent: u64,
@@ -154,7 +153,6 @@ impl Mesh {
             timers: vec![None; workers],
             queued: Vec::new(),
             inbox: VecDeque::new(),
-            journal: Vec::new(),
             shutting: false,
             supervisor: SupervisorStats::default(),
             client_sent: 0,
@@ -182,7 +180,9 @@ impl Mesh {
             let injector = plan
                 .is_active()
                 .then(|| FaultInjector::new(plan.clone(), index as u32));
-            let node = mesh.machine(index, injector, false);
+            // A worker the plan crashes keeps its shard's load log.
+            let crashes = plan.crashes.iter().any(|c| c.worker == index as u32);
+            let node = mesh.machine(index, injector, crashes.then(Vec::new));
             mesh.nodes.push(Some(node));
         }
         mesh
@@ -202,7 +202,7 @@ impl Mesh {
         &self,
         index: usize,
         injector: Option<FaultInjector>,
-        repairing: bool,
+        log: Option<Vec<Vec<u8>>>,
     ) -> NodeMachine {
         let ctx = WorkerContext {
             index: index as u32,
@@ -210,7 +210,7 @@ impl Mesh {
             hasher: self.hasher,
             shards: self.shards,
             injector,
-            repairing,
+            log,
         };
         NodeMachine::new(ctx, Fabric::inboxes(self.links[index].clone()))
     }
@@ -339,44 +339,30 @@ impl Mesh {
         }
         match flow {
             Flow::Continue => {}
-            Flow::Leaving => self.end(index, ExitCause::Clean),
+            Flow::Leaving => {
+                self.end(index, ExitCause::Clean);
+            }
+            // What `runtime::supervise` does for a crashed worker: a
+            // new incarnation, fault-free, built from its log.
             Flow::Crashed => {
-                self.end(index, ExitCause::Crashed);
+                let log = self.end(index, ExitCause::Crashed);
                 if !self.shutting {
-                    self.respawn(index);
+                    self.supervisor.respawns += 1;
+                    self.supervisor.replayed_frames += log.as_ref().map_or(0, Vec::len) as u64;
+                    self.nodes[index] = Some(self.machine(index, None, log));
                 }
             }
         }
         self.arm(index);
     }
 
-    /// Ends worker `index`'s incarnation, keeping its counters.
-    fn end(&mut self, index: usize, cause: ExitCause) {
+    /// Ends worker `index`'s incarnation, keeping its counters; the
+    /// load log it leaves.
+    fn end(&mut self, index: usize, cause: ExitCause) -> Option<Vec<Vec<u8>>> {
         let node = self.nodes[index].take().expect("a live machine");
-        self.ended[index].merge(&node.exit(cause));
-    }
-
-    /// What `runtime::supervise` does for a crashed worker: a new
-    /// incarnation in repair mode, fault-free, its shard replayed from
-    /// the journal, released with `RepairDone`.
-    fn respawn(&mut self, index: usize) {
-        self.supervisor.respawns += 1;
-        self.nodes[index] = Some(self.machine(index, None, true));
-        let supervisor = self.supervisor_endpoint();
-        let replay: Vec<Vec<u8>> = self
-            .journal
-            .iter()
-            .filter(|(owner, _)| *owner as usize == index)
-            .map(|(_, frame)| frame.clone())
-            .collect();
-        self.supervisor.replayed_frames += replay.len() as u64;
-        let release = WireMsg::RepairDone {
-            worker: index as u32,
-        };
-        for frame in replay.into_iter().chain([release.encode()]) {
-            self.supervisor.frames_sent += 1;
-            self.post(supervisor, index, frame);
-        }
+        let (stats, log) = node.exit(cause);
+        self.ended[index].merge(&stats);
+        log
     }
 
     /// Keeps worker `index`'s one timer at its next deadline.
@@ -501,6 +487,56 @@ impl Mesh {
         );
     }
 
+    /// At a quiescent point: every respawned worker — one with an ended
+    /// incarnation and a live one — answers a barrier and a pin of every
+    /// set it was ever loaded with exactly as a never-crashed twin fed
+    /// the same load frames does: the same epoch, the same objects in
+    /// the same order. The probe is a client exchange off the network:
+    /// counted in the ledger, not traced.
+    pub fn check_respawns(&mut self) {
+        let (client, now) = (self.client(), self.now());
+        for index in 0..self.workers {
+            if self.ended[index].frames_received == 0 || self.nodes[index].is_none() {
+                continue;
+            }
+            let mut twin = self.machine(index, None, None);
+            let mut probe = WireMsg::Flush { token: 0 }.encode();
+            let delivered = self.trace.iter().filter(|(_, _, to, _)| *to == index);
+            for load in delivered.flat_map(|(.., packet)| decode_all(packet)) {
+                let sets: Vec<KeywordSet> = match &load {
+                    WireMsg::Insert { keywords, .. } => vec![keywords.clone()],
+                    WireMsg::Handoff { entries, .. } => {
+                        entries.iter().map(|e| e.0.clone()).collect()
+                    }
+                    _ => continue,
+                };
+                twin.receive(now, &load.encode());
+                for keywords in sets {
+                    WireMsg::Pin {
+                        query_id: 0,
+                        keywords,
+                    }
+                    .encode_append(&mut probe);
+                }
+            }
+            let live = self.nodes[index].as_mut().expect("checked above");
+            let [expected, got] = [&mut twin, live].map(|node| {
+                node.receive(now, &probe);
+                node.fabric().offer(true);
+                let sink = self.sinks[index][client].as_ref().expect("a client lane");
+                sink.try_recv().expect("a barrier is acked")
+            });
+            self.client_sent += count_frames(&probe);
+            self.client_received += count_frames(&got);
+            assert!(
+                got == expected,
+                "worker {index}: the respawn answers {:?}, its twin {:?}",
+                decode_all(&got),
+                decode_all(&expected)
+            );
+        }
+    }
+
     /// Worker `index`'s counters so far, every incarnation merged.
     pub fn stats(&self, index: usize) -> WorkerStats {
         let mut stats = self.ended[index].clone();
@@ -549,6 +585,13 @@ impl Mesh {
         self.ship().expect("the mesh cannot fail");
     }
 
+    /// Sends `frames` to `worker` in one packet.
+    pub fn send_packed(&mut self, worker: u32, frames: &[WireMsg]) {
+        let packet = frames.iter().flat_map(WireMsg::encode).collect();
+        self.client_sent += frames.len() as u64;
+        self.post(self.client(), worker as usize, packet);
+    }
+
     /// Takes what the client has been sent so far.
     pub fn replies(&mut self) -> Vec<WireMsg> {
         self.inbox.drain(..).collect()
@@ -567,11 +610,7 @@ impl Mesh {
 
 impl ClientLink for Mesh {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
-        let frame = msg.encode();
-        if matches!(msg, WireMsg::Insert { .. } | WireMsg::Handoff { .. }) {
-            self.journal.push((worker, frame.clone()));
-        }
-        self.queued.push((worker, frame));
+        self.queued.push((worker, msg.encode()));
     }
 
     fn ship(&mut self) -> Result<(), Error> {
@@ -690,27 +729,6 @@ impl MeshRuntime {
     pub fn start_faulted(r: u8, workers: u32, seed: u64, plan: FaultPlan) -> MeshRuntime {
         let cfg = RuntimeConfig::new(r, workers).seed(seed);
         MeshRuntime::over(Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), seed))
-    }
-
-    /// `NodeRuntime::bulk_load`: one `Handoff` per vertex, in vertex
-    /// order.
-    pub fn bulk_load<'a>(
-        &mut self,
-        entries: impl IntoIterator<Item = (ObjectId, &'a KeywordSet)>,
-    ) -> Result<(), Error> {
-        let mut by_vertex: BTreeMap<u64, Vec<(KeywordSet, Vec<u64>)>> = BTreeMap::new();
-        for (object, keywords) in entries {
-            let bits = self.core.hasher().vertex_for(keywords).bits();
-            by_vertex
-                .entry(bits)
-                .or_default()
-                .push((keywords.clone(), vec![object.raw()]));
-        }
-        for (bits, entries) in by_vertex {
-            let owner = self.core.shards().owner_of(bits);
-            self.core.send(owner, &WireMsg::Handoff { bits, entries })?;
-        }
-        Ok(())
     }
 
     /// The barrier: load frames and `Flush` are never lost, so it

@@ -153,7 +153,7 @@ impl Cluster for MeshRuntime {
         self.core.insert(object, keywords).unwrap();
     }
     fn bulk_load(&mut self, entries: Vec<(ObjectId, &KeywordSet)>) {
-        MeshRuntime::bulk_load(self, entries).unwrap();
+        self.core.bulk_load(entries).unwrap();
     }
     fn flush(&mut self) {
         MeshRuntime::flush(self);
@@ -180,7 +180,9 @@ impl Cluster for MeshRuntime {
         self.mesh.borrow().unanswered()
     }
     fn quiesce(&mut self) {
-        self.mesh.borrow_mut().settle();
+        let mut mesh = self.mesh.borrow_mut();
+        mesh.settle();
+        mesh.check_respawns();
     }
     fn shutdown(self) -> ShutdownReport {
         MeshRuntime::shutdown(self)
@@ -1156,12 +1158,10 @@ fn a_worker_that_does_not_own_the_root_coordinates_what_it_is_sent() {
 #[test]
 fn a_replayed_workers_epoch_never_goes_backwards() {
     // One worker, crashed on its first query-path frame and respawned
-    // the way the supervisor does it — with the supervisor's lane held,
-    // so the repair can be watched from the middle.
+    // the way the supervisor does it: from the log its exit carried.
     let cfg = RuntimeConfig::new(RIG_R, 1).seed(SEED);
     let plan = FaultPlan::default().crash(0, 1);
     let mut rig = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), SEED);
-    let supervisor = 2;
     let epoch_at_barrier = |rig: &mut Mesh, token| {
         rig.send(0, &WireMsg::Flush { token });
         rig.deliver();
@@ -1170,21 +1170,20 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
             ref other => panic!("expected a flush ack, got {other:?}"),
         }
     };
-    let journal: Vec<WireMsg> = (1..=3)
+    let loads: Vec<WireMsg> = (1..=3)
         .map(|object| WireMsg::Insert {
             object,
             keywords: set(&format!("a b{object}")),
         })
         .collect();
 
-    for frame in &journal {
+    for frame in &loads {
         rig.send(0, frame);
     }
     // A duplicate insert changes nothing and must not count.
-    rig.send(0, &journal[0]);
+    rig.send(0, &loads[0]);
     let before = epoch_at_barrier(&mut rig, 1);
     assert_eq!(before, 3, "one epoch per object newly indexed");
-    rig.hold(supervisor, 0);
     let pin = WireMsg::Pin {
         query_id: 9,
         keywords: set("a b1"),
@@ -1194,22 +1193,9 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
     assert_eq!(rig.supervisor.respawns, 1);
     assert!(rig.replies().is_empty(), "the trigger died with the worker");
 
-    // The respawn is in repair mode, its journal and release still on
-    // the supervisor's lane. Another worker's release does not end this
-    // one's repair: the barrier behind it stays parked until its own
-    // arrives.
-    rig.send(0, &WireMsg::RepairDone { worker: 7 });
-    rig.send(0, &WireMsg::Flush { token: 2 });
-    rig.deliver();
-    assert!(rig.replies().is_empty());
-    rig.release(supervisor, 0);
-    rig.deliver();
-    let replayed = match rig.replies()[..] {
-        [WireMsg::FlushAck {
-            token: 2, epoch, ..
-        }] => epoch,
-        ref other => panic!("expected the parked barrier's ack, got {other:?}"),
-    };
+    // The respawn was whole before it was handed a frame: the first
+    // barrier it acks already reports the restored shard.
+    let replayed = epoch_at_barrier(&mut rig, 2);
     assert!(replayed >= before, "epoch went from {before} to {replayed}");
     rig.send(
         0,
@@ -1219,15 +1205,10 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
         },
     );
     assert_eq!(epoch_at_barrier(&mut rig, 3), replayed + 1);
+    rig.check_respawns();
     let report = rig.shutdown();
     report.assert_conserved();
-    assert_eq!(
-        (
-            report.supervisor.replayed_frames,
-            report.workers[0].frames_misrouted
-        ),
-        (4, 1)
-    );
+    assert_eq!(report.supervisor.replayed_frames, 4);
 }
 
 // ---------------------------------------------------------------
@@ -1334,7 +1315,7 @@ fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_f
     );
 
     // The victim dies on the FT query: its tables and every epoch it
-    // ever reported are gone; the supervisor replays its shard. The
+    // ever reported are gone; the respawn restores its shard. The
     // coordinator still holds an entry stamped by the previous
     // incarnation — and every answer must be what a fresh walk gives.
     let plan = FaultPlan::default().crash(victim, query_path + 1);

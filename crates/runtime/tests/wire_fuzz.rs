@@ -99,10 +99,23 @@ fn mutate(msg: &mut WireMsg, v: u64) {
             (*query_id, *worker, *epoch, *a) = (small_id, endpoint, v >> 32, attempt);
             (*part, *more) = ((v >> 44) as u32 % 3, v >> 48 & 1 == 1);
         }
-        WireMsg::FlushAck { worker, .. } | WireMsg::RepairDone { worker } => *worker = endpoint,
+        WireMsg::FlushAck { worker, .. } => *worker = endpoint,
         WireMsg::Handoff { bits, .. } => *bits = v >> 32,
         _ => {}
     }
+}
+
+/// Exemplar `which`, its fields overwritten from `v` when `lie` — or,
+/// one past the exemplars, a whole frame under retired tag 13 (it
+/// released a respawned worker from its replay): undecodable.
+fn script_frame(which: usize, lie: bool, v: u64) -> Vec<u8> {
+    let Some(mut msg) = exemplars().get(which).cloned() else {
+        return vec![5, 0, 0, 0, 13, 3, 0, 0, 0];
+    };
+    if lie {
+        mutate(&mut msg, v);
+    }
+    msg.encode()
 }
 
 /// Bytes that, strung together, make keywords of every kind the
@@ -223,18 +236,21 @@ proptest! {
 
     /// Sequences drawn from the exemplars, field-mutated, duplicated,
     /// packed several to a packet or cut short, fed to a live machine —
-    /// worker 1 of three, repairing or not, its traversal frames meeting
-    /// a lossy fault plan — with ticks at arbitrary times: it never
-    /// panics, every frame it is handed is counted received or
+    /// worker 1 of three, fresh or built from a log of such frames (some
+    /// cut short), its traversal frames meeting a lossy fault plan —
+    /// with ticks at arbitrary times: it never panics — any log
+    /// restores, what is no load frame skipped, nothing sent or counted
+    /// received — every frame it is handed is counted received or
     /// undecodable, and every frame it counts sent (or duplicated) is on
     /// a lane or counted dropped. One such frame, a `RegionQuery` naming
     /// a `coord` that is no endpoint, used to take the worker thread
     /// down.
     #[test]
     fn frame_sequences_never_panic_a_machine_and_its_ledger_closes(
-        repairing in 0u8..2,
+        fresh in 0u8..2,
+        log in prop::collection::vec((0..=exemplars().len(), any::<u64>(), 0u8..4), 0..12),
         script in prop::collection::vec(
-            (0..exemplars().len(), any::<u64>(), 0u8..16, 0u64..40_000),
+            (0..=exemplars().len(), any::<u64>(), 0u8..16, 0u64..40_000),
             1..80,
         ),
     ) {
@@ -251,20 +267,27 @@ proptest! {
             hasher: KeywordHasher::new(r, seed).unwrap(),
             shards: ShardMap::new(r, workers as u32, seed),
             injector: Some(FaultInjector::new(FaultPlan::lossy(7, 200, 200, 200), 1)),
-            repairing: repairing == 1,
+            log: (fresh == 0).then(|| {
+                let cut = |(which, v, shape): (usize, u64, u8)| {
+                    let mut frame = script_frame(which, shape & 1 == 1, v);
+                    frame.truncate(frame.len() - usize::from(shape >> 1));
+                    frame
+                };
+                log.into_iter().map(cut).collect()
+            }),
         };
+        let logged = ctx.log.as_ref().map(Vec::len);
         let mut node = NodeMachine::new(ctx, Fabric::inboxes(links));
+        let restored = node.stats();
+        prop_assert_eq!((restored.frames_received, restored.frames_sent), (0, 0));
+        prop_assert_eq!(node.fabric().pending(), 0);
         let (mut fed, mut on_lanes) = (0u64, 0u64);
         let mut now = Duration::ZERO;
         let mut packet = Vec::new();
-        let exemplars = exemplars();
         for (which, v, shape, elapsed) in script {
-            let mut msg = exemplars[which].clone();
-            if shape & 1 == 1 {
-                mutate(&mut msg, v);
-            }
+            let frame = script_frame(which, shape & 1 == 1, v);
             for _ in 0..=(shape >> 1 & 1) {
-                msg.encode_append(&mut packet);
+                packet.extend_from_slice(&frame);
             }
             // One packet in four keeps growing: frames interleave.
             if shape >> 2 == 1 {
@@ -294,7 +317,9 @@ proptest! {
         }
         let parked = node.parked();
         let live = node.stats();
-        let stats = node.exit(ExitCause::Clean);
+        let (stats, log) = node.exit(ExitCause::Clean);
+        // The log only grows, and only a machine that was given one has one.
+        prop_assert!(log.is_some() == logged.is_some() && log.map(|log| log.len()) >= logged);
         prop_assert_eq!(fed, stats.frames_received + stats.frames_undecodable);
         prop_assert_eq!(
             stats.frames_sent + stats.frames_duplicated,
