@@ -15,12 +15,12 @@
 //!   engine (recall = found/truth, aggregated over the query mix);
 //! * per-query wall latency is reported as median, 99th percentile and
 //!   worst of the cell's 200 samples — the price of a deadline, backoff
-//!   and a supervised respawn is visible in the tail;
+//!   and a restart is visible in the tail;
 //! * `frames_per_query` is every frame the cell's queries caused — the
 //!   run's ledger less a load-only run's — so retransmissions and the
-//!   answers to them count (a respawn restores its shard from its load
+//!   answers to them count (a restart restores its shard from its load
 //!   log in its constructor: no frame);
-//! * retries, timeouts, supervisor respawns, and the injector's
+//! * retries, timeouts, worker restarts, and the injector's
 //!   dropped/duplicated frame counts come from the
 //!   [`hyperdex_core::FtCoverage`]s and the conservation-checked
 //!   shutdown report. Per-frame fates replay exactly for a seed, but
@@ -93,7 +93,7 @@ pub struct FaultsRow {
     pub retries: u64,
     /// Region owners given up across all queries.
     pub timeouts: u64,
-    /// Workers the supervisor respawned.
+    /// Worker restarts after a crash.
     pub respawns: u64,
     /// Frames the injector (or a crash) destroyed.
     pub dropped_frames: u64,

@@ -7,9 +7,10 @@
 //!
 //! * [`stream`] — `[dest][frame]` units on the wire and a streaming
 //!   decoder tolerant of arbitrary partial reads.
-//! * [`server`] — the server process: worker shards behind a listener,
-//!   a directed mesh between servers, local crash supervision, a
-//!   client writer that answers on the newest client connection, and a
+//! * [`server`] — the server process: worker shards behind a listener
+//!   (a crashed one restarts itself in place), a directed mesh between
+//!   servers, a reader per connection that reads its hello, a client
+//!   writer that answers on the newest client connection, and a
 //!   plain-text conservation report at shutdown.
 //! * [`client`] — the client library: typed [`hyperdex_core::Error`]
 //!   results (`ConnectionLost`, `Timeout`), request deadlines, and

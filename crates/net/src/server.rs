@@ -12,7 +12,8 @@
 //! Every server dials every other server once (a directed mesh: the
 //! dialed connection carries only frames *from* the dialer), and the
 //! client dials every server. Each inbound connection gets a reader
-//! thread that reads straight into the [`StreamDecoder`]'s buffer,
+//! thread that reads its 4-byte hello (one that ends before it is a
+//! corrupt stream), then reads straight into the [`StreamDecoder`]'s buffer,
 //! groups the decoded units per destination worker, and delivers one
 //! multi-frame packet per `(read batch, worker)` with a **blocking**
 //! send — when a worker falls behind, its inbox fills, the reader
@@ -34,15 +35,14 @@
 //!
 //! # Recovery and accounting
 //!
-//! The server runs the runtime's one supervisor
-//! ([`hyperdex_runtime::runtime::supervise`]) over its local shards,
-//! handing it a builder for that fabric: a crashed worker (scheduled
-//! via [`CrashPoint`]) is respawned on the same inbox, its shard
-//! restored from the load log the crashed incarnation kept (this
-//! module never looks inside a frame). What outlives a connection goes
-//! to its successor too: the client's writer queue is handed every
-//! client connection accepted and answers on the newest, so a client
-//! that re-dials a live server is served. At shutdown the
+//! The server hosts its local shards on the runtime's worker threads
+//! ([`hyperdex_runtime::Host`]), one [`Fabric`] each. A worker a
+//! [`CrashPoint`] names restarts itself in place from the load log it
+//! keeps — this module never looks inside a frame, and has no crash
+//! branch. What outlives a connection goes to its successor: the
+//! client's writer queue is handed every client connection accepted
+//! and answers on the newest, so a client that re-dials a live server
+//! is served. At shutdown the
 //! server prints a plain-text frame-conservation report (`WSTATS` per
 //! worker, one `SSTATS`, then `REPORT_END`) that the cluster launcher
 //! aggregates into the same [`hyperdex_runtime::ShutdownReport`] the
@@ -51,16 +51,14 @@
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hyperdex_core::KeywordHasher;
-use hyperdex_hypercube::Shape;
-use hyperdex_runtime::fault::{CrashPoint, FaultInjector, FaultPlan};
-use hyperdex_runtime::runtime::{supervise, Spawner};
-use hyperdex_runtime::{Fabric, PacketPool, ShardMap};
+use hyperdex_runtime::fault::{CrashPoint, FaultPlan};
+use hyperdex_runtime::{Fabric, Host, PacketPool, ShardMap, WorkerContext};
 
 use crate::stream::{count_units, StreamDecoder, CLIENT_DEST};
 
@@ -100,24 +98,39 @@ pub fn server_of(worker: u32, servers: u32) -> u32 {
 /// input from outside the process, so counted, never asserted.
 #[derive(Default)]
 struct InboundAnomalies {
-    /// Connections dropped on a stream that stopped parsing as units.
+    /// Connections dropped on a stream that stopped parsing as units,
+    /// or that ended before its hello did.
     streams_corrupt: AtomicU64,
     /// Units skipped because they named a worker not hosted here.
     units_misrouted: AtomicU64,
 }
 
-/// Reads units off one inbound connection and delivers them to local
-/// worker inboxes. Each read lands straight in the decoder's buffer
-/// ([`StreamDecoder::fill_from`]); the decoded units of one read batch
-/// are grouped per destination worker and delivered as one multi-frame
-/// packet per `(batch, worker)`. Blocking sends are the backpressure
-/// valve: a full inbox stalls this reader, which stalls the remote
-/// writer through TCP flow control.
+/// Reads one inbound connection: its 4-byte hello — a client's stream
+/// is handed to the client writer through `client_streams` — then its
+/// units, delivered to local worker inboxes. Each read lands straight
+/// in the decoder's buffer ([`StreamDecoder::fill_from`]); the decoded
+/// units of one read batch are grouped per destination worker and
+/// delivered as one multi-frame packet per `(batch, worker)`. Blocking
+/// sends are the backpressure valve: a full inbox stalls this reader,
+/// which stalls the remote writer through TCP flow control.
 fn reader_loop(
     mut stream: TcpStream,
     inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
     anomalies: Arc<InboundAnomalies>,
+    client_streams: Sender<TcpStream>,
 ) {
+    // Read here, not where connections are accepted: a peer that says
+    // nothing holds up no connection but its own.
+    let mut hello = [0u8; 4];
+    if stream.read_exact(&mut hello).is_err() {
+        anomalies.streams_corrupt.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    if u32::from_le_bytes(hello) == CLIENT_DEST {
+        // Replies flow back on the same socket.
+        let Ok(out) = stream.try_clone() else { return };
+        let _ = client_streams.send(out);
+    }
     let mut dec = StreamDecoder::new();
     // Per-dest frame groups for the current read batch; reused across
     // batches so the steady state allocates nothing.
@@ -263,18 +276,17 @@ fn dial(addr: &str) -> io::Result<TcpStream> {
 }
 
 /// Runs one server to completion: dial the mesh, host the local
-/// shards, supervise crashes, and print the conservation report on
-/// stdout once every local worker has shut down cleanly.
+/// shards, and print the conservation report on stdout once every
+/// local worker has shut down.
 ///
 /// `peer_addrs` lists every server's listen address in cluster order
 /// (including this server's own, which is ignored).
 ///
 /// # Errors
 ///
-/// Propagates socket errors from the mesh dial; everything after the
-/// fabric is up is handled by supervision.
+/// Propagates socket errors from the mesh dial; once the fabric is up
+/// nothing fails the run: a crashed worker restarts itself.
 pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> io::Result<()> {
-    let shape = Shape::new(cfg.r).expect("validated r");
     let hasher = KeywordHasher::new(cfg.r, cfg.seed).expect("validated r");
     let shards = ShardMap::new(cfg.r, cfg.total_workers, cfg.seed);
     let local = local_workers(cfg.total_workers, cfg.servers, cfg.index);
@@ -328,9 +340,9 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     }
     let client_streams = writer("hyperdex-net-client-writer".into(), client_rx);
 
-    // Accept loop: every connection gets a reader; a client's is also
-    // handed to the client writer (replies flow back on the same
-    // socket), which from then on answers on it.
+    // Accept loop: every connection gets a reader, which reads its
+    // hello; a client's stream is also handed to the client writer,
+    // which from then on answers on it.
     {
         let inbox_tx = inbox_tx.clone();
         let anomalies = Arc::clone(&anomalies);
@@ -338,77 +350,54 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
             .name(format!("hyperdex-net-accept-{}", cfg.index))
             .spawn(move || {
                 for conn in listener.incoming() {
-                    let Ok(mut stream) = conn else { return };
+                    let Ok(stream) = conn else { return };
                     stream.set_nodelay(true).ok();
-                    let mut hello = [0u8; 4];
-                    if stream.read_exact(&mut hello).is_err() {
-                        continue;
-                    }
-                    if u32::from_le_bytes(hello) == CLIENT_DEST {
-                        let Ok(out) = stream.try_clone() else {
-                            continue;
-                        };
-                        let _ = client_streams.send(out);
-                    }
                     let inbox_tx = inbox_tx.clone();
                     let anomalies = Arc::clone(&anomalies);
+                    let client_streams = client_streams.clone();
                     std::thread::Builder::new()
                         .name("hyperdex-net-reader".into())
-                        .spawn(move || reader_loop(stream, inbox_tx, anomalies))
+                        .spawn(move || reader_loop(stream, inbox_tx, anomalies, client_streams))
                         .expect("spawn reader thread");
                 }
             })
             .expect("spawn accept thread");
     }
 
-    // Spawn the local shards, each behind its own view of the mesh:
-    // an inbox lane to every co-located worker, one socket lane per
-    // remote server carrying the units of all its workers, and one for
-    // the client.
-    let (event_tx, event_rx) = channel();
+    // Host the local shards, each behind its own view of the mesh: an
+    // inbox lane to every co-located worker, one socket lane per remote
+    // server carrying the units of all its workers, and one for the
+    // client. The crash point, if any, names one of them.
     let (servers, total) = (cfg.servers, cfg.total_workers);
-    let spawner = Spawner {
-        shape,
-        hasher,
-        shards,
-        inbox_tx,
-        fabric: move |inboxes: &[Option<SyncSender<Vec<u8>>>], worker: u32| {
-            let mut fabric = Fabric::new(total as usize + 1, pool.clone());
-            for (w, tx) in inboxes.iter().enumerate() {
-                if let Some(tx) = tx.as_ref().filter(|_| w != worker as usize) {
-                    fabric.inbox_lane(w, tx.clone());
-                }
-            }
-            for (peer, tx) in peer_tx.iter().enumerate() {
-                if let Some(tx) = tx {
-                    let hosted = (0..total).filter(|&w| server_of(w, servers) as usize == peer);
-                    fabric.socket_lane(tx.clone(), hosted.map(|w| (w as usize, w)));
-                }
-            }
-            fabric.socket_lane(client_tx.clone(), [(total as usize, CLIENT_DEST)]);
-            fabric
-        },
-        event_tx,
+    let plan = FaultPlan {
+        crashes: cfg.crash.into_iter().collect(),
+        ..FaultPlan::default()
     };
-    let mut handles: Vec<Option<JoinHandle<()>>> = (0..total).map(|_| None).collect();
-    for (&w, rx) in local.iter().zip(inbox_rx) {
-        // The worker the crash point names gets the injector that
-        // stops it and keeps the load log that brings its shard back.
-        let plan = cfg
-            .crash
-            .filter(|c| c.worker == w)
-            .map(|c| FaultPlan::default().crash(c.worker, c.after_query_frames));
-        let log = plan.is_some().then(Vec::new);
-        let injector = plan.map(|plan| FaultInjector::new(plan, w));
-        handles[w as usize] = Some(spawner.spawn(w, rx, injector, log));
-    }
+    let host = Host::start(local.iter().zip(inbox_rx).map(|(&worker, inbox)| {
+        let mut fabric = Fabric::new(total as usize + 1, pool.clone());
+        for (w, tx) in inbox_tx.iter().enumerate() {
+            if let Some(tx) = tx.as_ref().filter(|_| w != worker as usize) {
+                fabric.inbox_lane(w, tx.clone());
+            }
+        }
+        for (peer, tx) in peer_tx.iter().enumerate() {
+            if let Some(tx) = tx {
+                let hosted = (0..total).filter(|&w| server_of(w, servers) as usize == peer);
+                fabric.socket_lane(tx.clone(), hosted.map(|w| (w as usize, w)));
+            }
+        }
+        fabric.socket_lane(client_tx.clone(), [(total as usize, CLIENT_DEST)]);
+        let ctx = WorkerContext::new(worker, hasher, shards, &plan);
+        (ctx, fabric, inbox)
+    }));
     println!("READY");
     io::stdout().flush().ok();
 
-    // Supervise until the client's `Shutdown` frames have stopped every
-    // local worker. Dropping the spawner on return closes the writer
-    // queues, so the writer threads finish flushing and exit.
-    let (stats, mut sup) = supervise(spawner, handles, event_rx);
+    // Wait for the client's `Shutdown` frames to stop every local
+    // worker; closing the writer queues then (the workers' lanes went
+    // with them) lets the writer threads finish flushing and exit.
+    let (stats, mut sup) = host.join();
+    drop((peer_tx, client_tx));
     for handle in writers {
         let _ = handle.join();
     }

@@ -8,7 +8,8 @@
 //! answer, and then a header no stream can recover from; it keeps
 //! serving, and reports all of it in its `SSTATS` and `WSTATS` lines.
 //! And a client connection is not the only one a server ever answers:
-//! the newest one gets the replies.
+//! the newest one gets the replies; nor does a connection that never
+//! says hello keep it from reading the next one's.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -184,4 +185,36 @@ fn the_newest_client_connection_gets_the_replies() {
     assert_eq!(sum(|w| w.frames_received), report.client_sent + 2);
     assert_eq!(sum(|w| w.frames_sent), report.client_received + 2);
     assert_eq!(report.supervisor.frames_drained, 0, "{report:?}");
+}
+
+/// A peer that connects and says nothing holds up no connection but its
+/// own: each connection's hello is read by its own reader, so a client
+/// that dials in behind a silent one is served. A connection that ends
+/// inside its hello is a corrupt stream, counted once.
+#[test]
+fn a_silent_connection_does_not_stop_the_server_from_accepting() {
+    let mut cfg = ClusterConfig::new(8, 42, 2, 1);
+    cfg.server_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_hyperdex-server")));
+    cfg.net.request_timeout = Duration::from_secs(2);
+    let cluster = Cluster::launch(cfg).expect("cluster launch");
+    let silent = TcpStream::connect(&cluster.addrs()[0]).expect("dial the server");
+    let mut client = cluster.client().expect("cluster client");
+    let keywords = KeywordSet::parse("behind a silent peer").unwrap();
+    let object = ObjectId::from_raw(7);
+    client.insert(object, keywords.clone()).expect("insert");
+    client.flush().expect("flush");
+    assert_eq!(client.pin_search(&keywords).expect("pin"), vec![object]);
+    // Two bytes of a hello, the end of the stream, and the server's
+    // hangup: whatever it made of them is counted when the read returns.
+    let mut torn = TcpStream::connect(&cluster.addrs()[0]).expect("dial the server");
+    torn.write_all(&CLIENT_DEST.to_le_bytes()[..2])
+        .expect("half a hello");
+    torn.shutdown(Shutdown::Write).expect("end of stream");
+    torn.read_to_end(&mut Vec::new())
+        .expect("server closes the connection");
+    let report = cluster.shutdown(client).expect("cluster shutdown");
+    report.assert_conserved();
+    assert_eq!(report.supervisor.streams_corrupt, 1, "{report:?}");
+    // Still silent, and still open: it never counted.
+    drop(silent);
 }

@@ -3,8 +3,8 @@
 //! message-level sim, and the threaded runtime — at workers ∈ {1,2,4}
 //! and r ∈ {8,12}, including a cell where several shards share one
 //! process — with the cross-process frame ledger balancing on every
-//! shutdown. A final cell crashes a worker mid-run and checks the
-//! supervised recovery path end to end over TCP.
+//! shutdown. A final cell crashes a worker mid-run and checks its
+//! restart end to end over TCP.
 
 use std::path::PathBuf;
 
@@ -96,8 +96,8 @@ fn crashed_worker_recovers_over_tcp_and_the_ledger_still_balances() {
     let (corpus, queries) = workload(42, 120);
     let mut cfg = ClusterConfig::new(8, 42, 4, 2);
     cfg.server_bin = server_bin();
-    // Worker 1 dies on its 3rd query-path frame; its server respawns
-    // it from the load log its exit carried.
+    // Worker 1 dies on its 3rd query-path frame and restarts in place
+    // from its own load log.
     cfg.crash = Some(CrashPoint {
         worker: 1,
         after_query_frames: 3,

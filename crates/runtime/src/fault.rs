@@ -22,8 +22,8 @@
 //! receives, *before* processing it: in-memory tables, frames parked
 //! on lanes, and coordinator state all vanish, exactly like a process
 //! kill. What survives is the shard's load log — the paper's surviving
-//! copy (§3.4) — and recovery is the constructor of the machine the
-//! supervisor respawns from it ([`crate::worker::WorkerContext::log`]).
+//! copy (§3.4) — and the machine restarts in place through its
+//! constructor, from that log ([`crate::worker::WorkerContext::log`]).
 
 use hyperdex_dht::stable_hash64_seeded;
 

@@ -12,9 +12,9 @@
 //! harness demand set-identical results at every thread count.
 //!
 //! The cluster also survives being hurt: [`fault`] injects seeded
-//! drop/duplicate/delay faults and crash-stops on the wire path, while
-//! the [`runtime`] supervisor respawns crashed workers from the load
-//! logs their exits carry, and every superset traversal holds the region owners
+//! drop/duplicate/delay faults and crashes on the wire path, a crashed
+//! [`NodeMachine`] restarts itself in place from its shard's load log,
+//! and every superset traversal holds the region owners
 //! it waits for to deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
 //! ([`hyperdex_core::FtPolicy::attempt_timeout`]);
@@ -40,9 +40,9 @@
 //!   machine ([`NodeMachine`]): a driver hands it packets and the
 //!   time. The same code in-process, inside a server binary, and under
 //!   the test suites' simulated network.
-//! * [`runtime`] — the thread driver ([`run_worker`]), the in-process
-//!   handle (the client core over the channel link), the one
-//!   supervisor every deployment runs ([`runtime::supervise`]), the
+//! * [`runtime`] — the thread driver ([`run_worker`]), the worker
+//!   threads every deployment hosts them on ([`Host`]), the in-process
+//!   handle (the client core over the channel link), the
 //!   shutdown/conservation protocol.
 //! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
 //!   harness the integration tests call, including faulted
@@ -77,10 +77,8 @@ pub use client_core::{
 };
 pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
 pub use parity::{assert_fault_parity, assert_sim_parity, FaultParityReport, ParityReport};
-pub use runtime::{
-    run_worker, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats, WorkerExit,
-};
+pub use runtime::{run_worker, Host, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
 pub use transport::{count_frames, take_frame, Fabric, PacketPool};
 pub use wire::{WireError, WireMsg};
-pub use worker::{ExitCause, Flow, NodeMachine, WorkerContext, WorkerStats};
+pub use worker::{Flow, NodeMachine, WorkerContext, WorkerStats};

@@ -1,14 +1,15 @@
 //! The threaded node runtime: sharded workers, bounded channels,
-//! explicit backpressure, fault injection, and supervised recovery.
+//! explicit backpressure, fault injection, and crash restarts.
 //!
 //! # Shard ownership
 //!
-//! [`NodeRuntime::start`] spawns `workers` OS threads. Each owns the
-//! disjoint set of hypercube vertices [`ShardMap`] assigns to it —
-//! `PostingStore`s, interners, and per-query coordinator state live on
-//! exactly one thread and are never shared, never locked. Everything
-//! that crosses a thread boundary is a length-prefixed byte frame
-//! ([`crate::wire`]), so the worker boundary behaves like a socket.
+//! [`NodeRuntime::start`] spawns `workers` OS threads and no other.
+//! Each owns the disjoint set of hypercube vertices [`ShardMap`]
+//! assigns to it — `PostingStore`s, interners, and per-query
+//! coordinator state live on exactly one thread and are never shared,
+//! never locked. Everything that crosses a thread boundary is a
+//! length-prefixed byte frame ([`crate::wire`]), so the worker boundary
+//! behaves like a socket.
 //!
 //! # Channel topology and backpressure
 //!
@@ -32,8 +33,8 @@
 //! The request protocol itself — ids, routing, reply matching, FT
 //! re-issue — is the shared [`ClientCore`]; [`NodeRuntime`] plugs the
 //! in-process channel link into it and adds what only a process that
-//! owns its workers can do: start, supervise, shut down. On the worker
-//! side there is one superset traversal: one
+//! owns its workers can do: start them and shut them down. On the
+//! worker side there is one superset traversal: one
 //! round per prefix region, merged into the very answer the
 //! `SupersetCoordinator` machine of the simulator and the direct
 //! engine folds, every awaited region owner under a deadline (on the
@@ -44,33 +45,30 @@
 //! or not at all; [`NodeRuntime::superset_search_ft`] names the policy
 //! and is always answered, with the regions given up accounted.
 //!
-//! # Faults and supervision
+//! # Faults and restarts
 //!
 //! [`NodeRuntime::start_faulted`] arms a seeded [`FaultPlan`]: worker→
 //! worker traversal frames may be dropped, duplicated, or delayed
-//! (which reorders), and whole workers crash-stop at scheduled points,
+//! (which reorders), and whole workers crash at scheduled points,
 //! losing every byte of in-memory state but the shard's load log — the
 //! paper's surviving copy, which a worker a crash point names writes
 //! ahead of every load frame it handles ([`WorkerContext::log`]). A
-//! supervisor thread ([`supervise`] — the same loop a `hyperdex-net`
-//! server runs over its local shards) owns the worker join handles; a
-//! crashed worker's exit carries what outlives it, and the respawn gets
-//! both: **the same inbox channel** (peers never observe a disconnect —
-//! exactly a process restart behind a stable address) and the log, from
-//! which its constructor restores the shard before its driver first
-//! reads that inbox — a scan never runs against a half-restored table.
-//! If recovery cannot finish within the retry budget,
-//! [`NodeRuntime::superset_search_ft`] degrades gracefully: it returns
-//! a partial result whose [`hyperdex_core::FtCoverage`] accounts every
-//! unreached vertex exactly.
+//! crash is the machine's own business: it rebuilds itself in place
+//! from that log and carries on reading **the same inbox** (peers never
+//! observe a disconnect — exactly a process restart behind a stable
+//! address), its thread none the wiser. If recovery cannot finish
+//! within the retry budget, [`NodeRuntime::superset_search_ft`]
+//! degrades gracefully: it returns a partial result whose
+//! [`hyperdex_core::FtCoverage`] accounts every unreached vertex
+//! exactly.
 //!
 //! # Shutdown protocol and conservation
 //!
 //! [`NodeRuntime::shutdown`] first runs the flush barrier (a `Flush`
 //! token to every worker, answered by `FlushAck` after all prior
-//! frames on that inbox were processed), then hands control to the
-//! supervisor, which sends `Shutdown`, collects every worker's exit,
-//! and drains the exited inboxes. The conservation law generalizes to
+//! frames on that inbox were processed), then sends `Shutdown` to every
+//! worker and [`Host::join`]s them: it collects every worker's exit and
+//! drains the exited inboxes. The conservation law generalizes to
 //! injected faults:
 //!
 //! ```text
@@ -84,21 +82,20 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError,
 };
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
-use hyperdex_hypercube::Shape;
 
 use crate::client_core::{ClientCore, ClientLink};
-use crate::fault::{FaultInjector, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::shard::{ShardMap, ShardPolicy};
 use crate::transport::{count_frames, take_frame, Fabric};
 use crate::wire::WireMsg;
-use crate::worker::{counter_record, ExitCause, Flow, NodeMachine, WorkerContext, WorkerStats};
+use crate::worker::{counter_record, Flow, NodeMachine, WorkerContext, WorkerStats};
 
 pub use crate::client_core::{
     BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
@@ -158,19 +155,18 @@ impl RuntimeConfig {
 }
 
 counter_record! {
-    /// The supervisor thread's counters.
+    /// The counters of a process hosting workers, beyond the workers'
+    /// own.
     SupervisorStats, "SSTATS",
     {
-        /// Workers respawned after a crash.
+        /// Worker restarts, summed over the hosted workers.
         respawns,
-        /// Load-log frames respawned workers restored their shards from.
+        /// Load-log frames those restarts restored shards from.
         replayed_frames,
-        /// Frames the supervisor itself sent (`Shutdown`).
-        frames_sent,
         /// Frames drained from inboxes after their workers exited.
         frames_drained,
         /// Inbound connections a server dropped because their byte
-        /// stream stopped parsing as units.
+        /// stream stopped parsing as units, or ended before its hello.
         streams_corrupt,
         /// Inbound units a server skipped because they named a worker
         /// it does not host.
@@ -181,24 +177,20 @@ counter_record! {
 /// Frame accounting for a whole runtime run, built at shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShutdownReport {
-    /// Frames the client handle sent.
+    /// Frames the client handle sent (`Shutdown` included).
     pub client_sent: u64,
     /// Frames the client handle received (including the final drain).
     pub client_received: u64,
-    /// Per-worker counters, indexed by shard (all incarnations
-    /// merged).
+    /// Per-worker lifetime counters, indexed by shard.
     pub workers: Vec<WorkerStats>,
-    /// The supervisor's counters.
+    /// The hosting processes' counters.
     pub supervisor: SupervisorStats,
 }
 
 impl ShutdownReport {
-    /// Logical frames sent by every endpoint (client, workers,
-    /// supervisor).
+    /// Logical frames sent by every endpoint (client and workers).
     pub fn total_sent(&self) -> u64 {
-        self.client_sent
-            + self.supervisor.frames_sent
-            + self.workers.iter().map(|w| w.frames_sent).sum::<u64>()
+        self.client_sent + self.workers.iter().map(|w| w.frames_sent).sum::<u64>()
     }
 
     /// Frames received by every endpoint.
@@ -256,13 +248,12 @@ impl ShutdownReport {
 #[derive(Debug)]
 pub struct NodeRuntime {
     core: ClientCore<ChannelLink>,
-    supervisor_tx: Sender<SupervisorEvent>,
-    supervisor: JoinHandle<(Vec<WorkerStats>, SupervisorStats)>,
+    host: Host,
 }
 
 /// The in-process [`ClientLink`]: one bounded channel into each worker,
-/// one shared inbox back. It cannot fail — a crashed worker's channel
-/// survives into its respawn — so every method returns `Ok`.
+/// one shared inbox back. It cannot fail — a crashed worker restarts
+/// behind its channel — so every method returns `Ok`.
 #[derive(Debug)]
 struct ChannelLink {
     to_worker: Vec<SyncSender<Vec<u8>>>,
@@ -299,9 +290,7 @@ impl ClientLink for ChannelLink {
     fn ship(&mut self) -> Result<(), Error> {
         for (worker, frame) in self.queued.drain(..) {
             // Blocking send is safe from the client: workers always
-            // return to their inboxes (a crashed worker's channel
-            // survives into its respawn), so a full channel always
-            // drains.
+            // return to their inboxes, so a full channel always drains.
             self.to_worker[worker as usize]
                 .send(frame)
                 .expect("worker channel alive");
@@ -314,8 +303,8 @@ impl ClientLink for ChannelLink {
         self.clock.now()
     }
 
-    /// `awaiting` has nothing to report here: a worker that dies is
-    /// respawned behind the same channel, so no wait is ever orphaned.
+    /// `awaiting` has nothing to report here: a worker that crashes
+    /// restarts behind the same channel, so no wait is ever orphaned.
     fn recv(
         &mut self,
         deadline: Option<Duration>,
@@ -375,7 +364,6 @@ impl NodeRuntime {
     /// Returns [`Error::Dimension`] when `r` is outside `1..=63`.
     pub fn start_faulted(cfg: RuntimeConfig, plan: FaultPlan) -> Result<NodeRuntime, Error> {
         let hasher = KeywordHasher::new(cfg.r, cfg.seed)?;
-        let shape = Shape::new(cfg.r)?;
         let workers = cfg.workers.max(1);
         let shards = cfg.shard_map();
         let cap = cfg.channel_capacity.max(1);
@@ -385,39 +373,18 @@ impl NodeRuntime {
         // The client inbox absorbs replies from every worker; scale its
         // bound so a reply burst cannot stall the whole fleet.
         let (client_tx, client_rx) = sync_channel::<Vec<u8>>(cap * workers as usize);
-        let (event_tx, event_rx) = channel::<SupervisorEvent>();
-
-        let spawner = Spawner {
-            shape,
-            hasher,
-            shards,
-            inbox_tx: worker_tx.iter().cloned().map(Some).collect(),
+        let host = Host::start(worker_rx.into_iter().zip(0..).map(|(inbox, index)| {
             // A worker's fabric: an inbox lane to every other worker,
             // none to itself, the client inbox last.
-            fabric: move |inboxes: &[Option<SyncSender<Vec<u8>>>], index: u32| {
-                let links = inboxes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, tx)| tx.clone().filter(|_| j != index as usize))
-                    .chain(std::iter::once(Some(client_tx.clone())))
-                    .collect();
-                Fabric::inboxes(links)
-            },
-            event_tx: event_tx.clone(),
-        };
-        let mut handles: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(workers as usize);
-        for (index, rx) in worker_rx.into_iter().enumerate() {
-            let injector = plan
-                .is_active()
-                .then(|| FaultInjector::new(plan.clone(), index as u32));
-            let crashes = plan.crashes.iter().any(|c| c.worker == index as u32);
-            let log = crashes.then(Vec::new);
-            handles.push(Some(spawner.spawn(index as u32, rx, injector, log)));
-        }
-        let supervisor = std::thread::Builder::new()
-            .name("hyperdex-supervisor".into())
-            .spawn(move || supervise(spawner, handles, event_rx))
-            .expect("spawn supervisor thread");
+            let links = worker_tx
+                .iter()
+                .zip(0..)
+                .map(|(tx, j)| (j != index).then(|| tx.clone()))
+                .chain(std::iter::once(Some(client_tx.clone())))
+                .collect();
+            let ctx = WorkerContext::new(index, hasher, shards, &plan);
+            (ctx, Fabric::inboxes(links), inbox)
+        }));
 
         let link = ChannelLink {
             to_worker: worker_tx,
@@ -429,10 +396,9 @@ impl NodeRuntime {
             received: 0,
         };
         Ok(NodeRuntime {
-            // No request deadline: supervised workers always answer.
+            // No request deadline: a worker outlives its crashes.
             core: ClientCore::new(hasher, shards, link, None),
-            supervisor_tx: event_tx,
-            supervisor,
+            host,
         })
     }
 
@@ -525,13 +491,15 @@ impl NodeRuntime {
         self.core.run_batch(requests, window).expect(INFALLIBLE)
     }
 
-    /// Runs the drain barrier, hands shutdown to the supervisor, joins
-    /// it, and returns the conservation report.
+    /// Runs the drain barrier, sends every worker `Shutdown`, joins
+    /// them, and returns the conservation report.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.flush();
-        self.supervisor_tx
-            .send(SupervisorEvent::ClientShutdown)
-            .expect("supervisor alive");
+        for worker in 0..self.workers() {
+            self.core
+                .send(worker, &WireMsg::Shutdown)
+                .expect(INFALLIBLE);
+        }
         let ChannelLink {
             to_worker,
             inbox,
@@ -540,8 +508,7 @@ impl NodeRuntime {
             ..
         } = self.core.into_link();
         drop(to_worker);
-        let (workers, supervisor_stats) =
-            self.supervisor.join().expect("supervisor thread panicked");
+        let (workers, supervisor) = self.host.join();
         // Drain stragglers buffered on the client inbox (none are
         // expected after the barrier, but every frame must be counted
         // for conservation to be exact).
@@ -552,39 +519,28 @@ impl NodeRuntime {
             client_sent: sent,
             client_received: received,
             workers,
-            supervisor: supervisor_stats,
+            supervisor,
         }
     }
 }
 
-/// A worker's parting message to its supervisor: its counters, and
-/// for its successor what outlives it. The inbox `Receiver` so the
-/// channel never disconnects — a respawn resumes the same address,
-/// peers' sends keep landing — and the load log so the shard comes back.
-#[derive(Debug)]
-pub struct WorkerExit {
-    /// Clean shutdown or crash-stop.
-    pub cause: ExitCause,
-    /// The incarnation's lifetime counters.
-    pub stats: WorkerStats,
-    /// The still-open inbox, for respawn or draining.
-    pub inbox: Receiver<Vec<u8>>,
-    /// The shard's load log ([`WorkerContext::log`]), when it kept one.
-    pub log: Option<Vec<Vec<u8>>>,
-}
-
 /// The thread driver: runs one [`NodeMachine`] to completion on the
-/// calling thread, under the wall clock, fed from `inbox`. The fabric's
-/// lanes decide where frames physically go; the machine and this wait
-/// policy are identical across deployments. The clock is read once per
-/// packet and once per timed wake.
-pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) -> WorkerExit {
+/// calling thread, under the wall clock, fed from `inbox`, and returns
+/// its lifetime counters and the still-open inbox, for draining. The
+/// fabric's lanes decide where frames physically go; the machine and
+/// this wait policy are identical across deployments. The clock is read
+/// once per packet and once per timed wake.
+pub fn run_worker(
+    ctx: WorkerContext,
+    fabric: Fabric,
+    inbox: Receiver<Vec<u8>>,
+) -> (WorkerStats, Receiver<Vec<u8>>) {
     let clock = Clock::start();
     let mut node = NodeMachine::new(ctx, fabric);
     let mut now = Duration::ZERO;
     let mut wakeups = 0;
     let mut leaving = false;
-    let cause = loop {
+    loop {
         // The turn's one offer waits for the inbox's answer, because
         // that decides whether the batching window is still open:
         // drain without waiting while more inbound work is
@@ -601,7 +557,7 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
         let idle = matches!(polled, Err(TryRecvError::Empty));
         node.fabric().offer(idle);
         if leaving && node.fabric().pending() == 0 {
-            break ExitCause::Clean;
+            break;
         }
         // Pick the cheapest wait that can't stall anything: poll
         // while a full sink still has frames parked on its lane
@@ -630,185 +586,86 @@ pub fn run_worker(ctx: WorkerContext, fabric: Fabric, inbox: Receiver<Vec<u8>>) 
                 wakeups += 1;
                 continue;
             }
-            Err(RecvTimeoutError::Disconnected) => break ExitCause::Clean,
+            Err(RecvTimeoutError::Disconnected) => break,
         };
-        match node.receive(now, &packet) {
-            Flow::Continue => {}
-            Flow::Leaving => leaving = true,
-            Flow::Crashed => break ExitCause::Crashed,
-        }
+        leaving |= node.receive(now, &packet) == Flow::Leaving;
         node.fabric().recycle(packet);
-    };
-    let (mut stats, log) = node.exit(cause);
+    }
+    let mut stats = node.exit();
     stats.wakeups = wakeups;
-    WorkerExit {
-        cause,
-        stats,
-        inbox,
-        log,
-    }
+    (stats, inbox)
 }
 
-/// Everything a supervisor needs to (re)build the workers this process
-/// hosts. `F` builds one worker's [`Fabric`] — the only thing that
-/// differs between the in-process runtime (inbox lanes only) and a
-/// `hyperdex-net` server (inbox and socket lanes).
-pub struct Spawner<F> {
-    /// Hypercube shape (dimension `r`).
-    pub shape: Shape,
-    /// The keyword → vertex hash every endpoint shares.
-    pub hasher: KeywordHasher,
-    /// The global vertex → worker map.
-    pub shards: ShardMap,
-    /// Per global worker index: its inbox sender when this process
-    /// hosts it, `None` otherwise. The supervisor shuts workers down
-    /// through these.
-    pub inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Builds worker `index`'s [`Fabric`] from `inbox_tx`.
-    pub fabric: F,
-    /// Where every worker's [`WorkerExit`] goes.
-    pub event_tx: Sender<SupervisorEvent>,
+/// The workers one process hosts — a [`NodeRuntime`]'s, or a
+/// `hyperdex-net` server's — one thread each, running [`run_worker`].
+#[derive(Debug)]
+pub struct Host {
+    threads: Vec<JoinHandle<()>>,
+    exits: Receiver<(WorkerStats, Receiver<Vec<u8>>)>,
 }
 
-impl<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric> Spawner<F> {
-    /// Spawns worker `index` on `inbox` with load log `log`
-    /// ([`WorkerContext::log`]); a respawn gets its predecessor's
-    /// ([`WorkerExit`]).
-    pub fn spawn(
-        &self,
-        index: u32,
-        inbox: Receiver<Vec<u8>>,
-        injector: Option<FaultInjector>,
-        log: Option<Vec<Vec<u8>>>,
-    ) -> JoinHandle<()> {
-        let ctx = WorkerContext {
-            index,
-            shape: self.shape,
-            hasher: self.hasher,
-            shards: self.shards,
-            injector,
-            log,
-        };
-        let fabric = (self.fabric)(&self.inbox_tx, index);
-        let event_tx = self.event_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("hyperdex-worker-{index}"))
-            .spawn(move || {
-                let exit = run_worker(ctx, fabric, inbox);
-                let _ = event_tx.send(SupervisorEvent::Exited(Box::new(exit)));
+impl Host {
+    /// Spawns a thread per worker, each given its context, its fabric
+    /// and its inbox.
+    pub fn start(
+        workers: impl IntoIterator<Item = (WorkerContext, Fabric, Receiver<Vec<u8>>)>,
+    ) -> Host {
+        let (exit_tx, exits) = channel();
+        let threads = workers
+            .into_iter()
+            .map(|(ctx, fabric, inbox)| {
+                let exit_tx = exit_tx.clone();
+                std::thread::Builder::new()
+                    .name(format!("hyperdex-worker-{}", ctx.index))
+                    .spawn(move || {
+                        let _ = exit_tx.send(run_worker(ctx, fabric, inbox));
+                    })
+                    .expect("spawn worker thread")
             })
-            .expect("spawn worker thread")
+            .collect();
+        Host { threads, exits }
     }
-}
 
-/// What a supervisor hears.
-pub enum SupervisorEvent {
-    /// A worker's event loop returned.
-    Exited(Box<WorkerExit>),
-    /// The process owning the workers wants them stopped: the
-    /// supervisor broadcasts `Shutdown`. (A server's workers instead
-    /// receive the client's `Shutdown` frames off the wire.)
-    ClientShutdown,
-}
-
-/// The supervisor loop over the workers `spawner` hosts: collect
-/// exits, respawn crashed workers on what their exits carry, broadcast
-/// shutdown when asked, and drain dead inboxes so conservation closes.
-/// `handles` is indexed by global worker like [`Spawner::inbox_tx`].
-/// Returns the hosted workers' merged counters in index order.
-pub fn supervise<F: Fn(&[Option<SyncSender<Vec<u8>>>], u32) -> Fabric>(
-    spawner: Spawner<F>,
-    mut handles: Vec<Option<JoinHandle<()>>>,
-    events: Receiver<SupervisorEvent>,
-) -> (Vec<WorkerStats>, SupervisorStats) {
-    let total = spawner.inbox_tx.len();
-    let mut stats: Vec<WorkerStats> = (0..total)
-        .map(|i| WorkerStats {
-            worker: i as u32,
-            ..WorkerStats::default()
-        })
-        .collect();
-    let mut sup = SupervisorStats::default();
-    let mut exited: Vec<Receiver<Vec<u8>>> = Vec::new();
-    let mut live = spawner.inbox_tx.iter().flatten().count();
-    let mut shutting = false;
-
-    while live > 0 {
-        let event = if shutting {
-            // Poll so frames parked behind a full dead inbox keep
-            // draining while the last workers flush and exit.
-            match events.recv_timeout(Duration::from_millis(1)) {
-                Ok(e) => Some(e),
-                Err(RecvTimeoutError::Timeout) => None,
+    /// Waits until every worker has left — each on its `Shutdown` —
+    /// and closes the books: the workers' counters in index order, and
+    /// the process's, their restarts summed and every frame drained
+    /// from an exited worker's inbox. Blocks until the first exit; from
+    /// then on polls, draining, so that a worker still running never
+    /// waits on a full inbox nobody reads any more.
+    pub fn join(self) -> (Vec<WorkerStats>, SupervisorStats) {
+        let mut workers: Vec<WorkerStats> = Vec::new();
+        let mut exited: Vec<Receiver<Vec<u8>>> = Vec::new();
+        let mut sup = SupervisorStats::default();
+        while workers.len() < self.threads.len() {
+            let exit = if exited.is_empty() {
+                self.exits
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected)
+            } else {
+                self.exits.recv_timeout(Duration::from_millis(1))
+            };
+            match exit {
+                Ok((stats, inbox)) => {
+                    workers.push(stats);
+                    exited.push(inbox);
+                }
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-        } else {
-            match events.recv() {
-                Ok(e) => Some(e),
-                Err(_) => break,
-            }
-        };
-        match event {
-            Some(SupervisorEvent::ClientShutdown) => {
-                shutting = true;
-                for tx in spawner.inbox_tx.iter().flatten() {
-                    tx.send(WireMsg::Shutdown.encode())
-                        .expect("worker channel alive");
-                    sup.frames_sent += 1;
-                }
-            }
-            Some(SupervisorEvent::Exited(exit)) => {
-                let i = exit.stats.worker as usize;
-                if let Some(handle) = handles[i].take() {
-                    let _ = handle.join();
-                }
-                stats[i].merge(&exit.stats);
-                match exit.cause {
-                    // A worker only exits cleanly on `Shutdown`: the
-                    // run is over, whoever sent it.
-                    ExitCause::Clean => {
-                        shutting = true;
-                        exited.push(exit.inbox);
-                        live -= 1;
-                    }
-                    ExitCause::Crashed if shutting => {
-                        // The run is over; a respawn would only race the
-                        // barrier. Treat the crash as this worker's exit
-                        // and drain whatever it never read.
-                        exited.push(exit.inbox);
-                        live -= 1;
-                    }
-                    ExitCause::Crashed => {
-                        // Respawned workers run fault-free.
-                        sup.respawns += 1;
-                        sup.replayed_frames += exit.log.as_ref().map_or(0, Vec::len) as u64;
-                        handles[i] = Some(spawner.spawn(i as u32, exit.inbox, None, exit.log));
-                    }
-                }
-            }
-            None => {}
-        }
-        if shutting {
-            for rx in &exited {
-                while let Ok(packet) = rx.try_recv() {
-                    sup.frames_drained += count_frames(&packet);
-                }
+            // After the last exit this is the final sweep: a worker's
+            // lanes are gone before its exit is sent.
+            for inbox in &exited {
+                sup.frames_drained += inbox.try_iter().map(|p| count_frames(&p)).sum::<u64>();
             }
         }
+        for thread in self.threads {
+            thread.join().expect("worker thread panicked");
+        }
+        workers.sort_unstable_by_key(|w| w.worker);
+        sup.respawns = workers.iter().map(|w| w.respawns).sum();
+        sup.replayed_frames = workers.iter().map(|w| w.replayed_frames).sum();
+        (workers, sup)
     }
-    // All workers have exited: nothing can still be sending. One final
-    // sweep closes the books.
-    for rx in &exited {
-        while let Ok(packet) = rx.try_recv() {
-            sup.frames_drained += count_frames(&packet);
-        }
-    }
-    let hosted = stats
-        .into_iter()
-        .zip(&spawner.inbox_tx)
-        .filter_map(|(s, tx)| tx.is_some().then_some(s))
-        .collect();
-    (hosted, sup)
 }
 
 #[cfg(test)]
@@ -920,7 +777,7 @@ mod tests {
     /// that flaps between full and free: whichever of its offers the
     /// free slot meets, the worker must hand the frame over exactly
     /// once and exit — a blocking wait here would never be woken (the
-    /// supervisor holds the inbox open).
+    /// test holds the inbox open).
     #[test]
     fn a_worker_leaves_through_a_sink_that_flaps_between_full_and_free() {
         let filler = WireMsg::Flush { token: 0 }.encode();
@@ -933,14 +790,9 @@ mod tests {
             let mut packet = WireMsg::Flush { token: round }.encode();
             packet.extend(WireMsg::Shutdown.encode());
             inbox_tx.send(packet).unwrap();
-            let ctx = WorkerContext {
-                index: 0,
-                shape: Shape::new(8).unwrap(),
-                hasher: KeywordHasher::new(8, 42).unwrap(),
-                shards: ShardMap::new(8, 1, 42),
-                injector: None,
-                log: None,
-            };
+            let hasher = KeywordHasher::new(8, 42).unwrap();
+            let shards = ShardMap::new(8, 1, 42);
+            let ctx = WorkerContext::new(0, hasher, shards, &FaultPlan::default());
             let links = vec![None, Some(client_tx.clone())];
             let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
             let deadline = Instant::now() + Duration::from_secs(5);
@@ -954,9 +806,8 @@ mod tests {
                 let _ = client_tx.try_send(filler.clone());
             }
             acks += client.try_iter().filter(|p| *p != filler).count() as u32;
-            let exit = worker.join().unwrap();
-            assert_eq!(exit.cause, ExitCause::Clean);
-            assert_eq!((acks, exit.stats.frames_dropped), (1, 0), "round {round}");
+            let (stats, _) = worker.join().unwrap();
+            assert_eq!((acks, stats.frames_dropped), (1, 0), "round {round}");
         }
     }
 
@@ -981,7 +832,7 @@ mod tests {
     fn crashed_worker_is_respawned_and_recovers_state() {
         // Crash the worker owning object 2's vertex on its first
         // query-path frame: its in-memory tables (which provably hold
-        // data) vanish mid-traversal, and the respawn must restore
+        // data) vanish mid-traversal, and the restart must restore
         // its shard before the retried query can see every object.
         let hasher = KeywordHasher::new(8, 42).unwrap();
         let victim = RuntimeConfig::new(8, 4)
@@ -1008,9 +859,9 @@ mod tests {
     #[test]
     fn degraded_outcome_reports_no_coverage_when_nobody_answers() {
         // Crash every worker's first query frame with no retries and a
-        // tiny client budget: the root coordinator dies, the respawn
-        // has no chance to finish in time, and the client must return
-        // an honest empty degraded outcome instead of hanging.
+        // tiny client budget: the root coordinator dies with the one
+        // attempt, and the client must return an honest empty
+        // degraded outcome instead of hanging.
         let mut plan = FaultPlan::default();
         for w in 0..4 {
             plan = plan.crash(w, 1);

@@ -208,6 +208,18 @@ impl Fabric {
         self.lanes.iter().map(|lane| lane.frames).sum()
     }
 
+    /// Empties every lane without shipping it — what a crash does to
+    /// frames not yet handed over — and returns how many there were.
+    pub fn write_off(&mut self) -> u64 {
+        self.lanes
+            .iter_mut()
+            .map(|lane| {
+                lane.packet.clear();
+                std::mem::take(&mut lane.frames)
+            })
+            .sum()
+    }
+
     /// Times a lane was offered and found its sink full.
     pub fn backpressure_hits(&self) -> u64 {
         self.backpressure_hits
@@ -297,12 +309,12 @@ mod tests {
 
     proptest! {
         /// A random script of *append frame to dest / loop turn /
-        /// window close / receiver takes k packets / receiver hangs up*
-        /// against a fabric routing endpoint 0 to an inbox lane
-        /// (capacity 1), endpoints 1 and 2 to one shared socket lane
-        /// (capacity 4) and endpoint 3 to a socket lane of its own
-        /// (capacity 1); endpoint 4 is left unrouted and 5 does not
-        /// exist — a frame for either is dropped with a count. The
+        /// window close / receiver takes k packets / receiver hangs up /
+        /// crash write-off* against a fabric routing endpoint 0 to an
+        /// inbox lane (capacity 1), endpoints 1 and 2 to one shared
+        /// socket lane (capacity 4) and endpoint 3 to a socket lane of
+        /// its own (capacity 1); endpoint 4 is left unrouted and 5 does
+        /// not exist — a frame for either is dropped with a count. The
         /// fabric must match the model after every
         /// step; the script runs on one thread, so finishing at all is
         /// the proof that nothing ever blocks. (That a socket lane's
@@ -310,7 +322,7 @@ mod tests {
         /// `stream_robustness` suite, where the decoder is.)
         #[test]
         fn lanes_follow_the_model(
-            script in prop::collection::vec((0u8..8, 0usize..6, 1usize..4), 1..200)
+            script in prop::collection::vec((0u8..9, 0usize..6, 1usize..4), 1..200)
         ) {
             const LANE_OF: [usize; 4] = [0, 1, 1, 2];
             let mut fabric = Fabric::new(5, PacketPool::default());
@@ -333,6 +345,7 @@ mod tests {
                 });
             }
             let (mut appended, mut delivered, mut dropped, mut hits) = (0u64, 0u64, 0u64, 0u64);
+            let mut written_off = 0u64;
             for (step, (op, dest, k)) in script.into_iter().enumerate() {
                 let Some(&lane) = LANE_OF.get(dest) else {
                     fabric.append(dest, &WireMsg::Flush { token: step as u64 });
@@ -404,16 +417,28 @@ mod tests {
                             }
                         }
                     }
-                    _ => {
+                    7 => {
                         lane.rx = None;
                         lane.queued.clear();
+                    }
+                    // Every lane's parked frames, gone unshipped; what
+                    // is appended next starts a fresh packet.
+                    _ => {
+                        let parked: u64 = lanes.iter().map(|lane| lane.parked_frames).sum();
+                        prop_assert_eq!(fabric.write_off(), parked);
+                        prop_assert_eq!(fabric.pending(), 0);
+                        written_off += parked;
+                        for lane in &mut lanes {
+                            lane.parked.clear();
+                            lane.parked_frames = 0;
+                        }
                     }
                 }
                 let parked: u64 = lanes.iter().map(|lane| lane.parked_frames).sum();
                 prop_assert_eq!(fabric.pending(), parked);
                 prop_assert_eq!(fabric.frames_dropped(), dropped);
                 prop_assert_eq!(fabric.backpressure_hits(), hits);
-                prop_assert_eq!(appended, delivered + dropped + fabric.pending());
+                prop_assert_eq!(appended, delivered + dropped + written_off + fabric.pending());
             }
         }
     }

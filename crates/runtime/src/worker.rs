@@ -41,7 +41,9 @@
 //! is [`crate::runtime::run_worker`], a thread blocking on a channel
 //! under the wall clock; the test suites' is a deterministic mesh over
 //! `hyperdex-simnet`'s virtual time (DESIGN.md § "The node is a
-//! machine").
+//! machine"). Neither sees a crash: a crash point the machine meets
+//! restarts it in place, from its own load log (DESIGN.md § "A crash
+//! is a restart").
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -57,9 +59,9 @@ use hyperdex_core::{
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
-use crate::fault::{Fate, FaultInjector};
+use crate::fault::{Fate, FaultInjector, FaultPlan};
 use crate::shard::ShardMap;
-use crate::transport::{take_frame, Fabric};
+use crate::transport::{take_frame, Fabric, PacketPool};
 use crate::wire::{
     self, RegionGroup, WireMsg, MAX_BATCH_ENTRIES, MAX_BODY_LEN, REGION_DONE_HEADER_LEN,
 };
@@ -141,9 +143,8 @@ macro_rules! counter_record {
 pub(crate) use counter_record;
 
 counter_record! {
-    /// One worker's lifetime counters, returned when it exits.
-    /// After a crash the supervisor merges the counters of every
-    /// incarnation of the shard into one entry.
+    /// One worker's lifetime counters, returned when it exits. A crash
+    /// restarts the machine in place and keeps them.
     WorkerStats, "WSTATS",
     key {
         /// The worker's shard index.
@@ -214,9 +215,14 @@ counter_record! {
         /// received like any other.
         frames_misrouted,
         /// Plain queries dropped unanswered because an owner of part of
-        /// their subcube stayed silent through the whole retry budget:
-        /// a short answer would have passed for the whole one.
+        /// their subcube stayed silent through the whole retry budget
+        /// (or parked when the worker crashed or exited): a short answer
+        /// would have passed for the whole one.
         queries_abandoned,
+        /// Times a crash point restarted the machine.
+        respawns,
+        /// Load-log frames the restarts restored the shard from.
+        replayed_frames,
     }
 }
 
@@ -231,15 +237,15 @@ impl WorkerStats {
             evictions: self.cache_evictions,
         }
     }
-}
 
-/// Why a worker stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitCause {
-    /// Processed `Shutdown` and flushed everything.
-    Clean,
-    /// Hit a scheduled crash point; in-memory state is gone.
-    Crashed,
+    /// Adds `cache`'s counts to the result cache's share.
+    fn add_cache(&mut self, cache: CacheCounters) {
+        self.cache_hits += cache.hits;
+        self.cache_misses += cache.misses;
+        self.cache_coalesced += cache.coalesced;
+        self.cache_stale += cache.stale;
+        self.cache_evictions += cache.evictions;
+    }
 }
 
 /// What [`NodeMachine::receive`] tells its driver to do next.
@@ -248,12 +254,8 @@ pub enum Flow {
     /// Keep feeding packets.
     Continue,
     /// The packet held `Shutdown`: the window is closed. Offer the
-    /// lanes until nothing is pending, then [`NodeMachine::exit`] with
-    /// [`ExitCause::Clean`].
+    /// lanes until nothing is pending, then [`NodeMachine::exit`].
     Leaving,
-    /// A scheduled crash point fired: [`NodeMachine::exit`] with
-    /// [`ExitCause::Crashed`] — whatever is on a lane dies with it.
-    Crashed,
 }
 
 /// Everything a worker needs besides its fabric.
@@ -261,19 +263,38 @@ pub enum Flow {
 pub struct WorkerContext {
     /// The worker's global shard index.
     pub index: u32,
-    /// Hypercube shape (dimension `r`).
-    pub shape: Shape,
-    /// The keyword → vertex hash every endpoint shares.
+    /// The keyword → vertex hash every endpoint shares (and with it the
+    /// cube's shape).
     pub hasher: KeywordHasher,
     /// The global vertex → worker map.
     pub shards: ShardMap,
     /// Seeded fault injector, when the deployment schedules faults.
     pub injector: Option<FaultInjector>,
-    /// The shard's load log, for a worker a crash point names and its
-    /// successors: every `Insert`/`Handoff` frame the shard was handed,
-    /// in order. Empty, it starts a shard; the one a crashed
-    /// incarnation left ([`NodeMachine::exit`]) restores it.
+    /// The shard's load log, for a worker a crash point names: every
+    /// `Insert`/`Handoff` frame the shard was handed, in order. Empty,
+    /// it starts a shard; full, it restores one — which is what the
+    /// machine's restart hands its constructor.
     pub log: Option<Vec<Vec<u8>>>,
+}
+
+impl WorkerContext {
+    /// Worker `index`'s context under `plan`: an injector when the plan
+    /// injects anything, a load log when it crashes this worker.
+    pub fn new(index: u32, hasher: KeywordHasher, shards: ShardMap, plan: &FaultPlan) -> Self {
+        WorkerContext {
+            index,
+            hasher,
+            shards,
+            injector: plan
+                .is_active()
+                .then(|| FaultInjector::new(plan.clone(), index)),
+            log: plan
+                .crashes
+                .iter()
+                .any(|c| c.worker == index)
+                .then(Vec::new),
+        }
+    }
 }
 
 /// In-progress superset query on its coordinator worker: the
@@ -471,17 +492,17 @@ pub struct NodeMachine {
 
 impl NodeMachine {
     /// A worker whose frames leave on `fabric`, its tables what
-    /// `ctx.log` holds: recovery is this constructor. The logged frames
-    /// go through the arms that handled them the first time — the
-    /// interner, `inserts` and the write epoch land where the crashed
-    /// incarnation had them, no frame is sent, received or counted —
-    /// before a driver can hand the shard a query. An entry that is no
-    /// load frame is skipped.
+    /// `ctx.log` holds: recovery is this constructor, and a crash calls
+    /// it. The logged frames go through the arms that handled them the
+    /// first time — the interner, `inserts` and the write epoch land
+    /// where the crashed incarnation had them, no frame is sent,
+    /// received or counted — before the shard is handed a query. An
+    /// entry that is no load frame is skipped.
     pub fn new(ctx: WorkerContext, fabric: Fabric) -> NodeMachine {
         let endpoints = fabric.endpoints();
         let mut node = NodeMachine {
             index: ctx.index,
-            shape: ctx.shape,
+            shape: ctx.hasher.shape(),
             hasher: ctx.hasher,
             shards: ctx.shards,
             tables: HashMap::new(),
@@ -523,11 +544,12 @@ impl NodeMachine {
     /// Takes one inbound packet in at time `now`: splits it, and
     /// decodes, counts and handles every frame. A packet may coalesce
     /// several frames; every one is a logical receive. The load log
-    /// is written ahead: whatever this returns, every load frame of
-    /// `packet` is in it.
+    /// is written ahead: every load frame of `packet` is in it before
+    /// a crash point met in the packet restarts the machine.
     pub fn receive(&mut self, now: Duration, packet: &[u8]) -> Flow {
         self.now = now;
         let mut flow = Flow::Continue;
+        let mut crashed = false;
         let mut rest = packet;
         while !rest.is_empty() {
             // The bytes may have come off a socket: what does not
@@ -547,7 +569,7 @@ impl NodeMachine {
             {
                 log.push(frame.to_vec());
             }
-            if flow == Flow::Crashed {
+            if crashed {
                 // Packed behind the crash trigger, it dies with the
                 // worker like bytes buffered in a killed process — but
                 // it was delivered: a load is in the log all the same.
@@ -569,12 +591,40 @@ impl NodeMachine {
                     .as_mut()
                     .is_some_and(FaultInjector::should_crash)
             {
-                flow = Flow::Crashed;
+                crashed = true;
                 continue;
             }
             self.handle(msg);
         }
+        if crashed {
+            self.restart();
+        }
         flow
+    }
+
+    /// A crash point fired: all in memory is lost but the counters and
+    /// the load log, from which the constructor rebuilds the machine in
+    /// place, fault-free. What the lanes and the delay stash held never
+    /// leaves — counted dropped — and a parked traversal is abandoned.
+    fn restart(&mut self) {
+        self.abandon_stash();
+        self.stats.frames_dropped += self.fabric.write_off();
+        self.stats.queries_abandoned += self.parked();
+        let mut lifetime = self.stats.clone();
+        lifetime.add_cache(self.cache.counters());
+        let log = self.log.take();
+        lifetime.respawns += 1;
+        lifetime.replayed_frames += log.as_ref().map_or(0, Vec::len) as u64;
+        let ctx = WorkerContext {
+            index: self.index,
+            hasher: self.hasher,
+            shards: self.shards,
+            injector: None,
+            log,
+        };
+        let fabric = std::mem::replace(&mut self.fabric, Fabric::new(0, PacketPool::default()));
+        *self = NodeMachine::new(ctx, fabric);
+        self.stats.merge(&lifetime);
     }
 
     /// The traversals parked on an awaited owner.
@@ -582,33 +632,24 @@ impl NodeMachine {
         self.queries.len() as u64
     }
 
-    /// The counters so far, the cache's and the fabric's folded in.
+    /// The lifetime counters so far, the cache's and the fabric's
+    /// folded in.
     pub fn stats(&self) -> WorkerStats {
         let mut stats = self.stats.clone();
         stats.backpressure_hits += self.fabric.backpressure_hits();
         stats.frames_dropped += self.fabric.frames_dropped();
-        let cache = self.cache.counters();
-        stats.cache_hits = cache.hits;
-        stats.cache_misses = cache.misses;
-        stats.cache_coalesced = cache.coalesced;
-        stats.cache_stale = cache.stale;
-        stats.cache_evictions = cache.evictions;
+        stats.add_cache(self.cache.counters());
         stats
     }
 
-    /// Ends the incarnation and returns its lifetime counters and, for
-    /// its successor, its load log: all a crash leaves of the shard.
-    /// Frames in the delay stash — and, in a crash, still on a lane —
-    /// were promised to the network but will never leave: they are
-    /// counted dropped so conservation closes. So is every traversal
-    /// still parked: nobody will answer it now.
-    pub fn exit(mut self, cause: ExitCause) -> (WorkerStats, Option<Vec<Vec<u8>>>) {
+    /// Ends the worker and returns its lifetime counters. Frames in the
+    /// delay stash were promised to the network but will never leave:
+    /// they are counted dropped so conservation closes. A traversal
+    /// still parked is counted abandoned: nobody will answer it now.
+    pub fn exit(mut self) -> WorkerStats {
         self.abandon_stash();
-        if cause == ExitCause::Crashed {
-            self.stats.frames_dropped += self.fabric.pending();
-        }
         self.stats.queries_abandoned += self.parked();
-        (self.stats(), self.log)
+        self.stats()
     }
 
     /// Frames that count toward a crash point: the traversal and
@@ -1228,7 +1269,7 @@ mod tests {
 
     #[test]
     fn report_lines_roundtrip_in_declaration_order() {
-        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18 19";
+        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18 19 20 21";
         let stats = WorkerStats::parse_line(line).unwrap();
         assert_eq!(
             (stats.worker, stats.frames_sent, stats.scans),
@@ -1238,31 +1279,29 @@ mod tests {
         assert_eq!((stats.batch_entries_sent, stats.cache_evictions), (27, 16));
         assert_eq!((stats.frames_undecodable, stats.frames_misrouted), (17, 18));
         assert_eq!(stats.queries_abandoned, 19);
+        assert_eq!((stats.respawns, stats.replayed_frames), (20, 21));
         assert_eq!(stats.report_line(), line);
         // A line one counter short (the cache columns' predecessor
         // format included) or long is rejected, never zero-filled.
         assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
         assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
-        assert!(WorkerStats::parse_line(&format!("{line} 20")).is_none());
+        assert!(WorkerStats::parse_line(&format!("{line} 22")).is_none());
         assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
         // Merging sums every counter and leaves the key alone.
         let mut merged = stats.clone();
         merged.merge(&stats);
         assert_eq!(
             merged.report_line(),
-            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36 38"
+            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36 38 40 42"
         );
 
-        let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5 6").unwrap();
-        assert_eq!(
-            (sup.respawns, sup.replayed_frames, sup.frames_sent),
-            (1, 2, 3)
-        );
+        let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5").unwrap();
+        assert_eq!((sup.respawns, sup.replayed_frames), (1, 2));
         assert_eq!(
             (sup.frames_drained, sup.streams_corrupt, sup.units_misrouted),
-            (4, 5, 6)
+            (3, 4, 5)
         );
-        assert_eq!(sup.report_line(), "SSTATS 1 2 3 4 5 6");
+        assert_eq!(sup.report_line(), "SSTATS 1 2 3 4 5");
         assert!(SupervisorStats::parse_line("garbage").is_none());
     }
 

@@ -1,17 +1,17 @@
 //! Integration: the threaded runtime under injected faults.
 //!
 //! The ISSUE-6 contract: a worker crash mid-superset-scan is survived
-//! — the supervisor respawns the worker from the load log its exit
-//! carried, and the recovered query returns results byte-identical
+//! — the machine restarts in place from its shard's load log, and the
+//! recovered query returns results byte-identical
 //! to an unfaulted run; lossy wires are absorbed by the coordinator's
 //! per-owner deadlines, for fault-tolerant and plain queries alike (a
 //! plain query that loses an owner for good is dropped, never answered
 //! short); and graded fault parity holds across a worker-count ×
 //! fault-mode matrix, with frame conservation on every shutdown. The
-//! matrix runs on real threads — respawn and drain are the
-//! supervisor's — and the one case that is purely the machine's, a
-//! plain query sitting out its whole retry budget, on the mesh
-//! (`mesh/mod.rs`), where fifteen seconds cost nothing.
+//! matrix runs on real threads — the exited inboxes' drain is the
+//! host's — and on the mesh, and the one case that is purely the
+//! machine's, a plain query sitting out its whole retry budget, on the
+//! mesh alone (`mesh/mod.rs`), where fifteen seconds cost nothing.
 
 mod mesh;
 

@@ -3,8 +3,9 @@
 //! (`mesh/mod.rs`): the production `ClientCore` and N `NodeMachine`s in
 //! one thread under virtual time. Nothing here sleeps, spawns or waits
 //! on a wall clock; what a *driver* owes (blocking when idle, surviving
-//! a full sink, respawning a crashed worker) is asserted on threads, in
-//! `src/runtime.rs` and `fault_recovery.rs`.
+//! a full sink) is asserted on threads, in `src/runtime.rs` and
+//! `fault_recovery.rs`. A crash is no driver's: the machine restarts
+//! itself, here as on threads.
 
 mod mesh;
 
@@ -383,15 +384,16 @@ fn a_traversal_parked_at_exit_is_counted_abandoned() {
 }
 
 /// Recovery is the constructor, and the log it reads is written ahead.
-/// One worker, crashed by its ninth query-path frame, with an insert
+/// One worker, crashed by its tenth query-path frame, with an insert
 /// packed behind the trigger: the insert dies with the worker — counted
-/// dropped — and the respawn, built from the log the exit carried, has
+/// dropped — and the machine, rebuilt in place from its own log, has
 /// it, answers every pin as its predecessor did and reports the
-/// predecessor's epoch plus that one, having been sent nothing.
+/// predecessor's epoch plus that one, having been sent nothing. Its own
+/// counters cover both lives.
 #[test]
 fn a_machine_built_from_its_predecessors_log_is_its_predecessor() {
     let cfg = RuntimeConfig::new(8, 1).seed(42);
-    let plan = FaultPlan::default().crash(0, 9);
+    let plan = FaultPlan::default().crash(0, 10);
     let mut mesh = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), 42);
     let keywords = set("late");
     let late = [
@@ -404,6 +406,18 @@ fn a_machine_built_from_its_predecessors_log_is_its_predecessor() {
     for &(object, kws) in CORPUS {
         mesh.send(0, &insert(object, kws));
     }
+    // A search, so the result cache has counted something.
+    let search = WireMsg::Query {
+        query_id: 99,
+        keywords: set("a"),
+        threshold: 100,
+    };
+    mesh.send(0, &search);
+    mesh.deliver();
+    assert!(matches!(
+        mesh.replies()[..],
+        [WireMsg::QueryDone { query_id: 99, .. }]
+    ));
     // A barrier and a pin of every set: the epoch, then the tables.
     let probe = |mesh: &mut Mesh| {
         mesh.send(0, &WireMsg::Flush { token: 0 });
@@ -417,13 +431,15 @@ fn a_machine_built_from_its_predecessors_log_is_its_predecessor() {
     let expected = probe(&mut mesh);
     assert!(matches!(expected[0], WireMsg::FlushAck { epoch: 8, .. }));
     let before = mesh.stats(0);
+    assert_eq!(before.cache_misses, 1);
 
     // The trigger dies with the worker, and the insert behind it.
     mesh.send_packed(0, &late);
     mesh.deliver();
     assert!(mesh.replies().is_empty());
     let after = mesh.stats(0);
-    assert_eq!(mesh.supervisor.replayed_frames, 9);
+    assert_eq!((after.respawns, after.replayed_frames), (1, 9));
+    assert_eq!(after.cache(), before.cache());
     assert_eq!(after.inserts, before.inserts + 9, "the late one too");
     assert_eq!(after.frames_received, before.frames_received + 1);
     assert_eq!(after.frames_dropped, before.frames_dropped + 1);

@@ -10,11 +10,10 @@
 //! both are, and the flush barrier rests on it) and what the seed
 //! permutes is the order *across* lanes. Each machine has one timer, at
 //! its [`NodeMachine::next_deadline`]. A machine's own [`FaultInjector`]
-//! rolls drop, duplicate, delay and crash; a crash is handled as
-//! `runtime::supervise` handles it — the machine is dropped and rebuilt,
-//! fault-free, from the load log its exit returned. The supervisor is
-//! one more endpoint with FIFO lanes of its own (`Shutdown` travels on
-//! them).
+//! rolls drop, duplicate, delay and crash, and a crash is the machine's
+//! business: it restarts in place, from its own load log, inside the
+//! `receive` that met the crash point — the production restart, with
+//! nothing of the mesh's own in between.
 //!
 //! The mesh is a [`ClientLink`] ([`MeshLink`]), so the client under
 //! test is the production [`ClientCore`]: a wait nobody answers ends
@@ -38,18 +37,16 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Duration;
 
 use hyperdex_core::{Error, KeywordHasher, KeywordSet};
-use hyperdex_hypercube::Shape;
 use hyperdex_runtime::wire::WireMsg;
 use hyperdex_runtime::{
-    count_frames, take_frame, ClientCore, ClientLink, ExitCause, Fabric, FaultInjector, FaultPlan,
-    Flow, NodeMachine, RuntimeConfig, ShardMap, ShutdownReport, SupervisorStats, WorkerContext,
-    WorkerStats,
+    count_frames, take_frame, ClientCore, ClientLink, Fabric, FaultPlan, Flow, NodeMachine,
+    RuntimeConfig, ShardMap, ShutdownReport, SupervisorStats, WorkerContext, WorkerStats,
 };
 use hyperdex_simnet::net::{NetEvent, TimerId};
 use hyperdex_simnet::{EndpointId, LatencyModel, Network, SimDuration};
 
 /// One `(tick, from, to, packet)` per delivery. Endpoints `0..W` are
-/// the workers, `W` the client, `W + 1` the supervisor.
+/// the workers, `W` the client.
 pub type Trace = Vec<(u64, usize, usize, Vec<u8>)>;
 
 /// A timer further out than this is never armed: 35 years is forever,
@@ -86,20 +83,18 @@ enum Stepped {
     ClientDeadline,
 }
 
-/// N machines, the network between them, a client inbox and a
-/// supervisor.
+/// N machines, the network between them and a client inbox.
 pub struct Mesh {
     pub hasher: KeywordHasher,
     pub shards: ShardMap,
-    shape: Shape,
     workers: usize,
     /// `None` once the machine has left (`Shutdown`).
     nodes: Vec<Option<NodeMachine>>,
-    /// Per worker: the counters of its ended incarnations, merged.
-    ended: Vec<WorkerStats>,
+    /// Per worker: the counters it left with.
+    left: Vec<WorkerStats>,
     /// Per worker: the far ends of its fabric's lanes, by destination.
     sinks: Vec<Vec<Option<Receiver<Vec<u8>>>>>,
-    /// Per worker: the near ends, to rebuild its fabric on a respawn.
+    /// Per worker: the near ends, to build a twin on.
     links: Vec<Vec<Option<SyncSender<Vec<u8>>>>>,
     lanes: BTreeMap<(usize, usize), Lane>,
     net: Network<(), ()>,
@@ -107,10 +102,10 @@ pub struct Mesh {
     timers: Vec<Option<(Duration, TimerId)>>,
     queued: Vec<(u32, Vec<u8>)>,
     inbox: VecDeque<WireMsg>,
-    shutting: bool,
-    pub supervisor: SupervisorStats,
     pub client_sent: u64,
     pub client_received: u64,
+    /// Frames that arrived for a machine that had left.
+    pub drained: u64,
     /// Frames the script removed from a held lane.
     pub lost: u64,
     /// Extra copies the script made.
@@ -133,19 +128,13 @@ impl Mesh {
     ) -> Mesh {
         let workers = cfg.workers.max(1) as usize;
         let mut net = Network::new(latency, net_seed);
-        net.add_endpoints(workers + 2);
+        net.add_endpoints(workers + 1);
         let mut mesh = Mesh {
             hasher: KeywordHasher::new(cfg.r, cfg.seed).expect("valid r"),
             shards: cfg.shard_map(),
-            shape: Shape::new(cfg.r).expect("valid r"),
             workers,
             nodes: Vec::new(),
-            ended: (0..workers as u32)
-                .map(|worker| WorkerStats {
-                    worker,
-                    ..WorkerStats::default()
-                })
-                .collect(),
+            left: vec![WorkerStats::default(); workers],
             sinks: Vec::new(),
             links: Vec::new(),
             lanes: BTreeMap::new(),
@@ -153,10 +142,9 @@ impl Mesh {
             timers: vec![None; workers],
             queued: Vec::new(),
             inbox: VecDeque::new(),
-            shutting: false,
-            supervisor: SupervisorStats::default(),
             client_sent: 0,
             client_received: 0,
+            drained: 0,
             lost: 0,
             copied: 0,
             crossed: 0,
@@ -177,12 +165,7 @@ impl Mesh {
                 .unzip();
             mesh.links.push(links);
             mesh.sinks.push(sinks);
-            let injector = plan
-                .is_active()
-                .then(|| FaultInjector::new(plan.clone(), index as u32));
-            // A worker the plan crashes keeps its shard's load log.
-            let crashes = plan.crashes.iter().any(|c| c.worker == index as u32);
-            let node = mesh.machine(index, injector, crashes.then(Vec::new));
+            let node = mesh.machine(index, &plan);
             mesh.nodes.push(Some(node));
         }
         mesh
@@ -198,29 +181,13 @@ impl Mesh {
         )
     }
 
-    fn machine(
-        &self,
-        index: usize,
-        injector: Option<FaultInjector>,
-        log: Option<Vec<Vec<u8>>>,
-    ) -> NodeMachine {
-        let ctx = WorkerContext {
-            index: index as u32,
-            shape: self.shape,
-            hasher: self.hasher,
-            shards: self.shards,
-            injector,
-            log,
-        };
+    fn machine(&self, index: usize, plan: &FaultPlan) -> NodeMachine {
+        let ctx = WorkerContext::new(index as u32, self.hasher, self.shards, plan);
         NodeMachine::new(ctx, Fabric::inboxes(self.links[index].clone()))
     }
 
     fn client(&self) -> usize {
         self.workers
-    }
-
-    fn supervisor_endpoint(&self) -> usize {
-        self.workers + 1
     }
 
     /// Virtual time.
@@ -317,52 +284,29 @@ impl Mesh {
     // -----------------------------------------------------------
 
     /// The rest of a machine's turn, once it has received or ticked:
-    /// one offer, every lane lifted, the timer re-armed — and a crash
-    /// or a departure handled.
+    /// one offer, every lane lifted, the timer re-armed — and a
+    /// departure handled.
     fn finish_turn(&mut self, index: usize, flow: Flow) {
-        if flow != Flow::Crashed {
-            let node = self.nodes[index].as_mut().expect("a live machine");
-            node.fabric().offer(true);
-            assert_eq!(
-                node.fabric().pending(),
-                0,
-                "the mesh's sinks are never full"
-            );
-            let lifted: Vec<(usize, Vec<u8>)> = self.sinks[index]
-                .iter()
-                .enumerate()
-                .filter_map(|(to, sink)| Some((to, sink.as_ref()?.try_recv().ok()?)))
-                .collect();
-            for (to, packet) in lifted {
-                self.post(index, to, packet);
-            }
+        let node = self.nodes[index].as_mut().expect("a live machine");
+        node.fabric().offer(true);
+        assert_eq!(
+            node.fabric().pending(),
+            0,
+            "the mesh's sinks are never full"
+        );
+        let lifted: Vec<(usize, Vec<u8>)> = self.sinks[index]
+            .iter()
+            .enumerate()
+            .filter_map(|(to, sink)| Some((to, sink.as_ref()?.try_recv().ok()?)))
+            .collect();
+        for (to, packet) in lifted {
+            self.post(index, to, packet);
         }
-        match flow {
-            Flow::Continue => {}
-            Flow::Leaving => {
-                self.end(index, ExitCause::Clean);
-            }
-            // What `runtime::supervise` does for a crashed worker: a
-            // new incarnation, fault-free, built from its log.
-            Flow::Crashed => {
-                let log = self.end(index, ExitCause::Crashed);
-                if !self.shutting {
-                    self.supervisor.respawns += 1;
-                    self.supervisor.replayed_frames += log.as_ref().map_or(0, Vec::len) as u64;
-                    self.nodes[index] = Some(self.machine(index, None, log));
-                }
-            }
+        if flow == Flow::Leaving {
+            let node = self.nodes[index].take().expect("a live machine");
+            self.left[index] = node.exit();
         }
         self.arm(index);
-    }
-
-    /// Ends worker `index`'s incarnation, keeping its counters; the
-    /// load log it leaves.
-    fn end(&mut self, index: usize, cause: ExitCause) -> Option<Vec<Vec<u8>>> {
-        let node = self.nodes[index].take().expect("a live machine");
-        let (stats, log) = node.exit(cause);
-        self.ended[index].merge(&stats);
-        log
     }
 
     /// Keeps worker `index`'s one timer at its next deadline.
@@ -423,9 +367,9 @@ impl Mesh {
                     let flow = node.receive(Duration::from_millis(delivery.at.ticks()), packet);
                     self.finish_turn(to, flow);
                 } else {
-                    // Its worker has left: drained, as the supervisor
-                    // drains a dead inbox.
-                    self.supervisor.frames_drained += frames;
+                    // Its worker has left: drained, as a host drains
+                    // an exited worker's inbox.
+                    self.drained += frames;
                 }
             }
         }
@@ -449,9 +393,10 @@ impl Mesh {
 
     /// At a quiescent point: nothing waits on a lane that is not held;
     /// no traversal is parked (each had a deadline, and all are met);
-    /// and the frame ledger balances — every frame any endpoint counts
-    /// sent (or copied) is one some endpoint counts received, dropped,
-    /// drained or lost, but for those in a live machine's delay stash.
+    /// and the frame ledger balances — every frame the client or a
+    /// machine counts sent (or copied) is one some endpoint counts
+    /// received, dropped, drained or lost, but for those in a live
+    /// machine's delay stash.
     fn check_quiescent(&self) {
         for (&(from, to), lane) in &self.lanes {
             assert_eq!(
@@ -466,13 +411,10 @@ impl Mesh {
         }
         let stats: Vec<WorkerStats> = (0..self.workers).map(|index| self.stats(index)).collect();
         let sum = |counter: fn(&WorkerStats) -> u64| stats.iter().map(counter).sum::<u64>();
-        let sent = sum(|w| w.frames_sent + w.frames_duplicated)
-            + self.client_sent
-            + self.supervisor.frames_sent
-            + self.copied;
+        let sent = sum(|w| w.frames_sent + w.frames_duplicated) + self.client_sent + self.copied;
         let accounted = sum(|w| w.frames_received + w.frames_undecodable + w.frames_dropped)
             + self.client_received
-            + self.supervisor.frames_drained
+            + self.drained
             + self.lost;
         let stashed = sent
             .checked_sub(accounted)
@@ -487,19 +429,19 @@ impl Mesh {
         );
     }
 
-    /// At a quiescent point: every respawned worker — one with an ended
-    /// incarnation and a live one — answers a barrier and a pin of every
-    /// set it was ever loaded with exactly as a never-crashed twin fed
-    /// the same load frames does: the same epoch, the same objects in
-    /// the same order. The probe is a client exchange off the network:
-    /// counted in the ledger, not traced.
+    /// At a quiescent point: every live worker that has restarted
+    /// answers a barrier and a pin of every set it was ever loaded with
+    /// exactly as a never-crashed twin fed the same load frames does:
+    /// the same epoch, the same objects in the same order. The probe is
+    /// a client exchange off the network: counted in the ledger, not
+    /// traced.
     pub fn check_respawns(&mut self) {
         let (client, now) = (self.client(), self.now());
         for index in 0..self.workers {
-            if self.ended[index].frames_received == 0 || self.nodes[index].is_none() {
+            if self.nodes[index].is_none() || self.stats(index).respawns == 0 {
                 continue;
             }
-            let mut twin = self.machine(index, None, None);
+            let mut twin = self.machine(index, &FaultPlan::default());
             let mut probe = WireMsg::Flush { token: 0 }.encode();
             let delivered = self.trace.iter().filter(|(_, _, to, _)| *to == index);
             for load in delivered.flat_map(|(.., packet)| decode_all(packet)) {
@@ -530,48 +472,50 @@ impl Mesh {
             self.client_received += count_frames(&got);
             assert!(
                 got == expected,
-                "worker {index}: the respawn answers {:?}, its twin {:?}",
+                "worker {index}: the restarted machine answers {:?}, its twin {:?}",
                 decode_all(&got),
                 decode_all(&expected)
             );
         }
     }
 
-    /// Worker `index`'s counters so far, every incarnation merged.
+    /// Worker `index`'s lifetime counters so far.
     pub fn stats(&self, index: usize) -> WorkerStats {
-        let mut stats = self.ended[index].clone();
-        if let Some(node) = &self.nodes[index] {
-            stats.merge(&node.stats());
+        match &self.nodes[index] {
+            Some(node) => node.stats(),
+            None => self.left[index].clone(),
         }
-        stats
     }
 
-    /// Plain queries given up plus workers respawned, so far: what a
+    /// Plain queries given up plus worker restarts, so far: what a
     /// request nobody answered is accounted by.
     pub fn unanswered(&self) -> u64 {
-        let abandoned: u64 = (0..self.workers)
-            .map(|index| self.stats(index).queries_abandoned)
-            .sum();
-        abandoned + self.supervisor.respawns
+        (0..self.workers)
+            .map(|index| self.stats(index))
+            .map(|w| w.queries_abandoned + w.respawns)
+            .sum()
     }
 
     /// Sends `Shutdown` to every worker, runs everything out and closes
     /// the books as `NodeRuntime::shutdown` does.
     pub fn shutdown(&mut self) -> ShutdownReport {
         self.settle();
-        self.shutting = true;
-        let supervisor = self.supervisor_endpoint();
-        for index in 0..self.workers {
-            self.supervisor.frames_sent += 1;
-            self.post(supervisor, index, WireMsg::Shutdown.encode());
+        for worker in 0..self.workers as u32 {
+            self.send(worker, &WireMsg::Shutdown);
         }
         self.settle();
         assert!(self.nodes.iter().all(Option::is_none));
+        let sum = |counter: fn(&WorkerStats) -> u64| self.left.iter().map(counter).sum();
         ShutdownReport {
             client_sent: self.client_sent,
             client_received: self.client_received,
-            workers: self.ended.clone(),
-            supervisor: self.supervisor.clone(),
+            workers: self.left.clone(),
+            supervisor: SupervisorStats {
+                respawns: sum(|w| w.respawns),
+                replayed_frames: sum(|w| w.replayed_frames),
+                frames_drained: self.drained,
+                ..SupervisorStats::default()
+            },
         }
     }
 

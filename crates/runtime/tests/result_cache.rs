@@ -23,7 +23,7 @@
 //!   traversal cannot satisfy, a traversal whose answer the wire lost
 //!   and one it duplicated, an answer that arrives in several frames
 //!   and one that arrives with a frame missing, a query sent to a worker
-//!   that does not own its root, a respawned worker's epoch.
+//!   that does not own its root, a restarted worker's epoch.
 //! * A worker crash between two cached answers.
 //! * An answer too long to keep.
 
@@ -103,7 +103,7 @@ trait Cluster {
     fn superset_ft(&mut self, keywords: &KeywordSet, threshold: usize) -> FtSearchOutcome;
     fn batch(&mut self, requests: &[Request], window: usize) -> Result<Vec<BatchResult>, Error>;
     /// Requests the cluster has given up or lost so far (plain queries
-    /// abandoned, workers respawned): what an unanswered one is
+    /// abandoned, workers restarted): what an unanswered one is
     /// accounted by.
     fn unanswered(&self) -> u64;
     /// Runs everything out and checks what holds at a quiescent point.
@@ -1157,8 +1157,8 @@ fn a_worker_that_does_not_own_the_root_coordinates_what_it_is_sent() {
 
 #[test]
 fn a_replayed_workers_epoch_never_goes_backwards() {
-    // One worker, crashed on its first query-path frame and respawned
-    // the way the supervisor does it: from the log its exit carried.
+    // One worker, crashed on its first query-path frame and restarted
+    // the way it always is: in place, from its own log.
     let cfg = RuntimeConfig::new(RIG_R, 1).seed(SEED);
     let plan = FaultPlan::default().crash(0, 1);
     let mut rig = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), SEED);
@@ -1190,10 +1190,10 @@ fn a_replayed_workers_epoch_never_goes_backwards() {
     };
     rig.send(0, &pin);
     rig.deliver();
-    assert_eq!(rig.supervisor.respawns, 1);
+    assert_eq!(rig.stats(0).respawns, 1);
     assert!(rig.replies().is_empty(), "the trigger died with the worker");
 
-    // The respawn was whole before it was handed a frame: the first
+    // The restart was whole before it was handed a frame: the first
     // barrier it acks already reports the restored shard.
     let replayed = epoch_at_barrier(&mut rig, 2);
     assert!(replayed >= before, "epoch went from {before} to {replayed}");
@@ -1315,7 +1315,7 @@ fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_f
     );
 
     // The victim dies on the FT query: its tables and every epoch it
-    // ever reported are gone; the respawn restores its shard. The
+    // ever reported are gone; the restart restores its shard. The
     // coordinator still holds an entry stamped by the previous
     // incarnation — and every answer must be what a fresh walk gives.
     let plan = FaultPlan::default().crash(victim, query_path + 1);
