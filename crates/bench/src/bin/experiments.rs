@@ -45,45 +45,71 @@ const EXPERIMENTS: [(&str, &str); 13] = [
     ),
 ];
 
-fn main() -> ExitCode {
+/// What a command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Run the named experiments, every name known, at a scale and
+    /// seed.
+    Run(Scale, u64, Vec<String>),
+    List,
+    Help,
+}
+
+/// Parses the arguments and checks every experiment name, so a typo
+/// fails before the corpus is built or an earlier experiment writes
+/// its artifact.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut scale = Scale::Small;
     let mut seed = 42u64;
     let mut chosen: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().as_deref() {
                 Some("full") => scale = Scale::Full,
                 Some("small") => scale = Scale::Small,
-                other => {
-                    eprintln!("bad --scale {other:?}\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                other => return Err(format!("bad --scale {other:?}")),
             },
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) => seed = s,
-                None => {
-                    eprintln!("bad --seed\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                None => return Err("bad --seed".to_string()),
             },
-            "--list" => {
-                for (name, what) in EXPERIMENTS {
-                    println!("{name:<14} {what}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--list" => return Ok(Command::List),
+            "--help" | "-h" => return Ok(Command::Help),
             name => chosen.push(name.to_string()),
         }
+    }
+    if let Some(other) = chosen
+        .iter()
+        .find(|c| *c != "all" && !EXPERIMENTS.iter().any(|(name, _)| name == c))
+    {
+        return Err(format!("unknown experiment `{other}`"));
     }
     if chosen.is_empty() || chosen.iter().any(|c| c == "all") {
         chosen = EXPERIMENTS.map(|(name, _)| name.to_string()).to_vec();
     }
+    Ok(Command::Run(scale, seed, chosen))
+}
+
+fn main() -> ExitCode {
+    let (scale, seed, chosen) = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(scale, seed, chosen)) => (scale, seed, chosen),
+        Ok(Command::List) => {
+            for (name, what) in EXPERIMENTS {
+                println!("{name:<14} {what}");
+            }
+            return ExitCode::SUCCESS;
+        }
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let scale_name = match scale {
         Scale::Full => "full (131,180 objects / 178k queries)",
@@ -169,10 +195,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            other => {
-                eprintln!("unknown experiment `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => unreachable!("parse_args admits no experiment `{other}`"),
         }
         ran.push((name.clone(), artifact));
     }
@@ -188,4 +211,27 @@ fn main() -> ExitCode {
     print!("{}", summary.to_markdown());
     println!("\ndone.");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_misspelt_name_is_the_usage_error_before_anything_runs() {
+        assert_eq!(
+            parse(&["churn", "tabel1"]),
+            Err("unknown experiment `tabel1`".to_string())
+        );
+        assert_eq!(
+            parse(&["churn", "--seed", "7"]),
+            Ok(Command::Run(Scale::Small, 7, vec!["churn".to_string()]))
+        );
+        assert!(parse(&["--seed", "x"]).is_err());
+        assert_eq!(parse(&["tabel1", "--list"]), Ok(Command::List));
+    }
 }

@@ -7,6 +7,7 @@
 //! dependencies): one record per line, keywords comma-separated in the
 //! last field.
 
+use std::fmt::Display;
 use std::io::{self, BufRead, Write};
 
 use hyperdex_core::KeywordSet;
@@ -20,10 +21,12 @@ use crate::records::WebsiteRecord;
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Returns `InvalidInput`, naming the record, for a keyword holding a
+/// comma or whitespace ([`read_corpus`] would split it); every record
+/// before it is written. Propagates I/O errors from the writer.
 pub fn write_corpus<W: Write>(corpus: &Corpus, mut out: W) -> io::Result<()> {
     for r in corpus.records() {
-        let kw: Vec<&str> = r.keywords.iter().map(|k| k.as_str()).collect();
+        let kw = keyword_list(&r.keywords, "record", r.id)?;
         writeln!(
             out,
             "{}\t{}\t{}\t{}\t{}\t{}",
@@ -32,7 +35,7 @@ pub fn write_corpus<W: Write>(corpus: &Corpus, mut out: W) -> io::Result<()> {
             sanitize(&r.url),
             sanitize(&r.category),
             sanitize(&r.description),
-            kw.join(",")
+            kw
         )?;
     }
     Ok(())
@@ -80,11 +83,12 @@ pub fn read_corpus<R: BufRead>(input: R) -> io::Result<Corpus> {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Returns `InvalidInput`, naming the query, for a keyword holding a
+/// comma or whitespace ([`read_query_log`] would split it); every query
+/// before it is written. Propagates I/O errors from the writer.
 pub fn write_query_log<W: Write>(log: &QueryLog, mut out: W) -> io::Result<()> {
-    for q in log.iter() {
-        let kw: Vec<&str> = q.iter().map(|k| k.as_str()).collect();
-        writeln!(out, "{}", kw.join(","))?;
+    for (i, q) in log.iter().enumerate() {
+        writeln!(out, "{}", keyword_list(q, "query", i)?)?;
     }
     Ok(())
 }
@@ -111,6 +115,22 @@ pub fn read_query_log<R: BufRead>(input: R) -> io::Result<QueryLog> {
     Ok(QueryLog::from_queries(queries))
 }
 
+/// The keywords joined by commas — unless one holds a separator
+/// [`KeywordSet::parse`] splits on: then an error naming `{what} {n}`.
+fn keyword_list(keywords: &KeywordSet, what: &str, n: impl Display) -> io::Result<String> {
+    let kw: Vec<&str> = keywords.iter().map(|k| k.as_str()).collect();
+    match kw
+        .iter()
+        .find(|k| k.contains(|c: char| c == ',' || c.is_whitespace()))
+    {
+        Some(bad) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{what} {n}: keyword {bad:?} holds a separator"),
+        )),
+        None => Ok(kw.join(",")),
+    }
+}
+
 /// Replaces tabs/newlines so free-text fields cannot break the format.
 fn sanitize(field: &str) -> String {
     field.replace(['\t', '\n', '\r'], " ")
@@ -128,6 +148,7 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
     use crate::queries::QueryLogConfig;
+    use hyperdex_core::Keyword;
 
     #[test]
     fn corpus_roundtrip() {
@@ -169,6 +190,27 @@ mod tests {
         assert_eq!(corpus.len(), 1);
         let log = read_query_log("\na b\n\n".as_bytes()).unwrap();
         assert_eq!(log.len(), 1);
+    }
+
+    #[test]
+    fn keywords_holding_a_separator_are_refused_not_split() {
+        for bad in ["hip hop", "tab\there", "line\nbreak", "a,b"] {
+            let keywords: KeywordSet = [Keyword::new(bad).unwrap()].into_iter().collect();
+            let mut records = Corpus::generate(&CorpusConfig::small_test().with_objects(3), 3)
+                .records()
+                .to_vec();
+            records[2].keywords = keywords.clone();
+            let mut buf = Vec::new();
+            let err = write_corpus(&Corpus::from_records(records), &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("record 2"), "{err}");
+            assert_eq!(read_corpus(buf.as_slice()).unwrap().len(), 2, "{bad:?}");
+
+            let log = QueryLog::from_queries(vec![keywords]);
+            let err = write_query_log(&log, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("query 0"), "{err}");
+        }
     }
 
     #[test]

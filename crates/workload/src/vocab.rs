@@ -27,6 +27,8 @@ use crate::zipf::ZipfSampler;
 #[derive(Debug, Clone)]
 pub struct Vocabulary {
     zipf: ZipfSampler,
+    /// `words[rank]`, rendered once.
+    words: Vec<Keyword>,
 }
 
 impl Vocabulary {
@@ -36,9 +38,13 @@ impl Vocabulary {
     ///
     /// Panics if `size == 0` (via the Zipf sampler).
     pub fn new(size: usize, s: f64) -> Self {
-        Vocabulary {
-            zipf: ZipfSampler::new(size, s),
-        }
+        let zipf = ZipfSampler::new(size, s);
+        let words = (0..size)
+            .map(|rank| {
+                Keyword::new(&format!("kw{rank:06}")).expect("synthetic words are non-empty")
+            })
+            .collect();
+        Vocabulary { zipf, words }
     }
 
     /// Number of words.
@@ -58,7 +64,7 @@ impl Vocabulary {
     /// Panics if `rank` is out of range.
     pub fn word(&self, rank: usize) -> Keyword {
         assert!(rank < self.len(), "vocabulary rank {rank} out of range");
-        Keyword::new(&format!("kw{rank:06}")).expect("synthetic words are non-empty")
+        self.words[rank].clone()
     }
 
     /// The popularity (probability) of a rank.
@@ -83,18 +89,27 @@ impl Vocabulary {
             "cannot draw {size} distinct words from {} total",
             self.len()
         );
-        let mut ranks = std::collections::BTreeSet::new();
-        // Popular words collide often; cap rejection rounds, then fill
-        // from uniform ranks to guarantee termination.
+        let size = size as usize;
+        let mut ranks = Vec::with_capacity(size);
         let mut attempts = 0;
-        while ranks.len() < size as usize && attempts < 64 * size {
-            ranks.insert(self.sample_rank(rng));
-            attempts += 1;
+        while ranks.len() < size {
+            // Popular words collide often; cap rejection rounds, then
+            // fill from uniform ranks to guarantee termination.
+            let rank = if attempts < 64 * size {
+                attempts += 1;
+                self.sample_rank(rng)
+            } else {
+                rng.gen_index(self.len())
+            };
+            if !ranks.contains(&rank) {
+                ranks.push(rank);
+            }
         }
-        while ranks.len() < size as usize {
-            ranks.insert(rng.gen_index(self.len()));
-        }
-        ranks.into_iter().map(|r| self.word(r)).collect()
+        // In rank order the views arrive ascending, so the collect has
+        // nothing to sort; past 10⁶ words `kw{rank:06}` stops sorting
+        // like the rank, and the collect sorts them itself.
+        ranks.sort_unstable();
+        ranks.iter().map(|&r| self.words[r].view()).collect()
     }
 }
 

@@ -7,7 +7,14 @@
 use hyperdex_simnet::rng::SimRng;
 
 /// A Zipf(`s`) distribution over ranks `0..n` sampled by inverse-CDF
-/// binary search — exact (no rejection), deterministic given the RNG.
+/// lookup — exact (no rejection), deterministic given the RNG.
+///
+/// The lookup is the guide-table ("indexed search") method of Chen &
+/// Asau (1974; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+/// ch. III): the search for `u` starts at the first rank whose CDF
+/// reaches the start of the `1/n`-wide slice `u` falls in, so a draw
+/// takes O(1) expected steps and returns exactly the rank a binary
+/// search of the CDF would.
 ///
 /// # Example
 ///
@@ -23,6 +30,8 @@ use hyperdex_simnet::rng::SimRng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[j]`: the first rank whose CDF reaches `j / n`.
+    guide: Vec<usize>,
     exponent: f64,
 }
 
@@ -39,18 +48,28 @@ impl ZipfSampler {
             "zipf exponent must be finite and >= 0"
         );
         let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for k in 1..=n {
-            acc += (k as f64).powf(-s);
-            cdf.push(acc);
-        }
-        let total = acc;
+        cdf.extend(running_sums(n, s));
+        let total = cdf[n - 1];
         for v in &mut cdf {
             *v /= total;
         }
         // Guard against rounding leaving the last value below 1.
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        ZipfSampler { cdf, exponent: s }
+        cdf[n - 1] = 1.0;
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for j in 0..n {
+            let start = j as f64 / n as f64;
+            // `cdf[n - 1]` is 1, so this stops inside the table.
+            while cdf[rank] < start {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        ZipfSampler {
+            cdf,
+            guide,
+            exponent: s,
+        }
     }
 
     /// Number of ranks.
@@ -93,8 +112,24 @@ impl ZipfSampler {
 
     /// Draws a rank (0-based; rank 0 is the most popular).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.gen_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.gen_f64())
+    }
+
+    /// The first rank whose CDF reaches `u` (the last rank if none
+    /// does) — `cdf.partition_point(|&c| c < u).min(n - 1)` for every
+    /// `u`, ties included. The guide table only picks where the walk
+    /// starts; the two loops make the answer exact from any start.
+    fn rank_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let slice = ((u * self.cdf.len() as f64) as usize).min(last);
+        let mut rank = self.guide[slice];
+        while rank > 0 && self.cdf[rank - 1] >= u {
+            rank -= 1;
+        }
+        while rank < last && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 
     /// Finds an exponent `s` such that the top `k` of `n` ranks carry
@@ -110,8 +145,13 @@ impl ZipfSampler {
         let (mut lo, mut hi) = (0.0f64, 8.0f64);
         for _ in 0..60 {
             let mid = (lo + hi) / 2.0;
-            let got = ZipfSampler::new(n, mid).top_share(k);
-            if got < share {
+            // `ZipfSampler::new(n, mid).top_share(k)` to the bit, with
+            // no table: the same sums in the same order (`k < n`, so
+            // the share is never the pinned last value).
+            let mut sums = running_sums(n, mid);
+            let top = sums.nth(k - 1).expect("k < n");
+            let total = sums.last().expect("k < n");
+            if top / total < share {
                 lo = mid;
             } else {
                 hi = mid;
@@ -119,6 +159,14 @@ impl ZipfSampler {
         }
         (lo + hi) / 2.0
     }
+}
+
+/// `Σ_{i ≤ k} i^(−s)` for `k = 1..=n`: the unnormalized CDF.
+fn running_sums(n: usize, s: f64) -> impl Iterator<Item = f64> {
+    (1..=n).scan(0.0f64, move |acc, k| {
+        *acc += (k as f64).powf(-s);
+        Some(*acc)
+    })
 }
 
 #[cfg(test)]
@@ -191,6 +239,68 @@ mod tests {
         let s = ZipfSampler::calibrate_exponent(10_000, 10, 0.6);
         let achieved = ZipfSampler::new(10_000, s).top_share(10);
         assert!((achieved - 0.6).abs() < 0.01, "achieved {achieved}");
+    }
+
+    /// Asserts `rank_of` is the binary search it replaced at 0, at
+    /// every CDF value and the floats either side of it, and at
+    /// `draws` seeded uniforms.
+    fn assert_rank_of_is_the_search(z: &ZipfSampler, draws: usize) {
+        let (n, s) = (z.len(), z.exponent());
+        let mut probes = vec![0.0];
+        for &c in &z.cdf {
+            probes.extend([c.next_down(), c, c.next_up()]);
+        }
+        // Above 1 the walk runs to the last rank; once a value is
+        // enough when the tail is one long tie.
+        probes.sort_by(f64::total_cmp);
+        probes.dedup();
+        let mut rng = SimRng::new(n as u64 ^ s.to_bits());
+        probes.extend((0..draws).map(|_| rng.gen_f64()));
+        for u in probes {
+            let searched = z.cdf.partition_point(|&c| c < u).min(n - 1);
+            assert_eq!(z.rank_of(u), searched, "n {n}, s {s}, u {u:e}");
+        }
+    }
+
+    #[test]
+    fn the_guide_table_is_the_binary_search() {
+        // s = 8 absorbs the tail's terms, so the CDF ends in long ties.
+        // 20 laws × 5,000 draws: 10⁵ seeded uniforms in all.
+        for n in [1, 2, 10, 10_000, 60_000] {
+            for s in [0.0, 1.0, 1.2, 8.0] {
+                assert_rank_of_is_the_search(&ZipfSampler::new(n, s), 5_000);
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_is_exact_from_any_start() {
+        // The table only picks where the walk starts: from the first
+        // rank or the last, the answer is the same.
+        for s in [0.0, 1.0, 8.0] {
+            let mut z = ZipfSampler::new(50, s);
+            for start in [0, 49] {
+                z.guide.fill(start);
+                assert_rank_of_is_the_search(&z, 1_000);
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_matches_the_sampler_to_the_bit() {
+        for (n, k) in [(11, 10), (200, 10), (10_000, 10), (60_000, 1)] {
+            let (mut lo, mut hi) = (0.0f64, 8.0f64);
+            for _ in 0..60 {
+                let mid = (lo + hi) / 2.0;
+                if ZipfSampler::new(n, mid).top_share(k) < 0.6 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let calibrated = ZipfSampler::calibrate_exponent(n, k, 0.6);
+            assert_eq!(calibrated.to_bits(), ((lo + hi) / 2.0).to_bits(), "n {n}");
+        }
     }
 
     #[test]
