@@ -458,7 +458,7 @@ mod tests {
             (0..n)
                 .map(|i| RankedObject {
                     object: ObjectId::from_raw(i as u64),
-                    keyword_set: Arc::new(KeywordSet::new()),
+                    keyword_set: KeywordSet::new(),
                     extra_keywords: 0,
                 })
                 .collect(),

@@ -80,7 +80,6 @@
 //! ```
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 use hyperdex_dht::{keyhash, NodeId, ObjectId, Ring};
 use hyperdex_simnet::churn::{ChurnEvent, ChurnKind, ChurnPlan};
@@ -117,8 +116,8 @@ pub enum ChurnMsg {
         bits: u64,
         /// Batch sequence number (0-based).
         seq: u32,
-        /// The entries in this batch (keyword sets interned — the batch
-        /// shares the sender's allocations).
+        /// The entries in this batch (each keyword set shares the
+        /// sender's buffer).
         entries: EntryBatch,
         /// Whether this is the final batch.
         last: bool,
@@ -135,7 +134,7 @@ pub enum ChurnMsg {
     RepairPush {
         /// The primary vertex being repaired.
         bits: u64,
-        /// The entries restored by this push (keyword sets interned).
+        /// The entries restored by this push.
         entries: EntryBatch,
     },
     /// Vertex → prefix-anchor: a full-state occupancy refresh for one
@@ -153,9 +152,10 @@ pub enum ChurnMsg {
     },
 }
 
-/// Posting-list entries moved by one handoff or repair batch: interned
-/// keyword sets with the objects homed under each.
-type EntryBatch = Vec<(Arc<KeywordSet>, Vec<ObjectId>)>;
+/// Posting-list entries moved by one handoff or repair batch: keyword
+/// sets, sharing the sender's buffers, with the objects homed under
+/// each.
+type EntryBatch = Vec<(KeywordSet, Vec<ObjectId>)>;
 
 /// Seed tweak separating vertex ring keys from node ring ids.
 const VERTEX_KEY_TWEAK: u64 = 0x7E57_ED00_5EED_0001;
@@ -280,9 +280,9 @@ struct Handoff {
     src: u64,
     /// Receiving host (the new owner).
     dst: u64,
-    /// The table, serialized into bounded batches (keyword sets
-    /// interned — retransmits clone pointers, not sets).
-    batches: Vec<Vec<(Arc<KeywordSet>, Vec<ObjectId>)>>,
+    /// The table, serialized into bounded batches (retransmits clone
+    /// keyword-set handles, not sets).
+    batches: Vec<EntryBatch>,
     /// Batches acknowledged so far (== index of the next batch to send).
     acked: usize,
     /// Batches received in order at the destination.
@@ -464,7 +464,7 @@ impl ChurnState {
 
 /// Payload bytes of one batch: 16 per keyword, 8 per object id, 16 of
 /// framing per entry.
-fn entries_bytes(entries: &[(Arc<KeywordSet>, Vec<ObjectId>)]) -> u64 {
+fn entries_bytes(entries: &[(KeywordSet, Vec<ObjectId>)]) -> u64 {
     entries
         .iter()
         .map(|(k, objs)| 16 + 16 * k.len() as u64 + 8 * objs.len() as u64)
@@ -765,9 +765,9 @@ fn start_handoff(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, src: u64
     }
     st.stats.handoffs_started += 1;
     let table = sim.tables.remove(&bits).unwrap_or_default();
-    let entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)> = table
+    let entries: EntryBatch = table
         .iter()
-        .map(|(k, objs)| (Arc::clone(k), objs.collect()))
+        .map(|(k, objs)| (k.clone(), objs.collect()))
         .collect();
     if entries.is_empty() {
         install_ownership(st, bits, dst);
@@ -777,9 +777,9 @@ fn start_handoff(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, src: u64
     }
     st.unavailable.insert(bits);
     let batch_entries = st.cfg.batch_entries;
-    let batches: Vec<Vec<(Arc<KeywordSet>, Vec<ObjectId>)>> = entries
+    let batches: Vec<EntryBatch> = entries
         .chunks(batch_entries)
-        .map(<[(Arc<KeywordSet>, Vec<ObjectId>)]>::to_vec)
+        .map(<[(KeywordSet, Vec<ObjectId>)]>::to_vec)
         .collect();
     st.handoffs.insert(
         bits,
@@ -860,7 +860,7 @@ fn on_handoff_batch(
     from: EndpointId,
     bits: u64,
     seq: u32,
-    entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)>,
+    entries: EntryBatch,
     last: bool,
 ) {
     // Out-of-order batches cannot occur under stop-and-wait; anything
@@ -879,7 +879,7 @@ fn on_handoff_batch(
             let count = entries.len() as u64;
             for (k, objs) in entries {
                 for o in objs {
-                    h.staged.insert_arc(Arc::clone(&k), o);
+                    h.staged.insert(k.clone(), o);
                 }
             }
             h.received += 1;
@@ -1077,10 +1077,7 @@ fn on_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
                     .unwrap_or_default();
                 let lost: Vec<ObjectId> = objs.filter(|o| !have.contains(o)).collect();
                 if !lost.is_empty() {
-                    missing
-                        .entry(bits2)
-                        .or_default()
-                        .push((Arc::clone(k), lost));
+                    missing.entry(bits2).or_default().push((k.clone(), lost));
                 }
             }
         }
@@ -1120,17 +1117,12 @@ fn on_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
 }
 
 /// Installs re-pushed replica entries into the primary table.
-fn on_repair_push(
-    sim: &mut ProtocolSim,
-    st: &mut ChurnState,
-    bits: u64,
-    entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)>,
-) {
+fn on_repair_push(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, entries: EntryBatch) {
     let mut added = 0u64;
     let table = sim.tables.entry(bits).or_default();
     for (k, objs) in entries {
         for o in objs {
-            if table.insert_arc(Arc::clone(&k), o) {
+            if table.insert(k.clone(), o) {
                 added += 1;
             }
         }

@@ -12,7 +12,6 @@
 //! cache).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
@@ -86,7 +85,7 @@ impl HypercubeIndex {
     /// Aggregate memory footprint of every materialized posting store
     /// (see [`StoreFootprint`]), plus the node table that holds them.
     pub fn store_footprint(&self) -> StoreFootprint {
-        let mut total = StoreFootprint::zero();
+        let mut total = StoreFootprint::default();
         for node in self.nodes.values() {
             total.add(&node.store.footprint());
         }
@@ -153,31 +152,6 @@ impl HypercubeIndex {
         let vertex = self.vertex_for(&keywords);
         let node = self.node_mut(vertex);
         if node.store.insert(keywords, object) {
-            self.object_count += 1;
-            self.generation += 1;
-            self.summary.record_insert(vertex.bits());
-        }
-        Ok(vertex)
-    }
-
-    /// [`HypercubeIndex::insert`] for an already-interned keyword set —
-    /// replication layers intern once through a [`KeywordInterner`] and
-    /// index the same `Arc` into every replica cube.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyKeywordSet`] for an empty keyword set.
-    pub fn insert_arc(
-        &mut self,
-        object: ObjectId,
-        keywords: Arc<KeywordSet>,
-    ) -> Result<Vertex, Error> {
-        if keywords.is_empty() {
-            return Err(Error::EmptyKeywordSet);
-        }
-        let vertex = self.vertex_for(&keywords);
-        let node = self.node_mut(vertex);
-        if node.store.insert_arc(keywords, object) {
             self.object_count += 1;
             self.generation += 1;
             self.summary.record_insert(vertex.bits());
@@ -341,7 +315,6 @@ impl HypercubeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::KeywordInterner;
 
     fn set(s: &str) -> KeywordSet {
         KeywordSet::parse(s).unwrap()
@@ -476,23 +449,6 @@ mod tests {
         assert!(idx.remove(oid(1), &set("a b")));
         assert_eq!(idx.materialized_nodes(), 1);
         assert!(idx.cache_mut(v).is_some());
-    }
-
-    #[test]
-    fn insert_arc_matches_insert() {
-        let mut a = HypercubeIndex::new(10, 0).unwrap();
-        let mut b = HypercubeIndex::new(10, 0).unwrap();
-        let mut pool = KeywordInterner::new();
-        a.insert(oid(1), set("a b")).unwrap();
-        b.insert_arc(oid(1), pool.intern(set("a b"))).unwrap();
-        assert_eq!(
-            a.pin_search(&set("a b")).results,
-            b.pin_search(&set("a b")).results
-        );
-        assert_eq!(
-            b.insert_arc(oid(2), pool.intern(KeywordSet::new())),
-            Err(Error::EmptyKeywordSet)
-        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! unfiltered scan.
 
 use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use hyperdex_dht::ObjectId;
 
@@ -30,7 +29,7 @@ use crate::keyword::KeywordSet;
 /// set's signature cached at insert time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Postings {
-    /// [`KeywordSet::signature`] of the key, computed once on intern.
+    /// [`KeywordSet::signature`] of the key, computed once on entry.
     sig: u64,
     /// The objects carrying exactly this keyword set.
     objects: BTreeSet<ObjectId>,
@@ -52,10 +51,7 @@ struct Postings {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexTable {
-    // Keyword sets are interned behind `Arc` so search results can
-    // reference them without deep-cloning string sets — result lists
-    // for popular queries reach tens of thousands of entries.
-    entries: BTreeMap<Arc<KeywordSet>, Postings>,
+    entries: BTreeMap<KeywordSet, Postings>,
     // OR of every entry's signature; kept exact (recomputed when a set
     // leaves the table) so the derived `PartialEq` stays structural.
     union_sig: u64,
@@ -68,22 +64,8 @@ impl IndexTable {
     }
 
     /// Adds the entry `⟨keywords, object⟩`. Returns `false` if it was
-    /// already present.
-    ///
-    /// If an equal keyword set is already interned in the table, the
-    /// object joins its posting list without allocating a new `Arc`.
+    /// already present. A set already in the table keeps its buffer.
     pub fn insert(&mut self, keywords: KeywordSet, object: ObjectId) -> bool {
-        if let Some(postings) = self.entries.get_mut(&keywords) {
-            return postings.objects.insert(object);
-        }
-        self.insert_arc(Arc::new(keywords), object)
-    }
-
-    /// [`IndexTable::insert`] for an already-interned keyword set; the
-    /// message-level protocol and churn paths share one `Arc` per set
-    /// across tables, replicas, and in-flight batches instead of
-    /// deep-cloning the strings.
-    pub fn insert_arc(&mut self, keywords: Arc<KeywordSet>, object: ObjectId) -> bool {
         match self.entries.entry(keywords) {
             btree_map::Entry::Occupied(e) => e.into_mut().objects.insert(object),
             btree_map::Entry::Vacant(e) => {
@@ -134,8 +116,8 @@ impl IndexTable {
     /// the superset-search protocol (§3.3, step 2), with the signature
     /// prefilter on.
     ///
-    /// Keyword sets come back as `&Arc<KeywordSet>` so callers building
-    /// result lists can reference them at pointer cost.
+    /// Keyword sets come back by reference; a caller building a result
+    /// list clones one at the cost of a reference-count increment.
     pub fn superset_entries<'a>(&'a self, query: &'a KeywordSet) -> SupersetEntries<'a> {
         self.superset_entries_sig(query, query.signature())
     }
@@ -225,7 +207,7 @@ fn objects_iter(postings: Option<&Postings>) -> TableObjects<'_> {
 /// [`IndexTable::superset_entries`] and [`IndexTable::iter`].
 #[derive(Debug, Clone)]
 pub struct SupersetEntries<'a> {
-    inner: btree_map::Iter<'a, Arc<KeywordSet>, Postings>,
+    inner: btree_map::Iter<'a, KeywordSet, Postings>,
     /// `Some` = yield only entries whose set ⊇ query.
     query: Option<&'a KeywordSet>,
     /// Query signature; 0 passes every entry through the prefilter.
@@ -235,7 +217,7 @@ pub struct SupersetEntries<'a> {
 }
 
 impl<'a> Iterator for SupersetEntries<'a> {
-    type Item = (&'a Arc<KeywordSet>, TableObjects<'a>);
+    type Item = (&'a KeywordSet, TableObjects<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
         if !self.live {
@@ -312,7 +294,7 @@ mod tests {
         tbl.insert(set("a b c"), oid(2));
         tbl.insert(set("x y"), oid(3));
         let query = set("a b");
-        let matched: Vec<(&std::sync::Arc<KeywordSet>, Vec<ObjectId>)> = tbl
+        let matched: Vec<(&KeywordSet, Vec<ObjectId>)> = tbl
             .superset_entries(&query)
             .map(|(k, objs)| (k, objs.collect()))
             .collect();
@@ -336,11 +318,11 @@ mod tests {
             let query = set(q);
             let masked: Vec<_> = tbl
                 .superset_entries(&query)
-                .map(|(k, o)| (Arc::clone(k), o.collect::<Vec<_>>()))
+                .map(|(k, o)| (k.clone(), o.collect::<Vec<_>>()))
                 .collect();
             let plain: Vec<_> = tbl
                 .superset_entries_unfiltered(&query)
-                .map(|(k, o)| (Arc::clone(k), o.collect::<Vec<_>>()))
+                .map(|(k, o)| (k.clone(), o.collect::<Vec<_>>()))
                 .collect();
             assert_eq!(masked, plain, "prefilter changed results for {q}");
         }
@@ -362,13 +344,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_reuses_interned_arc() {
+    fn insert_keeps_the_stored_buffer() {
         let mut tbl = IndexTable::new();
         tbl.insert(set("a b"), oid(1));
-        let before = tbl.iter().map(|(k, _)| Arc::as_ptr(k)).next().unwrap();
+        let first = |tbl: &IndexTable| tbl.iter().next().unwrap().0.as_packed().as_ptr();
+        let before = first(&tbl);
         tbl.insert(set("a b"), oid(2));
-        let after = tbl.iter().map(|(k, _)| Arc::as_ptr(k)).next().unwrap();
-        assert_eq!(before, after, "second insert minted a new Arc");
+        assert_eq!(first(&tbl), before, "second insert replaced the key");
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! (trimmed, lowercased) so that `"MP3"` and `"mp3"` hash to the same
 //! bit position.
 //!
-//! A [`KeywordSet`] is one contiguous buffer — its keywords sorted,
-//! deduplicated and length-prefixed — and that buffer is also the
-//! set's wire form (`DESIGN.md` §11), so an index entry costs one
-//! allocation and a frame codec copies it whole.
+//! A [`KeywordSet`] is one contiguous, shared, immutable buffer — its
+//! keywords sorted, deduplicated and length-prefixed — and that buffer
+//! is also the set's wire form (`DESIGN.md` §11), so an index entry
+//! costs one allocation, a clone is a reference-count increment, and a
+//! frame codec copies the buffer whole.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -227,19 +229,48 @@ pub enum PackedError {
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
 // Invariant: empty for the empty set (so `new` allocates nothing),
-// otherwise exactly the canonical packed form with `n ≥ 1`.
+// otherwise exactly the canonical packed form with `n ≥ 1`. A buffer is
+// never written once built: `insert`/`remove` pack a fresh one, so a
+// clone never sees its original change.
 #[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(try_from = "Vec<String>", into = "Vec<String>")]
-pub struct KeywordSet(Box<[u8]>);
+pub struct KeywordSet(Arc<[u8]>);
 
 /// The packed form of the empty set.
 const EMPTY_PACKED: [u8; 2] = [0, 0];
 
-/// Appends one packed entry: the keyword's length, then its bytes.
-fn push_entry(buf: &mut Vec<u8>, keyword: &[u8]) {
-    let len = u16::try_from(keyword.len()).expect("keywords are at most MAX_KEYWORD_LEN bytes");
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(keyword);
+/// Keywords a set is built from are buffered on the stack up to this
+/// many — more than a generated record holds — so building such a set
+/// allocates its buffer and nothing else.
+const INLINE_VIEWS: usize = 32;
+
+/// Writes a packed buffer front to back.
+struct Packer<'a>(&'a mut [u8]);
+
+impl Packer<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        self.0 = rest;
+    }
+
+    /// One packed entry: the keyword's length, then its bytes.
+    fn entry(&mut self, keyword: &[u8]) {
+        let len = u16::try_from(keyword.len()).expect("keywords are at most MAX_KEYWORD_LEN bytes");
+        self.put(&len.to_le_bytes());
+        self.put(keyword);
+    }
+}
+
+/// A shared buffer of exactly `len` bytes, written by `fill` before
+/// anyone else can see it. `repeat_n` reports its exact length, so the
+/// collect allocates the block once, at its final size.
+fn packed(len: usize, fill: impl FnOnce(&mut Packer<'_>)) -> Arc<[u8]> {
+    let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut packer = Packer(Arc::get_mut(&mut buf).expect("a fresh buffer is unshared"));
+    fill(&mut packer);
+    debug_assert!(packer.0.is_empty(), "packed size computed exactly");
+    buf
 }
 
 impl KeywordSet {
@@ -281,16 +312,44 @@ impl KeywordSet {
             .into_iter()
             .map(|item| Keyword::new(item.as_ref()))
             .collect::<Result<Vec<_>, _>>()?;
-        Self::from_views(keywords.iter().map(Keyword::view).collect())
+        Self::from_views(keywords.iter().map(Keyword::view))
     }
 
-    /// Sorts and deduplicates `keywords`, then packs them.
-    fn from_views(mut keywords: Vec<KeywordRef<'_>>) -> Result<Self, Error> {
-        if !keywords.windows(2).all(|w| w[0] < w[1]) {
-            keywords.sort_unstable();
-            keywords.dedup();
+    /// Sorts and deduplicates `keywords`, then packs them. Up to
+    /// [`INLINE_VIEWS`] of them are sorted on the stack.
+    fn from_views<'a>(keywords: impl IntoIterator<Item = KeywordRef<'a>>) -> Result<Self, Error> {
+        let mut inline = [KeywordRef(&[]); INLINE_VIEWS];
+        let mut spilled = Vec::new();
+        let mut count = 0;
+        for k in keywords {
+            if count < INLINE_VIEWS {
+                inline[count] = k;
+            } else {
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&inline);
+                }
+                spilled.push(k);
+            }
+            count += 1;
         }
-        Self::pack(keywords.iter().map(|k| k.0))
+        let views = if count <= INLINE_VIEWS {
+            &mut inline[..count]
+        } else {
+            &mut spilled[..]
+        };
+        let mut distinct = views.len();
+        if !views.windows(2).all(|w| w[0] < w[1]) {
+            views.sort_unstable();
+            // A slice has no `dedup`: keep each run's first view.
+            distinct = 0;
+            for i in 0..views.len() {
+                if distinct == 0 || views[distinct - 1] != views[i] {
+                    views[distinct] = views[i];
+                    distinct += 1;
+                }
+            }
+        }
+        Self::pack(views[..distinct].iter().map(|k| k.0))
     }
 
     /// Packs strictly ascending, validated keywords into one
@@ -303,12 +362,12 @@ impl KeywordSet {
             return Ok(KeywordSet::default());
         }
         let n = u16::try_from(count).map_err(|_| Error::TooManyKeywords { count })?;
-        let mut buf = Vec::with_capacity(2 + 2 * count + text);
-        buf.extend_from_slice(&n.to_le_bytes());
-        for k in keywords {
-            push_entry(&mut buf, k);
-        }
-        Ok(KeywordSet(buf.into_boxed_slice()))
+        Ok(KeywordSet(packed(2 + 2 * count + text, |buf| {
+            buf.put(&n.to_le_bytes());
+            for k in keywords {
+                buf.entry(k);
+            }
+        })))
     }
 
     /// The packed form: `[n: u16]([len: u16][utf-8])*`, little-endian,
@@ -370,7 +429,9 @@ impl KeywordSet {
         Ok((set, pos))
     }
 
-    /// Heap bytes this set owns: the length of its one buffer.
+    /// Bytes of this set's packed buffer — 0 for the empty set, which
+    /// has none. The buffer is shared by every clone, so these are
+    /// bytes the set references, not bytes it alone owns.
     pub fn heap_bytes(&self) -> usize {
         self.0.len()
     }
@@ -405,12 +466,12 @@ impl KeywordSet {
             u16::try_from(count).unwrap_or_else(|_| panic!("{}", Error::TooManyKeywords { count }));
         let old = self.as_packed();
         let text = keyword.as_bytes();
-        let mut buf = Vec::with_capacity(old.len() + 2 + text.len());
-        buf.extend_from_slice(&n.to_le_bytes());
-        buf.extend_from_slice(&old[2..at]);
-        push_entry(&mut buf, text);
-        buf.extend_from_slice(&old[at..]);
-        self.0 = buf.into_boxed_slice();
+        self.0 = packed(old.len() + 2 + text.len(), |buf| {
+            buf.put(&n.to_le_bytes());
+            buf.put(&old[2..at]);
+            buf.entry(text);
+            buf.put(&old[at..]);
+        });
         true
     }
 
@@ -421,14 +482,15 @@ impl KeywordSet {
         };
         let n = self.len() as u16 - 1;
         if n == 0 {
-            self.0 = Box::default();
+            self.0 = Arc::default();
             return true;
         }
-        let mut buf = Vec::with_capacity(self.0.len() - entry.len());
-        buf.extend_from_slice(&n.to_le_bytes());
-        buf.extend_from_slice(&self.0[2..entry.start]);
-        buf.extend_from_slice(&self.0[entry.end..]);
-        self.0 = buf.into_boxed_slice();
+        let old = &self.0;
+        self.0 = packed(old.len() - entry.len(), |buf| {
+            buf.put(&n.to_le_bytes());
+            buf.put(&old[2..entry.start]);
+            buf.put(&old[entry.end..]);
+        });
         true
     }
 
@@ -597,7 +659,7 @@ impl FromIterator<Keyword> for KeywordSet {
 /// Collecting more than [`MAX_KEYWORDS`] distinct keywords panics.
 impl<'a> FromIterator<KeywordRef<'a>> for KeywordSet {
     fn from_iter<I: IntoIterator<Item = KeywordRef<'a>>>(iter: I) -> Self {
-        Self::from_views(iter.into_iter().collect()).unwrap_or_else(|e| panic!("{e}"))
+        Self::from_views(iter).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -21,12 +21,12 @@
 //!
 //! ## Crate layout
 //!
-//! * [`keyword`] — [`Keyword`] and [`KeywordSet`] value types.
+//! * [`keyword`] — [`Keyword`] and [`KeywordSet`] value types; a set
+//!   is one shared packed buffer, so tables, cubes, replicas and result
+//!   lists hold it by reference count.
 //! * [`hashing`] — the keyword→bit hash `h` and set→vertex map `F_h`.
 //! * [`index`] — per-node index tables of `⟨keyword set, object⟩` with
 //!   64-bit signature prefilters on every scan.
-//! * [`intern`] — [`KeywordInterner`]: one `Arc` per distinct keyword
-//!   set, shared across tables, cubes, and replicas.
 //! * [`cache`] — per-node FIFO result caches (§4, third experiment).
 //! * [`cluster`] — [`HypercubeIndex`], the logical-hypercube index used
 //!   by the paper's measurements (exact nodes-contacted accounting).
@@ -87,7 +87,6 @@ pub mod error;
 pub mod expansion;
 pub mod hashing;
 pub mod index;
-pub mod intern;
 pub mod keyword;
 pub mod mapping;
 pub mod protocol;
@@ -105,7 +104,6 @@ pub use error::Error;
 pub use hashing::KeywordHasher;
 pub use hyperdex_dht::ObjectId;
 pub use index::IndexTable;
-pub use intern::KeywordInterner;
 pub use keyword::{Keyword, KeywordRef, KeywordSet, PackedError};
 pub use mapping::VertexMap;
 pub use protocol::{

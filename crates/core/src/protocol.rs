@@ -36,7 +36,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::sync::Arc;
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Sbt, Shape, Vertex};
@@ -278,7 +277,7 @@ pub fn scan_store(
             }
             out.push(RankedObject {
                 object,
-                keyword_set: Arc::clone(keyword_set),
+                keyword_set: keyword_set.clone(),
                 extra_keywords: extra,
             });
         }
@@ -624,7 +623,7 @@ struct FtPending {
 #[derive(Debug)]
 pub struct FtCoordinator<T> {
     root: Vertex,
-    keywords: Arc<KeywordSet>,
+    keywords: KeywordSet,
     threshold: usize,
     remaining: usize,
     policy: FtPolicy,
@@ -645,12 +644,7 @@ impl<T> FtCoordinator<T> {
     /// `threshold` results. Callers validate `threshold > 0` and, for
     /// timered strategies, `policy.base_timeout > 0` (see
     /// [`crate::Error::ZeroThreshold`] / [`crate::Error::ZeroTimeout`]).
-    pub fn new(
-        root: Vertex,
-        keywords: Arc<KeywordSet>,
-        threshold: usize,
-        policy: FtPolicy,
-    ) -> Self {
+    pub fn new(root: Vertex, keywords: KeywordSet, threshold: usize, policy: FtPolicy) -> Self {
         FtCoordinator {
             root,
             keywords,
@@ -688,7 +682,7 @@ impl<T> FtCoordinator<T> {
     }
 
     /// The queried keyword set (shared across every hop).
-    pub fn keywords(&self) -> &Arc<KeywordSet> {
+    pub fn keywords(&self) -> &KeywordSet {
         &self.keywords
     }
 
@@ -937,7 +931,7 @@ mod tests {
     fn coordinator_covers_the_whole_subcube_once() {
         let shape = Shape::new(6).unwrap();
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
+        let kw = set("a");
         let root = hasher.vertex_for(&kw);
         let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
         let mut seen = std::collections::BTreeSet::new();
@@ -959,7 +953,7 @@ mod tests {
     #[test]
     fn coordinator_stops_at_threshold() {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
+        let kw = set("a");
         let root = hasher.vertex_for(&kw);
         let mut coord = SupersetCoordinator::new(root, 3);
         // Root answers 2, first child answers 1 — done, rest unvisited.
@@ -981,7 +975,7 @@ mod tests {
     #[test]
     fn coordinator_stop_latches() {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
-        let kw = Arc::new(set("a"));
+        let kw = set("a");
         let root = hasher.vertex_for(&kw);
         let mut coord = SupersetCoordinator::new(root, 10);
         coord.next_step();
@@ -993,7 +987,7 @@ mod tests {
     #[test]
     fn queue_reuse_keeps_capacity_and_clears_contents() {
         let hasher = crate::hashing::KeywordHasher::new(8, 0).unwrap();
-        let kw = Arc::new(set("a"));
+        let kw = set("a");
         let root = hasher.vertex_for(&kw);
         let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
         coord.next_step();
@@ -1123,7 +1117,7 @@ mod tests {
 
     /// A machine for the query `a` in `H_6`, with its root.
     fn machine(threshold: usize, policy: FtPolicy) -> (Machine, Vertex) {
-        let kw = Arc::new(set("a"));
+        let kw = set("a");
         let root = crate::hashing::KeywordHasher::new(6, 0)
             .unwrap()
             .vertex_for(&kw);

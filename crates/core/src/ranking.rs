@@ -99,7 +99,7 @@ mod tests {
         let extra_keywords = (keyword_set.len() - q.len()) as u32;
         RankedObject {
             object: ObjectId::from_raw(id),
-            keyword_set: std::sync::Arc::new(keyword_set),
+            keyword_set,
             extra_keywords,
         }
     }

@@ -15,14 +15,12 @@
 //! failed vertex.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::Vertex;
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::intern::KeywordInterner;
 use crate::keyword::KeywordSet;
 use crate::search::{PinOutcome, SupersetOutcome, SupersetQuery};
 
@@ -52,8 +50,6 @@ pub struct ReplicatedIndex {
     secondary: HypercubeIndex,
     failed_primary: HashSet<u64>,
     failed_secondary: HashSet<u64>,
-    // One canonical Arc per distinct keyword set, shared by both cubes.
-    interner: KeywordInterner,
 }
 
 impl ReplicatedIndex {
@@ -69,7 +65,6 @@ impl ReplicatedIndex {
             secondary: HypercubeIndex::new(r, seed ^ SECONDARY_SEED_OFFSET)?,
             failed_primary: HashSet::new(),
             failed_secondary: HashSet::new(),
-            interner: KeywordInterner::new(),
         })
     }
 
@@ -100,11 +95,9 @@ impl ReplicatedIndex {
     ///
     /// Returns [`Error::EmptyKeywordSet`] for an empty keyword set.
     pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
-        // Both cubes index the same interned Arc — one string-set
-        // allocation per distinct keyword set across both replicas.
-        let keywords = self.interner.intern(keywords);
-        self.primary.insert_arc(object, Arc::clone(&keywords))?;
-        self.secondary.insert_arc(object, keywords)?;
+        // Both cubes hold the one buffer.
+        self.primary.insert(object, keywords.clone())?;
+        self.secondary.insert(object, keywords)?;
         Ok(())
     }
 

@@ -172,9 +172,10 @@ impl SearchStats {
 pub struct RankedObject {
     /// The matching object.
     pub object: ObjectId,
-    /// The full keyword set the object is indexed under (shared with
-    /// the index table — cloning a result is pointer-cheap).
-    pub keyword_set: std::sync::Arc<KeywordSet>,
+    /// The full keyword set the object is indexed under (its buffer
+    /// shared with the index table — cloning a result is
+    /// pointer-cheap).
+    pub keyword_set: KeywordSet,
     /// `|K_σ| − |K|`: extra keywords beyond the query.
     pub extra_keywords: u32,
 }

@@ -22,7 +22,6 @@ use hyperdex_hypercube::Vertex;
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::intern::KeywordInterner;
 use crate::keyword::KeywordSet;
 use crate::mapping::VertexMap;
 use crate::search::{PinOutcome, SupersetOutcome, SupersetQuery};
@@ -109,7 +108,6 @@ impl ServiceBuilder {
                 .build(),
             index,
             map: VertexMap::new(self.seed),
-            interner: KeywordInterner::new(),
         })
     }
 }
@@ -172,7 +170,6 @@ pub struct KeywordSearchService {
     dht: Dolr,
     index: HypercubeIndex,
     map: VertexMap,
-    interner: KeywordInterner,
 }
 
 impl KeywordSearchService {
@@ -194,12 +191,6 @@ impl KeywordSearchService {
     /// The hypercube index layer (read access).
     pub fn index(&self) -> &HypercubeIndex {
         &self.index
-    }
-
-    /// The service's keyword-set intern pool (read access): one `Arc`
-    /// per distinct published keyword set, shared with the index layer.
-    pub fn interner(&self) -> &KeywordInterner {
-        &self.interner
     }
 
     /// The physical node playing hypercube vertex `v` — `S(g(v))`.
@@ -228,16 +219,14 @@ impl KeywordSearchService {
         let receipt = self.dht.insert(publisher, object, publisher);
         let (index_vertex, index_node, index_hops) = if first_copy {
             // Node L(σ) computes F_h(K_σ) and routes the index entry to
-            // g(F_h(K_σ)). Popular keyword sets recur across objects, so
-            // the entry shares one interned allocation per distinct set.
-            let keywords = self.interner.intern(keywords);
+            // g(F_h(K_σ)).
             let vertex = self.index.vertex_for(&keywords);
             let index_node = self.node_for_vertex(vertex);
             let hops = self
                 .dht
                 .router()
                 .hops(receipt.target, self.map.ring_key(vertex));
-            self.index.insert_arc(object, keywords)?;
+            self.index.insert(object, keywords)?;
             (Some(vertex), Some(index_node), hops)
         } else {
             (None, None, 0)
@@ -419,11 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn publish_interns_recurring_keyword_sets() {
+    fn publish_indexes_first_copies_under_their_set() {
         let mut svc = service();
         let publisher = svc.random_node();
         // Four objects, two distinct keyword sets (one given in both
-        // orders — interning is set-level, not string-level).
+        // orders — a set is its keywords, not their spelling order).
         svc.publish(publisher, ObjectId::from_raw(1), set("news tvbs"))
             .unwrap();
         svc.publish(publisher, ObjectId::from_raw(2), set("tvbs news"))
@@ -433,11 +422,16 @@ mod tests {
         svc.publish(publisher, ObjectId::from_raw(4), set("movies"))
             .unwrap();
         assert_eq!(svc.index().len(), 4, "all four objects indexed");
-        assert_eq!(svc.interner().len(), 2, "one Arc per distinct set");
-        // Re-publishing an existing copy never touches the pool.
+        assert_eq!(svc.index().pin_search(&set("tvbs news")).results.len(), 3);
+        // Re-publishing an existing copy never touches the index.
         svc.publish(publisher, ObjectId::from_raw(4), set("something else"))
             .unwrap();
-        assert_eq!(svc.interner().len(), 2);
+        assert_eq!(svc.index().len(), 4);
+        assert!(svc
+            .index()
+            .pin_search(&set("something else"))
+            .results
+            .is_empty());
     }
 
     #[test]

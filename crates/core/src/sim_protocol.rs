@@ -39,7 +39,6 @@
 //! is quiescent — never a hang.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
 
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::net::{Delivery, EndpointId, NetEvent, Network, TimerId};
@@ -66,9 +65,9 @@ use crate::summary::OccupancySummary;
 pub enum KwMsg {
     /// Query forwarded to one tree node.
     TQuery {
-        /// The queried keyword set `K` (interned: every hop shares one
-        /// allocation instead of deep-cloning the set per message).
-        keywords: Arc<KeywordSet>,
+        /// The queried keyword set `K` (every hop shares its buffer
+        /// instead of deep-cloning the set per message).
+        keywords: KeywordSet,
         /// Objects still wanted (`c` in the paper).
         remaining: usize,
         /// Endpoint collecting results (`u`).
@@ -111,8 +110,8 @@ pub enum KwMsg {
     /// Requester → `F_h(K)`'s host: exact-match pin lookup (§3.2) —
     /// one message to the single vertex the full keyword set hashes to.
     Pin {
-        /// The queried keyword set `K` (interned).
-        keywords: Arc<KeywordSet>,
+        /// The queried keyword set `K`.
+        keywords: KeywordSet,
         /// Endpoint collecting results.
         requester: EndpointId,
     },
@@ -266,12 +265,12 @@ pub struct SimPinOutcome {
     pub elapsed: hyperdex_simnet::time::SimDuration,
 }
 
-/// Where one search started ([`ProtocolSim::begin`]): the interned
-/// query, its root in the primary cube, and the readings its cost is
-/// measured against.
+/// Where one search started ([`ProtocolSim::begin`]): the query, its
+/// root in the primary cube, and the readings its cost is measured
+/// against.
 #[derive(Debug)]
 struct Started {
-    keywords: Arc<KeywordSet>,
+    keywords: KeywordSet,
     root: Vertex,
     root_ep: EndpointId,
     at: SimTime,
@@ -354,9 +353,6 @@ pub struct ProtocolSim {
     /// Reverse map: which vertex an endpoint hosts.
     pub(crate) ep_vertex: HashMap<EndpointId, u64>,
     pub(crate) requester: EndpointId,
-    /// One canonical `Arc` per distinct keyword set, shared by both
-    /// cubes' tables and by query messages.
-    pub(crate) interner: crate::intern::KeywordInterner,
     /// The sequential coordinator's frontier queue `U`, reused across
     /// searches (the machine clears it; only capacity carries over).
     frontier: VecDeque<(u64, u8)>,
@@ -403,7 +399,6 @@ impl ProtocolSim {
             eps: BTreeMap::new(),
             ep_vertex: HashMap::new(),
             requester,
-            interner: crate::intern::KeywordInterner::new(),
             frontier: VecDeque::new(),
             seed,
             summary: OccupancySummary::new(r),
@@ -458,17 +453,13 @@ impl ProtocolSim {
         if keywords.is_empty() {
             return Err(Error::EmptyKeywordSet);
         }
-        // Intern: re-inserting a known set (or another object with the
-        // same popular set) reuses one Arc across both cubes instead of
-        // minting a fresh allocation per call.
-        let keywords = self.interner.intern(keywords);
         let vertex = self.hasher.vertex_for(&keywords);
         let vertex2 = self.hasher2.vertex_for(&keywords);
         if self
             .tables
             .entry(vertex.bits())
             .or_default()
-            .insert_arc(Arc::clone(&keywords), object)
+            .insert(keywords.clone(), object)
         {
             self.summary.record_insert(vertex.bits());
         }
@@ -476,7 +467,7 @@ impl ProtocolSim {
             .tables2
             .entry(vertex2.bits())
             .or_default()
-            .insert_arc(keywords, object)
+            .insert(keywords, object)
         {
             self.summary2.record_insert(vertex2.bits());
         }
@@ -506,7 +497,7 @@ impl ProtocolSim {
             self.requester,
             run.root_ep,
             KwMsg::TQuery {
-                keywords: Arc::clone(&run.keywords),
+                keywords: run.keywords.clone(),
                 remaining: threshold,
                 requester: self.requester,
                 via_dim: None,
@@ -544,7 +535,7 @@ impl ProtocolSim {
             self.requester,
             run.root_ep,
             KwMsg::Pin {
-                keywords: Arc::clone(&run.keywords),
+                keywords: run.keywords.clone(),
                 requester: self.requester,
             },
         );
@@ -594,7 +585,7 @@ impl ProtocolSim {
                     from,
                     to,
                     KwMsg::TQuery {
-                        keywords: Arc::clone(&run.keywords),
+                        keywords: run.keywords.clone(),
                         remaining: threshold - results.len().min(threshold),
                         requester: self.requester,
                         via_dim: None,
@@ -648,9 +639,9 @@ impl ProtocolSim {
         if policy.strategy != RecoveryStrategy::Naive && policy.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
-        // Every (re)transmission of both sweeps shares the interned set.
+        // Every (re)transmission of both sweeps shares the set's buffer.
         let run = self.begin(keywords);
-        let mut core = FtCoordinator::new(run.root, Arc::clone(&run.keywords), threshold, policy);
+        let mut core = FtCoordinator::new(run.root, run.keywords.clone(), threshold, policy);
         let (ft, pruned) = self.run_ft_pass(&mut core, config.prune, false);
         let mut report = CoverageReport {
             ft,
@@ -800,7 +791,7 @@ impl ProtocolSim {
                         owner,
                         to,
                         KwMsg::TQuery {
-                            keywords: Arc::clone(core.keywords()),
+                            keywords: core.keywords().clone(),
                             remaining: core.remaining(),
                             requester: self.requester,
                             via_dim,
@@ -846,12 +837,12 @@ impl ProtocolSim {
         true
     }
 
-    /// Every search's prologue, taken before its first send. Interned:
-    /// repeated searches and every hop share one allocation.
+    /// Every search's prologue, taken before its first send. Every hop
+    /// shares the caller's keyword buffer.
     fn begin(&mut self, keywords: &KeywordSet) -> Started {
         let root = self.hasher.vertex_for(keywords);
         Started {
-            keywords: self.interner.intern(keywords.clone()),
+            keywords: keywords.clone(),
             root,
             root_ep: self.endpoint_of(root.bits()),
             at: self.net.now(),
@@ -1044,7 +1035,7 @@ impl ProtocolSim {
                 run.root_ep,
                 to,
                 KwMsg::TQuery {
-                    keywords: Arc::clone(&run.keywords),
+                    keywords: run.keywords.clone(),
                     remaining: core.remaining(),
                     requester: self.requester,
                     via_dim: Some(dim),

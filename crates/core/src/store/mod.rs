@@ -33,54 +33,42 @@ pub enum StoreBackend {
 }
 
 /// Memory accounting for one store: measured buffer capacities plus
-/// the measured bytes of the interned keyword sets (`DESIGN.md` §17).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// the measured bytes of the keyword sets it holds (`DESIGN.md` §17).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreFootprint {
     /// Total resident bytes attributed to the store.
     pub bytes_resident: usize,
     /// Bytes of the contiguous signature slab.
     pub slab_bytes: usize,
-    /// Live slots / total slots (1.0 when empty).
-    pub slot_occupancy: f64,
     /// Posting-arena capacity in bytes.
     pub arena_bytes: usize,
     /// Arena bytes retired by re-encodes and removals, not yet
     /// compacted away.
     pub arena_waste: usize,
-    /// Heap bytes of the interned keyword sets: each set's packed
-    /// buffer plus its `Arc` block.
+    /// Heap bytes of the keyword sets the store holds: each set's
+    /// shared block — two reference counts and the packed buffer. A
+    /// buffer the store shares with a caller (or with another store)
+    /// is reported whole by every store that holds it, so the figure
+    /// is the same whether or not the inserting caller kept its set.
     pub key_bytes: usize,
 }
 
 impl StoreFootprint {
     /// Component-wise sum — per-vertex footprints roll up to one
-    /// per-executor row.
+    /// per-executor row (from `StoreFootprint::default()`, all zero).
     pub fn add(&mut self, other: &StoreFootprint) {
-        // Occupancy averages weighted by slab size would need slot
-        // counts; the aggregate keeps the minimum, the conservative
-        // "worst vertex" view.
         self.bytes_resident += other.bytes_resident;
         self.slab_bytes += other.slab_bytes;
-        self.slot_occupancy = self.slot_occupancy.min(other.slot_occupancy);
         self.arena_bytes += other.arena_bytes;
         self.arena_waste += other.arena_waste;
         self.key_bytes += other.key_bytes;
     }
-
-    /// An identity element for [`StoreFootprint::add`].
-    pub fn zero() -> StoreFootprint {
-        StoreFootprint {
-            slot_occupancy: 1.0,
-            ..StoreFootprint::default()
-        }
-    }
 }
 
-/// Heap bytes of one interned `Arc<KeywordSet>`: the `Arc` block —
-/// two reference counts and the set's buffer handle — plus the packed
-/// buffer itself.
+/// Heap bytes of one stored keyword set: its shared block's header —
+/// the strong and weak reference counts — plus the packed buffer.
 fn key_heap_bytes(set: &KeywordSet) -> usize {
-    2 * std::mem::size_of::<usize>() + std::mem::size_of::<KeywordSet>() + set.heap_bytes()
+    2 * std::mem::size_of::<usize>() + set.heap_bytes()
 }
 
 #[cfg(test)]
@@ -102,15 +90,15 @@ mod tests {
         for i in 0..500u64 {
             store.insert(set(&format!("kw{} shared", i % 50)), oid(i));
         }
-        // 50 distinct sets, each its packed buffer plus a 32-byte
-        // `Arc` block.
-        let measured: usize = store.iter().map(|(k, _)| 32 + k.as_packed().len()).sum();
+        // 50 distinct sets, each its packed buffer behind a 16-byte
+        // header of two reference counts.
+        let measured: usize = store.iter().map(|(k, _)| 16 + k.as_packed().len()).sum();
         assert_eq!(store.footprint().key_bytes, measured);
     }
 
     #[test]
     fn footprint_aggregation_sums() {
-        let mut a = StoreFootprint::zero();
+        let mut a = StoreFootprint::default();
         let mut st = PostingStore::default();
         st.insert(set("a"), oid(1));
         let fp = st.footprint();

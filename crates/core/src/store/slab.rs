@@ -9,17 +9,18 @@
 //! * `sigs` — the 64-bit keyword-set signatures, one contiguous slab.
 //!   The PR 4 signature prefilter becomes a tight linear pass over this
 //!   array; no pointers are chased until a signature passes.
-//! * `keys` — the interned `Arc<KeywordSet>` per slot (`None` =
-//!   tombstone).
+//! * `keys` — the [`KeywordSet`] per slot: a handle on its shared
+//!   packed buffer, so a set the caller keeps is not copied.
 //! * `posts` — `(offset, len, count, last)` descriptors into the byte
 //!   arena holding each slot's varint delta-encoded object ids
 //!   ([`crate::store::codec`]).
 //!
 //! Mutation appends: growing a list whose bytes sit at the arena tail
 //! extends in place; anywhere else re-encodes at the tail and retires
-//! the old range as *waste*. Deleting a last object tombstones the
-//! slot. Both kinds of garbage are bounded by [`PostingStore::compact`],
-//! triggered automatically once waste crosses a threshold.
+//! the old range as *waste*, bounded by [`PostingStore::compact`],
+//! triggered automatically once waste crosses a threshold. Deleting a
+//! last object swap-removes the slot, so every slot is live: slot
+//! order is not query-visible (every scan sorts by keyword set).
 //!
 //! # Parity contract
 //!
@@ -30,8 +31,6 @@
 //! The property oracle in `tests/store_parity.rs` drives both through
 //! random interleavings to hold this line.
 
-use std::sync::Arc;
-
 use hyperdex_dht::ObjectId;
 
 use crate::keyword::KeywordSet;
@@ -39,7 +38,7 @@ use crate::store::codec::{decode_into, encode_list, push_varint, DeltaIter};
 use crate::store::{key_heap_bytes, StoreBackend, StoreFootprint};
 
 /// Descriptor of one slot's encoded posting list in the arena.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct PostingList {
     /// Byte offset of the encoded list in the arena.
     off: u32,
@@ -51,8 +50,6 @@ struct PostingList {
     last: u64,
 }
 
-/// Compact once dead slots outnumber live ones beyond this floor.
-const TOMBSTONE_FLOOR: usize = 32;
 /// Compact once retired arena bytes exceed half the arena beyond this
 /// floor.
 const WASTE_FLOOR: usize = 4096;
@@ -60,23 +57,21 @@ const WASTE_FLOOR: usize = 4096;
 /// A struct-of-arrays posting store for one hypercube vertex.
 #[derive(Debug, Clone, Default)]
 pub struct PostingStore {
-    /// The contiguous signature slab (0 for tombstoned slots).
+    /// The contiguous signature slab.
     sigs: Vec<u64>,
-    /// Interned keyword set per slot; `None` marks a tombstone.
-    keys: Vec<Option<Arc<KeywordSet>>>,
+    /// The keyword set of each slot.
+    keys: Vec<KeywordSet>,
     /// Posting-list descriptors, parallel to `sigs`/`keys`.
     posts: Vec<PostingList>,
     /// Varint delta-encoded object ids, all slots back to back.
     arena: Vec<u8>,
     /// Arena bytes retired by re-encodes and removals.
     arena_waste: usize,
-    /// OR of every live slot's signature (kept exact on removal).
+    /// OR of every slot's signature (kept exact on removal).
     union_sig: u64,
-    /// Live (non-tombstone) slot count.
-    live: usize,
     /// Total indexed objects across all slots.
     objects: usize,
-    /// Heap bytes of the live interned keyword sets.
+    /// Heap bytes of the held keyword sets.
     key_bytes: usize,
     /// Reused decode buffer for mutations.
     scratch: Vec<u64>,
@@ -92,15 +87,6 @@ impl PostingStore {
     /// Adds the entry `⟨keywords, object⟩`. Returns `false` if it was
     /// already present.
     pub fn insert(&mut self, keywords: KeywordSet, object: ObjectId) -> bool {
-        let sig = keywords.signature();
-        match self.find_slot(&keywords, sig) {
-            Some(slot) => self.push_object(slot, object),
-            None => self.insert_new(Arc::new(keywords), sig, object),
-        }
-    }
-
-    /// [`PostingStore::insert`] for an already-interned keyword set.
-    pub fn insert_arc(&mut self, keywords: Arc<KeywordSet>, object: ObjectId) -> bool {
         let sig = keywords.signature();
         match self.find_slot(&keywords, sig) {
             Some(slot) => self.push_object(slot, object),
@@ -169,7 +155,7 @@ impl PostingStore {
             // Whole-store short-circuit.
             Vec::new()
         } else if qsig == 0 {
-            self.live_slots_sorted()
+            self.slots_sorted()
         } else {
             // The tight linear pass: one branch per u64, no pointer
             // chased until a signature covers the query's.
@@ -190,14 +176,14 @@ impl PostingStore {
         }
     }
 
-    /// OR of every live slot's signature.
+    /// OR of every slot's signature.
     pub fn union_signature(&self) -> u64 {
         self.union_sig
     }
 
-    /// Number of distinct keyword sets (live slots).
+    /// Number of distinct keyword sets (slots).
     pub fn keyword_set_count(&self) -> usize {
-        self.live
+        self.keys.len()
     }
 
     /// Total number of indexed objects.
@@ -207,7 +193,7 @@ impl PostingStore {
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.keys.is_empty()
     }
 
     /// Iterates over all `(keyword set, objects)` entries in sorted
@@ -216,17 +202,18 @@ impl PostingStore {
         SlabEntries {
             store: self,
             query: None,
-            hits: self.live_slots_sorted().into_iter(),
+            hits: self.slots_sorted().into_iter(),
         }
     }
 
     /// Memory accounting: measured buffer capacities plus the measured
-    /// bytes of the interned keyword sets.
+    /// bytes of the held keyword sets — each whole, shared with a
+    /// caller or not (see [`StoreFootprint::key_bytes`]).
     pub fn footprint(&self) -> StoreFootprint {
         let slab_bytes = self.sigs.capacity() * std::mem::size_of::<u64>();
         let resident = std::mem::size_of::<Self>()
             + slab_bytes
-            + self.keys.capacity() * std::mem::size_of::<Option<Arc<KeywordSet>>>()
+            + self.keys.capacity() * std::mem::size_of::<KeywordSet>()
             + self.posts.capacity() * std::mem::size_of::<PostingList>()
             + self.arena.capacity()
             + self.scratch.capacity() * std::mem::size_of::<u64>()
@@ -234,39 +221,21 @@ impl PostingStore {
         StoreFootprint {
             bytes_resident: resident,
             slab_bytes,
-            slot_occupancy: if self.keys.is_empty() {
-                1.0
-            } else {
-                self.live as f64 / self.keys.len() as f64
-            },
             arena_bytes: self.arena.capacity(),
             arena_waste: self.arena_waste,
             key_bytes: self.key_bytes,
         }
     }
 
-    /// Rebuilds every array with tombstones and retired arena ranges
-    /// dropped. Slot order (hence nothing query-visible) is preserved.
+    /// Rebuilds the arena with every retired range dropped.
     pub fn compact(&mut self) {
-        let mut sigs = Vec::with_capacity(self.live);
-        let mut keys = Vec::with_capacity(self.live);
-        let mut posts = Vec::with_capacity(self.live);
         let mut arena =
             Vec::with_capacity(self.arena.len() - self.arena_waste.min(self.arena.len()));
-        for slot in 0..self.keys.len() {
-            let Some(key) = self.keys[slot].take() else {
-                continue;
-            };
-            let pl = self.posts[slot];
+        for pl in &mut self.posts {
             let off = arena.len() as u32;
             arena.extend_from_slice(&self.arena[pl.off as usize..(pl.off + pl.len) as usize]);
-            sigs.push(self.sigs[slot]);
-            keys.push(Some(key));
-            posts.push(PostingList { off, ..pl });
+            pl.off = off;
         }
-        self.sigs = sigs;
-        self.keys = keys;
-        self.posts = posts;
         self.arena = arena;
         self.arena_waste = 0;
     }
@@ -275,7 +244,7 @@ impl PostingStore {
     /// scan (equal sets have equal signatures) confirmed by equality.
     fn find_slot(&self, keywords: &KeywordSet, sig: u64) -> Option<usize> {
         self.sigs.iter().enumerate().find_map(|(slot, &s)| {
-            if s == sig && self.keys[slot].as_deref() == Some(keywords) {
+            if s == sig && self.keys[slot] == *keywords {
                 Some(slot)
             } else {
                 None
@@ -284,12 +253,12 @@ impl PostingStore {
     }
 
     /// Appends a brand-new slot for `keywords`.
-    fn insert_new(&mut self, keywords: Arc<KeywordSet>, sig: u64, object: ObjectId) -> bool {
+    fn insert_new(&mut self, keywords: KeywordSet, sig: u64, object: ObjectId) -> bool {
         let off = u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
         let len = push_varint(&mut self.arena, object.raw()) as u32;
         self.key_bytes += key_heap_bytes(&keywords);
         self.sigs.push(sig);
-        self.keys.push(Some(keywords));
+        self.keys.push(keywords);
         self.posts.push(PostingList {
             off,
             len,
@@ -297,7 +266,6 @@ impl PostingStore {
             last: object.raw(),
         });
         self.union_sig |= sig;
-        self.live += 1;
         self.objects += 1;
         true
     }
@@ -373,51 +341,37 @@ impl PostingStore {
         };
     }
 
-    /// Tombstones a slot whose last object was removed.
+    /// Drops a slot whose last object was removed: the last slot
+    /// moves into its place.
     fn kill_slot(&mut self, slot: usize) {
-        let pl = self.posts[slot];
-        self.arena_waste += pl.len as usize;
-        if let Some(key) = self.keys[slot].take() {
-            self.key_bytes -= key_heap_bytes(&key);
-        }
-        self.sigs[slot] = 0;
-        self.posts[slot] = PostingList::default();
-        self.live -= 1;
-        // Other slots may still cover the departed bits; tombstones
-        // carry signature 0, so the OR over the slab stays exact.
+        self.arena_waste += self.posts.swap_remove(slot).len as usize;
+        self.key_bytes -= key_heap_bytes(&self.keys.swap_remove(slot));
+        self.sigs.swap_remove(slot);
+        // Other slots may still cover the departed bits.
         self.union_sig = self.sigs.iter().fold(0, |m, &s| m | s);
     }
 
-    /// Compacts once tombstones or retired arena bytes dominate.
+    /// Compacts once retired arena bytes dominate.
     fn maybe_compact(&mut self) {
-        let dead = self.keys.len() - self.live;
-        let dead_heavy = dead > TOMBSTONE_FLOOR && dead * 2 > self.keys.len();
-        let waste_heavy = self.arena_waste > WASTE_FLOOR && self.arena_waste * 2 > self.arena.len();
-        if dead_heavy || waste_heavy {
+        if self.arena_waste > WASTE_FLOOR && self.arena_waste * 2 > self.arena.len() {
             self.compact();
         }
     }
 
-    /// All live slots, sorted by keyword set.
-    fn live_slots_sorted(&self) -> Vec<u32> {
-        let mut slots: Vec<u32> = (0..self.keys.len() as u32)
-            .filter(|&slot| self.keys[slot as usize].is_some())
-            .collect();
+    /// Every slot, sorted by keyword set.
+    fn slots_sorted(&self) -> Vec<u32> {
+        let mut slots: Vec<u32> = (0..self.keys.len() as u32).collect();
         self.sort_by_key_order(&mut slots);
         slots
     }
 
-    /// Sorts live slot indices into keyword-set order (the oracle's
+    /// Sorts slot indices into keyword-set order (the oracle's
     /// `BTreeMap` iteration order).
     fn sort_by_key_order(&self, slots: &mut [u32]) {
-        slots.sort_unstable_by(|&a, &b| {
-            let ka = self.keys[a as usize].as_ref().expect("sorting a live slot");
-            let kb = self.keys[b as usize].as_ref().expect("sorting a live slot");
-            ka.cmp(kb)
-        });
+        slots.sort_unstable_by(|&a, &b| self.keys[a as usize].cmp(&self.keys[b as usize]));
     }
 
-    /// The posting iterator of one live slot.
+    /// The posting iterator of one slot.
     fn list_iter(&self, slot: usize) -> DeltaIter<'_> {
         let pl = self.posts[slot];
         DeltaIter::new(
@@ -439,14 +393,12 @@ pub struct SlabEntries<'a> {
 }
 
 impl<'a> Iterator for SlabEntries<'a> {
-    type Item = (&'a Arc<KeywordSet>, DeltaIter<'a>);
+    type Item = (&'a KeywordSet, DeltaIter<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let slot = self.hits.next()? as usize;
-            let Some(key) = self.store.keys[slot].as_ref() else {
-                continue;
-            };
+            let key = &self.store.keys[slot];
             if let Some(query) = self.query {
                 if !key.is_superset(query) {
                     continue;
@@ -490,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_tombstones_and_union_follows() {
+    fn remove_drops_the_slot_and_union_follows() {
         let mut st = PostingStore::default();
         st.insert(set("a"), oid(1));
         st.insert(set("b c"), oid(2));
@@ -510,9 +462,9 @@ mod tests {
         st.insert(set("a b c"), oid(2));
         st.insert(set("x y"), oid(3));
         let query = set("a b");
-        let keys: Vec<Arc<KeywordSet>> = st
+        let keys: Vec<KeywordSet> = st
             .superset_entries(&query)
-            .map(|(k, _)| Arc::clone(k))
+            .map(|(k, _)| k.clone())
             .collect();
         assert_eq!(keys.len(), 2);
         let mut sorted = keys.clone();
@@ -539,15 +491,16 @@ mod tests {
     }
 
     #[test]
-    fn footprint_tracks_waste_and_occupancy() {
+    fn footprint_tracks_waste_and_keys() {
         let mut st = PostingStore::default();
         st.insert(set("a"), oid(2));
         st.insert(set("b"), oid(1));
-        assert!((st.footprint().slot_occupancy - 1.0).abs() < f64::EPSILON);
+        let before = st.footprint();
         st.remove(&set("a"), oid(2));
         let fp = st.footprint();
-        assert!(fp.slot_occupancy < 1.0);
+        assert_eq!(st.keyword_set_count(), 1);
         assert!(fp.arena_waste > 0);
+        assert!(fp.key_bytes < before.key_bytes);
         assert!(fp.bytes_resident > 0);
     }
 }

@@ -206,6 +206,21 @@ proptest! {
         // However a set was reached, it is the set its keywords build.
         prop_assert_eq!(&a, &from_model(&ma));
     }
+
+    /// A clone shares its original's buffer, and changing the clone
+    /// never changes the original: after every step of a script run on
+    /// the clone, the original still equals its model.
+    #[test]
+    fn mutating_a_clone_leaves_the_original(base in script(), edits in script()) {
+        let (original, model) = run(&base);
+        let (mut copy, mut copy_model) = (original.clone(), model.clone());
+        prop_assert_eq!(copy.as_packed().as_ptr(), original.as_packed().as_ptr());
+        for op in &edits {
+            apply(&mut copy, &mut copy_model, op);
+            assert_matches(&copy, &copy_model);
+            assert_matches(&original, &model);
+        }
+    }
 }
 
 /// The cases where comparing the packed buffers byte by byte would give

@@ -9,8 +9,6 @@
 //! another), comparing entry order, object order, counts, and
 //! signatures after every batch.
 
-use std::sync::Arc;
-
 use hyperdex_core::{IndexTable, KeywordSet, ObjectId, PostingStore};
 use proptest::prelude::*;
 
@@ -45,9 +43,8 @@ fn op() -> impl Strategy<Value = Op> {
 fn apply(table: &mut IndexTable, slab: &mut PostingStore, op: &Op) {
     match op {
         Op::Insert(k, o) => {
-            let shared = Arc::new(k.clone());
-            let a = table.insert_arc(Arc::clone(&shared), ObjectId::from_raw(*o));
-            let b = slab.insert_arc(shared, ObjectId::from_raw(*o));
+            let a = table.insert(k.clone(), ObjectId::from_raw(*o));
+            let b = slab.insert(k.clone(), ObjectId::from_raw(*o));
             assert_eq!(a, b, "insert fresh/duplicate disagreement");
         }
         Op::Remove(k, o) => {
@@ -67,10 +64,9 @@ fn assert_parity(table: &IndexTable, slab: &PostingStore, queries: &[KeywordSet]
     assert_eq!(table.is_empty(), slab.is_empty());
     assert_eq!(table.union_signature(), slab.union_signature());
 
-    let t: Vec<(&Arc<KeywordSet>, Vec<ObjectId>)> =
+    let t: Vec<(&KeywordSet, Vec<ObjectId>)> =
         table.iter().map(|(k, o)| (k, o.collect())).collect();
-    let s: Vec<(&Arc<KeywordSet>, Vec<ObjectId>)> =
-        slab.iter().map(|(k, o)| (k, o.collect())).collect();
+    let s: Vec<(&KeywordSet, Vec<ObjectId>)> = slab.iter().map(|(k, o)| (k, o.collect())).collect();
     assert_eq!(t, s, "full iteration diverged");
 
     for q in queries {
@@ -78,11 +74,11 @@ fn assert_parity(table: &IndexTable, slab: &PostingStore, queries: &[KeywordSet]
         let s_objs: Vec<ObjectId> = slab.objects_with(q).collect();
         assert_eq!(t_objs, s_objs, "objects_with({q:?}) diverged");
 
-        let t_sup: Vec<(&Arc<KeywordSet>, Vec<ObjectId>)> = table
+        let t_sup: Vec<(&KeywordSet, Vec<ObjectId>)> = table
             .superset_entries(q)
             .map(|(k, o)| (k, o.collect()))
             .collect();
-        let s_sup: Vec<(&Arc<KeywordSet>, Vec<ObjectId>)> = slab
+        let s_sup: Vec<(&KeywordSet, Vec<ObjectId>)> = slab
             .superset_entries(q)
             .map(|(k, o)| (k, o.collect()))
             .collect();
@@ -117,6 +113,33 @@ fn slab_matches_table_on_a_fixed_script() {
         KeywordSet::new(),
     ];
     assert_parity(&table, &slab, &queries);
+}
+
+/// A vertex that sees 100 insert/remove pairs of sets it never held
+/// before keeps one slot per live set: a removed set's slot leaves the
+/// slab, so the slab never outgrows what its live sets needed.
+#[test]
+fn remove_heavy_script_keeps_one_slot_per_live_set() {
+    const LIVE: u64 = 8;
+    let set = |i: u64| {
+        KeywordSet::from_strs([format!("w{}", i % 12), format!("n{i}")]).expect("non-empty words")
+    };
+    let mut table = IndexTable::new();
+    let mut slab = PostingStore::default();
+    for i in 0..LIVE {
+        apply(&mut table, &mut slab, &Op::Insert(set(i), i));
+    }
+    let mut slab_bytes = None;
+    for i in LIVE..LIVE + 100 {
+        apply(&mut table, &mut slab, &Op::Insert(set(i), i));
+        apply(&mut table, &mut slab, &Op::Remove(set(i - LIVE), i - LIVE));
+        assert_eq!(slab.keyword_set_count(), LIVE as usize);
+        // The first pair grows the slab for one extra set; no later
+        // pair grows it again.
+        let bytes = slab.footprint().slab_bytes;
+        assert_eq!(*slab_bytes.get_or_insert(bytes), bytes, "pair {i}");
+        assert_parity(&table, &slab, &[set(i), set(i - LIVE), KeywordSet::new()]);
+    }
 }
 
 proptest! {
@@ -157,17 +180,17 @@ proptest! {
         }
         // Serialize the slab the way churn serializes a table for
         // handoff: (keyword set, objects) entries in iteration order.
-        let entries: Vec<(Arc<KeywordSet>, Vec<ObjectId>)> = slab
+        let entries: Vec<(KeywordSet, Vec<ObjectId>)> = slab
             .iter()
-            .map(|(k, o)| (Arc::clone(k), o.collect()))
+            .map(|(k, o)| (k.clone(), o.collect()))
             .collect();
         let mut rebuilt_table = IndexTable::new();
         let mut rebuilt_slab = PostingStore::default();
         for chunk in entries.chunks(batch) {
             for (k, objs) in chunk {
                 for &o in objs {
-                    rebuilt_table.insert_arc(Arc::clone(k), o);
-                    rebuilt_slab.insert_arc(Arc::clone(k), o);
+                    rebuilt_table.insert(k.clone(), o);
+                    rebuilt_slab.insert(k.clone(), o);
                 }
             }
         }
@@ -177,8 +200,7 @@ proptest! {
         assert_parity(&rebuilt_table, &slab, &queries);
     }
 
-    /// Compaction (tombstone reclamation + arena rewrite) is
-    /// observationally invisible.
+    /// Compaction (the arena rewrite) is observationally invisible.
     #[test]
     fn compaction_is_invisible(
         ops in prop::collection::vec(op(), 1..80),

@@ -5,7 +5,7 @@
 //!
 //! [`NodeRuntime::start`] spawns `workers` OS threads and no other.
 //! Each owns the disjoint set of hypercube vertices [`ShardMap`]
-//! assigns to it — `PostingStore`s, interners, and per-query
+//! assigns to it — `PostingStore`s and per-query
 //! coordinator state live on exactly one thread and are never shared,
 //! never locked. Everything that crosses a thread boundary is a
 //! length-prefixed byte frame ([`crate::wire`]), so the worker boundary

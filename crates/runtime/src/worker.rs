@@ -54,8 +54,7 @@ use hyperdex_core::protocol::{
     child_contacts, region_entries, scan_store, subtree_bits, visit_order_key,
 };
 use hyperdex_core::{
-    FtCoverage, FtPolicy, KeywordHasher, KeywordInterner, KeywordSet, ObjectId, PostingStore,
-    RecoveryStrategy,
+    FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, PostingStore, RecoveryStrategy,
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
@@ -303,7 +302,7 @@ impl WorkerContext {
 #[derive(Debug)]
 struct QueryState {
     query_id: u64,
-    keywords: Arc<KeywordSet>,
+    keywords: KeywordSet,
     /// `F_h(K)`, which the merge orders vertices around.
     root: Vertex,
     threshold: usize,
@@ -468,7 +467,6 @@ pub struct NodeMachine {
     hasher: KeywordHasher,
     shards: ShardMap,
     tables: HashMap<u64, PostingStore>,
-    interner: KeywordInterner,
     fabric: Fabric,
     /// The driver's clock at the call being served.
     now: Duration,
@@ -494,7 +492,7 @@ impl NodeMachine {
     /// A worker whose frames leave on `fabric`, its tables what
     /// `ctx.log` holds: recovery is this constructor, and a crash calls
     /// it. The logged frames go through the arms that handled them the
-    /// first time — the interner, `inserts` and the write epoch land
+    /// first time — the tables, `inserts` and the write epoch land
     /// where the crashed incarnation had them, no frame is sent,
     /// received or counted — before the shard is handed a query. An
     /// entry that is no load frame is skipped.
@@ -506,7 +504,6 @@ impl NodeMachine {
             hasher: ctx.hasher,
             shards: ctx.shards,
             tables: HashMap::new(),
-            interner: KeywordInterner::new(),
             fabric,
             now: Duration::ZERO,
             stash: vec![Vec::new(); endpoints],
@@ -679,8 +676,7 @@ impl NodeMachine {
     fn handle(&mut self, msg: WireMsg) {
         match msg {
             WireMsg::Insert { object, keywords } => {
-                let kw = self.interner.intern(keywords);
-                let bits = self.hasher.vertex_for(&kw).bits();
+                let bits = self.hasher.vertex_for(&keywords).bits();
                 if !self.owns(bits) {
                     return;
                 }
@@ -688,7 +684,7 @@ impl NodeMachine {
                     .tables
                     .entry(bits)
                     .or_default()
-                    .insert_arc(kw, ObjectId::from_raw(object))
+                    .insert(keywords, ObjectId::from_raw(object))
                 {
                     self.stats.inserts += 1;
                     self.cache.bump_generation();
@@ -700,9 +696,8 @@ impl NodeMachine {
                 }
                 let table = self.tables.entry(bits).or_default();
                 for (set, objects) in entries {
-                    let kw = self.interner.intern(set);
                     for raw in objects {
-                        if table.insert_arc(Arc::clone(&kw), ObjectId::from_raw(raw)) {
+                        if table.insert(set.clone(), ObjectId::from_raw(raw)) {
                             self.stats.inserts += 1;
                             self.cache.bump_generation();
                         }
@@ -996,11 +991,11 @@ impl NodeMachine {
 
     /// Runs `waiters` of a traversal that will not answer them as the
     /// new arrivals of its query they now are.
-    fn start_over(&mut self, keywords: &Arc<KeywordSet>, waiters: Vec<Waiter>) {
+    fn start_over(&mut self, keywords: &KeywordSet, waiters: Vec<Waiter>) {
         for waiter in waiters {
             self.start_query(
                 waiter.query_id,
-                Arc::clone(keywords),
+                keywords.clone(),
                 waiter.threshold,
                 waiter.marks,
                 None,
@@ -1027,7 +1022,6 @@ impl NodeMachine {
         ft: Option<FtPolicy>,
     ) {
         self.stats.queries_coordinated += 1;
-        let keywords = self.interner.intern(keywords);
         self.start_query(query_id, keywords, threshold as usize, marks, ft);
     }
 
@@ -1041,7 +1035,7 @@ impl NodeMachine {
     fn start_query(
         &mut self,
         query_id: u64,
-        keywords: Arc<KeywordSet>,
+        keywords: KeywordSet,
         threshold: usize,
         marks: Vec<u64>,
         ft: Option<FtPolicy>,
@@ -1124,7 +1118,7 @@ impl NodeMachine {
             owner as usize,
             &WireMsg::RegionQuery {
                 query_id: state.query_id,
-                keywords: (*state.keywords).clone(),
+                keywords: state.keywords.clone(),
                 threshold: state.threshold as u64,
                 coord: self.index,
                 attempt,

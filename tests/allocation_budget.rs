@@ -1,12 +1,14 @@
 //! The index's memory, counted at the allocator.
 //!
-//! One keyword set is one buffer, and a stored entry is that buffer
-//! plus its `Arc` block — the paper's storage argument (§3.3: one index
-//! entry per object) rests on that entry staying small. This test
-//! builds a 50,000-object pchome index under a counting global
-//! allocator and holds the line on bytes per object, allocations per
-//! insert and per clone, and on `StoreFootprint` reporting what the
-//! allocator saw.
+//! One keyword set is one shared buffer, and a stored entry is that
+//! buffer — the paper's storage argument (§3.3: one index entry per
+//! object) rests on that entry staying small. This test builds a
+//! 50,000-object pchome index under a counting global allocator twice:
+//! from sets decoded fresh, as a server receives them, and from clones
+//! of sets the caller keeps. It holds the line on allocations per set
+//! built, per clone and per insert, on bytes per object, on a shared
+//! set costing the index no buffer, and on `StoreFootprint` reporting
+//! what the allocator saw.
 //!
 //! Exactly one `#[test]` lives in this file: the counters are global to
 //! the test binary, so a second test running beside it would be
@@ -15,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId};
+use hyperdex::core::{HypercubeIndex, KeywordSet, StoreFootprint};
 use hyperdex::workload::{Corpus, CorpusConfig};
 
 struct Counting;
@@ -59,62 +61,120 @@ fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
+/// Allocations `f` makes, with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = allocations();
+    let out = f();
+    (out, allocations() - before)
+}
+
+/// An index built by `build`, with its live heap bytes and allocations
+/// per object as the allocator counted them.
+fn measured(build: impl FnOnce(&mut HypercubeIndex)) -> (HypercubeIndex, f64, f64) {
+    let base = live_bytes();
+    let (index, made) = counted(|| {
+        let mut index = HypercubeIndex::new(R, 14).expect("valid r");
+        build(&mut index);
+        index
+    });
+    assert_eq!(index.len(), OBJECTS);
+    let objects = OBJECTS as f64;
+    let per_object = (live_bytes() - base) as f64 / objects;
+    (index, per_object, made as f64 / objects)
+}
+
+fn per_object(bytes: usize) -> f64 {
+    bytes as f64 / OBJECTS as f64
+}
+
 const OBJECTS: usize = 50_000;
 const R: u8 = 12;
 
 #[test]
-fn a_stored_entry_is_two_small_blocks_and_the_footprint_says_so() {
+fn a_stored_entry_is_one_shared_buffer_and_the_footprint_says_so() {
     let corpus = Corpus::generate(&CorpusConfig::pchome().with_objects(OBJECTS), 14);
 
-    // A clone is one buffer copy.
+    // Building a set is one allocation; the empty set and a clone are
+    // none.
     let sample = &corpus.records()[0].keywords;
-    let before = allocations();
-    let copy = sample.clone();
-    assert_eq!(allocations() - before, 1, "KeywordSet::clone");
+    let (empty, made) = counted(KeywordSet::new);
+    assert_eq!(made, 0, "KeywordSet::new");
+    drop(empty);
+    let (copy, made) = counted(|| sample.clone());
+    assert_eq!(made, 0, "KeywordSet::clone");
     assert_eq!(&copy, sample);
-    drop(copy);
+    let ((decoded, _), made) =
+        counted(|| KeywordSet::decode_packed(sample.as_packed()).expect("canonical"));
+    assert_eq!(made, 1, "KeywordSet::decode_packed");
+    assert_eq!(&decoded, sample);
+    let (collected, made) = counted(|| sample.iter().collect::<KeywordSet>());
+    assert_eq!(made, 1, "KeywordSet: FromIterator<KeywordRef>");
+    assert_eq!(&collected, sample);
+    drop((copy, decoded, collected));
 
-    // Nothing is indexed twice, so every insert is of a fresh set.
-    let base = live_bytes();
-    let mut entries: Vec<(ObjectId, KeywordSet)> = corpus
-        .indexable()
-        .map(|(id, keywords)| (id, keywords.clone()))
-        .collect();
-    let mut index = HypercubeIndex::new(R, 14).expect("valid r");
-    let before = allocations();
-    for (id, keywords) in entries.drain(..) {
-        index.insert(id, keywords).expect("non-empty set");
-    }
-    let per_insert = (allocations() - before) as f64 / OBJECTS as f64;
-    drop(entries);
-    assert_eq!(index.len(), OBJECTS);
-
-    // What the index holds: everything allocated since `base` that is
-    // still alive — the sets moved in, their `Arc` blocks, the slabs.
-    let counted = live_bytes() - base;
-    let per_object = counted as f64 / OBJECTS as f64;
-    let reported = index.store_footprint().bytes_resident;
-    let reported_per_object = reported as f64 / OBJECTS as f64;
+    // Owned: every set decoded off its wire form and moved in, as a
+    // server's worker does. The index holds each buffer alone.
+    let (index, owned, per_insert) = measured(|index| {
+        for (id, keywords) in corpus.indexable() {
+            let (set, _) = KeywordSet::decode_packed(keywords.as_packed()).expect("canonical");
+            index.insert(id, set).expect("non-empty set");
+        }
+    });
+    let reported = index.store_footprint();
     println!(
-        "{per_object:.1} B/object counted, {reported_per_object:.1} B/object reported, {per_insert:.2} allocations/insert"
+        "owned: {owned:.1} B/object counted, {:.1} B/object reported ({:.1} of them keys), {per_insert:.2} allocations/insert",
+        per_object(reported.bytes_resident),
+        per_object(reported.key_bytes)
     );
     assert!(
-        per_object <= 260.0,
-        "{per_object:.1} live heap bytes per indexed object (budget 260)"
+        per_insert <= 2.0,
+        "{per_insert:.2} allocations per received insert, its decode included (budget 2)"
     );
     assert!(
-        per_insert <= 3.0,
-        "{per_insert:.2} allocations per insert of a fresh set (budget 3)"
+        owned <= 215.0,
+        "{owned:.1} live heap bytes per indexed object (budget 215)"
     );
     // The store's own accounting has an absolute budget too (DESIGN
     // §17), stated at this density of ~12 objects per vertex.
     assert!(
-        reported_per_object <= 240.0,
-        "store_footprint reports {reported_per_object:.1} bytes per object (budget 240)"
+        per_object(reported.bytes_resident) <= 205.0,
+        "store_footprint reports {:.1} bytes per object (budget 205)",
+        per_object(reported.bytes_resident)
     );
-    let ratio = reported as f64 / counted as f64;
+    assert_reports(reported, owned);
+    drop(index);
+
+    // Shared: clones of sets the caller keeps. The index adds no
+    // keyword buffer, only its own slab.
+    let (index, shared, per_insert) = measured(|index| {
+        for (id, keywords) in corpus.indexable() {
+            index.insert(id, keywords.clone()).expect("non-empty set");
+        }
+    });
+    let reported = index.store_footprint();
+    let slab_share = per_object(reported.bytes_resident - reported.key_bytes);
+    println!(
+        "shared: {shared:.1} B/object counted, {slab_share:.1} B/object the slab's own, {per_insert:.2} allocations/insert"
+    );
+    assert!(
+        shared <= slab_share * 1.15,
+        "{shared:.1} live heap bytes per object against the slab's own {slab_share:.1}: a keyword buffer was copied"
+    );
+    assert!(
+        per_insert < 1.0,
+        "{per_insert:.2} allocations per insert of a kept set (the slab's growth only)"
+    );
+    // Every store reports the buffers it holds, shared or not.
+    assert_reports(reported, owned);
+}
+
+/// `store_footprint()` is within ±15 % of what the allocator counted
+/// for an index holding its sets alone.
+fn assert_reports(reported: StoreFootprint, counted_per_object: f64) {
+    let ratio = per_object(reported.bytes_resident) / counted_per_object;
     assert!(
         (0.85..=1.15).contains(&ratio),
-        "store_footprint reports {reported} B, the allocator counted {counted} B (ratio {ratio:.3})"
+        "store_footprint reports {:.1} B/object, the allocator counted {counted_per_object:.1} (ratio {ratio:.3})",
+        per_object(reported.bytes_resident)
     );
 }

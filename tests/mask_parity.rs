@@ -9,8 +9,6 @@
 //! lists anyway, because every prefilter pass is confirmed by
 //! [`KeywordSet::is_superset`].
 
-use std::sync::Arc;
-
 use hyperdex::core::{HypercubeIndex, IndexTable, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex::simnet::rng::SimRng;
 
@@ -29,10 +27,9 @@ fn random_set(rng: &mut SimRng, pool: &[String], len: usize) -> KeywordSet {
 
 /// Collects a scan into comparable `(set, objects)` pairs.
 fn collect<'a>(
-    it: impl Iterator<Item = (&'a Arc<KeywordSet>, impl Iterator<Item = ObjectId> + 'a)>,
-) -> Vec<(Arc<KeywordSet>, Vec<ObjectId>)> {
-    it.map(|(k, objs)| (Arc::clone(k), objs.collect()))
-        .collect()
+    it: impl Iterator<Item = (&'a KeywordSet, impl Iterator<Item = ObjectId> + 'a)>,
+) -> Vec<(KeywordSet, Vec<ObjectId>)> {
+    it.map(|(k, objs)| (k.clone(), objs.collect())).collect()
 }
 
 proptest::proptest! {
