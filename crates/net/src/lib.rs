@@ -18,9 +18,6 @@
 //! * [`cluster`] — multi-process launcher over loopback with a stdio
 //!   handshake, folding every process's counters into one
 //!   [`hyperdex_runtime::ShutdownReport`].
-//! * [`parity`] — the fourth parity executor: N real processes must
-//!   produce result sets identical to the direct engine, the
-//!   message-level sim, and the threaded runtime.
 //!
 //! Traversal traffic rides the mesh as `RegionQuery`/`RegionDone`
 //! frames: one round trip per worker owning part of a query's subcube
@@ -31,12 +28,10 @@
 
 pub mod client;
 pub mod cluster;
-pub mod parity;
 pub mod server;
 pub mod stream;
 
 pub use client::{ClientClose, NetClient, NetConfig};
 pub use cluster::{server_binary, Cluster, ClusterConfig};
-pub use parity::{assert_net_parity, NetParityReport};
 pub use server::{local_workers, server_of, ServerConfig};
 pub use stream::{StreamDecoder, Unit, CLIENT_DEST};

@@ -5,8 +5,8 @@
 //! delaying frames, plus crash points that stop whole workers. Every
 //! decision is a pure function of `(plan seed, sender, receiver,
 //! sequence number)` via the same stable hash the shard map uses, so a
-//! faulted run replays identically — the property the faulted parity
-//! harness and the `faults` bench rely on.
+//! faulted run replays identically — the property the seeded schedule
+//! suite and the `faults` bench rely on.
 //!
 //! Scope: injection applies only to **worker → worker traversal
 //! frames** (`RegionQuery`/`RegionDone`). Client-bound frames, control

@@ -8,8 +8,8 @@
 //! with exactly what the single-threaded simulator's
 //! [`hyperdex_core::protocol::SupersetCoordinator`] folds — each
 //! worker walks its regions of the subcube in that machine's visit
-//! order, the root's owner merges — which is what lets the [`parity`]
-//! harness demand set-identical results at every thread count.
+//! order, the root's owner merges — which is what lets the test suites
+//! demand set-identical results at every worker count.
 //!
 //! The cluster also survives being hurt: [`fault`] injects seeded
 //! drop/duplicate/delay faults and crashes on the wire path, a crashed
@@ -44,9 +44,6 @@
 //!   threads every deployment hosts them on ([`Host`]), the in-process
 //!   handle (the client core over the channel link), the
 //!   shutdown/conservation protocol.
-//! * [`parity`] — the runtime vs. simulator vs. direct-engine parity
-//!   harness the integration tests call, including faulted
-//!   executions.
 //!
 //! ```
 //! use hyperdex_runtime::{NodeRuntime, RuntimeConfig};
@@ -65,7 +62,6 @@
 
 pub mod client_core;
 pub mod fault;
-pub mod parity;
 pub mod runtime;
 pub mod shard;
 pub mod transport;
@@ -76,7 +72,6 @@ pub use client_core::{
     BatchResult, ClientCore, ClientLink, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
 pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
-pub use parity::{assert_fault_parity, assert_sim_parity, FaultParityReport, ParityReport};
 pub use runtime::{run_worker, Host, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
 pub use transport::{count_frames, take_frame, Fabric, PacketPool};

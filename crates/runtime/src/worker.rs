@@ -8,7 +8,7 @@
 //! Nothing in here knows whether a lane ends in a co-located inbox
 //! (every lane of a [`crate::runtime::NodeRuntime`]) or in a socket's
 //! writer queue (`hyperdex-net`'s multi-process deployment) — which is
-//! exactly what lets the parity harness demand identical results from
+//! exactly what lets the test suites demand identical results from
 //! both.
 //!
 //! Every worker keeps a result cache in front of its coordinator path

@@ -1,8 +1,8 @@
 //! The client request protocol ([`ClientCore`]) driven through a
 //! scripted in-memory [`ClientLink`] — no sockets, no threads: window
 //! refill and out-of-order completion, an FT flight re-issuing under a
-//! fresh id while the rest of its window completes, degrade-to-empty
-//! after the attempt budget, stale completions (an abandoned FT
+//! fresh id — or degrading to empty after its attempt budget — while
+//! the rest of its window completes, stale completions (an abandoned FT
 //! attempt's, a timed-out request's), a frame kind no client is sent,
 //! and how many frames each operation ships.
 
@@ -287,6 +287,54 @@ fn one_ft_flight_reissues_under_a_fresh_id_while_the_window_completes() {
 }
 
 #[test]
+fn a_flight_that_degrades_does_not_stall_the_rest_of_its_window() {
+    let doomed = set("doomed query");
+    // The doomed search is never answered; everything else is, at once.
+    let mut c = client({
+        let doomed = doomed.clone();
+        move |burst, inbox| {
+            for (_, msg) in burst {
+                let WireMsg::FtQuery {
+                    query_id, keywords, ..
+                } = msg
+                else {
+                    panic!("expected FT queries, got {msg:?}");
+                };
+                if *keywords != doomed {
+                    inbox.push_back(ft_done(*query_id));
+                }
+            }
+        }
+    });
+    let queries = vec![doomed, set("one"), set("two"), set("three")];
+    let out = c
+        .superset_search_ft_batch(&queries, 16, &quick(2), 2)
+        .unwrap();
+    // The doomed search degrades honestly after its two attempts ...
+    assert!(!out[0].complete && out[0].matches.is_empty());
+    assert_eq!((out[0].attempts, out[0].coverage.as_ref()), (2, None));
+    // ... while the rest of its window went on without it: each filled
+    // the slot the one before it left, at once, under ids 2–4, and the
+    // re-issue came after them all, as id 5.
+    assert!(out[1..].iter().all(|o| o.complete && o.attempts == 1));
+    let ids: Vec<u64> = out[1..].iter().map(|o| o.matches[0].object.raw()).collect();
+    assert_eq!(ids, vec![2, 3, 4]);
+    let link = c.into_link();
+    assert_eq!(link.bursts, vec![2, 1, 1, 1]);
+    let doomed_ids: Vec<u64> = link
+        .shipped
+        .iter()
+        .filter_map(|(_, msg)| match msg {
+            WireMsg::FtQuery {
+                query_id, keywords, ..
+            } if *keywords == queries[0] => Some(*query_id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(doomed_ids, vec![1, 5]);
+}
+
+#[test]
 fn ft_search_degrades_to_empty_after_its_attempts() {
     let mut c = client(|_, _| {});
     let out = c.superset_search_ft(&set("void"), 8, &quick(2)).unwrap();
@@ -396,6 +444,8 @@ fn bad_arguments_are_rejected_before_anything_ships() {
         c.superset_search(&set("a"), 0),
         Err(Error::ZeroThreshold)
     ));
+    let ft = c.superset_search_ft(&set("a"), 0, &FtSearchOptions::default());
+    assert!(matches!(ft, Err(Error::ZeroThreshold)));
     let mut no_timer = FtSearchOptions::default();
     no_timer.policy.base_timeout = 0;
     assert!(matches!(
