@@ -7,6 +7,7 @@
 //! (for `r = 10` and `12`), because the top-10 queries are ~60 % of the
 //! volume and hit the root's cache after their first execution.
 
+use hyperdex_core::cache::alpha_capacity;
 use hyperdex_core::{HypercubeIndex, SupersetQuery};
 
 use crate::report::{f as fmt_f, pct, section, Table};
@@ -71,11 +72,7 @@ pub fn run(ctx: &SharedContext) -> Vec<Fig9Cell> {
         for &recall in &[0.5f64, 1.0] {
             for &alpha in &ALPHAS {
                 let mut index = base.clone();
-                // α × |O| / 2^r slots; at miniature scale the formula can
-                // floor to zero, so a positive α keeps at least one slot.
-                let raw = (alpha * ctx.corpus.len() as f64 / total_nodes).floor() as usize;
-                let capacity = if alpha > 0.0 { raw.max(1) } else { 0 };
-                index.set_cache_capacity(capacity);
+                index.set_cache_capacity(alpha_capacity(alpha, ctx.corpus.len(), r));
                 let mut contacted = 0u64;
                 let mut hits = 0u64;
                 for q in &replay {

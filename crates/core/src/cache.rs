@@ -158,6 +158,18 @@ impl std::ops::AddAssign for CacheCounters {
     }
 }
 
+/// The paper's cache-sizing rule: `α · |O| / 2^r` cached queries per
+/// node, rounded down. At miniature scale the formula can floor to
+/// zero, so a positive `α` keeps at least one slot.
+pub fn alpha_capacity(alpha: f64, total_objects: usize, r: u8) -> usize {
+    let raw = (alpha * total_objects as f64 / (1u64 << r) as f64).floor() as usize;
+    if alpha > 0.0 {
+        raw.max(1)
+    } else {
+        0
+    }
+}
+
 /// A FIFO cache of superset-query results, sized in cached queries.
 ///
 /// # Example
@@ -198,13 +210,6 @@ impl<T> FifoCache<T> {
             counters: CacheCounters::default(),
             generation: 0,
         }
-    }
-
-    /// The paper's sizing rule: capacity `= α · objects / 2^r`,
-    /// rounded down.
-    pub fn with_alpha(alpha: f64, total_objects: usize, r: u8) -> Self {
-        let avg_index = total_objects as f64 / (1u64 << r) as f64;
-        Self::new((alpha * avg_index).floor() as usize)
     }
 
     /// The configured capacity in cached queries.
@@ -590,13 +595,15 @@ mod tests {
     }
 
     #[test]
-    fn with_alpha_sizing_matches_paper() {
+    fn alpha_sizing_matches_paper() {
         // r = 10, 131180 objects → avg index ≈ 128; α = 1/6 → 21.
-        let c: FifoCache = FifoCache::with_alpha(1.0 / 6.0, 131_180, 10);
-        assert_eq!(c.capacity(), 21);
+        assert_eq!(alpha_capacity(1.0 / 6.0, 131_180, 10), 21);
         // r = 12 → avg ≈ 32; α = 1 → 32.
-        let c: FifoCache = FifoCache::with_alpha(1.0, 131_180, 12);
-        assert_eq!(c.capacity(), 32);
+        assert_eq!(alpha_capacity(1.0, 131_180, 12), 32);
+        // 100 objects over 1024 vertices floors to zero: a positive α
+        // keeps one slot, α = 0 disables the cache.
+        assert_eq!(alpha_capacity(1.0 / 6.0, 100, 10), 1);
+        assert_eq!(alpha_capacity(0.0, 131_180, 10), 0);
     }
 
     #[test]

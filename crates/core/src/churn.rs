@@ -893,8 +893,6 @@ fn on_handoff_batch(
     if let Some((count, installed)) = fresh {
         st.stats.handoff_batches += 1;
         st.stats.handoff_entries += count;
-        sim.net.metrics_mut().handoff_batches.incr();
-        sim.net.metrics_mut().handoff_entries.add(count);
         if let Some((table, dst)) = installed {
             sim.tables.insert(bits, table);
             install_ownership(st, bits, dst);
@@ -1128,8 +1126,6 @@ fn on_repair_push(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, entries
         }
     }
     st.stats.repair_entries += added;
-    sim.net.metrics_mut().repair_batches.incr();
-    sim.net.metrics_mut().repair_entries.add(added);
 }
 
 /// Refreshes the primary occupancy summary for vertex `bits` from its
@@ -1158,7 +1154,6 @@ fn push_summary_refresh(sim: &mut ProtocolSim, st: &ChurnState, bits: u64) {
             anchor,
             KwMsg::Churn(ChurnMsg::TSummary { bits, count }),
         );
-        sim.net.metrics_mut().summary_deltas.incr();
     }
 }
 

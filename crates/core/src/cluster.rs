@@ -107,13 +107,6 @@ impl HypercubeIndex {
         }
     }
 
-    /// Enables caches via the paper's `α` rule: capacity
-    /// `= α · |O| / 2^r` object entries per node.
-    pub fn set_cache_alpha(&mut self, alpha: f64) {
-        let avg = self.object_count as f64 / self.shape().vertex_count() as f64;
-        self.set_cache_capacity((alpha * avg).floor() as usize);
-    }
-
     /// The hypercube shape.
     pub fn shape(&self) -> Shape {
         self.hasher.shape()
@@ -449,17 +442,5 @@ mod tests {
         assert!(idx.remove(oid(1), &set("a b")));
         assert_eq!(idx.materialized_nodes(), 1);
         assert!(idx.cache_mut(v).is_some());
-    }
-
-    #[test]
-    fn cache_alpha_rule() {
-        let mut idx = HypercubeIndex::new(4, 0).unwrap();
-        for i in 0..64 {
-            idx.insert(oid(i), set(&format!("w{i}"))).unwrap();
-        }
-        // 64 objects / 16 vertices = 4 avg; α = 0.5 → capacity 2.
-        idx.set_cache_alpha(0.5);
-        let v = idx.vertex_for(&set("w0"));
-        assert_eq!(idx.cache_mut(v).unwrap().capacity(), 2);
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! The sequential top-down traversal is a plain loop around the shared
 //! [`SupersetCoordinator`] state machine — the same one the simulator
-//! and the runtime workers feed with messages; the level-order variants
-//! walk the shared [`FrontierLevels`]; every per-node scan is the shared
-//! [`scan_store`].
+//! feeds with messages (a runtime worker walks the subcube's prefix
+//! regions instead); the level-order variants walk the shared
+//! [`FrontierLevels`]; every per-node scan is the shared [`scan_store`].
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter

@@ -32,7 +32,6 @@ pub struct ServiceBuilder {
     nodes: usize,
     r: u8,
     seed: u64,
-    replication: usize,
     cache_capacity: usize,
 }
 
@@ -42,7 +41,6 @@ impl Default for ServiceBuilder {
             nodes: 64,
             r: 10,
             seed: 0,
-            replication: 0,
             cache_capacity: 0,
         }
     }
@@ -64,12 +62,6 @@ impl ServiceBuilder {
     /// Master seed for all hash families and placement (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Reference replication factor in the DHT layer (default 0).
-    pub fn replication(mut self, k: usize) -> Self {
-        self.replication = k;
         self
     }
 
@@ -101,11 +93,7 @@ impl ServiceBuilder {
             index.set_cache_capacity(self.cache_capacity);
         }
         Ok(KeywordSearchService {
-            dht: Dolr::builder()
-                .nodes(self.nodes)
-                .seed(self.seed)
-                .replication(self.replication)
-                .build(),
+            dht: Dolr::builder().nodes(self.nodes).seed(self.seed).build(),
             index,
             map: VertexMap::new(self.seed),
         })

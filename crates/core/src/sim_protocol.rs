@@ -659,7 +659,6 @@ impl ProtocolSim {
             // sweep itself recovers via re-delegation (no third cube to
             // fail over to).
             report.failed_over = true;
-            self.net.metrics_mut().failovers.incr();
             core = core.sweep_again(
                 self.hasher2.vertex_for(keywords),
                 FtPolicy {
@@ -688,8 +687,9 @@ impl ProtocolSim {
     /// lives in the shared sans-I/O [`FtCoordinator`]; this method is
     /// only the simnet substrate: it turns [`FtCmd`]s into messages and
     /// virtual-time timers and feeds the pump's continuations and
-    /// expirations back into the machine. The threaded runtime drives
-    /// the *same* machine over wire frames and wall-clock deadlines.
+    /// expirations back into the machine. The runtime workers do not
+    /// drive it: they recover per region owner and share only the retry
+    /// rule and the coverage record (see [`crate::protocol`]).
     fn run_ft_pass(
         &mut self,
         core: &mut FtCoordinator<RankedObject>,
@@ -744,13 +744,8 @@ impl ProtocolSim {
 
         // Quiescence: the machine accounts queries still outstanding
         // (no timers were armed, or the coordinator died) as skipped
-        // subtrees; the network's recovery counters take its tallies.
-        let coverage = core.finish();
-        let metrics = self.net.metrics_mut();
-        metrics.retries.add(coverage.retries);
-        metrics.timeouts.add(coverage.timeouts);
-        metrics.redelegations.add(coverage.redelegations);
-        (coverage, pass.pruned)
+        // subtrees.
+        (core.finish(), pass.pruned)
     }
 
     /// Executes the machine's pending commands over simnet transport:

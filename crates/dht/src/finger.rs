@@ -73,34 +73,6 @@ impl FingerTable {
         }
         best.map(|(_, f)| f)
     }
-
-    /// All fingers that make strict progress towards `key` without
-    /// overshooting, ordered by decreasing progress (best hop first).
-    ///
-    /// Used by the simulated DHT to fail over to the next-best hop when
-    /// the best one is dead.
-    pub fn candidates(&self, key: NodeId) -> Vec<NodeId> {
-        let total = self.owner.clockwise_distance(key);
-        let mut cands: Vec<(u64, NodeId)> = self
-            .fingers
-            .iter()
-            .filter(|&&f| f != self.owner)
-            .map(|&f| (self.owner.clockwise_distance(f), f))
-            .filter(|&(p, _)| p > 0 && p < total)
-            .collect();
-        cands.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
-        cands.dedup_by_key(|c| c.1);
-        cands.into_iter().map(|(_, f)| f).collect()
-    }
-
-    /// Distinct nodes appearing in the table (the routing neighbors).
-    pub fn neighbors(&self) -> Vec<NodeId> {
-        let mut ns = self.fingers.clone();
-        ns.sort_unstable();
-        ns.dedup();
-        ns.retain(|&n| n != self.owner);
-        ns
-    }
 }
 
 #[cfg(test)]
@@ -159,17 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_deduplicated() {
-        let r = ring(&[0, 100]);
-        let ft = FingerTable::build(id(0), &r);
-        assert_eq!(ft.neighbors(), vec![id(100)]);
-    }
-
-    #[test]
     fn single_node_ring_all_self() {
         let r = ring(&[42]);
         let ft = FingerTable::build(id(42), &r);
-        assert!(ft.neighbors().is_empty());
         assert_eq!(ft.closest_preceding(id(7)), None);
     }
 }

@@ -11,11 +11,8 @@
 //! * greedy finger-table routing with `O(log n)` hops ([`Router`]),
 //! * the DOLR operations `Insert` / `Delete` / `Read` over per-node
 //!   reference stores ([`Dolr`]),
-//! * node churn with reference handover and successor-list replication
-//!   ([`Ring`], [`Dolr`]),
-//! * and a message-level simulation mode over `hyperdex-simnet`
-//!   ([`sim::SimDht`]) for experiments that need real message exchange,
-//!   latency, and failures.
+//! * and node churn with reference handover and successor-list
+//!   replication ([`Ring`], [`Dolr`]).
 //!
 //! The keyword-search layer (`hyperdex-core`) maps hypercube vertices
 //! onto this ring; the paper's scheme works over any DHT satisfying this
@@ -45,7 +42,6 @@ pub mod id;
 pub mod keyhash;
 pub mod ring;
 pub mod routing;
-pub mod sim;
 
 pub use dolr::{Dolr, DolrBuilder, ObjectId, ObjectRef, ReadResult, Receipt};
 pub use id::NodeId;

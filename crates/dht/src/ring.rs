@@ -85,22 +85,6 @@ impl Ring {
             .copied()
     }
 
-    /// The surrogate of `key` in the ring *without* `excluded`: the node
-    /// that would own `key` if `excluded` were absent.
-    ///
-    /// This is the handoff target computation — a gracefully departing
-    /// node must know, while still a member, which peer inherits each of
-    /// its keys. Equivalent to (but cheaper than) cloning the ring,
-    /// removing `excluded`, and calling [`Ring::surrogate`]. Returns
-    /// `None` if no other node exists.
-    pub fn surrogate_excluding(&self, key: NodeId, excluded: NodeId) -> Option<NodeId> {
-        self.members
-            .range(key..)
-            .chain(self.members.iter())
-            .find(|&&n| n != excluded)
-            .copied()
-    }
-
     /// The successor of a *member*: the next live node strictly
     /// clockwise, wrapping around. Returns `id` itself in a 1-node ring,
     /// or `None` if `id` is not a member or the ring is empty.
@@ -263,40 +247,6 @@ mod tests {
         let r = ring(&[77]);
         assert!(r.owns(id(77), id(0)));
         assert!(r.owns(id(77), id(u64::MAX)));
-    }
-
-    #[test]
-    fn surrogate_excluding_matches_removed_ring() {
-        let r = ring(&[10, 100, 200]);
-        for excluded in [10u64, 100, 200] {
-            let mut without = r.clone();
-            without.leave(id(excluded));
-            for key in [0u64, 10, 50, 100, 150, 200, 300, u64::MAX] {
-                assert_eq!(
-                    r.surrogate_excluding(id(key), id(excluded)),
-                    without.surrogate(id(key)),
-                    "key {key} excluding {excluded}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn surrogate_excluding_last_node_is_none() {
-        let r = ring(&[42]);
-        assert_eq!(r.surrogate_excluding(id(0), id(42)), None);
-        assert_eq!(r.surrogate_excluding(id(42), id(42)), None);
-    }
-
-    #[test]
-    fn surrogate_excluding_non_member_is_plain_surrogate() {
-        let r = ring(&[10, 100]);
-        for key in [0u64, 10, 50, 101] {
-            assert_eq!(
-                r.surrogate_excluding(id(key), id(7777)),
-                r.surrogate(id(key))
-            );
-        }
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Router {
         &self.ring
     }
 
-    /// The finger table of a member node.
-    pub fn table(&self, node: NodeId) -> Option<&FingerTable> {
-        self.tables.get(&node)
-    }
-
     /// The greedy lookup path from `from` to the surrogate of `key`,
     /// inclusive of both endpoints.
     ///

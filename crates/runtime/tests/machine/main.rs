@@ -285,6 +285,47 @@ fn duplicated_frames_do_not_double_count_results() {
 }
 
 #[test]
+fn a_naive_ft_query_gives_a_silent_owner_up_after_one_base_timeout() {
+    // `Naive` times no transmission, yet its traversal must end: the
+    // coordinator waits out one base timeout for the other worker's
+    // (dropped) region frame and gives it up — exactly what
+    // `RetryOnly` with no retries does.
+    let run = |strategy| {
+        let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
+        let opts = FtSearchOptions {
+            policy: FtPolicy {
+                strategy,
+                max_retries: 0,
+                base_timeout: 20,
+            },
+            attempt_timeout_ms: 10_000,
+            attempts: 1,
+        };
+        let started = rt.mesh.borrow().now();
+        let out = rt
+            .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
+            .unwrap();
+        let took = rt.mesh.borrow().now() - started;
+        rt.shutdown().assert_conserved();
+        (out, took)
+    };
+    let (naive, took) = run(RecoveryStrategy::Naive);
+    assert!(!naive.complete, "{naive:?}");
+    let cov = naive.coverage.as_ref().expect("coordinator answered");
+    assert_eq!(
+        (cov.queries_sent, cov.timeouts, cov.retries),
+        (1, 1, 0),
+        "{cov:?}"
+    );
+    assert!(
+        (20..40).contains(&took.as_millis()),
+        "answered after {took:?}"
+    );
+    let (retry_only, _) = run(RecoveryStrategy::RetryOnly);
+    assert_eq!(naive.coverage, retry_only.coverage);
+}
+
+#[test]
 fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
     // Every traversal frame is dropped and owners are written off
     // after one 30 ms deadline, so the coordinator completes no

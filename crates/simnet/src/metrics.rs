@@ -45,15 +45,9 @@ impl fmt::Display for Counter {
 
 /// Message-level accounting for a simulated network.
 ///
-/// The first four counters are maintained by [`crate::net::Network`]
-/// itself and obey the conservation law `messages_sent ==
-/// messages_delivered + messages_dropped` at quiescence. The timer
-/// counters are likewise network-maintained. The recovery counters
-/// (`retries`, `timeouts`, `redelegations`, `failovers`) belong to the
-/// *protocol* running on top: the network exposes them here so one
-/// metrics snapshot tells the whole fault-tolerance story, but only
-/// protocol code increments them (via
-/// [`crate::net::Network::metrics_mut`]).
+/// Every counter is maintained by [`crate::net::Network`] itself; the
+/// first three obey the conservation law `messages_sent ==
+/// messages_delivered + messages_dropped` at quiescence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetMetrics {
     /// Messages handed to the network by `send`.
@@ -70,27 +64,6 @@ pub struct NetMetrics {
     pub timers_fired: Counter,
     /// Timers cancelled before firing.
     pub timers_cancelled: Counter,
-    /// Protocol-level: queries retransmitted after a timeout.
-    pub retries: Counter,
-    /// Protocol-level: timeouts that exhausted their retry budget.
-    pub timeouts: Counter,
-    /// Protocol-level: dead subtrees re-delegated around a failed node.
-    pub redelegations: Counter,
-    /// Protocol-level: searches that failed over to a replica index.
-    pub failovers: Counter,
-    /// Protocol-level: index-handoff batches delivered and installed.
-    pub handoff_batches: Counter,
-    /// Protocol-level: index entries (keyword-set postings) moved by
-    /// handoff batches.
-    pub handoff_entries: Counter,
-    /// Protocol-level: anti-entropy repair batches delivered.
-    pub repair_batches: Counter,
-    /// Protocol-level: index entries restored by replica repair.
-    pub repair_entries: Counter,
-    /// Protocol-level: `T_SUMMARY` occupancy-digest refreshes sent up a
-    /// vertex's prefix anchor chain (after repair completion or a
-    /// handoff install). Loss only prolongs safe over-counting.
-    pub summary_deltas: Counter,
 }
 
 impl NetMetrics {

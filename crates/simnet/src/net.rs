@@ -210,13 +210,6 @@ impl<M, T> Network<M, T> {
         &self.metrics
     }
 
-    /// Mutable metrics access, for protocol layers that account their
-    /// recovery actions (retries, timeouts, re-delegations) alongside
-    /// the network's own counters.
-    pub fn metrics_mut(&mut self) -> &mut NetMetrics {
-        &mut self.metrics
-    }
-
     /// Mutable access to the fault plan.
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
         &mut self.faults

@@ -1,56 +1,56 @@
-//! Churn resilience: node failures, surrogate routing, and replication.
+//! Churn resilience: host crashes, repair, failover, and replication.
 //!
 //! §3.4's fault-tolerance argument: a keyword's index entries spread
 //! over many nodes, so no single failure blocks its queries; reference
-//! replication in the DHT layer covers the rest. This example runs the
-//! message-level simulator, crashes nodes mid-workload, and shows
-//! lookups surviving via failover and stabilization.
+//! replication in the DHT layer covers the rest. Part 1 crashes a host
+//! under the index layer's churn model (the one the `churn` experiment
+//! measures): its vertices are taken over and repaired from the
+//! secondary cube, and a fault-tolerant superset search still returns
+//! every object. Part 2 crashes primaries of a replicated DOLR.
 //!
 //! ```text
 //! cargo run --example churn_resilience
 //! ```
 
-use hyperdex::dht::sim::SimDht;
-use hyperdex::dht::{Dolr, NodeId, ObjectId};
+use hyperdex::core::sim_protocol::{FtConfig, ProtocolSim, RecoveryStrategy};
+use hyperdex::core::{Error, KeywordSet, StabilizationConfig};
+use hyperdex::dht::{Dolr, ObjectId};
+use hyperdex::simnet::churn::ChurnPlan;
 use hyperdex::simnet::latency::LatencyModel;
+use hyperdex::simnet::time::SimTime;
 
-fn main() {
-    // --- Part 1: message-level lookups across crashes. -----------------
-    let mut sim = SimDht::new(64, LatencyModel::uniform(1, 5), 21);
-    let nodes = sim.nodes();
-    let key = NodeId::from_raw(u64::MAX / 3);
-    let before = sim.lookup(nodes[0], key).expect("healthy lookup");
-    println!(
-        "healthy lookup: owner {} in {} hops, {} virtual ticks",
-        before.owner,
-        before.hops,
-        before.completed_at.ticks()
-    );
-
-    // Crash 8 random-ish nodes (not the requester).
-    for victim in nodes.iter().skip(1).step_by(8).take(8) {
-        sim.crash(*victim);
+fn main() -> Result<(), Error> {
+    // --- Part 1: a host crash under the index layer's churn model. ----
+    let objects = 200;
+    let mut sim = ProtocolSim::new(8, 21, LatencyModel::uniform(1, 5))?;
+    for i in 0..objects {
+        let keywords = KeywordSet::parse(&format!("common unique{i} tag{}", i % 5))?;
+        sim.insert(ObjectId::from_raw(i), keywords)?;
     }
-    println!("crashed 8/64 nodes");
-
-    // Pre-stabilization: sender-side failure detection routes around
-    // dead fingers (may time out if the key's owner itself died).
-    match sim.lookup(nodes[0], key) {
-        Some(outcome) => println!(
-            "pre-stabilization lookup survived via failover: {} hops",
-            outcome.hops
-        ),
-        None => println!("pre-stabilization lookup timed out (owner among the dead)"),
-    }
-
-    // Post-stabilization: ring and fingers rebuilt; surrogate routing
-    // hands the dead nodes' keys to their successors.
-    sim.stabilize();
-    let after = sim.lookup(nodes[0], key).expect("stabilized lookup");
+    let (hosts, crashed) = ([1, 2, 3, 4], 2);
+    let mut plan = ChurnPlan::new();
+    plan.crash_at(SimTime::from_ticks(50), crashed);
+    sim.enable_churn(&plan, StabilizationConfig::default(), &hosts)?;
+    sim.run_churn_to_quiescence();
+    let st = sim.churn().expect("churn is enabled");
     println!(
-        "post-stabilization lookup: new owner {} in {} hops",
-        after.owner, after.hops
+        "host {crashed} of {} crashed: {} vertices repaired ({} entries restored), converged: {}",
+        hosts.len(),
+        st.stats().repairs_completed,
+        st.stats().repair_entries,
+        st.converged()
     );
+    assert!(st.converged(), "stabilization must reassign every vertex");
+
+    let config = FtConfig::new(RecoveryStrategy::ReplicatedFailover);
+    let out = sim.search_fault_tolerant(&KeywordSet::parse("common")?, usize::MAX - 1, config)?;
+    // The results are deduplicated by object id.
+    let found = out.results.len() as u64;
+    println!(
+        "search for `common` after the crash: {found}/{objects} objects, {} of {} vertices reached",
+        out.coverage.ft.reached, out.coverage.ft.subcube_vertices
+    );
+    assert_eq!(found, objects, "the crash must lose nothing");
 
     // --- Part 2: replicated references survive primary crashes. --------
     let mut dht = Dolr::builder().nodes(32).seed(5).replication(2).build();
@@ -83,4 +83,5 @@ fn main() {
         assert_eq!(alive, objects.len(), "replication must cover the crash");
     }
     println!("\nall objects survived 5 primary crashes — replication + surrogate routing");
+    Ok(())
 }
