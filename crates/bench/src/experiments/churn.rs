@@ -28,8 +28,8 @@
 use std::path::Path;
 
 use hyperdex_core::churn::StabilizationConfig;
-use hyperdex_core::sim_protocol::{FtConfig, ProtocolSim, RecoveryStrategy};
-use hyperdex_core::HypercubeIndex;
+use hyperdex_core::sim_protocol::{ProtocolSim, RecoveryStrategy};
+use hyperdex_core::{FtPolicy, HypercubeIndex};
 use hyperdex_simnet::churn::{ChurnConfig, ChurnPlan};
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::time::SimTime;
@@ -126,7 +126,11 @@ pub fn run(ctx: &SharedContext) -> Vec<ChurnRow> {
             }
             sim.enable_churn(&plan, stab_cfg, &members).expect("valid");
 
-            let ft = FtConfig::new(RecoveryStrategy::ReplicatedFailover).max_retries(8);
+            let ft = FtPolicy {
+                strategy: RecoveryStrategy::ReplicatedFailover,
+                max_retries: 8,
+                base_timeout: 16,
+            };
             let mut recall = 0.0;
             let mut counted = 0usize;
             let mut consistency = 0.0;

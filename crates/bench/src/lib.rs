@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Each experiment prints a self-describing report (markdown tables /
-//! CSV series) to stdout; EXPERIMENTS.md records a full-scale run next
+//! JSON series) to stdout; EXPERIMENTS.md records a full-scale run next
 //! to the paper's published curves.
 //!
 //! Nothing here times the serving path: per-operation and end-to-end

@@ -1,4 +1,4 @@
-//! Plain-text report formatting: markdown tables and CSV series.
+//! Plain-text report formatting: markdown tables and JSON series.
 
 use std::fmt::Write as _;
 
@@ -80,15 +80,6 @@ pub fn f(value: f64, decimals: usize) -> String {
 /// Prints a section header.
 pub fn section(title: &str) {
     println!("\n## {title}\n");
-}
-
-/// Renders an `(x, y)` series as CSV lines with a header.
-pub fn csv_series(name: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let mut out = format!("# series: {name}\n{x_label},{y_label}\n");
-    for (x, y) in points {
-        let _ = writeln!(out, "{x:.6},{y:.6}");
-    }
-    out
 }
 
 /// Writes a `BENCH_*.json` artifact: a seed-stamped object wrapping
@@ -231,13 +222,5 @@ mod tests {
         assert!(text.contains("  {\"a\":1},\n"));
         assert!(text.contains("  {\"a\":2}\n"));
         assert!(text.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn csv_series_shape() {
-        let s = csv_series("test", "x", "y", &[(0.1, 0.2)]);
-        assert!(s.contains("# series: test"));
-        assert!(s.contains("x,y"));
-        assert!(s.contains("0.100000,0.200000"));
     }
 }

@@ -57,7 +57,7 @@
 //!
 //! ```
 //! use hyperdex_core::churn::StabilizationConfig;
-//! use hyperdex_core::{FtConfig, KeywordSet, ProtocolSim, RecoveryStrategy};
+//! use hyperdex_core::{FtPolicy, KeywordSet, ProtocolSim, RecoveryStrategy};
 //! use hyperdex_dht::ObjectId;
 //! use hyperdex_simnet::churn::ChurnPlan;
 //! use hyperdex_simnet::latency::LatencyModel;
@@ -70,11 +70,12 @@
 //! sim.enable_churn(&plan, StabilizationConfig::default(), &[1, 2, 3, 4])?;
 //! sim.run_churn_to_quiescence();
 //! assert!(sim.churn().unwrap().converged());
-//! let out = sim.search_fault_tolerant(
-//!     &KeywordSet::parse("news")?,
-//!     8,
-//!     FtConfig::new(RecoveryStrategy::Redelegate),
-//! )?;
+//! let policy = FtPolicy {
+//!     strategy: RecoveryStrategy::Redelegate,
+//!     max_retries: 4,
+//!     base_timeout: 16,
+//! };
+//! let out = sim.search_fault_tolerant(&KeywordSet::parse("news")?, 8, policy)?;
 //! assert_eq!(out.results.len(), 1); // nothing lost to the departure
 //! # Ok::<(), hyperdex_core::Error>(())
 //! ```
@@ -136,19 +137,6 @@ pub enum ChurnMsg {
         bits: u64,
         /// The entries restored by this push.
         entries: EntryBatch,
-    },
-    /// Vertex → prefix-anchor: a full-state occupancy refresh for one
-    /// summary leaf, sent up the anchor chain after a repair completes
-    /// or a handoff installs. Carries the leaf's exact object count;
-    /// receivers apply it idempotently
-    /// ([`crate::summary::OccupancySummary::refresh_leaf`]), so loss or
-    /// reordering only prolongs safe over-counting — a stale summary
-    /// costs an extra visit, never a missed result.
-    TSummary {
-        /// The vertex whose occupancy changed.
-        bits: u64,
-        /// Its exact object count after the change.
-        count: u64,
     },
 }
 
@@ -615,16 +603,6 @@ impl ProtocolSim {
             } => on_handoff_batch(self, &mut st, to, from, bits, seq, entries, last),
             ChurnMsg::HandoffAck { bits, seq } => on_handoff_ack(self, &mut st, bits, seq),
             ChurnMsg::RepairPush { bits, entries } => on_repair_push(self, &mut st, bits, entries),
-            // Full-state refresh: idempotent, so duplicates and
-            // reordering are harmless. Ignored while a repair is
-            // pending for the vertex — the count is about to rise
-            // again, and an interim refresh could unsafely shrink the
-            // digest below truth.
-            ChurnMsg::TSummary { bits, count } => {
-                if !st.repair_pending.contains_key(&bits) {
-                    self.summary.refresh_leaf(bits, count);
-                }
-            }
         }
         self.churn = Some(st);
     }
@@ -897,7 +875,6 @@ fn on_handoff_batch(
             sim.tables.insert(bits, table);
             install_ownership(st, bits, dst);
             st.stats.handoffs_completed += 1;
-            push_summary_refresh(sim, st, bits);
         }
     }
     sim.net
@@ -1086,9 +1063,6 @@ fn on_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
             st.stats.repair_lag_max = st.stats.repair_lag_max.max(lag);
             st.repair_pending.remove(&bits);
             *st.generations.entry(bits).or_insert(0) += 1;
-            // The table is authoritative again: refresh the occupancy
-            // summary and announce the exact count up the anchor chain.
-            push_summary_refresh(sim, st, bits);
             continue;
         }
         let owner_ep = st.hosts[&owner];
@@ -1128,35 +1102,6 @@ fn on_repair_push(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, entries
     st.stats.repair_entries += added;
 }
 
-/// Refreshes the primary occupancy summary for vertex `bits` from its
-/// now-authoritative table and streams the exact count up the vertex's
-/// prefix anchor chain as [`ChurnMsg::TSummary`] messages (one per summary
-/// level, to the vertex anchoring each enclosing region).
-///
-/// Skipped while a repair is still pending for the vertex: the table
-/// may yet grow, and publishing an interim (lower) count could let a
-/// search prune a subtree that is about to be repopulated. Deferring
-/// keeps the summary *over*-counting — a stale digest costs an extra
-/// visit, never a missed result. Truth only decreases under churn (no
-/// inserts mid-plan), so last-writer-wins refreshes stay safe.
-fn push_summary_refresh(sim: &mut ProtocolSim, st: &ChurnState, bits: u64) {
-    if st.repair_pending.contains_key(&bits) {
-        return;
-    }
-    let count = sim.tables.get(&bits).map_or(0, PostingStore::object_count) as u64;
-    sim.summary.refresh_leaf(bits, count);
-    let r = sim.shape.r();
-    let from = sim.endpoint_of(bits);
-    for (j, prefix) in hyperdex_hypercube::sbt::summary_path(bits, r).skip(1) {
-        let anchor = sim.endpoint_of(prefix << j);
-        sim.net.send(
-            from,
-            anchor,
-            KwMsg::Churn(ChurnMsg::TSummary { bits, count }),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use hyperdex_simnet::churn::ChurnConfig;
@@ -1165,7 +1110,7 @@ mod tests {
 
     use super::*;
     use crate::fixtures::{set, CORPUS};
-    use crate::sim_protocol::{FtConfig, RecoveryStrategy};
+    use crate::protocol::{FtPolicy, RecoveryStrategy};
 
     fn sim_with_corpus(r: u8, seed: u64) -> ProtocolSim {
         let mut sim = ProtocolSim::new(r, seed, LatencyModel::constant(1)).unwrap();
@@ -1175,24 +1120,25 @@ mod tests {
         sim
     }
 
-    fn recall_ids(sim: &mut ProtocolSim, query: &str) -> Vec<u64> {
-        recall_ids_with(sim, query, false)
-    }
-
-    /// The ids a failover search for `query` returns, with or without
-    /// occupancy pruning.
-    fn recall_ids_with(sim: &mut ProtocolSim, query: &str, prune: bool) -> Vec<u64> {
+    /// The ids a failover search for `query` returns, up to `threshold`.
+    fn ids_within(sim: &mut ProtocolSim, query: &str, threshold: usize) -> Vec<u64> {
+        let policy = FtPolicy {
+            strategy: RecoveryStrategy::ReplicatedFailover,
+            max_retries: 4,
+            base_timeout: 16,
+        };
         let out = sim
-            .search_fault_tolerant(
-                &set(query),
-                usize::MAX - 1,
-                FtConfig::new(RecoveryStrategy::ReplicatedFailover).prune(prune),
-            )
+            .search_fault_tolerant(&set(query), threshold, policy)
             .unwrap();
         let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// The ids a failover search for `query` returns.
+    fn recall_ids(sim: &mut ProtocolSim, query: &str) -> Vec<u64> {
+        ids_within(sim, query, usize::MAX - 1)
     }
 
     #[test]
@@ -1244,10 +1190,11 @@ mod tests {
         sim.insert(ObjectId::from_raw(99), set("z z2 z3")).unwrap();
         let bits = sim.hasher.vertex_for(&set("z z2 z3")).bits();
         assert!(sim.churn().unwrap().view.contains_key(&bits));
-        // Nothing was lost to the crash. The sweep must prune by
-        // occupancy: unpruned superset search would walk the query's
-        // 2^31-vertex induced subcube.
-        assert_eq!(recall_ids_with(&mut sim, "a", true), vec![1, 2, 3, 4, 6, 8]);
+        // Nothing was lost to the crash. The query's induced subcube
+        // has 2^31 vertices; what bounds the walk is the threshold: all
+        // six matches lie within two levels of the root, and the sixth
+        // stops the search.
+        assert_eq!(ids_within(&mut sim, "a", 6), vec![1, 2, 3, 4, 6, 8]);
     }
 
     #[test]
@@ -1423,9 +1370,13 @@ mod tests {
         let dead = root.flip(48).bits();
         let ep = sim.endpoint_of(dead);
         sim.network_mut().faults_mut().kill(ep);
-        let config = FtConfig::new(RecoveryStrategy::RetryOnly).max_retries(3);
+        let policy = FtPolicy {
+            strategy: RecoveryStrategy::RetryOnly,
+            max_retries: 3,
+            base_timeout: 16,
+        };
         let out = sim
-            .search_fault_tolerant(&query, usize::MAX - 1, config)
+            .search_fault_tolerant(&query, usize::MAX - 1, policy)
             .unwrap();
         assert_eq!(out.coverage.ft.retries, 3, "{:?}", out.coverage);
         assert_eq!(out.coverage.ft.timeouts, 1);
@@ -1478,14 +1429,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Occupancy-guided pruning stays recall-safe across arbitrary
+        /// A fault-tolerant search keeps full recall across arbitrary
         /// generated churn plans: at every probe instant — mid-plan and
-        /// at quiescence — a pruned fault-tolerant search returns the
-        /// full static result set. Crashes leave summaries stale
-        /// (over-counting), which may cost extra visits but must never
-        /// hide a result.
+        /// at quiescence — it returns the full static result set. A
+        /// vertex mid-handoff or awaiting repair stays silent, so the
+        /// search retries into the landed table or fails over to the
+        /// replica cube; it never takes a partial table for an answer.
         #[test]
-        fn pruned_search_keeps_full_recall_across_churn_plans(seed in 0u64..24) {
+        fn search_keeps_full_recall_across_churn_plans(seed in 0u64..24) {
             let members: Vec<u64> = (1..=6).collect();
             let cfg = ChurnConfig {
                 horizon: SimTime::from_ticks(400),
@@ -1505,8 +1456,8 @@ mod tests {
                     ("x", vec![7]),
                 ] {
                     proptest::prop_assert_eq!(
-                        recall_ids_with(&mut sim, query, true), want,
-                        "seed {} probe {} query {}: pruning lost recall",
+                        recall_ids(&mut sim, query), want,
+                        "seed {} probe {} query {}: churn lost recall",
                         seed, probe, query
                     );
                 }
@@ -1597,43 +1548,5 @@ mod tests {
             let settled: Vec<ObjectId> = settled.iter().map(|&n| ObjectId::from_raw(n)).collect();
             assert_eq!(got, settled, "kind {kind}: the landed table answers");
         }
-    }
-
-    #[test]
-    fn duplicate_tsummary_delivery_is_idempotent() {
-        // A lossy or duplicating network may deliver the same summary
-        // refresh any number of times; the digest and every subsequent
-        // search must be unaffected. (The runtime's fault injector
-        // makes duplicate delivery an everyday event, so this is the
-        // message-level half of its idempotence contract.)
-        let mut sim = sim_with_corpus(5, 3);
-        sim.enable_churn(
-            &ChurnPlan::default(),
-            StabilizationConfig::default(),
-            &[1, 2, 3],
-        )
-        .unwrap();
-        sim.run_churn_to_quiescence();
-
-        let bits = sim.query_root(&set("a b")).bits();
-        let count = sim.tables.get(&bits).map_or(0, PostingStore::object_count) as u64;
-        assert!(count > 0, "object 2 should occupy this vertex");
-        let before = sim.summary.clone();
-
-        // Re-deliver the refresh three times, including to the vertex's
-        // own anchor — the exact frames push_summary_refresh emits.
-        let from = sim.endpoint_of(bits);
-        let anchor = sim.endpoint_of(0);
-        for _ in 0..3 {
-            sim.net.send(
-                from,
-                anchor,
-                KwMsg::Churn(ChurnMsg::TSummary { bits, count }),
-            );
-        }
-        sim.run_churn_to_quiescence();
-
-        assert_eq!(sim.summary, before, "replayed T_SUMMARY changed the digest");
-        assert_eq!(recall_ids(&mut sim, "a"), vec![1, 2, 3, 4, 6, 8]);
     }
 }

@@ -42,8 +42,8 @@
 //!   join/leave/crash plans, key-range index handoff, anti-entropy
 //!   replica repair.
 //! * [`summary`] — occupancy digests over prefix regions of the cube,
-//!   letting every search variant prune provably-empty SBT subtrees
-//!   while staying recall-safe (DESIGN.md §10).
+//!   letting the direct engine's search variants prune provably-empty
+//!   SBT subtrees while staying recall-safe (DESIGN.md §10).
 //! * [`store`] — per-vertex posting storage: the struct-of-arrays
 //!   slab with delta-encoded postings every executor runs; the
 //!   `BTreeMap` tables of [`index`] are its test oracle (DESIGN.md
@@ -113,7 +113,7 @@ pub use search::{
     PinOutcome, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
 pub use service::KeywordSearchService;
-pub use sim_protocol::{CoverageReport, FtConfig, ProtocolSim};
+pub use sim_protocol::{CoverageReport, ProtocolSim};
 pub use store::{PostingStore, StoreBackend, StoreFootprint};
 pub use summary::OccupancySummary;
 

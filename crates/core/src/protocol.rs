@@ -21,9 +21,6 @@
 //!   the wire.
 //! * [`scan_store`] — the per-vertex `T_QUERY` handler: the ranked scan
 //!   of one posting store.
-//! * [`FrontierLevels`] — the per-depth frontier of the level-order
-//!   variants (bottom-up, §3.5 level-parallel), full or
-//!   summary-pruned, in either direction.
 //! * [`FtCoordinator`] — the §3.4 per-vertex recovery machine (retry,
 //!   backoff, subtree re-delegation, coverage accounting) the
 //!   simulator drives. A runtime worker recovers per region owner, a
@@ -38,12 +35,11 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use hyperdex_dht::ObjectId;
-use hyperdex_hypercube::{Sbt, Shape, Vertex};
+use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::keyword::KeywordSet;
 use crate::search::RankedObject;
 use crate::store::PostingStore;
-use crate::summary::OccupancySummary;
 
 /// What the coordinator wants executed next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,166 +281,6 @@ pub fn scan_store(
     out.len() - start
 }
 
-/// The per-depth frontier of the level-order traversals (bottom-up,
-/// §3.5 level-parallel) over the SBT induced by a query root.
-///
-/// [`FrontierLevels::next_level`] yields one `Vec<Vertex>` per tree
-/// depth in visit order, holding one level at a time:
-///
-/// * **Full** levels enumerate [`Sbt::level`] (subset order) lazily in
-///   either direction — nothing beyond the current level is touched,
-///   so a search that exits at depth 2 of an `r = 20` cube never
-///   allocates the million-vertex tail.
-/// * **Pruned** levels run the wave expansion under the occupancy
-///   summary (protocol child order, summary-disproven subtrees
-///   skipped), holding only the current wave. The summary is borrowed
-///   per call, not across yields, so a caller that owns it (`&mut
-///   self` event loops) can keep mutating between levels.
-/// * **Pruned bottom-up** is the one combination that materializes the
-///   tree (at construction): the wave expansion is inherently
-///   top-down, and deepest-first visiting needs its last wave first.
-///
-/// Early exits may leave a pruned expansion mid-tree;
-/// [`FrontierLevels::drain`] finishes it for the exact pruned-subtree
-/// count (the summary lookups still run, but no vertex is scanned).
-#[derive(Debug)]
-pub struct FrontierLevels {
-    source: LevelSource,
-    /// `One(F_h(K))` — the positions every match must cover, which the
-    /// pruning test checks the summary against.
-    required: u64,
-    /// Subtrees pruned so far.
-    pruned: u64,
-    /// Whether the last yielded level was the final one.
-    done: bool,
-}
-
-#[derive(Debug)]
-enum LevelSource {
-    /// Unpruned: direct per-depth enumeration of the induced SBT.
-    Full {
-        sbt: Sbt,
-        /// Next depth to yield.
-        depth: u32,
-        /// Deepest level first.
-        bottom_up: bool,
-    },
-    /// Pruned top-down: the live wave, each node with its arrival
-    /// dimension so its children enumerate as [`child_contacts`] would.
-    Wave(Vec<(Vertex, Option<u8>)>),
-    /// Pruned bottom-up: every level, expanded up front (shallowest
-    /// first; yielded from the back).
-    Reversed(Vec<Vec<Vertex>>),
-}
-
-impl FrontierLevels {
-    /// The levels of the SBT induced by `root`: deepest first when
-    /// `bottom_up`, with subtrees `summary` disproves left out when
-    /// `prune`.
-    pub fn new(summary: &OccupancySummary, root: Vertex, prune: bool, bottom_up: bool) -> Self {
-        let required = root.bits();
-        let mut pruned = 0;
-        let source = match (prune, bottom_up) {
-            (false, _) => {
-                let sbt = Sbt::induced(root);
-                LevelSource::Full {
-                    sbt,
-                    depth: if bottom_up { sbt.height() } else { 0 },
-                    bottom_up,
-                }
-            }
-            (true, false) => LevelSource::Wave(vec![(root, None)]),
-            (true, true) => {
-                let (mut wave, mut levels) = (vec![(root, None)], Vec::new());
-                while !wave.is_empty() {
-                    levels.push(advance_wave(&mut wave, summary, required, &mut pruned));
-                }
-                LevelSource::Reversed(levels)
-            }
-        };
-        FrontierLevels {
-            source,
-            required,
-            pruned,
-            done: false,
-        }
-    }
-
-    /// Whether every level has been yielded (i.e. the last yield was
-    /// the final one) — distinguishes "stopped early" from "exhausted"
-    /// without knowing the level count up front.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Runs whatever is left of the expansion without yielding and
-    /// returns how many subtrees the whole tree's expansion pruned (0
-    /// on the full paths) — exact even after an early exit.
-    pub fn drain(&mut self, summary: &OccupancySummary) -> u64 {
-        while self.next_level(summary).is_some() {}
-        self.pruned
-    }
-
-    /// The next level in visit order, or `None` once every level was
-    /// yielded. `summary` is consulted by the pruned variants only.
-    pub fn next_level(&mut self, summary: &OccupancySummary) -> Option<Vec<Vertex>> {
-        if self.done {
-            return None;
-        }
-        match &mut self.source {
-            LevelSource::Full {
-                sbt,
-                depth,
-                bottom_up,
-            } => {
-                let level: Vec<Vertex> = sbt.level(*depth).collect();
-                let last = if *bottom_up { 0 } else { sbt.height() };
-                if *depth == last {
-                    self.done = true;
-                } else if *bottom_up {
-                    *depth -= 1;
-                } else {
-                    *depth += 1;
-                }
-                Some(level)
-            }
-            LevelSource::Wave(wave) => {
-                let level = advance_wave(wave, summary, self.required, &mut self.pruned);
-                self.done = wave.is_empty();
-                Some(level)
-            }
-            LevelSource::Reversed(levels) => {
-                let level = levels.pop();
-                self.done = levels.is_empty();
-                level
-            }
-        }
-    }
-}
-
-/// Yields the current wave's vertices and replaces the wave with the
-/// children the summary cannot disprove, counting the rest in `pruned`.
-fn advance_wave(
-    wave: &mut Vec<(Vertex, Option<u8>)>,
-    summary: &OccupancySummary,
-    required: u64,
-    pruned: &mut u64,
-) -> Vec<Vertex> {
-    let mut next = Vec::new();
-    for &(w, via) in wave.iter() {
-        for (child, dim) in child_contacts(w, via) {
-            if summary.can_prune(child, dim, required) {
-                *pruned += 1;
-            } else {
-                next.push((w.flip(dim), Some(dim)));
-            }
-        }
-    }
-    let level = wave.iter().map(|&(v, _)| v).collect();
-    *wave = next;
-    level
-}
-
 /// How the coordinator reacts to unresponsive vertices (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStrategy {
@@ -468,7 +304,8 @@ pub enum RecoveryStrategy {
 /// substrate-defined timeout ticks (virtual ticks in the simulator,
 /// milliseconds in the threaded runtime, whose unit is a region owner
 /// rather than a vertex). The one declaration of the policy:
-/// `FtConfig`, `FtSearchOptions` and `WireMsg::FtQuery` embed it.
+/// `ProtocolSim::search_fault_tolerant` takes it, `FtSearchOptions`
+/// and `WireMsg::FtQuery` embed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtPolicy {
     /// Recovery behaviour on timeout.
@@ -550,10 +387,9 @@ pub enum FtCmd {
 /// up, the message counters count region frames, the recovery counters
 /// region owners, `redelegations` stays 0.
 ///
-/// The invariant every substrate asserts: `reached + skipped.len() +
-/// (vertices pruned by the substrate) == subcube_vertices`, unless the
-/// threshold stopped the traversal early (then the remainder is simply
-/// unvisited).
+/// The invariant every substrate asserts: `reached + skipped.len() ==
+/// subcube_vertices`, unless the threshold stopped the traversal early
+/// (then the remainder is simply unvisited).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtCoverage {
     /// Vertices in the query's induced subcube (`2^{r−|One|}`).
@@ -606,12 +442,11 @@ struct FtPending {
 /// The simulator drives it with virtual-time timers and simnet
 /// messages (the runtime workers retry per region owner under the same
 /// [`FtPolicy::attempt_timeout`], without this machine). The substrate owns
-/// transport, timers, per-vertex scans, and (optionally)
-/// occupancy-based pruning via the `prune` filter passed to the event
-/// methods; the machine owns everything else: which vertex is
-/// outstanding and which timer is current, retry budgets, recovery
-/// strategy, the de-duplicated result list and its threshold cut, and
-/// every counter of [`FtCoverage`].
+/// transport, timers and per-vertex scans; the machine owns everything
+/// else: which vertex is outstanding and which timer is current, retry
+/// budgets, recovery strategy, the de-duplicated result list and its
+/// threshold cut, and every counter of [`FtCoverage`]. It enqueues
+/// every SBT child it learns of — the walk as published.
 ///
 /// Protocol: call [`FtCoordinator::start`], execute the emitted
 /// [`FtCmd`]s, then feed every continuation to `on_reply` (a local
@@ -717,9 +552,7 @@ impl<T> FtCoordinator<T> {
     /// `objects` are the matches it carried, keyed by object id (a
     /// retransmitted query re-delivers its results, so only ids not
     /// seen before are kept and consume budget); `children` are the
-    /// vertex's SBT child contacts; `prune` returns `true` for children
-    /// whose subtree the substrate can disprove (accounting them on its
-    /// side).
+    /// vertex's SBT child contacts.
     ///
     /// A reply from a vertex already given up on resurrects it: it is
     /// alive, merely slow or unlucky. Duplicate replies still consume
@@ -730,13 +563,12 @@ impl<T> FtCoordinator<T> {
         bits: u64,
         objects: impl IntoIterator<Item = (ObjectId, T)>,
         children: &[(u64, u8)],
-        prune: impl FnMut(u64, u8) -> bool,
         cmds: &mut Vec<FtCmd>,
     ) {
         let mut objects = objects.into_iter().peekable();
         self.tally.conts += 1;
         self.tally.result_messages += u64::from(objects.peek().is_some());
-        self.on_scan(bits, objects, children, prune, cmds);
+        self.on_scan(bits, objects, children, cmds);
     }
 
     /// [`FtCoordinator::on_reply`] for a vertex the substrate scanned
@@ -747,7 +579,6 @@ impl<T> FtCoordinator<T> {
         bits: u64,
         objects: impl IntoIterator<Item = (ObjectId, T)>,
         children: &[(u64, u8)],
-        prune: impl FnMut(u64, u8) -> bool,
         cmds: &mut Vec<FtCmd>,
     ) {
         let fresh = !self.covered.contains(&bits);
@@ -768,7 +599,7 @@ impl<T> FtCoordinator<T> {
         if self.remaining == 0 {
             self.stop(cmds);
         } else if fresh && !self.done {
-            self.enqueue_children(children, prune, cmds);
+            self.enqueue_children(children, cmds);
         }
     }
 
@@ -777,15 +608,8 @@ impl<T> FtCoordinator<T> {
     /// while budget remains, otherwise declare the child dead and apply
     /// the recovery strategy. A timer that is not the vertex's current
     /// one (it answered, was retried, or the threshold was met) is
-    /// ignored. `prune` filters re-delegated grandchildren exactly like
-    /// [`FtCoordinator::on_reply`].
-    pub fn on_timeout(
-        &mut self,
-        bits: u64,
-        generation: u64,
-        prune: impl FnMut(u64, u8) -> bool,
-        cmds: &mut Vec<FtCmd>,
-    ) {
+    /// ignored.
+    pub fn on_timeout(&mut self, bits: u64, generation: u64, cmds: &mut Vec<FtCmd>) {
         if self.done {
             return;
         }
@@ -817,7 +641,7 @@ impl<T> FtCoordinator<T> {
                 let children = child_contacts(vertex, p.via_dim).collect::<Vec<_>>();
                 if !children.is_empty() {
                     self.tally.redelegations += 1;
-                    self.enqueue_children(&children, prune, cmds);
+                    self.enqueue_children(&children, cmds);
                 }
             }
         }
@@ -864,22 +688,13 @@ impl<T> FtCoordinator<T> {
         }
     }
 
-    /// Queries every not-yet-tracked child. Pruned children never enter
-    /// `pending` — neither queried nor retried nor re-delegated.
-    fn enqueue_children(
-        &mut self,
-        children: &[(u64, u8)],
-        mut prune: impl FnMut(u64, u8) -> bool,
-        cmds: &mut Vec<FtCmd>,
-    ) {
+    /// Queries every not-yet-tracked child.
+    fn enqueue_children(&mut self, children: &[(u64, u8)], cmds: &mut Vec<FtCmd>) {
         for &(bits, dim) in children {
             if self.covered.contains(&bits)
                 || self.skipped.contains(&bits)
                 || self.pending.contains_key(&bits)
             {
-                continue;
-            }
-            if prune(bits, dim) {
                 continue;
             }
             self.transmit(bits, Some(dim), 0, cmds);
@@ -1062,48 +877,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn frontier_levels_agree_across_directions_and_pruning() {
-        let shape = Shape::new(6).unwrap();
-        let root = Vertex::from_bits(shape, 0b000001).unwrap();
-        let mut summary = OccupancySummary::new(6);
-        for bits in [0b000101, 0b010111, 0b100001] {
-            summary.record_insert(bits);
-        }
-        let collect = |prune, bottom_up| {
-            let mut levels = FrontierLevels::new(&summary, root, prune, bottom_up);
-            let mut out = Vec::new();
-            while let Some(level) = levels.next_level(&summary) {
-                out.push(level);
-            }
-            assert!(levels.is_done());
-            (out, levels.drain(&summary))
-        };
-        let (full, none) = collect(false, false);
-        assert_eq!(none, 0);
-        assert_eq!(full.iter().map(Vec::len).sum::<usize>(), 1 << 5);
-        let (mut full_up, _) = collect(false, true);
-        full_up.reverse();
-        assert_eq!(full_up, full, "bottom-up is the same levels, deepest first");
-
-        let (pruned, cut) = collect(true, false);
-        assert!(cut > 0, "the sparse summary must disprove something");
-        assert!(pruned.iter().map(Vec::len).sum::<usize>() < 1 << 5);
-        for occupied in [0b000101u64, 0b010111, 0b100001] {
-            assert!(pruned.iter().flatten().any(|v| v.bits() == occupied));
-        }
-        let (mut pruned_up, cut_up) = collect(true, true);
-        pruned_up.reverse();
-        assert_eq!((pruned_up, cut_up), (pruned, cut));
-
-        // An early exit leaves the expansion mid-tree; drain finishes the
-        // accounting without yielding.
-        let mut early = FrontierLevels::new(&summary, root, true, false);
-        early.next_level(&summary);
-        assert!(!early.is_done());
-        assert_eq!(early.drain(&summary), cut);
-    }
-
     fn ft_policy(strategy: RecoveryStrategy) -> FtPolicy {
         FtPolicy {
             strategy,
@@ -1162,7 +935,7 @@ mod tests {
             if let FtCmd::Send { bits, via_dim, .. } = cmd {
                 let v = Vertex::from_bits(root.shape(), bits).unwrap();
                 let children = child_contacts(v, via_dim).collect::<Vec<_>>();
-                machine.on_reply(bits, hits(0, 0), &children, |_, _| false, &mut cmds);
+                machine.on_reply(bits, hits(0, 0), &children, &mut cmds);
             }
         }
         assert_eq!(machine.in_flight(), 0);
@@ -1197,20 +970,20 @@ mod tests {
         // Root answers with its children; pick the first child as dead.
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
         let (dead, dead_dim) = children[0];
         let mut timer = generation_of(&cmds, dead);
         // Timers expire: max_retries retransmissions, each with doubled
         // timeout, then the child is declared dead and re-delegated.
         for attempt in 1..=policy.max_retries {
             cmds.clear();
-            m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+            m.on_timeout(dead, timer, &mut cmds);
             // The timer that just fired is spent: firing it again (a
             // substrate that cannot disarm) changes nothing.
             let stale = timer;
             timer = generation_of(&cmds, dead);
             let mut none = Vec::new();
-            m.on_timeout(dead, stale, |_, _| false, &mut none);
+            m.on_timeout(dead, stale, &mut none);
             assert!(none.is_empty(), "stale timer acted: {none:?}");
             assert!(
                 cmds.iter().any(|c| matches!(
@@ -1224,7 +997,7 @@ mod tests {
             );
         }
         cmds.clear();
-        m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+        m.on_timeout(dead, timer, &mut cmds);
         let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
         for (gc, _) in child_contacts(dead_vertex, Some(dead_dim)) {
             assert!(
@@ -1253,11 +1026,11 @@ mod tests {
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
         assert!(m.in_flight() > 0);
         // First child satisfies the threshold: everything else cancels.
         cmds.clear();
-        m.on_reply(children[0].0, hits(0, 1), &[], |_, _| false, &mut cmds);
+        m.on_reply(children[0].0, hits(0, 1), &[], &mut cmds);
         assert!(m.is_done());
         assert_eq!(m.in_flight(), 0);
         assert!(cmds.iter().all(|c| matches!(c, FtCmd::Cancel { .. })));
@@ -1274,11 +1047,11 @@ mod tests {
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
-        m.on_reply(root.bits(), hits(0, 0), &children, |_, _| false, &mut cmds);
+        m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
         let (dead, dead_dim) = children[0];
         let timer = generation_of(&cmds, dead);
         cmds.clear();
-        m.on_timeout(dead, timer, |_, _| false, &mut cmds);
+        m.on_timeout(dead, timer, &mut cmds);
         assert!(m.skipped.contains(&dead));
         // The "dead" child answers after all — it returns to reached and
         // its (already re-delegated) children are not double-enqueued.
@@ -1286,7 +1059,7 @@ mod tests {
         cmds.clear();
         let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
         let kids = child_contacts(dead_vertex, Some(dead_dim)).collect::<Vec<_>>();
-        m.on_reply(dead, hits(0, 0), &kids, |_, _| false, &mut cmds);
+        m.on_reply(dead, hits(0, 0), &kids, &mut cmds);
         assert!(m.is_covered(dead));
         assert!(!cmds
             .iter()
@@ -1309,19 +1082,19 @@ mod tests {
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         // The root is scanned in place: objects 0 and 1, no message.
-        m.on_scan(root.bits(), hits(0, 2), &children, |_, _| false, &mut cmds);
+        m.on_scan(root.bits(), hits(0, 2), &children, &mut cmds);
         assert_eq!(m.remaining(), 2);
         // A continuation re-delivering object 1 beside the new object 2
         // consumes budget for the new one only…
-        m.on_reply(children[0].0, hits(1, 2), &[], |_, _| false, &mut cmds);
+        m.on_reply(children[0].0, hits(1, 2), &[], &mut cmds);
         assert_eq!(m.remaining(), 1);
         // …an empty one is a continuation but no result message, and a
         // duplicate of the first changes nothing but the tallies…
-        m.on_reply(children[1].0, hits(0, 0), &[], |_, _| false, &mut cmds);
-        m.on_reply(children[0].0, hits(1, 2), &[], |_, _| false, &mut cmds);
+        m.on_reply(children[1].0, hits(0, 0), &[], &mut cmds);
+        m.on_reply(children[0].0, hits(1, 2), &[], &mut cmds);
         assert!(!m.is_done());
         // …and one that overshoots the budget stops the pass.
-        m.on_reply(children[2].0, hits(3, 3), &[], |_, _| false, &mut cmds);
+        m.on_reply(children[2].0, hits(3, 3), &[], &mut cmds);
         assert!(m.is_done());
         let cov = m.finish();
         assert_eq!((cov.conts, cov.result_messages), (4, 3));
@@ -1334,7 +1107,7 @@ mod tests {
         cmds.clear();
         again.start(&mut cmds);
         assert_eq!(again.remaining(), 4);
-        again.on_scan(root.bits(), hits(0, 1), &[], |_, _| false, &mut cmds);
+        again.on_scan(root.bits(), hits(0, 1), &[], &mut cmds);
         assert_eq!(again.remaining(), 4);
         assert_eq!(again.finish().conts, 0);
         assert_eq!(again.into_results(), [0, 1, 2, 3].map(oid));

@@ -15,8 +15,9 @@
 //! The sequential top-down traversal is a plain loop around the shared
 //! [`SupersetCoordinator`] state machine — the same one the simulator
 //! feeds with messages (a runtime worker walks the subcube's prefix
-//! regions instead); the level-order variants walk the shared
-//! [`FrontierLevels`]; every per-node scan is the shared [`scan_store`].
+//! regions instead); the level-order variants walk this module's
+//! per-depth frontier, full or summary-pruned; every per-node scan is
+//! the shared [`scan_store`], ranked by [`crate::ranking`].
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter
@@ -26,15 +27,16 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use hyperdex_hypercube::Vertex;
+use hyperdex_hypercube::{Sbt, Vertex};
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::protocol::{child_contacts, scan_store, FrontierLevels, Step, SupersetCoordinator};
+use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
+use crate::ranking::{prefer_general, prefer_specific};
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
-use crate::summary::Pruner;
+use crate::summary::{OccupancySummary, Pruner};
 
 /// Runs a superset search against a logical hypercube index.
 pub(crate) fn run(
@@ -188,7 +190,7 @@ fn by_levels(
     let mut levels = FrontierLevels::new(index.summary(), root, query.prune, true);
     let mut results = Vec::new();
     let mut stopped_early = false;
-    'outer: while let Some(level) = levels.next_level(index.summary()) {
+    'outer: while let Some(level) = levels.next_level() {
         for w in level {
             // The root was already charged for receiving the query.
             if w != root {
@@ -204,7 +206,7 @@ fn by_levels(
             }
         }
     }
-    stats.pruned_subtrees += levels.drain(index.summary());
+    stats.pruned_subtrees += levels.drain();
     SupersetOutcome {
         results,
         stats,
@@ -225,7 +227,7 @@ fn level_parallel(
     let mut levels = FrontierLevels::new(index.summary(), root, query.prune, bottom_up);
     let mut results = Vec::new();
     let mut stopped_early = false;
-    while let Some(level) = levels.next_level(index.summary()) {
+    while let Some(level) = levels.next_level() {
         stats.rounds += 1;
         // All level-d nodes are queried simultaneously; results within a
         // round may overshoot the threshold and are truncated afterwards.
@@ -245,12 +247,173 @@ fn level_parallel(
             break;
         }
     }
-    stats.pruned_subtrees += levels.drain(index.summary());
+    stats.pruned_subtrees += levels.drain();
     SupersetOutcome {
         results,
         stats,
         exhausted: !stopped_early,
     }
+}
+
+/// The per-depth frontier of the level-order traversals (bottom-up,
+/// §3.5 level-parallel) over the SBT induced by a query root.
+///
+/// [`FrontierLevels::next_level`] yields one `Vec<Vertex>` per tree
+/// depth in visit order, holding one level at a time:
+///
+/// * **Full** levels enumerate [`Sbt::level`] (subset order) lazily in
+///   either direction — nothing beyond the current level is touched,
+///   so a search that exits at depth 2 of an `r = 20` cube never
+///   allocates the million-vertex tail.
+/// * **Pruned** levels run the wave expansion under the occupancy
+///   summary (protocol child order, summary-disproven subtrees
+///   skipped), holding only the current wave.
+/// * **Pruned bottom-up** is the one combination that materializes the
+///   tree (at construction): the wave expansion is inherently
+///   top-down, and deepest-first visiting needs its last wave first.
+///
+/// Early exits may leave a pruned expansion mid-tree;
+/// [`FrontierLevels::drain`] finishes it for the exact pruned-subtree
+/// count (the summary lookups still run, but no vertex is scanned).
+#[derive(Debug)]
+struct FrontierLevels<'a> {
+    /// Consulted by the pruned variants only.
+    summary: &'a OccupancySummary,
+    source: LevelSource,
+    /// `One(F_h(K))` — the positions every match must cover, which the
+    /// pruning test checks the summary against.
+    required: u64,
+    /// Subtrees pruned so far.
+    pruned: u64,
+    /// Whether the last yielded level was the final one.
+    done: bool,
+}
+
+#[derive(Debug)]
+enum LevelSource {
+    /// Unpruned: direct per-depth enumeration of the induced SBT.
+    Full {
+        sbt: Sbt,
+        /// Next depth to yield.
+        depth: u32,
+        /// Deepest level first.
+        bottom_up: bool,
+    },
+    /// Pruned top-down: the live wave, each node with its arrival
+    /// dimension so its children enumerate as [`child_contacts`] would.
+    Wave(Vec<(Vertex, Option<u8>)>),
+    /// Pruned bottom-up: every level, expanded up front (shallowest
+    /// first; yielded from the back).
+    Reversed(Vec<Vec<Vertex>>),
+}
+
+impl<'a> FrontierLevels<'a> {
+    /// The levels of the SBT induced by `root`: deepest first when
+    /// `bottom_up`, with subtrees `summary` disproves left out when
+    /// `prune`.
+    fn new(summary: &'a OccupancySummary, root: Vertex, prune: bool, bottom_up: bool) -> Self {
+        let required = root.bits();
+        let mut pruned = 0;
+        let source = match (prune, bottom_up) {
+            (false, _) => {
+                let sbt = Sbt::induced(root);
+                LevelSource::Full {
+                    sbt,
+                    depth: if bottom_up { sbt.height() } else { 0 },
+                    bottom_up,
+                }
+            }
+            (true, false) => LevelSource::Wave(vec![(root, None)]),
+            (true, true) => {
+                let (mut wave, mut levels) = (vec![(root, None)], Vec::new());
+                while !wave.is_empty() {
+                    levels.push(advance_wave(&mut wave, summary, required, &mut pruned));
+                }
+                LevelSource::Reversed(levels)
+            }
+        };
+        FrontierLevels {
+            summary,
+            source,
+            required,
+            pruned,
+            done: false,
+        }
+    }
+
+    /// Whether every level has been yielded (i.e. the last yield was
+    /// the final one) — distinguishes "stopped early" from "exhausted"
+    /// without knowing the level count up front.
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Runs whatever is left of the expansion without yielding and
+    /// returns how many subtrees the whole tree's expansion pruned (0
+    /// on the full paths) — exact even after an early exit.
+    fn drain(&mut self) -> u64 {
+        while self.next_level().is_some() {}
+        self.pruned
+    }
+
+    /// The next level in visit order, or `None` once every level was
+    /// yielded.
+    fn next_level(&mut self) -> Option<Vec<Vertex>> {
+        if self.done {
+            return None;
+        }
+        match &mut self.source {
+            LevelSource::Full {
+                sbt,
+                depth,
+                bottom_up,
+            } => {
+                let level: Vec<Vertex> = sbt.level(*depth).collect();
+                let last = if *bottom_up { 0 } else { sbt.height() };
+                if *depth == last {
+                    self.done = true;
+                } else if *bottom_up {
+                    *depth -= 1;
+                } else {
+                    *depth += 1;
+                }
+                Some(level)
+            }
+            LevelSource::Wave(wave) => {
+                let level = advance_wave(wave, self.summary, self.required, &mut self.pruned);
+                self.done = wave.is_empty();
+                Some(level)
+            }
+            LevelSource::Reversed(levels) => {
+                let level = levels.pop();
+                self.done = levels.is_empty();
+                level
+            }
+        }
+    }
+}
+
+/// Yields the current wave's vertices and replaces the wave with the
+/// children the summary cannot disprove, counting the rest in `pruned`.
+fn advance_wave(
+    wave: &mut Vec<(Vertex, Option<u8>)>,
+    summary: &OccupancySummary,
+    required: u64,
+    pruned: &mut u64,
+) -> Vec<Vertex> {
+    let mut next = Vec::new();
+    for &(w, via) in wave.iter() {
+        for (child, dim) in child_contacts(w, via) {
+            if summary.can_prune(child, dim, required) {
+                *pruned += 1;
+            } else {
+                next.push((w.flip(dim), Some(dim)));
+            }
+        }
+    }
+    let level = wave.iter().map(|&(v, _)| v).collect();
+    *wave = next;
+    level
 }
 
 /// One node's table scan: every entry `K' ⊇ K` (signature prefilter
@@ -272,13 +435,60 @@ fn scan_node(
     let start = results.len();
     let found = scan_store(store, &query.keywords, qsig, usize::MAX, results);
     match query.order {
-        TraversalOrder::TopDown => results[start..].sort_by_key(|r| r.extra_keywords),
-        TraversalOrder::BottomUp => {
-            results[start..].sort_by_key(|r| std::cmp::Reverse(r.extra_keywords));
-        }
+        TraversalOrder::TopDown => prefer_general(&mut results[start..]),
+        TraversalOrder::BottomUp => prefer_specific(&mut results[start..]),
     }
     if found > 0 {
         stats.result_messages += 1;
     }
     found
+}
+
+#[cfg(test)]
+mod tests {
+    use hyperdex_hypercube::Shape;
+
+    use super::*;
+
+    #[test]
+    fn frontier_levels_agree_across_directions_and_pruning() {
+        let shape = Shape::new(6).unwrap();
+        let root = Vertex::from_bits(shape, 0b000001).unwrap();
+        let mut summary = OccupancySummary::new(6);
+        for bits in [0b000101, 0b010111, 0b100001] {
+            summary.record_insert(bits);
+        }
+        let collect = |prune, bottom_up| {
+            let mut levels = FrontierLevels::new(&summary, root, prune, bottom_up);
+            let mut out = Vec::new();
+            while let Some(level) = levels.next_level() {
+                out.push(level);
+            }
+            assert!(levels.is_done());
+            (out, levels.drain())
+        };
+        let (full, none) = collect(false, false);
+        assert_eq!(none, 0);
+        assert_eq!(full.iter().map(Vec::len).sum::<usize>(), 1 << 5);
+        let (mut full_up, _) = collect(false, true);
+        full_up.reverse();
+        assert_eq!(full_up, full, "bottom-up is the same levels, deepest first");
+
+        let (pruned, cut) = collect(true, false);
+        assert!(cut > 0, "the sparse summary must disprove something");
+        assert!(pruned.iter().map(Vec::len).sum::<usize>() < 1 << 5);
+        for occupied in [0b000101u64, 0b010111, 0b100001] {
+            assert!(pruned.iter().flatten().any(|v| v.bits() == occupied));
+        }
+        let (mut pruned_up, cut_up) = collect(true, true);
+        pruned_up.reverse();
+        assert_eq!((pruned_up, cut_up), (pruned, cut));
+
+        // An early exit leaves the expansion mid-tree; drain finishes the
+        // accounting without yielding.
+        let mut early = FrontierLevels::new(&summary, root, true, false);
+        early.next_level();
+        assert!(!early.is_done());
+        assert_eq!(early.drain(), cut);
+    }
 }

@@ -45,19 +45,18 @@ use hyperdex_simnet::net::{Delivery, EndpointId, NetEvent, Network, TimerId};
 use hyperdex_simnet::time::{SimDuration, SimTime};
 
 use hyperdex_dht::ObjectId;
-use hyperdex_hypercube::{Shape, Vertex};
+use hyperdex_hypercube::{Sbt, Shape, Vertex};
 
 use crate::churn::{ChurnMsg, ChurnTimer};
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
 use crate::protocol::{
-    child_contacts, scan_store, FrontierLevels, FtCmd, FtCoordinator, FtCoverage, FtPolicy, Step,
+    child_contacts, scan_store, FtCmd, FtCoordinator, FtCoverage, FtPolicy, Step,
     SupersetCoordinator,
 };
 use crate::search::RankedObject;
 use crate::store::{PostingStore, StoreBackend};
-use crate::summary::OccupancySummary;
 
 /// Protocol messages (§3.3's `T_QUERY`, `T_CONT`, `T_STOP`, plus the
 /// direct result deliveries to the requester).
@@ -104,8 +103,8 @@ pub enum KwMsg {
         /// The matches found at one node.
         objects: Vec<RankedObject>,
     },
-    /// Membership traffic (handoff, repair, summary refresh), churn
-    /// mode only; [`crate::churn`] consumes it.
+    /// Membership traffic (handoff, repair), churn mode only;
+    /// [`crate::churn`] consumes it.
     Churn(ChurnMsg),
     /// Requester → `F_h(K)`'s host: exact-match pin lookup (§3.2) —
     /// one message to the single vertex the full keyword set hashes to.
@@ -158,66 +157,20 @@ pub enum SimTimer {
     Churn(ChurnTimer),
 }
 
-/// Tuning for [`ProtocolSim::search_fault_tolerant`]: the shared
-/// [`FtPolicy`] (timeouts in virtual ticks) plus the simulator's
-/// pruning switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FtConfig {
-    /// Strategy, retry budget and base timeout.
-    pub policy: FtPolicy,
-    /// Whether occupancy summaries may prune provably-empty SBT
-    /// subtrees before enqueuing them (recall-safe; see
-    /// [`crate::summary`]). Off by default.
-    pub prune: bool,
-}
-
-impl FtConfig {
-    /// A sensible default for the given strategy: 4 retries, 16-tick
-    /// base timeout, pruning off.
-    pub fn new(strategy: RecoveryStrategy) -> Self {
-        FtConfig {
-            policy: FtPolicy {
-                strategy,
-                max_retries: 4,
-                base_timeout: 16,
-            },
-            prune: false,
-        }
-    }
-
-    /// Overrides the retry budget.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.policy.max_retries = n;
-        self
-    }
-
-    /// Enables or disables occupancy-guided subtree pruning.
-    pub fn prune(mut self, on: bool) -> Self {
-        self.prune = on;
-        self
-    }
-}
-
 /// Exact coordinator-side accounting for one fault-tolerant search:
-/// the shared [`FtCoverage`] plus what only the simulator has —
-/// pruning, the secondary-cube sweep, virtual time.
+/// the shared [`FtCoverage`] plus what only the simulator has — the
+/// secondary-cube sweep and virtual time.
 ///
 /// At quiescence every vertex of the query's induced subcube is either
 /// *reached* (it answered), *skipped* (declared dead, or unreachable
-/// behind a dead ancestor), *pruned*, or unvisited because the result
-/// threshold stopped the traversal early.
+/// behind a dead ancestor), or unvisited because the result threshold
+/// stopped the traversal early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageReport {
     /// The primary cube's vertex accounting (`subcube_vertices`,
     /// `reached`, `skipped`), with the message and recovery counters of
     /// both sweeps.
     pub ft: FtCoverage,
-    /// SBT subtrees never enqueued because an occupancy summary
-    /// disproved them (pruning mode only; 0 otherwise).
-    pub pruned_subtrees: u64,
-    /// Total vertices inside those pruned subtrees (each counts
-    /// `2^{free dims below the arrival dimension}`).
-    pub vertices_pruned: u64,
     /// Whether the secondary hypercube was swept.
     pub failed_over: bool,
     /// Vertices reached in the secondary sweep (0 without failover).
@@ -248,9 +201,6 @@ pub struct SimSearchOutcome {
     pub messages: u64,
     /// Virtual time from first send to the last network event.
     pub elapsed: hyperdex_simnet::time::SimDuration,
-    /// SBT subtrees skipped by occupancy-guided pruning (0 unless
-    /// [`ProtocolSim::set_pruning`] enabled it).
-    pub pruned_subtrees: u64,
 }
 
 /// Outcome of a message-level pin search.
@@ -359,13 +309,6 @@ pub struct ProtocolSim {
     /// The seed this simulation was built with (churn derives its ring
     /// placement from it).
     pub(crate) seed: u64,
-    /// Occupancy summary of the primary cube (maintained at inserts;
-    /// refreshed by `T_SUMMARY` deltas under churn).
-    pub(crate) summary: OccupancySummary,
-    /// Occupancy summary of the secondary cube.
-    pub(crate) summary2: OccupancySummary,
-    /// Whether sequential/parallel searches consult the summaries.
-    pub(crate) prune: bool,
     /// `T_QUERY`s answered so far, by any vertex for any search; a
     /// search's `nodes_contacted` is the difference across it.
     visits: u64,
@@ -401,9 +344,6 @@ impl ProtocolSim {
             requester,
             frontier: VecDeque::new(),
             seed,
-            summary: OccupancySummary::new(r),
-            summary2: OccupancySummary::new(r),
-            prune: false,
             visits: 0,
             churn: None,
         })
@@ -424,20 +364,6 @@ impl ProtocolSim {
         Self::new(r, seed, latency)
     }
 
-    /// Enables or disables occupancy-guided pruning for
-    /// [`ProtocolSim::search_sequential`] and
-    /// [`ProtocolSim::search_parallel`] (fault-tolerant searches opt in
-    /// per call via [`FtConfig::prune`]). Off by default; pruning is
-    /// recall-safe.
-    pub fn set_pruning(&mut self, on: bool) {
-        self.prune = on;
-    }
-
-    /// The primary cube's occupancy summary.
-    pub fn summary(&self) -> &OccupancySummary {
-        &self.summary
-    }
-
     /// The hypercube shape.
     pub fn shape(&self) -> Shape {
         self.shape
@@ -455,22 +381,14 @@ impl ProtocolSim {
         }
         let vertex = self.hasher.vertex_for(&keywords);
         let vertex2 = self.hasher2.vertex_for(&keywords);
-        if self
-            .tables
+        self.tables
             .entry(vertex.bits())
             .or_default()
-            .insert(keywords.clone(), object)
-        {
-            self.summary.record_insert(vertex.bits());
-        }
-        if self
-            .tables2
+            .insert(keywords.clone(), object);
+        self.tables2
             .entry(vertex2.bits())
             .or_default()
-            .insert(keywords, object)
-        {
-            self.summary2.record_insert(vertex2.bits());
-        }
+            .insert(keywords, object);
         // Churn's sparse ownership sweep only visits tracked vertices,
         // so a vertex gaining its first postings must join the view.
         if let Some(st) = self.churn.as_deref_mut() {
@@ -512,11 +430,11 @@ impl ProtocolSim {
         let frontier = std::mem::take(&mut self.frontier);
         let mut core = SupersetCoordinator::with_queue(run.root, threshold, frontier);
         let _root = core.next_step();
-        let (mut results, mut pruned) = (Vec::new(), 0);
+        let mut results = Vec::new();
         self.pump(Until::Quiescence, &mut |sim, event| match event {
             SearchEvent::Cont { found, children } => {
                 core.record_visit(found, children);
-                pruned += sim.advance(&mut core, &run);
+                sim.advance(&mut core, &run);
             }
             SearchEvent::Stop => core.stop(),
             SearchEvent::Results(objects) => results.extend(objects),
@@ -524,7 +442,7 @@ impl ProtocolSim {
         });
         // Reclaim the frontier buffer for the next search.
         self.frontier = core.into_queue();
-        Ok(self.outcome(&run, results, threshold, pruned))
+        Ok(self.outcome(&run, results, threshold))
     }
 
     /// Runs the paper's pin search (§3.2) as messages: one `Pin` to the
@@ -568,18 +486,16 @@ impl ProtocolSim {
             return Err(Error::ZeroThreshold);
         }
         let run = self.begin(keywords);
-        // With pruning on, whole levels shrink to the vertices whose
-        // subtree the occupancy summary cannot disprove. Either way the
-        // frontier streams one level at a time — an early threshold
-        // exit never enumerates the deeper levels at all.
-        let mut levels = FrontierLevels::new(&self.summary, run.root, self.prune, false);
+        // One SBT level per round, enumerated as it is sent — an early
+        // threshold exit never enumerates the deeper levels at all.
+        let sbt = Sbt::induced(run.root);
         let mut results = Vec::new();
         // The requester asks the root (level 0); the root addresses
         // every deeper node directly (any node is reachable through the
         // underlying DHT).
         let mut from = self.requester;
-        while let Some(level) = levels.next_level(&self.summary) {
-            for w in &level {
+        for depth in 0..=sbt.height() {
+            for w in sbt.level(depth) {
                 let to = self.endpoint_of(w.bits());
                 self.net.send(
                     from,
@@ -605,9 +521,7 @@ impl ProtocolSim {
             }
             from = run.root_ep;
         }
-        // The whole-tree count, even after an early exit.
-        let pruned = levels.drain(&self.summary);
-        Ok(self.outcome(&run, results, threshold, pruned))
+        Ok(self.outcome(&run, results, threshold))
     }
 
     /// Runs the fault-tolerant superset search (§3.4).
@@ -615,8 +529,8 @@ impl ProtocolSim {
     /// The traversal is an eager SBT walk: the coordinator (the query
     /// root, or the requester if the root is dead) tracks every
     /// outstanding child query with a network timer, retransmits with
-    /// exponential backoff up to `config.max_retries`, and applies
-    /// `config.strategy` once a child's budget is exhausted. The pump
+    /// exponential backoff up to `policy.max_retries`, and applies
+    /// `policy.strategy` once a child's budget is exhausted. The pump
     /// drains the network to quiescence, so the search terminates
     /// even when every vertex is dead — losses show up as skipped
     /// vertices in the [`CoverageReport`], never as a hang.
@@ -625,28 +539,24 @@ impl ProtocolSim {
     ///
     /// Returns [`Error::ZeroThreshold`] when `threshold == 0`, and
     /// [`Error::ZeroTimeout`] when the strategy needs timers but
-    /// `config.base_timeout` is zero.
+    /// `policy.base_timeout` is zero.
     pub fn search_fault_tolerant(
         &mut self,
         keywords: &KeywordSet,
         threshold: usize,
-        config: FtConfig,
+        policy: FtPolicy,
     ) -> Result<FtSearchOutcome, Error> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        let policy = config.policy;
         if policy.strategy != RecoveryStrategy::Naive && policy.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
         // Every (re)transmission of both sweeps shares the set's buffer.
         let run = self.begin(keywords);
         let mut core = FtCoordinator::new(run.root, run.keywords.clone(), threshold, policy);
-        let (ft, pruned) = self.run_ft_pass(&mut core, config.prune, false);
         let mut report = CoverageReport {
-            ft,
-            pruned_subtrees: pruned.subtrees,
-            vertices_pruned: pruned.vertices,
+            ft: self.run_ft_pass(&mut core, false),
             failed_over: false,
             secondary_reached: 0,
             secondary_skipped: 0,
@@ -666,12 +576,10 @@ impl ProtocolSim {
                     ..policy
                 },
             );
-            let (sec, pruned) = self.run_ft_pass(&mut core, config.prune, true);
+            let sec = self.run_ft_pass(&mut core, true);
             report.ft.add_traffic(&sec);
             report.secondary_reached = sec.reached;
             report.secondary_skipped = sec.skipped.len() as u64;
-            report.pruned_subtrees += pruned.subtrees;
-            report.vertices_pruned += pruned.vertices;
         }
         report.elapsed = self.cost(&run).1;
         Ok(FtSearchOutcome {
@@ -693,19 +601,12 @@ impl ProtocolSim {
     fn run_ft_pass(
         &mut self,
         core: &mut FtCoordinator<RankedObject>,
-        prune: bool,
         secondary: bool,
-    ) -> (FtCoverage, Pruned) {
-        let root = core.root();
+    ) -> FtCoverage {
         let mut pass = FtPass {
-            coord: self.endpoint_of(root.bits()),
+            coord: self.endpoint_of(core.root().bits()),
             timers: HashMap::new(),
             secondary,
-            prune: prune.then(|| {
-                let zero_mask = root.zero_positions().fold(0u64, |m, i| m | 1 << i);
-                (root.bits(), zero_mask)
-            }),
-            pruned: Pruned::default(),
         };
         let mut cmds = Vec::new();
 
@@ -726,16 +627,14 @@ impl ProtocolSim {
                         return;
                     }
                     let objects = objects.into_iter().map(|o| (o.object, o));
-                    let filter = |b, dim| sim.ft_try_prune(&mut pass, b, dim);
                     if local {
-                        core.on_scan(bits, objects, &children, filter, &mut cmds);
+                        core.on_scan(bits, objects, &children, &mut cmds);
                     } else {
-                        core.on_reply(bits, objects, &children, filter, &mut cmds);
+                        core.on_reply(bits, objects, &children, &mut cmds);
                     }
                 }
                 SearchEvent::Timeout { bits, generation } => {
-                    let filter = |b, dim| sim.ft_try_prune(&mut pass, b, dim);
-                    core.on_timeout(bits, generation, filter, &mut cmds);
+                    core.on_timeout(bits, generation, &mut cmds);
                 }
                 _ => return,
             }
@@ -745,7 +644,7 @@ impl ProtocolSim {
         // Quiescence: the machine accounts queries still outstanding
         // (no timers were armed, or the coordinator died) as skipped
         // subtrees.
-        (core.finish(), pass.pruned)
+        core.finish()
     }
 
     /// Executes the machine's pending commands over simnet transport:
@@ -809,29 +708,6 @@ impl ProtocolSim {
         }
     }
 
-    /// Prune filter handed to the shared machine: consults the
-    /// occupancy summary of the swept cube and accounts what it
-    /// disproves.
-    fn ft_try_prune(&self, pass: &mut FtPass, bits: u64, dim: u8) -> bool {
-        let Some((required, zero_mask)) = pass.prune else {
-            return false;
-        };
-        let summary = if pass.secondary {
-            &self.summary2
-        } else {
-            &self.summary
-        };
-        if !summary.can_prune(bits, dim, required) {
-            return false;
-        }
-        pass.pruned.subtrees += 1;
-        // The child's subtree spans the free dims strictly below its
-        // arrival dimension.
-        let free_below = (zero_mask & ((1u64 << dim) - 1)).count_ones();
-        pass.pruned.vertices += 1u64 << free_below;
-        true
-    }
-
     /// Every search's prologue, taken before its first send. Every hop
     /// shares the caller's keyword buffer.
     fn begin(&mut self, keywords: &KeywordSet) -> Started {
@@ -860,7 +736,6 @@ impl ProtocolSim {
         run: &Started,
         mut results: Vec<RankedObject>,
         threshold: usize,
-        pruned_subtrees: u64,
     ) -> SimSearchOutcome {
         results.truncate(threshold);
         let (messages, elapsed) = self.cost(run);
@@ -869,7 +744,6 @@ impl ProtocolSim {
             nodes_contacted: self.visits - run.visits,
             messages,
             elapsed,
-            pruned_subtrees,
         }
     }
 
@@ -1014,17 +888,10 @@ impl ProtocolSim {
     }
 
     /// Pops the sequential coordinator's next frontier node and queries
-    /// it, or finds the search done. With pruning on, provably-empty
-    /// frontier entries are consumed without sending anything; returns
-    /// how many.
-    fn advance(&mut self, core: &mut SupersetCoordinator, run: &Started) -> u64 {
-        let mut pruned = 0;
-        while let Step::Visit { bits, via_dim } = core.next_step() {
+    /// it, or finds the search done.
+    fn advance(&mut self, core: &mut SupersetCoordinator, run: &Started) {
+        if let Step::Visit { bits, via_dim } = core.next_step() {
             let dim = via_dim.expect("the root visit was consumed at creation");
-            if self.prune && self.summary.can_prune(bits, dim, core.root_bits()) {
-                pruned += 1;
-                continue;
-            }
             let to = self.endpoint_of(bits);
             self.net.send(
                 run.root_ep,
@@ -1038,9 +905,7 @@ impl ProtocolSim {
                     reply: QueryReply::Cont,
                 },
             );
-            break;
         }
-        pruned
     }
 
     fn vertex_of(&self, ep: EndpointId) -> Vertex {
@@ -1101,14 +966,6 @@ impl ProtocolSim {
     }
 }
 
-/// What one pass's occupancy pruning left out — the one tally the
-/// simnet substrate owns, since pruning is its filter.
-#[derive(Debug, Default)]
-struct Pruned {
-    subtrees: u64,
-    vertices: u64,
-}
-
 /// The simnet side of one fault-tolerant sweep.
 #[derive(Debug)]
 struct FtPass {
@@ -1120,11 +977,6 @@ struct FtPass {
     timers: HashMap<u64, TimerId>,
     /// Whether this pass sweeps the secondary cube.
     secondary: bool,
-    /// With pruning on: `One(F_h(K))`, the keyword positions every
-    /// match must cover, and the mask of the root's free dimensions
-    /// (subtree sizing).
-    prune: Option<(u64, u64)>,
-    pruned: Pruned,
 }
 
 #[cfg(test)]
@@ -1262,8 +1114,12 @@ mod tests {
 
     const BIG: usize = usize::MAX >> 1;
 
-    fn ft(strategy: RecoveryStrategy) -> FtConfig {
-        FtConfig::new(strategy).max_retries(10)
+    fn ft(strategy: RecoveryStrategy) -> FtPolicy {
+        FtPolicy {
+            strategy,
+            max_retries: 10,
+            base_timeout: 16,
+        }
     }
 
     fn ids(results: &[RankedObject]) -> Vec<ObjectId> {
@@ -1452,107 +1308,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    // ------------------------------------------------------------------
-    // Occupancy-guided pruning
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn pruned_sequential_matches_unpruned_and_contacts_fewer_nodes() {
-        let (_, mut plain) = twin(10, CORPUS);
-        let (_, mut pruned) = twin(10, CORPUS);
-        pruned.set_pruning(true);
-        for query in ["a", "a b", "b", "x", "zzz"] {
-            let p = plain.search_sequential(&set(query), BIG).unwrap();
-            let q = pruned.search_sequential(&set(query), BIG).unwrap();
-            assert_eq!(ids(&p.results), ids(&q.results), "query {query}");
-            assert!(
-                q.nodes_contacted <= p.nodes_contacted,
-                "query {query}: pruning contacted more nodes"
-            );
-        }
-        // On this sparse corpus the one-keyword query must show real
-        // savings, not just parity.
-        let p = plain.search_sequential(&set("a"), BIG).unwrap();
-        let q = pruned.search_sequential(&set("a"), BIG).unwrap();
-        assert!(
-            q.nodes_contacted < p.nodes_contacted,
-            "pruned {} vs unpruned {}",
-            q.nodes_contacted,
-            p.nodes_contacted
-        );
-        assert!(q.pruned_subtrees > 0);
-        assert_eq!(p.pruned_subtrees, 0, "pruning is opt-in");
-    }
-
-    #[test]
-    fn pruned_parallel_matches_unpruned_and_contacts_fewer_nodes() {
-        let (_, mut plain) = twin(10, CORPUS);
-        let (_, mut pruned) = twin(10, CORPUS);
-        pruned.set_pruning(true);
-        let p = plain.search_parallel(&set("a"), BIG).unwrap();
-        let q = pruned.search_parallel(&set("a"), BIG).unwrap();
-        assert_eq!(ids(&p.results), ids(&q.results));
-        assert!(
-            q.nodes_contacted < p.nodes_contacted,
-            "pruned {} vs unpruned {}",
-            q.nodes_contacted,
-            p.nodes_contacted
-        );
-        assert!(q.pruned_subtrees > 0);
-    }
-
-    #[test]
-    fn pruned_ft_matches_unpruned_with_exact_accounting() {
-        let (_, mut plain) = twin(10, CORPUS);
-        let (_, mut pruned) = twin(10, CORPUS);
-        let a = plain
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
-            .unwrap();
-        let b = pruned
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate).prune(true))
-            .unwrap();
-        assert_eq!(ids(&a.results), ids(&b.results));
-        let c = &b.coverage;
-        assert!(c.pruned_subtrees > 0);
-        assert!(c.ft.reached < a.coverage.ft.reached);
-        assert_eq!(
-            c.ft.reached + c.ft.skipped.len() as u64 + c.vertices_pruned,
-            c.ft.subcube_vertices,
-            "every subcube vertex is reached, skipped, or pruned"
-        );
-        assert_eq!(a.coverage.pruned_subtrees, 0, "pruning is opt-in");
-    }
-
-    #[test]
-    fn pruning_never_contacts_a_dead_empty_subtree() {
-        // Kill a root child whose region the summary disproves: the
-        // pruned traversal must never query it, so no timeouts fire.
-        let (_, mut sim) = twin(10, CORPUS);
-        let root = sim.query_root(&set("a"));
-        let required = root.bits();
-        let (dead_bits, _) = root
-            .zero_positions()
-            .rev()
-            .map(|i| (root.flip(i).bits(), i))
-            .find(|&(bits, dim)| sim.summary().can_prune(bits, dim, required))
-            .expect("a sparse corpus leaves some root child provably empty");
-        let ep = sim.endpoint_of(dead_bits);
-        sim.network_mut().faults_mut().kill(ep);
-        let out = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate).prune(true))
-            .unwrap();
-        assert_eq!(
-            out.coverage.ft.timeouts, 0,
-            "the dead vertex was never contacted"
-        );
-        assert!(out.coverage.pruned_subtrees > 0);
-        let (_, mut clean) = twin(10, CORPUS);
-        let want = clean
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
-            .unwrap();
-        assert_eq!(ids(&want.results), ids(&out.results), "recall intact");
-    }
-
     #[test]
     fn ft_rejects_bad_config() {
         let (_, mut sim) = twin(6, CORPUS);
@@ -1560,14 +1315,14 @@ mod tests {
             sim.search_fault_tolerant(&set("a"), 0, ft(RecoveryStrategy::Redelegate)),
             Err(Error::ZeroThreshold)
         );
-        let mut zero = FtConfig::new(RecoveryStrategy::RetryOnly);
-        zero.policy.base_timeout = 0;
+        let mut zero = ft(RecoveryStrategy::RetryOnly);
+        zero.base_timeout = 0;
         assert_eq!(
             sim.search_fault_tolerant(&set("a"), 5, zero),
             Err(Error::ZeroTimeout)
         );
         // Naive never waits, so a zero timeout is fine there.
-        zero.policy.strategy = RecoveryStrategy::Naive;
+        zero.strategy = RecoveryStrategy::Naive;
         assert!(sim.search_fault_tolerant(&set("a"), 5, zero).is_ok());
     }
 }

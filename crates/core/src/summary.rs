@@ -99,9 +99,9 @@ fn low_positions(run: u64) -> u64 {
 /// different histories but agree on the counts compare equal.
 /// [`OccupancySummary::record_insert`] and
 /// [`OccupancySummary::record_remove`] keep it exact;
-/// [`OccupancySummary::refresh_leaf`] installs full leaf state (used by
-/// the message-level protocol's `T_SUMMARY` refreshes, which tolerate
-/// loss by leaving regions safely occupied).
+/// [`OccupancySummary::refresh_leaf`] installs full leaf state (a
+/// vertex whose table was dropped whole,
+/// [`crate::cluster::HypercubeIndex::drop_node`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancySummary {
     r: u8,
@@ -189,10 +189,10 @@ impl OccupancySummary {
         }
     }
 
-    /// Installs the exact entry count for leaf `bits`. This is the
-    /// full-state form carried by `T_SUMMARY` refreshes: idempotent, so
-    /// replayed or reordered refreshes converge, and a lost refresh
-    /// merely leaves the enclosing regions safely occupied.
+    /// Installs the exact entry count for leaf `bits` — what
+    /// [`crate::cluster::HypercubeIndex::drop_node`] records when a
+    /// vertex loses its whole table. Idempotent: installing the same
+    /// count again changes nothing.
     pub fn refresh_leaf(&mut self, bits: u64, count: u64) {
         let old = if count > 0 {
             self.leaves.insert(bits, count)
@@ -428,6 +428,41 @@ mod tests {
         }
         assert_eq!(summary.region_count(), stored_regions.len());
         assert_eq!(*summary, model.summary(r), "state depends on history");
+
+        // The many-children test cuts exactly what the one-child test
+        // cuts: every subset of a parent's free dimensions among the
+        // eight lowest (in its word, and the first level above one),
+        // alone and with its highest free dimension. One pruner serves
+        // every probe, so the word it holds from one parent is still
+        // held when the next one asks.
+        let required = 1 << (r / 2);
+        let mut pruner = summary.pruner(required);
+        for &parent in model.0.keys().chain(probes) {
+            let free = !parent & (u64::MAX >> (64 - r));
+            let top = free.checked_ilog2().map_or(0, |dim| 1 << dim);
+            let mut low = free & 0xFF;
+            loop {
+                for dims in [low, low | top] {
+                    let one_by_one =
+                        (0..r)
+                            .filter(|&dim| dims >> dim & 1 == 1)
+                            .fold(0, |cut, dim| {
+                                cut | u64::from(summary.can_prune(parent ^ 1 << dim, dim, required))
+                                    << dim
+                            });
+                    assert_eq!(
+                        pruner.prunable_dims(parent, dims),
+                        one_by_one,
+                        "prunable_dims({parent:#b}, {dims:#b})"
+                    );
+                }
+                if low == 0 {
+                    break;
+                }
+                // The next smaller subset of the eight lowest.
+                low = (low - 1) & free & 0xFF;
+            }
+        }
     }
 
     #[test]

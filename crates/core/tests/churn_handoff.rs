@@ -2,8 +2,8 @@
 //! handoff on its own SBT path keeps full recall, deterministically.
 
 use hyperdex_core::churn::StabilizationConfig;
-use hyperdex_core::sim_protocol::{FtConfig, ProtocolSim, RecoveryStrategy};
-use hyperdex_core::{KeywordSet, ObjectId};
+use hyperdex_core::sim_protocol::{ProtocolSim, RecoveryStrategy};
+use hyperdex_core::{FtPolicy, KeywordSet, ObjectId};
 use hyperdex_simnet::churn::ChurnPlan;
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::time::SimTime;
@@ -73,7 +73,11 @@ fn run_once() -> String {
         .search_fault_tolerant(
             &set("a"),
             usize::MAX - 1,
-            FtConfig::new(RecoveryStrategy::ReplicatedFailover),
+            FtPolicy {
+                strategy: RecoveryStrategy::ReplicatedFailover,
+                max_retries: 4,
+                base_timeout: 16,
+            },
         )
         .unwrap();
 

@@ -72,11 +72,6 @@ impl Sbt {
         self.free_mask
     }
 
-    /// The free dimensions, ascending.
-    pub fn free_dims(self) -> impl DoubleEndedIterator<Item = u8> + Clone {
-        bits::ones(self.free_mask)
-    }
-
     /// Number of nodes, `2^(free dimensions)`.
     pub fn node_count(self) -> u64 {
         1u64 << self.free_mask.count_ones()

@@ -48,11 +48,6 @@ impl Subcube {
         self.root.zero_mask()
     }
 
-    /// The free dimensions, ascending.
-    pub fn free_dims(self) -> impl DoubleEndedIterator<Item = u8> + Clone {
-        self.root.zero_positions()
-    }
-
     /// The dimensionality of the isomorphic hypercube, `|Zero(u)|`.
     pub fn dim(self) -> u32 {
         self.root.zero_count()

@@ -171,14 +171,6 @@ impl SimRng {
         }
         count
     }
-
-    /// Samples a standard normal via the Box–Muller transform.
-    pub fn gen_normal(&mut self) -> f64 {
-        // Avoid ln(0) by nudging u1 away from zero.
-        let u1 = self.gen_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.gen_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
 }
 
 #[cfg(test)]
@@ -311,17 +303,6 @@ mod tests {
         let mut sample = rng.sample_indices(3, 10);
         sample.sort_unstable();
         assert_eq!(sample, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = SimRng::new(99);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.gen_normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! cargo run --example churn_resilience
 //! ```
 
-use hyperdex::core::sim_protocol::{FtConfig, ProtocolSim, RecoveryStrategy};
-use hyperdex::core::{Error, KeywordSet, StabilizationConfig};
+use hyperdex::core::sim_protocol::{ProtocolSim, RecoveryStrategy};
+use hyperdex::core::{Error, FtPolicy, KeywordSet, StabilizationConfig};
 use hyperdex::dht::{Dolr, ObjectId};
 use hyperdex::simnet::churn::ChurnPlan;
 use hyperdex::simnet::latency::LatencyModel;
@@ -42,8 +42,12 @@ fn main() -> Result<(), Error> {
     );
     assert!(st.converged(), "stabilization must reassign every vertex");
 
-    let config = FtConfig::new(RecoveryStrategy::ReplicatedFailover);
-    let out = sim.search_fault_tolerant(&KeywordSet::parse("common")?, usize::MAX - 1, config)?;
+    let policy = FtPolicy {
+        strategy: RecoveryStrategy::ReplicatedFailover,
+        max_retries: 4,
+        base_timeout: 16,
+    };
+    let out = sim.search_fault_tolerant(&KeywordSet::parse("common")?, usize::MAX - 1, policy)?;
     // The results are deduplicated by object id.
     let found = out.results.len() as u64;
     println!(

@@ -1,8 +1,8 @@
 //! Fault-tolerance integration: churn, crashes, surrogate routing, and
 //! the §3.4 claim that no single failure blocks a keyword's queries.
 
-use hyperdex::core::sim_protocol::{FtConfig, FtSearchOutcome, ProtocolSim, RecoveryStrategy};
-use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
+use hyperdex::core::sim_protocol::{FtSearchOutcome, ProtocolSim, RecoveryStrategy};
+use hyperdex::core::{FtPolicy, HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex::dht::{Dolr, NodeId};
 use hyperdex::simnet::latency::LatencyModel;
 
@@ -138,6 +138,16 @@ fn protocol_sim(seed: u64) -> ProtocolSim {
     sim
 }
 
+/// `strategy` with `max_retries` retransmissions, first waiting 16
+/// ticks.
+fn policy(strategy: RecoveryStrategy, max_retries: u32) -> FtPolicy {
+    FtPolicy {
+        strategy,
+        max_retries,
+        base_timeout: 16,
+    }
+}
+
 fn sorted_ids(out: &FtSearchOutcome) -> Vec<ObjectId> {
     let mut v: Vec<ObjectId> = out.results.iter().map(|r| r.object).collect();
     v.sort_unstable();
@@ -148,7 +158,7 @@ fn sorted_ids(out: &FtSearchOutcome) -> Vec<ObjectId> {
 fn lossy_search_with_retry_budget_matches_fault_free_run() {
     // Fault-free reference: even the naive strategy covers everything.
     let baseline = protocol_sim(7)
-        .search_fault_tolerant(&set("common"), ALL, FtConfig::new(RecoveryStrategy::Naive))
+        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::Naive, 4))
         .expect("valid");
     let baseline_ids = sorted_ids(&baseline);
     assert!(!baseline_ids.is_empty(), "reference run must find objects");
@@ -157,11 +167,7 @@ fn lossy_search_with_retry_budget_matches_fault_free_run() {
     let mut sim = protocol_sim(7);
     sim.network_mut().faults_mut().set_drop_probability(0.2);
     let out = sim
-        .search_fault_tolerant(
-            &set("common"),
-            ALL,
-            FtConfig::new(RecoveryStrategy::RetryOnly).max_retries(12),
-        )
+        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::RetryOnly, 12))
         .expect("valid");
     assert_eq!(
         sorted_ids(&out),
@@ -184,11 +190,7 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
     sim.network_mut().faults_mut().kill(dead_ep);
 
     let out = sim
-        .search_fault_tolerant(
-            &set("common"),
-            ALL,
-            FtConfig::new(RecoveryStrategy::Redelegate),
-        )
+        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::Redelegate, 4))
         .expect("valid");
     // Exactly the crashed vertex is lost; every vertex of its subtree
     // was re-delegated and answered.
@@ -209,11 +211,7 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
     let dead_ep = sim.endpoint_of(dead.bits());
     sim.network_mut().faults_mut().kill(dead_ep);
     let abandoned = sim
-        .search_fault_tolerant(
-            &set("common"),
-            ALL,
-            FtConfig::new(RecoveryStrategy::RetryOnly),
-        )
+        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::RetryOnly, 4))
         .expect("valid");
     assert_eq!(
         abandoned.coverage.ft.skipped.len() as u64,
@@ -247,7 +245,7 @@ fn acceptance_crashes_plus_loss_terminate_with_exact_accounting() {
             .search_fault_tolerant(
                 &set("common"),
                 ALL,
-                FtConfig::new(RecoveryStrategy::Redelegate).max_retries(10),
+                policy(RecoveryStrategy::Redelegate, 10),
             )
             .expect("valid");
 

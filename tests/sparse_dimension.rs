@@ -34,36 +34,35 @@ fn r48_sim_constructs_sparse_and_serves_insert_and_superset() {
     // Construction itself is the regression: dense allocation at
     // r = 48 would abort long before any assertion ran.
     let mut sim = ProtocolSim::new(R, 7, LatencyModel::constant(1)).expect("r = 48 is legal now");
-    sim.set_pruning(true);
     for (id, k) in corpus() {
         sim.insert(oid(id), k).expect("non-empty");
     }
 
-    // Superset query over the whole corpus. The induced subcube has
-    // ~2^47 vertices; occupancy pruning confines the walk to occupied
-    // subtrees, which is what makes r = 48 serveable at all.
-    let out = sim
-        .search_sequential(&set("shared"), usize::MAX - 1)
-        .expect("valid");
-    let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "full recall at r = 48");
+    // Pin search is one request and one reply, whatever the cube size.
+    for (id, k) in corpus() {
+        let pin = sim.pin_search(&k);
+        assert_eq!(pin.results, vec![oid(id)], "pin {k}");
+        assert_eq!(pin.messages, 2, "pin {k}");
+    }
 
-    // A narrower query still pins down its subset.
-    let narrow = sim
-        .search_sequential(&set("shared topic3"), usize::MAX - 1)
+    // The simulator walks as published, so at r = 48 a threshold is
+    // what bounds a superset search: `shared` induces a 2^47-vertex
+    // subcube, but every object lies within two levels of its root and
+    // the walk stops at the first one it reaches.
+    let out = sim.search_sequential(&set("shared"), 1).expect("valid");
+    assert_eq!(out.results.len(), 1);
+    assert!(out.results[0].object.raw() < 60);
+    // An object's own keyword set is answered by its root alone.
+    let exact = sim
+        .search_sequential(&set("shared topic3 item3"), 1)
         .expect("valid");
-    let mut narrow_ids: Vec<u64> = narrow.results.iter().map(|r| r.object.raw()).collect();
-    narrow_ids.sort_unstable();
-    assert_eq!(
-        narrow_ids,
-        (0..60).filter(|i| i % 7 == 3).collect::<Vec<u64>>()
-    );
+    let exact_ids: Vec<ObjectId> = exact.results.iter().map(|r| r.object).collect();
+    assert_eq!(exact_ids, vec![oid(3)]);
+    assert_eq!(exact.nodes_contacted, 1);
 
     // Sparse footprint: far fewer vertices (and endpoints) materialized
     // than the 2^48 a dense layout would demand — bounded by corpus
-    // placements plus the vertices the pruned traversals touched.
+    // placements plus the vertices the bounded walks touched.
     assert!(
         sim.materialized_vertices() < 4_096,
         "materialized {} vertices",
