@@ -180,12 +180,22 @@ impl NetClient {
         self.core.shards().workers()
     }
 
-    /// Routes one insert to the shard owning `F_h(K)`.
+    /// Routes one insert to the shard owning `F_h(K)`. The unit is
+    /// appended to its server's packet, and the packets are written
+    /// once they hold
+    /// [`LANE_WATERMARK`](hyperdex_runtime::transport::LANE_WATERMARK)
+    /// bytes, or with the next operation that writes
+    /// ([`ClientCore::insert`]): a load costs a `write` per burst, not
+    /// per insert. [`NetClient::flush`] says when the inserts have
+    /// landed.
     ///
     /// # Errors
     ///
-    /// [`Error::EmptyKeywordSet`] for an empty set,
-    /// [`Error::ConnectionLost`] when the owner is unreachable.
+    /// [`Error::EmptyKeywordSet`] for an empty set;
+    /// [`Error::ConnectionLost`] when this call wrote the queued
+    /// packets and a server was unreachable. An insert that was only
+    /// queued reports a lost server from the call that writes it — the
+    /// next insert past the watermark, a search, `flush` or `shutdown`.
     pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
         self.core.insert(object, keywords)
     }
@@ -297,11 +307,11 @@ impl NetClient {
         for w in 0..self.workers() {
             self.core.send(w, &WireMsg::Shutdown)?;
         }
-        let link = self.core.into_link();
+        let mut link = self.core.into_link();
         Ok(ClientClose {
             frames_sent: link.frames_sent,
-            received: link.received,
-            readers: link.readers,
+            received: Arc::clone(&link.received),
+            readers: std::mem::take(&mut link.readers),
         })
     }
 }
@@ -399,6 +409,10 @@ impl ClientLink for TcpLink {
         *frames += 1;
     }
 
+    fn queued_bytes(&self) -> usize {
+        self.wqueue.iter().map(|(buf, _)| buf.len()).sum()
+    }
+
     /// Writes every queued packet, one `write_all` per server. A dead
     /// connection is re-dialed first; a socket that dies under the
     /// write gets one reconnect cycle, then a typed error.
@@ -466,6 +480,20 @@ impl ClientLink for TcpLink {
                     }
                 }
                 None => return Ok(None),
+            }
+        }
+    }
+}
+
+/// A client dropped with inserts still queued writes them, best-effort,
+/// on the connections still up (no re-dial), so a drop without a flush
+/// loses no more than a drop of a client that wrote every insert at
+/// once.
+impl Drop for TcpLink {
+    fn drop(&mut self) {
+        for (conn, (buf, _)) in self.conns.iter_mut().zip(&self.wqueue) {
+            if let Some(stream) = conn.as_mut().filter(|_| !buf.is_empty()) {
+                let _ = stream.write_all(buf);
             }
         }
     }

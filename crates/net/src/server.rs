@@ -110,12 +110,15 @@ struct InboundAnomalies {
 /// units, delivered to local worker inboxes. Each read lands straight
 /// in the decoder's buffer ([`StreamDecoder::fill_from`]); the decoded
 /// units of one read batch are grouped per destination worker and
-/// delivered as one multi-frame packet per `(batch, worker)`. Blocking
-/// sends are the backpressure valve: a full inbox stalls this reader,
-/// which stalls the remote writer through TCP flow control.
+/// delivered as one multi-frame packet per `(batch, worker)`: the
+/// group's buffer itself, replaced from `pool`, which the workers
+/// refill with the packets they have consumed. Blocking sends are the
+/// backpressure valve: a full inbox stalls this reader, which stalls
+/// the remote writer through TCP flow control.
 fn reader_loop(
     mut stream: TcpStream,
     inbox_tx: Vec<Option<SyncSender<Vec<u8>>>>,
+    pool: PacketPool,
     anomalies: Arc<InboundAnomalies>,
     client_streams: Sender<TcpStream>,
 ) {
@@ -132,8 +135,9 @@ fn reader_loop(
         let _ = client_streams.send(out);
     }
     let mut dec = StreamDecoder::new();
-    // Per-dest frame groups for the current read batch; reused across
-    // batches so the steady state allocates nothing.
+    // Per-dest frame groups for the current read batch; a group that
+    // ships is refilled from the pool, so the steady state allocates
+    // nothing.
     let mut groups: Vec<(u32, Vec<u8>)> = Vec::new();
     loop {
         match dec.fill_from(&mut stream) {
@@ -173,12 +177,12 @@ fn reader_loop(
                 }
             }
         }
-        for (dest, packet) in &groups[..used] {
+        for (dest, packet) in &mut groups[..used] {
             if packet.is_empty() {
                 continue;
             }
             let tx = inbox_tx[*dest as usize].as_ref().expect("checked above");
-            if tx.send(packet.clone()).is_err() {
+            if tx.send(std::mem::replace(packet, pool.take())).is_err() {
                 return;
             }
         }
@@ -345,6 +349,7 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // which from then on answers on it.
     {
         let inbox_tx = inbox_tx.clone();
+        let pool = pool.clone();
         let anomalies = Arc::clone(&anomalies);
         std::thread::Builder::new()
             .name(format!("hyperdex-net-accept-{}", cfg.index))
@@ -353,11 +358,14 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
                     let Ok(stream) = conn else { return };
                     stream.set_nodelay(true).ok();
                     let inbox_tx = inbox_tx.clone();
+                    let pool = pool.clone();
                     let anomalies = Arc::clone(&anomalies);
                     let client_streams = client_streams.clone();
                     std::thread::Builder::new()
                         .name("hyperdex-net-reader".into())
-                        .spawn(move || reader_loop(stream, inbox_tx, anomalies, client_streams))
+                        .spawn(move || {
+                            reader_loop(stream, inbox_tx, pool, anomalies, client_streams)
+                        })
                         .expect("spawn reader thread");
                 }
             })

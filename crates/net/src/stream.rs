@@ -79,8 +79,13 @@ pub struct Unit {
 }
 
 /// Bytes one [`StreamDecoder::fill_from`] call asks the kernel for
-/// when no pending unit header demands more.
-const READ_CHUNK: usize = 64 * 1024;
+/// when no pending unit header demands more. A server's reader hands
+/// each read's units to the worker inboxes as one packet per worker,
+/// so this is also what bounds a packet — and an inbox, bounded in
+/// packets, in bytes: capacity × 8 KiB, past which the reader blocks
+/// and TCP pushes back on the writer. A unit larger than the chunk
+/// still arrives whole, in a read sized from its length prefix.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// Incremental unit parser over an arbitrary byte stream.
 ///
@@ -124,9 +129,9 @@ impl StreamDecoder {
 
     /// Reads once from `r` directly into the decoder's spare room —
     /// no intermediate chunk buffer, no copy. Returns the byte count
-    /// (`0` means EOF). The read asks for at least [`READ_CHUNK`]
-    /// bytes, or the remainder of a partially-buffered unit when its
-    /// header announces more.
+    /// (`0` means EOF). The read asks for 8 KiB (`READ_CHUNK`), or the
+    /// remainder of a partially-buffered unit when its header announces
+    /// more.
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{Error, FtCoverage, KeywordSet};
+use hyperdex_core::{Error, FtCoverage, KeywordSet, ObjectId};
 use hyperdex_net::client::{NetClient, NetConfig};
 use hyperdex_net::stream::{encode_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::runtime::FtSearchOptions;
@@ -162,8 +162,9 @@ fn unreachable_server_exhausts_the_reconnect_budget() {
     assert!(started.elapsed() < Duration::from_secs(2));
 }
 
-#[test]
-fn mid_session_loss_gives_up_after_backoff_and_names_the_endpoint() {
+/// A client whose one server accepted it, hung up and stopped
+/// listening, and the server's address.
+fn client_of_a_dead_server() -> (NetClient, String) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let gone = std::thread::spawn({
@@ -174,12 +175,19 @@ fn mid_session_loss_gives_up_after_backoff_and_names_the_endpoint() {
             drop(stream);
         }
     });
-    let mut client =
+    let client =
         NetClient::connect(std::slice::from_ref(&addr), 8, 42, 1, quick_cfg()).expect("connect");
     gone.join().unwrap();
-    drop(listener); // now the port is dead for reconnects too
+    // Now the port is dead for reconnects too. Give the reader thread
+    // time to observe the hangup.
+    drop(listener);
     std::thread::sleep(Duration::from_millis(50));
+    (client, addr)
+}
 
+#[test]
+fn mid_session_loss_gives_up_after_backoff_and_names_the_endpoint() {
+    let (mut client, addr) = client_of_a_dead_server();
     let started = Instant::now();
     let err = client
         .pin_search(&KeywordSet::parse("anyone there").unwrap())
@@ -200,6 +208,27 @@ fn mid_session_loss_gives_up_after_backoff_and_names_the_endpoint() {
         elapsed >= Duration::from_millis(30),
         "reconnect returned too fast for its backoff schedule ({elapsed:?})"
     );
+}
+
+/// An insert is only queued, so the inserts to a server that died
+/// succeed; the flush that writes them finds the server gone and says
+/// which one — a load is never lost in silence.
+#[test]
+fn inserts_to_a_dead_server_fail_the_flush_that_writes_them() {
+    let (mut client, addr) = client_of_a_dead_server();
+    for object in 0..10 {
+        let keywords = KeywordSet::parse(&format!("lost write {object}")).unwrap();
+        client
+            .insert(ObjectId::from_raw(object), keywords)
+            .expect("queued, not written");
+    }
+    match client.flush() {
+        Err(Error::ConnectionLost { endpoint, detail }) => {
+            assert_eq!(endpoint, addr);
+            assert!(detail.contains("gave up after 3 attempts"), "{detail}");
+        }
+        other => panic!("expected ConnectionLost, got {other:?}"),
+    }
 }
 
 /// A reply unit addressed to a worker is a stream this client should

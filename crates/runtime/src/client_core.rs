@@ -6,10 +6,13 @@
 //! by id, and re-issues a fault-tolerant search under a fresh id when
 //! an attempt's deadline passes. That is [`ClientCore`]. How a frame
 //! reaches a worker and a reply comes back — and what time it is — is
-//! the four-method [`ClientLink`]: the in-process channel link behind
+//! the five-method [`ClientLink`]: the in-process channel link behind
 //! [`crate::NodeRuntime`], `hyperdex-net`'s reconnecting TCP link
 //! behind `NetClient`, a scripted fake in `tests/client_core.rs` and
 //! the deterministic mesh the runtime's suites run worker machines on.
+//! An insert waits for no reply, so it is only queued: the link ships
+//! it with whatever follows it, or once its queued bytes reach the
+//! worker lanes' watermark — one write per burst, not per insert.
 //! The core keeps no clock of its own: every deadline and latency is a
 //! `Duration` on the link's ([`ClientLink::now`]), so under a link
 //! whose time is virtual the production client runs in virtual time.
@@ -37,6 +40,7 @@ use hyperdex_core::{
 };
 
 use crate::shard::ShardMap;
+use crate::transport::LANE_WATERMARK;
 use crate::wire::WireMsg;
 
 /// How a client's frames reach the workers and replies come back.
@@ -44,6 +48,10 @@ pub trait ClientLink {
     /// Queues `msg` for `worker`; nothing moves until
     /// [`ClientLink::ship`], so a burst can travel as one operation.
     fn queue(&mut self, worker: u32, msg: &WireMsg);
+
+    /// Bytes queued and not yet shipped, over every worker: what the
+    /// core holds against [`LANE_WATERMARK`] before it ships inserts.
+    fn queued_bytes(&self) -> usize;
 
     /// Hands every queued frame to the fabric, per worker in queue
     /// order.
@@ -226,7 +234,8 @@ impl<L: ClientLink> ClientCore<L> {
         self.link
     }
 
-    /// Sends one frame to `worker` right away.
+    /// Sends one frame to `worker` right away, behind whatever is
+    /// queued.
     ///
     /// # Errors
     ///
@@ -236,29 +245,39 @@ impl<L: ClientLink> ClientCore<L> {
         self.link.ship()
     }
 
-    /// Routes one `T_INSERT` to the shard owning `F_h(K)`.
+    /// Routes one `T_INSERT` to the shard owning `F_h(K)`. Fire and
+    /// forget: the frame is queued, and the link ships it once its
+    /// queued bytes reach [`LANE_WATERMARK`], or with the next
+    /// operation that ships — any search, [`ClientCore::flush`],
+    /// [`ClientCore::bulk_load`] — ahead of that operation's own frames
+    /// and in per-worker queue order. Only the barrier says a write
+    /// has landed, as before.
     ///
     /// # Errors
     ///
     /// [`Error::EmptyKeywordSet`] when `keywords` is empty, otherwise
-    /// the link's errors.
+    /// the link's errors — for whichever queued frames this call
+    /// shipped. An insert that did not ship here reports its link's
+    /// failure from the call that ships it.
     pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
         if keywords.is_empty() {
             return Err(Error::EmptyKeywordSet);
         }
         let owner = self.owner_of(&keywords);
-        self.send(
+        self.link.queue(
             owner,
             &WireMsg::Insert {
                 object: object.raw(),
                 keywords,
             },
-        )
+        );
+        self.ship_at_watermark()
     }
 
     /// Installs whole vertex tables at once (bulk load): entries are
-    /// grouped by vertex and shipped as `Handoff` frames to the owning
-    /// shards, in vertex order.
+    /// grouped by vertex and queued as `Handoff` frames to the owning
+    /// shards, in vertex order; the link ships each time its queued
+    /// bytes reach [`LANE_WATERMARK`], and once at the end.
     ///
     /// # Errors
     ///
@@ -281,9 +300,10 @@ impl<L: ClientLink> ClientCore<L> {
         }
         for (bits, entries) in by_vertex {
             let owner = self.shards.owner_of(bits);
-            self.send(owner, &WireMsg::Handoff { bits, entries })?;
+            self.link.queue(owner, &WireMsg::Handoff { bits, entries });
+            self.ship_at_watermark()?;
         }
-        Ok(())
+        self.link.ship()
     }
 
     /// Drain barrier: returns once every worker has processed every
@@ -500,6 +520,15 @@ impl<L: ClientLink> ClientCore<L> {
             completed += 1;
         }
         Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
+    }
+
+    /// Ships what is queued once it reaches [`LANE_WATERMARK`] bytes —
+    /// the size at which a worker's socket lane ships too.
+    fn ship_at_watermark(&mut self) -> Result<(), Error> {
+        if self.link.queued_bytes() >= LANE_WATERMARK {
+            self.link.ship()?;
+        }
+        Ok(())
     }
 
     fn fresh_id(&mut self) -> u64 {

@@ -24,7 +24,7 @@
 //! Module map:
 //!
 //! * [`client_core`] — the client half of the request protocol
-//!   ([`ClientCore`]) over a four-method link ([`ClientLink`], which
+//!   ([`ClientCore`]) over a five-method link ([`ClientLink`], which
 //!   is also its clock); the in-process handle and `hyperdex-net`'s
 //!   TCP client are both thin shells around it.
 //! * [`wire`] — the hand-rolled length-prefixed codec; the thread

@@ -258,8 +258,9 @@ pub struct NodeRuntime {
 struct ChannelLink {
     to_worker: Vec<SyncSender<Vec<u8>>>,
     inbox: Receiver<Vec<u8>>,
-    /// Frames queued for the next ship, in queue order.
-    queued: Vec<(u32, Vec<u8>)>,
+    /// Per worker: the frames queued for the next ship, back to back in
+    /// queue order — the packet that ship sends — and how many.
+    queued: Vec<(Vec<u8>, u64)>,
     /// Frames decoded out of a multi-frame packet, ahead of the inbox.
     pending: VecDeque<WireMsg>,
     clock: Clock,
@@ -284,17 +285,27 @@ impl Clock {
 
 impl ClientLink for ChannelLink {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
-        self.queued.push((worker, msg.encode()));
+        let (packet, frames) = &mut self.queued[worker as usize];
+        msg.encode_append(packet);
+        *frames += 1;
     }
 
+    fn queued_bytes(&self) -> usize {
+        self.queued.iter().map(|(packet, _)| packet.len()).sum()
+    }
+
+    /// One packet per worker with frames queued; the worker splits it
+    /// with [`take_frame`], as it does a peer's.
     fn ship(&mut self) -> Result<(), Error> {
-        for (worker, frame) in self.queued.drain(..) {
+        for (tx, (packet, frames)) in self.to_worker.iter().zip(&mut self.queued) {
+            if *frames == 0 {
+                continue;
+            }
             // Blocking send is safe from the client: workers always
             // return to their inboxes, so a full channel always drains.
-            self.to_worker[worker as usize]
-                .send(frame)
+            tx.send(std::mem::take(packet))
                 .expect("worker channel alive");
-            self.sent += 1;
+            self.sent += std::mem::take(frames);
         }
         Ok(())
     }
@@ -334,6 +345,18 @@ impl ClientLink for ChannelLink {
                 self.pending.push_back(
                     WireMsg::decode_exact(frame).expect("workers emit well-formed frames"),
                 );
+            }
+        }
+    }
+}
+
+/// A handle dropped with inserts still queued ships them, best-effort:
+/// it loses no write that reached the link.
+impl Drop for ChannelLink {
+    fn drop(&mut self) {
+        for (tx, (packet, frames)) in self.to_worker.iter().zip(&mut self.queued) {
+            if *frames > 0 {
+                let _ = tx.send(std::mem::take(packet));
             }
         }
     }
@@ -389,7 +412,7 @@ impl NodeRuntime {
         let link = ChannelLink {
             to_worker: worker_tx,
             inbox: client_rx,
-            queued: Vec::new(),
+            queued: vec![(Vec::new(), 0); workers as usize],
             pending: VecDeque::new(),
             clock: Clock::start(),
             sent: 0,
@@ -412,7 +435,9 @@ impl NodeRuntime {
         self.core.hasher().shape().r()
     }
 
-    /// Routes one `T_INSERT` to the owning shard.
+    /// Routes one `T_INSERT` to the owning shard: queued, and shipped
+    /// in a burst ([`ClientCore::insert`]); [`NodeRuntime::flush`]
+    /// says when it has landed.
     ///
     /// # Errors
     ///
@@ -500,24 +525,18 @@ impl NodeRuntime {
                 .send(worker, &WireMsg::Shutdown)
                 .expect(INFALLIBLE);
         }
-        let ChannelLink {
-            to_worker,
-            inbox,
-            sent,
-            mut received,
-            ..
-        } = self.core.into_link();
-        drop(to_worker);
+        let mut link = self.core.into_link();
+        drop(std::mem::take(&mut link.to_worker));
         let (workers, supervisor) = self.host.join();
         // Drain stragglers buffered on the client inbox (none are
         // expected after the barrier, but every frame must be counted
         // for conservation to be exact).
-        while let Ok(packet) = inbox.recv() {
-            received += count_frames(&packet);
+        while let Ok(packet) = link.inbox.recv() {
+            link.received += count_frames(&packet);
         }
         ShutdownReport {
-            client_sent: sent,
-            client_received: received,
+            client_sent: link.sent,
+            client_received: link.received,
             workers,
             supervisor,
         }

@@ -4,12 +4,15 @@
 //! fresh id — or degrading to empty after its attempt budget — while
 //! the rest of its window completes, stale completions (an abandoned FT
 //! attempt's, a timed-out request's), a frame kind no client is sent,
-//! and how many frames each operation ships.
+//! how many frames each operation ships, and when writes ship: inserts
+//! and handoffs in bursts at the lane watermark, and ahead of whatever
+//! ships next.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
+use hyperdex_runtime::transport::LANE_WATERMARK;
 use hyperdex_runtime::{ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, WireMsg};
 
 const WORKERS: u32 = 4;
@@ -22,6 +25,8 @@ const WORKERS: u32 = 4;
 struct FakeLink {
     now: Duration,
     queued: Vec<(u32, WireMsg)>,
+    /// Encoded bytes of `queued`.
+    queued_bytes: usize,
     /// Everything ever shipped, in ship order.
     shipped: Vec<(u32, WireMsg)>,
     /// How many frames each `ship` call carried.
@@ -33,7 +38,12 @@ struct FakeLink {
 
 impl ClientLink for FakeLink {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
+        self.queued_bytes += msg.encode().len();
         self.queued.push((worker, msg.clone()));
+    }
+
+    fn queued_bytes(&self) -> usize {
+        self.queued_bytes
     }
 
     fn ship(&mut self) -> Result<(), Error> {
@@ -43,6 +53,7 @@ impl ClientLink for FakeLink {
         (self.answer)(&self.queued, &mut self.inbox);
         self.bursts.push(self.queued.len());
         self.shipped.append(&mut self.queued);
+        self.queued_bytes = 0;
         Ok(())
     }
 
@@ -69,6 +80,7 @@ fn client(
     let link = FakeLink {
         now: Duration::ZERO,
         queued: Vec::new(),
+        queued_bytes: 0,
         shipped: Vec::new(),
         bursts: Vec::new(),
         inbox: VecDeque::new(),
@@ -452,4 +464,153 @@ fn bad_arguments_are_rejected_before_anything_ships() {
         c.superset_search_ft(&set("a"), 1, &no_timer),
         Err(Error::ZeroTimeout)
     ));
+}
+
+/// Answers every frame of a burst but the writes, which get no reply.
+fn answer_reads(burst: &[(u32, WireMsg)], inbox: &mut VecDeque<WireMsg>) {
+    inbox.extend(
+        burst
+            .iter()
+            .filter(|(_, msg)| !matches!(msg, WireMsg::Insert { .. } | WireMsg::Handoff { .. }))
+            .map(|(w, msg)| echo(*w, msg)),
+    );
+}
+
+#[test]
+fn inserts_ship_in_bursts_at_the_lane_watermark_and_the_flush_carries_the_tail() {
+    let mut c = client(answer_reads);
+    let keywords = set("coalesced insert");
+    let frame = WireMsg::Insert {
+        object: 0,
+        keywords: keywords.clone(),
+    }
+    .encode()
+    .len();
+    // Equal frames: a burst is the first count of them to reach the
+    // watermark, and N inserts ship ⌈N / per_burst⌉ times, the last of
+    // them with the barrier.
+    let per_burst = LANE_WATERMARK.div_ceil(frame);
+    let n = 3 * per_burst + 5;
+    for object in 0..n as u64 {
+        c.insert(ObjectId::from_raw(object), keywords.clone())
+            .unwrap();
+    }
+    c.flush().unwrap();
+    let link = c.into_link();
+    assert_eq!(
+        link.bursts,
+        vec![per_burst, per_burst, per_burst, 5 + WORKERS as usize]
+    );
+    assert_eq!(link.bursts.len(), n.div_ceil(per_burst));
+    let objects: Vec<u64> = link
+        .shipped
+        .iter()
+        .filter_map(|(_, msg)| match msg {
+            WireMsg::Insert { object, .. } => Some(*object),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        objects,
+        (0..n as u64).collect::<Vec<_>>(),
+        "one frame each, in order"
+    );
+}
+
+#[test]
+fn a_search_or_a_flush_puts_every_queued_insert_on_the_link_first() {
+    let mut c = client(answer_reads);
+    let hasher = KeywordHasher::new(8, 42).unwrap();
+    let shards = ShardMap::new(8, WORKERS, 42);
+    let sets: Vec<KeywordSet> = (0..12).map(|i| set(&format!("w{i} shared"))).collect();
+    let owners: Vec<u32> = sets
+        .iter()
+        .map(|k| shards.owner_of(hasher.vertex_for(k).bits()))
+        .collect();
+    assert!(
+        owners.iter().any(|&w| w != owners[0]),
+        "writes for several workers"
+    );
+    let insert = |object: u64, keywords: &KeywordSet| WireMsg::Insert {
+        object,
+        keywords: keywords.clone(),
+    };
+    for (i, keywords) in sets.iter().enumerate() {
+        c.insert(ObjectId::from_raw(i as u64), keywords.clone())
+            .unwrap();
+    }
+    // The pin's reply carries its id, 1: the inserts took none.
+    assert_eq!(
+        c.pin_search(&set("lookup")).unwrap(),
+        vec![ObjectId::from_raw(1)]
+    );
+    for (i, keywords) in sets.iter().enumerate() {
+        c.insert(ObjectId::from_raw(100 + i as u64), keywords.clone())
+            .unwrap();
+    }
+    c.flush().unwrap();
+    let link = c.into_link();
+    assert_eq!(link.bursts, vec![12 + 1, 12 + WORKERS as usize]);
+    let mut expected: Vec<(u32, WireMsg)> = (0..12)
+        .map(|i| (owners[i], insert(i as u64, &sets[i])))
+        .collect();
+    let pin_owner = shards.owner_of(hasher.vertex_for(&set("lookup")).bits());
+    expected.push((
+        pin_owner,
+        WireMsg::Pin {
+            query_id: 1,
+            keywords: set("lookup"),
+        },
+    ));
+    expected.extend((0..12).map(|i| (owners[i], insert(100 + i as u64, &sets[i]))));
+    expected.extend((0..WORKERS).map(|w| (w, WireMsg::Flush { token: 2 })));
+    assert_eq!(link.shipped, expected);
+}
+
+#[test]
+fn bulk_load_ships_the_same_handoffs_in_bursts_at_the_lane_watermark() {
+    let mut c = client(answer_reads);
+    let corpus: Vec<(ObjectId, KeywordSet)> = (0..3_000u64)
+        .map(|i| {
+            let keywords = set(&format!("k{} k{} k{}", i % 97, i % 89, i % 7));
+            (ObjectId::from_raw(i), keywords)
+        })
+        .collect();
+    c.bulk_load(corpus.iter().map(|(id, k)| (*id, k))).unwrap();
+    let link = c.into_link();
+    // One `Handoff` per vertex, in vertex order, to its owner — what
+    // the load shipped one frame at a time.
+    let hasher = KeywordHasher::new(8, 42).unwrap();
+    let shards = ShardMap::new(8, WORKERS, 42);
+    let mut by_vertex: BTreeMap<u64, Vec<(KeywordSet, Vec<u64>)>> = BTreeMap::new();
+    for (id, keywords) in &corpus {
+        let bits = hasher.vertex_for(keywords).bits();
+        by_vertex
+            .entry(bits)
+            .or_default()
+            .push((keywords.clone(), vec![id.raw()]));
+    }
+    let expected: Vec<(u32, WireMsg)> = by_vertex
+        .into_iter()
+        .map(|(bits, entries)| (shards.owner_of(bits), WireMsg::Handoff { bits, entries }))
+        .collect();
+    assert_eq!(link.shipped, expected);
+    // Each ship is the frame that reached the watermark and those
+    // queued ahead of it; the last one is the tail, below it.
+    let mut frames = link.shipped.iter().map(|(_, msg)| msg.encode().len());
+    let bursts: Vec<Vec<usize>> = link
+        .bursts
+        .iter()
+        .map(|&n| frames.by_ref().take(n).collect())
+        .collect();
+    assert!(
+        bursts.len() > 2,
+        "the load crosses the watermark: {bursts:?}"
+    );
+    let (tail, full) = bursts.split_last().unwrap();
+    for burst in full {
+        let bytes: usize = burst.iter().sum();
+        assert!(bytes >= LANE_WATERMARK && bytes - burst.last().unwrap() < LANE_WATERMARK);
+    }
+    assert!(tail.iter().sum::<usize>() < LANE_WATERMARK);
 }

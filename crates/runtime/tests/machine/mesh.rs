@@ -555,6 +555,10 @@ impl ClientLink for Mesh {
         self.queued.push((worker, msg.encode()));
     }
 
+    fn queued_bytes(&self) -> usize {
+        self.queued.iter().map(|(_, frame)| frame.len()).sum()
+    }
+
     fn ship(&mut self) -> Result<(), Error> {
         let client = self.client();
         for (worker, frame) in std::mem::take(&mut self.queued) {
@@ -618,6 +622,10 @@ pub struct MeshLink(pub Rc<RefCell<Mesh>>);
 impl ClientLink for MeshLink {
     fn queue(&mut self, worker: u32, msg: &WireMsg) {
         self.0.borrow_mut().queue(worker, msg);
+    }
+
+    fn queued_bytes(&self) -> usize {
+        self.0.borrow().queued_bytes()
     }
 
     fn ship(&mut self) -> Result<(), Error> {
