@@ -101,23 +101,6 @@ pub struct FaultsRow {
     pub duplicated_frames: u64,
 }
 
-impl FaultsRow {
-    /// The seed-reproducible projection of the row: the cell identity
-    /// plus the schedule-driven counters. Frame and retry totals are
-    /// excluded — per-frame fates replay exactly, but how many frames
-    /// a run sends depends on wall-clock timeout races.
-    pub fn deterministic_key(&self) -> (u8, u32, u16, u32, usize, u64) {
-        (
-            self.r,
-            self.workers,
-            self.loss_per_mille,
-            self.crashes,
-            self.queries,
-            self.respawns,
-        )
-    }
-}
-
 /// Runs the fault sweep, prints the markdown table and JSON series,
 /// and returns the rows.
 ///
@@ -438,10 +421,17 @@ mod tests {
                 assert!(row.respawns >= 1, "crash cell never respawned: {row:?}");
             }
         }
-        // Fault schedules and frame accounting replay exactly.
+        // Fault schedules and frame accounting replay exactly: the cell
+        // identity and the schedule-driven counters. Frame and retry
+        // totals are left out — per-frame fates replay exactly, but how
+        // many frames a run sends depends on wall-clock timeout races.
         let again = run(&ctx);
-        let keys: Vec<_> = rows.iter().map(FaultsRow::deterministic_key).collect();
-        let again_keys: Vec<_> = again.iter().map(FaultsRow::deterministic_key).collect();
+        let key = |row: &FaultsRow| {
+            let cell = (row.r, row.workers, row.loss_per_mille, row.crashes);
+            (cell, row.queries, row.respawns)
+        };
+        let keys: Vec<_> = rows.iter().map(key).collect();
+        let again_keys: Vec<_> = again.iter().map(key).collect();
         assert_eq!(keys, again_keys, "fault sweep is not deterministic");
     }
 

@@ -78,26 +78,6 @@ pub fn expected_ones(r: u32, m: u32) -> f64 {
     r_f * (1.0 - (1.0 - 1.0 / r_f).powi(m as i32))
 }
 
-/// The expectation computed directly from Equation (1) —
-/// `Σ j · P(|One| = j)`. Primarily a cross-check for [`expected_ones`].
-pub fn expected_ones_from_distribution(r: u32, m: u32) -> f64 {
-    (0..=r.min(m.max(1)))
-        .map(|j| f64::from(j) * prob_ones(r, m, j))
-        .sum()
-}
-
-/// Worst-case nodes contacted by a superset search whose root has `j`
-/// one-bits: the subhypercube size `2^{r−j}` (§3.5).
-///
-/// # Panics
-///
-/// Panics if `j > r` or `r > 63`.
-pub fn worst_case_nodes(r: u32, j: u32) -> u64 {
-    assert!(j <= r, "one-count cannot exceed dimension");
-    assert!(r <= 63, "dimension above u64 range");
-    1u64 << (r - j)
-}
-
 /// Expected *fraction* of the hypercube a size-`m` query may search:
 /// `E[2^{−|One|}]` over Equation (1). Approaches `2^{−m}` when `m ≪ r`
 /// (the paper's Figure 8 observation).
@@ -180,7 +160,10 @@ mod tests {
         for r in [6u32, 10, 14] {
             for m in [1u32, 3, 7, 10, 20] {
                 let a = expected_ones(r, m);
-                let b = expected_ones_from_distribution(r, m);
+                // Σ j · P(|One| = j), straight from Equation (1).
+                let b: f64 = (0..=r.min(m))
+                    .map(|j| f64::from(j) * prob_ones(r, m, j))
+                    .sum();
                 assert!((a - b).abs() < 1e-8, "r={r} m={m}: {a} vs {b}");
             }
         }
@@ -221,13 +204,6 @@ mod tests {
             assert!(e < f64::from(r), "bounded by r");
             last = e;
         }
-    }
-
-    #[test]
-    fn worst_case_matches_subcube_size() {
-        assert_eq!(worst_case_nodes(10, 3), 128);
-        assert_eq!(worst_case_nodes(10, 10), 1);
-        assert_eq!(worst_case_nodes(10, 0), 1024);
     }
 
     #[test]

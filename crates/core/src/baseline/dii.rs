@@ -175,12 +175,6 @@ impl DistributedInvertedIndex {
             .collect()
     }
 
-    /// Total posting entries across all nodes — the redundant storage
-    /// the paper charges this scheme for (≈ `k×` the object count).
-    pub fn total_postings(&self) -> usize {
-        self.node_loads().iter().map(|&(_, l)| l).sum()
-    }
-
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
         self.object_count
@@ -204,12 +198,17 @@ mod tests {
         ObjectId::from_raw(n)
     }
 
+    /// Posting entries across all nodes.
+    fn total_postings(dii: &DistributedInvertedIndex) -> usize {
+        dii.node_loads().iter().map(|&(_, l)| l).sum()
+    }
+
     #[test]
     fn insert_touches_k_nodes_worth() {
         let mut dii = DistributedInvertedIndex::new(10, 0).unwrap();
         let touched = dii.insert(oid(1), &set("a b c d"));
         assert_eq!(touched, 4, "one update per keyword");
-        assert_eq!(dii.total_postings(), 4, "4x storage for one object");
+        assert_eq!(total_postings(&dii), 4, "4x storage for one object");
         assert_eq!(dii.len(), 1);
     }
 
@@ -250,7 +249,7 @@ mod tests {
         assert_eq!(dii.remove(oid(1), &set("x y")), 2);
         assert_eq!(dii.remove(oid(1), &set("x y")), 0);
         assert!(dii.is_empty());
-        assert_eq!(dii.total_postings(), 0);
+        assert_eq!(total_postings(&dii), 0);
     }
 
     #[test]

@@ -134,20 +134,6 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-impl CacheCounters {
-    /// Share of lookups answered without a traversal of their own —
-    /// hits plus coalesced waits; 0 before any lookup.
-    pub fn hit_ratio(&self) -> f64 {
-        let served = self.hits + self.coalesced;
-        let lookups = served + self.misses + self.stale;
-        if lookups == 0 {
-            0.0
-        } else {
-            served as f64 / lookups as f64
-        }
-    }
-}
-
 impl std::ops::AddAssign for CacheCounters {
     fn add_assign(&mut self, other: CacheCounters) {
         self.hits += other.hits;

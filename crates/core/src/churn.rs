@@ -421,32 +421,10 @@ impl ChurnState {
             && self.divergence() == 0
     }
 
-    /// Whether vertex `bits` currently answers queries.
-    pub fn vertex_available(&self, bits: u64) -> bool {
-        !self.unavailable.contains(&bits)
-    }
-
-    /// The believed owner (host id) of vertex `bits`. Untracked
-    /// vertices are empty and implicitly owned by their ideal
-    /// surrogate; `None` means the vertex lost its owner to a crash
-    /// and has not been reassigned yet.
-    pub fn view_owner(&self, bits: u64) -> Option<u64> {
-        match self.view.get(&bits) {
-            Some(&owner) => Some(owner),
-            None if self.unavailable.contains(&bits) => None,
-            None => self.ideal_owner(bits),
-        }
-    }
-
     /// The handoff generation of vertex `bits` (bumped on every
     /// ownership change or repair completion).
     pub fn generation(&self, bits: u64) -> u64 {
         self.generations.get(&bits).copied().unwrap_or(0)
-    }
-
-    /// Number of currently live hosts.
-    pub fn live_nodes(&self) -> usize {
-        self.live.len()
     }
 }
 
@@ -1112,6 +1090,20 @@ mod tests {
     use crate::fixtures::{set, CORPUS};
     use crate::protocol::{FtPolicy, RecoveryStrategy};
 
+    impl ChurnState {
+        /// The believed owner (host id) of vertex `bits`. Untracked
+        /// vertices are empty and implicitly owned by their ideal
+        /// surrogate; `None` means the vertex lost its owner to a crash
+        /// and has not been reassigned yet.
+        fn view_owner(&self, bits: u64) -> Option<u64> {
+            match self.view.get(&bits) {
+                Some(&owner) => Some(owner),
+                None if self.unavailable.contains(&bits) => None,
+                None => self.ideal_owner(bits),
+            }
+        }
+    }
+
     fn sim_with_corpus(r: u8, seed: u64) -> ProtocolSim {
         let mut sim = ProtocolSim::new(r, seed, LatencyModel::constant(1)).unwrap();
         for &(id, kws) in CORPUS {
@@ -1241,7 +1233,7 @@ mod tests {
         assert_eq!(recall_ids(&mut sim, "x"), vec![7]);
         // The sole survivor owns every vertex.
         let st = sim.churn().unwrap();
-        assert_eq!(st.live_nodes(), 1);
+        assert_eq!(st.live.len(), 1);
         assert!((0..32).all(|b| st.view_owner(b) == Some(4)));
     }
 
@@ -1366,7 +1358,7 @@ mod tests {
                 break;
             }
         }
-        let root = sim.query_root(&query);
+        let root = sim.hasher.vertex_for(&query);
         let dead = root.flip(48).bits();
         let ep = sim.endpoint_of(dead);
         sim.network_mut().faults_mut().kill(ep);
@@ -1532,8 +1524,8 @@ mod tests {
             // silent, so the search returns what it collected — nothing
             // — once the network is quiescent.
             let query = set("a b");
-            let home = sim.query_root(&query).bits();
-            assert!(!sim.churn().unwrap().vertex_available(home));
+            let home = sim.hasher.vertex_for(&query).bits();
+            assert!(sim.churn_vertex_silent(home));
             assert_eq!(search(&mut sim, &query), vec![], "search kind {kind}");
 
             sim.run_churn_to_quiescence();
@@ -1548,5 +1540,84 @@ mod tests {
             let settled: Vec<ObjectId> = settled.iter().map(|&n| ObjectId::from_raw(n)).collect();
             assert_eq!(got, settled, "kind {kind}: the landed table answers");
         }
+    }
+
+    /// A top-down superset search racing a scheduled index handoff on
+    /// its own SBT path keeps full recall, deterministically.
+    #[test]
+    fn search_racing_handoff_keeps_full_recall_and_reproduces() {
+        assert_eq!(
+            racing_handoff_transcript(),
+            racing_handoff_transcript(),
+            "fixed seed must reproduce byte-for-byte"
+        );
+    }
+
+    /// Builds the simulation, schedules the owner of the query-path
+    /// vertex holding object 2 (`{a, b}` ⊇ `{a}`) to leave at tick 5,
+    /// advances to the leave so the handoff is in flight, and runs the
+    /// search. Returns a byte-exact transcript of everything observable.
+    fn racing_handoff_transcript() -> String {
+        const SEED: u64 = 0xC0DE;
+        const MEMBERS: &[u64] = &[11, 22, 33, 44, 55];
+        let mut sim = sim_with_corpus(5, SEED);
+
+        // The vertex of {a, b} lies in the induced subcube of query {a}:
+        // its one-bits are a superset of the query's, so the top-down SBT
+        // walk must visit it.
+        let root = sim.hasher.vertex_for(&set("a"));
+        let target = sim.hasher.vertex_for(&set("a b"));
+        assert_eq!(
+            target.bits() & root.bits(),
+            root.bits(),
+            "target must be on the query's SBT path"
+        );
+
+        // Find who owns that vertex and schedule their graceful departure.
+        let cfg = StabilizationConfig {
+            batch_entries: 1, // several batches → a real mid-flight window
+            ..StabilizationConfig::default()
+        };
+        let mut probe = ChurnPlan::default();
+        let mut scratch = ProtocolSim::new(5, SEED, LatencyModel::constant(1)).unwrap();
+        scratch.enable_churn(&probe, cfg, MEMBERS).unwrap();
+        let owner = scratch.churn().unwrap().view_owner(target.bits()).unwrap();
+        probe.leave_at(SimTime::from_ticks(5), owner);
+        sim.enable_churn(&probe, cfg, MEMBERS).unwrap();
+
+        // Apply the leave; its handoff batches are now in flight and the
+        // target vertex is silent.
+        sim.run_churn_to(SimTime::from_ticks(5));
+        assert!(
+            sim.churn_vertex_silent(target.bits()),
+            "the target vertex should be mid-handoff"
+        );
+
+        let policy = FtPolicy {
+            strategy: RecoveryStrategy::ReplicatedFailover,
+            max_retries: 4,
+            base_timeout: 16,
+        };
+        let out = sim
+            .search_fault_tolerant(&set("a"), usize::MAX - 1, policy)
+            .unwrap();
+        // Full recall: every object whose keyword set contains `a`.
+        let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids, vec![1, 2, 3, 4, 6, 8], "recall lost mid-handoff");
+
+        // The search interleaved with (and completed) the handoff.
+        let st = sim.churn().unwrap();
+        assert!(st.converged(), "search drain should settle churn");
+        assert!(st.stats().handoffs_completed > 0);
+
+        format!(
+            "ids={ids:?} coverage={:?} stats={:?} consistency={} now={:?}",
+            out.coverage,
+            st.stats(),
+            st.consistency(),
+            sim.network().now(),
+        )
     }
 }

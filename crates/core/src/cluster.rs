@@ -243,11 +243,6 @@ impl HypercubeIndex {
             .collect()
     }
 
-    /// Number of vertices currently materialized (for memory tests).
-    pub fn materialized_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Simulates the crash of one index node: its table (and cache) are
     /// lost. Returns the number of object entries that disappeared.
     ///
@@ -268,7 +263,7 @@ impl HypercubeIndex {
     }
 
     /// The occupancy summary over the cube's prefix regions — what the
-    /// search variants consult to prune empty SBT subtrees.
+    /// top-down walks consult to prune empty SBT subtrees.
     pub fn summary(&self) -> &OccupancySummary {
         &self.summary
     }
@@ -322,7 +317,7 @@ mod tests {
         let mut idx = HypercubeIndex::new(10, 0).unwrap();
         let v = idx.insert(oid(1), set("a b c")).unwrap();
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.materialized_nodes(), 1);
+        assert_eq!(idx.nodes.len(), 1);
         assert_eq!(v, idx.vertex_for(&set("a b c")));
     }
 
@@ -428,19 +423,19 @@ mod tests {
                 idx.insert(oid(i as u64), k.clone()).unwrap();
             }
             let occupied = idx.node_loads().len();
-            assert_eq!(idx.materialized_nodes(), occupied, "round {round}");
+            assert_eq!(idx.nodes.len(), occupied, "round {round}");
             for (i, k) in words.iter().enumerate() {
                 assert!(idx.remove(oid(i as u64), k));
             }
-            assert_eq!(idx.materialized_nodes(), 0, "round {round}");
+            assert_eq!(idx.nodes.len(), 0, "round {round}");
             assert_eq!(idx.store_footprint(), empty, "round {round}");
-            assert_eq!(idx.summary().region_count(), 0, "round {round}");
+            assert_eq!(*idx.summary(), OccupancySummary::new(10), "round {round}");
         }
         // A vertex that still holds a cache stays.
         idx.set_cache_capacity(4);
         let v = idx.insert(oid(1), set("a b")).unwrap();
         assert!(idx.remove(oid(1), &set("a b")));
-        assert_eq!(idx.materialized_nodes(), 1);
+        assert_eq!(idx.nodes.len(), 1);
         assert!(idx.cache_mut(v).is_some());
     }
 }

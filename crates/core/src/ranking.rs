@@ -12,18 +12,6 @@ use std::collections::BTreeMap;
 use crate::keyword::KeywordSet;
 use crate::search::RankedObject;
 
-/// Groups results by their extra-keyword *count* (`0` = exact match).
-///
-/// The map's natural order is most-general-first; iterate it in reverse
-/// for most-specific-first.
-pub fn group_by_extra_count(results: &[RankedObject]) -> BTreeMap<u32, Vec<&RankedObject>> {
-    let mut groups: BTreeMap<u32, Vec<&RankedObject>> = BTreeMap::new();
-    for r in results {
-        groups.entry(r.extra_keywords).or_default().push(r);
-    }
-    groups
-}
-
 /// Groups results by their exact extra-keyword *set* relative to the
 /// query — the categories `K ∪ {σ₁}`, `K ∪ {σ₂}`, `K ∪ {σ₁, σ₂}`, … of
 /// §1's refinement mechanism.
@@ -117,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_count() {
-        let (results, _) = sample_results();
-        let groups = group_by_extra_count(&results);
-        assert_eq!(groups[&0].len(), 1);
-        assert_eq!(groups[&1].len(), 3);
-        assert_eq!(groups[&2].len(), 1);
-    }
-
-    #[test]
     fn group_by_set_distinguishes_categories() {
         let (results, query) = sample_results();
         let groups = group_by_extra_set(&results, &query);
@@ -160,7 +139,6 @@ mod tests {
     #[test]
     fn empty_results_empty_groups() {
         let query = KeywordSet::parse("q").unwrap();
-        assert!(group_by_extra_count(&[]).is_empty());
         assert!(sample_categories(&[], &query, 3).is_empty());
     }
 }

@@ -68,11 +68,16 @@ pub struct SupersetQuery {
     pub order: TraversalOrder,
     /// Sequential protocol or level-parallel broadcast.
     pub mode: ExecutionMode,
-    /// Whether per-node result caches may serve or store this query.
+    /// Whether the root's result cache may serve or store this query.
+    /// The cache holds the sequential top-down walk's answers (§4's
+    /// cache experiment); bottom-up and level-parallel walks run
+    /// uncached whatever this says.
     pub use_cache: bool,
     /// Whether the occupancy summary prunes provably-empty SBT subtrees
-    /// (recall-safe; see [`crate::summary`]). `false` is the walk as
-    /// published, which the reproduction's figures count.
+    /// of the sequential top-down walk (recall-safe; see
+    /// [`crate::summary`]). `false` is the walk as published, which the
+    /// reproduction's figures count; the level-order walks (bottom-up,
+    /// level-parallel) always run as published.
     pub prune: bool,
 }
 
@@ -108,14 +113,18 @@ impl SupersetQuery {
         self
     }
 
-    /// Enables or disables cache participation.
+    /// Enables or disables cache participation (sequential top-down
+    /// walks only).
     pub fn use_cache(mut self, on: bool) -> Self {
         self.use_cache = on;
         self
     }
 
     /// Enables or disables occupancy-guided subtree pruning; `false`
-    /// selects the walk exactly as published.
+    /// selects the walk exactly as published. The flag applies to the
+    /// sequential top-down walk: the level-order walks (bottom-up,
+    /// level-parallel) run as published either way, with identical
+    /// results and costs and `pruned_subtrees == 0`.
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
@@ -154,7 +163,7 @@ pub struct SearchStats {
     /// Parallel rounds used (level-parallel mode only; 0 otherwise).
     pub rounds: u32,
     /// SBT subtrees skipped because an occupancy summary disproved
-    /// them (pruning mode only; 0 otherwise).
+    /// them (a pruned top-down walk only; 0 otherwise).
     pub pruned_subtrees: u64,
 }
 

@@ -15,8 +15,9 @@
 //! The sequential top-down traversal is a plain loop around the shared
 //! [`SupersetCoordinator`] state machine — the same one the simulator
 //! feeds with messages (a runtime worker walks the subcube's prefix
-//! regions instead); the level-order variants walk this module's
-//! per-depth frontier, full or summary-pruned; every per-node scan is
+//! regions instead) — and is the one walk that prunes and the one the
+//! per-root result cache serves; the level-order variants walk
+//! [`Sbt::level`] depth by depth, as published; every per-node scan is
 //! the shared [`scan_store`], ranked by [`crate::ranking`].
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
@@ -36,7 +37,7 @@ use crate::ranking::{prefer_general, prefer_specific};
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
-use crate::summary::{OccupancySummary, Pruner};
+use crate::summary::Pruner;
 
 /// Runs a superset search against a logical hypercube index.
 pub(crate) fn run(
@@ -51,8 +52,32 @@ pub(crate) fn run(
     stats.query_messages += 1;
     stats.nodes_contacted += 1;
 
-    // Cache check at the root. An exhaustive entry serves any
-    // threshold; a partial entry serves thresholds it covers.
+    // Query signature, computed once for the whole traversal.
+    let qsig = query.keywords.signature();
+    Ok(match (query.mode, query.order) {
+        (ExecutionMode::Sequential, TraversalOrder::TopDown) => {
+            cached_top_down(index, query, qsig, root, stats)
+        }
+        (ExecutionMode::Sequential, TraversalOrder::BottomUp) => {
+            by_levels(index, query, qsig, root, stats)
+        }
+        (ExecutionMode::LevelParallel, _) => level_parallel(index, query, qsig, root, stats),
+    })
+}
+
+/// The sequential top-down walk behind the root's result cache (§4).
+/// The cache is keyed by the keyword set alone, so it holds this walk's
+/// answers only: at a binding threshold every other walk answers with
+/// a different set, and runs uncached.
+fn cached_top_down(
+    index: &mut HypercubeIndex,
+    query: &SupersetQuery,
+    qsig: u64,
+    root: Vertex,
+    mut stats: SearchStats,
+) -> SupersetOutcome {
+    // An exhaustive entry serves any threshold; a partial entry serves
+    // thresholds it covers.
     if query.use_cache {
         if let Some(cache) = index.cache_mut(root) {
             if let Some(cached) = cache.lookup(&query.keywords, query.threshold) {
@@ -65,29 +90,19 @@ pub(crate) fn run(
                     .collect();
                 stats.cache_hit = true;
                 stats.result_messages += 1;
-                return Ok(SupersetOutcome {
+                return SupersetOutcome {
                     results,
                     stats,
                     exhausted,
-                });
+                };
             }
         }
     }
 
-    // Query signature, computed once for the whole traversal.
-    let qsig = query.keywords.signature();
-
     // The reusable frontier queue, moved out for the duration of the
-    // search (the traversals borrow the index immutably).
+    // search (the traversal borrows the index immutably).
     let mut frontier = std::mem::take(&mut index.frontier);
-    let bottom_up = query.order == TraversalOrder::BottomUp;
-    let mut outcome = match (query.mode, bottom_up) {
-        (ExecutionMode::Sequential, false) => {
-            sequential_top_down(index, query, qsig, root, stats, &mut frontier)
-        }
-        (ExecutionMode::Sequential, true) => by_levels(index, query, qsig, root, stats),
-        (ExecutionMode::LevelParallel, _) => level_parallel(index, query, qsig, root, stats),
-    };
+    let mut outcome = sequential_top_down(index, query, qsig, root, stats, &mut frontier);
     index.frontier = frontier;
 
     // Cache the traversal's results; the exhausted flag records whether
@@ -108,7 +123,7 @@ pub(crate) fn run(
                 .unwrap_or_else(|kept| kept.iter().take(query.threshold).cloned().collect());
         }
     }
-    Ok(outcome)
+    outcome
 }
 
 /// The paper's sequential top-down protocol: the shared coordinator
@@ -187,11 +202,10 @@ fn by_levels(
     root: Vertex,
     mut stats: SearchStats,
 ) -> SupersetOutcome {
-    let mut levels = FrontierLevels::new(index.summary(), root, query.prune, true);
+    let sbt = Sbt::induced(root);
     let mut results = Vec::new();
-    let mut stopped_early = false;
-    'outer: while let Some(level) = levels.next_level() {
-        for w in level {
+    for depth in (0..=sbt.height()).rev() {
+        for w in sbt.level(depth) {
             // The root was already charged for receiving the query.
             if w != root {
                 stats.query_messages += 1;
@@ -201,16 +215,18 @@ fn by_levels(
             scan_node(index, w, query, qsig, &mut results, &mut stats);
             if results.len() >= query.threshold {
                 results.truncate(query.threshold);
-                stopped_early = true;
-                break 'outer;
+                return SupersetOutcome {
+                    results,
+                    stats,
+                    exhausted: false,
+                };
             }
         }
     }
-    stats.pruned_subtrees += levels.drain();
     SupersetOutcome {
         results,
         stats,
-        exhausted: !stopped_early,
+        exhausted: true,
     }
 }
 
@@ -223,15 +239,18 @@ fn level_parallel(
     root: Vertex,
     mut stats: SearchStats,
 ) -> SupersetOutcome {
-    let bottom_up = query.order == TraversalOrder::BottomUp;
-    let mut levels = FrontierLevels::new(index.summary(), root, query.prune, bottom_up);
+    let sbt = Sbt::induced(root);
+    let height = sbt.height();
     let mut results = Vec::new();
-    let mut stopped_early = false;
-    while let Some(level) = levels.next_level() {
+    for round in 0..=height {
+        let depth = match query.order {
+            TraversalOrder::TopDown => round,
+            TraversalOrder::BottomUp => height - round,
+        };
         stats.rounds += 1;
         // All level-d nodes are queried simultaneously; results within a
         // round may overshoot the threshold and are truncated afterwards.
-        for &w in &level {
+        for w in sbt.level(depth) {
             if w != root {
                 stats.query_messages += 1;
                 stats.nodes_contacted += 1;
@@ -239,181 +258,22 @@ fn level_parallel(
             scan_node(index, w, query, qsig, &mut results, &mut stats);
         }
         if results.len() >= query.threshold {
-            // Exhausted only when every level was visited AND nothing
-            // was truncated (a truncated set must not be cached as
-            // complete).
-            stopped_early = !levels.is_done() || results.len() > query.threshold;
+            // Exhausted only when every level was visited and nothing
+            // was truncated.
+            let exhausted = round == height && results.len() == query.threshold;
             results.truncate(query.threshold);
-            break;
+            return SupersetOutcome {
+                results,
+                stats,
+                exhausted,
+            };
         }
     }
-    stats.pruned_subtrees += levels.drain();
     SupersetOutcome {
         results,
         stats,
-        exhausted: !stopped_early,
+        exhausted: true,
     }
-}
-
-/// The per-depth frontier of the level-order traversals (bottom-up,
-/// §3.5 level-parallel) over the SBT induced by a query root.
-///
-/// [`FrontierLevels::next_level`] yields one `Vec<Vertex>` per tree
-/// depth in visit order, holding one level at a time:
-///
-/// * **Full** levels enumerate [`Sbt::level`] (subset order) lazily in
-///   either direction — nothing beyond the current level is touched,
-///   so a search that exits at depth 2 of an `r = 20` cube never
-///   allocates the million-vertex tail.
-/// * **Pruned** levels run the wave expansion under the occupancy
-///   summary (protocol child order, summary-disproven subtrees
-///   skipped), holding only the current wave.
-/// * **Pruned bottom-up** is the one combination that materializes the
-///   tree (at construction): the wave expansion is inherently
-///   top-down, and deepest-first visiting needs its last wave first.
-///
-/// Early exits may leave a pruned expansion mid-tree;
-/// [`FrontierLevels::drain`] finishes it for the exact pruned-subtree
-/// count (the summary lookups still run, but no vertex is scanned).
-#[derive(Debug)]
-struct FrontierLevels<'a> {
-    /// Consulted by the pruned variants only.
-    summary: &'a OccupancySummary,
-    source: LevelSource,
-    /// `One(F_h(K))` — the positions every match must cover, which the
-    /// pruning test checks the summary against.
-    required: u64,
-    /// Subtrees pruned so far.
-    pruned: u64,
-    /// Whether the last yielded level was the final one.
-    done: bool,
-}
-
-#[derive(Debug)]
-enum LevelSource {
-    /// Unpruned: direct per-depth enumeration of the induced SBT.
-    Full {
-        sbt: Sbt,
-        /// Next depth to yield.
-        depth: u32,
-        /// Deepest level first.
-        bottom_up: bool,
-    },
-    /// Pruned top-down: the live wave, each node with its arrival
-    /// dimension so its children enumerate as [`child_contacts`] would.
-    Wave(Vec<(Vertex, Option<u8>)>),
-    /// Pruned bottom-up: every level, expanded up front (shallowest
-    /// first; yielded from the back).
-    Reversed(Vec<Vec<Vertex>>),
-}
-
-impl<'a> FrontierLevels<'a> {
-    /// The levels of the SBT induced by `root`: deepest first when
-    /// `bottom_up`, with subtrees `summary` disproves left out when
-    /// `prune`.
-    fn new(summary: &'a OccupancySummary, root: Vertex, prune: bool, bottom_up: bool) -> Self {
-        let required = root.bits();
-        let mut pruned = 0;
-        let source = match (prune, bottom_up) {
-            (false, _) => {
-                let sbt = Sbt::induced(root);
-                LevelSource::Full {
-                    sbt,
-                    depth: if bottom_up { sbt.height() } else { 0 },
-                    bottom_up,
-                }
-            }
-            (true, false) => LevelSource::Wave(vec![(root, None)]),
-            (true, true) => {
-                let (mut wave, mut levels) = (vec![(root, None)], Vec::new());
-                while !wave.is_empty() {
-                    levels.push(advance_wave(&mut wave, summary, required, &mut pruned));
-                }
-                LevelSource::Reversed(levels)
-            }
-        };
-        FrontierLevels {
-            summary,
-            source,
-            required,
-            pruned,
-            done: false,
-        }
-    }
-
-    /// Whether every level has been yielded (i.e. the last yield was
-    /// the final one) — distinguishes "stopped early" from "exhausted"
-    /// without knowing the level count up front.
-    fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Runs whatever is left of the expansion without yielding and
-    /// returns how many subtrees the whole tree's expansion pruned (0
-    /// on the full paths) — exact even after an early exit.
-    fn drain(&mut self) -> u64 {
-        while self.next_level().is_some() {}
-        self.pruned
-    }
-
-    /// The next level in visit order, or `None` once every level was
-    /// yielded.
-    fn next_level(&mut self) -> Option<Vec<Vertex>> {
-        if self.done {
-            return None;
-        }
-        match &mut self.source {
-            LevelSource::Full {
-                sbt,
-                depth,
-                bottom_up,
-            } => {
-                let level: Vec<Vertex> = sbt.level(*depth).collect();
-                let last = if *bottom_up { 0 } else { sbt.height() };
-                if *depth == last {
-                    self.done = true;
-                } else if *bottom_up {
-                    *depth -= 1;
-                } else {
-                    *depth += 1;
-                }
-                Some(level)
-            }
-            LevelSource::Wave(wave) => {
-                let level = advance_wave(wave, self.summary, self.required, &mut self.pruned);
-                self.done = wave.is_empty();
-                Some(level)
-            }
-            LevelSource::Reversed(levels) => {
-                let level = levels.pop();
-                self.done = levels.is_empty();
-                level
-            }
-        }
-    }
-}
-
-/// Yields the current wave's vertices and replaces the wave with the
-/// children the summary cannot disprove, counting the rest in `pruned`.
-fn advance_wave(
-    wave: &mut Vec<(Vertex, Option<u8>)>,
-    summary: &OccupancySummary,
-    required: u64,
-    pruned: &mut u64,
-) -> Vec<Vertex> {
-    let mut next = Vec::new();
-    for &(w, via) in wave.iter() {
-        for (child, dim) in child_contacts(w, via) {
-            if summary.can_prune(child, dim, required) {
-                *pruned += 1;
-            } else {
-                next.push((w.flip(dim), Some(dim)));
-            }
-        }
-    }
-    let level = wave.iter().map(|&(v, _)| v).collect();
-    *wave = next;
-    level
 }
 
 /// One node's table scan: every entry `K' ⊇ K` (signature prefilter
@@ -442,53 +302,4 @@ fn scan_node(
         stats.result_messages += 1;
     }
     found
-}
-
-#[cfg(test)]
-mod tests {
-    use hyperdex_hypercube::Shape;
-
-    use super::*;
-
-    #[test]
-    fn frontier_levels_agree_across_directions_and_pruning() {
-        let shape = Shape::new(6).unwrap();
-        let root = Vertex::from_bits(shape, 0b000001).unwrap();
-        let mut summary = OccupancySummary::new(6);
-        for bits in [0b000101, 0b010111, 0b100001] {
-            summary.record_insert(bits);
-        }
-        let collect = |prune, bottom_up| {
-            let mut levels = FrontierLevels::new(&summary, root, prune, bottom_up);
-            let mut out = Vec::new();
-            while let Some(level) = levels.next_level() {
-                out.push(level);
-            }
-            assert!(levels.is_done());
-            (out, levels.drain())
-        };
-        let (full, none) = collect(false, false);
-        assert_eq!(none, 0);
-        assert_eq!(full.iter().map(Vec::len).sum::<usize>(), 1 << 5);
-        let (mut full_up, _) = collect(false, true);
-        full_up.reverse();
-        assert_eq!(full_up, full, "bottom-up is the same levels, deepest first");
-
-        let (pruned, cut) = collect(true, false);
-        assert!(cut > 0, "the sparse summary must disprove something");
-        assert!(pruned.iter().map(Vec::len).sum::<usize>() < 1 << 5);
-        for occupied in [0b000101u64, 0b010111, 0b100001] {
-            assert!(pruned.iter().flatten().any(|v| v.bits() == occupied));
-        }
-        let (mut pruned_up, cut_up) = collect(true, true);
-        pruned_up.reverse();
-        assert_eq!((pruned_up, cut_up), (pruned, cut));
-
-        // An early exit leaves the expansion mid-tree; drain finishes the
-        // accounting without yielding.
-        let mut early = FrontierLevels::new(&summary, root, true, false);
-        early.next_level();
-        assert!(!early.is_done());
-        assert_eq!(early.drain(), cut);
-    }
 }

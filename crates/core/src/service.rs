@@ -293,25 +293,6 @@ impl KeywordSearchService {
         Ok(ServiceSearchOutcome { outcome, dht_hops })
     }
 
-    /// Per-*physical-node* index load: how many indexed objects each DHT
-    /// node carries once vertices are mapped through `g`. Demonstrates
-    /// the §3.2 regime where `2^r` logical nodes fold onto fewer
-    /// physical ones.
-    pub fn physical_loads(&self) -> Vec<(NodeId, usize)> {
-        let mut loads: std::collections::HashMap<NodeId, usize> =
-            self.dht.ring().iter().map(|n| (n, 0)).collect();
-        for (vertex, load) in self.index.node_loads() {
-            let node = self
-                .map
-                .physical_node(vertex, self.dht.ring())
-                .expect("ring non-empty");
-            *loads.entry(node).or_insert(0) += load;
-        }
-        let mut out: Vec<(NodeId, usize)> = loads.into_iter().collect();
-        out.sort_unstable_by_key(|&(n, _)| n);
-        out
-    }
-
     /// Retrieves a copy reference for `object` via the DHT (the final
     /// `Read(σ)` step after a search returns object ids).
     pub fn fetch_reference(
@@ -430,24 +411,6 @@ mod tests {
             svc.publish(publisher, ObjectId::from_raw(1), KeywordSet::new()),
             Err(Error::EmptyKeywordSet)
         );
-    }
-
-    #[test]
-    fn physical_loads_cover_all_objects() {
-        let mut svc = service();
-        let publisher = svc.random_node();
-        for i in 0..100 {
-            svc.publish(
-                publisher,
-                ObjectId::from_raw(i),
-                set(&format!("tag{} tag{}", i % 10, i % 7)),
-            )
-            .unwrap();
-        }
-        let loads = svc.physical_loads();
-        let total: usize = loads.iter().map(|&(_, l)| l).sum();
-        assert_eq!(total, svc.index().len());
-        assert_eq!(loads.len(), 32, "every physical node listed");
     }
 
     #[test]

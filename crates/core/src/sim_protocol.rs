@@ -927,12 +927,6 @@ impl ProtocolSim {
         &mut self.net
     }
 
-    /// The vertex a query hashes to (the traversal root), in the
-    /// primary cube.
-    pub fn query_root(&self, keywords: &KeywordSet) -> Vertex {
-        self.hasher.vertex_for(keywords)
-    }
-
     /// The endpoint hosting vertex `bits`, materializing it lazily on
     /// first contact.
     ///
@@ -1174,7 +1168,7 @@ mod tests {
     /// Kills the root's highest-dimension child: its SBT subtree is
     /// half the subcube.
     fn kill_big_child(sim: &mut ProtocolSim, query: &KeywordSet) -> u64 {
-        let root = sim.query_root(query);
+        let root = sim.hasher.vertex_for(query);
         let top = root
             .zero_positions()
             .next_back()
@@ -1238,7 +1232,7 @@ mod tests {
     #[test]
     fn ft_dead_root_promotes_requester() {
         let (_, mut sim) = twin(8, CORPUS);
-        let root = sim.query_root(&set("a")).bits();
+        let root = sim.hasher.vertex_for(&set("a")).bits();
         let ep = sim.endpoint_of(root);
         sim.network_mut().faults_mut().kill(ep);
         let out = sim
@@ -1257,7 +1251,7 @@ mod tests {
     fn ft_failover_recovers_objects_from_dead_vertex() {
         // Object 2 ("a b") is homed at F_h({a,b}); kill that vertex.
         let (_, mut sim) = twin(8, CORPUS);
-        let home = sim.query_root(&set("a b")).bits();
+        let home = sim.hasher.vertex_for(&set("a b")).bits();
         let ep = sim.endpoint_of(home);
         sim.network_mut().faults_mut().kill(ep);
         let redel = sim

@@ -132,20 +132,9 @@ impl OccupancySummary {
         self.r
     }
 
-    /// Number of trie nodes held: occupied vertices, plus occupied
-    /// regions above 64 vertices.
-    pub fn region_count(&self) -> usize {
-        self.leaves.len() + self.masks.len()
-    }
-
     /// Total object entries indexed anywhere in the cube.
     pub const fn total_objects(&self) -> u64 {
         self.total
-    }
-
-    /// Object entries recorded at the single vertex `bits`.
-    pub fn leaf_count(&self, bits: u64) -> u64 {
-        self.leaves.get(&bits).copied().unwrap_or(0)
     }
 
     /// OR of the bit patterns of the occupied vertices in region
@@ -206,18 +195,6 @@ impl OccupancySummary {
             (true, false) => self.vacate(bits),
             _ => {}
         }
-    }
-
-    /// Whether the subtree of `child_bits` (reached across `via_dim`)
-    /// provably holds no entry whose keyword positions cover
-    /// `required_mask` — i.e. whether a superset search rooted at a
-    /// vertex with bit pattern `required_mask` may skip it.
-    ///
-    /// True when the covering region is unoccupied, or when its position
-    /// mask is missing one of the required positions (every match
-    /// `K' ⊇ K` lives at a vertex `x ⊇ F_h(K)`).
-    pub fn can_prune(&self, child_bits: u64, via_dim: u8, required_mask: u64) -> bool {
-        self.pruner(required_mask).prunable(child_bits, via_dim)
     }
 
     /// The pruning tests of one search rooted at a vertex with bit
@@ -295,10 +272,13 @@ pub struct Pruner<'a> {
 }
 
 impl Pruner<'_> {
-    /// [`OccupancySummary::can_prune`] for several children of one
-    /// vertex at once: which of the dimensions `dims` (one bit each)
-    /// lead from `parent_bits` to a child the search may skip. The
-    /// children across dimensions 0–5 lie in the parent's own word.
+    /// Which of the dimensions `dims` (one bit each) lead from
+    /// `parent_bits` to a child the search may skip: one whose subtree
+    /// provably holds no entry covering the search's required positions.
+    /// That holds when the region covering the subtree is unoccupied, or
+    /// when its position mask misses a required position (every match
+    /// `K' ⊇ K` lives at a vertex `x ⊇ F_h(K)`). The children across
+    /// dimensions 0–5 lie in the parent's own word.
     pub fn prunable_dims(&mut self, parent_bits: u64, dims: u64) -> u64 {
         let (mut cut, mut rest) = (0, dims);
         while rest != 0 {
@@ -338,8 +318,36 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use hyperdex_hypercube::sbt::summary_path;
     use proptest::prelude::*;
+
+    /// What tests read of a summary beyond its answers, and the
+    /// one-child pruning test that [`Pruner::prunable_dims`] is held to.
+    impl OccupancySummary {
+        /// Number of trie nodes held: occupied vertices, plus occupied
+        /// regions above 64 vertices.
+        pub(crate) fn region_count(&self) -> usize {
+            self.leaves.len() + self.masks.len()
+        }
+
+        /// Object entries recorded at the single vertex `bits`.
+        pub(crate) fn leaf_count(&self, bits: u64) -> u64 {
+            self.leaves.get(&bits).copied().unwrap_or(0)
+        }
+
+        /// Whether the subtree of `child_bits` (reached across
+        /// `via_dim`) provably holds no entry whose keyword positions
+        /// cover `required_mask`.
+        pub(crate) fn can_prune(&self, child_bits: u64, via_dim: u8, required_mask: u64) -> bool {
+            self.pruner(required_mask).prunable(child_bits, via_dim)
+        }
+    }
+
+    /// The regions holding vertex `bits`, from the leaf `(0, bits)` up
+    /// to the whole cube `(r, 0)`: the chain an insert or a delete at
+    /// `bits` may touch.
+    fn summary_path(bits: u64, r: u8) -> impl Iterator<Item = (u8, u64)> {
+        (0..=r).map(move |j| (j, bits >> j))
+    }
 
     /// The model: per-vertex entry counts, recounted by brute force.
     #[derive(Default)]

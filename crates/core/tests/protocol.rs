@@ -247,6 +247,66 @@ fn truncated_results_never_poison_the_cache() {
     }
 }
 
+/// Regression: the per-root result cache is keyed by the keyword set
+/// alone, so it may serve one walk only. At a binding threshold the
+/// walks answer with different sets — top-down the most general
+/// matches, bottom-up the most specific, level-parallel a whole level —
+/// and whichever ran first must not answer for the others. The cache
+/// serves the sequential top-down walk (§4's cache experiment); every
+/// other walk runs uncached.
+#[test]
+fn the_result_cache_never_serves_one_walk_another_walks_answer() {
+    const CORPUS: &[&str] = &["a", "a b", "a b c", "a c", "b c", "a d e", "x y", "a b d"];
+    let walks = [
+        (TraversalOrder::TopDown, ExecutionMode::Sequential),
+        (TraversalOrder::BottomUp, ExecutionMode::Sequential),
+        (TraversalOrder::TopDown, ExecutionMode::LevelParallel),
+        (TraversalOrder::BottomUp, ExecutionMode::LevelParallel),
+    ];
+    let build = |capacity| {
+        let mut index = HypercubeIndex::new(6, 0).unwrap();
+        index.set_cache_capacity(capacity);
+        for (i, words) in CORPUS.iter().enumerate() {
+            let set = KeywordSet::parse(words).unwrap();
+            index.insert(ObjectId::from_raw(i as u64 + 1), set).unwrap();
+        }
+        index
+    };
+    let query = |(order, mode)| {
+        SupersetQuery::new(KeywordSet::parse("a").unwrap())
+            .threshold(2)
+            .order(order)
+            .mode(mode)
+    };
+    let ids = |results: &[hyperdex_core::RankedObject]| -> Vec<u64> {
+        results.iter().map(|r| r.object.raw()).collect()
+    };
+    let mut uncached = build(0);
+    let want: Vec<Vec<u64>> = walks
+        .iter()
+        .map(|&walk| ids(&uncached.superset_search(&query(walk)).unwrap().results))
+        .collect();
+    assert_ne!(
+        want[0], want[1],
+        "t = 2 must bind: top-down and bottom-up differ"
+    );
+
+    for first in walks {
+        for (second, want) in walks.iter().zip(&want) {
+            let mut index = build(16);
+            index.superset_search(&query(first)).unwrap();
+            let got = index.superset_search(&query(*second)).unwrap();
+            assert_eq!(&ids(&got.results), want, "{second:?} after {first:?}");
+            let top_down = (TraversalOrder::TopDown, ExecutionMode::Sequential);
+            assert_eq!(
+                got.stats.cache_hit,
+                first == top_down && *second == top_down,
+                "{second:?} after {first:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     /// The lemma a runtime worker's region merge rests on (Lemma 3.2
     /// with the frontier's FIFO and `child_contacts`' descending

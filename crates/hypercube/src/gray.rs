@@ -26,17 +26,6 @@ pub fn gray_code(i: u64) -> u64 {
     i ^ (i >> 1)
 }
 
-/// The rank of a Gray code (inverse of [`gray_code`]).
-pub fn gray_rank(code: u64) -> u64 {
-    let mut rank = code;
-    let mut shift = 1;
-    while shift < 64 {
-        rank ^= rank >> shift;
-        shift <<= 1;
-    }
-    rank
-}
-
 /// Iterates over a subcube's vertices in Gray order: consecutive
 /// vertices differ in exactly one (free) bit.
 ///
@@ -86,14 +75,6 @@ mod tests {
             let b = gray_code(i + 1);
             assert_eq!((a ^ b).count_ones(), 1, "at rank {i}");
         }
-    }
-
-    #[test]
-    fn rank_inverts_code() {
-        for i in 0..10_000u64 {
-            assert_eq!(gray_rank(gray_code(i)), i);
-        }
-        assert_eq!(gray_rank(gray_code(u64::MAX)), u64::MAX);
     }
 
     #[test]

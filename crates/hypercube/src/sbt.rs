@@ -150,16 +150,6 @@ impl Sbt {
         }
     }
 
-    /// The size of the subtree rooted at `v`:
-    /// `2^(free dimensions below the branch dimension)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a tree node.
-    pub fn subtree_size(self, v: Vertex) -> u64 {
-        1u64 << self.child_dims_mask(v).count_ones()
-    }
-
     /// Iterates over the nodes at depth exactly `d`.
     pub fn level(self, d: u32) -> impl Iterator<Item = Vertex> {
         let root = self.root;
@@ -210,23 +200,13 @@ pub fn subtree_region(child_bits: u64, via_dim: u8) -> (u8, u64) {
     (via_dim, child_bits >> via_dim)
 }
 
-/// The ancestor chain of prefix regions containing vertex `bits`, from
-/// the leaf region `(0, bits)` up to the whole cube `(r, 0)`.
-///
-/// These are the `r + 1` region digests an insert or delete at `bits`
-/// must touch — the O(r) "bubble up" path of an occupancy-summary
-/// update.
-pub fn summary_path(bits: u64, r: u8) -> impl DoubleEndedIterator<Item = (u8, u64)> + Clone {
-    (0..=r).map(move |j| (j, bits >> j))
-}
-
 /// Where region `(level, prefix)` of an `r`-cube sits when the prefix
 /// regions are numbered as the binary trie they form: the whole cube is
 /// node 1, the halves of node `h` are `2h` and `2h + 1` (so a parent is
-/// `h >> 1`), and vertex `bits` is leaf `(1 << r) | bits`. Walking
-/// [`summary_path`] is therefore `h`, `h >> 1`, … down to 1, and the
-/// `2^(r − level)` regions of one level are consecutive. Fits a `u64`
-/// for every `r ≤ 63`.
+/// `h >> 1`), and vertex `bits` is leaf `(1 << r) | bits`. The regions
+/// holding a vertex, `(j, bits >> j)` for `j = 0 ..= r`, are therefore
+/// `h`, `h >> 1`, … down to 1, and the `2^(r − level)` regions of one
+/// level are consecutive. Fits a `u64` for every `r ≤ 63`.
 pub const fn region_index(r: u8, level: u8, prefix: u64) -> u64 {
     debug_assert!(level <= r && prefix >> (r - level) == 0);
     (1u64 << (r - level)) | prefix
@@ -258,6 +238,12 @@ mod tests {
 
     fn v(r: u8, bits: u64) -> Vertex {
         Vertex::from_bits(Shape::new(r).unwrap(), bits).unwrap()
+    }
+
+    /// The size of the subtree rooted at `v`: `2^(free dimensions below
+    /// the branch dimension)`.
+    fn subtree_size(sbt: Sbt, v: Vertex) -> u64 {
+        1 << sbt.child_dims_mask(v).count_ones()
     }
 
     #[test]
@@ -349,7 +335,7 @@ mod tests {
     #[test]
     fn subtree_sizes_sum_to_node_count() {
         let sbt = Sbt::induced(v(5, 0b01000));
-        let root_children_total: u64 = sbt.children(sbt.root()).map(|c| sbt.subtree_size(c)).sum();
+        let root_children_total: u64 = sbt.children(sbt.root()).map(|c| subtree_size(sbt, c)).sum();
         assert_eq!(root_children_total + 1, sbt.node_count());
     }
 
@@ -357,7 +343,7 @@ mod tests {
     fn subtree_size_leaf_is_one() {
         let sbt = Sbt::induced(v(4, 0b0100));
         // 0101 branches at dim 0; no free dims below 0 → leaf.
-        assert_eq!(sbt.subtree_size(v(4, 0b0101)), 1);
+        assert_eq!(subtree_size(sbt, v(4, 0b0101)), 1);
     }
 
     #[test]
@@ -421,23 +407,16 @@ mod tests {
     }
 
     #[test]
-    fn summary_path_walks_leaf_to_cube() {
-        let path: Vec<(u8, u64)> = summary_path(0b1011, 4).collect();
-        assert_eq!(
-            path,
-            vec![(0, 0b1011), (1, 0b101), (2, 0b10), (3, 0b1), (4, 0)]
-        );
-        // Region at each level halves in specificity; last covers all.
-        assert_eq!(summary_path(0, 63).count(), 64);
-    }
-
-    #[test]
     fn region_index_numbers_the_prefix_trie() {
         for r in [1u8, 4, 16, 63] {
             let bits = 0x5A5A_5A5A_5A5A_5A5A & ((1u64 << r) - 1);
             let mut h = (1u64 << r) | bits;
-            for (level, prefix) in summary_path(bits, r) {
-                assert_eq!(region_index(r, level, prefix), h, "r={r} level={level}");
+            for level in 0..=r {
+                assert_eq!(
+                    region_index(r, level, bits >> level),
+                    h,
+                    "r={r} level={level}"
+                );
                 h >>= 1;
             }
             assert_eq!(h, 0, "the chain ends at node 1, the whole cube");

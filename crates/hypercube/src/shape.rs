@@ -43,13 +43,6 @@ pub enum DimensionError {
         /// The shape's dimensionality.
         r: u8,
     },
-    /// A dimension index was at or above `r`.
-    AxisOutOfRange {
-        /// The rejected dimension index.
-        axis: u8,
-        /// The shape's dimensionality.
-        r: u8,
-    },
 }
 
 impl fmt::Display for DimensionError {
@@ -60,9 +53,6 @@ impl fmt::Display for DimensionError {
             }
             DimensionError::BitsOutOfRange { bits, r } => {
                 write!(f, "bit pattern {bits:#b} does not fit in {r} dimensions")
-            }
-            DimensionError::AxisOutOfRange { axis, r } => {
-                write!(f, "dimension index {axis} out of range for H_{r}")
             }
         }
     }
@@ -117,19 +107,6 @@ impl Shape {
         }
     }
 
-    /// Checks that `axis` is a valid dimension index (`< r`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionError::AxisOutOfRange`] otherwise.
-    pub fn check_axis(self, axis: u8) -> Result<(), DimensionError> {
-        if axis >= self.r {
-            Err(DimensionError::AxisOutOfRange { axis, r: self.r })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Iterates over all dimension indices `0..r`.
     pub fn axes(self) -> impl DoubleEndedIterator<Item = u8> + Clone {
         0..self.r
@@ -174,13 +151,6 @@ mod tests {
         let s = Shape::new(3).unwrap();
         assert!(s.check_bits(0b111).is_ok());
         assert!(s.check_bits(0b1000).is_err());
-    }
-
-    #[test]
-    fn check_axis_boundary() {
-        let s = Shape::new(3).unwrap();
-        assert!(s.check_axis(2).is_ok());
-        assert!(s.check_axis(3).is_err());
     }
 
     #[test]

@@ -48,14 +48,6 @@ impl Vertex {
         Vertex { shape, bits: 0 }
     }
 
-    /// The all-one vertex.
-    pub fn all_ones(shape: Shape) -> Self {
-        Vertex {
-            shape,
-            bits: shape.full_mask(),
-        }
-    }
-
     /// The raw bit pattern.
     pub const fn bits(self) -> u64 {
         self.bits
@@ -98,11 +90,6 @@ impl Vertex {
         self.shape.r() as u32 - self.bits.count_ones()
     }
 
-    /// Mask of the one positions (equal to [`Vertex::bits`]).
-    pub const fn one_mask(self) -> u64 {
-        self.bits
-    }
-
     /// Mask of the zero positions.
     pub const fn zero_mask(self) -> u64 {
         !self.bits & self.shape.full_mask()
@@ -139,32 +126,6 @@ impl Vertex {
         Vertex {
             shape: self.shape,
             bits: self.bits ^ (1u64 << i),
-        }
-    }
-
-    /// This vertex with bit `i` set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i ≥ r`.
-    pub fn with_bit(self, i: u8) -> Vertex {
-        assert!(i < self.shape.r(), "dimension {i} out of range");
-        Vertex {
-            shape: self.shape,
-            bits: self.bits | (1u64 << i),
-        }
-    }
-
-    /// This vertex with bit `i` cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i ≥ r`.
-    pub fn without_bit(self, i: u8) -> Vertex {
-        assert!(i < self.shape.r(), "dimension {i} out of range");
-        Vertex {
-            shape: self.shape,
-            bits: self.bits & !(1u64 << i),
         }
     }
 
@@ -235,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_all_ones() {
-        let s = shape(5);
-        assert_eq!(Vertex::zero(s).one_count(), 0);
-        assert_eq!(Vertex::all_ones(s).one_count(), 5);
-        assert!(Vertex::all_ones(s).contains(Vertex::zero(s)));
-    }
-
-    #[test]
     fn bit_indexing_counts_from_right() {
         let vx = v(4, 0b0100);
         assert!(!vx.bit(0));
@@ -305,19 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn with_without_bit() {
-        let vx = v(4, 0b0100);
-        assert_eq!(vx.with_bit(0).bits(), 0b0101);
-        assert_eq!(
-            vx.with_bit(2).bits(),
-            0b0100,
-            "setting a set bit is a no-op"
-        );
-        assert_eq!(vx.without_bit(2).bits(), 0b0000);
-        assert_eq!(vx.without_bit(0).bits(), 0b0100);
-    }
-
-    #[test]
     fn neighbors_are_all_distinct_at_distance_one() {
         let vx = v(5, 0b10101);
         let ns: Vec<Vertex> = vx.neighbors().collect();
@@ -341,7 +281,7 @@ mod tests {
     #[test]
     fn masks_partition_the_shape() {
         let vx = v(7, 0b1010011);
-        assert_eq!(vx.one_mask() | vx.zero_mask(), shape(7).full_mask());
-        assert_eq!(vx.one_mask() & vx.zero_mask(), 0);
+        assert_eq!(vx.bits() | vx.zero_mask(), shape(7).full_mask());
+        assert_eq!(vx.bits() & vx.zero_mask(), 0);
     }
 }

@@ -21,6 +21,11 @@ fn shape_and_two() -> impl Strategy<Value = (Shape, u64, u64)> {
     })
 }
 
+/// The number of nodes in the subtree of `sbt` rooted at `v`, counted.
+fn subtree_size(sbt: Sbt, v: Vertex) -> u64 {
+    1 + sbt.children(v).map(|c| subtree_size(sbt, c)).sum::<u64>()
+}
+
 proptest! {
     /// Containment is exactly the subset relation on one-positions.
     #[test]
@@ -74,7 +79,6 @@ proptest! {
         prop_assert!(w.contains(u));
         let hu = Subcube::induced_by(u);
         let hw = Subcube::induced_by(w);
-        prop_assert!(hu.contains_subcube(hw));
         for m in hw.iter() {
             prop_assert!(hu.contains(m));
         }
@@ -154,7 +158,7 @@ proptest! {
     fn sbt_subtree_decomposition((shape, bits) in shape_and_bits()) {
         let root = Vertex::from_bits(shape, bits).unwrap();
         let sbt = Sbt::induced(root);
-        let sum: u64 = sbt.children(root).map(|c| sbt.subtree_size(c)).sum();
+        let sum: u64 = sbt.children(root).map(|c| subtree_size(sbt, c)).sum();
         prop_assert_eq!(sum + 1, sbt.node_count());
     }
 }

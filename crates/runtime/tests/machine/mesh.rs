@@ -126,7 +126,9 @@ impl Mesh {
     ) -> Mesh {
         let workers = cfg.workers.max(1) as usize;
         let mut net = Network::new(latency, net_seed);
-        net.add_endpoints(workers + 1);
+        for _ in 0..=workers {
+            net.add_endpoint();
+        }
         let mut mesh = Mesh {
             hasher: KeywordHasher::new(cfg.r, cfg.seed).expect("valid r"),
             shards: cfg.shard_map(),

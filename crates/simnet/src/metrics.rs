@@ -155,18 +155,6 @@ impl Histogram {
         Some(self.values[idx])
     }
 
-    /// Population standard deviation, or `None` if empty.
-    pub fn stddev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .values
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.values.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Iterates over raw observations in insertion or sorted order
     /// (unspecified which; do not rely on ordering).
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
@@ -216,7 +204,6 @@ mod tests {
         assert_eq!(h.max(), Some(4.0));
         assert_eq!(h.quantile(0.0), Some(1.0));
         assert_eq!(h.quantile(1.0), Some(4.0));
-        assert!((h.stddev().unwrap() - 1.118).abs() < 1e-3);
     }
 
     #[test]
@@ -231,7 +218,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.stddev(), None);
     }
 
     #[test]

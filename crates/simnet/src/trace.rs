@@ -134,11 +134,6 @@ impl Trace {
         self.recorded
     }
 
-    /// Buffered events of one kind.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Clears the buffer (the `recorded` total is kept).
     pub fn clear(&mut self) {
         self.events.clear();
@@ -185,8 +180,9 @@ mod tests {
         trace.record(ev(2, TraceKind::Delivered));
         trace.record(ev(3, TraceKind::Dropped));
         trace.record(ev(4, TraceKind::Delivered));
-        assert_eq!(trace.of_kind(TraceKind::Delivered).count(), 2);
-        assert_eq!(trace.of_kind(TraceKind::Dropped).count(), 1);
+        let of_kind = |kind| trace.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(of_kind(TraceKind::Delivered), 2);
+        assert_eq!(of_kind(TraceKind::Dropped), 1);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Property-based tests for the simulation substrate.
 
 use hyperdex_simnet::latency::LatencyModel;
-use hyperdex_simnet::net::Network;
+use hyperdex_simnet::net::{EndpointId, Network};
 use hyperdex_simnet::rng::SimRng;
 use hyperdex_simnet::time::{SimDuration, SimTime};
+use hyperdex_simnet::trace::TraceKind;
 use hyperdex_simnet::EventQueue;
 use proptest::prelude::*;
+
+/// Registers `n` endpoints on `net`, returning their ids.
+fn endpoints(net: &mut Network<usize>, n: usize) -> Vec<EndpointId> {
+    (0..n).map(|_| net.add_endpoint()).collect()
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
@@ -64,7 +70,7 @@ proptest! {
         drop_p in 0.0f64..1.0,
     ) {
         let mut net: Network<usize> = Network::new(LatencyModel::uniform(1, 5), seed);
-        let eps = net.add_endpoints(8);
+        let eps = endpoints(&mut net, 8);
         net.faults_mut().set_drop_probability(drop_p);
         for (i, (from, to)) in sends.iter().enumerate() {
             net.send(eps[*from as usize], eps[*to as usize], i);
@@ -95,7 +101,7 @@ proptest! {
             _ => LatencyModel::pareto(1, 1.5, 50),
         };
         let mut net: Network<usize> = Network::new(latency, seed);
-        let eps = net.add_endpoints(8);
+        let eps = endpoints(&mut net, 8);
         net.enable_tracing(4096);
         net.faults_mut().set_drop_probability(drop_p);
         for (ep, from, len) in &outages {
@@ -122,19 +128,10 @@ proptest! {
         prop_assert_eq!(net.in_flight(), 0);
         // Trace agreement: the buffer is large enough to hold every
         // event (≤ 3 per send), so per-kind counts must equal counters.
-        let trace = net.trace();
-        prop_assert_eq!(
-            trace.of_kind(hyperdex_simnet::trace::TraceKind::Sent).count() as u64,
-            m.messages_sent.get()
-        );
-        prop_assert_eq!(
-            trace.of_kind(hyperdex_simnet::trace::TraceKind::Delivered).count() as u64,
-            m.messages_delivered.get()
-        );
-        prop_assert_eq!(
-            trace.of_kind(hyperdex_simnet::trace::TraceKind::Dropped).count() as u64,
-            m.messages_dropped.get()
-        );
+        let of_kind = |kind| net.trace().iter().filter(|e| e.kind == kind).count() as u64;
+        prop_assert_eq!(of_kind(TraceKind::Sent), m.messages_sent.get());
+        prop_assert_eq!(of_kind(TraceKind::Delivered), m.messages_delivered.get());
+        prop_assert_eq!(of_kind(TraceKind::Dropped), m.messages_dropped.get());
     }
 
     /// Timers never leak: at quiescence every timer set was fired,
@@ -149,7 +146,7 @@ proptest! {
         sends in prop::collection::vec((0u64..4, 0u64..4), 0..30),
     ) {
         let mut net: Network<usize> = Network::new(LatencyModel::uniform(1, 5), seed);
-        let eps = net.add_endpoints(4);
+        let eps = endpoints(&mut net, 4);
         for ep in &kills {
             net.faults_mut().kill(eps[*ep as usize]);
         }

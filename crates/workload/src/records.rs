@@ -30,20 +30,6 @@ impl WebsiteRecord {
     pub fn object_id(&self) -> ObjectId {
         ObjectId::from_raw(self.id)
     }
-
-    /// Renders the record as a Table 1-style row.
-    pub fn table_row(&self) -> String {
-        let kw: Vec<&str> = self.keywords.iter().map(|k| k.as_str()).collect();
-        format!(
-            "| {} | {} | {} | {} | {} | {} |",
-            self.id,
-            self.title,
-            self.url,
-            self.category,
-            self.description,
-            kw.join(", ")
-        )
-    }
 }
 
 impl std::fmt::Display for WebsiteRecord {
@@ -74,21 +60,6 @@ mod tests {
     #[test]
     fn object_id_derives_from_record_id() {
         assert_eq!(record().object_id(), ObjectId::from_raw(11));
-    }
-
-    #[test]
-    fn table_row_contains_all_fields() {
-        let row = record().table_row();
-        for field in [
-            "11",
-            "Hinet",
-            "hinet.net",
-            "0818013020",
-            "ISP in Taiwan",
-            "isp",
-        ] {
-            assert!(row.contains(field), "missing {field} in {row}");
-        }
     }
 
     #[test]

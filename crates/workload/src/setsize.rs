@@ -57,24 +57,13 @@ impl SetSizeDistribution {
                 0.5 * (1.0 + erf((x.ln() - mu) / (sigma * std::f64::consts::SQRT_2)))
             }
         };
-        let mut weights: Vec<f64> = (1..=MAX_SET_SIZE)
+        let weights: Vec<f64> = (1..=MAX_SET_SIZE)
             .map(|k| {
                 let k = f64::from(k);
                 (cdf_ln(k + 0.5) - cdf_ln(k - 0.5)).max(0.0)
             })
             .collect();
-        let total: f64 = weights.iter().sum();
-        for w in &mut weights {
-            *w /= total;
-        }
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
-            cdf.push(acc);
-        }
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        SetSizeDistribution { weights, cdf }
+        Self::from_weights(&weights)
     }
 
     /// Builds a distribution directly from per-size weights

@@ -91,23 +91,6 @@ pub fn gini(loads: &[usize], total_nodes: u64) -> f64 {
     1.0 - 2.0 * area
 }
 
-/// Max-to-mean load ratio over the full node population — the hot-spot
-/// indicator (1.0 = perfectly even).
-///
-/// # Panics
-///
-/// Panics if `total_nodes` is zero.
-pub fn max_mean_ratio(loads: &[usize], total_nodes: u64) -> f64 {
-    assert!(total_nodes > 0, "need at least one node");
-    let total: usize = loads.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / total_nodes as f64;
-    let max = loads.iter().copied().max().unwrap_or(0) as f64;
-    max / mean
-}
-
 /// Normalized histogram: `fractions[i] = counts[i] / Σ counts`.
 pub fn normalized(counts: &[usize]) -> Vec<f64> {
     let total: usize = counts.iter().sum();
@@ -183,13 +166,6 @@ mod tests {
         // Same non-empty loads, more empty nodes ⇒ more inequality.
         let loads = vec![10, 10, 10, 10];
         assert!(gini(&loads, 16) > gini(&loads, 4));
-    }
-
-    #[test]
-    fn max_mean_ratio_basics() {
-        assert!((max_mean_ratio(&[5, 5, 5, 5], 4) - 1.0).abs() < 1e-9);
-        assert!((max_mean_ratio(&[20], 4) - 4.0).abs() < 1e-9);
-        assert_eq!(max_mean_ratio(&[], 4), 1.0);
     }
 
     #[test]

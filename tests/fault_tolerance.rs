@@ -2,8 +2,11 @@
 //! the §3.4 claim that no single failure blocks a keyword's queries.
 
 use hyperdex::core::sim_protocol::{FtSearchOutcome, ProtocolSim, RecoveryStrategy};
-use hyperdex::core::{FtPolicy, HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
+use hyperdex::core::{
+    FtPolicy, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery,
+};
 use hyperdex::dht::{Dolr, NodeId};
+use hyperdex::hypercube::Vertex;
 use hyperdex::simnet::latency::LatencyModel;
 
 #[test]
@@ -138,6 +141,15 @@ fn protocol_sim(seed: u64) -> ProtocolSim {
     sim
 }
 
+/// The vertex `F_h(K)` a search for `keywords` starts at in
+/// `protocol_sim(seed)`'s primary cube: the keyword hash of that
+/// dimension and seed.
+fn query_root(seed: u64, keywords: &str) -> Vertex {
+    KeywordHasher::new(8, seed)
+        .expect("valid")
+        .vertex_for(&set(keywords))
+}
+
 /// `strategy` with `max_retries` retransmissions, first waiting 16
 /// ticks.
 fn policy(strategy: RecoveryStrategy, max_retries: u32) -> FtPolicy {
@@ -184,7 +196,7 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
     // Kill the root's highest-dimension SBT child: its subtree is half
     // the query subcube — the worst single crash below the root.
     let mut sim = protocol_sim(7);
-    let root = sim.query_root(&set("common"));
+    let root = query_root(7, "common");
     let dead = root.flip(root.zero_positions().next_back().expect("has zeros"));
     let dead_ep = sim.endpoint_of(dead.bits());
     sim.network_mut().faults_mut().kill(dead_ep);
@@ -228,7 +240,7 @@ fn acceptance_crashes_plus_loss_terminate_with_exact_accounting() {
     // deterministically.
     let run = || {
         let mut sim = protocol_sim(11);
-        let root = sim.query_root(&set("common"));
+        let root = query_root(11, "common");
         let root_bits = root.bits();
         // Three proper superset vertices of the root (in its subcube).
         let crashed: Vec<u64> = (0..256u64)

@@ -2,12 +2,15 @@
 //! returns bit-for-bit the unpruned result set while contacting
 //! strictly fewer nodes on a realistic corpus, and the summaries track
 //! ground-truth occupancy through inserts and deletes. Pruning is the
-//! direct engine's; the message-level protocol walks as published.
+//! direct engine's sequential top-down walk's; its level-order walks
+//! and the message-level protocol walk as published.
 
 use std::collections::BTreeMap;
 
 use hyperdex::core::search::ExecutionMode;
-use hyperdex::core::{HypercubeIndex, SupersetQuery};
+use hyperdex::core::{
+    HypercubeIndex, ObjectId, OccupancySummary, RankedObject, SupersetQuery, TraversalOrder,
+};
 use hyperdex::workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// Threshold of the benchmark's superset searches.
@@ -30,28 +33,26 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
     let mut pruned_nodes = 0u64;
     let mut subtrees_cut = 0u64;
     for (qi, q) in log.pool().iter().take(30).enumerate() {
-        for mode in [ExecutionMode::Sequential, ExecutionMode::LevelParallel] {
-            let base = SupersetQuery::new(q.clone()).use_cache(false).mode(mode);
-            // The walk as published is the baseline the default is
-            // held against.
-            let plain = index
-                .superset_search(&base.clone().prune(false))
-                .expect("valid");
-            let pruned = index.superset_search(&base).expect("valid");
+        let base = SupersetQuery::new(q.clone()).use_cache(false);
+        // The walk as published is the baseline the default is held
+        // against.
+        let plain = index
+            .superset_search(&base.clone().prune(false))
+            .expect("valid");
+        let pruned = index.superset_search(&base).expect("valid");
 
-            let mut want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
-            let mut got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(want, got, "query {qi} ({q}) lost or gained results");
-            assert!(
-                pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,
-                "query {qi} ({q}) got more expensive"
-            );
-            plain_nodes += plain.stats.nodes_contacted;
-            pruned_nodes += pruned.stats.nodes_contacted;
-            subtrees_cut += pruned.stats.pruned_subtrees;
-        }
+        let mut want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
+        let mut got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(want, got, "query {qi} ({q}) lost or gained results");
+        assert!(
+            pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,
+            "query {qi} ({q}) got more expensive"
+        );
+        plain_nodes += plain.stats.nodes_contacted;
+        pruned_nodes += pruned.stats.nodes_contacted;
+        subtrees_cut += pruned.stats.pruned_subtrees;
     }
     // 1024 vertices, ≤1500 objects: real queries must leave empty
     // subtrees behind, and the digests must actually cut them.
@@ -60,6 +61,52 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
         "pruning saved nothing ({pruned_nodes} vs {plain_nodes})"
     );
     assert!(subtrees_cut > 0, "no subtree was ever pruned");
+}
+
+/// `prune` is the sequential top-down walk's flag: the level-order walks
+/// (bottom-up, §3.5 level-parallel) run as published whatever it says —
+/// the same results, the same `exhausted`, the same cost, and nothing
+/// pruned — at a binding threshold and at none.
+#[test]
+fn level_order_walks_run_as_published_whatever_prune_says() {
+    let corpus = corpus();
+    let log = QueryLog::generate(&QueryLogConfig::small_test(), &corpus, 34);
+    let mut index = HypercubeIndex::new(10, 7).expect("valid");
+    for (id, k) in corpus.indexable() {
+        index.insert(id, k.clone()).expect("non-empty");
+    }
+
+    let walks = [
+        (TraversalOrder::BottomUp, ExecutionMode::Sequential),
+        (TraversalOrder::TopDown, ExecutionMode::LevelParallel),
+        (TraversalOrder::BottomUp, ExecutionMode::LevelParallel),
+    ];
+    for q in log.pool().iter().take(30) {
+        for t in [T, usize::MAX] {
+            for (order, mode) in walks {
+                let query = SupersetQuery::new(q.clone())
+                    .threshold(t)
+                    .order(order)
+                    .mode(mode)
+                    .use_cache(false);
+                let pruned = index
+                    .superset_search(&query.clone().prune(true))
+                    .expect("valid");
+                let published = index.superset_search(&query.prune(false)).expect("valid");
+                let at = format!("{order:?} {mode:?}, t = {t}, {q}");
+                let ids = |results: &[RankedObject]| -> Vec<ObjectId> {
+                    results.iter().map(|r| r.object).collect()
+                };
+                assert_eq!(ids(&pruned.results), ids(&published.results), "{at}");
+                assert_eq!(pruned.exhausted, published.exhausted, "{at}");
+                assert_eq!(
+                    pruned.stats.nodes_contacted, published.stats.nodes_contacted,
+                    "{at}"
+                );
+                assert_eq!(pruned.stats.pruned_subtrees, 0, "{at}");
+            }
+        }
+    }
 }
 
 /// The gate behind the product default, on the benchmark's shape (the
@@ -136,14 +183,15 @@ fn summaries_track_ground_truth_occupancy_through_deletes() {
     let summary = index.summary();
     let total: u64 = live.values().sum();
     assert_eq!(summary.total_objects(), total, "total drifted");
+    // A summary is a function of its per-vertex counts, so it equals
+    // one built from the survivors alone: every leaf count and region
+    // mask matches, and no delete left a zero-count region behind that
+    // would never prune.
+    let mut truth = OccupancySummary::new(10);
     for (&bits, &count) in &live {
-        assert_eq!(
-            summary.leaf_count(bits),
-            count,
-            "leaf {bits:#b} drifted from ground truth"
-        );
+        for _ in 0..count {
+            truth.record_insert(bits);
+        }
     }
-    // Every region the summary still holds is non-empty (deletes must
-    // not leave zero-count tombstones that would never prune).
-    assert!(summary.region_count() > 0);
+    assert_eq!(*summary, truth, "summary drifted from ground truth");
 }
