@@ -11,7 +11,7 @@
 //! memory only for vertices that actually index objects (or hold a
 //! cache).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
@@ -21,7 +21,7 @@ use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
 use crate::search::{superset, PinOutcome, SearchStats, SupersetOutcome, SupersetQuery};
-use crate::store::{PostingStore, StoreBackend, StoreFootprint};
+use crate::store::{ByVertex, PostingStore, StoreBackend, StoreFootprint};
 use crate::summary::OccupancySummary;
 
 /// One logical index node: its posting store plus an optional result
@@ -38,7 +38,7 @@ pub(crate) struct IndexNode {
 #[derive(Debug, Clone)]
 pub struct HypercubeIndex {
     hasher: KeywordHasher,
-    nodes: HashMap<u64, IndexNode>,
+    nodes: ByVertex<IndexNode>,
     object_count: usize,
     cache_capacity: usize,
     // Bumped by every insert, remove and node drop that changed the
@@ -63,7 +63,7 @@ impl HypercubeIndex {
     pub fn new(r: u8, seed: u64) -> Result<Self, Error> {
         Ok(HypercubeIndex {
             hasher: KeywordHasher::new(r, seed)?,
-            nodes: HashMap::new(),
+            nodes: ByVertex::default(),
             object_count: 0,
             cache_capacity: 0,
             generation: 0,

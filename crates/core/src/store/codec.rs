@@ -2,10 +2,11 @@
 //!
 //! A posting list is a strictly ascending sequence of [`ObjectId`]s.
 //! The slab store keeps it as LEB128 varints in a shared byte arena:
-//! the first value is the raw id, every later value is the (always
-//! ≥ 1) delta to its predecessor. Ascending ids produced by bulk loads
-//! encode to 1–2 bytes per object instead of the 8-byte word (plus
-//! tree-node overhead) the `BTreeSet` backend pays.
+//! the first value is the raw id (its delta to 0), every later value is
+//! the (always ≥ 1) delta to its predecessor. Ascending ids produced by
+//! bulk loads encode to 1–2 bytes per object instead of the 8-byte word
+//! (plus tree-node overhead) the `BTreeSet` backend pays. A list carries
+//! no count: it is exactly the varints of its byte range.
 //!
 //! Because `ObjectId`'s derived `Ord` is the order of its raw `u64`,
 //! decoding yields exactly the ascending sequence a
@@ -49,56 +50,25 @@ pub(crate) fn read_varint(bytes: &mut &[u8]) -> u64 {
     }
 }
 
-/// Encodes the ascending ids `ids` into `buf`, returning the encoded
-/// byte length.
-pub(crate) fn encode_list(buf: &mut Vec<u8>, ids: &[u64]) -> usize {
-    let mut written = 0;
-    let mut prev = 0u64;
-    for (i, &id) in ids.iter().enumerate() {
-        let delta = if i == 0 { id } else { id - prev };
-        written += push_varint(buf, delta);
-        prev = id;
-    }
-    written
-}
-
-/// Decodes `count` delta-encoded ids from `bytes` into `out`
-/// (ascending raw values, appended).
-pub(crate) fn decode_into(mut bytes: &[u8], count: u32, out: &mut Vec<u64>) {
-    let mut prev = 0u64;
-    for i in 0..count {
-        let delta = read_varint(&mut bytes);
-        let id = if i == 0 { delta } else { prev + delta };
-        out.push(id);
-        prev = id;
-    }
-}
-
 /// Streaming decoder over one encoded posting list — the slab-backend
 /// counterpart of the `BTreeSet` posting iterator. Yields `ObjectId`s
-/// in ascending order without materializing the list.
+/// in ascending order without materializing the list, and stops where
+/// its byte range ends.
 #[derive(Debug, Clone)]
 pub struct DeltaIter<'a> {
     bytes: &'a [u8],
     prev: u64,
-    remaining: u32,
-    first: bool,
 }
 
 impl<'a> DeltaIter<'a> {
-    /// A decoder over `count` ids encoded in `bytes`.
-    pub(crate) fn new(bytes: &'a [u8], count: u32) -> Self {
-        DeltaIter {
-            bytes,
-            prev: 0,
-            remaining: count,
-            first: true,
-        }
+    /// A decoder over the ids encoded in `bytes`, all of them.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        DeltaIter { bytes, prev: 0 }
     }
 
     /// An exhausted decoder (missing entry / short-circuited lookup).
     pub(crate) fn empty() -> Self {
-        DeltaIter::new(&[], 0)
+        DeltaIter::new(&[])
     }
 }
 
@@ -106,32 +76,35 @@ impl Iterator for DeltaIter<'_> {
     type Item = ObjectId;
 
     fn next(&mut self) -> Option<ObjectId> {
-        if self.remaining == 0 {
+        if self.bytes.is_empty() {
             return None;
         }
-        self.remaining -= 1;
-        let delta = read_varint(&mut self.bytes);
-        let id = if self.first {
-            self.first = false;
-            delta
-        } else {
-            self.prev + delta
-        };
-        self.prev = id;
-        Some(ObjectId::from_raw(id))
+        self.prev += read_varint(&mut self.bytes);
+        Some(ObjectId::from_raw(self.prev))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining as usize;
-        (n, Some(n))
+        // A varint is 1 to 10 bytes.
+        let n = self.bytes.len();
+        (n.div_ceil(10), Some(n))
     }
 }
-
-impl ExactSizeIterator for DeltaIter<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ascending `ids` encoded as one list, appended to `buf`.
+    fn encode_list(buf: &mut Vec<u8>, ids: &[u64]) -> usize {
+        let mut prev = 0;
+        ids.iter()
+            .map(|&id| push_varint(buf, id - std::mem::replace(&mut prev, id)))
+            .sum()
+    }
+
+    fn decode(bytes: &[u8]) -> Vec<u64> {
+        DeltaIter::new(bytes).map(ObjectId::raw).collect()
+    }
 
     #[test]
     fn varint_round_trips_boundaries() {
@@ -151,13 +124,7 @@ mod tests {
         let mut buf = Vec::new();
         let len = encode_list(&mut buf, &ids);
         assert_eq!(len, buf.len());
-        let mut out = Vec::new();
-        decode_into(&buf, ids.len() as u32, &mut out);
-        assert_eq!(out, ids);
-        let decoded: Vec<u64> = DeltaIter::new(&buf, ids.len() as u32)
-            .map(ObjectId::raw)
-            .collect();
-        assert_eq!(decoded, ids);
+        assert_eq!(decode(&buf), ids);
     }
 
     #[test]
@@ -171,5 +138,32 @@ mod tests {
     #[test]
     fn empty_iter_yields_nothing() {
         assert_eq!(DeltaIter::empty().count(), 0);
+        assert_eq!(DeltaIter::new(&[]).size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn a_list_stops_where_its_range_ends() {
+        // Two slots' lists back to back, as the arena holds them.
+        let (first, second) = ([7u64, 9, 300], [1u64, 2, 1 << 50]);
+        let mut arena = Vec::new();
+        let len = encode_list(&mut arena, &first);
+        encode_list(&mut arena, &second);
+        assert_eq!(decode(&arena[..len]), first);
+        assert_eq!(decode(&arena[len..]), second);
+        let (lo, hi) = DeltaIter::new(&arena[..len]).size_hint();
+        assert!(lo <= first.len() && hi >= Some(first.len()));
+    }
+
+    #[test]
+    fn u64_max_decodes_as_the_last_id() {
+        for ids in [
+            &[u64::MAX][..],
+            &[0, u64::MAX],
+            &[5, u64::MAX - 1, u64::MAX],
+        ] {
+            let mut buf = Vec::new();
+            encode_list(&mut buf, ids);
+            assert_eq!(decode(&buf), ids);
+        }
     }
 }

@@ -16,6 +16,9 @@
 pub mod codec;
 pub mod slab;
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::keyword::KeywordSet;
 
 pub use codec::DeltaIter;
@@ -30,6 +33,35 @@ pub enum StoreBackend {
     /// Struct-of-arrays slab with delta-encoded postings
     /// ([`PostingStore`]).
     Slab,
+}
+
+/// A map keyed by vertex (or prefix-region) number: what the direct
+/// engine and a runtime worker keep their stores in, and what the
+/// occupancy summary keys its regions by.
+pub type ByVertex<V> = HashMap<u64, V, BuildHasherDefault<VertexHasher>>;
+
+/// Hashes the one `u64` a [`ByVertex`] key is: a multiply and a fold.
+/// The keys are vertex and region numbers — already outputs of the
+/// seeded keyword hash — and every insert, pin and pruning test probes
+/// with one, so SipHash was half the cost of a write.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("vertex keys are u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The table takes its bucket from the low bits and its tag from
+        // the high ones; the product is strong only at the top.
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Memory accounting for one store: measured buffer capacities plus

@@ -3,24 +3,25 @@
 //! One [`PostingStore`] is one vertex's table of
 //! `⟨keyword_set, {σ₁…σₙ}⟩` entries. Instead of the `BTreeMap` of
 //! per-entry `BTreeSet`s the reference
-//! [`IndexTable`](crate::index::IndexTable) uses, the slab keeps three
-//! parallel arrays indexed by *slot*:
+//! [`IndexTable`](crate::index::IndexTable) uses, the slab keeps two
+//! parallel arrays indexed by *slot*, beside one byte arena:
 //!
 //! * `sigs` — the 64-bit keyword-set signatures, one contiguous slab.
 //!   The PR 4 signature prefilter becomes a tight linear pass over this
 //!   array; no pointers are chased until a signature passes.
-//! * `keys` — the [`KeywordSet`] per slot: a handle on its shared
-//!   packed buffer, so a set the caller keeps is not copied.
-//! * `posts` — `(offset, len, count, last)` descriptors into the byte
-//!   arena holding each slot's varint delta-encoded object ids
-//!   ([`crate::store::codec`]).
+//! * `entries` — 32 bytes per slot: the [`KeywordSet`] (a handle on its
+//!   shared packed buffer, so a set the caller keeps is not copied) and
+//!   the `(offset, len, last)` of its posting list in the arena.
+//! * `arena` — each slot's varint delta-encoded object ids
+//!   ([`crate::store::codec`]), back to back.
 //!
 //! Mutation appends: growing a list whose bytes sit at the arena tail
-//! extends in place; anywhere else re-encodes at the tail and retires
-//! the old range as *waste*, bounded by [`PostingStore::compact`],
-//! triggered automatically once waste crosses a threshold. Deleting a
-//! last object swap-removes the slot, so every slot is live: slot
-//! order is not query-visible (every scan sorts by keyword set).
+//! extends in place; anywhere else streams the list to the tail with
+//! the one id added or dropped — no decode buffer — and retires the old
+//! range as *waste*, bounded by [`PostingStore::compact`], triggered
+//! automatically once waste crosses a threshold. Deleting a last object
+//! swap-removes the slot, so every slot is live: slot order is not
+//! query-visible (every scan sorts by keyword set).
 //!
 //! # Parity contract
 //!
@@ -31,50 +32,60 @@
 //! The property oracle in `tests/store_parity.rs` drives both through
 //! random interleavings to hold this line.
 
+use std::mem::size_of;
+use std::ops::Range;
+
 use hyperdex_dht::ObjectId;
 
 use crate::keyword::KeywordSet;
-use crate::store::codec::{decode_into, encode_list, push_varint, DeltaIter};
+use crate::store::codec::{push_varint, read_varint, DeltaIter};
 use crate::store::{key_heap_bytes, StoreBackend, StoreFootprint};
 
-/// Descriptor of one slot's encoded posting list in the arena.
-#[derive(Debug, Clone, Copy)]
-struct PostingList {
+/// One slot: its keyword set and where its posting list sits.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// The slot's keyword set.
+    key: KeywordSet,
     /// Byte offset of the encoded list in the arena.
     off: u32,
     /// Encoded byte length.
     len: u32,
-    /// Number of object ids in the list.
-    count: u32,
     /// Raw value of the largest (= last) id; gates the fast append.
     last: u64,
 }
 
+impl Entry {
+    /// The arena bytes of the slot's list.
+    fn range(&self) -> Range<usize> {
+        self.off as usize..(self.off + self.len) as usize
+    }
+}
+
+// What a slot and a vertex's store cost (DESIGN.md §17); a field added
+// to either must say so here.
+const _: () = assert!(size_of::<Entry>() == 32);
+const _: () = assert!(size_of::<PostingStore>() <= 88);
+
 /// Compact once retired arena bytes exceed half the arena beyond this
 /// floor.
-const WASTE_FLOOR: usize = 4096;
+const WASTE_FLOOR: u32 = 4096;
 
 /// A struct-of-arrays posting store for one hypercube vertex.
 #[derive(Debug, Clone, Default)]
 pub struct PostingStore {
     /// The contiguous signature slab.
     sigs: Vec<u64>,
-    /// The keyword set of each slot.
-    keys: Vec<KeywordSet>,
-    /// Posting-list descriptors, parallel to `sigs`/`keys`.
-    posts: Vec<PostingList>,
+    /// Keyword set and posting-list place per slot, parallel to `sigs`.
+    entries: Vec<Entry>,
     /// Varint delta-encoded object ids, all slots back to back.
     arena: Vec<u8>,
-    /// Arena bytes retired by re-encodes and removals.
-    arena_waste: usize,
     /// OR of every slot's signature (kept exact on removal).
     union_sig: u64,
-    /// Total indexed objects across all slots.
-    objects: usize,
-    /// Heap bytes of the held keyword sets.
-    key_bytes: usize,
-    /// Reused decode buffer for mutations.
-    scratch: Vec<u64>,
+    /// Total indexed objects across all slots: each costs at least one
+    /// arena byte, and arena offsets are `u32`.
+    objects: u32,
+    /// Arena bytes retired by re-encodes and removals.
+    arena_waste: u32,
 }
 
 impl PostingStore {
@@ -89,7 +100,7 @@ impl PostingStore {
     pub fn insert(&mut self, keywords: KeywordSet, object: ObjectId) -> bool {
         let sig = keywords.signature();
         match self.find_slot(&keywords, sig) {
-            Some(slot) => self.push_object(slot, object),
+            Some(slot) => self.push_object(slot, object.raw()),
             None => self.insert_new(keywords, sig, object),
         }
     }
@@ -97,36 +108,32 @@ impl PostingStore {
     /// Removes the entry `⟨keywords, object⟩`. Returns `false` if it
     /// was absent.
     pub fn remove(&mut self, keywords: &KeywordSet, object: ObjectId) -> bool {
-        let sig = keywords.signature();
-        let Some(slot) = self.find_slot(keywords, sig) else {
+        let Some(slot) = self.find_slot(keywords, keywords.signature()) else {
             return false;
         };
-        let pl = self.posts[slot];
-        let mut ids = std::mem::take(&mut self.scratch);
-        ids.clear();
-        decode_into(
-            &self.arena[pl.off as usize..(pl.off + pl.len) as usize],
-            pl.count,
-            &mut ids,
-        );
-        let removed = match ids.binary_search(&object.raw()) {
-            Err(_) => false,
-            Ok(pos) => {
-                ids.remove(pos);
-                self.objects -= 1;
-                if ids.is_empty() {
-                    self.kill_slot(slot);
-                } else {
-                    self.reencode(slot, &ids);
-                }
-                true
-            }
-        };
-        self.scratch = ids;
-        if removed {
-            self.maybe_compact();
+        let raw = object.raw();
+        if raw > self.entries[slot].last {
+            return false;
         }
-        removed
+        let (at, prev, cur) = self.seek(slot, raw);
+        if cur != raw {
+            return false;
+        }
+        let end = self.entries[slot].range().end;
+        if at.end < end {
+            // The next id's delta absorbs the removed one's.
+            let mut rest = &self.arena[at.end..end];
+            let next = cur + read_varint(&mut rest);
+            self.splice(slot, at.start..end - rest.len(), &[next - prev]);
+        } else if at.start > self.entries[slot].off as usize {
+            self.splice(slot, at, &[]);
+            self.entries[slot].last = prev;
+        } else {
+            self.kill_slot(slot);
+        }
+        self.objects -= 1;
+        self.maybe_compact();
+        true
     }
 
     /// The objects indexed under exactly `keywords` (pin-search
@@ -183,17 +190,17 @@ impl PostingStore {
 
     /// Number of distinct keyword sets (slots).
     pub fn keyword_set_count(&self) -> usize {
-        self.keys.len()
+        self.entries.len()
     }
 
     /// Total number of indexed objects.
     pub fn object_count(&self) -> usize {
-        self.objects
+        self.objects as usize
     }
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates over all `(keyword set, objects)` entries in sorted
@@ -210,31 +217,28 @@ impl PostingStore {
     /// bytes of the held keyword sets — each whole, shared with a
     /// caller or not (see [`StoreFootprint::key_bytes`]).
     pub fn footprint(&self) -> StoreFootprint {
-        let slab_bytes = self.sigs.capacity() * std::mem::size_of::<u64>();
-        let resident = std::mem::size_of::<Self>()
-            + slab_bytes
-            + self.keys.capacity() * std::mem::size_of::<KeywordSet>()
-            + self.posts.capacity() * std::mem::size_of::<PostingList>()
-            + self.arena.capacity()
-            + self.scratch.capacity() * std::mem::size_of::<u64>()
-            + self.key_bytes;
+        let key_bytes = self.entries.iter().map(|e| key_heap_bytes(&e.key)).sum();
+        let slab_bytes = self.sigs.capacity() * size_of::<u64>();
         StoreFootprint {
-            bytes_resident: resident,
+            bytes_resident: size_of::<Self>()
+                + slab_bytes
+                + self.entries.capacity() * size_of::<Entry>()
+                + self.arena.capacity()
+                + key_bytes,
             slab_bytes,
             arena_bytes: self.arena.capacity(),
-            arena_waste: self.arena_waste,
-            key_bytes: self.key_bytes,
+            arena_waste: self.arena_waste as usize,
+            key_bytes,
         }
     }
 
     /// Rebuilds the arena with every retired range dropped.
     pub fn compact(&mut self) {
-        let mut arena =
-            Vec::with_capacity(self.arena.len() - self.arena_waste.min(self.arena.len()));
-        for pl in &mut self.posts {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.arena_waste as usize);
+        for e in &mut self.entries {
             let off = arena.len() as u32;
-            arena.extend_from_slice(&self.arena[pl.off as usize..(pl.off + pl.len) as usize]);
-            pl.off = off;
+            arena.extend_from_slice(&self.arena[e.range()]);
+            e.off = off;
         }
         self.arena = arena;
         self.arena_waste = 0;
@@ -243,26 +247,19 @@ impl PostingStore {
     /// The slot holding exactly `keywords`, if any: linear signature
     /// scan (equal sets have equal signatures) confirmed by equality.
     fn find_slot(&self, keywords: &KeywordSet, sig: u64) -> Option<usize> {
-        self.sigs.iter().enumerate().find_map(|(slot, &s)| {
-            if s == sig && self.keys[slot] == *keywords {
-                Some(slot)
-            } else {
-                None
-            }
-        })
+        (0..self.sigs.len())
+            .find(|&slot| self.sigs[slot] == sig && self.entries[slot].key == *keywords)
     }
 
     /// Appends a brand-new slot for `keywords`.
     fn insert_new(&mut self, keywords: KeywordSet, sig: u64, object: ObjectId) -> bool {
         let off = u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
         let len = push_varint(&mut self.arena, object.raw()) as u32;
-        self.key_bytes += key_heap_bytes(&keywords);
         self.sigs.push(sig);
-        self.keys.push(keywords);
-        self.posts.push(PostingList {
+        self.entries.push(Entry {
+            key: keywords,
             off,
             len,
-            count: 1,
             last: object.raw(),
         });
         self.union_sig |= sig;
@@ -270,82 +267,72 @@ impl PostingStore {
         true
     }
 
-    /// Adds `object` to an existing slot. Returns `false` on duplicate.
-    fn push_object(&mut self, slot: usize, object: ObjectId) -> bool {
-        let pl = self.posts[slot];
-        let raw = object.raw();
-        if raw > pl.last {
+    /// Adds `raw` to an existing slot. Returns `false` on duplicate.
+    fn push_object(&mut self, slot: usize, raw: u64) -> bool {
+        let (end, last) = (self.entries[slot].range().end, self.entries[slot].last);
+        if raw > last {
             // Above the current maximum: provably absent, no decode.
-            if (pl.off + pl.len) as usize == self.arena.len() {
+            if end == self.arena.len() {
                 // The list already sits at the arena tail — extend it.
-                let added = push_varint(&mut self.arena, raw - pl.last) as u32;
-                let p = &mut self.posts[slot];
-                p.len += added;
-                p.count += 1;
-                p.last = raw;
+                self.entries[slot].len += push_varint(&mut self.arena, raw - last) as u32;
             } else {
                 // Relocate to the tail, then extend.
-                let start = self.arena.len();
-                u32::try_from(start + pl.len as usize).expect("posting arena exceeds 4 GiB");
-                self.arena
-                    .extend_from_within(pl.off as usize..(pl.off + pl.len) as usize);
-                push_varint(&mut self.arena, raw - pl.last);
-                self.arena_waste += pl.len as usize;
-                let p = &mut self.posts[slot];
-                p.off = start as u32;
-                p.len = (self.arena.len() - start) as u32;
-                p.count += 1;
-                p.last = raw;
+                self.splice(slot, end..end, &[raw - last]);
             }
-            self.objects += 1;
-            self.maybe_compact();
-            return true;
-        }
-        // At or below the maximum: decode, check membership, re-encode.
-        let mut ids = std::mem::take(&mut self.scratch);
-        ids.clear();
-        decode_into(
-            &self.arena[pl.off as usize..(pl.off + pl.len) as usize],
-            pl.count,
-            &mut ids,
-        );
-        let inserted = match ids.binary_search(&raw) {
-            Ok(_) => false,
-            Err(pos) => {
-                ids.insert(pos, raw);
-                self.reencode(slot, &ids);
-                self.objects += 1;
-                true
+            self.entries[slot].last = raw;
+        } else {
+            // At or below the maximum: find its place, re-encode around
+            // it.
+            let (at, prev, cur) = self.seek(slot, raw);
+            if cur == raw {
+                return false;
             }
-        };
-        self.scratch = ids;
-        if inserted {
-            self.maybe_compact();
+            self.splice(slot, at, &[raw - prev, cur - raw]);
         }
-        inserted
+        self.objects += 1;
+        self.maybe_compact();
+        true
     }
 
-    /// Re-encodes a slot's (non-empty, ascending) ids at the arena
-    /// tail, retiring the old range.
-    fn reencode(&mut self, slot: usize, ids: &[u64]) {
-        let pl = self.posts[slot];
-        self.arena_waste += pl.len as usize;
+    /// The first id of `slot`'s list at or above `id`, which must not
+    /// exceed the list's last: that id's varint range in the arena, its
+    /// predecessor (0 before the first) and the id itself.
+    fn seek(&self, slot: usize, id: u64) -> (Range<usize>, u64, u64) {
+        let Range { mut start, end } = self.entries[slot].range();
+        let mut prev = 0;
+        loop {
+            let mut rest = &self.arena[start..end];
+            let cur = prev + read_varint(&mut rest);
+            let next = end - rest.len();
+            if cur >= id {
+                return (start..next, prev, cur);
+            }
+            (start, prev) = (next, cur);
+        }
+    }
+
+    /// Rewrites `slot`'s list at the arena tail with the bytes `cut`
+    /// replaced by the varints `with`, retiring the old range. The
+    /// arena may reallocate under the pushes, so it is read by index.
+    fn splice(&mut self, slot: usize, cut: Range<usize>, with: &[u64]) {
+        let old = self.entries[slot].range();
         let start = self.arena.len();
-        let len = encode_list(&mut self.arena, ids);
-        u32::try_from(start + len).expect("posting arena exceeds 4 GiB");
-        self.posts[slot] = PostingList {
-            off: start as u32,
-            len: len as u32,
-            count: ids.len() as u32,
-            last: *ids.last().expect("reencode of a non-empty list"),
-        };
+        self.arena.extend_from_within(old.start..cut.start);
+        for &v in with {
+            push_varint(&mut self.arena, v);
+        }
+        self.arena.extend_from_within(cut.end..old.end);
+        u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
+        self.arena_waste += old.len() as u32;
+        let e = &mut self.entries[slot];
+        e.off = start as u32;
+        e.len = (self.arena.len() - start) as u32;
     }
 
     /// Drops a slot whose last object was removed: the last slot
     /// moves into its place.
     fn kill_slot(&mut self, slot: usize) {
-        self.arena_waste += self.posts.swap_remove(slot).len as usize;
-        self.key_bytes -= key_heap_bytes(&self.keys.swap_remove(slot));
+        self.arena_waste += self.entries.swap_remove(slot).len;
         self.sigs.swap_remove(slot);
         // Other slots may still cover the departed bits.
         self.union_sig = self.sigs.iter().fold(0, |m, &s| m | s);
@@ -353,14 +340,14 @@ impl PostingStore {
 
     /// Compacts once retired arena bytes dominate.
     fn maybe_compact(&mut self) {
-        if self.arena_waste > WASTE_FLOOR && self.arena_waste * 2 > self.arena.len() {
+        if self.arena_waste > WASTE_FLOOR && self.arena_waste as usize * 2 > self.arena.len() {
             self.compact();
         }
     }
 
     /// Every slot, sorted by keyword set.
     fn slots_sorted(&self) -> Vec<u32> {
-        let mut slots: Vec<u32> = (0..self.keys.len() as u32).collect();
+        let mut slots: Vec<u32> = (0..self.entries.len() as u32).collect();
         self.sort_by_key_order(&mut slots);
         slots
     }
@@ -368,16 +355,16 @@ impl PostingStore {
     /// Sorts slot indices into keyword-set order (the oracle's
     /// `BTreeMap` iteration order).
     fn sort_by_key_order(&self, slots: &mut [u32]) {
-        slots.sort_unstable_by(|&a, &b| self.keys[a as usize].cmp(&self.keys[b as usize]));
+        slots.sort_unstable_by(|&a, &b| {
+            self.entries[a as usize]
+                .key
+                .cmp(&self.entries[b as usize].key)
+        });
     }
 
     /// The posting iterator of one slot.
     fn list_iter(&self, slot: usize) -> DeltaIter<'_> {
-        let pl = self.posts[slot];
-        DeltaIter::new(
-            &self.arena[pl.off as usize..(pl.off + pl.len) as usize],
-            pl.count,
-        )
+        DeltaIter::new(&self.arena[self.entries[slot].range()])
     }
 }
 
@@ -398,7 +385,7 @@ impl<'a> Iterator for SlabEntries<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let slot = self.hits.next()? as usize;
-            let key = &self.store.keys[slot];
+            let key = &self.store.entries[slot].key;
             if let Some(query) = self.query {
                 if !key.is_superset(query) {
                     continue;
@@ -421,6 +408,10 @@ mod tests {
         ObjectId::from_raw(n)
     }
 
+    fn ids(st: &PostingStore, keywords: &str) -> Vec<u64> {
+        st.objects_with(&set(keywords)).map(ObjectId::raw).collect()
+    }
+
     #[test]
     fn entries_with_same_set_combine() {
         let mut st = PostingStore::default();
@@ -437,8 +428,75 @@ mod tests {
         for id in [9u64, 2, 7, 1, 8] {
             st.insert(set("k"), oid(id));
         }
-        let ids: Vec<u64> = st.objects_with(&set("k")).map(ObjectId::raw).collect();
-        assert_eq!(ids, vec![1, 2, 7, 8, 9]);
+        assert_eq!(ids(&st, "k"), vec![1, 2, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_present_id_inserted_out_of_order_writes_nothing() {
+        let mut st = PostingStore::default();
+        for id in [1u64, 5, 9] {
+            st.insert(set("k"), oid(id));
+        }
+        let before = st.footprint();
+        for id in [1u64, 5] {
+            assert!(!st.insert(set("k"), oid(id)));
+        }
+        assert_eq!(st.arena.len(), 3, "no bytes streamed for a duplicate");
+        assert_eq!(st.footprint(), before);
+        assert_eq!(ids(&st, "k"), vec![1, 5, 9]);
+    }
+
+    #[test]
+    fn streaming_remove_of_first_middle_last_and_absent_ids() {
+        let list = [3u64, 200, 70_000, 70_001, 1 << 40];
+        for (drop, present) in [
+            (3, true),
+            (70_000, true),
+            (1 << 40, true),
+            (4, false),
+            (1 << 41, false),
+        ] {
+            let mut st = PostingStore::default();
+            // A second slot after it, so the list does not sit at the
+            // arena tail.
+            for &id in &list {
+                st.insert(set("k"), oid(id));
+            }
+            st.insert(set("other"), oid(1));
+            let len = st.arena.len();
+            assert_eq!(st.remove(&set("k"), oid(drop)), present, "remove {drop}");
+            let expect: Vec<u64> = list.iter().copied().filter(|&id| id != drop).collect();
+            assert_eq!(ids(&st, "k"), expect, "remove {drop}");
+            assert_eq!(ids(&st, "other"), vec![1]);
+            assert_eq!(st.object_count(), expect.len() + 1);
+            let e = &st.entries[st.find_slot(&set("k"), set("k").signature()).unwrap()];
+            assert_eq!(e.last, *expect.last().unwrap(), "remove {drop}");
+            if !present {
+                assert_eq!(st.arena.len(), len, "an absent id streams nothing");
+                assert_eq!(st.arena_waste, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn relocated_appends_survive_compaction() {
+        let mut st = PostingStore::default();
+        // Interleaved appends: every list but the last-touched one is
+        // relocated to the tail before it grows.
+        for i in 0..70u64 {
+            st.insert(set(&format!("kw{}", i % 7)), oid(i * 1000));
+        }
+        st.insert(set("kw0"), oid(u64::MAX));
+        assert!(st.arena_waste > 0, "relocations retired ranges");
+        st.compact();
+        assert_eq!(st.arena_waste, 0);
+        for k in 0..7u64 {
+            let mut expect: Vec<u64> = (0..70).filter(|i| i % 7 == k).map(|i| i * 1000).collect();
+            if k == 0 {
+                expect.push(u64::MAX);
+            }
+            assert_eq!(ids(&st, &format!("kw{k}")), expect);
+        }
     }
 
     #[test]
@@ -485,9 +543,8 @@ mod tests {
         st.compact();
         assert_eq!(st.object_count(), 100);
         assert_eq!(st.footprint().arena_waste, 0);
-        let ids: Vec<u64> = st.objects_with(&set("kw1")).map(ObjectId::raw).collect();
         let expect: Vec<u64> = (0..200).filter(|i| i % 10 == 1 && i % 2 == 1).collect();
-        assert_eq!(ids, expect);
+        assert_eq!(ids(&st, "kw1"), expect);
     }
 
     #[test]

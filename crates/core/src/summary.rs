@@ -32,36 +32,11 @@
 //! subtree holds no match. A stale, still-occupied region merely costs
 //! an extra visit; it can never hide a result.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
 
 use hyperdex_hypercube::sbt::{region_index, subtree_region};
 
-/// Hashes the one `u64` a key of this module's maps is: a multiply and
-/// a fold. The keys are vertex and region numbers — already outputs of
-/// the seeded keyword hash — and every write and every pruning test
-/// probes with one, so SipHash was half the cost of a write.
-#[derive(Debug, Clone, Copy, Default)]
-struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("summary keys are u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // The table takes its bucket from the low bits and its tag from
-        // the high ones; the product is strong only at the top.
-        self.0 = mixed ^ (mixed >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IndexMap = HashMap<u64, u64, BuildHasherDefault<IndexHasher>>;
+use crate::store::ByVertex;
 
 /// The largest level whose regions are runs inside one vertex-level
 /// word (64 = 2^6 vertices).
@@ -107,14 +82,14 @@ pub struct OccupancySummary {
     r: u8,
     total: u64,
     /// Object entries per occupied vertex.
-    leaves: IndexMap,
+    leaves: ByVertex<u64>,
     /// The trie's vertex level: bit `bits & 63` of word `bits >> 6` says
     /// vertex `bits` is occupied. No word is zero.
-    words: IndexMap,
+    words: ByVertex<u64>,
     /// The trie above [`WORD_LEVEL`]: each occupied region's OR of its
     /// occupied vertices' bit patterns, by [`region_index`]. An absent
     /// region is unoccupied.
-    masks: IndexMap,
+    masks: ByVertex<u64>,
 }
 
 impl OccupancySummary {

@@ -53,6 +53,7 @@ use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{
     child_contacts, region_entries, scan_store, subtree_bits, visit_order_key,
 };
+use hyperdex_core::store::ByVertex;
 use hyperdex_core::{
     FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, PostingStore, RecoveryStrategy,
 };
@@ -466,7 +467,7 @@ pub struct NodeMachine {
     shape: Shape,
     hasher: KeywordHasher,
     shards: ShardMap,
-    tables: HashMap<u64, PostingStore>,
+    tables: ByVertex<PostingStore>,
     fabric: Fabric,
     /// The driver's clock at the call being served.
     now: Duration,
@@ -503,7 +504,7 @@ impl NodeMachine {
             shape: ctx.hasher.shape(),
             hasher: ctx.hasher,
             shards: ctx.shards,
-            tables: HashMap::new(),
+            tables: ByVertex::default(),
             fabric,
             now: Duration::ZERO,
             stash: vec![Vec::new(); endpoints],
