@@ -63,7 +63,7 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
     let mut measured = 0.0;
     for q in &queries {
         // Every arm of the ablation varies the walk as published.
-        let base = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+        let base = SupersetQuery::new(q.clone()).prune(false);
         let seq = index.superset_search(&base.clone()).expect("valid");
         let par = index
             .superset_search(&base.clone().mode(ExecutionMode::LevelParallel))
@@ -133,7 +133,7 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
         deco.insert("kw", id, keywords.clone()).expect("insertable");
     }
     if let Some(q) = queries.first() {
-        let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+        let published = SupersetQuery::new(q.clone()).prune(false);
         let mono = index.superset_search(&published).expect("valid");
         let sub = deco
             .superset_search("kw", &published)
@@ -154,12 +154,7 @@ pub fn run(ctx: &SharedContext) -> AblationSummary {
     let replay: Vec<_> = ctx.queries.iter().take(2_000).collect();
     for q in &replay {
         let out = index
-            .superset_search(
-                &SupersetQuery::new((*q).clone())
-                    .threshold(20)
-                    .use_cache(false)
-                    .prune(false),
-            )
+            .superset_search(&SupersetQuery::new((*q).clone()).threshold(20).prune(false))
             .expect("valid");
         let sbt = hyperdex_hypercube::Sbt::induced(index.vertex_for(q));
         for (v, _) in sbt.bfs().take(out.stats.nodes_contacted as usize) {

@@ -113,13 +113,13 @@ pub fn run(ctx: &SharedContext) -> Vec<AvailabilityRow> {
             }
             counted += 1;
             let got_cube = cube
-                .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
+                .superset_search(&SupersetQuery::new(q.clone()))
                 .expect("valid")
                 .results
                 .len();
             let got_dii = dii.query(q).results.len();
             let got_rep = replicated
-                .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
+                .superset_search(&SupersetQuery::new(q.clone()))
                 .expect("valid")
                 .results
                 .len();

@@ -142,11 +142,7 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
         .iter()
         .map(|&q| {
             let mut ids: Vec<u64> = direct
-                .superset_search(
-                    &SupersetQuery::new(q.clone())
-                        .threshold(usize::MAX - 1)
-                        .use_cache(false),
-                )
+                .superset_search(&SupersetQuery::new(q.clone()).threshold(usize::MAX - 1))
                 .expect("valid query")
                 .results
                 .iter()

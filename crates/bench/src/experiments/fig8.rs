@@ -64,7 +64,6 @@ pub fn run(ctx: &SharedContext) -> Vec<Fig8Cell> {
                             // Figure 8 counts the walk as published.
                             &SupersetQuery::new(q.clone())
                                 .threshold(threshold)
-                                .use_cache(false)
                                 .prune(false),
                         )
                         .expect("positive threshold");

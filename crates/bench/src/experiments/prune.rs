@@ -131,7 +131,7 @@ pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
                     pruned_subtrees: 0,
                 };
                 for q in &batch {
-                    let base = SupersetQuery::new(q.clone()).use_cache(false);
+                    let base = SupersetQuery::new(q.clone());
                     // Baseline column: the walk as published.
                     let plain = index
                         .superset_search(&base.clone().prune(false))

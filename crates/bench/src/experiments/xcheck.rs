@@ -59,7 +59,7 @@ pub fn run(ctx: &SharedContext) -> Vec<XcheckRow> {
         for q in &queries {
             // The simulator runs the protocol as published; the direct
             // engine is counted on the same walk.
-            let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+            let published = SupersetQuery::new(q.clone()).prune(false);
             let d = direct.superset_search(&published).expect("valid");
             let s = sim.search_sequential(q, usize::MAX - 1).expect("valid");
             let p = sim.search_parallel(q, usize::MAX - 1).expect("valid");

@@ -251,7 +251,7 @@ mod tests {
             mono.insert(oid(i), k.clone()).unwrap();
             deco.insert("a", oid(i), k).unwrap();
         }
-        let q = SupersetQuery::new(set("common")).use_cache(false);
+        let q = SupersetQuery::new(set("common"));
         let mono_nodes = mono.superset_search(&q).unwrap().stats.nodes_contacted;
         let deco_nodes = deco.superset_search("a", &q).unwrap().stats.nodes_contacted;
         assert!(

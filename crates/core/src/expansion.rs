@@ -199,10 +199,10 @@ mod tests {
         let expander = QueryExpander::new();
         let exps = expander.expand(&mut index, &set("jazz"), 64, 1).unwrap();
         let broad = index
-            .superset_search(&SupersetQuery::new(set("jazz")).use_cache(false))
+            .superset_search(&SupersetQuery::new(set("jazz")))
             .unwrap();
         let narrow = index
-            .superset_search(&SupersetQuery::new(exps[0].query.clone()).use_cache(false))
+            .superset_search(&SupersetQuery::new(exps[0].query.clone()))
             .unwrap();
         assert!(
             narrow.stats.nodes_contacted <= broad.stats.nodes_contacted,

@@ -8,10 +8,11 @@
 //! Each request-path step they share exists once, here:
 //!
 //! * [`SupersetCoordinator`] — the root-side sequential state machine
-//!   (frontier queue `U`, budget `c`, `T_CONT`/`T_STOP`). The direct
-//!   engine's sequential top-down search and
-//!   [`crate::search::cumulative::CumulativeSearch`] call it in a loop,
-//!   the simulator feeds it `T_CONT` messages.
+//!   (frontier queue `U`, budget `c`, `T_CONT`/`T_STOP`).
+//!   [`crate::search::cumulative::CumulativeSearch`] — the direct
+//!   engine's one top-down walk, whose first page is its one-shot
+//!   search — calls it in a loop, the simulator feeds it `T_CONT`
+//!   messages.
 //! * [`child_contacts`] — a node's SBT children from its bits and
 //!   arrival dimension alone (Lemma 3.2) — with [`visit_order_key`], the
 //!   closed form of the order the coordinator visits them in, and
@@ -168,8 +169,7 @@ impl SupersetCoordinator {
 
     /// Folds one node's answer back in: `found` results consume budget,
     /// its SBT children join the frontier. (When the budget reaches
-    /// zero the machine is done; `children` is not even iterated, so a
-    /// pruning filter wrapped around it counts nothing.)
+    /// zero the machine is done and `children` is not iterated.)
     pub fn record_visit(&mut self, found: usize, children: impl IntoIterator<Item = (u64, u8)>) {
         self.remaining = self.remaining.saturating_sub(found);
         if self.remaining == 0 {
@@ -813,7 +813,7 @@ mod tests {
         assert!(reused.frontier.is_empty(), "reused queue starts empty");
     }
 
-    /// The direct engine's sequential top-down search *is* the
+    /// The direct engine's sequential top-down search is the
     /// coordinator loop: it must return exactly the brute-force match
     /// set and contact every vertex of the induced subcube once.
     #[test]
@@ -824,7 +824,7 @@ mod tests {
             let root = idx.vertex_for(&kw);
             // The walk as published: it is the one that visits all of
             // `H_r(root)`.
-            let published = SupersetQuery::new(kw.clone()).use_cache(false).prune(false);
+            let published = SupersetQuery::new(kw.clone()).prune(false);
             let direct = idx.superset_search(&published).unwrap();
             let mut got: Vec<ObjectId> = direct.results.iter().map(|r| r.object).collect();
             got.sort_unstable();
@@ -847,7 +847,7 @@ mod tests {
     fn direct_engine_respects_threshold() {
         let mut idx = index(8);
         let out = idx
-            .superset_search(&SupersetQuery::new(set("a")).threshold(2).use_cache(false))
+            .superset_search(&SupersetQuery::new(set("a")).threshold(2))
             .unwrap();
         assert_eq!(out.results.len(), 2);
         assert!(!out.exhausted);

@@ -252,7 +252,7 @@ mod tests {
             idx.fail_primary(v);
         }
         let out = idx
-            .superset_search(&SupersetQuery::new(set("shared")).use_cache(false))
+            .superset_search(&SupersetQuery::new(set("shared")))
             .unwrap();
         assert_eq!(out.results.len(), 40, "failover must restore completeness");
     }
@@ -270,7 +270,7 @@ mod tests {
             .find(|v| !v.contains(root))
             .expect("exists");
         idx.fail_primary(outside);
-        let published = SupersetQuery::new(set("a")).use_cache(false).prune(false);
+        let published = SupersetQuery::new(set("a")).prune(false);
         let baseline = idx.superset_search(&published).unwrap();
         // Single-cube traversal only: as published, nodes contacted
         // equals the subcube size.

@@ -13,6 +13,12 @@
 //! default — children the occupancy summary disproves at the time
 //! their parent is visited never enter `U` — so the pages of a session
 //! over an unchanging index cost what the one-shot search costs.
+//!
+//! The one-shot sequential top-down search *is* such a session's first
+//! page: [`crate::search::superset`] opens one per query (pruning or
+//! walking as published, as the query says, with the index's recycled
+//! queue), takes a page of `t` and closes it. The direct engine has no
+//! other top-down walk.
 
 use std::collections::VecDeque;
 
@@ -21,9 +27,10 @@ use hyperdex_hypercube::Vertex;
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::protocol::{scan_store, Step, SupersetCoordinator};
-use crate::search::superset::unpruned_children;
+use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
+use crate::ranking::prefer_general;
 use crate::search::{RankedObject, SearchStats, SupersetOutcome};
+use crate::summary::Pruner;
 
 /// A resumable top-down superset search over one keyword set.
 ///
@@ -57,6 +64,9 @@ pub struct CumulativeSearch {
     /// the machine, meters results per batch, because a node's overflow
     /// is buffered for the next batch instead of stopping the walk.
     coord: SupersetCoordinator,
+    /// Whether the occupancy summary prunes the walk (`false` only for a
+    /// one-shot search that asked for the walk as published).
+    prune: bool,
     pending: VecDeque<RankedObject>,
     delivered: usize,
 }
@@ -64,13 +74,36 @@ pub struct CumulativeSearch {
 impl CumulativeSearch {
     /// Opens a session for `keywords` against `index`.
     pub fn new(index: &HypercubeIndex, keywords: KeywordSet) -> Self {
+        Self::open(index, keywords, true, VecDeque::new())
+    }
+
+    /// [`CumulativeSearch::new`] walking as published unless `prune`,
+    /// its queue `U` in `queue`'s buffer (cleared first); hand the
+    /// buffer back with [`CumulativeSearch::into_queue`].
+    pub(crate) fn open(
+        index: &HypercubeIndex,
+        keywords: KeywordSet,
+        prune: bool,
+        queue: VecDeque<(u64, u8)>,
+    ) -> Self {
         let root = index.vertex_for(&keywords);
         CumulativeSearch {
             keywords,
-            coord: SupersetCoordinator::new(root, usize::MAX),
+            coord: SupersetCoordinator::with_queue(root, usize::MAX, queue),
+            prune,
             pending: VecDeque::new(),
             delivered: 0,
         }
+    }
+
+    /// Closes the session, surrendering its queue's buffer for reuse.
+    pub(crate) fn into_queue(self) -> VecDeque<(u64, u8)> {
+        self.coord.into_queue()
+    }
+
+    /// Results scanned but not yet delivered.
+    pub(crate) fn buffered(&self) -> usize {
+        self.pending.len()
     }
 
     /// The queried keyword set.
@@ -103,23 +136,17 @@ impl CumulativeSearch {
             return Err(Error::ZeroThreshold);
         }
         let mut stats = SearchStats::default();
-        let mut results = Vec::with_capacity(t.min(64));
         let qsig = self.keywords.signature();
-        let mut found = Vec::new();
-        let mut pruner = index.summary().pruner(self.coord.root_bits());
+        let mut pruner = self
+            .prune
+            .then(|| index.summary().pruner(self.coord.root_bits()));
 
-        loop {
-            // Serve buffered results first.
-            while results.len() < t {
-                match self.pending.pop_front() {
-                    Some(r) => results.push(r),
-                    None => break,
-                }
-            }
-            if results.len() >= t {
-                break;
-            }
-            // Need more: contact the next node (the root first).
+        // Buffered results first; a node is contacted (the root first)
+        // only once the buffer is empty, so its matches go straight
+        // onto the page, and what overflows it waits for the next.
+        let mut results = Vec::with_capacity(t.min(64));
+        results.extend(self.pending.drain(..t.min(self.pending.len())));
+        while results.len() < t {
             let Step::Visit { bits, via_dim } = self.coord.next_step() else {
                 break;
             };
@@ -129,21 +156,21 @@ impl CumulativeSearch {
                 stats.control_messages += 1; // T_CONT back to the root
             }
             let w = Vertex::from_bits(index.shape(), bits).expect("coordinator stays in the cube");
-            scan_store(
-                index.store_at(w),
-                &self.keywords,
-                qsig,
-                usize::MAX,
-                &mut found,
-            );
-            found.sort_by_key(|r| r.extra_keywords);
-            if !found.is_empty() {
+            let store = index.store_at(w);
+            if let Some(store) = store {
+                stats.entries_scanned += store.keyword_set_count() as u64;
+            }
+            let start = results.len();
+            if scan_store(store, &self.keywords, qsig, usize::MAX, &mut results) > 0 {
                 stats.result_messages += 1;
             }
-            self.pending.extend(found.drain(..));
+            prefer_general(&mut results[start..]);
             let children =
-                unpruned_children(Some(&mut pruner), (w, via_dim), &mut stats.pruned_subtrees);
+                unpruned_children(pruner.as_mut(), (w, via_dim), &mut stats.pruned_subtrees);
             self.coord.record_visit(0, children);
+        }
+        if results.len() > t {
+            self.pending.extend(results.drain(t..));
         }
 
         self.delivered += results.len();
@@ -153,6 +180,23 @@ impl CumulativeSearch {
             exhausted: self.is_finished(),
         })
     }
+}
+
+/// The child contacts the walk still owes a visit after `w` (reached
+/// via `via_dim`): all of them as published; with a `pruner`, those
+/// whose subtree the occupancy summary cannot prove free of matches,
+/// the rest counted in `pruned`.
+fn unpruned_children(
+    pruner: Option<&mut Pruner<'_>>,
+    (w, via_dim): (Vertex, Option<u8>),
+    pruned: &mut u64,
+) -> impl Iterator<Item = (u64, u8)> {
+    let cut = pruner.map_or(0, |pruner| {
+        let below = (1u64 << via_dim.unwrap_or(w.shape().r())) - 1;
+        pruner.prunable_dims(w.bits(), w.zero_mask() & below)
+    });
+    *pruned += u64::from(cut.count_ones());
+    child_contacts(w, via_dim).filter(move |&(_, dim)| cut >> dim & 1 == 0)
 }
 
 #[cfg(test)]
@@ -203,14 +247,10 @@ mod tests {
         // session only pays for new nodes.
         let fresh_nodes = {
             let mut idx2 = index.clone();
-            idx2.superset_search(
-                &crate::search::SupersetQuery::new(q)
-                    .threshold(20)
-                    .use_cache(false),
-            )
-            .unwrap()
-            .stats
-            .nodes_contacted
+            idx2.superset_search(&crate::search::SupersetQuery::new(q).threshold(20))
+                .unwrap()
+                .stats
+                .nodes_contacted
         };
         assert!(
             b1.stats.nodes_contacted + b2.stats.nodes_contacted <= fresh_nodes + 1,

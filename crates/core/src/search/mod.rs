@@ -9,8 +9,8 @@
 //!   along its spanning binomial tree, with early exit.
 //!
 //! [`SupersetQuery`] configures the traversal (threshold, top-down vs.
-//! bottom-up preference, sequential vs. level-parallel execution, cache
-//! usage); [`SearchStats`] carries the cost accounting the paper's
+//! bottom-up preference, sequential vs. level-parallel execution,
+//! pruning); [`SearchStats`] carries the cost accounting the paper's
 //! figures report.
 
 pub mod cumulative;
@@ -68,11 +68,6 @@ pub struct SupersetQuery {
     pub order: TraversalOrder,
     /// Sequential protocol or level-parallel broadcast.
     pub mode: ExecutionMode,
-    /// Whether the root's result cache may serve or store this query.
-    /// The cache holds the sequential top-down walk's answers (§4's
-    /// cache experiment); bottom-up and level-parallel walks run
-    /// uncached whatever this says.
-    pub use_cache: bool,
     /// Whether the occupancy summary prunes provably-empty SBT subtrees
     /// of the sequential top-down walk (recall-safe; see
     /// [`crate::summary`]). `false` is the walk as published, which the
@@ -83,14 +78,15 @@ pub struct SupersetQuery {
 
 impl SupersetQuery {
     /// Creates a query returning *all* matches (threshold `usize::MAX`),
-    /// top-down, sequential, cache enabled, pruning enabled.
+    /// top-down, sequential, pruning enabled. On an index with result
+    /// caches the root's cache serves and stores a sequential top-down
+    /// query (§4's cache experiment); the other walks run uncached.
     pub fn new(keywords: KeywordSet) -> Self {
         SupersetQuery {
             keywords,
             threshold: usize::MAX,
             order: TraversalOrder::TopDown,
             mode: ExecutionMode::Sequential,
-            use_cache: true,
             prune: true,
         }
     }
@@ -110,13 +106,6 @@ impl SupersetQuery {
     /// Sets the execution mode.
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Enables or disables cache participation (sequential top-down
-    /// walks only).
-    pub fn use_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
         self
     }
 
@@ -221,7 +210,6 @@ mod tests {
         assert_eq!(q.threshold, usize::MAX);
         assert_eq!(q.order, TraversalOrder::TopDown);
         assert_eq!(q.mode, ExecutionMode::Sequential);
-        assert!(q.use_cache);
         assert!(q.prune, "the product walk prunes");
         assert!(q.validate().is_ok());
         assert!(

@@ -12,32 +12,34 @@
 //! objects first), and level-parallel (§3.5 — whole tree levels queried
 //! per round, time `r − |One(F_h(K))|` instead of `2^{r−|One|}`).
 //!
-//! The sequential top-down traversal is a plain loop around the shared
-//! [`SupersetCoordinator`] state machine — the same one the simulator
-//! feeds with messages (a runtime worker walks the subcube's prefix
-//! regions instead) — and is the one walk that prunes and the one the
-//! per-root result cache serves; the level-order variants walk
-//! [`Sbt::level`] depth by depth, as published; every per-node scan is
-//! the shared [`scan_store`], ranked by [`crate::ranking`].
+//! The sequential top-down search is the first page of a
+//! [`CumulativeSearch`] (§2.2: the root keeps `U` for later pages; a
+//! one-shot search simply never asks for one) — the shared
+//! [`crate::protocol::SupersetCoordinator`] machine in a loop, the one
+//! the simulator feeds with messages (a runtime worker walks the
+//! subcube's prefix regions instead) — and is the one walk that prunes
+//! and the one the per-root result cache serves; the level-order
+//! variants walk [`Sbt::level`] depth by depth, as published; every
+//! per-node scan is the shared [`scan_store`], ranked by
+//! [`crate::ranking`].
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter
 //! of [`crate::index`]); the frontier queue lives in the index and is
 //! reused across queries instead of being reallocated per search.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use hyperdex_hypercube::{Sbt, Vertex};
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
-use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
+use crate::protocol::scan_store;
 use crate::ranking::{prefer_general, prefer_specific};
+use crate::search::cumulative::CumulativeSearch;
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
 };
-use crate::summary::Pruner;
 
 /// Runs a superset search against a logical hypercube index.
 pub(crate) fn run(
@@ -54,56 +56,65 @@ pub(crate) fn run(
 
     // Query signature, computed once for the whole traversal.
     let qsig = query.keywords.signature();
-    Ok(match (query.mode, query.order) {
+    match (query.mode, query.order) {
         (ExecutionMode::Sequential, TraversalOrder::TopDown) => {
-            cached_top_down(index, query, qsig, root, stats)
+            cached_top_down(index, query, root, stats)
         }
         (ExecutionMode::Sequential, TraversalOrder::BottomUp) => {
-            by_levels(index, query, qsig, root, stats)
+            Ok(by_levels(index, query, qsig, root, stats))
         }
-        (ExecutionMode::LevelParallel, _) => level_parallel(index, query, qsig, root, stats),
-    })
+        (ExecutionMode::LevelParallel, _) => Ok(level_parallel(index, query, qsig, root, stats)),
+    }
 }
 
 /// The sequential top-down walk behind the root's result cache (§4).
 /// The cache is keyed by the keyword set alone, so it holds this walk's
 /// answers only: at a binding threshold every other walk answers with
-/// a different set, and runs uncached.
+/// a different set, and runs uncached. `stats` has the root charged,
+/// which is what a cache hit costs; a walk charges its own visits.
 fn cached_top_down(
     index: &mut HypercubeIndex,
     query: &SupersetQuery,
-    qsig: u64,
     root: Vertex,
     mut stats: SearchStats,
-) -> SupersetOutcome {
+) -> Result<SupersetOutcome, Error> {
     // An exhaustive entry serves any threshold; a partial entry serves
     // thresholds it covers.
-    if query.use_cache {
-        if let Some(cache) = index.cache_mut(root) {
-            if let Some(cached) = cache.lookup(&query.keywords, query.threshold) {
-                let exhausted = cached.exhausted && cached.results.len() <= query.threshold;
-                let results: Vec<RankedObject> = cached
-                    .results
-                    .iter()
-                    .take(query.threshold)
-                    .cloned()
-                    .collect();
-                stats.cache_hit = true;
-                stats.result_messages += 1;
-                return SupersetOutcome {
-                    results,
-                    stats,
-                    exhausted,
-                };
-            }
+    if let Some(cache) = index.cache_mut(root) {
+        if let Some(cached) = cache.lookup(&query.keywords, query.threshold) {
+            let exhausted = cached.exhausted && cached.results.len() <= query.threshold;
+            let results: Vec<RankedObject> = cached
+                .results
+                .iter()
+                .take(query.threshold)
+                .cloned()
+                .collect();
+            stats.cache_hit = true;
+            stats.result_messages += 1;
+            return Ok(SupersetOutcome {
+                results,
+                stats,
+                exhausted,
+            });
         }
     }
 
-    // The reusable frontier queue, moved out for the duration of the
-    // search (the traversal borrows the index immutably).
-    let mut frontier = std::mem::take(&mut index.frontier);
-    let mut outcome = sequential_top_down(index, query, qsig, root, stats, &mut frontier);
-    index.frontier = frontier;
+    // A miss is a session's first page, walked on the index's reusable
+    // frontier queue, moved out for the duration of the search (the
+    // session borrows the index immutably).
+    let queue = std::mem::take(&mut index.frontier);
+    let mut session = CumulativeSearch::open(index, query.keywords.clone(), query.prune, queue);
+    let mut outcome = session.next_batch(index, query.threshold)?;
+    // A threshold met beyond the root stopped the traversal early. Met
+    // at the root itself, the result is exhaustive only if the root is
+    // the whole subcube AND nothing is truncated away — a truncated
+    // result set must never be cached as complete.
+    let found = outcome.results.len() + session.buffered();
+    outcome.exhausted = found < query.threshold
+        || (outcome.stats.nodes_contacted == 1
+            && root.zero_count() == 0
+            && found == query.threshold);
+    index.frontier = session.into_queue();
 
     // Cache the traversal's results; the exhausted flag records whether
     // they can serve any threshold or only covered ones. The result vec
@@ -111,86 +122,17 @@ fn cached_top_down(
     // copy is rebuilt (bounded by the threshold — traversals truncate)
     // only when the cache actually kept the entry, and moves back for
     // free when it declined.
-    if query.use_cache {
-        if let Some(cache) = index.cache_mut(root) {
-            let shared = Arc::new(std::mem::take(&mut outcome.results));
-            cache.put(
-                query.keywords.clone(),
-                Arc::clone(&shared),
-                outcome.exhausted,
-            );
-            outcome.results = Arc::try_unwrap(shared)
-                .unwrap_or_else(|kept| kept.iter().take(query.threshold).cloned().collect());
-        }
+    if let Some(cache) = index.cache_mut(root) {
+        let shared = Arc::new(std::mem::take(&mut outcome.results));
+        cache.put(
+            query.keywords.clone(),
+            Arc::clone(&shared),
+            outcome.exhausted,
+        );
+        outcome.results = Arc::try_unwrap(shared)
+            .unwrap_or_else(|kept| kept.iter().take(query.threshold).cloned().collect());
     }
-    outcome
-}
-
-/// The paper's sequential top-down protocol: the shared coordinator
-/// machine, every `T_QUERY` a local scan. With pruning on, children
-/// whose occupancy digest disproves any match (empty region, or
-/// keyword-position mask not covering `One(F_h(K))`) never enter the
-/// frontier.
-fn sequential_top_down(
-    index: &HypercubeIndex,
-    query: &SupersetQuery,
-    qsig: u64,
-    root: Vertex,
-    mut stats: SearchStats,
-    frontier: &mut VecDeque<(u64, u8)>,
-) -> SupersetOutcome {
-    let mut pruner = query.prune.then(|| index.summary().pruner(root.bits()));
-    let mut coord =
-        SupersetCoordinator::with_queue(root, query.threshold, std::mem::take(frontier));
-    let mut results = Vec::new();
-    let mut beyond_root = false;
-    while let Step::Visit { bits, via_dim } = coord.next_step() {
-        let w = Vertex::from_bits(root.shape(), bits).expect("coordinator stays in the cube");
-        // The root was already charged for receiving the query and
-        // answers nobody; every other node costs a T_QUERY and answers
-        // the root with T_CONT or T_STOP.
-        if via_dim.is_some() {
-            beyond_root = true;
-            stats.query_messages += 1;
-            stats.nodes_contacted += 1;
-            stats.control_messages += 1;
-        }
-        let found = scan_node(index, w, query, qsig, &mut results, &mut stats);
-        let children = unpruned_children(pruner.as_mut(), (w, via_dim), &mut stats.pruned_subtrees);
-        coord.record_visit(found, children);
-    }
-    *frontier = coord.into_queue();
-
-    // A threshold met beyond the root stopped the traversal early. Met
-    // at the root itself, the result is exhaustive only if the root is
-    // the whole subcube AND nothing is truncated away — a truncated
-    // result set must never be cached as complete.
-    let exhausted = results.len() < query.threshold
-        || (!beyond_root && root.zero_count() == 0 && results.len() == query.threshold);
-    results.truncate(query.threshold);
-    SupersetOutcome {
-        results,
-        stats,
-        exhausted,
-    }
-}
-
-/// The child contacts a top-down walk still owes a visit after `w`
-/// (reached via `via_dim`): all of them as published; with a `pruner`,
-/// those whose subtree the occupancy summary cannot prove free of
-/// matches, the rest counted in `pruned`. The one-shot and the paged
-/// walk both enumerate through here, so they visit the same nodes.
-pub(crate) fn unpruned_children(
-    pruner: Option<&mut Pruner<'_>>,
-    (w, via_dim): (Vertex, Option<u8>),
-    pruned: &mut u64,
-) -> impl Iterator<Item = (u64, u8)> {
-    let cut = pruner.map_or(0, |pruner| {
-        let below = (1u64 << via_dim.unwrap_or(w.shape().r())) - 1;
-        pruner.prunable_dims(w.bits(), w.zero_mask() & below)
-    });
-    *pruned += u64::from(cut.count_ones());
-    child_contacts(w, via_dim).filter(move |&(_, dim)| cut >> dim & 1 == 0)
+    Ok(outcome)
 }
 
 /// Sequential bottom-up traversal by whole tree levels, deepest first

@@ -998,7 +998,7 @@ mod tests {
         for query in ["a", "a b", "b", "x", "zzz"] {
             // The simulator runs the protocol as published; so does
             // the engine it is held against.
-            let published = SupersetQuery::new(set(query)).use_cache(false).prune(false);
+            let published = SupersetQuery::new(set(query)).prune(false);
             let d = direct.superset_search(&published).unwrap();
             let s = sim.search_sequential(&set(query), usize::MAX - 1).unwrap();
             assert_eq!(ids(&d.results), ids(&s.results), "query {query}");

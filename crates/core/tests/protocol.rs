@@ -60,7 +60,7 @@ proptest! {
         let (mut index, objects) = build_index(r, &corpus);
         let query = to_set(&qwords);
         let out = index
-            .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+            .superset_search(&SupersetQuery::new(query.clone()))
             .unwrap();
         prop_assert!(out.exhausted);
         prop_assert_eq!(sorted_objects(&out.results), brute_force(&objects, &query));
@@ -71,7 +71,7 @@ proptest! {
     fn variants_agree((corpus, qwords) in corpus_and_query(), r in 4u8..9) {
         let (mut index, _) = build_index(r, &corpus);
         let query = to_set(&qwords);
-        let base = SupersetQuery::new(query).use_cache(false);
+        let base = SupersetQuery::new(query);
         let td = index.superset_search(&base.clone()).unwrap();
         let bu = index
             .superset_search(&base.clone().order(TraversalOrder::BottomUp))
@@ -104,7 +104,7 @@ proptest! {
         let query = to_set(&qwords);
         let truth = brute_force(&objects, &query);
         let out = index
-            .superset_search(&SupersetQuery::new(query.clone()).threshold(t).use_cache(false))
+            .superset_search(&SupersetQuery::new(query.clone()).threshold(t))
             .unwrap();
         prop_assert_eq!(out.results.len(), t.min(truth.len()));
         for r in &out.results {
@@ -125,7 +125,7 @@ proptest! {
         let query = to_set(&qwords);
         let subcube_size = 1u64 << index.vertex_for(&query).zero_count();
         let out = index
-            .superset_search(&SupersetQuery::new(query).use_cache(false).prune(false))
+            .superset_search(&SupersetQuery::new(query).prune(false))
             .unwrap();
         prop_assert_eq!(out.stats.nodes_contacted, subcube_size,
             "exhaustive search visits the whole subcube exactly once");
@@ -195,7 +195,7 @@ proptest! {
             return Ok(());
         }
         let root = index.vertex_for(&query);
-        let base = SupersetQuery::new(query).use_cache(false).threshold(1);
+        let base = SupersetQuery::new(query).threshold(1);
         let td = index.superset_search(&base.clone()).unwrap();
         let bu = index
             .superset_search(&base.order(TraversalOrder::BottomUp))

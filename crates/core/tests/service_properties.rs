@@ -57,7 +57,7 @@ proptest! {
         // Superset search with the first keyword finds supersets only.
         let first: KeywordSet = sets[0].iter().take(1).collect();
         let out = svc
-            .superset_search(publisher, &SupersetQuery::new(first.clone()).use_cache(false))
+            .superset_search(publisher, &SupersetQuery::new(first.clone()))
             .expect("valid");
         for r in &out.outcome.results {
             prop_assert!(first.describes(&r.keyword_set));
@@ -85,7 +85,7 @@ proptest! {
         }
         let oracle = index.matching_count(&query);
         let found = index
-            .superset_search(&SupersetQuery::new(query).use_cache(false))
+            .superset_search(&SupersetQuery::new(query))
             .expect("valid")
             .results
             .len();

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod gray;
 pub mod sbt;
 pub mod shape;
 pub mod subcube;

@@ -106,11 +106,6 @@ impl Shape {
             Ok(())
         }
     }
-
-    /// Iterates over all dimension indices `0..r`.
-    pub fn axes(self) -> impl DoubleEndedIterator<Item = u8> + Clone {
-        0..self.r
-    }
 }
 
 impl fmt::Display for Shape {
@@ -151,13 +146,6 @@ mod tests {
         let s = Shape::new(3).unwrap();
         assert!(s.check_bits(0b111).is_ok());
         assert!(s.check_bits(0b1000).is_err());
-    }
-
-    #[test]
-    fn axes_iterates_all_dims() {
-        let s = Shape::new(5).unwrap();
-        assert_eq!(s.axes().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(s.axes().next_back(), Some(4));
     }
 
     #[test]

@@ -55,15 +55,10 @@ impl Subcube {
 
     /// The number of vertices, `2^|Zero(u)|`.
     // A subcube always contains at least its root, so there is no
-    // meaningful `is_empty`; `is_unit` covers the degenerate case.
+    // meaningful `is_empty`.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(self) -> u64 {
         1u64 << self.dim()
-    }
-
-    /// Whether the subcube consists only of its root (`u` all ones).
-    pub fn is_unit(self) -> bool {
-        self.dim() == 0
     }
 
     /// Whether `w` belongs to this subcube (`w` contains the root).
@@ -101,20 +96,6 @@ impl Subcube {
         assert!(index < self.len(), "subcube index {index} out of range");
         let bits = self.root.bits() | bits::deposit(index, self.free_mask());
         Vertex::from_bits(self.root.shape(), bits).expect("deposit stays within shape")
-    }
-
-    /// The dense index of `w` within this subcube.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not a member of the subcube.
-    pub fn index_of(self, w: Vertex) -> u64 {
-        assert!(
-            self.contains(w),
-            "vertex {w} not in subcube of {}",
-            self.root
-        );
-        bits::extract(w.bits(), self.free_mask())
     }
 }
 
@@ -205,7 +186,6 @@ mod tests {
     #[test]
     fn unit_subcube() {
         let sub = v(3, 0b111).subcube();
-        assert!(sub.is_unit());
         assert_eq!(sub.len(), 1);
         assert_eq!(sub.iter().collect::<Vec<_>>(), vec![sub.root()]);
     }
@@ -236,26 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn vertex_at_and_index_roundtrip() {
+    fn vertex_at_enumerates_distinct_members() {
         let sub = v(6, 0b010010).subcube();
-        for i in 0..sub.len() {
-            let w = sub.vertex_at(i);
-            assert!(sub.contains(w));
-            assert_eq!(sub.index_of(w), i);
-        }
+        let members: std::collections::BTreeSet<u64> =
+            (0..sub.len()).map(|i| sub.vertex_at(i).bits()).collect();
+        assert_eq!(members.len() as u64, sub.len());
+        assert!(members.iter().all(|&bits| sub.contains(v(6, bits))));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn vertex_at_out_of_range_panics() {
         v(4, 0b1111).subcube().vertex_at(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in subcube")]
-    fn index_of_non_member_panics() {
-        let sub = v(4, 0b0100).subcube();
-        sub.index_of(v(4, 0b0011));
     }
 
     #[test]

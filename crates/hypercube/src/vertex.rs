@@ -129,11 +129,6 @@ impl Vertex {
         }
     }
 
-    /// All `r` neighbors of this vertex, in ascending dimension order.
-    pub fn neighbors(self) -> impl Iterator<Item = Vertex> + Clone {
-        self.shape.axes().map(move |i| self.flip(i))
-    }
-
     /// The subhypercube `H_r(u)` induced by this vertex
     /// (Definition 3.1): all vertices that contain `u`.
     pub fn subcube(self) -> Subcube {
@@ -255,20 +250,6 @@ mod tests {
             assert_eq!(vx.hamming(n), 1);
             assert_eq!(n.flip(i), vx);
         }
-    }
-
-    #[test]
-    fn neighbors_are_all_distinct_at_distance_one() {
-        let vx = v(5, 0b10101);
-        let ns: Vec<Vertex> = vx.neighbors().collect();
-        assert_eq!(ns.len(), 5);
-        for n in &ns {
-            assert_eq!(vx.hamming(*n), 1);
-        }
-        let mut bits: Vec<u64> = ns.iter().map(|n| n.bits()).collect();
-        bits.sort_unstable();
-        bits.dedup();
-        assert_eq!(bits.len(), 5);
     }
 
     #[test]

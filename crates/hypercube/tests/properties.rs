@@ -143,16 +143,6 @@ proptest! {
         prop_assert_eq!(steps, node.hamming(root));
     }
 
-    /// Subcube dense indexing round-trips.
-    #[test]
-    fn subcube_index_roundtrip((shape, bits) in shape_and_bits()) {
-        let u = Vertex::from_bits(shape, bits).unwrap();
-        let sub = Subcube::induced_by(u);
-        for i in 0..sub.len() {
-            prop_assert_eq!(sub.index_of(sub.vertex_at(i)), i);
-        }
-    }
-
     /// Subtree sizes of the root's children sum to node_count - 1.
     #[test]
     fn sbt_subtree_decomposition((shape, bits) in shape_and_bits()) {

@@ -72,9 +72,7 @@ fn ids(objects: impl Iterator<Item = ObjectId>) -> Vec<ObjectId> {
 }
 
 fn direct_superset(index: &mut HypercubeIndex, keywords: &KeywordSet, t: usize) -> Vec<ObjectId> {
-    let query = SupersetQuery::new(keywords.clone())
-        .threshold(t)
-        .use_cache(false);
+    let query = SupersetQuery::new(keywords.clone()).threshold(t);
     let out = index.superset_search(&query).expect("valid query");
     ids(out.results.iter().map(|m| m.object))
 }

@@ -32,7 +32,7 @@
 //! issued after an [`Error::Timeout`] is safe; and a frame kind no
 //! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use hyperdex_core::{
@@ -274,34 +274,26 @@ impl<L: ClientLink> ClientCore<L> {
         self.ship_at_watermark()
     }
 
-    /// Installs whole vertex tables at once (bulk load): entries are
-    /// grouped by vertex and queued as `Handoff` frames to the owning
-    /// shards, in vertex order; the link ships each time its queued
-    /// bytes reach [`LANE_WATERMARK`], and once at the end.
+    /// Bulk load: one [`ClientCore::insert`] per entry, in input order —
+    /// the link ships each time its queued bytes reach
+    /// [`LANE_WATERMARK`] — and one ship at the end. A worker handles
+    /// its frames in the order they were queued, so every vertex store
+    /// receives its entries in input order.
     ///
     /// # Errors
     ///
     /// [`Error::EmptyKeywordSet`] if any entry's set is empty (before
-    /// anything ships), otherwise the link's errors.
+    /// anything is queued), otherwise the link's errors.
     pub fn bulk_load<'a, I>(&mut self, entries: I) -> Result<(), Error>
     where
         I: IntoIterator<Item = (ObjectId, &'a KeywordSet)>,
     {
-        let mut by_vertex: BTreeMap<u64, Vec<(KeywordSet, Vec<u64>)>> = BTreeMap::new();
-        for (object, keywords) in entries {
-            if keywords.is_empty() {
-                return Err(Error::EmptyKeywordSet);
-            }
-            let bits = self.hasher.vertex_for(keywords).bits();
-            by_vertex
-                .entry(bits)
-                .or_default()
-                .push((keywords.clone(), vec![object.raw()]));
+        let entries: Vec<_> = entries.into_iter().collect();
+        if entries.iter().any(|(_, keywords)| keywords.is_empty()) {
+            return Err(Error::EmptyKeywordSet);
         }
-        for (bits, entries) in by_vertex {
-            let owner = self.shards.owner_of(bits);
-            self.link.queue(owner, &WireMsg::Handoff { bits, entries });
-            self.ship_at_watermark()?;
+        for (object, keywords) in entries {
+            self.insert(object, keywords.clone())?;
         }
         self.link.ship()
     }

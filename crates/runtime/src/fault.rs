@@ -10,8 +10,8 @@
 //!
 //! Scope: injection applies only to **worker → worker traversal
 //! frames** (`RegionQuery`/`RegionDone`). Client-bound frames, control
-//! frames (flush/shutdown), and load frames (insert/handoff)
-//! are reliable — so the indexed corpus is always well-defined and
+//! frames (flush/shutdown), and load frames (`Insert`, a bulk load's
+//! included) are reliable — so the indexed corpus is always well-defined and
 //! every lost frame is one its coordinator knows how to recover: the
 //! owner is asked again under its deadline, and given up only as
 //! skipped coverage of an `FtQuery` or the end of a plain query.

@@ -169,14 +169,6 @@ pub enum WireMsg {
         /// Exact-match object ids.
         objects: Vec<u64>,
     },
-    /// Client → vertex owner: install a whole vertex table at once
-    /// (bulk load / rebalancing, the runtime's handoff).
-    Handoff {
-        /// The vertex receiving the entries.
-        bits: u64,
-        /// `⟨K', objects⟩` entries to install.
-        entries: Vec<(KeywordSet, Vec<u64>)>,
-    },
     /// Client → worker: drain barrier. The worker replies `FlushAck`
     /// after processing everything queued before this frame.
     Flush {
@@ -249,7 +241,8 @@ const TAG_QUERY: u8 = 1;
 const TAG_QUERY_DONE: u8 = 4;
 const TAG_PIN: u8 = 5;
 const TAG_PIN_RESULTS: u8 = 6;
-const TAG_HANDOFF: u8 = 7;
+// 7 installed a whole vertex table: a bulk load is inserts, so it is
+// retired too.
 const TAG_FLUSH: u8 = 8;
 const TAG_FLUSH_ACK: u8 = 9;
 const TAG_SHUTDOWN: u8 = 10;
@@ -415,15 +408,6 @@ impl WireMsg {
                 put_u64(body, *query_id);
                 put_ids(body, objects);
             }
-            WireMsg::Handoff { bits, entries } => {
-                body.push(TAG_HANDOFF);
-                put_u64(body, *bits);
-                put_u32(body, entries.len() as u32);
-                for (set, objects) in entries {
-                    put_keywords(body, set);
-                    put_ids(body, objects);
-                }
-            }
             WireMsg::Flush { token } => {
                 body.push(TAG_FLUSH);
                 put_u64(body, *token);
@@ -570,12 +554,6 @@ fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
             query_id: r.u64()?,
             objects: r.ids()?,
         }),
-        TAG_HANDOFF => {
-            let bits = r.u64()?;
-            let n = r.u32()? as usize;
-            let entries = r.list(n, |r| Ok((get_keywords(r)?, r.ids()?)))?;
-            Ok(WireMsg::Handoff { bits, entries })
-        }
         TAG_FLUSH => Ok(WireMsg::Flush { token: r.u64()? }),
         TAG_FLUSH_ACK => Ok(WireMsg::FlushAck {
             token: r.u64()?,
@@ -839,14 +817,6 @@ pub fn exemplars() -> Vec<WireMsg> {
             query_id: 11,
             objects: vec![5, 6, 7],
         },
-        WireMsg::Handoff {
-            bits: 0b11,
-            entries: vec![
-                (set("a b"), vec![1, 2]),
-                (set("a b c"), vec![3]),
-                (set("z"), vec![]),
-            ],
-        },
         WireMsg::Flush { token: 1234 },
         WireMsg::FlushAck {
             token: 1234,
@@ -985,7 +955,7 @@ mod tests {
     fn exemplars_cover_exactly_the_defined_tags() {
         let tags: std::collections::BTreeSet<u8> =
             exemplars().iter().map(|m| m.encode()[PREFIX_LEN]).collect();
-        let retired = [2, 3, 13];
+        let retired = [2, 3, 7, 13];
         assert_eq!(
             tags,
             (0..=TAG_QUERY_AT)
@@ -1021,11 +991,12 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 951 bytes: the
+    /// when `encode_into` was its only body (FNV-1a over 874 bytes: the
     /// 1,120 of the 17-variant vocabulary less the 184 of the retired
-    /// per-vertex pair's four exemplars and the 9 of the retired repair
-    /// release's one, plus 4 per `RegionQuery` for its attempt and 8
-    /// per `RegionDone` for its attempt and part).
+    /// per-vertex pair's four exemplars, the 9 of the retired repair
+    /// release's one and the 77 of the retired table handoff's one, plus
+    /// 4 per `RegionQuery` for its attempt and 8 per `RegionDone` for
+    /// its attempt and part).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -1043,7 +1014,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (951, 0x9d05_92b0_37f7_121a));
+        assert_eq!((forward.len(), digest), (874, 0xec8c_35fb_3369_cafc));
     }
 
     /// In every build profile: an over-cap frame must stop at the

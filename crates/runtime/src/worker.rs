@@ -206,7 +206,7 @@ counter_record! {
         /// them as sent, so the frame ledger balances without them.
         frames_undecodable,
         /// Frames that are not this worker's to act on. About a vertex
-        /// (an insert, a handoff, a pin) or a subcube (a `RegionQuery`)
+        /// (an insert, a pin) or a subcube (a `RegionQuery`)
         /// none of which it owns: a write is dropped — indexed here,
         /// nobody would ever ask for it — and a read is answered with
         /// what this worker holds of it, nothing. Or of a kind no
@@ -271,7 +271,7 @@ pub struct WorkerContext {
     /// Seeded fault injector, when the deployment schedules faults.
     pub injector: Option<FaultInjector>,
     /// The shard's load log, for a worker a crash point names: every
-    /// `Insert`/`Handoff` frame the shard was handed, in order. Empty,
+    /// `Insert` frame the shard was handed, in order. Empty,
     /// it starts a shard; full, it restores one — which is what the
     /// machine's restart hands its constructor.
     pub log: Option<Vec<Vec<u8>>>,
@@ -519,9 +519,7 @@ impl NodeMachine {
             },
         };
         for frame in ctx.log.iter().flatten() {
-            if let Ok(msg @ (WireMsg::Insert { .. } | WireMsg::Handoff { .. })) =
-                WireMsg::decode_exact(frame)
-            {
+            if let Ok(msg @ WireMsg::Insert { .. }) = WireMsg::decode_exact(frame) {
                 node.handle(msg);
             }
         }
@@ -562,9 +560,7 @@ impl NodeMachine {
                 self.stats.frames_undecodable += 1;
                 continue;
             };
-            if let (Some(log), WireMsg::Insert { .. } | WireMsg::Handoff { .. }) =
-                (&mut self.log, &msg)
-            {
+            if let (Some(log), WireMsg::Insert { .. }) = (&mut self.log, &msg) {
                 log.push(frame.to_vec());
             }
             if crashed {
@@ -689,20 +685,6 @@ impl NodeMachine {
                 {
                     self.stats.inserts += 1;
                     self.cache.bump_generation();
-                }
-            }
-            WireMsg::Handoff { bits, entries } => {
-                if !self.owns(bits) {
-                    return;
-                }
-                let table = self.tables.entry(bits).or_default();
-                for (set, objects) in entries {
-                    for raw in objects {
-                        if table.insert(set.clone(), ObjectId::from_raw(raw)) {
-                            self.stats.inserts += 1;
-                            self.cache.bump_generation();
-                        }
-                    }
                 }
             }
             // Clients send a query to its root's owner, but any worker

@@ -5,10 +5,10 @@
 //! the rest of its window completes, stale completions (an abandoned FT
 //! attempt's, a timed-out request's), a frame kind no client is sent,
 //! how many frames each operation ships, and when writes ship: inserts
-//! and handoffs in bursts at the lane watermark, and ahead of whatever
-//! ships next.
+//! — a bulk load's included — in bursts at the lane watermark, and
+//! ahead of whatever ships next.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
@@ -471,7 +471,7 @@ fn answer_reads(burst: &[(u32, WireMsg)], inbox: &mut VecDeque<WireMsg>) {
     inbox.extend(
         burst
             .iter()
-            .filter(|(_, msg)| !matches!(msg, WireMsg::Insert { .. } | WireMsg::Handoff { .. }))
+            .filter(|(_, msg)| !matches!(msg, WireMsg::Insert { .. }))
             .map(|(w, msg)| echo(*w, msg)),
     );
 }
@@ -568,49 +568,47 @@ fn a_search_or_a_flush_puts_every_queued_insert_on_the_link_first() {
 }
 
 #[test]
-fn bulk_load_ships_the_same_handoffs_in_bursts_at_the_lane_watermark() {
-    let mut c = client(answer_reads);
+fn bulk_load_puts_on_the_link_exactly_the_frames_the_same_inserts_do_in_the_same_bursts() {
     let corpus: Vec<(ObjectId, KeywordSet)> = (0..3_000u64)
         .map(|i| {
             let keywords = set(&format!("k{} k{} k{}", i % 97, i % 89, i % 7));
             (ObjectId::from_raw(i), keywords)
         })
         .collect();
+    let mut c = client(answer_reads);
     c.bulk_load(corpus.iter().map(|(id, k)| (*id, k))).unwrap();
-    let link = c.into_link();
-    // One `Handoff` per vertex, in vertex order, to its owner — what
-    // the load shipped one frame at a time.
+    let bulk = c.into_link();
+    // The same entries inserted one by one, the tail shipped by a
+    // barrier.
+    let mut c = client(answer_reads);
+    for (id, keywords) in &corpus {
+        c.insert(*id, keywords.clone()).unwrap();
+    }
+    c.flush().unwrap();
+    let inserted = c.into_link();
+    let barrier = WORKERS as usize;
+    let (tail, full) = bulk.bursts.split_last().unwrap();
+    assert!(
+        full.len() > 1,
+        "the load crosses the watermark: {:?}",
+        bulk.bursts
+    );
+    assert_eq!(inserted.bursts, [full, &[tail + barrier]].concat());
+    assert_eq!(
+        bulk.shipped[..],
+        inserted.shipped[..inserted.shipped.len() - barrier]
+    );
+    // One `Insert` per entry, in input order, to its vertex's owner.
     let hasher = KeywordHasher::new(8, 42).unwrap();
     let shards = ShardMap::new(8, WORKERS, 42);
-    let mut by_vertex: BTreeMap<u64, Vec<(KeywordSet, Vec<u64>)>> = BTreeMap::new();
-    for (id, keywords) in &corpus {
-        let bits = hasher.vertex_for(keywords).bits();
-        by_vertex
-            .entry(bits)
-            .or_default()
-            .push((keywords.clone(), vec![id.raw()]));
-    }
-    let expected: Vec<(u32, WireMsg)> = by_vertex
-        .into_iter()
-        .map(|(bits, entries)| (shards.owner_of(bits), WireMsg::Handoff { bits, entries }))
-        .collect();
-    assert_eq!(link.shipped, expected);
-    // Each ship is the frame that reached the watermark and those
-    // queued ahead of it; the last one is the tail, below it.
-    let mut frames = link.shipped.iter().map(|(_, msg)| msg.encode().len());
-    let bursts: Vec<Vec<usize>> = link
-        .bursts
+    let expected: Vec<(u32, WireMsg)> = corpus
         .iter()
-        .map(|&n| frames.by_ref().take(n).collect())
+        .map(|(id, keywords)| {
+            let owner = shards.owner_of(hasher.vertex_for(keywords).bits());
+            let object = id.raw();
+            let keywords = keywords.clone();
+            (owner, WireMsg::Insert { object, keywords })
+        })
         .collect();
-    assert!(
-        bursts.len() > 2,
-        "the load crosses the watermark: {bursts:?}"
-    );
-    let (tail, full) = bursts.split_last().unwrap();
-    for burst in full {
-        let bytes: usize = burst.iter().sum();
-        assert!(bytes >= LANE_WATERMARK && bytes - burst.last().unwrap() < LANE_WATERMARK);
-    }
-    assert!(tail.iter().sum::<usize>() < LANE_WATERMARK);
+    assert_eq!(bulk.shipped, expected);
 }

@@ -445,21 +445,15 @@ impl Mesh {
             let mut probe = WireMsg::Flush { token: 0 }.encode();
             let delivered = self.trace.iter().filter(|(_, _, to, _)| *to == index);
             for load in delivered.flat_map(|(.., packet)| decode_all(packet)) {
-                let sets: Vec<KeywordSet> = match &load {
-                    WireMsg::Insert { keywords, .. } => vec![keywords.clone()],
-                    WireMsg::Handoff { entries, .. } => {
-                        entries.iter().map(|e| e.0.clone()).collect()
-                    }
-                    _ => continue,
+                let WireMsg::Insert { keywords, .. } = &load else {
+                    continue;
                 };
-                twin.receive(now, &load.encode());
-                for keywords in sets {
-                    WireMsg::Pin {
-                        query_id: 0,
-                        keywords,
-                    }
-                    .encode_append(&mut probe);
+                WireMsg::Pin {
+                    query_id: 0,
+                    keywords: keywords.clone(),
                 }
+                .encode_append(&mut probe);
+                twin.receive(now, &load.encode());
             }
             let live = self.nodes[index].as_mut().expect("checked above");
             let [expected, got] = [&mut twin, live].map(|node| {

@@ -46,11 +46,7 @@ fn query(pick: usize) -> KeywordSet {
 
 fn oracle_ids(index: &mut HypercubeIndex, keywords: &KeywordSet, threshold: usize) -> Vec<u64> {
     let out = index
-        .superset_search(
-            &SupersetQuery::new(keywords.clone())
-                .threshold(threshold)
-                .use_cache(false),
-        )
+        .superset_search(&SupersetQuery::new(keywords.clone()).threshold(threshold))
         .expect("valid query");
     out.results.iter().map(|r| r.object.raw()).collect()
 }

@@ -46,9 +46,7 @@ fn assert_sim_parity(
         let cell = format!("r={r} seed={seed} workers={workers} K={keywords:?}");
         let found = rt.superset_search(keywords, *threshold).expect("t > 0");
         let sim_found = sim.search_sequential(keywords, *threshold).expect("t > 0");
-        let query = SupersetQuery::new(keywords.clone())
-            .threshold(*threshold)
-            .use_cache(false);
+        let query = SupersetQuery::new(keywords.clone()).threshold(*threshold);
         let direct_found = direct.superset_search(&query).expect("valid query");
         let mesh = match_ids(&found);
         let sim_ids = ids(sim_found.results.iter().map(|m| m.object));

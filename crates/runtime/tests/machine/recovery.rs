@@ -110,8 +110,8 @@ fn faulted_plain_and_ft_queries_reproduce_the_unfaulted_payload() {
 }
 
 #[test]
-fn duplicate_handoff_frames_are_idempotent() {
-    // The same bulk load delivered twice — every Handoff frame is a
+fn duplicate_insert_frames_are_idempotent() {
+    // The same bulk load delivered twice — every `Insert` frame is a
     // duplicate the second time — must change nothing: same inserts
     // counted, same results returned.
     let corpus: Vec<(ObjectId, KeywordSet)> =
@@ -130,7 +130,7 @@ fn duplicate_handoff_frames_are_idempotent() {
     assert_eq!(
         inserts,
         CORPUS.len() as u64,
-        "replayed handoffs must not re-count inserts"
+        "a duplicate insert must not count again"
     );
 }
 

@@ -99,7 +99,6 @@ fn mutate(msg: &mut WireMsg, v: u64) {
             (*part, *more) = ((v >> 44) as u32 % 3, v >> 48 & 1 == 1);
         }
         WireMsg::FlushAck { worker, .. } => *worker = endpoint,
-        WireMsg::Handoff { bits, .. } => *bits = v >> 32,
         _ => {}
     }
 }

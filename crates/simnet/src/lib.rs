@@ -13,7 +13,8 @@
 //! * [`event`] — a deterministic event queue with stable FIFO tie-breaking.
 //! * [`latency`] — pluggable link-latency models.
 //! * [`net`] — an in-memory message-passing network between endpoints with
-//!   per-message accounting.
+//!   per-message accounting, stepped one event at a time
+//!   ([`net::Network::step_event`]: deliveries and timers in time order).
 //! * [`fault`] — crash/recovery schedules and probabilistic message loss.
 //! * [`churn`] — seeded membership-change schedules (joins, graceful
 //!   leaves, crashes) for the index handoff and repair experiments.
@@ -22,13 +23,19 @@
 //! # Example
 //!
 //! ```
-//! use hyperdex_simnet::{net::Network, latency::LatencyModel};
+//! use hyperdex_simnet::net::{NetEvent, Network};
+//! use hyperdex_simnet::latency::LatencyModel;
 //!
 //! let mut net: Network<&'static str> = Network::new(LatencyModel::constant(1), 42);
 //! let a = net.add_endpoint();
 //! let b = net.add_endpoint();
 //! net.send(a, b, "hello");
-//! let delivered = net.run_to_quiescence(|_now, _ep, msg| assert_eq!(msg, "hello"));
+//! let mut delivered = 0;
+//! while let Some(event) = net.step_event() {
+//!     let NetEvent::Delivery(d) = event else { unreachable!("no timer is set") };
+//!     assert_eq!((d.to, d.payload), (b, "hello"));
+//!     delivered += 1;
+//! }
 //! assert_eq!(delivered, 1);
 //! assert_eq!(net.metrics().messages_sent.get(), 1);
 //! ```

@@ -30,11 +30,6 @@ impl Counter {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
 }
 
 impl fmt::Display for Counter {
@@ -191,8 +186,6 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! An in-memory message-passing network between simulated endpoints.
 //!
 //! [`Network`] owns the event queue, the latency model, fault injection,
-//! and message accounting. Higher layers (the DHT, the keyword index)
-//! register endpoints, send typed messages, and drain deliveries either
-//! one at a time ([`Network::step`]) or until quiescence.
+//! and message accounting. Higher layers (the keyword index's simulator
+//! and its churn engine) register endpoints, send typed messages, and
+//! drain events one at a time with [`Network::step_event`].
 //!
 //! Endpoints may also schedule **timers** ([`Network::set_timer`]): a
 //! local event delivered back to the owning endpoint at a virtual
 //! deadline, the primitive that lets protocols detect lost messages and
-//! crashed peers. Timer-aware protocols drive the network with
-//! [`Network::step_event`], which interleaves deliveries and timer
-//! firings in global time order.
+//! crashed peers. [`Network::step_event`] interleaves deliveries and
+//! timer firings in global time order, so no loop that delivers one
+//! conversation can eat another's deadlines.
 
 use std::collections::HashSet;
 
@@ -100,7 +100,7 @@ pub enum NetEvent<M, T = u64> {
     Timer(TimerFired<T>),
 }
 
-/// A delivered message, as returned by [`Network::step`].
+/// A delivered message, as [`Network::step_event`] returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery<M> {
     /// Delivery instant.
@@ -120,13 +120,15 @@ pub struct Delivery<M> {
 /// # Example
 ///
 /// ```
-/// use hyperdex_simnet::{net::Network, latency::LatencyModel};
+/// use hyperdex_simnet::{net::NetEvent, net::Network, latency::LatencyModel};
 ///
 /// let mut net: Network<u32> = Network::new(LatencyModel::constant(2), 1);
 /// let a = net.add_endpoint();
 /// let b = net.add_endpoint();
 /// net.send(a, b, 7);
-/// let d = net.step().expect("one message in flight");
+/// let Some(NetEvent::Delivery(d)) = net.step_event() else {
+///     panic!("one message in flight");
+/// };
 /// assert_eq!((d.from, d.to, d.payload), (a, b, 7));
 /// assert_eq!(d.at.ticks(), 2);
 /// ```
@@ -359,42 +361,6 @@ impl<M, T> Network<M, T> {
         None
     }
 
-    /// Delivers the next in-flight message, advancing virtual time.
-    ///
-    /// Returns `None` when the network is quiescent. Messages whose
-    /// destination is down at delivery time are counted as dropped and
-    /// skipped, and timer firings are **discarded**: only for protocols
-    /// that arm no timers (the remaining caller is `hyperdex-dht`'s
-    /// lookup simulation). Anything that sets one must drive the
-    /// network with [`Network::step_event`], or a loop delivering one
-    /// conversation eats another's deadlines.
-    pub fn step(&mut self) -> Option<Delivery<M>> {
-        while let Some(event) = self.step_event() {
-            if let NetEvent::Delivery(d) = event {
-                return Some(d);
-            }
-        }
-        None
-    }
-
-    /// Runs the network until no messages remain, handing each delivery to
-    /// `handler`. Returns the number of deliveries.
-    ///
-    /// The handler may not send further messages (it has no access to the
-    /// network); for request/response protocols drive the network manually
-    /// with [`Network::step`] in a loop.
-    pub fn run_to_quiescence<F>(&mut self, mut handler: F) -> u64
-    where
-        F: FnMut(SimTime, EndpointId, M),
-    {
-        let mut delivered = 0;
-        while let Some(d) = self.step() {
-            handler(d.at, d.to, d.payload);
-            delivered += 1;
-        }
-        delivered
-    }
-
     /// Number of messages currently in flight (excludes pending timers).
     pub fn in_flight(&self) -> usize {
         self.queue.len() - self.live_timers.len() - self.cancelled_timers.len()
@@ -411,6 +377,14 @@ mod tests {
     use super::*;
     use crate::time::SimTime;
 
+    /// The next event, which is a delivery: these tests arm no timers.
+    pub(super) fn next_delivery<M>(n: &mut Network<M>) -> Option<Delivery<M>> {
+        n.step_event().map(|event| match event {
+            NetEvent::Delivery(d) => d,
+            NetEvent::Timer(_) => panic!("no timer was armed"),
+        })
+    }
+
     fn net(latency: LatencyModel) -> (Network<u32>, EndpointId, EndpointId) {
         let mut n = Network::new(latency, 42);
         let a = n.add_endpoint();
@@ -422,10 +396,10 @@ mod tests {
     fn delivers_with_latency() {
         let (mut n, a, b) = net(LatencyModel::constant(3));
         n.send(a, b, 1);
-        let d = n.step().unwrap();
+        let d = next_delivery(&mut n).unwrap();
         assert_eq!(d.at, SimTime::from_ticks(3));
         assert_eq!(d.payload, 1);
-        assert!(n.step().is_none());
+        assert!(next_delivery(&mut n).is_none());
     }
 
     #[test]
@@ -434,7 +408,9 @@ mod tests {
         for i in 0..10 {
             n.send(a, b, i);
         }
-        let got: Vec<u32> = std::iter::from_fn(|| n.step()).map(|d| d.payload).collect();
+        let got: Vec<u32> = std::iter::from_fn(|| next_delivery(&mut n))
+            .map(|d| d.payload)
+            .collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
@@ -443,7 +419,7 @@ mod tests {
         let (mut n, a, b) = net(LatencyModel::constant(1));
         n.send_sized(a, b, 1, 100);
         n.send_sized(b, a, 2, 50);
-        n.run_to_quiescence(|_, _, _| {});
+        while next_delivery(&mut n).is_some() {}
         let m = n.metrics();
         assert_eq!(m.messages_sent.get(), 2);
         assert_eq!(m.messages_delivered.get(), 2);
@@ -456,7 +432,7 @@ mod tests {
         let (mut n, a, b) = net(LatencyModel::constant(1));
         n.faults_mut().kill(b);
         n.send(a, b, 1);
-        assert!(n.step().is_none());
+        assert!(next_delivery(&mut n).is_none());
         assert_eq!(n.metrics().messages_dropped.get(), 1);
     }
 
@@ -465,7 +441,7 @@ mod tests {
         let (mut n, a, b) = net(LatencyModel::constant(1));
         n.faults_mut().kill(a);
         n.send(a, b, 1);
-        assert!(n.step().is_none());
+        assert!(next_delivery(&mut n).is_none());
         assert_eq!(n.metrics().messages_dropped.get(), 1);
         assert_eq!(n.in_flight(), 0);
     }
@@ -477,7 +453,7 @@ mod tests {
             .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(3));
         // Delivered at t=5, after the outage ends.
         n.send(a, b, 9);
-        let d = n.step().unwrap();
+        let d = next_delivery(&mut n).unwrap();
         assert_eq!(d.payload, 9);
     }
 
@@ -490,7 +466,7 @@ mod tests {
         n.faults_mut()
             .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(5));
         n.send(a, b, 9);
-        let d = n.step().expect("delivered at the recovery instant");
+        let d = next_delivery(&mut n).expect("delivered at the recovery instant");
         assert_eq!(d.at, SimTime::from_ticks(5));
         assert_eq!(n.metrics().messages_dropped.get(), 0);
     }
@@ -503,7 +479,7 @@ mod tests {
         n.faults_mut()
             .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(6));
         n.send(a, b, 9);
-        assert!(n.step().is_none());
+        assert!(next_delivery(&mut n).is_none());
         assert_eq!(n.metrics().messages_dropped.get(), 1);
     }
 
@@ -514,7 +490,7 @@ mod tests {
         for i in 0..1000 {
             n.send(a, b, i);
         }
-        let delivered = n.run_to_quiescence(|_, _, _| {});
+        let delivered = std::iter::from_fn(|| next_delivery(&mut n)).count() as u64;
         assert!((300..700).contains(&delivered), "delivered {delivered}");
         assert_eq!(
             n.metrics().messages_dropped.get() + delivered,
@@ -540,7 +516,7 @@ mod tests {
                 n.send(eps[(i % 4) as usize], eps[((i + 1) % 4) as usize], i);
             }
             let mut trace = Vec::new();
-            while let Some(d) = n.step() {
+            while let Some(d) = next_delivery(&mut n) {
                 trace.push((d.at, d.from, d.to, d.payload));
             }
             trace
@@ -635,16 +611,6 @@ mod timer_tests {
     }
 
     #[test]
-    fn step_discards_timers_for_legacy_callers() {
-        let (mut n, a, b) = net();
-        n.set_timer(a, SimDuration::from_ticks(1), 0);
-        n.send(a, b, 7);
-        let d = n.step().expect("message still delivered");
-        assert_eq!(d.payload, 7);
-        assert!(n.step().is_none());
-    }
-
-    #[test]
     fn in_flight_excludes_timers() {
         let (mut n, a, b) = net();
         let id = n.set_timer(a, SimDuration::from_ticks(5), 0);
@@ -685,6 +651,7 @@ mod timer_tests {
 
 #[cfg(test)]
 mod trace_tests {
+    use super::tests::next_delivery;
     use super::*;
     use crate::trace::TraceKind;
 
@@ -695,7 +662,7 @@ mod trace_tests {
         let a = n.add_endpoint();
         let b = n.add_endpoint();
         n.send(a, b, 1);
-        n.step();
+        next_delivery(&mut n);
         let kinds: Vec<TraceKind> = n.trace().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![TraceKind::Sent, TraceKind::Delivered]);
     }
@@ -708,7 +675,7 @@ mod trace_tests {
         let b = n.add_endpoint();
         n.faults_mut().kill(b);
         n.send(a, b, 1);
-        assert!(n.step().is_none());
+        assert!(next_delivery(&mut n).is_none());
         let dropped = n.trace().iter().filter(|e| e.kind == TraceKind::Dropped);
         assert_eq!(dropped.count(), 1);
     }
@@ -719,7 +686,7 @@ mod trace_tests {
         let a = n.add_endpoint();
         let b = n.add_endpoint();
         n.send(a, b, 1);
-        n.step();
+        next_delivery(&mut n);
         assert!(n.trace().is_empty());
     }
 }

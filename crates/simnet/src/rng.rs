@@ -28,8 +28,7 @@ pub struct SimRng {
 
 /// Advances a SplitMix64 state and returns the next output.
 ///
-/// Used to expand a single `u64` seed into the four xoshiro words and to
-/// derive independent child seeds in [`SimRng::fork`].
+/// Used to expand a single `u64` seed into the four xoshiro words.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -52,15 +51,6 @@ impl SimRng {
             s[0] = 0x9E37_79B9_7F4A_7C15;
         }
         SimRng { s }
-    }
-
-    /// Derives an independent child generator.
-    ///
-    /// Forking lets one master seed drive many components (per-node RNGs,
-    /// workload generation, latency sampling) without their streams
-    /// overlapping.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
     }
 
     /// Returns the next 64 uniformly random bits.
@@ -193,14 +183,6 @@ mod tests {
         let a_vals: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let b_vals: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_ne!(a_vals, b_vals);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(9);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl Corpus {
         }
     }
 
-    /// Builds a corpus directly from records (e.g. loaded from disk via
-    /// [`crate::io::read_corpus`]).
-    pub fn from_records(records: Vec<WebsiteRecord>) -> Self {
-        Corpus { records }
-    }
-
     /// The records.
     pub fn records(&self) -> &[WebsiteRecord] {
         &self.records

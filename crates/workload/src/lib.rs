@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
-pub mod io;
 pub mod queries;
 pub mod records;
 pub mod setsize;

@@ -121,24 +121,6 @@ impl QueryLog {
         QueryLog { pool, queries }
     }
 
-    /// Rebuilds a log from a raw query sequence (e.g. loaded from disk
-    /// via [`crate::io::read_query_log`]). The pool is reconstructed as
-    /// the distinct queries ordered by frequency (most popular first).
-    pub fn from_queries(queries: Vec<KeywordSet>) -> Self {
-        let mut counts: std::collections::HashMap<KeywordSet, usize> =
-            std::collections::HashMap::new();
-        for q in &queries {
-            *counts.entry(q.clone()).or_insert(0) += 1;
-        }
-        let mut pool: Vec<(KeywordSet, usize)> = counts.into_iter().collect();
-        pool.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let pool: Vec<KeywordSet> = pool.into_iter().map(|(q, _)| q).collect();
-        let index_of: std::collections::HashMap<&KeywordSet, usize> =
-            pool.iter().enumerate().map(|(i, q)| (q, i)).collect();
-        let queries = queries.iter().map(|q| index_of[q]).collect();
-        QueryLog { pool, queries }
-    }
-
     /// The distinct query sets, most popular first.
     pub fn pool(&self) -> &[KeywordSet] {
         &self.pool

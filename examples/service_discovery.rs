@@ -51,10 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Single-field discovery: all linux machines (cheap — the os cube
     // has only 2^5 = 32 vertices).
-    let linux = directory.superset_search(
-        "os",
-        &SupersetQuery::new(KeywordSet::parse("linux")?).use_cache(false),
-    )?;
+    let linux =
+        directory.superset_search("os", &SupersetQuery::new(KeywordSet::parse("linux")?))?;
     println!(
         "\nlinux machines: {} ({} nodes contacted in the 32-vertex os cube)",
         linux.results.len(),
@@ -63,18 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Conjunctive multi-field discovery: linux AND arm64 AND http.
     let (hits, stats) = directory.multi_field_search(&[
-        (
-            "os",
-            SupersetQuery::new(KeywordSet::parse("linux")?).use_cache(false),
-        ),
-        (
-            "arch",
-            SupersetQuery::new(KeywordSet::parse("arm64")?).use_cache(false),
-        ),
-        (
-            "service",
-            SupersetQuery::new(KeywordSet::parse("http")?).use_cache(false),
-        ),
+        ("os", SupersetQuery::new(KeywordSet::parse("linux")?)),
+        ("arch", SupersetQuery::new(KeywordSet::parse("arm64")?)),
+        ("service", SupersetQuery::new(KeywordSet::parse("http")?)),
     ])?;
     println!(
         "\nlinux + arm64 + http: {} machines, {} total nodes contacted",

@@ -29,7 +29,7 @@ fn both_schemes_answer_conjunctive_queries_identically() {
         // Query: the first two keywords of the record.
         let query: KeywordSet = record.keywords.iter().take(2).collect();
         let mut cube_hits: Vec<_> = cube
-            .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+            .superset_search(&SupersetQuery::new(query.clone()))
             .expect("valid")
             .results
             .iter()

@@ -69,37 +69,40 @@ fn cache_cuts_nodes_contacted_under_skew() {
 fn cached_search_after_a_write_equals_the_uncached_search() {
     // Every insert and remove bumps the index generation, so an entry
     // cached before a write never serves after it: with the cache on,
-    // a search sees exactly what `use_cache(false)` sees.
-    let (mut index, corpus, _log) = setup();
+    // a search sees exactly what its uncached twin, given the same
+    // writes, sees.
+    let (mut uncached, corpus, _log) = setup();
+    let mut index = uncached.clone();
     index.set_cache_capacity(100);
     let query = corpus.records()[0].keywords.clone();
-    let ids = |index: &mut HypercubeIndex, cached: bool| {
+    let ids = |index: &mut HypercubeIndex| {
         let out = index
-            .superset_search(&SupersetQuery::new(query.clone()).use_cache(cached))
+            .superset_search(&SupersetQuery::new(query.clone()))
             .expect("valid");
         let mut ids: Vec<_> = out.results.iter().map(|r| r.object).collect();
         ids.sort_unstable();
         (ids, out.stats.cache_hit)
     };
-    let (before, _) = ids(&mut index, true);
-    assert!(
-        ids(&mut index, true).1,
-        "the repeat is served from the cache"
-    );
+    let (before, _) = ids(&mut index);
+    assert!(ids(&mut index).1, "the repeat is served from the cache");
 
     // Insert a brand-new object matching the same query.
     let new_id = hyperdex::core::ObjectId::from_raw(9_999_999);
-    index.insert(new_id, query.clone()).expect("non-empty");
-    let (after_insert, hit) = ids(&mut index, true);
+    for index in [&mut index, &mut uncached] {
+        index.insert(new_id, query.clone()).expect("non-empty");
+    }
+    let (after_insert, hit) = ids(&mut index);
     assert!(!hit, "the pre-insert entry must not serve");
-    assert_eq!(after_insert, ids(&mut index, false).0);
+    assert_eq!(after_insert, ids(&mut uncached).0);
     assert_eq!(after_insert.len(), before.len() + 1);
-    assert!(ids(&mut index, true).1, "the recomputed entry serves again");
+    assert!(ids(&mut index).1, "the recomputed entry serves again");
 
-    assert!(index.remove(new_id, &query));
-    let (after_remove, hit) = ids(&mut index, true);
+    for index in [&mut index, &mut uncached] {
+        assert!(index.remove(new_id, &query));
+    }
+    let (after_remove, hit) = ids(&mut index);
     assert!(!hit, "the pre-remove entry must not serve");
-    assert_eq!(after_remove, ids(&mut index, false).0);
+    assert_eq!(after_remove, ids(&mut uncached).0);
     assert_eq!(after_remove, before);
 }
 

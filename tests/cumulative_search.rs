@@ -1,7 +1,7 @@
 //! Cumulative (paged) search integration over a realistic corpus.
 
 use hyperdex::core::search::cumulative::CumulativeSearch;
-use hyperdex::core::{HypercubeIndex, KeywordSet, SupersetQuery};
+use hyperdex::core::{HypercubeIndex, KeywordSet, SearchStats, SupersetQuery};
 use hyperdex::workload::{Corpus, CorpusConfig};
 
 fn setup() -> (HypercubeIndex, KeywordSet, usize) {
@@ -43,7 +43,7 @@ fn paging_covers_everything_without_repeats() {
 fn paged_and_oneshot_return_the_same_set() {
     let (mut index, query, total) = setup();
     let oneshot: std::collections::BTreeSet<_> = index
-        .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+        .superset_search(&SupersetQuery::new(query.clone()))
         .expect("valid")
         .results
         .iter()
@@ -66,7 +66,7 @@ fn paged_and_oneshot_return_the_same_set() {
 fn total_paged_cost_matches_oneshot_cost() {
     let (mut index, query, _) = setup();
     let oneshot_nodes = index
-        .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+        .superset_search(&SupersetQuery::new(query.clone()))
         .expect("valid")
         .stats
         .nodes_contacted;
@@ -120,7 +120,7 @@ proptest::proptest! {
         let query = KeywordSet::parse(&format!("kw{}", rng.gen_index(12))).expect("valid");
 
         let oneshot = index
-            .superset_search(&SupersetQuery::new(query.clone()).use_cache(false))
+            .superset_search(&SupersetQuery::new(query.clone()))
             .expect("valid");
         let mut session = CumulativeSearch::new(&index, query);
         let mut paged = Vec::new();
@@ -133,4 +133,118 @@ proptest::proptest! {
         proptest::prop_assert_eq!(&paged, &oneshot.results);
         proptest::prop_assert_eq!(paged_nodes, oneshot.stats.nodes_contacted);
     }
+}
+
+/// One seeded one-shot top-down search per row, pinned whole: `(r,
+/// prune, threshold, query, [nodes_contacted, query_messages,
+/// control_messages, result_messages, entries_scanned,
+/// pruned_subtrees], exhausted, result count, FNV-1a of the result ids
+/// in order)`; `cache_hit` is false and `rounds` 0 throughout. The
+/// queries are the corpus's first and second words and the pair of its
+/// first and third; a threshold of 5 binds on every one of them.
+#[rustfmt::skip]
+const ONESHOT_PINS: [OneshotPin; 24] = [
+    (8, true, 5, 0, [5, 5, 4, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
+    (8, true, 5, 1, [5, 5, 4, 4, 9, 0], false, 5, 0xf4e7214d1ba35898),
+    (8, true, 5, 2, [3, 3, 2, 2, 17, 0], false, 5, 0x43ab9c5b32d57f35),
+    (8, true, ALL, 0, [128, 128, 127, 124, 1436, 0], true, 1159, 0x52e905009442b97b),
+    (8, true, ALL, 1, [128, 128, 127, 120, 1345, 0], true, 742, 0x9bd63abbf9e57876),
+    (8, true, ALL, 2, [64, 64, 63, 61, 936, 0], true, 312, 0x2f846d04572f4a2f),
+    (8, false, 5, 0, [5, 5, 4, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
+    (8, false, 5, 1, [5, 5, 4, 4, 9, 0], false, 5, 0xf4e7214d1ba35898),
+    (8, false, 5, 2, [3, 3, 2, 2, 17, 0], false, 5, 0x43ab9c5b32d57f35),
+    (8, false, ALL, 0, [128, 128, 127, 124, 1436, 0], true, 1159, 0x52e905009442b97b),
+    (8, false, ALL, 1, [128, 128, 127, 120, 1345, 0], true, 742, 0x9bd63abbf9e57876),
+    (8, false, ALL, 2, [64, 64, 63, 61, 936, 0], true, 312, 0x2f846d04572f4a2f),
+    (12, true, 5, 0, [3, 3, 2, 3, 5, 1], false, 5, 0x7f44983eea98cc63),
+    (12, true, 5, 1, [8, 8, 7, 4, 15, 5], false, 5, 0x86afe1e2fff0cd29),
+    (12, true, 5, 2, [4, 4, 3, 3, 15, 2], false, 5, 0x98a8ceb2d685f559),
+    (12, true, ALL, 0, [1150, 1150, 1149, 786, 1492, 667], true, 1159, 0x4c953c75a4f0cdf7),
+    (12, true, ALL, 1, [1021, 1021, 1020, 546, 1257, 645], true, 742, 0x2e47558e52ee5cee),
+    (12, true, ALL, 2, [609, 609, 608, 259, 790, 325], true, 312, 0x958a276eb4e876d3),
+    (12, false, 5, 0, [3, 3, 2, 3, 5, 0], false, 5, 0x7f44983eea98cc63),
+    (12, false, 5, 1, [8, 8, 7, 4, 15, 0], false, 5, 0x86afe1e2fff0cd29),
+    (12, false, 5, 2, [4, 4, 3, 3, 15, 0], false, 5, 0x98a8ceb2d685f559),
+    (12, false, ALL, 0, [2048, 2048, 2047, 786, 1492, 0], true, 1159, 0x4c953c75a4f0cdf7),
+    (12, false, ALL, 1, [2048, 2048, 2047, 546, 1257, 0], true, 742, 0x2e47558e52ee5cee),
+    (12, false, ALL, 2, [1024, 1024, 1023, 259, 790, 0], true, 312, 0x958a276eb4e876d3),
+];
+
+const ALL: usize = usize::MAX;
+
+type OneshotPin = (u8, bool, usize, usize, [u64; 6], bool, usize, u64);
+
+#[test]
+fn oneshot_searches_keep_their_pinned_stats_and_results() {
+    let corpus = Corpus::generate(&CorpusConfig::small_test(), 13);
+    let vocab = hyperdex::workload::Vocabulary::new(3_000, 1.0);
+    let queries: [KeywordSet; 3] = [
+        [vocab.word(0)].into_iter().collect(),
+        [vocab.word(1)].into_iter().collect(),
+        [vocab.word(0), vocab.word(2)].into_iter().collect(),
+    ];
+    let mut indexes = [8u8, 12].map(|r| {
+        let mut index = HypercubeIndex::new(r, 0).expect("valid");
+        for (id, k) in corpus.indexable() {
+            index.insert(id, k.clone()).expect("non-empty");
+        }
+        (r, index)
+    });
+    for (r, prune, t, q, counts, exhausted, len, digest) in ONESHOT_PINS {
+        let (_, index) = indexes
+            .iter_mut()
+            .find(|(ir, _)| *ir == r)
+            .expect("pinned r");
+        let query = SupersetQuery::new(queries[q].clone())
+            .threshold(t)
+            .prune(prune);
+        let out = index.superset_search(&query).expect("valid");
+        let [nodes_contacted, query_messages, control_messages, result_messages, entries_scanned, pruned_subtrees] =
+            counts;
+        let stats = SearchStats {
+            nodes_contacted,
+            query_messages,
+            control_messages,
+            result_messages,
+            entries_scanned,
+            cache_hit: false,
+            rounds: 0,
+            pruned_subtrees,
+        };
+        let ids = out.results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, res| {
+            res.object
+                .raw()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        });
+        let row = format!("r {r}, prune {prune}, t {t}, query {q}");
+        assert_eq!(out.stats, stats, "{row}");
+        assert_eq!(out.exhausted, exhausted, "{row}");
+        assert_eq!((out.results.len(), ids), (len, digest), "{row}");
+    }
+}
+
+/// A session reports what it scanned on every page, so its pages add
+/// up to the one-shot search's `entries_scanned` as they do to its
+/// nodes contacted.
+#[test]
+fn paged_entries_scanned_sum_to_the_oneshot_count() {
+    let (mut index, query, _) = setup();
+    let oneshot = index
+        .superset_search(&SupersetQuery::new(query.clone()))
+        .expect("valid")
+        .stats
+        .entries_scanned;
+    let mut session = CumulativeSearch::new(&index, query);
+    let mut paged = 0;
+    while !session.is_finished() {
+        paged += session
+            .next_batch(&index, 10)
+            .expect("valid")
+            .stats
+            .entries_scanned;
+    }
+    assert!(oneshot > 0);
+    assert_eq!(paged, oneshot);
 }

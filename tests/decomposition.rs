@@ -48,7 +48,7 @@ fn single_field_queries_match_ground_truth() {
     let out = idx
         .superset_search(
             "os",
-            &SupersetQuery::new(KeywordSet::parse("linux").expect("parses")).use_cache(false),
+            &SupersetQuery::new(KeywordSet::parse("linux").expect("parses")),
         )
         .expect("field exists");
     let expected = machines
@@ -65,11 +65,11 @@ fn multi_field_conjunction_matches_ground_truth() {
         .multi_field_search(&[
             (
                 "os",
-                SupersetQuery::new(KeywordSet::parse("linux").expect("parses")).use_cache(false),
+                SupersetQuery::new(KeywordSet::parse("linux").expect("parses")),
             ),
             (
                 "service",
-                SupersetQuery::new(KeywordSet::parse("http").expect("parses")).use_cache(false),
+                SupersetQuery::new(KeywordSet::parse("http").expect("parses")),
             ),
         ])
         .expect("fields exist");
@@ -94,7 +94,7 @@ fn field_removal_is_scoped() {
     let out = idx
         .superset_search(
             "os",
-            &SupersetQuery::new(KeywordSet::parse(&os).expect("parses")).use_cache(false),
+            &SupersetQuery::new(KeywordSet::parse(&os).expect("parses")),
         )
         .expect("field exists");
     assert!(!out.results.iter().any(|r| r.object == id));
@@ -102,7 +102,7 @@ fn field_removal_is_scoped() {
     let out = idx
         .superset_search(
             "service",
-            &SupersetQuery::new(KeywordSet::parse(&svcs[0]).expect("parses")).use_cache(false),
+            &SupersetQuery::new(KeywordSet::parse(&svcs[0]).expect("parses")),
         )
         .expect("field exists");
     assert!(out.results.iter().any(|r| r.object == id));
@@ -114,7 +114,7 @@ fn per_field_search_cost_is_bounded_by_field_cube() {
     let out = idx
         .superset_search(
             "arch",
-            &SupersetQuery::new(KeywordSet::parse("arm64").expect("parses")).use_cache(false),
+            &SupersetQuery::new(KeywordSet::parse("arm64").expect("parses")),
         )
         .expect("field exists");
     assert!(

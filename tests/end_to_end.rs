@@ -45,10 +45,7 @@ fn superset_search_finds_all_and_only_matches() {
         let first_kw = record.keywords.iter().next().expect("non-empty");
         let query: KeywordSet = [first_kw].into_iter().collect();
         let out = svc
-            .superset_search(
-                requester,
-                &SupersetQuery::new(query.clone()).use_cache(false),
-            )
+            .superset_search(requester, &SupersetQuery::new(query.clone()))
             .expect("valid query");
         let expected: std::collections::BTreeSet<_> = corpus
             .records()
@@ -117,17 +114,12 @@ fn bottom_up_returns_deepest_first_end_to_end() {
     let first_kw = record.keywords.iter().next().expect("non-empty");
     let query: KeywordSet = [first_kw].into_iter().collect();
     let td = svc
-        .superset_search(
-            requester,
-            &SupersetQuery::new(query.clone()).use_cache(false),
-        )
+        .superset_search(requester, &SupersetQuery::new(query.clone()))
         .expect("valid");
     let bu = svc
         .superset_search(
             requester,
-            &SupersetQuery::new(query)
-                .use_cache(false)
-                .order(TraversalOrder::BottomUp),
+            &SupersetQuery::new(query).order(TraversalOrder::BottomUp),
         )
         .expect("valid");
     // Same set, opposite preference.

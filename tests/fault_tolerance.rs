@@ -107,9 +107,9 @@ fn keyword_queries_survive_single_index_node_loss() {
     // The keyword remains queryable; only the lost vertex's objects are
     // missing.
     let out = index
-        .superset_search(
-            &SupersetQuery::new(KeywordSet::parse(common).expect("parses")).use_cache(false),
-        )
+        .superset_search(&SupersetQuery::new(
+            KeywordSet::parse(common).expect("parses"),
+        ))
         .expect("valid");
     assert_eq!(out.results.len(), objects.len() - lost.len());
     assert!(

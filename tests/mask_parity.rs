@@ -84,7 +84,7 @@ proptest::proptest! {
                 continue; // engine rejects empty queries by contract
             }
             let mut got: Vec<ObjectId> = engine
-                .superset_search(&SupersetQuery::new(q.clone()).use_cache(false))
+                .superset_search(&SupersetQuery::new(q.clone()))
                 .expect("valid")
                 .results
                 .iter()

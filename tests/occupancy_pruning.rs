@@ -33,7 +33,7 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
     let mut pruned_nodes = 0u64;
     let mut subtrees_cut = 0u64;
     for (qi, q) in log.pool().iter().take(30).enumerate() {
-        let base = SupersetQuery::new(q.clone()).use_cache(false);
+        let base = SupersetQuery::new(q.clone());
         // The walk as published is the baseline the default is held
         // against.
         let plain = index
@@ -87,8 +87,7 @@ fn level_order_walks_run_as_published_whatever_prune_says() {
                 let query = SupersetQuery::new(q.clone())
                     .threshold(t)
                     .order(order)
-                    .mode(mode)
-                    .use_cache(false);
+                    .mode(mode);
                 let pruned = index
                     .superset_search(&query.clone().prune(true))
                     .expect("valid");
@@ -130,7 +129,7 @@ fn default_walk_is_the_published_walk_minus_empty_subtrees_at_r16() {
         for t in [T, usize::MAX] {
             let (mut default_nodes, mut published_nodes) = (0, 0);
             for q in log.pool() {
-                let query = SupersetQuery::new(q.clone()).threshold(t).use_cache(false);
+                let query = SupersetQuery::new(q.clone()).threshold(t);
                 let default = index.superset_search(&query).expect("valid");
                 let published = index.superset_search(&query.prune(false)).expect("valid");
                 assert_eq!(default.results, published.results, "{when}, t = {t}, {q}");

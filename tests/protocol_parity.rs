@@ -26,7 +26,7 @@ fn message_protocol_matches_direct_engine_on_corpus() {
     for q in log.pool().iter().take(25) {
         // The simulator's default is the protocol as published; the
         // direct engine is held to the same walk.
-        let published = SupersetQuery::new(q.clone()).use_cache(false).prune(false);
+        let published = SupersetQuery::new(q.clone()).prune(false);
         let d = direct.superset_search(&published).expect("valid");
         let s = sim.search_sequential(q, usize::MAX - 1).expect("valid");
         let mut d_ids: Vec<ObjectId> = d.results.iter().map(|r| r.object).collect();
@@ -114,33 +114,10 @@ fn replicated_superset_completeness_after_crashes() {
     for &(v, _) in in_cube.iter().take(3) {
         idx.fail_primary(v);
     }
-    let out = idx
-        .superset_search(&SupersetQuery::new(q).use_cache(false))
-        .expect("valid");
+    let out = idx.superset_search(&SupersetQuery::new(q)).expect("valid");
     assert_eq!(
         out.results.len(),
         truth,
         "failover search must restore full recall"
     );
-}
-
-#[test]
-fn gray_walks_give_single_hop_traversals() {
-    // The Gray-order walk of any query subcube crosses one overlay edge
-    // per step — the neighbor-caching optimization §3.4 mentions.
-    let corpus = corpus();
-    let index = {
-        let mut idx = HypercubeIndex::new(8, 0).expect("valid");
-        for (id, k) in corpus.indexable() {
-            idx.insert(id, k.clone()).expect("non-empty");
-        }
-        idx
-    };
-    let q = KeywordSet::parse("kw000001").expect("valid");
-    let sub = index.vertex_for(&q).subcube();
-    let walk: Vec<_> = hyperdex::hypercube::gray::walk(sub).collect();
-    assert_eq!(walk.len() as u64, sub.len());
-    for pair in walk.windows(2) {
-        assert_eq!(pair[0].hamming(pair[1]), 1);
-    }
 }

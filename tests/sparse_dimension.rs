@@ -89,7 +89,7 @@ fn r48_direct_engine_serves_pin_and_superset() {
     // The default superset search prunes: it stays within the
     // occupied subtrees.
     let out = idx
-        .superset_search(&SupersetQuery::new(set("shared")).use_cache(false))
+        .superset_search(&SupersetQuery::new(set("shared")))
         .expect("valid");
     assert_eq!(out.results.len(), 60, "full recall at r = 48");
 }
