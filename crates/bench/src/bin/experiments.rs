@@ -25,14 +25,15 @@ const USAGE: &str = "usage: experiments \
                      [table1|fig5|...|eq1|ablation|xcheck|availability|churn|prune|faults|all ...] \
                      [--scale full|small] [--seed N] [--list]";
 
-/// Every experiment: name and one-line description, in run order.
+/// Every experiment: name and one-line description, in run order (a
+/// paper exhibit's description is its EXPERIMENTS.md heading).
 const EXPERIMENTS: [(&str, &str); 13] = [
-    ("table1", "load distribution across index nodes"),
-    ("fig5", "keyword-set size distribution"),
-    ("fig6", "query popularity distribution"),
-    ("fig7", "index storage per node"),
-    ("fig8", "nodes contacted vs threshold (top-down)"),
-    ("fig9", "nodes contacted vs threshold (bottom-up)"),
+    ("table1", "data schema"),
+    ("fig5", "keyword-set-size distribution"),
+    ("fig6", "storage load distribution"),
+    ("fig7", "object vs. node distribution over |One(u)|"),
+    ("fig8", "superset-search cost, cacheless"),
+    ("fig9", "superset search with per-node FIFO caches"),
     ("eq1", "analytic node-count formula cross-check"),
     ("ablation", "design-knob ablation"),
     ("xcheck", "engine vs message-protocol parity"),

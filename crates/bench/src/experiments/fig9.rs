@@ -1,11 +1,13 @@
 //! Figure 9: query performance with per-node FIFO caches.
 //!
-//! Replays a full day of (heavily skewed) queries against indexes with
-//! cache capacity `α · |O| / 2^r` and measures the average fraction of
-//! nodes contacted per query. The paper's headline: with `α = 1/6`,
-//! fewer than 1 % of nodes are contacted per query even at 100 % recall
-//! (for `r = 10` and `12`), because the top-10 queries are ~60 % of the
-//! volume and hit the root's cache after their first execution.
+//! Replays a prefix of the day's (heavily skewed) query log — at most
+//! 10,000 queries, 4,000 at small scale (`replay_len`) — against
+//! indexes with cache capacity `α · |O| / 2^r` and measures the average
+//! fraction of nodes contacted per query. The paper's headline: with
+//! `α = 1/6`, fewer than 1 % of nodes are contacted per query even at
+//! 100 % recall (for `r = 10` and `12`), because the top-10 queries are
+//! ~60 % of the volume and hit the root's cache after their first
+//! execution.
 
 use hyperdex_core::cache::alpha_capacity;
 use hyperdex_core::{HypercubeIndex, SupersetQuery};

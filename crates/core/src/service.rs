@@ -32,7 +32,6 @@ pub struct ServiceBuilder {
     nodes: usize,
     r: u8,
     seed: u64,
-    cache_capacity: usize,
 }
 
 impl Default for ServiceBuilder {
@@ -41,7 +40,6 @@ impl Default for ServiceBuilder {
             nodes: 64,
             r: 10,
             seed: 0,
-            cache_capacity: 0,
         }
     }
 }
@@ -65,13 +63,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Per-index-node result cache capacity in object entries
-    /// (default 0 = disabled).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// No-op shim: `benchmark/` names the (only) posting backend here;
     /// remove with [`StoreBackend`](crate::store::StoreBackend).
     pub fn store(self, _store: crate::store::StoreBackend) -> Self {
@@ -88,10 +79,7 @@ impl ServiceBuilder {
     ///
     /// Panics if `nodes == 0`.
     pub fn build(self) -> Result<KeywordSearchService, Error> {
-        let mut index = HypercubeIndex::new(self.r, self.seed)?;
-        if self.cache_capacity > 0 {
-            index.set_cache_capacity(self.cache_capacity);
-        }
+        let index = HypercubeIndex::new(self.r, self.seed)?;
         Ok(KeywordSearchService {
             dht: Dolr::builder().nodes(self.nodes).seed(self.seed).build(),
             index,

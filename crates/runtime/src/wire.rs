@@ -18,6 +18,10 @@
 //! one is read with one validation pass; object lists are `u32 count` of
 //! fixed-width records.
 //!
+//! The vocabulary is declared once: the `wire_messages!` table gives
+//! each message's tag and its fields in wire order, and [`WireMsg`],
+//! its encoder and its decoder are generated from it.
+//!
 //! [`decode_exact`] is strict: a frame must parse completely — a short
 //! buffer is [`WireError::Truncated`], excess bytes (after the frame
 //! or inside the declared body) are [`WireError::TrailingGarbage`],
@@ -75,14 +79,71 @@ pub fn batch_prefix(
     taken
 }
 
-/// One protocol frame between runtime endpoints (workers, or the
-/// client handle).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireMsg {
+/// Declares the wire vocabulary: each row is a tag, a variant with its
+/// doc comments, and its fields in wire order. From the one table it
+/// writes [`WireMsg`], the encoder's arm and the decoder's arm of every
+/// variant. A field travels by its type's [`Field`] codec; one marked
+/// `[short]` is a list with a `u16` count instead of a `u32` one. A row
+/// whose fields do not travel in order names a hand-written
+/// `by (put, get)` pair instead.
+macro_rules! wire_messages {
+    (@put $out:ident, $value:ident) => { Field::put($value, $out) };
+    (@put $out:ident, $value:ident short) => { put_short($value, $out) };
+    (@get $r:ident) => { Field::get($r)? };
+    (@get $r:ident short) => { get_short($r)? };
+    (@encode $out:ident by $put:ident; $($field:ident),*) => { $put($out, $($field),*) };
+    (@encode $out:ident; $($field:ident $($short:ident)?),*) => {
+        $(wire_messages!(@put $out, $field $($short)?);)*
+    };
+    (@decode $r:ident by $get:ident; $($row:tt)*) => { $get($r) };
+    (@decode $r:ident; $variant:ident $({ $($field:ident $($short:ident)?),* })?) => {
+        Ok(WireMsg::$variant $({ $($field: wire_messages!(@get $r $($short)?)),* })?)
+    };
+    (
+        $(
+            $(#[$meta:meta])*
+            $tag:literal => $variant:ident $({
+                $($(#[$fmeta:meta])* $([$short:ident])? $field:ident: $ty:ty,)*
+            })? $(by ($put:ident, $get:ident))?,
+        )*
+    ) => {
+        /// One protocol frame between runtime endpoints (workers, or the
+        /// client handle).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum WireMsg {
+            $(
+                $(#[$meta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty,)* })?,
+            )*
+        }
+
+        impl WireMsg {
+            /// Appends the tag and the fields: the frame's body.
+            fn put_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(WireMsg::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        wire_messages!(@encode out $(by $put)?; $($($field $($short)?),*)?);
+                    })*
+                }
+            }
+        }
+
+        fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
+            match u8::get(r)? {
+                $($tag => wire_messages!(@decode r $(by $get)?;
+                    $variant $({ $($field $($short)?),* })?),)*
+                other => Err(WireError::BadTag(other)),
+            }
+        }
+    };
+}
+
+wire_messages! {
     /// Client → vertex owner: index `object` under `keywords`
     /// (`T_INSERT`; the owner recomputes `F_h(K)` itself — the frame
     /// carries no derived state).
-    Insert {
+    0 => Insert {
         /// The object's raw id.
         object: u64,
         /// Its full keyword set.
@@ -95,23 +156,92 @@ pub enum WireMsg {
     /// (the root's region is then one more remote region). The bare
     /// form of [`WireMsg::QueryAt`]: a worker treats it as that variant
     /// with no marks.
-    Query {
+    1 => Query {
         /// Client-assigned correlation id.
         query_id: u64,
-        /// The queried keyword set `K`.
-        keywords: KeywordSet,
         /// Results wanted (the paper's `c`).
         threshold: u64,
+        /// The queried keyword set `K`.
+        keywords: KeywordSet,
     },
+    // 2 and 3 named the per-vertex visit and its continuation: retired,
+    // never reused.
+    /// Coordinator → client: the search finished.
+    4 => QueryDone {
+        /// Correlation id of the finished query.
+        query_id: u64,
+        /// All matches, truncated to the threshold.
+        objects: Vec<(u64, u32)>,
+    },
+    /// Client → vertex owner: exact-match pin lookup.
+    5 => Pin {
+        /// Client-assigned correlation id.
+        query_id: u64,
+        /// The full keyword set to pin.
+        keywords: KeywordSet,
+    },
+    /// Vertex owner → client: the pin matches (sent even when empty,
+    /// so the client observes completion).
+    6 => PinResults {
+        /// Correlation id of the pin.
+        query_id: u64,
+        /// Exact-match object ids.
+        objects: Vec<u64>,
+    },
+    // 7 installed a whole vertex table: a bulk load is inserts, so it is
+    // retired too.
+    /// Client → worker: drain barrier. The worker replies `FlushAck`
+    /// after processing everything queued before this frame.
+    8 => Flush {
+        /// Barrier token echoed in the ack.
+        token: u64,
+    },
+    /// Worker → client: barrier reached.
+    9 => FlushAck {
+        /// The echoed barrier token.
+        token: u64,
+        /// The acknowledging worker's index.
+        worker: u32,
+        /// The worker's write epoch at the barrier: how many objects
+        /// its shard has indexed. A client sends the highest epoch it
+        /// was shown back on its next [`WireMsg::QueryAt`].
+        epoch: u64,
+    },
+    /// Client → worker: ship every lane and exit the event loop.
+    10 => Shutdown,
+    /// Client → root owner: start a *fault-tolerant* superset search
+    /// (§3.4): the plain query's one round per region, each awaited
+    /// owner under the frame's deadline and retry budget, answered with
+    /// an exact account of what was and was not covered.
+    11 => FtQuery {
+        /// Client-assigned correlation id.
+        query_id: u64,
+        /// Results wanted (the paper's `c`).
+        threshold: u64,
+        /// Strategy, retry budget and first-attempt deadline, the
+        /// latter in milliseconds.
+        policy: FtPolicy,
+        /// The queried keyword set `K`.
+        keywords: KeywordSet,
+    },
+    /// Coordinator → client: the fault-tolerant search finished, with
+    /// its exact coverage accounting.
+    12 => FtQueryDone {
+        /// Correlation id of the finished query.
+        query_id: u64,
+        /// All matches, truncated to the threshold.
+        objects: Vec<(u64, u32)>,
+        /// The coordinator's accounting, in regions' worth of vertices.
+        coverage: FtCoverage,
+    } by (put_ft_query_done, get_ft_query_done),
+    // 13 released a respawned worker from repair: retired like 2 and 3.
     /// Coordinator → region owner: walk every prefix region of
     /// `H_r(F_h(K))` you own — the receiver works out which from the
     /// keywords and the shard map — each up to `threshold` matches, and
     /// answer with one [`WireMsg::RegionDone`].
-    RegionQuery {
+    14 => RegionQuery {
         /// Correlation id of the driving query.
         query_id: u64,
-        /// The queried keyword set.
-        keywords: KeywordSet,
         /// Results wanted (the whole query's: a region cannot know how
         /// many the regions visited before it will contribute).
         threshold: u64,
@@ -120,6 +250,8 @@ pub enum WireMsg {
         /// Which transmission of this request it is (0 = the first);
         /// the answer echoes it.
         attempt: u32,
+        /// The queried keyword set.
+        keywords: KeywordSet,
     },
     /// Region owner → coordinator: the answer to a
     /// [`WireMsg::RegionQuery`] — the owner's first `threshold` matches
@@ -129,7 +261,7 @@ pub enum WireMsg {
     /// `more`; each counts as one frame in the conservation ledger. The
     /// coordinator takes an answer only whole: the parts of one
     /// `attempt`, in order, up to the last.
-    RegionDone {
+    15 => RegionDone {
         /// Correlation id of the driving query.
         query_id: u64,
         /// The answering worker's index.
@@ -145,87 +277,21 @@ pub enum WireMsg {
         /// Whether another frame of this answer follows.
         more: bool,
         /// The vertices that hold matches, in visit order.
-        groups: Vec<RegionGroup>,
-    },
-    /// Coordinator → client: the search finished.
-    QueryDone {
-        /// Correlation id of the finished query.
-        query_id: u64,
-        /// All matches, truncated to the threshold.
-        objects: Vec<(u64, u32)>,
-    },
-    /// Client → vertex owner: exact-match pin lookup.
-    Pin {
-        /// Client-assigned correlation id.
-        query_id: u64,
-        /// The full keyword set to pin.
-        keywords: KeywordSet,
-    },
-    /// Vertex owner → client: the pin matches (sent even when empty,
-    /// so the client observes completion).
-    PinResults {
-        /// Correlation id of the pin.
-        query_id: u64,
-        /// Exact-match object ids.
-        objects: Vec<u64>,
-    },
-    /// Client → worker: drain barrier. The worker replies `FlushAck`
-    /// after processing everything queued before this frame.
-    Flush {
-        /// Barrier token echoed in the ack.
-        token: u64,
-    },
-    /// Worker → client: barrier reached.
-    FlushAck {
-        /// The echoed barrier token.
-        token: u64,
-        /// The acknowledging worker's index.
-        worker: u32,
-        /// The worker's write epoch at the barrier: how many objects
-        /// its shard has indexed. A client sends the highest epoch it
-        /// was shown back on its next [`WireMsg::QueryAt`].
-        epoch: u64,
-    },
-    /// Client → worker: ship every lane and exit the event loop.
-    Shutdown,
-    /// Client → root owner: start a *fault-tolerant* superset search
-    /// (§3.4): the plain query's one round per region, each awaited
-    /// owner under the frame's deadline and retry budget, answered with
-    /// an exact account of what was and was not covered.
-    FtQuery {
-        /// Client-assigned correlation id.
-        query_id: u64,
-        /// The queried keyword set `K`.
-        keywords: KeywordSet,
-        /// Results wanted (the paper's `c`).
-        threshold: u64,
-        /// Strategy, retry budget and first-attempt deadline, the
-        /// latter in milliseconds.
-        policy: FtPolicy,
-    },
-    /// Coordinator → client: the fault-tolerant search finished, with
-    /// its exact coverage accounting.
-    FtQueryDone {
-        /// Correlation id of the finished query.
-        query_id: u64,
-        /// All matches, truncated to the threshold.
-        objects: Vec<(u64, u32)>,
-        /// The coordinator's accounting, in regions' worth of vertices.
-        coverage: FtCoverage,
+        [short] groups: Vec<RegionGroup>,
     },
     /// Client → root owner: a [`WireMsg::Query`] that also says which
     /// writes the client already knows are in place, so a coordinator
     /// never answers it from a cached result that predates them.
-    QueryAt {
+    16 => QueryAt {
         /// Client-assigned correlation id.
         query_id: u64,
-        /// The queried keyword set `K`.
-        keywords: KeywordSet,
         /// Results wanted (the paper's `c`).
         threshold: u64,
+        /// The queried keyword set `K`.
+        keywords: KeywordSet,
         /// Per worker, the highest write epoch a `FlushAck` showed
         /// this client (0 before any). Empty means no marks.
-        marks: Vec<u64>,
+        [short] marks: Vec<u64>,
     },
 }
 
@@ -233,25 +299,6 @@ pub enum WireMsg {
 /// objects)`, the objects as the `(id, extra keywords)` pairs a
 /// [`WireMsg::QueryDone`] carries.
 pub type RegionGroup = (u64, Vec<(u64, u32)>);
-
-const TAG_INSERT: u8 = 0;
-const TAG_QUERY: u8 = 1;
-// 2 and 3 named the per-vertex visit and its continuation: retired,
-// never reused.
-const TAG_QUERY_DONE: u8 = 4;
-const TAG_PIN: u8 = 5;
-const TAG_PIN_RESULTS: u8 = 6;
-// 7 installed a whole vertex table: a bulk load is inserts, so it is
-// retired too.
-const TAG_FLUSH: u8 = 8;
-const TAG_FLUSH_ACK: u8 = 9;
-const TAG_SHUTDOWN: u8 = 10;
-const TAG_FT_QUERY: u8 = 11;
-const TAG_FT_QUERY_DONE: u8 = 12;
-// 13 released a respawned worker from repair: retired like 2 and 3.
-const TAG_REGION_QUERY: u8 = 14;
-const TAG_REGION_DONE: u8 = 15;
-const TAG_QUERY_AT: u8 = 16;
 
 /// Decode failure. Every variant pinpoints what the bytes got wrong;
 /// none of them allocates proportionally to attacker-controlled
@@ -340,143 +387,13 @@ impl WireMsg {
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + PREFIX_LEN, 0);
-        let body = out;
-        match self {
-            WireMsg::Insert { object, keywords } => {
-                body.push(TAG_INSERT);
-                put_u64(body, *object);
-                put_keywords(body, keywords);
-            }
-            WireMsg::Query {
-                query_id,
-                keywords,
-                threshold,
-            } => {
-                body.push(TAG_QUERY);
-                put_u64(body, *query_id);
-                put_u64(body, *threshold);
-                put_keywords(body, keywords);
-            }
-            WireMsg::RegionQuery {
-                query_id,
-                keywords,
-                threshold,
-                coord,
-                attempt,
-            } => {
-                body.push(TAG_REGION_QUERY);
-                put_u64(body, *query_id);
-                put_u64(body, *threshold);
-                put_u32(body, *coord);
-                put_u32(body, *attempt);
-                put_keywords(body, keywords);
-            }
-            WireMsg::RegionDone {
-                query_id,
-                worker,
-                epoch,
-                attempt,
-                part,
-                more,
-                groups,
-            } => {
-                body.push(TAG_REGION_DONE);
-                put_u64(body, *query_id);
-                put_u32(body, *worker);
-                put_u64(body, *epoch);
-                put_u32(body, *attempt);
-                put_u32(body, *part);
-                body.push(u8::from(*more));
-                put_u16(body, count16(groups.len()));
-                for (bits, objects) in groups {
-                    put_u64(body, *bits);
-                    put_hits(body, objects);
-                }
-            }
-            WireMsg::QueryDone { query_id, objects } => {
-                body.push(TAG_QUERY_DONE);
-                put_u64(body, *query_id);
-                put_hits(body, objects);
-            }
-            WireMsg::Pin { query_id, keywords } => {
-                body.push(TAG_PIN);
-                put_u64(body, *query_id);
-                put_keywords(body, keywords);
-            }
-            WireMsg::PinResults { query_id, objects } => {
-                body.push(TAG_PIN_RESULTS);
-                put_u64(body, *query_id);
-                put_ids(body, objects);
-            }
-            WireMsg::Flush { token } => {
-                body.push(TAG_FLUSH);
-                put_u64(body, *token);
-            }
-            WireMsg::FlushAck {
-                token,
-                worker,
-                epoch,
-            } => {
-                body.push(TAG_FLUSH_ACK);
-                put_u64(body, *token);
-                put_u32(body, *worker);
-                put_u64(body, *epoch);
-            }
-            WireMsg::Shutdown => body.push(TAG_SHUTDOWN),
-            WireMsg::FtQuery {
-                query_id,
-                keywords,
-                threshold,
-                policy,
-            } => {
-                body.push(TAG_FT_QUERY);
-                put_u64(body, *query_id);
-                put_u64(body, *threshold);
-                body.push(strategy_byte(policy.strategy));
-                put_u32(body, policy.max_retries);
-                put_u64(body, policy.base_timeout);
-                put_keywords(body, keywords);
-            }
-            WireMsg::FtQueryDone {
-                query_id,
-                objects,
-                coverage,
-            } => {
-                body.push(TAG_FT_QUERY_DONE);
-                put_u64(body, *query_id);
-                put_u64(body, coverage.subcube_vertices);
-                put_u64(body, coverage.reached);
-                put_u64(body, coverage.retries);
-                put_u64(body, coverage.timeouts);
-                put_u64(body, coverage.redelegations);
-                put_u64(body, coverage.queries_sent);
-                put_u64(body, coverage.conts);
-                put_u64(body, coverage.result_messages);
-                put_hits(body, objects);
-                put_ids(body, &coverage.skipped);
-            }
-            WireMsg::QueryAt {
-                query_id,
-                keywords,
-                threshold,
-                marks,
-            } => {
-                body.push(TAG_QUERY_AT);
-                put_u64(body, *query_id);
-                put_u64(body, *threshold);
-                put_keywords(body, keywords);
-                put_u16(body, marks.len() as u16);
-                for mark in marks {
-                    put_u64(body, *mark);
-                }
-            }
-        }
-        let body_len = body.len() - start - PREFIX_LEN;
+        self.put_body(out);
+        let body_len = out.len() - start - PREFIX_LEN;
         assert!(
             body_len <= MAX_BODY_LEN as usize,
             "frame body of {body_len} bytes exceeds MAX_BODY_LEN"
         );
-        body[start..start + PREFIX_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
+        out[start..start + PREFIX_LEN].copy_from_slice(&(body_len as u32).to_le_bytes());
     }
 
     /// Parses one frame from the front of `buf`, returning the message
@@ -530,190 +447,181 @@ impl WireMsg {
     }
 }
 
-fn decode_body(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
-    let tag = r.u8()?;
-    match tag {
-        TAG_INSERT => Ok(WireMsg::Insert {
-            object: r.u64()?,
-            keywords: get_keywords(r)?,
-        }),
-        TAG_QUERY => Ok(WireMsg::Query {
-            query_id: r.u64()?,
-            threshold: r.u64()?,
-            keywords: get_keywords(r)?,
-        }),
-        TAG_QUERY_DONE => Ok(WireMsg::QueryDone {
-            query_id: r.u64()?,
-            objects: r.hits()?,
-        }),
-        TAG_PIN => Ok(WireMsg::Pin {
-            query_id: r.u64()?,
-            keywords: get_keywords(r)?,
-        }),
-        TAG_PIN_RESULTS => Ok(WireMsg::PinResults {
-            query_id: r.u64()?,
-            objects: r.ids()?,
-        }),
-        TAG_FLUSH => Ok(WireMsg::Flush { token: r.u64()? }),
-        TAG_FLUSH_ACK => Ok(WireMsg::FlushAck {
-            token: r.u64()?,
-            worker: r.u32()?,
-            epoch: r.u64()?,
-        }),
-        TAG_SHUTDOWN => Ok(WireMsg::Shutdown),
-        TAG_FT_QUERY => Ok(WireMsg::FtQuery {
-            query_id: r.u64()?,
-            threshold: r.u64()?,
-            policy: FtPolicy {
-                strategy: strategy_from_byte(r.u8()?)?,
-                max_retries: r.u32()?,
-                base_timeout: r.u64()?,
-            },
-            keywords: get_keywords(r)?,
-        }),
-        TAG_FT_QUERY_DONE => {
-            let query_id = r.u64()?;
-            let mut coverage = FtCoverage {
-                subcube_vertices: r.u64()?,
-                reached: r.u64()?,
-                retries: r.u64()?,
-                timeouts: r.u64()?,
-                redelegations: r.u64()?,
-                queries_sent: r.u64()?,
-                conts: r.u64()?,
-                result_messages: r.u64()?,
-                skipped: Vec::new(),
-            };
-            let objects = r.hits()?;
-            coverage.skipped = r.ids()?;
-            Ok(WireMsg::FtQueryDone {
-                query_id,
-                objects,
-                coverage,
-            })
+/// How a field's type goes onto the wire and comes back off it.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// Fixed-width little-endian integers.
+macro_rules! int_field {
+    ($($int:ty),*) => {$(
+        impl Field for $int {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$int>::from_le_bytes(r.array()?))
+            }
         }
-        TAG_REGION_QUERY => Ok(WireMsg::RegionQuery {
-            query_id: r.u64()?,
-            threshold: r.u64()?,
-            coord: r.u32()?,
-            attempt: r.u32()?,
-            keywords: get_keywords(r)?,
-        }),
-        TAG_REGION_DONE => {
-            let query_id = r.u64()?;
-            let worker = r.u32()?;
-            let epoch = r.u64()?;
-            let attempt = r.u32()?;
-            let part = r.u32()?;
-            // Any non-zero byte reads as "more": the encoder writes 1.
-            let more = r.u8()? != 0;
-            let n = r.u16()? as usize;
-            let groups = r.list(n, |r| Ok((r.u64()?, r.hits()?)))?;
-            Ok(WireMsg::RegionDone {
-                query_id,
-                worker,
-                epoch,
-                attempt,
-                part,
-                more,
-                groups,
-            })
+    )*};
+}
+int_field!(u8, u16, u32, u64);
+
+/// One byte; any non-zero one reads as true (the encoder writes 1).
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u8::get(r)? != 0)
+    }
+}
+
+/// `u16 count` then per keyword `u16 len + UTF-8 bytes`: the packed
+/// form the set holds, written with one copy. A canonical set is read
+/// with one validation pass; any other spelling is normalized.
+impl Field for KeywordSet {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_packed());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match KeywordSet::decode_packed(&r.buf[r.pos..]) {
+            Ok((set, used)) => {
+                r.pos += used;
+                Ok(set)
+            }
+            Err(PackedError::Truncated { needed, have }) => {
+                Err(WireError::Truncated { needed, have })
+            }
+            Err(PackedError::BadUtf8) => Err(WireError::BadUtf8),
+            Err(PackedError::NotCanonical) => get_keywords_normalizing(r),
         }
-        TAG_QUERY_AT => {
-            let query_id = r.u64()?;
-            let threshold = r.u64()?;
-            let keywords = get_keywords(r)?;
-            let n = r.u16()? as usize;
-            let marks = r.list(n, Reader::u64)?;
-            Ok(WireMsg::QueryAt {
-                query_id,
-                keywords,
-                threshold,
-                marks,
-            })
-        }
-        other => Err(WireError::BadTag(other)),
     }
 }
 
-/// A `u16` list count. A longer list is a sender's bug (region replies
-/// are split at [`MAX_BATCH_ENTRIES`]) that must not reach the wire as
-/// a wrapped count the peer would read as a corrupt frame.
-fn count16(len: usize) -> u16 {
-    u16::try_from(len).expect("senders split batches at MAX_BATCH_ENTRIES")
-}
-
-/// `u32 count` then `(object id, extra keywords)` records.
-fn put_hits(out: &mut Vec<u8>, hits: &[(u64, u32)]) {
-    put_u32(out, hits.len() as u32);
-    for (id, extra) in hits {
-        put_u64(out, *id);
-        put_u32(out, *extra);
+/// Strategy byte, retry budget, first-attempt deadline.
+impl Field for FtPolicy {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self.strategy {
+            RecoveryStrategy::Naive => 0,
+            RecoveryStrategy::RetryOnly => 1,
+            RecoveryStrategy::Redelegate => 2,
+            RecoveryStrategy::ReplicatedFailover => 3,
+        });
+        self.max_retries.put(out);
+        self.base_timeout.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let strategy = match u8::get(r)? {
+            0 => RecoveryStrategy::Naive,
+            1 => RecoveryStrategy::RetryOnly,
+            2 => RecoveryStrategy::Redelegate,
+            3 => RecoveryStrategy::ReplicatedFailover,
+            other => return Err(WireError::BadStrategy(other)),
+        };
+        Ok(FtPolicy {
+            strategy,
+            max_retries: Field::get(r)?,
+            base_timeout: Field::get(r)?,
+        })
     }
 }
 
-/// `u32 count` then bare `u64`s.
-fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
-    put_u32(out, ids.len() as u32);
-    for id in ids {
-        put_u64(out, *id);
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
     }
 }
 
-fn strategy_byte(s: RecoveryStrategy) -> u8 {
-    match s {
-        RecoveryStrategy::Naive => 0,
-        RecoveryStrategy::RetryOnly => 1,
-        RecoveryStrategy::Redelegate => 2,
-        RecoveryStrategy::ReplicatedFailover => 3,
+/// A list: its count, then its items.
+fn put_list<T: Field>(count: impl Field, items: &[T], out: &mut Vec<u8>) {
+    count.put(out);
+    for item in items {
+        item.put(out);
     }
 }
 
-fn strategy_from_byte(b: u8) -> Result<RecoveryStrategy, WireError> {
-    match b {
-        0 => Ok(RecoveryStrategy::Naive),
-        1 => Ok(RecoveryStrategy::RetryOnly),
-        2 => Ok(RecoveryStrategy::Redelegate),
-        3 => Ok(RecoveryStrategy::ReplicatedFailover),
-        other => Err(WireError::BadStrategy(other)),
+/// `u32 count` then the items.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_list(self.len() as u32, self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = u32::get(r)? as usize;
+        r.list(count)
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A `[short]` list: `u16 count` then the items. A longer list is a
+/// sender's bug (region replies are split at [`MAX_BATCH_ENTRIES`])
+/// that must not reach the wire as a wrapped count the peer would read
+/// as a corrupt frame.
+fn put_short<T: Field>(items: &[T], out: &mut Vec<u8>) {
+    let count = u16::try_from(items.len()).expect("senders split batches at MAX_BATCH_ENTRIES");
+    put_list(count, items, out);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// What [`put_short`] wrote.
+fn get_short<T: Field>(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+    let count = u16::get(r)? as usize;
+    r.list(count)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_keywords(out: &mut Vec<u8>, set: &KeywordSet) {
-    out.extend_from_slice(set.as_packed());
-}
-
-fn get_keywords(r: &mut Reader<'_>) -> Result<KeywordSet, WireError> {
-    match KeywordSet::decode_packed(&r.buf[r.pos..]) {
-        Ok((set, used)) => {
-            r.pos += used;
-            Ok(set)
-        }
-        Err(PackedError::Truncated { needed, have }) => Err(WireError::Truncated { needed, have }),
-        Err(PackedError::BadUtf8) => Err(WireError::BadUtf8),
-        Err(PackedError::NotCanonical) => get_keywords_normalizing(r),
+/// [`WireMsg::FtQueryDone`]'s hand-written codec: its coverage's
+/// counters travel ahead of the objects, its `skipped` list after them.
+fn put_ft_query_done(out: &mut Vec<u8>, id: &u64, objects: &[(u64, u32)], c: &FtCoverage) {
+    for n in [
+        *id,
+        c.subcube_vertices,
+        c.reached,
+        c.retries,
+        c.timeouts,
+        c.redelegations,
+        c.queries_sent,
+        c.conts,
+        c.result_messages,
+    ] {
+        n.put(out);
     }
+    put_list(objects.len() as u32, objects, out);
+    c.skipped.put(out);
+}
+
+/// What [`put_ft_query_done`] wrote.
+fn get_ft_query_done(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
+    let query_id = Field::get(r)?;
+    let mut coverage = FtCoverage {
+        subcube_vertices: Field::get(r)?,
+        reached: Field::get(r)?,
+        retries: Field::get(r)?,
+        timeouts: Field::get(r)?,
+        redelegations: Field::get(r)?,
+        queries_sent: Field::get(r)?,
+        conts: Field::get(r)?,
+        result_messages: Field::get(r)?,
+        skipped: Vec::new(),
+    };
+    let objects = Field::get(r)?;
+    coverage.skipped = Field::get(r)?;
+    Ok(WireMsg::FtQueryDone {
+        query_id,
+        objects,
+        coverage,
+    })
 }
 
 /// Reads a keyword set some other encoder wrote unsorted, duplicated or
 /// unnormalized: every keyword goes through [`Keyword::new`].
 fn get_keywords_normalizing(r: &mut Reader<'_>) -> Result<KeywordSet, WireError> {
-    let n = r.u16()? as usize;
+    let n = u16::get(r)? as usize;
     let mut keywords = Vec::with_capacity(n.min(r.buf.len() - r.pos));
     for _ in 0..n {
-        let len = r.u16()? as usize;
+        let len = u16::get(r)? as usize;
         let bytes = r.bytes(len)?;
         let text = std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?;
         keywords.push(Keyword::new(text).map_err(|e| match e {
@@ -744,46 +652,18 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    /// `count` records read by `item`; the declared count reserves at
-    /// most 1024 slots before any record has been seen.
-    fn list<T>(
-        &mut self,
-        count: usize,
-        item: impl Fn(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
+    /// `count` items; the declared count reserves at most 1024 slots
+    /// before any item has been seen.
+    fn list<T: Field>(&mut self, count: usize) -> Result<Vec<T>, WireError> {
         let mut out = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            out.push(item(self)?);
+            out.push(T::get(self)?);
         }
         Ok(out)
-    }
-
-    /// What [`put_hits`] wrote.
-    fn hits(&mut self) -> Result<Vec<(u64, u32)>, WireError> {
-        let n = self.u32()? as usize;
-        self.list(n, |r| Ok((r.u64()?, r.u32()?)))
-    }
-
-    /// What [`put_ids`] wrote.
-    fn ids(&mut self) -> Result<Vec<u64>, WireError> {
-        let n = self.u32()? as usize;
-        self.list(n, Self::u64)
     }
 }
 
@@ -930,12 +810,16 @@ pub fn exemplars() -> Vec<WireMsg> {
 /// check its UTF-8 would send.
 #[doc(hidden)]
 pub fn insert_frame<K: AsRef<[u8]>>(keywords: &[K]) -> Vec<u8> {
-    let mut frame = vec![0; PREFIX_LEN];
-    frame.push(TAG_INSERT);
-    put_u64(&mut frame, 1);
-    put_u16(&mut frame, keywords.len() as u16);
+    let mut frame = WireMsg::Insert {
+        object: 1,
+        keywords: KeywordSet::new(),
+    }
+    .encode();
+    // The empty set's count goes; the fields are written by hand.
+    frame.truncate(frame.len() - 2);
+    (keywords.len() as u16).put(&mut frame);
     for k in keywords {
-        put_u16(&mut frame, k.as_ref().len() as u16);
+        (k.as_ref().len() as u16).put(&mut frame);
         frame.extend_from_slice(k.as_ref());
     }
     let body_len = (frame.len() - PREFIX_LEN) as u32;
@@ -958,9 +842,7 @@ mod tests {
         let retired = [2, 3, 7, 13];
         assert_eq!(
             tags,
-            (0..=TAG_QUERY_AT)
-                .filter(|tag| !retired.contains(tag))
-                .collect()
+            (0..=16).filter(|tag| !retired.contains(tag)).collect()
         );
         for tag in retired {
             assert_eq!(
@@ -970,8 +852,8 @@ mod tests {
             );
         }
         assert_eq!(
-            WireMsg::decode_exact(&[1, 0, 0, 0, TAG_QUERY_AT + 1]),
-            Err(WireError::BadTag(TAG_QUERY_AT + 1)),
+            WireMsg::decode_exact(&[1, 0, 0, 0, 16 + 1]),
+            Err(WireError::BadTag(16 + 1)),
             "a tag was added past the last one the exemplars are held to"
         );
     }
@@ -1114,7 +996,7 @@ mod tests {
     fn oversized_declared_length_is_rejected_before_allocation() {
         let mut frame = Vec::new();
         frame.extend_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
-        frame.push(TAG_SHUTDOWN);
+        frame.push(10);
         assert_eq!(
             WireMsg::decode_exact(&frame),
             Err(WireError::Oversized {
@@ -1148,7 +1030,7 @@ mod tests {
     #[test]
     fn invalid_utf8_keyword_is_rejected() {
         // Hand-build an Insert whose single keyword is invalid UTF-8.
-        let mut body = vec![TAG_INSERT];
+        let mut body = vec![0];
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&1u16.to_le_bytes()); // one keyword
         body.extend_from_slice(&2u16.to_le_bytes()); // two bytes
