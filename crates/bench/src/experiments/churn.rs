@@ -115,7 +115,6 @@ pub fn run(ctx: &SharedContext) -> Vec<ChurnRow> {
             let plan = ChurnPlan::generate(&gen_cfg, &members, ctx.seed ^ rate.to_bits());
             let stab_cfg = StabilizationConfig {
                 stabilization_interval: stab,
-                repair_interval: stab,
                 ..StabilizationConfig::default()
             };
 

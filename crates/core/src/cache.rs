@@ -198,16 +198,6 @@ impl<T> FifoCache<T> {
         }
     }
 
-    /// The configured capacity in cached queries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Slots currently held (filled or reserved).
-    pub fn held(&self) -> usize {
-        self.order.len()
-    }
-
     /// The current generation (see [`FifoCache::bump_generation`]).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -506,7 +496,7 @@ mod tests {
         assert!(c.lookup(&q("a"), 1).is_none());
         assert!(c.lookup(&q("b"), 1).is_some());
         assert!(c.lookup(&q("c"), 1).is_some());
-        assert_eq!(c.held(), 2);
+        assert_eq!(c.order.len(), 2);
         assert_eq!(c.counters().evictions, 1);
     }
 
@@ -520,7 +510,7 @@ mod tests {
             c.lookup(&q("big"), 5_000).map(|e| e.results.len()),
             Some(5_000)
         );
-        assert_eq!(c.held(), 1);
+        assert_eq!(c.order.len(), 1);
     }
 
     #[test]
@@ -535,7 +525,7 @@ mod tests {
         let mut c = FifoCache::new(2);
         c.put(q("a"), results(0), true);
         c.put(q("b"), results(0), true);
-        assert_eq!(c.held(), 2);
+        assert_eq!(c.order.len(), 2);
         c.put(q("c"), results(0), true);
         assert!(c.lookup(&q("a"), 1).is_none(), "oldest evicted");
         assert!(c.lookup(&q("c"), 1).is_some());
@@ -574,7 +564,7 @@ mod tests {
         let mut c = FifoCache::new(4);
         c.put(q("a"), results(3), false);
         assert!(c.lookup(&q("a"), 10).is_none());
-        assert_eq!(c.held(), 1, "non-covering entry stays cached");
+        assert_eq!(c.order.len(), 1, "non-covering entry stays cached");
         assert!(c.lookup(&q("a"), 2).is_some(), "still serves covered t");
         let n = c.counters();
         assert_eq!((n.hits, n.misses), (1, 1));
@@ -610,7 +600,7 @@ mod tests {
             c.lookup(&q("a"), 3).is_none(),
             "pre-handoff entry must not serve"
         );
-        assert_eq!(c.held(), 0, "stale entry dropped on lookup");
+        assert_eq!(c.order.len(), 0, "stale entry dropped on lookup");
         let n = c.counters();
         assert_eq!((n.stale, n.misses), (1, 0), "stale is its own outcome");
 
@@ -639,10 +629,10 @@ mod tests {
         c.put(q("a"), results(1), true);
         c.put(q("b"), results(1), true);
         c.bump_generation();
-        assert_eq!(c.held(), 2, "invalidation is lazy");
+        assert_eq!(c.order.len(), 2, "invalidation is lazy");
         assert!(c.lookup(&q("a"), 1).is_none());
         assert!(c.lookup(&q("b"), 1).is_none());
-        assert_eq!(c.held(), 0, "both dropped once touched");
+        assert_eq!(c.order.len(), 0, "both dropped once touched");
     }
 
     // ---- the serving path: claim / fill ----
@@ -656,9 +646,9 @@ mod tests {
     fn admission_is_on_the_second_sighting() {
         let mut c = FifoCache::new(4);
         assert_eq!(claim(&mut c, "a", 5, 1), Claim::Pass, "first sighting");
-        assert_eq!(c.held(), 0, "a one-hit query never takes a slot");
+        assert_eq!(c.order.len(), 0, "a one-hit query never takes a slot");
         assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead, "second sighting");
-        assert_eq!(c.held(), 1, "slot reserved on arrival");
+        assert_eq!(c.order.len(), 1, "slot reserved on arrival");
         c.fill(&q("a"), 2, results(3), true, Vec::new());
         assert!(matches!(claim(&mut c, "a", 5, 3), Claim::Hit(r) if r.len() == 3));
         let n = c.counters();
@@ -754,10 +744,10 @@ mod tests {
         assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
         assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
         c.release(&q("a"), 9); // not the holder
-        assert_eq!(c.held(), 1);
+        assert_eq!(c.order.len(), 1);
         // The caller gives traversal 2 up: nobody waits for it again.
         c.release(&q("a"), 2);
-        assert_eq!(c.held(), 0);
+        assert_eq!(c.order.len(), 0);
         assert_eq!(claim(&mut c, "a", 5, 4), Claim::Lead, "already sighted");
         assert_eq!(claim(&mut c, "a", 5, 5), Claim::Join(4));
         // Should traversal 2 finish after all, its answer is not kept.

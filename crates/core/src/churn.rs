@@ -150,31 +150,28 @@ const VERTEX_KEY_TWEAK: u64 = 0x7E57_ED00_5EED_0001;
 /// Seed tweak for host placement on the identifier ring.
 const NODE_KEY_TWEAK: u64 = 0xA11C_E000_0000_0B0B;
 
+/// Ticks before an unacknowledged handoff batch is retransmitted.
+const HANDOFF_TIMEOUT: u64 = 24;
+/// Retransmissions per handoff before it is abandoned (the in-flight
+/// postings are then declared lost and left to repair).
+const MAX_HANDOFF_RETRANSMITS: u32 = 10;
+
 /// Tuning for the membership / handoff / repair machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StabilizationConfig {
-    /// Ticks between stabilization rounds (ownership reconciliation).
+    /// Ticks between stabilization rounds (ownership reconciliation),
+    /// and between anti-entropy repair rounds.
     pub stabilization_interval: u64,
-    /// Ticks between anti-entropy repair rounds.
-    pub repair_interval: u64,
     /// Maximum index entries (keyword-set groups) per handoff or repair
     /// batch.
     pub batch_entries: usize,
-    /// Ticks before an unacknowledged handoff batch is retransmitted.
-    pub handoff_timeout: u64,
-    /// Retransmissions per handoff before it is abandoned (the in-flight
-    /// postings are then declared lost and left to repair).
-    pub max_handoff_retransmits: u32,
 }
 
 impl Default for StabilizationConfig {
     fn default() -> Self {
         StabilizationConfig {
             stabilization_interval: 64,
-            repair_interval: 64,
             batch_entries: 32,
-            handoff_timeout: 24,
-            max_handoff_retransmits: 10,
         }
     }
 }
@@ -184,27 +181,17 @@ impl StabilizationConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidChurnConfig`] for zero intervals, zero
-    /// batch size, or a zero handoff timeout.
+    /// Returns [`Error::InvalidChurnConfig`] for a zero interval or a
+    /// zero batch size.
     pub fn validate(&self) -> Result<(), Error> {
         if self.stabilization_interval == 0 {
             return Err(Error::InvalidChurnConfig {
                 reason: "stabilization interval must be positive",
             });
         }
-        if self.repair_interval == 0 {
-            return Err(Error::InvalidChurnConfig {
-                reason: "repair interval must be positive",
-            });
-        }
         if self.batch_entries == 0 {
             return Err(Error::InvalidChurnConfig {
                 reason: "handoff batches must hold at least one entry",
-            });
-        }
-        if self.handoff_timeout == 0 {
-            return Err(Error::InvalidChurnConfig {
-                reason: "handoff retransmit timeout must be positive",
             });
         }
         Ok(())
@@ -764,7 +751,6 @@ fn install_ownership(st: &mut ChurnState, bits: u64, dst: u64) {
 
 /// (Re)transmits the current unacknowledged batch and arms its timer.
 fn send_current_batch(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64) {
-    let timeout = st.cfg.handoff_timeout;
     let (entries, seq, last, src, dst, stale_timer) = {
         let Some(h) = st.handoffs.get_mut(&bits) else {
             return;
@@ -797,7 +783,7 @@ fn send_current_batch(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64) {
     );
     let timer = sim.net.set_timer(
         sim.requester,
-        SimDuration::from_ticks(timeout),
+        SimDuration::from_ticks(HANDOFF_TIMEOUT),
         SimTimer::Churn(ChurnTimer::Handoff(bits)),
     );
     st.stats.handoff_bytes += bytes;
@@ -885,7 +871,6 @@ fn on_handoff_ack(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, seq: u3
 /// Retransmit timer: resend the current batch, or give up past the
 /// budget.
 fn on_handoff_timer(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64) {
-    let max = st.cfg.max_handoff_retransmits;
     let now = sim.net.now();
     let over_budget = {
         let Some(h) = st.handoffs.get_mut(&bits) else {
@@ -893,7 +878,7 @@ fn on_handoff_timer(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64) {
         };
         h.timer = None;
         h.attempts += 1;
-        h.attempts > max
+        h.attempts > MAX_HANDOFF_RETRANSMITS
     };
     if over_budget {
         abort_handoff(sim, st, bits, now);
@@ -957,7 +942,7 @@ fn arm_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
         st.repair_armed = true;
         sim.net.set_timer(
             sim.requester,
-            SimDuration::from_ticks(st.cfg.repair_interval),
+            SimDuration::from_ticks(st.cfg.stabilization_interval),
             SimTimer::Churn(ChurnTimer::Repair),
         );
     }

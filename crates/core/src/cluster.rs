@@ -401,12 +401,12 @@ mod tests {
         idx.insert(oid(1), set("a b")).unwrap();
         idx.insert(oid(2), set("a b")).unwrap();
         let v = idx.insert(oid(3), set("c d e")).unwrap();
-        assert_eq!(idx.summary().total_objects(), 3);
+        assert_eq!(idx.len(), 3);
         assert_eq!(idx.summary().leaf_count(v.bits()), 1);
         idx.remove(oid(1), &set("a b"));
-        assert_eq!(idx.summary().total_objects(), 2);
+        assert_eq!(idx.len(), 2);
         idx.drop_node(v);
-        assert_eq!(idx.summary().total_objects(), 1);
+        assert_eq!(idx.len(), 1);
         assert_eq!(idx.summary().leaf_count(v.bits()), 0);
     }
 

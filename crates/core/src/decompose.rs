@@ -75,11 +75,6 @@ impl DecomposedIndex {
         Ok(())
     }
 
-    /// The registered field names, sorted.
-    pub fn fields(&self) -> impl Iterator<Item = &str> {
-        self.fields.keys().map(String::as_str)
-    }
-
     /// The hypercube index of one field.
     ///
     /// # Errors
@@ -258,13 +253,5 @@ mod tests {
             deco_nodes < mono_nodes,
             "decomposed {deco_nodes} vs monolithic {mono_nodes}"
         );
-    }
-
-    #[test]
-    fn fields_listing_sorted() {
-        let mut idx = DecomposedIndex::new(0);
-        idx.add_field("zeta", 4).unwrap();
-        idx.add_field("alpha", 4).unwrap();
-        assert_eq!(idx.fields().collect::<Vec<_>>(), vec!["alpha", "zeta"]);
     }
 }

@@ -41,15 +41,6 @@ pub enum Error {
         /// Why the configuration was rejected.
         reason: &'static str,
     },
-    /// A dense per-vertex operation was asked for a cube too large to
-    /// sweep: it touches all `2^r` vertices, so `r` is capped well
-    /// below the sparse layers' limit.
-    DimensionTooLarge {
-        /// The requested cube dimension.
-        r: u8,
-        /// The largest dimension the operation supports.
-        max: u8,
-    },
     /// A network connection to a cluster endpoint was lost (refused,
     /// reset, or closed mid-request) and could not be re-established
     /// within the client's reconnect budget.
@@ -102,13 +93,6 @@ impl fmt::Display for Error {
             Error::InvalidChurnConfig { reason } => {
                 write!(f, "invalid churn configuration: {reason}")
             }
-            Error::DimensionTooLarge { r, max } => {
-                write!(
-                    f,
-                    "cube dimension {r} exceeds the dense-sweep cap {max}: \
-                     the operation touches all 2^r vertices"
-                )
-            }
             Error::ConnectionLost { endpoint, detail } => {
                 write!(f, "connection to {endpoint} lost: {detail}")
             }
@@ -151,9 +135,6 @@ mod tests {
         assert!(Error::UnknownField { field: "os".into() }
             .to_string()
             .contains("os"));
-        let too_large = Error::DimensionTooLarge { r: 17, max: 16 };
-        assert!(too_large.to_string().contains("17"));
-        assert!(too_large.to_string().contains("16"));
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl KeywordHasher {
         }
         Vertex::from_bits(self.shape, bits).expect("positions are < r by construction")
     }
-
-    /// The positions `{h(w) | w ∈ K}` with multiplicity collapsed,
-    /// ascending — `One(F_h(K))`.
-    pub fn positions(self, keywords: &KeywordSet) -> Vec<u8> {
-        self.vertex_for(keywords).one_positions().collect()
-    }
 }
 
 #[cfg(test)]
@@ -150,19 +144,6 @@ mod tests {
         let k = set("jazz");
         let k_sup = set("jazz piano 1959");
         assert!(h.vertex_for(&k_sup).contains(h.vertex_for(&k)));
-    }
-
-    #[test]
-    fn positions_sorted_and_deduplicated() {
-        let h = hasher(6);
-        // With r = 6 and many words, collisions are certain; positions()
-        // must still be sorted and unique.
-        let k = set("a b c d e f g h i j k l m n o p");
-        let pos = h.positions(&k);
-        let mut sorted = pos.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(pos, sorted);
     }
 
     #[test]

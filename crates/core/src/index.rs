@@ -128,8 +128,7 @@ impl IndexTable {
     ///
     /// Passing `qsig = 0` disables the prefilter — `0 & sig == 0` for
     /// every entry — yielding exactly the pre-optimization unfiltered
-    /// `is_superset` scan. [`IndexTable::superset_entries_unfiltered`]
-    /// is that spelling.
+    /// `is_superset` scan, the parity reference for the prefilter.
     pub fn superset_entries_sig<'a>(
         &'a self,
         query: &'a KeywordSet,
@@ -143,14 +142,6 @@ impl IndexTable {
             qsig,
             live: qsig & self.union_sig == qsig,
         }
-    }
-
-    /// The baseline scan with no signature prefilter — every entry pays
-    /// the full `is_superset` string comparison. Kept as the parity
-    /// reference for the mask-prefiltered path (the `throughput`
-    /// experiment asserts identical results).
-    pub fn superset_entries_unfiltered<'a>(&'a self, query: &'a KeywordSet) -> SupersetEntries<'a> {
-        self.superset_entries_sig(query, 0)
     }
 
     /// OR of every entry's [`KeywordSet::signature`] — the table-wide
@@ -321,7 +312,7 @@ mod tests {
                 .map(|(k, o)| (k.clone(), o.collect::<Vec<_>>()))
                 .collect();
             let plain: Vec<_> = tbl
-                .superset_entries_unfiltered(&query)
+                .superset_entries_sig(&query, 0)
                 .map(|(k, o)| (k.clone(), o.collect::<Vec<_>>()))
                 .collect();
             assert_eq!(masked, plain, "prefilter changed results for {q}");

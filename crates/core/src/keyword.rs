@@ -224,7 +224,7 @@ pub enum PackedError {
 ///
 /// let k_obj = KeywordSet::parse("ISP, telecommunication, network, download")?;
 /// let query = KeywordSet::parse("network, isp")?;
-/// assert!(query.describes(&k_obj));       // query ⊆ K_σ
+/// assert!(k_obj.is_superset(&query));    // query ⊆ K_σ: it describes σ
 /// assert_eq!(k_obj.len(), 4);
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
@@ -510,12 +510,6 @@ impl KeywordSet {
         self.0.is_empty()
     }
 
-    /// Whether `self` *describes* an object with keyword set `k_obj`
-    /// (`self ⊆ k_obj`, §2.2).
-    pub fn describes(&self, k_obj: &KeywordSet) -> bool {
-        k_obj.is_superset(self)
-    }
-
     /// Whether `self` is a superset of `other`: one merge pass over the
     /// two sorted buffers.
     pub fn is_superset(&self, other: &KeywordSet) -> bool {
@@ -778,13 +772,13 @@ mod tests {
     }
 
     #[test]
-    fn describes_is_subset() {
+    fn a_query_describes_its_supersets() {
         let k_obj = KeywordSet::parse("tvbs news").unwrap();
-        assert!(KeywordSet::parse("news").unwrap().describes(&k_obj));
-        assert!(KeywordSet::parse("tvbs news").unwrap().describes(&k_obj));
-        assert!(!KeywordSet::parse("cnn").unwrap().describes(&k_obj));
+        assert!(k_obj.is_superset(&KeywordSet::parse("news").unwrap()));
+        assert!(k_obj.is_superset(&KeywordSet::parse("tvbs news").unwrap()));
+        assert!(!k_obj.is_superset(&KeywordSet::parse("cnn").unwrap()));
         assert!(
-            KeywordSet::new().describes(&k_obj),
+            k_obj.is_superset(&KeywordSet::new()),
             "empty set describes all"
         );
     }

@@ -33,13 +33,14 @@ pub(crate) const SECONDARY_SEED_OFFSET: u64 = 0x5EC0_0DA2_CB0E_71CE;
 ///
 /// ```
 /// use hyperdex_core::replication::ReplicatedIndex;
-/// use hyperdex_core::{KeywordSet, ObjectId};
+/// use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId};
 ///
 /// let mut idx = ReplicatedIndex::new(8, 0)?;
 /// let k = KeywordSet::parse("p2p dht")?;
 /// idx.insert(ObjectId::from_raw(1), k.clone())?;
-/// // Crash the primary index node for this keyword set:
-/// idx.fail_primary(idx.primary().vertex_for(&k));
+/// // Crash the primary index node for this keyword set (the primary
+/// // cube hashes as a plain index of the same `r` and seed):
+/// idx.fail_primary(HypercubeIndex::new(8, 0)?.vertex_for(&k));
 /// // The object is still pin-findable through the secondary cube.
 /// assert_eq!(idx.pin_search(&k).results.len(), 1);
 /// # Ok::<(), hyperdex_core::Error>(())
@@ -54,7 +55,10 @@ pub struct ReplicatedIndex {
 
 impl ReplicatedIndex {
     /// Creates a replicated index over two `r`-dimensional hypercubes
-    /// with independent hash families derived from `seed`.
+    /// with independent hash families derived from `seed`. The primary
+    /// cube is `HypercubeIndex::new(r, seed)`: a plain index of the same
+    /// `r` and seed, given the same inserts, holds what it holds where
+    /// it holds it.
     ///
     /// # Errors
     ///
@@ -66,16 +70,6 @@ impl ReplicatedIndex {
             failed_primary: HashSet::new(),
             failed_secondary: HashSet::new(),
         })
-    }
-
-    /// The primary cube (read access).
-    pub fn primary(&self) -> &HypercubeIndex {
-        &self.primary
-    }
-
-    /// The secondary cube (read access).
-    pub fn secondary(&self) -> &HypercubeIndex {
-        &self.secondary
     }
 
     /// Number of live object entries in the primary cube.

@@ -159,16 +159,6 @@ impl KeywordSearchService {
         self.dht.random_node()
     }
 
-    /// The underlying DHT (read access).
-    pub fn dht(&self) -> &Dolr {
-        &self.dht
-    }
-
-    /// The hypercube index layer (read access).
-    pub fn index(&self) -> &HypercubeIndex {
-        &self.index
-    }
-
     /// The physical node playing hypercube vertex `v` — `S(g(v))`.
     pub fn node_for_vertex(&self, v: Vertex) -> NodeId {
         self.map
@@ -320,22 +310,22 @@ mod tests {
         assert!(r1.index_vertex.is_some(), "first copy creates the index");
         let r2 = svc.publish(b, obj, set("p2p index")).unwrap();
         assert!(r2.index_vertex.is_none(), "second copy skips the index");
-        assert_eq!(svc.index().len(), 1);
+        assert_eq!(svc.index.len(), 1);
     }
 
     #[test]
     fn withdraw_removes_index_with_last_copy() {
         let mut svc = service();
         let obj = ObjectId::from_name("departing");
-        let nodes: Vec<NodeId> = svc.dht().ring().iter().take(2).collect();
+        let nodes: Vec<NodeId> = svc.dht.ring().iter().take(2).collect();
         svc.publish(nodes[0], obj, set("a b")).unwrap();
         svc.publish(nodes[1], obj, set("a b")).unwrap();
         let r1 = svc.withdraw(nodes[0], obj, &set("a b"));
         assert!(r1.index_vertex.is_none(), "copies remain");
-        assert_eq!(svc.index().len(), 1);
+        assert_eq!(svc.index.len(), 1);
         let r2 = svc.withdraw(nodes[1], obj, &set("a b"));
         assert!(r2.index_vertex.is_some(), "last copy clears the index");
-        assert!(svc.index().is_empty());
+        assert!(svc.index.is_empty());
     }
 
     #[test]
@@ -378,14 +368,14 @@ mod tests {
             .unwrap();
         svc.publish(publisher, ObjectId::from_raw(4), set("movies"))
             .unwrap();
-        assert_eq!(svc.index().len(), 4, "all four objects indexed");
-        assert_eq!(svc.index().pin_search(&set("tvbs news")).results.len(), 3);
+        assert_eq!(svc.index.len(), 4, "all four objects indexed");
+        assert_eq!(svc.index.pin_search(&set("tvbs news")).results.len(), 3);
         // Re-publishing an existing copy never touches the index.
         svc.publish(publisher, ObjectId::from_raw(4), set("something else"))
             .unwrap();
-        assert_eq!(svc.index().len(), 4);
+        assert_eq!(svc.index.len(), 4);
         assert!(svc
-            .index()
+            .index
             .pin_search(&set("something else"))
             .results
             .is_empty());

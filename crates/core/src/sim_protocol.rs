@@ -922,7 +922,7 @@ impl ProtocolSim {
     }
 
     /// Mutable access to the underlying network, for fault injection
-    /// (kills, outages, link loss) in tests and experiments.
+    /// (kills, link loss) in tests and experiments.
     pub fn network_mut(&mut self) -> &mut Network<KwMsg, SimTimer> {
         &mut self.net
     }

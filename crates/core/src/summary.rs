@@ -80,7 +80,6 @@ fn low_positions(run: u64) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancySummary {
     r: u8,
-    total: u64,
     /// Object entries per occupied vertex.
     leaves: ByVertex<u64>,
     /// The trie's vertex level: bit `bits & 63` of word `bits >> 6` says
@@ -107,11 +106,6 @@ impl OccupancySummary {
         self.r
     }
 
-    /// Total object entries indexed anywhere in the cube.
-    pub const fn total_objects(&self) -> u64 {
-        self.total
-    }
-
     /// OR of the bit patterns of the occupied vertices in region
     /// `(level, prefix)` — the union of keyword positions present there;
     /// `None` for an unoccupied region.
@@ -130,7 +124,6 @@ impl OccupancySummary {
         let count = self.leaves.entry(bits).or_insert(0);
         *count += 1;
         let first = *count == 1;
-        self.total += 1;
         if first {
             self.occupy(bits);
         }
@@ -146,7 +139,6 @@ impl OccupancySummary {
         };
         *count -= 1;
         let last = *count == 0;
-        self.total -= 1;
         if last {
             self.leaves.remove(&bits);
             self.vacate(bits);
@@ -164,7 +156,6 @@ impl OccupancySummary {
             self.leaves.remove(&bits)
         }
         .unwrap_or(0);
-        self.total = self.total - old + count;
         match (old > 0, count > 0) {
             (false, true) => self.occupy(bits),
             (true, false) => self.vacate(bits),
@@ -377,7 +368,6 @@ mod tests {
     /// for every region around `probes` and the occupied vertices.
     fn check_against(summary: &OccupancySummary, model: &Model, probes: &[u64]) {
         let r = summary.r();
-        assert_eq!(summary.total_objects(), model.0.values().sum::<u64>());
         let mut stored_regions = std::collections::BTreeSet::new();
         for &bits in model.0.keys().chain(probes) {
             assert_eq!(
@@ -471,7 +461,6 @@ mod tests {
         assert_eq!(s.leaf_count(0b10100), 1);
         s.record_remove(0b10100);
         assert_eq!(s.region_count(), 0, "empty regions are dropped");
-        assert_eq!(s.total_objects(), 0);
         assert_eq!(s, OccupancySummary::new(5));
     }
 
@@ -504,7 +493,7 @@ mod tests {
         s.record_insert(0b1100);
         // Model a crash losing vertex 0b0011's table: truth drops, the
         // summary stays over-counted until a refresh lands.
-        assert_eq!(s.total_objects(), 3);
+        assert_eq!(s.leaves[&0b0011], 2);
         s.refresh_leaf(0b0011, 0);
         s.refresh_leaf(0b0011, 0); // replayed refresh converges
         check_against(&s, &Model::of(&[0b1100]), &[0b0011]);

@@ -195,7 +195,7 @@ proptest! {
         prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
         prop_assert_eq!(a.partial_cmp(&b), ma.partial_cmp(&mb));
         prop_assert_eq!(a.is_superset(&b), ma.is_superset(&mb));
-        prop_assert_eq!(a.describes(&b), ma.is_subset(&mb));
+        prop_assert_eq!(b.is_superset(&a), ma.is_subset(&mb));
         let difference: BTreeSet<String> = ma.difference(&mb).cloned().collect();
         assert_matches(&a.difference(&b), &difference);
         let union: BTreeSet<String> = ma.union(&mb).cloned().collect();

@@ -39,7 +39,7 @@ fn build_index(r: u8, corpus: &[Vec<u8>]) -> (HypercubeIndex, Vec<(ObjectId, Key
 fn brute_force(objects: &[(ObjectId, KeywordSet)], query: &KeywordSet) -> Vec<ObjectId> {
     let mut hits: Vec<ObjectId> = objects
         .iter()
-        .filter(|(_, k)| query.describes(k))
+        .filter(|(_, k)| k.is_superset(query))
         .map(|(id, _)| *id)
         .collect();
     hits.sort_unstable();
@@ -108,7 +108,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(out.results.len(), t.min(truth.len()));
         for r in &out.results {
-            prop_assert!(query.describes(&r.keyword_set));
+            prop_assert!(r.keyword_set.is_superset(&query));
             prop_assert_eq!(
                 r.extra_keywords as usize,
                 r.keyword_set.len() - query.len()

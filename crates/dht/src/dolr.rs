@@ -93,7 +93,6 @@ pub struct DolrBuilder {
     nodes: usize,
     seed: u64,
     replication: usize,
-    id_bits: u8,
 }
 
 impl Default for DolrBuilder {
@@ -102,7 +101,6 @@ impl Default for DolrBuilder {
             nodes: 64,
             seed: 0,
             replication: 0,
-            id_bits: 64,
         }
     }
 }
@@ -126,45 +124,17 @@ impl DolrBuilder {
         self
     }
 
-    /// The identifier-space width `a` in bits (default 64).
-    ///
-    /// §2.1 only requires `2^a` to be "much larger than the actual
-    /// number of nodes"; a narrow space makes surrogate collisions
-    /// observable in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics at `build` time if `a` is 0 or exceeds 64, or when
-    /// `2^a < nodes` (the ids cannot be distinct).
-    pub fn id_bits(mut self, a: u8) -> Self {
-        self.id_bits = a;
-        self
-    }
-
     /// Builds the DHT.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes == 0` or the id space cannot hold them.
+    /// Panics if `nodes == 0`.
     pub fn build(self) -> Dolr {
         assert!(self.nodes > 0, "a DHT needs at least one node");
-        assert!(
-            self.id_bits >= 1 && self.id_bits <= 64,
-            "id space must be 1..=64 bits"
-        );
-        let mask = if self.id_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.id_bits) - 1
-        };
-        assert!(
-            self.id_bits == 64 || (self.nodes as u64) <= mask.saturating_add(1),
-            "2^a must be at least the node count"
-        );
         let mut rng = SimRng::new(self.seed);
         let mut ring = Ring::new();
         while ring.len() < self.nodes {
-            ring.join(NodeId::from_raw(rng.next_u64() & mask));
+            ring.join(NodeId::from_raw(rng.next_u64()));
         }
         let router = Router::build(&ring);
         let stores = ring.iter().map(|n| (n, RefStore::new())).collect();
@@ -605,37 +575,5 @@ mod tests {
         let publisher = d.random_node();
         d.insert(publisher, ObjectId::from_name("x"), publisher);
         assert_eq!(d.total_refs(), 3, "primary + 2 replicas");
-    }
-}
-
-#[cfg(test)]
-mod id_bits_tests {
-    use super::*;
-
-    #[test]
-    fn narrow_id_space_still_works() {
-        // a = 16: 65,536 ids for 32 nodes — the §2.1 "much larger" regime
-        // in miniature. Every operation must behave identically.
-        let mut d = Dolr::builder().nodes(32).seed(9).id_bits(16).build();
-        for n in d.ring().iter() {
-            assert!(n.raw() < (1 << 16), "id within the a-bit space");
-        }
-        let obj = ObjectId::from_name("narrow");
-        let publisher = d.random_node();
-        d.insert(publisher, obj, publisher);
-        assert!(d.read(publisher, obj).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64")]
-    fn zero_bit_space_panics() {
-        Dolr::builder().id_bits(0).build();
-    }
-
-    #[test]
-    fn tiny_space_saturates_with_distinct_ids() {
-        // 2^4 = 16 ids, 16 nodes: the ring must fill completely.
-        let d = Dolr::builder().nodes(16).seed(1).id_bits(4).build();
-        assert_eq!(d.ring().len(), 16);
     }
 }

@@ -32,20 +32,6 @@ impl FingerTable {
         FingerTable { owner, fingers }
     }
 
-    /// The node whose table this is.
-    pub const fn owner(&self) -> NodeId {
-        self.owner
-    }
-
-    /// The finger for `n + 2^k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k ≥ 64`.
-    pub fn finger(&self, k: u8) -> NodeId {
-        self.fingers[usize::from(k)]
-    }
-
     /// The best next hop towards `key`: the finger that makes the most
     /// clockwise progress without overshooting past `key`.
     ///
@@ -91,11 +77,11 @@ mod tests {
     fn fingers_are_surrogates_of_doubling_targets() {
         let r = ring(&[0, 1 << 10, 1 << 20, 1 << 40]);
         let ft = FingerTable::build(id(0), &r);
-        assert_eq!(ft.finger(0), id(1 << 10), "0+1 served by 2^10");
-        assert_eq!(ft.finger(10), id(1 << 10));
-        assert_eq!(ft.finger(11), id(1 << 20));
-        assert_eq!(ft.finger(40), id(1 << 40));
-        assert_eq!(ft.finger(63), id(0), "wraps to self");
+        assert_eq!(ft.fingers[0], id(1 << 10), "0+1 served by 2^10");
+        assert_eq!(ft.fingers[10], id(1 << 10));
+        assert_eq!(ft.fingers[11], id(1 << 20));
+        assert_eq!(ft.fingers[40], id(1 << 40));
+        assert_eq!(ft.fingers[63], id(0), "wraps to self");
     }
 
     #[test]

@@ -116,29 +116,6 @@ impl Ring {
         }
         list
     }
-
-    /// The predecessor of a member: the previous live node counter-
-    /// clockwise, wrapping. `None` if `id` is not a member.
-    pub fn predecessor(&self, id: NodeId) -> Option<NodeId> {
-        if !self.members.contains(&id) {
-            return None;
-        }
-        self.members
-            .range(..id)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
-            .copied()
-    }
-
-    /// Whether `owner` is responsible for `key`: `key ∈ (pred(owner),
-    /// owner]`.
-    pub fn owns(&self, owner: NodeId, key: NodeId) -> bool {
-        match self.predecessor(owner) {
-            None => false,
-            Some(pred) if pred == owner => true, // 1-node ring owns all
-            Some(pred) => key.in_interval(pred, owner),
-        }
-    }
 }
 
 impl FromIterator<NodeId> for Ring {
@@ -219,43 +196,5 @@ mod tests {
             "stops before wrapping to self"
         );
         assert!(r.successor_list(id(99), 2).is_empty());
-    }
-
-    #[test]
-    fn predecessor_wraps() {
-        let r = ring(&[10, 100, 200]);
-        assert_eq!(r.predecessor(id(100)), Some(id(10)));
-        assert_eq!(r.predecessor(id(10)), Some(id(200)));
-        assert_eq!(r.predecessor(id(42)), None);
-    }
-
-    #[test]
-    fn ownership_intervals() {
-        let r = ring(&[10, 100, 200]);
-        // Node 100 owns (10, 100].
-        assert!(r.owns(id(100), id(11)));
-        assert!(r.owns(id(100), id(100)));
-        assert!(!r.owns(id(100), id(10)));
-        assert!(!r.owns(id(100), id(150)));
-        // Node 10 owns the wrapping range (200, 10].
-        assert!(r.owns(id(10), id(250)));
-        assert!(r.owns(id(10), id(5)));
-    }
-
-    #[test]
-    fn single_node_owns_everything() {
-        let r = ring(&[77]);
-        assert!(r.owns(id(77), id(0)));
-        assert!(r.owns(id(77), id(u64::MAX)));
-    }
-
-    #[test]
-    fn every_key_has_exactly_one_owner() {
-        let r = ring(&[10, 100, 200, 5000]);
-        for key in [0u64, 10, 11, 99, 100, 150, 200, 4999, 5000, 9999, u64::MAX] {
-            let owners: Vec<NodeId> = r.iter().filter(|&n| r.owns(n, id(key))).collect();
-            assert_eq!(owners.len(), 1, "key {key} owners {owners:?}");
-            assert_eq!(owners[0], r.surrogate(id(key)).unwrap());
-        }
     }
 }

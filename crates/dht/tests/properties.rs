@@ -3,6 +3,74 @@
 use hyperdex_dht::{keyhash, Dolr, NodeId, ObjectId, Ring, Router};
 use proptest::prelude::*;
 
+fn id(n: u64) -> NodeId {
+    NodeId::from_raw(n)
+}
+
+fn ring(ids: &[u64]) -> Ring {
+    ids.iter().copied().map(id).collect()
+}
+
+/// The member before `id` counter-clockwise, wrapping; `None` if `id`
+/// is not a member.
+fn predecessor(ring: &Ring, id: NodeId) -> Option<NodeId> {
+    if !ring.contains(id) {
+        return None;
+    }
+    ring.iter()
+        .filter(|&m| m < id)
+        .last()
+        .or_else(|| ring.iter().last())
+}
+
+/// Whether `owner` is responsible for `key`: `key ∈ (pred(owner),
+/// owner]` — the ownership rule the surrogate must agree with.
+fn owns(ring: &Ring, owner: NodeId, key: NodeId) -> bool {
+    match predecessor(ring, owner) {
+        None => false,
+        Some(pred) if pred == owner => true, // 1-node ring owns all
+        Some(pred) => key.in_interval(pred, owner),
+    }
+}
+
+#[test]
+fn predecessor_wraps() {
+    let r = ring(&[10, 100, 200]);
+    assert_eq!(predecessor(&r, id(100)), Some(id(10)));
+    assert_eq!(predecessor(&r, id(10)), Some(id(200)));
+    assert_eq!(predecessor(&r, id(42)), None);
+}
+
+#[test]
+fn ownership_intervals() {
+    let r = ring(&[10, 100, 200]);
+    // Node 100 owns (10, 100].
+    assert!(owns(&r, id(100), id(11)));
+    assert!(owns(&r, id(100), id(100)));
+    assert!(!owns(&r, id(100), id(10)));
+    assert!(!owns(&r, id(100), id(150)));
+    // Node 10 owns the wrapping range (200, 10].
+    assert!(owns(&r, id(10), id(250)));
+    assert!(owns(&r, id(10), id(5)));
+}
+
+#[test]
+fn single_node_owns_everything() {
+    let r = ring(&[77]);
+    assert!(owns(&r, id(77), id(0)));
+    assert!(owns(&r, id(77), id(u64::MAX)));
+}
+
+#[test]
+fn every_key_has_exactly_one_owner() {
+    let r = ring(&[10, 100, 200, 5000]);
+    for key in [0u64, 10, 11, 99, 100, 150, 200, 4999, 5000, 9999, u64::MAX] {
+        let owners: Vec<NodeId> = r.iter().filter(|&n| owns(&r, n, id(key))).collect();
+        assert_eq!(owners.len(), 1, "key {key} owners {owners:?}");
+        assert_eq!(owners[0], r.surrogate(id(key)).unwrap());
+    }
+}
+
 fn ids(seed: u64, n: usize) -> Vec<NodeId> {
     (0..n as u64)
         .map(|i| NodeId::from_raw(keyhash::stable_hash_u64(i, seed)))
@@ -15,7 +83,7 @@ proptest! {
     fn unique_ownership(seed in any::<u64>(), n in 1usize..40, key in any::<u64>()) {
         let ring: Ring = ids(seed, n).into_iter().collect();
         let key = NodeId::from_raw(key);
-        let owners: Vec<NodeId> = ring.iter().filter(|&m| ring.owns(m, key)).collect();
+        let owners: Vec<NodeId> = ring.iter().filter(|&m| owns(&ring, m, key)).collect();
         prop_assert_eq!(owners.len(), 1);
         prop_assert_eq!(owners[0], ring.surrogate(key).unwrap());
     }
@@ -26,7 +94,7 @@ proptest! {
         let ring: Ring = ids(seed, n).into_iter().collect();
         for m in ring.iter() {
             let s = ring.successor(m).unwrap();
-            prop_assert_eq!(ring.predecessor(s), Some(m));
+            prop_assert_eq!(predecessor(&ring, s), Some(m));
         }
     }
 
@@ -100,7 +168,7 @@ proptest! {
             }
             let probe = NodeId::from_raw(key.wrapping_add(i as u64));
             let owners: Vec<NodeId> =
-                ring.iter().filter(|&m| ring.owns(m, probe)).collect();
+                ring.iter().filter(|&m| owns(&ring, m, probe)).collect();
             if ring.is_empty() {
                 prop_assert!(owners.is_empty());
                 prop_assert_eq!(ring.surrogate(probe), None);

@@ -30,12 +30,11 @@ use crate::vertex::Vertex;
 /// let shape = Shape::new(4)?;
 /// let root = Vertex::from_bits(shape, 0b0100)?;
 /// let sbt = Sbt::induced(root);
-/// assert_eq!(sbt.node_count(), 8);
-/// assert_eq!(sbt.height(), 3);
-/// // The node 1110 differs from the root at dims 1 and 3; its parent
-/// // flips the lowest differing bit (1).
+/// assert_eq!(sbt.height(), 3); // 2^3 nodes
+/// // The node 1110 differs from the root at dims 1 and 3; it hangs
+/// // from its parent across the lowest differing dimension (1).
 /// let v = Vertex::from_bits(shape, 0b1110)?;
-/// assert_eq!(sbt.parent(v), Some(Vertex::from_bits(shape, 0b1100)?));
+/// assert_eq!(sbt.branch_dim(v), Some(1));
 /// # Ok::<(), hyperdex_hypercube::DimensionError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,14 +44,6 @@ pub struct Sbt {
 }
 
 impl Sbt {
-    /// The tree `SBT(u)` spanning the full hypercube.
-    pub fn spanning(root: Vertex) -> Self {
-        Sbt {
-            root,
-            free_mask: root.shape().full_mask(),
-        }
-    }
-
     /// The tree `SBT_{H_r}(u)` spanning the subhypercube induced by
     /// `root` (free dimensions are `Zero(root)`).
     pub fn induced(root: Vertex) -> Self {
@@ -72,11 +63,6 @@ impl Sbt {
         self.free_mask
     }
 
-    /// Number of nodes, `2^(free dimensions)`.
-    pub fn node_count(self) -> u64 {
-        1u64 << self.free_mask.count_ones()
-    }
-
     /// Tree height (equals the number of free dimensions).
     pub fn height(self) -> u32 {
         self.free_mask.count_ones()
@@ -85,16 +71,6 @@ impl Sbt {
     /// Whether `v` is a node of this tree.
     pub fn contains(self, v: Vertex) -> bool {
         v.shape() == self.root.shape() && (v.bits() ^ self.root.bits()) & !self.free_mask == 0
-    }
-
-    /// The depth of `v` (Hamming distance from the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a tree node.
-    pub fn depth(self, v: Vertex) -> u32 {
-        self.assert_member(v);
-        v.hamming(self.root)
     }
 
     /// The dimension across which `v` connects to its parent — the
@@ -112,15 +88,6 @@ impl Sbt {
         } else {
             Some(diff.trailing_zeros() as u8)
         }
-    }
-
-    /// The parent of `v`, or `None` for the root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a tree node.
-    pub fn parent(self, v: Vertex) -> Option<Vertex> {
-        self.branch_dim(v).map(|p| v.flip(p))
     }
 
     /// The children of `v`, produced in **descending** dimension order
@@ -240,6 +207,25 @@ mod tests {
         Vertex::from_bits(Shape::new(r).unwrap(), bits).unwrap()
     }
 
+    /// `SBT(u)`: the tree spanning the full hypercube.
+    fn spanning(root: Vertex) -> Sbt {
+        Sbt {
+            root,
+            free_mask: root.shape().full_mask(),
+        }
+    }
+
+    /// The parent of `v`, or `None` for the root: `v` with its branch
+    /// dimension flipped back.
+    fn parent(sbt: Sbt, v: Vertex) -> Option<Vertex> {
+        sbt.branch_dim(v).map(|p| v.flip(p))
+    }
+
+    /// Number of nodes, `2^(free dimensions)`.
+    fn node_count(sbt: Sbt) -> u64 {
+        1 << sbt.height()
+    }
+
     /// The size of the subtree rooted at `v`: `2^(free dimensions below
     /// the branch dimension)`.
     fn subtree_size(sbt: Sbt, v: Vertex) -> u64 {
@@ -252,7 +238,7 @@ mod tests {
         let sbt = Sbt::induced(v(4, 0b0100));
         let children: Vec<u64> = sbt.children(sbt.root()).map(|c| c.bits()).collect();
         assert_eq!(children, vec![0b1100, 0b0110, 0b0101]);
-        assert_eq!(sbt.node_count(), 8);
+        assert_eq!(node_count(sbt), 8);
         assert_eq!(sbt.height(), 3);
     }
 
@@ -260,18 +246,18 @@ mod tests {
     fn parent_flips_lowest_differing_bit() {
         let sbt = Sbt::induced(v(4, 0b0100));
         // 1110 differs from 0100 at dims {1, 3}; lowest is 1.
-        assert_eq!(sbt.parent(v(4, 0b1110)), Some(v(4, 0b1100)));
+        assert_eq!(parent(sbt, v(4, 0b1110)), Some(v(4, 0b1100)));
         // 0101 differs only at dim 0.
-        assert_eq!(sbt.parent(v(4, 0b0101)), Some(v(4, 0b0100)));
-        assert_eq!(sbt.parent(sbt.root()), None);
+        assert_eq!(parent(sbt, v(4, 0b0101)), Some(v(4, 0b0100)));
+        assert_eq!(parent(sbt, sbt.root()), None);
     }
 
     #[test]
     fn parent_child_inverse() {
-        let sbt = Sbt::spanning(v(5, 0b10110));
+        let sbt = spanning(v(5, 0b10110));
         for (node, _) in sbt.bfs() {
             for child in sbt.children(node) {
-                assert_eq!(sbt.parent(child), Some(node));
+                assert_eq!(parent(sbt, child), Some(node));
             }
         }
     }
@@ -281,11 +267,11 @@ mod tests {
         let root = v(6, 0b010010);
         let sbt = Sbt::induced(root);
         let visited: Vec<Vertex> = sbt.bfs().map(|(n, _)| n).collect();
-        assert_eq!(visited.len() as u64, sbt.node_count());
+        assert_eq!(visited.len() as u64, node_count(sbt));
         let mut bits: Vec<u64> = visited.iter().map(|n| n.bits()).collect();
         bits.sort_unstable();
         bits.dedup();
-        assert_eq!(bits.len() as u64, sbt.node_count(), "no duplicates");
+        assert_eq!(bits.len() as u64, node_count(sbt), "no duplicates");
         for n in &visited {
             assert!(n.contains(root), "every node contains the root");
         }
@@ -315,7 +301,7 @@ mod tests {
 
     #[test]
     fn spanning_tree_covers_full_cube() {
-        let sbt = Sbt::spanning(v(4, 0b1010));
+        let sbt = spanning(v(4, 0b1010));
         let visited: Vec<u64> = sbt.bfs().map(|(n, _)| n.bits()).collect();
         assert_eq!(visited.len(), 16);
         let mut sorted = visited.clone();
@@ -336,7 +322,7 @@ mod tests {
     fn subtree_sizes_sum_to_node_count() {
         let sbt = Sbt::induced(v(5, 0b01000));
         let root_children_total: u64 = sbt.children(sbt.root()).map(|c| subtree_size(sbt, c)).sum();
-        assert_eq!(root_children_total + 1, sbt.node_count());
+        assert_eq!(root_children_total + 1, node_count(sbt));
     }
 
     #[test]
@@ -358,21 +344,21 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not a node")]
-    fn depth_of_outsider_panics() {
-        Sbt::induced(v(4, 0b0100)).depth(v(4, 0b0000));
+    fn branch_dim_of_outsider_panics() {
+        Sbt::induced(v(4, 0b0100)).branch_dim(v(4, 0b0000));
     }
 
     #[test]
     fn unit_tree() {
         let sbt = Sbt::induced(v(3, 0b111));
-        assert_eq!(sbt.node_count(), 1);
+        assert_eq!(node_count(sbt), 1);
         assert_eq!(sbt.bfs().count(), 1);
         assert_eq!(sbt.children(sbt.root()).count(), 0);
     }
 
     #[test]
     fn children_descending_dimension_order() {
-        let sbt = Sbt::spanning(v(4, 0b0000));
+        let sbt = spanning(v(4, 0b0000));
         let dims: Vec<u64> = sbt.children(sbt.root()).map(|c| c.bits()).collect();
         assert_eq!(dims, vec![0b1000, 0b0100, 0b0010, 0b0001]);
     }
@@ -384,7 +370,7 @@ mod tests {
     fn subtree_region_contains_whole_subtree() {
         for root_bits in [0b000000u64, 0b010010, 0b001001, 0b111000] {
             let root = v(6, root_bits);
-            for sbt in [Sbt::induced(root), Sbt::spanning(root)] {
+            for sbt in [Sbt::induced(root), spanning(root)] {
                 for (node, _) in sbt.bfs() {
                     let Some(via) = sbt.branch_dim(node) else {
                         continue;

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn full_cube_from_zero_root() {
         let shape = Shape::new(4).unwrap();
-        let sub = Vertex::zero(shape).subcube();
+        let sub = Vertex::from_bits(shape, 0).unwrap().subcube();
         assert_eq!(sub.len(), 16);
         assert_eq!(sub.iter().count(), 16);
     }

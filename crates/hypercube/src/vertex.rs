@@ -21,7 +21,7 @@ use crate::subcube::Subcube;
 ///
 /// let shape = Shape::new(6)?;
 /// let v = Vertex::from_bits(shape, 0b010100)?;
-/// assert_eq!(v.one_positions().collect::<Vec<_>>(), vec![2, 4]);
+/// assert_eq!(v.one_count(), 2);
 /// assert_eq!(v.zero_positions().collect::<Vec<_>>(), vec![0, 1, 3, 5]);
 /// # Ok::<(), hyperdex_hypercube::DimensionError>(())
 /// ```
@@ -43,11 +43,6 @@ impl Vertex {
         Ok(Vertex { shape, bits })
     }
 
-    /// The all-zero vertex (the root of the full hypercube).
-    pub fn zero(shape: Shape) -> Self {
-        Vertex { shape, bits: 0 }
-    }
-
     /// The raw bit pattern.
     pub const fn bits(self) -> u64 {
         self.bits
@@ -66,12 +61,6 @@ impl Vertex {
     pub fn bit(self, i: u8) -> bool {
         assert!(i < self.shape.r(), "bit index {i} out of range");
         self.bits & (1u64 << i) != 0
-    }
-
-    /// `One(u)`: the positions at which this vertex has bit one,
-    /// ascending.
-    pub fn one_positions(self) -> impl DoubleEndedIterator<Item = u8> + Clone {
-        bits::ones(self.bits)
     }
 
     /// `Zero(u)`: the positions at which this vertex has bit zero,
@@ -178,7 +167,7 @@ mod tests {
     fn paper_example_one_zero_sets() {
         // §3.1: v = 010100 → One(v) = {2,4}, Zero(v) = {0,1,3,5}.
         let vx = v(6, 0b010100);
-        assert_eq!(vx.one_positions().collect::<Vec<_>>(), vec![2, 4]);
+        assert_eq!(bits::ones(vx.bits()).collect::<Vec<_>>(), vec![2, 4]);
         assert_eq!(vx.zero_positions().collect::<Vec<_>>(), vec![0, 1, 3, 5]);
         assert_eq!(vx.one_count(), 2);
         assert_eq!(vx.zero_count(), 4);

@@ -1,7 +1,7 @@
 //! Property-based tests for the hypercube lemmas the search scheme
 //! relies on.
 
-use hyperdex_hypercube::{Sbt, Shape, Subcube, Vertex};
+use hyperdex_hypercube::{bits, Sbt, Shape, Subcube, Vertex};
 use proptest::prelude::*;
 
 /// Strategy: a shape with r in 1..=10 plus a valid vertex bit pattern.
@@ -32,8 +32,8 @@ proptest! {
     fn containment_is_subset((shape, a, b) in shape_and_two()) {
         let u = Vertex::from_bits(shape, a).unwrap();
         let w = Vertex::from_bits(shape, b).unwrap();
-        let ones_u: Vec<u8> = u.one_positions().collect();
-        let ones_w: Vec<u8> = w.one_positions().collect();
+        let ones_u: Vec<u8> = bits::ones(u.bits()).collect();
+        let ones_w: Vec<u8> = bits::ones(w.bits()).collect();
         let subset = ones_u.iter().all(|i| ones_w.contains(i));
         prop_assert_eq!(w.contains(u), subset);
     }
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn one_zero_partition((shape, bits) in shape_and_bits()) {
         let v = Vertex::from_bits(shape, bits).unwrap();
-        let mut all: Vec<u8> = v.one_positions().chain(v.zero_positions()).collect();
+        let mut all: Vec<u8> = bits::ones(v.bits()).chain(v.zero_positions()).collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..shape.r()).collect::<Vec<_>>());
     }
@@ -99,7 +99,7 @@ proptest! {
             prop_assert!(node.contains(root));
             last_depth = depth;
         }
-        prop_assert_eq!(seen.len() as u64, sbt.node_count());
+        prop_assert_eq!(seen.len() as u64, 1 << sbt.height());
     }
 
     /// Lemma 3.2: a depth-d node of the induced SBT has exactly d more
@@ -113,15 +113,17 @@ proptest! {
         }
     }
 
-    /// parent(child) == node for every tree edge; depth increments by 1.
+    /// Flipping a child's branch dimension back gives its parent for
+    /// every tree edge; depth increments by 1.
     #[test]
     fn sbt_parent_child_inverse((shape, bits) in shape_and_bits()) {
         let root = Vertex::from_bits(shape, bits).unwrap();
-        let sbt = Sbt::spanning(root);
+        let sbt = Sbt::induced(root);
         for (node, depth) in sbt.bfs() {
             for child in sbt.children(node) {
-                prop_assert_eq!(sbt.parent(child), Some(node));
-                prop_assert_eq!(sbt.depth(child), depth + 1);
+                let via = sbt.branch_dim(child).expect("a child is not the root");
+                prop_assert_eq!(child.flip(via), node);
+                prop_assert_eq!(child.hamming(root), depth + 1);
             }
         }
     }
@@ -130,12 +132,12 @@ proptest! {
     #[test]
     fn sbt_root_path((shape, a, b) in shape_and_two()) {
         let root = Vertex::from_bits(shape, a).unwrap();
-        let node = Vertex::from_bits(shape, b).unwrap();
-        let sbt = Sbt::spanning(root);
+        let node = Vertex::from_bits(shape, a | b).unwrap();
+        let sbt = Sbt::induced(root);
         let mut cur = node;
         let mut steps = 0;
-        while let Some(p) = sbt.parent(cur) {
-            cur = p;
+        while let Some(via) = sbt.branch_dim(cur) {
+            cur = cur.flip(via);
             steps += 1;
             prop_assert!(steps <= shape.r() as u32, "path too long");
         }
@@ -149,6 +151,6 @@ proptest! {
         let root = Vertex::from_bits(shape, bits).unwrap();
         let sbt = Sbt::induced(root);
         let sum: u64 = sbt.children(root).map(|c| subtree_size(sbt, c)).sum();
-        prop_assert_eq!(sum + 1, sbt.node_count());
+        prop_assert_eq!(sum + 1, 1 << sbt.height());
     }
 }

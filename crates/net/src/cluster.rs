@@ -79,13 +79,10 @@ impl ClusterConfig {
 }
 
 /// Locates the `hyperdex-server` binary when no explicit path is
-/// given: the `HYPERDEX_SERVER_BIN` environment variable, then
-/// siblings of the current executable (covers `target/<profile>/` and
-/// test binaries living one level down in `deps/`).
+/// given: a sibling of the current executable or of one of its
+/// ancestors (covers `target/<profile>/` and test binaries living one
+/// level down in `deps/`).
 pub fn server_binary() -> io::Result<PathBuf> {
-    if let Some(path) = std::env::var_os("HYPERDEX_SERVER_BIN") {
-        return Ok(PathBuf::from(path));
-    }
     let exe = std::env::current_exe()?;
     let name = format!("hyperdex-server{}", std::env::consts::EXE_SUFFIX);
     let mut dir = exe.parent();
@@ -99,7 +96,7 @@ pub fn server_binary() -> io::Result<PathBuf> {
     Err(io::Error::new(
         io::ErrorKind::NotFound,
         "hyperdex-server binary not found; build it with `cargo build -p hyperdex-net` \
-         or set HYPERDEX_SERVER_BIN",
+         or set `ClusterConfig::server_bin`",
     ))
 }
 

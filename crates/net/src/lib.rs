@@ -34,4 +34,4 @@ pub mod stream;
 pub use client::{ClientClose, NetClient, NetConfig};
 pub use cluster::{server_binary, Cluster, ClusterConfig};
 pub use server::{local_workers, server_of, ServerConfig};
-pub use stream::{StreamDecoder, Unit, CLIENT_DEST};
+pub use stream::{StreamDecoder, CLIENT_DEST};

@@ -37,13 +37,6 @@ pub fn push_unit(out: &mut Vec<u8>, dest: u32, frame: &[u8]) {
     out.extend_from_slice(frame);
 }
 
-/// Encodes one unit into a fresh buffer.
-pub fn encode_unit(dest: u32, frame: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(DEST_LEN + frame.len());
-    push_unit(&mut out, dest, frame);
-    out
-}
-
 /// Logical units in a wire packet (`[dest][frame]` back to back).
 /// Packets are built from well-formed units, so a parse failure is a
 /// bug; the count stops there (debug builds assert).
@@ -68,16 +61,6 @@ pub fn count_units(packet: &[u8]) -> u64 {
     n
 }
 
-/// One decoded unit: where it goes and the complete `WireMsg` frame
-/// (length prefix included, ready for `WireMsg::decode_exact`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Unit {
-    /// Global worker index, or [`CLIENT_DEST`].
-    pub dest: u32,
-    /// The encoded frame, byte-identical to what the sender encoded.
-    pub frame: Vec<u8>,
-}
-
 /// Bytes one [`StreamDecoder::fill_from`] call asks the kernel for
 /// when no pending unit header demands more. A server's reader hands
 /// each read's units to the worker inboxes as one packet per worker,
@@ -92,7 +75,7 @@ const READ_CHUNK: usize = 8 * 1024;
 /// Feed read fragments with [`StreamDecoder::push`] (or let the
 /// decoder read straight into its own buffer with
 /// [`StreamDecoder::fill_from`]), then drain complete units with
-/// [`StreamDecoder::next_unit`] / [`StreamDecoder::next_unit_ref`].
+/// [`StreamDecoder::next_unit_ref`].
 /// Bytes that do not yet form a complete unit stay buffered; a header
 /// that can never be valid (oversized length) surfaces as an error
 /// instead of a stall or a panic.
@@ -155,35 +138,17 @@ impl StreamDecoder {
         self.end - self.start
     }
 
-    /// Bytes of backing storage the decoder holds — what the
-    /// pre-reservation discipline bounds.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Pops the next complete unit, `Ok(None)` when more bytes are
-    /// needed.
+    /// Pops the next complete unit as its `dest` and its complete
+    /// `WireMsg` frame (length prefix included, ready for
+    /// `WireMsg::decode_exact`), `Ok(None)` when more bytes are needed.
+    /// The frame borrows the decoder's buffer and is valid until the
+    /// next mutating call.
     ///
     /// # Errors
     ///
     /// [`WireError::Oversized`] when the header announces a body larger
     /// than [`wire::MAX_BODY_LEN`] — the stream is corrupt and cannot
     /// be resynchronized.
-    pub fn next_unit(&mut self) -> Result<Option<Unit>, WireError> {
-        Ok(self.next_unit_ref()?.map(|(dest, frame)| Unit {
-            dest,
-            frame: frame.to_vec(),
-        }))
-    }
-
-    /// [`StreamDecoder::next_unit`] without the frame copy: the
-    /// returned slice borrows the decoder's buffer and is valid until
-    /// the next mutating call.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Oversized`], exactly like
-    /// [`StreamDecoder::next_unit`].
     pub fn next_unit_ref(&mut self) -> Result<Option<(u32, &[u8])>, WireError> {
         let header = DEST_LEN + wire::PREFIX_LEN;
         let pending = &self.buf[self.start..self.end];
@@ -215,7 +180,7 @@ impl StreamDecoder {
         }
         let body_len = u32::from_le_bytes(pending[DEST_LEN..header].try_into().expect("4 bytes"));
         if body_len > wire::MAX_BODY_LEN {
-            // Corrupt header: surfaces as an error from next_unit, so
+            // Corrupt header: surfaces as an error from next_unit_ref, so
             // never reserve for it.
             return None;
         }
@@ -261,17 +226,16 @@ mod tests {
     #[test]
     fn decodes_units_fed_one_byte_at_a_time() {
         let frame = WireMsg::Flush { token: 77 }.encode();
-        let unit = encode_unit(3, &frame);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, 3, &frame);
         let mut dec = StreamDecoder::new();
         for (i, b) in unit.iter().enumerate() {
             dec.push(&[*b]);
-            let got = dec.next_unit().unwrap();
+            let got = dec.next_unit_ref().unwrap();
             if i + 1 < unit.len() {
                 assert!(got.is_none(), "unit complete early at byte {i}");
             } else {
-                let got = got.expect("complete");
-                assert_eq!(got.dest, 3);
-                assert_eq!(got.frame, frame);
+                assert_eq!(got, Some((3, &frame[..])));
             }
         }
         assert_eq!(dec.buffered(), 0);
@@ -290,14 +254,14 @@ mod tests {
         let mut dec = StreamDecoder::new();
         dec.push(&stream);
         for token in 0..5u64 {
-            let unit = dec.next_unit().unwrap().expect("buffered");
-            assert_eq!(unit.dest, token as u32);
+            let (dest, frame) = dec.next_unit_ref().unwrap().expect("buffered");
+            assert_eq!(dest, token as u32);
             assert_eq!(
-                WireMsg::decode_exact(&unit.frame).unwrap(),
+                WireMsg::decode_exact(frame).unwrap(),
                 WireMsg::Flush { token }
             );
         }
-        assert!(dec.next_unit().unwrap().is_none());
+        assert!(dec.next_unit_ref().unwrap().is_none());
     }
 
     #[test]
@@ -307,13 +271,17 @@ mod tests {
         bad.extend_from_slice(&(wire::MAX_BODY_LEN + 1).to_le_bytes());
         bad.push(0);
         dec.push(&bad);
-        assert!(matches!(dec.next_unit(), Err(WireError::Oversized { .. })));
+        assert!(matches!(
+            dec.next_unit_ref(),
+            Err(WireError::Oversized { .. })
+        ));
     }
 
     #[test]
     fn compaction_does_not_lose_a_torn_unit() {
         let frame = WireMsg::Flush { token: 1 }.encode();
-        let unit = encode_unit(0, &frame);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, 0, &frame);
         let mut dec = StreamDecoder::new();
         // Thousands of whole units (forces compaction), then a torn one
         // split across pushes.
@@ -323,14 +291,74 @@ mod tests {
         }
         dec.push(&stream);
         let mut n = 0;
-        while dec.next_unit().unwrap().is_some() {
+        while dec.next_unit_ref().unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 2000);
         dec.push(&unit[..5]);
-        assert!(dec.next_unit().unwrap().is_none());
+        assert!(dec.next_unit_ref().unwrap().is_none());
         dec.push(&unit[5..]);
-        let got = dec.next_unit().unwrap().expect("reassembled");
-        assert_eq!(got.frame, frame);
+        let (_, got) = dec.next_unit_ref().unwrap().expect("reassembled");
+        assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn pre_reservation_sizes_to_the_announced_unit_not_beyond() {
+        // A torn unit whose header announces more than has arrived: the
+        // decoder pre-reserves exactly the announced unit (so the body
+        // trickling in never triggers incremental reallocation) and not a
+        // byte-ballooning multiple of it.
+        let big = WireMsg::PinResults {
+            query_id: 1,
+            objects: (0..20_000u64).collect(),
+        };
+        let frame = big.encode();
+        let mut unit = Vec::new();
+        push_unit(&mut unit, CLIENT_DEST, &frame);
+        let mut dec = StreamDecoder::new();
+        // Header plus one body byte: enough to announce the full length.
+        // The pre-reservation fires on the next write into the buffer.
+        dec.push(&unit[..9]);
+        assert!(dec.next_unit_ref().expect("no error").is_none());
+        let mut chunks = unit[9..].chunks(4096);
+        dec.push(chunks.next().expect("body bytes"));
+        let reserved = dec.buf.capacity();
+        assert!(
+            reserved >= unit.len(),
+            "decoder did not pre-reserve the announced unit ({reserved} < {})",
+            unit.len()
+        );
+        assert!(
+            reserved <= unit.len() * 2,
+            "pre-reservation over-allocated: {reserved} bytes for a {}-byte unit",
+            unit.len()
+        );
+        // Trickle the rest in; capacity must not grow past the
+        // pre-reservation (that would mean incremental reallocs).
+        for chunk in chunks {
+            dec.push(chunk);
+            assert_eq!(dec.buf.capacity(), reserved, "decoder reallocated mid-unit");
+        }
+        let (_, got) = dec.next_unit_ref().expect("well-formed").expect("complete");
+        assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn oversized_header_does_not_trigger_pre_reservation() {
+        // A corrupt header announcing an absurd body must surface as a
+        // typed error without the decoder reserving memory for it.
+        let mut bad = 0u32.to_le_bytes().to_vec();
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut dec = StreamDecoder::new();
+        dec.push(&bad);
+        assert!(
+            dec.buf.capacity() < 1024 * 1024,
+            "decoder reserved {} bytes for a corrupt header",
+            dec.buf.capacity()
+        );
+        assert!(matches!(
+            dec.next_unit_ref(),
+            Err(WireError::Oversized { .. })
+        ));
     }
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use hyperdex_core::{Error, FtCoverage, KeywordSet, ObjectId};
 use hyperdex_net::client::{NetClient, NetConfig};
-use hyperdex_net::stream::{encode_unit, StreamDecoder, CLIENT_DEST};
+use hyperdex_net::stream::{push_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::runtime::FtSearchOptions;
 use hyperdex_runtime::wire::WireMsg;
 
@@ -47,6 +47,13 @@ fn ft_done(query_id: u64, objects: Vec<(u64, u32)>) -> WireMsg {
 }
 
 /// Reads the 4-byte client hello off a fresh connection.
+/// `msg` as one unit for `dest`, the bytes a server writes.
+fn unit(dest: u32, msg: &WireMsg) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_unit(&mut out, dest, &msg.encode());
+    out
+}
+
 fn read_hello(stream: &mut TcpStream) -> u32 {
     let mut hello = [0u8; 4];
     stream.read_exact(&mut hello).expect("client hello");
@@ -111,9 +118,9 @@ fn dropped_connection_is_redialed_and_the_request_succeeds() {
             let n = second.read(&mut chunk).expect("request bytes");
             assert!(n > 0, "client hung up before asking");
             dec.push(&chunk[..n]);
-            if let Some(unit) = dec.next_unit().expect("well-formed") {
+            if let Some((_, frame)) = dec.next_unit_ref().expect("well-formed") {
                 let WireMsg::Pin { query_id, .. } =
-                    WireMsg::decode_exact(&unit.frame).expect("a pin request")
+                    WireMsg::decode_exact(frame).expect("a pin request")
                 else {
                     panic!("expected a pin request");
                 };
@@ -121,9 +128,7 @@ fn dropped_connection_is_redialed_and_the_request_succeeds() {
                     query_id,
                     objects: vec![7],
                 };
-                second
-                    .write_all(&encode_unit(CLIENT_DEST, &reply.encode()))
-                    .expect("reply");
+                second.write_all(&unit(CLIENT_DEST, &reply)).expect("reply");
                 break;
             }
         }
@@ -251,9 +256,7 @@ fn a_worker_bound_unit_at_the_client_is_a_lost_connection() {
             query_id: 1,
             objects: vec![7],
         };
-        stream
-            .write_all(&encode_unit(0, &reply.encode()))
-            .expect("reply");
+        stream.write_all(&unit(0, &reply)).expect("reply");
         // Until the client is gone: its reader left at the bad unit.
         while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
     });
@@ -287,8 +290,8 @@ fn read_ft_queries(
     let mut out = Vec::new();
     let mut chunk = [0u8; 4096];
     while out.len() < n {
-        if let Some(unit) = dec.next_unit().expect("well-formed stream") {
-            match WireMsg::decode_exact(&unit.frame).expect("decodable frame") {
+        if let Some((_, frame)) = dec.next_unit_ref().expect("well-formed stream") {
+            match WireMsg::decode_exact(frame).expect("decodable frame") {
                 WireMsg::FtQuery {
                     query_id, keywords, ..
                 } => out.push((query_id, keywords)),
@@ -317,10 +320,7 @@ fn reconnect_mid_window_reissues_on_the_fresh_connection() {
         let queries = read_ft_queries(&mut first, &mut dec, 3);
         for (id, _) in &queries[..2] {
             first
-                .write_all(&encode_unit(
-                    CLIENT_DEST,
-                    &ft_done(*id, vec![(*id, 0)]).encode(),
-                ))
+                .write_all(&unit(CLIENT_DEST, &ft_done(*id, vec![(*id, 0)])))
                 .expect("reply");
         }
         // Let the replies land before the hangup.
@@ -334,10 +334,7 @@ fn reconnect_mid_window_reissues_on_the_fresh_connection() {
         let (id, keywords) = &reissued[0];
         assert_eq!(*keywords, queries[2].1, "the unanswered search re-issues");
         second
-            .write_all(&encode_unit(
-                CLIENT_DEST,
-                &ft_done(*id, vec![(*id, 0)]).encode(),
-            ))
+            .write_all(&unit(CLIENT_DEST, &ft_done(*id, vec![(*id, 0)])))
             .expect("reply");
         // Hold the fresh socket open until the client is done.
         done_rx.recv().ok();

@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
 use hyperdex_runtime::{NodeRuntime, Request, RuntimeConfig, ShutdownReport};
@@ -94,7 +95,13 @@ fn two_processes_repeat_their_frames_and_cache_decisions() {
     assert_eq!(fingerprint(&first), fingerprint(&second));
     assert_eq!(answers, again);
 
-    let cache = first.cache();
+    let mut cache = CacheCounters::default();
+    for w in &first.workers {
+        cache.hits += w.cache_hits;
+        cache.misses += w.cache_misses;
+        cache.coalesced += w.cache_coalesced;
+        cache.stale += w.cache_stale;
+    }
     assert_eq!(
         cache.hits + cache.coalesced + cache.misses + cache.stale,
         requests.len() as u64,

@@ -10,7 +10,7 @@
 use std::sync::mpsc::sync_channel;
 
 use hyperdex_core::KeywordSet;
-use hyperdex_net::stream::{encode_unit, push_unit, StreamDecoder, CLIENT_DEST};
+use hyperdex_net::stream::{push_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::wire::{exemplars, insert_frame, WireError, WireMsg};
 use hyperdex_runtime::{Fabric, PacketPool};
 
@@ -18,28 +18,29 @@ use hyperdex_runtime::{Fabric, PacketPool};
 fn every_variant_survives_every_split_point() {
     for (dest, msg) in exemplars().into_iter().enumerate() {
         let frame = msg.encode();
-        let unit = encode_unit(dest as u32, &frame);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, dest as u32, &frame);
         for split in 0..=unit.len() {
             let mut dec = StreamDecoder::new();
             dec.push(&unit[..split]);
-            if let Ok(Some(early)) = dec.next_unit() {
+            if let Ok(Some((_, early))) = dec.next_unit_ref() {
                 assert_eq!(
                     split,
                     unit.len(),
                     "unit completed early at split {split} for {msg:?}"
                 );
-                assert_eq!(early.frame, frame);
+                assert_eq!(early, frame);
                 continue;
             }
             dec.push(&unit[split..]);
-            let got = dec
-                .next_unit()
+            let (got_dest, got_frame) = dec
+                .next_unit_ref()
                 .expect("well-formed unit")
                 .expect("complete after both halves");
-            assert_eq!(got.dest, dest as u32, "dest mangled at split {split}");
-            assert_eq!(got.frame, frame, "frame mangled at split {split}");
+            assert_eq!(got_dest, dest as u32, "dest mangled at split {split}");
+            assert_eq!(got_frame, frame, "frame mangled at split {split}");
             assert_eq!(
-                WireMsg::decode_exact(&got.frame).expect("decodable"),
+                WireMsg::decode_exact(got_frame).expect("decodable"),
                 msg,
                 "decode diverged at split {split}"
             );
@@ -65,14 +66,15 @@ fn non_canonical_keyword_frames_survive_every_split_point() {
     ];
     for fields in spellings {
         let frame = insert_frame(fields);
-        let unit = encode_unit(3, &frame);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, 3, &frame);
         for split in 0..=unit.len() {
             let mut dec = StreamDecoder::new();
             dec.push(&unit[..split]);
             dec.push(&unit[split..]);
-            let got = dec.next_unit().expect("well-formed").expect("complete");
-            assert_eq!(got.frame, frame, "frame mangled at split {split}");
-            assert_eq!(WireMsg::decode_exact(&got.frame).as_ref(), Ok(&expect));
+            let (_, got) = dec.next_unit_ref().expect("well-formed").expect("complete");
+            assert_eq!(got, frame, "frame mangled at split {split}");
+            assert_eq!(WireMsg::decode_exact(got).as_ref(), Ok(&expect));
             assert_eq!(dec.buffered(), 0);
         }
     }
@@ -85,10 +87,15 @@ fn non_canonical_keyword_frames_survive_every_split_point() {
     torn[..4].copy_from_slice(&((last - 4) as u32).to_le_bytes());
     let at = 4 + 1 + 8 + 2;
     torn[at..at + 2].copy_from_slice(&5u16.to_le_bytes());
+    let mut unit = Vec::new();
+    push_unit(&mut unit, 0, &torn);
     let mut dec = StreamDecoder::new();
-    dec.push(&encode_unit(0, &torn));
-    let unit = dec.next_unit().expect("framing intact").expect("complete");
-    assert_eq!(WireMsg::decode_exact(&unit.frame), Err(WireError::BadUtf8));
+    dec.push(&unit);
+    let (_, frame) = dec
+        .next_unit_ref()
+        .expect("framing intact")
+        .expect("complete");
+    assert_eq!(WireMsg::decode_exact(frame), Err(WireError::BadUtf8));
 }
 
 #[test]
@@ -102,9 +109,9 @@ fn whole_conversation_fed_one_byte_at_a_time() {
     let mut got = Vec::new();
     for byte in stream {
         dec.push(&[byte]);
-        while let Some(unit) = dec.next_unit().expect("well-formed stream") {
-            assert_eq!(unit.dest, CLIENT_DEST);
-            got.push(WireMsg::decode_exact(&unit.frame).expect("decodable"));
+        while let Some((dest, frame)) = dec.next_unit_ref().expect("well-formed stream") {
+            assert_eq!(dest, CLIENT_DEST);
+            got.push(WireMsg::decode_exact(frame).expect("decodable"));
         }
     }
     assert_eq!(got, msgs);
@@ -122,13 +129,17 @@ fn trailing_garbage_inside_a_frame_is_a_typed_error() {
         padded.push(0xAA);
         let body_len = (padded.len() - 4) as u32;
         padded[..4].copy_from_slice(&body_len.to_le_bytes());
-        let unit_bytes = encode_unit(0, &padded);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, 0, &padded);
         let mut dec = StreamDecoder::new();
-        dec.push(&unit_bytes);
-        let unit = dec.next_unit().expect("framing intact").expect("complete");
+        dec.push(&unit);
+        let (_, frame) = dec
+            .next_unit_ref()
+            .expect("framing intact")
+            .expect("complete");
         assert!(
             matches!(
-                WireMsg::decode_exact(&unit.frame),
+                WireMsg::decode_exact(frame),
                 Err(WireError::TrailingGarbage { extra: 1 })
             ),
             "padded {msg:?} did not report trailing garbage"
@@ -154,10 +165,10 @@ fn garbage_headers_error_or_wait_but_never_panic() {
         let mut dec = StreamDecoder::new();
         dec.push(&soup);
         for _ in 0..len + 1 {
-            match dec.next_unit() {
-                Ok(Some(unit)) => {
+            match dec.next_unit_ref() {
+                Ok(Some((_, frame))) => {
                     // Frame-level decode may fail; it must not panic.
-                    let _ = WireMsg::decode_exact(&unit.frame);
+                    let _ = WireMsg::decode_exact(frame);
                 }
                 Ok(None) => break,
                 Err(WireError::Oversized { .. }) => break,
@@ -171,10 +182,15 @@ fn garbage_headers_error_or_wait_but_never_panic() {
         frame.push(0);
         frame.extend_from_slice(&17u64.to_le_bytes());
         frame.extend_from_slice(&soup);
+        let mut unit = Vec::new();
+        push_unit(&mut unit, 0, &frame);
         let mut dec = StreamDecoder::new();
-        dec.push(&encode_unit(0, &frame));
-        let unit = dec.next_unit().expect("framing intact").expect("complete");
-        if let Ok(msg) = WireMsg::decode_exact(&unit.frame) {
+        dec.push(&unit);
+        let (_, frame) = dec
+            .next_unit_ref()
+            .expect("framing intact")
+            .expect("complete");
+        if let Ok(msg) = WireMsg::decode_exact(frame) {
             assert_eq!(WireMsg::decode_exact(&msg.encode()), Ok(msg));
         }
     }
@@ -195,9 +211,9 @@ fn coalesced_multi_unit_packets_survive_every_split_point() {
         let mut got = Vec::new();
         for half in [&packet[..split], &packet[split..]] {
             dec.push(half);
-            while let Some(unit) = dec.next_unit().expect("well-formed packet") {
-                assert_eq!(unit.dest, got.len() as u32, "dest order at split {split}");
-                got.push(WireMsg::decode_exact(&unit.frame).expect("decodable"));
+            while let Some((dest, frame)) = dec.next_unit_ref().expect("well-formed packet") {
+                assert_eq!(dest, got.len() as u32, "dest order at split {split}");
+                got.push(WireMsg::decode_exact(frame).expect("decodable"));
             }
         }
         assert_eq!(got, msgs, "unit set diverged at split {split}");
@@ -230,67 +246,11 @@ fn a_socket_lanes_packet_is_the_unit_stream_the_decoder_reads() {
     let mut dec = StreamDecoder::new();
     dec.push(&packet);
     for (i, msg) in exemplars().iter().enumerate() {
-        let unit = dec.next_unit().expect("well-formed").expect("buffered");
-        assert_eq!(unit.dest, [5, CLIENT_DEST][i % 2]);
-        assert_eq!(WireMsg::decode_exact(&unit.frame).as_ref(), Ok(msg));
+        let (dest, frame) = dec.next_unit_ref().expect("well-formed").expect("buffered");
+        assert_eq!(dest, [5, CLIENT_DEST][i % 2]);
+        assert_eq!(WireMsg::decode_exact(frame).as_ref(), Ok(msg));
     }
     assert_eq!(dec.buffered(), 0, "the packet ends on a unit boundary");
-}
-
-#[test]
-fn pre_reservation_sizes_to_the_announced_unit_not_beyond() {
-    // A torn unit whose header announces more than has arrived: the
-    // decoder pre-reserves exactly the announced unit (so the body
-    // trickling in never triggers incremental reallocation) and not a
-    // byte-ballooning multiple of it.
-    let big = WireMsg::PinResults {
-        query_id: 1,
-        objects: (0..20_000u64).collect(),
-    };
-    let frame = big.encode();
-    let unit = encode_unit(CLIENT_DEST, &frame);
-    let mut dec = StreamDecoder::new();
-    // Header plus one body byte: enough to announce the full length.
-    // The pre-reservation fires on the next write into the buffer.
-    dec.push(&unit[..9]);
-    assert!(dec.next_unit().expect("no error").is_none());
-    let mut chunks = unit[9..].chunks(4096);
-    dec.push(chunks.next().expect("body bytes"));
-    let reserved = dec.capacity();
-    assert!(
-        reserved >= unit.len(),
-        "decoder did not pre-reserve the announced unit ({reserved} < {})",
-        unit.len()
-    );
-    assert!(
-        reserved <= unit.len() * 2,
-        "pre-reservation over-allocated: {reserved} bytes for a {}-byte unit",
-        unit.len()
-    );
-    // Trickle the rest in; capacity must not grow past the
-    // pre-reservation (that would mean incremental reallocs).
-    for chunk in chunks {
-        dec.push(chunk);
-        assert_eq!(dec.capacity(), reserved, "decoder reallocated mid-unit");
-    }
-    let got = dec.next_unit().expect("well-formed").expect("complete");
-    assert_eq!(got.frame, frame);
-}
-
-#[test]
-fn oversized_header_does_not_trigger_pre_reservation() {
-    // A corrupt header announcing an absurd body must surface as a
-    // typed error without the decoder reserving memory for it.
-    let mut bad = 0u32.to_le_bytes().to_vec();
-    bad.extend_from_slice(&u32::MAX.to_le_bytes());
-    let mut dec = StreamDecoder::new();
-    dec.push(&bad);
-    assert!(
-        dec.capacity() < 1024 * 1024,
-        "decoder reserved {} bytes for a corrupt header",
-        dec.capacity()
-    );
-    assert!(matches!(dec.next_unit(), Err(WireError::Oversized { .. })));
 }
 
 #[test]
@@ -311,8 +271,8 @@ fn fill_from_reads_straight_into_the_decoder() {
         if n == 0 {
             break;
         }
-        while let Some(unit) = dec.next_unit().expect("well-formed stream") {
-            got.push(WireMsg::decode_exact(&unit.frame).expect("decodable"));
+        while let Some((_, frame)) = dec.next_unit_ref().expect("well-formed stream") {
+            got.push(WireMsg::decode_exact(frame).expect("decodable"));
         }
     }
     assert_eq!(got, msgs);

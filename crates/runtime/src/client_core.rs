@@ -28,7 +28,7 @@
 //! always folds its epoch into the marks; a reply under an id nobody
 //! awaits — the completion of a request that timed out, of an FT
 //! attempt the client gave up on, the ack of an abandoned barrier — is
-//! dropped and counted ([`ClientCore::stale_replies`]), so a request
+//! dropped, so a request
 //! issued after an [`Error::Timeout`] is safe; and a frame kind no
 //! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
@@ -181,8 +181,6 @@ pub struct ClientCore<L> {
     next_id: u64,
     /// Per worker: the highest write epoch a `FlushAck` carried.
     marks: Vec<u64>,
-    /// Replies dropped because nobody awaited their id.
-    stale_replies: u64,
 }
 
 /// What a reply carries besides its id: matches (a pin's are exact, so
@@ -209,14 +207,7 @@ impl<L: ClientLink> ClientCore<L> {
             request_timeout,
             next_id: 0,
             marks: vec![0; shards.workers() as usize],
-            stale_replies: 0,
         }
-    }
-
-    /// Replies dropped because no request awaited their id any more
-    /// (it timed out, or its FT attempt was abandoned).
-    pub fn stale_replies(&self) -> u64 {
-        self.stale_replies
     }
 
     /// The keyword → vertex hash the cluster shares.
@@ -661,9 +652,9 @@ impl<L: ClientLink> ClientCore<L> {
                     });
                 }
             };
-            match claim(id) {
-                Some(kept) => return Ok(Some((kept, Reply { matches, coverage }))),
-                None => self.stale_replies += 1,
+            // A reply no request awaits any more is dropped.
+            if let Some(kept) = claim(id) {
+                return Ok(Some((kept, Reply { matches, coverage })));
             }
         }
         Ok(None)

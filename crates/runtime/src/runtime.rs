@@ -87,7 +87,6 @@ use std::sync::mpsc::{
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
 
 use crate::client_core::{ClientCore, ClientLink};
@@ -136,12 +135,6 @@ impl RuntimeConfig {
     /// Overrides the seed.
     pub fn seed(mut self, seed: u64) -> RuntimeConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the per-inbox channel bound.
-    pub fn channel_capacity(mut self, frames: usize) -> RuntimeConfig {
-        self.channel_capacity = frames.max(1);
         self
     }
 
@@ -206,16 +199,6 @@ impl ShutdownReport {
     /// Extra copies the injector delivered.
     pub fn total_duplicated(&self) -> u64 {
         self.workers.iter().map(|w| w.frames_duplicated).sum()
-    }
-
-    /// What the workers' result caches did with the superset queries
-    /// they saw, summed over workers.
-    pub fn cache(&self) -> CacheCounters {
-        let mut total = CacheCounters::default();
-        for w in &self.workers {
-            total += w.cache();
-        }
-        total
     }
 
     /// Frames unaccounted for after every thread exited. The
@@ -811,8 +794,11 @@ mod tests {
     fn tiny_channels_still_complete_under_backpressure() {
         // Capacity 1 forces constant try_send rejections; the outbox
         // discipline must still deliver everything.
-        let mut rt =
-            NodeRuntime::start(RuntimeConfig::new(8, 4).seed(3).channel_capacity(1)).unwrap();
+        let mut rt = NodeRuntime::start(RuntimeConfig {
+            channel_capacity: 1,
+            ..RuntimeConfig::new(8, 4).seed(3)
+        })
+        .unwrap();
         for i in 0..200u64 {
             rt.insert(oid(i), set(&format!("common tag{}", i % 5)))
                 .unwrap();

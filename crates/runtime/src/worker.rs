@@ -227,17 +227,6 @@ counter_record! {
 }
 
 impl WorkerStats {
-    /// The result cache's share of the counters.
-    pub fn cache(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.cache_hits,
-            misses: self.cache_misses,
-            coalesced: self.cache_coalesced,
-            stale: self.cache_stale,
-            evictions: self.cache_evictions,
-        }
-    }
-
     /// Adds `cache`'s counts to the result cache's share.
     fn add_cache(&mut self, cache: CacheCounters) {
         self.cache_hits += cache.hits;

@@ -146,7 +146,7 @@ fn quick(attempts: u32) -> FtSearchOptions {
 }
 
 #[test]
-fn stale_replies_are_dropped_and_counted_by_every_wait() {
+fn stale_replies_are_dropped_by_every_wait() {
     // Nobody answers the first pin in time. Its reply then lands ahead
     // of the replies to every later burst, and with it the completion
     // of an FT attempt the client abandoned.
@@ -164,14 +164,12 @@ fn stale_replies_are_dropped_and_counted_by_every_wait() {
         c.pin_search(&set("slow")),
         Err(Error::Timeout { .. })
     ));
-    assert_eq!(c.stale_replies(), 0);
     // Every canned reply carries its query id as the object: the
     // second pin (id 2) gets its own, not the first one's.
     assert_eq!(
         c.pin_search(&set("next")).unwrap(),
         vec![ObjectId::from_raw(2)]
     );
-    assert_eq!(c.stale_replies(), 2);
     assert_eq!(c.superset_search(&set("a"), 5).unwrap()[0].object.raw(), 3);
     c.flush().unwrap();
 
@@ -190,7 +188,6 @@ fn stale_replies_are_dropped_and_counted_by_every_wait() {
         .superset_search_ft_batch(&[set("one"), set("two")], 16, &quick(3), 2)
         .unwrap();
     assert!(out.iter().all(|o| o.complete && o.attempts == 1));
-    assert_eq!(c.stale_replies(), 10, "two ahead of each of five bursts");
     assert_eq!(c.into_link().shipped.len(), 11, "nothing was re-issued");
 }
 

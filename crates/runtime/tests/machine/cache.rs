@@ -23,7 +23,7 @@ use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::mesh::{decode_all, Mesh, MeshRuntime};
-use crate::{match_ids, set, SEED};
+use crate::{match_ids, report_cache, set, worker_cache, SEED};
 
 /// The scripts' cube: small, so one word's subcube is most of it.
 const RIG_R: u8 = 6;
@@ -81,7 +81,7 @@ fn a_repeated_query_is_admitted_once_on_its_roots_owner() {
         }
         let report = rt.shutdown();
         report.assert_conserved();
-        let cache = report.cache();
+        let cache = report_cache(&report);
         assert_eq!(
             cache.hits + cache.coalesced + cache.misses + cache.stale,
             requests.len() as u64,
@@ -662,7 +662,10 @@ fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_f
         (3, 1),
         "the coordinator must have answered from an entry the victim stamped: {at_coordinator:?}"
     );
-    assert_eq!(clean.workers[victim as usize].cache(), Default::default());
+    assert_eq!(
+        worker_cache(&clean.workers[victim as usize]),
+        Default::default()
+    );
 
     // Where the trigger falls: every frame the victim receives up to
     // it is a load frame, one of two barriers (ours and shutdown's),
@@ -717,7 +720,7 @@ fn an_answer_longer_than_the_item_bound_is_shared_but_not_kept() {
     for _ in 0..4 {
         assert_eq!(rt.superset_search(&big, 20).unwrap().len(), 20);
     }
-    let cache = rt.shutdown().cache();
+    let cache = report_cache(&rt.shutdown());
     // Exhaustive: four walks, nothing kept. Thresholded: the query is
     // long since sighted, so the first reserves and fills, three hit.
     assert_eq!(

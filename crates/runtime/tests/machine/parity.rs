@@ -16,7 +16,7 @@ use hyperdex_runtime::{FtSearchOptions, Request, RuntimeConfig, ShutdownReport};
 use hyperdex_simnet::LatencyModel;
 
 use crate::mesh::MeshRuntime;
-use crate::{ids, match_ids, workload, R, SEED};
+use crate::{ids, match_ids, report_cache, workload, R, SEED};
 
 /// Worker counts under test.
 const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -189,7 +189,7 @@ fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
             }
             let report = rt.shutdown();
             report.assert_conserved();
-            let cache = report.cache();
+            let cache = report_cache(&report);
             assert_eq!(
                 cache.hits + cache.coalesced,
                 0,

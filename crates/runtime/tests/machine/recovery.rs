@@ -14,7 +14,7 @@ use hyperdex_runtime::{FaultPlan, FtSearchOptions, RuntimeConfig, RuntimeMatch, 
 use hyperdex_simnet::LatencyModel;
 
 use crate::mesh::{Mesh, MeshRuntime};
-use crate::{loaded_faulted, match_ids, oid, set, CORPUS, R, SEED, UNDER_A};
+use crate::{loaded_faulted, match_ids, oid, set, worker_cache, CORPUS, R, SEED, UNDER_A};
 
 /// The matrix: every worker count under every fault mode.
 const WORKER_COUNTS: [u32; 3] = [2, 4, 8];
@@ -247,7 +247,7 @@ fn a_machine_built_from_its_predecessors_log_is_its_predecessor() {
     assert!(mesh.replies().is_empty());
     let after = mesh.stats(0);
     assert_eq!((after.respawns, after.replayed_frames), (1, 9));
-    assert_eq!(after.cache(), before.cache());
+    assert_eq!(worker_cache(&after), worker_cache(&before));
     assert_eq!(after.inserts, before.inserts + 9, "the late one too");
     assert_eq!(after.frames_received, before.frames_received + 1);
     assert_eq!(after.frames_dropped, before.frames_dropped + 1);

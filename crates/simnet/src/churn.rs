@@ -1,7 +1,7 @@
 //! Membership churn schedules: seeded join/leave/crash plans.
 //!
 //! Where [`crate::fault::FaultPlan`] describes *availability* (an endpoint
-//! that is temporarily or permanently silent), a [`ChurnPlan`] describes
+//! that is silent for good), a [`ChurnPlan`] describes
 //! *membership*: nodes that arrive and depart, changing who owns which
 //! slice of the key space. The paper's one-node insert/delete claim
 //! (§3.2) only matters if the index survives such movement; the churn

@@ -131,11 +131,6 @@ impl<E> EventQueue<E> {
     pub fn peek_due(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.due)
     }
-
-    /// Drops every pending event, leaving the clock unchanged.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -195,15 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule_at(tick(1), ());
         q.schedule_at(tick(2), ());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

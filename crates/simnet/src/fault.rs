@@ -1,43 +1,32 @@
-//! Fault injection: endpoint crash/recovery schedules and message loss.
+//! Fault injection: endpoint crashes and message loss.
 //!
 //! §3.4 of the paper argues that the hypercube scheme tolerates node
 //! failures because a keyword is spread over many index nodes. The
 //! fault-tolerance experiments drive that claim through this module.
 
-use std::collections::BTreeMap;
-
 use crate::net::EndpointId;
 use crate::rng::SimRng;
-use crate::time::SimTime;
 
-/// A schedule of endpoint outages plus an optional uniform message-drop
+/// A set of crashed endpoints plus an optional uniform message-drop
 /// probability.
 ///
-/// Outages are half-open intervals `[from, until)` during which the
-/// endpoint neither receives nor emits messages. Multiple outages for
-/// one endpoint may overlap or nest arbitrarily; the endpoint is down
-/// whenever *any* scheduled interval covers the instant (interval
-/// union, not last-transition-wins — overlapping windows used to
-/// truncate each other).
+/// A crashed endpoint neither receives nor emits messages, and never
+/// recovers.
 ///
 /// # Example
 ///
 /// ```
 /// use hyperdex_simnet::fault::FaultPlan;
 /// use hyperdex_simnet::net::EndpointId;
-/// use hyperdex_simnet::time::SimTime;
 ///
 /// let ep = EndpointId::from_raw(3);
 /// let mut plan = FaultPlan::new();
-/// plan.outage(ep, SimTime::from_ticks(10), SimTime::from_ticks(20));
-/// assert!(plan.is_up(ep, SimTime::from_ticks(5)));
-/// assert!(!plan.is_up(ep, SimTime::from_ticks(15)));
-/// assert!(plan.is_up(ep, SimTime::from_ticks(20)));
+/// assert!(plan.is_up(ep));
+/// plan.kill(ep);
+/// assert!(!plan.is_up(ep));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    // endpoint -> outage intervals `[from, until)`, in insertion order.
-    outages: BTreeMap<EndpointId, Vec<(SimTime, SimTime)>>,
     drop_probability: f64,
     permanently_down: Vec<EndpointId>,
 }
@@ -46,16 +35,6 @@ impl FaultPlan {
     /// Creates an empty plan: every endpoint up, no message loss.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Schedules an outage for `ep` over `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= until`.
-    pub fn outage(&mut self, ep: EndpointId, from: SimTime, until: SimTime) {
-        assert!(from < until, "outage interval must be non-empty");
-        self.outages.entry(ep).or_default().push((from, until));
     }
 
     /// Marks `ep` as crashed forever (never recovers).
@@ -76,17 +55,9 @@ impl FaultPlan {
         self.drop_probability = p;
     }
 
-    /// Whether `ep` is alive at instant `now`.
-    pub fn is_up(&self, ep: EndpointId, now: SimTime) -> bool {
-        if self.permanently_down.contains(&ep) {
-            return false;
-        }
-        match self.outages.get(&ep) {
-            None => true,
-            Some(windows) => !windows
-                .iter()
-                .any(|&(from, until)| from <= now && now < until),
-        }
+    /// Whether `ep` is alive.
+    pub fn is_up(&self, ep: EndpointId) -> bool {
+        !self.permanently_down.contains(&ep)
     }
 
     /// Decides whether a message sent at `now` should be dropped.
@@ -95,11 +66,6 @@ impl FaultPlan {
     /// network separately checks that the *destination* is up on delivery.
     pub fn should_drop(&self, rng: &mut SimRng) -> bool {
         self.drop_probability > 0.0 && rng.chance(self.drop_probability)
-    }
-
-    /// Returns the list of endpoints marked permanently down.
-    pub fn killed(&self) -> &[EndpointId] {
-        &self.permanently_down
     }
 }
 
@@ -111,84 +77,11 @@ mod tests {
         EndpointId::from_raw(n)
     }
 
-    fn t(n: u64) -> SimTime {
-        SimTime::from_ticks(n)
-    }
-
     #[test]
     fn default_everything_up() {
         let plan = FaultPlan::new();
-        assert!(plan.is_up(ep(0), t(0)));
-        assert!(plan.is_up(ep(99), t(1_000_000)));
-    }
-
-    #[test]
-    fn outage_interval_half_open() {
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(20));
-        assert!(plan.is_up(ep(1), t(9)));
-        assert!(!plan.is_up(ep(1), t(10)));
-        assert!(!plan.is_up(ep(1), t(19)));
-        assert!(plan.is_up(ep(1), t(20)));
-    }
-
-    #[test]
-    fn multiple_outages_for_one_endpoint() {
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(20));
-        plan.outage(ep(1), t(30), t(40));
-        assert!(plan.is_up(ep(1), t(25)));
-        assert!(!plan.is_up(ep(1), t(35)));
-        assert!(plan.is_up(ep(1), t(45)));
-    }
-
-    #[test]
-    fn overlapping_outages_union() {
-        // [10,30) and [20,40) must union to [10,40): the transition
-        // representation used to report `up` at t=35 because the first
-        // window's recovery at t=30 was the last transition seen.
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(30));
-        plan.outage(ep(1), t(20), t(40));
-        assert!(plan.is_up(ep(1), t(9)));
-        assert!(!plan.is_up(ep(1), t(15)));
-        assert!(!plan.is_up(ep(1), t(25)));
-        assert!(!plan.is_up(ep(1), t(30)));
-        assert!(!plan.is_up(ep(1), t(35)));
-        assert!(plan.is_up(ep(1), t(40)));
-    }
-
-    #[test]
-    fn nested_outages_union() {
-        // [10,50) fully contains [20,30); the inner recovery must not
-        // puncture the outer window.
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(50));
-        plan.outage(ep(1), t(20), t(30));
-        assert!(!plan.is_up(ep(1), t(30)));
-        assert!(!plan.is_up(ep(1), t(49)));
-        assert!(plan.is_up(ep(1), t(50)));
-    }
-
-    #[test]
-    fn identical_outages_are_idempotent() {
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(20));
-        plan.outage(ep(1), t(10), t(20));
-        assert!(!plan.is_up(ep(1), t(15)));
-        assert!(plan.is_up(ep(1), t(20)));
-    }
-
-    #[test]
-    fn touching_outages_cover_boundary() {
-        // [10,20) followed by [20,30): down for all of [10,30).
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(10), t(20));
-        plan.outage(ep(1), t(20), t(30));
-        assert!(!plan.is_up(ep(1), t(19)));
-        assert!(!plan.is_up(ep(1), t(20)));
-        assert!(!plan.is_up(ep(1), t(29)));
-        assert!(plan.is_up(ep(1), t(30)));
+        assert!(plan.is_up(ep(0)));
+        assert!(plan.is_up(ep(99)));
     }
 
     #[test]
@@ -196,22 +89,9 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.kill(ep(2));
         plan.kill(ep(2)); // idempotent
-        assert!(!plan.is_up(ep(2), t(0)));
-        assert!(!plan.is_up(ep(2), t(u64::MAX)));
-        assert_eq!(plan.killed(), &[ep(2)]);
-    }
-
-    #[test]
-    fn outage_does_not_affect_other_endpoints() {
-        let mut plan = FaultPlan::new();
-        plan.outage(ep(1), t(0), t(100));
-        assert!(plan.is_up(ep(2), t(50)));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_outage_panics() {
-        FaultPlan::new().outage(ep(1), t(10), t(10));
+        assert!(!plan.is_up(ep(2)));
+        assert!(plan.is_up(ep(1)));
+        assert_eq!(plan.permanently_down, [ep(2)]);
     }
 
     #[test]

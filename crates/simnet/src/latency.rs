@@ -51,18 +51,6 @@ impl LatencyModel {
         LatencyModel::Uniform { lo, hi }
     }
 
-    /// Convenience constructor for [`LatencyModel::Pareto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape <= 0`, `scale == 0`, or `cap < scale`.
-    pub fn pareto(scale: u64, shape: f64, cap: u64) -> Self {
-        assert!(shape > 0.0, "pareto shape must be positive");
-        assert!(scale > 0, "pareto scale must be positive");
-        assert!(cap >= scale, "pareto cap must be at least the scale");
-        LatencyModel::Pareto { scale, shape, cap }
-    }
-
     /// Samples a latency for one message.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         let ticks = match *self {
@@ -126,7 +114,11 @@ mod tests {
 
     #[test]
     fn pareto_bounded_by_scale_and_cap() {
-        let m = LatencyModel::pareto(10, 2.0, 500);
+        let m = LatencyModel::Pareto {
+            scale: 10,
+            shape: 2.0,
+            cap: 500,
+        };
         let mut rng = SimRng::new(4);
         for _ in 0..2000 {
             let t = m.sample(&mut rng).ticks();
@@ -136,18 +128,16 @@ mod tests {
 
     #[test]
     fn pareto_has_tail() {
-        let m = LatencyModel::pareto(10, 1.2, 10_000);
+        let m = LatencyModel::Pareto {
+            scale: 10,
+            shape: 1.2,
+            cap: 10_000,
+        };
         let mut rng = SimRng::new(5);
         let slow = (0..5000)
             .filter(|_| m.sample(&mut rng).ticks() > 100)
             .count();
         assert!(slow > 0, "expected at least one slow sample");
-    }
-
-    #[test]
-    #[should_panic(expected = "shape")]
-    fn pareto_bad_shape_panics() {
-        LatencyModel::pareto(1, 0.0, 10);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`fault`] — crash/recovery schedules and probabilistic message loss.
 //! * [`churn`] — seeded membership-change schedules (joins, graceful
 //!   leaves, crashes) for the index handoff and repair experiments.
-//! * [`metrics`] — counters and histograms used by the experiment harness.
+//! * [`metrics`] — counters used by the experiment harness.
 //!
 //! # Example
 //!
@@ -57,7 +57,7 @@ pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnPlan};
 pub use event::EventQueue;
 pub use fault::FaultPlan;
 pub use latency::LatencyModel;
-pub use metrics::{Counter, Histogram, NetMetrics};
+pub use metrics::{Counter, NetMetrics};
 pub use net::{EndpointId, Network};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -183,11 +183,6 @@ impl<M, T> Network<M, T> {
         id
     }
 
-    /// Number of registered endpoints.
-    pub fn endpoint_count(&self) -> u64 {
-        self.endpoints
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
@@ -212,14 +207,9 @@ impl<M, T> Network<M, T> {
         &mut self.faults
     }
 
-    /// Read access to the fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Whether `ep` is currently alive under the fault plan.
     pub fn is_up(&self, ep: EndpointId) -> bool {
-        self.faults.is_up(ep, self.now())
+        self.faults.is_up(ep)
     }
 
     /// Sends `payload` from `from` to `to`.
@@ -248,7 +238,7 @@ impl<M, T> Network<M, T> {
             to,
         });
         // A dead sender cannot emit; the message silently vanishes.
-        if !self.faults.is_up(from, self.now()) || self.faults.should_drop(&mut self.rng) {
+        if !self.faults.is_up(from) || self.faults.should_drop(&mut self.rng) {
             self.metrics.messages_dropped.incr();
             self.trace.record(TraceEvent {
                 at: self.now(),
@@ -314,7 +304,7 @@ impl<M, T> Network<M, T> {
                         continue;
                     }
                     self.live_timers.remove(&id);
-                    if !self.faults.is_up(owner, at) {
+                    if !self.faults.is_up(owner) {
                         continue;
                     }
                     self.metrics.timers_fired.incr();
@@ -332,7 +322,7 @@ impl<M, T> Network<M, T> {
                     }));
                 }
                 Queued::Message(msg) => {
-                    if !self.faults.is_up(msg.to, at) {
+                    if !self.faults.is_up(msg.to) {
                         self.metrics.messages_dropped.incr();
                         self.trace.record(TraceEvent {
                             at,
@@ -364,11 +354,6 @@ impl<M, T> Network<M, T> {
     /// Number of messages currently in flight (excludes pending timers).
     pub fn in_flight(&self) -> usize {
         self.queue.len() - self.live_timers.len() - self.cancelled_timers.len()
-    }
-
-    /// Number of timers scheduled but not yet fired or cancelled.
-    pub fn pending_timers(&self) -> usize {
-        self.live_timers.len()
     }
 }
 
@@ -447,43 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn outage_expires() {
-        let (mut n, a, b) = net(LatencyModel::constant(5));
-        n.faults_mut()
-            .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(3));
-        // Delivered at t=5, after the outage ends.
-        n.send(a, b, 9);
-        let d = next_delivery(&mut n).unwrap();
-        assert_eq!(d.payload, 9);
-    }
-
-    #[test]
-    fn recovery_exactly_at_delivery_tick() {
-        // Outage is [0,5) and the message arrives at exactly t=5: the
-        // half-open interval means the endpoint is back up, so the
-        // message must be delivered, not dropped.
-        let (mut n, a, b) = net(LatencyModel::constant(5));
-        n.faults_mut()
-            .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(5));
-        n.send(a, b, 9);
-        let d = next_delivery(&mut n).expect("delivered at the recovery instant");
-        assert_eq!(d.at, SimTime::from_ticks(5));
-        assert_eq!(n.metrics().messages_dropped.get(), 0);
-    }
-
-    #[test]
-    fn outage_covering_delivery_tick_drops() {
-        // Same shape but the outage is [0,6): at t=5 the endpoint is
-        // still down, so the message is dropped.
-        let (mut n, a, b) = net(LatencyModel::constant(5));
-        n.faults_mut()
-            .outage(b, SimTime::from_ticks(0), SimTime::from_ticks(6));
-        n.send(a, b, 9);
-        assert!(next_delivery(&mut n).is_none());
-        assert_eq!(n.metrics().messages_dropped.get(), 1);
-    }
-
-    #[test]
     fn lossy_link_drops_fraction() {
         let (mut n, a, b) = net(LatencyModel::constant(1));
         n.faults_mut().set_drop_probability(0.5);
@@ -528,7 +476,7 @@ mod tests {
     fn add_endpoint_registers_in_order() {
         let mut n: Network<()> = Network::new(LatencyModel::default(), 1);
         let eps: Vec<EndpointId> = (0..5).map(|_| n.add_endpoint()).collect();
-        assert_eq!(n.endpoint_count(), 5);
+        assert_eq!(n.endpoints, 5);
         assert!(eps.windows(2).all(|w| w[0] < w[1]));
     }
 }
@@ -588,7 +536,7 @@ mod timer_tests {
         assert!(n.step_event().is_none());
         assert_eq!(n.metrics().timers_cancelled.get(), 1);
         assert_eq!(n.metrics().timers_fired.get(), 0);
-        assert_eq!(n.pending_timers(), 0);
+        assert_eq!(n.live_timers.len(), 0);
     }
 
     #[test]
@@ -604,8 +552,7 @@ mod timer_tests {
     fn dead_owner_timer_is_suppressed() {
         let (mut n, a, _) = net();
         n.set_timer(a, SimDuration::from_ticks(4), 0);
-        n.faults_mut()
-            .outage(a, SimTime::from_ticks(2), SimTime::from_ticks(10));
+        n.faults_mut().kill(a);
         assert!(n.step_event().is_none(), "owner down at deadline");
         assert_eq!(n.metrics().timers_fired.get(), 0);
     }
@@ -617,10 +564,10 @@ mod timer_tests {
         n.set_timer(a, SimDuration::from_ticks(6), 1);
         n.send(a, b, 1);
         assert_eq!(n.in_flight(), 1);
-        assert_eq!(n.pending_timers(), 2);
+        assert_eq!(n.live_timers.len(), 2);
         n.cancel_timer(id);
         assert_eq!(n.in_flight(), 1);
-        assert_eq!(n.pending_timers(), 1);
+        assert_eq!(n.live_timers.len(), 1);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl SimDuration {
     pub const fn ticks(self) -> u64 {
         self.0
     }
-
-    /// Saturating duration addition.
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -164,11 +159,5 @@ mod tests {
     fn display_formats() {
         assert_eq!(SimTime::from_ticks(3).to_string(), "t=3");
         assert_eq!(SimDuration::from_ticks(4).to_string(), "4 ticks");
-    }
-
-    #[test]
-    fn duration_saturating_add() {
-        let max = SimDuration::from_ticks(u64::MAX);
-        assert_eq!(max.saturating_add(SimDuration::from_ticks(1)), max);
     }
 }

@@ -88,7 +88,6 @@ impl fmt::Display for TraceEvent {
 pub struct Trace {
     events: VecDeque<TraceEvent>,
     capacity: usize,
-    recorded: u64,
 }
 
 impl Trace {
@@ -98,7 +97,6 @@ impl Trace {
         Trace {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            recorded: 0,
         }
     }
 
@@ -111,7 +109,6 @@ impl Trace {
             self.events.pop_front();
         }
         self.events.push_back(event);
-        self.recorded += 1;
     }
 
     /// Events currently buffered (oldest first).
@@ -127,16 +124,6 @@ impl Trace {
     /// Whether nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Clears the buffer (the `recorded` total is kept).
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -160,7 +147,6 @@ mod tests {
             trace.record(ev(i, TraceKind::Sent));
         }
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.recorded(), 5);
         let first = trace.iter().next().unwrap();
         assert_eq!(first.at, SimTime::from_ticks(2), "oldest evicted");
     }
@@ -170,7 +156,6 @@ mod tests {
         let mut trace = Trace::new(0);
         trace.record(ev(1, TraceKind::Sent));
         assert!(trace.is_empty());
-        assert_eq!(trace.recorded(), 0);
     }
 
     #[test]
@@ -183,15 +168,6 @@ mod tests {
         let of_kind = |kind| trace.iter().filter(|e| e.kind == kind).count();
         assert_eq!(of_kind(TraceKind::Delivered), 2);
         assert_eq!(of_kind(TraceKind::Dropped), 1);
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let mut trace = Trace::new(4);
-        trace.record(ev(1, TraceKind::Sent));
-        trace.clear();
-        assert!(trace.is_empty());
-        assert_eq!(trace.recorded(), 1);
     }
 
     #[test]

@@ -93,8 +93,8 @@ proptest! {
         prop_assert_eq!(net.in_flight(), 0);
     }
 
-    /// Under *any* seed, fault plan (link loss, outage windows, and
-    /// permanent kills), and latency model, every sent message is
+    /// Under *any* seed, fault plan (link loss and permanent kills),
+    /// and latency model, every sent message is
     /// exactly once delivered or dropped — and the trace agrees with
     /// the counters event for event.
     #[test]
@@ -103,25 +103,21 @@ proptest! {
         sends in prop::collection::vec((0u64..8, 0u64..8), 0..150),
         drop_p in 0.0f64..1.0,
         latency_kind in 0u8..3,
-        outages in prop::collection::vec((0u64..8, 0u64..40, 1u64..40), 0..10),
         kills in prop::collection::vec(0u64..8, 0..3),
     ) {
         let latency = match latency_kind {
             0 => LatencyModel::constant(2),
             1 => LatencyModel::uniform(1, 9),
-            _ => LatencyModel::pareto(1, 1.5, 50),
+            _ => LatencyModel::Pareto {
+                scale: 1,
+                shape: 1.5,
+                cap: 50,
+            },
         };
         let mut net: Network<usize> = Network::new(latency, seed);
         let eps = endpoints(&mut net, 8);
         net.enable_tracing(4096);
         net.faults_mut().set_drop_probability(drop_p);
-        for (ep, from, len) in &outages {
-            net.faults_mut().outage(
-                eps[*ep as usize],
-                SimTime::from_ticks(*from),
-                SimTime::from_ticks(from + len),
-            );
-        }
         for ep in &kills {
             net.faults_mut().kill(eps[*ep as usize]);
         }
@@ -191,7 +187,8 @@ proptest! {
         prop_assert_eq!(m.timers_cancelled.get(), cancelled);
         prop_assert_eq!(m.timers_fired.get(), fired);
         prop_assert!(fired + cancelled <= set, "rest suppressed by dead owners");
-        prop_assert_eq!(net.pending_timers(), 0);
+        // The queue is empty, so `in_flight` is 0 minus the live and
+        // cancelled timers: a leaked timer fails it (or underflows).
         prop_assert_eq!(net.in_flight(), 0);
         prop_assert_eq!(
             m.messages_delivered.get() + m.messages_dropped.get(),

@@ -188,7 +188,7 @@ mod tests {
     fn popular_keywords_shared_across_records() {
         // Zipf popularity ⇒ the rank-0 word appears in many records.
         let c = small();
-        let top = Vocabulary::new(3_000, 1.0).word(0);
+        let top = hyperdex_core::Keyword::new("kw000000").expect("non-empty");
         let containing = c
             .records()
             .iter()

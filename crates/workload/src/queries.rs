@@ -218,7 +218,7 @@ mod tests {
         let l = QueryLog::generate(&QueryLogConfig::small_test(), &corpus, 4);
         for q in l.pool().iter().take(50) {
             assert!(
-                corpus.records().iter().any(|r| q.describes(&r.keywords)),
+                corpus.records().iter().any(|r| r.keywords.is_superset(q)),
                 "query {q} matches nothing"
             );
         }

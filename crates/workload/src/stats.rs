@@ -91,15 +91,6 @@ pub fn gini(loads: &[usize], total_nodes: u64) -> f64 {
     1.0 - 2.0 * area
 }
 
-/// Normalized histogram: `fractions[i] = counts[i] / Σ counts`.
-pub fn normalized(counts: &[usize]) -> Vec<f64> {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return vec![0.0; counts.len()];
-    }
-    counts.iter().map(|&c| c as f64 / total as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +157,5 @@ mod tests {
         // Same non-empty loads, more empty nodes ⇒ more inequality.
         let loads = vec![10, 10, 10, 10];
         assert!(gini(&loads, 16) > gini(&loads, 4));
-    }
-
-    #[test]
-    fn normalized_sums_to_one() {
-        let f = normalized(&[1, 3, 4]);
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert_eq!(normalized(&[0, 0]), vec![0.0, 0.0]);
     }
 }

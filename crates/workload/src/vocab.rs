@@ -19,7 +19,6 @@ use crate::zipf::ZipfSampler;
 /// use hyperdex_workload::vocab::Vocabulary;
 ///
 /// let vocab = Vocabulary::new(1000, 1.0);
-/// assert_eq!(vocab.word(0), vocab.word(0));
 /// let mut rng = SimRng::new(1);
 /// let set = vocab.sample_set(3, &mut rng);
 /// assert_eq!(set.len(), 3);
@@ -55,21 +54,6 @@ impl Vocabulary {
     /// Whether the vocabulary is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
         self.zipf.is_empty()
-    }
-
-    /// The word at popularity rank `rank` (0 = most popular).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn word(&self, rank: usize) -> Keyword {
-        assert!(rank < self.len(), "vocabulary rank {rank} out of range");
-        self.words[rank].clone()
-    }
-
-    /// The popularity (probability) of a rank.
-    pub fn popularity(&self, rank: usize) -> f64 {
-        self.zipf.probability(rank)
     }
 
     /// Draws one word rank by popularity.
@@ -120,9 +104,9 @@ mod tests {
     #[test]
     fn words_are_stable_and_distinct() {
         let v = Vocabulary::new(100, 1.0);
-        assert_eq!(v.word(3), v.word(3));
-        assert_ne!(v.word(3), v.word(4));
-        assert_eq!(v.word(0).as_str(), "kw000000");
+        assert_eq!(v.words[3], Vocabulary::new(100, 1.0).words[3]);
+        assert_ne!(v.words[3], v.words[4]);
+        assert_eq!(v.words[0].as_str(), "kw000000");
     }
 
     #[test]

@@ -107,10 +107,9 @@ fn dii_hot_spot_single_node_per_keyword() {
     // keyword; in the hypercube the keyword's objects spread.
     let corpus = corpus();
     let (cube, dii) = build_both(&corpus, 10);
-    // Most popular keyword:
-    let top = hyperdex::workload::Vocabulary::new(3_000, 1.0).word(0);
-    let query: KeywordSet = [top.clone()].into_iter().collect();
-    // DII: every posting for `top` lives on ONE node.
+    // Most popular keyword (the vocabulary's rank 0):
+    let query = KeywordSet::parse("kw000000").expect("one keyword");
+    // DII: every posting for it lives on ONE node.
     let out = dii.query(&query);
     assert_eq!(out.stats.nodes_contacted, 1);
     // Hypercube: the same objects are indexed across many vertices.
@@ -118,7 +117,7 @@ fn dii_hot_spot_single_node_per_keyword() {
         .node_loads()
         .iter()
         .filter(|&&(v, _)| {
-            // Vertex indexes at least one object containing `top` iff it
+            // Vertex indexes at least one object containing the keyword iff it
             // is in the query's subcube and has a matching entry — cheap
             // proxy: subcube membership.
             v.contains(cube.vertex_for(&query))

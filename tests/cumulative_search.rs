@@ -10,10 +10,9 @@ fn setup() -> (HypercubeIndex, KeywordSet, usize) {
     for (id, k) in corpus.indexable() {
         index.insert(id, k.clone()).expect("non-empty");
     }
-    // The most popular word has many matches — good for paging.
-    let query: KeywordSet = [hyperdex::workload::Vocabulary::new(3_000, 1.0).word(0)]
-        .into_iter()
-        .collect();
+    // The most popular word (the vocabulary's rank 0) has many
+    // matches — good for paging.
+    let query = KeywordSet::parse("kw000000").expect("one keyword");
     let total = index.matching_count(&query);
     assert!(total > 20, "need a popular query, got {total}");
     (index, query, total)
@@ -177,12 +176,9 @@ type OneshotPin = (u8, bool, usize, usize, [u64; 6], bool, usize, u64);
 #[test]
 fn oneshot_searches_keep_their_pinned_stats_and_results() {
     let corpus = Corpus::generate(&CorpusConfig::small_test(), 13);
-    let vocab = hyperdex::workload::Vocabulary::new(3_000, 1.0);
-    let queries: [KeywordSet; 3] = [
-        [vocab.word(0)].into_iter().collect(),
-        [vocab.word(1)].into_iter().collect(),
-        [vocab.word(0), vocab.word(2)].into_iter().collect(),
-    ];
+    // The vocabulary's ranks 0, 1 and 2.
+    let queries: [KeywordSet; 3] =
+        ["kw000000", "kw000001", "kw000000 kw000002"].map(|q| KeywordSet::parse(q).expect("valid"));
     let mut indexes = [8u8, 12].map(|r| {
         let mut index = HypercubeIndex::new(r, 0).expect("valid");
         for (id, k) in corpus.indexable() {

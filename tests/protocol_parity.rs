@@ -70,11 +70,14 @@ fn protocol_latency_reflects_execution_mode() {
 fn replicated_index_survives_random_vertex_crashes() {
     let corpus = corpus();
     let mut idx = ReplicatedIndex::new(9, 0).expect("valid");
+    // The primary cube's twin: a plain index of the same r and seed.
+    let mut primary = HypercubeIndex::new(9, 0).expect("valid");
     for (id, k) in corpus.indexable() {
         idx.insert(id, k.clone()).expect("non-empty");
+        primary.insert(id, k.clone()).expect("non-empty");
     }
     // Crash 40 random primary vertices.
-    let loads: Vec<_> = idx.primary().node_loads();
+    let loads: Vec<_> = primary.node_loads();
     let mut rng = SimRng::new(5);
     let victims: Vec<_> = (0..40)
         .map(|_| loads[rng.gen_index(loads.len())].0)
@@ -97,15 +100,17 @@ fn replicated_index_survives_random_vertex_crashes() {
 fn replicated_superset_completeness_after_crashes() {
     let corpus = corpus();
     let mut idx = ReplicatedIndex::new(9, 0).expect("valid");
+    // The primary cube's twin: a plain index of the same r and seed.
+    let mut primary = HypercubeIndex::new(9, 0).expect("valid");
     for (id, k) in corpus.indexable() {
         idx.insert(id, k.clone()).expect("non-empty");
+        primary.insert(id, k.clone()).expect("non-empty");
     }
     let q = KeywordSet::parse("kw000000").expect("valid");
-    let truth = idx.primary().matching_count(&q);
+    let truth = primary.matching_count(&q);
     // Crash the three heaviest primary nodes in the query's subcube.
-    let root = idx.primary().vertex_for(&q);
-    let mut in_cube: Vec<_> = idx
-        .primary()
+    let root = primary.vertex_for(&q);
+    let mut in_cube: Vec<_> = primary
         .node_loads()
         .into_iter()
         .filter(|&(v, _)| v.contains(root))
