@@ -268,7 +268,7 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                 let mut recall = 0.0;
                 let mut counted = 0usize;
                 let mut traffic = FtCoverage::default();
-                let before = sim.network().metrics().messages_sent.get();
+                let before = sim.network().metrics().messages_sent;
                 for (q, &truth) in queries.iter().zip(&truths) {
                     if truth == 0 {
                         continue;
@@ -280,7 +280,7 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                     recall += out.results.len() as f64 / truth as f64;
                     traffic.add_traffic(&out.coverage.ft);
                 }
-                let messages = sim.network().metrics().messages_sent.get() - before;
+                let messages = sim.network().metrics().messages_sent - before;
                 let n = counted.max(1) as f64;
                 rows.push(ProtocolAvailabilityRow {
                     strategy: name,

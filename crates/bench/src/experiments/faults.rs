@@ -39,8 +39,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use hyperdex_core::{
-    FtCoverage, FtPolicy, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy,
-    SupersetQuery,
+    FtCoverage, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery,
 };
 use hyperdex_runtime::{FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
@@ -207,11 +206,8 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             // starvation from masquerading as frame loss and
             // exhausting the retry budget.
             let opts = FtSearchOptions {
-                policy: FtPolicy {
-                    strategy: RecoveryStrategy::RetryOnly,
-                    max_retries: 6,
-                    base_timeout: 50,
-                },
+                max_retries: 6,
+                base_timeout: 50,
                 attempt_timeout_ms: 5_000,
                 attempts: 5,
             };

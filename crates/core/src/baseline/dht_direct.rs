@@ -26,8 +26,8 @@ const DIRECT_SEED_TAG: u64 = 0x4448_5452; // "DHTR"
 /// use hyperdex_core::ObjectId;
 ///
 /// let mut dht = DirectHashPlacement::new(10, 0)?;
-/// dht.insert(ObjectId::from_raw(7));
-/// assert_eq!(dht.len(), 1);
+/// let node = dht.insert(ObjectId::from_raw(7));
+/// assert_eq!(dht.node_loads(), vec![(node, 1)]);
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -35,7 +35,6 @@ pub struct DirectHashPlacement {
     r: u8,
     seed: u64,
     loads: HashMap<u64, usize>,
-    object_count: usize,
 }
 
 impl DirectHashPlacement {
@@ -50,7 +49,6 @@ impl DirectHashPlacement {
             r,
             seed,
             loads: HashMap::new(),
-            object_count: 0,
         })
     }
 
@@ -63,7 +61,6 @@ impl DirectHashPlacement {
     pub fn insert(&mut self, object: ObjectId) -> u64 {
         let node = self.node_for(object);
         *self.loads.entry(node).or_insert(0) += 1;
-        self.object_count += 1;
         node
     }
 
@@ -73,16 +70,6 @@ impl DirectHashPlacement {
             .iter()
             .map(|(&node, &load)| (node, load))
             .collect()
-    }
-
-    /// Number of placed objects.
-    pub fn len(&self) -> usize {
-        self.object_count
-    }
-
-    /// Whether nothing has been placed.
-    pub fn is_empty(&self) -> bool {
-        self.object_count == 0
     }
 }
 
@@ -105,7 +92,6 @@ mod tests {
         }
         let total: usize = d.node_loads().iter().map(|&(_, l)| l).sum();
         assert_eq!(total, 500);
-        assert_eq!(d.len(), 500);
     }
 
     #[test]

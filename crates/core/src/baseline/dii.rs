@@ -51,7 +51,6 @@ pub struct DistributedInvertedIndex {
     seed: u64,
     /// node → keyword → posting list.
     postings: HashMap<u64, HashMap<Keyword, BTreeSet<ObjectId>>>,
-    object_count: usize,
 }
 
 impl DistributedInvertedIndex {
@@ -67,7 +66,6 @@ impl DistributedInvertedIndex {
             r,
             seed,
             postings: HashMap::new(),
-            object_count: 0,
         })
     }
 
@@ -91,32 +89,6 @@ impl DistributedInvertedIndex {
                 .or_default()
                 .insert(object);
             touched += 1;
-        }
-        if touched > 0 {
-            self.object_count += 1;
-        }
-        touched
-    }
-
-    /// Removes `object` from every keyword's posting list; returns the
-    /// number of nodes touched.
-    pub fn remove(&mut self, object: ObjectId, keywords: &KeywordSet) -> usize {
-        let mut touched = 0;
-        for k in keywords {
-            let node = self.node_for(k);
-            if let Some(node_postings) = self.postings.get_mut(&node) {
-                if let Some(list) = node_postings.get_mut(k.as_str()) {
-                    if list.remove(&object) {
-                        touched += 1;
-                    }
-                    if list.is_empty() {
-                        node_postings.remove(k.as_str());
-                    }
-                }
-            }
-        }
-        if touched > 0 {
-            self.object_count = self.object_count.saturating_sub(1);
         }
         touched
     }
@@ -174,16 +146,6 @@ impl DistributedInvertedIndex {
             .filter(|&(_, load)| load > 0)
             .collect()
     }
-
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.object_count
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.object_count == 0
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +171,6 @@ mod tests {
         let touched = dii.insert(oid(1), &set("a b c d"));
         assert_eq!(touched, 4, "one update per keyword");
         assert_eq!(total_postings(&dii), 4, "4x storage for one object");
-        assert_eq!(dii.len(), 1);
     }
 
     #[test]
@@ -240,16 +201,6 @@ mod tests {
         let out = dii.query(&set("zzz a b c d e"));
         assert!(out.results.is_empty());
         assert!(out.stats.nodes_contacted < 6);
-    }
-
-    #[test]
-    fn remove_cleans_postings() {
-        let mut dii = DistributedInvertedIndex::new(10, 0).unwrap();
-        dii.insert(oid(1), &set("x y"));
-        assert_eq!(dii.remove(oid(1), &set("x y")), 2);
-        assert_eq!(dii.remove(oid(1), &set("x y")), 0);
-        assert!(dii.is_empty());
-        assert_eq!(total_postings(&dii), 0);
     }
 
     #[test]

@@ -134,16 +134,6 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-impl std::ops::AddAssign for CacheCounters {
-    fn add_assign(&mut self, other: CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-        self.stale += other.stale;
-        self.evictions += other.evictions;
-    }
-}
-
 /// The paper's cache-sizing rule: `α · |O| / 2^r` cached queries per
 /// node, rounded down. At miniature scale the formula can floor to
 /// zero, so a positive `α` keeps at least one slot.

@@ -42,10 +42,6 @@
 //! [`ProtocolSim::run_churn_to`] — handoff batches, repair pushes and
 //! churn timers reach this module, and queries reach their vertex.
 //!
-//! Handoffs bump a per-vertex *generation* counter; result caches keyed
-//! by vertex (see [`crate::cache::FifoCache::bump_generation`]) use it
-//! to shed entries recorded under the previous owner.
-//!
 //! # Limitations
 //!
 //! Inserts while the target vertex is mid-handoff land in the table that
@@ -303,10 +299,6 @@ pub struct ChurnState {
     vertex_count: u64,
     /// Vertices that answer nothing (mid-handoff or crashed-unassigned).
     unavailable: HashSet<u64>,
-    /// Per-vertex handoff generation (bumped whenever ownership or
-    /// repaired content changes; cache invalidation keys off it).
-    /// Absent means still at generation zero.
-    generations: BTreeMap<u64, u64>,
     /// Active transfers by vertex bits.
     handoffs: BTreeMap<u64, Handoff>,
     /// Vertices whose primary postings were lost, with the loss instant.
@@ -407,12 +399,6 @@ impl ChurnState {
             && self.unavailable.is_empty()
             && self.divergence() == 0
     }
-
-    /// The handoff generation of vertex `bits` (bumped on every
-    /// ownership change or repair completion).
-    pub fn generation(&self, bits: u64) -> u64 {
-        self.generations.get(&bits).copied().unwrap_or(0)
-    }
 }
 
 /// Payload bytes of one batch: 16 per keyword, 8 per object id, 16 of
@@ -470,7 +456,6 @@ impl ProtocolSim {
             view: BTreeMap::new(),
             vertex_count: n,
             unavailable: HashSet::new(),
-            generations: BTreeMap::new(),
             handoffs: BTreeMap::new(),
             repair_pending: BTreeMap::new(),
             departing: BTreeMap::new(),
@@ -741,12 +726,10 @@ fn start_handoff(sim: &mut ProtocolSim, st: &mut ChurnState, bits: u64, src: u64
     send_current_batch(sim, st, bits);
 }
 
-/// Flips vertex `bits` to owner `dst`: available again, generation
-/// bumped so stale cache entries die.
+/// Flips vertex `bits` to owner `dst`: available again.
 fn install_ownership(st: &mut ChurnState, bits: u64, dst: u64) {
     st.view.insert(bits, dst);
     st.unavailable.remove(&bits);
-    *st.generations.entry(bits).or_insert(0) += 1;
 }
 
 /// (Re)transmits the current unacknowledged batch and arms its timer.
@@ -1025,7 +1008,6 @@ fn on_repair(sim: &mut ProtocolSim, st: &mut ChurnState) {
             st.stats.repair_lag_total += lag;
             st.stats.repair_lag_max = st.stats.repair_lag_max.max(lag);
             st.repair_pending.remove(&bits);
-            *st.generations.entry(bits).or_insert(0) += 1;
             continue;
         }
         let owner_ep = st.hosts[&owner];
@@ -1249,36 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn handoff_generation_bumps_on_ownership_change() {
-        let mut sim = sim_with_corpus(4, 5);
-        let mut plan = ChurnPlan::default();
-        plan.leave_at(SimTime::from_ticks(20), 1);
-        sim.enable_churn(&plan, StabilizationConfig::default(), &[1, 2, 3])
-            .unwrap();
-        let before: Vec<u64> = (0..16)
-            .map(|b| sim.churn().unwrap().generation(b))
-            .collect();
-        // Only *occupied* vertices stream handoffs (an empty vertex
-        // flips to its new surrogate implicitly, serving the same
-        // nothing — no cached result to invalidate, no gen bump).
-        let owned: Vec<u64> = (0..16)
-            .filter(|&b| {
-                sim.churn().unwrap().view_owner(b) == Some(1) && sim.tables.contains_key(&b)
-            })
-            .collect();
-        assert!(!owned.is_empty(), "host 1 owns nothing; adjust seed");
-        sim.run_churn_to_quiescence();
-        let st = sim.churn().unwrap();
-        for b in 0..16 {
-            if owned.contains(&b) {
-                assert!(st.generation(b) > before[b as usize], "vertex {b} kept gen");
-            } else {
-                assert_eq!(st.generation(b), before[b as usize], "vertex {b} bumped");
-            }
-        }
-    }
-
-    #[test]
     fn lossy_links_retransmit_until_the_handoff_lands() {
         let mut sim = sim_with_corpus(5, 13);
         let mut plan = ChurnPlan::default();
@@ -1394,10 +1346,10 @@ mod tests {
                 // Quiescent convergence takes boundedly many rounds:
                 // each round makes progress on every divergent vertex.
                 assert!(
-                    st.stats().stabilization_rounds <= 4 * (plan.len() as u64 + 2),
+                    st.stats().stabilization_rounds <= 4 * (plan.events().len() as u64 + 2),
                     "seed {seed}: {} rounds for {} events",
                     st.stats().stabilization_rounds,
-                    plan.len()
+                    plan.events().len()
                 );
                 *st.stats()
             };
@@ -1482,7 +1434,7 @@ mod tests {
         fn ranked(out: crate::sim_protocol::SimSearchOutcome) -> Vec<ObjectId> {
             out.results.iter().map(|r| r.object).collect()
         }
-        let searches: [(Search, &[u64]); 3] = [
+        let searches: [(Search, &[u64]); 2] = [
             (
                 |sim, q| ranked(sim.search_sequential(q, usize::MAX - 1).unwrap()),
                 &[2, 3, 8],
@@ -1491,7 +1443,6 @@ mod tests {
                 |sim, q| ranked(sim.search_parallel(q, usize::MAX - 1).unwrap()),
                 &[2, 3, 8],
             ),
-            (|sim, q| sim.pin_search(q).results, &[2]),
         ];
         for (kind, (search, settled)) in searches.into_iter().enumerate() {
             let mut sim = sim_with_corpus(5, 7);

@@ -112,11 +112,6 @@ impl HypercubeIndex {
         self.hasher.shape()
     }
 
-    /// The keyword hasher (shared with the DHT service and baselines).
-    pub fn hasher(&self) -> KeywordHasher {
-        self.hasher
-    }
-
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
         self.object_count

@@ -19,7 +19,7 @@ use hyperdex_dht::ObjectId;
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::search::{PinOutcome, SupersetOutcome, SupersetQuery};
+use crate::search::{SupersetOutcome, SupersetQuery};
 
 /// A family of per-field hypercube indexes sharing one object space.
 ///
@@ -75,17 +75,6 @@ impl DecomposedIndex {
         Ok(())
     }
 
-    /// The hypercube index of one field.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownField`] for an unregistered field.
-    pub fn field(&self, field: &str) -> Result<&HypercubeIndex, Error> {
-        self.fields.get(field).ok_or_else(|| Error::UnknownField {
-            field: field.to_owned(),
-        })
-    }
-
     /// Indexes `object`'s keywords for one field.
     ///
     /// # Errors
@@ -113,15 +102,6 @@ impl DecomposedIndex {
         keywords: &KeywordSet,
     ) -> Result<bool, Error> {
         Ok(self.field_mut(field)?.remove(object, keywords))
-    }
-
-    /// Pin search within one field's hypercube.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownField`] for an unregistered field.
-    pub fn pin_search(&self, field: &str, keywords: &KeywordSet) -> Result<PinOutcome, Error> {
-        Ok(self.field(field)?.pin_search(keywords))
     }
 
     /// Superset search within one field's hypercube.
@@ -200,7 +180,9 @@ mod tests {
             idx.insert("nope", oid(1), set("a")),
             Err(Error::UnknownField { .. })
         ));
-        assert!(idx.pin_search("nope", &set("a")).is_err());
+        assert!(idx
+            .superset_search("nope", &SupersetQuery::new(set("a")))
+            .is_err());
     }
 
     #[test]
@@ -210,8 +192,11 @@ mod tests {
         idx.add_field("cpu", 6).unwrap();
         idx.insert("os", oid(1), set("linux")).unwrap();
         idx.insert("cpu", oid(2), set("linux")).unwrap(); // same word, other field
-        let out = idx.pin_search("os", &set("linux")).unwrap();
-        assert_eq!(out.results, vec![oid(1)], "no cross-field leakage");
+        let out = idx
+            .superset_search("os", &SupersetQuery::new(set("linux")))
+            .unwrap();
+        let found: Vec<ObjectId> = out.results.iter().map(|r| r.object).collect();
+        assert_eq!(found, vec![oid(1)], "no cross-field leakage");
     }
 
     #[test]

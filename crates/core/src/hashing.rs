@@ -57,11 +57,6 @@ impl KeywordHasher {
         self.shape
     }
 
-    /// The hash-family seed.
-    pub const fn seed(self) -> u64 {
-        self.seed
-    }
-
     /// `h(w)`: the bit position of a keyword.
     pub fn position(self, keyword: KeywordRef<'_>) -> u8 {
         let h = stable_hash64_seeded(keyword.as_bytes(), self.seed ^ KEYWORD_SEED_TAG);

@@ -144,12 +144,6 @@ impl IndexTable {
         }
     }
 
-    /// OR of every entry's [`KeywordSet::signature`] — the table-wide
-    /// digest the short-circuits test against.
-    pub fn union_signature(&self) -> u64 {
-        self.union_sig
-    }
-
     /// Number of distinct keyword sets in the table.
     pub fn keyword_set_count(&self) -> usize {
         self.entries.len()
@@ -259,7 +253,7 @@ mod tests {
         assert!(!tbl.remove(&set("a"), oid(1)));
         assert!(tbl.is_empty());
         assert_eq!(tbl.keyword_set_count(), 0);
-        assert_eq!(tbl.union_signature(), 0, "digest follows removals");
+        assert_eq!(tbl.union_sig, 0, "digest follows removals");
     }
 
     #[test]
@@ -324,7 +318,7 @@ mod tests {
         let mut tbl = IndexTable::new();
         tbl.insert(set("jazz piano"), oid(1));
         assert_eq!(
-            tbl.union_signature(),
+            tbl.union_sig,
             set("jazz piano").signature(),
             "digest is the OR of entry signatures"
         );

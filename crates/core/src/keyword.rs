@@ -39,7 +39,7 @@ pub const MAX_KEYWORDS: usize = u16::MAX as usize;
 /// use hyperdex_core::Keyword;
 ///
 /// let k = Keyword::new("  MP3 ")?;
-/// assert_eq!(k.as_str(), "mp3");
+/// assert_eq!(k.view().as_str(), "mp3");
 /// assert!(Keyword::new("   ").is_err());
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
@@ -68,11 +68,6 @@ impl Keyword {
         }
     }
 
-    /// The normalized text.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
     /// The normalized text as bytes (hash input).
     pub fn as_bytes(&self) -> &[u8] {
         self.0.as_bytes()
@@ -82,17 +77,6 @@ impl Keyword {
     /// iteration yields and the hashers take.
     pub fn view(&self) -> KeywordRef<'_> {
         KeywordRef(self.0.as_bytes())
-    }
-
-    /// The keyword's bit in the 64-bit [`KeywordSet::signature`]: a
-    /// single set bit chosen by FNV-1a over the normalized text.
-    ///
-    /// Unlike the `r`-bit vertex position (which depends on the cube
-    /// dimension and hash seed), the signature bit is a pure function
-    /// of the keyword itself, so signatures computed by any node — at
-    /// any `r`, under any seed — agree.
-    pub fn signature_bit(&self) -> u64 {
-        self.view().signature_bit()
     }
 }
 
@@ -120,18 +104,6 @@ fn is_normalized(text: &str) -> bool {
                 lower.next() == Some(c) && lower.next().is_none()
             }
         })
-}
-
-impl fmt::Display for Keyword {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl AsRef<str> for Keyword {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
 }
 
 /// Lets maps keyed by `Keyword` be probed with a [`KeywordRef`]'s text
@@ -475,30 +447,6 @@ impl KeywordSet {
         true
     }
 
-    /// Removes a keyword. Returns `false` if it was absent.
-    pub fn remove(&mut self, keyword: &Keyword) -> bool {
-        let Ok(entry) = self.locate(keyword.as_bytes()) else {
-            return false;
-        };
-        let n = self.len() as u16 - 1;
-        if n == 0 {
-            self.0 = Arc::default();
-            return true;
-        }
-        let old = &self.0;
-        self.0 = packed(old.len() - entry.len(), |buf| {
-            buf.put(&n.to_le_bytes());
-            buf.put(&old[2..entry.start]);
-            buf.put(&old[entry.end..]);
-        });
-        true
-    }
-
-    /// Whether the set contains `keyword`.
-    pub fn contains(&self, keyword: &Keyword) -> bool {
-        self.locate(keyword.as_bytes()).is_ok()
-    }
-
     /// Number of keywords.
     pub fn len(&self) -> usize {
         let packed = self.as_packed();
@@ -625,16 +573,6 @@ impl<'a> IntoIterator for &'a KeywordSet {
     }
 }
 
-impl IntoIterator for KeywordSet {
-    type Item = Keyword;
-    type IntoIter = std::vec::IntoIter<Keyword>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let keywords: Vec<Keyword> = self.iter().map(KeywordRef::to_keyword).collect();
-        keywords.into_iter()
-    }
-}
-
 /// # Panics
 ///
 /// Collecting more than [`MAX_KEYWORDS`] distinct keywords panics.
@@ -654,15 +592,6 @@ impl FromIterator<Keyword> for KeywordSet {
 impl<'a> FromIterator<KeywordRef<'a>> for KeywordSet {
     fn from_iter<I: IntoIterator<Item = KeywordRef<'a>>>(iter: I) -> Self {
         Self::from_views(iter).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// # Panics
-///
-/// Growing past [`MAX_KEYWORDS`] distinct keywords panics.
-impl Extend<Keyword> for KeywordSet {
-    fn extend<I: IntoIterator<Item = Keyword>>(&mut self, iter: I) {
-        *self = self.union(&iter.into_iter().collect());
     }
 }
 
@@ -734,8 +663,8 @@ mod tests {
 
     #[test]
     fn keyword_normalizes() {
-        assert_eq!(Keyword::new(" TVBS ").unwrap().as_str(), "tvbs");
-        assert_eq!(Keyword::new("News").unwrap().as_str(), "news");
+        assert_eq!(Keyword::new(" TVBS ").unwrap().0, "tvbs");
+        assert_eq!(Keyword::new("News").unwrap().0, "news");
     }
 
     #[test]
@@ -747,7 +676,7 @@ mod tests {
     #[test]
     fn keyword_from_str_trait() {
         let k: Keyword = "Jazz".parse().unwrap();
-        assert_eq!(k.as_str(), "jazz");
+        assert_eq!(k.0, "jazz");
     }
 
     #[test]
@@ -755,8 +684,8 @@ mod tests {
         // Table 1, record 11: "ISP, telecommunication, network, download".
         let set = KeywordSet::parse("ISP, telecommunication, network, download").unwrap();
         assert_eq!(set.len(), 4);
-        assert!(set.contains(&Keyword::new("isp").unwrap()));
-        assert!(set.contains(&Keyword::new("download").unwrap()));
+        assert!(set.locate(b"isp").is_ok());
+        assert!(set.locate(b"download").is_ok());
     }
 
     #[test]
@@ -811,14 +740,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_roundtrip() {
+    fn insert_reports_duplicates() {
         let mut set = KeywordSet::new();
         let k = Keyword::new("solo").unwrap();
         assert!(set.insert(k.clone()));
         assert!(!set.insert(k.clone()), "duplicate");
-        assert!(set.remove(&k));
-        assert!(!set.remove(&k));
-        assert!(set.is_empty());
+        assert_eq!(set.len(), 1);
     }
 
     #[test]
@@ -837,12 +764,16 @@ mod tests {
     #[test]
     fn signature_bit_is_one_hot_and_case_insensitive() {
         let k = Keyword::new("MP3").unwrap();
-        assert_eq!(k.signature_bit().count_ones(), 1);
+        assert_eq!(k.view().signature_bit().count_ones(), 1);
         assert_eq!(
-            k.signature_bit(),
-            Keyword::new("mp3").unwrap().signature_bit()
+            k.view().signature_bit(),
+            Keyword::new("mp3").unwrap().view().signature_bit()
         );
-        assert_eq!(k.signature_bit(), k.signature_bit(), "deterministic");
+        assert_eq!(
+            k.view().signature_bit(),
+            k.view().signature_bit(),
+            "deterministic"
+        );
     }
 
     #[test]

@@ -89,7 +89,7 @@ mod tests {
         let m = VertexMap::new(0);
         let half = u64::MAX / 2;
         let low = (0..1024u64)
-            .filter(|&bits| m.ring_key(v(10, bits)).raw() < half)
+            .filter(|&bits| m.ring_key(v(10, bits)) < NodeId::from_raw(half))
             .count();
         assert!((400..=624).contains(&low), "low half got {low}/1024");
     }
@@ -99,9 +99,9 @@ mod tests {
         let m = VertexMap::new(0);
         let vx = v(8, 0b101);
         let key = m.ring_key(vx);
-        let ring: Ring = [NodeId::from_raw(0), NodeId::from_raw(u64::MAX / 2)]
-            .into_iter()
-            .collect();
+        let mut ring = Ring::new();
+        ring.join(NodeId::from_raw(0));
+        ring.join(NodeId::from_raw(u64::MAX / 2));
         assert_eq!(m.physical_node(vx, &ring), ring.surrogate(key));
         assert_eq!(m.physical_node(vx, &Ring::new()), None);
     }
@@ -111,9 +111,12 @@ mod tests {
         // r = 12 (4096 vertices) onto 8 physical nodes: every node
         // should serve some vertices, none should dominate.
         let m = VertexMap::new(3);
-        let ring: Ring = (0..8u64)
-            .map(|i| NodeId::from_raw(hyperdex_dht::keyhash::stable_hash_u64(i, 42)))
-            .collect();
+        let mut ring = Ring::new();
+        for i in 0..8u64 {
+            ring.join(NodeId::from_raw(hyperdex_dht::keyhash::stable_hash_u64(
+                i, 42,
+            )));
+        }
         let mut counts = std::collections::HashMap::new();
         for bits in 0..4096u64 {
             let node = m.physical_node(v(12, bits), &ring).unwrap();

@@ -74,12 +74,14 @@ pub enum Step {
 /// # Example
 ///
 /// ```
+/// use std::collections::VecDeque;
+///
 /// use hyperdex_core::protocol::{child_contacts, SupersetCoordinator, Step};
 /// use hyperdex_core::{KeywordHasher, KeywordSet};
 ///
 /// let hasher = KeywordHasher::new(6, 0)?;
 /// let root = hasher.vertex_for(&KeywordSet::parse("a")?);
-/// let mut coord = SupersetCoordinator::new(root, 10);
+/// let mut coord = SupersetCoordinator::with_queue(root, 10, VecDeque::new());
 /// // The first step is always the root itself.
 /// assert_eq!(
 ///     coord.next_step(),
@@ -99,14 +101,9 @@ pub struct SupersetCoordinator {
 
 impl SupersetCoordinator {
     /// Starts a traversal rooted at `root` wanting up to `threshold`
-    /// results.
-    pub fn new(root: Vertex, threshold: usize) -> Self {
-        Self::with_queue(root, threshold, VecDeque::new())
-    }
-
-    /// [`SupersetCoordinator::new`] reusing an existing frontier buffer
-    /// (cleared first) — hot loops recycle the queue's capacity across
-    /// searches instead of reallocating it.
+    /// results, in an existing frontier buffer (cleared first) — hot
+    /// loops recycle the queue's capacity across searches instead of
+    /// reallocating it.
     pub fn with_queue(root: Vertex, threshold: usize, mut frontier: VecDeque<(u64, u8)>) -> Self {
         frontier.clear();
         SupersetCoordinator {
@@ -526,16 +523,6 @@ impl<T> FtCoordinator<T> {
         self.remaining
     }
 
-    /// Whether the threshold was met (early stop).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Outstanding child queries (0 at quiescence).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether `bits` already answered — substrates use this to drop
     /// duplicate deliveries of a retried root query without re-scanning.
     pub fn is_covered(&self, bits: u64) -> bool {
@@ -748,7 +735,7 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = set("a");
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
+        let mut coord = SupersetCoordinator::with_queue(root, usize::MAX - 1, VecDeque::new());
         let mut seen = std::collections::BTreeSet::new();
         loop {
             match coord.next_step() {
@@ -770,7 +757,7 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = set("a");
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, 3);
+        let mut coord = SupersetCoordinator::with_queue(root, 3, VecDeque::new());
         // Root answers 2, first child answers 1 — done, rest unvisited.
         assert!(matches!(
             coord.next_step(),
@@ -792,7 +779,7 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(6, 0).unwrap();
         let kw = set("a");
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, 10);
+        let mut coord = SupersetCoordinator::with_queue(root, 10, VecDeque::new());
         coord.next_step();
         coord.record_visit(0, child_contacts(root, None));
         coord.stop();
@@ -804,7 +791,7 @@ mod tests {
         let hasher = crate::hashing::KeywordHasher::new(8, 0).unwrap();
         let kw = set("a");
         let root = hasher.vertex_for(&kw);
-        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
+        let mut coord = SupersetCoordinator::with_queue(root, usize::MAX - 1, VecDeque::new());
         coord.next_step();
         coord.record_visit(0, child_contacts(root, None));
         let queue = coord.into_queue();
@@ -938,7 +925,7 @@ mod tests {
                 machine.on_reply(bits, hits(0, 0), &children, &mut cmds);
             }
         }
-        assert_eq!(machine.in_flight(), 0);
+        assert_eq!(machine.pending.len(), 0);
     }
 
     #[test]
@@ -1027,12 +1014,12 @@ mod tests {
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
         m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
-        assert!(m.in_flight() > 0);
+        assert!(!m.pending.is_empty());
         // First child satisfies the threshold: everything else cancels.
         cmds.clear();
         m.on_reply(children[0].0, hits(0, 1), &[], &mut cmds);
-        assert!(m.is_done());
-        assert_eq!(m.in_flight(), 0);
+        assert!(m.done);
+        assert_eq!(m.pending.len(), 0);
         assert!(cmds.iter().all(|c| matches!(c, FtCmd::Cancel { .. })));
         let cov = m.finish();
         assert!(cov.skipped.is_empty(), "early stop skips nothing");
@@ -1092,10 +1079,10 @@ mod tests {
         // duplicate of the first changes nothing but the tallies…
         m.on_reply(children[1].0, hits(0, 0), &[], &mut cmds);
         m.on_reply(children[0].0, hits(1, 2), &[], &mut cmds);
-        assert!(!m.is_done());
+        assert!(!m.done);
         // …and one that overshoots the budget stops the pass.
         m.on_reply(children[2].0, hits(3, 3), &[], &mut cmds);
-        assert!(m.is_done());
+        assert!(m.done);
         let cov = m.finish();
         assert_eq!((cov.conts, cov.result_messages), (4, 3));
         assert_eq!(cov.reached, 4);

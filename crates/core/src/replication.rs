@@ -22,7 +22,7 @@ use hyperdex_hypercube::Vertex;
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::search::{PinOutcome, SupersetOutcome, SupersetQuery};
+use crate::search::{SupersetOutcome, SupersetQuery};
 
 /// Seed offset separating the secondary hash family from the primary.
 pub(crate) const SECONDARY_SEED_OFFSET: u64 = 0x5EC0_0DA2_CB0E_71CE;
@@ -33,7 +33,7 @@ pub(crate) const SECONDARY_SEED_OFFSET: u64 = 0x5EC0_0DA2_CB0E_71CE;
 ///
 /// ```
 /// use hyperdex_core::replication::ReplicatedIndex;
-/// use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId};
+/// use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
 ///
 /// let mut idx = ReplicatedIndex::new(8, 0)?;
 /// let k = KeywordSet::parse("p2p dht")?;
@@ -41,8 +41,8 @@ pub(crate) const SECONDARY_SEED_OFFSET: u64 = 0x5EC0_0DA2_CB0E_71CE;
 /// // Crash the primary index node for this keyword set (the primary
 /// // cube hashes as a plain index of the same `r` and seed):
 /// idx.fail_primary(HypercubeIndex::new(8, 0)?.vertex_for(&k));
-/// // The object is still pin-findable through the secondary cube.
-/// assert_eq!(idx.pin_search(&k).results.len(), 1);
+/// // The object is still found through the secondary cube.
+/// assert_eq!(idx.superset_search(&SupersetQuery::new(k))?.results.len(), 1);
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -72,16 +72,6 @@ impl ReplicatedIndex {
         })
     }
 
-    /// Number of live object entries in the primary cube.
-    pub fn len(&self) -> usize {
-        self.primary.len()
-    }
-
-    /// Whether the primary cube is empty.
-    pub fn is_empty(&self) -> bool {
-        self.primary.is_empty()
-    }
-
     /// Indexes an object in both cubes (two node touches — the §3.4
     /// replication cost).
     ///
@@ -95,13 +85,6 @@ impl ReplicatedIndex {
         Ok(())
     }
 
-    /// Removes an object from both cubes.
-    pub fn remove(&mut self, object: ObjectId, keywords: &KeywordSet) -> bool {
-        let a = self.primary.remove(object, keywords);
-        let b = self.secondary.remove(object, keywords);
-        a || b
-    }
-
     /// Crashes a primary index node: its entries are lost there.
     pub fn fail_primary(&mut self, vertex: Vertex) {
         self.primary.drop_node(vertex);
@@ -112,21 +95,6 @@ impl ReplicatedIndex {
     pub fn fail_secondary(&mut self, vertex: Vertex) {
         self.secondary.drop_node(vertex);
         self.failed_secondary.insert(vertex.bits());
-    }
-
-    /// Pin search with failover: served by the primary unless its
-    /// responsible node has failed, in which case the secondary cube
-    /// answers.
-    pub fn pin_search(&self, keywords: &KeywordSet) -> PinOutcome {
-        let v = self.primary.vertex_for(keywords);
-        if self.failed_primary.contains(&v.bits()) {
-            let mut out = self.secondary.pin_search(keywords);
-            // One extra query message: the failover contact.
-            out.stats.query_messages += 1;
-            out
-        } else {
-            self.primary.pin_search(keywords)
-        }
     }
 
     /// Superset search with failover: the primary traversal runs first;
@@ -193,6 +161,16 @@ mod tests {
         idx
     }
 
+    /// The objects a superset search for `keywords` finds, sorted.
+    fn found(idx: &mut ReplicatedIndex, keywords: &str) -> Vec<ObjectId> {
+        let out = idx
+            .superset_search(&SupersetQuery::new(set(keywords)))
+            .unwrap();
+        let mut ids: Vec<ObjectId> = out.results.iter().map(|r| r.object).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn placements_are_independent() {
         let idx = ReplicatedIndex::new(10, 0).unwrap();
@@ -208,14 +186,13 @@ mod tests {
     }
 
     #[test]
-    fn pin_failover_survives_primary_crash() {
+    fn failover_survives_primary_crash() {
         let mut idx = replicated_with(&[(1, "a b"), (2, "c d")]);
         let v = idx.primary.vertex_for(&set("a b"));
         idx.fail_primary(v);
-        let out = idx.pin_search(&set("a b"));
-        assert_eq!(out.results, vec![oid(1)]);
+        assert_eq!(found(&mut idx, "a b"), vec![oid(1)]);
         // The other object still comes from the primary.
-        assert_eq!(idx.pin_search(&set("c d")).results, vec![oid(2)]);
+        assert_eq!(found(&mut idx, "c d"), vec![oid(2)]);
     }
 
     #[test]
@@ -272,21 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_clears_both_cubes() {
-        let mut idx = replicated_with(&[(1, "x y")]);
-        assert!(idx.remove(oid(1), &set("x y")));
-        assert!(idx.pin_search(&set("x y")).results.is_empty());
-        assert!(idx.secondary.pin_search(&set("x y")).results.is_empty());
-        assert!(!idx.remove(oid(1), &set("x y")));
-    }
-
-    #[test]
     fn double_failure_of_both_copies_loses_the_object() {
         // Honest negative: replication factor 2 tolerates one copy's
         // loss, not both.
         let mut idx = replicated_with(&[(1, "q r")]);
         idx.fail_primary(idx.primary.vertex_for(&set("q r")));
         idx.fail_secondary(idx.secondary.vertex_for(&set("q r")));
-        assert!(idx.pin_search(&set("q r")).results.is_empty());
+        assert!(found(&mut idx, "q r").is_empty());
     }
 }

@@ -106,11 +106,6 @@ impl CumulativeSearch {
         self.pending.len()
     }
 
-    /// The queried keyword set.
-    pub fn keywords(&self) -> &KeywordSet {
-        &self.keywords
-    }
-
     /// Whether the whole subhypercube has been drained.
     pub fn is_finished(&self) -> bool {
         self.coord.is_done() && self.pending.is_empty()

@@ -29,14 +29,14 @@
 //!
 //! Every search, and every churn driver in [`crate::churn`], steps the
 //! network through one pump. It gives membership traffic and timers to
-//! the churn engine, answers a node-bound message (`T_QUERY`, `Pin`)
-//! in the single node handler — what the node sends back is named by
+//! the churn engine, answers a node-bound message (`T_QUERY`) in the
+//! single node handler — what the node sends back is named by
 //! the query itself ([`QueryReply`]) — and hands what is addressed to
 //! a coordinator or the requester to the search in progress. A vertex
 //! that is mid-handoff or awaiting repair answers nothing, whoever
-//! asks: a fault-tolerant coordinator retries it; a sequential,
-//! parallel or pin search returns what it collected once the network
-//! is quiescent — never a hang.
+//! asks: a fault-tolerant coordinator retries it; a sequential or
+//! parallel search returns what it collected once the network is
+//! quiescent — never a hang.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -106,19 +106,6 @@ pub enum KwMsg {
     /// Membership traffic (handoff, repair), churn mode only;
     /// [`crate::churn`] consumes it.
     Churn(ChurnMsg),
-    /// Requester → `F_h(K)`'s host: exact-match pin lookup (§3.2) —
-    /// one message to the single vertex the full keyword set hashes to.
-    Pin {
-        /// The queried keyword set `K`.
-        keywords: KeywordSet,
-        /// Endpoint collecting results.
-        requester: EndpointId,
-    },
-    /// Node → requester: the pin lookup's exact matches.
-    PinResults {
-        /// Objects indexed under exactly the queried set.
-        objects: Vec<ObjectId>,
-    },
 }
 
 /// What a `T_QUERY`'s receiver sends back, and from which cube it
@@ -203,18 +190,6 @@ pub struct SimSearchOutcome {
     pub elapsed: hyperdex_simnet::time::SimDuration,
 }
 
-/// Outcome of a message-level pin search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimPinOutcome {
-    /// Objects indexed under exactly the queried set, in arrival order.
-    pub results: Vec<ObjectId>,
-    /// Total messages the network carried (request + reply).
-    pub messages: u64,
-    /// Virtual time from send to the last network event (the reply's
-    /// delivery, on a network carrying nothing else).
-    pub elapsed: hyperdex_simnet::time::SimDuration,
-}
-
 /// Where one search started ([`ProtocolSim::begin`]): the query, its
 /// root in the primary cube, and the readings its cost is measured
 /// against.
@@ -260,7 +235,6 @@ pub(crate) enum SearchEvent {
         local: bool,
     },
     Results(Vec<RankedObject>),
-    Pinned(Vec<ObjectId>),
     /// A fault-tolerant search's retransmission timer fired.
     Timeout {
         bits: u64,
@@ -364,11 +338,6 @@ impl ProtocolSim {
         Self::new(r, seed, latency)
     }
 
-    /// The hypercube shape.
-    pub fn shape(&self) -> Shape {
-        self.shape
-    }
-
     /// Indexes an object at `F_h(keywords)` (local table write; the
     /// DOLR routing cost of inserts is covered by `hyperdex-dht`).
     ///
@@ -443,32 +412,6 @@ impl ProtocolSim {
         // Reclaim the frontier buffer for the next search.
         self.frontier = core.into_queue();
         Ok(self.outcome(&run, results, threshold))
-    }
-
-    /// Runs the paper's pin search (§3.2) as messages: one `Pin` to the
-    /// vertex the full keyword set hashes to, one `PinResults` back.
-    pub fn pin_search(&mut self, keywords: &KeywordSet) -> SimPinOutcome {
-        let run = self.begin(keywords);
-        self.net.send(
-            self.requester,
-            run.root_ep,
-            KwMsg::Pin {
-                keywords: run.keywords.clone(),
-                requester: self.requester,
-            },
-        );
-        let mut results = Vec::new();
-        self.pump(Until::Quiescence, &mut |_, event| {
-            if let SearchEvent::Pinned(objects) = event {
-                results.extend(objects);
-            }
-        });
-        let (messages, elapsed) = self.cost(&run);
-        SimPinOutcome {
-            results,
-            messages,
-            elapsed,
-        }
     }
 
     /// Runs the §3.5 level-parallel variant as messages: the root
@@ -717,7 +660,7 @@ impl ProtocolSim {
             root,
             root_ep: self.endpoint_of(root.bits()),
             at: self.net.now(),
-            sent: self.net.metrics().messages_sent.get(),
+            sent: self.net.metrics().messages_sent,
             visits: self.visits,
         }
     }
@@ -726,7 +669,7 @@ impl ProtocolSim {
     /// to the last network event.
     fn cost(&self, run: &Started) -> (u64, SimDuration) {
         (
-            self.net.metrics().messages_sent.get() - run.sent,
+            self.net.metrics().messages_sent - run.sent,
             self.net.now().saturating_since(run.at),
         )
     }
@@ -781,7 +724,7 @@ impl ProtocolSim {
 
     /// One delivery, received — the single message handler, shaped
     /// `handle(msg) → sends`. Membership traffic goes to the churn
-    /// engine; a node-bound message (`T_QUERY`, `Pin`) is answered
+    /// engine; a node-bound message (`T_QUERY`) is answered
     /// here, whatever search sent it; a message for a coordinator or
     /// the requester is returned for the search in progress, as is the
     /// continuation of a root that coordinates its own query (it scans
@@ -858,21 +801,6 @@ impl ProtocolSim {
                     None
                 }
             }
-            KwMsg::Pin {
-                keywords,
-                requester,
-            } => {
-                let bits = self.vertex_of(to).bits();
-                if !self.churn_vertex_silent(bits) {
-                    let objects = self
-                        .tables
-                        .get(&bits)
-                        .map(|t| t.objects_with(&keywords).collect())
-                        .unwrap_or_default();
-                    self.net.send(to, requester, KwMsg::PinResults { objects });
-                }
-                None
-            }
             KwMsg::TCont { found, children } => Some(SearchEvent::Cont { found, children }),
             KwMsg::TStop => Some(SearchEvent::Stop),
             KwMsg::TContFt { objects, children } => Some(SearchEvent::ContFt {
@@ -883,7 +811,6 @@ impl ProtocolSim {
                 local: false,
             }),
             KwMsg::Results { objects } => Some(SearchEvent::Results(objects)),
-            KwMsg::PinResults { objects } => Some(SearchEvent::Pinned(objects)),
         }
     }
 
@@ -1010,23 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_matches_direct_engine() {
-        let (direct, mut sim) = twin(8, CORPUS);
-        for query in ["a", "a b", "a b c", "x y", "zzz"] {
-            let d = direct.pin_search(&set(query));
-            let s = sim.pin_search(&set(query));
-            let mut d_ids = d.results.clone();
-            let mut s_ids = s.results.clone();
-            d_ids.sort_unstable();
-            s_ids.sort_unstable();
-            assert_eq!(d_ids, s_ids, "pin parity for {query}");
-            // Exactly one request and one reply — the reply is sent
-            // even when empty, so the requester observes completion.
-            assert_eq!(s.messages, 2, "message count for {query}");
-        }
-    }
-
-    #[test]
     fn parallel_matches_sequential_results() {
         let (_, mut sim) = twin(8, CORPUS);
         let seq = sim.search_sequential(&set("a"), 100).unwrap();
@@ -1043,8 +953,8 @@ mod tests {
         assert!(
             par.elapsed < seq.elapsed,
             "parallel {} vs sequential {} ticks",
-            par.elapsed,
-            seq.elapsed
+            par.elapsed.ticks(),
+            seq.elapsed.ticks()
         );
         // §3.5: sequential time ≈ 2 messages per node (query + ack);
         // parallel time ≈ tree height × one latency per level + replies.
@@ -1097,9 +1007,9 @@ mod tests {
         // r = 17 used to be rejected because the sim allocated dense
         // 2^r state; with sparse vertex storage only the hash family's
         // own 1 ≤ r ≤ 63 bound remains.
-        assert!(ProtocolSim::new(17, 0, LatencyModel::default()).is_ok());
-        assert!(ProtocolSim::new(64, 0, LatencyModel::default()).is_err());
-        assert!(ProtocolSim::new(0, 0, LatencyModel::default()).is_err());
+        assert!(ProtocolSim::new(17, 0, LatencyModel::constant(1)).is_ok());
+        assert!(ProtocolSim::new(64, 0, LatencyModel::constant(1)).is_err());
+        assert!(ProtocolSim::new(0, 0, LatencyModel::constant(1)).is_err());
     }
 
     // ------------------------------------------------------------------

@@ -183,11 +183,6 @@ impl PostingStore {
         }
     }
 
-    /// OR of every slot's signature.
-    pub fn union_signature(&self) -> u64 {
-        self.union_sig
-    }
-
     /// Number of distinct keyword sets (slots).
     pub fn keyword_set_count(&self) -> usize {
         self.entries.len()
@@ -412,6 +407,28 @@ mod tests {
         st.objects_with(&set(keywords)).map(ObjectId::raw).collect()
     }
 
+    proptest::proptest! {
+        /// Through any interleaving of inserts and removes the digest
+        /// is the OR of the live slots' signatures — what the lookups'
+        /// short circuit trusts, and what the `IndexTable` oracle keeps.
+        #[test]
+        fn union_signature_is_the_or_of_the_live_slots(
+            ops in proptest::collection::vec((0u8..12, 0u8..12, 0u64..8, proptest::any::<bool>()), 0..60)
+        ) {
+            let mut st = PostingStore::default();
+            for (a, b, object, insert) in ops {
+                let k = KeywordSet::from_strs([format!("w{a}"), format!("w{b}")]).unwrap();
+                if insert {
+                    st.insert(k, oid(object));
+                } else {
+                    st.remove(&k, oid(object));
+                }
+                let or = st.iter().fold(0, |sig, (k, _)| sig | k.signature());
+                proptest::prop_assert_eq!(st.union_sig, or);
+            }
+        }
+    }
+
     #[test]
     fn entries_with_same_set_combine() {
         let mut st = PostingStore::default();
@@ -507,10 +524,10 @@ mod tests {
         assert!(st.remove(&set("a"), oid(1)));
         assert!(!st.remove(&set("a"), oid(1)));
         assert_eq!(st.keyword_set_count(), 1);
-        assert_eq!(st.union_signature(), set("b c").signature());
+        assert_eq!(st.union_sig, set("b c").signature());
         assert!(st.remove(&set("b c"), oid(2)));
         assert!(st.is_empty());
-        assert_eq!(st.union_signature(), 0);
+        assert_eq!(st.union_sig, 0);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl OccupancySummary {
         }
     }
 
-    /// The cube dimension this summary covers.
-    pub const fn r(&self) -> u8 {
-        self.r
-    }
-
     /// OR of the bit patterns of the occupied vertices in region
     /// `(level, prefix)` — the union of keyword positions present there;
     /// `None` for an unoccupied region.
@@ -367,7 +362,7 @@ mod tests {
     /// `summary` holds exactly what `model` says, region by region,
     /// for every region around `probes` and the occupied vertices.
     fn check_against(summary: &OccupancySummary, model: &Model, probes: &[u64]) {
-        let r = summary.r();
+        let r = summary.r;
         let mut stored_regions = std::collections::BTreeSet::new();
         for &bits in model.0.keys().chain(probes) {
             assert_eq!(

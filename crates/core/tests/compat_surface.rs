@@ -26,7 +26,8 @@ fn every_store_backend_position_still_compiles_and_selects_nothing() {
     let mut sim = ProtocolSim::with_store(10, 1, LatencyModel::constant(1), StoreBackend::Slab)
         .expect("valid dimension");
     sim.insert(object, set.clone()).expect("non-empty set");
-    assert_eq!(sim.pin_search(&set).results, vec![object]);
+    let found = sim.search_sequential(&set, 1).expect("valid query");
+    assert_eq!(found.results[0].object, object);
 
     let mut service = KeywordSearchService::builder()
         .nodes(64)

@@ -49,8 +49,7 @@ enum Op {
     FromStrs(Vec<usize>),
     FromIter(Vec<usize>),
     Insert(usize),
-    Remove(usize),
-    Extend(Vec<usize>),
+    Union(Vec<usize>),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -63,9 +62,8 @@ fn op() -> impl Strategy<Value = Op> {
             0 => Op::Parse(many),
             1 => Op::FromStrs(many),
             2 => Op::FromIter(many),
-            3..=5 => Op::Insert(one),
-            6 | 7 => Op::Remove(one),
-            _ => Op::Extend(many),
+            3..=7 => Op::Insert(one),
+            _ => Op::Union(many),
         })
 }
 
@@ -107,16 +105,8 @@ fn apply(set: &mut KeywordSet, model: &mut BTreeSet<String>, op: &Op) {
                 WORDS[*i]
             );
         }
-        Op::Remove(i) => {
-            assert_eq!(
-                set.remove(&keyword(*i)),
-                model.remove(&normalize(WORDS[*i])),
-                "remove({:?}) hit/miss disagreement",
-                WORDS[*i]
-            );
-        }
-        Op::Extend(words) => {
-            set.extend(words.iter().map(|&i| keyword(i)));
+        Op::Union(words) => {
+            *set = set.union(&words.iter().map(|&i| keyword(i)).collect());
             model.extend(words.iter().map(|&i| normalize(WORDS[i])));
         }
     }
@@ -136,16 +126,9 @@ fn assert_matches(set: &KeywordSet, model: &BTreeSet<String>) {
     assert_eq!(set.len(), model.len());
     assert_eq!(set.iter().len(), model.len(), "exact-size iterator");
     assert_eq!(set.is_empty(), model.is_empty());
-    for word in WORDS {
-        assert_eq!(
-            set.contains(&Keyword::new(word).expect("non-empty")),
-            model.contains(&normalize(word)),
-            "contains({word:?})"
-        );
-    }
     assert_eq!(set.to_string(), format!("{{{}}}", expect.join(", ")));
     let signature = model.iter().fold(0u64, |sig, w| {
-        sig | Keyword::new(w).expect("normalized").signature_bit()
+        sig | Keyword::new(w).expect("normalized").view().signature_bit()
     });
     assert_eq!(set.signature(), signature);
     assert_eq!(
@@ -153,12 +136,6 @@ fn assert_matches(set: &KeywordSet, model: &BTreeSet<String>) {
         hash_of(model),
         "a hasher must see what the string set fed it"
     );
-    let owned: Vec<String> = set
-        .clone()
-        .into_iter()
-        .map(|k| k.as_str().to_owned())
-        .collect();
-    assert_eq!(owned, expect, "owning iteration");
     let (decoded, used) = KeywordSet::decode_packed(set.as_packed()).expect("canonical");
     assert_eq!(&decoded, set);
     assert_eq!(used, set.as_packed().len());
@@ -253,7 +230,7 @@ fn limits_are_errors_not_truncation() {
 
     let longest = "x".repeat(MAX_KEYWORD_LEN);
     assert_eq!(
-        Keyword::new(&longest).unwrap().as_str().len(),
+        Keyword::new(&longest).unwrap().as_bytes().len(),
         MAX_KEYWORD_LEN
     );
     assert_eq!(

@@ -201,7 +201,7 @@ proptest! {
             .superset_search(&base.order(TraversalOrder::BottomUp))
             .unwrap();
         let depth_of = |res: &hyperdex_core::RankedObject| {
-            index.vertex_for(&res.keyword_set).hamming(root)
+            index.vertex_for(&res.keyword_set).one_count() - root.one_count()
         };
         let td_depth = depth_of(&td.results[0]);
         let bu_depth = depth_of(&bu.results[0]);
@@ -331,7 +331,7 @@ proptest! {
         let vertex = |bits: u64| Vertex::from_bits(shape, bits).unwrap();
         let root = vertex(root_bits & shape.full_mask());
 
-        let mut coord = SupersetCoordinator::new(root, usize::MAX - 1);
+        let mut coord = SupersetCoordinator::with_queue(root, usize::MAX - 1, Default::default());
         let mut issued = Vec::new();
         while let Step::Visit { bits, via_dim } = coord.next_step() {
             issued.push(bits);

@@ -70,7 +70,11 @@ mod tests {
     }
 
     fn ring(ids: &[u64]) -> Ring {
-        ids.iter().copied().map(id).collect()
+        let mut ring = Ring::new();
+        for &n in ids {
+            ring.join(id(n));
+        }
+        ring
     }
 
     #[test]

@@ -20,11 +20,6 @@ impl NodeId {
         NodeId(raw)
     }
 
-    /// The raw 64-bit value.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// Clockwise distance from `self` to `other` (how far to travel
     /// forward around the ring).
     pub const fn clockwise_distance(self, other: NodeId) -> u64 {
@@ -59,12 +54,6 @@ impl NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-impl From<u64> for NodeId {
-    fn from(raw: u64) -> Self {
-        NodeId(raw)
     }
 }
 

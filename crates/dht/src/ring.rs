@@ -36,13 +36,6 @@ impl Ring {
         Self::default()
     }
 
-    /// Creates a ring from an iterator of ids (duplicates collapse).
-    pub fn from_members<I: IntoIterator<Item = NodeId>>(members: I) -> Self {
-        Ring {
-            members: members.into_iter().collect(),
-        }
-    }
-
     /// Adds a node. Returns `false` if it was already present.
     pub fn join(&mut self, id: NodeId) -> bool {
         self.members.insert(id)
@@ -51,11 +44,6 @@ impl Ring {
     /// Removes a node. Returns `false` if it was not present.
     pub fn leave(&mut self, id: NodeId) -> bool {
         self.members.remove(&id)
-    }
-
-    /// Whether `id` is a live member.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.members.contains(&id)
     }
 
     /// Number of live nodes.
@@ -118,18 +106,6 @@ impl Ring {
     }
 }
 
-impl FromIterator<NodeId> for Ring {
-    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        Ring::from_members(iter)
-    }
-}
-
-impl Extend<NodeId> for Ring {
-    fn extend<I: IntoIterator<Item = NodeId>>(&mut self, iter: I) {
-        self.members.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +115,11 @@ mod tests {
     }
 
     fn ring(ids: &[u64]) -> Ring {
-        ids.iter().copied().map(id).collect()
+        let mut ring = Ring::new();
+        for &n in ids {
+            ring.join(id(n));
+        }
+        ring
     }
 
     #[test]
@@ -147,7 +127,7 @@ mod tests {
         let mut r = Ring::new();
         assert!(r.join(id(5)));
         assert!(!r.join(id(5)), "duplicate join");
-        assert!(r.contains(id(5)));
+        assert_eq!(r.iter().collect::<Vec<_>>(), [id(5)]);
         assert!(r.leave(id(5)));
         assert!(!r.leave(id(5)), "double leave");
         assert!(r.is_empty());

@@ -21,7 +21,10 @@ use crate::ring::Ring;
 /// ```
 /// use hyperdex_dht::{NodeId, Ring, Router};
 ///
-/// let ring: Ring = (0..32).map(|i| NodeId::from_raw(i << 58)).collect();
+/// let mut ring = Ring::new();
+/// for i in 0..32 {
+///     ring.join(NodeId::from_raw(i << 58));
+/// }
 /// let router = Router::build(&ring);
 /// let from = NodeId::from_raw(0);
 /// let path = router.path(from, NodeId::from_raw(u64::MAX / 3));
@@ -49,11 +52,6 @@ impl Router {
     /// Rebuilds all tables from a new ring view.
     pub fn rebuild(&mut self, ring: &Ring) {
         *self = Router::build(ring);
-    }
-
-    /// The ring view this router was built from.
-    pub fn ring(&self) -> &Ring {
-        &self.ring
     }
 
     /// The greedy lookup path from `from` to the surrogate of `key`,
@@ -113,7 +111,11 @@ mod tests {
 
     /// A ring of `n` pseudo-random node ids.
     fn random_ring(n: u64, seed: u64) -> Ring {
-        (0..n).map(|i| id(stable_hash_u64(i, seed))).collect()
+        let mut ring = Ring::new();
+        for i in 0..n {
+            ring.join(id(stable_hash_u64(i, seed)));
+        }
+        ring
     }
 
     #[test]
@@ -206,7 +208,8 @@ mod tests {
 
     #[test]
     fn single_node_routes_to_itself() {
-        let ring: Ring = std::iter::once(id(9)).collect();
+        let mut ring = Ring::new();
+        ring.join(id(9));
         let router = Router::build(&ring);
         assert_eq!(router.path(id(9), id(12345)), vec![id(9)]);
     }

@@ -25,7 +25,6 @@
 //! let u = Vertex::from_bits(shape, 0b0100)?;
 //! let v = Vertex::from_bits(shape, 0b0110)?;
 //! assert!(v.contains(u));              // One(u) ⊆ One(v)
-//! assert_eq!(u.hamming(v), 1);
 //! assert_eq!(u.subcube().len(), 8);    // H_4(0100) ≅ H_3
 //! # Ok::<(), hyperdex_hypercube::DimensionError>(())
 //! ```

@@ -53,16 +53,6 @@ impl Sbt {
         }
     }
 
-    /// The root vertex.
-    pub const fn root(self) -> Vertex {
-        self.root
-    }
-
-    /// The bitmask of free dimensions the tree spans.
-    pub const fn free_mask(self) -> u64 {
-        self.free_mask
-    }
-
     /// Tree height (equals the number of free dimensions).
     pub fn height(self) -> u32 {
         self.free_mask.count_ones()
@@ -236,7 +226,7 @@ mod tests {
     fn figure4_induced_tree_shape() {
         // SBT_{H_4}(0100): root 0100; its children flip dims 3, 1, 0.
         let sbt = Sbt::induced(v(4, 0b0100));
-        let children: Vec<u64> = sbt.children(sbt.root()).map(|c| c.bits()).collect();
+        let children: Vec<u64> = sbt.children(sbt.root).map(|c| c.bits()).collect();
         assert_eq!(children, vec![0b1100, 0b0110, 0b0101]);
         assert_eq!(node_count(sbt), 8);
         assert_eq!(sbt.height(), 3);
@@ -249,7 +239,7 @@ mod tests {
         assert_eq!(parent(sbt, v(4, 0b1110)), Some(v(4, 0b1100)));
         // 0101 differs only at dim 0.
         assert_eq!(parent(sbt, v(4, 0b0101)), Some(v(4, 0b0100)));
-        assert_eq!(parent(sbt, sbt.root()), None);
+        assert_eq!(parent(sbt, sbt.root), None);
     }
 
     #[test]
@@ -283,7 +273,11 @@ mod tests {
         let mut last = 0;
         for (node, depth) in sbt.bfs() {
             assert!(depth >= last, "BFS order");
-            assert_eq!(depth, node.hamming(sbt.root()), "depth = Hamming distance");
+            assert_eq!(
+                depth,
+                (node.bits() ^ sbt.root.bits()).count_ones(),
+                "depth = Hamming distance"
+            );
             last = depth;
         }
     }
@@ -321,7 +315,7 @@ mod tests {
     #[test]
     fn subtree_sizes_sum_to_node_count() {
         let sbt = Sbt::induced(v(5, 0b01000));
-        let root_children_total: u64 = sbt.children(sbt.root()).map(|c| subtree_size(sbt, c)).sum();
+        let root_children_total: u64 = sbt.children(sbt.root).map(|c| subtree_size(sbt, c)).sum();
         assert_eq!(root_children_total + 1, node_count(sbt));
     }
 
@@ -353,13 +347,13 @@ mod tests {
         let sbt = Sbt::induced(v(3, 0b111));
         assert_eq!(node_count(sbt), 1);
         assert_eq!(sbt.bfs().count(), 1);
-        assert_eq!(sbt.children(sbt.root()).count(), 0);
+        assert_eq!(sbt.children(sbt.root).count(), 0);
     }
 
     #[test]
     fn children_descending_dimension_order() {
         let sbt = spanning(v(4, 0b0000));
-        let dims: Vec<u64> = sbt.children(sbt.root()).map(|c| c.bits()).collect();
+        let dims: Vec<u64> = sbt.children(sbt.root).map(|c| c.bits()).collect();
         assert_eq!(dims, vec![0b1000, 0b0100, 0b0010, 0b0001]);
     }
 

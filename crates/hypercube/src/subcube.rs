@@ -7,8 +7,6 @@
 //! scheme cares: every object describable by a keyword set `K` is indexed
 //! somewhere inside `H_r(F_h(K))`.
 
-use std::fmt;
-
 use crate::bits;
 use crate::vertex::Vertex;
 
@@ -38,11 +36,6 @@ impl Subcube {
         Subcube { root }
     }
 
-    /// The inducing vertex `u`.
-    pub const fn root(self) -> Vertex {
-        self.root
-    }
-
     /// The free dimensions, `Zero(u)`, as a bitmask.
     pub fn free_mask(self) -> u64 {
         self.root.zero_mask()
@@ -61,11 +54,6 @@ impl Subcube {
         1u64 << self.dim()
     }
 
-    /// Whether `w` belongs to this subcube (`w` contains the root).
-    pub fn contains(self, w: Vertex) -> bool {
-        w.contains(self.root)
-    }
-
     /// Iterates over every vertex of the subcube.
     ///
     /// Vertices are produced in increasing order of the dense index over
@@ -75,15 +63,6 @@ impl Subcube {
             subcube: self,
             next_index: 0,
         }
-    }
-
-    /// Iterates over the vertices at Hamming distance exactly `d` from
-    /// the root, i.e. the vertices whose keyword sets have `d` extra
-    /// hashed positions (Lemma 3.2's levels).
-    ///
-    /// Vertices are produced in subset-counting order.
-    pub fn level(self, d: u32) -> impl Iterator<Item = Vertex> {
-        self.iter().filter(move |w| w.hamming(self.root) == d)
     }
 
     /// The vertex of this subcube with the given dense index over free
@@ -96,12 +75,6 @@ impl Subcube {
         assert!(index < self.len(), "subcube index {index} out of range");
         let bits = self.root.bits() | bits::deposit(index, self.free_mask());
         Vertex::from_bits(self.root.shape(), bits).expect("deposit stays within shape")
-    }
-}
-
-impl fmt::Display for Subcube {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "H_{}({})", self.root.shape().r(), self.root)
     }
 }
 
@@ -133,15 +106,6 @@ impl Iterator for Iter {
 
 impl ExactSizeIterator for Iter {}
 
-impl IntoIterator for Subcube {
-    type Item = Vertex;
-    type IntoIter = Iter;
-
-    fn into_iter(self) -> Iter {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,24 +134,25 @@ mod tests {
     #[test]
     fn root_is_first_vertex() {
         let sub = v(5, 0b00101).subcube();
-        assert_eq!(sub.iter().next(), Some(sub.root()));
+        assert_eq!(sub.iter().next(), Some(sub.root));
     }
 
     #[test]
     fn membership_matches_containment() {
         let u = v(4, 0b0101);
-        let sub = u.subcube();
-        for bits in 0..16u64 {
-            let w = v(4, bits);
-            assert_eq!(sub.contains(w), w.contains(u));
-        }
+        let members: Vec<Vertex> = u.subcube().iter().collect();
+        let containing: Vec<Vertex> = (0..16u64)
+            .map(|bits| v(4, bits))
+            .filter(|w| w.contains(u))
+            .collect();
+        assert_eq!(members, containing);
     }
 
     #[test]
     fn unit_subcube() {
         let sub = v(3, 0b111).subcube();
         assert_eq!(sub.len(), 1);
-        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![sub.root()]);
+        assert_eq!(sub.iter().collect::<Vec<_>>(), vec![sub.root]);
     }
 
     #[test]
@@ -199,29 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn levels_partition_by_hamming_distance() {
-        let sub = v(5, 0b00001).subcube();
-        let mut total = 0u64;
-        for d in 0..=sub.dim() {
-            let level: Vec<Vertex> = sub.level(d).collect();
-            // Level sizes are binomial coefficients C(dim, d).
-            let expected = binomial(sub.dim() as u64, d as u64);
-            assert_eq!(level.len() as u64, expected, "level {d}");
-            for w in &level {
-                assert_eq!(w.hamming(sub.root()), d);
-            }
-            total += level.len() as u64;
-        }
-        assert_eq!(total, sub.len());
-    }
-
-    #[test]
     fn vertex_at_enumerates_distinct_members() {
         let sub = v(6, 0b010010).subcube();
         let members: std::collections::BTreeSet<u64> =
             (0..sub.len()).map(|i| sub.vertex_at(i).bits()).collect();
         assert_eq!(members.len() as u64, sub.len());
-        assert!(members.iter().all(|&bits| sub.contains(v(6, bits))));
+        assert!(members.iter().all(|&bits| v(6, bits).contains(sub.root)));
     }
 
     #[test]
@@ -238,9 +186,9 @@ mod tests {
         assert!(w.contains(u));
         // Every member of H(w) is a member of H(u), not the other way.
         for m in w.subcube().iter() {
-            assert!(u.subcube().contains(m));
+            assert!(m.contains(u));
         }
-        assert!(u.subcube().iter().any(|m| !w.subcube().contains(m)));
+        assert!(u.subcube().iter().any(|m| !m.contains(w)));
     }
 
     #[test]
@@ -250,22 +198,5 @@ mod tests {
         assert_eq!(it.len(), 8);
         it.next();
         assert_eq!(it.len(), 7);
-    }
-
-    #[test]
-    fn display_format() {
-        assert_eq!(v(4, 0b0100).subcube().to_string(), "H_4(0100)");
-    }
-
-    fn binomial(n: u64, k: u64) -> u64 {
-        if k > n {
-            return 0;
-        }
-        let k = k.min(n - k);
-        let mut result = 1u64;
-        for i in 0..k {
-            result = result * (n - i) / (i + 1);
-        }
-        result
     }
 }

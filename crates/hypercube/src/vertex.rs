@@ -95,16 +95,6 @@ impl Vertex {
         other.bits & !self.bits == 0
     }
 
-    /// The Hamming distance to `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vertices come from different shapes.
-    pub fn hamming(self, other: Vertex) -> u32 {
-        self.assert_same_shape(other);
-        (self.bits ^ other.bits).count_ones()
-    }
-
     /// The neighbor across dimension `i` (bit `i` flipped).
     ///
     /// # Panics
@@ -142,12 +132,6 @@ impl fmt::Display for Vertex {
             write!(f, "{}", u8::from(self.bit(i)))?;
         }
         Ok(())
-    }
-}
-
-impl fmt::Binary for Vertex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Binary::fmt(&self.bits, f)
     }
 }
 
@@ -219,16 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn hamming_distance() {
-        assert_eq!(v(4, 0b0000).hamming(v(4, 0b1111)), 4);
-        assert_eq!(v(4, 0b1010).hamming(v(4, 0b1010)), 0);
-        assert_eq!(v(4, 0b1010).hamming(v(4, 0b1000)), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "different hypercubes")]
     fn mixed_shapes_panic() {
-        let _ = v(4, 1).hamming(v(5, 1));
+        let _ = v(4, 1).contains(v(5, 1));
     }
 
     #[test]
@@ -236,7 +213,7 @@ mod tests {
         let vx = v(6, 0b010100);
         for i in 0..6 {
             let n = vx.flip(i);
-            assert_eq!(vx.hamming(n), 1);
+            assert_eq!((vx.bits ^ n.bits).count_ones(), 1);
             assert_eq!(n.flip(i), vx);
         }
     }
@@ -245,7 +222,6 @@ mod tests {
     fn display_msb_first() {
         assert_eq!(v(4, 0b0100).to_string(), "0100");
         assert_eq!(v(6, 0b010100).to_string(), "010100");
-        assert_eq!(format!("{:b}", v(4, 0b0100)), "100");
     }
 
     #[test]

@@ -29,9 +29,7 @@ use std::time::{Duration, Instant};
 
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::client_core::{ClientCore, ClientLink};
-use hyperdex_runtime::runtime::{
-    BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
-};
+use hyperdex_runtime::runtime::{BatchResult, Request, RuntimeMatch};
 use hyperdex_runtime::wire::WireMsg;
 use hyperdex_runtime::ShardMap;
 
@@ -51,9 +49,8 @@ pub struct NetConfig {
     pub reconnect_attempts: u32,
     /// Sleep before the second reconnect attempt; doubles per attempt.
     pub reconnect_backoff: Duration,
-    /// Independent searches kept in flight per connection by the
-    /// windowed paths ([`NetClient::run_batch`],
-    /// [`NetClient::superset_search_ft_batch`]). Defaults to
+    /// Read by nothing: [`NetClient::run_batch`] takes its window per
+    /// call. Kept because `benchmark/` spells it. Defaults to
     /// [`DEFAULT_WINDOW`].
     pub window: usize,
 }
@@ -87,7 +84,6 @@ enum Event {
 /// handle; all I/O concurrency lives in the servers.
 pub struct NetClient {
     core: ClientCore<TcpLink>,
-    window: usize,
 }
 
 /// The TCP [`ClientLink`]: one connection per server, re-dialed with
@@ -171,7 +167,6 @@ impl NetClient {
         }
         Ok(NetClient {
             core: ClientCore::new(hasher, shards, link, Some(cfg.request_timeout)),
-            window: cfg.window,
         })
     }
 
@@ -235,50 +230,6 @@ impl NetClient {
         threshold: usize,
     ) -> Result<Vec<RuntimeMatch>, Error> {
         self.core.superset_search(keywords, threshold)
-    }
-
-    /// Fault-tolerant superset search over the wire: the coordinating
-    /// worker retries each region owner; the client re-issues the query
-    /// when a whole attempt dies, and degrades to an honest empty
-    /// outcome when nobody ever answers.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, [`Error::ConnectionLost`] when the coordinator's
-    /// server is unreachable for the initial send.
-    pub fn superset_search_ft(
-        &mut self,
-        keywords: &KeywordSet,
-        threshold: usize,
-        opts: &FtSearchOptions,
-    ) -> Result<FtSearchOutcome, Error> {
-        self.core.superset_search_ft(keywords, threshold, opts)
-    }
-
-    /// Windowed fault-tolerant search: keeps up to
-    /// [`NetConfig::window`] independent FT queries in flight, matching
-    /// out-of-order completions by query id. Each search carries its
-    /// own attempt counter and deadline — one search timing out (and
-    /// re-issuing, or degrading to an honest empty outcome once its
-    /// attempts are exhausted) never stalls the rest of the window.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, [`Error::ConnectionLost`] when a send finds a server
-    /// unreachable through the reconnect budget. A search whose replies
-    /// never arrive is not an error: it completes degraded
-    /// (`complete: false`, no coverage), exactly like the single-query
-    /// path.
-    pub fn superset_search_ft_batch(
-        &mut self,
-        queries: &[KeywordSet],
-        threshold: usize,
-        opts: &FtSearchOptions,
-    ) -> Result<Vec<FtSearchOutcome>, Error> {
-        self.core
-            .superset_search_ft_batch(queries, threshold, opts, self.window)
     }
 
     /// Runs `requests` keeping up to `window` in flight across the

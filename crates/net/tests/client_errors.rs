@@ -13,10 +13,9 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
-use hyperdex_core::{Error, FtCoverage, KeywordSet, ObjectId};
+use hyperdex_core::{Error, KeywordSet, ObjectId};
 use hyperdex_net::client::{NetClient, NetConfig};
 use hyperdex_net::stream::{push_unit, StreamDecoder, CLIENT_DEST};
-use hyperdex_runtime::runtime::FtSearchOptions;
 use hyperdex_runtime::wire::WireMsg;
 
 fn quick_cfg() -> NetConfig {
@@ -26,23 +25,6 @@ fn quick_cfg() -> NetConfig {
         reconnect_attempts: 3,
         reconnect_backoff: Duration::from_millis(10),
         window: 8,
-    }
-}
-
-/// A canned successful completion for FT query `query_id`, carrying
-/// `objects` as its matches.
-fn ft_done(query_id: u64, objects: Vec<(u64, u32)>) -> WireMsg {
-    WireMsg::FtQueryDone {
-        query_id,
-        objects,
-        coverage: FtCoverage {
-            subcube_vertices: 1,
-            reached: 1,
-            queries_sent: 1,
-            conts: 1,
-            result_messages: 1,
-            ..FtCoverage::default()
-        },
     }
 }
 
@@ -275,92 +257,6 @@ fn a_worker_bound_unit_at_the_client_is_a_lost_connection() {
         "{err}"
     );
     assert!(started.elapsed() < Duration::from_secs(2), "{err}");
-    drop(client);
-    server.join().unwrap();
-}
-
-/// Reads units off `stream` until `n` FT queries have arrived,
-/// returning `(query_id, keywords)` in arrival order. Non-FT frames
-/// are a protocol bug.
-fn read_ft_queries(
-    stream: &mut TcpStream,
-    dec: &mut StreamDecoder,
-    n: usize,
-) -> Vec<(u64, KeywordSet)> {
-    let mut out = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while out.len() < n {
-        if let Some((_, frame)) = dec.next_unit_ref().expect("well-formed stream") {
-            match WireMsg::decode_exact(frame).expect("decodable frame") {
-                WireMsg::FtQuery {
-                    query_id, keywords, ..
-                } => out.push((query_id, keywords)),
-                other => panic!("expected an FT query, got {other:?}"),
-            }
-            continue;
-        }
-        let got = stream.read(&mut chunk).expect("request bytes");
-        assert!(got > 0, "client hung up before sending {n} queries");
-        dec.push(&chunk[..got]);
-    }
-    out
-}
-
-#[test]
-fn reconnect_mid_window_reissues_on_the_fresh_connection() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let (done_tx, done_rx) = channel::<()>();
-    // First connection: answer two of three queries, then drop the
-    // socket. The client must reconnect and re-issue the third.
-    let server = std::thread::spawn(move || {
-        let (mut first, _) = listener.accept().unwrap();
-        assert_eq!(read_hello(&mut first), CLIENT_DEST);
-        let mut dec = StreamDecoder::new();
-        let queries = read_ft_queries(&mut first, &mut dec, 3);
-        for (id, _) in &queries[..2] {
-            first
-                .write_all(&unit(CLIENT_DEST, &ft_done(*id, vec![(*id, 0)])))
-                .expect("reply");
-        }
-        // Let the replies land before the hangup.
-        std::thread::sleep(Duration::from_millis(50));
-        drop(first);
-
-        let (mut second, _) = listener.accept().unwrap();
-        assert_eq!(read_hello(&mut second), CLIENT_DEST);
-        let mut dec = StreamDecoder::new();
-        let reissued = read_ft_queries(&mut second, &mut dec, 1);
-        let (id, keywords) = &reissued[0];
-        assert_eq!(*keywords, queries[2].1, "the unanswered search re-issues");
-        second
-            .write_all(&unit(CLIENT_DEST, &ft_done(*id, vec![(*id, 0)])))
-            .expect("reply");
-        // Hold the fresh socket open until the client is done.
-        done_rx.recv().ok();
-    });
-
-    let mut client = NetClient::connect(&[addr], 8, 42, 1, quick_cfg()).expect("connect");
-    let queries: Vec<KeywordSet> = ["first fine", "second fine", "third dropped"]
-        .iter()
-        .map(|q| KeywordSet::parse(q).unwrap())
-        .collect();
-    let opts = FtSearchOptions {
-        attempts: 3,
-        attempt_timeout_ms: 300,
-        ..FtSearchOptions::default()
-    };
-    let outcomes = client
-        .superset_search_ft_batch(&queries, 16, &opts)
-        .expect("window survives the reconnect");
-    assert!(outcomes.iter().all(|o| o.complete), "all three complete");
-    assert_eq!(outcomes[0].attempts, 1);
-    assert_eq!(outcomes[1].attempts, 1);
-    assert_eq!(
-        outcomes[2].attempts, 2,
-        "the dropped search consumed a re-issue"
-    );
-    done_tx.send(()).ok();
     drop(client);
     server.join().unwrap();
 }

@@ -7,14 +7,13 @@
 //! processes and sockets add.) A final cell crashes a worker mid-run and
 //! grades every fault-tolerant answer against the direct engine.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
+use std::time::Duration;
 
-use hyperdex_core::{HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
+use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex_net::client::NetClient;
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
 use hyperdex_runtime::fault::CrashPoint;
-use hyperdex_runtime::runtime::FtSearchOptions;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// A generated corpus plus a query mix of broad, thresholded, and
@@ -152,19 +151,16 @@ fn four_processes_four_workers_match_at_r8_and_r12() {
 }
 
 /// A crash is the one fault that crosses processes, so every answer is
-/// graded against the direct engine: a complete outcome is its id set,
-/// a partial one misses only objects whose vertex it reports skipped,
-/// and none holds an object the engine does not.
+/// graded against the direct engine: a coordinator retries an owner
+/// that restarted until it answers, so an answer is the engine's id
+/// set exactly. The one query a crash can swallow — the worker that
+/// dropped it was coordinating it — is never answered, and times out.
 #[test]
 fn crashed_worker_recovers_over_tcp_and_the_ledger_still_balances() {
     let (corpus, queries) = workload(42, 120);
     let mut index = direct(8, 42, &corpus);
-    let hasher = KeywordHasher::new(8, 42).expect("valid r");
-    let home: HashMap<ObjectId, u64> = corpus
-        .iter()
-        .map(|(id, keywords)| (*id, hasher.vertex_for(keywords).bits()))
-        .collect();
     let mut cfg = ClusterConfig::new(8, 42, 4, 2);
+    cfg.net.request_timeout = Duration::from_secs(3);
     // Worker 1 dies on its 3rd query-path frame and restarts in place
     // from its own load log.
     cfg.crash = Some(CrashPoint {
@@ -172,34 +168,21 @@ fn crashed_worker_recovers_over_tcp_and_the_ledger_still_balances() {
         after_query_frames: 3,
     });
     let (cluster, mut client) = loaded(cfg, &corpus);
-    let opts = FtSearchOptions::default();
     let mut answered = 0;
     for (keywords, _) in &queries {
-        let out = client
-            .superset_search_ft(keywords, usize::MAX - 1, &opts)
-            .expect("ft search");
-        let truth = direct_superset(&mut index, keywords, usize::MAX - 1);
-        let got = ids(out.matches.iter().map(|m| m.object));
-        assert!(
-            got.iter().all(|id| truth.contains(id)),
-            "{keywords}: {got:?} holds an object the direct engine does not"
-        );
-        let Some(coverage) = &out.coverage else {
+        let Ok(found) = client.superset_search(keywords, usize::MAX - 1) else {
             continue;
         };
         answered += 1;
-        if out.complete {
-            assert_eq!(got, truth, "{keywords}: a complete answer diverged");
-        }
-        for missing in truth.iter().filter(|id| !got.contains(id)) {
-            assert!(
-                coverage.skipped.contains(&home[missing]),
-                "{keywords}: {missing:?} is missing but its vertex was not \
-                 reported skipped: {coverage:?}"
-            );
-        }
+        let truth = direct_superset(&mut index, keywords, usize::MAX - 1);
+        let got = ids(found.iter().map(|m| m.object));
+        assert_eq!(got, truth, "{keywords}: an answer diverged");
     }
-    assert!(answered > 0, "no FT query ever completed");
+    assert!(
+        answered + 1 >= queries.len(),
+        "{answered} of {} queries answered",
+        queries.len()
+    );
 
     let report = cluster.shutdown(client).expect("shutdown");
     report.assert_conserved();

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
-use hyperdex_runtime::{NodeRuntime, Request, RuntimeConfig, ShutdownReport};
+use hyperdex_runtime::{Request, ShutdownReport};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 const R: u8 = 8;
@@ -126,21 +126,4 @@ fn two_processes_repeat_their_frames_and_cache_decisions() {
         arrivals.values().map(|&count| count.min(2)).sum::<u64>(),
         "a repeated query was admitted on more than one worker: {cache:?}"
     );
-
-    // The same stream through the threaded runtime: same answers, and
-    // — the request path being the same code — the same decisions.
-    let mut rt = NodeRuntime::start(RuntimeConfig::new(R, 2).seed(SEED)).unwrap();
-    for (object, keywords) in &entries {
-        rt.insert(*object, keywords.clone()).unwrap();
-    }
-    rt.flush();
-    let threaded: Vec<Vec<ObjectId>> = rt
-        .run_batch(&requests, WINDOW)
-        .iter()
-        .map(|b| sorted(&b.objects))
-        .collect();
-    let report = rt.shutdown();
-    report.assert_conserved();
-    assert_eq!(answers, threaded);
-    assert_eq!(fingerprint(&first).1, fingerprint(&report).1);
 }

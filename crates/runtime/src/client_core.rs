@@ -35,9 +35,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use hyperdex_core::{
-    Error, FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy,
-};
+use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
 
 use crate::shard::ShardMap;
 use crate::transport::LANE_WATERMARK;
@@ -117,16 +115,13 @@ pub struct BatchResult {
 /// Knobs for a fault-tolerant superset search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtSearchOptions {
-    /// What the coordinating worker holds each region owner to, sent
-    /// as is: the base timeout is the owner's first-attempt deadline in
-    /// milliseconds, doubling per retry, and an owner silent through
-    /// `max_retries` retransmissions is given up — its regions are the
-    /// outcome's skipped vertices. A region has no subtree to route
-    /// around, so every strategy but [`RecoveryStrategy::Naive`] means
-    /// exactly that (re-delegation and the secondary sweep are the
-    /// simulator's); `Naive` sends once and gives an owner up after
-    /// one base timeout.
-    pub policy: FtPolicy,
+    /// Retransmissions the coordinating worker sends a silent region
+    /// owner before giving it up — its regions are the outcome's
+    /// skipped vertices (0: one transmission, one base timeout).
+    pub max_retries: u32,
+    /// An owner's first-attempt deadline in milliseconds, doubling per
+    /// retry.
+    pub base_timeout: u64,
     /// Overall per-attempt client deadline in milliseconds. If the
     /// coordinator itself dies, the client re-issues the query after
     /// this long.
@@ -134,20 +129,6 @@ pub struct FtSearchOptions {
     /// How many times the client re-issues the query before returning
     /// a degraded result.
     pub attempts: u32,
-}
-
-impl Default for FtSearchOptions {
-    fn default() -> FtSearchOptions {
-        FtSearchOptions {
-            policy: FtPolicy {
-                strategy: RecoveryStrategy::Redelegate,
-                max_retries: 2,
-                base_timeout: 25,
-            },
-            attempt_timeout_ms: 2_000,
-            attempts: 3,
-        }
-    }
 }
 
 /// Outcome of a fault-tolerant runtime search.
@@ -208,11 +189,6 @@ impl<L: ClientLink> ClientCore<L> {
             next_id: 0,
             marks: vec![0; shards.workers() as usize],
         }
-    }
-
-    /// The keyword → vertex hash the cluster shares.
-    pub fn hasher(&self) -> KeywordHasher {
-        self.hasher
     }
 
     /// The vertex → worker map the cluster shares.
@@ -378,7 +354,7 @@ impl<L: ClientLink> ClientCore<L> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        if opts.policy.base_timeout == 0 {
+        if opts.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
         struct Flight {
@@ -572,7 +548,8 @@ impl<L: ClientLink> ClientCore<L> {
                 query_id: id,
                 keywords: keywords.clone(),
                 threshold: threshold as u64,
-                policy: opts.policy,
+                max_retries: opts.max_retries,
+                base_timeout: opts.base_timeout,
             },
         );
         id

@@ -50,9 +50,10 @@
 //! use hyperdex_core::{KeywordSet, ObjectId};
 //!
 //! let mut rt = NodeRuntime::start(RuntimeConfig::new(8, 4))?;
-//! rt.insert(ObjectId::from_raw(1), KeywordSet::parse("rust p2p")?)?;
+//! let keywords = KeywordSet::parse("rust p2p")?;
+//! rt.bulk_load([(ObjectId::from_raw(1), &keywords)])?;
 //! rt.flush();
-//! assert_eq!(rt.pin_search(&KeywordSet::parse("rust p2p")?).len(), 1);
+//! assert_eq!(rt.pin_search(&keywords).len(), 1);
 //! let report = rt.shutdown();
 //! report.assert_conserved();
 //! # Ok::<(), hyperdex_core::Error>(())

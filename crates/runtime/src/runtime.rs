@@ -225,9 +225,7 @@ impl ShutdownReport {
 /// Client handle to a running sharded cluster: the shared request
 /// protocol ([`ClientCore`]) over the in-process channel link, plus
 /// ownership of the worker threads. All methods are synchronous from
-/// the caller's point of view; concurrency lives in the worker threads
-/// ([`NodeRuntime::run_batch`] keeps a window of requests in flight to
-/// exploit it).
+/// the caller's point of view; concurrency lives in the worker threads.
 #[derive(Debug)]
 pub struct NodeRuntime {
     core: ClientCore<ChannelLink>,
@@ -413,23 +411,9 @@ impl NodeRuntime {
         self.core.shards().workers()
     }
 
-    /// The hypercube dimension `r`.
-    pub fn r(&self) -> u8 {
-        self.core.hasher().shape().r()
-    }
-
-    /// Routes one `T_INSERT` to the owning shard: queued, and shipped
-    /// in a burst ([`ClientCore::insert`]); [`NodeRuntime::flush`]
-    /// says when it has landed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::EmptyKeywordSet`] when `keywords` is empty.
-    pub fn insert(&mut self, object: ObjectId, keywords: KeywordSet) -> Result<(), Error> {
-        self.core.insert(object, keywords)
-    }
-
-    /// Installs whole vertex tables at once: [`ClientCore::bulk_load`].
+    /// Queues one insert per entry, in input order:
+    /// [`ClientCore::bulk_load`]; [`NodeRuntime::flush`] says when
+    /// they have landed.
     ///
     /// # Errors
     ///
@@ -482,7 +466,7 @@ impl NodeRuntime {
     /// # Errors
     ///
     /// Returns [`Error::ZeroThreshold`] when `threshold == 0` and
-    /// [`Error::ZeroTimeout`] when `opts.policy.base_timeout == 0`.
+    /// [`Error::ZeroTimeout`] when `opts.base_timeout == 0`.
     pub fn superset_search_ft(
         &mut self,
         keywords: &KeywordSet,
@@ -490,13 +474,6 @@ impl NodeRuntime {
         opts: &FtSearchOptions,
     ) -> Result<FtSearchOutcome, Error> {
         self.core.superset_search_ft(keywords, threshold, opts)
-    }
-
-    /// Runs `requests` keeping up to `window` of them in flight — the
-    /// throughput path: queries rooted on different workers make
-    /// progress concurrently while the client collects completions.
-    pub fn run_batch(&mut self, requests: &[Request], window: usize) -> Vec<BatchResult> {
-        self.core.run_batch(requests, window).expect(INFALLIBLE)
     }
 
     /// Runs the drain barrier, sends every worker `Shutdown`, joins
@@ -673,7 +650,6 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperdex_core::{FtPolicy, RecoveryStrategy};
 
     fn set(s: &str) -> KeywordSet {
         KeywordSet::parse(s).unwrap()
@@ -701,9 +677,12 @@ mod tests {
     fn loaded_faulted(workers: u32, plan: FaultPlan) -> NodeRuntime {
         let mut rt =
             NodeRuntime::start_faulted(RuntimeConfig::new(8, workers).seed(42), plan).unwrap();
-        for &(id, kws) in CORPUS {
-            rt.insert(oid(id), set(kws)).unwrap();
-        }
+        let entries: Vec<(ObjectId, KeywordSet)> = CORPUS
+            .iter()
+            .map(|&(id, kws)| (oid(id), set(kws)))
+            .collect();
+        rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
+            .unwrap();
         rt.flush();
         rt
     }
@@ -799,10 +778,11 @@ mod tests {
             ..RuntimeConfig::new(8, 4).seed(3)
         })
         .unwrap();
-        for i in 0..200u64 {
-            rt.insert(oid(i), set(&format!("common tag{}", i % 5)))
-                .unwrap();
-        }
+        let entries: Vec<(ObjectId, KeywordSet)> = (0..200u64)
+            .map(|i| (oid(i), set(&format!("common tag{}", i % 5))))
+            .collect();
+        rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
+            .unwrap();
         rt.flush();
         let out = rt.superset_search(&set("common"), usize::MAX - 1).unwrap();
         assert_eq!(out.len(), 200);
@@ -820,11 +800,8 @@ mod tests {
     fn a_parked_traversal_ends_on_its_own_deadlines() {
         let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
         let opts = FtSearchOptions {
-            policy: FtPolicy {
-                strategy: RecoveryStrategy::RetryOnly,
-                max_retries: 2,
-                base_timeout: 20,
-            },
+            max_retries: 2,
+            base_timeout: 20,
             attempt_timeout_ms: 10_000,
             attempts: 1,
         };

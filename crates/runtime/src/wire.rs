@@ -30,9 +30,7 @@
 
 use std::fmt;
 
-use hyperdex_core::{
-    Error, FtCoverage, FtPolicy, Keyword, KeywordSet, PackedError, RecoveryStrategy,
-};
+use hyperdex_core::{Error, FtCoverage, Keyword, KeywordSet, PackedError};
 
 /// Upper bound on a frame body; larger declared lengths are rejected
 /// before any allocation ([`WireError::Oversized`]).
@@ -218,9 +216,12 @@ wire_messages! {
         query_id: u64,
         /// Results wanted (the paper's `c`).
         threshold: u64,
-        /// Strategy, retry budget and first-attempt deadline, the
-        /// latter in milliseconds.
-        policy: FtPolicy,
+        /// Retransmissions of a silent region owner before it is given
+        /// up.
+        max_retries: u32,
+        /// The first attempt's deadline in milliseconds, doubling per
+        /// retry.
+        base_timeout: u64,
         /// The queried keyword set `K`.
         keywords: KeywordSet,
     },
@@ -332,8 +333,6 @@ pub enum WireError {
     /// A keyword normalizes to more bytes than a `u16` length prefix
     /// can carry (lowercasing can lengthen a maximal keyword).
     KeywordTooLong,
-    /// An `FtQuery`'s strategy byte names no [`RecoveryStrategy`].
-    BadStrategy(u8),
 }
 
 impl fmt::Display for WireError {
@@ -352,7 +351,6 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "keyword bytes are not valid UTF-8"),
             WireError::BadKeyword => write!(f, "keyword failed validation"),
             WireError::KeywordTooLong => write!(f, "keyword exceeds the length limit"),
-            WireError::BadStrategy(b) => write!(f, "unknown recovery strategy byte {b:#04x}"),
         }
     }
 }
@@ -497,34 +495,6 @@ impl Field for KeywordSet {
             Err(PackedError::BadUtf8) => Err(WireError::BadUtf8),
             Err(PackedError::NotCanonical) => get_keywords_normalizing(r),
         }
-    }
-}
-
-/// Strategy byte, retry budget, first-attempt deadline.
-impl Field for FtPolicy {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self.strategy {
-            RecoveryStrategy::Naive => 0,
-            RecoveryStrategy::RetryOnly => 1,
-            RecoveryStrategy::Redelegate => 2,
-            RecoveryStrategy::ReplicatedFailover => 3,
-        });
-        self.max_retries.put(out);
-        self.base_timeout.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let strategy = match u8::get(r)? {
-            0 => RecoveryStrategy::Naive,
-            1 => RecoveryStrategy::RetryOnly,
-            2 => RecoveryStrategy::Redelegate,
-            3 => RecoveryStrategy::ReplicatedFailover,
-            other => return Err(WireError::BadStrategy(other)),
-        };
-        Ok(FtPolicy {
-            strategy,
-            max_retries: Field::get(r)?,
-            base_timeout: Field::get(r)?,
-        })
     }
 }
 
@@ -708,21 +678,15 @@ pub fn exemplars() -> Vec<WireMsg> {
             query_id: 21,
             keywords: set("alpha beta"),
             threshold: 40,
-            policy: FtPolicy {
-                strategy: RecoveryStrategy::Redelegate,
-                max_retries: 2,
-                base_timeout: 16,
-            },
+            max_retries: 2,
+            base_timeout: 16,
         },
         WireMsg::FtQuery {
             query_id: 22,
             keywords: set("x"),
             threshold: 1,
-            policy: FtPolicy {
-                strategy: RecoveryStrategy::Naive,
-                max_retries: 0,
-                base_timeout: 0,
-            },
+            max_retries: 0,
+            base_timeout: 0,
         },
         WireMsg::FtQueryDone {
             query_id: 21,
@@ -873,12 +837,13 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 874 bytes: the
+    /// when `encode_into` was its only body (FNV-1a over 872 bytes: the
     /// 1,120 of the 17-variant vocabulary less the 184 of the retired
     /// per-vertex pair's four exemplars, the 9 of the retired repair
     /// release's one and the 77 of the retired table handoff's one, plus
     /// 4 per `RegionQuery` for its attempt and 8 per `RegionDone` for
-    /// its attempt and part).
+    /// its attempt and part, less the retired strategy byte of each of
+    /// the two `FtQuery`s).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -896,7 +861,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (874, 0xec8c_35fb_3369_cafc));
+        assert_eq!((forward.len(), digest), (872, 0xd0f8_d8b7_290c_8a42));
     }
 
     /// In every build profile: an over-cap frame must stop at the
@@ -1006,28 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_strategy_byte_is_rejected() {
-        let mut frame = WireMsg::FtQuery {
-            query_id: 1,
-            keywords: set("a"),
-            threshold: 1,
-            policy: FtPolicy {
-                strategy: RecoveryStrategy::RetryOnly,
-                max_retries: 1,
-                base_timeout: 1,
-            },
-        }
-        .encode();
-        // The strategy byte sits right after the tag and two u64s.
-        let strategy_at = PREFIX_LEN + 1 + 8 + 8;
-        frame[strategy_at] = 0x7F;
-        assert_eq!(
-            WireMsg::decode_exact(&frame),
-            Err(WireError::BadStrategy(0x7F))
-        );
-    }
-
-    #[test]
     fn invalid_utf8_keyword_is_rejected() {
         // Hand-build an Insert whose single keyword is invalid UTF-8.
         let mut body = vec![0];
@@ -1103,11 +1046,10 @@ mod tests {
     #[test]
     fn ft_frames_encode_to_the_golden_frames() {
         let golden = [
-            "2d 00 00 00 0b 15 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 02 02 00 \
-             00 00 10 00 00 00 00 00 00 00 02 00 05 00 61 6c 70 68 61 04 00 62 65 74 \
-             61",
-            "23 00 00 00 0b 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 00 00 00 \
-             00 00 00 00 00 00 00 00 00 00 01 00 01 00 78",
+            "2c 00 00 00 0b 15 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 02 00 00 \
+             00 10 00 00 00 00 00 00 00 02 00 05 00 61 6c 70 68 61 04 00 62 65 74 61",
+            "22 00 00 00 0b 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 00 00 00 \
+             00 00 00 00 00 00 00 00 00 01 00 01 00 78",
             "79 00 00 00 0c 15 00 00 00 00 00 00 00 08 00 00 00 00 00 00 00 06 00 00 \
              00 00 00 00 00 03 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 01 00 00 \
              00 00 00 00 00 0b 00 00 00 00 00 00 00 06 00 00 00 00 00 00 00 02 00 00 \

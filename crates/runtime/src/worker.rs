@@ -694,9 +694,16 @@ impl NodeMachine {
                 query_id,
                 keywords,
                 threshold,
-                mut policy,
+                max_retries,
+                base_timeout,
             } => {
-                policy.base_timeout = policy.base_timeout.max(1);
+                // A region has no subtree to route around: retrying an
+                // owner is every strategy's whole recovery.
+                let policy = FtPolicy {
+                    strategy: RecoveryStrategy::RetryOnly,
+                    max_retries,
+                    base_timeout: base_timeout.max(1),
+                };
                 self.coordinate(
                     query_id,
                     keywords,
@@ -1082,9 +1089,8 @@ impl NodeMachine {
 
     /// Sends `owner` transmission number `attempt` of the query's
     /// `RegionQuery` and awaits its answer, `answer` being what is
-    /// staged of it so far. A policy that times no transmission
-    /// (`Naive`) still waits its base timeout, once, so the traversal
-    /// ends.
+    /// staged of it so far: the first transmission, or a retry
+    /// [`NodeMachine::tick`] found left in the budget.
     fn ask(&mut self, state: &mut QueryState, owner: u32, attempt: u32, answer: Staged) {
         self.send(
             owner as usize,
@@ -1100,10 +1106,10 @@ impl NodeMachine {
             coverage.queries_sent += 1;
             coverage.retries += u64::from(attempt > 0);
         }
-        let policy = state.policy;
-        let wait = policy
+        let wait = state
+            .policy
             .attempt_timeout(attempt)
-            .unwrap_or(policy.base_timeout);
+            .expect("a worker's policy retries and times every transmission");
         state.awaiting.push(Awaited {
             owner,
             sent: attempt.saturating_add(1),

@@ -139,9 +139,10 @@ fn echo(worker: u32, msg: &WireMsg) -> WireMsg {
 
 fn quick(attempts: u32) -> FtSearchOptions {
     FtSearchOptions {
-        attempts,
+        max_retries: 2,
+        base_timeout: 25,
         attempt_timeout_ms: 5,
-        ..FtSearchOptions::default()
+        attempts,
     }
 }
 
@@ -453,10 +454,12 @@ fn bad_arguments_are_rejected_before_anything_ships() {
         c.superset_search(&set("a"), 0),
         Err(Error::ZeroThreshold)
     ));
-    let ft = c.superset_search_ft(&set("a"), 0, &FtSearchOptions::default());
+    let ft = c.superset_search_ft(&set("a"), 0, &quick(1));
     assert!(matches!(ft, Err(Error::ZeroThreshold)));
-    let mut no_timer = FtSearchOptions::default();
-    no_timer.policy.base_timeout = 0;
+    let no_timer = FtSearchOptions {
+        base_timeout: 0,
+        ..quick(1)
+    };
     assert!(matches!(
         c.superset_search_ft(&set("a"), 1, &no_timer),
         Err(Error::ZeroTimeout)

@@ -23,7 +23,7 @@ use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::mesh::{decode_all, Mesh, MeshRuntime};
-use crate::{match_ids, report_cache, set, worker_cache, SEED};
+use crate::{ft_opts, match_ids, report_cache, set, worker_cache, SEED};
 
 /// The scripts' cube: small, so one word's subcube is most of it.
 const RIG_R: u8 = 6;
@@ -619,7 +619,7 @@ fn crash_script(
     if whole {
         let opts = FtSearchOptions {
             attempt_timeout_ms: 400,
-            ..FtSearchOptions::default()
+            ..ft_opts()
         };
         let out = rt.superset_search_ft(victim_set, 5, &opts).unwrap();
         assert!(out.complete, "{out:?}");

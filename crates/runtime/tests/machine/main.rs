@@ -27,7 +27,7 @@ mod parity;
 mod recovery;
 
 use hyperdex_core::cache::CacheCounters;
-use hyperdex_core::{FtPolicy, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_core::{KeywordSet, ObjectId};
 use hyperdex_runtime::{
     FaultPlan, FtSearchOptions, Request, RuntimeMatch, ShutdownReport, WireMsg, WorkerStats,
 };
@@ -42,6 +42,17 @@ const R: u8 = 8;
 
 fn set(s: &str) -> KeywordSet {
     KeywordSet::parse(s).unwrap()
+}
+
+/// The fixtures' fault-tolerant search: two retries from a 25 ms
+/// deadline, three client attempts of two seconds each.
+fn ft_opts() -> FtSearchOptions {
+    FtSearchOptions {
+        max_retries: 2,
+        base_timeout: 25,
+        attempt_timeout_ms: 2_000,
+        attempts: 3,
+    }
 }
 
 fn oid(n: u64) -> ObjectId {
@@ -115,11 +126,14 @@ fn worker_cache(w: &WorkerStats) -> CacheCounters {
 
 /// What the workers' result caches did, summed over a report's workers.
 fn report_cache(report: &ShutdownReport) -> CacheCounters {
-    let mut total = CacheCounters::default();
-    for w in &report.workers {
-        total += worker_cache(w);
+    let sum = |column: fn(&WorkerStats) -> u64| report.workers.iter().map(column).sum();
+    CacheCounters {
+        hits: sum(|w| w.cache_hits),
+        misses: sum(|w| w.cache_misses),
+        coalesced: sum(|w| w.cache_coalesced),
+        stale: sum(|w| w.cache_stale),
+        evictions: sum(|w| w.cache_evictions),
     }
-    total
 }
 
 fn ids(objects: impl IntoIterator<Item = ObjectId>) -> Vec<u64> {
@@ -251,7 +265,7 @@ fn region_frames_count_once_and_carry_only_the_vertices_that_hold_matches() {
 fn ft_search_matches_sequential_on_a_clean_runtime() {
     let mut rt = loaded(4);
     let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &FtSearchOptions::default())
+        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
         .unwrap();
     assert!(out.complete);
     assert_eq!(out.attempts, 1);
@@ -270,7 +284,7 @@ fn ft_search_survives_frame_loss() {
     let mut rt = loaded_faulted(4, plan);
     for _ in 0..8 {
         let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &FtSearchOptions::default())
+            .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
             .unwrap();
         // Of `CORPUS`, every match is the coordinator's: recall is
         // total even if an owner exhausts its retry budget and its
@@ -298,7 +312,7 @@ fn duplicated_frames_do_not_double_count_results() {
     let plan = FaultPlan::lossy(5, 0, 333, 0);
     let mut rt = loaded_faulted(4, plan);
     let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &FtSearchOptions::default())
+        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
         .unwrap();
     assert!(out.complete);
     assert_eq!(match_ids(&out.matches), UNDER_A);
@@ -308,33 +322,25 @@ fn duplicated_frames_do_not_double_count_results() {
 }
 
 #[test]
-fn a_naive_ft_query_gives_a_silent_owner_up_after_one_base_timeout() {
-    // `Naive` times no transmission, yet its traversal must end: the
+fn an_ft_query_without_retries_gives_a_silent_owner_up_after_one_base_timeout() {
+    // No retransmission is owed, yet the traversal must end: the
     // coordinator waits out one base timeout for the other worker's
-    // (dropped) region frame and gives it up — exactly what
-    // `RetryOnly` with no retries does.
-    let run = |strategy| {
-        let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
-        let opts = FtSearchOptions {
-            policy: FtPolicy {
-                strategy,
-                max_retries: 0,
-                base_timeout: 20,
-            },
-            attempt_timeout_ms: 10_000,
-            attempts: 1,
-        };
-        let started = rt.mesh.borrow().now();
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
-            .unwrap();
-        let took = rt.mesh.borrow().now() - started;
-        rt.shutdown().assert_conserved();
-        (out, took)
+    // (dropped) region frame and gives it up.
+    let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
+    let opts = FtSearchOptions {
+        max_retries: 0,
+        base_timeout: 20,
+        attempt_timeout_ms: 10_000,
+        attempts: 1,
     };
-    let (naive, took) = run(RecoveryStrategy::Naive);
-    assert!(!naive.complete, "{naive:?}");
-    let cov = naive.coverage.as_ref().expect("coordinator answered");
+    let started = rt.mesh.borrow().now();
+    let out = rt
+        .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
+        .unwrap();
+    let took = rt.mesh.borrow().now() - started;
+    rt.shutdown().assert_conserved();
+    assert!(!out.complete, "{out:?}");
+    let cov = out.coverage.as_ref().expect("coordinator answered");
     assert_eq!(
         (cov.queries_sent, cov.timeouts, cov.retries),
         (1, 1, 0),
@@ -344,8 +350,6 @@ fn a_naive_ft_query_gives_a_silent_owner_up_after_one_base_timeout() {
         (20..40).contains(&took.as_millis()),
         "answered after {took:?}"
     );
-    let (retry_only, _) = run(RecoveryStrategy::RetryOnly);
-    assert_eq!(naive.coverage, retry_only.coverage);
 }
 
 #[test]
@@ -360,11 +364,8 @@ fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
     let plan = FaultPlan::lossy(11, 1000, 0, 0);
     let mut rt = loaded_faulted(4, plan);
     let abandon = FtSearchOptions {
-        policy: FtPolicy {
-            strategy: RecoveryStrategy::RetryOnly,
-            max_retries: 0,
-            base_timeout: 30,
-        },
+        max_retries: 0,
+        base_timeout: 30,
         attempt_timeout_ms: 1,
         attempts: 1,
     };
@@ -458,11 +459,8 @@ fn a_traversal_parked_at_exit_is_counted_abandoned() {
         query_id: 2,
         keywords,
         threshold: 5,
-        policy: FtPolicy {
-            strategy: RecoveryStrategy::RetryOnly,
-            max_retries: 0,
-            base_timeout: 60_000,
-        },
+        max_retries: 0,
+        base_timeout: 60_000,
     };
     mesh.send(0, &ft);
     mesh.send(0, &ft);

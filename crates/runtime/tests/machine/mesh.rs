@@ -41,7 +41,7 @@ use hyperdex_runtime::{
     RuntimeConfig, ShardMap, ShutdownReport, SupervisorStats, WorkerContext, WorkerStats,
 };
 use hyperdex_simnet::net::{NetEvent, TimerId};
-use hyperdex_simnet::{EndpointId, LatencyModel, Network, SimDuration};
+use hyperdex_simnet::{EndpointId, LatencyModel, NetMetrics, Network, SimDuration};
 
 /// One `(tick, from, to, packet)` per delivery. Endpoints `0..W` are
 /// the workers, `W` the client.
@@ -96,6 +96,8 @@ pub struct Mesh {
     links: Vec<Vec<Option<SyncSender<Vec<u8>>>>>,
     lanes: BTreeMap<(usize, usize), Lane>,
     net: Network<(), ()>,
+    /// The network endpoint of worker `i`, the client's last.
+    endpoints: Vec<EndpointId>,
     /// Per worker: the deadline its one timer is armed for.
     timers: Vec<Option<(Duration, TimerId)>>,
     queued: Vec<(u32, Vec<u8>)>,
@@ -126,9 +128,7 @@ impl Mesh {
     ) -> Mesh {
         let workers = cfg.workers.max(1) as usize;
         let mut net = Network::new(latency, net_seed);
-        for _ in 0..=workers {
-            net.add_endpoint();
-        }
+        let endpoints = (0..=workers).map(|_| net.add_endpoint()).collect();
         let mut mesh = Mesh {
             hasher: KeywordHasher::new(cfg.r, cfg.seed).expect("valid r"),
             shards: cfg.shard_map(),
@@ -139,6 +139,7 @@ impl Mesh {
             links: Vec::new(),
             lanes: BTreeMap::new(),
             net,
+            endpoints,
             timers: vec![None; workers],
             queued: Vec::new(),
             inbox: VecDeque::new(),
@@ -219,11 +220,7 @@ impl Mesh {
             lane.queue.push_back(packet.clone());
             match &mut lane.held {
                 Some(unscheduled) => *unscheduled += 1,
-                None => self.net.send(
-                    EndpointId::from_raw(from as u64),
-                    EndpointId::from_raw(to as u64),
-                    (),
-                ),
+                None => self.net.send(self.endpoints[from], self.endpoints[to], ()),
             }
         }
     }
@@ -266,11 +263,7 @@ impl Mesh {
     pub fn release(&mut self, from: usize, to: usize) {
         let lane = self.lanes.get_mut(&(from, to)).expect("a held lane");
         for _ in 0..lane.held.take().expect("a held lane") {
-            self.net.send(
-                EndpointId::from_raw(from as u64),
-                EndpointId::from_raw(to as u64),
-                (),
-            );
+            self.net.send(self.endpoints[from], self.endpoints[to], ());
         }
     }
 
@@ -323,7 +316,7 @@ impl Mesh {
         let Some(deadline) = want else { return };
         let after = deadline.saturating_sub(self.now()).as_millis();
         if after < u128::from(FOREVER_TICKS) {
-            let owner = EndpointId::from_raw(index as u64);
+            let owner = self.endpoints[index];
             let timer = self
                 .net
                 .set_timer(owner, SimDuration::from_ticks(after as u64), ());
@@ -331,11 +324,19 @@ impl Mesh {
         }
     }
 
+    /// The worker (or the client) an endpoint stands for.
+    fn index_of(&self, endpoint: EndpointId) -> usize {
+        self.endpoints
+            .iter()
+            .position(|&e| e == endpoint)
+            .expect("one of the mesh's endpoints")
+    }
+
     /// Handles the network's next event; `None` when there is none.
     fn step(&mut self) -> Option<Stepped> {
         match self.net.step_event()? {
             NetEvent::Timer(fired) => {
-                let owner = fired.owner.raw() as usize;
+                let owner = self.index_of(fired.owner);
                 if owner == self.client() {
                     return Some(Stepped::ClientDeadline);
                 }
@@ -346,7 +347,7 @@ impl Mesh {
                 self.finish_turn(owner, Flow::Continue);
             }
             NetEvent::Delivery(delivery) => {
-                let (from, to) = (delivery.from.raw() as usize, delivery.to.raw() as usize);
+                let (from, to) = (self.index_of(delivery.from), self.index_of(delivery.to));
                 let lane = self
                     .lanes
                     .get_mut(&(from, to))
@@ -379,7 +380,9 @@ impl Mesh {
     /// Runs until no packet is in flight; deadlines further out stay
     /// pending.
     pub fn deliver(&mut self) {
-        while self.net.in_flight() > 0 {
+        let in_flight =
+            |m: &NetMetrics| m.messages_sent - m.messages_delivered - m.messages_dropped;
+        while in_flight(self.net.metrics()) > 0 {
             self.step();
         }
     }
@@ -576,7 +579,7 @@ impl ClientLink for Mesh {
     ) -> Result<Option<WireMsg>, Error> {
         let timer = deadline.map(|deadline| {
             let after = deadline.saturating_sub(Mesh::now(self)).as_millis() as u64;
-            let client = EndpointId::from_raw(self.client() as u64);
+            let client = self.endpoints[self.client()];
             self.net
                 .set_timer(client, SimDuration::from_ticks(after), ())
         });

@@ -14,12 +14,12 @@ use std::collections::BTreeSet;
 
 use hyperdex_core::{Error, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex_runtime::{
-    FaultPlan, FtSearchOptions, FtSearchOutcome, Request, RuntimeConfig, ShardMap, ShutdownReport,
+    FaultPlan, FtSearchOutcome, Request, RuntimeConfig, ShardMap, ShutdownReport,
 };
 use hyperdex_simnet::{LatencyModel, SimRng};
 
 use crate::mesh::{Mesh, MeshRuntime, Trace};
-use crate::{set, SEED};
+use crate::{ft_opts, set, SEED};
 
 const WORDS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
 const THRESHOLDS: [usize; 3] = [1, 20, usize::MAX - 1];
@@ -76,7 +76,7 @@ impl Model {
         let index = HypercubeIndex::new(cfg.r, cfg.seed).unwrap();
         Model {
             rt,
-            hasher: index.hasher(),
+            hasher: KeywordHasher::new(cfg.r, cfg.seed).unwrap(),
             shards: cfg.shard_map(),
             flushed: index.clone(),
             all: index,
@@ -325,7 +325,7 @@ impl Model {
                 let before = self.given_up();
                 let out = self
                     .rt
-                    .superset_search_ft(&keywords, threshold, &FtSearchOptions::default())
+                    .superset_search_ft(&keywords, threshold, &ft_opts())
                     .unwrap();
                 self.check_ft(&out, &keywords, threshold, before)?;
             }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, ObjectId, RecoveryStrategy};
+use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::{FaultPlan, FtSearchOptions, RuntimeConfig, RuntimeMatch, WireMsg};
 use hyperdex_simnet::LatencyModel;
 
@@ -48,11 +48,8 @@ fn data_owning_worker(workers: u32) -> u32 {
 /// it; the client re-issues it a short attempt later.
 fn recovering_opts() -> FtSearchOptions {
     FtSearchOptions {
-        policy: FtPolicy {
-            strategy: RecoveryStrategy::Redelegate,
-            max_retries: 5,
-            base_timeout: 20,
-        },
+        max_retries: 5,
+        base_timeout: 20,
         attempt_timeout_ms: 250,
         attempts: 16,
     }

@@ -14,7 +14,7 @@
 use std::sync::mpsc::sync_channel;
 use std::time::Duration;
 
-use hyperdex_core::{FtPolicy, KeywordHasher, KeywordSet, RecoveryStrategy};
+use hyperdex_core::{KeywordHasher, KeywordSet};
 use hyperdex_runtime::wire::{exemplars, insert_frame};
 use hyperdex_runtime::{
     take_frame, Fabric, FaultInjector, FaultPlan, NodeMachine, ShardMap, WireError, WireMsg,
@@ -65,19 +65,12 @@ fn mutate(msg: &mut WireMsg, v: u64) {
         WireMsg::FtQuery {
             query_id,
             threshold: t,
-            policy,
+            max_retries,
+            base_timeout,
             ..
         } => {
-            (*query_id, *t) = (small_id, threshold);
-            *policy = FtPolicy {
-                strategy: [
-                    RecoveryStrategy::Naive,
-                    RecoveryStrategy::RetryOnly,
-                    RecoveryStrategy::Redelegate,
-                ][(v >> 32) as usize % 3],
-                max_retries: attempt,
-                base_timeout: [0, 1, 25, u64::MAX][(v >> 40) as usize % 4],
-            };
+            (*query_id, *t, *max_retries) = (small_id, threshold, attempt);
+            *base_timeout = [0, 1, 25, u64::MAX][(v >> 40) as usize % 4];
         }
         WireMsg::RegionQuery {
             query_id,
@@ -164,8 +157,7 @@ proptest! {
                 | WireError::Oversized { .. }
                 | WireError::BadUtf8
                 | WireError::BadKeyword
-                | WireError::KeywordTooLong
-                | WireError::BadStrategy(_),
+                | WireError::KeywordTooLong,
             ) => {}
         }
     }

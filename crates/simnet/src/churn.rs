@@ -55,17 +55,6 @@ pub struct ChurnConfig {
     pub graceful_fraction: f64,
 }
 
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            horizon: SimTime::from_ticks(4000),
-            events_per_kilotick: 2.0,
-            join_fraction: 0.5,
-            graceful_fraction: 0.5,
-        }
-    }
-}
-
 impl ChurnConfig {
     /// Validates the configuration, returning a human-readable reason on
     /// failure.
@@ -146,16 +135,6 @@ impl ChurnPlan {
         &self.events
     }
 
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules nothing (static membership).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Draws a plan from seeded distributions.
     ///
     /// Event instants are uniform over `(0, horizon)`; each event is a
@@ -219,6 +198,17 @@ impl ChurnPlan {
 mod tests {
     use super::*;
 
+    /// Four thousand ticks, two events a kilotick, half joins, half of
+    /// the departures graceful.
+    fn config() -> ChurnConfig {
+        ChurnConfig {
+            horizon: SimTime::from_ticks(4000),
+            events_per_kilotick: 2.0,
+            join_fraction: 0.5,
+            graceful_fraction: 0.5,
+        }
+    }
+
     fn t(n: u64) -> SimTime {
         SimTime::from_ticks(n)
     }
@@ -249,7 +239,7 @@ mod tests {
 
     #[test]
     fn generate_is_deterministic() {
-        let cfg = ChurnConfig::default();
+        let cfg = config();
         let members: Vec<u64> = (0..16).collect();
         let a = ChurnPlan::generate(&cfg, &members, 42);
         let b = ChurnPlan::generate(&cfg, &members, 42);
@@ -262,10 +252,10 @@ mod tests {
     fn generate_rate_zero_is_empty() {
         let cfg = ChurnConfig {
             events_per_kilotick: 0.0,
-            ..ChurnConfig::default()
+            ..config()
         };
         let plan = ChurnPlan::generate(&cfg, &[1, 2, 3], 7);
-        assert!(plan.is_empty());
+        assert!(plan.events().is_empty());
     }
 
     #[test]
@@ -273,10 +263,10 @@ mod tests {
         let cfg = ChurnConfig {
             horizon: t(4000),
             events_per_kilotick: 3.0,
-            ..ChurnConfig::default()
+            ..config()
         };
         let plan = ChurnPlan::generate(&cfg, &[1, 2, 3, 4], 5);
-        assert_eq!(plan.len(), 12, "3 per kilotick over 4000 ticks");
+        assert_eq!(plan.events().len(), 12, "3 per kilotick over 4000 ticks");
     }
 
     #[test]
@@ -312,7 +302,7 @@ mod tests {
     fn generate_joins_use_fresh_ids() {
         let cfg = ChurnConfig {
             join_fraction: 1.0,
-            ..ChurnConfig::default()
+            ..config()
         };
         let plan = ChurnPlan::generate(&cfg, &[10, 20], 1);
         let ids: Vec<u64> = plan.events().iter().map(|e| e.node).collect();
@@ -331,7 +321,7 @@ mod tests {
         let cfg = ChurnConfig {
             horizon: t(500),
             events_per_kilotick: 20.0,
-            ..ChurnConfig::default()
+            ..config()
         };
         let plan = ChurnPlan::generate(&cfg, &[1, 2], 3);
         assert!(plan
@@ -345,7 +335,7 @@ mod tests {
     fn generate_rejects_bad_config() {
         let cfg = ChurnConfig {
             join_fraction: 1.5,
-            ..ChurnConfig::default()
+            ..config()
         };
         ChurnPlan::generate(&cfg, &[1], 0);
     }
@@ -353,25 +343,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn generate_rejects_empty_membership() {
-        ChurnPlan::generate(&ChurnConfig::default(), &[], 0);
+        ChurnPlan::generate(&config(), &[], 0);
     }
 
     #[test]
     fn config_validation() {
-        assert!(ChurnConfig::default().validate().is_ok());
+        assert!(config().validate().is_ok());
         let bad = ChurnConfig {
             events_per_kilotick: f64::NAN,
-            ..ChurnConfig::default()
+            ..config()
         };
         assert!(bad.validate().is_err());
         let bad = ChurnConfig {
             horizon: SimTime::ZERO,
-            ..ChurnConfig::default()
+            ..config()
         };
         assert!(bad.validate().is_err());
         let bad = ChurnConfig {
             graceful_fraction: -0.1,
-            ..ChurnConfig::default()
+            ..config()
         };
         assert!(bad.validate().is_err());
     }

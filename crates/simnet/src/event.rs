@@ -87,16 +87,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `payload` at the absolute instant `due`.
     ///
     /// # Panics
@@ -194,8 +184,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(tick(1), ());
         q.schedule_at(tick(2), ());
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 2);
     }
 
     #[test]

@@ -17,9 +17,10 @@ use crate::rng::SimRng;
 ///
 /// ```
 /// use hyperdex_simnet::fault::FaultPlan;
-/// use hyperdex_simnet::net::EndpointId;
+/// use hyperdex_simnet::latency::LatencyModel;
+/// use hyperdex_simnet::net::Network;
 ///
-/// let ep = EndpointId::from_raw(3);
+/// let ep = Network::<()>::new(LatencyModel::constant(1), 0).add_endpoint();
 /// let mut plan = FaultPlan::new();
 /// assert!(plan.is_up(ep));
 /// plan.kill(ep);
@@ -74,7 +75,7 @@ mod tests {
     use super::*;
 
     fn ep(n: u64) -> EndpointId {
-        EndpointId::from_raw(n)
+        EndpointId(n)
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Link-latency models.
 //!
 //! The paper's complexity analysis (§3.5) measures cost in units of
-//! message-transmission time, i.e. a constant one-tick latency. Richer
-//! models (uniform jitter, long-tailed Pareto) are provided so the
-//! simulated-network experiments can check that the scheme's behaviour is
-//! insensitive to latency distribution.
+//! message-transmission time, i.e. a constant one-tick latency. Uniform
+//! jitter lets the simulated-network experiments check that the scheme's
+//! behaviour is insensitive to latency distribution.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -20,18 +19,6 @@ pub enum LatencyModel {
         lo: u64,
         /// Inclusive upper bound in ticks.
         hi: u64,
-    },
-    /// Long-tailed latency: `scale / U^(1/shape)` ticks, clamped to `cap`.
-    ///
-    /// Models occasional slow wide-area links; `shape` around 2.0 gives a
-    /// realistic heavy tail.
-    Pareto {
-        /// Minimum latency in ticks (the distribution's scale).
-        scale: u64,
-        /// Tail index; larger values make the tail lighter. Must be > 0.
-        shape: f64,
-        /// Hard upper bound in ticks to keep simulations finite.
-        cap: u64,
     },
 }
 
@@ -56,20 +43,8 @@ impl LatencyModel {
         let ticks = match *self {
             LatencyModel::Constant(t) => t,
             LatencyModel::Uniform { lo, hi } => lo + rng.gen_range(hi - lo + 1),
-            LatencyModel::Pareto { scale, shape, cap } => {
-                let u = rng.gen_f64().max(f64::MIN_POSITIVE);
-                let raw = scale as f64 / u.powf(1.0 / shape);
-                (raw as u64).min(cap)
-            }
         };
         SimDuration::from_ticks(ticks)
-    }
-}
-
-impl Default for LatencyModel {
-    /// One tick per message: the paper's unit-cost model.
-    fn default() -> Self {
-        LatencyModel::Constant(1)
     }
 }
 
@@ -110,38 +85,5 @@ mod tests {
     #[should_panic(expected = "lo <= hi")]
     fn uniform_inverted_panics() {
         LatencyModel::uniform(5, 2);
-    }
-
-    #[test]
-    fn pareto_bounded_by_scale_and_cap() {
-        let m = LatencyModel::Pareto {
-            scale: 10,
-            shape: 2.0,
-            cap: 500,
-        };
-        let mut rng = SimRng::new(4);
-        for _ in 0..2000 {
-            let t = m.sample(&mut rng).ticks();
-            assert!((10..=500).contains(&t), "latency {t}");
-        }
-    }
-
-    #[test]
-    fn pareto_has_tail() {
-        let m = LatencyModel::Pareto {
-            scale: 10,
-            shape: 1.2,
-            cap: 10_000,
-        };
-        let mut rng = SimRng::new(5);
-        let slow = (0..5000)
-            .filter(|_| m.sample(&mut rng).ticks() > 100)
-            .count();
-        assert!(slow > 0, "expected at least one slow sample");
-    }
-
-    #[test]
-    fn default_is_unit_cost() {
-        assert_eq!(LatencyModel::default(), LatencyModel::Constant(1));
     }
 }

@@ -37,7 +37,7 @@
 //!     delivered += 1;
 //! }
 //! assert_eq!(delivered, 1);
-//! assert_eq!(net.metrics().messages_sent.get(), 1);
+//! assert_eq!(net.metrics().messages_sent, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,7 @@ pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnPlan};
 pub use event::EventQueue;
 pub use fault::FaultPlan;
 pub use latency::LatencyModel;
-pub use metrics::{Counter, NetMetrics};
+pub use metrics::NetMetrics;
 pub use net::{EndpointId, Network};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -24,22 +24,7 @@ use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Identifies an endpoint (a simulated process) within a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EndpointId(u64);
-
-impl EndpointId {
-    /// Creates an endpoint id from its raw index.
-    ///
-    /// Normally ids come from [`Network::add_endpoint`]; this constructor
-    /// exists for fault plans and tests that name endpoints directly.
-    pub const fn from_raw(raw: u64) -> Self {
-        EndpointId(raw)
-    }
-
-    /// The raw index.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
+pub struct EndpointId(pub(crate) u64);
 
 impl std::fmt::Display for EndpointId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -69,13 +54,6 @@ enum Queued<M, T> {
 /// Handle to a pending timer, used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
-
-impl TimerId {
-    /// The raw timer sequence number.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// A timer that fired at its owner, carrying the token of type `T` it
 /// was set with.
@@ -171,9 +149,10 @@ impl<M, T> Network<M, T> {
         self.trace = Trace::new(capacity);
     }
 
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// The recorded trace, oldest event first (empty unless tracing
+    /// is enabled).
+    pub fn trace(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.trace.iter()
     }
 
     /// Registers a new endpoint and returns its id.
@@ -229,8 +208,8 @@ impl<M, T> Network<M, T> {
     pub fn send_sized(&mut self, from: EndpointId, to: EndpointId, payload: M, bytes: u64) {
         assert!(from.0 < self.endpoints, "unknown sender {from}");
         assert!(to.0 < self.endpoints, "unknown destination {to}");
-        self.metrics.messages_sent.incr();
-        self.metrics.bytes_sent.add(bytes);
+        self.metrics.messages_sent += 1;
+        self.metrics.bytes_sent += bytes;
         self.trace.record(TraceEvent {
             at: self.now(),
             kind: TraceKind::Sent,
@@ -239,7 +218,7 @@ impl<M, T> Network<M, T> {
         });
         // A dead sender cannot emit; the message silently vanishes.
         if !self.faults.is_up(from) || self.faults.should_drop(&mut self.rng) {
-            self.metrics.messages_dropped.incr();
+            self.metrics.messages_dropped += 1;
             self.trace.record(TraceEvent {
                 at: self.now(),
                 kind: TraceKind::Dropped,
@@ -268,7 +247,7 @@ impl<M, T> Network<M, T> {
         let id = self.next_timer;
         self.next_timer += 1;
         self.live_timers.insert(id);
-        self.metrics.timers_set.incr();
+        self.metrics.timers_set += 1;
         self.trace.record(TraceEvent {
             at: self.now(),
             kind: TraceKind::TimerSet,
@@ -285,7 +264,7 @@ impl<M, T> Network<M, T> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         if self.live_timers.remove(&id.0) {
             self.cancelled_timers.insert(id.0);
-            self.metrics.timers_cancelled.incr();
+            self.metrics.timers_cancelled += 1;
         }
     }
 
@@ -307,7 +286,7 @@ impl<M, T> Network<M, T> {
                     if !self.faults.is_up(owner) {
                         continue;
                     }
-                    self.metrics.timers_fired.incr();
+                    self.metrics.timers_fired += 1;
                     self.trace.record(TraceEvent {
                         at,
                         kind: TraceKind::TimerFired,
@@ -323,7 +302,7 @@ impl<M, T> Network<M, T> {
                 }
                 Queued::Message(msg) => {
                     if !self.faults.is_up(msg.to) {
-                        self.metrics.messages_dropped.incr();
+                        self.metrics.messages_dropped += 1;
                         self.trace.record(TraceEvent {
                             at,
                             kind: TraceKind::Dropped,
@@ -332,7 +311,7 @@ impl<M, T> Network<M, T> {
                         });
                         continue;
                     }
-                    self.metrics.messages_delivered.incr();
+                    self.metrics.messages_delivered += 1;
                     self.trace.record(TraceEvent {
                         at,
                         kind: TraceKind::Delivered,
@@ -349,11 +328,6 @@ impl<M, T> Network<M, T> {
             }
         }
         None
-    }
-
-    /// Number of messages currently in flight (excludes pending timers).
-    pub fn in_flight(&self) -> usize {
-        self.queue.len() - self.live_timers.len() - self.cancelled_timers.len()
     }
 }
 
@@ -406,10 +380,10 @@ mod tests {
         n.send_sized(b, a, 2, 50);
         while next_delivery(&mut n).is_some() {}
         let m = n.metrics();
-        assert_eq!(m.messages_sent.get(), 2);
-        assert_eq!(m.messages_delivered.get(), 2);
-        assert_eq!(m.messages_dropped.get(), 0);
-        assert_eq!(m.bytes_sent.get(), 150);
+        assert_eq!(m.messages_sent, 2);
+        assert_eq!(m.messages_delivered, 2);
+        assert_eq!(m.messages_dropped, 0);
+        assert_eq!(m.bytes_sent, 150);
     }
 
     #[test]
@@ -418,7 +392,7 @@ mod tests {
         n.faults_mut().kill(b);
         n.send(a, b, 1);
         assert!(next_delivery(&mut n).is_none());
-        assert_eq!(n.metrics().messages_dropped.get(), 1);
+        assert_eq!(n.metrics().messages_dropped, 1);
     }
 
     #[test]
@@ -427,8 +401,8 @@ mod tests {
         n.faults_mut().kill(a);
         n.send(a, b, 1);
         assert!(next_delivery(&mut n).is_none());
-        assert_eq!(n.metrics().messages_dropped.get(), 1);
-        assert_eq!(n.in_flight(), 0);
+        assert_eq!(n.metrics().messages_dropped, 1);
+        assert!(n.next_due().is_none());
     }
 
     #[test]
@@ -441,7 +415,7 @@ mod tests {
         let delivered = std::iter::from_fn(|| next_delivery(&mut n)).count() as u64;
         assert!((300..700).contains(&delivered), "delivered {delivered}");
         assert_eq!(
-            n.metrics().messages_dropped.get() + delivered,
+            n.metrics().messages_dropped + delivered,
             1000,
             "every message is either dropped or delivered"
         );
@@ -450,9 +424,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown destination")]
     fn unknown_endpoint_panics() {
-        let mut n: Network<u32> = Network::new(LatencyModel::default(), 1);
+        let mut n: Network<u32> = Network::new(LatencyModel::constant(1), 1);
         let a = n.add_endpoint();
-        n.send(a, EndpointId::from_raw(5), 1);
+        n.send(a, EndpointId(5), 1);
     }
 
     #[test]
@@ -474,7 +448,7 @@ mod tests {
 
     #[test]
     fn add_endpoint_registers_in_order() {
-        let mut n: Network<()> = Network::new(LatencyModel::default(), 1);
+        let mut n: Network<()> = Network::new(LatencyModel::constant(1), 1);
         let eps: Vec<EndpointId> = (0..5).map(|_| n.add_endpoint()).collect();
         assert_eq!(n.endpoints, 5);
         assert!(eps.windows(2).all(|w| w[0] < w[1]));
@@ -485,6 +459,7 @@ mod tests {
 mod timer_tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
+    use proptest::prelude::*;
 
     fn net() -> (Network<u32>, EndpointId, EndpointId) {
         let mut n = Network::new(LatencyModel::constant(2), 42);
@@ -507,8 +482,8 @@ mod timer_tests {
             other => panic!("expected timer, got {other:?}"),
         }
         assert!(n.step_event().is_none());
-        assert_eq!(n.metrics().timers_set.get(), 1);
-        assert_eq!(n.metrics().timers_fired.get(), 1);
+        assert_eq!(n.metrics().timers_set, 1);
+        assert_eq!(n.metrics().timers_fired, 1);
     }
 
     #[test]
@@ -534,8 +509,8 @@ mod timer_tests {
         n.cancel_timer(id);
         n.cancel_timer(id); // double-cancel is a no-op
         assert!(n.step_event().is_none());
-        assert_eq!(n.metrics().timers_cancelled.get(), 1);
-        assert_eq!(n.metrics().timers_fired.get(), 0);
+        assert_eq!(n.metrics().timers_cancelled, 1);
+        assert_eq!(n.metrics().timers_fired, 0);
         assert_eq!(n.live_timers.len(), 0);
     }
 
@@ -545,7 +520,7 @@ mod timer_tests {
         let id = n.set_timer(a, SimDuration::from_ticks(1), 0);
         assert!(matches!(n.step_event(), Some(NetEvent::Timer(_))));
         n.cancel_timer(id);
-        assert_eq!(n.metrics().timers_cancelled.get(), 0);
+        assert_eq!(n.metrics().timers_cancelled, 0);
     }
 
     #[test]
@@ -554,20 +529,7 @@ mod timer_tests {
         n.set_timer(a, SimDuration::from_ticks(4), 0);
         n.faults_mut().kill(a);
         assert!(n.step_event().is_none(), "owner down at deadline");
-        assert_eq!(n.metrics().timers_fired.get(), 0);
-    }
-
-    #[test]
-    fn in_flight_excludes_timers() {
-        let (mut n, a, b) = net();
-        let id = n.set_timer(a, SimDuration::from_ticks(5), 0);
-        n.set_timer(a, SimDuration::from_ticks(6), 1);
-        n.send(a, b, 1);
-        assert_eq!(n.in_flight(), 1);
-        assert_eq!(n.live_timers.len(), 2);
-        n.cancel_timer(id);
-        assert_eq!(n.in_flight(), 1);
-        assert_eq!(n.live_timers.len(), 1);
+        assert_eq!(n.metrics().timers_fired, 0);
     }
 
     #[test]
@@ -575,7 +537,7 @@ mod timer_tests {
         let run = || {
             let (mut n, a, _) = net();
             let ids: Vec<u64> = (0..5)
-                .map(|i| n.set_timer(a, SimDuration::from_ticks(i + 1), i).raw())
+                .map(|i| n.set_timer(a, SimDuration::from_ticks(i + 1), i).0)
                 .collect();
             ids
         };
@@ -591,8 +553,67 @@ mod timer_tests {
         n.enable_tracing(16);
         n.set_timer(a, SimDuration::from_ticks(1), 0);
         n.step_event();
-        let kinds: Vec<TraceKind> = n.trace().iter().map(|e| e.kind).collect();
+        let kinds: Vec<TraceKind> = n.trace().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![TraceKind::TimerSet, TraceKind::TimerFired]);
+    }
+
+    proptest! {
+        /// Timers never leak: at quiescence every timer set was fired,
+        /// cancelled, or suppressed by a dead owner, and none remain
+        /// pending. Timer activity must not perturb message conservation.
+        #[test]
+        fn timer_accounting(
+            seed in any::<u64>(),
+            timers in prop::collection::vec((0u64..4, 1u64..30), 0..40),
+            cancel_every in 1usize..5,
+            kills in prop::collection::vec(0u64..4, 0..2),
+            sends in prop::collection::vec((0u64..4, 0u64..4), 0..30),
+        ) {
+            let mut net: Network<usize> = Network::new(LatencyModel::uniform(1, 5), seed);
+            let eps: Vec<EndpointId> = (0..4).map(|_| net.add_endpoint()).collect();
+            for ep in &kills {
+                net.faults_mut().kill(eps[*ep as usize]);
+            }
+            let mut set = 0u64;
+            let mut cancelled = 0u64;
+            for (i, (owner, after)) in timers.iter().enumerate() {
+                let id = net.set_timer(
+                    eps[*owner as usize],
+                    SimDuration::from_ticks(*after),
+                    i as u64,
+                );
+                set += 1;
+                if i % cancel_every == 0 {
+                    net.cancel_timer(id);
+                    cancelled += 1;
+                }
+            }
+            for (i, (from, to)) in sends.iter().enumerate() {
+                net.send(eps[*from as usize], eps[*to as usize], i);
+            }
+            let mut fired = 0u64;
+            let mut delivered = 0u64;
+            while let Some(ev) = net.step_event() {
+                match ev {
+                    NetEvent::Timer(_) => fired += 1,
+                    NetEvent::Delivery(_) => delivered += 1,
+                }
+            }
+            let m = net.metrics();
+            prop_assert_eq!(m.timers_set, set);
+            prop_assert_eq!(m.timers_cancelled, cancelled);
+            prop_assert_eq!(m.timers_fired, fired);
+            prop_assert!(fired + cancelled <= set, "rest suppressed by dead owners");
+            // Nothing is queued, and no live or cancelled timer is left
+            // behind in the bookkeeping.
+            prop_assert!(net.next_due().is_none());
+            prop_assert!(net.live_timers.is_empty() && net.cancelled_timers.is_empty());
+            prop_assert_eq!(
+                m.messages_delivered + m.messages_dropped,
+                m.messages_sent
+            );
+            prop_assert_eq!(m.messages_delivered, delivered);
+        }
     }
 }
 
@@ -610,7 +631,7 @@ mod trace_tests {
         let b = n.add_endpoint();
         n.send(a, b, 1);
         next_delivery(&mut n);
-        let kinds: Vec<TraceKind> = n.trace().iter().map(|e| e.kind).collect();
+        let kinds: Vec<TraceKind> = n.trace().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![TraceKind::Sent, TraceKind::Delivered]);
     }
 
@@ -623,7 +644,7 @@ mod trace_tests {
         n.faults_mut().kill(b);
         n.send(a, b, 1);
         assert!(next_delivery(&mut n).is_none());
-        let dropped = n.trace().iter().filter(|e| e.kind == TraceKind::Dropped);
+        let dropped = n.trace().filter(|e| e.kind == TraceKind::Dropped);
         assert_eq!(dropped.count(), 1);
     }
 
@@ -634,6 +655,6 @@ mod trace_tests {
         let b = n.add_endpoint();
         n.send(a, b, 1);
         next_delivery(&mut n);
-        assert!(n.trace().is_empty());
+        assert_eq!(n.trace().count(), 0);
     }
 }

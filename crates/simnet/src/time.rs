@@ -6,7 +6,7 @@
 //! though latency models may scale it arbitrarily.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::Add;
 
 /// An instant in virtual time, in ticks since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -60,55 +60,9 @@ impl Add<SimDuration> for SimTime {
     }
 }
 
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-
-    /// # Panics
-    ///
-    /// Panics if `rhs` is later than `self`; use
-    /// [`SimTime::saturating_since`] for a non-panicking variant.
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("subtracted a later SimTime from an earlier one"),
-        )
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_add(rhs.0)
-                .expect("simulation duration overflow"),
-        )
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={}", self.0)
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ticks", self.0)
-    }
-}
-
-impl From<u64> for SimDuration {
-    fn from(ticks: u64) -> Self {
-        SimDuration(ticks)
     }
 }
 
@@ -120,25 +74,6 @@ mod tests {
     fn add_duration_advances_time() {
         let t = SimTime::from_ticks(10) + SimDuration::from_ticks(5);
         assert_eq!(t.ticks(), 15);
-    }
-
-    #[test]
-    fn add_assign_advances_in_place() {
-        let mut t = SimTime::ZERO;
-        t += SimDuration::from_ticks(7);
-        assert_eq!(t, SimTime::from_ticks(7));
-    }
-
-    #[test]
-    fn subtraction_yields_duration() {
-        let d = SimTime::from_ticks(20) - SimTime::from_ticks(5);
-        assert_eq!(d, SimDuration::from_ticks(15));
-    }
-
-    #[test]
-    #[should_panic(expected = "later SimTime")]
-    fn negative_subtraction_panics() {
-        let _ = SimTime::from_ticks(5) - SimTime::from_ticks(20);
     }
 
     #[test]
@@ -158,6 +93,5 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(SimTime::from_ticks(3).to_string(), "t=3");
-        assert_eq!(SimDuration::from_ticks(4).to_string(), "4 ticks");
     }
 }

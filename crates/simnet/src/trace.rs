@@ -6,7 +6,6 @@
 //! `println!`; experiment debugging replays them after the fact.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use crate::net::EndpointId;
 use crate::time::SimTime;
@@ -26,19 +25,6 @@ pub enum TraceKind {
     TimerFired,
 }
 
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceKind::Sent => "sent",
-            TraceKind::Delivered => "delivered",
-            TraceKind::Dropped => "dropped",
-            TraceKind::TimerSet => "timer-set",
-            TraceKind::TimerFired => "timer-fired",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One traced network event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -52,37 +38,22 @@ pub struct TraceEvent {
     pub to: EndpointId,
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {} {} -> {}",
-            self.at, self.kind, self.from, self.to
-        )
-    }
-}
-
 /// A bounded ring buffer of [`TraceEvent`]s.
 ///
 /// # Example
 ///
 /// ```
-/// use hyperdex_simnet::trace::{Trace, TraceEvent, TraceKind};
-/// use hyperdex_simnet::net::EndpointId;
-/// use hyperdex_simnet::time::SimTime;
+/// use hyperdex_simnet::latency::LatencyModel;
+/// use hyperdex_simnet::net::Network;
 ///
-/// let mut trace = Trace::new(2);
+/// let mut net: Network<u32> = Network::new(LatencyModel::constant(1), 0);
+/// net.enable_tracing(2);
+/// let (a, b) = (net.add_endpoint(), net.add_endpoint());
 /// for i in 0..3 {
-///     trace.record(TraceEvent {
-///         at: SimTime::from_ticks(i),
-///         kind: TraceKind::Sent,
-///         from: EndpointId::from_raw(0),
-///         to: EndpointId::from_raw(1),
-///     });
+///     net.send(a, b, i);
 /// }
 /// // Bounded: only the last two events survive.
-/// assert_eq!(trace.len(), 2);
-/// assert_eq!(trace.iter().next().unwrap().at, SimTime::from_ticks(1));
+/// assert_eq!(net.trace().count(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -115,16 +86,6 @@ impl Trace {
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -135,8 +96,8 @@ mod tests {
         TraceEvent {
             at: SimTime::from_ticks(t),
             kind,
-            from: EndpointId::from_raw(0),
-            to: EndpointId::from_raw(1),
+            from: EndpointId(0),
+            to: EndpointId(1),
         }
     }
 
@@ -146,7 +107,7 @@ mod tests {
         for i in 0..5 {
             trace.record(ev(i, TraceKind::Sent));
         }
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.events.len(), 3);
         let first = trace.iter().next().unwrap();
         assert_eq!(first.at, SimTime::from_ticks(2), "oldest evicted");
     }
@@ -155,7 +116,7 @@ mod tests {
     fn zero_capacity_disables() {
         let mut trace = Trace::new(0);
         trace.record(ev(1, TraceKind::Sent));
-        assert!(trace.is_empty());
+        assert!(trace.events.is_empty());
     }
 
     #[test]
@@ -168,11 +129,5 @@ mod tests {
         let of_kind = |kind| trace.iter().filter(|e| e.kind == kind).count();
         assert_eq!(of_kind(TraceKind::Delivered), 2);
         assert_eq!(of_kind(TraceKind::Dropped), 1);
-    }
-
-    #[test]
-    fn display_formats() {
-        let e = ev(7, TraceKind::Dropped);
-        assert_eq!(e.to_string(), "[t=7] dropped ep0 -> ep1");
     }
 }

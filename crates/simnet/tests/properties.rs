@@ -88,9 +88,9 @@ proptest! {
         }
         let delivered = deliver_all(&mut net);
         let m = net.metrics();
-        prop_assert_eq!(m.messages_sent.get(), sends.len() as u64);
-        prop_assert_eq!(delivered + m.messages_dropped.get(), sends.len() as u64);
-        prop_assert_eq!(net.in_flight(), 0);
+        prop_assert_eq!(m.messages_sent, sends.len() as u64);
+        prop_assert_eq!(delivered + m.messages_dropped, sends.len() as u64);
+        prop_assert!(net.next_due().is_none());
     }
 
     /// Under *any* seed, fault plan (link loss and permanent kills),
@@ -102,17 +102,12 @@ proptest! {
         seed in any::<u64>(),
         sends in prop::collection::vec((0u64..8, 0u64..8), 0..150),
         drop_p in 0.0f64..1.0,
-        latency_kind in 0u8..3,
+        latency_kind in 0u8..2,
         kills in prop::collection::vec(0u64..8, 0..3),
     ) {
         let latency = match latency_kind {
             0 => LatencyModel::constant(2),
-            1 => LatencyModel::uniform(1, 9),
-            _ => LatencyModel::Pareto {
-                scale: 1,
-                shape: 1.5,
-                cap: 50,
-            },
+            _ => LatencyModel::uniform(1, 9),
         };
         let mut net: Network<usize> = Network::new(latency, seed);
         let eps = endpoints(&mut net, 8);
@@ -126,75 +121,19 @@ proptest! {
         }
         let delivered = deliver_all(&mut net);
         let m = *net.metrics();
-        prop_assert_eq!(m.messages_sent.get(), sends.len() as u64);
-        prop_assert_eq!(m.messages_delivered.get(), delivered);
+        prop_assert_eq!(m.messages_sent, sends.len() as u64);
+        prop_assert_eq!(m.messages_delivered, delivered);
         prop_assert_eq!(
-            m.messages_delivered.get() + m.messages_dropped.get(),
-            m.messages_sent.get()
+            m.messages_delivered + m.messages_dropped,
+            m.messages_sent
         );
-        prop_assert_eq!(net.in_flight(), 0);
+        prop_assert!(net.next_due().is_none());
         // Trace agreement: the buffer is large enough to hold every
         // event (≤ 3 per send), so per-kind counts must equal counters.
-        let of_kind = |kind| net.trace().iter().filter(|e| e.kind == kind).count() as u64;
-        prop_assert_eq!(of_kind(TraceKind::Sent), m.messages_sent.get());
-        prop_assert_eq!(of_kind(TraceKind::Delivered), m.messages_delivered.get());
-        prop_assert_eq!(of_kind(TraceKind::Dropped), m.messages_dropped.get());
-    }
-
-    /// Timers never leak: at quiescence every timer set was fired,
-    /// cancelled, or suppressed by a dead owner, and none remain
-    /// pending. Timer activity must not perturb message conservation.
-    #[test]
-    fn timer_accounting(
-        seed in any::<u64>(),
-        timers in prop::collection::vec((0u64..4, 1u64..30), 0..40),
-        cancel_every in 1usize..5,
-        kills in prop::collection::vec(0u64..4, 0..2),
-        sends in prop::collection::vec((0u64..4, 0u64..4), 0..30),
-    ) {
-        let mut net: Network<usize> = Network::new(LatencyModel::uniform(1, 5), seed);
-        let eps = endpoints(&mut net, 4);
-        for ep in &kills {
-            net.faults_mut().kill(eps[*ep as usize]);
-        }
-        let mut set = 0u64;
-        let mut cancelled = 0u64;
-        for (i, (owner, after)) in timers.iter().enumerate() {
-            let id = net.set_timer(
-                eps[*owner as usize],
-                SimDuration::from_ticks(*after),
-                i as u64,
-            );
-            set += 1;
-            if i % cancel_every == 0 {
-                net.cancel_timer(id);
-                cancelled += 1;
-            }
-        }
-        for (i, (from, to)) in sends.iter().enumerate() {
-            net.send(eps[*from as usize], eps[*to as usize], i);
-        }
-        let mut fired = 0u64;
-        let mut delivered = 0u64;
-        while let Some(ev) = net.step_event() {
-            match ev {
-                NetEvent::Timer(_) => fired += 1,
-                NetEvent::Delivery(_) => delivered += 1,
-            }
-        }
-        let m = net.metrics();
-        prop_assert_eq!(m.timers_set.get(), set);
-        prop_assert_eq!(m.timers_cancelled.get(), cancelled);
-        prop_assert_eq!(m.timers_fired.get(), fired);
-        prop_assert!(fired + cancelled <= set, "rest suppressed by dead owners");
-        // The queue is empty, so `in_flight` is 0 minus the live and
-        // cancelled timers: a leaked timer fails it (or underflows).
-        prop_assert_eq!(net.in_flight(), 0);
-        prop_assert_eq!(
-            m.messages_delivered.get() + m.messages_dropped.get(),
-            m.messages_sent.get()
-        );
-        prop_assert_eq!(m.messages_delivered.get(), delivered);
+        let of_kind = |kind| net.trace().filter(|e| e.kind == kind).count() as u64;
+        prop_assert_eq!(of_kind(TraceKind::Sent), m.messages_sent);
+        prop_assert_eq!(of_kind(TraceKind::Delivered), m.messages_delivered);
+        prop_assert_eq!(of_kind(TraceKind::Dropped), m.messages_dropped);
     }
 
     /// Latency samples respect each model's support.
@@ -209,11 +148,11 @@ proptest! {
         }
     }
 
-    /// SimTime arithmetic: (t + d) - t == d.
+    /// SimTime arithmetic: (t + d) since t == d.
     #[test]
     fn time_roundtrip(t in 0u64..u64::MAX / 2, d in 0u64..u64::MAX / 2) {
         let t0 = SimTime::from_ticks(t);
         let dur = SimDuration::from_ticks(d);
-        prop_assert_eq!((t0 + dur) - t0, dur);
+        prop_assert_eq!((t0 + dur).saturating_since(t0), dur);
     }
 }

@@ -188,11 +188,11 @@ mod tests {
     fn popular_keywords_shared_across_records() {
         // Zipf popularity ⇒ the rank-0 word appears in many records.
         let c = small();
-        let top = hyperdex_core::Keyword::new("kw000000").expect("non-empty");
+        let top = hyperdex_core::KeywordSet::parse("kw000000").expect("non-empty");
         let containing = c
             .records()
             .iter()
-            .filter(|r| r.keywords.contains(&top))
+            .filter(|r| r.keywords.is_superset(&top))
             .count();
         assert!(containing > 50, "top word in only {containing} records");
     }

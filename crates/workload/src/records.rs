@@ -32,16 +32,6 @@ impl WebsiteRecord {
     }
 }
 
-impl std::fmt::Display for WebsiteRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "#{} {} <{}> {}",
-            self.id, self.title, self.url, self.keywords
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,13 +50,6 @@ mod tests {
     #[test]
     fn object_id_derives_from_record_id() {
         assert_eq!(record().object_id(), ObjectId::from_raw(11));
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let s = record().to_string();
-        assert!(s.starts_with("#11 Hinet"));
-        assert!(s.contains("isp"));
     }
 
     #[test]

@@ -18,16 +18,17 @@ pub const MAX_SET_SIZE: u32 = 30;
 /// # Example
 ///
 /// ```
+/// use hyperdex_simnet::rng::SimRng;
 /// use hyperdex_workload::setsize::SetSizeDistribution;
 ///
 /// let dist = SetSizeDistribution::pchome();
-/// let mean: f64 = dist.size_weights().iter().map(|&(k, p)| f64::from(k) * p).sum();
-/// assert!((mean - 7.3).abs() < 0.35, "mean {mean}");
+/// let mut rng = SimRng::new(1);
+/// let mean = (0..10_000).map(|_| f64::from(dist.sample(&mut rng))).sum::<f64>() / 10_000.0;
+/// assert!((mean - 7.3).abs() < 0.4, "mean {mean}");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetSizeDistribution {
-    /// `weights[i]` is the probability of size `i + 1`.
-    weights: Vec<f64>,
+    /// `cdf[i]` is the probability of a size `≤ i + 1`.
     cdf: Vec<f64>,
 }
 
@@ -80,34 +81,14 @@ impl SetSizeDistribution {
         );
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must have positive mass");
-        let weights: Vec<f64> = weights.iter().map(|w| w / total).collect();
         let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
+        for w in weights {
+            acc += w / total;
             cdf.push(acc);
         }
         *cdf.last_mut().expect("non-empty") = 1.0;
-        SetSizeDistribution { weights, cdf }
-    }
-
-    /// The probability of set size `k` (1-based).
-    pub fn probability(&self, k: u32) -> f64 {
-        if k == 0 || k as usize > self.weights.len() {
-            0.0
-        } else {
-            self.weights[(k - 1) as usize]
-        }
-    }
-
-    /// `(size, probability)` pairs for analytical consumers (e.g.
-    /// `hyperdex_core::analysis::object_fraction`).
-    pub fn size_weights(&self) -> Vec<(u32, f64)> {
-        self.weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| ((i + 1) as u32, w))
-            .collect()
+        SetSizeDistribution { cdf }
     }
 
     /// Draws a set size in `1..=30`.
@@ -134,12 +115,22 @@ fn erf(x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// `p(k)` for `k` in `1..`, the steps of the CDF.
+    fn weights(d: &SetSizeDistribution) -> Vec<f64> {
+        let mut below = 0.0;
+        d.cdf
+            .iter()
+            .map(|&c| {
+                let w = c - below;
+                below = c;
+                w
+            })
+            .collect()
+    }
+
     /// The distribution mean, `Σ k·p(k)`.
     fn mean(d: &SetSizeDistribution) -> f64 {
-        d.size_weights()
-            .iter()
-            .map(|&(k, p)| f64::from(k) * p)
-            .sum()
+        (1..).zip(weights(d)).map(|(k, p)| f64::from(k) * p).sum()
     }
 
     #[test]
@@ -159,22 +150,23 @@ mod tests {
     #[test]
     fn weights_sum_to_one() {
         let d = SetSizeDistribution::pchome();
-        let total: f64 = (1..=MAX_SET_SIZE).map(|k| d.probability(k)).sum();
+        let total: f64 = weights(&d).iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(d.probability(0), 0.0);
-        assert_eq!(d.probability(MAX_SET_SIZE + 1), 0.0);
+        assert_eq!(d.cdf.len(), MAX_SET_SIZE as usize);
     }
 
     #[test]
     fn unimodal_right_skewed() {
         let d = SetSizeDistribution::pchome();
         // Mode in the 5-8 range, with p(1) tiny and a right tail.
-        let mode = (1..=MAX_SET_SIZE)
-            .max_by(|&a, &b| d.probability(a).partial_cmp(&d.probability(b)).unwrap())
+        let w = weights(&d);
+        let p = |k: usize| w[k - 1];
+        let mode = (1..=MAX_SET_SIZE as usize)
+            .max_by(|&a, &b| p(a).partial_cmp(&p(b)).unwrap())
             .unwrap();
         assert!((5..=8).contains(&mode), "mode {mode}");
-        assert!(d.probability(1) < 0.02);
-        assert!(d.probability(15) > 0.001, "needs a right tail");
+        assert!(p(1) < 0.02);
+        assert!(p(15) > 0.001, "needs a right tail");
     }
 
     #[test]
@@ -199,16 +191,8 @@ mod tests {
     #[test]
     fn from_weights_custom() {
         let d = SetSizeDistribution::from_weights(&[1.0, 1.0, 2.0]);
-        assert!((d.probability(3) - 0.5).abs() < 1e-12);
+        assert!((weights(&d)[2] - 0.5).abs() < 1e-12);
         assert!((mean(&d) - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn size_weights_align_with_probability() {
-        let d = SetSizeDistribution::pchome();
-        for (k, w) in d.size_weights() {
-            assert_eq!(w, d.probability(k));
-        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ mod tests {
         let v = Vocabulary::new(100, 1.0);
         assert_eq!(v.words[3], Vocabulary::new(100, 1.0).words[3]);
         assert_ne!(v.words[3], v.words[4]);
-        assert_eq!(v.words[0].as_str(), "kw000000");
+        assert_eq!(v.words[0].view().as_str(), "kw000000");
     }
 
     #[test]

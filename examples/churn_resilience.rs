@@ -6,7 +6,8 @@
 //! under the index layer's churn model (the one the `churn` experiment
 //! measures): its vertices are taken over and repaired from the
 //! secondary cube, and a fault-tolerant superset search still returns
-//! every object. Part 2 crashes primaries of a replicated DOLR.
+//! every object. Part 2 crashes primaries of a replicated DOLR, and
+//! Part 3 lets nodes leave and join it gracefully.
 //!
 //! ```text
 //! cargo run --example churn_resilience
@@ -14,7 +15,7 @@
 
 use hyperdex::core::sim_protocol::{ProtocolSim, RecoveryStrategy};
 use hyperdex::core::{Error, FtPolicy, KeywordSet, StabilizationConfig};
-use hyperdex::dht::{Dolr, ObjectId};
+use hyperdex::dht::{Dolr, NodeId, ObjectId};
 use hyperdex::simnet::churn::ChurnPlan;
 use hyperdex::simnet::latency::LatencyModel;
 use hyperdex::simnet::time::SimTime;
@@ -87,5 +88,29 @@ fn main() -> Result<(), Error> {
         assert_eq!(alive, objects.len(), "replication must cover the crash");
     }
     println!("\nall objects survived 5 primary crashes — replication + surrogate routing");
+
+    // --- Part 3: graceful churn hands references over. ------------------
+    // Eight nodes leave (each passes its references to its successor)
+    // and eight join (each takes its key range from its successor).
+    for i in 0..8u64 {
+        let leaving = dht.ring().iter().nth(1).expect("nodes remain");
+        dht.leave(leaving);
+        dht.join(NodeId::from_raw(i.wrapping_mul(0x0765_4321_FEDC_BA98) | 1));
+    }
+    let reader = dht.random_node();
+    let alive = objects
+        .iter()
+        .filter(|&&o| dht.read(reader, o).is_some())
+        .count();
+    println!(
+        "after 8 graceful leaves and 8 joins: {alive}/{} objects readable ({} nodes)",
+        objects.len(),
+        dht.ring().len()
+    );
+    assert_eq!(
+        alive,
+        objects.len(),
+        "a graceful leave or a join loses nothing"
+    );
     Ok(())
 }

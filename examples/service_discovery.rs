@@ -59,6 +59,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         linux.stats.nodes_contacted
     );
 
+    // A machine is reinstalled: its os entry is withdrawn and the new
+    // one registered; only the os field changes.
+    let moved = linux.results[0].object;
+    directory.remove("os", moved, &KeywordSet::parse("linux")?)?;
+    directory.insert("os", moved, KeywordSet::parse("freebsd")?)?;
+    let after =
+        directory.superset_search("os", &SupersetQuery::new(KeywordSet::parse("linux")?))?;
+    println!(
+        "after {moved} moves to freebsd: {} linux machines",
+        after.results.len()
+    );
+
     // Conjunctive multi-field discovery: linux AND arm64 AND http.
     let (hits, stats) = directory.multi_field_search(&[
         ("os", SupersetQuery::new(KeywordSet::parse("linux")?)),

@@ -38,13 +38,6 @@ fn r48_sim_constructs_sparse_and_serves_insert_and_superset() {
         sim.insert(oid(id), k).expect("non-empty");
     }
 
-    // Pin search is one request and one reply, whatever the cube size.
-    for (id, k) in corpus() {
-        let pin = sim.pin_search(&k);
-        assert_eq!(pin.results, vec![oid(id)], "pin {k}");
-        assert_eq!(pin.messages, 2, "pin {k}");
-    }
-
     // The simulator walks as published, so at r = 48 a threshold is
     // what bounds a superset search: `shared` induces a 2^47-vertex
     // subcube, but every object lies within two levels of its root and
