@@ -2,11 +2,13 @@
 //! summaries.
 //!
 //! Superset search must visit every vertex of the subcube induced by
-//! `F_h(K)` — unless something proves a subtree empty. The occupancy
-//! summaries of [`hyperdex_core::summary`] do exactly that: each SBT
-//! subtree carries an object count and a keyword-position bitmask, and
-//! the traversal skips any subtree whose count is zero or whose mask
-//! cannot cover the query vertex.
+//! `F_h(K)` — unless something proves a subtree free of matches. The
+//! summaries of [`hyperdex_core::summary`] do exactly that: each prefix
+//! region covering an SBT subtree carries whether it is occupied, a
+//! keyword-position bitmask and the OR of its keyword-set signatures,
+//! and the traversal skips any subtree whose region is empty, whose
+//! mask cannot cover the query vertex, or whose signature cannot cover
+//! the query's.
 //!
 //! This sweep crosses **corpus size** (how full the cube is) with the
 //! **Zipf exponent** of keyword popularity (how skewed occupancy is)
@@ -19,10 +21,12 @@
 //! * subtrees pruned and the fraction of node visits saved.
 //!
 //! Every query is run both ways on the *same* index and the result
-//! sets are asserted bit-for-bit identical — pruning is an
-//! optimization, never a recall trade. The run panics (non-zero exit
-//! under the CI bench-smoke job) if any query returns different
-//! results or the pruned traversal contacts more nodes.
+//! sequences are asserted identical, object by object in order —
+//! pruning skips only match-free subtrees and keeps the walk's order,
+//! so it is an optimization, never a recall trade. The run panics
+//! (non-zero exit under the CI bench-smoke job) if any query returns a
+//! different result sequence, or the pruned traversal contacts more
+//! nodes or scans more entries.
 
 use std::path::Path;
 
@@ -66,7 +70,7 @@ pub struct PruneRow {
     pub msgs_unpruned: u64,
     /// Total messages with pruning.
     pub msgs_pruned: u64,
-    /// SBT subtrees skipped by summary digests.
+    /// SBT subtrees skipped by the summary.
     pub pruned_subtrees: u64,
 }
 
@@ -86,8 +90,9 @@ impl PruneRow {
 ///
 /// # Panics
 ///
-/// Panics if any query's pruned result set differs from the unpruned
-/// one, if pruning ever contacts *more* nodes, or if the largest,
+/// Panics if any query's pruned result sequence differs from the
+/// unpruned one, if pruning ever contacts *more* nodes or scans *more*
+/// entries, or if the largest,
 /// most specific cell fails to contact *strictly fewer* nodes — these
 /// are the experiment's invariants and CI runs this as a smoke check.
 pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
@@ -138,17 +143,19 @@ pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
                         .expect("valid");
                     let pruned = index.superset_search(&base).expect("valid");
 
-                    let mut ids: Vec<_> = plain.results.iter().map(|r| r.object).collect();
-                    let mut pruned_ids: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
-                    ids.sort_unstable();
-                    pruned_ids.sort_unstable();
+                    let ids: Vec<_> = plain.results.iter().map(|r| r.object).collect();
+                    let pruned_ids: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
                     assert_eq!(
                         ids, pruned_ids,
-                        "pruning changed the result set for {q} (n={n}, zipf={zipf})"
+                        "pruning changed the result sequence for {q} (n={n}, zipf={zipf})"
                     );
                     assert!(
                         pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,
                         "pruning contacted more nodes for {q} (n={n}, zipf={zipf})"
+                    );
+                    assert!(
+                        pruned.stats.entries_scanned <= plain.stats.entries_scanned,
+                        "pruning scanned more entries for {q} (n={n}, zipf={zipf})"
                     );
 
                     row.nodes_unpruned += plain.stats.nodes_contacted;
@@ -278,7 +285,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&row.savings()), "{row:?}");
         }
         // Specific queries over a mostly-empty cube must show real
-        // savings, with the digests doing the cutting.
+        // savings, with the summary doing the cutting.
         let best = rows
             .iter()
             .filter(|r| r.query_size == 3)

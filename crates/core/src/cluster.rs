@@ -45,8 +45,9 @@ pub struct HypercubeIndex {
     // index; each per-node cache catches up when next touched, so an
     // entry computed before a write never serves after it.
     generation: u64,
-    // Occupancy of the cube's prefix regions, kept exact on every
-    // insert/remove so searches prune provably-empty SBT subtrees.
+    // Occupancy and keyword signatures of the cube's prefix regions,
+    // kept exact on every insert/remove so searches prune provably
+    // match-free SBT subtrees.
     summary: OccupancySummary,
     // The sequential protocol's frontier queue `U`, lent to the search
     // engine per query so searches stop allocating a fresh one.
@@ -140,9 +141,10 @@ impl HypercubeIndex {
         let vertex = self.vertex_for(&keywords);
         let node = self.node_mut(vertex);
         if node.store.insert(keywords, object) {
+            let sig = node.store.union_sig();
             self.object_count += 1;
             self.generation += 1;
-            self.summary.record_insert(vertex.bits());
+            self.summary.set_vertex(vertex.bits(), sig);
         }
         Ok(vertex)
     }
@@ -157,9 +159,11 @@ impl HypercubeIndex {
         };
         let removed = node.store.remove(keywords, object);
         if removed {
+            // Killing a slot may have shrunk the vertex's signature.
+            let sig = node.store.union_sig();
             self.object_count -= 1;
             self.generation += 1;
-            self.summary.record_remove(vertex.bits());
+            self.summary.set_vertex(vertex.bits(), sig);
             // An emptied vertex goes back to unmaterialized — its arena
             // and table slot with it — unless it still holds a cache.
             if node.store.is_empty() && node.cache.is_none() {
@@ -251,14 +255,14 @@ impl HypercubeIndex {
                 let lost = node.store.object_count();
                 self.object_count -= lost;
                 self.generation += 1;
-                self.summary.refresh_leaf(vertex.bits(), 0);
+                self.summary.set_vertex(vertex.bits(), 0);
                 lost
             }
         }
     }
 
     /// The occupancy summary over the cube's prefix regions — what the
-    /// top-down walks consult to prune empty SBT subtrees.
+    /// top-down walks consult to prune match-free SBT subtrees.
     pub fn summary(&self) -> &OccupancySummary {
         &self.summary
     }
@@ -397,12 +401,26 @@ mod tests {
         idx.insert(oid(2), set("a b")).unwrap();
         let v = idx.insert(oid(3), set("c d e")).unwrap();
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.summary().leaf_count(v.bits()), 1);
+        let sig = |idx: &HypercubeIndex| idx.summary().region(0, v.bits()).map(|g| g.sig);
+        assert_eq!(sig(&idx), Some(set("c d e").signature()));
+        // A second set at the same vertex, with a bit the first lacks.
+        let wider = (0..)
+            .map(|i| set(&format!("c d e w{i}")))
+            .find(|k| idx.vertex_for(k) == v && k.signature() != set("c d e").signature())
+            .unwrap();
+        idx.insert(oid(4), wider.clone()).unwrap();
+        assert_eq!(sig(&idx), Some(wider.signature()));
+        idx.remove(oid(4), &wider);
+        assert_eq!(
+            sig(&idx),
+            Some(set("c d e").signature()),
+            "a killed slot shrinks it"
+        );
         idx.remove(oid(1), &set("a b"));
         assert_eq!(idx.len(), 2);
         idx.drop_node(v);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.summary().leaf_count(v.bits()), 0);
+        assert_eq!(sig(&idx), None);
     }
 
     /// A vertex whose last entry goes is unmaterialized again: churn

@@ -41,10 +41,10 @@
 //! * [`churn`] — live membership over the message-level protocol:
 //!   join/leave/crash plans, key-range index handoff, anti-entropy
 //!   replica repair.
-//! * [`summary`] — occupancy digests over prefix regions of the cube,
-//!   letting the direct engine's sequential top-down walk prune
-//!   provably-empty SBT subtrees while staying recall-safe (DESIGN.md
-//!   §10).
+//! * [`summary`] — occupancy, position masks and keyword signatures
+//!   over prefix regions of the cube, letting the direct engine's
+//!   sequential top-down walk prune provably match-free SBT subtrees
+//!   while staying recall-safe (DESIGN.md §10).
 //! * [`store`] — per-vertex posting storage: the struct-of-arrays
 //!   slab with delta-encoded postings every executor runs; the
 //!   `BTreeMap` tables of [`index`] are its test oracle (DESIGN.md

@@ -134,7 +134,7 @@ impl CumulativeSearch {
         let qsig = self.keywords.signature();
         let mut pruner = self
             .prune
-            .then(|| index.summary().pruner(self.coord.root_bits()));
+            .then(|| index.summary().pruner(self.coord.root_bits(), qsig));
 
         // Buffered results first; a node is contacted (the root first)
         // only once the buffer is empty, so its matches go straight

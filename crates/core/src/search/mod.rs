@@ -68,8 +68,8 @@ pub struct SupersetQuery {
     pub order: TraversalOrder,
     /// Sequential protocol or level-parallel broadcast.
     pub mode: ExecutionMode,
-    /// Whether the occupancy summary prunes provably-empty SBT subtrees
-    /// of the sequential top-down walk (recall-safe; see
+    /// Whether the occupancy summary prunes provably match-free SBT
+    /// subtrees of the sequential top-down walk (recall-safe; see
     /// [`crate::summary`]). `false` is the walk as published, which the
     /// reproduction's figures count; the level-order walks (bottom-up,
     /// level-parallel) always run as published.
@@ -109,11 +109,12 @@ impl SupersetQuery {
         self
     }
 
-    /// Enables or disables occupancy-guided subtree pruning; `false`
-    /// selects the walk exactly as published. The flag applies to the
-    /// sequential top-down walk: the level-order walks (bottom-up,
-    /// level-parallel) run as published either way, with identical
-    /// results and costs and `pruned_subtrees == 0`.
+    /// Enables or disables occupancy-guided pruning of provably
+    /// match-free subtrees — the same result sequence from fewer nodes;
+    /// `false` selects the walk exactly as published. The flag applies
+    /// to the sequential top-down walk: the level-order walks
+    /// (bottom-up, level-parallel) run as published either way, with
+    /// identical results and costs and `pruned_subtrees == 0`.
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
@@ -151,8 +152,8 @@ pub struct SearchStats {
     pub cache_hit: bool,
     /// Parallel rounds used (level-parallel mode only; 0 otherwise).
     pub rounds: u32,
-    /// SBT subtrees skipped because an occupancy summary disproved
-    /// them (a pruned top-down walk only; 0 otherwise).
+    /// SBT subtrees skipped because the occupancy summary proved them
+    /// match-free (a pruned top-down walk only; 0 otherwise).
     pub pruned_subtrees: u64,
 }
 

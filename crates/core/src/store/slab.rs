@@ -193,6 +193,12 @@ impl PostingStore {
         self.objects as usize
     }
 
+    /// OR of every stored keyword set's signature (0 when empty): what
+    /// the occupancy summary knows of this vertex.
+    pub(crate) fn union_sig(&self) -> u64 {
+        self.union_sig
+    }
+
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -1,11 +1,13 @@
 //! Occupancy summaries for SBT subtree pruning (DESIGN.md §10).
 //!
 //! The superset search of §3.3 walks the whole spanning binomial tree of
-//! the induced subcube even when most vertices index nothing. This
+//! the induced subcube even when most vertices hold no match. This
 //! module summarizes every *prefix region* `(level j, prefix p)` — the
 //! vertex set `{x : x >> j == p}` — by whether any vertex inside it
-//! indexes an object and by the OR of the occupied vertices' bit
-//! patterns (the union of keyword positions present).
+//! indexes an object, by the OR of the occupied vertices' bit patterns
+//! (the union of keyword positions present), and by the OR of the
+//! keyword-set signatures stored there
+//! ([`crate::KeywordSet::signature`]).
 //!
 //! Why prefix regions: in any SBT, the subtree hanging off a child
 //! reached across dimension `j` only varies dimensions strictly below
@@ -15,22 +17,26 @@
 //!
 //! The regions are the nodes of the bitwise trie over the occupied
 //! vertices, and are stored as one. Its vertex level is a sparse bit
-//! vector, 64 neighbouring vertices to the word; every region of up to
-//! 64 vertices is a run of bits inside one such word, and both its
-//! emptiness and its position mask are read off the run. So one word
-//! answers for every child a walk reaches across its six lowest
-//! dimensions — nearly all of them; a [`Pruner`] decides those together
-//! — and only the regions above 64 vertices are nodes of their own,
-//! each holding its mask (8 KiB of words and at most 1,023 such nodes
-//! for all of an `r = 16` cube).
-//! Only a vertex's empty ↔ occupied transition touches the trie; any
-//! other write stops at the vertex's own entry count.
+//! vector, 64 neighbouring vertices to the word, each word beside its
+//! occupied vertices' signatures in vertex order; every region of up to
+//! 64 vertices is a run of bits inside one such word, and its
+//! emptiness, its position mask and its signature (the OR of a
+//! contiguous slice) are read off the run. So one word answers for
+//! every child a walk reaches across its six lowest dimensions — nearly
+//! all of them; a [`Pruner`] decides those together — and only the
+//! regions above 64 vertices are nodes of their own, each holding its
+//! mask and signature (at most 1,023 such nodes for all of an `r = 16`
+//! cube).
+//! Only a change of a vertex's signature touches the trie — it is the
+//! vertex's whole input, 0 when it is empty; a write that leaves it as
+//! it was stops at the vertex's word.
 //!
 //! Pruning is a recall-safe over-approximation: a region covers *at
 //! least* everything in the corresponding subtree, so an unoccupied
-//! region (or a position mask missing a required query bit) proves the
-//! subtree holds no match. A stale, still-occupied region merely costs
-//! an extra visit; it can never hide a result.
+//! region, a position mask missing a required query bit, or a
+//! signature missing a bit of the query's proves the subtree holds no
+//! match. A stale, still-covering region merely costs an extra visit;
+//! it can never hide a result.
 
 use std::collections::hash_map::Entry;
 
@@ -66,29 +72,105 @@ fn low_positions(run: u64) -> u64 {
     })
 }
 
-/// Incrementally maintained occupancy of every prefix region of an
-/// `r`-dimensional hypercube index.
+/// What the summary knows of one occupied prefix region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// OR of the occupied vertices' bit patterns: the union of keyword
+    /// positions present.
+    pub mask: u64,
+    /// OR of the signatures of the keyword sets stored in the region.
+    pub sig: u64,
+}
+
+/// One word of the trie's vertex level: 64 neighbouring vertices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Word {
+    /// Bit `i` says vertex `(at << 6) | i` is occupied; never 0 in the
+    /// map.
+    occupied: u64,
+    /// OR of `sigs`: the whole word's signature.
+    sig: u64,
+    /// The occupied vertices' signatures, in vertex order.
+    sigs: Vec<u64>,
+}
+
+/// The word a walk holds before it has read one, and what an absent
+/// word reads as.
+static EMPTY: Word = Word {
+    occupied: 0,
+    sig: 0,
+    sigs: Vec::new(),
+};
+
+impl Word {
+    /// Where vertex `bit` (one bit of this word) sits in `sigs`.
+    fn rank(&self, bit: u64) -> usize {
+        (self.occupied & (bit - 1)).count_ones() as usize
+    }
+
+    /// OR of the signatures of the non-empty `run`'s vertices: a
+    /// contiguous slice of `sigs`.
+    fn sig_of(&self, run: u64) -> u64 {
+        if run == self.occupied {
+            return self.sig;
+        }
+        let from = self.rank(run & run.wrapping_neg());
+        let slice = &self.sigs[from..from + run.count_ones() as usize];
+        slice.iter().fold(0, |sig, &s| sig | s)
+    }
+
+    /// What the regions above know of this word: its positions below
+    /// [`WORD_LEVEL`] and its signature.
+    fn digest(&self) -> (u64, u64) {
+        (low_positions(self.occupied), self.sig)
+    }
+
+    /// Sets vertex `bit`'s signature (0: unoccupied), returning its old
+    /// one.
+    fn set(&mut self, bit: u64, sig: u64) -> u64 {
+        let rank = self.rank(bit);
+        let old = if self.occupied & bit == 0 {
+            0
+        } else {
+            self.sigs[rank]
+        };
+        match (old, sig) {
+            _ if old == sig => return old,
+            (0, _) => {
+                self.occupied |= bit;
+                self.sigs.insert(rank, sig);
+            }
+            (_, 0) => {
+                self.occupied &= !bit;
+                self.sigs.remove(rank);
+            }
+            _ => self.sigs[rank] = sig,
+        }
+        self.sig = if old & !sig == 0 {
+            self.sig | sig
+        } else {
+            self.sigs.iter().fold(0, |word, &s| word | s)
+        };
+        old
+    }
+}
+
+/// Incrementally maintained occupancy and signatures of every prefix
+/// region of an `r`-dimensional hypercube index.
 ///
-/// Everything held is a function of the per-vertex entry counts, and
+/// Everything held is a function of the per-vertex signatures, and
 /// only non-empty state is materialized — two summaries that saw
-/// different histories but agree on the counts compare equal.
-/// [`OccupancySummary::record_insert`] and
-/// [`OccupancySummary::record_remove`] keep it exact;
-/// [`OccupancySummary::refresh_leaf`] installs full leaf state (a
-/// vertex whose table was dropped whole,
-/// [`crate::cluster::HypercubeIndex::drop_node`]).
+/// different histories but agree on the signatures compare equal.
+/// [`OccupancySummary::set_vertex`] is the one write.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancySummary {
     r: u8,
-    /// Object entries per occupied vertex.
-    leaves: ByVertex<u64>,
-    /// The trie's vertex level: bit `bits & 63` of word `bits >> 6` says
-    /// vertex `bits` is occupied. No word is zero.
-    words: ByVertex<u64>,
-    /// The trie above [`WORD_LEVEL`]: each occupied region's OR of its
-    /// occupied vertices' bit patterns, by [`region_index`]. An absent
-    /// region is unoccupied.
-    masks: ByVertex<u64>,
+    /// The trie's vertex level, by word number `bits >> 6`. No word is
+    /// empty.
+    words: ByVertex<Word>,
+    /// The trie above [`WORD_LEVEL`]: each occupied region, by
+    /// [`region_index`]. An absent region is unoccupied.
+    regions: ByVertex<Region>,
 }
 
 impl OccupancySummary {
@@ -101,120 +183,104 @@ impl OccupancySummary {
         }
     }
 
-    /// OR of the bit patterns of the occupied vertices in region
-    /// `(level, prefix)` — the union of keyword positions present there;
-    /// `None` for an unoccupied region.
-    pub fn position_mask(&self, level: u8, prefix: u64) -> Option<u64> {
+    /// What region `(level, prefix)` holds; `None` for an unoccupied
+    /// region.
+    pub fn region(&self, level: u8, prefix: u64) -> Option<Region> {
         if level > WORD_LEVEL {
             let region = region_index(self.r, level, prefix);
-            return self.masks.get(&region).copied();
+            return self.regions.get(&region).copied();
         }
-        let run = run(self.word(prefix << level >> 6), level, prefix);
+        let word = self.words.get(&(prefix << level >> 6)).unwrap_or(&EMPTY);
+        let run = run(word.occupied, level, prefix);
         // A run spans only positions below `level`; the rest is `prefix`.
-        (run != 0).then(|| prefix << level | low_positions(run) & !(u64::MAX << level))
+        (run != 0).then(|| Region {
+            mask: prefix << level | low_positions(run) & !(u64::MAX << level),
+            sig: word.sig_of(run),
+        })
     }
 
-    /// Records one new object entry indexed at vertex `bits`.
-    pub fn record_insert(&mut self, bits: u64) {
-        let count = self.leaves.entry(bits).or_insert(0);
-        *count += 1;
-        let first = *count == 1;
-        if first {
-            self.occupy(bits);
-        }
-    }
-
-    /// Records the removal of one object entry indexed at vertex `bits`.
-    ///
-    /// Removing from an empty leaf is ignored (the summary can only be
-    /// over-counted by design, never driven negative).
-    pub fn record_remove(&mut self, bits: u64) {
-        let Some(count) = self.leaves.get_mut(&bits) else {
-            return;
+    /// Installs vertex `bits`'s signature: the OR of its stored keyword
+    /// sets' signatures, 0 when it stores none (a non-empty set's
+    /// signature is never 0). Installing the signature it already has
+    /// changes nothing.
+    pub fn set_vertex(&mut self, bits: u64, sig: u64) {
+        let word = match self.words.entry(bits >> 6) {
+            Entry::Vacant(_) if sig == 0 => return,
+            Entry::Vacant(word) => word.insert(EMPTY.clone()),
+            Entry::Occupied(word) => word.into_mut(),
         };
-        *count -= 1;
-        let last = *count == 0;
-        if last {
-            self.leaves.remove(&bits);
-            self.vacate(bits);
+        let before = word.digest();
+        let old = word.set(1 << (bits & 63), sig);
+        let after = word.digest();
+        if word.occupied == 0 {
+            self.words.remove(&(bits >> 6));
         }
-    }
-
-    /// Installs the exact entry count for leaf `bits` — what
-    /// [`crate::cluster::HypercubeIndex::drop_node`] records when a
-    /// vertex loses its whole table. Idempotent: installing the same
-    /// count again changes nothing.
-    pub fn refresh_leaf(&mut self, bits: u64, count: u64) {
-        let old = if count > 0 {
-            self.leaves.insert(bits, count)
-        } else {
-            self.leaves.remove(&bits)
-        }
-        .unwrap_or(0);
-        match (old > 0, count > 0) {
-            (false, true) => self.occupy(bits),
-            (true, false) => self.vacate(bits),
-            _ => {}
+        // The regions above see the vertex only through its word.
+        if before != after {
+            if old & !sig == 0 {
+                self.widen(bits, sig);
+            } else {
+                self.rebuild(bits);
+            }
         }
     }
 
     /// The pruning tests of one search rooted at a vertex with bit
-    /// pattern `required_mask`.
-    pub fn pruner(&self, required_mask: u64) -> Pruner<'_> {
+    /// pattern `required_mask`, for a keyword set with signature
+    /// `required_sig`.
+    pub fn pruner(&self, required_mask: u64, required_sig: u64) -> Pruner<'_> {
         Pruner {
             summary: self,
             required_mask,
-            held: (u64::MAX, 0),
+            required_sig,
+            held: (u64::MAX, &EMPTY),
         }
     }
 
-    /// Word `at` of the vertex level; an absent word is all unoccupied.
-    fn word(&self, at: u64) -> u64 {
-        self.words.get(&at).copied().unwrap_or(0)
-    }
-
-    /// Vertex `bits` went from empty to occupied: marks it, and ORs it
-    /// into its chain of regions up to the first that already carries
-    /// its bits.
-    fn occupy(&mut self, bits: u64) {
-        *self.words.entry(bits >> 6).or_insert(0) |= 1 << (bits & 63);
+    /// Vertex `bits` gained signature bits (or became occupied): ORs it
+    /// and `sig` into its chain of regions up to the first that already
+    /// covers both.
+    fn widen(&mut self, bits: u64, sig: u64) {
         for level in WORD_LEVEL + 1..=self.r {
-            let mask = self.masks.entry(region_index(self.r, level, bits >> level));
-            let mask = match mask {
-                // Every region above holds this one's mask already.
-                Entry::Occupied(mask) if mask.get() & bits == bits => break,
-                Entry::Occupied(mask) => mask.into_mut(),
-                Entry::Vacant(region) => region.insert(0),
+            let region = match self
+                .regions
+                .entry(region_index(self.r, level, bits >> level))
+            {
+                // Every region above covers this one already.
+                Entry::Occupied(region)
+                    if region.get().mask & bits == bits && region.get().sig & sig == sig =>
+                {
+                    break
+                }
+                Entry::Occupied(region) => region.into_mut(),
+                Entry::Vacant(region) => region.insert(Region { mask: 0, sig: 0 }),
             };
-            *mask |= bits;
+            region.mask |= bits;
+            region.sig |= sig;
         }
     }
 
-    /// Vertex `bits` went from occupied to empty: unmarks it, then
-    /// rebuilds each enclosing region from its two halves (a removal
-    /// can clear mask bits, which an OR cannot express) up to the first
-    /// one the removal leaves as it was.
-    fn vacate(&mut self, bits: u64) {
-        if let Entry::Occupied(mut word) = self.words.entry(bits >> 6) {
-            *word.get_mut() &= !(1 << (bits & 63));
-            if *word.get() == 0 {
-                word.remove();
-            }
-        }
+    /// Vertex `bits` lost signature bits (or became empty): rebuilds
+    /// each enclosing region from its two halves (an OR cannot clear
+    /// bits) up to the first one the change leaves as it was.
+    fn rebuild(&mut self, bits: u64) {
         for level in WORD_LEVEL + 1..=self.r {
             let prefix = bits >> level;
             let region = region_index(self.r, level, prefix);
-            let halves = [2 * prefix, 2 * prefix + 1].map(|p| self.position_mask(level - 1, p));
-            match halves {
+            let halves = [2 * prefix, 2 * prefix + 1].map(|p| self.region(level - 1, p));
+            let rebuilt = match halves {
                 [None, None] => {
-                    self.masks.remove(&region);
+                    self.regions.remove(&region);
+                    continue;
                 }
-                [low, high] => {
-                    let mask = low.unwrap_or(0) | high.unwrap_or(0);
-                    if self.masks.insert(region, mask) == Some(mask) {
-                        break;
-                    }
-                }
+                [Some(half), None] | [None, Some(half)] => half,
+                [Some(low), Some(high)] => Region {
+                    mask: low.mask | high.mask,
+                    sig: low.sig | high.sig,
+                },
+            };
+            if self.regions.insert(region, rebuilt) == Some(rebuilt) {
+                break;
             }
         }
     }
@@ -228,18 +294,21 @@ impl OccupancySummary {
 pub struct Pruner<'a> {
     summary: &'a OccupancySummary,
     required_mask: u64,
+    required_sig: u64,
     /// The last word read and where (no word is at `u64::MAX`).
-    held: (u64, u64),
+    held: (u64, &'a Word),
 }
 
 impl Pruner<'_> {
     /// Which of the dimensions `dims` (one bit each) lead from
     /// `parent_bits` to a child the search may skip: one whose subtree
-    /// provably holds no entry covering the search's required positions.
-    /// That holds when the region covering the subtree is unoccupied, or
-    /// when its position mask misses a required position (every match
-    /// `K' ⊇ K` lives at a vertex `x ⊇ F_h(K)`). The children across
-    /// dimensions 0–5 lie in the parent's own word.
+    /// provably holds no entry covering the search's keyword set. That
+    /// holds when the region covering the subtree is unoccupied, when
+    /// its position mask misses a required position (every match
+    /// `K' ⊇ K` lives at a vertex `x ⊇ F_h(K)`), or when its signature
+    /// misses a bit of the query's (a match's signature covers the
+    /// query's). The children across dimensions 0–5 lie in the parent's
+    /// own word.
     pub fn prunable_dims(&mut self, parent_bits: u64, dims: u64) -> u64 {
         let (mut cut, mut rest) = (0, dims);
         while rest != 0 {
@@ -260,17 +329,21 @@ impl Pruner<'_> {
         if missing >> level != 0 {
             return true;
         }
+        let sig = self.required_sig;
         if level > WORD_LEVEL {
             let region = region_index(self.summary.r, level, prefix);
-            let mask = self.summary.masks.get(&region);
-            return mask.is_none_or(|mask| mask & missing != missing);
+            let region = self.summary.regions.get(&region);
+            return region.is_none_or(|r| r.mask & missing != missing || r.sig & sig != sig);
         }
         let at = prefix << level >> 6;
         if self.held.0 != at {
-            self.held = (at, self.summary.word(at));
+            self.held = (at, self.summary.words.get(&at).unwrap_or(&EMPTY));
         }
-        let run = run(self.held.1, level, prefix);
-        run == 0 || missing != 0 && missing & !low_positions(run) != 0
+        let word = self.held.1;
+        let run = run(word.occupied, level, prefix);
+        run == 0
+            || missing != 0 && missing & !low_positions(run) != 0
+            || word.sig_of(run) & sig != sig
     }
 }
 
@@ -286,74 +359,97 @@ mod tests {
     impl OccupancySummary {
         /// Number of trie nodes held: occupied vertices, plus occupied
         /// regions above 64 vertices.
-        pub(crate) fn region_count(&self) -> usize {
-            self.leaves.len() + self.masks.len()
-        }
-
-        /// Object entries recorded at the single vertex `bits`.
-        pub(crate) fn leaf_count(&self, bits: u64) -> u64 {
-            self.leaves.get(&bits).copied().unwrap_or(0)
+        fn region_count(&self) -> usize {
+            let vertices = self.words.values().map(|w| w.occupied.count_ones());
+            vertices.sum::<u32>() as usize + self.regions.len()
         }
 
         /// Whether the subtree of `child_bits` (reached across
         /// `via_dim`) provably holds no entry whose keyword positions
-        /// cover `required_mask`.
-        pub(crate) fn can_prune(&self, child_bits: u64, via_dim: u8, required_mask: u64) -> bool {
-            self.pruner(required_mask).prunable(child_bits, via_dim)
+        /// cover `required_mask` and whose signature covers
+        /// `required_sig`.
+        fn can_prune(
+            &self,
+            child_bits: u64,
+            via_dim: u8,
+            required_mask: u64,
+            required_sig: u64,
+        ) -> bool {
+            self.pruner(required_mask, required_sig)
+                .prunable(child_bits, via_dim)
         }
     }
 
     /// The regions holding vertex `bits`, from the leaf `(0, bits)` up
-    /// to the whole cube `(r, 0)`: the chain an insert or a delete at
-    /// `bits` may touch.
+    /// to the whole cube `(r, 0)`: the chain a write at `bits` may
+    /// touch.
     fn summary_path(bits: u64, r: u8) -> impl Iterator<Item = (u8, u64)> {
         (0..=r).map(move |j| (j, bits >> j))
     }
 
-    /// The model: per-vertex entry counts, recounted by brute force.
+    /// The model: what each vertex's store holds — keyword-set
+    /// signatures with the number of objects under each, as a posting
+    /// store's slots — recounted by brute force.
     #[derive(Default)]
-    struct Model(BTreeMap<u64, u64>);
+    struct Model(BTreeMap<u64, BTreeMap<u64, u64>>);
 
     impl Model {
-        fn of(entries: &[u64]) -> Self {
-            let mut model = Model::default();
-            for &bits in entries {
-                *model.0.entry(bits).or_insert(0) += 1;
-            }
-            model
+        /// One object entry under a set with signature `sig` at `bits`.
+        fn insert(&mut self, bits: u64, sig: u64) {
+            *self.0.entry(bits).or_default().entry(sig).or_insert(0) += 1;
         }
 
-        fn set(&mut self, bits: u64, count: u64) {
-            if count > 0 {
-                self.0.insert(bits, count);
-            } else {
+        /// Removes one object entry under `sig` at `bits`, if there is
+        /// one: the last one kills the slot, which may shrink the
+        /// vertex's signature.
+        fn remove(&mut self, bits: u64, sig: u64) {
+            let Some(slots) = self.0.get_mut(&bits) else {
+                return;
+            };
+            if let Some(count) = slots.get_mut(&sig) {
+                *count -= 1;
+                if *count == 0 {
+                    slots.remove(&sig);
+                }
+            }
+            if slots.is_empty() {
                 self.0.remove(&bits);
             }
         }
 
-        fn count(&self, bits: u64) -> u64 {
-            self.0.get(&bits).copied().unwrap_or(0)
+        /// The vertex's signature: the OR of its slots', 0 when empty.
+        fn sig(&self, bits: u64) -> u64 {
+            self.0
+                .get(&bits)
+                .map_or(0, |slots| slots.keys().fold(0, |sig, s| sig | s))
         }
 
-        /// Position mask of region `(level, prefix)`, if occupied.
-        fn position_mask(&self, level: u8, prefix: u64) -> Option<u64> {
+        /// Region `(level, prefix)`, if occupied.
+        fn region(&self, level: u8, prefix: u64) -> Option<Region> {
             let inside = self.0.keys().filter(|&&bits| bits >> level == prefix);
-            inside.copied().reduce(|mask, bits| mask | bits)
+            inside
+                .map(|&bits| Region {
+                    mask: bits,
+                    sig: self.sig(bits),
+                })
+                .reduce(|a, b| Region {
+                    mask: a.mask | b.mask,
+                    sig: a.sig | b.sig,
+                })
         }
 
-        /// The pruning test as defined: an empty region, or one whose
-        /// mask misses a required position.
-        fn can_prune(&self, child: u64, via: u8, required: u64) -> bool {
-            self.position_mask(via, child >> via)
-                .is_none_or(|mask| mask & required != required)
+        /// The pruning test as defined: an empty region, one whose mask
+        /// misses a required position, or one whose signature misses a
+        /// bit of the query's.
+        fn can_prune(&self, child: u64, via: u8, mask: u64, sig: u64) -> bool {
+            self.region(via, child >> via)
+                .is_none_or(|region| region.mask & mask != mask || region.sig & sig != sig)
         }
 
         fn summary(&self, r: u8) -> OccupancySummary {
             let mut summary = OccupancySummary::new(r);
-            for (&bits, &count) in &self.0 {
-                for _ in 0..count {
-                    summary.record_insert(bits);
-                }
+            for &bits in self.0.keys() {
+                summary.set_vertex(bits, self.sig(bits));
             }
             summary
         }
@@ -365,32 +461,32 @@ mod tests {
         let r = summary.r;
         let mut stored_regions = std::collections::BTreeSet::new();
         for &bits in model.0.keys().chain(probes) {
-            assert_eq!(
-                summary.leaf_count(bits),
-                model.count(bits),
-                "leaf {bits:#b}"
-            );
             for (level, prefix) in summary_path(bits, r) {
-                let mask = model.position_mask(level, prefix);
+                let region = model.region(level, prefix);
                 assert_eq!(
-                    summary.position_mask(level, prefix),
-                    mask,
+                    summary.region(level, prefix),
+                    region,
                     "region ({level}, {prefix:#b})"
                 );
-                if mask.is_some() && (level == 0 || level > WORD_LEVEL) {
+                if region.is_some() && (level == 0 || level > WORD_LEVEL) {
                     stored_regions.insert((level, prefix));
                 }
-                let mask = mask.unwrap_or(0);
+                let Region { mask, sig } = region.unwrap_or(Region { mask: 0, sig: 0 });
                 // Required masks that hit each branch of the test: the
                 // vertex itself, nothing, one position, everything the
-                // region has, and one position more than it has.
+                // region has, and one position more than it has; and
+                // signatures likewise: none, the vertex's own, the
+                // region's, and one bit more than it has.
+                let vertex_sig = model.sig(bits);
                 for required in [bits, 0, 1 << (level / 2), mask, mask | (mask + 1)] {
                     let required = required & ((1 << r) - 1);
-                    assert_eq!(
-                        summary.can_prune(bits, level, required),
-                        model.can_prune(bits, level, required),
-                        "can_prune({bits:#b}, {level}, {required:#b})"
-                    );
+                    for required_sig in [0, vertex_sig, sig, sig | (sig + 1)] {
+                        assert_eq!(
+                            summary.can_prune(bits, level, required, required_sig),
+                            model.can_prune(bits, level, required, required_sig),
+                            "can_prune({bits:#b}, {level}, {required:#b}, {required_sig:#x})"
+                        );
+                    }
                 }
             }
         }
@@ -400,131 +496,152 @@ mod tests {
         // The many-children test cuts exactly what the one-child test
         // cuts: every subset of a parent's free dimensions among the
         // eight lowest (in its word, and the first level above one),
-        // alone and with its highest free dimension. One pruner serves
-        // every probe, so the word it holds from one parent is still
-        // held when the next one asks.
+        // alone and with its highest free dimension, for a signature
+        // that cuts on its own and for none. One pruner serves every
+        // probe, so the word it holds from one parent is still held
+        // when the next one asks.
         let required = 1 << (r / 2);
-        let mut pruner = summary.pruner(required);
-        for &parent in model.0.keys().chain(probes) {
-            let free = !parent & (u64::MAX >> (64 - r));
-            let top = free.checked_ilog2().map_or(0, |dim| 1 << dim);
-            let mut low = free & 0xFF;
-            loop {
-                for dims in [low, low | top] {
-                    let one_by_one =
-                        (0..r)
-                            .filter(|&dim| dims >> dim & 1 == 1)
-                            .fold(0, |cut, dim| {
-                                cut | u64::from(summary.can_prune(parent ^ 1 << dim, dim, required))
-                                    << dim
-                            });
-                    assert_eq!(
-                        pruner.prunable_dims(parent, dims),
-                        one_by_one,
-                        "prunable_dims({parent:#b}, {dims:#b})"
-                    );
+        let some_sig = model.0.keys().next().map_or(1, |&bits| model.sig(bits));
+        for required_sig in [0, some_sig] {
+            let mut pruner = summary.pruner(required, required_sig);
+            for &parent in model.0.keys().chain(probes) {
+                let free = !parent & (u64::MAX >> (64 - r));
+                let top = free.checked_ilog2().map_or(0, |dim| 1 << dim);
+                let mut low = free & 0xFF;
+                loop {
+                    for dims in [low, low | top] {
+                        let one_by_one =
+                            (0..r)
+                                .filter(|&dim| dims >> dim & 1 == 1)
+                                .fold(0, |cut, dim| {
+                                    let child = parent ^ 1 << dim;
+                                    let cuts =
+                                        summary.can_prune(child, dim, required, required_sig);
+                                    cut | u64::from(cuts) << dim
+                                });
+                        assert_eq!(
+                            pruner.prunable_dims(parent, dims),
+                            one_by_one,
+                            "prunable_dims({parent:#b}, {dims:#b}), sig {required_sig:#x}"
+                        );
+                    }
+                    if low == 0 {
+                        break;
+                    }
+                    // The next smaller subset of the eight lowest.
+                    low = (low - 1) & free & 0xFF;
                 }
-                if low == 0 {
-                    break;
-                }
-                // The next smaller subset of the eight lowest.
-                low = (low - 1) & free & 0xFF;
             }
         }
     }
 
     #[test]
-    fn insert_marks_whole_ancestor_chain() {
+    fn a_new_vertex_marks_the_whole_ancestor_chain() {
         for r in [4, 9] {
             let mut s = OccupancySummary::new(r);
-            s.record_insert(0b1010);
+            s.set_vertex(0b1010, 0x30);
+            let only = Some(Region {
+                mask: 0b1010,
+                sig: 0x30,
+            });
             for (level, prefix) in summary_path(0b1010, r) {
-                assert_eq!(s.position_mask(level, prefix), Some(0b1010));
+                assert_eq!(s.region(level, prefix), only);
             }
-            assert_eq!(s.position_mask(0, 0b1011), None, "sibling untouched");
+            assert_eq!(s.region(0, 0b1011), None, "sibling untouched");
             // The vertex, and at r = 9 the regions of levels 7, 8 and 9.
             assert_eq!(s.region_count(), if r == 4 { 1 } else { 4 });
         }
     }
 
     #[test]
-    fn remove_restores_empty_summary() {
-        let mut s = OccupancySummary::new(5);
-        s.record_insert(0b10100);
-        s.record_insert(0b10100);
-        s.record_remove(0b10100);
-        assert_eq!(s.leaf_count(0b10100), 1);
-        s.record_remove(0b10100);
+    fn emptying_every_vertex_restores_the_empty_summary() {
+        let mut s = OccupancySummary::new(9);
+        s.set_vertex(0b1_0110_0100, 0b11);
+        s.set_vertex(0b0_0000_0001, 0b100);
+        s.set_vertex(0b1_0110_0100, 0b01);
+        s.set_vertex(0b1_0110_0100, 0);
+        s.set_vertex(0b0_0000_0001, 0);
         assert_eq!(s.region_count(), 0, "empty regions are dropped");
-        assert_eq!(s, OccupancySummary::new(5));
+        assert_eq!(s, OccupancySummary::new(9));
+    }
+
+    /// A shrinking signature can clear bits an OR cannot: each region
+    /// above is rebuilt from its halves, inside a word and above one.
+    #[test]
+    fn a_shrinking_vertex_rebuilds_masks_and_signatures_from_siblings() {
+        let region = |mask, sig| Some(Region { mask, sig });
+        let mut s = OccupancySummary::new(8);
+        s.set_vertex(0b110, 0b0011);
+        s.set_vertex(0b101, 0b0100);
+        s.set_vertex(0b1000_0000, 0b1000);
+        assert_eq!(s.region(8, 0), region(0b1000_0111, 0b1111));
+        // One slot of 0b110 goes; the vertex stays occupied.
+        s.set_vertex(0b110, 0b0010);
+        assert_eq!(s.region(2, 0b1), region(0b111, 0b0110));
+        assert_eq!(s.region(7, 0), region(0b111, 0b0110));
+        assert_eq!(s.region(8, 0), region(0b1000_0111, 0b1110));
+        // The vertex empties: the ORs shrink back to the survivors.
+        s.set_vertex(0b110, 0);
+        assert_eq!(s.region(2, 0b1), region(0b101, 0b0100));
+        assert_eq!(s.region(7, 0), region(0b101, 0b0100));
+        assert_eq!(s.region(8, 0), region(0b1000_0101, 0b1100));
     }
 
     #[test]
-    fn remove_recomputes_masks_from_siblings() {
-        let mut s = OccupancySummary::new(3);
-        s.record_insert(0b110);
-        s.record_insert(0b101);
-        // Region (3, 0) sees both patterns.
-        assert_eq!(s.position_mask(3, 0), Some(0b111));
-        s.record_remove(0b110);
-        // The OR must shrink back to the surviving vertex's pattern.
-        assert_eq!(s.position_mask(3, 0), Some(0b101));
-        assert_eq!(s.position_mask(1, 0b10), Some(0b101));
-    }
-
-    #[test]
-    fn remove_from_empty_leaf_is_ignored() {
+    fn setting_a_vertex_is_idempotent_and_exact() {
         let mut s = OccupancySummary::new(4);
-        s.record_insert(0b0001);
-        s.record_remove(0b0010);
-        check_against(&s, &Model::of(&[0b0001]), &[0b0010]);
+        s.set_vertex(0b0011, 0x5);
+        s.set_vertex(0b1100, 0x9);
+        // A crash loses vertex 0b0011's table; a replayed refresh
+        // converges.
+        s.set_vertex(0b0011, 0);
+        s.set_vertex(0b0011, 0);
+        let mut model = Model::default();
+        model.insert(0b1100, 0x9);
+        check_against(&s, &model, &[0b0011]);
+        // Repair restores it.
+        s.set_vertex(0b0011, 0x5);
+        model.insert(0b0011, 0x5);
+        check_against(&s, &model, &[]);
     }
 
     #[test]
-    fn refresh_leaf_is_idempotent_and_exact() {
+    fn can_prune_empty_uncoverable_and_match_free_regions() {
         let mut s = OccupancySummary::new(4);
-        s.record_insert(0b0011);
-        s.record_insert(0b0011);
-        s.record_insert(0b1100);
-        // Model a crash losing vertex 0b0011's table: truth drops, the
-        // summary stays over-counted until a refresh lands.
-        assert_eq!(s.leaves[&0b0011], 2);
-        s.refresh_leaf(0b0011, 0);
-        s.refresh_leaf(0b0011, 0); // replayed refresh converges
-        check_against(&s, &Model::of(&[0b1100]), &[0b0011]);
-        // Repair restores the full pair.
-        s.refresh_leaf(0b0011, 2);
-        check_against(&s, &Model::of(&[0b0011, 0b0011, 0b1100]), &[]);
-    }
-
-    #[test]
-    fn can_prune_empty_and_uncoverable_regions() {
-        let mut s = OccupancySummary::new(4);
-        // One entry at 0b0110.
-        s.record_insert(0b0110);
+        // One entry at 0b0110 whose set's signature is 0b1010.
+        s.set_vertex(0b0110, 0b1010);
         // Query root 0b0010 considers child 0b0110 via dim 2: region
         // (2, 0b01) holds the entry and covers bit 1 → must visit.
-        assert!(!s.can_prune(0b0110, 2, 0b0010));
+        assert!(!s.can_prune(0b0110, 2, 0b0010, 0b0010));
         // Child 0b1010 via dim 3: region (3, 0b1) is empty → prune.
-        assert!(s.can_prune(0b1010, 3, 0b0010));
+        assert!(s.can_prune(0b1010, 3, 0b0010, 0b0010));
         // Query root 0b0001 considers child 0b0101 via dim 2: region
         // (2, 0b01) is occupied but its mask 0b0110 misses bit 0 → prune.
-        assert!(s.can_prune(0b0101, 2, 0b0001));
+        assert!(s.can_prune(0b0101, 2, 0b0001, 0b0010));
+        // The first case again for a query whose signature has a bit no
+        // set there has → prune.
+        assert!(s.can_prune(0b0110, 2, 0b0010, 0b0110));
     }
 
     /// One step of the model test: which vertex of the pool, which
-    /// operation, and the count a refresh installs.
-    fn steps() -> impl Strategy<Value = Vec<(usize, u8, u64)>> {
-        prop::collection::vec((0usize..12, 0u8..3, 0u64..4), 0..96)
+    /// operation, and which of four keyword-set signatures.
+    fn steps() -> impl Strategy<Value = Vec<(usize, u8, usize)>> {
+        prop::collection::vec((0usize..12, 0u8..5, 0usize..4), 0..96)
     }
 
     proptest! {
-        /// Any interleaving of inserts, removes (also from empty leaves)
-        /// and refreshes (also to 0) leaves exactly the state a recount
-        /// gives, and `can_prune` answers as the definition does, at the
-        /// smallest, the benchmarked and the largest dimension.
+        /// Any interleaving of inserts, removes (also of absent entries,
+        /// and ones that kill a slot but leave the vertex occupied) and
+        /// dropped tables, each followed by the write the index makes —
+        /// the vertex's new signature — leaves exactly the state a
+        /// recount gives, and `can_prune` answers as the definition
+        /// does, at the smallest, the benchmarked and the largest
+        /// dimension.
         #[test]
         fn matches_a_recount_after_any_interleaving(steps in steps(), salt in any::<u64>()) {
+            // Four signatures that overlap, so that killing one slot
+            // shrinks a vertex's signature only sometimes.
+            let sigs = [0, 1, 2, 3].map(|k| salt.rotate_left(k * 17) & 0x0F0F_00FF_0000_FF0F | 1 << k);
             for r in [4u8, 16, 63] {
                 // A pool with siblings, cousins and far-apart vertices.
                 let cube = (1u64 << r) - 1;
@@ -538,22 +655,16 @@ mod tests {
                     .collect();
                 let mut summary = OccupancySummary::new(r);
                 let mut model = Model::default();
-                for &(pick, op, count) in &steps {
+                for &(pick, op, k) in &steps {
                     let bits = pool[pick];
                     match op {
-                        0 => {
-                            summary.record_insert(bits);
-                            model.set(bits, model.count(bits) + 1);
-                        }
-                        1 => {
-                            summary.record_remove(bits);
-                            model.set(bits, model.count(bits).saturating_sub(1));
-                        }
+                        0 | 1 => model.insert(bits, sigs[k]),
+                        2 | 3 => model.remove(bits, sigs[k]),
                         _ => {
-                            summary.refresh_leaf(bits, count);
-                            model.set(bits, count);
+                            model.0.remove(&bits);
                         }
                     }
+                    summary.set_vertex(bits, model.sig(bits));
                 }
                 check_against(&summary, &model, &pool);
             }
@@ -563,19 +674,28 @@ mod tests {
         /// matching vertex (recall safety of the over-approximation).
         #[test]
         fn never_prunes_a_populated_matching_region(
-            entries in prop::collection::vec(0u64..64, 1..24),
+            entries in prop::collection::vec((0u64..64, any::<u64>()), 1..24),
             required in 0u64..64,
+            query_sig in any::<u64>(),
             via in 0u8..6,
         ) {
-            let summary = Model::of(&entries).summary(6);
-            for &bits in &entries {
-                if bits & required == required {
-                    // `bits` matches and lies in region (via, bits >> via);
-                    // pruning any child whose region contains it is wrong.
-                    prop_assert!(
-                        !summary.can_prune(bits, via, required),
-                        "pruned region holding matching vertex {bits:#b}"
-                    );
+            let mut model = Model::default();
+            for &(bits, sig) in &entries {
+                model.insert(bits, sig | query_sig & sig.rotate_left(1));
+            }
+            let summary = model.summary(6);
+            for &bits in model.0.keys() {
+                let sig = model.sig(bits);
+                for query_sig in [query_sig, sig & query_sig] {
+                    if bits & required == required && sig & query_sig == query_sig {
+                        // `bits` matches and lies in region (via,
+                        // bits >> via); pruning any child whose region
+                        // contains it is wrong.
+                        prop_assert!(
+                            !summary.can_prune(bits, via, required, query_sig),
+                            "pruned region holding matching vertex {bits:#b}"
+                        );
+                    }
                 }
             }
         }

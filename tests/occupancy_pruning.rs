@@ -1,7 +1,7 @@
 //! Occupancy-guided SBT pruning, end to end: the pruned traversal
-//! returns bit-for-bit the unpruned result set while contacting
-//! strictly fewer nodes on a realistic corpus, and the summaries track
-//! ground-truth occupancy through inserts and deletes. Pruning is the
+//! returns the unpruned result sequence while contacting strictly fewer
+//! nodes on a realistic corpus, and the summaries track ground-truth
+//! occupancy and signatures through inserts and deletes. Pruning is the
 //! direct engine's sequential top-down walk's; its level-order walks
 //! and the message-level protocol walk as published.
 
@@ -41,21 +41,25 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
             .expect("valid");
         let pruned = index.superset_search(&base).expect("valid");
 
-        let mut want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
-        let mut got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
-        want.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(want, got, "query {qi} ({q}) lost or gained results");
+        // Pruning skips only subtrees that hold no match, so the walk
+        // meets the same matches in the same order.
+        let want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
+        let got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
+        assert_eq!(want, got, "query {qi} ({q}) changed its result sequence");
         assert!(
             pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,
             "query {qi} ({q}) got more expensive"
+        );
+        assert!(
+            pruned.stats.entries_scanned <= plain.stats.entries_scanned,
+            "query {qi} ({q}) scanned more entries"
         );
         plain_nodes += plain.stats.nodes_contacted;
         pruned_nodes += pruned.stats.nodes_contacted;
         subtrees_cut += pruned.stats.pruned_subtrees;
     }
-    // 1024 vertices, ≤1500 objects: real queries must leave empty
-    // subtrees behind, and the digests must actually cut them.
+    // 1024 vertices, ≤1500 objects: real queries must leave match-free
+    // subtrees behind, and the summary must actually cut them.
     assert!(
         pruned_nodes < plain_nodes,
         "pruning saved nothing ({pruned_nodes} vs {plain_nodes})"
@@ -111,11 +115,15 @@ fn level_order_walks_run_as_published_whatever_prune_says() {
 /// The gate behind the product default, on the benchmark's shape (the
 /// pchome corpus and query pool at r = 16, thinned to test size): the
 /// default walk returns the as-published walk's result *sequence* at
-/// t = 20 and t = all for every query of the pool, and contacts strictly
-/// fewer nodes over the pool — on the loaded index, and again after a
-/// round of removes and a crashed vertex have moved the summary.
+/// t = 20 and t = all for every query of the pool, and over the pool
+/// contacts at most `MAX_NODES_RATIO` of the nodes it does — on the
+/// loaded index, and again after a round of removes and a crashed
+/// vertex have moved the summary. Occupancy and position masks alone
+/// leave 17–22 % of the walk at this shape; the regions' keyword
+/// signatures bring it to 5–7 %.
 #[test]
-fn default_walk_is_the_published_walk_minus_empty_subtrees_at_r16() {
+fn default_walk_is_the_published_walk_minus_match_free_subtrees_at_r16() {
+    const MAX_NODES_RATIO: f64 = 0.12;
     let corpus = Corpus::generate(&CorpusConfig::pchome().with_objects(20_000), 2005);
     let mut log_cfg = QueryLogConfig::pchome_day().with_queries(1);
     log_cfg.distinct_pool = 60;
@@ -140,8 +148,9 @@ fn default_walk_is_the_published_walk_minus_empty_subtrees_at_r16() {
                 default_nodes += default.stats.nodes_contacted;
                 published_nodes += published.stats.nodes_contacted;
             }
+            let ratio = default_nodes as f64 / published_nodes as f64;
             assert!(
-                default_nodes < published_nodes,
+                ratio <= MAX_NODES_RATIO,
                 "{when}, t = {t}: {default_nodes} nodes by default, {published_nodes} as published"
             );
         }
@@ -171,26 +180,24 @@ fn summaries_track_ground_truth_occupancy_through_deletes() {
     }
     // Delete every third object again.
     let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut survivors = 0;
     for (i, (id, k)) in inserted.iter().enumerate() {
         if i % 3 == 0 {
             assert!(index.remove(*id, k), "inserted object must be removable");
         } else {
-            *live.entry(index.vertex_for(k).bits()).or_insert(0) += 1;
+            *live.entry(index.vertex_for(k).bits()).or_insert(0) |= k.signature();
+            survivors += 1;
         }
     }
+    assert_eq!(index.len(), survivors, "total drifted");
 
-    let summary = index.summary();
-    let total: u64 = live.values().sum();
-    assert_eq!(index.len() as u64, total, "total drifted");
-    // A summary is a function of its per-vertex counts, so it equals
-    // one built from the survivors alone: every leaf count and region
-    // mask matches, and no delete left a zero-count region behind that
-    // would never prune.
+    // A summary is a function of its per-vertex signatures, so it
+    // equals one built from the survivors alone: every vertex and
+    // region matches, no remove left a region behind that would never
+    // prune, and no killed slot left its signature bits behind.
     let mut truth = OccupancySummary::new(10);
-    for (&bits, &count) in &live {
-        for _ in 0..count {
-            truth.record_insert(bits);
-        }
+    for (&bits, &sig) in &live {
+        truth.set_vertex(bits, sig);
     }
-    assert_eq!(*summary, truth, "summary drifted from ground truth");
+    assert_eq!(*index.summary(), truth, "summary drifted from ground truth");
 }
