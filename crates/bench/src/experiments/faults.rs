@@ -1,5 +1,5 @@
-//! Fault-injected runtime: recall, latency and frames under lossy
-//! wires and worker crashes.
+//! Faults on the mesh: recall, latency and frames under lossy wires
+//! and worker crashes, in virtual time.
 //!
 //! The runtime has one superset traversal — one round per prefix
 //! region — and one unit of recovery, a region owner still awaited:
@@ -9,39 +9,41 @@
 //! and re-delegation strategies the simulator's `availability` sweep
 //! compares are the same thing here; the sweep has no strategy axis.)
 //! This sweep measures that machine across **frame-loss rate** ×
-//! **worker crashes** on a fixed 4-worker cluster:
+//! **worker crashes** on a fixed 4-worker cluster, run by the
+//! production machines and client on the virtual-time mesh
+//! ([`hyperdex_runtime::Mesh`]): links of 1–10 ms drawn from a seeded
+//! latency model, the wire's drop/duplicate/delay fates seeded too, so
+//! a seed is one run, to the byte.
 //!
 //! * every query's result set is scored against the fault-free direct
 //!   engine (recall = found/truth, aggregated over the query mix);
-//! * per-query wall latency is reported as median, 99th percentile and
-//!   worst of the cell's 200 samples — the price of a deadline, backoff
-//!   and a restart is visible in the tail;
+//! * per-query latency, in virtual milliseconds, is reported as median,
+//!   99th percentile and worst of the cell's 200 samples — the price of
+//!   a deadline, backoff and a restart is visible in the tail;
 //! * `frames_per_query` is every frame the cell's queries caused — the
-//!   run's ledger less a load-only run's — so retransmissions and the
-//!   answers to them count (a restart restores its shard from its load
-//!   log in its constructor: no frame);
-//! * retries, timeouts, worker restarts, and the injector's
-//!   dropped/duplicated frame counts come from the
-//!   [`hyperdex_core::FtCoverage`]s and the conservation-checked
-//!   shutdown report. Per-frame fates replay exactly for a seed, but
-//!   *how many* frames a run sends depends on wall-clock timeout races
-//!   — so the sweep asserts determinism only on the schedule-driven
-//!   columns (crash/respawn counts) and reports the rest;
+//!   ledger once the mesh has settled, less the ledger after the load —
+//!   so retransmissions and the answers to them count (a restart
+//!   restores its shard from its load log in its constructor: no
+//!   frame);
+//! * retries, timeouts, worker restarts, and the dropped/duplicated
+//!   frame counts come from the [`hyperdex_core::FtCoverage`]s and the
+//!   conservation-checked shutdown report;
 //! * the acceptance gates run in-process: at every swept loss rate
 //!   (≤ 10%), with and without a mid-scan crash of a data-owning
-//!   worker, recall must be exactly 1.0; and the fault-free cell must
+//!   worker, recall must be exactly 1.0, and a restarted worker must
+//!   answer as a twin that never crashed; and the fault-free cell must
 //!   cost exactly the floor, `2 + 2·(other owners of the query's
-//!   subcube)` frames a query — the bench panics otherwise (CI runs
-//!   this as its fault smoke).
+//!   subcube)` frames a query, with no retry — the bench panics
+//!   otherwise (CI runs this as its fault smoke).
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::time::Instant;
 
 use hyperdex_core::{
     FtCoverage, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery,
 };
-use hyperdex_runtime::{FaultPlan, FtSearchOptions, NodeRuntime, RuntimeConfig};
+use hyperdex_runtime::{ClientCore, FaultPlan, FtSearchOptions, Mesh, RuntimeConfig};
+use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::report::{f, json_series, section, Table};
@@ -55,8 +57,11 @@ pub const CRASHES: [u32; 2] = [0, 1];
 
 /// Cube dimension: dense vertices, long broad-query traversals.
 const FAULTS_R: u8 = 8;
-/// Worker threads per cell.
+/// Workers per cell.
 const FAULTS_WORKERS: u32 = 4;
+/// Link latencies, in virtual milliseconds: a healthy region round
+/// trip stays under the 50 ms first deadline.
+const LINK_MS: (u64, u64) = (1, 10);
 /// Objects indexed per cell.
 const FAULTS_OBJECTS: usize = 2_000;
 /// Queries per cell: enough for the 99th percentile to have samples
@@ -68,7 +73,7 @@ const FAULTS_QUERIES: usize = 200;
 pub struct FaultsRow {
     /// Cube dimension `r`.
     pub r: u8,
-    /// Worker threads.
+    /// Workers.
     pub workers: u32,
     /// Injected frame loss, per mille of traversal sends.
     pub loss_per_mille: u16,
@@ -80,12 +85,12 @@ pub struct FaultsRow {
     pub recall: f64,
     /// Queries whose coverage reported every vertex reached.
     pub complete: usize,
-    /// Median per-query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile per-query latency, microseconds.
-    pub p99_us: f64,
-    /// Worst per-query latency of the cell, microseconds.
-    pub max_us: f64,
+    /// Median per-query latency, virtual milliseconds.
+    pub p50_ms: u64,
+    /// 99th-percentile per-query latency, virtual milliseconds.
+    pub p99_ms: u64,
+    /// Worst per-query latency of the cell, virtual milliseconds.
+    pub max_ms: u64,
     /// Frames the cell's queries caused, per query.
     pub frames_per_query: f64,
     /// `RegionQuery` retransmissions across all queries.
@@ -94,9 +99,9 @@ pub struct FaultsRow {
     pub timeouts: u64,
     /// Worker restarts after a crash.
     pub respawns: u64,
-    /// Frames the injector (or a crash) destroyed.
+    /// Frames the wire lost or a crash destroyed.
     pub dropped_frames: u64,
-    /// Extra frame copies the injector delivered.
+    /// Extra frame copies the wire delivered.
     pub duplicated_frames: u64,
 }
 
@@ -106,8 +111,9 @@ pub struct FaultsRow {
 /// # Panics
 ///
 /// Panics when an acceptance gate fails — recall must be exactly 1.0
-/// in every cell, the fault-free cell must cost exactly the frame
-/// floor — or when any shutdown violates frame conservation.
+/// in every cell, a restarted worker must answer as its twin, the
+/// fault-free cell must cost exactly the frame floor with no retry —
+/// or when any shutdown violates frame conservation.
 pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     section("Faults — recall, latency and frames under loss and crashes");
 
@@ -175,16 +181,6 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
         })
         .sum();
 
-    // A faulted cluster, loaded and flushed.
-    let loaded = |plan: FaultPlan| {
-        let mut rt = NodeRuntime::start_faulted(cfg, plan).expect("valid r");
-        rt.bulk_load(entries.iter().map(|(id, k)| (*id, k)))
-            .expect("non-empty sets");
-        rt.flush();
-        rt
-    };
-    let load_frames = loaded(FaultPlan::default()).shutdown().total_sent();
-
     let mut rows = Vec::new();
     for &loss in &LOSS_PER_MILLE {
         for &crashes in &CRASHES {
@@ -199,12 +195,6 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             for c in 0..crashes {
                 plan = plan.crash(victim, u64::from(c) + 1);
             }
-            // Patience is sized for a loaded machine (the sweep also
-            // runs inside the parallel test suite): deadlines only
-            // pass on real drops/crashes, so generous budgets cost
-            // nothing in the fault-free cells but keep scheduler
-            // starvation from masquerading as frame loss and
-            // exhausting the retry budget.
             let opts = FtSearchOptions {
                 max_retries: 6,
                 base_timeout: 50,
@@ -212,17 +202,24 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                 attempts: 5,
             };
 
-            let mut rt = loaded(plan);
-            let mut lat_us: Vec<f64> = Vec::new();
+            let latency = LatencyModel::uniform(LINK_MS.0, LINK_MS.1);
+            let mesh = Mesh::start(cfg, plan, latency, cell_seed);
+            let mut client = ClientCore::new(hasher, shards, mesh, None);
+            client
+                .bulk_load(entries.iter().map(|(id, k)| (*id, k)))
+                .expect("non-empty sets");
+            client.flush().expect("the barrier is answered");
+            let loaded = frames_sent(client.link());
+            let mut lat_ms: Vec<u64> = Vec::new();
             let (mut found, mut truth_total) = (0usize, 0usize);
             let mut complete = 0usize;
             let mut traffic = FtCoverage::default();
             for (&q, truth) in queries.iter().zip(&truths) {
-                let t0 = Instant::now();
-                let out = rt
+                let t0 = client.link().now();
+                let out = client
                     .superset_search_ft(q, usize::MAX - 1, &opts)
                     .expect("non-zero threshold");
-                lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
+                lat_ms.push((client.link().now() - t0).as_millis() as u64);
                 let mut got: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
                 got.sort_unstable();
                 got.dedup();
@@ -236,7 +233,13 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                     traffic.add_traffic(cov);
                 }
             }
-            let report = rt.shutdown();
+            // Every straggler delivered and every deadline met: what
+            // the queries cost is all on the books.
+            let mut mesh = client.into_link();
+            mesh.settle();
+            let query_frames = frames_sent(&mesh) - loaded;
+            mesh.check_respawns();
+            let report = mesh.shutdown();
             report.assert_conserved();
 
             let recall = if truth_total == 0 {
@@ -246,24 +249,21 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             };
             // The acceptance gates: every swept loss rate, with or
             // without a data-owning crash, is survived at full recall;
-            // and with no fault a query costs the floor, to the frame
-            // (a deadline a starved thread let pass costs exactly one
-            // more `RegionQuery` and one more answer).
+            // and with no fault a query costs the floor, to the frame.
             assert!(
                 (recall - 1.0).abs() < f64::EPSILON,
                 "recall lost: loss={loss}‰ crashes={crashes} recall={recall}"
             );
-            let query_frames = report.total_sent() - load_frames;
             if loss == 0 && crashes == 0 {
                 assert_eq!(
-                    query_frames,
-                    floor + 2 * traffic.retries,
+                    (query_frames, traffic.retries),
+                    (floor, 0),
                     "a fault-free query costs the floor"
                 );
             }
 
-            lat_us.sort_by(|a, b| a.total_cmp(b));
-            let percentile = |p: usize| lat_us[(lat_us.len() - 1) * p / 100];
+            lat_ms.sort_unstable();
+            let percentile = |p: usize| lat_ms[(lat_ms.len() - 1) * p / 100];
             rows.push(FaultsRow {
                 r: FAULTS_R,
                 workers: FAULTS_WORKERS,
@@ -272,15 +272,15 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
                 queries: queries.len(),
                 recall,
                 complete,
-                p50_us: percentile(50),
-                p99_us: percentile(99),
-                max_us: percentile(100),
+                p50_ms: percentile(50),
+                p99_ms: percentile(99),
+                max_ms: percentile(100),
                 frames_per_query: query_frames as f64 / queries.len() as f64,
                 retries: traffic.retries,
                 timeouts: traffic.timeouts,
                 respawns: report.supervisor.respawns,
                 dropped_frames: report.total_dropped(),
-                duplicated_frames: report.total_duplicated(),
+                duplicated_frames: report.copied,
             });
         }
     }
@@ -291,9 +291,9 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
         "queries",
         "recall",
         "complete",
-        "p50 µs",
-        "p99 µs",
-        "max µs",
+        "p50 ms",
+        "p99 ms",
+        "max ms",
         "frames/query",
         "retries",
         "timeouts",
@@ -308,9 +308,9 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             row.queries.to_string(),
             f(row.recall, 4),
             row.complete.to_string(),
-            f(row.p50_us, 1),
-            f(row.p99_us, 1),
-            f(row.max_us, 1),
+            row.p50_ms.to_string(),
+            row.p99_ms.to_string(),
+            row.max_ms.to_string(),
             f(row.frames_per_query, 3),
             row.retries.to_string(),
             row.timeouts.to_string(),
@@ -349,6 +349,12 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
     rows
 }
 
+/// Frames the mesh's client and workers have sent so far.
+fn frames_sent(mesh: &Mesh) -> u64 {
+    let workers = 0..FAULTS_WORKERS as usize;
+    mesh.client_sent + workers.map(|w| mesh.stats(w).frames_sent).sum::<u64>()
+}
+
 /// Writes the sweep as a seed-stamped JSON object (the
 /// `BENCH_faults.json` artifact): `{"seed":N,"rows":[…]}`.
 ///
@@ -362,7 +368,7 @@ pub fn write_json(rows: &[FaultsRow], seed: u64, path: &Path) -> std::io::Result
             format!(
                 "{{\"r\":{},\"workers\":{},\"loss_per_mille\":{},\"crashes\":{},\
                  \"queries\":{},\"recall\":{:.6},\"complete\":{},\
-                 \"p50_us\":{:.2},\"p99_us\":{:.2},\"max_us\":{:.2},\
+                 \"p50_ms\":{},\"p99_ms\":{},\"max_ms\":{},\
                  \"frames_per_query\":{:.3},\"retries\":{},\"timeouts\":{},\
                  \"respawns\":{},\"dropped_frames\":{},\
                  \"duplicated_frames\":{}}}",
@@ -373,9 +379,9 @@ pub fn write_json(rows: &[FaultsRow], seed: u64, path: &Path) -> std::io::Result
                 r.queries,
                 r.recall,
                 r.complete,
-                r.p50_us,
-                r.p99_us,
-                r.max_us,
+                r.p50_ms,
+                r.p99_ms,
+                r.max_ms,
                 r.frames_per_query,
                 r.retries,
                 r.timeouts,
@@ -395,36 +401,28 @@ mod tests {
 
     #[test]
     fn sweep_holds_recall_and_is_deterministic() {
-        let ctx = SharedContext::new(Scale::Small, 1);
+        // The checked-in file's seed, whose floor is 7.000 a query.
+        let ctx = SharedContext::new(Scale::Small, 42);
         let rows = run(&ctx);
         assert_eq!(rows.len(), LOSS_PER_MILLE.len() * CRASHES.len());
         for row in &rows {
             assert_eq!(row.queries, FAULTS_QUERIES, "{row:?}");
             assert_eq!(row.recall, 1.0, "{row:?}");
             assert!(
-                row.p50_us <= row.p99_us && row.p99_us <= row.max_us,
+                row.p50_ms <= row.p99_ms && row.p99_ms <= row.max_ms,
                 "{row:?}"
             );
             if row.loss_per_mille == 0 && row.crashes == 0 {
                 assert_eq!(row.complete, row.queries, "{row:?}");
                 assert_eq!((row.dropped_frames, row.respawns), (0, 0), "{row:?}");
+                assert_eq!((row.retries, row.frames_per_query), (0, 7.0), "{row:?}");
             }
             if row.crashes > 0 {
                 assert!(row.respawns >= 1, "crash cell never respawned: {row:?}");
             }
         }
-        // Fault schedules and frame accounting replay exactly: the cell
-        // identity and the schedule-driven counters. Frame and retry
-        // totals are left out — per-frame fates replay exactly, but how
-        // many frames a run sends depends on wall-clock timeout races.
-        let again = run(&ctx);
-        let key = |row: &FaultsRow| {
-            let cell = (row.r, row.workers, row.loss_per_mille, row.crashes);
-            (cell, row.queries, row.respawns)
-        };
-        let keys: Vec<_> = rows.iter().map(key).collect();
-        let again_keys: Vec<_> = again.iter().map(key).collect();
-        assert_eq!(keys, again_keys, "fault sweep is not deterministic");
+        // A seed is one run: every column of every cell replays.
+        assert_eq!(rows, run(&ctx), "fault sweep is not deterministic");
     }
 
     #[test]
@@ -437,9 +435,9 @@ mod tests {
             queries: 200,
             recall: 1.0,
             complete: 199,
-            p50_us: 900.0,
-            p99_us: 30_000.0,
-            max_us: 40_000.0,
+            p50_ms: 9,
+            p99_ms: 300,
+            max_ms: 1_550,
             frames_per_query: 6.25,
             retries: 31,
             timeouts: 2,
@@ -453,7 +451,7 @@ mod tests {
         write_json(&[row], 42, &path).expect("write");
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(text.starts_with("{\"seed\":42,\"rows\":[\n"));
-        assert!(text.contains("\"p99_us\":30000.00,\"max_us\":40000.00"));
+        assert!(text.contains("\"p50_ms\":9,\"p99_ms\":300,\"max_ms\":1550,"));
         assert!(text.contains("\"frames_per_query\":6.250"));
         assert!(text.contains("\"recall\":1.000000"));
         assert!(text.contains("\"respawns\":1"));

@@ -14,7 +14,7 @@
 //!
 //! and say in the change which numbers moved and why. `churn`, `prune`
 //! and `faults` are not here: they write `BENCH_*.json` files, which CI
-//! diffs on their own, and `faults` times real threads.
+//! regenerates and diffs on their own.
 
 use std::process::Command;
 

@@ -19,7 +19,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 
 use hyperdex_net::server::{self, ServerConfig};
-use hyperdex_runtime::fault::CrashPoint;
+use hyperdex_runtime::CrashPoint;
 
 fn usage(detail: &str) -> ExitCode {
     eprintln!("hyperdex-server: {detail}");

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
 use hyperdex_core::{Error, StoreBackend};
-use hyperdex_runtime::fault::CrashPoint;
+use hyperdex_runtime::CrashPoint;
 use hyperdex_runtime::{ShardPolicy, ShutdownReport, SupervisorStats, WorkerStats};
 
 use crate::client::{NetClient, NetConfig};
@@ -273,6 +273,8 @@ impl Cluster {
             client_received,
             workers,
             supervisor,
+            lost: 0,
+            copied: 0,
         })
     }
 }

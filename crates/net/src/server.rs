@@ -57,7 +57,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hyperdex_core::KeywordHasher;
-use hyperdex_runtime::fault::{CrashPoint, FaultPlan};
+use hyperdex_runtime::CrashPoint;
 use hyperdex_runtime::{Fabric, Host, PacketPool, ShardMap, WorkerContext};
 
 use crate::stream::{count_units, StreamDecoder, CLIENT_DEST};
@@ -377,10 +377,6 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
     // server carrying the units of all its workers, and one for the
     // client. The crash point, if any, names one of them.
     let (servers, total) = (cfg.servers, cfg.total_workers);
-    let plan = FaultPlan {
-        crashes: cfg.crash.into_iter().collect(),
-        ..FaultPlan::default()
-    };
     let host = Host::start(local.iter().zip(inbox_rx).map(|(&worker, inbox)| {
         let mut fabric = Fabric::new(total as usize + 1, pool.clone());
         for (w, tx) in inbox_tx.iter().enumerate() {
@@ -395,7 +391,7 @@ pub fn run(cfg: ServerConfig, listener: TcpListener, peer_addrs: &[String]) -> i
             }
         }
         fabric.socket_lane(client_tx.clone(), [(total as usize, CLIENT_DEST)]);
-        let ctx = WorkerContext::new(worker, hasher, shards, &plan);
+        let ctx = WorkerContext::new(worker, hasher, shards, cfg.crash.as_slice());
         (ctx, fabric, inbox)
     }));
     println!("READY");

@@ -13,7 +13,7 @@ use std::time::Duration;
 use hyperdex_core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex_net::client::NetClient;
 use hyperdex_net::cluster::{Cluster, ClusterConfig};
-use hyperdex_runtime::fault::CrashPoint;
+use hyperdex_runtime::CrashPoint;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 /// A generated corpus plus a query mix of broad, thresholded, and

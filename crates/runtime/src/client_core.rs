@@ -9,7 +9,7 @@
 //! the five-method [`ClientLink`]: the in-process channel link behind
 //! [`crate::NodeRuntime`], `hyperdex-net`'s reconnecting TCP link
 //! behind `NetClient`, a scripted fake in `tests/client_core.rs` and
-//! the deterministic mesh the runtime's suites run worker machines on.
+//! the virtual-time [`crate::mesh::Mesh`].
 //! An insert waits for no reply, so it is only queued: the link ships
 //! it with whatever follows it, or once its queued bytes reach the
 //! worker lanes' watermark — one write per burst, not per insert.
@@ -194,6 +194,11 @@ impl<L: ClientLink> ClientCore<L> {
     /// The vertex → worker map the cluster shares.
     pub fn shards(&self) -> ShardMap {
         self.shards
+    }
+
+    /// The link, to read its clock or its counters.
+    pub fn link(&self) -> &L {
+        &self.link
     }
 
     /// Surrenders the link at shutdown.

@@ -11,15 +11,15 @@
 //! order, the root's owner merges — which is what lets the test suites
 //! demand set-identical results at every worker count.
 //!
-//! The cluster also survives being hurt: [`fault`] injects seeded
-//! drop/duplicate/delay faults and crashes on the wire path, a crashed
-//! [`NodeMachine`] restarts itself in place from its shard's load log,
-//! and every superset traversal holds the region owners
-//! it waits for to deadlines on its driver's clock under the retry rule the
+//! The cluster also survives being hurt: a worker a [`CrashPoint`]
+//! names restarts itself in place from its shard's load log, and
+//! every superset traversal holds the region owners it waits for to
+//! deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
-//! ([`hyperdex_core::FtPolicy::attempt_timeout`]);
-//! [`NodeRuntime::superset_search_ft`] names the policy and gets an
-//! exact account of what was covered.
+//! ([`hyperdex_core::FtPolicy::attempt_timeout`]); a fault-tolerant
+//! search ([`ClientCore::superset_search_ft`]) names the policy and
+//! gets an exact account of what was covered. Lost, copied and delayed
+//! frames are a wire's faults: the [`mesh`] deals them.
 //!
 //! Module map:
 //!
@@ -30,20 +30,22 @@
 //! * [`wire`] — the hand-rolled length-prefixed codec; the thread
 //!   boundary is byte-defined, like a socket.
 //! * [`shard`] — pure, seeded vertex → worker ownership.
-//! * [`fault`] — deterministic fault plans and the per-worker
-//!   injector.
 //! * [`transport`] — the worker fabric ([`Fabric`]): one lane per
 //!   destination, each frame encoded once into the packet that
 //!   travels; inbox lanes for co-located sinks, socket lanes for the
 //!   writer queues `hyperdex-net` hangs behind them.
 //! * [`worker`] — the shard-owning worker as a clockless, loop-less
 //!   machine ([`NodeMachine`]): a driver hands it packets and the
-//!   time. The same code in-process, inside a server binary, and under
-//!   the test suites' simulated network.
+//!   time. The same code in-process, inside a server binary, and on
+//!   the mesh.
 //! * [`runtime`] — the thread driver ([`run_worker`]), the worker
 //!   threads every deployment hosts them on ([`Host`]), the in-process
 //!   handle (the client core over the channel link), the
 //!   shutdown/conservation protocol.
+//! * [`mesh`] — the virtual-time driver ([`Mesh`]): N machines and the
+//!   production client in one thread over `hyperdex-simnet`, its wire
+//!   dealing seeded drop/duplicate/delay fates ([`FaultPlan`]); the
+//!   `faults` experiment and the machine test suite run on it.
 //!
 //! ```
 //! use hyperdex_runtime::{NodeRuntime, RuntimeConfig};
@@ -62,7 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod client_core;
-pub mod fault;
+pub mod mesh;
 pub mod runtime;
 pub mod shard;
 pub mod transport;
@@ -72,9 +74,9 @@ pub mod worker;
 pub use client_core::{
     BatchResult, ClientCore, ClientLink, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
 };
-pub use fault::{CrashPoint, Fate, FaultInjector, FaultPlan};
+pub use mesh::{FaultPlan, Mesh};
 pub use runtime::{run_worker, Host, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
 pub use transport::{count_frames, take_frame, Fabric, PacketPool};
 pub use wire::{WireError, WireMsg};
-pub use worker::{Flow, NodeMachine, WorkerContext, WorkerStats};
+pub use worker::{CrashPoint, Flow, NodeMachine, WorkerContext, WorkerStats};

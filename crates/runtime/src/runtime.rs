@@ -1,5 +1,5 @@
 //! The threaded node runtime: sharded workers, bounded channels,
-//! explicit backpressure, fault injection, and crash restarts.
+//! explicit backpressure, and crash restarts.
 //!
 //! # Shard ownership
 //!
@@ -42,25 +42,21 @@
 //! clockless [`NodeMachine`]) and the retry rule `ProtocolSim`'s `FtCoordinator` reads
 //! too (`FtPolicy::attempt_timeout`). [`NodeRuntime::superset_search`]
 //! runs it under the worker's own patient policy and is answered whole
-//! or not at all; [`NodeRuntime::superset_search_ft`] names the policy
-//! and is always answered, with the regions given up accounted.
+//! or not at all.
 //!
-//! # Faults and restarts
+//! # Restarts
 //!
-//! [`NodeRuntime::start_faulted`] arms a seeded [`FaultPlan`]: worker→
-//! worker traversal frames may be dropped, duplicated, or delayed
-//! (which reorders), and whole workers crash at scheduled points,
-//! losing every byte of in-memory state but the shard's load log — the
-//! paper's surviving copy, which a worker a crash point names writes
-//! ahead of every load frame it handles ([`WorkerContext::log`]). A
-//! crash is the machine's own business: it rebuilds itself in place
+//! A worker a [`crate::CrashPoint`] names ([`WorkerContext::new`])
+//! crashes at its scheduled point, losing every byte of in-memory state
+//! but the shard's load log — the paper's surviving copy, which it
+//! writes ahead of every load frame it handles ([`WorkerContext::log`]).
+//! A crash is the machine's own business: it rebuilds itself in place
 //! from that log and carries on reading **the same inbox** (peers never
 //! observe a disconnect — exactly a process restart behind a stable
-//! address), its thread none the wiser. If recovery cannot finish
-//! within the retry budget, [`NodeRuntime::superset_search_ft`]
-//! degrades gracefully: it returns a partial result whose
-//! [`hyperdex_core::FtCoverage`] accounts every unreached vertex
-//! exactly.
+//! address), its thread none the wiser. `hyperdex-net`'s server arms
+//! crash points; a [`NodeRuntime`] has none. Lost, copied and delayed
+//! frames are a wire's faults, dealt by the virtual-time mesh
+//! ([`crate::mesh`]).
 //!
 //! # Shutdown protocol and conservation
 //!
@@ -68,17 +64,18 @@
 //! token to every worker, answered by `FlushAck` after all prior
 //! frames on that inbox were processed), then sends `Shutdown` to every
 //! worker and [`Host::join`]s them: it collects every worker's exit and
-//! drains the exited inboxes. The conservation law generalizes to
-//! injected faults:
+//! drains the exited inboxes. The conservation law covers crashes and
+//! a faulty wire:
 //!
 //! ```text
-//! sent + duplicated == received + dropped + drained
+//! sent + copied == received + dropped + drained
 //! ```
 //!
-//! where `dropped` counts injector drops, abandoned delay stashes, and
-//! frames lost inside crashed workers, and `drained` counts frames
-//! still buffered on an inbox after its worker exited. The test suites
-//! and the bench assert it on every run, faulted or not.
+//! where `dropped` counts frames lost inside crashed workers and, on
+//! the mesh, frames its wire lost; `copied` the extra copies that wire
+//! delivered; and `drained` frames still buffered on an inbox after its
+//! worker exited. The test suites and the bench assert it on every run,
+//! faulted or not.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{
@@ -90,7 +87,6 @@ use std::time::{Duration, Instant};
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
 
 use crate::client_core::{ClientCore, ClientLink};
-use crate::fault::FaultPlan;
 use crate::shard::{ShardMap, ShardPolicy};
 use crate::transport::{count_frames, take_frame, Fabric};
 use crate::wire::WireMsg;
@@ -178,6 +174,12 @@ pub struct ShutdownReport {
     pub workers: Vec<WorkerStats>,
     /// The hosting processes' counters.
     pub supervisor: SupervisorStats,
+    /// Frames the wire lost (the mesh's drop fate, or a script);
+    /// zero on channels and sockets.
+    pub lost: u64,
+    /// Extra copies the wire delivered (the mesh's duplicate fate, or
+    /// a script); zero on channels and sockets.
+    pub copied: u64,
 }
 
 impl ShutdownReport {
@@ -191,14 +193,9 @@ impl ShutdownReport {
         self.client_received + self.workers.iter().map(|w| w.frames_received).sum::<u64>()
     }
 
-    /// Frames lost to injection or crashes.
+    /// Frames lost to crashes or on the wire.
     pub fn total_dropped(&self) -> u64 {
-        self.workers.iter().map(|w| w.frames_dropped).sum()
-    }
-
-    /// Extra copies the injector delivered.
-    pub fn total_duplicated(&self) -> u64 {
-        self.workers.iter().map(|w| w.frames_duplicated).sum()
+        self.lost + self.workers.iter().map(|w| w.frames_dropped).sum::<u64>()
     }
 
     /// Frames unaccounted for after every thread exited. The
@@ -206,16 +203,16 @@ impl ShutdownReport {
     /// either delivered (possibly twice), dropped with a count, or
     /// drained from a dead worker's inbox.
     pub fn in_flight(&self) -> u64 {
-        (self.total_sent() + self.total_duplicated()).saturating_sub(
+        (self.total_sent() + self.copied).saturating_sub(
             self.total_received() + self.total_dropped() + self.supervisor.frames_drained,
         )
     }
 
-    /// Panics unless `sent + duplicated == received + dropped +
-    /// drained` (no frame lost or conjured, even under injection).
+    /// Panics unless `sent + copied == received + dropped + drained`
+    /// (no frame lost or conjured, whatever the wire did).
     pub fn assert_conserved(&self) {
         assert_eq!(
-            self.total_sent() + self.total_duplicated(),
+            self.total_sent() + self.copied,
             self.total_received() + self.total_dropped() + self.supervisor.frames_drained,
             "message conservation violated: {self:?}"
         );
@@ -348,25 +345,12 @@ impl Drop for ChannelLink {
 const INFALLIBLE: &str = "the channel link neither fails nor times out";
 
 impl NodeRuntime {
-    /// Spawns the worker threads (fault-free) and returns the client
-    /// handle.
+    /// Spawns the worker threads and returns the client handle.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Dimension`] when `r` is outside `1..=63`.
     pub fn start(cfg: RuntimeConfig) -> Result<NodeRuntime, Error> {
-        NodeRuntime::start_faulted(cfg, FaultPlan::default())
-    }
-
-    /// Spawns the worker threads under a seeded fault plan. Injection
-    /// applies to worker→worker traversal frames only; loads and
-    /// control frames stay reliable (see [`crate::fault`]). A worker
-    /// the plan schedules a crash for keeps its shard's load log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Dimension`] when `r` is outside `1..=63`.
-    pub fn start_faulted(cfg: RuntimeConfig, plan: FaultPlan) -> Result<NodeRuntime, Error> {
         let hasher = KeywordHasher::new(cfg.r, cfg.seed)?;
         let workers = cfg.workers.max(1);
         let shards = cfg.shard_map();
@@ -386,7 +370,7 @@ impl NodeRuntime {
                 .map(|(tx, j)| (j != index).then(|| tx.clone()))
                 .chain(std::iter::once(Some(client_tx.clone())))
                 .collect();
-            let ctx = WorkerContext::new(index, hasher, shards, &plan);
+            let ctx = WorkerContext::new(index, hasher, shards, &[]);
             (ctx, Fabric::inboxes(links), inbox)
         }));
 
@@ -437,12 +421,8 @@ impl NodeRuntime {
     }
 
     /// Superset search (§3.3), coordinated by the owner of `F_h(K)`.
-    /// Blocks until the traversal finishes: lost region frames are
-    /// retried, but a query whose coordinator dies, or that loses an
-    /// owner for good, is never answered, and this handle has no
-    /// request deadline — under a fault plan that crashes workers or
-    /// cuts them off use [`NodeRuntime::superset_search_ft`], which
-    /// always returns.
+    /// Blocks until the traversal finishes. Nothing here loses a frame
+    /// or crashes a worker, and this handle has no request deadline.
     ///
     /// # Errors
     ///
@@ -453,27 +433,6 @@ impl NodeRuntime {
         threshold: usize,
     ) -> Result<Vec<RuntimeMatch>, Error> {
         self.core.superset_search(keywords, threshold)
-    }
-
-    /// Fault-tolerant superset search (§3.4 at the runtime's
-    /// granularity): the coordinator holds every region owner to a
-    /// deadline, retries with exponential backoff, and accounts the
-    /// regions of an owner it gives up as skipped; the client
-    /// re-issues the whole query if the coordinator itself dies, and
-    /// returns a coverage-accounted partial result when recovery
-    /// cannot finish in time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ZeroThreshold`] when `threshold == 0` and
-    /// [`Error::ZeroTimeout`] when `opts.base_timeout == 0`.
-    pub fn superset_search_ft(
-        &mut self,
-        keywords: &KeywordSet,
-        threshold: usize,
-        opts: &FtSearchOptions,
-    ) -> Result<FtSearchOutcome, Error> {
-        self.core.superset_search_ft(keywords, threshold, opts)
     }
 
     /// Runs the drain barrier, sends every worker `Shutdown`, joins
@@ -499,6 +458,8 @@ impl NodeRuntime {
             client_received: link.received,
             workers,
             supervisor,
+            lost: 0,
+            copied: 0,
         }
     }
 }
@@ -671,12 +632,7 @@ mod tests {
     ];
 
     fn loaded(workers: u32) -> NodeRuntime {
-        loaded_faulted(workers, FaultPlan::default())
-    }
-
-    fn loaded_faulted(workers: u32, plan: FaultPlan) -> NodeRuntime {
-        let mut rt =
-            NodeRuntime::start_faulted(RuntimeConfig::new(8, workers).seed(42), plan).unwrap();
+        let mut rt = NodeRuntime::start(RuntimeConfig::new(8, workers).seed(42)).unwrap();
         let entries: Vec<(ObjectId, KeywordSet)> = CORPUS
             .iter()
             .map(|&(id, kws)| (oid(id), set(kws)))
@@ -750,7 +706,7 @@ mod tests {
             inbox_tx.send(packet).unwrap();
             let hasher = KeywordHasher::new(8, 42).unwrap();
             let shards = ShardMap::new(8, 1, 42);
-            let ctx = WorkerContext::new(0, hasher, shards, &FaultPlan::default());
+            let ctx = WorkerContext::new(0, hasher, shards, &[]);
             let links = vec![None, Some(client_tx.clone())];
             let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
             let deadline = Instant::now() + Duration::from_secs(5);
@@ -791,27 +747,49 @@ mod tests {
     }
 
     /// What a driver owes its machine (DESIGN.md §12): a `tick` no later
-    /// than `next_deadline()`, packet or no packet. Under total loss the
-    /// coordinator hears nothing back from the other owner of the
-    /// query's subcube, so only its own timers end the query: three
-    /// transmissions, 20 ms doubling, then the owner is given up — long
-    /// before the client's ten-second wait would degrade the answer.
+    /// than `next_deadline()`, packet or no packet. Worker 0 runs on a
+    /// real thread; worker 1 is a silent peer — an inbox the test holds
+    /// and never reads — so only worker 0's own timers end the query it
+    /// coordinates: three transmissions, 20 ms doubling, then the owner
+    /// is given up, long before the test's five-second wait would run
+    /// out.
     #[test]
     fn a_parked_traversal_ends_on_its_own_deadlines() {
-        let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
-        let opts = FtSearchOptions {
+        let hasher = KeywordHasher::new(8, 42).unwrap();
+        let shards = ShardMap::new(8, 2, 42);
+        let (inbox_tx, inbox) = sync_channel::<Vec<u8>>(4);
+        let (peer_tx, peer) = sync_channel::<Vec<u8>>(4);
+        let (client_tx, client) = sync_channel::<Vec<u8>>(4);
+        let ctx = WorkerContext::new(0, hasher, shards, &[]);
+        let links = vec![None, Some(peer_tx), Some(client_tx)];
+        let worker = std::thread::spawn(move || run_worker(ctx, Fabric::inboxes(links), inbox));
+        // A one-word query: its subcube spans both workers' halves.
+        let query = WireMsg::FtQuery {
+            query_id: 1,
+            keywords: set("a"),
+            threshold: u64::MAX - 1,
             max_retries: 2,
             base_timeout: 20,
-            attempt_timeout_ms: 10_000,
-            attempts: 1,
         };
         let started = Instant::now();
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
-            .unwrap();
+        inbox_tx.send(query.encode()).unwrap();
+        let done = client
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker 0's own deadlines end the query");
         let took = started.elapsed();
-        assert!(out.coverage.is_some() && !out.complete, "{out:?}");
+        let Ok(WireMsg::FtQueryDone { coverage, .. }) = WireMsg::decode_exact(&done) else {
+            panic!("not an FT answer: {done:?}");
+        };
+        assert_eq!(
+            (coverage.queries_sent, coverage.retries, coverage.timeouts),
+            (3, 2, 1),
+            "{coverage:?}"
+        );
+        assert!(!coverage.skipped.is_empty(), "{coverage:?}");
         assert!(took < Duration::from_secs(1), "answered after {took:?}");
-        rt.shutdown().assert_conserved();
+        inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
+        let (stats, _) = worker.join().unwrap();
+        let asked: u64 = peer.try_iter().map(|packet| count_frames(&packet)).sum();
+        assert_eq!((stats.frames_sent, asked), (4, 3), "{stats:?}");
     }
 }

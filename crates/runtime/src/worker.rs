@@ -39,11 +39,12 @@
 //! [`NodeMachine::tick`]) and offers its lanes once a turn; time is a
 //! `Duration` on whatever clock the driver keeps. The deployed driver
 //! is [`crate::runtime::run_worker`], a thread blocking on a channel
-//! under the wall clock; the test suites' is a deterministic mesh over
+//! under the wall clock; the other is the [`crate::mesh::Mesh`] over
 //! `hyperdex-simnet`'s virtual time (DESIGN.md § "The node is a
 //! machine"). Neither sees a crash: a crash point the machine meets
 //! restarts it in place, from its own load log (DESIGN.md § "A crash
-//! is a restart").
+//! is a restart"). What a wire does to a frame — lose it, copy it, hold
+//! it back — is the wire's, not the machine's: the mesh deals it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -59,7 +60,6 @@ use hyperdex_core::{
 };
 use hyperdex_hypercube::{Shape, Vertex};
 
-use crate::fault::{Fate, FaultInjector, FaultPlan};
 use crate::shard::ShardMap;
 use crate::transport::{take_frame, Fabric, PacketPool};
 use crate::wire::{
@@ -151,8 +151,7 @@ counter_record! {
         worker
     },
     {
-        /// Frames this worker decided to send (logical sends, before the
-        /// fault injector rolled their fate).
+        /// Frames this worker sent: encoded onto a lane.
         frames_sent,
         /// Frames received and decoded.
         frames_received,
@@ -166,14 +165,9 @@ counter_record! {
         scans,
         /// Superset queries this worker coordinated (plain + FT).
         queries_coordinated,
-        /// Frames the injector dropped, plus delay-stash remnants and
-        /// lane/stash frames lost in a crash.
+        /// Frames lost in a crash — written off the lanes, or packed
+        /// behind the trigger — and frames a closed sink refused.
         frames_dropped,
-        /// Frames the injector delivered twice (counted once per extra
-        /// copy).
-        frames_duplicated,
-        /// Frames the injector stashed behind a later send.
-        frames_delayed,
         /// The thread driver's timed waits that expired without a
         /// packet: a full sink polled, or an awaited owner's deadline
         /// met. Zero on an idle worker — idleness blocks, it doesn't
@@ -237,6 +231,20 @@ impl WorkerStats {
     }
 }
 
+/// Crash-stop one worker after it has received `after_query_frames`
+/// query-path frames (inserts and control frames don't count): tables,
+/// frames parked on lanes and coordinator state vanish, exactly like a
+/// process kill, and the machine restarts in place from its shard's
+/// load log — the paper's surviving copy (§3.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// Which worker dies.
+    pub worker: u32,
+    /// How many query-path frames it survives; the N-th is the trigger
+    /// and is **not** processed.
+    pub after_query_frames: u64,
+}
+
 /// What [`NodeMachine::receive`] tells its driver to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
@@ -257,8 +265,9 @@ pub struct WorkerContext {
     pub hasher: KeywordHasher,
     /// The global vertex → worker map.
     pub shards: ShardMap,
-    /// Seeded fault injector, when the deployment schedules faults.
-    pub injector: Option<FaultInjector>,
+    /// Query-path frames left until the crash, the trigger included,
+    /// when a crash point names this worker.
+    pub crash_after: Option<u64>,
     /// The shard's load log, for a worker a crash point names: every
     /// `Insert` frame the shard was handed, in order. Empty,
     /// it starts a shard; full, it restores one — which is what the
@@ -267,21 +276,21 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
-    /// Worker `index`'s context under `plan`: an injector when the plan
-    /// injects anything, a load log when it crashes this worker.
-    pub fn new(index: u32, hasher: KeywordHasher, shards: ShardMap, plan: &FaultPlan) -> Self {
+    /// Worker `index`'s context: a crash countdown and a load log when
+    /// one of `crashes` names it (the first that does).
+    pub fn new(
+        index: u32,
+        hasher: KeywordHasher,
+        shards: ShardMap,
+        crashes: &[CrashPoint],
+    ) -> Self {
+        let crash = crashes.iter().find(|c| c.worker == index);
         WorkerContext {
             index,
             hasher,
             shards,
-            injector: plan
-                .is_active()
-                .then(|| FaultInjector::new(plan.clone(), index)),
-            log: plan
-                .crashes
-                .iter()
-                .any(|c| c.worker == index)
-                .then(Vec::new),
+            crash_after: crash.map(|c| c.after_query_frames.max(1)),
+            log: crash.map(|_| Vec::new()),
         }
     }
 }
@@ -460,9 +469,6 @@ pub struct NodeMachine {
     fabric: Fabric,
     /// The driver's clock at the call being served.
     now: Duration,
-    /// Injector-delayed frames, per destination; released behind the
-    /// next same-destination send.
-    stash: Vec<Vec<WireMsg>>,
     /// The traversals parked on an awaited owner, by query id. Their
     /// deadlines are the only timers a worker has.
     queries: HashMap<u64, QueryState>,
@@ -472,7 +478,8 @@ pub struct NodeMachine {
     cache: FifoCache<(u64, u32)>,
     /// Per worker: the highest write epoch heard on a `RegionDone`.
     heard: Vec<u64>,
-    injector: Option<FaultInjector>,
+    /// [`WorkerContext::crash_after`], counting down.
+    crash_after: Option<u64>,
     /// [`WorkerContext::log`], written ahead of every load handled.
     log: Option<Vec<Vec<u8>>>,
     stats: WorkerStats,
@@ -496,11 +503,10 @@ impl NodeMachine {
             tables: ByVertex::default(),
             fabric,
             now: Duration::ZERO,
-            stash: vec![Vec::new(); endpoints],
             queries: HashMap::new(),
             cache: FifoCache::new(RESULT_CACHE_SLOTS),
             heard: vec![0; endpoints - 1],
-            injector: ctx.injector,
+            crash_after: ctx.crash_after,
             log: None,
             stats: WorkerStats {
                 worker: ctx.index,
@@ -562,17 +568,13 @@ impl NodeMachine {
             self.stats.frames_received += 1;
             if matches!(msg, WireMsg::Shutdown) {
                 flow = Flow::Leaving;
-                // Delayed frames still stashed will never be
-                // released; account them as dropped so conservation
-                // closes.
-                self.abandon_stash();
                 continue;
             }
             if self.is_query_path(&msg)
-                && self
-                    .injector
-                    .as_mut()
-                    .is_some_and(FaultInjector::should_crash)
+                && self.crash_after.as_mut().is_some_and(|left| {
+                    *left -= 1;
+                    *left == 0
+                })
             {
                 crashed = true;
                 continue;
@@ -587,10 +589,9 @@ impl NodeMachine {
 
     /// A crash point fired: all in memory is lost but the counters and
     /// the load log, from which the constructor rebuilds the machine in
-    /// place, fault-free. What the lanes and the delay stash held never
+    /// place, with no crash point left. What the lanes held never
     /// leaves — counted dropped — and a parked traversal is abandoned.
     fn restart(&mut self) {
-        self.abandon_stash();
         self.stats.frames_dropped += self.fabric.write_off();
         self.stats.queries_abandoned += self.parked();
         let mut lifetime = self.stats.clone();
@@ -602,7 +603,7 @@ impl NodeMachine {
             index: self.index,
             hasher: self.hasher,
             shards: self.shards,
-            injector: None,
+            crash_after: None,
             log,
         };
         let fabric = std::mem::replace(&mut self.fabric, Fabric::new(0, PacketPool::default()));
@@ -625,12 +626,9 @@ impl NodeMachine {
         stats
     }
 
-    /// Ends the worker and returns its lifetime counters. Frames in the
-    /// delay stash were promised to the network but will never leave:
-    /// they are counted dropped so conservation closes. A traversal
+    /// Ends the worker and returns its lifetime counters. A traversal
     /// still parked is counted abandoned: nobody will answer it now.
     pub fn exit(mut self) -> WorkerStats {
-        self.abandon_stash();
         self.stats.queries_abandoned += self.parked();
         self.stats()
     }
@@ -1176,11 +1174,10 @@ impl NodeMachine {
         }
     }
 
-    /// Encodes one frame onto `dest`'s lane, rolling its fate when the
-    /// fault injector covers it (worker→worker traversal frames only).
-    /// The driver offers the lane at the end of the turn, which is what
-    /// lets every frame emitted while handling one packet travel as a
-    /// single fabric operation per destination.
+    /// Encodes one frame onto `dest`'s lane. The driver offers the
+    /// lane at the end of the turn, which is what lets every frame
+    /// emitted while handling one packet travel as a single fabric
+    /// operation per destination.
     fn send(&mut self, dest: usize, msg: &WireMsg) {
         self.stats.frames_sent += 1;
         match msg {
@@ -1191,46 +1188,7 @@ impl NodeMachine {
             }
             _ => {}
         }
-        let injectable = dest != self.client_slot()
-            && matches!(
-                msg,
-                WireMsg::RegionQuery { .. } | WireMsg::RegionDone { .. }
-            );
-        if injectable {
-            if let Some(injector) = &mut self.injector {
-                match injector.fate(dest as u32) {
-                    Fate::Deliver => {}
-                    Fate::Drop => {
-                        self.stats.frames_dropped += 1;
-                        return;
-                    }
-                    Fate::Duplicate => {
-                        self.stats.frames_duplicated += 1;
-                        self.fabric.append(dest, msg);
-                    }
-                    Fate::Delay => {
-                        self.stats.frames_delayed += 1;
-                        self.stash[dest].push(msg.clone());
-                        return;
-                    }
-                }
-            }
-        }
         self.fabric.append(dest, msg);
-        // A delivered frame releases anything stashed for this
-        // destination *behind* it — delay == reorder.
-        for stashed in self.stash[dest].drain(..) {
-            self.fabric.append(dest, &stashed);
-        }
-    }
-
-    /// Writes off frames still sitting in the delay stash (shutdown or
-    /// crash): they were counted as sent but will never travel.
-    fn abandon_stash(&mut self) {
-        for stashed in &mut self.stash {
-            self.stats.frames_dropped += stashed.len() as u64;
-            stashed.clear();
-        }
     }
 }
 
@@ -1241,7 +1199,7 @@ mod tests {
 
     #[test]
     fn report_lines_roundtrip_in_declaration_order() {
-        let line = "WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27 12 13 14 15 16 17 18 19 20 21";
+        let line = "WSTATS 3 10 11 1 2 3 4 5 8 9 27 12 13 14 15 16 17 18 19 20 21";
         let stats = WorkerStats::parse_line(line).unwrap();
         assert_eq!(
             (stats.worker, stats.frames_sent, stats.scans),
@@ -1256,7 +1214,7 @@ mod tests {
         // A line one counter short (the cache columns' predecessor
         // format included) or long is rejected, never zero-filled.
         assert!(WorkerStats::parse_line(line.rsplit_once(' ').unwrap().0).is_none());
-        assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 6 7 8 9 27").is_none());
+        assert!(WorkerStats::parse_line("WSTATS 3 10 11 1 2 3 4 5 8 9 27").is_none());
         assert!(WorkerStats::parse_line(&format!("{line} 22")).is_none());
         assert!(WorkerStats::parse_line(&line.replace("WSTATS", "SSTATS")).is_none());
         // Merging sums every counter and leaves the key alone.
@@ -1264,7 +1222,7 @@ mod tests {
         merged.merge(&stats);
         assert_eq!(
             merged.report_line(),
-            "WSTATS 3 20 22 2 4 6 8 10 12 14 16 18 54 24 26 28 30 32 34 36 38 40 42"
+            "WSTATS 3 20 22 2 4 6 8 10 16 18 54 24 26 28 30 32 34 36 38 40 42"
         );
 
         let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5").unwrap();

@@ -1,7 +1,8 @@
 //! What the worker machine decides — results, frame counts, coverage,
 //! retries, recovery, cache decisions, what it refuses — asserted on
-//! the deterministic mesh (`mesh.rs`): the production `ClientCore` and
-//! N `NodeMachine`s in one thread under virtual time. Nothing here
+//! the library's virtual-time mesh (`hyperdex_runtime::Mesh`; `mesh.rs`
+//! holds the scripts' side): the production `ClientCore` and N
+//! `NodeMachine`s in one thread, the wire dealing its faults. Nothing here
 //! sleeps, spawns or waits on a wall clock. What a *driver* owes its
 //! machine (blocking when idle, surviving a full sink, a tick by every
 //! deadline) is asserted on threads, in `src/runtime.rs`; what a
@@ -32,7 +33,7 @@ use hyperdex_runtime::{
     FaultPlan, FtSearchOptions, Request, RuntimeMatch, ShutdownReport, WireMsg, WorkerStats,
 };
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
-use mesh::{Mesh, MeshRuntime};
+use mesh::{Mesh, MeshRuntime, Script};
 
 /// The seed the fixtures hash, place and generate with.
 const SEED: u64 = 42;
@@ -79,7 +80,7 @@ fn loaded(workers: u32) -> MeshRuntime {
 }
 
 fn loaded_faulted(workers: u32, plan: FaultPlan) -> MeshRuntime {
-    let mut rt = MeshRuntime::start_faulted(R, workers, SEED, plan);
+    let mut rt = MeshRuntime::faulted(R, workers, SEED, plan);
     for &(id, kws) in CORPUS {
         rt.insert(oid(id), set(kws)).unwrap();
     }
@@ -300,7 +301,7 @@ fn ft_search_survives_frame_loss() {
     let report = rt.shutdown();
     report.assert_conserved();
     assert!(
-        report.total_dropped() + report.total_duplicated() > 0,
+        report.total_dropped() + report.copied > 0,
         "the plan should actually have injected faults: {report:?}"
     );
 }
@@ -318,7 +319,27 @@ fn duplicated_frames_do_not_double_count_results() {
     assert_eq!(match_ids(&out.matches), UNDER_A);
     let report = rt.shutdown();
     report.assert_conserved();
-    assert!(report.total_duplicated() > 0);
+    assert!(report.copied > 0);
+}
+
+#[test]
+fn a_delayed_frame_travels_behind_the_lanes_next_packet() {
+    // The wire holds every worker → worker frame it deals back until
+    // the lane's next packet has gone ahead of it: a `RegionQuery`
+    // waits for its own retry, the answer to the retry for the answer
+    // to the first copy. Nothing is lost, and the search is complete
+    // after one retry per owner.
+    let mut rt = loaded_faulted(4, FaultPlan::lossy(3, 0, 0, 1000));
+    let out = rt
+        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
+        .unwrap();
+    assert!(out.complete, "{out:?}");
+    assert_eq!(match_ids(&out.matches), UNDER_A);
+    let cov = out.coverage.expect("coordinator answered");
+    assert_eq!((cov.queries_sent, cov.retries), (6, 3), "{cov:?}");
+    let report = rt.shutdown();
+    report.assert_conserved();
+    assert_eq!((report.lost, report.copied), (0, 0));
 }
 
 #[test]

@@ -18,7 +18,7 @@ use hyperdex_runtime::{
 };
 use hyperdex_simnet::{LatencyModel, SimRng};
 
-use crate::mesh::{Mesh, MeshRuntime, Trace};
+use crate::mesh::{Mesh, MeshRuntime, Script, Trace};
 use crate::{ft_opts, set, SEED};
 
 const WORDS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
@@ -414,9 +414,9 @@ fn schedule(seed: u64) -> (RuntimeConfig, FaultPlan, LatencyModel, Vec<Op>) {
 /// every packet delivered.
 fn run_schedule(seed: u64) -> Trace {
     let (cfg, plan, latency, script) = schedule(seed);
-    let mut mesh = Mesh::start(cfg, plan.clone(), latency.clone(), seed);
-    mesh.label = format!("schedule {seed}: {cfg:?} {plan:?} {latency:?}\n  script {script:?}");
-    let rt = MeshRuntime::over(mesh);
+    let mesh = Mesh::start(cfg, plan.clone(), latency.clone(), seed);
+    let mut rt = MeshRuntime::over(mesh);
+    rt.label = format!("schedule {seed}: {cfg:?} {plan:?} {latency:?}\n  script {script:?}");
     let mesh = std::rc::Rc::clone(&rt.mesh);
     if let Err(failure) = Model::new(rt, cfg).run(&script) {
         panic!("{failure}");

@@ -13,7 +13,7 @@ use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::{FaultPlan, FtSearchOptions, RuntimeConfig, RuntimeMatch, WireMsg};
 use hyperdex_simnet::LatencyModel;
 
-use crate::mesh::{Mesh, MeshRuntime};
+use crate::mesh::{Mesh, MeshRuntime, Script};
 use crate::{loaded_faulted, match_ids, oid, set, worker_cache, CORPUS, R, SEED, UNDER_A};
 
 /// The matrix: every worker count under every fault mode.
@@ -174,7 +174,7 @@ fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
     );
     // Four `RegionQuery`s each for the abandoned two, one for the
     // third: nothing reached worker 1, nothing was said to the client.
-    assert_eq!((stats.batch_frames_sent, stats.frames_dropped), (9, 9));
+    assert_eq!((stats.batch_frames_sent, mesh.lost), (9, 9));
     assert_eq!(stats.frames_sent, 9, "{stats:?}");
     assert!(mesh.stats(1).frames_received == 0 && mesh.replies().is_empty());
     // Query 3 is still parked when its worker is told to go: counted.
