@@ -4,7 +4,7 @@
 //! The hypercube of §2–3 is an *overlay*: its `2^r` logical vertices are
 //! mapped onto whatever physical nodes currently exist by the underlying
 //! DHT's surrogate rule (§2.1). This module makes that mapping **live**.
-//! A [`ChurnPlan`](hyperdex_simnet::churn::ChurnPlan) schedules joins,
+//! A [`ChurnPlan`] schedules joins,
 //! graceful leaves, and crashes of physical hosts; each vertex's primary
 //! index table follows its surrogate owner around the identifier ring:
 //!

@@ -139,7 +139,8 @@ impl<'a> KeywordRef<'a> {
         self.0
     }
 
-    /// See [`Keyword::signature_bit`].
+    /// The keyword's one bit of a set's signature: bit `h % 64` of
+    /// the FNV-1a hash `h` of its normalized bytes.
     pub fn signature_bit(self) -> u64 {
         1 << (fnv1a64(self.0) % 64)
     }
@@ -524,7 +525,7 @@ impl KeywordSet {
     }
 
     /// A 64-bit Bloom-style signature: the OR of every member's
-    /// [`Keyword::signature_bit`].
+    /// [`KeywordRef::signature_bit`].
     ///
     /// Subset-preserving: `K ⊆ K'` implies
     /// `K.signature() & K'.signature() == K.signature()`, so a failed

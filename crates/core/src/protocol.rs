@@ -69,7 +69,10 @@ pub enum Step {
 /// next vertex to query, execute the query however the substrate
 /// likes, then feed the answer to
 /// [`SupersetCoordinator::record_visit`]. A `T_STOP` (the queried node
-/// saw the threshold met) maps to [`SupersetCoordinator::stop`].
+/// saw the threshold met) maps to [`SupersetCoordinator::stop`]. The
+/// same machine walks one region of the subcube
+/// ([`SupersetCoordinator::region`]): a runtime worker's share of the
+/// traversal.
 ///
 /// # Example
 ///
@@ -95,6 +98,9 @@ pub struct SupersetCoordinator {
     remaining: usize,
     root_bits: u64,
     frontier: VecDeque<(u64, u8)>,
+    /// Whether the root's visit — the one reached via no dimension —
+    /// is behind the walk. A region walk has none: its entry waits in
+    /// the frontier.
     root_issued: bool,
     done: bool,
 }
@@ -115,13 +121,28 @@ impl SupersetCoordinator {
         }
     }
 
+    /// A walk of one region of a traversal's subcube: breadth-first from
+    /// the region's `entry` vertex, which the whole traversal reaches via
+    /// dimension `cut`, wanting up to `threshold` results — the region's
+    /// share of the traversal's visits, in the traversal's order.
+    pub fn region(entry: u64, cut: u8, threshold: usize) -> Self {
+        SupersetCoordinator {
+            remaining: threshold,
+            root_bits: entry,
+            frontier: VecDeque::from([(entry, cut)]),
+            root_issued: true,
+            done: false,
+        }
+    }
+
     /// Results still wanted (the paper's `c`).
     pub fn remaining(&self) -> usize {
         self.remaining
     }
 
-    /// The traversal root's bits — `One(F_h(K))`, the mask occupancy
-    /// pruning tests against.
+    /// The walk's first vertex: the traversal root's bits —
+    /// `One(F_h(K))`, the mask occupancy pruning tests against — or a
+    /// region's entry.
     pub fn root_bits(&self) -> u64 {
         self.root_bits
     }
@@ -448,8 +469,8 @@ struct FtPending {
 /// Protocol: call [`FtCoordinator::start`], execute the emitted
 /// [`FtCmd`]s, then feed every continuation to `on_reply` (a local
 /// scan to `on_scan`) and every expired timer to `on_timeout`,
-/// executing the commands each emits, until
-/// [`FtCoordinator::in_flight`] reaches zero. Finally
+/// executing the commands each emits, until nothing is left in flight
+/// (the simulator runs its network to quiescence). Finally
 /// [`FtCoordinator::finish`] accounts whatever never answered and
 /// [`FtCoordinator::into_results`] yields the results.
 #[derive(Debug)]

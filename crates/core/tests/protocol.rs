@@ -312,16 +312,15 @@ proptest! {
     /// with the frontier's FIFO and `child_contacts`' descending
     /// dimensions): the order the sequential coordinator issues its
     /// visits in has a closed form, and cutting the subcube at any
-    /// dimension leaves regions that each walk, on their own, exactly
-    /// their share of that order.
+    /// dimension leaves regions that each walk, on their own — the
+    /// coordinator started at the region's entry, as a worker runs it —
+    /// exactly their share of that order.
     #[test]
     fn the_visit_order_has_a_closed_form_and_every_region_walks_its_share_of_it(
         r in 1u8..=12,
         root_bits in any::<u64>(),
         prefix_dims in 0u8..=4,
     ) {
-        use std::collections::VecDeque;
-
         use hyperdex_core::protocol::{
             child_contacts, region_entries, visit_order_key, Step, SupersetCoordinator,
         };
@@ -347,10 +346,10 @@ proptest! {
         let mut covered = Vec::new();
         for entry in region_entries(root, cut) {
             let mut walk = Vec::new();
-            let mut queue = VecDeque::from([(entry, cut)]);
-            while let Some((bits, via_dim)) = queue.pop_front() {
+            let mut region = SupersetCoordinator::region(entry, cut, usize::MAX - 1);
+            while let Step::Visit { bits, via_dim } = region.next_step() {
                 walk.push(bits);
-                queue.extend(child_contacts(vertex(bits), Some(via_dim)));
+                region.record_visit(0, child_contacts(vertex(bits), via_dim));
             }
             let share: Vec<u64> = issued
                 .iter()

@@ -5,8 +5,7 @@
 //! *reference* `(σ, u)` — "object σ has a copy at node u" — at that
 //! node; locating the object means fetching a reference. [`Dolr`] is the
 //! *direct* evaluation mode: routing paths are computed analytically
-//! (with exact hop counts) rather than by exchanging simulated messages;
-//! see [`crate::sim`] for the message-level mode.
+//! (with exact hop counts) rather than by exchanging simulated messages.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::client_core::{ClientCore, ClientLink};
 use hyperdex_runtime::runtime::{BatchResult, Request, RuntimeMatch};
-use hyperdex_runtime::wire::WireMsg;
+use hyperdex_runtime::wire::{self, WireMsg};
 use hyperdex_runtime::ShardMap;
 
 use crate::server::server_of;
@@ -355,7 +355,7 @@ impl ClientLink for TcpLink {
         let (buf, frames) = &mut self.wqueue[server];
         // One unit, written in place: the routing header, then the
         // frame encoded straight behind it.
-        buf.extend_from_slice(&worker.to_le_bytes());
+        wire::put_unit_header(buf, worker);
         msg.encode_append(buf);
         *frames += 1;
     }

@@ -57,10 +57,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hyperdex_core::KeywordHasher;
+use hyperdex_runtime::wire;
 use hyperdex_runtime::CrashPoint;
 use hyperdex_runtime::{Fabric, Host, PacketPool, ShardMap, WorkerContext};
 
-use crate::stream::{count_units, StreamDecoder, CLIENT_DEST};
+use crate::stream::{StreamDecoder, CLIENT_DEST};
 
 /// How one server process is shaped. All servers of a cluster share
 /// `r`, `seed`, `total_workers`, and `servers`; only `index` differs.
@@ -220,8 +221,11 @@ fn writer_loop(
             .is_none_or(|stream| write_batch(stream, &batch).is_err())
         {
             stream = None;
-            let undelivered: u64 = batch.iter().map(|p| count_units(p)).sum();
-            lost.fetch_add(undelivered, Ordering::Relaxed);
+            let undelivered: usize = batch
+                .iter()
+                .map(|packet| wire::units(packet).expect_whole().count())
+                .sum();
+            lost.fetch_add(undelivered as u64, Ordering::Relaxed);
         }
         for packet in batch.drain(..) {
             pool.put(packet);

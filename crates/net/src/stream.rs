@@ -11,7 +11,10 @@
 //! [`WireMsg`] frame (length prefix included), so a unit is just a
 //! frame with a routing header: peel off `dest` and the existing codec
 //! decodes the rest verbatim. `dest` is the global worker index, or
-//! [`CLIENT_DEST`] for client-bound replies.
+//! [`CLIENT_DEST`] for client-bound replies. What a unit is — its
+//! header, its length prefix, when it is torn — is
+//! [`hyperdex_runtime::wire`]'s to say ([`wire::split_unit`]); this
+//! module only buffers.
 //!
 //! TCP gives a byte stream, not messages: one `read` may return half a
 //! header, three units and a torn fourth, or a single byte.
@@ -19,6 +22,8 @@
 //! arbitrary read fragments and yields complete units — tolerant of
 //! every possible split point, which the robustness suite exercises
 //! exhaustively (every `WireMsg` variant, every byte boundary).
+//!
+//! [`WireMsg`]: hyperdex_runtime::WireMsg
 
 use std::io::Read;
 
@@ -27,38 +32,12 @@ use hyperdex_runtime::wire::{self, WireError};
 /// `dest` marking a unit for the client rather than a worker.
 pub const CLIENT_DEST: u32 = u32::MAX;
 
-/// Bytes of the routing header in front of each frame.
-pub const DEST_LEN: usize = 4;
-
 /// Appends one `[dest][frame]` unit to `out`. `frame` must be a
-/// complete encoded [`WireMsg`] (length prefix included).
+/// complete encoded [`WireMsg`](hyperdex_runtime::WireMsg) (length
+/// prefix included).
 pub fn push_unit(out: &mut Vec<u8>, dest: u32, frame: &[u8]) {
-    out.extend_from_slice(&dest.to_le_bytes());
+    wire::put_unit_header(out, dest);
     out.extend_from_slice(frame);
-}
-
-/// Logical units in a wire packet (`[dest][frame]` back to back).
-/// Packets are built from well-formed units, so a parse failure is a
-/// bug; the count stops there (debug builds assert).
-pub fn count_units(packet: &[u8]) -> u64 {
-    let header = DEST_LEN + wire::PREFIX_LEN;
-    let mut rest = packet;
-    let mut n = 0;
-    while !rest.is_empty() {
-        if rest.len() < header {
-            debug_assert!(false, "torn unit header in count_units");
-            break;
-        }
-        let body_len = u32::from_le_bytes(rest[DEST_LEN..header].try_into().expect("4 bytes"));
-        let unit_len = header + body_len as usize;
-        if body_len > wire::MAX_BODY_LEN || rest.len() < unit_len {
-            debug_assert!(false, "malformed unit in count_units");
-            break;
-        }
-        n += 1;
-        rest = &rest[unit_len..];
-    }
-    n
 }
 
 /// Bytes one [`StreamDecoder::fill_from`] call asks the kernel for
@@ -121,12 +100,7 @@ impl StreamDecoder {
     /// Propagates the underlying read error.
     pub fn fill_from<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
         self.compact();
-        let want = match self.pending_unit_len() {
-            Some(unit_len) if unit_len > self.buffered() => {
-                (unit_len - self.buffered()).max(READ_CHUNK)
-            }
-            _ => READ_CHUNK,
-        };
+        let want = self.missing().max(READ_CHUNK);
         self.grow_for(want);
         let n = r.read(&mut self.buf[self.end..])?;
         self.end += n;
@@ -150,41 +124,24 @@ impl StreamDecoder {
     /// than [`wire::MAX_BODY_LEN`] — the stream is corrupt and cannot
     /// be resynchronized.
     pub fn next_unit_ref(&mut self) -> Result<Option<(u32, &[u8])>, WireError> {
-        let header = DEST_LEN + wire::PREFIX_LEN;
-        let pending = &self.buf[self.start..self.end];
-        if pending.len() < header {
-            return Ok(None);
-        }
-        let dest = u32::from_le_bytes(pending[..DEST_LEN].try_into().expect("4 bytes"));
-        let body_len = u32::from_le_bytes(pending[DEST_LEN..header].try_into().expect("4 bytes"));
-        if body_len > wire::MAX_BODY_LEN {
-            return Err(WireError::Oversized { len: body_len });
-        }
-        let unit_len = header + body_len as usize;
-        if pending.len() < unit_len {
-            return Ok(None);
-        }
-        let frame_start = self.start + DEST_LEN;
-        let frame_end = self.start + unit_len;
-        self.start = frame_end;
-        Ok(Some((dest, &self.buf[frame_start..frame_end])))
+        let (dest, frame_len, rest_len) = match wire::split_unit(&self.buf[self.start..self.end]) {
+            Ok((dest, frame, rest)) => (dest, frame.len(), rest.len()),
+            Err(WireError::Truncated { .. }) => return Ok(None),
+            Err(corrupt) => return Err(corrupt),
+        };
+        // The unit ends where the rest begins; its frame ends it.
+        self.start = self.end - rest_len;
+        Ok(Some((dest, &self.buf[self.start - frame_len..self.start])))
     }
 
-    /// The full length of the unit whose header is buffered, when one
-    /// is and its length is plausible.
-    fn pending_unit_len(&self) -> Option<usize> {
-        let header = DEST_LEN + wire::PREFIX_LEN;
-        let pending = &self.buf[self.start..self.end];
-        if pending.len() < header {
-            return None;
+    /// Bytes the buffered unit still lacks: 0 when one is whole or
+    /// its header is corrupt (that surfaces as an error from
+    /// [`StreamDecoder::next_unit_ref`], so nothing is reserved for it).
+    fn missing(&self) -> usize {
+        match wire::split_unit(&self.buf[self.start..self.end]) {
+            Err(WireError::Truncated { needed, .. }) => needed,
+            _ => 0,
         }
-        let body_len = u32::from_le_bytes(pending[DEST_LEN..header].try_into().expect("4 bytes"));
-        if body_len > wire::MAX_BODY_LEN {
-            // Corrupt header: surfaces as an error from next_unit_ref, so
-            // never reserve for it.
-            return None;
-        }
-        Some(header + body_len as usize)
     }
 
     /// Ensures `extra` writable bytes after `end`, pre-reserving the
@@ -192,10 +149,7 @@ impl StreamDecoder {
     /// `reserve_exact`: the buffer never balloons past what the wire
     /// format itself justifies.
     fn grow_for(&mut self, extra: usize) {
-        let mut target = self.end + extra;
-        if let Some(unit_len) = self.pending_unit_len() {
-            target = target.max(self.start + unit_len);
-        }
+        let target = self.end + extra.max(self.missing());
         if self.buf.len() < target {
             self.buf.reserve_exact(target - self.buf.len());
             self.buf.resize(target, 0);
@@ -207,7 +161,7 @@ impl StreamDecoder {
         if self.start == 0 {
             return;
         }
-        if self.start >= self.end {
+        if self.buffered() == 0 {
             self.start = 0;
             self.end = 0;
         } else if self.start >= 4096 {
@@ -222,6 +176,59 @@ impl StreamDecoder {
 mod tests {
     use super::*;
     use hyperdex_runtime::wire::WireMsg;
+
+    /// One definition of a torn frame: every cut of a frame short of
+    /// its end, and a prefix declaring too long a body, read the same
+    /// through the codec, the packet splitter and the stream decoder —
+    /// which waits for exactly the bytes the others say are missing.
+    #[test]
+    fn torn_and_oversized_frames_read_alike_on_every_path() {
+        let frame = WireMsg::PinResults {
+            query_id: 9,
+            objects: vec![1, 2, 3],
+        }
+        .encode();
+        let mut cases: Vec<(&[u8], WireError)> = (1..frame.len())
+            .map(|cut| {
+                // Until the prefix is there, only the prefix is known
+                // to be missing.
+                let len = if cut < wire::PREFIX_LEN {
+                    wire::PREFIX_LEN
+                } else {
+                    frame.len()
+                };
+                let torn = WireError::Truncated {
+                    needed: len - cut,
+                    have: cut,
+                };
+                (&frame[..cut], torn)
+            })
+            .collect();
+        let mut oversized = (wire::MAX_BODY_LEN + 1).to_le_bytes().to_vec();
+        oversized.push(0);
+        let over = WireError::Oversized {
+            len: wire::MAX_BODY_LEN + 1,
+        };
+        cases.push((&oversized, over));
+        for (bytes, expected) in cases {
+            assert_eq!(WireMsg::decode(bytes).err().as_ref(), Some(&expected));
+            assert_eq!(
+                wire::frames(bytes).collect::<Vec<_>>(),
+                [Err(expected.clone())]
+            );
+            let mut unit = Vec::new();
+            push_unit(&mut unit, 7, bytes);
+            let mut dec = StreamDecoder::new();
+            dec.push(&unit);
+            match expected {
+                WireError::Truncated { needed, .. } => {
+                    assert_eq!(dec.next_unit_ref(), Ok(None));
+                    assert_eq!(dec.missing(), needed, "{} bytes", bytes.len());
+                }
+                corrupt => assert_eq!(dec.next_unit_ref(), Err(corrupt)),
+            }
+        }
+    }
 
     #[test]
     fn decodes_units_fed_one_byte_at_a_time() {

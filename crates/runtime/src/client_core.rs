@@ -32,7 +32,7 @@
 //! issued after an [`Error::Timeout`] is safe; and a frame kind no
 //! client is ever sent is [`Error::UnexpectedFrame`], not a panic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
 use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
@@ -322,127 +322,57 @@ impl<L: ClientLink> ClientCore<L> {
         Ok(matches(self.complete(id, owner, "superset reply")?.matches))
     }
 
-    /// Fault-tolerant superset search (§3.4): a window of one.
+    /// Fault-tolerant superset search (§3.4): the coordinating worker
+    /// retries per region owner; the client waits for each attempt's
+    /// completion until the attempt deadline, re-issues the search under
+    /// a fresh id when it passes — a late completion of the abandoned
+    /// attempt is then a stale reply, dropped — and once its attempts
+    /// are spent returns an honest empty outcome (`complete: false`, no
+    /// coverage).
     ///
     /// # Errors
     ///
-    /// As [`ClientCore::superset_search_ft_batch`].
+    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
+    /// arguments, otherwise the link's errors.
     pub fn superset_search_ft(
         &mut self,
         keywords: &KeywordSet,
         threshold: usize,
         opts: &FtSearchOptions,
     ) -> Result<FtSearchOutcome, Error> {
-        let mut out =
-            self.superset_search_ft_batch(std::slice::from_ref(keywords), threshold, opts, 1)?;
-        Ok(out.pop().expect("one query in, one outcome out"))
-    }
-
-    /// Windowed fault-tolerant search (§3.4): the coordinating workers
-    /// retry per region owner; the client keeps up to `window` searches
-    /// in flight, matches completions by id, re-issues a search whose
-    /// attempt deadline passed under a fresh id, and degrades it to an
-    /// honest empty outcome (`complete: false`, no coverage) once its
-    /// attempts are spent — without stalling the rest of the window.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, otherwise the link's errors.
-    pub fn superset_search_ft_batch(
-        &mut self,
-        queries: &[KeywordSet],
-        threshold: usize,
-        opts: &FtSearchOptions,
-        window: usize,
-    ) -> Result<Vec<FtSearchOutcome>, Error> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
         if opts.base_timeout == 0 {
             return Err(Error::ZeroTimeout);
         }
-        struct Flight {
-            slot: usize,
-            attempt: u32,
-            deadline: Duration,
-        }
-        let window = window.max(1);
         let attempts = opts.attempts.max(1);
         let attempt_timeout = Duration::from_millis(opts.attempt_timeout_ms.max(1));
-        let mut out: Vec<Option<FtSearchOutcome>> = queries.iter().map(|_| None).collect();
-        let mut flights: HashMap<u64, Flight> = HashMap::new();
-        // `(slot, attempt)` still to issue; a re-issue goes first, into
-        // the window slot its expired attempt just left.
-        let mut due: VecDeque<(usize, u32)> = (0..queries.len()).map(|slot| (slot, 1)).collect();
-        let mut done = 0usize;
-        while done < queries.len() {
-            while flights.len() < window {
-                let Some((slot, attempt)) = due.pop_front() else {
-                    break;
-                };
-                let id = self.queue_ft(&queries[slot], threshold, opts);
-                let deadline = self.link.now() + attempt_timeout;
-                flights.insert(
-                    id,
-                    Flight {
-                        slot,
-                        attempt,
-                        deadline,
-                    },
-                );
-            }
+        for attempt in 1..=attempts {
+            let id = self.queue_ft(keywords, threshold, opts);
+            let deadline = self.link.now() + attempt_timeout;
             self.link.ship()?;
-            let deadline = flights
-                .values()
-                .map(|f| f.deadline)
-                .min()
-                .expect("incomplete slots are in flight");
-            match self.recv(Some(deadline), None, |id| flights.remove(&id))? {
-                Some((flight, reply)) => {
-                    out[flight.slot] = Some(FtSearchOutcome {
-                        matches: matches(reply.matches),
-                        complete: reply
-                            .coverage
-                            .as_ref()
-                            .is_some_and(|c| c.skipped.is_empty()),
-                        attempts: flight.attempt,
-                        coverage: reply.coverage,
-                    });
-                    done += 1;
-                }
-                None => {
-                    // Only the expired flights re-issue (fresh id) or
-                    // degrade; the rest of the window keeps waiting.
-                    let now = self.link.now();
-                    let mut expired: Vec<u64> = flights
-                        .iter()
-                        .filter(|(_, f)| f.deadline <= now)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    // In id order: the same replies, the same re-issues.
-                    expired.sort_unstable();
-                    for id in expired {
-                        let flight = flights.remove(&id).expect("collected above");
-                        if flight.attempt < attempts {
-                            due.push_front((flight.slot, flight.attempt + 1));
-                            continue;
-                        }
-                        // Every attempt timed out — no coordinator ever
-                        // answered. Degrade with an honest "nothing
-                        // confirmed" report.
-                        out[flight.slot] = Some(FtSearchOutcome {
-                            matches: Vec::new(),
-                            complete: false,
-                            attempts,
-                            coverage: None,
-                        });
-                        done += 1;
-                    }
-                }
+            if let Some(((), reply)) =
+                self.recv(Some(deadline), None, |got| (got == id).then_some(()))?
+            {
+                return Ok(FtSearchOutcome {
+                    matches: matches(reply.matches),
+                    complete: reply
+                        .coverage
+                        .as_ref()
+                        .is_some_and(|c| c.skipped.is_empty()),
+                    attempts: attempt,
+                    coverage: reply.coverage,
+                });
             }
         }
-        Ok(out.into_iter().map(|r| r.expect("all completed")).collect())
+        // Every attempt timed out — no coordinator ever answered.
+        Ok(FtSearchOutcome {
+            matches: Vec::new(),
+            complete: false,
+            attempts,
+            coverage: None,
+        })
     }
 
     /// Runs `requests` keeping up to `window` of them in flight.

@@ -28,12 +28,15 @@
 //!   is also its clock); the in-process handle and `hyperdex-net`'s
 //!   TCP client are both thin shells around it.
 //! * [`wire`] — the hand-rolled length-prefixed codec; the thread
-//!   boundary is byte-defined, like a socket.
+//!   boundary is byte-defined, like a socket. Also the one reader of a
+//!   frame's envelope: its length prefix, a packet's split into frames
+//!   and a socket unit's `[dest]` header.
 //! * [`shard`] — pure, seeded vertex → worker ownership.
 //! * [`transport`] — the worker fabric ([`Fabric`]): one lane per
 //!   destination, each frame encoded once into the packet that
 //!   travels; inbox lanes for co-located sinks, socket lanes for the
-//!   writer queues `hyperdex-net` hangs behind them.
+//!   writer queues `hyperdex-net` hangs behind them. Lanes only: it
+//!   reads no frame.
 //! * [`worker`] — the shard-owning worker as a clockless, loop-less
 //!   machine ([`NodeMachine`]): a driver hands it packets and the
 //!   time. The same code in-process, inside a server binary, and on
@@ -77,6 +80,6 @@ pub use client_core::{
 pub use mesh::{FaultPlan, Mesh};
 pub use runtime::{run_worker, Host, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};
 pub use shard::{ShardMap, ShardPolicy};
-pub use transport::{count_frames, take_frame, Fabric, PacketPool};
+pub use transport::{Fabric, PacketPool};
 pub use wire::{WireError, WireMsg};
 pub use worker::{CrashPoint, Flow, NodeMachine, WorkerContext, WorkerStats};

@@ -38,8 +38,8 @@ use hyperdex_simnet::{EndpointId, LatencyModel, NetMetrics, Network, SimDuration
 use crate::client_core::ClientLink;
 use crate::runtime::{RuntimeConfig, ShutdownReport, SupervisorStats};
 use crate::shard::ShardMap;
-use crate::transport::{count_frames, take_frame, Fabric};
-use crate::wire::WireMsg;
+use crate::transport::Fabric;
+use crate::wire::{self, WireMsg};
 use crate::worker::{CrashPoint, Flow, NodeMachine, WorkerContext, WorkerStats};
 
 /// One `(tick, from, to, packet)` per delivery. Endpoints `0..W` are
@@ -56,14 +56,10 @@ const FAULT_SALT: u64 = 0x4641_554C_545F_494E; // "FAULT_IN"
 
 /// The frames of a well-formed packet.
 pub fn decode_all(packet: &[u8]) -> Vec<WireMsg> {
-    let mut out = Vec::new();
-    let mut rest = packet;
-    while !rest.is_empty() {
-        let (frame, tail) = take_frame(rest).expect("workers emit whole frames");
-        out.push(WireMsg::decode_exact(frame).expect("workers emit valid frames"));
-        rest = tail;
-    }
-    out
+    wire::frames(packet)
+        .expect_whole()
+        .map(|frame| WireMsg::decode_exact(frame).expect("workers emit valid frames"))
+        .collect()
 }
 
 /// One run's hostility on a mesh: the fates its wire deals worker →
@@ -285,7 +281,7 @@ impl Mesh {
     fn post(&mut self, from: usize, to: usize, packet: Vec<u8>) {
         let lane = self.lanes.entry((from, to)).or_default();
         let copies = if std::mem::take(&mut lane.copy_next) {
-            self.copied += count_frames(&packet);
+            self.copied += wire::frames(&packet).expect_whole().count() as u64;
             2
         } else {
             1
@@ -418,11 +414,8 @@ impl Mesh {
                 continue;
             }
             // Every frame travels alone, to meet its own fate.
-            let mut rest = &packet[..];
-            while !rest.is_empty() {
-                let (frame, tail) = take_frame(rest).expect("workers emit whole frames");
+            for frame in wire::frames(&packet).expect_whole() {
                 self.deal(index, to, frame.to_vec());
-                rest = tail;
             }
         }
         if flow == Flow::Leaving {
@@ -483,7 +476,7 @@ impl Mesh {
                     .get_mut(&(from, to))
                     .expect("a posted packet's lane");
                 let packet = lane.queue.pop_front().expect("one delivery per packet");
-                let frames = count_frames(&packet);
+                let frames = wire::frames(&packet).expect_whole().count() as u64;
                 // Recorded first: a machine that panics on a packet
                 // leaves it as the trace's last line.
                 self.trace.push((delivery.at.ticks(), from, to, packet));
@@ -595,8 +588,8 @@ impl Mesh {
                 let sink = self.sinks[index][client].as_ref().expect("a client lane");
                 sink.try_recv().expect("a barrier is acked")
             });
-            self.client_sent += count_frames(&probe);
-            self.client_received += count_frames(&got);
+            self.client_sent += wire::frames(&probe).expect_whole().count() as u64;
+            self.client_received += wire::frames(&got).expect_whole().count() as u64;
             assert!(
                 got == expected,
                 "worker {index}: the restarted machine answers {:?}, its twin {:?}",

@@ -88,8 +88,8 @@ use hyperdex_core::{Error, KeywordHasher, KeywordSet, ObjectId, StoreBackend};
 
 use crate::client_core::{ClientCore, ClientLink};
 use crate::shard::{ShardMap, ShardPolicy};
-use crate::transport::{count_frames, take_frame, Fabric};
-use crate::wire::WireMsg;
+use crate::transport::Fabric;
+use crate::wire::{self, WireMsg};
 use crate::worker::{counter_record, Flow, NodeMachine, WorkerContext, WorkerStats};
 
 pub use crate::client_core::{
@@ -273,7 +273,7 @@ impl ClientLink for ChannelLink {
     }
 
     /// One packet per worker with frames queued; the worker splits it
-    /// with [`take_frame`], as it does a peer's.
+    /// with [`wire::frames`], as it does a peer's.
     fn ship(&mut self) -> Result<(), Error> {
         for (tx, (packet, frames)) in self.to_worker.iter().zip(&mut self.queued) {
             if *frames == 0 {
@@ -315,10 +315,7 @@ impl ClientLink for ChannelLink {
             };
             // A packet may coalesce several frames; every one is a
             // logical receive.
-            let mut rest: &[u8] = &packet;
-            while !rest.is_empty() {
-                let (frame, tail) = take_frame(rest).expect("workers emit well-formed frames");
-                rest = tail;
+            for frame in wire::frames(&packet).expect_whole() {
                 self.received += 1;
                 self.pending.push_back(
                     WireMsg::decode_exact(frame).expect("workers emit well-formed frames"),
@@ -451,7 +448,7 @@ impl NodeRuntime {
         // expected after the barrier, but every frame must be counted
         // for conservation to be exact).
         while let Ok(packet) = link.inbox.recv() {
-            link.received += count_frames(&packet);
+            link.received += wire::frames(&packet).expect_whole().count() as u64;
         }
         ShutdownReport {
             client_sent: link.sent,
@@ -595,7 +592,9 @@ impl Host {
             // After the last exit this is the final sweep: a worker's
             // lanes are gone before its exit is sent.
             for inbox in &exited {
-                sup.frames_drained += inbox.try_iter().map(|p| count_frames(&p)).sum::<u64>();
+                for packet in inbox.try_iter() {
+                    sup.frames_drained += wire::frames(&packet).expect_whole().count() as u64;
+                }
             }
         }
         for thread in self.threads {
@@ -789,7 +788,10 @@ mod tests {
         assert!(took < Duration::from_secs(1), "answered after {took:?}");
         inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
         let (stats, _) = worker.join().unwrap();
-        let asked: u64 = peer.try_iter().map(|packet| count_frames(&packet)).sum();
+        let asked: usize = peer
+            .try_iter()
+            .map(|packet| wire::frames(&packet).expect_whole().count())
+            .sum();
         assert_eq!((stats.frames_sent, asked), (4, 3), "{stats:?}");
     }
 }

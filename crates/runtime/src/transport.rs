@@ -25,13 +25,15 @@
 //! a `hyperdex-net` server routes co-located workers to inbox lanes and
 //! everything else to socket lanes. The unit on every sink is therefore
 //! a **packet** — one or more length-prefixed [`WireMsg`] frames — and
-//! every receive path splits packets with [`take_frame`] and counts
-//! logical frames, never fabric operations.
+//! every receive path walks packets with [`wire::frames`] (a socket
+//! lane's with [`wire::units`]) and counts logical frames, never fabric
+//! operations. This module holds lanes only: what a frame or a unit
+//! looks like is [`wire`]'s.
 
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
-use crate::wire::{self, WireError, WireMsg};
+use crate::wire::{self, WireMsg};
 
 /// Bytes a socket lane's packet reaches before it is offered to the
 /// writer queue even while the batching window is still open.
@@ -167,7 +169,7 @@ impl Fabric {
         };
         let lane = &mut self.lanes[lane];
         if lane.socket {
-            lane.packet.extend_from_slice(&unit_dest.to_le_bytes());
+            wire::put_unit_header(&mut lane.packet, unit_dest);
         }
         msg.encode_append(&mut lane.packet);
         lane.frames += 1;
@@ -235,56 +237,6 @@ impl Fabric {
     pub fn recycle(&self, packet: Vec<u8>) {
         self.pool.put(packet);
     }
-}
-
-/// Splits one frame off the front of a packet: `(frame, rest)`, where
-/// `frame` includes its length prefix (so [`WireMsg::decode_exact`]
-/// accepts it verbatim).
-///
-/// # Errors
-///
-/// Returns the underlying [`WireError`] when the packet does not start
-/// with a well-formed frame header.
-pub fn take_frame(packet: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
-    if packet.len() < wire::PREFIX_LEN {
-        return Err(WireError::Truncated {
-            needed: wire::PREFIX_LEN - packet.len(),
-            have: packet.len(),
-        });
-    }
-    let body_len = u32::from_le_bytes(packet[..wire::PREFIX_LEN].try_into().expect("4 bytes"));
-    if body_len > wire::MAX_BODY_LEN {
-        return Err(WireError::Oversized { len: body_len });
-    }
-    let frame_len = wire::PREFIX_LEN + body_len as usize;
-    if packet.len() < frame_len {
-        return Err(WireError::Truncated {
-            needed: frame_len - packet.len(),
-            have: packet.len(),
-        });
-    }
-    Ok(packet.split_at(frame_len))
-}
-
-/// Logical frames in a packet. Packets are built from well-formed
-/// frames, so a parse failure is a bug; the count stops there (debug
-/// builds assert).
-pub fn count_frames(packet: &[u8]) -> u64 {
-    let mut rest = packet;
-    let mut n = 0;
-    while !rest.is_empty() {
-        match take_frame(rest) {
-            Ok((_, tail)) => {
-                n += 1;
-                rest = tail;
-            }
-            Err(_) => {
-                debug_assert!(false, "malformed packet in count_frames");
-                break;
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]
@@ -406,14 +358,10 @@ mod tests {
                             // lane last shipped, in append order.
                             prop_assert_eq!(&got, &lane.queued.pop_front());
                             let Some(packet) = got else { break };
-                            let mut rest = &packet[..];
-                            while !rest.is_empty() {
-                                if lane.socket {
-                                    rest = &rest[4..];
-                                }
-                                let (frame, tail) = take_frame(rest).map_err(|e| e.to_string())?;
+                            let frames = if lane.socket { wire::units(&packet) } else { wire::frames(&packet) };
+                            for frame in frames {
+                                let frame = frame.map_err(|e| e.to_string())?;
                                 prop_assert!(WireMsg::decode_exact(frame).is_ok());
-                                rest = tail;
                             }
                         }
                     }
@@ -441,22 +389,5 @@ mod tests {
                 prop_assert_eq!(appended, delivered + dropped + written_off + fabric.pending());
             }
         }
-    }
-
-    #[test]
-    fn take_frame_rejects_short_and_oversized_headers() {
-        assert!(matches!(
-            take_frame(&[1, 2]),
-            Err(WireError::Truncated { .. })
-        ));
-        let mut bad = (wire::MAX_BODY_LEN + 1).to_le_bytes().to_vec();
-        bad.push(0);
-        assert!(matches!(take_frame(&bad), Err(WireError::Oversized { .. })));
-        let mut short = WireMsg::Flush { token: 1 }.encode();
-        short.pop();
-        assert!(matches!(
-            take_frame(&short),
-            Err(WireError::Truncated { .. })
-        ));
     }
 }

@@ -22,11 +22,21 @@
 //! each message's tag and its fields in wire order, and [`WireMsg`],
 //! its encoder and its decoder are generated from it.
 //!
-//! [`decode_exact`] is strict: a frame must parse completely — a short
-//! buffer is [`WireError::Truncated`], excess bytes (after the frame
-//! or inside the declared body) are [`WireError::TrailingGarbage`],
+//! [`WireMsg::decode_exact`] is strict: a frame must parse completely —
+//! a short buffer is [`WireError::Truncated`], excess bytes (after the
+//! frame or inside the declared body) are [`WireError::TrailingGarbage`],
 //! and an unknown tag is [`WireError::BadTag`]. The roundtrip tests
 //! sweep every variant through every truncation point.
+//!
+//! This module is also the one place a frame's envelope is read or
+//! written. Frames travel in **packets**, back to back: raw on a
+//! channel into a worker's inbox, and on a socket as **units**, each
+//! frame behind a `[dest u32 LE]` routing header naming the worker (or
+//! the client) it is for. [`split_frame`] and [`split_unit`] take one
+//! off the front of a buffer, [`frames`] and [`units`] walk a packet,
+//! and [`put_unit_header`] writes the routing header; all of them, and
+//! [`WireMsg::decode`], read the length prefix through one function, so
+//! every path agrees on what a torn or oversized frame is.
 
 use std::fmt;
 
@@ -38,6 +48,10 @@ pub const MAX_BODY_LEN: u32 = 16 * 1024 * 1024;
 
 /// The length prefix's width in bytes.
 pub const PREFIX_LEN: usize = 4;
+
+/// The routing header's width in bytes: a unit is `[dest u32 LE]`
+/// then a frame.
+const DEST_LEN: usize = 4;
 
 /// Most vertex groups one [`WireMsg::RegionDone`] carries: their count
 /// is a `u16`. Senders split longer replies over several frames.
@@ -306,11 +320,16 @@ pub type RegionGroup = (u64, Vec<(u64, u32)>);
 /// lengths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer ends before the frame does.
+    /// The buffer ends before the frame does. Both counts are of the
+    /// read that ran short, from its first byte: a torn frame is read
+    /// from its length prefix (a torn unit from its routing header), so
+    /// [`WireMsg::decode`], [`split_frame`] and [`frames`] report the
+    /// same bytes alike; a body that ends inside a field is read from
+    /// that field.
     Truncated {
-        /// Bytes the decoder needed next.
+        /// Bytes missing: how many more the read needed.
         needed: usize,
-        /// Bytes it had left.
+        /// Bytes there: how many the read had.
         have: usize,
     },
     /// Bytes remain after the frame (or after the body's last field).
@@ -398,26 +417,9 @@ impl WireMsg {
     /// and how many bytes it consumed (stream decoding: the caller may
     /// hold several concatenated frames).
     pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), WireError> {
-        if buf.len() < PREFIX_LEN {
-            return Err(WireError::Truncated {
-                needed: PREFIX_LEN - buf.len(),
-                have: buf.len(),
-            });
-        }
-        let body_len = u32::from_le_bytes(buf[..PREFIX_LEN].try_into().expect("4 bytes"));
-        if body_len > MAX_BODY_LEN {
-            return Err(WireError::Oversized { len: body_len });
-        }
-        let body_len = body_len as usize;
-        let rest = &buf[PREFIX_LEN..];
-        if rest.len() < body_len {
-            return Err(WireError::Truncated {
-                needed: body_len - rest.len(),
-                have: rest.len(),
-            });
-        }
+        let (frame, _) = split_frame(buf)?;
         let mut r = Reader {
-            buf: &rest[..body_len],
+            buf: &frame[PREFIX_LEN..],
             pos: 0,
         };
         let msg = decode_body(&mut r)?;
@@ -428,7 +430,7 @@ impl WireMsg {
                 extra: r.buf.len() - r.pos,
             });
         }
-        Ok((msg, PREFIX_LEN + body_len))
+        Ok((msg, frame.len()))
     }
 
     /// [`WireMsg::decode`] for exactly-one-frame buffers: any byte
@@ -442,6 +444,125 @@ impl WireMsg {
             });
         }
         Ok(msg)
+    }
+}
+
+/// Reads the length prefix at the front of `buf`: `None` until its
+/// [`PREFIX_LEN`] bytes are there, [`WireError::Oversized`] past
+/// [`MAX_BODY_LEN`], otherwise the frame's length, prefix included.
+/// The one reader of a length prefix.
+fn frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    let Some(prefix) = buf.first_chunk::<PREFIX_LEN>() else {
+        return Ok(None);
+    };
+    let body_len = u32::from_le_bytes(*prefix);
+    if body_len > MAX_BODY_LEN {
+        return Err(WireError::Oversized { len: body_len });
+    }
+    Ok(Some(PREFIX_LEN + body_len as usize))
+}
+
+/// Splits `header` routing bytes and the frame behind them off the
+/// front of `buf`: `(header and frame, rest)`. The one frame splitter;
+/// its torn case is [`WireError::Truncated`] counted from `buf`'s first
+/// byte — until the length prefix is there, only the header and the
+/// prefix are known to be missing.
+fn split(buf: &[u8], header: usize) -> Result<(&[u8], &[u8]), WireError> {
+    let frame_len = frame_len(buf.get(header..).unwrap_or_default())?;
+    let len = header + frame_len.unwrap_or(PREFIX_LEN);
+    if buf.len() < len {
+        return Err(WireError::Truncated {
+            needed: len - buf.len(),
+            have: buf.len(),
+        });
+    }
+    Ok(buf.split_at(len))
+}
+
+/// Splits one frame off the front of `buf`: `(frame, rest)`, the frame
+/// with its length prefix, as [`WireMsg::decode_exact`] takes it.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] while `buf` holds less than the frame,
+/// [`WireError::Oversized`] when its prefix declares too long a body.
+pub fn split_frame(buf: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
+    split(buf, 0)
+}
+
+/// Splits one unit off the front of `buf`: `(dest, frame, rest)`.
+///
+/// # Errors
+///
+/// As [`split_frame`], counted over the whole unit, routing header
+/// included.
+pub fn split_unit(buf: &[u8]) -> Result<(u32, &[u8], &[u8]), WireError> {
+    let (unit, rest) = split(buf, DEST_LEN)?;
+    let (dest, frame) = unit
+        .split_first_chunk::<DEST_LEN>()
+        .expect("a unit starts with its routing header");
+    Ok((u32::from_le_bytes(*dest), frame, rest))
+}
+
+/// Appends a unit's routing header to `out`: the frame encoded there
+/// next travels to `dest`.
+pub fn put_unit_header(out: &mut Vec<u8>, dest: u32) {
+    dest.put(out);
+}
+
+/// The frames of a packet of raw frames, front to back.
+pub fn frames(packet: &[u8]) -> Frames<'_> {
+    Frames {
+        rest: packet,
+        header: 0,
+    }
+}
+
+/// The frames of a packet of units, front to back, their routing
+/// headers passed over.
+pub fn units(packet: &[u8]) -> Frames<'_> {
+    Frames {
+        rest: packet,
+        header: DEST_LEN,
+    }
+}
+
+/// A packet's frames, each with its length prefix: every frame that
+/// splits off, then — when what is left does not split — its error,
+/// once, as the last item.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+    /// Routing bytes in front of each frame.
+    header: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// The frames of a packet this process built itself: a remainder
+    /// that does not split is a bug, not input, and panics in every
+    /// build profile.
+    pub fn expect_whole(self) -> impl Iterator<Item = &'a [u8]> {
+        self.map(|frame| frame.expect("a packet this process built splits into whole frames"))
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<&'a [u8], WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        Some(match split(self.rest, self.header) {
+            Ok((unit, rest)) => {
+                self.rest = rest;
+                Ok(&unit[self.header..])
+            }
+            Err(e) => {
+                self.rest = &[];
+                Err(e)
+            }
+        })
     }
 }
 
@@ -1156,6 +1277,40 @@ mod tests {
         assert_eq!(
             WireMsg::decode_exact(&insert_frame(&[growing.as_bytes()])),
             Err(WireError::KeywordTooLong)
+        );
+    }
+
+    /// A packet's frames come out whole and in order, and a remainder
+    /// that does not split comes out once, as the last item; a unit
+    /// packet is the same frames behind their routing headers.
+    #[test]
+    fn packets_split_into_their_frames_then_one_error() {
+        let msgs = [WireMsg::Flush { token: 1 }, WireMsg::Shutdown];
+        let (mut packet, mut unit_packet) = (Vec::new(), Vec::new());
+        for (dest, msg) in (5..).zip(&msgs) {
+            msg.encode_append(&mut packet);
+            put_unit_header(&mut unit_packet, dest);
+            msg.encode_append(&mut unit_packet);
+        }
+        let whole: Vec<&[u8]> = frames(&packet).expect_whole().collect();
+        assert_eq!(
+            whole,
+            units(&unit_packet).expect_whole().collect::<Vec<_>>()
+        );
+        let decoded: Vec<WireMsg> = whole
+            .iter()
+            .map(|frame| WireMsg::decode_exact(frame).unwrap())
+            .collect();
+        assert_eq!(decoded, msgs);
+        let (dest, frame, rest) = split_unit(&unit_packet).unwrap();
+        assert_eq!((dest, frame), (5, whole[0]));
+        assert_eq!(split_unit(rest).unwrap().0, 6);
+
+        let packet = [&packet[..], &[9, 0]].concat();
+        let torn = Err(WireError::Truncated { needed: 2, have: 2 });
+        assert_eq!(
+            frames(&packet).collect::<Vec<_>>(),
+            [Ok(whole[0]), Ok(whole[1]), torn]
         );
     }
 

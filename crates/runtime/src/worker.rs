@@ -46,13 +46,14 @@
 //! is a restart"). What a wire does to a frame — lose it, copy it, hold
 //! it back — is the wire's, not the machine's: the mesh deals it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{
-    child_contacts, region_entries, scan_store, subtree_bits, visit_order_key,
+    child_contacts, region_entries, scan_store, subtree_bits, visit_order_key, Step,
+    SupersetCoordinator,
 };
 use hyperdex_core::store::ByVertex;
 use hyperdex_core::{
@@ -61,7 +62,7 @@ use hyperdex_core::{
 use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::shard::ShardMap;
-use crate::transport::{take_frame, Fabric, PacketPool};
+use crate::transport::{Fabric, PacketPool};
 use crate::wire::{
     self, RegionGroup, WireMsg, MAX_BATCH_ENTRIES, MAX_BODY_LEN, REGION_DONE_HEADER_LEN,
 };
@@ -541,17 +542,13 @@ impl NodeMachine {
         self.now = now;
         let mut flow = Flow::Continue;
         let mut crashed = false;
-        let mut rest = packet;
-        while !rest.is_empty() {
-            // The bytes may have come off a socket: what does not
-            // split or decode is counted and skipped — a remainder
-            // that cannot be split, once.
-            let Ok((frame, tail)) = take_frame(rest) else {
-                self.stats.frames_undecodable += 1;
-                break;
-            };
-            rest = tail;
-            let Ok(msg) = WireMsg::decode_exact(frame) else {
+        // The bytes may have come off a socket: what does not split or
+        // decode is counted and skipped — a remainder that cannot be
+        // split, once.
+        for frame in wire::frames(packet) {
+            let Ok((frame, msg)) =
+                frame.and_then(|frame| Ok((frame, WireMsg::decode_exact(frame)?)))
+            else {
                 self.stats.frames_undecodable += 1;
                 continue;
             };
@@ -862,9 +859,9 @@ impl NodeMachine {
         (regions > 0).then_some(groups)
     }
 
-    /// Walks one region breadth-first from its `entry` vertex with
-    /// arrival dimension `cut` — its share of the sequential
-    /// traversal's visits, in that order — pushing every vertex that
+    /// Walks one region from its `entry` vertex with arrival dimension
+    /// `cut` — the coordinator's walk of it
+    /// ([`SupersetCoordinator::region`]) — pushing every vertex that
     /// holds a match, until the region has yielded `threshold` of them:
     /// whatever it holds beyond is behind `threshold` matches in the
     /// whole query's order too.
@@ -877,19 +874,15 @@ impl NodeMachine {
         threshold: usize,
         groups: &mut Vec<RegionGroup>,
     ) {
-        let mut queue = VecDeque::from([(entry, cut)]);
-        let mut found = 0;
-        while let Some((bits, via_dim)) = queue.pop_front() {
-            let objects = self.scan(bits, keywords, qsig, threshold - found);
-            found += objects.len();
-            if !objects.is_empty() {
+        let mut walk = SupersetCoordinator::region(entry, cut, threshold);
+        while let Step::Visit { bits, via_dim } = walk.next_step() {
+            let objects = self.scan(bits, keywords, qsig, walk.remaining());
+            let found = objects.len();
+            if found > 0 {
                 groups.push((bits, objects));
             }
-            if found >= threshold {
-                break;
-            }
             let vertex = Vertex::from_bits(self.shape, bits).expect("regions stay in the cube");
-            queue.extend(child_contacts(vertex, Some(via_dim)));
+            walk.record_visit(found, child_contacts(vertex, via_dim));
         }
     }
 

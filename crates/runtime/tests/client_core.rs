@@ -1,9 +1,9 @@
 //! The client request protocol ([`ClientCore`]) driven through a
 //! scripted in-memory [`ClientLink`] — no sockets, no threads: window
-//! refill and out-of-order completion, an FT flight re-issuing under a
-//! fresh id — or degrading to empty after its attempt budget — while
-//! the rest of its window completes, stale completions (an abandoned FT
-//! attempt's, a timed-out request's), a frame kind no client is sent,
+//! refill and out-of-order completion, an FT search re-issuing under a
+//! fresh id — or degrading to empty after its attempt budget — stale
+//! completions (an abandoned FT attempt's, a timed-out request's), a
+//! frame kind no client is sent,
 //! how many frames each operation ships, and when writes ship: inserts
 //! — a bulk load's included — in bursts at the lane watermark, and
 //! ahead of whatever ships next.
@@ -185,10 +185,10 @@ fn stale_replies_are_dropped_by_every_wait() {
     let objects: Vec<u64> = batch.iter().map(|r| r.objects[0].raw()).collect();
     assert_eq!(objects, vec![5, 6], "id 4 was the barrier's token");
 
-    let out = c
-        .superset_search_ft_batch(&[set("one"), set("two")], 16, &quick(3), 2)
-        .unwrap();
-    assert!(out.iter().all(|o| o.complete && o.attempts == 1));
+    for keywords in [set("one"), set("two")] {
+        let out = c.superset_search_ft(&keywords, 16, &quick(3)).unwrap();
+        assert!(out.complete && out.attempts == 1);
+    }
     assert_eq!(c.into_link().shipped.len(), 11, "nothing was re-issued");
 }
 
@@ -248,100 +248,91 @@ fn run_batch_matches_out_of_order_completions_and_counts_frames() {
     }
 }
 
+/// The id of the one FT query a burst carries.
+fn ft_id(burst: &[(u32, WireMsg)]) -> u64 {
+    let [(_, WireMsg::FtQuery { query_id, .. })] = burst else {
+        panic!("expected one FT query, got {burst:?}");
+    };
+    *query_id
+}
+
 #[test]
-fn one_ft_flight_reissues_under_a_fresh_id_while_the_window_completes() {
-    let doomed = set("doomed query");
-    // The doomed search's first attempt is never answered; its
-    // re-issue and everything else are, newest-first.
+fn an_ft_search_reissues_under_a_fresh_id_and_drops_the_late_completion() {
+    // The first attempt is answered only after its deadline: its
+    // completion lands with the re-issue's burst, ahead of the
+    // re-issue's own. Every later burst is answered at once.
     let mut c = client({
-        let doomed = doomed.clone();
-        let mut doomed_seen = 0;
+        let mut bursts = 0;
         move |burst, inbox| {
-            for (_, msg) in burst.iter().rev() {
-                let WireMsg::FtQuery {
-                    query_id, keywords, ..
-                } = msg
-                else {
-                    panic!("expected FT queries, got {msg:?}");
-                };
-                if *keywords == doomed {
-                    doomed_seen += 1;
-                    if doomed_seen == 1 {
-                        continue;
-                    }
-                }
-                inbox.push_back(ft_done(*query_id));
+            let id = ft_id(burst);
+            bursts += 1;
+            match bursts {
+                1 => {}
+                2 => inbox.extend([ft_done(id - 1), ft_done(id)]),
+                _ => inbox.push_back(ft_done(id)),
             }
         }
     });
-    let queries = vec![set("one"), doomed, set("two"), set("three"), set("four")];
     let out = c
-        .superset_search_ft_batch(&queries, 16, &quick(3), 3)
+        .superset_search_ft(&set("late query"), 16, &quick(3))
         .unwrap();
-    assert!(out.iter().all(|o| o.complete));
-    let attempts: Vec<u32> = out.iter().map(|o| o.attempts).collect();
-    assert_eq!(attempts, vec![1, 2, 1, 1, 1]);
-    // Ids 1..=5 went out first; the re-issue got the fresh id 6.
-    let ids: Vec<u64> = out.iter().map(|o| o.matches[0].object.raw()).collect();
-    assert_eq!(ids, vec![1, 6, 3, 4, 5]);
+    assert!(out.complete);
+    assert_eq!(out.attempts, 2);
+    // Id 1 went out first; the re-issue got the fresh id 2, and its
+    // completion, not the late one of id 1, is the outcome.
+    assert_eq!(out.matches[0].object.raw(), 2);
     // The coordinator's accounting comes through as the frame had it.
-    let WireMsg::FtQueryDone { coverage, .. } = ft_done(6) else {
+    let WireMsg::FtQueryDone { coverage, .. } = ft_done(2) else {
         unreachable!()
     };
-    assert_eq!(out[1].coverage, Some(coverage));
+    assert_eq!(out.coverage, Some(coverage));
+    // Nothing of the first search is left to answer the next one.
+    let next = c.superset_search_ft(&set("next"), 16, &quick(3)).unwrap();
+    assert_eq!((next.attempts, next.matches[0].object.raw()), (1, 3));
     assert_eq!(
         c.into_link().shipped.len(),
-        6,
-        "five searches + one re-issue"
+        3,
+        "two searches + one re-issue"
     );
 }
 
 #[test]
-fn a_flight_that_degrades_does_not_stall_the_rest_of_its_window() {
+fn a_degraded_ft_search_reissued_under_fresh_ids_leaves_the_next_answered() {
     let doomed = set("doomed query");
     // The doomed search is never answered; everything else is, at once.
     let mut c = client({
         let doomed = doomed.clone();
         move |burst, inbox| {
-            for (_, msg) in burst {
-                let WireMsg::FtQuery {
-                    query_id, keywords, ..
-                } = msg
-                else {
-                    panic!("expected FT queries, got {msg:?}");
-                };
-                if *keywords != doomed {
-                    inbox.push_back(ft_done(*query_id));
-                }
+            let id = ft_id(burst);
+            if !matches!(&burst[0].1, WireMsg::FtQuery { keywords, .. } if *keywords == doomed) {
+                inbox.push_back(ft_done(id));
             }
         }
     });
-    let queries = vec![doomed, set("one"), set("two"), set("three")];
-    let out = c
-        .superset_search_ft_batch(&queries, 16, &quick(2), 2)
-        .unwrap();
+    let out = c.superset_search_ft(&doomed, 16, &quick(2)).unwrap();
     // The doomed search degrades honestly after its two attempts ...
-    assert!(!out[0].complete && out[0].matches.is_empty());
-    assert_eq!((out[0].attempts, out[0].coverage.as_ref()), (2, None));
-    // ... while the rest of its window went on without it: each filled
-    // the slot the one before it left, at once, under ids 2–4, and the
-    // re-issue came after them all, as id 5.
-    assert!(out[1..].iter().all(|o| o.complete && o.attempts == 1));
-    let ids: Vec<u64> = out[1..].iter().map(|o| o.matches[0].object.raw()).collect();
-    assert_eq!(ids, vec![2, 3, 4]);
+    assert!(!out.complete && out.matches.is_empty());
+    assert_eq!((out.attempts, out.coverage.as_ref()), (2, None));
+    // ... and the searches after it complete at their first attempt,
+    // under the ids after its two.
+    for (keywords, id) in [(set("one"), 3), (set("two"), 4)] {
+        let out = c.superset_search_ft(&keywords, 16, &quick(2)).unwrap();
+        assert!(out.complete && out.attempts == 1);
+        assert_eq!(out.matches[0].object.raw(), id);
+    }
     let link = c.into_link();
-    assert_eq!(link.bursts, vec![2, 1, 1, 1]);
+    assert_eq!(link.bursts, vec![1, 1, 1, 1]);
     let doomed_ids: Vec<u64> = link
         .shipped
         .iter()
         .filter_map(|(_, msg)| match msg {
             WireMsg::FtQuery {
                 query_id, keywords, ..
-            } if *keywords == queries[0] => Some(*query_id),
+            } if *keywords == doomed => Some(*query_id),
             _ => None,
         })
         .collect();
-    assert_eq!(doomed_ids, vec![1, 5]);
+    assert_eq!(doomed_ids, vec![1, 2]);
 }
 
 #[test]

@@ -15,10 +15,8 @@ use std::sync::mpsc::sync_channel;
 use std::time::Duration;
 
 use hyperdex_core::{KeywordHasher, KeywordSet};
-use hyperdex_runtime::wire::{exemplars, insert_frame};
-use hyperdex_runtime::{
-    take_frame, Fabric, NodeMachine, ShardMap, WireError, WireMsg, WorkerContext,
-};
+use hyperdex_runtime::wire::{exemplars, insert_frame, split_frame};
+use hyperdex_runtime::{Fabric, NodeMachine, ShardMap, WireError, WireMsg, WorkerContext};
 use proptest::prelude::*;
 
 /// Frames in `packet` as a machine counts them: every frame that
@@ -28,7 +26,7 @@ fn frames_in(packet: &[u8]) -> u64 {
     let mut n = 0;
     while !rest.is_empty() {
         n += 1;
-        match take_frame(rest) {
+        match split_frame(rest) {
             Ok((_, tail)) => rest = tail,
             Err(_) => break,
         }
