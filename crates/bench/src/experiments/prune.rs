@@ -23,10 +23,12 @@
 //! Every query is run both ways on the *same* index and the result
 //! sequences are asserted identical, object by object in order —
 //! pruning skips only match-free subtrees and keeps the walk's order,
-//! so it is an optimization, never a recall trade. The run panics
-//! (non-zero exit under the CI bench-smoke job) if any query returns a
-//! different result sequence, or the pruned traversal contacts more
-//! nodes or scans more entries.
+//! so it is an optimization, never a recall trade. A vertex whose own
+//! signature cannot cover the query's is walked through, not contacted.
+//! The run panics (non-zero exit under the CI bench-smoke job) if any
+//! query returns a different result sequence, a different `exhausted`
+//! or a different count of vertices sending results, or the pruned
+//! traversal contacts more nodes or scans more entries.
 
 use std::path::Path;
 
@@ -90,9 +92,9 @@ impl PruneRow {
 ///
 /// # Panics
 ///
-/// Panics if any query's pruned result sequence differs from the
-/// unpruned one, if pruning ever contacts *more* nodes or scans *more*
-/// entries, or if the largest,
+/// Panics if any query's pruned result sequence, `exhausted` or
+/// result-message count differs from the unpruned one, if pruning ever
+/// contacts *more* nodes or scans *more* entries, or if the largest,
 /// most specific cell fails to contact *strictly fewer* nodes — these
 /// are the experiment's invariants and CI runs this as a smoke check.
 pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
@@ -148,6 +150,11 @@ pub fn run(ctx: &SharedContext) -> Vec<PruneRow> {
                     assert_eq!(
                         ids, pruned_ids,
                         "pruning changed the result sequence for {q} (n={n}, zipf={zipf})"
+                    );
+                    assert_eq!(
+                        (pruned.stats.result_messages, pruned.exhausted),
+                        (plain.stats.result_messages, plain.exhausted),
+                        "pruning skipped a vertex holding a match for {q} (n={n}, zipf={zipf})"
                     );
                     assert!(
                         pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,

@@ -11,8 +11,11 @@
 //! matches than the batch needed; the root buffers the overflow so
 //! later batches do not re-contact the node). The walk is the product
 //! default — children the occupancy summary disproves at the time
-//! their parent is visited never enter `U` — so the pages of a session
-//! over an unchanging index cost what the one-shot search costs.
+//! their parent is visited never enter `U`, and a dequeued vertex other
+//! than the root whose own signature the page's summary rules out is
+//! walked through: its children enter `U` as a visit's would, and it
+//! costs no message and no scan — so the pages of a session over an
+//! unchanging index cost what the one-shot search costs.
 //!
 //! The one-shot sequential top-down search *is* such a session's first
 //! page: [`crate::search::superset`] opens one per query (pruning or
@@ -145,21 +148,26 @@ impl CumulativeSearch {
             let Step::Visit { bits, via_dim } = self.coord.next_step() else {
                 break;
             };
-            stats.query_messages += 1;
-            stats.nodes_contacted += 1;
-            if via_dim.is_some() {
-                stats.control_messages += 1; // T_CONT back to the root
-            }
             let w = Vertex::from_bits(index.shape(), bits).expect("coordinator stays in the cube");
-            let store = index.store_at(w);
-            if let Some(store) = store {
-                stats.entries_scanned += store.keyword_set_count() as u64;
+            // The requester's query lands at the root; any other vertex
+            // whose own store the summary rules out is walked through.
+            let contact = via_dim.is_none() || pruner.as_mut().is_none_or(|p| p.may_match(bits));
+            if contact {
+                stats.query_messages += 1;
+                stats.nodes_contacted += 1;
+                if via_dim.is_some() {
+                    stats.control_messages += 1; // T_CONT back to the root
+                }
+                let store = index.store_at(w);
+                if let Some(store) = store {
+                    stats.entries_scanned += store.keyword_set_count() as u64;
+                }
+                let start = results.len();
+                if scan_store(store, &self.keywords, qsig, usize::MAX, &mut results) > 0 {
+                    stats.result_messages += 1;
+                }
+                prefer_general(&mut results[start..]);
             }
-            let start = results.len();
-            if scan_store(store, &self.keywords, qsig, usize::MAX, &mut results) > 0 {
-                stats.result_messages += 1;
-            }
-            prefer_general(&mut results[start..]);
             let children =
                 unpruned_children(pruner.as_mut(), (w, via_dim), &mut stats.pruned_subtrees);
             self.coord.record_visit(0, children);
@@ -282,5 +290,52 @@ mod tests {
         let batch = session.next_batch(&index, 10).unwrap();
         assert!(batch.results.is_empty());
         assert!(session.is_finished());
+        // The query lands at the root, which is contacted even though
+        // it holds nothing; every other vertex is cut or walked through.
+        assert_eq!(batch.stats.nodes_contacted, 1);
+    }
+
+    /// A single keyword whose vertex is `1 << dim`.
+    fn word_at(index: &HypercubeIndex, dim: u8) -> String {
+        (0..)
+            .map(|i| format!("w{i}"))
+            .find(|w| index.vertex_for(&KeywordSet::parse(w).unwrap()).bits() == 1 << dim)
+            .unwrap()
+    }
+
+    /// Whether a vertex is walked through is decided when it is
+    /// dequeued, against that page's summary: a vertex still queued at
+    /// the end of one page that gains a match before the next page is
+    /// contacted on that page.
+    #[test]
+    fn a_vertex_that_gains_a_match_between_pages_is_contacted() {
+        let mut index = HypercubeIndex::new(8, 0).unwrap();
+        let set = |s: &str| KeywordSet::parse(s).unwrap();
+        let query = set("base");
+        let root = index.vertex_for(&query).bits();
+        // The root's first child `v`, across its highest free dimension,
+        // and a vertex below it.
+        let free: Vec<u8> = (0..8).rev().filter(|&d| root >> d & 1 == 0).collect();
+        let (high, low) = (word_at(&index, free[0]), word_at(&index, free[1]));
+        let v = root | 1 << free[0];
+        index.insert(ObjectId::from_raw(0), query.clone()).unwrap();
+        let below = set(&format!("base {high} {low}"));
+        index.insert(ObjectId::from_raw(1), below).unwrap();
+        let ids = |out: SupersetOutcome| -> Vec<u64> {
+            out.results.iter().map(|r| r.object.raw()).collect()
+        };
+
+        let mut session = CumulativeSearch::new(&index, query.clone());
+        assert_eq!(ids(session.next_batch(&index, 1).unwrap()), [0]);
+        // `v` is queued (its subtree holds object 1) and holds nothing:
+        // a page dequeuing it now would walk through it.
+        let qsig = query.signature();
+        assert!(!index.summary().pruner(root, qsig).may_match(v));
+        let at_v = set(&format!("base {high}"));
+        assert_eq!(index.insert(ObjectId::from_raw(2), at_v).unwrap().bits(), v);
+        assert!(index.summary().pruner(root, qsig).may_match(v));
+        let second = session.next_batch(&index, 10).unwrap();
+        assert!(second.exhausted);
+        assert_eq!(ids(second), [2, 1]);
     }
 }

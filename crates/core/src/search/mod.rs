@@ -138,7 +138,9 @@ impl SupersetQuery {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Distinct hypercube nodes that processed the query (the Y axis of
-    /// Figures 8 and 9, as a fraction of `2^r`).
+    /// Figures 8 and 9, as a fraction of `2^r`). A vertex a pruned walk
+    /// walks through — its own signature cannot cover the query's — is
+    /// not contacted.
     pub nodes_contacted: u64,
     /// `T_QUERY` messages sent.
     pub query_messages: u64,

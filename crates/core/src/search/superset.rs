@@ -110,10 +110,8 @@ fn cached_top_down(
     // the whole subcube AND nothing is truncated away — a truncated
     // result set must never be cached as complete.
     let found = outcome.results.len() + session.buffered();
-    outcome.exhausted = found < query.threshold
-        || (outcome.stats.nodes_contacted == 1
-            && root.zero_count() == 0
-            && found == query.threshold);
+    outcome.exhausted =
+        found < query.threshold || (root.zero_count() == 0 && found == query.threshold);
     index.frontier = session.into_queue();
 
     // Cache the traversal's results; the exhausted flag records whether

@@ -36,7 +36,10 @@
 //! region, a position mask missing a required query bit, or a
 //! signature missing a bit of the query's proves the subtree holds no
 //! match. A stale, still-covering region merely costs an extra visit;
-//! it can never hide a result.
+//! it can never hide a result. The smallest region is one vertex, and
+//! its signature is exactly its store's: [`Pruner::may_match`] asks
+//! that of a vertex a walk has dequeued, and a vertex that cannot match
+//! is walked through, not contacted.
 
 use std::collections::hash_map::Entry;
 
@@ -319,6 +322,18 @@ impl Pruner<'_> {
         cut
     }
 
+    /// Whether vertex `bits`'s own store may hold an entry covering the
+    /// search's keyword set: the vertex carries every required position,
+    /// is occupied, and its signature — its store's union of slot
+    /// signatures, which the store's per-slot prefilter is held to —
+    /// covers the query's. A walk passes through a vertex that may not
+    /// without contacting it (its SBT children follow from its bits and
+    /// arrival dimension alone, Lemma 3.2). The vertex is the region
+    /// `(0, bits)`, so this is the pruning test of that region.
+    pub fn may_match(&mut self, bits: u64) -> bool {
+        !self.prunable(bits, 0)
+    }
+
     fn prunable(&mut self, child_bits: u64, via_dim: u8) -> bool {
         let (level, prefix) = subtree_region(child_bits, via_dim);
         // Every vertex of the region carries `prefix` from `level` up,
@@ -438,6 +453,21 @@ mod tests {
                 })
         }
 
+        /// The vertex test as defined: the vertex carries every
+        /// required position, is occupied, and its signature — the OR
+        /// of its slots' — covers the query's.
+        fn may_match(&self, bits: u64, mask: u64, sig: u64) -> bool {
+            bits & mask == mask && self.0.contains_key(&bits) && self.sig(bits) & sig == sig
+        }
+
+        /// Whether one slot at `bits` holds a set whose signature covers
+        /// `sig`: the only slots a scan's prefilter lets through.
+        fn slot_covers(&self, bits: u64, sig: u64) -> bool {
+            self.0
+                .get(&bits)
+                .is_some_and(|slots| slots.keys().any(|&s| s & sig == sig))
+        }
+
         /// The pruning test as defined: an empty region, one whose mask
         /// misses a required position, or one whose signature misses a
         /// bit of the query's.
@@ -461,6 +491,25 @@ mod tests {
         let r = summary.r;
         let mut stored_regions = std::collections::BTreeSet::new();
         for &bits in model.0.keys().chain(probes) {
+            // The vertex test, for masks the vertex carries and one it
+            // does not, and for signatures none, each slot's, the
+            // vertex's (which no one slot need cover) and one bit more:
+            // it says no exactly as defined, and never to a vertex with
+            // a slot the scan would let through.
+            let vertex_sig = model.sig(bits);
+            let slots = model.0.get(&bits).into_iter().flat_map(|s| s.keys());
+            let sigs = [0, vertex_sig, vertex_sig | (vertex_sig + 1)];
+            for required_sig in sigs.into_iter().chain(slots.copied()) {
+                for required in [bits, 0, 1, bits | (bits + 1)] {
+                    let required = required & ((1 << r) - 1);
+                    let may = summary.pruner(required, required_sig).may_match(bits);
+                    let at = format!("may_match({bits:#b}), {required:#b}, {required_sig:#x}");
+                    assert_eq!(may, model.may_match(bits, required, required_sig), "{at}");
+                    let covered =
+                        bits & required == required && model.slot_covers(bits, required_sig);
+                    assert!(may || !covered, "{at} walks through a match");
+                }
+            }
             for (level, prefix) in summary_path(bits, r) {
                 let region = model.region(level, prefix);
                 assert_eq!(
@@ -477,7 +526,6 @@ mod tests {
                 // region has, and one position more than it has; and
                 // signatures likewise: none, the vertex's own, the
                 // region's, and one bit more than it has.
-                let vertex_sig = model.sig(bits);
                 for required in [bits, 0, 1 << (level / 2), mask, mask | (mask + 1)] {
                     let required = required & ((1 << r) - 1);
                     for required_sig in [0, vertex_sig, sig, sig | (sig + 1)] {
@@ -505,6 +553,13 @@ mod tests {
         for required_sig in [0, some_sig] {
             let mut pruner = summary.pruner(required, required_sig);
             for &parent in model.0.keys().chain(probes) {
+                // The word held from the last probe answers as a fresh
+                // read does.
+                assert_eq!(
+                    pruner.may_match(parent),
+                    summary.pruner(required, required_sig).may_match(parent),
+                    "may_match({parent:#b}) through a held word"
+                );
                 let free = !parent & (u64::MAX >> (64 - r));
                 let top = free.checked_ilog2().map_or(0, |dim| 1 << dim);
                 let mut low = free & 0xFF;

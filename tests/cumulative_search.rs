@@ -143,12 +143,12 @@ proptest::proptest! {
 /// first and third; a threshold of 5 binds on every one of them.
 #[rustfmt::skip]
 const ONESHOT_PINS: [OneshotPin; 24] = [
-    (8, true, 5, 0, [5, 5, 4, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
+    (8, true, 5, 0, [3, 3, 2, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
     (8, true, 5, 1, [5, 5, 4, 4, 9, 1], false, 5, 0xf4e7214d1ba35898),
     (8, true, 5, 2, [3, 3, 2, 2, 17, 0], false, 5, 0x43ab9c5b32d57f35),
-    (8, true, ALL, 0, [128, 128, 127, 124, 1436, 0], true, 1159, 0x52e905009442b97b),
-    (8, true, ALL, 1, [126, 126, 125, 120, 1337, 2], true, 742, 0x9bd63abbf9e57876),
-    (8, true, ALL, 2, [64, 64, 63, 61, 936, 0], true, 312, 0x2f846d04572f4a2f),
+    (8, true, ALL, 0, [124, 124, 123, 124, 1435, 0], true, 1159, 0x52e905009442b97b),
+    (8, true, ALL, 1, [122, 122, 121, 120, 1330, 2], true, 742, 0x9bd63abbf9e57876),
+    (8, true, ALL, 2, [63, 63, 62, 61, 935, 0], true, 312, 0x2f846d04572f4a2f),
     (8, false, 5, 0, [5, 5, 4, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
     (8, false, 5, 1, [5, 5, 4, 4, 9, 0], false, 5, 0xf4e7214d1ba35898),
     (8, false, 5, 2, [3, 3, 2, 2, 17, 0], false, 5, 0x43ab9c5b32d57f35),
@@ -156,11 +156,11 @@ const ONESHOT_PINS: [OneshotPin; 24] = [
     (8, false, ALL, 1, [128, 128, 127, 120, 1345, 0], true, 742, 0x9bd63abbf9e57876),
     (8, false, ALL, 2, [64, 64, 63, 61, 936, 0], true, 312, 0x2f846d04572f4a2f),
     (12, true, 5, 0, [3, 3, 2, 3, 5, 1], false, 5, 0x7f44983eea98cc63),
-    (12, true, 5, 1, [8, 8, 7, 4, 15, 12], false, 5, 0x86afe1e2fff0cd29),
-    (12, true, 5, 2, [4, 4, 3, 3, 15, 2], false, 5, 0x98a8ceb2d685f559),
-    (12, true, ALL, 0, [1058, 1058, 1057, 786, 1414, 686], true, 1159, 0x4c953c75a4f0cdf7),
-    (12, true, ALL, 1, [842, 842, 841, 546, 1099, 695], true, 742, 0x2e47558e52ee5cee),
-    (12, true, ALL, 2, [476, 476, 475, 259, 661, 369], true, 312, 0x958a276eb4e876d3),
+    (12, true, 5, 1, [5, 5, 4, 4, 12, 12], false, 5, 0x86afe1e2fff0cd29),
+    (12, true, 5, 2, [3, 3, 2, 3, 14, 2], false, 5, 0x98a8ceb2d685f559),
+    (12, true, ALL, 0, [794, 794, 793, 786, 1366, 686], true, 1159, 0x4c953c75a4f0cdf7),
+    (12, true, ALL, 1, [570, 570, 569, 546, 1013, 695], true, 742, 0x2e47558e52ee5cee),
+    (12, true, ALL, 2, [292, 292, 291, 259, 565, 369], true, 312, 0x958a276eb4e876d3),
     (12, false, 5, 0, [3, 3, 2, 3, 5, 0], false, 5, 0x7f44983eea98cc63),
     (12, false, 5, 1, [8, 8, 7, 4, 15, 0], false, 5, 0x86afe1e2fff0cd29),
     (12, false, 5, 2, [4, 4, 3, 3, 15, 0], false, 5, 0x98a8ceb2d685f559),

@@ -46,6 +46,16 @@ fn pruned_search_is_lossless_and_strictly_cheaper_on_a_corpus() {
         let want: Vec<_> = plain.results.iter().map(|r| r.object).collect();
         let got: Vec<_> = pruned.results.iter().map(|r| r.object).collect();
         assert_eq!(want, got, "query {qi} ({q}) changed its result sequence");
+        // Every vertex holding a match is still contacted, and the walk
+        // drains the subcube exactly when the published one does.
+        assert_eq!(
+            pruned.stats.result_messages, plain.stats.result_messages,
+            "query {qi} ({q}) skipped a vertex holding a match"
+        );
+        assert_eq!(
+            pruned.exhausted, plain.exhausted,
+            "query {qi} ({q}) changed `exhausted`"
+        );
         assert!(
             pruned.stats.nodes_contacted <= plain.stats.nodes_contacted,
             "query {qi} ({q}) got more expensive"
