@@ -12,6 +12,7 @@
 //! cache).
 
 use std::collections::VecDeque;
+use std::hint::black_box;
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
@@ -19,7 +20,7 @@ use hyperdex_hypercube::{Shape, Vertex};
 use crate::cache::FifoCache;
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
-use crate::keyword::KeywordSet;
+use crate::keyword::{KeywordSet, WideSig};
 use crate::search::{superset, PinOutcome, SearchStats, SupersetOutcome, SupersetQuery};
 use crate::store::{ByVertex, PostingStore, StoreBackend, StoreFootprint};
 use crate::summary::OccupancySummary;
@@ -139,12 +140,17 @@ impl HypercubeIndex {
             return Err(Error::EmptyKeywordSet);
         }
         let vertex = self.vertex_for(&keywords);
+        let sig = keywords.wide_signature();
         let node = self.node_mut(vertex);
         if node.store.insert(keywords, object) {
-            let sig = node.store.union_sig();
             self.object_count += 1;
             self.generation += 1;
-            self.summary.set_vertex(vertex.bits(), sig);
+            let bits = vertex.bits();
+            let old = self
+                .summary
+                .region(0, bits)
+                .map_or(WideSig::EMPTY, |v| v.sig);
+            self.summary.set_vertex(bits, old | sig);
         }
         Ok(vertex)
     }
@@ -159,11 +165,29 @@ impl HypercubeIndex {
         };
         let removed = node.store.remove(keywords, object);
         if removed {
-            // Killing a slot may have shrunk the vertex's signature.
-            let sig = node.store.union_sig();
             self.object_count -= 1;
             self.generation += 1;
-            self.summary.set_vertex(vertex.bits(), sig);
+            // Killing a slot shrinks the vertex's signature unless the
+            // survivors' cover the dead set's: fold them until they do.
+            if node.store.objects_with(keywords).next().is_none() {
+                let dead = keywords.wide_signature();
+                // Each survivor's buffer is a cache miss of its own: read
+                // them all first, so the misses overlap, then hash.
+                black_box(
+                    node.store
+                        .keyword_sets()
+                        .map(KeywordSet::len)
+                        .sum::<usize>(),
+                );
+                let mut sig = WideSig::EMPTY;
+                let covered = node.store.keyword_sets().any(|k| {
+                    sig = sig | k.wide_signature();
+                    sig.covers(dead)
+                });
+                if !covered {
+                    self.summary.set_vertex(vertex.bits(), sig);
+                }
+            }
             // An emptied vertex goes back to unmaterialized — its arena
             // and table slot with it — unless it still holds a cache.
             if node.store.is_empty() && node.cache.is_none() {
@@ -255,7 +279,7 @@ impl HypercubeIndex {
                 let lost = node.store.object_count();
                 self.object_count -= lost;
                 self.generation += 1;
-                self.summary.set_vertex(vertex.bits(), 0);
+                self.summary.set_vertex(vertex.bits(), WideSig::EMPTY);
                 lost
             }
         }
@@ -397,29 +421,27 @@ mod tests {
     #[test]
     fn summary_tracks_inserts_removes_and_drops() {
         let mut idx = HypercubeIndex::new(10, 0).unwrap();
-        idx.insert(oid(1), set("a b")).unwrap();
-        idx.insert(oid(2), set("a b")).unwrap();
         let v = idx.insert(oid(3), set("c d e")).unwrap();
-        assert_eq!(idx.len(), 3);
         let sig = |idx: &HypercubeIndex| idx.summary().region(0, v.bits()).map(|g| g.sig);
-        assert_eq!(sig(&idx), Some(set("c d e").signature()));
-        // A second set at the same vertex, with a bit the first lacks.
+        let cde = set("c d e").wide_signature();
+        assert_eq!(sig(&idx), Some(cde));
+        // A second set at the same vertex, with bits the first lacks,
+        // stored under two objects.
         let wider = (0..)
             .map(|i| set(&format!("c d e w{i}")))
-            .find(|k| idx.vertex_for(k) == v && k.signature() != set("c d e").signature())
+            .find(|k| idx.vertex_for(k) == v && k.wide_signature() != cde)
             .unwrap();
         idx.insert(oid(4), wider.clone()).unwrap();
-        assert_eq!(sig(&idx), Some(wider.signature()));
-        idx.remove(oid(4), &wider);
-        assert_eq!(
-            sig(&idx),
-            Some(set("c d e").signature()),
-            "a killed slot shrinks it"
-        );
-        idx.remove(oid(1), &set("a b"));
-        assert_eq!(idx.len(), 2);
+        idx.insert(oid(5), wider.clone()).unwrap();
+        assert_eq!(idx.len(), 3);
+        assert_eq!(sig(&idx), Some(wider.wide_signature()));
+        assert!(idx.remove(oid(4), &wider));
+        assert_eq!(sig(&idx), Some(wider.wide_signature()), "the slot lives");
+        assert!(idx.remove(oid(5), &wider));
+        assert_eq!(sig(&idx), Some(cde), "a killed slot shrinks it");
+        idx.insert(oid(1), set("a b")).unwrap();
         idx.drop_node(v);
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.len(), usize::from(idx.vertex_for(&set("a b")) != v));
         assert_eq!(sig(&idx), None);
     }
 

@@ -15,6 +15,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::BitOr;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -28,6 +29,50 @@ pub const MAX_KEYWORD_LEN: usize = u16::MAX as usize;
 /// Most keywords one set may hold: the packed form opens with a `u16`
 /// count.
 pub const MAX_KEYWORDS: usize = u16::MAX as usize;
+
+/// Width of a [`WideSig`], in bits.
+pub const WIDE_SIG_BITS: u64 = 256;
+
+/// Positions each keyword sets in a [`WideSig`] (two may coincide).
+pub const WIDE_SIG_BITS_PER_KEYWORD: u64 = 2;
+
+// Each position is its own `log2(WIDE_SIG_BITS)`-bit slice of a 64-bit
+// hash, and the signature is whole words.
+const _: () = assert!(
+    WIDE_SIG_BITS.is_power_of_two()
+        && WIDE_SIG_BITS >= 64
+        && WIDE_SIG_BITS_PER_KEYWORD * WIDE_SIG_BITS.ilog2() as u64 <= 64
+);
+
+/// A 256-bit Bloom-style keyword signature: what the occupancy summary
+/// keeps of a vertex's or a region's keyword sets (DESIGN.md §10).
+/// Each keyword sets [`WIDE_SIG_BITS_PER_KEYWORD`] positions taken from
+/// the FNV-1a hash `h` of [`KeywordRef::signature_bit`], the `i`-th at
+/// byte `i` of `h` (FNV-1a's low bytes are its well-mixed ones); the
+/// first is `h % 256`, so the four words ORed together cover
+/// [`KeywordSet::signature`]. Subset-preserving as that one is, and a
+/// union of sets' signatures is their OR.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WideSig([u64; (WIDE_SIG_BITS / 64) as usize]);
+
+impl WideSig {
+    /// The signature of no keyword.
+    pub const EMPTY: WideSig = WideSig([0; (WIDE_SIG_BITS / 64) as usize]);
+
+    /// Whether every bit of `other` is set in this one.
+    pub fn covers(self, other: WideSig) -> bool {
+        self.0.iter().zip(other.0).all(|(&a, b)| a & b == b)
+    }
+}
+
+impl BitOr for WideSig {
+    type Output = WideSig;
+
+    fn bitor(mut self, other: WideSig) -> WideSig {
+        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a |= b);
+        self
+    }
+}
 
 /// A single normalized keyword: non-empty, trimmed, lowercase, at most
 /// [`MAX_KEYWORD_LEN`] bytes. The owned construction type; a
@@ -143,6 +188,15 @@ impl<'a> KeywordRef<'a> {
     /// the FNV-1a hash `h` of its normalized bytes.
     pub fn signature_bit(self) -> u64 {
         1 << (fnv1a64(self.0) % 64)
+    }
+
+    /// Sets the keyword's positions of a set's [`WideSig`] in `sig`.
+    fn add_wide_positions(self, sig: &mut WideSig) {
+        let h = fnv1a64(self.0);
+        for i in 0..WIDE_SIG_BITS_PER_KEYWORD {
+            let at = (h >> (i * u64::from(WIDE_SIG_BITS.ilog2()))) % WIDE_SIG_BITS;
+            sig.0[(at / 64) as usize] |= 1 << (at % 64);
+        }
     }
 
     /// An owned copy.
@@ -537,6 +591,15 @@ impl KeywordSet {
     pub fn signature(&self) -> u64 {
         self.iter().fold(0, |sig, k| sig | k.signature_bit())
     }
+
+    /// The set's [`WideSig`]: the OR of its members' positions.
+    /// Subset-preserving like [`KeywordSet::signature`], with fewer
+    /// collisions; [`WideSig::EMPTY`] for the empty set.
+    pub fn wide_signature(&self) -> WideSig {
+        let mut sig = WideSig::EMPTY;
+        self.iter().for_each(|k| k.add_wide_positions(&mut sig));
+        sig
+    }
 }
 
 /// Iterator over the keywords of a [`KeywordSet`] in sorted order.
@@ -784,6 +847,41 @@ mod tests {
         let (s, q) = (superset.signature(), subset.signature());
         assert_eq!(q & s, q, "subset signature must be covered");
         assert_eq!(KeywordSet::new().signature(), 0);
+    }
+
+    /// The four words of a wide signature, ORed into one.
+    fn fold(sig: WideSig) -> u64 {
+        sig.0.iter().fold(0, |folded, word| folded | word)
+    }
+
+    #[test]
+    fn a_keyword_sets_one_or_two_wide_bits_and_the_fold_covers_its_bit() {
+        let words: Vec<KeywordSet> = (0..2000)
+            .map(|i| KeywordSet::from_strs([format!("kw{i}")]).unwrap())
+            .collect();
+        let bits = |set: &KeywordSet| {
+            let sig = set.wide_signature();
+            assert_eq!(fold(sig) & set.signature(), set.signature(), "{set}");
+            sig.0.iter().map(|word| word.count_ones()).sum::<u32>()
+        };
+        let counts: Vec<u32> = words.iter().map(bits).collect();
+        assert!(counts.iter().all(|&n| n == 1 || n == 2), "{counts:?}");
+        assert!(counts.contains(&2));
+        // Some keyword's two positions coincide: it sets one bit.
+        assert!(counts.contains(&1));
+    }
+
+    #[test]
+    fn wide_signature_is_subset_preserving_and_folds_over_the_signature() {
+        let superset = KeywordSet::parse("isp telecommunication network download").unwrap();
+        let subset = KeywordSet::parse("network isp").unwrap();
+        let (s, q) = (superset.wide_signature(), subset.wide_signature());
+        assert!(s.covers(q), "subset signature must be covered");
+        assert!(!q.covers(s));
+        assert_eq!(s | q, s);
+        assert_eq!(fold(s) & superset.signature(), superset.signature());
+        assert_eq!(KeywordSet::new().wide_signature(), WideSig::EMPTY);
+        assert!(WideSig::EMPTY.covers(WideSig::EMPTY));
     }
 
     #[test]

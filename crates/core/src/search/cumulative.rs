@@ -135,9 +135,10 @@ impl CumulativeSearch {
         }
         let mut stats = SearchStats::default();
         let qsig = self.keywords.signature();
-        let mut pruner = self
-            .prune
-            .then(|| index.summary().pruner(self.coord.root_bits(), qsig));
+        let mut pruner = self.prune.then(|| {
+            let wide = self.keywords.wide_signature();
+            index.summary().pruner(self.coord.root_bits(), wide)
+        });
 
         // Buffered results first; a node is contacted (the root first)
         // only once the buffer is empty, so its matches go straight
@@ -329,7 +330,7 @@ mod tests {
         assert_eq!(ids(session.next_batch(&index, 1).unwrap()), [0]);
         // `v` is queued (its subtree holds object 1) and holds nothing:
         // a page dequeuing it now would walk through it.
-        let qsig = query.signature();
+        let qsig = query.wide_signature();
         assert!(!index.summary().pruner(root, qsig).may_match(v));
         let at_v = set(&format!("base {high}"));
         assert_eq!(index.insert(ObjectId::from_raw(2), at_v).unwrap().bits(), v);

@@ -193,10 +193,10 @@ impl PostingStore {
         self.objects as usize
     }
 
-    /// OR of every stored keyword set's signature (0 when empty): what
-    /// the occupancy summary knows of this vertex.
-    pub(crate) fn union_sig(&self) -> u64 {
-        self.union_sig
+    /// The stored keyword sets, in slot order: what the occupancy
+    /// summary folds a vertex's signature from after a slot dies.
+    pub(crate) fn keyword_sets(&self) -> impl Iterator<Item = &KeywordSet> {
+        self.entries.iter().map(|e| &e.key)
     }
 
     /// Whether the store holds no entries.

@@ -6,8 +6,9 @@
 //! vertex set `{x : x >> j == p}` — by whether any vertex inside it
 //! indexes an object, by the OR of the occupied vertices' bit patterns
 //! (the union of keyword positions present), and by the OR of the
-//! keyword-set signatures stored there
-//! ([`crate::KeywordSet::signature`]).
+//! 256-bit signatures of the keyword sets stored there
+//! ([`crate::KeywordSet::wide_signature`]; the stores' 64-bit slot
+//! signatures saturate at a vertex of a few sets).
 //!
 //! Why prefix regions: in any SBT, the subtree hanging off a child
 //! reached across dimension `j` only varies dimensions strictly below
@@ -28,8 +29,8 @@
 //! mask and signature (at most 1,023 such nodes for all of an `r = 16`
 //! cube).
 //! Only a change of a vertex's signature touches the trie — it is the
-//! vertex's whole input, 0 when it is empty; a write that leaves it as
-//! it was stops at the vertex's word.
+//! vertex's whole input, empty when the vertex is; a write that leaves
+//! it as it was stops at the vertex's word.
 //!
 //! Pruning is a recall-safe over-approximation: a region covers *at
 //! least* everything in the corresponding subtree, so an unoccupied
@@ -37,14 +38,15 @@
 //! signature missing a bit of the query's proves the subtree holds no
 //! match. A stale, still-covering region merely costs an extra visit;
 //! it can never hide a result. The smallest region is one vertex, and
-//! its signature is exactly its store's: [`Pruner::may_match`] asks
-//! that of a vertex a walk has dequeued, and a vertex that cannot match
-//! is walked through, not contacted.
+//! its signature is exactly the OR of its stored sets':
+//! [`Pruner::may_match`] asks that of a vertex a walk has dequeued, and
+//! a vertex that cannot match is walked through, not contacted.
 
 use std::collections::hash_map::Entry;
 
 use hyperdex_hypercube::sbt::{region_index, subtree_region};
 
+use crate::keyword::WideSig;
 use crate::store::ByVertex;
 
 /// The largest level whose regions are runs inside one vertex-level
@@ -81,8 +83,9 @@ pub struct Region {
     /// OR of the occupied vertices' bit patterns: the union of keyword
     /// positions present.
     pub mask: u64,
-    /// OR of the signatures of the keyword sets stored in the region.
-    pub sig: u64,
+    /// OR of the wide signatures of the keyword sets stored in the
+    /// region.
+    pub sig: WideSig,
 }
 
 /// One word of the trie's vertex level: 64 neighbouring vertices.
@@ -92,16 +95,16 @@ struct Word {
     /// map.
     occupied: u64,
     /// OR of `sigs`: the whole word's signature.
-    sig: u64,
+    sig: WideSig,
     /// The occupied vertices' signatures, in vertex order.
-    sigs: Vec<u64>,
+    sigs: Vec<WideSig>,
 }
 
 /// The word a walk holds before it has read one, and what an absent
 /// word reads as.
 static EMPTY: Word = Word {
     occupied: 0,
-    sig: 0,
+    sig: WideSig::EMPTY,
     sigs: Vec::new(),
 };
 
@@ -113,46 +116,45 @@ impl Word {
 
     /// OR of the signatures of the non-empty `run`'s vertices: a
     /// contiguous slice of `sigs`.
-    fn sig_of(&self, run: u64) -> u64 {
+    fn sig_of(&self, run: u64) -> WideSig {
         if run == self.occupied {
             return self.sig;
         }
         let from = self.rank(run & run.wrapping_neg());
         let slice = &self.sigs[from..from + run.count_ones() as usize];
-        slice.iter().fold(0, |sig, &s| sig | s)
+        slice.iter().fold(WideSig::EMPTY, |sig, &s| sig | s)
     }
 
     /// What the regions above know of this word: its positions below
     /// [`WORD_LEVEL`] and its signature.
-    fn digest(&self) -> (u64, u64) {
+    fn digest(&self) -> (u64, WideSig) {
         (low_positions(self.occupied), self.sig)
     }
 
-    /// Sets vertex `bit`'s signature (0: unoccupied), returning its old
-    /// one.
-    fn set(&mut self, bit: u64, sig: u64) -> u64 {
+    /// Sets vertex `bit`'s signature ([`WideSig::EMPTY`]: unoccupied),
+    /// returning its old one.
+    fn set(&mut self, bit: u64, sig: WideSig) -> WideSig {
         let rank = self.rank(bit);
         let old = if self.occupied & bit == 0 {
-            0
+            WideSig::EMPTY
         } else {
             self.sigs[rank]
         };
-        match (old, sig) {
-            _ if old == sig => return old,
-            (0, _) => {
-                self.occupied |= bit;
-                self.sigs.insert(rank, sig);
-            }
-            (_, 0) => {
-                self.occupied &= !bit;
-                self.sigs.remove(rank);
-            }
-            _ => self.sigs[rank] = sig,
+        if old == sig {
+            return old;
+        } else if old == WideSig::EMPTY {
+            self.occupied |= bit;
+            self.sigs.insert(rank, sig);
+        } else if sig == WideSig::EMPTY {
+            self.occupied &= !bit;
+            self.sigs.remove(rank);
+        } else {
+            self.sigs[rank] = sig;
         }
-        self.sig = if old & !sig == 0 {
+        self.sig = if sig.covers(old) {
             self.sig | sig
         } else {
-            self.sigs.iter().fold(0, |word, &s| word | s)
+            self.sigs.iter().fold(WideSig::EMPTY, |word, &s| word | s)
         };
         old
     }
@@ -177,9 +179,13 @@ pub struct OccupancySummary {
 }
 
 impl OccupancySummary {
-    /// An empty summary for an `r`-dimensional cube (`1 ..= 63`).
+    /// An empty summary for an `r`-dimensional cube.
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 ≤ r ≤ 63`: the region arithmetic shifts by `r`.
     pub fn new(r: u8) -> Self {
-        debug_assert!((1..=63).contains(&r), "dimension out of range: {r}");
+        assert!((1..=63).contains(&r), "dimension out of range: {r}");
         OccupancySummary {
             r,
             ..Default::default()
@@ -203,12 +209,12 @@ impl OccupancySummary {
     }
 
     /// Installs vertex `bits`'s signature: the OR of its stored keyword
-    /// sets' signatures, 0 when it stores none (a non-empty set's
-    /// signature is never 0). Installing the signature it already has
-    /// changes nothing.
-    pub fn set_vertex(&mut self, bits: u64, sig: u64) {
+    /// sets' wide signatures, [`WideSig::EMPTY`] when it stores none (a
+    /// non-empty set's is never empty). Installing the signature it
+    /// already has changes nothing.
+    pub fn set_vertex(&mut self, bits: u64, sig: WideSig) {
         let word = match self.words.entry(bits >> 6) {
-            Entry::Vacant(_) if sig == 0 => return,
+            Entry::Vacant(_) if sig == WideSig::EMPTY => return,
             Entry::Vacant(word) => word.insert(EMPTY.clone()),
             Entry::Occupied(word) => word.into_mut(),
         };
@@ -220,7 +226,7 @@ impl OccupancySummary {
         }
         // The regions above see the vertex only through its word.
         if before != after {
-            if old & !sig == 0 {
+            if sig.covers(old) {
                 self.widen(bits, sig);
             } else {
                 self.rebuild(bits);
@@ -229,9 +235,9 @@ impl OccupancySummary {
     }
 
     /// The pruning tests of one search rooted at a vertex with bit
-    /// pattern `required_mask`, for a keyword set with signature
+    /// pattern `required_mask`, for a keyword set with wide signature
     /// `required_sig`.
-    pub fn pruner(&self, required_mask: u64, required_sig: u64) -> Pruner<'_> {
+    pub fn pruner(&self, required_mask: u64, required_sig: WideSig) -> Pruner<'_> {
         Pruner {
             summary: self,
             required_mask,
@@ -243,7 +249,7 @@ impl OccupancySummary {
     /// Vertex `bits` gained signature bits (or became occupied): ORs it
     /// and `sig` into its chain of regions up to the first that already
     /// covers both.
-    fn widen(&mut self, bits: u64, sig: u64) {
+    fn widen(&mut self, bits: u64, sig: WideSig) {
         for level in WORD_LEVEL + 1..=self.r {
             let region = match self
                 .regions
@@ -251,15 +257,18 @@ impl OccupancySummary {
             {
                 // Every region above covers this one already.
                 Entry::Occupied(region)
-                    if region.get().mask & bits == bits && region.get().sig & sig == sig =>
+                    if region.get().mask & bits == bits && region.get().sig.covers(sig) =>
                 {
                     break
                 }
                 Entry::Occupied(region) => region.into_mut(),
-                Entry::Vacant(region) => region.insert(Region { mask: 0, sig: 0 }),
+                Entry::Vacant(region) => region.insert(Region {
+                    mask: 0,
+                    sig: WideSig::EMPTY,
+                }),
             };
             region.mask |= bits;
-            region.sig |= sig;
+            region.sig = region.sig | sig;
         }
     }
 
@@ -297,7 +306,7 @@ impl OccupancySummary {
 pub struct Pruner<'a> {
     summary: &'a OccupancySummary,
     required_mask: u64,
-    required_sig: u64,
+    required_sig: WideSig,
     /// The last word read and where (no word is at `u64::MAX`).
     held: (u64, &'a Word),
 }
@@ -324,8 +333,8 @@ impl Pruner<'_> {
 
     /// Whether vertex `bits`'s own store may hold an entry covering the
     /// search's keyword set: the vertex carries every required position,
-    /// is occupied, and its signature — its store's union of slot
-    /// signatures, which the store's per-slot prefilter is held to —
+    /// is occupied, and its signature — the OR of its stored sets' wide
+    /// signatures, each of which covers the query's if the set does —
     /// covers the query's. A walk passes through a vertex that may not
     /// without contacting it (its SBT children follow from its bits and
     /// arrival dimension alone, Lemma 3.2). The vertex is the region
@@ -348,7 +357,7 @@ impl Pruner<'_> {
         if level > WORD_LEVEL {
             let region = region_index(self.summary.r, level, prefix);
             let region = self.summary.regions.get(&region);
-            return region.is_none_or(|r| r.mask & missing != missing || r.sig & sig != sig);
+            return region.is_none_or(|r| r.mask & missing != missing || !r.sig.covers(sig));
         }
         let at = prefix << level >> 6;
         if self.held.0 != at {
@@ -358,16 +367,33 @@ impl Pruner<'_> {
         let run = run(word.occupied, level, prefix);
         run == 0
             || missing != 0 && missing & !low_positions(run) != 0
-            || word.sig_of(run) & sig != sig
+            || !word.sig_of(run).covers(sig)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::sync::LazyLock;
 
     use super::*;
+    use crate::keyword::KeywordSet;
     use proptest::prelude::*;
+
+    /// The wide signature of the set of words `k0` … `k63` whose
+    /// numbers are the bits of `words`: the model's keyword sets are
+    /// named this way, so a union of sets is an OR of `words`.
+    fn wide(words: u64) -> WideSig {
+        static VOCABULARY: LazyLock<[WideSig; 64]> = LazyLock::new(|| {
+            std::array::from_fn(|i| {
+                let set = KeywordSet::from_strs([format!("k{i}")]).expect("valid");
+                set.wide_signature()
+            })
+        });
+        (0..64)
+            .filter(|i| words >> i & 1 == 1)
+            .fold(WideSig::EMPTY, |sig, i| sig | VOCABULARY[i])
+    }
 
     /// What tests read of a summary beyond its answers, and the
     /// one-child pruning test that [`Pruner::prunable_dims`] is held to.
@@ -388,7 +414,7 @@ mod tests {
             child_bits: u64,
             via_dim: u8,
             required_mask: u64,
-            required_sig: u64,
+            required_sig: WideSig,
         ) -> bool {
             self.pruner(required_mask, required_sig)
                 .prunable(child_bits, via_dim)
@@ -402,29 +428,30 @@ mod tests {
         (0..=r).map(move |j| (j, bits >> j))
     }
 
-    /// The model: what each vertex's store holds — keyword-set
-    /// signatures with the number of objects under each, as a posting
-    /// store's slots — recounted by brute force.
+    /// The model: what each vertex's store holds — keyword sets, as
+    /// the [`wide`] words they are made of, with the number of objects
+    /// under each, as a posting store's slots — recounted by brute
+    /// force.
     #[derive(Default)]
     struct Model(BTreeMap<u64, BTreeMap<u64, u64>>);
 
     impl Model {
-        /// One object entry under a set with signature `sig` at `bits`.
-        fn insert(&mut self, bits: u64, sig: u64) {
-            *self.0.entry(bits).or_default().entry(sig).or_insert(0) += 1;
+        /// One object entry under the set of `words` at `bits`.
+        fn insert(&mut self, bits: u64, words: u64) {
+            *self.0.entry(bits).or_default().entry(words).or_insert(0) += 1;
         }
 
-        /// Removes one object entry under `sig` at `bits`, if there is
-        /// one: the last one kills the slot, which may shrink the
-        /// vertex's signature.
-        fn remove(&mut self, bits: u64, sig: u64) {
+        /// Removes one object entry under the set of `words` at `bits`,
+        /// if there is one: the last one kills the slot, which may
+        /// shrink the vertex's signature.
+        fn remove(&mut self, bits: u64, words: u64) {
             let Some(slots) = self.0.get_mut(&bits) else {
                 return;
             };
-            if let Some(count) = slots.get_mut(&sig) {
+            if let Some(count) = slots.get_mut(&words) {
                 *count -= 1;
                 if *count == 0 {
-                    slots.remove(&sig);
+                    slots.remove(&words);
                 }
             }
             if slots.is_empty() {
@@ -432,11 +459,20 @@ mod tests {
             }
         }
 
-        /// The vertex's signature: the OR of its slots', 0 when empty.
-        fn sig(&self, bits: u64) -> u64 {
-            self.0
-                .get(&bits)
-                .map_or(0, |slots| slots.keys().fold(0, |sig, s| sig | s))
+        /// The words of the live slots in region `(level, prefix)` (at
+        /// level 0, one vertex), 0 when it has none.
+        fn words(&self, level: u8, prefix: u64) -> u64 {
+            let inside = self.0.iter().filter(|(&bits, _)| bits >> level == prefix);
+            inside
+                .flat_map(|(_, slots)| slots.keys())
+                .fold(0, |words, w| words | w)
+        }
+
+        /// The vertex's signature: the OR of its live slots' wide
+        /// signatures, empty when it has none.
+        fn sig(&self, bits: u64) -> WideSig {
+            let slots = self.0.get(&bits).into_iter().flat_map(|s| s.keys());
+            slots.fold(WideSig::EMPTY, |sig, &w| sig | wide(w))
         }
 
         /// Region `(level, prefix)`, if occupied.
@@ -456,24 +492,24 @@ mod tests {
         /// The vertex test as defined: the vertex carries every
         /// required position, is occupied, and its signature — the OR
         /// of its slots' — covers the query's.
-        fn may_match(&self, bits: u64, mask: u64, sig: u64) -> bool {
-            bits & mask == mask && self.0.contains_key(&bits) && self.sig(bits) & sig == sig
+        fn may_match(&self, bits: u64, mask: u64, sig: WideSig) -> bool {
+            bits & mask == mask && self.0.contains_key(&bits) && self.sig(bits).covers(sig)
         }
 
         /// Whether one slot at `bits` holds a set whose signature covers
-        /// `sig`: the only slots a scan's prefilter lets through.
-        fn slot_covers(&self, bits: u64, sig: u64) -> bool {
+        /// `sig`: the only slots that may hold a match.
+        fn slot_covers(&self, bits: u64, sig: WideSig) -> bool {
             self.0
                 .get(&bits)
-                .is_some_and(|slots| slots.keys().any(|&s| s & sig == sig))
+                .is_some_and(|slots| slots.keys().any(|&w| wide(w).covers(sig)))
         }
 
         /// The pruning test as defined: an empty region, one whose mask
         /// misses a required position, or one whose signature misses a
         /// bit of the query's.
-        fn can_prune(&self, child: u64, via: u8, mask: u64, sig: u64) -> bool {
+        fn can_prune(&self, child: u64, via: u8, mask: u64, sig: WideSig) -> bool {
             self.region(via, child >> via)
-                .is_none_or(|region| region.mask & mask != mask || region.sig & sig != sig)
+                .is_none_or(|region| region.mask & mask != mask || !region.sig.covers(sig))
         }
 
         fn summary(&self, r: u8) -> OccupancySummary {
@@ -492,18 +528,18 @@ mod tests {
         let mut stored_regions = std::collections::BTreeSet::new();
         for &bits in model.0.keys().chain(probes) {
             // The vertex test, for masks the vertex carries and one it
-            // does not, and for signatures none, each slot's, the
-            // vertex's (which no one slot need cover) and one bit more:
+            // does not, and for keyword sets none, each slot's, the
+            // vertex's (which no one slot need cover) and one word more:
             // it says no exactly as defined, and never to a vertex with
-            // a slot the scan would let through.
-            let vertex_sig = model.sig(bits);
+            // a slot that may hold a match.
+            let vertex_words = model.words(0, bits);
             let slots = model.0.get(&bits).into_iter().flat_map(|s| s.keys());
-            let sigs = [0, vertex_sig, vertex_sig | (vertex_sig + 1)];
-            for required_sig in sigs.into_iter().chain(slots.copied()) {
+            let words = [0, vertex_words, vertex_words | (vertex_words + 1)];
+            for required_sig in words.into_iter().chain(slots.copied()).map(wide) {
                 for required in [bits, 0, 1, bits | (bits + 1)] {
                     let required = required & ((1 << r) - 1);
                     let may = summary.pruner(required, required_sig).may_match(bits);
-                    let at = format!("may_match({bits:#b}), {required:#b}, {required_sig:#x}");
+                    let at = format!("may_match({bits:#b}), {required:#b}, {required_sig:?}");
                     assert_eq!(may, model.may_match(bits, required, required_sig), "{at}");
                     let covered =
                         bits & required == required && model.slot_covers(bits, required_sig);
@@ -520,19 +556,26 @@ mod tests {
                 if region.is_some() && (level == 0 || level > WORD_LEVEL) {
                     stored_regions.insert((level, prefix));
                 }
-                let Region { mask, sig } = region.unwrap_or(Region { mask: 0, sig: 0 });
+                let mask = region.map_or(0, |region| region.mask);
+                let region_words = model.words(level, prefix);
                 // Required masks that hit each branch of the test: the
                 // vertex itself, nothing, one position, everything the
                 // region has, and one position more than it has; and
-                // signatures likewise: none, the vertex's own, the
-                // region's, and one bit more than it has.
+                // keyword sets likewise: none, the vertex's own, the
+                // region's, and one word more than it has.
                 for required in [bits, 0, 1 << (level / 2), mask, mask | (mask + 1)] {
                     let required = required & ((1 << r) - 1);
-                    for required_sig in [0, vertex_sig, sig, sig | (sig + 1)] {
+                    let words = [
+                        0,
+                        vertex_words,
+                        region_words,
+                        region_words | (region_words + 1),
+                    ];
+                    for (words, required_sig) in words.map(|w| (w, wide(w))) {
                         assert_eq!(
                             summary.can_prune(bits, level, required, required_sig),
                             model.can_prune(bits, level, required, required_sig),
-                            "can_prune({bits:#b}, {level}, {required:#b}, {required_sig:#x})"
+                            "can_prune({bits:#b}, {level}, {required:#b}, words {words:#x})"
                         );
                     }
                 }
@@ -549,8 +592,12 @@ mod tests {
         // probe, so the word it holds from one parent is still held
         // when the next one asks.
         let required = 1 << (r / 2);
-        let some_sig = model.0.keys().next().map_or(1, |&bits| model.sig(bits));
-        for required_sig in [0, some_sig] {
+        let some_words = model
+            .0
+            .keys()
+            .next()
+            .map_or(1, |&bits| model.words(0, bits));
+        for required_sig in [0, some_words].map(wide) {
             let mut pruner = summary.pruner(required, required_sig);
             for &parent in model.0.keys().chain(probes) {
                 // The word held from the last probe answers as a fresh
@@ -577,7 +624,7 @@ mod tests {
                         assert_eq!(
                             pruner.prunable_dims(parent, dims),
                             one_by_one,
-                            "prunable_dims({parent:#b}, {dims:#b}), sig {required_sig:#x}"
+                            "prunable_dims({parent:#b}, {dims:#b}), sig {required_sig:?}"
                         );
                     }
                     if low == 0 {
@@ -594,10 +641,10 @@ mod tests {
     fn a_new_vertex_marks_the_whole_ancestor_chain() {
         for r in [4, 9] {
             let mut s = OccupancySummary::new(r);
-            s.set_vertex(0b1010, 0x30);
+            s.set_vertex(0b1010, wide(0x30));
             let only = Some(Region {
                 mask: 0b1010,
-                sig: 0x30,
+                sig: wide(0x30),
             });
             for (level, prefix) in summary_path(0b1010, r) {
                 assert_eq!(s.region(level, prefix), only);
@@ -611,11 +658,11 @@ mod tests {
     #[test]
     fn emptying_every_vertex_restores_the_empty_summary() {
         let mut s = OccupancySummary::new(9);
-        s.set_vertex(0b1_0110_0100, 0b11);
-        s.set_vertex(0b0_0000_0001, 0b100);
-        s.set_vertex(0b1_0110_0100, 0b01);
-        s.set_vertex(0b1_0110_0100, 0);
-        s.set_vertex(0b0_0000_0001, 0);
+        s.set_vertex(0b1_0110_0100, wide(0b11));
+        s.set_vertex(0b0_0000_0001, wide(0b100));
+        s.set_vertex(0b1_0110_0100, wide(0b01));
+        s.set_vertex(0b1_0110_0100, WideSig::EMPTY);
+        s.set_vertex(0b0_0000_0001, WideSig::EMPTY);
         assert_eq!(s.region_count(), 0, "empty regions are dropped");
         assert_eq!(s, OccupancySummary::new(9));
     }
@@ -624,19 +671,24 @@ mod tests {
     /// above is rebuilt from its halves, inside a word and above one.
     #[test]
     fn a_shrinking_vertex_rebuilds_masks_and_signatures_from_siblings() {
-        let region = |mask, sig| Some(Region { mask, sig });
+        let region = |mask, words| {
+            Some(Region {
+                mask,
+                sig: wide(words),
+            })
+        };
         let mut s = OccupancySummary::new(8);
-        s.set_vertex(0b110, 0b0011);
-        s.set_vertex(0b101, 0b0100);
-        s.set_vertex(0b1000_0000, 0b1000);
+        s.set_vertex(0b110, wide(0b0011));
+        s.set_vertex(0b101, wide(0b0100));
+        s.set_vertex(0b1000_0000, wide(0b1000));
         assert_eq!(s.region(8, 0), region(0b1000_0111, 0b1111));
         // One slot of 0b110 goes; the vertex stays occupied.
-        s.set_vertex(0b110, 0b0010);
+        s.set_vertex(0b110, wide(0b0010));
         assert_eq!(s.region(2, 0b1), region(0b111, 0b0110));
         assert_eq!(s.region(7, 0), region(0b111, 0b0110));
         assert_eq!(s.region(8, 0), region(0b1000_0111, 0b1110));
         // The vertex empties: the ORs shrink back to the survivors.
-        s.set_vertex(0b110, 0);
+        s.set_vertex(0b110, WideSig::EMPTY);
         assert_eq!(s.region(2, 0b1), region(0b101, 0b0100));
         assert_eq!(s.region(7, 0), region(0b101, 0b0100));
         assert_eq!(s.region(8, 0), region(0b1000_0101, 0b1100));
@@ -645,17 +697,17 @@ mod tests {
     #[test]
     fn setting_a_vertex_is_idempotent_and_exact() {
         let mut s = OccupancySummary::new(4);
-        s.set_vertex(0b0011, 0x5);
-        s.set_vertex(0b1100, 0x9);
+        s.set_vertex(0b0011, wide(0x5));
+        s.set_vertex(0b1100, wide(0x9));
         // A crash loses vertex 0b0011's table; a replayed refresh
         // converges.
-        s.set_vertex(0b0011, 0);
-        s.set_vertex(0b0011, 0);
+        s.set_vertex(0b0011, WideSig::EMPTY);
+        s.set_vertex(0b0011, WideSig::EMPTY);
         let mut model = Model::default();
         model.insert(0b1100, 0x9);
         check_against(&s, &model, &[0b0011]);
         // Repair restores it.
-        s.set_vertex(0b0011, 0x5);
+        s.set_vertex(0b0011, wide(0x5));
         model.insert(0b0011, 0x5);
         check_against(&s, &model, &[]);
     }
@@ -663,23 +715,31 @@ mod tests {
     #[test]
     fn can_prune_empty_uncoverable_and_match_free_regions() {
         let mut s = OccupancySummary::new(4);
-        // One entry at 0b0110 whose set's signature is 0b1010.
-        s.set_vertex(0b0110, 0b1010);
+        // One entry at 0b0110 whose set is {k1, k3}.
+        s.set_vertex(0b0110, wide(0b1010));
         // Query root 0b0010 considers child 0b0110 via dim 2: region
-        // (2, 0b01) holds the entry and covers bit 1 → must visit.
-        assert!(!s.can_prune(0b0110, 2, 0b0010, 0b0010));
+        // (2, 0b01) holds the entry and covers k1 → must visit.
+        assert!(!s.can_prune(0b0110, 2, 0b0010, wide(0b0010)));
         // Child 0b1010 via dim 3: region (3, 0b1) is empty → prune.
-        assert!(s.can_prune(0b1010, 3, 0b0010, 0b0010));
+        assert!(s.can_prune(0b1010, 3, 0b0010, wide(0b0010)));
         // Query root 0b0001 considers child 0b0101 via dim 2: region
         // (2, 0b01) is occupied but its mask 0b0110 misses bit 0 → prune.
-        assert!(s.can_prune(0b0101, 2, 0b0001, 0b0010));
-        // The first case again for a query whose signature has a bit no
-        // set there has → prune.
-        assert!(s.can_prune(0b0110, 2, 0b0010, 0b0110));
+        assert!(s.can_prune(0b0101, 2, 0b0001, wide(0b0010)));
+        // The first case again for a query with a keyword, k2, whose
+        // signature bits no set there has → prune.
+        assert!(s.can_prune(0b0110, 2, 0b0010, wide(0b0110)));
+    }
+
+    #[test]
+    fn a_dimension_outside_1_to_63_is_refused_in_every_profile() {
+        for r in [0, 64] {
+            let built = std::panic::catch_unwind(|| OccupancySummary::new(r));
+            assert!(built.is_err(), "r = {r} was accepted");
+        }
     }
 
     /// One step of the model test: which vertex of the pool, which
-    /// operation, and which of four keyword-set signatures.
+    /// operation, and which of four keyword sets.
     fn steps() -> impl Strategy<Value = Vec<(usize, u8, usize)>> {
         prop::collection::vec((0usize..12, 0u8..5, 0usize..4), 0..96)
     }
@@ -694,9 +754,9 @@ mod tests {
         /// dimension.
         #[test]
         fn matches_a_recount_after_any_interleaving(steps in steps(), salt in any::<u64>()) {
-            // Four signatures that overlap, so that killing one slot
+            // Four keyword sets that overlap, so that killing one slot
             // shrinks a vertex's signature only sometimes.
-            let sigs = [0, 1, 2, 3].map(|k| salt.rotate_left(k * 17) & 0x0F0F_00FF_0000_FF0F | 1 << k);
+            let sets = [0, 1, 2, 3].map(|k| salt.rotate_left(k * 17) & 0x0F0F_00FF_0000_FF0F | 1 << k);
             for r in [4u8, 16, 63] {
                 // A pool with siblings, cousins and far-apart vertices.
                 let cube = (1u64 << r) - 1;
@@ -713,8 +773,8 @@ mod tests {
                 for &(pick, op, k) in &steps {
                     let bits = pool[pick];
                     match op {
-                        0 | 1 => model.insert(bits, sigs[k]),
-                        2 | 3 => model.remove(bits, sigs[k]),
+                        0 | 1 => model.insert(bits, sets[k]),
+                        2 | 3 => model.remove(bits, sets[k]),
                         _ => {
                             model.0.remove(&bits);
                         }
@@ -731,18 +791,18 @@ mod tests {
         fn never_prunes_a_populated_matching_region(
             entries in prop::collection::vec((0u64..64, any::<u64>()), 1..24),
             required in 0u64..64,
-            query_sig in any::<u64>(),
+            query_words in any::<u64>(),
             via in 0u8..6,
         ) {
             let mut model = Model::default();
-            for &(bits, sig) in &entries {
-                model.insert(bits, sig | query_sig & sig.rotate_left(1));
+            for &(bits, words) in &entries {
+                model.insert(bits, words | query_words & words.rotate_left(1));
             }
             let summary = model.summary(6);
             for &bits in model.0.keys() {
                 let sig = model.sig(bits);
-                for query_sig in [query_sig, sig & query_sig] {
-                    if bits & required == required && sig & query_sig == query_sig {
+                for query_sig in [query_words, model.words(0, bits) & query_words].map(wide) {
+                    if bits & required == required && sig.covers(query_sig) {
                         // `bits` matches and lies in region (via,
                         // bits >> via); pruning any child whose region
                         // contains it is wrong.

@@ -115,8 +115,12 @@ macro_rules! counter_record {
 
         impl $name {
             /// Adds `other`'s counters to this record's.
+            ///
+            /// # Panics
+            ///
+            /// If the two records are keyed to different owners.
             pub fn merge(&mut self, other: &$name) {
-                $(debug_assert_eq!(self.$key, other.$key);)?
+                $(assert_eq!(self.$key, other.$key, "merging another's record");)?
                 $(self.$field += other.$field;)*
             }
 
@@ -1216,6 +1220,16 @@ mod tests {
         assert_eq!(
             merged.report_line(),
             "WSTATS 3 20 22 2 4 6 8 10 16 18 54 24 26 28 30 32 34 36 38 40 42"
+        );
+        // Merging another worker's record is refused in every profile.
+        let other = WorkerStats {
+            worker: 4,
+            ..stats.clone()
+        };
+        let refused = std::panic::catch_unwind(move || merged.merge(&other));
+        assert!(
+            refused.is_err(),
+            "worker 4's counters summed into worker 3's"
         );
 
         let sup = SupervisorStats::parse_line("SSTATS 1 2 3 4 5").unwrap();

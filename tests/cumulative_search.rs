@@ -147,7 +147,7 @@ const ONESHOT_PINS: [OneshotPin; 24] = [
     (8, true, 5, 1, [5, 5, 4, 4, 9, 1], false, 5, 0xf4e7214d1ba35898),
     (8, true, 5, 2, [3, 3, 2, 2, 17, 0], false, 5, 0x43ab9c5b32d57f35),
     (8, true, ALL, 0, [124, 124, 123, 124, 1435, 0], true, 1159, 0x52e905009442b97b),
-    (8, true, ALL, 1, [122, 122, 121, 120, 1330, 2], true, 742, 0x9bd63abbf9e57876),
+    (8, true, ALL, 1, [121, 121, 120, 120, 1329, 3], true, 742, 0x9bd63abbf9e57876),
     (8, true, ALL, 2, [63, 63, 62, 61, 935, 0], true, 312, 0x2f846d04572f4a2f),
     (8, false, 5, 0, [5, 5, 4, 3, 8, 0], false, 5, 0x03e5664ce4e7fa16),
     (8, false, 5, 1, [5, 5, 4, 4, 9, 0], false, 5, 0xf4e7214d1ba35898),
@@ -158,9 +158,9 @@ const ONESHOT_PINS: [OneshotPin; 24] = [
     (12, true, 5, 0, [3, 3, 2, 3, 5, 1], false, 5, 0x7f44983eea98cc63),
     (12, true, 5, 1, [5, 5, 4, 4, 12, 12], false, 5, 0x86afe1e2fff0cd29),
     (12, true, 5, 2, [3, 3, 2, 3, 14, 2], false, 5, 0x98a8ceb2d685f559),
-    (12, true, ALL, 0, [794, 794, 793, 786, 1366, 686], true, 1159, 0x4c953c75a4f0cdf7),
-    (12, true, ALL, 1, [570, 570, 569, 546, 1013, 695], true, 742, 0x2e47558e52ee5cee),
-    (12, true, ALL, 2, [292, 292, 291, 259, 565, 369], true, 312, 0x958a276eb4e876d3),
+    (12, true, ALL, 0, [786, 786, 785, 786, 1356, 684], true, 1159, 0x4c953c75a4f0cdf7),
+    (12, true, ALL, 1, [549, 549, 548, 546, 987, 697], true, 742, 0x2e47558e52ee5cee),
+    (12, true, ALL, 2, [275, 275, 274, 259, 543, 365], true, 312, 0x958a276eb4e876d3),
     (12, false, 5, 0, [3, 3, 2, 3, 5, 0], false, 5, 0x7f44983eea98cc63),
     (12, false, 5, 1, [8, 8, 7, 4, 15, 0], false, 5, 0x86afe1e2fff0cd29),
     (12, false, 5, 2, [4, 4, 3, 3, 15, 0], false, 5, 0x98a8ceb2d685f559),

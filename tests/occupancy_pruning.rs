@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use hyperdex::core::keyword::WideSig;
 use hyperdex::core::search::ExecutionMode;
 use hyperdex::core::{
     HypercubeIndex, ObjectId, OccupancySummary, RankedObject, SupersetQuery, TraversalOrder,
@@ -189,13 +190,14 @@ fn summaries_track_ground_truth_occupancy_through_deletes() {
         inserted.push((id, k.clone()));
     }
     // Delete every third object again.
-    let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut live: BTreeMap<u64, WideSig> = BTreeMap::new();
     let mut survivors = 0;
     for (i, (id, k)) in inserted.iter().enumerate() {
         if i % 3 == 0 {
             assert!(index.remove(*id, k), "inserted object must be removable");
         } else {
-            *live.entry(index.vertex_for(k).bits()).or_insert(0) |= k.signature();
+            let sig = live.entry(index.vertex_for(k).bits()).or_default();
+            *sig = *sig | k.wide_signature();
             survivors += 1;
         }
     }
