@@ -18,8 +18,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::BitOr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Error;
 
 /// Longest normalized keyword, in bytes: the packed form prefixes each
@@ -88,8 +86,7 @@ impl BitOr for WideSig {
 /// assert!(Keyword::new("   ").is_err());
 /// # Ok::<(), hyperdex_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Keyword(String);
 
 impl Keyword {
@@ -259,8 +256,7 @@ pub enum PackedError {
 // otherwise exactly the canonical packed form with `n ≥ 1`. A buffer is
 // never written once built: `insert`/`remove` pack a fresh one, so a
 // clone never sees its original change.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(try_from = "Vec<String>", into = "Vec<String>")]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct KeywordSet(Arc<[u8]>);
 
 /// The packed form of the empty set.
@@ -683,20 +679,6 @@ impl Hash for KeywordSet {
             state.write(k.0);
             state.write_u8(0xff);
         }
-    }
-}
-
-impl TryFrom<Vec<String>> for KeywordSet {
-    type Error = Error;
-
-    fn try_from(items: Vec<String>) -> Result<Self, Error> {
-        Self::from_strs(items)
-    }
-}
-
-impl From<KeywordSet> for Vec<String> {
-    fn from(set: KeywordSet) -> Vec<String> {
-        set.iter().map(|k| k.as_str().to_owned()).collect()
     }
 }
 

@@ -36,7 +36,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use hyperdex_dht::ObjectId;
-use hyperdex_hypercube::{Shape, Vertex};
+use hyperdex_hypercube::sbt::child_dims;
+use hyperdex_hypercube::{bits, Vertex};
 
 use crate::keyword::KeywordSet;
 use crate::search::RankedObject;
@@ -206,15 +207,12 @@ impl SupersetCoordinator {
 
 /// The SBT child contacts of `w` reached via `via_dim` (`None` for the
 /// traversal root), as `(bits, dimension)` pairs in the protocol's
-/// descending-dimension order: `w`'s free dimensions strictly below
-/// its arrival dimension — all of them for the root (Lemma 3.2: no
-/// state from `w` itself is needed). Allocation-free; collect it where
-/// a message needs an owned list.
+/// descending-dimension order: one per dimension of [`child_dims`]
+/// (Lemma 3.2: no state from `w` itself is needed). Allocation-free;
+/// collect it where a message needs an owned list.
 pub fn child_contacts(w: Vertex, via_dim: Option<u8>) -> impl Iterator<Item = (u64, u8)> {
-    let limit = via_dim.unwrap_or(w.shape().r());
-    (0..limit)
+    bits::ones(child_dims(w, via_dim))
         .rev()
-        .filter(move |&i| !w.bit(i))
         .map(move |i| (w.flip(i).bits(), i))
 }
 
@@ -239,13 +237,8 @@ pub fn visit_order_key(root_bits: u64, bits: u64) -> (u32, Reverse<u64>) {
 /// [`visit_order_key`] order.
 pub fn region_entries(root: Vertex, cut: u8) -> impl Iterator<Item = u64> {
     let free = root.zero_mask() & !((1u64 << cut) - 1);
-    let mut next = Some(0u64);
-    std::iter::from_fn(move || {
-        let prefix = next?;
-        // The subsets of `free`, counting up through its set positions.
-        next = Some(prefix.wrapping_sub(free) & free).filter(|&p| p != 0);
-        Some(root.bits() | prefix)
-    })
+    std::iter::successors(Some(0u64), move |&prefix| bits::next_subset(prefix, free))
+        .map(move |prefix| root.bits() | prefix)
 }
 
 /// Collects the bits of every vertex in the SBT subtree rooted at `w`
@@ -254,15 +247,10 @@ pub fn region_entries(root: Vertex, cut: u8) -> impl Iterator<Item = u64> {
 /// dimension — no state from `w` itself is needed. Allocation-free:
 /// children are enumerated directly off the bits, no intermediate
 /// child list per node.
-pub fn subtree_bits(shape: Shape, w: Vertex, via_dim: Option<u8>, out: &mut Vec<u64>) {
+pub fn subtree_bits(w: Vertex, via_dim: Option<u8>, out: &mut Vec<u64>) {
     out.push(w.bits());
-    // The root's children span all free dims; an interior node's span
-    // the free dims strictly below its arrival dimension.
-    let limit = via_dim.unwrap_or(shape.r());
-    for i in (0..limit).rev() {
-        if !w.bit(i) {
-            subtree_bits(shape, w.flip(i), Some(i), out);
-        }
+    for i in bits::ones(child_dims(w, via_dim)).rev() {
+        subtree_bits(w.flip(i), Some(i), out);
     }
 }
 
@@ -682,7 +670,7 @@ impl<T> FtCoordinator<T> {
     /// `vertex` as given up on.
     fn skip_subtree(&mut self, vertex: Vertex, via_dim: Option<u8>) {
         let mut subtree = Vec::new();
-        subtree_bits(self.root.shape(), vertex, via_dim, &mut subtree);
+        subtree_bits(vertex, via_dim, &mut subtree);
         self.skipped
             .extend(subtree.into_iter().filter(|w| !self.covered.contains(w)));
     }
@@ -741,6 +729,7 @@ mod tests {
     use crate::cluster::HypercubeIndex;
     use crate::fixtures::{oid, set, CORPUS};
     use crate::search::SupersetQuery;
+    use hyperdex_hypercube::Shape;
 
     fn index(r: u8) -> HypercubeIndex {
         let mut idx = HypercubeIndex::new(r, 0).unwrap();
@@ -1138,11 +1127,11 @@ mod tests {
         let shape = Shape::new(6).unwrap();
         let root = Vertex::from_bits(shape, 0b100).unwrap();
         let mut out = Vec::new();
-        subtree_bits(shape, root, None, &mut out);
+        subtree_bits(root, None, &mut out);
         assert_eq!(out.len() as u64, 1 << 5, "root subtree spans free dims");
         let child = root.flip(4);
         out.clear();
-        subtree_bits(shape, child, Some(4), &mut out);
+        subtree_bits(child, Some(4), &mut out);
         // Free dims strictly below 4 excluding bit 2 (set): {0, 1, 3}.
         assert_eq!(out.len(), 1 << 3);
     }

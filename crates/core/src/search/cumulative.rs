@@ -25,6 +25,7 @@
 
 use std::collections::VecDeque;
 
+use hyperdex_hypercube::sbt::child_dims;
 use hyperdex_hypercube::Vertex;
 
 use crate::cluster::HypercubeIndex;
@@ -196,8 +197,7 @@ fn unpruned_children(
     pruned: &mut u64,
 ) -> impl Iterator<Item = (u64, u8)> {
     let cut = pruner.map_or(0, |pruner| {
-        let below = (1u64 << via_dim.unwrap_or(w.shape().r())) - 1;
-        pruner.prunable_dims(w.bits(), w.zero_mask() & below)
+        pruner.prunable_dims(w.bits(), child_dims(w, via_dim))
     });
     *pruned += u64::from(cut.count_ones());
     child_contacts(w, via_dim).filter(move |&(_, dim)| cut >> dim & 1 == 0)

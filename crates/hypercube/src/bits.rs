@@ -47,7 +47,34 @@ pub fn deposit(index: u64, mask: u64) -> u64 {
 /// assert_eq!(ones(0b10110).collect::<Vec<_>>(), vec![1, 2, 4]);
 /// ```
 pub fn ones(mask: u64) -> impl DoubleEndedIterator<Item = u8> + Clone {
-    (0u8..64).filter(move |&i| mask & (1u64 << i) != 0)
+    Ones(mask)
+}
+
+/// The set positions still to yield, taken off either end of the mask
+/// one instruction at a time: a walk's child loop costs its children,
+/// not the word's 64 positions.
+#[derive(Clone)]
+struct Ones(u64);
+
+impl Iterator for Ones {
+    type Item = u8;
+
+    fn next(&mut self) -> Option<u8> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as u8;
+        self.0 &= self.0 - 1;
+        Some(i)
+    }
+}
+
+impl DoubleEndedIterator for Ones {
+    fn next_back(&mut self) -> Option<u8> {
+        let i = self.0.checked_ilog2()? as u8;
+        self.0 ^= 1 << i;
+        Some(i)
+    }
 }
 
 /// Advances `subset` to the next subset of `mask` in counting order,
@@ -117,6 +144,12 @@ mod tests {
         assert_eq!(ones(0).count(), 0);
         assert_eq!(ones(1 << 63).collect::<Vec<_>>(), vec![63]);
         assert_eq!(ones(0b1101).collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(ones(0b1101).rev().collect::<Vec<_>>(), vec![3, 2, 0]);
+        // Both ends of one iterator meet without repeating a position.
+        let mut both = ones(0b1011_0001 | 1 << 63);
+        assert_eq!((both.next(), both.next_back()), (Some(0), Some(63)));
+        assert_eq!((both.next_back(), both.next()), (Some(7), Some(4)));
+        assert_eq!((both.next(), both.next_back()), (Some(5), None));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   containment/Hamming operations.
 //! * [`Subcube`] — the induced subhypercube `H_r(u)` (Definition 3.1).
 //! * [`Sbt`] — spanning binomial trees `SBT(u)` and `SBT_{H_r}(u)`
-//!   (Definition 3.2), with parent/children, levels, and BFS traversal.
+//!   (Definition 3.2), with levels and BFS traversal; a node's children
+//!   come from Lemma 3.2's one rule, [`sbt::child_dims`], which every
+//!   walk of the tree shares.
 //!
 //! # Example
 //!

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum supported dimensionality.
 ///
 /// Vertices are stored as `u64` bitmasks, and subcube sizes (`2^r`) must
@@ -22,7 +20,7 @@ pub const MAX_DIMENSION: u8 = 63;
 /// assert_eq!(shape.vertex_count(), 1024);
 /// # Ok::<(), hyperdex_hypercube::DimensionError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Shape {
     r: u8,
 }

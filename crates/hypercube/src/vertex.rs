@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::bits;
 use crate::shape::{DimensionError, Shape};
 use crate::subcube::Subcube;
@@ -25,7 +23,7 @@ use crate::subcube::Subcube;
 /// assert_eq!(v.zero_positions().collect::<Vec<_>>(), vec![0, 1, 3, 5]);
 /// # Ok::<(), hyperdex_hypercube::DimensionError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Vertex {
     shape: Shape,
     bits: u64,

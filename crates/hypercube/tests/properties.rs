@@ -1,6 +1,7 @@
 //! Property-based tests for the hypercube lemmas the search scheme
 //! relies on.
 
+use hyperdex_hypercube::sbt::{child_dims, subtree_region};
 use hyperdex_hypercube::{bits, Sbt, Shape, Subcube, Vertex};
 use proptest::prelude::*;
 
@@ -21,9 +22,28 @@ fn shape_and_two() -> impl Strategy<Value = (Shape, u64, u64)> {
     })
 }
 
-/// The number of nodes in the subtree of `sbt` rooted at `v`, counted.
-fn subtree_size(sbt: Sbt, v: Vertex) -> u64 {
-    1 + sbt.children(v).map(|c| subtree_size(sbt, c)).sum::<u64>()
+/// The children of `w` reached across `via`, each with the dimension
+/// it hangs across, in the order [`child_dims`] gives.
+fn children(w: Vertex, via: Option<u8>) -> impl Iterator<Item = (Vertex, u8)> {
+    bits::ones(child_dims(w, via))
+        .rev()
+        .map(move |j| (w.flip(j), j))
+}
+
+/// Every node of the subtree of `w` (reached across `via`) with the
+/// dimension it was reached across and its depth below `w`, depth first.
+fn walk(w: Vertex, via: Option<u8>, depth: u32, out: &mut Vec<(Vertex, Option<u8>, u32)>) {
+    out.push((w, via, depth));
+    for (child, j) in children(w, via) {
+        walk(child, Some(j), depth + 1, out);
+    }
+}
+
+/// The number of nodes in the subtree rooted at `w`, counted.
+fn subtree_size(w: Vertex, via: Option<u8>) -> u64 {
+    1 + children(w, via)
+        .map(|(c, j)| subtree_size(c, Some(j)))
+        .sum::<u64>()
 }
 
 proptest! {
@@ -102,44 +122,77 @@ proptest! {
         }
     }
 
-    /// Flipping a child's branch dimension back gives its parent for
-    /// every tree edge; depth increments by 1.
+    /// Every tree edge: flipping a child's dimension back gives its
+    /// parent, the dimension lies below the parent's own arrival
+    /// dimension, children come in descending dimension order, and the
+    /// child is one level deeper — one more one-bit than its parent.
     #[test]
     fn sbt_parent_child_inverse((shape, bits) in shape_and_bits()) {
         let root = Vertex::from_bits(shape, bits).unwrap();
-        let sbt = Sbt::induced(root);
-        for (node, depth) in sbt.bfs() {
-            for child in sbt.children(node) {
-                let via = sbt.branch_dim(child).expect("a child is not the root");
-                prop_assert_eq!(child.flip(via), node);
+        let mut nodes = Vec::new();
+        walk(root, None, 0, &mut nodes);
+        for (node, via, depth) in nodes {
+            let dims: Vec<u8> = children(node, via).map(|(_, j)| j).collect();
+            prop_assert!(dims.windows(2).all(|w| w[0] > w[1]), "descending order");
+            for (child, j) in children(node, via) {
+                prop_assert_eq!(child.flip(j), node);
+                prop_assert!(via.is_none_or(|p| j < p));
                 prop_assert_eq!(child.one_count() - root.one_count(), depth + 1);
             }
         }
     }
 
-    /// Walking parents from any node reaches the root in depth steps.
+    /// Every subcube node is reached from the root by setting its extra
+    /// bits highest first, each an edge the rule allows, in as many
+    /// steps as its depth.
     #[test]
     fn sbt_root_path((shape, a, b) in shape_and_two()) {
         let root = Vertex::from_bits(shape, a).unwrap();
         let node = Vertex::from_bits(shape, a | b).unwrap();
-        let sbt = Sbt::induced(root);
-        let mut cur = node;
+        let (mut cur, mut via) = (root, None);
         let mut steps = 0;
-        while let Some(via) = sbt.branch_dim(cur) {
-            cur = cur.flip(via);
+        for j in bits::ones(node.bits() ^ root.bits()).rev() {
+            prop_assert!(child_dims(cur, via) >> j & 1 == 1, "{} has no child across {}", cur, j);
+            cur = cur.flip(j);
+            via = Some(j);
             steps += 1;
-            prop_assert!(steps <= shape.r() as u32, "path too long");
         }
-        prop_assert_eq!(cur, root);
+        prop_assert_eq!(cur, node);
         prop_assert_eq!(steps, node.one_count() - root.one_count());
     }
 
-    /// Subtree sizes of the root's children sum to node_count - 1.
+    /// Lemma 3.2's subtree size: the subtree of a node reached across
+    /// `d` has `2^popcount(child_dims)` nodes, and the root's children's
+    /// subtrees sum to the tree less its root.
     #[test]
     fn sbt_subtree_decomposition((shape, bits) in shape_and_bits()) {
         let root = Vertex::from_bits(shape, bits).unwrap();
         let sbt = Sbt::induced(root);
-        let sum: u64 = sbt.children(root).map(|c| subtree_size(sbt, c)).sum();
+        let sum: u64 = children(root, None).map(|(c, j)| subtree_size(c, Some(j))).sum();
         prop_assert_eq!(sum + 1, 1 << sbt.height());
+        let mut nodes = Vec::new();
+        walk(root, None, 0, &mut nodes);
+        for (node, via, _) in nodes {
+            prop_assert_eq!(subtree_size(node, via), 1 << child_dims(node, via).count_ones());
+        }
+    }
+
+    /// A walk entered at any vertex across any dimension — held or not,
+    /// as a region walk's entry need not hold it — stays in that
+    /// dimension's prefix region and visits `2^popcount(child_dims)`
+    /// distinct vertices.
+    #[test]
+    fn a_walk_entered_anywhere_stays_in_its_region((shape, bits) in shape_and_bits(), p in 0u8..10) {
+        let w = Vertex::from_bits(shape, bits).unwrap();
+        let p = p % shape.r();
+        let (level, prefix) = subtree_region(w.bits(), p);
+        let mut nodes = Vec::new();
+        walk(w, Some(p), 0, &mut nodes);
+        let mut seen = std::collections::HashSet::new();
+        for &(node, _, _) in &nodes {
+            prop_assert!(seen.insert(node.bits()), "duplicate visit");
+            prop_assert_eq!(node.bits() >> level, prefix);
+        }
+        prop_assert_eq!(nodes.len() as u64, 1 << child_dims(w, Some(p)).count_ones());
     }
 }

@@ -59,6 +59,7 @@ use hyperdex_core::store::ByVertex;
 use hyperdex_core::{
     FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, PostingStore, RecoveryStrategy,
 };
+use hyperdex_hypercube::sbt::child_dims;
 use hyperdex_hypercube::{Shape, Vertex};
 
 use crate::shard::ShardMap;
@@ -911,7 +912,7 @@ impl NodeMachine {
             // and those of the owners whose answer was committed; every
             // other owner, if any was asked at all, was given up.
             let cut = self.shards.region_cut();
-            let region = 1u64 << (state.root.zero_mask() & ((1u64 << cut) - 1)).count_ones();
+            let region = 1u64 << child_dims(state.root, Some(cut)).count_ones();
             for entry in region_entries(state.root, cut) {
                 let owner = self.shards.owner_of(entry);
                 if owner == self.index || state.peer_epochs.iter().any(|&(p, _)| p == owner) {
@@ -919,7 +920,7 @@ impl NodeMachine {
                 } else if coverage.queries_sent > 0 {
                     let entry =
                         Vertex::from_bits(self.shape, entry).expect("regions stay in the cube");
-                    subtree_bits(self.shape, entry, Some(cut), &mut coverage.skipped);
+                    subtree_bits(entry, Some(cut), &mut coverage.skipped);
                 }
             }
             coverage.skipped.sort_unstable();

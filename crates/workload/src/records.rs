@@ -6,10 +6,9 @@
 //! like the original data.
 
 use hyperdex_core::{KeywordSet, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// One website directory record (Table 1 schema).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WebsiteRecord {
     /// Record id (also the DHT object id).
     pub id: u64,
@@ -50,11 +49,5 @@ mod tests {
     #[test]
     fn object_id_derives_from_record_id() {
         assert_eq!(record().object_id(), ObjectId::from_raw(11));
-    }
-
-    #[test]
-    fn implements_serde_traits() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<WebsiteRecord>();
     }
 }
