@@ -25,21 +25,16 @@ use crate::search::{superset, PinOutcome, SearchStats, SupersetOutcome, Superset
 use crate::store::{ByVertex, PostingStore, StoreBackend, StoreFootprint};
 use crate::summary::OccupancySummary;
 
-/// One logical index node: its posting store plus an optional result
-/// cache (boxed: a node without one pays a pointer, not a cache).
-#[derive(Debug, Clone)]
-pub(crate) struct IndexNode {
-    pub(crate) store: PostingStore,
-    pub(crate) cache: Option<Box<FifoCache>>,
-}
-
 /// The hypercube keyword index over a logical `r`-dimensional hypercube.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct HypercubeIndex {
     hasher: KeywordHasher,
-    nodes: ByVertex<IndexNode>,
+    nodes: ByVertex<PostingStore>,
+    // Per-vertex result caches: none unless caching is enabled, and a
+    // vertex's is made by its first `cache_mut`.
+    caches: ByVertex<FifoCache>,
     object_count: usize,
     cache_capacity: usize,
     // Bumped by every insert, remove and node drop that changed the
@@ -66,6 +61,7 @@ impl HypercubeIndex {
         Ok(HypercubeIndex {
             hasher: KeywordHasher::new(r, seed)?,
             nodes: ByVertex::default(),
+            caches: ByVertex::default(),
             object_count: 0,
             cache_capacity: 0,
             generation: 0,
@@ -88,25 +84,24 @@ impl HypercubeIndex {
     /// (see [`StoreFootprint`]), plus the node table that holds them.
     pub fn store_footprint(&self) -> StoreFootprint {
         let mut total = StoreFootprint::default();
-        for node in self.nodes.values() {
-            total.add(&node.store.footprint());
+        for store in self.nodes.values() {
+            total.add(&store.footprint());
         }
         // Each store reports its own struct, which sits inline in a
         // table slot; the table's spare slots and the rest of each
         // occupied one are the index's to report.
-        let slot = std::mem::size_of::<(u64, IndexNode)>();
+        let slot = std::mem::size_of::<(u64, PostingStore)>();
         total.bytes_resident +=
             self.nodes.capacity() * slot - self.nodes.len() * std::mem::size_of::<PostingStore>();
         total
     }
 
     /// Enables a per-node FIFO cache of `capacity` object entries
-    /// (0 disables). Existing caches are resized lazily on next use.
+    /// (0 disables). Existing caches are dropped; a node makes its new
+    /// one on first use.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
-        for node in self.nodes.values_mut() {
-            node.cache = (capacity > 0).then(|| Box::new(FifoCache::new(capacity)));
-        }
+        self.caches.clear();
     }
 
     /// The hypercube shape.
@@ -141,8 +136,8 @@ impl HypercubeIndex {
         }
         let vertex = self.vertex_for(&keywords);
         let sig = keywords.wide_signature();
-        let node = self.node_mut(vertex);
-        if node.store.insert(keywords, object) {
+        let store = self.nodes.entry(vertex.bits()).or_default();
+        if store.insert(keywords, object) {
             self.object_count += 1;
             self.generation += 1;
             let bits = vertex.bits();
@@ -160,27 +155,22 @@ impl HypercubeIndex {
     /// lookup).
     pub fn remove(&mut self, object: ObjectId, keywords: &KeywordSet) -> bool {
         let vertex = self.vertex_for(keywords);
-        let Some(node) = self.nodes.get_mut(&vertex.bits()) else {
+        let Some(store) = self.nodes.get_mut(&vertex.bits()) else {
             return false;
         };
-        let removed = node.store.remove(keywords, object);
+        let removed = store.remove(keywords, object);
         if removed {
             self.object_count -= 1;
             self.generation += 1;
             // Killing a slot shrinks the vertex's signature unless the
             // survivors' cover the dead set's: fold them until they do.
-            if node.store.objects_with(keywords).next().is_none() {
+            if store.objects_with(keywords).next().is_none() {
                 let dead = keywords.wide_signature();
                 // Each survivor's buffer is a cache miss of its own: read
                 // them all first, so the misses overlap, then hash.
-                black_box(
-                    node.store
-                        .keyword_sets()
-                        .map(KeywordSet::len)
-                        .sum::<usize>(),
-                );
+                black_box(store.keyword_sets().map(KeywordSet::len).sum::<usize>());
                 let mut sig = WideSig::EMPTY;
-                let covered = node.store.keyword_sets().any(|k| {
+                let covered = store.keyword_sets().any(|k| {
                     sig = sig | k.wide_signature();
                     sig.covers(dead)
                 });
@@ -189,8 +179,8 @@ impl HypercubeIndex {
                 }
             }
             // An emptied vertex goes back to unmaterialized — its arena
-            // and table slot with it — unless it still holds a cache.
-            if node.store.is_empty() && node.cache.is_none() {
+            // and table slot with it.
+            if store.is_empty() {
                 self.nodes.remove(&vertex.bits());
                 if self.nodes.is_empty() {
                     self.nodes.shrink_to_fit();
@@ -207,7 +197,7 @@ impl HypercubeIndex {
         let results: Vec<ObjectId> = self
             .nodes
             .get(&vertex.bits())
-            .map(|n| n.store.objects_with(keywords).collect())
+            .map(|store| store.objects_with(keywords).collect())
             .unwrap_or_default();
         let stats = SearchStats {
             nodes_contacted: 1,
@@ -241,8 +231,8 @@ impl HypercubeIndex {
                     .expect("stored vertices are valid")
                     .contains(root)
             })
-            .map(|(_, node)| {
-                node.store
+            .map(|(_, store)| {
+                store
                     .superset_entries(keywords)
                     .map(|(_, objs)| objs.count())
                     .sum::<usize>()
@@ -256,11 +246,10 @@ impl HypercubeIndex {
         let shape = self.shape();
         self.nodes
             .iter()
-            .filter(|(_, n)| !n.store.is_empty())
-            .map(|(bits, n)| {
+            .map(|(bits, store)| {
                 (
                     Vertex::from_bits(shape, *bits).expect("valid"),
-                    n.store.object_count(),
+                    store.object_count(),
                 )
             })
             .collect()
@@ -273,10 +262,11 @@ impl HypercubeIndex {
     /// objects become unfindable until re-published, unless a
     /// replication layer (see [`crate::replication`]) covers them.
     pub fn drop_node(&mut self, vertex: Vertex) -> usize {
+        self.caches.remove(&vertex.bits());
         match self.nodes.remove(&vertex.bits()) {
             None => 0,
-            Some(node) => {
-                let lost = node.store.object_count();
+            Some(store) => {
+                let lost = store.object_count();
                 self.object_count -= lost;
                 self.generation += 1;
                 self.summary.set_vertex(vertex.bits(), WideSig::EMPTY);
@@ -295,30 +285,21 @@ impl HypercubeIndex {
 
     /// The posting store at `vertex`, if materialized.
     pub(crate) fn store_at(&self, vertex: Vertex) -> Option<&PostingStore> {
-        self.nodes.get(&vertex.bits()).map(|n| &n.store)
+        self.nodes.get(&vertex.bits())
     }
 
-    /// Mutable node at `vertex`, materializing it (with a cache if
-    /// configured).
-    pub(crate) fn node_mut(&mut self, vertex: Vertex) -> &mut IndexNode {
-        let capacity = self.cache_capacity;
-        self.nodes
-            .entry(vertex.bits())
-            .or_insert_with(|| IndexNode {
-                store: PostingStore::default(),
-                cache: (capacity > 0).then(|| Box::new(FifoCache::new(capacity))),
-            })
-    }
-
-    /// Mutable cache at `vertex`, if caching is enabled, caught up
-    /// with every write the index has seen.
+    /// Mutable cache at `vertex`, if caching is enabled — made on first
+    /// use — caught up with every write the index has seen.
     pub(crate) fn cache_mut(&mut self, vertex: Vertex) -> Option<&mut FifoCache> {
-        if self.cache_capacity == 0 {
+        let capacity = self.cache_capacity;
+        if capacity == 0 {
             return None;
         }
-        let generation = self.generation;
-        let cache = self.node_mut(vertex).cache.as_deref_mut()?;
-        cache.advance_generation_to(generation);
+        let cache = self
+            .caches
+            .entry(vertex.bits())
+            .or_insert_with(|| FifoCache::new(capacity));
+        cache.advance_generation_to(self.generation);
         Some(cache)
     }
 }
@@ -466,11 +447,15 @@ mod tests {
             assert_eq!(idx.store_footprint(), empty, "round {round}");
             assert_eq!(*idx.summary(), OccupancySummary::new(10), "round {round}");
         }
-        // A vertex that still holds a cache stays.
+        // An emptied vertex's store goes and its cache stays, until the
+        // node is dropped.
         idx.set_cache_capacity(4);
         let v = idx.insert(oid(1), set("a b")).unwrap();
-        assert!(idx.remove(oid(1), &set("a b")));
-        assert_eq!(idx.nodes.len(), 1);
+        assert!(idx.caches.is_empty(), "a cache is made on first use");
         assert!(idx.cache_mut(v).is_some());
+        assert!(idx.remove(oid(1), &set("a b")));
+        assert_eq!((idx.nodes.len(), idx.caches.len()), (0, 1));
+        idx.drop_node(v);
+        assert!(idx.caches.is_empty());
     }
 }

@@ -12,6 +12,10 @@
 //! decoding yields exactly the ascending sequence a
 //! `BTreeSet<ObjectId>` iteration would — the byte-identical-parity
 //! contract of [`crate::store`] rests on this.
+//!
+//! Only a list of two or more ids is encoded: a list of one is kept in
+//! its slot (see [`crate::store::slab`]), and [`DeltaIter`] yields it
+//! from a pending head instead of from arena bytes.
 
 use hyperdex_dht::ObjectId;
 
@@ -50,12 +54,14 @@ pub(crate) fn read_varint(bytes: &mut &[u8]) -> u64 {
     }
 }
 
-/// Streaming decoder over one encoded posting list — the slab-backend
+/// Streaming decoder over one posting list — the slab-backend
 /// counterpart of the `BTreeSet` posting iterator. Yields `ObjectId`s
 /// in ascending order without materializing the list, and stops where
 /// its byte range ends.
 #[derive(Debug, Clone)]
 pub struct DeltaIter<'a> {
+    /// A slot's inline id, yielded before any byte is read.
+    head: Option<u64>,
     bytes: &'a [u8],
     prev: u64,
 }
@@ -63,7 +69,19 @@ pub struct DeltaIter<'a> {
 impl<'a> DeltaIter<'a> {
     /// A decoder over the ids encoded in `bytes`, all of them.
     pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        DeltaIter { bytes, prev: 0 }
+        DeltaIter {
+            head: None,
+            bytes,
+            prev: 0,
+        }
+    }
+
+    /// The list of the one id `raw`, which no byte encodes.
+    pub(crate) fn one(raw: u64) -> Self {
+        DeltaIter {
+            head: Some(raw),
+            ..DeltaIter::empty()
+        }
     }
 
     /// An exhausted decoder (missing entry / short-circuited lookup).
@@ -76,6 +94,9 @@ impl Iterator for DeltaIter<'_> {
     type Item = ObjectId;
 
     fn next(&mut self) -> Option<ObjectId> {
+        if let Some(raw) = self.head.take() {
+            return Some(ObjectId::from_raw(raw));
+        }
         if self.bytes.is_empty() {
             return None;
         }
@@ -85,8 +106,8 @@ impl Iterator for DeltaIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         // A varint is 1 to 10 bytes.
-        let n = self.bytes.len();
-        (n.div_ceil(10), Some(n))
+        let (n, head) = (self.bytes.len(), usize::from(self.head.is_some()));
+        (n.div_ceil(10) + head, Some(n + head))
     }
 }
 
@@ -139,6 +160,15 @@ mod tests {
     fn empty_iter_yields_nothing() {
         assert_eq!(DeltaIter::empty().count(), 0);
         assert_eq!(DeltaIter::new(&[]).size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn a_one_id_list_is_its_head() {
+        for raw in [0u64, 1, u64::MAX] {
+            let it = DeltaIter::one(raw);
+            assert_eq!(it.size_hint(), (1, Some(1)));
+            assert_eq!(it.map(ObjectId::raw).collect::<Vec<_>>(), [raw]);
+        }
     }
 
     #[test]

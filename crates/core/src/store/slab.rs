@@ -12,8 +12,14 @@
 //! * `entries` — 32 bytes per slot: the [`KeywordSet`] (a handle on its
 //!   shared packed buffer, so a set the caller keeps is not copied) and
 //!   the `(offset, len, last)` of its posting list in the arena.
-//! * `arena` — each slot's varint delta-encoded object ids
-//!   ([`crate::store::codec`]), back to back.
+//! * `arena` — the varint delta-encoded object ids
+//!   ([`crate::store::codec`]) of every list of two or more, back to
+//!   back.
+//!
+//! A list of one id is its slot's `last`, with `len == 0`: it takes no
+//! arena byte, and most keyword sets are held by one object. A second
+//! id moves the list to the arena tail as two varints; a remove that
+//! leaves one id puts the survivor back in the slot.
 //!
 //! Mutation appends: growing a list whose bytes sit at the arena tail
 //! extends in place; anywhere else streams the list to the tail with
@@ -21,7 +27,9 @@
 //! range as *waste*, bounded by [`PostingStore::compact`], triggered
 //! automatically once waste crosses a threshold. Deleting a last object
 //! swap-removes the slot, so every slot is live: slot order is not
-//! query-visible (every scan sorts by keyword set).
+//! query-visible (every scan sorts by keyword set). The slot arrays
+//! grow by half their length, not by doubling: a vertex holds a few
+//! slots, and a doubled array can be half empty.
 //!
 //! # Parity contract
 //!
@@ -48,14 +56,19 @@ struct Entry {
     key: KeywordSet,
     /// Byte offset of the encoded list in the arena.
     off: u32,
-    /// Encoded byte length.
+    /// Encoded byte length; 0 for a list of one id, which is `last`.
     len: u32,
     /// Raw value of the largest (= last) id; gates the fast append.
     last: u64,
 }
 
 impl Entry {
-    /// The arena bytes of the slot's list.
+    /// Whether the list is the one id `last`, held in the slot.
+    fn is_inline(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The arena bytes of the slot's list (empty when inline).
     fn range(&self) -> Range<usize> {
         self.off as usize..(self.off + self.len) as usize
     }
@@ -70,6 +83,10 @@ const _: () = assert!(size_of::<PostingStore>() <= 88);
 /// floor.
 const WASTE_FLOOR: u32 = 4096;
 
+/// A full pair of slot arrays grows by half its length, and by at least
+/// this many slots.
+const MIN_GROWTH: usize = 4;
+
 /// A struct-of-arrays posting store for one hypercube vertex.
 #[derive(Debug, Clone, Default)]
 pub struct PostingStore {
@@ -77,12 +94,15 @@ pub struct PostingStore {
     sigs: Vec<u64>,
     /// Keyword set and posting-list place per slot, parallel to `sigs`.
     entries: Vec<Entry>,
-    /// Varint delta-encoded object ids, all slots back to back.
+    /// Varint delta-encoded object ids of every list of two or more,
+    /// back to back.
     arena: Vec<u8>,
     /// OR of every slot's signature (kept exact on removal).
     union_sig: u64,
-    /// Total indexed objects across all slots: each costs at least one
-    /// arena byte, and arena offsets are `u32`.
+    /// Total indexed objects across all slots: each is a slot's inline
+    /// id or costs at least one arena byte, so there are at most as many
+    /// as slots and arena bytes together — which every slot creation and
+    /// arena write holds within `u32`.
     objects: u32,
     /// Arena bytes retired by re-encodes and removals.
     arena_waste: u32,
@@ -112,24 +132,39 @@ impl PostingStore {
             return false;
         };
         let raw = object.raw();
-        if raw > self.entries[slot].last {
+        let e = &self.entries[slot];
+        if raw > e.last {
             return false;
         }
-        let (at, prev, cur) = self.seek(slot, raw);
-        if cur != raw {
-            return false;
-        }
-        let end = self.entries[slot].range().end;
-        if at.end < end {
-            // The next id's delta absorbs the removed one's.
-            let mut rest = &self.arena[at.end..end];
-            let next = cur + read_varint(&mut rest);
-            self.splice(slot, at.start..end - rest.len(), &[next - prev]);
-        } else if at.start > self.entries[slot].off as usize {
-            self.splice(slot, at, &[]);
-            self.entries[slot].last = prev;
-        } else {
+        if e.is_inline() {
+            if raw != e.last {
+                return false;
+            }
             self.kill_slot(slot);
+        } else {
+            // An arena list holds two ids or more.
+            let (at, prev, cur) = self.seek(slot, raw);
+            if cur != raw {
+                return false;
+            }
+            let Range { start, end } = self.entries[slot].range();
+            if at.end < end {
+                // The next id's delta absorbs the removed one's.
+                let mut rest = &self.arena[at.end..end];
+                let next = cur + read_varint(&mut rest);
+                if at.start == start && rest.is_empty() {
+                    // The list was `[raw, next]`.
+                    self.put_inline(slot, next);
+                } else {
+                    self.splice(slot, at.start..end - rest.len(), &[next - prev]);
+                }
+            } else if read_varint(&mut &self.arena[start..end]) == prev {
+                // `prev` is the first id, so the list was `[prev, raw]`.
+                self.put_inline(slot, prev);
+            } else {
+                self.splice(slot, at, &[]);
+                self.entries[slot].last = prev;
+            }
         }
         self.objects -= 1;
         self.maybe_compact();
@@ -236,7 +271,7 @@ impl PostingStore {
     /// Rebuilds the arena with every retired range dropped.
     pub fn compact(&mut self) {
         let mut arena = Vec::with_capacity(self.arena.len() - self.arena_waste as usize);
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut().filter(|e| !e.is_inline()) {
             let off = arena.len() as u32;
             arena.extend_from_slice(&self.arena[e.range()]);
             e.off = off;
@@ -252,17 +287,21 @@ impl PostingStore {
             .find(|&slot| self.sigs[slot] == sig && self.entries[slot].key == *keywords)
     }
 
-    /// Appends a brand-new slot for `keywords`.
+    /// Appends a brand-new slot for `keywords`, its list inline.
     fn insert_new(&mut self, keywords: KeywordSet, sig: u64, object: ObjectId) -> bool {
-        let off = u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
-        let len = push_varint(&mut self.arena, object.raw()) as u32;
+        if self.entries.len() == self.entries.capacity() {
+            let more = (self.entries.len() / 2).max(MIN_GROWTH);
+            self.entries.reserve_exact(more);
+            self.sigs.reserve_exact(more);
+        }
         self.sigs.push(sig);
         self.entries.push(Entry {
             key: keywords,
-            off,
-            len,
+            off: 0,
+            len: 0,
             last: object.raw(),
         });
+        self.check_size();
         self.union_sig |= sig;
         self.objects += 1;
         true
@@ -270,12 +309,25 @@ impl PostingStore {
 
     /// Adds `raw` to an existing slot. Returns `false` on duplicate.
     fn push_object(&mut self, slot: usize, raw: u64) -> bool {
-        let (end, last) = (self.entries[slot].range().end, self.entries[slot].last);
-        if raw > last {
+        let e = &self.entries[slot];
+        let (end, last) = (e.range().end, e.last);
+        if e.is_inline() {
+            if raw == last {
+                return false;
+            }
+            // The second id: both, ascending, at the arena tail.
+            let (lo, hi) = (raw.min(last), raw.max(last));
+            let off = self.arena.len();
+            push_varint(&mut self.arena, lo);
+            push_varint(&mut self.arena, hi - lo);
+            self.set_range(slot, off);
+            self.entries[slot].last = hi;
+        } else if raw > last {
             // Above the current maximum: provably absent, no decode.
             if end == self.arena.len() {
                 // The list already sits at the arena tail — extend it.
-                self.entries[slot].len += push_varint(&mut self.arena, raw - last) as u32;
+                push_varint(&mut self.arena, raw - last);
+                self.set_range(slot, self.entries[slot].off as usize);
             } else {
                 // Relocate to the tail, then extend.
                 self.splice(slot, end..end, &[raw - last]);
@@ -323,17 +375,37 @@ impl PostingStore {
             push_varint(&mut self.arena, v);
         }
         self.arena.extend_from_within(cut.end..old.end);
-        u32::try_from(self.arena.len()).expect("posting arena exceeds 4 GiB");
         self.arena_waste += old.len() as u32;
+        self.set_range(slot, start);
+    }
+
+    /// Points `slot` at the arena bytes from `start` to the tail.
+    fn set_range(&mut self, slot: usize, start: usize) {
+        self.check_size();
         let e = &mut self.entries[slot];
         e.off = start as u32;
         e.len = (self.arena.len() - start) as u32;
     }
 
-    /// Drops a slot whose last object was removed: the last slot
-    /// moves into its place.
+    /// Panics unless slots and arena bytes together fit a `u32`: that
+    /// bounds `objects` and every arena offset.
+    fn check_size(&self) {
+        u32::try_from(self.entries.len() + self.arena.len())
+            .expect("posting store exceeds 4 Gi slots and arena bytes");
+    }
+
+    /// Makes `slot`'s list the one id `raw`, held inline, and retires
+    /// its arena range whole.
+    fn put_inline(&mut self, slot: usize, raw: u64) {
+        let e = &mut self.entries[slot];
+        self.arena_waste += std::mem::take(&mut e.len);
+        (e.off, e.last) = (0, raw);
+    }
+
+    /// Drops a slot whose one, inline object was removed: the last slot
+    /// moves into its place. It held no arena bytes.
     fn kill_slot(&mut self, slot: usize) {
-        self.arena_waste += self.entries.swap_remove(slot).len;
+        self.entries.swap_remove(slot);
         self.sigs.swap_remove(slot);
         // Other slots may still cover the departed bits.
         self.union_sig = self.sigs.iter().fold(0, |m, &s| m | s);
@@ -365,7 +437,12 @@ impl PostingStore {
 
     /// The posting iterator of one slot.
     fn list_iter(&self, slot: usize) -> DeltaIter<'_> {
-        DeltaIter::new(&self.arena[self.entries[slot].range()])
+        let e = &self.entries[slot];
+        if e.is_inline() {
+            DeltaIter::one(e.last)
+        } else {
+            DeltaIter::new(&self.arena[e.range()])
+        }
     }
 }
 
@@ -480,20 +557,21 @@ mod tests {
             (1 << 41, false),
         ] {
             let mut st = PostingStore::default();
-            // A second slot after it, so the list does not sit at the
-            // arena tail.
+            // A second arena list after it, so the list does not sit at
+            // the arena tail.
             for &id in &list {
                 st.insert(set("k"), oid(id));
             }
             st.insert(set("other"), oid(1));
+            st.insert(set("other"), oid(2));
             let len = st.arena.len();
             assert_eq!(st.remove(&set("k"), oid(drop)), present, "remove {drop}");
             let expect: Vec<u64> = list.iter().copied().filter(|&id| id != drop).collect();
             assert_eq!(ids(&st, "k"), expect, "remove {drop}");
-            assert_eq!(ids(&st, "other"), vec![1]);
-            assert_eq!(st.object_count(), expect.len() + 1);
-            let e = &st.entries[st.find_slot(&set("k"), set("k").signature()).unwrap()];
-            assert_eq!(e.last, *expect.last().unwrap(), "remove {drop}");
+            assert_eq!(ids(&st, "other"), vec![1, 2]);
+            assert_eq!(st.object_count(), expect.len() + 2);
+            let last = *expect.last().unwrap();
+            assert_eq!(entry(&st, "k").last, last, "remove {drop}");
             if !present {
                 assert_eq!(st.arena.len(), len, "an absent id streams nothing");
                 assert_eq!(st.arena_waste, 0);
@@ -573,14 +651,112 @@ mod tests {
     #[test]
     fn footprint_tracks_waste_and_keys() {
         let mut st = PostingStore::default();
-        st.insert(set("a"), oid(2));
+        for id in [2u64, 3, 4] {
+            st.insert(set("a"), oid(id));
+        }
         st.insert(set("b"), oid(1));
+        st.remove(&set("a"), oid(3));
+        assert!(st.footprint().arena_waste > 0, "a three-id list re-encoded");
         let before = st.footprint();
         st.remove(&set("a"), oid(2));
+        st.remove(&set("a"), oid(4));
         let fp = st.footprint();
         assert_eq!(st.keyword_set_count(), 1);
-        assert!(fp.arena_waste > 0);
+        assert!(fp.arena_waste > before.arena_waste);
         assert!(fp.key_bytes < before.key_bytes);
         assert!(fp.bytes_resident > 0);
+    }
+
+    /// The slot of `keywords`, which must be stored.
+    fn entry<'a>(st: &'a PostingStore, keywords: &str) -> &'a Entry {
+        let k = set(keywords);
+        &st.entries[st.find_slot(&k, k.signature()).unwrap()]
+    }
+
+    #[test]
+    fn one_id_lists_take_no_arena_byte() {
+        let mut st = PostingStore::default();
+        for i in 0..100u64 {
+            assert!(st.insert(set(&format!("w{i} x")), oid(i << 40)));
+        }
+        assert_eq!(st.arena.capacity(), 0);
+        assert_eq!(st.footprint().arena_bytes, 0);
+        assert_eq!(st.object_count(), 100);
+        assert_eq!(ids(&st, "w7 x"), vec![7 << 40]);
+    }
+
+    #[test]
+    fn a_second_id_above_or_below_makes_an_ascending_arena_list() {
+        for (first, second) in [(5u64, 300), (300, 5)] {
+            let mut st = PostingStore::default();
+            st.insert(set("k"), oid(first));
+            assert!(st.insert(set("k"), oid(second)));
+            // 5, then the delta 295 in two bytes.
+            assert_eq!(st.arena, [5, 0xa7, 0x02], "{first} then {second}");
+            let e = entry(&st, "k");
+            assert_eq!((e.off, e.len, e.last), (0, 3, 300));
+            assert_eq!(ids(&st, "k"), vec![5, 300]);
+            assert_eq!(st.arena_waste, 0);
+        }
+    }
+
+    #[test]
+    fn removing_one_of_two_ids_puts_the_survivor_back_inline() {
+        for (drop, keep) in [(5u64, 300), (300, 5)] {
+            let mut st = PostingStore::default();
+            st.insert(set("k"), oid(5));
+            st.insert(set("k"), oid(300));
+            let two = st.arena.len() as u32;
+            assert!(st.remove(&set("k"), oid(drop)));
+            let e = entry(&st, "k");
+            assert_eq!((e.len, e.last), (0, keep), "remove {drop}");
+            assert_eq!(st.arena_waste, two, "exactly the two-id range retires");
+            assert_eq!(st.arena.len(), two as usize, "nothing is spliced first");
+            assert_eq!(ids(&st, "k"), vec![keep]);
+            assert_eq!(st.object_count(), 1);
+        }
+    }
+
+    #[test]
+    fn an_inline_duplicate_or_absent_id_changes_nothing() {
+        let mut st = PostingStore::default();
+        st.insert(set("k"), oid(9));
+        let before = st.footprint();
+        assert!(!st.insert(set("k"), oid(9)));
+        for absent in [8u64, 10] {
+            assert!(!st.remove(&set("k"), oid(absent)));
+        }
+        assert_eq!(st.footprint(), before);
+        assert_eq!(ids(&st, "k"), vec![9]);
+        assert_eq!(st.object_count(), 1);
+    }
+
+    #[test]
+    fn compaction_over_inline_and_arena_lists_keeps_every_answer() {
+        let mut st = PostingStore::default();
+        for i in 0..60u64 {
+            st.insert(set(&format!("kw{}", i % 12)), oid(i));
+        }
+        // kw0..kw5 keep one id each, kw6..kw11 all five.
+        for i in 12..60u64 {
+            if i % 12 < 6 {
+                st.remove(&set(&format!("kw{}", i % 12)), oid(i));
+            }
+        }
+        assert!(st.arena_waste > 0);
+        let before: Vec<(KeywordSet, Vec<u64>)> = st
+            .iter()
+            .map(|(k, o)| (k.clone(), o.map(ObjectId::raw).collect()))
+            .collect();
+        st.compact();
+        assert_eq!(st.arena_waste, 0);
+        let after: Vec<(KeywordSet, Vec<u64>)> = st
+            .iter()
+            .map(|(k, o)| (k.clone(), o.map(ObjectId::raw).collect()))
+            .collect();
+        assert_eq!(after, before);
+        assert_eq!(ids(&st, "kw3"), vec![3]);
+        assert_eq!(ids(&st, "kw7"), vec![7, 19, 31, 43, 55]);
+        assert_eq!(st.arena.len(), 6 * 5, "only the arena lists are copied");
     }
 }

@@ -199,6 +199,29 @@ proptest! {
         assert_parity(&rebuilt_table, &slab, &queries);
     }
 
+    /// Three keyword sets, four ids, as many removes as inserts: each
+    /// list keeps crossing between one id (held in its slot) and two or
+    /// three (in the arena), and every crossing answers like the oracle.
+    #[test]
+    fn one_and_two_id_lists_cross_over_like_the_oracle(
+        ops in prop::collection::vec((0u8..3, 0u64..4, any::<bool>()), 1..80),
+    ) {
+        let sets: Vec<KeywordSet> = ["a", "a b", "c"]
+            .iter()
+            .map(|s| KeywordSet::parse(s).expect("non-empty words"))
+            .collect();
+        let mut table = IndexTable::new();
+        let mut slab = PostingStore::default();
+        for (set, id, insert) in ops {
+            let k = sets[usize::from(set)].clone();
+            let op = if insert { Op::Insert(k, id) } else { Op::Remove(k, id) };
+            apply(&mut table, &mut slab, &op);
+            assert_parity(&table, &slab, &sets);
+        }
+        slab.compact();
+        assert_parity(&table, &slab, &sets);
+    }
+
     /// Compaction (the arena rewrite) is observationally invisible.
     #[test]
     fn compaction_is_invisible(

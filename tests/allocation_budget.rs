@@ -68,12 +68,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, allocations() - before)
 }
 
-/// An index built by `build`, with its live heap bytes and allocations
-/// per object as the allocator counted them.
-fn measured(build: impl FnOnce(&mut HypercubeIndex)) -> (HypercubeIndex, f64, f64) {
+/// An index over an `r`-dimensional cube built by `build`, with its
+/// live heap bytes and allocations per object as the allocator counted
+/// them.
+fn measured(r: u8, build: impl FnOnce(&mut HypercubeIndex)) -> (HypercubeIndex, f64, f64) {
     let base = live_bytes();
     let (index, made) = counted(|| {
-        let mut index = HypercubeIndex::new(R, 14).expect("valid r");
+        let mut index = HypercubeIndex::new(r, 14).expect("valid r");
         build(&mut index);
         index
     });
@@ -88,7 +89,71 @@ fn per_object(bytes: usize) -> f64 {
 }
 
 const OBJECTS: usize = 50_000;
-const R: u8 = 12;
+
+/// What one cube's two builds of the corpus cost, per object.
+struct Budget {
+    /// Live heap bytes of the index of owned sets.
+    owned: f64,
+    /// What that index's `store_footprint()` reports.
+    reported: f64,
+    /// Allocations per received insert, its decode included.
+    received: f64,
+    /// The slab's own bytes in the index of kept sets.
+    slab_share: f64,
+    /// Allocations per insert of a kept set.
+    kept: f64,
+}
+
+/// Builds the corpus over an `r`-dimensional cube twice — from sets
+/// decoded fresh, as a server receives them, then from clones of sets
+/// the caller keeps — and returns the second index with what both
+/// cost. Checks what holds at any density: the footprint reports what
+/// the allocator counted, and a kept set's buffer is not copied.
+fn budget(corpus: &Corpus, r: u8) -> (HypercubeIndex, Budget) {
+    // Owned: every set decoded off its wire form and moved in, as a
+    // server's worker does. The index holds each buffer alone.
+    let (index, owned, received) = measured(r, |index| {
+        for (id, keywords) in corpus.indexable() {
+            let (set, _) = KeywordSet::decode_packed(keywords.as_packed()).expect("canonical");
+            index.insert(id, set).expect("non-empty set");
+        }
+    });
+    let footprint = index.store_footprint();
+    let reported = per_object(footprint.bytes_resident);
+    println!(
+        "r = {r}, owned: {owned:.1} B/object counted, {reported:.1} B/object reported ({:.1} of them keys), {received:.2} allocations/insert",
+        per_object(footprint.key_bytes)
+    );
+    assert_reports(footprint, owned);
+    drop(index);
+
+    // Shared: clones of sets the caller keeps. The index adds no
+    // keyword buffer, only its own slab.
+    let (index, shared, kept) = measured(r, |index| {
+        for (id, keywords) in corpus.indexable() {
+            index.insert(id, keywords.clone()).expect("non-empty set");
+        }
+    });
+    let footprint = index.store_footprint();
+    let slab_share = per_object(footprint.bytes_resident - footprint.key_bytes);
+    println!(
+        "r = {r}, shared: {shared:.1} B/object counted, {slab_share:.1} B/object the slab's own, {kept:.2} allocations/insert"
+    );
+    assert!(
+        shared <= slab_share * 1.15,
+        "r = {r}: {shared:.1} live heap bytes per object against the slab's own {slab_share:.1}: a keyword buffer was copied"
+    );
+    // Every store reports the buffers it holds, shared or not.
+    assert_reports(footprint, owned);
+    let budget = Budget {
+        owned,
+        reported,
+        received,
+        slab_share,
+        kept,
+    };
+    (index, budget)
+}
 
 #[test]
 fn a_stored_entry_is_one_shared_buffer_and_the_footprint_says_so() {
@@ -112,69 +177,42 @@ fn a_stored_entry_is_one_shared_buffer_and_the_footprint_says_so() {
     assert_eq!(&collected, sample);
     drop((copy, decoded, collected));
 
-    // Owned: every set decoded off its wire form and moved in, as a
-    // server's worker does. The index holds each buffer alone.
-    let (index, owned, per_insert) = measured(|index| {
-        for (id, keywords) in corpus.indexable() {
-            let (set, _) = KeywordSet::decode_packed(keywords.as_packed()).expect("canonical");
-            index.insert(id, set).expect("non-empty set");
-        }
-    });
-    let reported = index.store_footprint();
-    println!(
-        "owned: {owned:.1} B/object counted, {:.1} B/object reported ({:.1} of them keys), {per_insert:.2} allocations/insert",
-        per_object(reported.bytes_resident),
-        per_object(reported.key_bytes)
+    // About 12 objects a vertex. Almost every set is distinct, so
+    // almost every posting list is one id, held in its slot.
+    let (mut index, at12) = budget(&corpus, 12);
+    assert!(
+        at12.received <= 1.55,
+        "{:.2} allocations per received insert, its decode included (budget 1.55)",
+        at12.received
     );
     assert!(
-        per_insert <= 1.75,
-        "{per_insert:.2} allocations per received insert, its decode included (budget 1.75)"
-    );
-    assert!(
-        owned <= 185.0,
-        "{owned:.1} live heap bytes per indexed object (budget 185)"
+        at12.owned <= 172.0,
+        "{:.1} live heap bytes per indexed object (budget 172)",
+        at12.owned
     );
     // The store's own accounting has an absolute budget too (DESIGN
-    // §17), stated at this density of ~12 objects per vertex.
+    // §17).
     assert!(
-        per_object(reported.bytes_resident) <= 180.0,
-        "store_footprint reports {:.1} bytes per object (budget 180)",
-        per_object(reported.bytes_resident)
-    );
-    assert_reports(reported, owned);
-    drop(index);
-
-    // Shared: clones of sets the caller keeps. The index adds no
-    // keyword buffer, only its own slab.
-    let (mut index, shared, per_insert) = measured(|index| {
-        for (id, keywords) in corpus.indexable() {
-            index.insert(id, keywords.clone()).expect("non-empty set");
-        }
-    });
-    let reported = index.store_footprint();
-    let slab_share = per_object(reported.bytes_resident - reported.key_bytes);
-    println!(
-        "shared: {shared:.1} B/object counted, {slab_share:.1} B/object the slab's own, {per_insert:.2} allocations/insert"
+        at12.reported <= 165.0,
+        "store_footprint reports {:.1} bytes per object (budget 165)",
+        at12.reported
     );
     assert!(
-        shared <= slab_share * 1.15,
-        "{shared:.1} live heap bytes per object against the slab's own {slab_share:.1}: a keyword buffer was copied"
+        at12.slab_share <= 70.0,
+        "the slab's own {:.1} bytes per object (budget 70: 40 a slot, with growth slack, and the arena)",
+        at12.slab_share
     );
     assert!(
-        slab_share <= 80.0,
-        "the slab's own {slab_share:.1} bytes per object (budget 80: 40 a slot, with growth slack, and the arena)"
+        at12.kept < 0.55,
+        "{:.2} allocations per insert of a kept set (the slab's growth only)",
+        at12.kept
     );
-    assert!(
-        per_insert < 0.75,
-        "{per_insert:.2} allocations per insert of a kept set (the slab's growth only)"
-    );
-    // Every store reports the buffers it holds, shared or not.
-    assert_reports(reported, owned);
 
     // Removing: a slot's only object swap-removes the slot, any other
-    // streams the list to its arena's tail with the id dropped. Neither
-    // needs a buffer, so only an arena's growth allocates — a
-    // compaction's rebuild, or the tail room a relocated list takes.
+    // streams the list to its arena's tail with the id dropped (or puts
+    // a lone survivor back in its slot). None needs a buffer, so only
+    // an arena's growth allocates — a compaction's rebuild, or the
+    // tail room a relocated list takes.
     let doomed: Vec<_> = corpus.indexable().step_by(10).collect();
     let (removed, made) = counted(|| {
         doomed
@@ -188,6 +226,26 @@ fn a_stored_entry_is_one_shared_buffer_and_the_footprint_says_so() {
     assert!(
         per_remove <= 0.001,
         "{per_remove:.4} allocations per remove (budget 0.001: a decode buffer per store was 0.47)"
+    );
+    drop(index);
+
+    // About 6 objects a vertex: smaller slot arrays, so growth steps
+    // are a larger share of the inserts.
+    let (_, at13) = budget(&corpus, 13);
+    assert!(
+        at13.received <= 1.70,
+        "r = 13: {:.2} allocations per received insert (budget 1.70)",
+        at13.received
+    );
+    assert!(
+        at13.kept < 0.70,
+        "r = 13: {:.2} allocations per insert of a kept set (budget 0.70)",
+        at13.kept
+    );
+    assert!(
+        at13.slab_share <= 88.0,
+        "r = 13: the slab's own {:.1} bytes per object (budget 88)",
+        at13.slab_share
     );
 }
 
