@@ -29,7 +29,8 @@
 //! has many queries in flight at once and a skewed stream whose one-hit
 //! tail would flush the hot entries out of a plain FIFO, so it goes
 //! through [`FifoCache::claim`] / [`FifoCache::fill`] instead: a query
-//! is admitted on its second sighting (a fixed-size doorkeeper of query
+//! takes a free slot on its first sighting, but into a full cache it is
+//! admitted only on its second (a fixed-size doorkeeper of query
 //! signatures remembers the first), its slot is reserved when it
 //! *arrives* — not when its traversal happens to finish — and identical
 //! queries arriving while the slot's traversal runs are told to wait
@@ -110,8 +111,8 @@ pub enum Claim<T> {
     /// Walk the cube, then [`FifoCache::fill`] the slot now reserved
     /// under the caller's token.
     Lead,
-    /// Walk the cube and keep nothing (first sighting, or a cache of
-    /// capacity 0).
+    /// Walk the cube and keep nothing (a first sighting meeting a full
+    /// cache, or a cache of capacity 0).
     Pass,
 }
 
@@ -167,8 +168,9 @@ pub struct FifoCache<T = RankedObject> {
     slots: HashMap<KeywordSet, Slot<T>>,
     /// Slot keys in reservation order; the front is evicted first.
     order: VecDeque<KeywordSet>,
-    /// Signatures of recently sighted queries; allocated on the first
-    /// [`FifoCache::claim`] (the direct engine never pays for it).
+    /// Signatures of recently sighted queries; allocated when the first
+    /// [`FifoCache::claim`] meets a full cache (the direct engine never
+    /// pays for it).
     doorkeeper: Vec<u64>,
     counters: CacheCounters,
     /// Current generation of the data this cache fronts.
@@ -288,9 +290,12 @@ impl<T> FifoCache<T> {
     ///   whose threshold covers this one → [`Claim::Join`].
     /// * Any other existing slot (stale, or too short for this
     ///   threshold) is taken over in place → [`Claim::Lead`].
-    /// * No slot: the first sighting is only remembered
-    ///   ([`Claim::Pass`]); a later one reserves a slot at the back of
-    ///   the FIFO, evicting the front if full → [`Claim::Lead`].
+    /// * No slot, and the FIFO has room: a slot is reserved at its
+    ///   back → [`Claim::Lead`].
+    /// * No slot, and the FIFO is full: the doorkeeper decides. A first
+    ///   sighting is only remembered ([`Claim::Pass`]); a later one
+    ///   evicts the front and reserves a slot at the back →
+    ///   [`Claim::Lead`].
     pub fn claim(
         &mut self,
         query: &KeywordSet,
@@ -310,7 +315,7 @@ impl<T> FifoCache<T> {
         };
         let Some(slot) = self.slots.get_mut(query) else {
             self.counters.misses += 1;
-            if !self.sighted(query) {
+            if self.order.len() >= self.capacity && !self.sighted(query) {
                 return Claim::Pass;
             }
             self.push_back(query.clone(), reserved);
@@ -633,22 +638,31 @@ mod tests {
     }
 
     #[test]
-    fn admission_is_on_the_second_sighting() {
-        let mut c = FifoCache::new(4);
-        assert_eq!(claim(&mut c, "a", 5, 1), Claim::Pass, "first sighting");
-        assert_eq!(c.order.len(), 0, "a one-hit query never takes a slot");
-        assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead, "second sighting");
-        assert_eq!(c.order.len(), 1, "slot reserved on arrival");
-        c.fill(&q("a"), 2, results(3), true, Vec::new());
-        assert!(matches!(claim(&mut c, "a", 5, 3), Claim::Hit(r) if r.len() == 3));
+    fn a_first_sighting_takes_a_free_slot_and_the_doorkeeper_guards_a_full_cache() {
+        let mut c = FifoCache::new(2);
+        assert_eq!(claim(&mut c, "a", 5, 1), Claim::Lead, "room");
+        assert_eq!(claim(&mut c, "b", 5, 2), Claim::Lead, "room");
+        assert_eq!(c.order.len(), 2, "slots reserved on arrival");
+        assert_eq!(claim(&mut c, "c", 5, 3), Claim::Pass, "full");
+        assert_eq!(c.order.len(), 2, "a one-hit query never evicts");
+        assert_eq!(claim(&mut c, "c", 5, 4), Claim::Lead, "second sighting");
+        assert_eq!(c.counters().evictions, 1);
+        c.fill(&q("a"), 1, results(1), true, Vec::new()); // evicted
+        assert!(!c.slots.contains_key(&q("a")));
+        // Traversal 2 gives its first-sighting reservation back: the
+        // slot is free, so the next first sighting takes it.
+        c.release(&q("b"), 2);
+        assert_eq!(c.order.len(), 1);
+        assert_eq!(claim(&mut c, "d", 5, 5), Claim::Lead, "room again");
+        c.fill(&q("c"), 4, results(3), true, Vec::new());
+        assert!(matches!(claim(&mut c, "c", 5, 6), Claim::Hit(r) if r.len() == 3));
         let n = c.counters();
-        assert_eq!((n.hits, n.misses, n.coalesced, n.stale), (1, 2, 0, 0));
+        assert_eq!((n.hits, n.misses, n.coalesced, n.stale), (1, 5, 0, 0));
     }
 
     #[test]
     fn identical_queries_join_the_running_traversal() {
         let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 5, 1);
         assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
         assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
         assert_eq!(
@@ -671,24 +685,24 @@ mod tests {
     #[test]
     fn slots_are_reserved_in_arrival_order_not_completion_order() {
         let mut c = FifoCache::new(2);
-        for query in ["a", "b", "c"] {
-            claim(&mut c, query, 1, 0); // first sightings
-        }
         assert_eq!(claim(&mut c, "a", 1, 1), Claim::Lead);
         assert_eq!(claim(&mut c, "b", 1, 2), Claim::Lead);
         // b finishes first; a is still the older reservation.
         c.fill(&q("b"), 2, results(1), true, Vec::new());
+        assert_eq!(claim(&mut c, "c", 1, 0), Claim::Pass, "full");
         assert_eq!(claim(&mut c, "c", 1, 3), Claim::Lead, "evicts a, the front");
         assert_eq!(c.counters().evictions, 1);
         c.fill(&q("a"), 1, results(1), true, Vec::new()); // slot is gone
         assert!(matches!(claim(&mut c, "b", 1, 4), Claim::Hit(_)));
-        assert_eq!(claim(&mut c, "a", 1, 5), Claim::Lead, "a starts over");
+        // a took its slot while there was room, so the doorkeeper has
+        // not seen it: it starts over as a first sighting.
+        assert_eq!(claim(&mut c, "a", 1, 5), Claim::Pass);
+        assert_eq!(claim(&mut c, "a", 1, 6), Claim::Lead, "a starts over");
     }
 
     #[test]
     fn a_generation_bump_outdates_entries_and_reservations() {
         let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 5, 1);
         claim(&mut c, "a", 5, 2);
         c.fill(&q("a"), 2, results(1), true, Vec::new());
         c.bump_generation();
@@ -714,7 +728,6 @@ mod tests {
     #[test]
     fn remote_stamps_are_judged_by_the_caller() {
         let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 5, 1);
         claim(&mut c, "a", 5, 2);
         c.fill(&q("a"), 2, results(1), true, vec![(7, 40)]);
         let at_least =
@@ -730,7 +743,6 @@ mod tests {
     #[test]
     fn a_released_reservation_is_led_again() {
         let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 5, 1);
         assert_eq!(claim(&mut c, "a", 5, 2), Claim::Lead);
         assert_eq!(claim(&mut c, "a", 5, 3), Claim::Join(2));
         c.release(&q("a"), 9); // not the holder
@@ -738,7 +750,7 @@ mod tests {
         // The caller gives traversal 2 up: nobody waits for it again.
         c.release(&q("a"), 2);
         assert_eq!(c.order.len(), 0);
-        assert_eq!(claim(&mut c, "a", 5, 4), Claim::Lead, "already sighted");
+        assert_eq!(claim(&mut c, "a", 5, 4), Claim::Lead, "free again");
         assert_eq!(claim(&mut c, "a", 5, 5), Claim::Join(4));
         // Should traversal 2 finish after all, its answer is not kept.
         c.fill(&q("a"), 2, results(1), true, Vec::new());
@@ -752,7 +764,6 @@ mod tests {
     #[test]
     fn a_truncated_entry_never_answers_a_larger_threshold() {
         let mut c = FifoCache::new(4);
-        claim(&mut c, "a", 2, 1);
         claim(&mut c, "a", 2, 2);
         c.fill(&q("a"), 2, results(2), false, Vec::new());
         assert!(matches!(claim(&mut c, "a", 2, 3), Claim::Hit(_)));

@@ -189,8 +189,9 @@ counter_record! {
         /// Superset queries answered from the result cache: one
         /// `QueryDone`, no traversal.
         cache_hits,
-        /// Superset queries that found no usable entry (absent, first
-        /// sighting, or not covering the threshold) and walked the cube.
+        /// Superset queries that found no usable entry (absent, a first
+        /// sighting turned away by a full cache, or not covering the
+        /// threshold) and walked the cube.
         cache_misses,
         /// Superset queries that waited for a running traversal of the
         /// same query instead of starting their own.
@@ -325,7 +326,8 @@ struct QueryState {
     /// keeps none — it is answered whole or dropped.
     coverage: Option<FtCoverage>,
     /// Whether this traversal holds the query's cache slot (and fills
-    /// it when done) or keeps nothing: a first sighting, an `FtQuery`.
+    /// it when done) or keeps nothing: a first sighting a full cache
+    /// turned away, an `FtQuery`.
     slot: bool,
     /// This worker's write epoch when the traversal started.
     own_epoch: u64,

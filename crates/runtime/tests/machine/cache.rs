@@ -65,10 +65,10 @@ fn a_repeated_query_is_admitted_once_on_its_roots_owner() {
         rt.flush();
         rt.run_batch(&requests, 32).unwrap();
         let owner_of = |keywords: &KeywordSet| rt.mesh.borrow().owner(keywords);
-        // Every arrival of a query lands on its root's owner, so the
-        // cluster walks a repeated query twice (first sighting, then the
-        // admitting walk) — not twice per worker — and nobody else ever
-        // hears of it.
+        // Every arrival of a query lands on its root's owner, and a
+        // cache with room admits a first sighting, so the cluster walks
+        // a repeated query once — not once per worker — and nobody else
+        // ever hears of it.
         let mut arrivals: HashMap<&KeywordSet, (u32, u64)> = HashMap::new();
         for request in &requests {
             let Request::Superset { keywords, .. } = request else {
@@ -96,7 +96,7 @@ fn a_repeated_query_is_admitted_once_on_its_roots_owner() {
             let here = || arrivals.values().filter(|(owner, _)| *owner == w as u32);
             assert_eq!(
                 stats.cache_misses,
-                here().map(|(_, count)| (*count).min(2)).sum::<u64>(),
+                here().map(|(_, count)| (*count).min(1)).sum::<u64>(),
                 "workers={workers}: worker {w} admitted a query that is not its own"
             );
             assert_eq!(
@@ -235,12 +235,12 @@ fn a_repeat_costs_two_frames_and_a_flushed_write_costs_no_extra_frame() {
     assert_eq!(insert_flushed(&mut rig, 2, &owned[1][0]), 1);
     let marks = [1, 1];
 
-    // First sighting walks and keeps nothing; the second walks and
-    // fills the slot; from the third on nothing crosses the wire.
+    // The first sighting walks and fills a free slot; from the second
+    // on nothing crosses the wire.
     let (first, walked) = search(&mut rig, 1, &query, &marks);
     assert_eq!(first, vec![1, 2]);
     assert_eq!(walked, 2, "one round: worker 1 is asked and answers");
-    assert_eq!(search(&mut rig, 2, &query, &marks), (vec![1, 2], walked));
+    assert_eq!(search(&mut rig, 2, &query, &marks), (vec![1, 2], 0));
     assert_eq!(search(&mut rig, 3, &query, &marks), (vec![1, 2], 0));
     // A bare `Query` is the same request with no marks.
     let crossed = rig.crossed;
@@ -281,7 +281,7 @@ fn a_repeat_costs_two_frames_and_a_flushed_write_costs_no_extra_frame() {
     let w0 = &shutdown(rig).workers[0];
     assert_eq!(
         (w0.cache_hits, w0.cache_misses, w0.cache_stale),
-        (4, 2, 2),
+        (5, 1, 2),
         "{w0:?}"
     );
     assert_eq!(w0.queries_coordinated, 8);
@@ -363,9 +363,8 @@ fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
     insert_flushed(&mut rig, 1, &owned[0][0]);
     insert_flushed(&mut rig, 2, &owned[1][0]);
     let marks = vec![1, 1];
-    assert_eq!(search(&mut rig, 1, &query, &marks), (vec![1, 2], 2));
 
-    // The second sighting reserves the slot, and worker 1's answer to
+    // The first sighting reserves the slot, and worker 1's answer to
     // it never reaches worker 0.
     rig.hold(1, 0);
     let sent = rig.trace.len();
@@ -420,7 +419,7 @@ fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
     assert_eq!((rig.lost, rig.copied), (1, 1));
     let report = rig.shutdown();
     let (w0, w1) = (&report.workers[0], &report.workers[1]);
-    // Sighted, reserved, joined, served: nothing went stale, because no
+    // Reserved, joined, served: nothing went stale, because no
     // reservation ever outlives a traversal that is still being waited
     // for.
     assert_eq!(
@@ -430,7 +429,7 @@ fn a_lost_answer_is_asked_for_again_and_a_duplicated_one_is_heard_once() {
             w0.cache_coalesced,
             w0.cache_stale
         ),
-        (1, 2, 1, 0),
+        (1, 1, 1, 0),
         "{w0:?}"
     );
     assert_eq!(w0.queries_abandoned, 0, "{w0:?}");
@@ -458,12 +457,10 @@ fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
     assert!(vertices.len() >= 3, "worker 1's sets share two vertices");
     let marks = [1, vertices.len() as u64];
     let everything: Vec<u64> = (1..=1 + vertices.len() as u64).collect();
-    let (whole, _) = search(&mut rig, 1, &query, &marks);
-    assert_eq!(whole, everything);
 
-    // The same walk again, but worker 1's answer is cut on the wire
-    // into one frame per vertex — what a body cap would force. One of
-    // the frames is delivered twice, and a middle one not at all.
+    // Worker 1's answer is cut on the wire into one frame per vertex —
+    // what a body cap would force. One of the frames is delivered
+    // twice, and a middle one not at all.
     rig.hold(1, 0);
     rig.send(0, &query_at(2, &query, &marks));
     rig.deliver();
@@ -502,7 +499,10 @@ fn an_answer_that_arrives_in_several_frames_merges_to_the_same_result() {
     let crossed = rig.crossed;
     rig.settle();
     let reply = client_frame(&mut rig);
-    assert_eq!((done_ids(reply, 2), rig.crossed - crossed), (whole, 2));
+    assert_eq!(
+        (done_ids(reply, 2), rig.crossed - crossed),
+        (everything.clone(), 2)
+    );
     // It filled the slot like any other answer.
     assert_eq!(search(&mut rig, 3, &query, &marks), (everything, 0));
     rig.shutdown();
@@ -594,7 +594,7 @@ fn crash_corpus_set(object: u64) -> KeywordSet {
 }
 
 /// Loads a small corpus and warms the coordinator's cache with the
-/// query (three sightings: pass, fill, hit). Then, when `whole`: an FT
+/// query (three sightings: fill, hit, hit). Then, when `whole`: an FT
 /// search rooted on the victim (the crash trigger — the one request
 /// whose loss the client survives), the query again, one more flushed
 /// write on the victim's shard, and the query twice more.
@@ -659,7 +659,7 @@ fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_f
     let at_coordinator = &clean.workers[coordinator as usize];
     assert_eq!(
         (at_coordinator.cache_hits, at_coordinator.cache_stale),
-        (3, 1),
+        (4, 1),
         "the coordinator must have answered from an entry the victim stamped: {at_coordinator:?}"
     );
     assert_eq!(
@@ -675,10 +675,7 @@ fn no_entry_of_a_crashed_peers_previous_incarnation_answers_differently_than_a_f
         .filter(|&object| owner(&crash_corpus_set(object)) == victim)
         .count() as u64;
     let query_path = warm.workers[victim as usize].frames_received - loads - 2 - 1;
-    assert_eq!(
-        query_path, 2,
-        "the pass and the fill each asked the victim once"
-    );
+    assert_eq!(query_path, 1, "the fill asked the victim once");
 
     // The victim dies on the FT query: its tables and every epoch it
     // ever reported are gone; the restart restores its shard. The
@@ -721,8 +718,8 @@ fn an_answer_longer_than_the_item_bound_is_shared_but_not_kept() {
         assert_eq!(rt.superset_search(&big, 20).unwrap().len(), 20);
     }
     let cache = report_cache(&rt.shutdown());
-    // Exhaustive: four walks, nothing kept. Thresholded: the query is
-    // long since sighted, so the first reserves and fills, three hit.
+    // Exhaustive: four walks, nothing kept. Thresholded: the first
+    // reserves and fills, three hit.
     assert_eq!(
         (cache.hits, cache.misses, cache.stale),
         (3, 5, 0),

@@ -147,18 +147,31 @@ fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
         };
         mesh.send(0, &query);
     };
-    // The first sighting walks and keeps nothing; the second reserves
-    // the cache slot. Both park on worker 1, and stay parked through
-    // the whole budget: four transmissions, 1 s doubling.
+    // The first sighting reserves the cache slot and parks on worker 1;
+    // the second joins it as a waiter. Query 1 stays parked through
+    // the whole budget — four transmissions, 1 s doubling — then gives
+    // up and releases its slot, and its waiter starts over as a new
+    // arrival: a walk of its own, through a budget of its own.
     ask(&mut mesh, 1);
     ask(&mut mesh, 2);
     mesh.deliver();
+    let stats = mesh.stats(0);
+    assert_eq!(
+        (
+            stats.cache_misses,
+            stats.cache_coalesced,
+            stats.batch_frames_sent
+        ),
+        (1, 1, 1),
+        "{stats:?}"
+    );
     let asked = mesh.now();
     mesh.settle();
     let gave_up = mesh.now() - asked;
-    let budget = Duration::from_secs(1 + 2 + 4 + 8);
+    let budgets = Duration::from_secs(2 * (1 + 2 + 4 + 8));
+    let slack = Duration::from_millis(10);
     assert!(
-        (budget..budget + Duration::from_millis(10)).contains(&gave_up),
+        (budgets - slack..budgets + slack).contains(&gave_up),
         "{gave_up:?}"
     );
     // Had query 2's reservation outlived it, query 3 would wait for a
@@ -169,7 +182,7 @@ fn a_plain_query_that_loses_an_owner_for_good_is_dropped_not_answered_short() {
     assert_eq!(stats.queries_abandoned, 2, "{stats:?}");
     assert_eq!(
         (stats.cache_misses, stats.cache_coalesced, stats.cache_stale),
-        (3, 0, 0),
+        (3, 1, 0),
         "{stats:?}"
     );
     // Four `RegionQuery`s each for the abandoned two, one for the
