@@ -25,8 +25,6 @@
 //!   is one shared packed buffer, so tables, cubes, replicas and result
 //!   lists hold it by reference count.
 //! * [`hashing`] — the keyword→bit hash `h` and set→vertex map `F_h`.
-//! * [`index`] — per-node index tables of `⟨keyword set, object⟩` with
-//!   64-bit signature prefilters on every scan.
 //! * [`cache`] — per-node FIFO result caches (§4, third experiment).
 //! * [`cluster`] — [`HypercubeIndex`], the logical-hypercube index used
 //!   by the paper's measurements (exact nodes-contacted accounting).
@@ -45,10 +43,9 @@
 //!   over prefix regions of the cube, letting the direct engine's
 //!   sequential top-down walk prune provably match-free SBT subtrees
 //!   while staying recall-safe (DESIGN.md §10).
-//! * [`store`] — per-vertex posting storage: the struct-of-arrays
-//!   slab with delta-encoded postings every executor runs; the
-//!   `BTreeMap` tables of [`index`] are its test oracle (DESIGN.md
-//!   §17).
+//! * [`store`] — per-node tables of `⟨keyword set, object⟩`: the
+//!   signature-prefiltered slab every executor runs, held by
+//!   `tests/store_parity.rs` to a `BTreeMap` model (DESIGN.md §17).
 //! * [`decompose`] — decomposed (multi-hypercube) indexes (§3.4).
 //! * [`analysis`] — Equation (1) and dimensioning guidance.
 //! * [`baseline`] — distributed inverted index and direct-DHT baselines
@@ -87,7 +84,6 @@ pub mod decompose;
 pub mod error;
 pub mod expansion;
 pub mod hashing;
-pub mod index;
 pub mod keyword;
 pub mod mapping;
 pub mod protocol;
@@ -104,7 +100,6 @@ pub use cluster::HypercubeIndex;
 pub use error::Error;
 pub use hashing::KeywordHasher;
 pub use hyperdex_dht::ObjectId;
-pub use index::IndexTable;
 pub use keyword::{Keyword, KeywordRef, KeywordSet, PackedError};
 pub use mapping::VertexMap;
 pub use protocol::{

@@ -25,7 +25,7 @@
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter
-//! of [`crate::index`]); the frontier queue lives in the index and is
+//! of [`crate::store`]); the frontier queue lives in the index and is
 //! reused across queries instead of being reallocated per search.
 
 use std::sync::Arc;

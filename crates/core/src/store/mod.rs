@@ -6,12 +6,10 @@
 //! array scanned batch-wise, posting lists varint-delta-encoded in a
 //! byte arena ([`codec`]).
 //!
-//! There is no second backend. The pointer-rich
-//! [`IndexTable`](crate::index::IndexTable) (a `BTreeMap` of `BTreeSet`
-//! posting lists) survives as the *oracle*: `tests/store_parity.rs`
-//! drives it and the slab through random interleavings and demands
-//! **byte-identical** answers — same entries, same order, same
-//! truncation — and no executor can reach it.
+//! There is no second backend. `tests/store_parity.rs` drives the slab
+//! and a private model — §3.3's table as a `BTreeMap` of `BTreeSet`s —
+//! through random interleavings and demands **byte-identical** answers:
+//! same entries, same order, same truncation.
 
 pub mod codec;
 pub mod slab;

@@ -2,8 +2,7 @@
 //!
 //! One [`PostingStore`] is one vertex's table of
 //! `⟨keyword_set, {σ₁…σₙ}⟩` entries. Instead of the `BTreeMap` of
-//! per-entry `BTreeSet`s the reference
-//! [`IndexTable`](crate::index::IndexTable) uses, the slab keeps two
+//! per-entry `BTreeSet`s its test oracle uses, the slab keeps two
 //! parallel arrays indexed by *slot*, beside one byte arena:
 //!
 //! * `sigs` — the 64-bit keyword-set signatures, one contiguous slab.
@@ -33,11 +32,11 @@
 //!
 //! # Parity contract
 //!
-//! Every query answers **byte-identically** to `IndexTable`: scans
+//! Every query answers **byte-identically** to the oracle: scans
 //! collect the signature-passing slots, sort them by keyword set (the
 //! `BTreeMap` iteration order), and confirm with
 //! [`KeywordSet::is_superset`]; exact lookups confirm with equality.
-//! The property oracle in `tests/store_parity.rs` drives both through
+//! The property tests in `tests/store_parity.rs` drive both through
 //! random interleavings to hold this line.
 
 use std::mem::size_of;
@@ -493,7 +492,7 @@ mod tests {
     proptest::proptest! {
         /// Through any interleaving of inserts and removes the digest
         /// is the OR of the live slots' signatures — what the lookups'
-        /// short circuit trusts, and what the `IndexTable` oracle keeps.
+        /// short circuit trusts.
         #[test]
         fn union_signature_is_the_or_of_the_live_slots(
             ops in proptest::collection::vec((0u8..12, 0u8..12, 0u64..8, proptest::any::<bool>()), 0..60)

@@ -1,16 +1,75 @@
 //! Property-based parity oracle for the posting store.
 //!
-//! [`PostingStore`] (struct-of-arrays slab, delta-encoded postings)
-//! must answer every read *byte-identically* to [`IndexTable`] (the
-//! `BTreeMap` reference implementation no executor runs) — the slab is
-//! only allowed to change layout, never results. These properties
+//! [`PostingStore`] (struct-of-arrays slab, delta-encoded postings,
+//! signature prefilter) must answer every read *byte-identically* to
+//! [`Oracle`], §3.3's table written as plainly as it reads — the slab
+//! is only allowed to change layout, never results. These properties
 //! drive both through random interleavings of inserts,
 //! removes, and churn-style handoffs (drain one store, rebuild
 //! another), comparing entry order, object order and counts after
 //! every batch.
 
-use hyperdex_core::{IndexTable, KeywordSet, ObjectId, PostingStore};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
+
+use hyperdex_core::{KeywordSet, ObjectId, PostingStore};
 use proptest::prelude::*;
+
+/// A node's table as §3.3 defines it: entries `⟨K, {σ₁…σₙ}⟩`, a
+/// `BTreeMap` of `BTreeSet`s. Every read is a plain filter: no
+/// signature, no prefilter, no digest, so it shares no mechanism with
+/// the slab it checks.
+#[derive(Debug, Default)]
+struct Oracle(BTreeMap<KeywordSet, BTreeSet<ObjectId>>);
+
+/// One entry's objects, in id order.
+type Objects<'a> = std::iter::Copied<btree_set::Iter<'a, ObjectId>>;
+
+impl Oracle {
+    fn insert(&mut self, keywords: KeywordSet, object: ObjectId) -> bool {
+        self.0.entry(keywords).or_default().insert(object)
+    }
+
+    fn remove(&mut self, keywords: &KeywordSet, object: ObjectId) -> bool {
+        let Some(objects) = self.0.get_mut(keywords) else {
+            return false;
+        };
+        let removed = objects.remove(&object);
+        if objects.is_empty() {
+            self.0.remove(keywords);
+        }
+        removed
+    }
+
+    fn objects_with(&self, keywords: &KeywordSet) -> Objects<'_> {
+        self.0
+            .get(keywords)
+            .map_or_else(Default::default, |o| o.iter())
+            .copied()
+    }
+
+    fn superset_entries<'a>(
+        &'a self,
+        query: &'a KeywordSet,
+    ) -> impl Iterator<Item = (&'a KeywordSet, Objects<'a>)> {
+        self.iter().filter(move |(k, _)| k.is_superset(query))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&KeywordSet, Objects<'_>)> {
+        self.0.iter().map(|(k, o)| (k, o.iter().copied()))
+    }
+
+    fn keyword_set_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn object_count(&self) -> usize {
+        self.0.values().map(BTreeSet::len).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
 
 /// A small closed keyword universe so random sets collide often —
 /// shared posting lists and signature collisions are the interesting
@@ -40,7 +99,7 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn apply(table: &mut IndexTable, slab: &mut PostingStore, op: &Op) {
+fn apply(table: &mut Oracle, slab: &mut PostingStore, op: &Op) {
     match op {
         Op::Insert(k, o) => {
             let a = table.insert(k.clone(), ObjectId::from_raw(*o));
@@ -58,7 +117,7 @@ fn apply(table: &mut IndexTable, slab: &mut PostingStore, op: &Op) {
 /// Full-state comparison: identical entry sequence (keyword-set order)
 /// with identical object sequences, plus matching counts. (The slab's
 /// digest is held to its live slots by its own unit test.)
-fn assert_parity(table: &IndexTable, slab: &PostingStore, queries: &[KeywordSet]) {
+fn assert_parity(table: &Oracle, slab: &PostingStore, queries: &[KeywordSet]) {
     assert_eq!(table.keyword_set_count(), slab.keyword_set_count());
     assert_eq!(table.object_count(), slab.object_count());
     assert_eq!(table.is_empty(), slab.is_empty());
@@ -90,7 +149,7 @@ fn assert_parity(table: &IndexTable, slab: &PostingStore, queries: &[KeywordSet]
 #[test]
 fn slab_matches_table_on_a_fixed_script() {
     let set = |s: &str| KeywordSet::parse(s).expect("non-empty words");
-    let mut table = IndexTable::new();
+    let mut table = Oracle::default();
     let mut slab = PostingStore::default();
     let script = [
         ("a b", 1u64),
@@ -123,7 +182,7 @@ fn remove_heavy_script_keeps_one_slot_per_live_set() {
     let set = |i: u64| {
         KeywordSet::from_strs([format!("w{}", i % 12), format!("n{i}")]).expect("non-empty words")
     };
-    let mut table = IndexTable::new();
+    let mut table = Oracle::default();
     let mut slab = PostingStore::default();
     for i in 0..LIVE {
         apply(&mut table, &mut slab, &Op::Insert(set(i), i));
@@ -149,7 +208,7 @@ proptest! {
         ops in prop::collection::vec(op(), 1..80),
         queries in prop::collection::vec(keyword_set(), 1..6),
     ) {
-        let mut table = IndexTable::new();
+        let mut table = Oracle::default();
         let mut slab = PostingStore::default();
         for (i, op) in ops.iter().enumerate() {
             apply(&mut table, &mut slab, op);
@@ -172,7 +231,7 @@ proptest! {
         batch in 1usize..8,
         queries in prop::collection::vec(keyword_set(), 1..4),
     ) {
-        let mut table = IndexTable::new();
+        let mut table = Oracle::default();
         let mut slab = PostingStore::default();
         for op in &ops {
             apply(&mut table, &mut slab, op);
@@ -183,7 +242,7 @@ proptest! {
             .iter()
             .map(|(k, o)| (k.clone(), o.collect()))
             .collect();
-        let mut rebuilt_table = IndexTable::new();
+        let mut rebuilt_table = Oracle::default();
         let mut rebuilt_slab = PostingStore::default();
         for chunk in entries.chunks(batch) {
             for (k, objs) in chunk {
@@ -210,7 +269,7 @@ proptest! {
             .iter()
             .map(|s| KeywordSet::parse(s).expect("non-empty words"))
             .collect();
-        let mut table = IndexTable::new();
+        let mut table = Oracle::default();
         let mut slab = PostingStore::default();
         for (set, id, insert) in ops {
             let k = sets[usize::from(set)].clone();
@@ -228,7 +287,7 @@ proptest! {
         ops in prop::collection::vec(op(), 1..80),
         queries in prop::collection::vec(keyword_set(), 1..4),
     ) {
-        let mut table = IndexTable::new();
+        let mut table = Oracle::default();
         let mut slab = PostingStore::default();
         for op in &ops {
             apply(&mut table, &mut slab, op);

@@ -81,6 +81,9 @@ fn main() -> ExitCode {
     if index >= servers {
         return usage("--index must be below --servers");
     }
+    if workers < servers {
+        return usage("--workers must be at least --servers: each server hosts a worker");
+    }
 
     let listener = match TcpListener::bind(&listen) {
         Ok(l) => l,

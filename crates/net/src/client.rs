@@ -136,8 +136,8 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// [`Error::ConnectionLost`] when any server cannot be reached
-    /// within the connect timeout.
+    /// [`Error::ConnectionLost`] when `addrs` is empty or any server
+    /// cannot be reached within the connect timeout.
     pub fn connect(
         addrs: &[String],
         r: u8,
@@ -145,6 +145,10 @@ impl NetClient {
         total_workers: u32,
         cfg: NetConfig,
     ) -> Result<NetClient, Error> {
+        if addrs.is_empty() {
+            let (endpoint, detail) = ("[]".into(), "the server roster is empty".into());
+            return Err(Error::ConnectionLost { endpoint, detail });
+        }
         let hasher = KeywordHasher::new(r, seed)?;
         let shards = ShardMap::new(r, total_workers, seed);
         let (events_tx, events_rx) = channel();

@@ -142,9 +142,14 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Any spawn or handshake failure, including a missing server
-    /// binary.
+    /// [`io::ErrorKind::InvalidInput`], before any spawn, unless
+    /// `1 <= servers <= total_workers`; else any spawn or handshake
+    /// failure, including a missing server binary.
     pub fn launch(cfg: ClusterConfig) -> io::Result<Cluster> {
+        if !(1..=cfg.total_workers).contains(&cfg.servers) {
+            let shape = format!("{} servers for {} workers", cfg.servers, cfg.total_workers);
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, shape));
+        }
         let bin = match &cfg.server_bin {
             Some(path) => path.clone(),
             None => server_binary()?,

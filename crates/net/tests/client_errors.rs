@@ -4,17 +4,23 @@
 //! surfaces as [`Error::ConnectionLost`] — typed errors, never panics —
 //! and so does a server whose stream carries what no server sends.
 //! A pipelined request window re-issues across a mid-window reconnect.
+//! A cluster shape with no server, or with a server that would host no
+//! worker, is refused where it enters: by `Cluster::launch` before it
+//! spawns, by `NetClient::connect` and by `hyperdex-server`'s flags.
 //! (How a window completes out of order and degrades one search without
 //! stalling the rest is the client core's, and `hyperdex-runtime`'s
 //! `client_core` suite scripts it with no socket.)
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use hyperdex_core::{Error, KeywordSet, ObjectId};
 use hyperdex_net::client::{NetClient, NetConfig};
+use hyperdex_net::cluster::{Cluster, ClusterConfig};
 use hyperdex_net::stream::{push_unit, StreamDecoder, CLIENT_DEST};
 use hyperdex_runtime::wire::WireMsg;
 
@@ -259,4 +265,55 @@ fn a_worker_bound_unit_at_the_client_is_a_lost_connection() {
     assert!(started.elapsed() < Duration::from_secs(2), "{err}");
     drop(client);
     server.join().unwrap();
+}
+
+/// `servers == 0` and `total_workers < servers` are refused before a
+/// process is spawned: the binary named here does not exist, so a
+/// launch that got as far as spawning would fail with `NotFound`.
+#[test]
+fn a_cluster_with_no_server_or_an_idle_server_is_refused_before_it_spawns() {
+    for (workers, servers) in [(1, 0), (0, 0), (1, 2), (3, 4)] {
+        let mut cfg = ClusterConfig::new(8, 42, workers, servers);
+        cfg.server_bin = Some(PathBuf::from("no-such-hyperdex-server"));
+        let err = Cluster::launch(cfg).err().expect("refused");
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::InvalidInput,
+            "{workers}/{servers}: {err}"
+        );
+    }
+}
+
+#[test]
+fn an_empty_roster_is_an_error_not_a_panic() {
+    match NetClient::connect(&[], 8, 42, 1, quick_cfg()) {
+        Err(Error::ConnectionLost { detail, .. }) => assert!(detail.contains("roster"), "{detail}"),
+        Err(other) => panic!("expected ConnectionLost, got {other}"),
+        Ok(_) => panic!("connected to no server"),
+    }
+}
+
+#[test]
+fn a_server_with_fewer_workers_than_servers_exits_with_its_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hyperdex-server"))
+        .args([
+            "--index",
+            "0",
+            "--servers",
+            "2",
+            "--r",
+            "8",
+            "--workers",
+            "1",
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run hyperdex-server");
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "it bound a listener first");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers must be at least --servers"),
+        "{stderr}"
+    );
 }

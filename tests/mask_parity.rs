@@ -9,7 +9,7 @@
 //! lists anyway, because every prefilter pass is confirmed by
 //! [`KeywordSet::is_superset`].
 
-use hyperdex::core::{HypercubeIndex, IndexTable, KeywordSet, ObjectId, SupersetQuery};
+use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId, PostingStore, SupersetQuery};
 use hyperdex::simnet::rng::SimRng;
 
 /// 200 keywords over 64 signature bits: collisions guaranteed.
@@ -33,9 +33,10 @@ fn collect<'a>(
 }
 
 proptest::proptest! {
-    /// Table-level parity: the prefiltered scan and the unfiltered
-    /// baseline return byte-identical entry lists for random corpora,
-    /// dimensions, and query sizes — hash collisions included.
+    /// Table-level parity: a [`PostingStore`]'s prefiltered scan, the
+    /// one every executor runs, and its unfiltered baseline
+    /// (`qsig = 0`) return byte-identical entry lists for random
+    /// corpora, dimensions, and query sizes — hash collisions included.
     #[test]
     fn masked_scan_is_byte_identical_to_unfiltered(seed in 0u64..48) {
         let mut rng = SimRng::new(seed);
@@ -43,13 +44,13 @@ proptest::proptest! {
         let r = 4 + (rng.gen_range(7) as u8); // 4..=10
         let n_objects = 150 + rng.gen_index(150);
 
-        let mut table = IndexTable::new();
+        let mut store = PostingStore::default();
         let mut engine = HypercubeIndex::new(r, seed).expect("valid r");
         let mut corpus_sets = Vec::new();
         for id in 0..n_objects as u64 {
             let len = 1 + rng.gen_index(4);
             let k = random_set(&mut rng, &pool, len);
-            table.insert(k.clone(), ObjectId::from_raw(id));
+            store.insert(k.clone(), ObjectId::from_raw(id));
             engine.insert(ObjectId::from_raw(id), k.clone()).expect("non-empty");
             corpus_sets.push(k);
         }
@@ -70,8 +71,8 @@ proptest::proptest! {
         queries.push(KeywordSet::new()); // qsig = 0: filter must pass all
 
         for q in &queries {
-            let masked = collect(table.superset_entries(q));
-            let plain = collect(table.superset_entries_sig(q, 0));
+            let masked = collect(store.superset_entries(q));
+            let plain = collect(store.superset_entries_sig(q, 0));
             proptest::prop_assert_eq!(
                 &masked, &plain,
                 "seed {} r {} query {:?}: prefilter changed the scan", seed, r, q
