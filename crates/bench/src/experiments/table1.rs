@@ -15,10 +15,10 @@ pub fn run(ctx: &SharedContext, count: usize) {
         let kw: Vec<&str> = record.keywords.iter().map(|k| k.as_str()).collect();
         table.row([
             record.id.to_string(),
-            record.title.clone(),
-            record.url.clone(),
-            record.category.clone(),
-            record.description.clone(),
+            record.title(),
+            record.url(),
+            record.category(),
+            record.description(),
             kw.join(", "),
         ]);
     }

@@ -201,8 +201,9 @@ impl<T> FifoCache<T> {
     /// — an insert or remove, or vertex ownership moving (index
     /// handoff after a join, leave, or crash takeover) — because an
     /// entry computed before the change may no longer be the answer.
-    /// Invalidation is lazy: stale entries are detected on their next
-    /// lookup rather than eagerly swept, keeping the bump O(1).
+    /// Invalidation is lazy, keeping the bump O(1): a stale entry is
+    /// dropped on its next lookup, or by a [`FifoCache::claim`] that
+    /// finds no slot and meets it at the front of the FIFO.
     pub fn bump_generation(&mut self) {
         self.generation += 1;
     }
@@ -290,8 +291,10 @@ impl<T> FifoCache<T> {
     ///   whose threshold covers this one → [`Claim::Join`].
     /// * Any other existing slot (stale, or too short for this
     ///   threshold) is taken over in place → [`Claim::Lead`].
-    /// * No slot, and the FIFO has room: a slot is reserved at its
-    ///   back → [`Claim::Lead`].
+    /// * No slot: first the entries of an older generation at the front
+    ///   of the FIFO are dropped, up to the first live entry or
+    ///   reservation. Then, if the FIFO has room, a slot is reserved at
+    ///   its back → [`Claim::Lead`].
     /// * No slot, and the FIFO is full: the doorkeeper decides. A first
     ///   sighting is only remembered ([`Claim::Pass`]); a later one
     ///   evicts the front and reserves a slot at the back →
@@ -315,6 +318,7 @@ impl<T> FifoCache<T> {
         };
         let Some(slot) = self.slots.get_mut(query) else {
             self.counters.misses += 1;
+            self.drop_stale_front();
             if self.order.len() >= self.capacity && !self.sighted(query) {
                 return Claim::Pass;
             }
@@ -405,6 +409,25 @@ impl<T> FifoCache<T> {
         let signature = hasher.finish() | 1;
         let cell = &mut self.doorkeeper[(signature >> 1) as usize % DOORKEEPER_SLOTS];
         std::mem::replace(cell, signature) == signature
+    }
+
+    /// Drops entries of an older generation from the front of the FIFO,
+    /// stopping at the first live entry or reservation. They can never
+    /// serve again, yet would hold their slots (and count towards a
+    /// full cache) until eviction reached them. Not counted as
+    /// evictions: nothing that could serve is pushed out.
+    fn drop_stale_front(&mut self) {
+        while let Some(front) = self.order.front() {
+            let stale = matches!(
+                self.slots.get(front),
+                Some(Slot::Filled(e)) if e.generation < self.generation
+            );
+            if !stale {
+                break;
+            }
+            let key = self.order.pop_front().expect("the front was just read");
+            self.slots.remove(&key);
+        }
     }
 
     /// Adds a slot at the back of the FIFO, evicting from the front
@@ -658,6 +681,37 @@ mod tests {
         assert!(matches!(claim(&mut c, "c", 5, 6), Claim::Hit(r) if r.len() == 3));
         let n = c.counters();
         assert_eq!((n.hits, n.misses, n.coalesced, n.stale), (1, 5, 0, 0));
+    }
+
+    #[test]
+    fn a_cache_full_of_stale_entries_admits_a_first_sighting() {
+        let mut c = FifoCache::new(2);
+        for (query, token) in [("a", 1), ("b", 2)] {
+            assert_eq!(claim(&mut c, query, 5, token), Claim::Lead);
+            c.fill(&q(query), token, results(1), true, Vec::new());
+        }
+        c.bump_generation(); // a write
+        assert_eq!(
+            claim(&mut c, "c", 5, 3),
+            Claim::Lead,
+            "stale slots are free"
+        );
+        assert_eq!(c.order, [q("c")], "both stale entries dropped");
+        assert_eq!(c.counters().evictions, 0, "nothing live was pushed out");
+
+        // The sweep stops at the first live entry or reservation, so a
+        // stale entry behind one waits for eviction.
+        let mut c = FifoCache::new(3);
+        assert_eq!(claim(&mut c, "a", 5, 1), Claim::Lead);
+        c.fill(&q("a"), 1, results(1), true, Vec::new());
+        assert_eq!(claim(&mut c, "b", 5, 2), Claim::Lead); // still running
+        assert_eq!(claim(&mut c, "c", 5, 3), Claim::Lead);
+        c.fill(&q("c"), 3, results(1), true, Vec::new());
+        c.bump_generation();
+        assert_eq!(claim(&mut c, "d", 5, 4), Claim::Lead);
+        assert_eq!(c.order, [q("b"), q("c"), q("d")]);
+        let n = c.counters();
+        assert_eq!((n.misses, n.stale, n.evictions), (4, 0, 0));
     }
 
     #[test]

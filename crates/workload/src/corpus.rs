@@ -65,26 +65,18 @@ impl Corpus {
     /// Generates a corpus deterministically from a seed.
     pub fn generate(config: &CorpusConfig, seed: u64) -> Self {
         let vocab = Vocabulary::new(config.vocab_size, config.zipf_exponent);
+        let mut words = vocab.by_rank();
         let mut rng = SimRng::new(seed ^ 0xC0_4F_05);
         let records = (0..config.objects)
             .map(|i| {
                 let size = config.set_sizes.sample(&mut rng);
-                let keywords = vocab.sample_set(size, &mut rng);
-                Self::record(i as u64, keywords)
+                WebsiteRecord {
+                    id: i as u64,
+                    keywords: words.sample_set(size, &mut rng),
+                }
             })
             .collect();
         Corpus { records }
-    }
-
-    fn record(id: u64, keywords: KeywordSet) -> WebsiteRecord {
-        WebsiteRecord {
-            id,
-            title: format!("Site {id}"),
-            url: format!("http://site{id}.example"),
-            category: format!("{:010}", id % 9_999_999),
-            description: format!("Synthetic directory record {id}"),
-            keywords,
-        }
     }
 
     /// The records.

@@ -19,7 +19,7 @@
 //!
 //! * [`zipf`] — an exact, seedable Zipf sampler.
 //! * [`setsize`] — the keyword-set-size distribution (Figure 5's shape).
-//! * [`vocab`] — a synthetic keyword vocabulary.
+//! * [`vocab`] — a synthetic keyword vocabulary, packed in keyword sets.
 //! * [`corpus`] — website-record corpus generation (Table 1's schema).
 //! * [`queries`] — query-log generation with calibrated skew.
 //! * [`stats`] — histograms and the ranked-load curves of Figure 6.

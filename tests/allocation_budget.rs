@@ -2,11 +2,12 @@
 //!
 //! One keyword set is one shared buffer, and a stored entry is that
 //! buffer — the paper's storage argument (§3.3: one index entry per
-//! object) rests on that entry staying small. This test builds a
-//! 50,000-object pchome index under a counting global allocator twice:
-//! from sets decoded fresh, as a server receives them, and from clones
-//! of sets the caller keeps. It holds the line on allocations per set
-//! built, per clone, per insert and per remove, on bytes per object,
+//! object) rests on that entry staying small. This test generates
+//! 50,000 pchome records under a counting global allocator, then
+//! builds their index twice: from sets decoded fresh, as a server
+//! receives them, and from clones of sets the caller keeps. It holds
+//! the line on allocations per generated record, per set built, per
+//! clone, per insert and per remove, on bytes per object,
 //! on a shared set costing the index no buffer, and on `StoreFootprint`
 //! reporting what the allocator saw.
 //!
@@ -157,7 +158,16 @@ fn budget(corpus: &Corpus, r: u8) -> (HypercubeIndex, Budget) {
 
 #[test]
 fn a_stored_entry_is_one_shared_buffer_and_the_footprint_says_so() {
-    let corpus = Corpus::generate(&CorpusConfig::pchome().with_objects(OBJECTS), 14);
+    // Generating a record is building its keyword set, one allocation;
+    // the vocabulary and the records vector add a few dozen in all.
+    let (corpus, made) =
+        counted(|| Corpus::generate(&CorpusConfig::pchome().with_objects(OBJECTS), 14));
+    let per_record = made as f64 / OBJECTS as f64;
+    println!("generate: {made} allocations over {OBJECTS} records ({per_record:.4} each)");
+    assert!(
+        per_record <= 1.05,
+        "{per_record:.4} allocations per generated record (budget 1.05: four text fields, a rank vector and a string per vocabulary word made it 10.60)"
+    );
 
     // Building a set is one allocation; the empty set and a clone are
     // none.
