@@ -23,21 +23,22 @@
 //! log needs it. We therefore count capacity in **cached queries**
 //! (table entries), mirroring how the index itself counts entries.
 //!
-//! **Two callers, one type.** The direct engine keeps the paper's
-//! scheme verbatim: [`FifoCache::lookup`] before a traversal,
-//! [`FifoCache::put`] after it. The serving path (the runtime workers)
-//! has many queries in flight at once and a skewed stream whose one-hit
-//! tail would flush the hot entries out of a plain FIFO, so it goes
-//! through [`FifoCache::claim`] / [`FifoCache::fill`] instead: a query
-//! takes a free slot on its first sighting, but into a full cache it is
-//! admitted only on its second (a fixed-size doorkeeper of query
-//! signatures remembers the first), its slot is reserved when it
-//! *arrives* — not when its traversal happens to finish — and identical
-//! queries arriving while the slot's traversal runs are told to wait
-//! for it. Every decision is a function of the arrival order alone: a
-//! reservation's holder always ends by filling it or by giving it back
-//! ([`FifoCache::release`]), so nobody ever waits for a traversal that
-//! is gone.
+//! **Two callers, one type.** Figure 9's replay (`hyperdex-bench`'s
+//! `fig9`, one cache per root vertex in front of a cache-free index)
+//! keeps the paper's scheme verbatim: [`FifoCache::lookup`] before a
+//! traversal, [`FifoCache::put`] after it. The serving path (the
+//! runtime workers) has many queries in flight at once and a skewed
+//! stream whose one-hit tail would flush the hot entries out of a plain
+//! FIFO, so it goes through [`FifoCache::claim`] / [`FifoCache::fill`] /
+//! [`FifoCache::release`] instead: a query takes a free slot on its
+//! first sighting, but into a full cache it is admitted only on its
+//! second (a fixed-size doorkeeper of query signatures remembers the
+//! first), its slot is reserved when it *arrives* — not when its
+//! traversal happens to finish — and identical queries arriving while
+//! the slot's traversal runs are told to wait for it. Every decision is
+//! a function of the arrival order alone: a reservation's holder always
+//! ends by filling it or by giving it back, so nobody ever waits for a
+//! traversal that is gone.
 //!
 //! **Validity.** An entry is stamped with the cache's *generation* at
 //! the moment its traversal started; the owner bumps the generation on
@@ -169,7 +170,7 @@ pub struct FifoCache<T = RankedObject> {
     /// Slot keys in reservation order; the front is evicted first.
     order: VecDeque<KeywordSet>,
     /// Signatures of recently sighted queries; allocated when the first
-    /// [`FifoCache::claim`] meets a full cache (the direct engine never
+    /// [`FifoCache::claim`] meets a full cache (Figure 9's replay never
     /// pays for it).
     doorkeeper: Vec<u64>,
     counters: CacheCounters,
@@ -206,12 +207,6 @@ impl<T> FifoCache<T> {
     /// finds no slot and meets it at the front of the FIFO.
     pub fn bump_generation(&mut self) {
         self.generation += 1;
-    }
-
-    /// Catches the cache up with a generation counted elsewhere (one
-    /// counter shared by many caches): no-op when already there.
-    pub fn advance_generation_to(&mut self, generation: u64) {
-        self.generation = self.generation.max(generation);
     }
 
     /// What the cache did with the lookups it saw.

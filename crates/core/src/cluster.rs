@@ -8,8 +8,12 @@
 //! protocol.
 //!
 //! Vertices are materialized lazily: a 2^16-vertex hypercube costs
-//! memory only for vertices that actually index objects (or hold a
-//! cache).
+//! memory only for vertices that actually index objects.
+//!
+//! The index holds no result cache: a search is a walk, and what it
+//! costs depends only on the data and the query. Figure 9's per-node
+//! FIFO caches are kept by the replay that measures them
+//! (`hyperdex-bench`'s `fig9`), in front of this index.
 
 use std::collections::VecDeque;
 use std::hint::black_box;
@@ -17,7 +21,6 @@ use std::hint::black_box;
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::{Shape, Vertex};
 
-use crate::cache::FifoCache;
 use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::{KeywordSet, WideSig};
@@ -32,15 +35,7 @@ use crate::summary::OccupancySummary;
 pub struct HypercubeIndex {
     hasher: KeywordHasher,
     nodes: ByVertex<PostingStore>,
-    // Per-vertex result caches: none unless caching is enabled, and a
-    // vertex's is made by its first `cache_mut`.
-    caches: ByVertex<FifoCache>,
     object_count: usize,
-    cache_capacity: usize,
-    // Bumped by every insert, remove and node drop that changed the
-    // index; each per-node cache catches up when next touched, so an
-    // entry computed before a write never serves after it.
-    generation: u64,
     // Occupancy and keyword signatures of the cube's prefix regions,
     // kept exact on every insert/remove so searches prune provably
     // match-free SBT subtrees.
@@ -52,7 +47,7 @@ pub struct HypercubeIndex {
 
 impl HypercubeIndex {
     /// Creates an index over an `r`-dimensional hypercube with hash
-    /// seed `seed` and caches disabled.
+    /// seed `seed`.
     ///
     /// # Errors
     ///
@@ -61,10 +56,7 @@ impl HypercubeIndex {
         Ok(HypercubeIndex {
             hasher: KeywordHasher::new(r, seed)?,
             nodes: ByVertex::default(),
-            caches: ByVertex::default(),
             object_count: 0,
-            cache_capacity: 0,
-            generation: 0,
             summary: OccupancySummary::new(r),
             frontier: VecDeque::new(),
         })
@@ -94,14 +86,6 @@ impl HypercubeIndex {
         total.bytes_resident +=
             self.nodes.capacity() * slot - self.nodes.len() * std::mem::size_of::<PostingStore>();
         total
-    }
-
-    /// Enables a per-node FIFO cache of `capacity` object entries
-    /// (0 disables). Existing caches are dropped; a node makes its new
-    /// one on first use.
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache_capacity = capacity;
-        self.caches.clear();
     }
 
     /// The hypercube shape.
@@ -139,7 +123,6 @@ impl HypercubeIndex {
         let store = self.nodes.entry(vertex.bits()).or_default();
         if store.insert(keywords, object) {
             self.object_count += 1;
-            self.generation += 1;
             let bits = vertex.bits();
             let old = self
                 .summary
@@ -161,7 +144,6 @@ impl HypercubeIndex {
         let removed = store.remove(keywords, object);
         if removed {
             self.object_count -= 1;
-            self.generation += 1;
             // Killing a slot shrinks the vertex's signature unless the
             // survivors' cover the dead set's: fold them until they do.
             if store.objects_with(keywords).next().is_none() {
@@ -255,20 +237,18 @@ impl HypercubeIndex {
             .collect()
     }
 
-    /// Simulates the crash of one index node: its table (and cache) are
-    /// lost. Returns the number of object entries that disappeared.
+    /// Simulates the crash of one index node: its table is lost.
+    /// Returns the number of object entries that disappeared.
     ///
     /// Queries keep working — the vertex simply answers empty — but its
     /// objects become unfindable until re-published, unless a
     /// replication layer (see [`crate::replication`]) covers them.
     pub fn drop_node(&mut self, vertex: Vertex) -> usize {
-        self.caches.remove(&vertex.bits());
         match self.nodes.remove(&vertex.bits()) {
             None => 0,
             Some(store) => {
                 let lost = store.object_count();
                 self.object_count -= lost;
-                self.generation += 1;
                 self.summary.set_vertex(vertex.bits(), WideSig::EMPTY);
                 lost
             }
@@ -286,21 +266,6 @@ impl HypercubeIndex {
     /// The posting store at `vertex`, if materialized.
     pub(crate) fn store_at(&self, vertex: Vertex) -> Option<&PostingStore> {
         self.nodes.get(&vertex.bits())
-    }
-
-    /// Mutable cache at `vertex`, if caching is enabled — made on first
-    /// use — caught up with every write the index has seen.
-    pub(crate) fn cache_mut(&mut self, vertex: Vertex) -> Option<&mut FifoCache> {
-        let capacity = self.cache_capacity;
-        if capacity == 0 {
-            return None;
-        }
-        let cache = self
-            .caches
-            .entry(vertex.bits())
-            .or_insert_with(|| FifoCache::new(capacity));
-        cache.advance_generation_to(self.generation);
-        Some(cache)
     }
 }
 
@@ -388,18 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_toggles() {
-        let mut idx = HypercubeIndex::new(8, 0).unwrap();
-        idx.insert(oid(1), set("k")).unwrap();
-        let v = idx.vertex_for(&set("k"));
-        assert!(idx.cache_mut(v).is_none());
-        idx.set_cache_capacity(16);
-        assert!(idx.cache_mut(v).is_some());
-        idx.set_cache_capacity(0);
-        assert!(idx.cache_mut(v).is_none());
-    }
-
-    #[test]
     fn summary_tracks_inserts_removes_and_drops() {
         let mut idx = HypercubeIndex::new(10, 0).unwrap();
         let v = idx.insert(oid(3), set("c d e")).unwrap();
@@ -447,15 +400,5 @@ mod tests {
             assert_eq!(idx.store_footprint(), empty, "round {round}");
             assert_eq!(*idx.summary(), OccupancySummary::new(10), "round {round}");
         }
-        // An emptied vertex's store goes and its cache stays, until the
-        // node is dropped.
-        idx.set_cache_capacity(4);
-        let v = idx.insert(oid(1), set("a b")).unwrap();
-        assert!(idx.caches.is_empty(), "a cache is made on first use");
-        assert!(idx.cache_mut(v).is_some());
-        assert!(idx.remove(oid(1), &set("a b")));
-        assert_eq!((idx.nodes.len(), idx.caches.len()), (0, 1));
-        idx.drop_node(v);
-        assert!(idx.caches.is_empty());
     }
 }

@@ -131,11 +131,7 @@ impl DecomposedIndex {
         let mut stats = crate::search::SearchStats::default();
         for (field, query) in queries {
             let out = self.superset_search(field, query)?;
-            stats.nodes_contacted += out.stats.nodes_contacted;
-            stats.query_messages += out.stats.query_messages;
-            stats.control_messages += out.stats.control_messages;
-            stats.result_messages += out.stats.result_messages;
-            stats.entries_scanned += out.stats.entries_scanned;
+            stats.add(&out.stats);
             let ids: std::collections::BTreeSet<ObjectId> =
                 out.results.into_iter().map(|r| r.object).collect();
             intersection = Some(match intersection {

@@ -50,7 +50,6 @@ pub struct ReplicatedIndex {
     primary: HypercubeIndex,
     secondary: HypercubeIndex,
     failed_primary: HashSet<u64>,
-    failed_secondary: HashSet<u64>,
 }
 
 impl ReplicatedIndex {
@@ -68,7 +67,6 @@ impl ReplicatedIndex {
             primary: HypercubeIndex::new(r, seed)?,
             secondary: HypercubeIndex::new(r, seed ^ SECONDARY_SEED_OFFSET)?,
             failed_primary: HashSet::new(),
-            failed_secondary: HashSet::new(),
         })
     }
 
@@ -94,7 +92,6 @@ impl ReplicatedIndex {
     /// Crashes a secondary index node.
     pub fn fail_secondary(&mut self, vertex: Vertex) {
         self.secondary.drop_node(vertex);
-        self.failed_secondary.insert(vertex.bits());
     }
 
     /// Superset search with failover: the primary traversal runs first;
@@ -118,11 +115,7 @@ impl ReplicatedIndex {
             }
         }
         out.results.truncate(query.threshold);
-        out.stats.nodes_contacted += secondary_out.stats.nodes_contacted;
-        out.stats.query_messages += secondary_out.stats.query_messages;
-        out.stats.control_messages += secondary_out.stats.control_messages;
-        out.stats.result_messages += secondary_out.stats.result_messages;
-        out.stats.entries_scanned += secondary_out.stats.entries_scanned;
+        out.stats.add(&secondary_out.stats);
         out.exhausted = out.exhausted && secondary_out.exhausted;
         Ok(out)
     }

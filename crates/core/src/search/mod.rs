@@ -78,9 +78,9 @@ pub struct SupersetQuery {
 
 impl SupersetQuery {
     /// Creates a query returning *all* matches (threshold `usize::MAX`),
-    /// top-down, sequential, pruning enabled. On an index with result
-    /// caches the root's cache serves and stores a sequential top-down
-    /// query (§4's cache experiment); the other walks run uncached.
+    /// top-down, sequential, pruning enabled. Such a search is
+    /// exhaustive, so a cache in front of the index (§4's cache
+    /// experiment) may keep its answer for any threshold.
     pub fn new(keywords: KeywordSet) -> Self {
         SupersetQuery {
             keywords,
@@ -150,7 +150,10 @@ pub struct SearchStats {
     pub result_messages: u64,
     /// Index entries scanned across all contacted nodes.
     pub entries_scanned: u64,
-    /// Whether a cache served (part of) the query.
+    /// Whether a cache served (part of) the query. No search sets it:
+    /// the index holds no cache, and Figure 9's replay counts its own
+    /// hits. It stays only because `benchmark/` reads it, so its
+    /// `core.cache_hit_ratio` reads 0.
     pub cache_hit: bool,
     /// Parallel rounds used (level-parallel mode only; 0 otherwise).
     pub rounds: u32,
@@ -160,6 +163,20 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
+    /// Component-wise sum — one row for a search made of several walks
+    /// (from `SearchStats::default()`, all zero): every counter adds,
+    /// and the flag ORs.
+    pub fn add(&mut self, other: &SearchStats) {
+        self.nodes_contacted += other.nodes_contacted;
+        self.query_messages += other.query_messages;
+        self.control_messages += other.control_messages;
+        self.result_messages += other.result_messages;
+        self.entries_scanned += other.entries_scanned;
+        self.cache_hit |= other.cache_hit;
+        self.rounds += other.rounds;
+        self.pruned_subtrees += other.pruned_subtrees;
+    }
+
     /// Total messages of all kinds.
     pub fn total_messages(&self) -> u64 {
         self.query_messages + self.control_messages + self.result_messages

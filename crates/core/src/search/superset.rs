@@ -12,23 +12,21 @@
 //! objects first), and level-parallel (§3.5 — whole tree levels queried
 //! per round, time `r − |One(F_h(K))|` instead of `2^{r−|One|}`).
 //!
-//! The sequential top-down search is the first page of a
-//! [`CumulativeSearch`] (§2.2: the root keeps `U` for later pages; a
-//! one-shot search simply never asks for one) — the shared
-//! [`crate::protocol::SupersetCoordinator`] machine in a loop, the one
-//! the simulator feeds with messages (a runtime worker walks the
-//! subcube's prefix regions instead) — and is the one walk that prunes
-//! and the one the per-root result cache serves; the level-order
-//! variants walk [`Sbt::level`] depth by depth, as published; every
-//! per-node scan is the shared [`scan_store`], ranked by
-//! [`crate::ranking`].
+//! `run` dispatches to two walks. The sequential top-down search is
+//! the first page of a [`CumulativeSearch`] (§2.2: the root keeps `U`
+//! for later pages; a one-shot search simply never asks for one) — the
+//! shared [`crate::protocol::SupersetCoordinator`] machine in a loop,
+//! the one the simulator feeds with messages (a runtime worker walks
+//! the subcube's prefix regions instead) — and is the one walk that
+//! prunes. Every other (order, mode) is `by_levels`, which walks
+//! [`Sbt::level`] depth by depth, as published. Every per-node scan is
+//! the shared [`scan_store`], ranked by [`crate::ranking`]. No walk
+//! consults a cache: Figure 9's caches sit in front of the index.
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
 //! once per traversal and passed to every per-node scan (the prefilter
 //! of [`crate::store`]); the frontier queue lives in the index and is
 //! reused across queries instead of being reallocated per search.
-
-use std::sync::Arc;
 
 use hyperdex_hypercube::{Sbt, Vertex};
 
@@ -48,171 +46,87 @@ pub(crate) fn run(
 ) -> Result<SupersetOutcome, Error> {
     query.validate()?;
     let root = index.vertex_for(&query.keywords);
-    let mut stats = SearchStats::default();
-
-    // The requester's T_QUERY reaches the root node.
-    stats.query_messages += 1;
-    stats.nodes_contacted += 1;
-
-    // Query signature, computed once for the whole traversal.
-    let qsig = query.keywords.signature();
     match (query.mode, query.order) {
-        (ExecutionMode::Sequential, TraversalOrder::TopDown) => {
-            cached_top_down(index, query, root, stats)
-        }
-        (ExecutionMode::Sequential, TraversalOrder::BottomUp) => {
-            Ok(by_levels(index, query, qsig, root, stats))
-        }
-        (ExecutionMode::LevelParallel, _) => Ok(level_parallel(index, query, qsig, root, stats)),
+        (ExecutionMode::Sequential, TraversalOrder::TopDown) => first_page(index, query, root),
+        _ => Ok(by_levels(index, query, root)),
     }
 }
 
-/// The sequential top-down walk behind the root's result cache (§4).
-/// The cache is keyed by the keyword set alone, so it holds this walk's
-/// answers only: at a binding threshold every other walk answers with
-/// a different set, and runs uncached. `stats` has the root charged,
-/// which is what a cache hit costs; a walk charges its own visits.
-fn cached_top_down(
+/// The sequential top-down walk: a session's first page, walked on the
+/// index's reusable frontier queue, moved out for the duration of the
+/// search (the session borrows the index immutably).
+fn first_page(
     index: &mut HypercubeIndex,
     query: &SupersetQuery,
     root: Vertex,
-    mut stats: SearchStats,
 ) -> Result<SupersetOutcome, Error> {
-    // An exhaustive entry serves any threshold; a partial entry serves
-    // thresholds it covers.
-    if let Some(cache) = index.cache_mut(root) {
-        if let Some(cached) = cache.lookup(&query.keywords, query.threshold) {
-            let exhausted = cached.exhausted && cached.results.len() <= query.threshold;
-            let results: Vec<RankedObject> = cached
-                .results
-                .iter()
-                .take(query.threshold)
-                .cloned()
-                .collect();
-            stats.cache_hit = true;
-            stats.result_messages += 1;
-            return Ok(SupersetOutcome {
-                results,
-                stats,
-                exhausted,
-            });
-        }
-    }
-
-    // A miss is a session's first page, walked on the index's reusable
-    // frontier queue, moved out for the duration of the search (the
-    // session borrows the index immutably).
     let queue = std::mem::take(&mut index.frontier);
     let mut session = CumulativeSearch::open(index, query.keywords.clone(), query.prune, queue);
     let mut outcome = session.next_batch(index, query.threshold)?;
     // A threshold met beyond the root stopped the traversal early. Met
     // at the root itself, the result is exhaustive only if the root is
     // the whole subcube AND nothing is truncated away — a truncated
-    // result set must never be cached as complete.
+    // result set must never pass for a complete one.
     let found = outcome.results.len() + session.buffered();
     outcome.exhausted =
         found < query.threshold || (root.zero_count() == 0 && found == query.threshold);
     index.frontier = session.into_queue();
-
-    // Cache the traversal's results; the exhausted flag records whether
-    // they can serve any threshold or only covered ones. The result vec
-    // moves into the cache instead of being deep-copied: the caller's
-    // copy is rebuilt (bounded by the threshold — traversals truncate)
-    // only when the cache actually kept the entry, and moves back for
-    // free when it declined.
-    if let Some(cache) = index.cache_mut(root) {
-        let shared = Arc::new(std::mem::take(&mut outcome.results));
-        cache.put(
-            query.keywords.clone(),
-            Arc::clone(&shared),
-            outcome.exhausted,
-        );
-        outcome.results = Arc::try_unwrap(shared)
-            .unwrap_or_else(|kept| kept.iter().take(query.threshold).cloned().collect());
-    }
     Ok(outcome)
 }
 
-/// Sequential bottom-up traversal by whole tree levels, deepest first
-/// (most-specific objects first).
-fn by_levels(
-    index: &HypercubeIndex,
-    query: &SupersetQuery,
-    qsig: u64,
-    root: Vertex,
-    mut stats: SearchStats,
-) -> SupersetOutcome {
+/// The level-order walks: whole tree levels, root first (top-down) or
+/// deepest first (bottom-up — most-specific objects first).
+///
+/// Sequentially, one `T_QUERY` is outstanding at a time: each non-root
+/// visit answers the root with a `T_CONT` / `T_STOP`, and the walk stops
+/// at the node that fills `t`. In §3.5's parallel execution a level is
+/// one round, queried at once: the walk stops after the round that
+/// fills `t`, which may overshoot and is truncated.
+fn by_levels(index: &HypercubeIndex, query: &SupersetQuery, root: Vertex) -> SupersetOutcome {
+    let sequential = query.mode == ExecutionMode::Sequential;
+    // The requester's T_QUERY reaches the root node.
+    let mut stats = SearchStats {
+        query_messages: 1,
+        nodes_contacted: 1,
+        ..SearchStats::default()
+    };
+    // Query signature, computed once for the whole traversal.
+    let qsig = query.keywords.signature();
     let sbt = Sbt::induced(root);
+    let height = sbt.height();
     let mut results = Vec::new();
-    for depth in (0..=sbt.height()).rev() {
+    let mut exhausted = true;
+    'rounds: for round in 0..=height {
+        let depth = match query.order {
+            TraversalOrder::TopDown => round,
+            TraversalOrder::BottomUp => height - round,
+        };
+        stats.rounds += u32::from(!sequential);
         for w in sbt.level(depth) {
             // The root was already charged for receiving the query.
             if w != root {
                 stats.query_messages += 1;
                 stats.nodes_contacted += 1;
-                stats.control_messages += 1; // T_CONT / T_STOP ack
+                stats.control_messages += u64::from(sequential);
             }
             scan_node(index, w, query, qsig, &mut results, &mut stats);
-            if results.len() >= query.threshold {
-                results.truncate(query.threshold);
-                return SupersetOutcome {
-                    results,
-                    stats,
-                    exhausted: false,
-                };
+            if sequential && results.len() >= query.threshold {
+                exhausted = false;
+                break 'rounds;
             }
-        }
-    }
-    SupersetOutcome {
-        results,
-        stats,
-        exhausted: true,
-    }
-}
-
-/// §3.5's parallel execution: tree levels are queried in rounds; the
-/// search stops after the first round that satisfies the threshold.
-fn level_parallel(
-    index: &HypercubeIndex,
-    query: &SupersetQuery,
-    qsig: u64,
-    root: Vertex,
-    mut stats: SearchStats,
-) -> SupersetOutcome {
-    let sbt = Sbt::induced(root);
-    let height = sbt.height();
-    let mut results = Vec::new();
-    for round in 0..=height {
-        let depth = match query.order {
-            TraversalOrder::TopDown => round,
-            TraversalOrder::BottomUp => height - round,
-        };
-        stats.rounds += 1;
-        // All level-d nodes are queried simultaneously; results within a
-        // round may overshoot the threshold and are truncated afterwards.
-        for w in sbt.level(depth) {
-            if w != root {
-                stats.query_messages += 1;
-                stats.nodes_contacted += 1;
-            }
-            scan_node(index, w, query, qsig, &mut results, &mut stats);
         }
         if results.len() >= query.threshold {
             // Exhausted only when every level was visited and nothing
             // was truncated.
-            let exhausted = round == height && results.len() == query.threshold;
-            results.truncate(query.threshold);
-            return SupersetOutcome {
-                results,
-                stats,
-                exhausted,
-            };
+            exhausted = round == height && results.len() == query.threshold;
+            break;
         }
     }
+    results.truncate(query.threshold);
     SupersetOutcome {
         results,
         stats,
-        exhausted: true,
+        exhausted,
     }
 }
 

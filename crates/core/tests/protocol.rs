@@ -66,11 +66,18 @@ proptest! {
         prop_assert_eq!(sorted_objects(&out.results), brute_force(&objects, &query));
     }
 
-    /// All four protocol variants agree on the exhaustive result set.
+    /// All four protocol variants agree on the exhaustive result set,
+    /// and each level-order walk keeps its accounting laws: it contacts
+    /// the whole subcube and reports `exhausted`; sequentially it counts
+    /// one `T_CONT`/`T_STOP` per non-root visit and no round, in
+    /// parallel one round per tree level and no control message.
     #[test]
     fn variants_agree((corpus, qwords) in corpus_and_query(), r in 4u8..9) {
         let (mut index, _) = build_index(r, &corpus);
         let query = to_set(&qwords);
+        let root = index.vertex_for(&query);
+        let subcube = 1u64 << root.zero_count();
+        let height = hyperdex_hypercube::Sbt::induced(root).height();
         let base = SupersetQuery::new(query);
         let td = index.superset_search(&base.clone()).unwrap();
         let bu = index
@@ -90,6 +97,16 @@ proptest! {
         prop_assert_eq!(sorted_objects(&bu.results), expect.clone());
         prop_assert_eq!(sorted_objects(&lp.results), expect.clone());
         prop_assert_eq!(sorted_objects(&lpb.results), expect);
+        for walk in [&bu, &lp, &lpb] {
+            prop_assert!(walk.exhausted);
+            prop_assert_eq!(walk.stats.nodes_contacted, subcube);
+        }
+        prop_assert_eq!(bu.stats.control_messages, bu.stats.nodes_contacted - 1);
+        prop_assert_eq!(bu.stats.rounds, 0);
+        for parallel in [&lp, &lpb] {
+            prop_assert_eq!(parallel.stats.rounds, height + 1);
+            prop_assert_eq!(parallel.stats.control_messages, 0);
+        }
     }
 
     /// Threshold semantics: exactly min(t, |O_K|) results, and results
@@ -147,26 +164,27 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// A cached repeat of an exhaustive query contacts only the root and
-    /// returns identical results.
+    /// An unthresholded search is exhaustive, and a thresholded one
+    /// answers with its first `t` results: the property that lets a
+    /// cache in front of the index keep one entry for any threshold.
     #[test]
-    fn cache_serves_repeats((corpus, qwords) in corpus_and_query(), r in 4u8..9) {
+    fn an_unthresholded_search_is_exhaustive(
+        (corpus, qwords) in corpus_and_query(),
+        r in 4u8..9,
+        t in 1usize..10,
+    ) {
         let (mut index, _) = build_index(r, &corpus);
-        index.set_cache_capacity(1000);
         let query = to_set(&qwords);
-        let first = index
-            .superset_search(&SupersetQuery::new(query.clone()))
-            .unwrap();
-        let second = index
-            .superset_search(&SupersetQuery::new(query))
-            .unwrap();
-        prop_assert!(!first.stats.cache_hit);
-        prop_assert!(second.stats.cache_hit);
-        prop_assert_eq!(second.stats.nodes_contacted, 1);
-        prop_assert_eq!(
-            sorted_objects(&second.results),
-            sorted_objects(&first.results)
-        );
+        for prune in [false, true] {
+            let all = index
+                .superset_search(&SupersetQuery::new(query.clone()).prune(prune))
+                .unwrap();
+            prop_assert!(all.exhausted);
+            let first = index
+                .superset_search(&SupersetQuery::new(query.clone()).threshold(t).prune(prune))
+                .unwrap();
+            prop_assert_eq!(&first.results[..], &all.results[..t.min(all.results.len())]);
+        }
     }
 
     /// Removing every object leaves nothing findable, and each removal
@@ -214,96 +232,34 @@ proptest! {
     }
 }
 
-/// Regression: a threshold-truncated result must never be cached as
-/// exhaustive, even when the truncation happens on the final node or
-/// level of the traversal.
+/// Regression: a threshold-truncated result must never pass for an
+/// exhaustive one, even when the truncation happens on the final node
+/// or level of the traversal — a cache would keep it for any threshold.
 #[test]
 fn truncated_results_never_poison_the_cache() {
     use hyperdex_core::search::ExecutionMode;
 
     for mode in [ExecutionMode::Sequential, ExecutionMode::LevelParallel] {
         let mut index = HypercubeIndex::new(4, 0).unwrap();
-        index.set_cache_capacity(16);
         // Ten objects sharing one keyword set: all matches live at the
         // single root vertex, so any traversal "completes" immediately.
         let k = KeywordSet::from_strs(["only"]).unwrap();
         for i in 0..10 {
             index.insert(ObjectId::from_raw(i), k.clone()).unwrap();
         }
-        // First query truncates to 3 — must not be cached as complete.
         let small = index
             .superset_search(&SupersetQuery::new(k.clone()).threshold(3).mode(mode))
             .unwrap();
         assert_eq!(small.results.len(), 3);
-        // Second query wants everything; a poisoned cache would return 3.
+        assert!(
+            !small.exhausted,
+            "mode {mode:?} called a truncated answer exhaustive"
+        );
         let full = index
             .superset_search(&SupersetQuery::new(k.clone()).mode(mode))
             .unwrap();
-        assert_eq!(
-            full.results.len(),
-            10,
-            "mode {mode:?} lost matches via cache"
-        );
-    }
-}
-
-/// Regression: the per-root result cache is keyed by the keyword set
-/// alone, so it may serve one walk only. At a binding threshold the
-/// walks answer with different sets — top-down the most general
-/// matches, bottom-up the most specific, level-parallel a whole level —
-/// and whichever ran first must not answer for the others. The cache
-/// serves the sequential top-down walk (§4's cache experiment); every
-/// other walk runs uncached.
-#[test]
-fn the_result_cache_never_serves_one_walk_another_walks_answer() {
-    const CORPUS: &[&str] = &["a", "a b", "a b c", "a c", "b c", "a d e", "x y", "a b d"];
-    let walks = [
-        (TraversalOrder::TopDown, ExecutionMode::Sequential),
-        (TraversalOrder::BottomUp, ExecutionMode::Sequential),
-        (TraversalOrder::TopDown, ExecutionMode::LevelParallel),
-        (TraversalOrder::BottomUp, ExecutionMode::LevelParallel),
-    ];
-    let build = |capacity| {
-        let mut index = HypercubeIndex::new(6, 0).unwrap();
-        index.set_cache_capacity(capacity);
-        for (i, words) in CORPUS.iter().enumerate() {
-            let set = KeywordSet::parse(words).unwrap();
-            index.insert(ObjectId::from_raw(i as u64 + 1), set).unwrap();
-        }
-        index
-    };
-    let query = |(order, mode)| {
-        SupersetQuery::new(KeywordSet::parse("a").unwrap())
-            .threshold(2)
-            .order(order)
-            .mode(mode)
-    };
-    let ids = |results: &[hyperdex_core::RankedObject]| -> Vec<u64> {
-        results.iter().map(|r| r.object.raw()).collect()
-    };
-    let mut uncached = build(0);
-    let want: Vec<Vec<u64>> = walks
-        .iter()
-        .map(|&walk| ids(&uncached.superset_search(&query(walk)).unwrap().results))
-        .collect();
-    assert_ne!(
-        want[0], want[1],
-        "t = 2 must bind: top-down and bottom-up differ"
-    );
-
-    for first in walks {
-        for (second, want) in walks.iter().zip(&want) {
-            let mut index = build(16);
-            index.superset_search(&query(first)).unwrap();
-            let got = index.superset_search(&query(*second)).unwrap();
-            assert_eq!(&ids(&got.results), want, "{second:?} after {first:?}");
-            let top_down = (TraversalOrder::TopDown, ExecutionMode::Sequential);
-            assert_eq!(
-                got.stats.cache_hit,
-                first == top_down && *second == top_down,
-                "{second:?} after {first:?}"
-            );
-        }
+        assert_eq!(full.results.len(), 10, "mode {mode:?} lost matches");
+        assert!(full.exhausted);
     }
 }
 

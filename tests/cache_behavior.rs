@@ -1,8 +1,68 @@
 //! Cache-layer integration: correctness of cached answers under a
-//! realistic skewed replay (the Figure 9 machinery).
+//! realistic skewed replay, through Figure 9's recipe — a FIFO cache at
+//! each root vertex, in front of a cache-free index.
 
-use hyperdex::core::{HypercubeIndex, KeywordSet, SupersetQuery};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use hyperdex::core::cache::FifoCache;
+use hyperdex::core::{HypercubeIndex, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex::workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
+
+/// Figure 9's recipe: an index and one FIFO cache of `capacity`
+/// queries per root vertex, each made on its root's first query.
+struct Cached {
+    index: HypercubeIndex,
+    capacity: usize,
+    caches: HashMap<u64, FifoCache>,
+}
+
+impl Cached {
+    /// The query's matches, sorted; the nodes it contacted; whether the
+    /// root's cache answered it (a hit costs the root alone). A miss
+    /// walks the index and keeps its page, flagged exhaustive or not.
+    fn search(&mut self, query: &SupersetQuery) -> (Vec<ObjectId>, u64, bool) {
+        let root = self.index.vertex_for(&query.keywords).bits();
+        let capacity = self.capacity;
+        let cache = self
+            .caches
+            .entry(root)
+            .or_insert_with(|| FifoCache::new(capacity));
+        let (results, contacted, hit) = match cache.lookup(&query.keywords, query.threshold) {
+            Some(hit) => (
+                hit.results.iter().take(query.threshold).cloned().collect(),
+                1,
+                true,
+            ),
+            None => {
+                let out = self.index.superset_search(query).expect("valid");
+                let page = Arc::new(out.results.clone());
+                cache.put(query.keywords.clone(), page, out.exhausted);
+                (out.results, out.stats.nodes_contacted, false)
+            }
+        };
+        let mut ids: Vec<ObjectId> = results.iter().map(|r| r.object).collect();
+        ids.sort_unstable();
+        (ids, contacted, hit)
+    }
+
+    /// After a write to the index: every cache's owner bumps its
+    /// generation, so no entry computed before the write serves.
+    fn wrote(&mut self) {
+        self.caches
+            .values_mut()
+            .for_each(FifoCache::bump_generation);
+    }
+}
+
+fn cached(index: HypercubeIndex, capacity: usize) -> Cached {
+    let caches = HashMap::new();
+    Cached {
+        index,
+        capacity,
+        caches,
+    }
+}
 
 fn setup() -> (HypercubeIndex, Corpus, QueryLog) {
     let corpus = Corpus::generate(&CorpusConfig::small_test(), 5);
@@ -16,26 +76,17 @@ fn setup() -> (HypercubeIndex, Corpus, QueryLog) {
 
 #[test]
 fn cached_answers_equal_uncached_answers() {
-    let (mut index, _corpus, log) = setup();
-    index.set_cache_capacity(500);
+    let (index, _corpus, log) = setup();
+    let mut index = cached(index, 500);
     // Replay a prefix twice; second pass must produce identical result
     // sets from cache.
     let queries: Vec<KeywordSet> = log.iter().take(100).cloned().collect();
     let mut first_pass = Vec::new();
     for q in &queries {
-        let out = index
-            .superset_search(&SupersetQuery::new(q.clone()))
-            .expect("valid");
-        let mut ids: Vec<_> = out.results.iter().map(|r| r.object).collect();
-        ids.sort_unstable();
-        first_pass.push(ids);
+        first_pass.push(index.search(&SupersetQuery::new(q.clone())).0);
     }
     for (q, expected) in queries.iter().zip(&first_pass) {
-        let out = index
-            .superset_search(&SupersetQuery::new(q.clone()))
-            .expect("valid");
-        let mut ids: Vec<_> = out.results.iter().map(|r| r.object).collect();
-        ids.sort_unstable();
+        let (ids, _, _) = index.search(&SupersetQuery::new(q.clone()));
         assert_eq!(&ids, expected, "cache changed the answer for {q}");
     }
 }
@@ -45,15 +96,10 @@ fn cache_cuts_nodes_contacted_under_skew() {
     let (index, _corpus, log) = setup();
     let replay: Vec<KeywordSet> = log.iter().take(1_000).cloned().collect();
     let run = |capacity: usize| -> u64 {
-        let mut idx = index.clone();
-        idx.set_cache_capacity(capacity);
+        let mut idx = cached(index.clone(), capacity);
         let mut contacted = 0;
         for q in &replay {
-            contacted += idx
-                .superset_search(&SupersetQuery::new(q.clone()))
-                .expect("valid")
-                .stats
-                .nodes_contacted;
+            contacted += idx.search(&SupersetQuery::new(q.clone())).1;
         }
         contacted
     };
@@ -67,62 +113,58 @@ fn cache_cuts_nodes_contacted_under_skew() {
 
 #[test]
 fn cached_search_after_a_write_equals_the_uncached_search() {
-    // Every insert and remove bumps the index generation, so an entry
-    // cached before a write never serves after it: with the cache on,
-    // a search sees exactly what its uncached twin, given the same
-    // writes, sees.
-    let (mut uncached, corpus, _log) = setup();
-    let mut index = uncached.clone();
-    index.set_cache_capacity(100);
-    let query = corpus.records()[0].keywords.clone();
-    let ids = |index: &mut HypercubeIndex| {
-        let out = index
-            .superset_search(&SupersetQuery::new(query.clone()))
-            .expect("valid");
-        let mut ids: Vec<_> = out.results.iter().map(|r| r.object).collect();
-        ids.sort_unstable();
-        (ids, out.stats.cache_hit)
-    };
-    let (before, _) = ids(&mut index);
-    assert!(ids(&mut index).1, "the repeat is served from the cache");
+    // Every write bumps each cache's generation, so an entry cached
+    // before a write never serves after it: with the cache on, a search
+    // sees exactly what its uncached twin, given the same writes, sees.
+    let (uncached, corpus, _log) = setup();
+    let mut index = cached(uncached.clone(), 100);
+    let mut uncached = cached(uncached, 0);
+    let query = SupersetQuery::new(corpus.records()[0].keywords.clone());
+    let keywords = &query.keywords;
+    let (before, _, _) = index.search(&query);
+    assert!(
+        index.search(&query).2,
+        "the repeat is served from the cache"
+    );
 
     // Insert a brand-new object matching the same query.
-    let new_id = hyperdex::core::ObjectId::from_raw(9_999_999);
+    let new_id = ObjectId::from_raw(9_999_999);
     for index in [&mut index, &mut uncached] {
-        index.insert(new_id, query.clone()).expect("non-empty");
+        index
+            .index
+            .insert(new_id, keywords.clone())
+            .expect("non-empty");
+        index.wrote();
     }
-    let (after_insert, hit) = ids(&mut index);
+    let (after_insert, _, hit) = index.search(&query);
     assert!(!hit, "the pre-insert entry must not serve");
-    assert_eq!(after_insert, ids(&mut uncached).0);
+    assert_eq!(after_insert, uncached.search(&query).0);
     assert_eq!(after_insert.len(), before.len() + 1);
-    assert!(ids(&mut index).1, "the recomputed entry serves again");
+    assert!(index.search(&query).2, "the recomputed entry serves again");
 
     for index in [&mut index, &mut uncached] {
-        assert!(index.remove(new_id, &query));
+        assert!(index.index.remove(new_id, keywords));
+        index.wrote();
     }
-    let (after_remove, hit) = ids(&mut index);
+    let (after_remove, _, hit) = index.search(&query);
     assert!(!hit, "the pre-remove entry must not serve");
-    assert_eq!(after_remove, ids(&mut uncached).0);
+    assert_eq!(after_remove, uncached.search(&query).0);
     assert_eq!(after_remove, before);
 }
 
 #[test]
 fn partial_thresholds_never_lose_matches_via_cache() {
-    let (mut index, _corpus, log) = setup();
-    index.set_cache_capacity(300);
+    let (index, _corpus, log) = setup();
+    let mut index = cached(index, 300);
     // Ask with a small threshold first (partial entry cached), then a
     // larger one: the larger query must NOT be served short.
     let q = log.pool()[0].clone();
-    let small = index
-        .superset_search(&SupersetQuery::new(q.clone()).threshold(1))
-        .expect("valid");
-    assert_eq!(small.results.len().min(1), small.results.len().min(1));
-    let full_truth = index.matching_count(&q);
-    let large = index
-        .superset_search(&SupersetQuery::new(q.clone()))
-        .expect("valid");
+    let (small, _, _) = index.search(&SupersetQuery::new(q.clone()).threshold(1));
+    assert_eq!(small.len().min(1), small.len().min(1));
+    let full_truth = index.index.matching_count(&q);
+    let (large, _, _) = index.search(&SupersetQuery::new(q.clone()));
     assert_eq!(
-        large.results.len(),
+        large.len(),
         full_truth,
         "large-threshold query served from a partial cache entry"
     );

@@ -2,6 +2,7 @@
 //! shared object space.
 
 use hyperdex::core::decompose::DecomposedIndex;
+use hyperdex::core::search::ExecutionMode;
 use hyperdex::core::{KeywordSet, ObjectId, SupersetQuery};
 use hyperdex::simnet::rng::SimRng;
 
@@ -133,4 +134,34 @@ fn unknown_field_is_an_error_not_a_panic() {
             &SupersetQuery::new(KeywordSet::parse("x").expect("parses")),
         )
         .is_err());
+}
+
+/// A multi-field search reports the sum of its per-field searches'
+/// costs, every counter included: one field's multi-field search costs
+/// exactly that field's search, pruned subtrees and parallel rounds too.
+#[test]
+fn a_one_field_conjunction_reports_the_field_searchs_stats() {
+    let mut idx = DecomposedIndex::new(3);
+    idx.add_field("tags", 10).expect("valid");
+    let mut rng = SimRng::new(29);
+    for i in 0..200u64 {
+        let words: Vec<String> = (0..1 + rng.gen_index(4))
+            .map(|_| format!("w{}", rng.gen_index(40)))
+            .collect();
+        let set = KeywordSet::from_strs(&words).expect("parses");
+        idx.insert("tags", ObjectId::from_raw(i), set)
+            .expect("field exists");
+    }
+    let tag = KeywordSet::parse("w1").expect("parses");
+    for query in [
+        SupersetQuery::new(tag.clone()),
+        SupersetQuery::new(tag.clone()).mode(ExecutionMode::LevelParallel),
+    ] {
+        let alone = idx.superset_search("tags", &query).expect("field exists");
+        let (_, stats) = idx
+            .multi_field_search(&[("tags", query.clone())])
+            .expect("field exists");
+        assert_eq!(stats, alone.stats, "{:?}", query.mode);
+        assert!(stats.pruned_subtrees > 0 || stats.rounds > 0, "{stats:?}");
+    }
 }
