@@ -159,9 +159,20 @@ fn partial_thresholds_never_lose_matches_via_cache() {
     // Ask with a small threshold first (partial entry cached), then a
     // larger one: the larger query must NOT be served short.
     let q = log.pool()[0].clone();
-    let (small, _, _) = index.search(&SupersetQuery::new(q.clone()).threshold(1));
-    assert_eq!(small.len().min(1), small.len().min(1));
     let full_truth = index.index.matching_count(&q);
+    assert!(full_truth > 1, "a threshold-1 page of {q} is partial");
+    let one = SupersetQuery::new(q.clone()).threshold(1);
+    let (small, _, hit) = index.search(&one);
+    assert!(!hit, "the first threshold-1 search walks");
+    let walked: Vec<ObjectId> = (index.index.superset_search(&one).expect("valid").results)
+        .iter()
+        .map(|r| r.object)
+        .collect();
+    assert_eq!(small.len(), 1, "a threshold-1 answer holds one id");
+    assert_eq!(small, walked, "the answer is the cache-free walk's");
+    let (again, _, hit) = index.search(&one);
+    assert!(hit, "a threshold-1 repeat is served from the partial entry");
+    assert_eq!(again, small, "the hit returns the same id");
     let (large, _, _) = index.search(&SupersetQuery::new(q.clone()));
     assert_eq!(
         large.len(),
