@@ -263,9 +263,9 @@ impl HypercubeIndex {
 
     // ---- crate-internal accessors used by the search engine ----
 
-    /// The posting store at `vertex`, if materialized.
-    pub(crate) fn store_at(&self, vertex: Vertex) -> Option<&PostingStore> {
-        self.nodes.get(&vertex.bits())
+    /// The posting store at vertex `bits`, if materialized.
+    pub(crate) fn store_at(&self, bits: u64) -> Option<&PostingStore> {
+        self.nodes.get(&bits)
     }
 }
 

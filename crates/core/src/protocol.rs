@@ -11,8 +11,9 @@
 //!   (frontier queue `U`, budget `c`, `T_CONT`/`T_STOP`).
 //!   [`crate::search::cumulative::CumulativeSearch`] — the direct
 //!   engine's one top-down walk, whose first page is its one-shot
-//!   search — calls it in a loop, the simulator feeds it `T_CONT`
-//!   messages.
+//!   search — and a runtime worker's region walk drive it through one
+//!   loop, [`SupersetCoordinator::walk`]; the simulator feeds it
+//!   `T_CONT` messages.
 //! * [`child_contacts`] — a node's SBT children from its bits and
 //!   arrival dimension alone (Lemma 3.2) — with [`visit_order_key`], the
 //!   closed form of the order the coordinator visits them in, and
@@ -37,11 +38,12 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use hyperdex_dht::ObjectId;
 use hyperdex_hypercube::sbt::child_dims;
-use hyperdex_hypercube::{bits, Vertex};
+use hyperdex_hypercube::{bits, Shape, Vertex};
 
 use crate::keyword::KeywordSet;
-use crate::search::RankedObject;
+use crate::search::{RankedObject, TraversalOrder};
 use crate::store::PostingStore;
+use crate::summary::Pruner;
 
 /// What the coordinator wants executed next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,6 +200,43 @@ impl SupersetCoordinator {
         }
     }
 
+    /// The one SBT walk loop: visits until `wanted` matches are found or
+    /// the traversal is done. `visit(bits, via_dim, remaining)` scans a
+    /// vertex under the budget left and returns its matches. With a
+    /// `pruner` (DESIGN.md §10), a vertex other than the root that
+    /// cannot match is walked through, and a child whose subtree cannot
+    /// is never enqueued. Returns the subtrees pruned.
+    pub fn walk(
+        &mut self,
+        shape: Shape,
+        mut pruner: Option<&mut Pruner<'_>>,
+        wanted: usize,
+        mut visit: impl FnMut(u64, Option<u8>, usize) -> usize,
+    ) -> u64 {
+        let (mut found, mut pruned) = (0, 0);
+        while found < wanted {
+            let Step::Visit { bits, via_dim } = self.next_step() else {
+                break;
+            };
+            let w = Vertex::from_bits(shape, bits).expect("the walk stays in the cube");
+            // The requester's query lands at the root.
+            let contact = via_dim.is_none() || pruner.as_mut().is_none_or(|p| p.may_match(bits));
+            let here = if contact {
+                visit(bits, via_dim, self.remaining)
+            } else {
+                0
+            };
+            found += here;
+            let cut = pruner
+                .as_mut()
+                .map_or(0, |p| p.prunable_dims(bits, child_dims(w, via_dim)));
+            pruned += u64::from(cut.count_ones());
+            let children = child_contacts(w, via_dim).filter(|&(_, dim)| cut >> dim & 1 == 0);
+            self.record_visit(here, children);
+        }
+        pruned
+    }
+
     /// Surrenders the frontier buffer so the caller can recycle its
     /// capacity (see [`SupersetCoordinator::with_queue`]).
     pub fn into_queue(self) -> VecDeque<(u64, u8)> {
@@ -255,33 +294,39 @@ pub fn subtree_bits(w: Vertex, via_dim: Option<u8>, out: &mut Vec<u64>) {
 }
 
 /// The per-vertex `T_QUERY` handler every substrate shares: the ranked
-/// scan of one posting store. Appends to `out`, in the store's
-/// keyword-set order, at most `limit` objects indexed under supersets
-/// of `keywords`, each ranked by its extra-keyword count, and returns
-/// how many it appended. `None` stands for an unmaterialized vertex
+/// scan of one posting store. The keyword sets indexed under supersets
+/// of `keywords` are stable-sorted by extra keywords, fewest first (most
+/// for [`TraversalOrder::BottomUp`]); their objects are appended to
+/// `out` in that order, each ranked by its count, until `limit` are, and
+/// how many were is returned. `None` stands for an unmaterialized vertex
 /// (logically contacted, holds nothing). `qsig` is the query's
-/// [`KeywordSet::signature`] — traversals compute it once, not once
-/// per node — or `0` to scan without the signature prefilter.
+/// [`KeywordSet::signature`] — computed once per traversal — or `0` to
+/// scan without the signature prefilter.
 pub fn scan_store(
     store: Option<&PostingStore>,
     keywords: &KeywordSet,
     qsig: u64,
+    order: TraversalOrder,
     limit: usize,
     out: &mut Vec<RankedObject>,
 ) -> usize {
     let Some(store) = store else { return 0 };
+    let mut sets = store.superset_entries_sig(keywords, qsig);
+    match order {
+        TraversalOrder::TopDown => sets.sort_by_set_key(KeywordSet::len),
+        TraversalOrder::BottomUp => sets.sort_by_set_key(|set| Reverse(set.len())),
+    }
     let start = out.len();
-    for (keyword_set, objects) in store.superset_entries_sig(keywords, qsig) {
+    for (keyword_set, objects) in sets {
         let extra = (keyword_set.len() - keywords.len()) as u32;
-        for object in objects {
-            if out.len() - start >= limit {
-                return limit;
-            }
-            out.push(RankedObject {
-                object,
-                keyword_set: keyword_set.clone(),
-                extra_keywords: extra,
-            });
+        let room = limit - (out.len() - start);
+        out.extend(objects.take(room).map(|object| RankedObject {
+            object,
+            keyword_set: keyword_set.clone(),
+            extra_keywords: extra,
+        }));
+        if out.len() - start == limit {
+            break;
         }
     }
     out.len() - start
@@ -852,26 +897,56 @@ mod tests {
 
     #[test]
     fn scan_store_honors_limit_and_missing_stores() {
+        use TraversalOrder::{BottomUp, TopDown};
         let q = set("a");
         let mut out = Vec::new();
-        assert_eq!(scan_store(None, &q, q.signature(), 10, &mut out), 0);
+        assert_eq!(
+            scan_store(None, &q, q.signature(), TopDown, 10, &mut out),
+            0
+        );
         let mut store = PostingStore::default();
         for i in 0..5 {
             store.insert(set(&format!("a extra{i}")), oid(i));
         }
         out.clear();
-        assert_eq!(scan_store(Some(&store), &q, q.signature(), 3, &mut out), 3);
+        let qsig = q.signature();
+        assert_eq!(scan_store(Some(&store), &q, qsig, TopDown, 3, &mut out), 3);
         assert_eq!(out.len(), 3);
         // Appends: earlier contents stay, the prefilter-off scan agrees.
-        assert_eq!(scan_store(Some(&store), &q, 0, 99, &mut out), 5);
+        assert_eq!(scan_store(Some(&store), &q, 0, TopDown, 99, &mut out), 5);
         assert_eq!(out.len(), 8);
         assert_eq!(out[..3], out[3..6]);
         assert!(out.iter().all(|r| r.extra_keywords == 1));
         let miss = set("q");
+        let msig = miss.signature();
         assert_eq!(
-            scan_store(Some(&store), &miss, miss.signature(), 99, &mut out),
+            scan_store(Some(&store), &miss, msig, TopDown, 99, &mut out),
             0
         );
+
+        // The cut falls in ranked order, not the store's: the store
+        // keeps `a b c` ahead of `a z`, a scan keeps the fewest extra
+        // keywords first (the most, walking bottom-up).
+        let mut store = PostingStore::default();
+        store.insert(set("a z"), oid(11));
+        store.insert(set("a b c"), oid(10));
+        store.insert(set("a b d"), oid(12));
+        let stored: Vec<_> = store
+            .superset_entries_sig(&q, qsig)
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(stored, [&set("a b c"), &set("a b d"), &set("a z")]);
+        let ranked = |order, limit| {
+            let mut out = Vec::new();
+            scan_store(Some(&store), &q, qsig, order, limit, &mut out);
+            out.iter()
+                .map(|r| (r.object, r.extra_keywords))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ranked(TopDown, 1), [(oid(11), 1)]);
+        assert_eq!(ranked(TopDown, 2), [(oid(11), 1), (oid(10), 2)]);
+        assert_eq!(ranked(BottomUp, 2), [(oid(10), 2), (oid(12), 2)]);
+        assert_eq!(ranked(BottomUp, 9).last(), Some(&(oid(11), 1)));
     }
 
     fn ft_policy(strategy: RecoveryStrategy) -> FtPolicy {

@@ -66,16 +66,6 @@ pub fn sample_categories<'a>(
     samples
 }
 
-/// Sorts results most-general-first (fewest extra keywords), stably.
-pub fn prefer_general(results: &mut [RankedObject]) {
-    results.sort_by_key(|r| r.extra_keywords);
-}
-
-/// Sorts results most-specific-first (most extra keywords), stably.
-pub fn prefer_specific(results: &mut [RankedObject]) {
-    results.sort_by_key(|r| std::cmp::Reverse(r.extra_keywords));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +115,6 @@ mod tests {
         assert_eq!(samples[3].extra, KeywordSet::parse("piano 1959").unwrap());
         assert_eq!(samples[1].total, 2);
         assert_eq!(samples[1].examples.len(), 1, "sampled down");
-    }
-
-    #[test]
-    fn prefer_general_and_specific_are_reverses() {
-        let (mut results, _) = sample_results();
-        prefer_specific(&mut results);
-        assert_eq!(results[0].extra_keywords, 2);
-        prefer_general(&mut results);
-        assert_eq!(results[0].extra_keywords, 0);
     }
 
     #[test]

@@ -25,16 +25,13 @@
 
 use std::collections::VecDeque;
 
-use hyperdex_hypercube::sbt::child_dims;
-use hyperdex_hypercube::Vertex;
-
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
 use crate::keyword::KeywordSet;
-use crate::protocol::{child_contacts, scan_store, Step, SupersetCoordinator};
-use crate::ranking::prefer_general;
+use crate::protocol::SupersetCoordinator;
+use crate::search::superset::scan_node;
+use crate::search::TraversalOrder::TopDown;
 use crate::search::{RankedObject, SearchStats, SupersetOutcome};
-use crate::summary::Pruner;
 
 /// A resumable top-down superset search over one keyword set.
 ///
@@ -146,34 +143,28 @@ impl CumulativeSearch {
         // onto the page, and what overflows it waits for the next.
         let mut results = Vec::with_capacity(t.min(64));
         results.extend(self.pending.drain(..t.min(self.pending.len())));
-        while results.len() < t {
-            let Step::Visit { bits, via_dim } = self.coord.next_step() else {
-                break;
-            };
-            let w = Vertex::from_bits(index.shape(), bits).expect("coordinator stays in the cube");
-            // The requester's query lands at the root; any other vertex
-            // whose own store the summary rules out is walked through.
-            let contact = via_dim.is_none() || pruner.as_mut().is_none_or(|p| p.may_match(bits));
-            if contact {
+        let wanted = t - results.len();
+        let keywords = &self.keywords;
+        stats.pruned_subtrees = self.coord.walk(
+            index.shape(),
+            pruner.as_mut(),
+            wanted,
+            |bits, via_dim, _| {
                 stats.query_messages += 1;
                 stats.nodes_contacted += 1;
-                if via_dim.is_some() {
-                    stats.control_messages += 1; // T_CONT back to the root
-                }
-                let store = index.store_at(w);
-                if let Some(store) = store {
-                    stats.entries_scanned += store.keyword_set_count() as u64;
-                }
-                let start = results.len();
-                if scan_store(store, &self.keywords, qsig, usize::MAX, &mut results) > 0 {
-                    stats.result_messages += 1;
-                }
-                prefer_general(&mut results[start..]);
-            }
-            let children =
-                unpruned_children(pruner.as_mut(), (w, via_dim), &mut stats.pruned_subtrees);
-            self.coord.record_visit(0, children);
-        }
+                // A `T_CONT` back to the root.
+                stats.control_messages += u64::from(via_dim.is_some());
+                scan_node(
+                    index,
+                    bits,
+                    keywords,
+                    qsig,
+                    TopDown,
+                    &mut results,
+                    &mut stats,
+                )
+            },
+        );
         if results.len() > t {
             self.pending.extend(results.drain(t..));
         }
@@ -185,22 +176,6 @@ impl CumulativeSearch {
             exhausted: self.is_finished(),
         })
     }
-}
-
-/// The child contacts the walk still owes a visit after `w` (reached
-/// via `via_dim`): all of them as published; with a `pruner`, those
-/// whose subtree the occupancy summary cannot prove free of matches,
-/// the rest counted in `pruned`.
-fn unpruned_children(
-    pruner: Option<&mut Pruner<'_>>,
-    (w, via_dim): (Vertex, Option<u8>),
-    pruned: &mut u64,
-) -> impl Iterator<Item = (u64, u8)> {
-    let cut = pruner.map_or(0, |pruner| {
-        pruner.prunable_dims(w.bits(), child_dims(w, via_dim))
-    });
-    *pruned += u64::from(cut.count_ones());
-    child_contacts(w, via_dim).filter(move |&(_, dim)| cut >> dim & 1 == 0)
 }
 
 #[cfg(test)]

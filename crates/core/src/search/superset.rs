@@ -20,7 +20,7 @@
 //! the subcube's prefix regions instead) — and is the one walk that
 //! prunes. Every other (order, mode) is `by_levels`, which walks
 //! [`Sbt::level`] depth by depth, as published. Every per-node scan is
-//! the shared [`scan_store`], ranked by [`crate::ranking`]. No walk
+//! the shared [`scan_store`], which ranks in the walk's order. No walk
 //! consults a cache: Figure 9's caches sit in front of the index.
 //!
 //! Hot-path notes: the query's 64-bit keyword signature is computed
@@ -32,8 +32,8 @@ use hyperdex_hypercube::{Sbt, Vertex};
 
 use crate::cluster::HypercubeIndex;
 use crate::error::Error;
+use crate::keyword::KeywordSet;
 use crate::protocol::scan_store;
-use crate::ranking::{prefer_general, prefer_specific};
 use crate::search::cumulative::CumulativeSearch;
 use crate::search::{
     ExecutionMode, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,
@@ -109,7 +109,15 @@ fn by_levels(index: &HypercubeIndex, query: &SupersetQuery, root: Vertex) -> Sup
                 stats.nodes_contacted += 1;
                 stats.control_messages += u64::from(sequential);
             }
-            scan_node(index, w, query, qsig, &mut results, &mut stats);
+            scan_node(
+                index,
+                w.bits(),
+                &query.keywords,
+                qsig,
+                query.order,
+                &mut results,
+                &mut stats,
+            );
             if sequential && results.len() >= query.threshold {
                 exhausted = false;
                 break 'rounds;
@@ -130,30 +138,20 @@ fn by_levels(index: &HypercubeIndex, query: &SupersetQuery, root: Vertex) -> Sup
     }
 }
 
-/// One node's table scan: every entry `K' ⊇ K` (signature prefilter
-/// first, string comparison second), ranked locally by extra-keyword
-/// count (ascending for top-down preference, descending for bottom-up),
-/// appended to `results`. Returns how many it found.
-fn scan_node(
+/// One vertex's scan in the direct engine: [`scan_store`] into
+/// `results`, with its entries and any result message counted.
+pub(crate) fn scan_node(
     index: &HypercubeIndex,
-    vertex: Vertex,
-    query: &SupersetQuery,
+    bits: u64,
+    keywords: &KeywordSet,
     qsig: u64,
+    order: TraversalOrder,
     results: &mut Vec<RankedObject>,
     stats: &mut SearchStats,
 ) -> usize {
-    let store = index.store_at(vertex);
-    if let Some(store) = store {
-        stats.entries_scanned += store.keyword_set_count() as u64;
-    }
-    let start = results.len();
-    let found = scan_store(store, &query.keywords, qsig, usize::MAX, results);
-    match query.order {
-        TraversalOrder::TopDown => prefer_general(&mut results[start..]),
-        TraversalOrder::BottomUp => prefer_specific(&mut results[start..]),
-    }
-    if found > 0 {
-        stats.result_messages += 1;
-    }
+    let store = index.store_at(bits);
+    stats.entries_scanned += store.map_or(0, |store| store.keyword_set_count() as u64);
+    let found = scan_store(store, keywords, qsig, order, usize::MAX, results);
+    stats.result_messages += u64::from(found > 0);
     found
 }

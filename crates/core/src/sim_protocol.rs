@@ -55,7 +55,7 @@ use crate::protocol::{
     child_contacts, scan_store, FtCmd, FtCoordinator, FtCoverage, FtPolicy, Step,
     SupersetCoordinator,
 };
-use crate::search::RankedObject;
+use crate::search::{RankedObject, TraversalOrder};
 use crate::store::{PostingStore, StoreBackend};
 
 /// Protocol messages (§3.3's `T_QUERY`, `T_CONT`, `T_STOP`, plus the
@@ -762,6 +762,7 @@ impl ProtocolSim {
                     tables.get(&vertex.bits()),
                     &keywords,
                     keywords.signature(),
+                    TraversalOrder::TopDown,
                     remaining,
                     &mut objects,
                 );

@@ -456,6 +456,17 @@ pub struct SlabEntries<'a> {
     hits: std::vec::IntoIter<u32>,
 }
 
+impl SlabEntries<'_> {
+    /// Stable-sorts the entries not yet yielded by `key` of their
+    /// keyword set, in the slot list the scan already holds.
+    pub(crate) fn sort_by_set_key<K: Ord>(&mut self, mut key: impl FnMut(&KeywordSet) -> K) {
+        let store = self.store;
+        self.hits
+            .as_mut_slice()
+            .sort_by_key(|&slot| key(&store.entries[slot as usize].key));
+    }
+}
+
 impl<'a> Iterator for SlabEntries<'a> {
     type Item = (&'a KeywordSet, DeltaIter<'a>);
 

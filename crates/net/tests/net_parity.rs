@@ -1,5 +1,5 @@
 //! The runtime over real processes: the loopback cluster must return
-//! result sets identical to the direct engine's — at workers ∈ {1,2,4}
+//! the direct engine's answers, id for id in order — at workers ∈ {1,2,4}
 //! and r ∈ {8,12}, including cells where several shards share one
 //! process — with the cross-process frame ledger balancing on every
 //! shutdown. (That the machine answers as `ProtocolSim` does is the
@@ -62,7 +62,7 @@ fn direct(r: u8, seed: u64, corpus: &[(ObjectId, KeywordSet)]) -> HypercubeIndex
     index
 }
 
-/// Sorted, deduplicated id list — the set parity compares.
+/// Sorted, deduplicated id list — the set pin parity compares.
 fn ids(objects: impl Iterator<Item = ObjectId>) -> Vec<ObjectId> {
     let mut out: Vec<ObjectId> = objects.collect();
     out.sort_unstable();
@@ -70,15 +70,17 @@ fn ids(objects: impl Iterator<Item = ObjectId>) -> Vec<ObjectId> {
     out
 }
 
+/// The direct engine's answer, in its order.
 fn direct_superset(index: &mut HypercubeIndex, keywords: &KeywordSet, t: usize) -> Vec<ObjectId> {
     let query = SupersetQuery::new(keywords.clone()).threshold(t);
     let out = index.superset_search(&query).expect("valid query");
-    ids(out.results.iter().map(|m| m.object))
+    out.results.iter().map(|m| m.object).collect()
 }
 
 /// Runs `corpus` and `queries` through a `servers`-process cluster of
-/// `workers` shards and panics unless every superset and pin result
-/// id-set equals the direct engine's and the ledger closes at shutdown.
+/// `workers` shards and panics unless every superset answer equals the
+/// direct engine's id for id, in order, every pin result its id set,
+/// and the ledger closes at shutdown.
 fn assert_tcp_parity(
     r: u8,
     seed: u64,
@@ -95,7 +97,7 @@ fn assert_tcp_parity(
             .superset_search(keywords, *threshold)
             .expect("superset over TCP");
         assert_eq!(
-            ids(found.iter().map(|m| m.object)),
+            found.iter().map(|m| m.object).collect::<Vec<_>>(),
             direct_superset(&mut index, keywords, *threshold),
             "net/direct superset divergence: {cell} K={keywords:?}"
         );
@@ -150,6 +152,30 @@ fn four_processes_four_workers_match_at_r8_and_r12() {
     }
 }
 
+/// `machine/parity.rs`'s `ONE_ANSWER`: the answer the direct engine,
+/// `ProtocolSim` and the mesh give the r = 8, seed 42 corpus of 400
+/// objects for its most popular keyword at t = 12.
+const ONE_ANSWER: [u64; 12] = [196, 161, 223, 267, 288, 336, 9, 67, 344, 347, 73, 391];
+
+#[test]
+fn two_servers_give_every_executors_answer() {
+    let (corpus, queries) = workload(42, 400);
+    let keywords = &queries[0].0;
+    let (cluster, mut client) = loaded(ClusterConfig::new(8, 42, 2, 2), &corpus);
+    let found = client
+        .superset_search(keywords, ONE_ANSWER.len())
+        .expect("superset over TCP");
+    let answer: Vec<u64> = found.iter().map(|m| m.object.raw()).collect();
+    assert_eq!(answer, ONE_ANSWER);
+    let mut index = direct(8, 42, &corpus);
+    let direct = direct_superset(&mut index, keywords, ONE_ANSWER.len());
+    assert_eq!(direct, ONE_ANSWER.map(ObjectId::from_raw));
+    cluster
+        .shutdown(client)
+        .expect("cluster shutdown")
+        .assert_conserved();
+}
+
 /// A crash is the one fault that crosses processes, so every answer is
 /// graded against the direct engine: a coordinator retries an owner
 /// that restarted until it answers, so an answer is the engine's id
@@ -175,7 +201,7 @@ fn crashed_worker_recovers_over_tcp_and_the_ledger_still_balances() {
         };
         answered += 1;
         let truth = direct_superset(&mut index, keywords, usize::MAX - 1);
-        let got = ids(found.iter().map(|m| m.object));
+        let got: Vec<ObjectId> = found.iter().map(|m| m.object).collect();
         assert_eq!(got, truth, "{keywords}: an answer diverged");
     }
     assert!(

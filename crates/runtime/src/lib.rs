@@ -8,8 +8,10 @@
 //! with exactly what the single-threaded simulator's
 //! [`hyperdex_core::protocol::SupersetCoordinator`] folds — each
 //! worker walks its regions of the subcube in that machine's visit
-//! order, the root's owner merges — which is what lets the test suites
-//! demand set-identical results at every worker count.
+//! order, ranking each vertex's matches as every executor does
+//! (`core::protocol::scan_store`), the root's owner merges — which is
+//! what lets the test suites demand the same answer, id for id in
+//! order, at every worker count.
 //!
 //! The cluster also survives being hurt: a worker a [`CrashPoint`]
 //! names restarts itself in place from its shard's load log, and

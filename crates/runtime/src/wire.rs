@@ -1312,6 +1312,13 @@ mod tests {
             frames(&packet).collect::<Vec<_>>(),
             [Ok(whole[0]), Ok(whole[1]), torn]
         );
+        // A torn unit counts from its routing header: 9 of its 17 bytes.
+        let unit_packet = [&unit_packet[..], &[7, 0, 0, 0, 9, 0, 0, 0, 1]].concat();
+        let torn = Err(WireError::Truncated { needed: 8, have: 9 });
+        assert_eq!(
+            units(&unit_packet).collect::<Vec<_>>(),
+            [Ok(whole[0]), Ok(whole[1]), torn]
+        );
     }
 
     #[test]

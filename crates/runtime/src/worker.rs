@@ -52,9 +52,9 @@ use std::time::Duration;
 
 use hyperdex_core::cache::{CacheCounters, Claim, FifoCache};
 use hyperdex_core::protocol::{
-    child_contacts, region_entries, scan_store, subtree_bits, visit_order_key, Step,
-    SupersetCoordinator,
+    region_entries, scan_store, subtree_bits, visit_order_key, SupersetCoordinator,
 };
+use hyperdex_core::search::TraversalOrder::TopDown;
 use hyperdex_core::store::ByVertex;
 use hyperdex_core::{
     FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, PostingStore, RecoveryStrategy,
@@ -815,24 +815,6 @@ impl NodeMachine {
         }
     }
 
-    /// At most `limit` of vertex `bits`' matches for `keywords`, in the
-    /// store's order.
-    fn scan(
-        &mut self,
-        bits: u64,
-        keywords: &KeywordSet,
-        qsig: u64,
-        limit: usize,
-    ) -> Vec<(u64, u32)> {
-        self.stats.scans += 1;
-        let mut found = Vec::new();
-        scan_store(self.tables.get(&bits), keywords, qsig, limit, &mut found);
-        found
-            .iter()
-            .map(|r| (r.object.raw(), r.extra_keywords))
-            .collect()
-    }
-
     /// This worker's share of one superset query: every prefix region
     /// of `H_r(root)` it owns, walked; the vertices holding matches in
     /// visit order, cut at the share's first `threshold` matches — the
@@ -855,7 +837,22 @@ impl NodeMachine {
                 continue;
             }
             regions += 1;
-            self.walk_region(entry, cut, keywords, qsig, threshold, &mut groups);
+            // The coordinator's walk of the region: every vertex that
+            // holds a match is kept, until the region has yielded
+            // `threshold` of them — whatever it holds beyond is behind
+            // `threshold` matches in the whole query's order too.
+            let mut walk = SupersetCoordinator::region(entry, cut, threshold);
+            walk.walk(self.shape, None, usize::MAX, |bits, _, limit| {
+                self.stats.scans += 1;
+                let mut found = Vec::new();
+                let store = self.tables.get(&bits);
+                let n = scan_store(store, keywords, qsig, TopDown, limit, &mut found);
+                if n > 0 {
+                    let objects = found.iter().map(|r| (r.object.raw(), r.extra_keywords));
+                    groups.push((bits, objects.collect()));
+                }
+                n
+            });
             if root_fills(&groups, root.bits(), threshold) {
                 break;
             }
@@ -864,33 +861,6 @@ impl NodeMachine {
             cut_groups(root.bits(), &mut groups, threshold);
         }
         (regions > 0).then_some(groups)
-    }
-
-    /// Walks one region from its `entry` vertex with arrival dimension
-    /// `cut` — the coordinator's walk of it
-    /// ([`SupersetCoordinator::region`]) — pushing every vertex that
-    /// holds a match, until the region has yielded `threshold` of them:
-    /// whatever it holds beyond is behind `threshold` matches in the
-    /// whole query's order too.
-    fn walk_region(
-        &mut self,
-        entry: u64,
-        cut: u8,
-        keywords: &KeywordSet,
-        qsig: u64,
-        threshold: usize,
-        groups: &mut Vec<RegionGroup>,
-    ) {
-        let mut walk = SupersetCoordinator::region(entry, cut, threshold);
-        while let Step::Visit { bits, via_dim } = walk.next_step() {
-            let objects = self.scan(bits, keywords, qsig, walk.remaining());
-            let found = objects.len();
-            if found > 0 {
-                groups.push((bits, objects));
-            }
-            let vertex = Vertex::from_bits(self.shape, bits).expect("regions stay in the cube");
-            walk.record_visit(found, child_contacts(vertex, via_dim));
-        }
     }
 
     /// Completes one query once no owner is awaited any more — each has

@@ -10,8 +10,10 @@
 //! traversal parked and holds each restarted machine to a never-crashed
 //! twin; and one seed is one byte-identical packet trace.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
+use hyperdex_core::protocol::visit_order_key;
 use hyperdex_core::{Error, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex_runtime::{
     FaultPlan, FtSearchOutcome, Request, RuntimeConfig, ShardMap, ShutdownReport,
@@ -118,13 +120,11 @@ impl Model {
     }
 
     /// Checks one answer against the uncached oracle. With nothing
-    /// unflushed it must hold `min(t, matches)` of the oracle's
-    /// matches — all of them, id for id, unless `t` binds (which
-    /// matches a binding `t` keeps is the executor's choice: the
-    /// direct engine ranks within a vertex, the workers do not). With
-    /// writes in the air either state of each is allowed — but never
-    /// an object that was not inserted, and never fewer than the
-    /// flushed state owes.
+    /// unflushed it holds `min(t, matches)` of the oracle's matches;
+    /// with writes in the air either state of each is allowed — but
+    /// never an object that was not inserted, and never fewer than the
+    /// flushed state owes. Either way it is a ranked prefix of them
+    /// ([`Model::ranked_prefix`]).
     fn check(
         &mut self,
         answer: &[u64],
@@ -152,9 +152,44 @@ impl Model {
                 got.len()
             ));
         }
-        if threshold >= allowed.len() && !owed.iter().all(|id| got.contains(id)) {
+        self.ranked_prefix(answer, keywords, threshold, &owed)
+    }
+
+    /// Where object `id` ranks in the answer to `keywords`: its vertex's
+    /// place in the sequential walk ([`visit_order_key`]), then its
+    /// extra keywords (Lemma 3.2's generality, which a vertex's scan
+    /// ranks by).
+    fn rank(&self, keywords: &KeywordSet, id: u64) -> ((u32, Reverse<u64>), usize) {
+        let set = &self.written[id as usize - 1];
+        let root = self.hasher.vertex_for(keywords).bits();
+        let at = self.hasher.vertex_for(set).bits();
+        (visit_order_key(root, at), set.len() - keywords.len())
+    }
+
+    /// The answer is what the sequential walk keeps, whichever
+    /// executor and cache served it: its ranks never fall, and every
+    /// `owed` match ranked strictly before its last item is in it —
+    /// every one, when it is short of `threshold`.
+    fn ranked_prefix(
+        &self,
+        answer: &[u64],
+        keywords: &KeywordSet,
+        threshold: usize,
+        owed: &[u64],
+    ) -> Result<(), String> {
+        let ranks: Vec<_> = answer.iter().map(|&id| self.rank(keywords, id)).collect();
+        if ranks.windows(2).any(|w| w[0] > w[1]) {
             return Err(format!(
-                "{keywords} t={threshold}: a flushed object is missing from {got:?}"
+                "{keywords} t={threshold}: {answer:?} is out of rank order"
+            ));
+        }
+        let last = ranks.last().filter(|_| answer.len() >= threshold);
+        let skipped = owed.iter().find(|&&id| {
+            !answer.contains(&id) && last.is_none_or(|last| self.rank(keywords, id) < *last)
+        });
+        if let Some(id) = skipped {
+            return Err(format!(
+                "{keywords} t={threshold}: {answer:?} passes over object {id}"
             ));
         }
         Ok(())
@@ -230,14 +265,13 @@ impl Model {
                 !skipped.contains(&vertex.bits())
             })
             .collect();
-        if got.len() < owed.len().min(threshold)
-            || (threshold >= allowed.len() && !owed.iter().all(|id| got.contains(id)))
-        {
+        if got.len() < owed.len().min(threshold) {
             return Err(format!(
                 "{keywords} t={threshold}: the vertices reached owe {owed:?}, got {got:?}"
             ));
         }
-        Ok(())
+        let answer: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();
+        self.ranked_prefix(&answer, keywords, threshold, &owed)
     }
 
     fn search(&mut self, keywords: &KeywordSet, threshold: usize) -> Result<(), String> {

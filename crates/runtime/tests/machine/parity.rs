@@ -2,11 +2,12 @@
 //! workloads, and the frame law.
 //!
 //! For a shared seed and corpus, the production client over the mesh
-//! returns set-identical pin and superset results to `ProtocolSim`'s
-//! message-level traversal and to the direct `HypercubeIndex` at
-//! r ∈ {8, 12} across worker counts 1–9, with frame conservation
-//! holding on every shutdown; and an uncached query costs exactly the
-//! frames its subcube's owners say, fault-tolerant or not.
+//! returns the superset answers of `ProtocolSim`'s message-level
+//! traversal and of the direct `HypercubeIndex`, id for id in order,
+//! and their pin results, at r ∈ {8, 12} across worker counts 1–9,
+//! with frame conservation holding on every shutdown; and an uncached
+//! query costs exactly the frames its subcube's owners say,
+//! fault-tolerant or not.
 
 use std::collections::BTreeSet;
 
@@ -48,9 +49,11 @@ fn assert_sim_parity(
         let sim_found = sim.search_sequential(keywords, *threshold).expect("t > 0");
         let query = SupersetQuery::new(keywords.clone()).threshold(*threshold);
         let direct_found = direct.superset_search(&query).expect("valid query");
-        let mesh = match_ids(&found);
-        let sim_ids = ids(sim_found.results.iter().map(|m| m.object));
-        let direct_ids = ids(direct_found.results.iter().map(|m| m.object));
+        // Id for id, in order: the stores filled in one order, so
+        // every executor breaks a rank's ties alike.
+        let mesh: Vec<ObjectId> = found.iter().map(|m| m.object).collect();
+        let sim_ids: Vec<ObjectId> = sim_found.results.iter().map(|m| m.object).collect();
+        let direct_ids: Vec<ObjectId> = direct_found.results.iter().map(|m| m.object).collect();
         assert_eq!(mesh, sim_ids, "mesh/sim superset divergence: {cell}");
         assert_eq!(mesh, direct_ids, "mesh/direct superset divergence: {cell}");
 
@@ -223,10 +226,9 @@ fn thresholded_answers_match_the_sequential_machines_at_every_worker_count() {
     let (corpus, queries) = workload(42, 400);
     // ... then every threshold that matters, over a corpus whose every
     // set has three words: all matches of a query then carry the same
-    // extra-keyword count, so the direct engine's ranking within a
-    // vertex (the one thing it does that the message executors do not)
-    // is the scan order, and the three must agree id for id wherever
-    // the cut falls.
+    // extra-keyword count, so within a vertex only the store's order
+    // breaks the rank's ties, and the three must agree id for id
+    // wherever the cut falls.
     let words: Vec<String> = (0..12).map(|w| format!("w{w}")).collect();
     let mut uniform = Vec::new();
     for a in 0..words.len() {
@@ -267,4 +269,29 @@ fn a_broad_scan_at_r18_is_answered_in_one_round() {
     assert!(scans > 1 << 17, "{report:?}");
     let groups: u64 = report.workers.iter().map(|w| w.batch_entries_sent).sum();
     assert!(groups <= corpus.len() as u64, "{report:?}");
+}
+
+/// One seeded `(K, t)` and its answer: the r = 8, seed 42 corpus of 400
+/// objects, its most popular keyword, and a threshold that cuts inside
+/// a vertex holding matches of several ranks. `net_parity.rs` holds a
+/// two-server TCP cluster to the same list.
+const ONE_ANSWER: [u64; 12] = [196, 161, 223, 267, 288, 336, 9, 67, 344, 347, 73, 391];
+
+#[test]
+fn one_query_is_one_id_list_on_every_executor() {
+    let (corpus, queries) = workload(42, 400);
+    let query = (queries[0].0.clone(), ONE_ANSWER.len());
+    // The mesh at two workers, the simulator and the direct engine
+    // agree, in order ...
+    assert_sim_parity(8, 42, 2, &corpus, std::slice::from_ref(&query));
+    // ... on this list.
+    let mut direct = HypercubeIndex::new(8, 42).expect("valid r");
+    for (object, keywords) in &corpus {
+        direct.insert(*object, keywords.clone()).expect("non-empty");
+    }
+    let out = direct
+        .superset_search(&SupersetQuery::new(query.0).threshold(query.1))
+        .expect("valid query");
+    let answer: Vec<u64> = out.results.iter().map(|m| m.object.raw()).collect();
+    assert_eq!(answer, ONE_ANSWER);
 }

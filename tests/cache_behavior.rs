@@ -173,6 +173,20 @@ fn partial_thresholds_never_lose_matches_via_cache() {
     let (again, _, hit) = index.search(&one);
     assert!(hit, "a threshold-1 repeat is served from the partial entry");
     assert_eq!(again, small, "the hit returns the same id");
+    // A hit served from a longer entry is that entry's head: the ids a
+    // walk at the smaller threshold keeps.
+    assert!(full_truth > 5, "a threshold-5 page of {q} is partial");
+    let (_, _, hit) = index.search(&SupersetQuery::new(q.clone()).threshold(5));
+    assert!(!hit, "the one-id entry cannot serve five");
+    let two = SupersetQuery::new(q.clone()).threshold(2);
+    let (head, _, hit) = index.search(&two);
+    assert!(hit, "a threshold-2 search is served from the five-id entry");
+    let mut walked: Vec<ObjectId> = (index.index.superset_search(&two).expect("valid").results)
+        .iter()
+        .map(|r| r.object)
+        .collect();
+    walked.sort_unstable();
+    assert_eq!(head, walked, "the hit is the entry's first two");
     let (large, _, _) = index.search(&SupersetQuery::new(q.clone()));
     assert_eq!(
         large.len(),
