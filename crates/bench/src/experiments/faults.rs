@@ -42,7 +42,7 @@ use std::path::Path;
 use hyperdex_core::{
     FtCoverage, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery,
 };
-use hyperdex_runtime::{ClientCore, FaultPlan, FtSearchOptions, Mesh, RuntimeConfig};
+use hyperdex_runtime::{ClientCore, FaultPlan, Mesh, RuntimeConfig};
 use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
@@ -60,7 +60,8 @@ const FAULTS_R: u8 = 8;
 /// Workers per cell.
 const FAULTS_WORKERS: u32 = 4;
 /// Link latencies, in virtual milliseconds: a healthy region round
-/// trip stays under the 50 ms first deadline.
+/// trip stays under the 50 ms first deadline of the workers'
+/// fault-tolerant policy.
 const LINK_MS: (u64, u64) = (1, 10);
 /// Objects indexed per cell.
 const FAULTS_OBJECTS: usize = 2_000;
@@ -195,13 +196,6 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             for c in 0..crashes {
                 plan = plan.crash(victim, u64::from(c) + 1);
             }
-            let opts = FtSearchOptions {
-                max_retries: 6,
-                base_timeout: 50,
-                attempt_timeout_ms: 5_000,
-                attempts: 5,
-            };
-
             let latency = LatencyModel::uniform(LINK_MS.0, LINK_MS.1);
             let mesh = Mesh::start(cfg, plan, latency, cell_seed);
             let mut client = ClientCore::new(hasher, shards, mesh, None);
@@ -217,7 +211,7 @@ pub fn run(ctx: &SharedContext) -> Vec<FaultsRow> {
             for (&q, truth) in queries.iter().zip(&truths) {
                 let t0 = client.link().now();
                 let out = client
-                    .superset_search_ft(q, usize::MAX - 1, &opts)
+                    .superset_search_ft(q, usize::MAX - 1)
                     .expect("non-zero threshold");
                 lat_ms.push((client.link().now() - t0).as_millis() as u64);
                 let mut got: Vec<u64> = out.matches.iter().map(|m| m.object.raw()).collect();

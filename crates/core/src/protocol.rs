@@ -353,10 +353,12 @@ pub enum RecoveryStrategy {
 
 /// Retry/backoff tuning for one fault-tolerant pass, in
 /// substrate-defined timeout ticks (virtual ticks in the simulator,
-/// milliseconds in the threaded runtime, whose unit is a region owner
-/// rather than a vertex). The one declaration of the policy:
-/// `ProtocolSim::search_fault_tolerant` takes it, `FtSearchOptions`
-/// and `WireMsg::FtQuery` embed it.
+/// milliseconds in the runtime, whose unit is a region owner rather
+/// than a vertex). The one declaration of the policy:
+/// `ProtocolSim::search_fault_tolerant` takes it per search, and the
+/// runtime worker holds two constants of it — one for plain queries,
+/// one for `FtQuery` — that the request's kind picks; no frame carries
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtPolicy {
     /// Recovery behaviour on timeout.

@@ -112,24 +112,17 @@ pub struct BatchResult {
     pub latency: Duration,
 }
 
-/// Knobs for a fault-tolerant superset search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FtSearchOptions {
-    /// Retransmissions the coordinating worker sends a silent region
-    /// owner before giving it up — its regions are the outcome's
-    /// skipped vertices (0: one transmission, one base timeout).
-    pub max_retries: u32,
-    /// An owner's first-attempt deadline in milliseconds, doubling per
-    /// retry.
-    pub base_timeout: u64,
-    /// Overall per-attempt client deadline in milliseconds. If the
-    /// coordinator itself dies, the client re-issues the query after
-    /// this long.
-    pub attempt_timeout_ms: u64,
-    /// How many times the client re-issues the query before returning
-    /// a degraded result.
-    pub attempts: u32,
-}
+/// How many times a fault-tolerant search is issued before the client
+/// returns a degraded result.
+const FT_ATTEMPTS: u32 = 5;
+
+/// How long the client waits for one fault-tolerant attempt's answer
+/// before it re-issues the search: if the coordinator itself died, the
+/// next attempt finds it restarted. It outlasts the coordinator's own
+/// budget (6,350 ms until a silent owner is given up) by more than a
+/// round trip, so an answer that reports skipped regions reaches the
+/// client rather than arriving after it stopped listening.
+pub(crate) const FT_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(10_000);
 
 /// Outcome of a fault-tolerant runtime search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,34 +316,28 @@ impl<L: ClientLink> ClientCore<L> {
     }
 
     /// Fault-tolerant superset search (§3.4): the coordinating worker
-    /// retries per region owner; the client waits for each attempt's
-    /// completion until the attempt deadline, re-issues the search under
-    /// a fresh id when it passes — a late completion of the abandoned
-    /// attempt is then a stale reply, dropped — and once its attempts
-    /// are spent returns an honest empty outcome (`complete: false`, no
-    /// coverage).
+    /// retries per region owner under its fault-tolerant policy; the
+    /// client waits for each attempt's completion for 10 s, re-issues
+    /// the search under a fresh id when that passes — a late completion
+    /// of the abandoned attempt is then a stale reply, dropped — and
+    /// once its five attempts are spent returns an honest empty outcome
+    /// (`complete: false`, no coverage).
     ///
     /// # Errors
     ///
-    /// [`Error::ZeroThreshold`] / [`Error::ZeroTimeout`] on bad
-    /// arguments, otherwise the link's errors.
+    /// [`Error::ZeroThreshold`] on a zero `threshold`, otherwise the
+    /// link's errors.
     pub fn superset_search_ft(
         &mut self,
         keywords: &KeywordSet,
         threshold: usize,
-        opts: &FtSearchOptions,
     ) -> Result<FtSearchOutcome, Error> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        if opts.base_timeout == 0 {
-            return Err(Error::ZeroTimeout);
-        }
-        let attempts = opts.attempts.max(1);
-        let attempt_timeout = Duration::from_millis(opts.attempt_timeout_ms.max(1));
-        for attempt in 1..=attempts {
-            let id = self.queue_ft(keywords, threshold, opts);
-            let deadline = self.link.now() + attempt_timeout;
+        for attempt in 1..=FT_ATTEMPTS {
+            let id = self.queue_ft(keywords, threshold);
+            let deadline = self.link.now() + FT_ATTEMPT_TIMEOUT;
             self.link.ship()?;
             if let Some(((), reply)) =
                 self.recv(Some(deadline), None, |got| (got == id).then_some(()))?
@@ -370,7 +357,7 @@ impl<L: ClientLink> ClientCore<L> {
         Ok(FtSearchOutcome {
             matches: Vec::new(),
             complete: false,
-            attempts,
+            attempts: FT_ATTEMPTS,
             coverage: None,
         })
     }
@@ -474,7 +461,7 @@ impl<L: ClientLink> ClientCore<L> {
 
     /// Queues one FT query toward its root's owner (one routing rule)
     /// and returns the fresh query id.
-    fn queue_ft(&mut self, keywords: &KeywordSet, threshold: usize, opts: &FtSearchOptions) -> u64 {
+    fn queue_ft(&mut self, keywords: &KeywordSet, threshold: usize) -> u64 {
         let id = self.fresh_id();
         let owner = self.owner_of(keywords);
         self.link.queue(
@@ -483,8 +470,6 @@ impl<L: ClientLink> ClientCore<L> {
                 query_id: id,
                 keywords: keywords.clone(),
                 threshold: threshold as u64,
-                max_retries: opts.max_retries,
-                base_timeout: opts.base_timeout,
             },
         );
         id

@@ -18,10 +18,11 @@
 //! every superset traversal holds the region owners it waits for to
 //! deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
-//! ([`hyperdex_core::FtPolicy::attempt_timeout`]); a fault-tolerant
-//! search ([`ClientCore::superset_search_ft`]) names the policy and
-//! gets an exact account of what was covered. Lost, copied and delayed
-//! frames are a wire's faults: the [`mesh`] deals them.
+//! ([`hyperdex_core::FtPolicy::attempt_timeout`]), with one of two
+//! constant budgets the request's kind picks; a fault-tolerant search
+//! ([`ClientCore::superset_search_ft`]) gets an exact account of what
+//! was covered. Lost, copied and delayed frames are a wire's faults:
+//! the [`mesh`] deals them.
 //!
 //! Module map:
 //!
@@ -77,7 +78,7 @@ pub mod wire;
 pub mod worker;
 
 pub use client_core::{
-    BatchResult, ClientCore, ClientLink, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
+    BatchResult, ClientCore, ClientLink, FtSearchOutcome, Request, RuntimeMatch,
 };
 pub use mesh::{FaultPlan, Mesh};
 pub use runtime::{run_worker, Host, NodeRuntime, RuntimeConfig, ShutdownReport, SupervisorStats};

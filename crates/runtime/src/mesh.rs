@@ -46,10 +46,6 @@ use crate::worker::{CrashPoint, Flow, NodeMachine, WorkerContext, WorkerStats};
 /// the workers, `W` the client.
 pub type Trace = Vec<(u64, usize, usize, Vec<u8>)>;
 
-/// A timer further out than this is never armed: 35 years is forever,
-/// and the simulator's clock must not overflow on the way there.
-const FOREVER_TICKS: u64 = 1 << 40;
-
 /// Domain separation from the shard and keyword hashes derived from
 /// the same seed.
 const FAULT_SALT: u64 = 0x4641_554C_545F_494E; // "FAULT_IN"
@@ -437,14 +433,14 @@ impl Mesh {
             self.net.cancel_timer(timer);
         }
         let Some(deadline) = want else { return };
-        let after = deadline.saturating_sub(self.now()).as_millis();
-        if after < u128::from(FOREVER_TICKS) {
-            let owner = self.endpoints[index];
-            let timer = self
-                .net
-                .set_timer(owner, SimDuration::from_ticks(after as u64), ());
-            self.timers[index] = Some((deadline, timer));
-        }
+        // A machine's deadlines are its constant policies' waits: never
+        // further out than 8 s.
+        let after = deadline.saturating_sub(self.now()).as_millis() as u64;
+        let owner = self.endpoints[index];
+        let timer = self
+            .net
+            .set_timer(owner, SimDuration::from_ticks(after), ());
+        self.timers[index] = Some((deadline, timer));
     }
 
     /// The worker (or the client) an endpoint stands for.
@@ -708,7 +704,99 @@ impl ClientLink for Mesh {
 
 #[cfg(test)]
 mod tests {
+    use hyperdex_core::{FtPolicy, KeywordSet};
+
     use super::*;
+    use crate::client_core::FT_ATTEMPT_TIMEOUT;
+    use crate::worker::{FT_QUERY_POLICY, PLAIN_QUERY_POLICY};
+
+    /// How long a traversal under `policy` can stay parked: every
+    /// transmission's whole wait, in milliseconds.
+    fn total_wait(policy: &FtPolicy) -> u64 {
+        (0..)
+            .map_while(|attempt| policy.attempt_timeout(attempt))
+            .sum()
+    }
+
+    /// Under total loss every `RegionQuery` is lost, so a traversal
+    /// stays parked for exactly its policy's total wait and no longer:
+    /// an `FtQuery` is answered, its silent owner given up, 6,350 ms
+    /// after it arrives (50 ms doubling, seven transmissions); a plain
+    /// `QueryAt` is abandoned unanswered after 15,000 ms (1 s doubling,
+    /// four). At no step does a machine name a deadline past that.
+    #[test]
+    fn a_parked_traversal_lives_exactly_its_policys_total_wait() {
+        let (ft_wait, plain_wait) = (
+            total_wait(&FT_QUERY_POLICY),
+            total_wait(&PLAIN_QUERY_POLICY),
+        );
+        assert_eq!((ft_wait, plain_wait), (6_350, 15_000));
+        // The client listens for an `FtQuery`'s answer longer than its
+        // coordinator can stay parked.
+        assert!(FT_ATTEMPT_TIMEOUT > Duration::from_millis(ft_wait));
+        let cfg = RuntimeConfig::new(8, 2).seed(42);
+        let plan = FaultPlan::lossy(7, 1000, 0, 0);
+        let mut mesh = Mesh::start(cfg, plan, LatencyModel::uniform(1, 3), 42);
+        // A one-word query: its subcube spans both workers' halves.
+        let keywords = KeywordSet::parse("a").unwrap();
+        let coordinator = mesh
+            .shards
+            .owner_of(mesh.hasher.vertex_for(&keywords).bits());
+        let ft = WireMsg::FtQuery {
+            query_id: 1,
+            keywords: keywords.clone(),
+            threshold: 5,
+        };
+        let plain = WireMsg::QueryAt {
+            query_id: 2,
+            keywords,
+            threshold: 5,
+            marks: vec![0, 0],
+        };
+        for (query, wait) in [(ft, ft_wait), (plain, plain_wait)] {
+            let abandoned = mesh.stats(coordinator as usize).queries_abandoned;
+            mesh.send(coordinator, &query);
+            // Nothing else is in flight: the first event is its arrival.
+            mesh.step();
+            let arrived = mesh.now();
+            let last_deadline = arrived + Duration::from_millis(wait);
+            let parked = |mesh: &Mesh| mesh.nodes[coordinator as usize].as_ref().unwrap().parked();
+            assert_eq!(parked(&mesh), 1);
+            let mut ended = None;
+            while mesh.step().is_some() {
+                for node in mesh.nodes.iter().flatten() {
+                    let deadline = node.next_deadline();
+                    assert!(
+                        deadline <= Some(last_deadline),
+                        "{deadline:?} after {arrived:?}"
+                    );
+                }
+                if ended.is_none() && parked(&mesh) == 0 {
+                    ended = Some(mesh.now());
+                }
+            }
+            assert_eq!(ended, Some(last_deadline), "arrived at {arrived:?}");
+            mesh.settle();
+            let replies: Vec<WireMsg> = mesh.inbox.drain(..).collect();
+            let abandoned = mesh.stats(coordinator as usize).queries_abandoned - abandoned;
+            match query {
+                WireMsg::FtQuery { .. } => {
+                    let [WireMsg::FtQueryDone { coverage, .. }] = &replies[..] else {
+                        panic!("not one FT answer: {replies:?}");
+                    };
+                    let retries = u64::from(FT_QUERY_POLICY.max_retries);
+                    assert_eq!(
+                        (coverage.queries_sent, coverage.retries, coverage.timeouts),
+                        (retries + 1, retries, 1),
+                        "{coverage:?}"
+                    );
+                    assert!(!coverage.skipped.is_empty(), "{coverage:?}");
+                    assert_eq!(abandoned, 0);
+                }
+                _ => assert_eq!((replies.len(), abandoned), (0, 1), "{replies:?}"),
+            }
+        }
+    }
 
     #[test]
     fn fates_replay_deterministically() {

@@ -92,9 +92,7 @@ use crate::transport::Fabric;
 use crate::wire::{self, WireMsg};
 use crate::worker::{counter_record, Flow, NodeMachine, WorkerContext, WorkerStats};
 
-pub use crate::client_core::{
-    BatchResult, FtSearchOptions, FtSearchOutcome, Request, RuntimeMatch,
-};
+pub use crate::client_core::{BatchResult, FtSearchOutcome, Request, RuntimeMatch};
 
 /// How a [`NodeRuntime`] is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -748,12 +746,13 @@ mod tests {
     /// What a driver owes its machine (DESIGN.md §12): a `tick` no later
     /// than `next_deadline()`, packet or no packet. Worker 0 runs on a
     /// real thread; worker 1 is a silent peer — an inbox the test holds
-    /// and never reads — so only worker 0's own timers end the query it
-    /// coordinates: three transmissions, 20 ms doubling, then the owner
-    /// is given up, long before the test's five-second wait would run
-    /// out.
+    /// and never answers — so only worker 0's own deadline (50 ms, the
+    /// fault-tolerant policy's first) sends the query's first
+    /// retransmission, long before the test's one-second wait runs
+    /// out. The query is still parked at shutdown: counted abandoned,
+    /// never answered.
     #[test]
-    fn a_parked_traversal_ends_on_its_own_deadlines() {
+    fn a_parked_traversal_is_retried_on_its_own_deadline() {
         let hasher = KeywordHasher::new(8, 42).unwrap();
         let shards = ShardMap::new(8, 2, 42);
         let (inbox_tx, inbox) = sync_channel::<Vec<u8>>(4);
@@ -767,31 +766,30 @@ mod tests {
             query_id: 1,
             keywords: set("a"),
             threshold: u64::MAX - 1,
-            max_retries: 2,
-            base_timeout: 20,
         };
         let started = Instant::now();
         inbox_tx.send(query.encode()).unwrap();
-        let done = client
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker 0's own deadlines end the query");
+        let mut attempts = Vec::new();
+        while attempts.len() < 2 {
+            let packet = peer
+                .recv_timeout(Duration::from_secs(1))
+                .expect("worker 0's own deadline retransmits");
+            for frame in wire::frames(&packet).expect_whole() {
+                let Ok(WireMsg::RegionQuery { attempt, .. }) = WireMsg::decode_exact(frame) else {
+                    panic!("not a region query: {frame:?}");
+                };
+                attempts.push(attempt);
+            }
+        }
         let took = started.elapsed();
-        let Ok(WireMsg::FtQueryDone { coverage, .. }) = WireMsg::decode_exact(&done) else {
-            panic!("not an FT answer: {done:?}");
-        };
-        assert_eq!(
-            (coverage.queries_sent, coverage.retries, coverage.timeouts),
-            (3, 2, 1),
-            "{coverage:?}"
+        assert_eq!(attempts, [0, 1]);
+        assert!(
+            took < Duration::from_secs(1),
+            "retransmitted after {took:?}"
         );
-        assert!(!coverage.skipped.is_empty(), "{coverage:?}");
-        assert!(took < Duration::from_secs(1), "answered after {took:?}");
         inbox_tx.send(WireMsg::Shutdown.encode()).unwrap();
         let (stats, _) = worker.join().unwrap();
-        let asked: usize = peer
-            .try_iter()
-            .map(|packet| wire::frames(&packet).expect_whole().count())
-            .sum();
-        assert_eq!((stats.frames_sent, asked), (4, 3), "{stats:?}");
+        assert_eq!(stats.queries_abandoned, 1, "{stats:?}");
+        assert!(client.try_recv().is_err(), "a parked query was answered");
     }
 }

@@ -223,19 +223,14 @@ wire_messages! {
     10 => Shutdown,
     /// Client → root owner: start a *fault-tolerant* superset search
     /// (§3.4): the plain query's one round per region, each awaited
-    /// owner under the frame's deadline and retry budget, answered with
-    /// an exact account of what was and was not covered.
+    /// owner under the worker's fault-tolerant deadline and retry
+    /// budget, answered with an exact account of what was and was not
+    /// covered.
     11 => FtQuery {
         /// Client-assigned correlation id.
         query_id: u64,
         /// Results wanted (the paper's `c`).
         threshold: u64,
-        /// Retransmissions of a silent region owner before it is given
-        /// up.
-        max_retries: u32,
-        /// The first attempt's deadline in milliseconds, doubling per
-        /// retry.
-        base_timeout: u64,
         /// The queried keyword set `K`.
         keywords: KeywordSet,
     },
@@ -799,15 +794,11 @@ pub fn exemplars() -> Vec<WireMsg> {
             query_id: 21,
             keywords: set("alpha beta"),
             threshold: 40,
-            max_retries: 2,
-            base_timeout: 16,
         },
         WireMsg::FtQuery {
             query_id: 22,
             keywords: set("x"),
             threshold: 1,
-            max_retries: 0,
-            base_timeout: 0,
         },
         WireMsg::FtQueryDone {
             query_id: 21,
@@ -958,13 +949,14 @@ mod tests {
     }
 
     /// The exemplar frames, back to back, as the encoder wrote them
-    /// when `encode_into` was its only body (FNV-1a over 872 bytes: the
+    /// when `encode_into` was its only body (FNV-1a over 848 bytes: the
     /// 1,120 of the 17-variant vocabulary less the 184 of the retired
     /// per-vertex pair's four exemplars, the 9 of the retired repair
     /// release's one and the 77 of the retired table handoff's one, plus
     /// 4 per `RegionQuery` for its attempt and 8 per `RegionDone` for
-    /// its attempt and part, less the retired strategy byte of each of
-    /// the two `FtQuery`s).
+    /// its attempt and part, less the retired strategy byte, retry
+    /// count and base timeout (1 + 4 + 8) of each of the two
+    /// `FtQuery`s).
     /// One scratch buffer is cleared and refilled and one buffer only
     /// ever appended to, both across every exemplar in growing and
     /// shrinking order: each call writes the bytes of a fresh encode,
@@ -982,7 +974,7 @@ mod tests {
         let digest = forward.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
-        assert_eq!((forward.len(), digest), (872, 0xd0f8_d8b7_290c_8a42));
+        assert_eq!((forward.len(), digest), (848, 0xace2_f838_12ba_82b0));
     }
 
     /// In every build profile: an over-cap frame must stop at the
@@ -1160,17 +1152,17 @@ mod tests {
         }
     }
 
-    /// The fault-tolerant exemplar frames as the encoder wrote them
-    /// when `FtQuery` and `FtQueryDone` listed the policy and the
-    /// counters field by field: nesting the shared records moved no
-    /// byte.
+    /// The fault-tolerant exemplar frames: an `FtQuery` is its id, its
+    /// threshold and its keywords (the worker's policy is a constant,
+    /// so no budget travels), and an `FtQueryDone`'s coverage is the
+    /// bytes it was when its counters were listed field by field.
     #[test]
     fn ft_frames_encode_to_the_golden_frames() {
         let golden = [
-            "2c 00 00 00 0b 15 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 02 00 00 \
-             00 10 00 00 00 00 00 00 00 02 00 05 00 61 6c 70 68 61 04 00 62 65 74 61",
-            "22 00 00 00 0b 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 00 00 00 \
-             00 00 00 00 00 00 00 00 00 01 00 01 00 78",
+            "20 00 00 00 0b 15 00 00 00 00 00 00 00 28 00 00 00 00 00 00 00 02 00 05 \
+             00 61 6c 70 68 61 04 00 62 65 74 61",
+            "16 00 00 00 0b 16 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 01 00 01 \
+             00 78",
             "79 00 00 00 0c 15 00 00 00 00 00 00 00 08 00 00 00 00 00 00 00 06 00 00 \
              00 00 00 00 00 03 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00 01 00 00 \
              00 00 00 00 00 0b 00 00 00 00 00 00 00 06 00 00 00 00 00 00 00 02 00 00 \

@@ -28,9 +28,11 @@
 //! coordinator merges the answers in the sequential traversal's visit
 //! order. `Query`, `QueryAt` and `FtQuery` are that one traversal; its
 //! unit of recovery is an owner still awaited, which has a deadline and
-//! a retry budget (`FtPolicy::attempt_timeout`), so a parked traversal
-//! always ends: an `FtQuery` with an exact account of the regions it
-//! gave up, a plain query whole or not at all.
+//! a retry budget (`FtPolicy::attempt_timeout` under one of two
+//! constant policies, which the query's kind picks), so a parked
+//! traversal always ends, within its policy's total wait: an `FtQuery`
+//! with an exact account of the regions it gave up, a plain query
+//! whole or not at all.
 //!
 //! [`NodeMachine`] is that engine and nothing else: it has no loop, no
 //! inbox and no clock. A **driver** hands it each inbound packet and
@@ -89,10 +91,23 @@ const RESULT_CACHE_MAX_ITEMS: usize = 4096;
 /// until an owner is given up and the query with it, which outlasts
 /// `NetConfig`'s default request timeout (10 s): no client still
 /// listening is given up on.
-const PLAIN_QUERY_POLICY: FtPolicy = FtPolicy {
+pub(crate) const PLAIN_QUERY_POLICY: FtPolicy = FtPolicy {
     strategy: RecoveryStrategy::RetryOnly,
     max_retries: 3,
     base_timeout: 1_000,
+};
+
+/// What an `FtQuery` holds each owner to: seven transmissions, 50 ms
+/// doubling (a healthy region round trip on the mesh's 1–10 ms links
+/// stays under the first deadline) — 6,350 ms until an owner is given
+/// up and its regions are reported skipped. A region has no subtree to
+/// route around, so retrying the owner is every strategy's whole
+/// recovery. The frame's tag picks this policy; nothing the frame
+/// carries sets it.
+pub(crate) const FT_QUERY_POLICY: FtPolicy = FtPolicy {
+    strategy: RecoveryStrategy::RetryOnly,
+    max_retries: 6,
+    base_timeout: 50,
 };
 
 /// Declares a record of `u64` counters once: the struct, `merge`
@@ -319,11 +334,10 @@ struct QueryState {
     /// Owners whose whole `RegionDone` is still to come. A frame from
     /// anyone else is a duplicate or a straggler.
     awaiting: Vec<Awaited>,
-    /// The deadline and retry rule every awaited owner is held to.
-    policy: FtPolicy,
     /// `Some` for an `FtQuery`: the tally its `FtQueryDone` reports,
     /// the regions of the owners given up in `skipped`. A plain query
-    /// keeps none — it is answered whole or dropped.
+    /// keeps none — it is answered whole or dropped. Which of the two
+    /// it is also picks the policy its owners are held to.
     coverage: Option<FtCoverage>,
     /// Whether this traversal holds the query's cache slot (and fills
     /// it when done) or keeps nothing: a first sighting a full cache
@@ -336,6 +350,17 @@ struct QueryState {
     peer_epochs: Vec<(u32, u64)>,
     /// Identical queries that arrived while this traversal ran.
     waiters: Vec<Waiter>,
+}
+
+impl QueryState {
+    /// The deadline and retry rule every awaited owner is held to: the
+    /// query's kind picks it.
+    fn policy(&self) -> &'static FtPolicy {
+        match self.coverage {
+            Some(_) => &FT_QUERY_POLICY,
+            None => &PLAIN_QUERY_POLICY,
+        }
+    }
 }
 
 /// One owner a traversal waits for.
@@ -685,35 +710,18 @@ impl NodeMachine {
                 query_id,
                 keywords,
                 threshold,
-            } => self.coordinate(query_id, keywords, threshold, Vec::new(), None),
+            } => self.coordinate(query_id, keywords, threshold, Vec::new(), false),
             WireMsg::QueryAt {
                 query_id,
                 keywords,
                 threshold,
                 marks,
-            } => self.coordinate(query_id, keywords, threshold, marks, None),
+            } => self.coordinate(query_id, keywords, threshold, marks, false),
             WireMsg::FtQuery {
                 query_id,
                 keywords,
                 threshold,
-                max_retries,
-                base_timeout,
-            } => {
-                // A region has no subtree to route around: retrying an
-                // owner is every strategy's whole recovery.
-                let policy = FtPolicy {
-                    strategy: RecoveryStrategy::RetryOnly,
-                    max_retries,
-                    base_timeout: base_timeout.max(1),
-                };
-                self.coordinate(
-                    query_id,
-                    keywords,
-                    threshold.max(1),
-                    Vec::new(),
-                    Some(policy),
-                );
-            }
+            } => self.coordinate(query_id, keywords, threshold.max(1), Vec::new(), true),
             WireMsg::RegionQuery {
                 query_id,
                 keywords,
@@ -830,6 +838,7 @@ impl NodeMachine {
         let cut = self.shards.region_cut();
         let qsig = keywords.signature();
         let mut groups = Vec::new();
+        let mut found = Vec::new();
         let mut regions = 0;
         // The root's region comes first.
         for entry in region_entries(root, cut) {
@@ -844,7 +853,7 @@ impl NodeMachine {
             let mut walk = SupersetCoordinator::region(entry, cut, threshold);
             walk.walk(self.shape, None, usize::MAX, |bits, _, limit| {
                 self.stats.scans += 1;
-                let mut found = Vec::new();
+                found.clear();
                 let store = self.tables.get(&bits);
                 let n = scan_store(store, keywords, qsig, TopDown, limit, &mut found);
                 if n > 0 {
@@ -945,7 +954,7 @@ impl NodeMachine {
                 keywords.clone(),
                 waiter.threshold,
                 waiter.marks,
-                None,
+                false,
             );
         }
     }
@@ -958,15 +967,14 @@ impl NodeMachine {
     }
 
     /// One superset query arrives at its coordinator: a plain one with
-    /// the `marks` its client saw flushed, an `FtQuery` with the policy
-    /// (`ft`) its frame carried.
+    /// the `marks` its client saw flushed, or an `FtQuery` (`ft`).
     fn coordinate(
         &mut self,
         query_id: u64,
         keywords: KeywordSet,
         threshold: u64,
         marks: Vec<u64>,
-        ft: Option<FtPolicy>,
+        ft: bool,
     ) {
         self.stats.queries_coordinated += 1;
         self.start_query(query_id, keywords, threshold as usize, marks, ft);
@@ -976,16 +984,16 @@ impl NodeMachine {
     /// running traversal of the same query, or starts its own traversal
     /// — whichever the cache decides from the arrival order. `marks`
     /// are the per-worker write epochs the client saw flushed. An
-    /// `FtQuery` (`ft` is its policy) always walks and keeps nothing:
-    /// it has no marks to be fresh against, and a cached answer has no
-    /// coverage to report.
+    /// `FtQuery` (`ft`) always walks and keeps nothing: it has no marks
+    /// to be fresh against, and a cached answer has no coverage to
+    /// report.
     fn start_query(
         &mut self,
         query_id: u64,
         keywords: KeywordSet,
         threshold: usize,
         marks: Vec<u64>,
-        ft: Option<FtPolicy>,
+        ft: bool,
     ) {
         // An id that names a traversal still parked here is a repeat of
         // its request or another sender's id colliding with it: either
@@ -996,7 +1004,7 @@ impl NodeMachine {
             return;
         }
         let heard = &self.heard;
-        let slot = ft.is_none()
+        let slot = !ft
             && match self.cache.claim(&keywords, threshold, query_id, |remote| {
                 fresh(remote, heard, &marks)
             }) {
@@ -1028,8 +1036,7 @@ impl NodeMachine {
             threshold,
             groups,
             awaiting: Vec::new(),
-            policy: ft.unwrap_or(PLAIN_QUERY_POLICY),
-            coverage: ft.map(|_| FtCoverage {
+            coverage: ft.then(|| FtCoverage {
                 subcube_vertices: 1u64 << root.zero_count(),
                 ..FtCoverage::default()
             }),
@@ -1075,14 +1082,13 @@ impl NodeMachine {
             coverage.retries += u64::from(attempt > 0);
         }
         let wait = state
-            .policy
+            .policy()
             .attempt_timeout(attempt)
             .expect("a worker's policy retries and times every transmission");
         state.awaiting.push(Awaited {
             owner,
-            sent: attempt.saturating_add(1),
-            // The timeout came off the wire: far enough is forever.
-            deadline: self.now.saturating_add(Duration::from_millis(wait)),
+            sent: attempt + 1,
+            deadline: self.now + Duration::from_millis(wait),
             answer,
         });
     }
@@ -1122,7 +1128,7 @@ impl NodeMachine {
             state.awaiting = awaiting;
             let mut given_up = 0;
             for awaited in expired {
-                if state.policy.attempt_timeout(awaited.sent).is_some() {
+                if state.policy().attempt_timeout(awaited.sent).is_some() {
                     self.ask(&mut state, awaited.owner, awaited.sent, awaited.answer);
                 } else {
                     given_up += 1;

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use hyperdex_core::{Error, FtCoverage, KeywordHasher, KeywordSet, ObjectId};
 use hyperdex_runtime::transport::LANE_WATERMARK;
-use hyperdex_runtime::{ClientCore, ClientLink, FtSearchOptions, Request, ShardMap, WireMsg};
+use hyperdex_runtime::{ClientCore, ClientLink, Request, ShardMap, WireMsg};
 
 const WORKERS: u32 = 4;
 
@@ -137,15 +137,6 @@ fn echo(worker: u32, msg: &WireMsg) -> WireMsg {
     }
 }
 
-fn quick(attempts: u32) -> FtSearchOptions {
-    FtSearchOptions {
-        max_retries: 2,
-        base_timeout: 25,
-        attempt_timeout_ms: 5,
-        attempts,
-    }
-}
-
 #[test]
 fn stale_replies_are_dropped_by_every_wait() {
     // Nobody answers the first pin in time. Its reply then lands ahead
@@ -186,7 +177,7 @@ fn stale_replies_are_dropped_by_every_wait() {
     assert_eq!(objects, vec![5, 6], "id 4 was the barrier's token");
 
     for keywords in [set("one"), set("two")] {
-        let out = c.superset_search_ft(&keywords, 16, &quick(3)).unwrap();
+        let out = c.superset_search_ft(&keywords, 16).unwrap();
         assert!(out.complete && out.attempts == 1);
     }
     assert_eq!(c.into_link().shipped.len(), 11, "nothing was re-issued");
@@ -273,9 +264,7 @@ fn an_ft_search_reissues_under_a_fresh_id_and_drops_the_late_completion() {
             }
         }
     });
-    let out = c
-        .superset_search_ft(&set("late query"), 16, &quick(3))
-        .unwrap();
+    let out = c.superset_search_ft(&set("late query"), 16).unwrap();
     assert!(out.complete);
     assert_eq!(out.attempts, 2);
     // Id 1 went out first; the re-issue got the fresh id 2, and its
@@ -287,7 +276,7 @@ fn an_ft_search_reissues_under_a_fresh_id_and_drops_the_late_completion() {
     };
     assert_eq!(out.coverage, Some(coverage));
     // Nothing of the first search is left to answer the next one.
-    let next = c.superset_search_ft(&set("next"), 16, &quick(3)).unwrap();
+    let next = c.superset_search_ft(&set("next"), 16).unwrap();
     assert_eq!((next.attempts, next.matches[0].object.raw()), (1, 3));
     assert_eq!(
         c.into_link().shipped.len(),
@@ -309,19 +298,19 @@ fn a_degraded_ft_search_reissued_under_fresh_ids_leaves_the_next_answered() {
             }
         }
     });
-    let out = c.superset_search_ft(&doomed, 16, &quick(2)).unwrap();
-    // The doomed search degrades honestly after its two attempts ...
+    let out = c.superset_search_ft(&doomed, 16).unwrap();
+    // The doomed search degrades honestly after its five attempts ...
     assert!(!out.complete && out.matches.is_empty());
-    assert_eq!((out.attempts, out.coverage.as_ref()), (2, None));
+    assert_eq!((out.attempts, out.coverage.as_ref()), (5, None));
     // ... and the searches after it complete at their first attempt,
-    // under the ids after its two.
-    for (keywords, id) in [(set("one"), 3), (set("two"), 4)] {
-        let out = c.superset_search_ft(&keywords, 16, &quick(2)).unwrap();
+    // under the ids after its five.
+    for (keywords, id) in [(set("one"), 6), (set("two"), 7)] {
+        let out = c.superset_search_ft(&keywords, 16).unwrap();
         assert!(out.complete && out.attempts == 1);
         assert_eq!(out.matches[0].object.raw(), id);
     }
     let link = c.into_link();
-    assert_eq!(link.bursts, vec![1, 1, 1, 1]);
+    assert_eq!(link.bursts, vec![1; 7]);
     let doomed_ids: Vec<u64> = link
         .shipped
         .iter()
@@ -332,18 +321,21 @@ fn a_degraded_ft_search_reissued_under_fresh_ids_leaves_the_next_answered() {
             _ => None,
         })
         .collect();
-    assert_eq!(doomed_ids, vec![1, 2]);
+    assert_eq!(doomed_ids, vec![1, 2, 3, 4, 5]);
 }
 
 #[test]
 fn ft_search_degrades_to_empty_after_its_attempts() {
     let mut c = client(|_, _| {});
-    let out = c.superset_search_ft(&set("void"), 8, &quick(2)).unwrap();
+    let out = c.superset_search_ft(&set("void"), 8).unwrap();
     assert!(!out.complete);
-    assert_eq!(out.attempts, 2);
+    assert_eq!(out.attempts, 5);
     assert!(out.matches.is_empty());
     assert!(out.coverage.is_none(), "nobody ever answered");
-    assert_eq!(c.into_link().shipped.len(), 2, "one frame per attempt");
+    let link = c.into_link();
+    assert_eq!(link.shipped.len(), 5, "one frame per attempt");
+    // Each attempt waited out its whole 10 s deadline.
+    assert_eq!(link.now, Duration::from_secs(50));
 }
 
 #[test]
@@ -445,16 +437,8 @@ fn bad_arguments_are_rejected_before_anything_ships() {
         c.superset_search(&set("a"), 0),
         Err(Error::ZeroThreshold)
     ));
-    let ft = c.superset_search_ft(&set("a"), 0, &quick(1));
+    let ft = c.superset_search_ft(&set("a"), 0);
     assert!(matches!(ft, Err(Error::ZeroThreshold)));
-    let no_timer = FtSearchOptions {
-        base_timeout: 0,
-        ..quick(1)
-    };
-    assert!(matches!(
-        c.superset_search_ft(&set("a"), 1, &no_timer),
-        Err(Error::ZeroTimeout)
-    ));
 }
 
 /// Answers every frame of a burst but the writes, which get no reply.

@@ -16,14 +16,12 @@
 use std::collections::{BTreeSet, HashMap};
 
 use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
-use hyperdex_runtime::{
-    FaultPlan, FtSearchOptions, Request, RuntimeConfig, ShutdownReport, WireMsg,
-};
+use hyperdex_runtime::{FaultPlan, Request, RuntimeConfig, ShutdownReport, WireMsg};
 use hyperdex_simnet::LatencyModel;
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 
 use crate::mesh::{decode_all, Mesh, MeshRuntime, Script};
-use crate::{ft_opts, match_ids, report_cache, set, worker_cache, SEED};
+use crate::{match_ids, report_cache, set, worker_cache, SEED};
 
 /// The scripts' cube: small, so one word's subcube is most of it.
 const RIG_R: u8 = 6;
@@ -617,11 +615,7 @@ fn crash_script(
         answers.push(ask(&mut rt));
     }
     if whole {
-        let opts = FtSearchOptions {
-            attempt_timeout_ms: 400,
-            ..ft_opts()
-        };
-        let out = rt.superset_search_ft(victim_set, 5, &opts).unwrap();
+        let out = rt.superset_search_ft(victim_set, 5).unwrap();
         assert!(out.complete, "{out:?}");
         answers.push(ask(&mut rt));
         rt.insert(ObjectId::from_raw(40), victim_set.clone())

@@ -29,9 +29,7 @@ mod recovery;
 
 use hyperdex_core::cache::CacheCounters;
 use hyperdex_core::{KeywordSet, ObjectId};
-use hyperdex_runtime::{
-    FaultPlan, FtSearchOptions, Request, RuntimeMatch, ShutdownReport, WireMsg, WorkerStats,
-};
+use hyperdex_runtime::{FaultPlan, Request, RuntimeMatch, ShutdownReport, WireMsg, WorkerStats};
 use hyperdex_workload::{Corpus, CorpusConfig, QueryLog, QueryLogConfig};
 use mesh::{Mesh, MeshRuntime, Script};
 
@@ -43,17 +41,6 @@ const R: u8 = 8;
 
 fn set(s: &str) -> KeywordSet {
     KeywordSet::parse(s).unwrap()
-}
-
-/// The fixtures' fault-tolerant search: two retries from a 25 ms
-/// deadline, three client attempts of two seconds each.
-fn ft_opts() -> FtSearchOptions {
-    FtSearchOptions {
-        max_retries: 2,
-        base_timeout: 25,
-        attempt_timeout_ms: 2_000,
-        attempts: 3,
-    }
 }
 
 fn oid(n: u64) -> ObjectId {
@@ -265,9 +252,7 @@ fn region_frames_count_once_and_carry_only_the_vertices_that_hold_matches() {
 #[test]
 fn ft_search_matches_sequential_on_a_clean_runtime() {
     let mut rt = loaded(4);
-    let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
-        .unwrap();
+    let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
     assert!(out.complete);
     assert_eq!(out.attempts, 1);
     let cov = out.coverage.expect("coordinator answered");
@@ -284,9 +269,7 @@ fn ft_search_survives_frame_loss() {
     let plan = FaultPlan::lossy(9, 100, 50, 50);
     let mut rt = loaded_faulted(4, plan);
     for _ in 0..8 {
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
-            .unwrap();
+        let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
         // Of `CORPUS`, every match is the coordinator's: recall is
         // total even if an owner exhausts its retry budget and its
         // (empty) regions are written off.
@@ -312,9 +295,7 @@ fn duplicated_frames_do_not_double_count_results() {
     // takes each owner's answer once, so the result set is exact.
     let plan = FaultPlan::lossy(5, 0, 333, 0);
     let mut rt = loaded_faulted(4, plan);
-    let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
-        .unwrap();
+    let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
     assert!(out.complete);
     assert_eq!(match_ids(&out.matches), UNDER_A);
     let report = rt.shutdown();
@@ -330,9 +311,7 @@ fn a_delayed_frame_travels_behind_the_lanes_next_packet() {
     // to the first copy. Nothing is lost, and the search is complete
     // after one retry per owner.
     let mut rt = loaded_faulted(4, FaultPlan::lossy(3, 0, 0, 1000));
-    let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &ft_opts())
-        .unwrap();
+    let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
     assert!(out.complete, "{out:?}");
     assert_eq!(match_ids(&out.matches), UNDER_A);
     let cov = out.coverage.expect("coordinator answered");
@@ -343,55 +322,15 @@ fn a_delayed_frame_travels_behind_the_lanes_next_packet() {
 }
 
 #[test]
-fn an_ft_query_without_retries_gives_a_silent_owner_up_after_one_base_timeout() {
-    // No retransmission is owed, yet the traversal must end: the
-    // coordinator waits out one base timeout for the other worker's
-    // (dropped) region frame and gives it up.
-    let mut rt = loaded_faulted(2, FaultPlan::lossy(7, 1000, 0, 0));
-    let opts = FtSearchOptions {
-        max_retries: 0,
-        base_timeout: 20,
-        attempt_timeout_ms: 10_000,
-        attempts: 1,
-    };
-    let started = rt.mesh.borrow().now();
-    let out = rt
-        .superset_search_ft(&set("a"), usize::MAX - 1, &opts)
-        .unwrap();
-    let took = rt.mesh.borrow().now() - started;
-    rt.shutdown().assert_conserved();
-    assert!(!out.complete, "{out:?}");
-    let cov = out.coverage.as_ref().expect("coordinator answered");
-    assert_eq!(
-        (cov.queries_sent, cov.timeouts, cov.retries),
-        (1, 1, 0),
-        "{cov:?}"
-    );
-    assert!(
-        (20..40).contains(&took.as_millis()),
-        "answered after {took:?}"
-    );
-}
-
-#[test]
 fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
-    // Every traversal frame is dropped and owners are written off
-    // after one 30 ms deadline, so the coordinator completes no
-    // sooner than 30 ms in — long after the client's 1 ms attempt
-    // budget ran out. Its `FtQueryDone` then sits in the client
-    // inbox ahead of whatever the next request waits for. (The
-    // one-keyword subcube spans all four prefix regions, so every
-    // attempt has region frames to lose.)
-    let plan = FaultPlan::lossy(11, 1000, 0, 0);
-    let mut rt = loaded_faulted(4, plan);
-    let abandon = FtSearchOptions {
-        max_retries: 0,
-        base_timeout: 30,
-        attempt_timeout_ms: 1,
-        attempts: 1,
-    };
-    // (Pins and the barrier only: under total loss a plain superset is
-    // abandoned unanswered.)
+    // The coordinator's lane to the client is held through the whole
+    // search, so no attempt's completion arrives before the client's
+    // attempt deadline: it re-issues under fresh ids, then degrades.
+    // Released, every attempt's `FtQueryDone` sits in the client inbox
+    // ahead of whatever the next request waits for.
+    let mut rt = loaded(4);
+    let coordinator = rt.mesh.borrow().owner(&set("a")) as usize;
+    let client = 4;
     let next_requests: [fn(&mut MeshRuntime); 3] = [
         |rt| assert_eq!(rt.pin_search(&set("a b")).unwrap(), vec![oid(2)]),
         |rt| rt.flush(),
@@ -403,17 +342,23 @@ fn late_completion_of_an_abandoned_ft_attempt_is_discarded_by_later_requests() {
         },
     ];
     for next_request in next_requests {
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &abandon)
-            .unwrap();
+        rt.mesh.borrow_mut().hold(coordinator, client);
+        let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
         assert!(!out.complete && out.coverage.is_none(), "{out:?}");
-        // Let the abandoned attempt finish and its completion land.
-        rt.mesh.borrow_mut().settle();
+        {
+            let mut mesh = rt.mesh.borrow_mut();
+            let late = mesh.held(coordinator, client);
+            assert_eq!(late.len(), out.attempts as usize, "{late:?}");
+            assert!(late
+                .iter()
+                .all(|m| matches!(m, WireMsg::FtQueryDone { coverage, .. }
+                    if coverage.skipped.is_empty())));
+            mesh.release(coordinator, client);
+            mesh.settle();
+        }
         next_request(&mut rt);
     }
-    let report = rt.shutdown();
-    report.assert_conserved();
-    assert!(report.total_dropped() > 0, "no region frame was dropped");
+    rt.shutdown().assert_conserved();
 }
 
 /// A `RegionQuery` whose `coord` is not another worker has nobody to
@@ -480,8 +425,6 @@ fn a_traversal_parked_at_exit_is_counted_abandoned() {
         query_id: 2,
         keywords,
         threshold: 5,
-        max_retries: 0,
-        base_timeout: 60_000,
     };
     mesh.send(0, &ft);
     mesh.send(0, &ft);

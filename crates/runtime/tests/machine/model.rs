@@ -21,7 +21,7 @@ use hyperdex_runtime::{
 use hyperdex_simnet::{LatencyModel, SimRng};
 
 use crate::mesh::{Mesh, MeshRuntime, Script, Trace};
-use crate::{ft_opts, set, SEED};
+use crate::{set, SEED};
 
 const WORDS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
 const THRESHOLDS: [usize; 3] = [1, 20, usize::MAX - 1];
@@ -357,10 +357,7 @@ impl Model {
             9 => {
                 let (keywords, threshold) = (query(a), THRESHOLDS[b % 3]);
                 let before = self.given_up();
-                let out = self
-                    .rt
-                    .superset_search_ft(&keywords, threshold, &ft_opts())
-                    .unwrap();
+                let out = self.rt.superset_search_ft(&keywords, threshold).unwrap();
                 self.check_ft(&out, &keywords, threshold, before)?;
             }
             _ => {
@@ -423,7 +420,7 @@ fn schedule(seed: u64) -> (RuntimeConfig, FaultPlan, LatencyModel, Vec<Op>) {
         _ => FaultPlan::lossy(seed, 500, 100, 100),
     };
     // Under the wide one a healthy answer can outlast an `FtQuery`'s
-    // 25 ms deadline: retries cross their own answers.
+    // 50 ms deadline: retries cross their own answers.
     let latency = match seed / 50 % 2 {
         0 => LatencyModel::uniform(1, 5),
         _ => LatencyModel::uniform(1, 60),

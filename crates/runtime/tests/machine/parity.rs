@@ -17,7 +17,7 @@ use hyperdex_runtime::{Request, RuntimeConfig, ShutdownReport};
 use hyperdex_simnet::LatencyModel;
 
 use crate::mesh::MeshRuntime;
-use crate::{ft_opts, ids, match_ids, report_cache, workload, R, SEED};
+use crate::{ids, match_ids, report_cache, workload, R, SEED};
 
 /// Worker counts under test.
 const WORKER_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -180,10 +180,7 @@ fn an_uncached_query_costs_two_frames_and_two_per_other_owner_in_its_subcube() {
                         unreachable!("only supersets were built");
                     };
                     let plain = rt.superset_search(keywords, *threshold).expect("t > 0");
-                    let opts = ft_opts();
-                    let ft = rt
-                        .superset_search_ft(keywords, *threshold, &opts)
-                        .expect("t > 0");
+                    let ft = rt.superset_search_ft(keywords, *threshold).expect("t > 0");
                     assert!(ft.complete, "{keywords}: {:?}", ft.coverage);
                     assert_eq!(match_ids(&ft.matches), match_ids(&plain), "{keywords}");
                 }

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use hyperdex_core::{KeywordHasher, KeywordSet, ObjectId};
-use hyperdex_runtime::{FaultPlan, FtSearchOptions, RuntimeConfig, RuntimeMatch, WireMsg};
+use hyperdex_runtime::{FaultPlan, RuntimeConfig, RuntimeMatch, WireMsg};
 use hyperdex_simnet::LatencyModel;
 
 use crate::mesh::{Mesh, MeshRuntime, Script};
@@ -42,19 +42,6 @@ fn data_owning_worker(workers: u32) -> u32 {
         .owner_of(hasher.vertex_for(&set("a b")).bits())
 }
 
-/// Generous retry budget: with the fixed seeds below, every vertex is
-/// recovered and faulted runs must reproduce the unfaulted payload
-/// exactly. A query whose coordinator is the crash victim dies with
-/// it; the client re-issues it a short attempt later.
-fn recovering_opts() -> FtSearchOptions {
-    FtSearchOptions {
-        max_retries: 5,
-        base_timeout: 20,
-        attempt_timeout_ms: 250,
-        attempts: 16,
-    }
-}
-
 /// Sorted `(id, extra_keywords)` pairs — the full observable payload of
 /// a search, so equality here is byte-identity of the result frames
 /// modulo arrival order.
@@ -69,14 +56,15 @@ fn payload(found: &[RuntimeMatch]) -> Vec<(u64, u32)> {
 
 /// The fault-tolerant payload, and a plain query over the same lossy
 /// wires (the crash is spent) — whole answers only, so the same
-/// payload.
+/// payload. The fault-tolerant budget recovers every owner under the
+/// fixed seeds below, so the faulted runs reproduce the unfaulted
+/// payload exactly; a query whose coordinator is the crash victim dies
+/// with it, and the client re-issues it an attempt later.
 #[test]
 fn faulted_plain_and_ft_queries_reproduce_the_unfaulted_payload() {
     let payloads = |workers, plan: FaultPlan| {
         let mut rt = loaded_faulted(workers, plan);
-        let out = rt
-            .superset_search_ft(&set("a"), usize::MAX - 1, &recovering_opts())
-            .unwrap();
+        let out = rt.superset_search_ft(&set("a"), usize::MAX - 1).unwrap();
         assert!(out.complete, "{:?}", out.coverage);
         let plain = rt.superset_search(&set("a"), usize::MAX - 1).unwrap();
         let report = rt.shutdown();

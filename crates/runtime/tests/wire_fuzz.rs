@@ -37,8 +37,8 @@ fn frames_in(packet: &[u8]) -> u64 {
 /// Overwrites the fields of `msg` a peer could lie in with values drawn
 /// from `v`: ids that collide, a `coord` or `worker` that is this
 /// worker, the client slot or nobody, attempts and parts out of order,
-/// epochs from the future, thresholds of zero, policies that never
-/// time out and ones that time out at once.
+/// epochs from the future and thresholds of zero. (No frame carries a
+/// deadline or a retry count: the worker's policies are constants.)
 fn mutate(msg: &mut WireMsg, v: u64) {
     let small_id = v % 4;
     let endpoint = [0, 1, 2, 3, 99, u32::MAX][(v >> 8) as usize % 6];
@@ -46,6 +46,11 @@ fn mutate(msg: &mut WireMsg, v: u64) {
     let attempt = [0, 1, 2, u32::MAX][(v >> 24) as usize % 4];
     match msg {
         WireMsg::Query {
+            query_id,
+            threshold: t,
+            ..
+        }
+        | WireMsg::FtQuery {
             query_id,
             threshold: t,
             ..
@@ -58,16 +63,6 @@ fn mutate(msg: &mut WireMsg, v: u64) {
         } => {
             (*query_id, *t) = (small_id, threshold);
             *marks = vec![v >> 32; (v >> 40) as usize % 5];
-        }
-        WireMsg::FtQuery {
-            query_id,
-            threshold: t,
-            max_retries,
-            base_timeout,
-            ..
-        } => {
-            (*query_id, *t, *max_retries) = (small_id, threshold, attempt);
-            *base_timeout = [0, 1, 25, u64::MAX][(v >> 40) as usize % 4];
         }
         WireMsg::RegionQuery {
             query_id,
