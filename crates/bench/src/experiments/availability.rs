@@ -19,7 +19,7 @@
 use hyperdex_core::baseline::DistributedInvertedIndex;
 use hyperdex_core::replication::ReplicatedIndex;
 use hyperdex_core::sim_protocol::{ProtocolSim, RecoveryStrategy};
-use hyperdex_core::{FtCoverage, FtPolicy, HypercubeIndex, SupersetQuery};
+use hyperdex_core::{FtCoverage, HypercubeIndex, SupersetQuery};
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::rng::SimRng;
 
@@ -260,11 +260,6 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                 }
                 sim.network_mut().faults_mut().set_drop_probability(drop_p);
 
-                let policy = FtPolicy {
-                    strategy,
-                    max_retries: 8,
-                    base_timeout: 16,
-                };
                 let mut recall = 0.0;
                 let mut counted = 0usize;
                 let mut traffic = FtCoverage::default();
@@ -275,7 +270,7 @@ pub fn run_protocol(ctx: &SharedContext) -> Vec<ProtocolAvailabilityRow> {
                     }
                     counted += 1;
                     let out = sim
-                        .search_fault_tolerant(q, usize::MAX >> 1, policy)
+                        .search_fault_tolerant(q, usize::MAX >> 1, strategy)
                         .expect("valid");
                     recall += out.results.len() as f64 / truth as f64;
                     traffic.add_traffic(&out.coverage.ft);

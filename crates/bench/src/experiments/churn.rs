@@ -29,7 +29,7 @@ use std::path::Path;
 
 use hyperdex_core::churn::StabilizationConfig;
 use hyperdex_core::sim_protocol::{ProtocolSim, RecoveryStrategy};
-use hyperdex_core::{FtPolicy, HypercubeIndex};
+use hyperdex_core::HypercubeIndex;
 use hyperdex_simnet::churn::{ChurnConfig, ChurnPlan};
 use hyperdex_simnet::latency::LatencyModel;
 use hyperdex_simnet::time::SimTime;
@@ -125,11 +125,6 @@ pub fn run(ctx: &SharedContext) -> Vec<ChurnRow> {
             }
             sim.enable_churn(&plan, stab_cfg, &members).expect("valid");
 
-            let ft = FtPolicy {
-                strategy: RecoveryStrategy::ReplicatedFailover,
-                max_retries: 8,
-                base_timeout: 16,
-            };
             let mut recall = 0.0;
             let mut counted = 0usize;
             let mut consistency = 0.0;
@@ -144,7 +139,11 @@ pub fn run(ctx: &SharedContext) -> Vec<ChurnRow> {
                     }
                     counted += 1;
                     let out = sim
-                        .search_fault_tolerant(q, usize::MAX >> 1, ft)
+                        .search_fault_tolerant(
+                            q,
+                            usize::MAX >> 1,
+                            RecoveryStrategy::ReplicatedFailover,
+                        )
                         .expect("valid");
                     recall += out.results.len() as f64 / truth as f64;
                 }

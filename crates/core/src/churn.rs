@@ -53,7 +53,7 @@
 //!
 //! ```
 //! use hyperdex_core::churn::StabilizationConfig;
-//! use hyperdex_core::{FtPolicy, KeywordSet, ProtocolSim, RecoveryStrategy};
+//! use hyperdex_core::{KeywordSet, ProtocolSim, RecoveryStrategy};
 //! use hyperdex_dht::ObjectId;
 //! use hyperdex_simnet::churn::ChurnPlan;
 //! use hyperdex_simnet::latency::LatencyModel;
@@ -66,12 +66,8 @@
 //! sim.enable_churn(&plan, StabilizationConfig::default(), &[1, 2, 3, 4])?;
 //! sim.run_churn_to_quiescence();
 //! assert!(sim.churn().unwrap().converged());
-//! let policy = FtPolicy {
-//!     strategy: RecoveryStrategy::Redelegate,
-//!     max_retries: 4,
-//!     base_timeout: 16,
-//! };
-//! let out = sim.search_fault_tolerant(&KeywordSet::parse("news")?, 8, policy)?;
+//! let news = KeywordSet::parse("news")?;
+//! let out = sim.search_fault_tolerant(&news, 8, RecoveryStrategy::Redelegate)?;
 //! assert_eq!(out.results.len(), 1); // nothing lost to the departure
 //! # Ok::<(), hyperdex_core::Error>(())
 //! ```
@@ -1055,7 +1051,7 @@ mod tests {
 
     use super::*;
     use crate::fixtures::{set, CORPUS};
-    use crate::protocol::{FtPolicy, RecoveryStrategy};
+    use crate::protocol::{RecoveryStrategy, SIM_RETRY_BUDGET};
 
     impl ChurnState {
         /// The believed owner (host id) of vertex `bits`. Untracked
@@ -1081,13 +1077,8 @@ mod tests {
 
     /// The ids a failover search for `query` returns, up to `threshold`.
     fn ids_within(sim: &mut ProtocolSim, query: &str, threshold: usize) -> Vec<u64> {
-        let policy = FtPolicy {
-            strategy: RecoveryStrategy::ReplicatedFailover,
-            max_retries: 4,
-            base_timeout: 16,
-        };
         let out = sim
-            .search_fault_tolerant(&set(query), threshold, policy)
+            .search_fault_tolerant(&set(query), threshold, RecoveryStrategy::ReplicatedFailover)
             .unwrap();
         let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();
         ids.sort_unstable();
@@ -1299,15 +1290,15 @@ mod tests {
         let dead = root.flip(48).bits();
         let ep = sim.endpoint_of(dead);
         sim.network_mut().faults_mut().kill(ep);
-        let policy = FtPolicy {
-            strategy: RecoveryStrategy::RetryOnly,
-            max_retries: 3,
-            base_timeout: 16,
-        };
         let out = sim
-            .search_fault_tolerant(&query, usize::MAX - 1, policy)
+            .search_fault_tolerant(&query, usize::MAX - 1, RecoveryStrategy::RetryOnly)
             .unwrap();
-        assert_eq!(out.coverage.ft.retries, 3, "{:?}", out.coverage);
+        assert_eq!(
+            out.coverage.ft.retries,
+            u64::from(SIM_RETRY_BUDGET.max_retries),
+            "{:?}",
+            out.coverage
+        );
         assert_eq!(out.coverage.ft.timeouts, 1);
 
         // Then the plan, with half of all messages lost.
@@ -1529,13 +1520,12 @@ mod tests {
             "the target vertex should be mid-handoff"
         );
 
-        let policy = FtPolicy {
-            strategy: RecoveryStrategy::ReplicatedFailover,
-            max_retries: 4,
-            base_timeout: 16,
-        };
         let out = sim
-            .search_fault_tolerant(&set("a"), usize::MAX - 1, policy)
+            .search_fault_tolerant(
+                &set("a"),
+                usize::MAX - 1,
+                RecoveryStrategy::ReplicatedFailover,
+            )
             .unwrap();
         // Full recall: every object whose keyword set contains `a`.
         let mut ids: Vec<u64> = out.results.iter().map(|r| r.object.raw()).collect();

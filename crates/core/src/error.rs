@@ -32,9 +32,6 @@ pub enum Error {
         /// The field name that has no hypercube.
         field: String,
     },
-    /// A fault-tolerant search was configured with a zero base timeout
-    /// (the retry machinery would spin without ever waiting).
-    ZeroTimeout,
     /// A churn configuration was rejected (zero interval, empty
     /// membership, double enable, …).
     InvalidChurnConfig {
@@ -86,9 +83,6 @@ impl fmt::Display for Error {
             Error::ZeroThreshold => write!(f, "superset search threshold must be positive"),
             Error::UnknownField { field } => {
                 write!(f, "no hypercube registered for field `{field}`")
-            }
-            Error::ZeroTimeout => {
-                write!(f, "fault-tolerant search requires a positive base timeout")
             }
             Error::InvalidChurnConfig { reason } => {
                 write!(f, "invalid churn configuration: {reason}")

@@ -103,7 +103,7 @@ pub use hyperdex_dht::ObjectId;
 pub use keyword::{Keyword, KeywordRef, KeywordSet, PackedError};
 pub use mapping::VertexMap;
 pub use protocol::{
-    FtCmd, FtCoordinator, FtCoverage, FtPolicy, RecoveryStrategy, SupersetCoordinator,
+    FtCmd, FtCoordinator, FtCoverage, RecoveryStrategy, RetryBudget, SupersetCoordinator,
 };
 pub use search::{
     PinOutcome, RankedObject, SearchStats, SupersetOutcome, SupersetQuery, TraversalOrder,

@@ -27,8 +27,8 @@
 //!   backoff, subtree re-delegation, coverage accounting) the
 //!   simulator drives. A runtime worker recovers per region owner, a
 //!   unit with no children to re-delegate to; what the two share is
-//!   the retry rule, [`FtPolicy::attempt_timeout`], and the
-//!   [`FtCoverage`] record.
+//!   the retry rule, [`RetryBudget::attempt_timeout`] (each substrate
+//!   under its own constant budgets), and the [`FtCoverage`] record.
 //!
 //! Everything here is sans-I/O: the substrate supplies transport (a
 //! call, a simnet message, a wire frame) and timers.
@@ -332,14 +332,18 @@ pub fn scan_store(
     out.len() - start
 }
 
-/// How the coordinator reacts to unresponsive vertices (§3.4).
+/// How the coordinator reacts to unresponsive vertices (§3.4): the
+/// simulator's ablation axis, which `ProtocolSim::search_fault_tolerant`
+/// takes per search. The runtime has no such choice — a region owner
+/// has no subtree to route around, so retrying it is the whole
+/// recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStrategy {
     /// Fire-and-forget: no timers, no retries. Any lost message
     /// silently truncates the traversal — the paper's baseline.
     Naive,
-    /// Retransmit with exponential backoff up to the budget, then
-    /// abandon the unresponsive child's whole subtree.
+    /// Retransmit under [`SIM_RETRY_BUDGET`], then abandon the
+    /// unresponsive child's whole subtree.
     RetryOnly,
     /// Retry, then route around a dead child by querying its SBT
     /// children directly from the coordinator (Lemma 3.2: the subtree
@@ -351,44 +355,42 @@ pub enum RecoveryStrategy {
     ReplicatedFailover,
 }
 
-/// Retry/backoff tuning for one fault-tolerant pass, in
-/// substrate-defined timeout ticks (virtual ticks in the simulator,
-/// milliseconds in the runtime, whose unit is a region owner rather
-/// than a vertex). The one declaration of the policy:
-/// `ProtocolSim::search_fault_tolerant` takes it per search, and the
-/// runtime worker holds two constants of it — one for plain queries,
-/// one for `FtQuery` — that the request's kind picks; no frame carries
-/// one.
+/// How often, and how patiently, one unit is asked before it is given
+/// up, in substrate-defined timeout ticks (virtual ticks in the
+/// simulator, where the unit is a vertex; milliseconds in the runtime,
+/// where it is a region owner). Three exist, all constants:
+/// [`SIM_RETRY_BUDGET`], and the runtime worker's two, which the
+/// request's kind picks. No search option and no frame carries one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FtPolicy {
-    /// Recovery behaviour on timeout.
-    pub strategy: RecoveryStrategy,
-    /// Retransmissions per child before declaring it dead.
+pub struct RetryBudget {
+    /// Retransmissions per unit before declaring it dead.
     pub max_retries: u32,
     /// Timeout for the first attempt; doubles per retry (capped at
-    /// `base_timeout × 64`). Ignored by [`RecoveryStrategy::Naive`].
+    /// `base_timeout × 64`).
     pub base_timeout: u64,
 }
 
-/// Exponential backoff: `base << attempts`, capped at `base × 64`.
-pub fn ft_backoff(base: u64, attempts: u32) -> u64 {
-    base.saturating_mul(1u64 << attempts.min(6))
-}
-
-impl FtPolicy {
+impl RetryBudget {
     /// The one retry rule, whatever the unit retried (a vertex for
     /// [`FtCoordinator`], a region owner for the runtime worker): how
     /// many ticks transmission number `attempt` (0 = the first) waits
-    /// for its answer, or `None` when the policy has no such timed
-    /// transmission — [`RecoveryStrategy::Naive`] arms no timer and
-    /// never retries, every other strategy retransmits `max_retries`
-    /// times under [`ft_backoff`]. A unit whose wait expired is sent
-    /// again exactly when `attempt_timeout(attempt + 1)` is `Some`.
+    /// for its answer — `base_timeout << attempt`, capped at
+    /// `base_timeout × 64` — or `None` past the budget's `max_retries`
+    /// retransmissions. A unit whose wait expired is sent again exactly
+    /// when `attempt_timeout(attempt + 1)` is `Some`.
     pub fn attempt_timeout(&self, attempt: u32) -> Option<u64> {
-        (self.strategy != RecoveryStrategy::Naive && attempt <= self.max_retries)
-            .then(|| ft_backoff(self.base_timeout, attempt))
+        (attempt <= self.max_retries)
+            .then(|| self.base_timeout.saturating_mul(1u64 << attempt.min(6)))
     }
 }
+
+/// The simulator's budget, every [`FtCoordinator`]'s: nine
+/// transmissions per vertex, 16 ticks doubling — what the
+/// `availability` and `churn` experiments sweep the strategies under.
+pub const SIM_RETRY_BUDGET: RetryBudget = RetryBudget {
+    max_retries: 8,
+    base_timeout: 16,
+};
 
 /// What the fault-tolerant coordinator wants its substrate to do.
 ///
@@ -407,8 +409,6 @@ pub enum FtCmd {
         bits: u64,
         /// SBT arrival dimension (`None` for the traversal root).
         via_dim: Option<u8>,
-        /// 0 for the first transmission, then 1, 2, … per retry.
-        attempt: u32,
         /// Timer to arm, in ticks ([`RecoveryStrategy::Naive`] arms
         /// none).
         timeout: Option<u64>,
@@ -494,12 +494,13 @@ struct FtPending {
 ///
 /// The simulator drives it with virtual-time timers and simnet
 /// messages (the runtime workers retry per region owner under the same
-/// [`FtPolicy::attempt_timeout`], without this machine). The substrate owns
-/// transport, timers and per-vertex scans; the machine owns everything
-/// else: which vertex is outstanding and which timer is current, retry
-/// budgets, recovery strategy, the de-duplicated result list and its
-/// threshold cut, and every counter of [`FtCoverage`]. It enqueues
-/// every SBT child it learns of — the walk as published.
+/// [`RetryBudget::attempt_timeout`], without this machine). The
+/// substrate owns transport, timers and per-vertex scans; the machine
+/// owns everything else: which vertex is outstanding and which timer is
+/// current, the retry budget ([`SIM_RETRY_BUDGET`]), the recovery
+/// strategy, the de-duplicated result list and its threshold cut, and
+/// every counter of [`FtCoverage`]. It enqueues every SBT child it
+/// learns of — the walk as published.
 ///
 /// Protocol: call [`FtCoordinator::start`], execute the emitted
 /// [`FtCmd`]s, then feed every continuation to `on_reply` (a local
@@ -514,7 +515,7 @@ pub struct FtCoordinator<T> {
     keywords: KeywordSet,
     threshold: usize,
     remaining: usize,
-    policy: FtPolicy,
+    strategy: RecoveryStrategy,
     pending: BTreeMap<u64, FtPending>,
     covered: HashSet<u64>,
     skipped: BTreeSet<u64>,
@@ -529,16 +530,20 @@ pub struct FtCoordinator<T> {
 
 impl<T> FtCoordinator<T> {
     /// A machine for one pass rooted at `root` wanting up to
-    /// `threshold` results. Callers validate `threshold > 0` and, for
-    /// timered strategies, `policy.base_timeout > 0` (see
-    /// [`crate::Error::ZeroThreshold`] / [`crate::Error::ZeroTimeout`]).
-    pub fn new(root: Vertex, keywords: KeywordSet, threshold: usize, policy: FtPolicy) -> Self {
+    /// `threshold` results, recovering under `strategy`. Callers
+    /// validate `threshold > 0` (see [`crate::Error::ZeroThreshold`]).
+    pub fn new(
+        root: Vertex,
+        keywords: KeywordSet,
+        threshold: usize,
+        strategy: RecoveryStrategy,
+    ) -> Self {
         FtCoordinator {
             root,
             keywords,
             threshold,
             remaining: threshold,
-            policy,
+            strategy,
             pending: BTreeMap::new(),
             covered: HashSet::new(),
             skipped: BTreeSet::new(),
@@ -553,14 +558,20 @@ impl<T> FtCoordinator<T> {
     }
 
     /// A machine for a second sweep of the same query — rooted at
-    /// `root` in another cube, under `policy` — that keeps this one's
-    /// results, so an object both cubes hold is returned once. The
-    /// budget starts over at the threshold.
-    pub fn sweep_again(self, root: Vertex, policy: FtPolicy) -> Self {
+    /// `root` in another cube — that keeps this one's results, so an
+    /// object both cubes hold is returned once. The budget starts over
+    /// at the threshold; the sweep recovers by re-delegation (there is
+    /// no third cube to fail over to).
+    pub fn sweep_again(self, root: Vertex) -> Self {
         FtCoordinator {
             results: self.results,
             seen: self.seen,
-            ..FtCoordinator::new(root, self.keywords, self.threshold, policy)
+            ..FtCoordinator::new(
+                root,
+                self.keywords,
+                self.threshold,
+                RecoveryStrategy::Redelegate,
+            )
         }
     }
 
@@ -662,7 +673,7 @@ impl<T> FtCoordinator<T> {
         if p.generation != generation {
             return;
         }
-        if self.policy.attempt_timeout(p.attempts + 1).is_some() {
+        if SIM_RETRY_BUDGET.attempt_timeout(p.attempts + 1).is_some() {
             self.tally.retries += 1;
             self.transmit(bits, p.via_dim, p.attempts + 1, cmds);
             return;
@@ -671,7 +682,7 @@ impl<T> FtCoordinator<T> {
         self.pending.remove(&bits);
         self.tally.timeouts += 1;
         let vertex = Vertex::from_bits(self.root.shape(), bits).expect("pending keys are vertices");
-        match self.policy.strategy {
+        match self.strategy {
             RecoveryStrategy::Naive => unreachable!("naive arms no timers"),
             // The whole subtree behind the dead child is unreachable.
             RecoveryStrategy::RetryOnly => self.skip_subtree(vertex, p.via_dim),
@@ -759,11 +770,15 @@ impl<T> FtCoordinator<T> {
                 generation,
             },
         );
-        let timeout = self.policy.attempt_timeout(attempt);
+        // Naive is fire-and-forget: it arms no timer, so it never
+        // retries.
+        let timeout = match self.strategy {
+            RecoveryStrategy::Naive => None,
+            _ => SIM_RETRY_BUDGET.attempt_timeout(attempt),
+        };
         cmds.push(FtCmd::Send {
             bits,
             via_dim,
-            attempt,
             timeout,
             generation,
         });
@@ -951,24 +966,16 @@ mod tests {
         assert_eq!(ranked(BottomUp, 9).last(), Some(&(oid(11), 1)));
     }
 
-    fn ft_policy(strategy: RecoveryStrategy) -> FtPolicy {
-        FtPolicy {
-            strategy,
-            max_retries: 2,
-            base_timeout: 4,
-        }
-    }
-
     /// The machine over bare object ids.
     type Machine = FtCoordinator<ObjectId>;
 
     /// A machine for the query `a` in `H_6`, with its root.
-    fn machine(threshold: usize, policy: FtPolicy) -> (Machine, Vertex) {
+    fn machine(threshold: usize, strategy: RecoveryStrategy) -> (Machine, Vertex) {
         let kw = set("a");
         let root = crate::hashing::KeywordHasher::new(6, 0)
             .unwrap()
             .vertex_for(&kw);
-        (Machine::new(root, kw, threshold, policy), root)
+        (Machine::new(root, kw, threshold, strategy), root)
     }
 
     /// `n` result items with ids `from..from + n`.
@@ -976,18 +983,32 @@ mod tests {
         (from..from + n).map(|i| (oid(i), oid(i))).collect()
     }
 
-    /// The generation of the transmission to `bits` among `cmds`.
-    fn generation_of(cmds: &[FtCmd], bits: u64) -> u64 {
-        cmds.iter()
-            .find_map(|c| match c {
-                FtCmd::Send {
-                    bits: b,
-                    generation,
-                    ..
-                } if *b == bits => Some(*generation),
-                _ => None,
-            })
-            .expect("a transmission to the vertex")
+    /// Fires the timer of every transmission to `bits`, the first
+    /// among `cmds`, until the machine gives the vertex up; returns the
+    /// timeout each transmission armed, in order, and the commands the
+    /// last expiry emitted.
+    fn time_out(m: &mut Machine, bits: u64, cmds: &[FtCmd]) -> (Vec<Option<u64>>, Vec<FtCmd>) {
+        let mut waits = Vec::new();
+        let mut cmds = cmds.to_vec();
+        while let Some((generation, timeout)) = cmds.iter().find_map(|c| match *c {
+            FtCmd::Send {
+                bits: b,
+                timeout,
+                generation,
+                ..
+            } if b == bits => Some((generation, timeout)),
+            _ => None,
+        }) {
+            waits.push(timeout);
+            cmds.clear();
+            m.on_timeout(bits, generation, &mut cmds);
+            // The timer that just fired is spent: firing it again (a
+            // substrate that cannot disarm) changes nothing.
+            let mut none = Vec::new();
+            m.on_timeout(bits, generation, &mut none);
+            assert!(none.is_empty(), "stale timer acted: {none:?}");
+        }
+        (waits, cmds)
     }
 
     /// An unarmed first transmission, for re-driving a consumed `Send`.
@@ -995,7 +1016,6 @@ mod tests {
         FtCmd::Send {
             bits,
             via_dim: Some(dim),
-            attempt: 0,
             timeout: None,
             generation: 0,
         }
@@ -1022,7 +1042,7 @@ mod tests {
             RecoveryStrategy::RetryOnly,
             RecoveryStrategy::Redelegate,
         ] {
-            let (mut m, root) = machine(usize::MAX - 1, ft_policy(strategy));
+            let (mut m, root) = machine(usize::MAX - 1, strategy);
             let mut cmds = Vec::new();
             m.start(&mut cmds);
             answer_all(&mut m, root, cmds);
@@ -1037,8 +1057,7 @@ mod tests {
 
     #[test]
     fn ft_machine_retries_then_redelegates_a_dead_child() {
-        let policy = ft_policy(RecoveryStrategy::Redelegate);
-        let (mut m, root) = machine(usize::MAX - 1, policy);
+        let (mut m, root) = machine(usize::MAX - 1, RecoveryStrategy::Redelegate);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         // Root answers with its children; pick the first child as dead.
@@ -1046,32 +1065,16 @@ mod tests {
         cmds.clear();
         m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
         let (dead, dead_dim) = children[0];
-        let mut timer = generation_of(&cmds, dead);
-        // Timers expire: max_retries retransmissions, each with doubled
-        // timeout, then the child is declared dead and re-delegated.
-        for attempt in 1..=policy.max_retries {
-            cmds.clear();
-            m.on_timeout(dead, timer, &mut cmds);
-            // The timer that just fired is spent: firing it again (a
-            // substrate that cannot disarm) changes nothing.
-            let stale = timer;
-            timer = generation_of(&cmds, dead);
-            let mut none = Vec::new();
-            m.on_timeout(dead, stale, &mut none);
-            assert!(none.is_empty(), "stale timer acted: {none:?}");
-            assert!(
-                cmds.iter().any(|c| matches!(
-                    c,
-                    FtCmd::Send { bits, attempt: a, timeout: Some(t), .. }
-                        if *bits == dead
-                            && *a == attempt
-                            && *t == ft_backoff(policy.base_timeout, attempt)
-                )),
-                "attempt {attempt} retransmits: {cmds:?}"
-            );
-        }
-        cmds.clear();
-        m.on_timeout(dead, timer, &mut cmds);
+        // Timers expire: one `Send` per transmission, the first and
+        // `max_retries` retransmissions, each waiting twice the last
+        // (capped at 64 × the base); then the child is declared dead
+        // and re-delegated.
+        let (waits, mut cmds) = time_out(&mut m, dead, &cmds);
+        let base = SIM_RETRY_BUDGET.base_timeout;
+        let schedule = (0..=SIM_RETRY_BUDGET.max_retries)
+            .map(|attempt| Some(base << attempt.min(6)))
+            .collect::<Vec<_>>();
+        assert_eq!(waits, schedule);
         let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
         for (gc, _) in child_contacts(dead_vertex, Some(dead_dim)) {
             assert!(
@@ -1088,14 +1091,14 @@ mod tests {
         let cov = m.finish();
         assert_eq!(cov.skipped, vec![dead], "only the dead child skipped");
         assert_eq!(cov.reached, cov.subcube_vertices - 1);
-        assert_eq!(cov.retries, u64::from(policy.max_retries));
+        assert_eq!(cov.retries, u64::from(SIM_RETRY_BUDGET.max_retries));
         assert_eq!(cov.timeouts, 1);
         assert_eq!(cov.redelegations, 1);
     }
 
     #[test]
     fn ft_machine_threshold_stop_cancels_not_skips() {
-        let (mut m, root) = machine(1, ft_policy(RecoveryStrategy::RetryOnly));
+        let (mut m, root) = machine(1, RecoveryStrategy::RetryOnly);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
@@ -1114,22 +1117,17 @@ mod tests {
 
     #[test]
     fn ft_machine_late_reply_resurrects_a_skipped_vertex() {
-        let mut policy = ft_policy(RecoveryStrategy::Redelegate);
-        policy.max_retries = 0;
-        let (mut m, root) = machine(usize::MAX - 1, policy);
+        let (mut m, root) = machine(usize::MAX - 1, RecoveryStrategy::Redelegate);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
         cmds.clear();
         m.on_reply(root.bits(), hits(0, 0), &children, &mut cmds);
         let (dead, dead_dim) = children[0];
-        let timer = generation_of(&cmds, dead);
-        cmds.clear();
-        m.on_timeout(dead, timer, &mut cmds);
+        let (_, redelegated) = time_out(&mut m, dead, &cmds);
         assert!(m.skipped.contains(&dead));
         // The "dead" child answers after all — it returns to reached and
         // its (already re-delegated) children are not double-enqueued.
-        let redelegated = cmds.clone();
         cmds.clear();
         let dead_vertex = Vertex::from_bits(root.shape(), dead).unwrap();
         let kids = child_contacts(dead_vertex, Some(dead_dim)).collect::<Vec<_>>();
@@ -1150,8 +1148,7 @@ mod tests {
 
     #[test]
     fn ft_machine_collects_each_object_once_and_cuts_at_the_threshold() {
-        let policy = ft_policy(RecoveryStrategy::Redelegate);
-        let (mut m, root) = machine(4, policy);
+        let (mut m, root) = machine(4, RecoveryStrategy::Redelegate);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         let children = child_contacts(root, None).collect::<Vec<_>>();
@@ -1177,7 +1174,7 @@ mod tests {
         // A second sweep keeps what the first collected: a replica of
         // object 0 is not returned again, and the results are cut to
         // the threshold in arrival order.
-        let mut again = m.sweep_again(root, policy);
+        let mut again = m.sweep_again(root);
         cmds.clear();
         again.start(&mut cmds);
         assert_eq!(again.remaining(), 4);
@@ -1189,7 +1186,7 @@ mod tests {
 
     #[test]
     fn ft_machine_naive_arms_no_timers_and_accounts_pending() {
-        let (mut m, _) = machine(usize::MAX - 1, ft_policy(RecoveryStrategy::Naive));
+        let (mut m, _) = machine(usize::MAX - 1, RecoveryStrategy::Naive);
         let mut cmds = Vec::new();
         m.start(&mut cmds);
         assert!(matches!(cmds[0], FtCmd::Send { timeout: None, .. }));

@@ -13,10 +13,12 @@
 //! # Fault tolerance
 //!
 //! [`ProtocolSim::search_fault_tolerant`] runs the same traversal
-//! against crashed vertices and lossy links (§3.4). The coordinator
-//! tracks every outstanding child query with a network timer, retries
-//! with exponential backoff up to a budget, and — under
-//! [`RecoveryStrategy::Redelegate`] — routes around a dead child by
+//! against crashed vertices and lossy links (§3.4), under the
+//! [`RecoveryStrategy`] the caller picks — the one option; the retry
+//! budget is a constant, [`crate::protocol::SIM_RETRY_BUDGET`]. The
+//! coordinator tracks every outstanding child query with a network
+//! timer, retries with exponential backoff up to that budget, and —
+//! under [`RecoveryStrategy::Redelegate`] — routes around a dead child by
 //! expanding its SBT children directly: by Lemma 3.2 a child's subtree
 //! is computable from its bits and arrival dimension alone, so no state
 //! from the dead node is needed. [`RecoveryStrategy::ReplicatedFailover`]
@@ -52,8 +54,7 @@ use crate::error::Error;
 use crate::hashing::KeywordHasher;
 use crate::keyword::KeywordSet;
 use crate::protocol::{
-    child_contacts, scan_store, FtCmd, FtCoordinator, FtCoverage, FtPolicy, Step,
-    SupersetCoordinator,
+    child_contacts, scan_store, FtCmd, FtCoordinator, FtCoverage, Step, SupersetCoordinator,
 };
 use crate::search::{RankedObject, TraversalOrder};
 use crate::store::{PostingStore, StoreBackend};
@@ -472,32 +473,29 @@ impl ProtocolSim {
     /// The traversal is an eager SBT walk: the coordinator (the query
     /// root, or the requester if the root is dead) tracks every
     /// outstanding child query with a network timer, retransmits with
-    /// exponential backoff up to `policy.max_retries`, and applies
-    /// `policy.strategy` once a child's budget is exhausted. The pump
-    /// drains the network to quiescence, so the search terminates
-    /// even when every vertex is dead — losses show up as skipped
-    /// vertices in the [`CoverageReport`], never as a hang.
+    /// exponential backoff under
+    /// [`crate::protocol::SIM_RETRY_BUDGET`] (except under
+    /// [`RecoveryStrategy::Naive`], which arms no timer), and applies
+    /// `strategy` once a child's budget is exhausted. The pump drains
+    /// the network to quiescence, so the search terminates even when
+    /// every vertex is dead — losses show up as skipped vertices in
+    /// the [`CoverageReport`], never as a hang.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ZeroThreshold`] when `threshold == 0`, and
-    /// [`Error::ZeroTimeout`] when the strategy needs timers but
-    /// `policy.base_timeout` is zero.
+    /// Returns [`Error::ZeroThreshold`] when `threshold == 0`.
     pub fn search_fault_tolerant(
         &mut self,
         keywords: &KeywordSet,
         threshold: usize,
-        policy: FtPolicy,
+        strategy: RecoveryStrategy,
     ) -> Result<FtSearchOutcome, Error> {
         if threshold == 0 {
             return Err(Error::ZeroThreshold);
         }
-        if policy.strategy != RecoveryStrategy::Naive && policy.base_timeout == 0 {
-            return Err(Error::ZeroTimeout);
-        }
         // Every (re)transmission of both sweeps shares the set's buffer.
         let run = self.begin(keywords);
-        let mut core = FtCoordinator::new(run.root, run.keywords.clone(), threshold, policy);
+        let mut core = FtCoordinator::new(run.root, run.keywords.clone(), threshold, strategy);
         let mut report = CoverageReport {
             ft: self.run_ft_pass(&mut core, false),
             failed_over: false,
@@ -505,20 +503,11 @@ impl ProtocolSim {
             secondary_skipped: 0,
             elapsed: SimDuration::ZERO,
         };
-        if policy.strategy == RecoveryStrategy::ReplicatedFailover && !report.ft.skipped.is_empty()
-        {
+        if strategy == RecoveryStrategy::ReplicatedFailover && !report.ft.skipped.is_empty() {
             // Objects homed on the skipped vertices are lost to the
-            // primary sweep; recover them from the secondary cube. The
-            // sweep itself recovers via re-delegation (no third cube to
-            // fail over to).
+            // primary sweep; recover them from the secondary cube.
             report.failed_over = true;
-            core = core.sweep_again(
-                self.hasher2.vertex_for(keywords),
-                FtPolicy {
-                    strategy: RecoveryStrategy::Redelegate,
-                    ..policy
-                },
-            );
+            core = core.sweep_again(self.hasher2.vertex_for(keywords));
             let sec = self.run_ft_pass(&mut core, true);
             report.ft.add_traffic(&sec);
             report.secondary_reached = sec.reached;
@@ -611,7 +600,6 @@ impl ProtocolSim {
                 FtCmd::Send {
                     bits,
                     via_dim,
-                    attempt: _,
                     timeout,
                     generation,
                 } => {
@@ -906,7 +894,9 @@ mod tests {
     use super::*;
     use crate::cluster::HypercubeIndex;
     use crate::fixtures::{oid, set, CORPUS};
+    use crate::protocol::{subtree_bits, SIM_RETRY_BUDGET};
     use crate::search::SupersetQuery;
+    use hyperdex_simnet::trace::TraceKind;
 
     /// Builds both the direct index and the protocol sim with identical
     /// content.
@@ -1019,14 +1009,6 @@ mod tests {
 
     const BIG: usize = usize::MAX >> 1;
 
-    fn ft(strategy: RecoveryStrategy) -> FtPolicy {
-        FtPolicy {
-            strategy,
-            max_retries: 10,
-            base_timeout: 16,
-        }
-    }
-
     fn ids(results: &[RankedObject]) -> Vec<ObjectId> {
         let mut v: Vec<ObjectId> = results.iter().map(|r| r.object).collect();
         v.sort_unstable();
@@ -1043,9 +1025,7 @@ mod tests {
         ] {
             let (_, mut sim) = twin(8, CORPUS);
             let seq = sim.search_sequential(&set("a"), BIG).unwrap();
-            let out = sim
-                .search_fault_tolerant(&set("a"), BIG, ft(strategy))
-                .unwrap();
+            let out = sim.search_fault_tolerant(&set("a"), BIG, strategy).unwrap();
             assert_eq!(ids(&seq.results), ids(&out.results), "{strategy:?}");
             let c = &out.coverage;
             assert_eq!(c.ft.reached, c.ft.subcube_vertices, "{strategy:?}");
@@ -1060,13 +1040,13 @@ mod tests {
     fn ft_retry_recovers_from_20pct_loss() {
         let (_, mut clean) = twin(8, CORPUS);
         let want = ids(&clean
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::RetryOnly))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::RetryOnly)
             .unwrap()
             .results);
         let (_, mut lossy) = twin(8, CORPUS);
         lossy.network_mut().faults_mut().set_drop_probability(0.2);
         let out = lossy
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::RetryOnly))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::RetryOnly)
             .unwrap();
         assert_eq!(want, ids(&out.results), "retries must restore full recall");
         assert!(out.coverage.ft.retries > 0, "20% loss must trigger retries");
@@ -1095,7 +1075,7 @@ mod tests {
         let (_, mut sim) = twin(8, CORPUS);
         let dead = kill_big_child(&mut sim, &set("a"));
         let out = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::Redelegate)
             .unwrap();
         let c = &out.coverage;
         assert_eq!(c.ft.skipped, vec![dead], "only the crashed vertex is lost");
@@ -1109,7 +1089,7 @@ mod tests {
         let (_, mut sim) = twin(8, CORPUS);
         kill_big_child(&mut sim, &set("a"));
         let out = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::RetryOnly))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::RetryOnly)
             .unwrap();
         let c = &out.coverage;
         assert_eq!(
@@ -1123,12 +1103,54 @@ mod tests {
         );
     }
 
+    /// A dead child lives exactly [`SIM_RETRY_BUDGET`]: sent once and
+    /// retransmitted `max_retries` times, then given up with its whole
+    /// subtree. Every other vertex answers long before, so the search
+    /// ends when the last wait does: the budget's total wait after the
+    /// coordinator first asks, which is one link latency after the
+    /// requester asks the root. Naive asks it once and waits for
+    /// nothing.
+    #[test]
+    fn a_dead_child_lives_exactly_the_simulators_retry_budget() {
+        let total_wait: u64 = (0..)
+            .map_while(|attempt| SIM_RETRY_BUDGET.attempt_timeout(attempt))
+            .sum();
+        let latency = 1; // `twin`'s constant link latency
+        let root = KeywordHasher::new(8, 0).unwrap().vertex_for(&set("a"));
+        for strategy in [RecoveryStrategy::RetryOnly, RecoveryStrategy::Naive] {
+            let (_, mut sim) = twin(8, CORPUS);
+            sim.network_mut().enable_tracing(1 << 12);
+            let dead = kill_big_child(&mut sim, &set("a"));
+            let dead_ep = sim.endpoint_of(dead);
+            let out = sim.search_fault_tolerant(&set("a"), BIG, strategy).unwrap();
+            let sends = sim
+                .network()
+                .trace()
+                .filter(|e| e.kind == TraceKind::Sent && e.to == dead_ep)
+                .count();
+            let mut subtree = Vec::new();
+            let dim = (dead ^ root.bits()).trailing_zeros() as u8;
+            subtree_bits(root.flip(dim), Some(dim), &mut subtree);
+            subtree.sort_unstable();
+            let c = &out.coverage;
+            assert_eq!(c.ft.skipped, subtree, "{strategy:?}");
+            if strategy == RecoveryStrategy::Naive {
+                assert_eq!((sends, c.ft.retries, c.ft.timeouts), (1, 0, 0));
+                continue;
+            }
+            let retries = u64::from(SIM_RETRY_BUDGET.max_retries);
+            assert_eq!(sends as u64, retries + 1);
+            assert_eq!((c.ft.retries, c.ft.timeouts), (retries, 1));
+            assert_eq!(c.elapsed, SimDuration::from_ticks(total_wait + latency));
+        }
+    }
+
     #[test]
     fn ft_naive_terminates_under_crash_with_exact_accounting() {
         let (_, mut sim) = twin(8, CORPUS);
         kill_big_child(&mut sim, &set("a"));
         let out = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Naive))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::Naive)
             .unwrap();
         let c = &out.coverage;
         assert_eq!(c.ft.retries, 0);
@@ -1147,7 +1169,7 @@ mod tests {
         let ep = sim.endpoint_of(root);
         sim.network_mut().faults_mut().kill(ep);
         let out = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::Redelegate)
             .unwrap();
         let c = &out.coverage;
         assert_eq!(c.ft.skipped, vec![root], "only the root itself is lost");
@@ -1166,7 +1188,7 @@ mod tests {
         let ep = sim.endpoint_of(home);
         sim.network_mut().faults_mut().kill(ep);
         let redel = sim
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::Redelegate)
             .unwrap();
         assert!(
             !ids(&redel.results).contains(&oid(2)),
@@ -1177,7 +1199,7 @@ mod tests {
         let ep2 = sim2.endpoint_of(home);
         sim2.network_mut().faults_mut().kill(ep2);
         let failover = sim2
-            .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::ReplicatedFailover))
+            .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::ReplicatedFailover)
             .unwrap();
         assert!(failover.coverage.failed_over);
         assert!(
@@ -1193,7 +1215,7 @@ mod tests {
     fn ft_threshold_stops_early() {
         let (_, mut sim) = twin(8, CORPUS);
         let out = sim
-            .search_fault_tolerant(&set("a"), 1, ft(RecoveryStrategy::Redelegate))
+            .search_fault_tolerant(&set("a"), 1, RecoveryStrategy::Redelegate)
             .unwrap();
         assert_eq!(out.results.len(), 1);
         assert_eq!(out.coverage.ft.skipped.len(), 0);
@@ -1206,7 +1228,7 @@ mod tests {
             sim.network_mut().faults_mut().set_drop_probability(0.2);
             kill_big_child(&mut sim, &set("a"));
             let out = sim
-                .search_fault_tolerant(&set("a"), BIG, ft(RecoveryStrategy::Redelegate))
+                .search_fault_tolerant(&set("a"), BIG, RecoveryStrategy::Redelegate)
                 .unwrap();
             (ids(&out.results), out.coverage)
         };
@@ -1214,20 +1236,11 @@ mod tests {
     }
 
     #[test]
-    fn ft_rejects_bad_config() {
+    fn ft_rejects_a_zero_threshold() {
         let (_, mut sim) = twin(6, CORPUS);
         assert_eq!(
-            sim.search_fault_tolerant(&set("a"), 0, ft(RecoveryStrategy::Redelegate)),
+            sim.search_fault_tolerant(&set("a"), 0, RecoveryStrategy::Redelegate),
             Err(Error::ZeroThreshold)
         );
-        let mut zero = ft(RecoveryStrategy::RetryOnly);
-        zero.base_timeout = 0;
-        assert_eq!(
-            sim.search_fault_tolerant(&set("a"), 5, zero),
-            Err(Error::ZeroTimeout)
-        );
-        // Naive never waits, so a zero timeout is fine there.
-        zero.strategy = RecoveryStrategy::Naive;
-        assert!(sim.search_fault_tolerant(&set("a"), 5, zero).is_ok());
     }
 }

@@ -18,7 +18,7 @@
 //! every superset traversal holds the region owners it waits for to
 //! deadlines on its driver's clock under the retry rule the
 //! simulator's recovery machine reads too
-//! ([`hyperdex_core::FtPolicy::attempt_timeout`]), with one of two
+//! ([`hyperdex_core::RetryBudget::attempt_timeout`]), with one of two
 //! constant budgets the request's kind picks; a fault-tolerant search
 //! ([`ClientCore::superset_search_ft`]) gets an exact account of what
 //! was covered. Lost, copied and delayed frames are a wire's faults:

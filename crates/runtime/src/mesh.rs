@@ -704,7 +704,7 @@ impl ClientLink for Mesh {
 
 #[cfg(test)]
 mod tests {
-    use hyperdex_core::{FtPolicy, KeywordSet};
+    use hyperdex_core::{KeywordSet, RetryBudget};
 
     use super::*;
     use crate::client_core::FT_ATTEMPT_TIMEOUT;
@@ -712,7 +712,7 @@ mod tests {
 
     /// How long a traversal under `policy` can stay parked: every
     /// transmission's whole wait, in milliseconds.
-    fn total_wait(policy: &FtPolicy) -> u64 {
+    fn total_wait(policy: &RetryBudget) -> u64 {
         (0..)
             .map_while(|attempt| policy.attempt_timeout(attempt))
             .sum()

@@ -40,7 +40,7 @@
 //! engine folds, every awaited region owner under a deadline (on the
 //! wall clock here: [`run_worker`] is the thread driver of the
 //! clockless [`NodeMachine`]) and the retry rule `ProtocolSim`'s `FtCoordinator` reads
-//! too (`FtPolicy::attempt_timeout`). [`NodeRuntime::superset_search`]
+//! too (`RetryBudget::attempt_timeout`). [`NodeRuntime::superset_search`]
 //! runs it under the worker's own patient policy and is answered whole
 //! or not at all.
 //!

@@ -28,8 +28,8 @@
 //! coordinator merges the answers in the sequential traversal's visit
 //! order. `Query`, `QueryAt` and `FtQuery` are that one traversal; its
 //! unit of recovery is an owner still awaited, which has a deadline and
-//! a retry budget (`FtPolicy::attempt_timeout` under one of two
-//! constant policies, which the query's kind picks), so a parked
+//! a retry budget (`RetryBudget::attempt_timeout` under one of two
+//! constant budgets, which the query's kind picks), so a parked
 //! traversal always ends, within its policy's total wait: an `FtQuery`
 //! with an exact account of the regions it gave up, a plain query
 //! whole or not at all.
@@ -58,9 +58,7 @@ use hyperdex_core::protocol::{
 };
 use hyperdex_core::search::TraversalOrder::TopDown;
 use hyperdex_core::store::ByVertex;
-use hyperdex_core::{
-    FtCoverage, FtPolicy, KeywordHasher, KeywordSet, ObjectId, PostingStore, RecoveryStrategy,
-};
+use hyperdex_core::{FtCoverage, KeywordHasher, KeywordSet, ObjectId, PostingStore, RetryBudget};
 use hyperdex_hypercube::sbt::child_dims;
 use hyperdex_hypercube::{Shape, Vertex};
 
@@ -91,8 +89,7 @@ const RESULT_CACHE_MAX_ITEMS: usize = 4096;
 /// until an owner is given up and the query with it, which outlasts
 /// `NetConfig`'s default request timeout (10 s): no client still
 /// listening is given up on.
-pub(crate) const PLAIN_QUERY_POLICY: FtPolicy = FtPolicy {
-    strategy: RecoveryStrategy::RetryOnly,
+pub(crate) const PLAIN_QUERY_POLICY: RetryBudget = RetryBudget {
     max_retries: 3,
     base_timeout: 1_000,
 };
@@ -101,11 +98,9 @@ pub(crate) const PLAIN_QUERY_POLICY: FtPolicy = FtPolicy {
 /// doubling (a healthy region round trip on the mesh's 1–10 ms links
 /// stays under the first deadline) — 6,350 ms until an owner is given
 /// up and its regions are reported skipped. A region has no subtree to
-/// route around, so retrying the owner is every strategy's whole
-/// recovery. The frame's tag picks this policy; nothing the frame
-/// carries sets it.
-pub(crate) const FT_QUERY_POLICY: FtPolicy = FtPolicy {
-    strategy: RecoveryStrategy::RetryOnly,
+/// route around, so retrying the owner is the whole recovery. The
+/// frame's tag picks this budget; nothing the frame carries sets it.
+pub(crate) const FT_QUERY_POLICY: RetryBudget = RetryBudget {
     max_retries: 6,
     base_timeout: 50,
 };
@@ -355,7 +350,7 @@ struct QueryState {
 impl QueryState {
     /// The deadline and retry rule every awaited owner is held to: the
     /// query's kind picks it.
-    fn policy(&self) -> &'static FtPolicy {
+    fn policy(&self) -> &'static RetryBudget {
         match self.coverage {
             Some(_) => &FT_QUERY_POLICY,
             None => &PLAIN_QUERY_POLICY,

@@ -14,7 +14,7 @@
 //! ```
 
 use hyperdex::core::sim_protocol::{ProtocolSim, RecoveryStrategy};
-use hyperdex::core::{Error, FtPolicy, KeywordSet, StabilizationConfig};
+use hyperdex::core::{Error, KeywordSet, StabilizationConfig};
 use hyperdex::dht::{Dolr, NodeId, ObjectId};
 use hyperdex::simnet::churn::ChurnPlan;
 use hyperdex::simnet::latency::LatencyModel;
@@ -43,12 +43,12 @@ fn main() -> Result<(), Error> {
     );
     assert!(st.converged(), "stabilization must reassign every vertex");
 
-    let policy = FtPolicy {
-        strategy: RecoveryStrategy::ReplicatedFailover,
-        max_retries: 4,
-        base_timeout: 16,
-    };
-    let out = sim.search_fault_tolerant(&KeywordSet::parse("common")?, usize::MAX - 1, policy)?;
+    let common = KeywordSet::parse("common")?;
+    let out = sim.search_fault_tolerant(
+        &common,
+        usize::MAX - 1,
+        RecoveryStrategy::ReplicatedFailover,
+    )?;
     // The results are deduplicated by object id.
     let found = out.results.len() as u64;
     println!(

@@ -2,9 +2,7 @@
 //! the §3.4 claim that no single failure blocks a keyword's queries.
 
 use hyperdex::core::sim_protocol::{FtSearchOutcome, ProtocolSim, RecoveryStrategy};
-use hyperdex::core::{
-    FtPolicy, HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery,
-};
+use hyperdex::core::{HypercubeIndex, KeywordHasher, KeywordSet, ObjectId, SupersetQuery};
 use hyperdex::dht::{Dolr, NodeId};
 use hyperdex::hypercube::Vertex;
 use hyperdex::simnet::latency::LatencyModel;
@@ -150,16 +148,6 @@ fn query_root(seed: u64, keywords: &str) -> Vertex {
         .vertex_for(&set(keywords))
 }
 
-/// `strategy` with `max_retries` retransmissions, first waiting 16
-/// ticks.
-fn policy(strategy: RecoveryStrategy, max_retries: u32) -> FtPolicy {
-    FtPolicy {
-        strategy,
-        max_retries,
-        base_timeout: 16,
-    }
-}
-
 fn sorted_ids(out: &FtSearchOutcome) -> Vec<ObjectId> {
     let mut v: Vec<ObjectId> = out.results.iter().map(|r| r.object).collect();
     v.sort_unstable();
@@ -170,16 +158,16 @@ fn sorted_ids(out: &FtSearchOutcome) -> Vec<ObjectId> {
 fn lossy_search_with_retry_budget_matches_fault_free_run() {
     // Fault-free reference: even the naive strategy covers everything.
     let baseline = protocol_sim(7)
-        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::Naive, 4))
+        .search_fault_tolerant(&set("common"), ALL, RecoveryStrategy::Naive)
         .expect("valid");
     let baseline_ids = sorted_ids(&baseline);
     assert!(!baseline_ids.is_empty(), "reference run must find objects");
 
-    // Same index, 20% message loss, generous retry budget.
+    // Same index, 20% message loss, the simulator's retry budget.
     let mut sim = protocol_sim(7);
     sim.network_mut().faults_mut().set_drop_probability(0.2);
     let out = sim
-        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::RetryOnly, 12))
+        .search_fault_tolerant(&set("common"), ALL, RecoveryStrategy::RetryOnly)
         .expect("valid");
     assert_eq!(
         sorted_ids(&out),
@@ -202,7 +190,7 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
     sim.network_mut().faults_mut().kill(dead_ep);
 
     let out = sim
-        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::Redelegate, 4))
+        .search_fault_tolerant(&set("common"), ALL, RecoveryStrategy::Redelegate)
         .expect("valid");
     // Exactly the crashed vertex is lost; every vertex of its subtree
     // was re-delegated and answered.
@@ -223,7 +211,7 @@ fn crashed_subtree_root_is_fully_covered_by_redelegation() {
     let dead_ep = sim.endpoint_of(dead.bits());
     sim.network_mut().faults_mut().kill(dead_ep);
     let abandoned = sim
-        .search_fault_tolerant(&set("common"), ALL, policy(RecoveryStrategy::RetryOnly, 4))
+        .search_fault_tolerant(&set("common"), ALL, RecoveryStrategy::RetryOnly)
         .expect("valid");
     assert_eq!(
         abandoned.coverage.ft.skipped.len() as u64,
@@ -254,11 +242,7 @@ fn acceptance_crashes_plus_loss_terminate_with_exact_accounting() {
         }
         sim.network_mut().faults_mut().set_drop_probability(0.2);
         let out = sim
-            .search_fault_tolerant(
-                &set("common"),
-                ALL,
-                policy(RecoveryStrategy::Redelegate, 10),
-            )
+            .search_fault_tolerant(&set("common"), ALL, RecoveryStrategy::Redelegate)
             .expect("valid");
 
         // Terminated (we are here) with every live vertex covered:
