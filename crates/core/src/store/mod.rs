@@ -68,7 +68,8 @@ impl Hasher for VertexHasher {
 pub struct StoreFootprint {
     /// Total resident bytes attributed to the store.
     pub bytes_resident: usize,
-    /// Bytes of the contiguous signature slab.
+    /// Bytes of the slot array: its capacity times a slot's 40 bytes
+    /// (signature, keyword-set handle and posting-list place).
     pub slab_bytes: usize,
     /// Posting-arena capacity in bytes.
     pub arena_bytes: usize,

@@ -1,16 +1,16 @@
-//! The struct-of-arrays slab posting store.
+//! The slab posting store.
 //!
 //! One [`PostingStore`] is one vertex's table of
 //! `⟨keyword_set, {σ₁…σₙ}⟩` entries. Instead of the `BTreeMap` of
-//! per-entry `BTreeSet`s its test oracle uses, the slab keeps two
-//! parallel arrays indexed by *slot*, beside one byte arena:
+//! per-entry `BTreeSet`s its test oracle uses, the slab keeps one array
+//! of *slots* beside one byte arena:
 //!
-//! * `sigs` — the 64-bit keyword-set signatures, one contiguous slab.
-//!   The PR 4 signature prefilter becomes a tight linear pass over this
-//!   array; no pointers are chased until a signature passes.
-//! * `entries` — 32 bytes per slot: the [`KeywordSet`] (a handle on its
-//!   shared packed buffer, so a set the caller keeps is not copied) and
-//!   the `(offset, len, last)` of its posting list in the arena.
+//! * `entries` — 40 bytes per slot: the 64-bit keyword-set signature,
+//!   the [`KeywordSet`] (a handle on its shared packed buffer, so a set
+//!   the caller keeps is not copied) and the `(offset, len, last)` of
+//!   its posting list in the arena. The signature prefilter is a linear
+//!   pass over this array; no pointer is chased until a signature
+//!   passes.
 //! * `arena` — the varint delta-encoded object ids
 //!   ([`crate::store::codec`]) of every list of two or more, back to
 //!   back.
@@ -26,9 +26,9 @@
 //! range as *waste*, bounded by [`PostingStore::compact`], triggered
 //! automatically once waste crosses a threshold. Deleting a last object
 //! swap-removes the slot, so every slot is live: slot order is not
-//! query-visible (every scan sorts by keyword set). The slot arrays
-//! grow by half their length, not by doubling: a vertex holds a few
-//! slots, and a doubled array can be half empty.
+//! query-visible (every scan sorts by keyword set). The slot array
+//! grows by a quarter of its length, not by doubling: a vertex holds a
+//! few slots, and a doubled array can be half empty.
 //!
 //! # Parity contract
 //!
@@ -48,9 +48,12 @@ use crate::keyword::KeywordSet;
 use crate::store::codec::{push_varint, read_varint, DeltaIter};
 use crate::store::{key_heap_bytes, StoreBackend, StoreFootprint};
 
-/// One slot: its keyword set and where its posting list sits.
+/// One slot: its keyword set, that set's signature and where its
+/// posting list sits.
 #[derive(Debug, Clone)]
 struct Entry {
+    /// `key.signature()`, read by the prefilter and `find_slot`.
+    sig: u64,
     /// The slot's keyword set.
     key: KeywordSet,
     /// Byte offset of the encoded list in the arena.
@@ -75,23 +78,17 @@ impl Entry {
 
 // What a slot and a vertex's store cost (DESIGN.md §17); a field added
 // to either must say so here.
-const _: () = assert!(size_of::<Entry>() == 32);
-const _: () = assert!(size_of::<PostingStore>() <= 88);
+const _: () = assert!(size_of::<Entry>() == 40);
+const _: () = assert!(size_of::<PostingStore>() <= 64);
 
 /// Compact once retired arena bytes exceed half the arena beyond this
 /// floor.
 const WASTE_FLOOR: u32 = 4096;
 
-/// A full pair of slot arrays grows by half its length, and by at least
-/// this many slots.
-const MIN_GROWTH: usize = 4;
-
-/// A struct-of-arrays posting store for one hypercube vertex.
+/// The slab posting store for one hypercube vertex.
 #[derive(Debug, Clone, Default)]
 pub struct PostingStore {
-    /// The contiguous signature slab.
-    sigs: Vec<u64>,
-    /// Keyword set and posting-list place per slot, parallel to `sigs`.
+    /// One slot per distinct keyword set.
     entries: Vec<Entry>,
     /// Varint delta-encoded object ids of every list of two or more,
     /// back to back.
@@ -198,13 +195,13 @@ impl PostingStore {
         } else if qsig == 0 {
             self.slots_sorted()
         } else {
-            // The tight linear pass: one branch per u64, no pointer
-            // chased until a signature covers the query's.
+            // The linear pass: one branch per slot, no pointer chased
+            // until a signature covers the query's.
             let mut hits: Vec<u32> = self
-                .sigs
+                .entries
                 .iter()
                 .enumerate()
-                .filter(|&(_, &sig)| sig & qsig == qsig)
+                .filter(|&(_, e)| e.sig & qsig == qsig)
                 .map(|(slot, _)| slot as u32)
                 .collect();
             self.sort_by_key_order(&mut hits);
@@ -253,13 +250,9 @@ impl PostingStore {
     /// caller or not (see [`StoreFootprint::key_bytes`]).
     pub fn footprint(&self) -> StoreFootprint {
         let key_bytes = self.entries.iter().map(|e| key_heap_bytes(&e.key)).sum();
-        let slab_bytes = self.sigs.capacity() * size_of::<u64>();
+        let slab_bytes = self.entries.capacity() * size_of::<Entry>();
         StoreFootprint {
-            bytes_resident: size_of::<Self>()
-                + slab_bytes
-                + self.entries.capacity() * size_of::<Entry>()
-                + self.arena.capacity()
-                + key_bytes,
+            bytes_resident: size_of::<Self>() + slab_bytes + self.arena.capacity() + key_bytes,
             slab_bytes,
             arena_bytes: self.arena.capacity(),
             arena_waste: self.arena_waste as usize,
@@ -282,19 +275,21 @@ impl PostingStore {
     /// The slot holding exactly `keywords`, if any: linear signature
     /// scan (equal sets have equal signatures) confirmed by equality.
     fn find_slot(&self, keywords: &KeywordSet, sig: u64) -> Option<usize> {
-        (0..self.sigs.len())
-            .find(|&slot| self.sigs[slot] == sig && self.entries[slot].key == *keywords)
+        self.entries
+            .iter()
+            .position(|e| e.sig == sig && e.key == *keywords)
     }
 
-    /// Appends a brand-new slot for `keywords`, its list inline.
+    /// Appends a brand-new slot for `keywords`, its list inline. A full
+    /// slot array grows by a quarter of its length, and by at least two
+    /// slots.
     fn insert_new(&mut self, keywords: KeywordSet, sig: u64, object: ObjectId) -> bool {
         if self.entries.len() == self.entries.capacity() {
-            let more = (self.entries.len() / 2).max(MIN_GROWTH);
+            let more = (self.entries.len() / 4).max(2);
             self.entries.reserve_exact(more);
-            self.sigs.reserve_exact(more);
         }
-        self.sigs.push(sig);
         self.entries.push(Entry {
+            sig,
             key: keywords,
             off: 0,
             len: 0,
@@ -401,13 +396,13 @@ impl PostingStore {
         (e.off, e.last) = (0, raw);
     }
 
-    /// Drops a slot whose one, inline object was removed: the last slot
-    /// moves into its place. It held no arena bytes.
+    /// Drops a slot whose one, inline object was removed: the last slot,
+    /// its signature with it, moves into its place. It held no arena
+    /// bytes.
     fn kill_slot(&mut self, slot: usize) {
         self.entries.swap_remove(slot);
-        self.sigs.swap_remove(slot);
         // Other slots may still cover the departed bits.
-        self.union_sig = self.sigs.iter().fold(0, |m, &s| m | s);
+        self.union_sig = self.entries.iter().fold(0, |m, e| m | e.sig);
     }
 
     /// Compacts once retired arena bytes dominate.
@@ -608,6 +603,48 @@ mod tests {
             }
             assert_eq!(ids(&st, &format!("kw{k}")), expect);
         }
+    }
+
+    #[test]
+    fn the_slot_array_grows_by_a_quarter_and_a_remove_keeps_its_capacity() {
+        let mut st = PostingStore::default();
+        let mut steps = Vec::new();
+        for i in 0..30u64 {
+            st.insert(set(&format!("w{i}")), oid(i));
+            if steps.last() != Some(&st.entries.capacity()) {
+                steps.push(st.entries.capacity());
+            }
+        }
+        assert_eq!(steps, [2, 4, 6, 8, 10, 12, 15, 18, 22, 27, 33]);
+        assert!(st.remove(&set("w7"), oid(7)));
+        assert_eq!(st.entries.capacity(), 33);
+        assert_eq!(st.footprint().slab_bytes, 33 * 40);
+    }
+
+    #[test]
+    fn a_killed_slot_takes_its_signature_and_leaves_every_key_found() {
+        let mut st = PostingStore::default();
+        for i in 0..9u64 {
+            st.insert(set(&format!("w{i} x")), oid(i));
+        }
+        // The first of nine slots, a middle one of eight, the last of
+        // seven.
+        for slot in [0, 4, 6] {
+            let Entry { key, last, .. } = st.entries[slot].clone();
+            assert!(st.remove(&key, oid(last)));
+            for e in &st.entries {
+                assert_eq!(
+                    e.sig,
+                    e.key.signature(),
+                    "a signature moved without its key"
+                );
+                let found: Vec<u64> = st.objects_with(&e.key).map(ObjectId::raw).collect();
+                assert_eq!(found, [e.last], "objects_with({:?})", e.key);
+                let hits: Vec<&KeywordSet> = st.superset_entries(&e.key).map(|(k, _)| k).collect();
+                assert!(hits.contains(&&e.key), "superset_entries({:?})", e.key);
+            }
+        }
+        assert_eq!(st.keyword_set_count(), 6);
     }
 
     #[test]
